@@ -361,7 +361,7 @@ func benchStoreSetup(b *testing.B) (data []byte, workingSet int64) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := store.Run(context.Background(), st, kernels.NewBFS(0)); err != nil {
+	if _, err := kernels.RunOn(context.Background(), st, kernels.NewBFS(0), kernels.Serial, kernels.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	return data, st.Stats().PeakResidentBytes
@@ -386,7 +386,7 @@ func benchStoreBFS(b *testing.B, ratio float64) {
 	b.ResetTimer()
 	var nominal int64
 	for i := 0; i < b.N; i++ {
-		res, err := store.Run(context.Background(), st, kernels.NewBFS(0))
+		res, err := kernels.RunOn(context.Background(), st, kernels.NewBFS(0), kernels.Serial, kernels.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func main() {
 		serialMS := float64(time.Since(t0).Microseconds()) / 1e3
 
 		t1 := time.Now()
-		par, err := kernels.RunParallel(g, k, 0)
+		par, err := kernels.Run(g, k, kernels.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kernels"
+	"repro/internal/kernels/kerneltest"
+	"repro/internal/store"
 )
 
 func ctxTestGraph(t *testing.T) *graph.Graph {
@@ -87,5 +89,37 @@ func TestRunMidflightCancellation(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-flight cancel: err = %v, want nil (finished first) or context.Canceled", err)
+	}
+}
+
+// TestSerialEnginesCancelMidRun cancels from inside the second
+// iteration's traversal: the serial reference and the out-of-core
+// engine — one kernel engine over two sources — must both stop at the
+// next iteration boundary with context.Canceled instead of running the
+// remaining ~200 iterations while holding an executor slot.
+func TestSerialEnginesCancelMidRun(t *testing.T) {
+	g := ctxTestGraph(t)
+	data, err := store.EncodeGraph(g, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenBytes(data, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []Engine{SerialEngine(), StoreEngine(st)} {
+		ctx, cancel := context.WithCancel(context.Background())
+		k := kerneltest.CancelAfter(kernels.NewPageRank(200, 0.85), int(g.NumEdges())+1, cancel)
+		res, err := eng.Run(ctx, g, k, RunConfig{})
+		cancel()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("%s: mid-run cancel: result %v, err = %v, want nil, context.Canceled", eng.Name(), res, err)
+		}
+	}
+	if pins := st.Stats().Pins; pins != 0 {
+		t.Errorf("%d segment pins outstanding after cancellation", pins)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

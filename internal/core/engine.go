@@ -33,10 +33,9 @@ type Engine interface {
 	Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg RunConfig) (*Result, error)
 }
 
-// serialEngine wraps the reference kernels.RunSerial implementation. It
-// ignores RunConfig.Assignment (serial execution has no partitions) and
-// checks ctx only on entry — serial runs are the baseline the others are
-// verified against and finish in one call.
+// serialEngine runs the kernel engine's serial reference machine over
+// the in-memory graph. It ignores RunConfig.Assignment (serial execution
+// has no partitions).
 type serialEngine struct{}
 
 // SerialEngine returns the serial reference as an Engine.
@@ -45,12 +44,18 @@ func SerialEngine() Engine { return serialEngine{} }
 func (serialEngine) Name() string { return SerialEngineName }
 
 func (serialEngine) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, _ RunConfig) (*Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	src, err := kernels.InMemory(g)
+	if err != nil {
+		return nil, err
 	}
-	res, err := kernels.RunSerial(g, k)
+	return runSerial(ctx, src, k)
+}
+
+// runSerial is what the serial and out-of-core engines share: the one
+// kernel engine on its serial machine, over whichever source holds the
+// graph.
+func runSerial(ctx context.Context, src kernels.Source, k kernels.Kernel) (*Result, error) {
+	res, err := kernels.RunOn(ctx, src, k, kernels.Serial, kernels.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -12,10 +12,12 @@ import (
 const OutOfCoreEngineName = "out-of-core"
 
 // storeEngine executes kernels directly from an out-of-core container:
-// the traversal pins compressed segments through the store's local
-// memory tier instead of walking an in-RAM CSR. Results are bit-equal
-// to the serial reference on the materialized graph — the store's core
-// contract — so this engine slots into the same verification oracles.
+// the same serial machine SerialEngine runs, with the store as its
+// adjacency source, so the traversal pins compressed segments through
+// the store's local memory tier instead of walking an in-RAM CSR. A
+// container stores out-edges only, so every iteration pushes; results
+// are bit-equal to the serial push reference on the materialized graph,
+// and this engine slots into the same verification oracles.
 type storeEngine struct {
 	st *store.Store
 }
@@ -30,11 +32,10 @@ func StoreEngine(st *store.Store) Engine { return storeEngine{st: st} }
 func (storeEngine) Name() string { return OutOfCoreEngineName }
 
 func (e storeEngine) Run(ctx context.Context, _ *graph.Graph, k kernels.Kernel, _ RunConfig) (*Result, error) {
-	res, err := store.Run(ctx, e.st, k)
+	out, err := runSerial(ctx, e.st, k)
 	if err != nil {
 		return nil, err
 	}
-	out := FromSerial(k.Name(), res)
 	out.Engine = OutOfCoreEngineName
 	return out, nil
 }

@@ -137,49 +137,6 @@ func FromOutcome(kernel string, o *cluster.Outcome) *Result {
 	}
 }
 
-// SimRun converts back to the legacy analytical form.
-//
-// Deprecated: transitional shim for callers still consuming *sim.Run;
-// use Result directly.
-func (r *Result) SimRun() *sim.Run {
-	if r == nil {
-		return nil
-	}
-	return &sim.Run{
-		Engine:                 r.Engine,
-		Kernel:                 r.Kernel,
-		Records:                r.Records,
-		Result:                 r.Result,
-		OffloadSupported:       r.OffloadSupported,
-		OffloadNote:            r.OffloadNote,
-		TotalDataMovementBytes: r.TotalDataMovementBytes,
-		TotalSyncEvents:        r.TotalSyncEvents,
-		TotalSeconds:           r.TotalSeconds,
-		TotalEnergyJoules:      r.TotalEnergyJoules,
-	}
-}
-
-// ClusterOutcome converts back to the legacy concurrent form.
-//
-// Deprecated: transitional shim for callers still consuming
-// *cluster.Outcome; use Result directly.
-func (r *Result) ClusterOutcome() *cluster.Outcome {
-	if r == nil {
-		return nil
-	}
-	return &cluster.Outcome{
-		Values:       r.Values,
-		Iterations:   r.Iterations,
-		Converged:    r.Converged,
-		PerIteration: r.PerIteration,
-		Traffic:      r.Traffic,
-		LevelBytes:   r.LevelBytes,
-		LevelBytesIn: r.LevelBytesIn,
-		Faults:       r.Faults,
-		Counters:     r.Counters,
-	}
-}
-
 // String renders a one-line summary (the vertex vector is elided — print
 // Values explicitly to inspect it). Analytical runs report the movement
 // totals the simulator accounts; concurrent runs the measured traffic.

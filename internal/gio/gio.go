@@ -270,12 +270,9 @@ func readBinaryV2(p []byte, flags uint32, nVerts, nEdges uint64) (*graph.Graph, 
 	if uint64(offsets[nVerts]) != nEdges {
 		return nil, fmt.Errorf("%w: degrees sum to %d, header says %d edges", ErrBadFormat, offsets[nVerts], nEdges)
 	}
-	edges := make([]graph.VertexID, 0, nEdges)
+	edges := make([]graph.VertexID, nEdges)
 	for v := uint64(0); v < nVerts; v++ {
-		count := int(offsets[v+1] - offsets[v])
-		var consumed int
-		var err error
-		edges, consumed, err = graph.DecodeCompressedAdjacency(edges, p[off:], count)
+		consumed, err := graph.DecodeCompressedAdjacency(edges[offsets[v]:offsets[v+1]], p[off:])
 		if err != nil {
 			return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadFormat, v, err)
 		}

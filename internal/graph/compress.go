@@ -2,7 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 )
 
 // Adjacency compression: sorted neighbor lists delta-encode extremely
@@ -28,27 +28,35 @@ func AppendCompressedAdjacency(buf []byte, neighbors []VertexID) []byte {
 	return buf
 }
 
-// DecodeCompressedAdjacency decodes count neighbors from buf, appending
-// to dst, and returns the extended dst plus the bytes consumed.
-func DecodeCompressedAdjacency(dst []VertexID, buf []byte, count int) ([]VertexID, int, error) {
+// Decode failures are fixed values, not formatted ones: the decoder sits
+// on the out-of-core engine's segment-miss path, and its callers name
+// the vertex and segment being decoded.
+var (
+	errTruncatedAdjacency = errors.New("graph: truncated compressed adjacency")
+	errNeighborOverflow   = errors.New("graph: compressed neighbor overflows vertex id range")
+)
+
+// DecodeCompressedAdjacency decodes len(dst) neighbors from buf into dst
+// and returns the bytes consumed.
+func DecodeCompressedAdjacency(dst []VertexID, buf []byte) (int, error) {
 	off := 0
 	prev := uint64(0)
-	for i := 0; i < count; i++ {
+	for i := range dst {
 		v, n := binary.Uvarint(buf[off:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("graph: truncated compressed adjacency at neighbor %d", i)
+			return 0, errTruncatedAdjacency
 		}
 		off += n
 		if i > 0 {
 			v += prev
 		}
 		if v > 0xFFFFFFFF {
-			return nil, 0, fmt.Errorf("graph: compressed neighbor %d overflows vertex id range", i)
+			return 0, errNeighborOverflow
 		}
-		dst = append(dst, VertexID(v))
+		dst[i] = VertexID(v)
 		prev = v
 	}
-	return dst, off, nil
+	return off, nil
 }
 
 // CompressedEdgeBytes returns the size of the graph's edge lists under

@@ -93,11 +93,11 @@ func NewCSR(offsets []int64, edges []VertexID, weights []float32) (*Graph, error
 // vertex list only: NumVertices, NumEdges, OutDegree, and EdgeRange work,
 // but the edge array itself is absent — Neighbors and ForEachEdge panic.
 //
-// Out-of-core runners use this view to drive kernel callbacks
-// (InitialValue/Apply and friends consult only the vertex side of the
-// graph) while adjacency lists stream through a segment store instead of
-// living in one flat slice. It must never be handed to an in-memory
-// engine; the loud panic from Neighbors is the guard.
+// An out-of-core adjacency source uses this view as its vertex side:
+// kernel callbacks (InitialValue/Apply and friends) consult only that,
+// while adjacency lists stream through a segment store instead of living
+// in one flat slice. A view is not a graph to traverse — kernels.InMemory
+// refuses one with an error, and Neighbors panics.
 func NewVertexView(offsets []int64) (*Graph, error) {
 	if len(offsets) == 0 {
 		return nil, errors.New("graph: offsets must have at least one entry")
@@ -129,6 +129,17 @@ func (g *Graph) NumEdges() int64 { return g.offsets[g.NumVertices()] }
 
 // Weighted reports whether the graph carries edge weights.
 func (g *Graph) Weighted() bool { return g.weights != nil }
+
+// NonNegativeWeights reports whether every edge weight is >= 0, by an
+// O(E) scan (vacuously true when unweighted).
+func (g *Graph) NonNegativeWeights() bool {
+	for _, w := range g.weights {
+		if w < 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // OutDegree returns the out-degree of v.
 func (g *Graph) OutDegree(v VertexID) int64 {

@@ -482,8 +482,9 @@ func TestCompressedAdjacencyRoundTripProperty(t *testing.T) {
 		for v := 0; v < g.NumVertices(); v++ {
 			nb := g.Neighbors(VertexID(v))
 			buf := AppendCompressedAdjacency(nil, nb)
-			got, consumed, err := DecodeCompressedAdjacency(nil, buf, len(nb))
-			if err != nil || consumed != len(buf) || len(got) != len(nb) {
+			got := make([]VertexID, len(nb))
+			consumed, err := DecodeCompressedAdjacency(got, buf)
+			if err != nil || consumed != len(buf) {
 				return false
 			}
 			for i := range nb {
@@ -501,7 +502,7 @@ func TestCompressedAdjacencyRoundTripProperty(t *testing.T) {
 
 func TestDecodeCompressedAdjacencyTruncated(t *testing.T) {
 	buf := AppendCompressedAdjacency(nil, []VertexID{1, 5, 9})
-	if _, _, err := DecodeCompressedAdjacency(nil, buf[:1], 3); err == nil {
+	if _, err := DecodeCompressedAdjacency(make([]VertexID, 3), buf[:1]); err == nil {
 		t.Error("accepted truncated adjacency")
 	}
 }

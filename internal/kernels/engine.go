@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -9,10 +10,20 @@ import (
 	"repro/internal/graph"
 )
 
-// This file is the shared kernel engine: one iteration machine behind
-// RunSerial, RunSerialWith, Run, and RunParallel.
+// This file is the kernel engine: the one Traverse/Apply/Update loop
+// behind RunOn and its in-memory shorthands RunSerial, RunSerialWith and
+// Run.
 //
-// Two independent axes are generalized here:
+// Three independent axes are generalized here:
+//
+//   - Storage. The engine reads a Source: a resident vertex side plus an
+//     edge list lent in pinned segments. A push loop keeps a current
+//     segment and asks the source for another only when the frontier
+//     leaves it — once per run over an in-memory CSR (one segment, never
+//     released), once per segment crossing over an out-of-core container.
+//     The engine owns pin lifetime: every segment it holds is released
+//     before RunOn returns, on every path. A fetch error latches, ends
+//     the iteration and is returned as the source typed it.
 //
 //   - Direction. Push iterations scatter the frontier's out-edges (the
 //     paper's Traverse). Pull iterations scan candidate destinations and
@@ -22,7 +33,8 @@ import (
 //     min/max aggregate. Because pull visits the same contribution set
 //     push would, and min/max are order-independent in float64, the two
 //     directions produce bit-identical Results; only the EdgesInspected
-//     telemetry differs, which is the point.
+//     telemetry differs, which is the point. Pull needs in-edges, so it
+//     is chosen only over a source that reports them (InAdjacency).
 //
 //   - Parallelism. The staged machine partitions each phase over a fixed
 //     grid of engineChunks chunks, claimed by a persistent worker pool
@@ -51,7 +63,7 @@ const (
 	// DirectionPush always scatters along frontier out-edges.
 	DirectionPush
 	// DirectionPull always gathers along in-edges; requires the kernel
-	// to implement GatherKernel.
+	// to implement GatherKernel and the source to implement InAdjacency.
 	DirectionPull
 )
 
@@ -81,11 +93,26 @@ const (
 // not depend on the worker count — the grid is the reduction tree.
 const engineChunks = 64
 
+// Machine names one of the engine's two iteration machines.
+type Machine int
+
+const (
+	// Serial is the reference machine: it aggregates directly per
+	// destination in traversal order (the float-sum association golden
+	// tests pin) and ignores Options.Workers.
+	Serial Machine = iota
+	// Staged is the chunk-staged parallel machine. Min/max kernels are
+	// bit-identical to Serial; float sums are reassociated only by the
+	// fixed chunk grid, so the full Result is bit-identical at every
+	// Workers setting, including Workers=1.
+	Staged
+)
+
 // Options configures a kernel engine run.
 type Options struct {
-	// Workers sets the worker-pool width for Run (0 selects GOMAXPROCS,
-	// capped at the chunk-grid width). Results are bit-identical for
-	// every setting. RunSerialWith ignores it.
+	// Workers sets the Staged machine's worker-pool width (0 selects
+	// GOMAXPROCS, capped at the chunk-grid width). Results are
+	// bit-identical for every setting. The Serial machine ignores it.
 	Workers int
 	// Direction selects push, pull, or per-iteration auto switching.
 	Direction Direction
@@ -115,18 +142,19 @@ type pushScratch struct {
 // every buffer the loop touches, allocated once so the steady-state
 // iteration allocates nothing.
 type engine struct {
-	g     *graph.Graph
+	src   Source
+	g     *graph.Graph // src.Vertices()
+	in    InAdjacency
 	k     Kernel
 	gk    GatherKernel
 	sk    StatefulKernel
+	hasIn bool
 	hasGK bool
 	hasSK bool
 	tr    Traits
 	n     int
 
-	// staged selects the chunk-staged parallel machine; false is the
-	// serial reference, which aggregates directly per destination in
-	// traversal order (the float-sum association golden tests pin).
+	// staged selects the Staged machine; false is Serial.
 	staged bool
 	// C is the chunk-grid width (staged mode).
 	C int
@@ -143,9 +171,16 @@ type engine struct {
 	has      []bool
 	identity float64
 
-	// tpose caches graph.Transpose() locally; built on the first pull
-	// iteration (the graph itself caches it across engines and runs).
+	// tpose caches the source's transpose locally; asked for on the
+	// first pull iteration (an in-memory graph caches it across engines
+	// and runs).
 	tpose *graph.Graph
+
+	// cur is the serial push loop's current segment, held across
+	// iterations until the frontier leaves it or the run closes. err
+	// latches the first segment-fetch failure.
+	cur graph.Segment
+	err error
 
 	// Per-iteration prepared state.
 	iter          int
@@ -163,6 +198,7 @@ type engine struct {
 	inspectedPerChunk []int64
 	activatedPerChunk [][]graph.VertexID
 	residualPerChunk  []float64
+	errPerChunk       []error
 
 	pool      *workerPool
 	pushTask  func(worker, c int)
@@ -170,31 +206,44 @@ type engine struct {
 	applyTask func(worker, c int)
 }
 
-// Run executes the kernel on the staged parallel machine. Semantics
-// match RunSerial: min/max kernels produce bit-identical values, and
-// float sums are reassociated only by the fixed chunk-staged reduction —
-// so the full Result is bit-identical at every Workers setting,
-// including Workers=1.
-func Run(g *graph.Graph, k Kernel, opt Options) (*Result, error) {
-	e, err := newEngine(g, k, opt, true)
+// RunOn executes the kernel on machine m, reading the graph from src. It
+// checks ctx at every iteration boundary. Every other way to run a
+// kernel for real — RunSerial, RunSerialWith, Run, core's serial and
+// out-of-core engines — is a call to this function.
+func RunOn(ctx context.Context, src Source, k Kernel, m Machine, opt Options) (*Result, error) {
+	e, err := newEngine(src, k, opt, m == Staged)
 	if err != nil {
 		return nil, err
 	}
-	if e.pool != nil {
-		defer e.pool.close()
+	defer e.close()
+	return e.run(ctx)
+}
+
+// Run executes the kernel on the Staged machine over an in-memory graph.
+func Run(g *graph.Graph, k Kernel, opt Options) (*Result, error) {
+	return runInMemory(g, k, Staged, opt)
+}
+
+// runInMemory serves the entry points whose kept signatures carry
+// neither a context nor a source.
+func runInMemory(g *graph.Graph, k Kernel, m Machine, opt Options) (*Result, error) {
+	src, err := InMemory(g)
+	if err != nil {
+		return nil, err
 	}
-	return e.run()
+	return RunOn(context.TODO(), src, k, m, opt)
 }
 
 // newEngine validates inputs and builds the machine. Per-worker push
 // scratch rides on two flat arenas, so the setup loop assembles slice
 // views instead of allocating per worker.
-func newEngine(g *graph.Graph, k Kernel, opt Options, staged bool) (*engine, error) {
-	if err := CheckGraph(g, k); err != nil {
+func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) {
+	if err := CheckGraph(src, k); err != nil {
 		return nil, err
 	}
+	g := src.Vertices()
 	e := &engine{
-		g: g, k: k,
+		src: src, g: g, k: k,
 		tr:     k.Traits(),
 		n:      g.NumVertices(),
 		staged: staged,
@@ -208,6 +257,7 @@ func newEngine(g *graph.Graph, k Kernel, opt Options, staged bool) (*engine, err
 	if e.beta <= 0 {
 		e.beta = DefaultBeta
 	}
+	e.in, e.hasIn = src.(InAdjacency)
 	e.gk, e.hasGK = k.(GatherKernel)
 	e.sk, e.hasSK = k.(StatefulKernel)
 	switch opt.Direction {
@@ -215,6 +265,9 @@ func newEngine(g *graph.Graph, k Kernel, opt Options, staged bool) (*engine, err
 	case DirectionPull:
 		if !e.hasGK {
 			return nil, fmt.Errorf("kernels: %s does not implement GatherKernel; pull traversal unavailable", k.Name())
+		}
+		if !e.hasIn {
+			return nil, fmt.Errorf("kernels: the source serves no in-adjacency; pull traversal unavailable")
 		}
 	default:
 		return nil, fmt.Errorf("kernels: unknown direction %d", int(opt.Direction))
@@ -267,6 +320,7 @@ func newEngine(g *graph.Graph, k Kernel, opt Options, staged bool) (*engine, err
 	e.inspectedPerChunk = make([]int64, e.C)
 	e.activatedPerChunk = make([][]graph.VertexID, e.C)
 	e.residualPerChunk = make([]float64, e.C)
+	e.errPerChunk = make([]error, e.C)
 	e.pushTask = func(w, c int) { e.pushChunk(w, c) }
 	e.pullTask = func(_, c int) {
 		lo, hi := e.vtxChunk(c)
@@ -291,12 +345,25 @@ func (e *engine) activeChunk(c int) (lo, hi int) {
 	return a * c / e.C, a * (c + 1) / e.C
 }
 
-// run executes the kernel to completion.
+// close releases what a run still holds: the serial cursor's pin and the
+// worker pool. RunOn defers it, so neither outlives the run on any path.
+func (e *engine) close() {
+	e.cur.Release()
+	if e.pool != nil {
+		e.pool.close()
+	}
+}
+
+// run executes the kernel to completion, or to the first cancellation or
+// segment-fetch error.
 //
 //perf:hot
-func (e *engine) run() (*Result, error) {
+func (e *engine) run(ctx context.Context) (*Result, error) {
 	res, tr := e.res, e.tr
 	for iter := 0; iter < tr.MaxIterations; iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if e.frontier.Count() == 0 {
 			res.Converged = true
 			break
@@ -304,6 +371,9 @@ func (e *engine) run() (*Result, error) {
 		e.prepare(iter)
 		res.FrontierSizes = append(res.FrontierSizes, e.frontier.Count())
 		e.traverse()
+		if e.err != nil {
+			return nil, e.err
+		}
 		res.ActiveEdges = append(res.ActiveEdges, e.frontierEdges)
 		res.EdgesInspected += e.inspected
 		if e.pull {
@@ -336,12 +406,13 @@ func (e *engine) run() (*Result, error) {
 	return res, nil
 }
 
-// prepare computes the frontier's out-edge volume (materializing the
-// frontier for the staged machine), updates the remaining-volume
-// estimate, and decides this iteration's direction: pull exactly when
-// the frontier's out-edge volume exceeds remaining/alpha AND the
-// frontier holds more than n/beta vertices — the same alpha/beta rule
-// the standalone direction-optimized BFS used.
+// prepare computes the frontier's out-edge volume from the resident
+// offsets (materializing the frontier for the staged machine), updates
+// the remaining-volume estimate, and decides this iteration's direction:
+// pull exactly when the frontier's out-edge volume exceeds
+// remaining/alpha AND the frontier holds more than n/beta vertices
+// (Beamer's rule) — and only for a gather kernel over a source with
+// in-adjacency.
 func (e *engine) prepare(iter int) {
 	e.iter = iter
 	e.frontierEdges = 0
@@ -362,7 +433,7 @@ func (e *engine) prepare(iter int) {
 		e.remaining = 0
 	}
 	switch {
-	case e.dir == DirectionPush || !e.hasGK || e.tr.AllVerticesActive:
+	case e.dir == DirectionPush || !e.hasGK || !e.hasIn || e.tr.AllVerticesActive:
 		e.pull = false
 	case e.dir == DirectionPull:
 		e.pull = true
@@ -371,7 +442,7 @@ func (e *engine) prepare(iter int) {
 			float64(e.frontier.Count()) > float64(e.n)/e.beta
 	}
 	if e.pull && e.tpose == nil {
-		e.tpose = g.Transpose()
+		e.tpose = e.in.Transpose()
 	}
 }
 
@@ -401,6 +472,12 @@ func (e *engine) traverse() {
 	e.inspected = e.frontierEdges
 	if e.staged {
 		e.runTasks(e.pushTask)
+		for _, err := range e.errPerChunk {
+			if err != nil {
+				e.err = err
+				return
+			}
+		}
 		e.mergeChunks()
 		return
 	}
@@ -409,32 +486,48 @@ func (e *engine) traverse() {
 
 // pushSerial scatters the frontier's out-edges, aggregating directly per
 // destination in traversal order — the serial reference semantics every
-// other engine is validated against.
+// other engine is validated against. A Pin failure latches into e.err
+// and turns the remaining callbacks into no-ops (ForEach cannot stop
+// early).
 //
 //perf:hot
 func (e *engine) pushSerial() {
 	g, k := e.g, e.k
+	// Locals, so the per-edge loop keeps the three slice headers in
+	// registers: a store through e.agg or e.has could alias e itself, and
+	// the compiler would otherwise reload them from e for every edge.
+	values, agg, has := e.values, e.agg, e.has
 	e.frontier.ForEach(func(v graph.VertexID) {
+		if e.err != nil {
+			return
+		}
+		if !e.cur.Contains(v) {
+			e.cur.Release()
+			if e.cur, e.err = e.src.Pin(v); e.err != nil {
+				return
+			}
+		}
 		deg := g.OutDegree(v)
 		lo, hi := g.EdgeRange(v)
-		nbrs := g.Edges()[lo:hi]
-		wts := g.Weights()
+		lo, hi = lo-e.cur.Base, hi-e.cur.Base
+		nbrs := e.cur.Edges[lo:hi]
+		wts := e.cur.Weights
 		for i, dst := range nbrs {
 			w := float32(1)
 			if wts != nil {
 				w = wts[lo+int64(i)]
 			}
 			u, ok := k.Scatter(EdgeContext{
-				Src: v, Dst: dst, SrcValue: e.values[v], Weight: w, SrcOutDegree: deg,
+				Src: v, Dst: dst, SrcValue: values[v], Weight: w, SrcOutDegree: deg,
 			})
 			if !ok {
 				continue
 			}
-			if e.has[dst] {
-				e.agg[dst] = k.Aggregate(e.agg[dst], u)
+			if has[dst] {
+				agg[dst] = k.Aggregate(agg[dst], u)
 			} else {
-				e.agg[dst] = u
-				e.has[dst] = true
+				agg[dst] = u
+				has[dst] = true
 			}
 		}
 	})
@@ -444,7 +537,8 @@ func (e *engine) pushSerial() {
 // compact staged-partial list, pre-aggregated per destination in
 // traversal order. It writes only its own chunk's outputs, so chunks can
 // run on any worker in any order without changing a bit of the merged
-// result.
+// result. The chunk pins its own current segment and releases it before
+// returning; a Pin failure lands in the chunk's error slot.
 //
 //perf:hot
 func (e *engine) pushChunk(w, c int) {
@@ -452,12 +546,20 @@ func (e *engine) pushChunk(w, c int) {
 	s := &e.scratch[w]
 	key := int64(e.iter)*int64(e.C) + int64(c)
 	g, k := e.g, e.k
-	wts := g.Weights()
+	var cur graph.Segment
 	list := e.chunkUpd[c][:0]
 	for _, v := range e.active[lo:hi] {
+		if !cur.Contains(v) {
+			cur.Release()
+			if cur, e.errPerChunk[c] = e.src.Pin(v); e.errPerChunk[c] != nil {
+				break
+			}
+		}
 		deg := g.OutDegree(v)
 		elo, ehi := g.EdgeRange(v)
-		nbrs := g.Edges()[elo:ehi]
+		elo, ehi = elo-cur.Base, ehi-cur.Base
+		nbrs := cur.Edges[elo:ehi]
+		wts := cur.Weights
 		for i, dst := range nbrs {
 			wt := float32(1)
 			if wts != nil {
@@ -479,6 +581,7 @@ func (e *engine) pushChunk(w, c int) {
 			}
 		}
 	}
+	cur.Release()
 	e.chunkUpd[c] = list
 }
 
@@ -700,6 +803,6 @@ func (p *workerPool) run(n int, task func(worker, i int)) {
 	}
 }
 
-// close retires the pool's goroutines; Run defers it so a pool never
-// outlives its run.
+// close retires the pool's goroutines; engine.close calls it so a pool
+// never outlives its run.
 func (p *workerPool) close() { close(p.start) }

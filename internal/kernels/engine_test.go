@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/store"
 )
 
 // gatherKernels returns one instance of every registry kernel that
@@ -91,7 +94,7 @@ func TestEngineDirectionsBitIdentical(t *testing.T) {
 	}
 }
 
-func mustNoErr(t *testing.T, err error) {
+func mustNoErr(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +160,7 @@ func TestEngineHybridMatchesPushProperty(t *testing.T) {
 // hub-heavy twitter7 stand-in, auto BFS chooses pull for the dense
 // middle iterations and inspects less than half the edges push probes.
 func TestEngineAutoShrinksInspectedOnHubGraph(t *testing.T) {
-	g, err := gen.Twitter7.Generate(0.25, gen.Config{Seed: 7, DropSelfLoops: true})
-	mustNoErr(t, err)
+	g := hubGraph(t)
 	push, err := RunSerialWith(g, NewBFS(0), Options{Direction: DirectionPush})
 	mustNoErr(t, err)
 	auto, err := RunSerialWith(g, NewBFS(0), Options{Direction: DirectionAuto})
@@ -234,31 +236,43 @@ func TestEnginePullRequiresGatherKernel(t *testing.T) {
 // exists for, mirroring internal/sim's TestAllocGate: once the buffers
 // are warm, one full prepare/traverse/apply iteration allocates nothing
 // — on the serial machine, the staged machine (Workers=1, keeping the
-// phase dispatch on its inline path as the sim gate does), and the pull
-// direction.
+// phase dispatch on its inline path as the sim gate does), the pull
+// direction, and over a container whose tier is warm and fully resident
+// (every Pin a hit).
 func TestEngineAllocGate(t *testing.T) {
 	g := socialGraph(t)
+	mem, err := InMemory(g)
+	mustNoErr(t, err)
+	data, err := store.EncodeGraph(g, 1<<10)
+	mustNoErr(t, err)
+	st, err := store.OpenBytes(data, store.Options{})
+	mustNoErr(t, err)
 	cases := []struct {
 		name   string
+		src    Source
 		kernel Kernel
 		opt    Options
 		staged bool
 	}{
-		{"serial-pagerank", NewPageRank(0, 0.85), Options{}, false},
-		{"staged-pagerank", NewPageRank(0, 0.85), Options{Workers: 1}, true},
-		{"serial-cc-pull", NewConnectedComponents(), Options{Direction: DirectionPull}, false},
-		{"staged-cc-pull", NewConnectedComponents(), Options{Workers: 1, Direction: DirectionPull}, true},
+		{"serial-pagerank", mem, NewPageRank(0, 0.85), Options{}, false},
+		{"staged-pagerank", mem, NewPageRank(0, 0.85), Options{Workers: 1}, true},
+		{"serial-cc-pull", mem, NewConnectedComponents(), Options{Direction: DirectionPull}, false},
+		{"staged-cc-pull", mem, NewConnectedComponents(), Options{Workers: 1, Direction: DirectionPull}, true},
+		{"serial-pagerank-container", st, NewPageRank(0, 0.85), Options{}, false},
+		{"staged-pagerank-container", st, NewPageRank(0, 0.85), Options{Workers: 1}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := newEngine(g, tc.kernel, tc.opt, tc.staged)
+			e, err := newEngine(tc.src, tc.kernel, tc.opt, tc.staged)
 			mustNoErr(t, err)
+			defer e.close()
 			iter := 0
 			step := func() {
 				// One run() iteration minus the Result bookkeeping, whose
 				// appends are a legitimate amortized per-iteration cost.
 				e.prepare(iter)
 				e.traverse()
+				mustNoErr(t, e.err)
 				if e.hasSK {
 					e.frontier.ForEach(e.sk.OnScattered)
 				}
@@ -270,13 +284,17 @@ func TestEngineAllocGate(t *testing.T) {
 				iter++
 			}
 			for i := 0; i < 3; i++ {
-				step() // warm the staged lists, scratch stamps, and frontiers
+				step() // warm the staged lists, scratch stamps, frontiers, and tier
 			}
 			if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 				t.Fatalf("steady-state iteration allocates %.1f times, want 0", allocs)
 			}
 		})
 	}
+	if pins := st.Stats().Pins; pins != 0 {
+		t.Fatalf("%d pins outstanding after the container cases", pins)
+	}
+	mustNoErr(t, st.Close())
 }
 
 // TestEngineOnDegreeSortedLayout closes the loop with the cache-blocked
@@ -302,5 +320,230 @@ func TestEngineOnDegreeSortedLayout(t *testing.T) {
 	}
 	if res.Iterations != ref.Iterations {
 		t.Fatalf("relabeled run took %d iterations, original %d", res.Iterations, ref.Iterations)
+	}
+}
+
+// TestInMemoryRejectsVertexView pins the guard graph.NewVertexView
+// documents: an offsets-only view is refused with an error when it is
+// offered as in-memory adjacency, by every graph-taking entry point,
+// instead of failing later as a bare slice-bounds panic.
+func TestInMemoryRejectsVertexView(t *testing.T) {
+	view, err := graph.NewVertexView(socialGraph(t).Offsets())
+	mustNoErr(t, err)
+	if _, err := InMemory(view); err == nil {
+		t.Fatal("InMemory accepted a vertex-only view")
+	}
+	if _, err := RunSerial(view, NewBFS(0)); err == nil {
+		t.Fatal("RunSerial accepted a vertex-only view")
+	}
+	if _, err := Run(view, NewBFS(0), Options{}); err == nil {
+		t.Fatal("Run accepted a vertex-only view")
+	}
+}
+
+// TestEnginePushesOnlyWithoutInAdjacency pins the storage axis of the
+// direction choice: over a source that serves no in-edges (a container)
+// auto never pulls, on a graph where it does pull in memory, and forced
+// pull is an error rather than a silent push.
+func TestEnginePushesOnlyWithoutInAdjacency(t *testing.T) {
+	g := hubGraph(t)
+	data, err := store.EncodeGraph(g, 16<<10)
+	mustNoErr(t, err)
+	st, err := store.OpenBytes(data, store.Options{})
+	mustNoErr(t, err)
+	defer st.Close()
+	if hybridBFS(t, g, 0).PullIterations == 0 {
+		t.Fatal("fixture never pulls in memory; the container half proves nothing")
+	}
+	ooc, err := RunOn(context.Background(), st, NewBFS(0), Serial, Options{})
+	mustNoErr(t, err)
+	push, err := RunSerialWith(g, NewBFS(0), Options{Direction: DirectionPush})
+	mustNoErr(t, err)
+	if !reflect.DeepEqual(ooc, push) {
+		t.Fatalf("auto over a container differs from forced push in memory:\n got %+v\nwant %+v", ooc, push)
+	}
+	if _, err := RunOn(context.Background(), st, NewBFS(0), Serial, Options{Direction: DirectionPull}); err == nil ||
+		!strings.Contains(err.Error(), "in-adjacency") {
+		t.Fatalf("forced pull over a container: err = %v, want in-adjacency error", err)
+	}
+}
+
+// The tests below came over from the RunParallel and
+// RunBFSDirectionOptimized wrappers when those were deleted; they drive
+// the same behaviour through Run and RunSerialWith.
+
+// hubGraph is the hub-heavy twitter7 stand-in, whose explosive middle
+// frontiers make auto choose pull.
+func hubGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	g, err := gen.Twitter7.Generate(0.25, gen.Config{Seed: 7, DropSelfLoops: true})
+	mustNoErr(t, err)
+	return g
+}
+
+// chainGraph is a directed path 0→1→…→n-1: n-1 BFS levels, never more
+// than one frontier vertex.
+func chainGraph(t testing.TB, n int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	for i := 0; i < n-1; i++ {
+		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1), 1)
+	}
+	g, err := b.Build()
+	mustNoErr(t, err)
+	return g
+}
+
+// hybridBFS is direction-optimized BFS: the serial machine under
+// DirectionAuto with the default alpha/beta.
+func hybridBFS(t testing.TB, g *graph.Graph, src graph.VertexID) *Result {
+	t.Helper()
+	res, err := RunSerialWith(g, NewBFS(src), Options{})
+	mustNoErr(t, err)
+	return res
+}
+
+func TestParallelMatchesSerialAllKernels(t *testing.T) {
+	g := socialGraph(t)
+	for _, k := range All() {
+		k := k
+		t.Run(k.Name(), func(t *testing.T) {
+			ref, err := RunSerial(g, k)
+			mustNoErr(t, err)
+			for _, workers := range []int{1, 2, 4, 7} {
+				got, err := Run(g, k, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				tol := 0.0
+				if k.Traits().Agg == AggSum && k.Traits().UsesFloatingPoint {
+					tol = 1e-11 // association order differs across chunks
+				}
+				for v := range ref.Values {
+					a, b := got.Values[v], ref.Values[v]
+					if math.IsInf(a, 1) && math.IsInf(b, 1) {
+						continue
+					}
+					if d := math.Abs(a - b); d > tol {
+						t.Fatalf("workers=%d: value[%d] = %g, serial %g", workers, v, a, b)
+					}
+				}
+				if got.Iterations != ref.Iterations {
+					t.Errorf("workers=%d: iterations %d, serial %d", workers, got.Iterations, ref.Iterations)
+				}
+			}
+		})
+	}
+}
+
+func TestParallelDeterministicPerWorkerCount(t *testing.T) {
+	g := socialGraph(t)
+	k := NewPageRank(10, 0.85)
+	r1, err := Run(g, k, Options{Workers: 4})
+	mustNoErr(t, err)
+	r2, err := Run(g, k, Options{Workers: 4})
+	mustNoErr(t, err)
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatal("same worker count diverged run over run")
+	}
+}
+
+func TestParallelFrontierAccountingMatchesSerial(t *testing.T) {
+	g := socialGraph(t)
+	ref, err := RunSerial(g, NewBFS(0))
+	mustNoErr(t, err)
+	got, err := Run(g, NewBFS(0), Options{Workers: 4})
+	mustNoErr(t, err)
+	assertSharedFieldsEqual(t, "staged-vs-serial", got, ref)
+}
+
+func TestParallelMoreWorkersThanVertices(t *testing.T) {
+	g, err := gen.ErdosRenyi(5, 12, gen.Config{Seed: 1})
+	mustNoErr(t, err)
+	_, err = Run(g, NewConnectedComponents(), Options{Workers: 64})
+	mustNoErr(t, err)
+}
+
+func TestParallelRequiresWeightsToo(t *testing.T) {
+	g, err := gen.ErdosRenyi(50, 150, gen.Config{Seed: 2})
+	mustNoErr(t, err)
+	if _, err := Run(g, NewSSSP(0), Options{Workers: 4}); !errors.Is(err, ErrNeedsWeights) {
+		t.Errorf("staged sssp on an unweighted graph: err = %v, want ErrNeedsWeights", err)
+	}
+}
+
+func TestDirOptMatchesClassicBFS(t *testing.T) {
+	community, err := gen.Community(2000, 10, 6, 0.9, gen.Config{Seed: 7, DropSelfLoops: true})
+	mustNoErr(t, err)
+	grid, err := gen.Grid(30, 30, gen.Config{Seed: 7})
+	mustNoErr(t, err)
+	for name, g := range map[string]*graph.Graph{"rmat": hubGraph(t), "community": community, "grid": grid} {
+		for _, src := range []graph.VertexID{0, graph.VertexID(g.NumVertices() / 2)} {
+			want := BFSClassic(g, src)
+			got := hybridBFS(t, g, src).Values
+			for v := range want {
+				if got[v] != want[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
+					t.Fatalf("%s src=%d: level[%d] = %g, want %g", name, src, v, got[v], want[v])
+				}
+			}
+		}
+	}
+}
+
+func TestDirOptUsesPullOnDenseGraph(t *testing.T) {
+	// The hybrid must choose pull in the explosive middle iterations and
+	// inspect fewer edges than the nominal (pure push) frontier volume.
+	res := hybridBFS(t, hubGraph(t), 0)
+	if res.PullIterations == 0 {
+		t.Error("hybrid never chose pull on an RMAT graph")
+	}
+	var pushEdges int64
+	for _, e := range res.ActiveEdges {
+		pushEdges += e
+	}
+	if res.EdgesInspected >= pushEdges {
+		t.Errorf("hybrid inspected %d edges, push %d — no win", res.EdgesInspected, pushEdges)
+	}
+}
+
+func TestDirOptStaysPushOnHighDiameterGraph(t *testing.T) {
+	// A long chain never has a large frontier: the hybrid must never pull.
+	if res := hybridBFS(t, chainGraph(t, 2000), 0); res.PullIterations != 0 {
+		t.Errorf("hybrid pulled %d times on a chain", res.PullIterations)
+	}
+}
+
+func TestDirOptSourceRange(t *testing.T) {
+	g, err := gen.ErdosRenyi(10, 20, gen.Config{Seed: 1})
+	mustNoErr(t, err)
+	if _, err := RunSerialWith(g, NewBFS(99), Options{}); err == nil {
+		t.Error("accepted out-of-range source")
+	}
+}
+
+// TestDirOptTransposeCachedAcrossRuns pins that the transpose is built
+// once per graph and shared by every hybrid run, not rebuilt per call.
+func TestDirOptTransposeCachedAcrossRuns(t *testing.T) {
+	g := hubGraph(t)
+	hybridBFS(t, g, 0)
+	tr := g.Transpose()
+	hybridBFS(t, g, graph.VertexID(g.NumVertices()/2))
+	if g.Transpose() != tr {
+		t.Fatal("second hybrid run rebuilt the transpose")
+	}
+	if tr.Transpose() != g {
+		t.Fatal("transpose round trip is not the original graph")
+	}
+}
+
+// TestDirOptAllocBound bounds a whole run's allocations: on a 2000-level
+// chain a run costs only its constant setup — independent of the
+// iteration count up to the amortized telemetry appends.
+func TestDirOptAllocBound(t *testing.T) {
+	g := chainGraph(t, 2000)
+	run := func() { hybridBFS(t, g, 0) }
+	run() // warm the graph-side caches (transpose is unused on a chain but cheap)
+	if allocs := testing.AllocsPerRun(5, run); allocs > 64 {
+		t.Fatalf("hybrid BFS run allocates %.0f times on a 2000-level chain; want setup-only (<= 64)", allocs)
 	}
 }

@@ -40,8 +40,16 @@ type Result struct {
 // unweighted graph.
 var ErrNeedsWeights = errors.New("kernels: kernel requires a weighted graph")
 
-// CheckGraph validates that g satisfies k's requirements.
-func CheckGraph(g *graph.Graph, k Kernel) error {
+// CheckGraph validates that g — a *graph.Graph, a Source, or anything
+// else that reports a graph's size and weight facts — satisfies k's
+// requirements. How the facts are known is the graph's business: an
+// in-memory CSR scans its weights, a container reads the flag its writer
+// recorded.
+func CheckGraph(g interface {
+	NumVertices() int
+	Weighted() bool
+	NonNegativeWeights() bool
+}, k Kernel) error {
 	if k.Traits().NeedsWeights {
 		if !g.Weighted() {
 			return fmt.Errorf("%w: %s", ErrNeedsWeights, k.Name())
@@ -49,11 +57,8 @@ func CheckGraph(g *graph.Graph, k Kernel) error {
 		// Negative weights make frontier Bellman–Ford (and min/max path
 		// semantics generally) non-terminating on cycles; reject up front
 		// rather than looping to the iteration cap.
-		for i, w := range g.Weights() {
-			if w < 0 {
-				//lint:ignore loopalloc,ifacebox validation error path: the allocation happens once, on the run-rejecting return
-				return fmt.Errorf("kernels: %s requires non-negative weights; edge %d has %v", k.Name(), i, w)
-			}
+		if !g.NonNegativeWeights() {
+			return fmt.Errorf("kernels: %s requires non-negative weights", k.Name())
 		}
 	}
 	if sk, ok := k.(SourcedKernel); ok {
@@ -82,9 +87,5 @@ func RunSerial(g *graph.Graph, k Kernel) (*Result, error) {
 //
 //perf:hot
 func RunSerialWith(g *graph.Graph, k Kernel, opt Options) (*Result, error) {
-	e, err := newEngine(g, k, opt, false)
-	if err != nil {
-		return nil, err
-	}
-	return e.run()
+	return runInMemory(g, k, Serial, opt)
 }

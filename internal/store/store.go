@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -60,11 +61,17 @@ const nilLink = int32(-1)
 // Store is an open gcsr2 container: resident offsets, a lazy segment
 // tier, and the source holding the bytes. Safe for concurrent use; each
 // successful Pin must be paired with Release on the returned handle.
+//
+// A Store is an adjacency source for the kernel engine
+// (kernels.Source): Vertices is the resident vertex side, Pin lends the
+// edge list one segment at a time. It stores out-edges only, so the
+// engine never pulls over it.
 type Store struct {
 	src      source
 	weighted bool
 	nonNeg   bool
 	offsets  []int64
+	view     *graph.Graph // offsets-only vertex side
 	segs     []segMeta
 
 	maxSegEdges int64 // largest segment edge count (sizes recycled buffers)
@@ -145,11 +152,16 @@ func open(src source, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	view, err := graph.NewVertexView(ix.offsets)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadContainer, err)
+	}
 	st := &Store{
 		src:      src,
 		weighted: h.weighted,
 		nonNeg:   ix.nonNeg,
 		offsets:  ix.offsets,
+		view:     view,
 		segs:     ix.segs,
 		frames:   make([]frame, len(ix.segs)),
 		head:     nilLink,
@@ -178,8 +190,9 @@ func (s *Store) NumEdges() int64 { return s.offsets[len(s.offsets)-1] }
 func (s *Store) Weighted() bool { return s.weighted }
 
 // NonNegativeWeights reports whether every stored weight is >= 0 — the
-// write-time scan that replaces CheckGraph's O(E) pass for out-of-core
-// runs (vacuously true for unweighted containers).
+// flag the writer computed while it had the weights in hand, so
+// validating a kernel costs no segment touches (vacuously true for
+// unweighted containers).
 func (s *Store) NonNegativeWeights() bool { return s.nonNeg }
 
 // NumSegments returns the segment count.
@@ -190,13 +203,11 @@ func (s *Store) OutDegree(v graph.VertexID) int64 {
 	return s.offsets[v+1] - s.offsets[v]
 }
 
-// VertexView returns an offsets-only graph.Graph over the container:
+// Vertices returns an offsets-only graph.Graph over the container:
 // kernel callbacks (InitialValue, Apply, InitialFrontier) consult only
 // the vertex side, so the view lets them run unmodified while adjacency
 // stays in the store.
-func (s *Store) VertexView() (*graph.Graph, error) {
-	return graph.NewVertexView(s.offsets)
-}
+func (s *Store) Vertices() *graph.Graph { return s.view }
 
 // Stats returns a snapshot of the tier counters.
 func (s *Store) Stats() Stats {
@@ -223,56 +234,14 @@ func (s *Store) segFor(v graph.VertexID) int32 {
 	return int32(lo)
 }
 
-// Seg is a pinned segment handle: adjacency access for the vertices the
-// segment covers. The zero Seg is invalid. Handles are value types; copy
-// freely but Release exactly once per successful Pin.
-type Seg struct {
-	st    *Store
-	idx   int32
-	first graph.VertexID
-	last  graph.VertexID // inclusive
-	base  int64          // offsets[first]
-	edges []graph.VertexID
-	wts   []float32
-}
-
-// Contains reports whether the handle covers v.
-func (sg Seg) Contains(v graph.VertexID) bool { return v >= sg.first && v <= sg.last }
-
-// Neighbors returns v's sorted out-neighbors. v must be covered.
-func (sg Seg) Neighbors(v graph.VertexID) []graph.VertexID {
-	lo, hi := sg.st.offsets[v]-sg.base, sg.st.offsets[v+1]-sg.base
-	return sg.edges[lo:hi]
-}
-
-// NeighborWeights returns the weights parallel to Neighbors(v), nil for
-// an unweighted container.
-func (sg Seg) NeighborWeights(v graph.VertexID) []float32 {
-	if sg.wts == nil {
-		return nil
-	}
-	lo, hi := sg.st.offsets[v]-sg.base, sg.st.offsets[v+1]-sg.base
-	return sg.wts[lo:hi]
-}
-
-// Release unpins the segment, returning it to the evictable LRU once its
-// last pin drops. Releasing the zero Seg is a no-op so error paths can
-// release unconditionally.
-func (sg Seg) Release() {
-	if sg.st == nil {
-		return
-	}
-	sg.st.release(sg.idx)
-}
-
 // Pin loads (if necessary) and pins the segment covering v, returning a
 // handle for its adjacency. Pinned segments never evict; the pair rule
 // is the tier's correctness contract.
 //
 //lint:pair acquire=Pin release=Release
-func (s *Store) Pin(v graph.VertexID) (Seg, error) {
+func (s *Store) Pin(v graph.VertexID) (graph.Segment, error) {
 	if int64(v) >= int64(s.NumVertices()) {
-		return Seg{}, fmt.Errorf("store: vertex %d outside container with %d vertices", v, s.NumVertices())
+		return graph.Segment{}, fmt.Errorf("store: vertex %d outside container with %d vertices", v, s.NumVertices())
 	}
 	idx := s.segFor(v)
 	s.mu.Lock()
@@ -285,28 +254,34 @@ func (s *Store) Pin(v graph.VertexID) (Seg, error) {
 		}
 	} else {
 		if err := s.load(idx); err != nil {
-			return Seg{}, err
+			return graph.Segment{}, err
 		}
 	}
 	fr.refs++
 	s.stats.Pins++
 	m := &s.segs[idx]
-	sg := Seg{
-		st:    s,
-		idx:   idx,
-		first: graph.VertexID(m.first),
-		last:  graph.VertexID(m.first + m.count - 1),
-		base:  s.offsets[m.first],
-		edges: fr.edges,
+	sg := graph.Segment{
+		First: graph.VertexID(m.first),
+		End:   graph.VertexID(m.first + m.count),
+		Base:  s.offsets[m.first],
+		Edges: fr.edges,
+		Owner: (*tier)(s),
+		Frame: idx,
 	}
 	if s.weighted {
-		sg.wts = fr.weights
+		sg.Weights = fr.weights
 	}
 	return sg, nil
 }
 
-// release drops one pin; at zero the frame joins the LRU head.
-func (s *Store) release(idx int32) {
+// tier is the Store as the owner of the segments it lends: the Unpin
+// that graph.Segment.Release calls back, kept off Store's own method set
+// so Release on the handle stays the only way to drop a pin.
+type tier Store
+
+// Unpin drops one pin; at zero the frame joins the LRU head.
+func (t *tier) Unpin(idx int32) {
+	s := (*Store)(t)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fr := &s.frames[idx]
@@ -351,41 +326,21 @@ func (s *Store) load(idx int32) error {
 	}
 
 	bufs := s.takeBufs()
-	edges := bufs.edges[:0]
+	edges := bufs.edges[:m.edges]
 	adjLen := int64(m.len)
 	if s.weighted {
 		adjLen -= int64(m.edges) * 4
 	}
-	adj := payload[:adjLen]
-	off := 0
-	n := int64(s.NumVertices())
-	for v := m.first; v < m.first+m.count; v++ {
-		count := int(s.offsets[v+1] - s.offsets[v])
-		var consumed int
-		prevLen := len(edges)
-		edges, consumed, err = graph.DecodeCompressedAdjacency(edges, adj[off:], count)
-		if err != nil {
-			s.free = append(s.free, bufs)
-			return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, v, err)
-		}
-		for _, d := range edges[prevLen:] {
-			if int64(d) >= n {
-				s.free = append(s.free, bufs)
-				return fmt.Errorf("%w: segment %d vertex %d: neighbor %d out of range [0,%d)", ErrCorrupt, idx, v, d, n)
-			}
-		}
-		off += consumed
-	}
-	if int64(off) != adjLen {
+	if v, err := s.decodeAdjacency(edges, payload[:adjLen], m); err != nil {
 		s.free = append(s.free, bufs)
-		return fmt.Errorf("%w: segment %d: %d trailing adjacency bytes", ErrCorrupt, idx, adjLen-int64(off))
+		return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, v, err)
 	}
 	var weights []float32
 	if s.weighted {
-		weights = bufs.weights[:0]
+		weights = bufs.weights[:m.edges]
 		wb := payload[adjLen:]
-		for i := uint64(0); i < m.edges; i++ {
-			weights = append(weights, float32frombytes(wb[i*4:]))
+		for i := range weights {
+			weights[i] = float32frombytes(wb[i*4:])
 		}
 	}
 
@@ -400,6 +355,39 @@ func (s *Store) load(idx int32) error {
 	s.stats.Misses++
 	s.stats.FarBytes += int64(m.len)
 	return nil
+}
+
+// Why a segment's adjacency failed to decode, beyond the codec's own
+// errors; load names the segment and vertex.
+var (
+	errNeighborRange     = errors.New("neighbor id outside the vertex range")
+	errTrailingAdjacency = errors.New("adjacency bytes left over after the segment's last vertex")
+)
+
+// decodeAdjacency fills edges with segment m's neighbor lists from adj,
+// requiring every id in range and adj consumed exactly. On failure it
+// returns the vertex it was decoding.
+func (s *Store) decodeAdjacency(edges []graph.VertexID, adj []byte, m *segMeta) (uint64, error) {
+	n := int64(s.NumVertices())
+	base := s.offsets[m.first]
+	off := 0
+	for v := m.first; v < m.first+m.count; v++ {
+		nbrs := edges[s.offsets[v]-base : s.offsets[v+1]-base]
+		consumed, err := graph.DecodeCompressedAdjacency(nbrs, adj[off:])
+		if err != nil {
+			return v, err
+		}
+		for _, d := range nbrs {
+			if int64(d) >= n {
+				return v, errNeighborRange
+			}
+		}
+		off += consumed
+	}
+	if off != len(adj) {
+		return m.first + m.count - 1, errTrailingAdjacency
+	}
+	return 0, nil
 }
 
 // evict drops an unpinned resident frame, donating its buffers.
@@ -507,9 +495,9 @@ func (s *Store) Materialize() (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		edges = append(edges, sg.edges...)
+		edges = append(edges, sg.Edges...)
 		if s.weighted {
-			weights = append(weights, sg.wts...)
+			weights = append(weights, sg.Weights...)
 		}
 		sg.Release()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kernels"
+	"repro/internal/kernels/kerneltest"
 )
 
 // testGraphs returns the differential fixtures: a weighted community
@@ -75,6 +77,22 @@ func assertResultsIdentical(t *testing.T, label string, got, want *kernels.Resul
 	}
 }
 
+// runOOC executes k out-of-core: the kernel engine's serial machine with
+// the container as its adjacency source — what core.StoreEngine runs.
+func runOOC(ctx context.Context, st *Store, k kernels.Kernel) (*kernels.Result, error) {
+	return kernels.RunOn(ctx, st, k, kernels.Serial, kernels.Options{})
+}
+
+// neighbors reads v's adjacency out of a pinned segment covering it.
+func neighbors(st *Store, sg graph.Segment, v graph.VertexID) ([]graph.VertexID, []float32) {
+	lo, hi := st.Vertices().EdgeRange(v)
+	lo, hi = lo-sg.Base, hi-sg.Base
+	if sg.Weights == nil {
+		return sg.Edges[lo:hi], nil
+	}
+	return sg.Edges[lo:hi], sg.Weights[lo:hi]
+}
+
 func mustKernel(t *testing.T, name string) kernels.Kernel {
 	t.Helper()
 	k, err := kernels.ByName(name)
@@ -85,14 +103,16 @@ func mustKernel(t *testing.T, name string) kernels.Kernel {
 }
 
 // TestStoreMatchesInMemory is the headline differential: for every
-// registry kernel, on every fixture, the out-of-core runner produces a
-// Result bit-identical to the in-memory push-serial reference over the
-// materialized container — at full cache, at ~50%, and at a budget so
-// small segments thrash on every switch. Worker-count independence of
-// the in-memory staged machine is pinned by its own suite; here we
-// additionally require the staged machine at several worker counts to
-// agree with the same reference, closing the kernels × engines × workers
-// matrix against one ground truth.
+// registry kernel, on every fixture, the engine reading from the
+// container produces a Result bit-identical to the in-memory push-serial
+// reference over the materialized container — at full cache, at ~50%,
+// and at a budget so small segments thrash on every switch. Worker-count
+// independence of the in-memory staged machine is pinned by its own
+// suite; here we additionally require the staged machine at several
+// worker counts, over the materialized graph and over the container
+// itself (each chunk pinning its own segments), to agree with the same
+// reference — closing the kernels × sources × workers matrix against
+// one ground truth.
 func TestStoreMatchesInMemory(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		data, err := EncodeGraph(g, 256)
@@ -127,7 +147,7 @@ func TestStoreMatchesInMemory(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := Run(context.Background(), st, mustKernel(t, name))
+					got, err := runOOC(context.Background(), st, mustKernel(t, name))
 					if err != nil {
 						t.Fatalf("budget %d: %v", budget, err)
 					}
@@ -138,12 +158,26 @@ func TestStoreMatchesInMemory(t *testing.T) {
 					mustClose(t, st)
 				}
 				for _, workers := range []int{1, 3} {
-					par, err := kernels.Run(mat, mustKernel(t, name), kernels.Options{
-						Direction: kernels.DirectionPush, Workers: workers,
-					})
+					opt := kernels.Options{Direction: kernels.DirectionPush, Workers: workers}
+					par, err := kernels.Run(mat, mustKernel(t, name), opt)
 					if err != nil {
 						t.Fatal(err)
 					}
+					st, err := OpenBytes(data, Options{LocalBytes: totalCost / 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ooc, err := kernels.RunOn(context.Background(), st, mustKernel(t, name), kernels.Staged, opt)
+					if err != nil {
+						t.Fatalf("staged over the container, workers %d: %v", workers, err)
+					}
+					if !reflect.DeepEqual(ooc, par) {
+						t.Fatalf("workers %d: staged over the container differs from staged over Materialize():\n got %+v\nwant %+v", workers, ooc, par)
+					}
+					if s := st.Stats(); s.Pins != 0 {
+						t.Fatalf("staged, workers %d: %d pins leaked", workers, s.Pins)
+					}
+					mustClose(t, st)
 					if mustKernel(t, name).Traits().Agg == kernels.AggSum {
 						// The staged machine reassociates float sums by its
 						// fixed chunk grid; exact equality holds only for the
@@ -191,7 +225,7 @@ func TestStoreTierPressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(context.Background(), st, mustKernel(t, "pagerank")); err != nil {
+		if _, err := runOOC(context.Background(), st, mustKernel(t, "pagerank")); err != nil {
 			t.Fatal(err)
 		}
 		s := st.Stats()
@@ -217,43 +251,80 @@ func TestStoreTierPressure(t *testing.T) {
 	}
 }
 
-// cancelKernel wraps a kernel and cancels a context after its Scatter
-// has fired n times — deterministic mid-run cancellation.
-type cancelKernel struct {
-	kernels.Kernel
-	remaining int
-	cancel    context.CancelFunc
-}
-
-func (c *cancelKernel) Scatter(ec kernels.EdgeContext) (float64, bool) {
-	if c.remaining > 0 {
-		c.remaining--
-		if c.remaining == 0 {
-			c.cancel()
-		}
-	}
-	return c.Kernel.Scatter(ec)
-}
-
-// TestStoreRunCancellation cancels mid-traversal and requires the runner
-// to unwind with context.Canceled, zero outstanding pins, and a Store
-// still healthy enough to run to completion afterwards.
+// TestStoreRunCancellation cancels mid-traversal and requires the engine
+// to unwind at the next iteration boundary with context.Canceled, zero
+// outstanding pins, and a source still healthy enough to run to
+// completion afterwards — over the container on both machines, and over
+// the in-memory graph, where a run used to be uncancellable once begun.
 func TestStoreRunCancellation(t *testing.T) {
 	g := testGraphs(t)["community"]
 	st := openFixture(t, g, 256, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	k := &cancelKernel{Kernel: mustKernel(t, "pagerank"), remaining: int(g.NumEdges()) + 10, cancel: cancel}
-	if _, err := Run(ctx, st, k); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	mem, err := kernels.InMemory(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := st.Stats(); s.Pins != 0 {
-		t.Fatalf("%d pins outstanding after cancellation", s.Pins)
-	}
-	if _, err := Run(context.Background(), st, mustKernel(t, "bfs")); err != nil {
-		t.Fatalf("store unusable after cancelled run: %v", err)
+	for _, tc := range []struct {
+		name    string
+		src     kernels.Source
+		machine kernels.Machine
+	}{
+		{"container", st, kernels.Serial},
+		{"container-staged", st, kernels.Staged},
+		{"memory", mem, kernels.Serial},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		k := kerneltest.CancelAfter(mustKernel(t, "pagerank"), int(g.NumEdges())+10, cancel)
+		res, err := kernels.RunOn(ctx, tc.src, k, tc.machine, kernels.Options{Workers: 3})
+		cancel()
+		if err != context.Canceled || res != nil {
+			t.Fatalf("%s: result %v, err = %v, want nil, context.Canceled", tc.name, res, err)
+		}
+		if s := st.Stats(); s.Pins != 0 {
+			t.Fatalf("%s: %d pins outstanding after cancellation", tc.name, s.Pins)
+		}
+		if _, err := kernels.RunOn(context.Background(), tc.src, mustKernel(t, "bfs"), tc.machine, kernels.Options{}); err != nil {
+			t.Fatalf("%s: source unusable after cancelled run: %v", tc.name, err)
+		}
 	}
 	mustClose(t, st)
+}
+
+// TestStoreRunCorruptSegment flips one payload byte in a later segment —
+// past anything Open or the first iterations touch — and requires a BFS
+// that reaches it to end with the store's typed ErrCorrupt, every pin
+// released, and a store that still closes cleanly, on both machines.
+func TestStoreRunCorruptSegment(t *testing.T) {
+	g := testGraphs(t)["grid"]
+	data, err := EncodeGraph(g, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := OpenBytes(data, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := probe.segs[len(probe.segs)-1]
+	if len(probe.segs) < 4 || last.len == 0 {
+		t.Fatalf("fixture: %d segments, last payload %d bytes", len(probe.segs), last.len)
+	}
+	mustClose(t, probe)
+	bad := append([]byte(nil), data...)
+	bad[last.off+last.len/2] ^= 0x40
+
+	for _, machine := range []kernels.Machine{kernels.Serial, kernels.Staged} {
+		st, err := OpenBytes(bad, Options{})
+		if err != nil {
+			t.Fatalf("open must not touch segment payloads: %v", err)
+		}
+		res, err := kernels.RunOn(context.Background(), st, kernels.NewBFS(0), machine, kernels.Options{Workers: 3})
+		if !errors.Is(err, ErrCorrupt) || res != nil {
+			t.Fatalf("machine %d: result %v, err = %v, want nil, ErrCorrupt", machine, res, err)
+		}
+		if s := st.Stats(); s.Pins != 0 || s.Misses == 0 {
+			t.Fatalf("machine %d: %d pins outstanding, %d segments read before the corrupt one", machine, s.Pins, s.Misses)
+		}
+		mustClose(t, st)
+	}
 }
 
 // TestStorePinConcurrentHammer drives many goroutines through pin /
@@ -278,13 +349,13 @@ func TestStorePinConcurrentHammer(t *testing.T) {
 					t.Errorf("pin %d: %v", v, err)
 					return
 				}
-				nbrs := sg.Neighbors(v)
+				nbrs, wts := neighbors(st, sg, v)
 				for _, d := range nbrs {
 					if int(d) >= n {
 						t.Errorf("vertex %d: neighbor %d out of range", v, d)
 					}
 				}
-				if wts := sg.NeighborWeights(v); wts != nil && len(wts) != len(nbrs) {
+				if wts != nil && len(wts) != len(nbrs) {
 					t.Errorf("vertex %d: %d weights for %d neighbors", v, len(wts), len(nbrs))
 				}
 				sg.Release()
@@ -314,7 +385,7 @@ func TestStoreLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		st := openFixture(t, g, 256, 1024)
-		if _, err := Run(context.Background(), st, mustKernel(t, "bfs")); err != nil {
+		if _, err := runOOC(context.Background(), st, mustKernel(t, "bfs")); err != nil {
 			t.Fatal(err)
 		}
 		mustClose(t, st)
@@ -342,8 +413,7 @@ func TestStoreAllocGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_ = sg.Neighbors(graph.VertexID(v))
-			_ = sg.NeighborWeights(graph.VertexID(v))
+			_, _ = neighbors(st, sg, graph.VertexID(v))
 			sg.Release()
 		}
 	}
@@ -415,7 +485,7 @@ func TestStoreFileBacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), st, mustKernel(t, "sssp"))
+	got, err := runOOC(context.Background(), st, mustKernel(t, "sssp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +493,8 @@ func TestStoreFileBacked(t *testing.T) {
 	mustClose(t, st)
 }
 
-// TestCheckKernel covers the out-of-core kernel validation paths.
+// TestCheckKernel covers kernel validation against a container: the one
+// kernels.CheckGraph, reading the facts the store reports.
 func TestCheckKernel(t *testing.T) {
 	unweighted, err := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
 	if err != nil {
@@ -431,7 +502,7 @@ func TestCheckKernel(t *testing.T) {
 	}
 	st := openFixture(t, unweighted, 64, 0)
 	defer st.Close()
-	if err := CheckKernel(st, mustKernel(t, "sssp")); err == nil {
+	if err := kernels.CheckGraph(st, mustKernel(t, "sssp")); err == nil {
 		t.Fatal("sssp accepted an unweighted container")
 	}
 
@@ -446,10 +517,10 @@ func TestCheckKernel(t *testing.T) {
 	if negStore.NonNegativeWeights() {
 		t.Fatal("writer failed to record the negative weight")
 	}
-	if err := CheckKernel(negStore, mustKernel(t, "sssp")); err == nil {
+	if err := kernels.CheckGraph(negStore, mustKernel(t, "sssp")); err == nil {
 		t.Fatal("sssp accepted negative weights")
 	}
-	if err := CheckKernel(negStore, kernels.NewBFS(99)); err == nil {
+	if err := kernels.CheckGraph(negStore, kernels.NewBFS(99)); err == nil {
 		t.Fatal("accepted out-of-range source")
 	}
 }

@@ -21,10 +21,10 @@ const storeSegmentBytes = 1 << 10
 // through a gcsr2 container and the kernel replays from the container
 // under both an unlimited local tier and a deliberately thrashing one.
 // Every replay must be bit-identical — values AND traversal telemetry —
-// to the serial push reference on the in-RAM graph (store.Run mirrors
-// DirectionPush, so the comparison cannot use Check's auto-direction
-// serial result), and the store must come back to zero outstanding pins
-// with a clean close.
+// to the serial push reference on the in-RAM graph (a container serves
+// no in-adjacency, so the engine only ever pushes over it and the
+// comparison cannot use Check's auto-direction serial result), and the
+// store must come back to zero outstanding pins with a clean close.
 func checkStore(g *graph.Graph, fresh func() kernels.Kernel) error {
 	data, err := store.EncodeGraph(g, storeSegmentBytes)
 	if err != nil {
@@ -47,7 +47,7 @@ func checkStore(g *graph.Graph, fresh func() kernels.Kernel) error {
 			return failf(OracleStoreDiff, "container shape V=%d E=%d, graph V=%d E=%d",
 				st.NumVertices(), st.NumEdges(), g.NumVertices(), g.NumEdges())
 		}
-		got, err := store.Run(context.Background(), st, fresh())
+		got, err := kernels.RunOn(context.Background(), st, fresh(), kernels.Serial, kernels.Options{})
 		if err != nil {
 			return failf(OracleStoreDiff, "out-of-core run (budget %d): %v", budget, err)
 		}

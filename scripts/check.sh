@@ -68,20 +68,15 @@ step go run ./cmd/ndplint -rules leakpair,goroleak,ctxflow,sendblock -baseline l
 
 step go test ./...
 
-# Alloc gate: the steady-state scatter/apply iteration of the execution
-# machine (and a recycled frontier refill) must allocate nothing —
-# the measured outcome the perfflow rules exist to protect.
-step go test -count=1 -run '^TestAllocGate$' ./internal/sim/
-step go test -count=1 -run '^TestFrontierReuseAllocGate$' ./internal/kernels/
-
-# Kernel-engine alloc gate: the direction-optimized engine's steady-state
-# iteration (serial and staged, push and pull) must also allocate nothing.
-step go test -count=1 -run '^TestEngineAllocGate$' ./internal/kernels/
-
-# Out-of-core store alloc gate: a warm-cache replay over the container
-# (every segment resident, pins recycled through the freelist) must
-# allocate nothing per iteration.
-step go test -count=1 -run '^TestStoreAllocGate$' ./internal/store/
+# Alloc gates, by name (any test ending in AllocGate): the steady state
+# must allocate nothing — the measured outcome the perfflow rules exist
+# to protect. TestAllocGate is the simulator's scatter/apply iteration;
+# TestFrontierReuseAllocGate a recycled frontier refill;
+# TestEngineAllocGate one kernel-engine iteration (serial and staged,
+# push and pull, over an in-memory graph and over a warm fully-resident
+# container); TestStoreAllocGate the tier's pin/read/release sweep,
+# misses served from the eviction freelist included.
+step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./internal/store/
 
 # Kernel-engine differentials: bit-identity across traversal directions
 # and across every worker count, under the race detector.
@@ -144,8 +139,10 @@ step go run ./cmd/ndpverify -seed 1 -scenarios 8 -served
 # Out-of-core round-trip: stream a com-livejournal stand-in straight to
 # a gcsr2 container (the spill path — no full in-RAM graph ever built),
 # then run BFS from the container under a deliberately tight local-memory
-# budget and verify the result bit-identical to the materialized in-RAM
-# run. This is the end-to-end proof behind the store's scale story.
+# budget — core.StoreEngine, i.e. the kernel engine with the store as its
+# adjacency source — and verify the result bit-identical to the serial
+# engine over the materialized in-RAM graph. This is the end-to-end proof
+# behind the store's scale story.
 echo
 echo "==> out-of-core store round-trip"
 STORE_DIR="$(mktemp -d)"
@@ -169,11 +166,13 @@ step go test -race -count=2 -run '^TestFault' ./internal/cluster/
 step go test -race -count=2 -run '^TestParallelMatchesSerial$' ./internal/sim/
 
 # Store lifecycle under the race detector at -count=2: the pin/release
-# refcount protocol hammered from many goroutines, cancellation returning
-# every refcount to baseline, and the no-leaked-goroutines gate — the
-# LRU tier's correctness-under-concurrency claims must hold run over run.
+# refcount protocol hammered from many goroutines; the kernel engine over
+# the container (serial cursor and staged per-chunk pins) returning every
+# refcount to baseline when a run is cancelled or hits a corrupt segment;
+# and the no-leaked-goroutines gate — the LRU tier's correctness-under-
+# concurrency claims must hold run over run.
 step go test -race -count=2 \
-    -run '^TestStorePinConcurrentHammer$|^TestStoreRunCancellation$|^TestStoreLeavesNoGoroutines$' \
+    -run '^TestStorePinConcurrentHammer$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$' \
     ./internal/store/
 
 step go test -race ./...
