@@ -8,15 +8,14 @@
 //	ndplint -list                     # list rules and what they enforce
 //	ndplint -fix ./...                # apply mechanical fixes in place
 //	ndplint -fix -diff ./...          # preview those fixes as a unified diff
-//	ndplint -baseline lint-baseline.json ./...        # fail only on regressions
-//	ndplint -baseline lint-baseline.json -write-baseline ./...  # accept current findings
 //
 // Positions in JSON output are relative to the module root, so output
 // is stable across checkouts. Type-check errors in any loaded package
-// (cmd/... and examples/... included) are themselves findings, under
-// the built-in "typecheck" rule.
+// (cmd/... and bench included) are themselves findings, under the
+// built-in "typecheck" rule.
 //
-// Suppress a single finding with a directive on (or above) the line:
+// Any finding fails the run: fix it, or suppress that one site with a
+// reasoned directive on (or above) the line:
 //
 //	//lint:ignore <rule> <reason>
 package main
@@ -40,8 +39,6 @@ func main() {
 	includeTests := flag.Bool("tests", false, "also lint _test.go files")
 	fix := flag.Bool("fix", false, "apply mechanical fixes for fixable findings")
 	diff := flag.Bool("diff", false, "with -fix: print unified diffs instead of rewriting files")
-	baselinePath := flag.String("baseline", "", "baseline JSON file; only findings absent from it are reported, stale entries fail")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file from current findings and exit")
 	flag.Parse()
 
 	analyzers := lint.All()
@@ -70,9 +67,6 @@ func main() {
 	}
 	if *diff && !*fix {
 		fail(fmt.Errorf("-diff only makes sense with -fix"))
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fail(fmt.Errorf("-write-baseline needs -baseline <path>"))
 	}
 
 	patterns := flag.Args()
@@ -128,22 +122,6 @@ func main() {
 
 	lint.Relativize(diags, loader.ModuleRoot)
 
-	if *writeBaseline {
-		if err := lint.WriteBaseline(*baselinePath, lint.BaselineFromDiagnostics(diags)); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "ndplint: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
-		return
-	}
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		entries, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fail(err)
-		}
-		diags, stale = lint.FilterBaseline(diags, entries)
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -161,13 +139,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ndplint: %d finding(s)\n", len(diags))
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "ndplint: stale baseline entry (finding no longer occurs): %s %s: %s\n", e.Rule, e.File, e.Message)
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "ndplint: the baseline only ratchets down — regenerate with -baseline %s -write-baseline\n", *baselinePath)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

@@ -84,6 +84,26 @@ func parseSnapshotSpec(v string) (snapshotSpec, error) {
 	return sp, nil
 }
 
+// Slow-client bounds. A client that connects and never finishes its
+// request headers, or finishes a request and then sits on the keep-alive
+// connection, would otherwise hold a goroutine and a descriptor for as
+// long as it likes. Whole-request read and write deadlines are left
+// unset on purpose: a large PUT /v1/snapshots upload or a long result
+// download is legitimate at any duration.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8090", "listen address")
@@ -131,7 +151,7 @@ func main() {
 		TenantQuota:  *tenantQuota,
 		CacheEntries: *cacheSize,
 	})
-	srv := &http.Server{Addr: *addr, Handler: serve.NewServer(mgr)}
+	srv := newHTTPServer(*addr, serve.NewServer(mgr))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

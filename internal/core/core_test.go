@@ -66,8 +66,8 @@ func TestRunAllArchitectures(t *testing.T) {
 		if run.TotalDataMovementBytes <= 0 {
 			t.Errorf("%s: no movement recorded", arch)
 		}
-		for i := range run.Result.Values {
-			if d := math.Abs(run.Result.Values[i] - ref.Values[i]); d > 1e-12 {
+		for i := range run.Values {
+			if d := math.Abs(run.Values[i] - ref.Values[i]); d > 1e-12 {
 				t.Fatalf("%s: value[%d] off by %g", arch, i, d)
 			}
 		}
@@ -190,8 +190,8 @@ func TestRunConcurrentMatchesSimulator(t *testing.T) {
 	if out.Traffic.Total() != simRun.TotalDataMovementBytes {
 		t.Errorf("concurrent traffic %d != simulated %d", out.Traffic.Total(), simRun.TotalDataMovementBytes)
 	}
-	for v := range simRun.Result.Values {
-		if d := math.Abs(out.Values[v] - simRun.Result.Values[v]); d > 1e-9 {
+	for v := range simRun.Values {
+		if d := math.Abs(out.Values[v] - simRun.Values[v]); d > 1e-9 {
 			t.Fatalf("value[%d] differs by %g", v, d)
 		}
 	}

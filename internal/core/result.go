@@ -39,12 +39,6 @@ type Result struct {
 
 	// Records holds the per-iteration accounting records.
 	Records []sim.Record
-	// Result is the embedded serial-form result.
-	//
-	// Deprecated: read Values/Iterations/Converged directly; this field
-	// exists so pre-unification callers (run.Result.Values) keep
-	// compiling and will be dropped once they migrate.
-	Result *kernels.Result
 	// OffloadSupported / OffloadNote report NDP device capability.
 	OffloadSupported bool
 	OffloadNote      string
@@ -86,7 +80,6 @@ func FromSim(r *sim.Run) *Result {
 		Engine:                 r.Engine,
 		Kernel:                 r.Kernel,
 		Records:                r.Records,
-		Result:                 r.Result,
 		OffloadSupported:       r.OffloadSupported,
 		OffloadNote:            r.OffloadNote,
 		TotalDataMovementBytes: r.TotalDataMovementBytes,
@@ -113,7 +106,6 @@ func FromSerial(kernel string, r *kernels.Result) *Result {
 		Values:     r.Values,
 		Iterations: r.Iterations,
 		Converged:  r.Converged,
-		Result:     r,
 	}
 }
 

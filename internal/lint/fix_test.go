@@ -148,89 +148,6 @@ func TestUnifiedDiff(t *testing.T) {
 	}
 }
 
-func TestBaselineFilter(t *testing.T) {
-	mk := func(rule, file string, col int, msg string) Diagnostic {
-		d := Diagnostic{Rule: rule, Message: msg}
-		d.Position.Filename = file
-		d.Position.Column = col
-		return d
-	}
-	diags := []Diagnostic{
-		mk("errcheck", "a.go", 4, "dropped"),
-		mk("errcheck", "a.go", 4, "dropped"), // duplicate finding
-		mk("maporder", "b.go", 2, "unsorted"),
-	}
-	entries := []BaselineEntry{
-		{Rule: "errcheck", File: "a.go", Column: 4, Message: "dropped"}, // covers ONE of the two
-		{Rule: "panicpath", File: "gone.go", Column: 9, Message: "long fixed"},
-	}
-	fresh, stale := FilterBaseline(diags, entries)
-	if len(fresh) != 2 {
-		t.Fatalf("fresh = %v, want the duplicate errcheck and the maporder finding", fresh)
-	}
-	if len(stale) != 1 || stale[0].Rule != "panicpath" {
-		t.Fatalf("stale = %v, want the fixed panicpath entry", stale)
-	}
-	// Round-trip: a baseline regenerated from current findings filters
-	// everything and leaves nothing stale.
-	fresh, stale = FilterBaseline(diags, BaselineFromDiagnostics(diags))
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("self-baseline not clean: fresh=%v stale=%v", fresh, stale)
-	}
-}
-
-// TestBaselineFilterColumnDistinguishes is the regression test for the
-// same-line aliasing bug: two findings of one rule with identical
-// messages but different columns are different findings. A baseline
-// entry recorded for one column must not bless a new finding at
-// another — fixing the baselined call and introducing a fresh one on
-// the same line has to fail the gate.
-func TestBaselineFilterColumnDistinguishes(t *testing.T) {
-	at := func(col int) Diagnostic {
-		d := Diagnostic{Rule: "loopalloc", Message: "fmt.Sprintf allocates in a loop of hot function f"}
-		d.Position.Filename = "hot.go"
-		d.Position.Column = col
-		return d
-	}
-	entries := []BaselineEntry{
-		{Rule: "loopalloc", File: "hot.go", Column: 10, Message: "fmt.Sprintf allocates in a loop of hot function f"},
-	}
-	fresh, stale := FilterBaseline([]Diagnostic{at(30)}, entries)
-	if len(fresh) != 1 || fresh[0].Position.Column != 30 {
-		t.Fatalf("fresh = %v, want the column-30 finding uncovered", fresh)
-	}
-	if len(stale) != 1 || stale[0].Column != 10 {
-		t.Fatalf("stale = %v, want the column-10 entry reported fixed", stale)
-	}
-	// The entry still covers the finding it was recorded for.
-	fresh, stale = FilterBaseline([]Diagnostic{at(10)}, entries)
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("column-10 finding not covered by its own entry: fresh=%v stale=%v", fresh, stale)
-	}
-}
-
-func TestBaselineReadWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	in := []BaselineEntry{{Rule: "r", File: "f.go", Message: "m"}}
-	if err := WriteBaseline(path, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0] != in[0] {
-		t.Fatalf("round-trip mismatch: %v", out)
-	}
-	if err := WriteBaseline(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	if strings.TrimSpace(string(data)) != "[]" {
-		t.Fatalf("empty baseline must serialize as [], got %q", data)
-	}
-}
-
 // TestTypeErrorDiagnostics: a package that stops compiling becomes a
 // "typecheck" finding instead of sliding through with analyzers
 // silently degraded.
@@ -397,10 +314,10 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestModuleCoverageIncludesCmdAndExamples pins the loader's reach: the
-// gate analyzes the binaries and examples, not just internal/, and the
-// whole module stays type-clean.
-func TestModuleCoverageIncludesCmdAndExamples(t *testing.T) {
+// TestModuleCoverageIncludesCmd pins the loader's reach: the gate
+// analyzes the binaries and bench/, not just internal/, and the whole
+// module stays type-clean.
+func TestModuleCoverageIncludesCmd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
@@ -418,22 +335,19 @@ func TestModuleCoverageIncludesCmdAndExamples(t *testing.T) {
 		seen[pkg.ImportPath] = true
 		typeErrs += len(pkg.TypeErrors)
 	}
-	for _, want := range []string{"repro/cmd/ndplint", "repro/cmd/ndprun", "repro/examples/quickstart"} {
+	for _, want := range []string{"repro/cmd/ndplint", "repro/cmd/ndprun", "repro/bench"} {
 		if !seen[want] {
 			t.Errorf("loader did not cover %s", want)
 		}
 	}
-	cmds, examples := 0, 0
+	cmds := 0
 	for p := range seen {
 		if strings.HasPrefix(p, "repro/cmd/") {
 			cmds++
 		}
-		if strings.HasPrefix(p, "repro/examples/") {
-			examples++
-		}
 	}
-	if cmds < 5 || examples < 5 {
-		t.Errorf("coverage looks truncated: %d cmd and %d example packages", cmds, examples)
+	if cmds < 5 {
+		t.Errorf("coverage looks truncated: %d cmd packages", cmds)
 	}
 	if typeErrs != 0 {
 		t.Errorf("module has %d type errors; the typecheck rule would gate these", typeErrs)

@@ -1,11 +1,12 @@
-// Package flow is ndplint's dataflow layer: a per-function control-flow
-// graph built from go/ast, a reaching-taint analysis over it, and
-// module-wide function summaries so taint propagates across calls. The
-// PR-2 analyzers are purely syntactic and per-function; the analyzers
-// built on this package (chanprotocol, timetaint, lockflow) reason about
-// paths — a close followed by a send on some path, a wall-clock value
-// flowing through two helpers into a reduction, a lock pair taken in
-// opposite orders on two branches.
+// Package flow is the framework ndplint's path- and module-sensitive
+// analyzers share: a per-function control-flow graph built from go/ast
+// (cfg.go), and the one module-wide fixed-point driver that turns a
+// per-function analysis into interprocedural facts (module.go). The
+// syntactic rules look at one node at a time; the analyzers built here
+// (chanprotocol, lockflow, and the perfflow and lifeflow rule families)
+// reason about paths — a close followed by a send on some path, a lock
+// pair taken in opposite orders on two branches — and about what a
+// callee does with its arguments.
 //
 // Everything here is stdlib-only (go/ast + go/types) and must never
 // panic: the builder is handed arbitrary — including fuzz-generated —

@@ -110,128 +110,79 @@ func TestCFGNilBody(t *testing.T) {
 	}
 }
 
-// TestTaintFlow drives the analysis over a function with a marked source
-// and checks which writes see taint.
-func TestTaintFlow(t *testing.T) {
-	src := `package t
-func source() int { return 1 }
-type state struct{ v int }
-func f(s *state, cond bool) {
-	clean := 2
-	x := source()
-	y := x * 3
-	var z int
-	if cond {
-		z = y
-	} else {
-		z = clean
+// TestFixedPoint drives the module-facts driver with a toy fact — "a
+// call to source() is reachable from this function" — over mutually
+// recursive functions: the cycle must converge, a source-free cycle must
+// stay at bottom, and the result must not depend on declaration order.
+func TestFixedPoint(t *testing.T) {
+	decls := []string{
+		"func source() int { return 1 }",
+		"func ping(n int) int { if n == 0 { return 0 }; return pong(n - 1) }",
+		"func pong(n int) int { if n == 0 { return source() }; return ping(n - 1) }",
+		"func viaPing() int { return ping(3) }",
+		"func spinA(n int) int { return spinB(n) }",
+		"func spinB(n int) int { return spinA(n) }",
 	}
-	s.v = z       // tainted on the then-path
-	_ = clean
-}
-`
-	fd, info, _ := parseFunc(t, src, "f")
-	an := &Analysis{
-		Info: info,
-		FreshCall: func(call *ast.CallExpr) bool {
-			id, ok := call.Fun.(*ast.Ident)
-			return ok && id.Name == "source"
-		},
+	want := map[string]bool{
+		"source": false, "ping": true, "pong": true, "viaPing": true,
+		"spinA": false, "spinB": false,
 	}
-	res := an.Run(Build(fd.Body))
-	var taintedWrites, cleanWrites []string
-	res.Walk(func(n ast.Node, tainted func(ast.Expr) bool) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return
-		}
-		lhs := types.ExprString(as.Lhs[0])
-		if tainted(as.Rhs[0]) {
-			taintedWrites = append(taintedWrites, lhs)
-		} else {
-			cleanWrites = append(cleanWrites, lhs)
-		}
-	})
-	joinedTainted := strings.Join(taintedWrites, ",")
-	for _, want := range []string{"x", "y", "s.v"} {
-		found := false
-		for _, g := range taintedWrites {
-			if g == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("write to %s not tainted (tainted: %s)", want, joinedTainted)
-		}
-	}
-	for _, g := range taintedWrites {
-		if g == "clean" {
-			t.Errorf("clean write reported tainted")
-		}
-	}
-	if len(cleanWrites) == 0 {
-		t.Error("no clean writes seen at all")
-	}
-}
-
-// TestSummaries checks interprocedural fixpointing: taint surfaces
-// through a two-deep helper chain, and a function that launders its
-// argument into a constant does not propagate.
-func TestSummaries(t *testing.T) {
-	src := `package t
-func source() int { return 1 }
-func wrap1() int { return source() + 1 }
-func wrap2() int { return wrap1() * 2 }
-func ignoreArg(x int) int { _ = x; return 7 }
-func passArg(x int) int { return x + 1 }
-`
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "t.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := &types.Info{
-		Types: make(map[ast.Expr]types.TypeAndValue),
-		Defs:  make(map[*ast.Ident]types.Object),
-		Uses:  make(map[*ast.Ident]types.Object),
-	}
-	conf := types.Config{Importer: importer.Default(), Error: func(error) {}}
-	if _, err := conf.Check("t", fset, []*ast.File{file}, info); err != nil {
-		t.Fatal(err)
-	}
-	sums := Summarize([]PkgSyntax{{Files: []*ast.File{file}, Info: info}},
-		func(info *types.Info, call *ast.CallExpr) bool {
-			id, ok := call.Fun.(*ast.Ident)
-			return ok && id.Name == "source"
-		})
-	get := func(name string) FuncSummary {
+	reaches := func(src string) map[string]bool {
 		t.Helper()
-		for fn := range sums.funcs {
-			if fn.Name() == name {
-				return sums.funcs[fn].sum
-			}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, "t.go", src, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("no summary for %s", name)
-		return FuncSummary{}
+		info := &types.Info{
+			Defs: make(map[*ast.Ident]types.Object),
+			Uses: make(map[*ast.Ident]types.Object),
+		}
+		if _, err := (&types.Config{}).Check("t", fset, []*ast.File{file}, info); err != nil {
+			t.Fatal(err)
+		}
+		funcs := ModuleFuncs[bool]([]PkgSyntax{{Files: []*ast.File{file}, Info: info}})
+		FixedPoint(funcs, func(fi *FuncInfo[bool]) bool {
+			found := false
+			ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := CalleeOf(fi.Info, call); fn != nil {
+						if callee, ok := funcs[fn]; ok && (fn.Name() == "source" || callee.Fact) {
+							found = true
+						}
+					}
+				}
+				return true
+			})
+			return found
+		}, func(a, b bool) bool { return a == b })
+		got := make(map[string]bool, len(funcs))
+		for fn, fi := range funcs {
+			got[fn.Name()] = fi.Fact
+		}
+		return got
 	}
-	for name, want := range map[string]FuncSummary{
-		// source itself contains no source *call* — the predicate marks
-		// calls to it, which is what makes wrap1/wrap2 fresh.
-		"source":    {},
-		"wrap1":     {FreshReturn: true},
-		"wrap2":     {FreshReturn: true},
-		"ignoreArg": {},
-		"passArg":   {ParamFlow: true},
-	} {
-		if got := get(name); got != want {
-			t.Errorf("%s: summary %+v, want %+v", name, got, want)
+	forward := "package t\n" + strings.Join(decls, "\n")
+	reversed := "package t\n"
+	for i := len(decls) - 1; i >= 0; i-- {
+		reversed += decls[i] + "\n"
+	}
+	for order, src := range map[string]string{"forward": forward, "reversed": reversed} {
+		got := reaches(src)
+		if len(got) != len(want) {
+			t.Errorf("%s: %d functions collected, want %d", order, len(got), len(want))
+		}
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("%s: %s reaches source = %v, want %v", order, name, got[name], w)
+			}
 		}
 	}
 }
 
 // TestCFGDeterministic builds the same function repeatedly and checks
-// the block structure is identical — the property resume/baseline
-// workflows depend on.
+// the block structure is identical — the property reproducible lint
+// output depends on.
 func TestCFGDeterministic(t *testing.T) {
 	src := `package t
 func f(n int) int {

@@ -65,10 +65,6 @@ func FuzzBuildCFG(f *testing.F) {
 					}
 				}
 			}
-			// The analysis layers must also survive arbitrary shapes
-			// (no type info: everything degrades, nothing panics).
-			an := &Analysis{}
-			an.Run(cfg).Walk(func(ast.Node, func(ast.Expr) bool) {})
 		}
 	})
 }

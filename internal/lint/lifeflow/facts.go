@@ -4,14 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 
 	"repro/internal/lint/flow"
 )
 
 // FuncFacts is the lifecycle behaviour of one module function, computed
-// bottom-up to a module-wide fixed point (the same scheme as perfflow's
-// allocation facts).
+// bottom-up to a module-wide fixed point by flow.FixedPoint.
 type FuncFacts struct {
 	// ReleasesParam: the function discharges the i-th parameter's
 	// obligation — it calls a release-named method on it, calls it (a
@@ -35,86 +34,21 @@ type Facts struct {
 	releaseNames map[string]bool
 }
 
-type factInfo struct {
-	decl *ast.FuncDecl
-	info *types.Info
-	f    FuncFacts
-}
+type factInfo = flow.FuncInfo[FuncFacts]
 
 // ComputeFacts analyzes every function with a body in pkgs. Facts start
 // empty and only ever grow across rounds; unknown callees neither
 // release, block, nor abort — the package's report-what-you-can-see
 // bias.
 func ComputeFacts(pkgs []flow.PkgSyntax, releaseNames map[string]bool) *Facts {
-	f := &Facts{funcs: make(map[*types.Func]*factInfo), releaseNames: releaseNames}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || pkg.Info == nil {
-					continue
-				}
-				fn, ok := pkg.Info.ObjectOf(fd.Name).(*types.Func)
-				if !ok {
-					continue
-				}
-				f.funcs[fn] = &factInfo{decl: fd, info: pkg.Info}
-			}
-		}
-	}
-	ordered := f.orderedFuncs()
-	for round := 0; round < len(ordered)+2; round++ {
-		changed := false
-		for _, fn := range ordered {
-			fi := f.funcs[fn]
-			nf := f.analyze(fi)
-			if !lifecycleFactsEqual(nf, fi.f) {
-				fi.f = nf
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	f := &Facts{funcs: flow.ModuleFuncs[FuncFacts](pkgs), releaseNames: releaseNames}
+	flow.FixedPoint(f.funcs, f.analyze, lifecycleFactsEqual)
 	return f
 }
 
 func lifecycleFactsEqual(a, b FuncFacts) bool {
-	if a.Blocks != b.Blocks || a.NoReturn != b.NoReturn ||
-		len(a.ReleasesParam) != len(b.ReleasesParam) {
-		return false
-	}
-	for i := range a.ReleasesParam {
-		if a.ReleasesParam[i] != b.ReleasesParam[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (f *Facts) orderedFuncs() []*types.Func {
-	fns := make([]*types.Func, 0, len(f.funcs))
-	for fn := range f.funcs {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool {
-		pi, pj := "", ""
-		if fns[i].Pkg() != nil {
-			pi = fns[i].Pkg().Path()
-		}
-		if fns[j].Pkg() != nil {
-			pj = fns[j].Pkg().Path()
-		}
-		if pi != pj {
-			return pi < pj
-		}
-		if fns[i].FullName() != fns[j].FullName() {
-			return fns[i].FullName() < fns[j].FullName()
-		}
-		return fns[i].Pos() < fns[j].Pos()
-	})
-	return fns
+	return a.Blocks == b.Blocks && a.NoReturn == b.NoReturn &&
+		slices.Equal(a.ReleasesParam, b.ReleasesParam)
 }
 
 // Lookup returns fn's facts and whether fn is a module function the
@@ -124,7 +58,7 @@ func (f *Facts) Lookup(fn *types.Func) (FuncFacts, bool) {
 	if !ok {
 		return FuncFacts{}, false
 	}
-	return fi.f, true
+	return fi.Fact, true
 }
 
 // ReleasesParamAt reports whether argument i of call is released by the
@@ -146,10 +80,10 @@ func (f *Facts) ReleasesParamAt(info *types.Info, call *ast.CallExpr, i int) boo
 	if sig.Variadic() && i >= sig.Params().Len()-1 {
 		i = sig.Params().Len() - 1
 	}
-	if i < 0 || i >= len(fi.f.ReleasesParam) {
+	if i < 0 || i >= len(fi.Fact.ReleasesParam) {
 		return false
 	}
-	return fi.f.ReleasesParam[i]
+	return fi.Fact.ReleasesParam[i]
 }
 
 // analyze recomputes one function's facts from the current module state.
@@ -159,26 +93,26 @@ func (f *Facts) analyze(fi *factInfo) FuncFacts {
 	// Parameter objects, in signature order; variadic handled by the
 	// lookup-side index clamp.
 	var params []types.Object
-	if fi.decl.Type.Params != nil {
-		for _, field := range fi.decl.Type.Params.List {
+	if fi.Decl.Type.Params != nil {
+		for _, field := range fi.Decl.Type.Params.List {
 			if len(field.Names) == 0 {
 				params = append(params, nil)
 				continue
 			}
 			for _, name := range field.Names {
-				params = append(params, fi.info.ObjectOf(name))
+				params = append(params, fi.Info.ObjectOf(name))
 			}
 		}
 	}
 	nf.ReleasesParam = make([]bool, len(params))
 
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			// Release-named method on a parameter, or calling a
 			// func-typed parameter directly.
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && f.releaseNames[sel.Sel.Name] {
-				root := recvObj(fi.info, sel.X)
+				root := recvObj(fi.Info, sel.X)
 				for i, p := range params {
 					if p != nil && root == p {
 						nf.ReleasesParam[i] = true
@@ -186,7 +120,7 @@ func (f *Facts) analyze(fi *factInfo) FuncFacts {
 				}
 			}
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				obj := fi.info.ObjectOf(id)
+				obj := fi.Info.ObjectOf(id)
 				for i, p := range params {
 					if p != nil && obj == p {
 						nf.ReleasesParam[i] = true
@@ -199,14 +133,14 @@ func (f *Facts) analyze(fi *factInfo) FuncFacts {
 				if !ok {
 					continue
 				}
-				obj := fi.info.ObjectOf(id)
+				obj := fi.Info.ObjectOf(id)
 				for i, p := range params {
-					if p != nil && obj == p && f.ReleasesParamAt(fi.info, n, j) {
+					if p != nil && obj == p && f.ReleasesParamAt(fi.Info, n, j) {
 						nf.ReleasesParam[i] = true
 					}
 				}
 			}
-			if f.callBlocks(fi.info, n) {
+			if f.callBlocks(fi.Info, n) {
 				nf.Blocks = true
 			}
 		case *ast.UnaryExpr:
@@ -214,7 +148,7 @@ func (f *Facts) analyze(fi *factInfo) FuncFacts {
 				nf.Blocks = true
 			}
 		case *ast.RangeStmt:
-			if t := fi.info.TypeOf(n.X); t != nil {
+			if t := fi.Info.TypeOf(n.X); t != nil {
 				if _, ok := t.Underlying().(*types.Chan); ok {
 					nf.Blocks = true
 				}
@@ -240,13 +174,13 @@ func (f *Facts) callBlocks(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	fi, ok := f.funcs[fn]
-	return ok && fi.f.Blocks
+	return ok && fi.Fact.Blocks
 }
 
 // endsInAbort reports whether the function's last top-level statement
 // always terminates the process.
 func (f *Facts) endsInAbort(fi *factInfo) bool {
-	body := fi.decl.Body.List
+	body := fi.Decl.Body.List
 	if len(body) == 0 {
 		return false
 	}
@@ -259,11 +193,11 @@ func (f *Facts) endsInAbort(fi *factInfo) bool {
 		return false
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := fi.info.ObjectOf(id).(*types.Builtin); isBuiltin && id.Name == "panic" {
+		if _, isBuiltin := fi.Info.ObjectOf(id).(*types.Builtin); isBuiltin && id.Name == "panic" {
 			return true
 		}
 	}
-	fn := flow.CalleeOf(fi.info, call)
+	fn := flow.CalleeOf(fi.Info, call)
 	if fn == nil {
 		return false
 	}
@@ -274,5 +208,5 @@ func (f *Facts) endsInAbort(fi *factInfo) bool {
 		}
 	}
 	cf, ok := f.funcs[fn]
-	return ok && cf.f.NoReturn
+	return ok && cf.Fact.NoReturn
 }

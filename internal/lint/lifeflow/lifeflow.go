@@ -4,7 +4,7 @@
 // by lifecycles — a leaked snapshot reference pins a graph tier forever,
 // an uncancelled context leaks its timer goroutine, a lock held across
 // an error return deadlocks the next request — and none of the earlier
-// lint generations (syntactic v1, CFG/taint v2, escape/alloc v3) look
+// lint generations (syntactic v1, path-sensitive v2, escape/alloc v3) look
 // at whether what is acquired is released.
 //
 // The model: an acquiring call creates an obligation on the value it
@@ -789,7 +789,7 @@ func (a *Analysis) DeclBody(fn *types.Func) (*ast.BlockStmt, *types.Info) {
 	if !ok {
 		return nil, nil
 	}
-	return fi.decl.Body, fi.info
+	return fi.Decl.Body, fi.Info
 }
 
 func isErrorType(t types.Type) bool {

@@ -8,8 +8,9 @@
 // the invariants that keep it that way: no wall-clock time or global RNG
 // in simulation paths, no unordered map iteration feeding recorded
 // metrics, no silently dropped errors in the output writers, no
-// lock-by-value copies, no unordered float reductions across goroutines,
-// and no panics in library code.
+// unordered float reductions across goroutines, and no panics in library
+// code. (Lock-by-value copies are go vet's copylocks, which the check
+// gate runs beside ndplint.)
 //
 // A finding can be suppressed with a directive comment on the offending
 // line or the line above it:
@@ -25,6 +26,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
@@ -85,8 +87,9 @@ type Pass struct {
 	// are.
 	Info *types.Info
 	// Mod groups every package of this Run call, so interprocedural
-	// analyzers (timetaint, chanprotocol) can follow flows across
-	// package boundaries and cache module-wide results.
+	// analyzers (chanprotocol, the perfflow and lifeflow rules) can
+	// follow flows across package boundaries and cache module-wide
+	// results.
 	Mod *Module
 
 	diags *[]Diagnostic
@@ -210,7 +213,7 @@ func collectIgnores(fset *token.FileSet, file *ast.File, into map[string]map[int
 }
 
 // Module groups the packages of one Run call. Interprocedural analyzers
-// memoize module-wide results (call-graph summaries, channel alias
+// memoize module-wide results (per-function facts, channel alias
 // classes) here so the work happens once, not once per package.
 type Module struct {
 	Pkgs []*Package
@@ -260,11 +263,11 @@ func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 	return diags
 }
 
-// All returns the full analyzer suite in stable order: the six
-// syntactic rules from the original suite, the three dataflow-powered
-// rules built on internal/lint/flow, the four perfflow rules for
-// //perf:hot paths built on internal/lint/perfflow, then the four
-// lifeflow resource-lifecycle rules built on internal/lint/lifeflow.
+// All returns the full analyzer suite in stable order: the five
+// syntactic rules, the two path-sensitive rules built on
+// internal/lint/flow, the four perfflow rules for //perf:hot paths built
+// on internal/lint/perfflow, then the four lifeflow resource-lifecycle
+// rules built on internal/lint/lifeflow.
 func All() []Analyzer {
 	return append(append(append(Syntactic(), Dataflow()...), Perfflow()...), Lifeflow()...)
 }
@@ -275,23 +278,21 @@ func Syntactic() []Analyzer {
 		NoDeterm{},
 		MapOrder{},
 		ErrCheck{},
-		MutexCopy{},
 		FloatAcc{},
 		PanicPath{},
 	}
 }
 
-// Dataflow returns the CFG/taint-based rules.
+// Dataflow returns the CFG-based path-sensitive rules.
 func Dataflow() []Analyzer {
 	return []Analyzer{
 		ChanProtocol{},
-		TimeTaint{},
 		LockFlow{},
 	}
 }
 
 // Relativize rewrites diagnostic positions to be slash-separated paths
-// relative to root. Output (JSON, baselines, goldens) becomes stable
+// relative to root. Output (JSON, goldens) becomes stable
 // across checkouts; unrelated paths are left absolute.
 func Relativize(diags []Diagnostic, root string) {
 	for i := range diags {
@@ -299,4 +300,46 @@ func Relativize(diags []Diagnostic, root string) {
 			diags[i].Position.Filename = filepath.ToSlash(rel)
 		}
 	}
+}
+
+// TypeErrorDiagnostics converts the loader's soft type-check failures
+// into findings under the built-in "typecheck" rule. Without this, a
+// package that stops compiling (a cmd/ target not covered by the
+// analyzers' scopes, say) would slide through the lint gate with every
+// analyzer silently degraded to syntax.
+func TypeErrorDiagnostics(pkgs []*Package) []Diagnostic {
+	var out []Diagnostic
+	for _, pkg := range pkgs {
+		for _, err := range pkg.TypeErrors {
+			d := Diagnostic{
+				Rule:         "typecheck",
+				Message:      err.Error(),
+				SuggestedFix: "make the package compile; analyzers cannot vouch for code they cannot type-check",
+			}
+			if te, ok := err.(types.Error); ok {
+				d.Position = te.Fset.Position(te.Pos)
+				d.Message = te.Msg
+			}
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// SortDiagnostics orders findings by file, line, column, rule — the
+// output contract shared by Run, the JSON mode, and the golden test.
+func SortDiagnostics(diags []Diagnostic) {
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.Position.Filename != b.Position.Filename {
+			return a.Position.Filename < b.Position.Filename
+		}
+		if a.Position.Line != b.Position.Line {
+			return a.Position.Line < b.Position.Line
+		}
+		if a.Position.Column != b.Position.Column {
+			return a.Position.Column < b.Position.Column
+		}
+		return a.Rule < b.Rule
+	})
 }

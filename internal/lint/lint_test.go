@@ -23,34 +23,21 @@ type want struct {
 // failure would make a rule pass vacuously.
 func loadFixture(t *testing.T, dir string) *Package {
 	t.Helper()
-	return loadFixtureSet(t, dir)[0]
-}
-
-// loadFixtureSet loads several fixture directories through ONE loader,
-// so cross-package object identities line up — the interprocedural
-// summaries key on *types.Func pointers, and a helper package loaded by
-// a second loader would be a different object graph entirely.
-func loadFixtureSet(t *testing.T, dirs ...string) []*Package {
-	t.Helper()
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		got, err := loader.Load(filepath.Join("internal", "lint", "testdata", "src", dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 {
-			t.Fatalf("loaded %d packages for %s, want 1", len(got), dir)
-		}
-		for _, e := range got[0].TypeErrors {
-			t.Errorf("fixture type error: %v", e)
-		}
-		pkgs = append(pkgs, got[0])
+	got, err := loader.Load(filepath.Join("internal", "lint", "testdata", "src", dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return pkgs
+	if len(got) != 1 {
+		t.Fatalf("loaded %d packages for %s, want 1", len(got), dir)
+	}
+	for _, e := range got[0].TypeErrors {
+		t.Errorf("fixture type error: %v", e)
+	}
+	return got[0]
 }
 
 // collectWants maps "file:line" to the expectation attached to that line.
@@ -78,58 +65,50 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		dir      string
 		analyzer Analyzer
-		// importPath overrides the loader-derived path for path-scoped
-		// rules (nodeterm only fires under the simulation packages).
+		// importPath overrides the loader-derived path for the one
+		// path-scoped rule whose scope the fixtures' natural path
+		// (repro/internal/lint/testdata/src/...) does not fall in.
 		importPath string
-		// extra dirs are loaded alongside so module-wide analyses
-		// (summaries, alias classes) see helper packages; their natural
-		// import paths are kept.
-		extra []string
 	}{
-		{"nodeterm", NoDeterm{}, "repro/internal/sim/fixture", nil},
-		// The fault-injection layer is the highest-stakes nodeterm scope:
-		// drops, delays, and backoff must come from the seeded plan, never
-		// the wall clock or ambient RNG.
-		{"faultclock", NoDeterm{}, "repro/internal/cluster/fault", nil},
-		{"maporder", MapOrder{}, "", nil},
-		{"errcheck", ErrCheck{}, "", nil},
-		{"mutexcopy", MutexCopy{}, "", nil},
-		{"floatacc", FloatAcc{}, "", nil},
-		{"panicpath", PanicPath{}, "", nil},
-		// The dataflow suite: chanprotocol reports into the cluster
-		// scope, timetaint into the sim scope (its nondeterminism is
-		// laundered through the clockutil helper, loaded alongside).
-		{"chanprotocol", ChanProtocol{}, "repro/internal/cluster/fixture", nil},
-		{"timetaint", TimeTaint{}, "repro/internal/sim/fixture", []string{"timetaint/clockutil"}},
-		{"lockflow", LockFlow{}, "", nil},
+		// nodeterm covers every package under repro/internal/, which the
+		// fixtures' natural paths already are (TestNoDetermScope pins
+		// the boundary). faultclock is the highest-stakes case: drops,
+		// delays, and backoff must come from the seeded plan, never the
+		// wall clock or ambient RNG. clockutil is the helper package a
+		// four-package nodeterm could not see into.
+		{"nodeterm", NoDeterm{}, ""},
+		{"faultclock", NoDeterm{}, ""},
+		{"timetaint/clockutil", NoDeterm{}, ""},
+		{"maporder", MapOrder{}, ""},
+		{"errcheck", ErrCheck{}, ""},
+		{"floatacc", FloatAcc{}, ""},
+		{"panicpath", PanicPath{}, ""},
+		// The path-sensitive pair: chanprotocol reports only into the
+		// cluster scope.
+		{"chanprotocol", ChanProtocol{}, "repro/internal/cluster/fixture"},
+		{"lockflow", LockFlow{}, ""},
 		// The perfflow suite: hotness comes from //perf:hot markers in
 		// the fixtures themselves, so no path scoping is needed.
-		{"loopalloc", LoopAlloc{}, "", nil},
-		{"ifacebox", IfaceBox{}, "", nil},
-		{"deferloop", DeferLoop{}, "", nil},
-		{"closureloop", ClosureLoop{}, "", nil},
+		{"loopalloc", LoopAlloc{}, ""},
+		{"ifacebox", IfaceBox{}, ""},
+		{"deferloop", DeferLoop{}, ""},
+		{"closureloop", ClosureLoop{}, ""},
 		// The lifeflow suite: resource-lifecycle obligations. Pairs come
 		// from the built-in table plus //lint:pair annotations in the
 		// fixtures, so no path scoping is needed.
-		{"leakpair", LeakPair{}, "", nil},
-		{"goroleak", GoroLeak{}, "", nil},
-		{"ctxflow", CtxFlow{}, "", nil},
-		{"sendblock", SendBlock{}, "", nil},
+		{"leakpair", LeakPair{}, ""},
+		{"goroleak", GoroLeak{}, ""},
+		{"ctxflow", CtxFlow{}, ""},
+		{"sendblock", SendBlock{}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
-			pkgs := loadFixtureSet(t, append([]string{tc.dir}, tc.extra...)...)
-			pkg := pkgs[0]
+			pkg := loadFixture(t, tc.dir)
 			if tc.importPath != "" {
 				pkg.ImportPath = tc.importPath
 			}
-			diags := Run([]Analyzer{tc.analyzer}, pkgs)
+			diags := Run([]Analyzer{tc.analyzer}, []*Package{pkg})
 			wants := collectWants(pkg)
-			for _, extra := range pkgs[1:] {
-				for k, v := range collectWants(extra) {
-					wants[k] = v
-				}
-			}
 			fired := 0
 			for _, d := range diags {
 				key := fmt.Sprintf("%s:%d", filepath.Base(d.Position.Filename), d.Position.Line)
@@ -155,6 +134,61 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				t.Errorf("analyzer %s produced no findings on its fixture", tc.analyzer.Name())
 			}
 		})
+	}
+}
+
+// TestNoDetermScope pins the one boundary the determinism ban has: every
+// package under repro/internal/ is covered — so a clock read in a helper
+// package is flagged at its source and cannot be laundered into a
+// simulation path — and nothing outside it is (the commands and bench/
+// time themselves on purpose). The input is the laundering fixture,
+// loaded under each path in turn.
+func TestNoDetermScope(t *testing.T) {
+	cases := []struct {
+		importPath string
+		inScope    bool
+	}{
+		{"repro/internal/serve", true},
+		{"repro/internal/clockutil", true},
+		{"repro/internal/sim/x", true},
+		{"repro/cmd/ndprun", false},
+		{"repro/bench", false},
+	}
+	pkg := loadFixture(t, filepath.Join("timetaint", "clockutil"))
+	for _, tc := range cases {
+		pkg.ImportPath = tc.importPath
+		diags := Run([]Analyzer{NoDeterm{}}, []*Package{pkg})
+		if !tc.inScope {
+			if len(diags) != 0 {
+				t.Errorf("%s is outside nodeterm's scope but got %v", tc.importPath, diags)
+			}
+			continue
+		}
+		var got []string
+		for _, d := range diags {
+			got = append(got, d.Message)
+		}
+		if len(got) != 2 || !strings.Contains(got[0], "wall-clock time.Now") || !strings.Contains(got[1], "math/rand.Float64") {
+			t.Errorf("%s: want the time.Now and rand.Float64 calls flagged, got %q", tc.importPath, got)
+		}
+	}
+}
+
+// TestRuleCatalog pins the suite's membership and order, which is also
+// the order of `ndplint -list`.
+func TestRuleCatalog(t *testing.T) {
+	want := []string{
+		"nodeterm", "maporder", "errcheck", "floatacc", "panicpath",
+		"chanprotocol", "lockflow",
+		"loopalloc", "ifacebox", "deferloop", "closureloop",
+		"leakpair", "goroleak", "ctxflow", "sendblock",
+	}
+	var got []string
+	for _, a := range All() {
+		got = append(got, a.Name())
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("rule catalog = %v, want %v", got, want)
 	}
 }
 
@@ -260,23 +294,22 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 }
 
 // TestDataflowCatchesWhatSyntaxMisses is the acceptance check for the
-// dataflow suite: each seeded fixture bug must be invisible to all six
-// syntactic analyzers (run under the same scope overrides, so they get
-// every chance to fire) and caught by the corresponding dataflow rule.
+// path-sensitive suite: the seeded fixture bug must be invisible to all
+// five syntactic analyzers (run under the same scope override, so they
+// get every chance to fire) and caught by the dataflow rule.
 func TestDataflowCatchesWhatSyntaxMisses(t *testing.T) {
 	cases := []struct {
-		name       string
-		dirs       []string
-		importPath string // override applied to dirs[0]
+		dir        string
+		importPath string
 		dataflow   Analyzer
 	}{
-		{"chanprotocol", []string{"chanprotocol"}, "repro/internal/cluster/fixture", ChanProtocol{}},
-		{"timetaint", []string{"timetaint", "timetaint/clockutil"}, "repro/internal/sim/fixture", TimeTaint{}},
+		{"chanprotocol", "repro/internal/cluster/fixture", ChanProtocol{}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pkgs := loadFixtureSet(t, tc.dirs...)
-			pkgs[0].ImportPath = tc.importPath
+		t.Run(tc.dir, func(t *testing.T) {
+			pkg := loadFixture(t, tc.dir)
+			pkg.ImportPath = tc.importPath
+			pkgs := []*Package{pkg}
 			for _, d := range Run(Syntactic(), pkgs) {
 				t.Errorf("syntactic analyzer unexpectedly caught the seeded bug: %s", d)
 			}
@@ -305,7 +338,7 @@ func TestPerfflowCatchesWhatDataflowMisses(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
-			pkgs := loadFixtureSet(t, tc.dir)
+			pkgs := []*Package{loadFixture(t, tc.dir)}
 			for _, d := range Run(append(Syntactic(), Dataflow()...), pkgs) {
 				t.Errorf("v1/v2 analyzer unexpectedly caught the seeded hot-loop bug: %s", d)
 			}
@@ -334,7 +367,7 @@ func TestLifeflowCatchesWhatPerfflowMisses(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
-			pkgs := loadFixtureSet(t, tc.dir)
+			pkgs := []*Package{loadFixture(t, tc.dir)}
 			prior := append(append(Syntactic(), Dataflow()...), Perfflow()...)
 			for _, d := range Run(prior, pkgs) {
 				t.Errorf("v1/v2/v3 analyzer unexpectedly caught the seeded lifecycle bug: %s", d)

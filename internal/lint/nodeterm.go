@@ -5,36 +5,28 @@ import (
 	"strings"
 )
 
-// simPathPrefixes are the packages whose results feed recorded metrics:
-// everything they compute must be reproducible from the seed alone.
-var simPathPrefixes = []string{
-	"repro/internal/sim",
-	"repro/internal/gen",
-	"repro/internal/cluster",
-	"repro/internal/kernels",
-}
+// deterministicScope is the import-path prefix nodeterm covers: every
+// library package. The commands, bench/ and scripts/ sit outside it and
+// may read the clock; nothing they call under internal/ can.
+const deterministicScope = "repro/internal/"
 
 // NoDeterm forbids wall-clock time and the global math/rand generator in
-// simulation paths. The emulator models time by counting work, and
-// randomness must come from the seeded splitmix generator in
-// internal/gen — time.Now, time.Since, and math/rand would make two runs
-// with the same seed disagree.
+// every package under repro/internal/. The emulator models time by
+// counting work, and randomness must come from the seeded splitmix
+// generator in internal/gen — time.Now, time.Since, and math/rand would
+// make two runs with the same seed disagree. Because the ban is
+// module-wide rather than per simulation package, a clock cannot be
+// laundered into a simulation path through a helper package: the helper
+// is flagged at the source call.
 type NoDeterm struct{}
 
 func (NoDeterm) Name() string { return "nodeterm" }
 func (NoDeterm) Doc() string {
-	return "forbid time.Now/time.Since and math/rand globals in simulation paths (sim, gen, cluster, kernels)"
+	return "forbid time.Now/time.Since and math/rand globals in every package under repro/internal/"
 }
 
 func (a NoDeterm) Run(pass *Pass) {
-	inScope := false
-	for _, p := range simPathPrefixes {
-		if pass.ImportPath == p || strings.HasPrefix(pass.ImportPath, p+"/") {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+	if !strings.HasPrefix(pass.ImportPath, deterministicScope) {
 		return
 	}
 	for _, file := range pass.Files {
@@ -56,12 +48,12 @@ func (a NoDeterm) Run(pass *Pass) {
 				switch sel.Sel.Name {
 				case "Now", "Since":
 					pass.Report(call.Pos(),
-						"wall-clock "+ident.Name+"."+sel.Sel.Name+" in a simulation path breaks run-to-run determinism",
+						"wall-clock "+ident.Name+"."+sel.Sel.Name+" in library code breaks run-to-run determinism",
 						"model time by counting work units, or take a timestamp parameter from the caller")
 				}
 			case "math/rand", "math/rand/v2":
 				pass.Report(call.Pos(),
-					"global math/rand."+sel.Sel.Name+" in a simulation path is not seed-reproducible",
+					"global math/rand."+sel.Sel.Name+" in library code is not seed-reproducible",
 					"use the seeded generator in internal/gen (rng) so runs replay bit-for-bit")
 			}
 			return true

@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 
 	"repro/internal/lint/flow"
 )
@@ -24,92 +24,27 @@ type FuncFacts struct {
 }
 
 // Facts holds per-function allocation facts for every function declared
-// in the analyzed packages, iterated to a module-wide fixed point the
-// same way flow.Summarize is.
+// in the analyzed packages, iterated to a module-wide fixed point by
+// flow.FixedPoint.
 type Facts struct {
 	funcs map[*types.Func]*factInfo
 }
 
-type factInfo struct {
-	decl *ast.FuncDecl
-	info *types.Info
-	f    FuncFacts
-}
+type factInfo = flow.FuncInfo[FuncFacts]
 
 // ComputeFacts analyzes every function with a body in pkgs. Module
 // callees start optimistic (nothing escapes, nothing allocates) and
 // only ever gain facts across rounds; unknown callees escape their
 // arguments and return nothing fresh, per the package's lint bias.
 func ComputeFacts(pkgs []flow.PkgSyntax) *Facts {
-	f := &Facts{funcs: make(map[*types.Func]*factInfo)}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || pkg.Info == nil {
-					continue
-				}
-				fn, ok := pkg.Info.ObjectOf(fd.Name).(*types.Func)
-				if !ok {
-					continue
-				}
-				f.funcs[fn] = &factInfo{decl: fd, info: pkg.Info}
-			}
-		}
-	}
-	ordered := f.orderedFuncs()
-	for round := 0; round < len(ordered)+2; round++ {
-		changed := false
-		for _, fn := range ordered {
-			fi := f.funcs[fn]
-			nf := f.analyze(fi)
-			if !factsEqual(nf, fi.f) {
-				fi.f = nf
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	f := &Facts{funcs: flow.ModuleFuncs[FuncFacts](pkgs)}
+	flow.FixedPoint(f.funcs, f.analyze, factsEqual)
 	return f
 }
 
 func factsEqual(a, b FuncFacts) bool {
-	if a.ReturnsAlloc != b.ReturnsAlloc || a.RecvEscapes != b.RecvEscapes ||
-		len(a.ParamEscapes) != len(b.ParamEscapes) {
-		return false
-	}
-	for i := range a.ParamEscapes {
-		if a.ParamEscapes[i] != b.ParamEscapes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (f *Facts) orderedFuncs() []*types.Func {
-	fns := make([]*types.Func, 0, len(f.funcs))
-	for fn := range f.funcs {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool {
-		pi, pj := "", ""
-		if fns[i].Pkg() != nil {
-			pi = fns[i].Pkg().Path()
-		}
-		if fns[j].Pkg() != nil {
-			pj = fns[j].Pkg().Path()
-		}
-		if pi != pj {
-			return pi < pj
-		}
-		if fns[i].FullName() != fns[j].FullName() {
-			return fns[i].FullName() < fns[j].FullName()
-		}
-		return fns[i].Pos() < fns[j].Pos()
-	})
-	return fns
+	return a.ReturnsAlloc == b.ReturnsAlloc && a.RecvEscapes == b.RecvEscapes &&
+		slices.Equal(a.ParamEscapes, b.ParamEscapes)
 }
 
 // Lookup returns fn's facts and whether fn is a module function the
@@ -119,7 +54,7 @@ func (f *Facts) Lookup(fn *types.Func) (FuncFacts, bool) {
 	if !ok {
 		return FuncFacts{}, false
 	}
-	return fi.f, true
+	return fi.Fact, true
 }
 
 // CallReturnsAlloc reports whether call returns freshly heap-allocated
@@ -147,7 +82,7 @@ func (f *Facts) ArgEscapesAt(info *types.Info, call *ast.CallExpr, i int) bool {
 		return true
 	}
 	if i < 0 {
-		return fi.f.RecvEscapes
+		return fi.Fact.RecvEscapes
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
@@ -156,10 +91,10 @@ func (f *Facts) ArgEscapesAt(info *types.Info, call *ast.CallExpr, i int) bool {
 	if sig.Variadic() && i >= sig.Params().Len()-1 {
 		i = sig.Params().Len() - 1
 	}
-	if i < 0 || i >= len(fi.f.ParamEscapes) {
+	if i < 0 || i >= len(fi.Fact.ParamEscapes) {
 		return true
 	}
-	return fi.f.ParamEscapes[i]
+	return fi.Fact.ParamEscapes[i]
 }
 
 // analyze recomputes one function's facts from the current module
@@ -167,25 +102,25 @@ func (f *Facts) ArgEscapesAt(info *types.Info, call *ast.CallExpr, i int) bool {
 // allocish fixpoint for ReturnsAlloc.
 func (f *Facts) analyze(fi *factInfo) FuncFacts {
 	argEsc := func(call *ast.CallExpr, i int) bool {
-		return f.ArgEscapesAt(fi.info, call, i)
+		return f.ArgEscapesAt(fi.Info, call, i)
 	}
-	res := AnalyzeEscape(fi.info, fi.decl, argEsc)
+	res := AnalyzeEscape(fi.Info, fi.Decl, argEsc)
 
 	var nf FuncFacts
-	if fi.decl.Recv != nil {
-		for _, field := range fi.decl.Recv.List {
+	if fi.Decl.Recv != nil {
+		for _, field := range fi.Decl.Recv.List {
 			for _, name := range field.Names {
-				if res.ObjEscapes(fi.info.ObjectOf(name)) {
+				if res.ObjEscapes(fi.Info.ObjectOf(name)) {
 					nf.RecvEscapes = true
 				}
 			}
 		}
 	}
-	if fi.decl.Type.Params != nil {
-		for _, field := range fi.decl.Type.Params.List {
+	if fi.Decl.Type.Params != nil {
+		for _, field := range fi.Decl.Type.Params.List {
 			for _, name := range field.Names {
 				nf.ParamEscapes = append(nf.ParamEscapes,
-					res.ObjEscapes(fi.info.ObjectOf(name)))
+					res.ObjEscapes(fi.Info.ObjectOf(name)))
 			}
 			if len(field.Names) == 0 {
 				nf.ParamEscapes = append(nf.ParamEscapes, false)
@@ -209,11 +144,11 @@ func (f *Facts) returnsAlloc(fi *factInfo) bool {
 	exprAlloc = func(e ast.Expr) bool {
 		switch e := ast.Unparen(e).(type) {
 		case *ast.Ident:
-			return allocish[fi.info.ObjectOf(e)]
+			return allocish[fi.Info.ObjectOf(e)]
 		case *ast.UnaryExpr:
 			return e.Op == token.AND
 		case *ast.CompositeLit:
-			if t := fi.info.TypeOf(e); t != nil {
+			if t := fi.Info.TypeOf(e); t != nil {
 				switch t.Underlying().(type) {
 				case *types.Slice, *types.Map:
 					return true
@@ -226,7 +161,7 @@ func (f *Facts) returnsAlloc(fi *factInfo) bool {
 			return exprAlloc(e.X)
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-				if _, ok := fi.info.ObjectOf(id).(*types.Builtin); ok {
+				if _, ok := fi.Info.ObjectOf(id).(*types.Builtin); ok {
 					switch id.Name {
 					case "make", "new", "append":
 						return true
@@ -234,10 +169,10 @@ func (f *Facts) returnsAlloc(fi *factInfo) bool {
 					return false
 				}
 			}
-			if tv, ok := fi.info.Types[e.Fun]; ok && tv.IsType() {
+			if tv, ok := fi.Info.Types[e.Fun]; ok && tv.IsType() {
 				return len(e.Args) == 1 && exprAlloc(e.Args[0])
 			}
-			return f.CallReturnsAlloc(fi.info, e)
+			return f.CallReturnsAlloc(fi.Info, e)
 		}
 		return false
 	}
@@ -247,13 +182,13 @@ func (f *Facts) returnsAlloc(fi *factInfo) bool {
 	// store an allocation into an outer local that is then returned).
 	for {
 		changed := false
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.AssignStmt:
 				if len(s.Lhs) == len(s.Rhs) {
 					for i, lhs := range s.Lhs {
 						if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-							obj := fi.info.ObjectOf(id)
+							obj := fi.Info.ObjectOf(id)
 							if obj != nil && !allocish[obj] && exprAlloc(s.Rhs[i]) {
 								allocish[obj] = true
 								changed = true
@@ -264,7 +199,7 @@ func (f *Facts) returnsAlloc(fi *factInfo) bool {
 			case *ast.ValueSpec:
 				if len(s.Values) == len(s.Names) {
 					for i, id := range s.Names {
-						obj := fi.info.ObjectOf(id)
+						obj := fi.Info.ObjectOf(id)
 						if obj != nil && !allocish[obj] && exprAlloc(s.Values[i]) {
 							allocish[obj] = true
 							changed = true
@@ -282,10 +217,10 @@ func (f *Facts) returnsAlloc(fi *factInfo) bool {
 	// Named results: a naked return or an assignment into the named
 	// result hands the allocation to the caller.
 	namedResults := make([]types.Object, 0, 2)
-	if fi.decl.Type.Results != nil {
-		for _, field := range fi.decl.Type.Results.List {
+	if fi.Decl.Type.Results != nil {
+		for _, field := range fi.Decl.Type.Results.List {
 			for _, name := range field.Names {
-				if obj := fi.info.ObjectOf(name); obj != nil {
+				if obj := fi.Info.ObjectOf(name); obj != nil {
 					namedResults = append(namedResults, obj)
 				}
 			}
@@ -318,6 +253,6 @@ func (f *Facts) returnsAlloc(fi *factInfo) bool {
 		}
 		return true
 	}
-	ast.Inspect(fi.decl.Body, scan)
+	ast.Inspect(fi.Decl.Body, scan)
 	return found
 }

@@ -11,7 +11,7 @@
 //     escapes to the heap (AnalyzeEscape);
 //   - per-function allocation facts — does a call return freshly
 //     allocated memory, does it escape its arguments — iterated to a
-//     module fixed point like flow.Summarize (ComputeFacts).
+//     module fixed point by flow.FixedPoint (ComputeFacts).
 //
 // The biases are chosen for linting: unknown callees escape their
 // arguments (so "does not escape" is trustworthy and suppresses a

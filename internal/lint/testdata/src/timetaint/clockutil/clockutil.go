@@ -1,8 +1,10 @@
-// Package clockutil is the laundering helper for the timetaint fixture.
-// It lives outside the simulation path prefixes, so the syntactic
-// nodeterm rule never looks at it — which is exactly the hole the
-// interprocedural analysis closes: these helpers hand wall-clock and
-// global-rand values to simulation code two hops away.
+// Package clockutil is the laundering fixture: a helper package outside
+// the four simulation packages that hands wall-clock and global-rand
+// values to simulation code two hops away. While nodeterm covered only
+// sim, gen, cluster and kernels, catching this took an interprocedural
+// taint analysis; with nodeterm covering every package under
+// repro/internal/, the helper is flagged here, at the source call, and
+// there is no flow left to track.
 package clockutil
 
 import (
@@ -13,21 +15,20 @@ import (
 // Stamp returns the wall clock as a float — a classic nondeterminism
 // source once it reaches simulation state.
 func Stamp() float64 {
-	return float64(time.Now().UnixNano())
+	return float64(time.Now().UnixNano()) // want "wall-clock time.Now"
 }
 
 // Jitter returns a value from the global (unseeded) generator.
 func Jitter() float64 {
-	return rand.Float64()
+	return rand.Float64() // want "math/rand.Float64"
 }
 
-// Scaled only transforms its argument; taint must flow through it
-// (ParamFlow), not originate here.
+// Scaled only transforms its argument; nothing to flag.
 func Scaled(x float64) float64 {
 	return x * 1e-9
 }
 
-// Fixed is deterministic; values derived from it must stay clean.
+// Fixed is deterministic; nothing to flag.
 func Fixed() float64 {
 	return 42
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -236,31 +237,42 @@ func checkSerialResult(g *graph.Graph, r *kernels.Result, traits kernels.Traits,
 // sum kernels).
 func checkArchDifferential(runs []*core.Result, serial *kernels.Result, traits kernels.Traits) error {
 	base := runs[0]
+	baseSizes := frontierSizes(base)
 	for _, run := range runs[1:] {
-		if err := valuesBitEqual(run.Result.Values, base.Result.Values); err != nil {
+		if err := valuesBitEqual(run.Values, base.Values); err != nil {
 			return failf(OracleArchDiff, "%s vs %s: %v", run.Engine, base.Engine, err)
 		}
-		if run.Result.Iterations != base.Result.Iterations {
+		if run.Iterations != base.Iterations {
 			return failf(OracleArchDiff, "%s ran %d iterations, %s ran %d",
-				run.Engine, run.Result.Iterations, base.Engine, base.Result.Iterations)
+				run.Engine, run.Iterations, base.Engine, base.Iterations)
 		}
-		if !reflect.DeepEqual(run.Result.FrontierSizes, base.Result.FrontierSizes) {
+		if !slices.Equal(frontierSizes(run), baseSizes) {
 			return failf(OracleArchDiff, "%s vs %s: frontier size series differ", run.Engine, base.Engine)
 		}
 	}
 	for _, run := range runs {
-		if run.Result.Iterations != serial.Iterations {
+		if run.Iterations != serial.Iterations {
 			return failf(OracleSerialDiff, "%s ran %d iterations, serial ran %d",
-				run.Engine, run.Result.Iterations, serial.Iterations)
+				run.Engine, run.Iterations, serial.Iterations)
 		}
-		if !reflect.DeepEqual(run.Result.FrontierSizes, serial.FrontierSizes) {
+		if !slices.Equal(frontierSizes(run), serial.FrontierSizes) {
 			return failf(OracleSerialDiff, "%s: frontier size series differs from serial", run.Engine)
 		}
-		if err := valuesClose(run.Result.Values, serial.Values, tolFor(traits)); err != nil {
+		if err := valuesClose(run.Values, serial.Values, tolFor(traits)); err != nil {
 			return failf(OracleSerialDiff, "%s vs serial: %v", run.Engine, err)
 		}
 	}
 	return nil
+}
+
+// frontierSizes is an analytical run's per-iteration frontier series,
+// read from its accounting records.
+func frontierSizes(run *core.Result) []int64 {
+	sizes := make([]int64, len(run.Records))
+	for i := range run.Records {
+		sizes[i] = run.Records[i].FrontierSize
+	}
+	return sizes
 }
 
 // checkDirectionDifferential enforces the kernel engine's pull-soundness
@@ -441,11 +453,11 @@ func expectedAggregatedMoveBytes(partialUpdates, distinctDsts, bufferEntries int
 // reference; cheap to re-assert directly rather than only by transitive
 // equality).
 func checkResultShape(run *core.Result, traits kernels.Traits) error {
-	if mustConverge(traits) && !run.Result.Converged {
-		return failf(OracleMonotone, "%s: frontier kernel did not converge in %d iterations", run.Engine, run.Result.Iterations)
+	if mustConverge(traits) && !run.Converged {
+		return failf(OracleMonotone, "%s: frontier kernel did not converge in %d iterations", run.Engine, run.Iterations)
 	}
-	if len(run.Records) != run.Result.Iterations {
-		return failf(OracleRecords, "%s: %d records for %d iterations", run.Engine, len(run.Records), run.Result.Iterations)
+	if len(run.Records) != run.Iterations {
+		return failf(OracleRecords, "%s: %d records for %d iterations", run.Engine, len(run.Records), run.Iterations)
 	}
 	return nil
 }

@@ -1,11 +1,19 @@
 #!/usr/bin/env bash
 # check.sh — the single gate every change must pass before merging.
 #
-# Order is deliberate: cheap static stages first (build, vet, ndplint
-# against the committed baseline, fix hygiene, baseline ratchet), then
-# the test tiers (plain, -race), then a short fuzz budget on the
-# graph-I/O parsers and the lint CFG builder. Any stage failing fails
-# the gate.
+# Every stage adds something the two full test tiers lack; anything that
+# only re-ran a subset of them is gone. In order:
+#   static      go build, go vet (copylocks included), ndplint over the
+#               module (any finding fails), ndplint -fix -diff empty
+#   tier 1      go test ./...
+#   uncached    alloc gates at -count=1 (they skip under -race)
+#   processes   ndpverify sweep, ndpserve round-trip, ndpverify -served,
+#               out-of-core stream -> container -> verified BFS
+#   -count=2    cluster faults, parallel simulator, store lifecycle,
+#               each under the race detector
+#   tier 2      go test -race -count=1 ./...  (never from the test cache)
+#   fuzz        a short budget per fuzz target
+# Any stage failing fails the gate.
 #
 # Usage: scripts/check.sh [fuzz-seconds]
 #   fuzz-seconds  per-target fuzz budget (default 10; 0 skips fuzzing)
@@ -29,42 +37,20 @@ step() {
 
 step go build ./...
 step go vet ./...
-step go run ./cmd/ndplint -baseline lint-baseline.json ./...
+step go run ./cmd/ndplint ./...
 
 # Fix hygiene: every fixable finding must already be fixed in the tree,
 # so -fix -diff over the module produces no output. A non-empty diff
 # means someone committed code ndplint knows how to repair mechanically.
 echo
 echo "==> ndplint -fix -diff (must be empty)"
-fixdiff="$(go run ./cmd/ndplint -fix -diff -baseline lint-baseline.json ./...)"
+fixdiff="$(go run ./cmd/ndplint -fix -diff ./...)"
 if [ -n "$fixdiff" ]; then
     echo "$fixdiff"
     echo "check.sh: outstanding mechanical fixes; run: go run ./cmd/ndplint -fix ./..." >&2
     exit 1
 fi
 echo "(empty)"
-
-# Baseline ratchet: the committed baseline may shrink (findings fixed)
-# but never grow — new findings are fixed or //lint:ignore'd, not
-# baselined. Compared against the HEAD revision; skipped when HEAD has
-# no baseline yet (the commit introducing it).
-echo
-echo "==> baseline shrink-only check"
-if git show HEAD:lint-baseline.json > /tmp/lint-baseline.head.json 2>/dev/null; then
-    go run scripts/baseline_shrink.go /tmp/lint-baseline.head.json lint-baseline.json
-else
-    echo "(no baseline at HEAD; skipped)"
-fi
-
-# Perfflow dogfood: the //perf:hot analyzers must stay clean on the
-# repo's own hot paths (also covered by TestSuiteCleanOnRepo, but run
-# here standalone so a hot-loop allocation fails fast with positions).
-step go run ./cmd/ndplint -rules loopalloc,ifacebox,deferloop,closureloop -baseline lint-baseline.json ./...
-
-# Lifeflow dogfood: the resource-lifecycle analyzers must stay clean
-# module-wide — a leaked snapshot reference or severed context tree
-# fails fast here with positions.
-step go run ./cmd/ndplint -rules leakpair,goroleak,ctxflow,sendblock -baseline lint-baseline.json ./...
 
 step go test ./...
 
@@ -77,15 +63,6 @@ step go test ./...
 # container); TestStoreAllocGate the tier's pin/read/release sweep,
 # misses served from the eviction freelist included.
 step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./internal/store/
-
-# Kernel-engine differentials: bit-identity across traversal directions
-# and across every worker count, under the race detector.
-step go test -race -count=1 -run '^TestEngineDirectionsBitIdentical$|^TestEngineBitIdenticalAtEveryWorkerCount$' ./internal/kernels/
-
-# The verification harness package gets its own -count=1 -race stage:
-# its differential oracles execute every layer (sim, cluster, core,
-# partition, gen) and must never be satisfied by a cached result.
-step go test -count=1 -race ./internal/verify/
 
 # ndpverify smoke: the seeded scenario sweep the README documents. Runs
 # the whole harness end to end; any oracle violation fails the gate with
@@ -175,29 +152,10 @@ step go test -race -count=2 \
     -run '^TestStorePinConcurrentHammer$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$' \
     ./internal/store/
 
-step go test -race ./...
-
-# Bench smoke: one iteration of the serial-vs-parallel speedup benchmark,
-# so the trajectory's BENCH JSON always carries the speedup metric and a
-# regression that breaks the benchmark harness fails the gate.
-step go test -run '^$' -bench '^BenchmarkParallelSpeedup$' -benchtime 1x .
-
-# Bench trajectory wiring: one-iteration engine microbenchmarks through
-# the JSON recorder, so the committed BENCH_*.json pipeline can never
-# rot silently. The real artifacts are produced with the default
-# benchtime: scripts/bench_trajectory.sh BENCH_<nnnn>.json
-echo
-echo "==> bench trajectory smoke"
-BENCHTIME=1x scripts/bench_trajectory.sh /tmp/bench-trajectory-smoke.json >/dev/null 2>&1
-grep -q '"allocs_op"' /tmp/bench-trajectory-smoke.json || {
-    echo "check.sh: bench trajectory JSON missing allocs_op" >&2
-    exit 1
-}
-grep -q 'EngineKernelBFSDirOpt' /tmp/bench-trajectory-smoke.json || {
-    echo "check.sh: bench trajectory JSON missing the kernel-engine benchmarks" >&2
-    exit 1
-}
-echo "ok"
+# The full race tier, uncached: the verification harness's differential
+# oracles execute every layer (sim, cluster, core, partition, gen) and
+# must never be satisfied by a cached result.
+step go test -race -count=1 ./...
 
 if [ "$FUZZ_SECONDS" -gt 0 ]; then
     # Fuzz targets as "name package" pairs — add a line to add a target.
