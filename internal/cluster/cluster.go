@@ -219,6 +219,11 @@ func RunContext(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *p
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	// The memory-node actors index g's edge array from their own
+	// goroutines, where a panic is beyond any caller's recover.
+	if _, err := kernels.InMemory(g); err != nil {
+		return nil, err
+	}
 	if err := kernels.CheckGraph(g, k); err != nil {
 		return nil, err
 	}

@@ -84,6 +84,41 @@ func TestClusterRejectsStatefulKernels(t *testing.T) {
 	}
 }
 
+// TestVertexViewIsRefused pins the input check on every engine that
+// walks a graph's edge array by partition: an offsets-only view (what an
+// out-of-core store hands out as its vertex side) ends in an error from
+// the four simulated architectures and from the cluster — whose traversal
+// runs on actor goroutines, where the slice-bounds panic it used to be
+// could not be recovered by any caller.
+func TestVertexViewIsRefused(t *testing.T) {
+	g := clusterGraph(t)
+	view, err := graph.NewVertexView(g.Offsets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parts = 4
+	a := clusterAssign(t, g, parts)
+	topo := sim.DefaultTopology(2, parts)
+	k := kernels.NewBFS(0)
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"distributed", func() error { _, err := (&sim.Distributed{Topo: topo, Assign: a}).Run(view, k); return err }},
+		{"distributed-ndp", func() error { _, err := (&sim.DistributedNDP{Topo: topo, Assign: a}).Run(view, k); return err }},
+		{"disaggregated", func() error { _, err := (&sim.Disaggregated{Topo: topo, Assign: a}).Run(view, k); return err }},
+		{"disaggregated-ndp", func() error { _, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a}).Run(view, k); return err }},
+		{"cluster", func() error { _, err := Run(view, k, a, Config{ComputeNodes: 2}); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err == nil {
+				t.Fatal("a vertex-only view was accepted")
+			}
+		})
+	}
+}
+
 // TestClusterTrafficMatchesSimulator is the cross-validation at the heart
 // of this package: bytes actually sent over the actor channels must equal
 // the bytes the analytical simulator accounts.

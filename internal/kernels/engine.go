@@ -14,7 +14,7 @@ import (
 // behind RunOn and its in-memory shorthands RunSerial, RunSerialWith and
 // Run.
 //
-// Three independent axes are generalized here:
+// Four independent axes are generalized here:
 //
 //   - Storage. The engine reads a Source: a resident vertex side plus an
 //     edge list lent in pinned segments. A push loop keeps a current
@@ -36,18 +36,24 @@ import (
 //     telemetry differs, which is the point. Pull needs in-edges, so it
 //     is chosen only over a source that reports them (InAdjacency).
 //
-//   - Parallelism. The staged machine partitions each phase over a fixed
-//     grid of engineChunks chunks, claimed by a persistent worker pool
-//     off an atomic cursor. Each chunk stages a compact pre-aggregated
-//     update list; a single-threaded merge folds the lists in chunk
-//     order 0..C-1. The reduction tree depends only on the chunk grid —
-//     never on the worker count or goroutine schedule — so Run is
-//     bit-identical at every Workers setting (the same guarantee
-//     internal/sim's partition-staged machine makes).
+//   - Parallelism. The staged machine partitions each phase over a grid
+//     of C chunks, claimed by a persistent worker pool off an atomic
+//     cursor. Each chunk stages a compact pre-aggregated partial list; a
+//     single-threaded merge folds the lists in chunk order 0..C-1. The
+//     reduction tree depends only on the chunk grid — never on the
+//     worker count or goroutine schedule — so Run is bit-identical at
+//     every Workers setting.
+//
+//   - Grid. By default the grid cuts each iteration's frontier into
+//     engineChunks equal slices. Options.Grid cuts it by owner instead —
+//     vertex v always scatters in chunk ChunkOf[v] — which makes a chunk
+//     a memory node and its partial list that node's update stream, and
+//     lends every finished iteration to one observer. internal/sim's four
+//     architectures are such observers: they count, the engine executes.
 //
 // Steady-state iterations allocate nothing: all buffers live in the
 // engine struct and are reused across iterations (gated by
-// TestEngineAllocGate, mirroring internal/sim's TestAllocGate).
+// TestEngineAllocGate).
 
 // Direction selects the traversal direction of the kernel engine.
 type Direction int
@@ -88,9 +94,10 @@ const (
 	DefaultBeta  = 24
 )
 
-// engineChunks is the fixed width of the staged machine's chunk grid.
-// It bounds both the merge fan-in and the useful worker count, and must
-// not depend on the worker count — the grid is the reduction tree.
+// engineChunks is the width of the staged machine's default chunk grid.
+// A grid's width bounds both the merge fan-in and the useful worker
+// count, and must not depend on the worker count — the grid is the
+// reduction tree.
 const engineChunks = 64
 
 // Machine names one of the engine's two iteration machines.
@@ -114,11 +121,71 @@ type Options struct {
 	// GOMAXPROCS, capped at the chunk-grid width). Results are
 	// bit-identical for every setting. The Serial machine ignores it.
 	Workers int
+	// Grid, when non-nil, replaces the Staged machine's default chunk
+	// grid. The Serial machine ignores it.
+	Grid *Grid
 	// Direction selects push, pull, or per-iteration auto switching.
 	Direction Direction
 	// Alpha and Beta tune the auto switch; values <= 0 select
 	// DefaultAlpha and DefaultBeta.
 	Alpha, Beta float64
+}
+
+// Grid cuts every iteration's frontier by owner instead of into equal
+// slices: whenever vertex v is active it scatters in chunk ChunkOf[v],
+// after every earlier frontier vertex of that chunk. Float sums are
+// reassociated by the grid, so a Result is bit-identical across Workers
+// settings under one grid, not across grids; min/max kernels are
+// bit-identical under every grid.
+type Grid struct {
+	// Chunks is the grid width; every ChunkOf[v] lies in [0, Chunks) and
+	// ChunkOf covers every vertex.
+	Chunks  int
+	ChunkOf []int32
+	// Observe, when non-nil, is called on the engine's goroutine once per
+	// finished iteration — after the update phase, with the next frontier
+	// final. The Iteration and everything reached through it belong to
+	// the engine: read-only, and invalid once Observe returns.
+	Observe func(*Iteration)
+}
+
+// Iteration is the view of one finished iteration lent to Grid.Observe.
+type Iteration struct {
+	// Index is the iteration number, from 0.
+	Index int
+	// Pull reports a pull iteration, which stages no partial updates and
+	// counts no DistinctDsts.
+	Pull bool
+	// DistinctDsts counts the destinations that received at least one
+	// partial: the merge's first touches.
+	DistinctDsts int64
+	// Next is the frontier the next iteration will traverse.
+	Next *Frontier
+
+	e *engine
+}
+
+// Frontier returns chunk c's slice of this iteration's frontier, in
+// frontier order.
+func (it *Iteration) Frontier(c int) []graph.VertexID { return it.e.chunkFrontier(c) }
+
+// Partials returns the number of partial updates chunk c staged: one per
+// distinct destination its frontier slice reached. RemotePartials counts
+// those among them whose destination another chunk owns — the updates
+// that would leave memory node c for a peer.
+func (it *Iteration) Partials(c int) int64 {
+	if it.Pull {
+		return 0
+	}
+	return int64(len(it.e.chunkUpd[c]))
+}
+
+// RemotePartials: see Partials.
+func (it *Iteration) RemotePartials(c int) int64 {
+	if it.Pull {
+		return 0
+	}
+	return it.e.remotePerChunk[c]
 }
 
 // stagedUpdate is one staged partial: the pre-aggregated contribution a
@@ -189,10 +256,18 @@ type engine struct {
 	remaining     int64
 	inspected     int64
 
-	// Staged-mode working set. active materializes the frontier once per
-	// iteration; the chunk grid slices it for push and the vertex range
-	// for pull/apply.
+	// Staged-mode working set. The frontier is materialized once per
+	// iteration: into active, which the default grid cuts into C equal
+	// slices, or — under an ownership grid (chunkOf non-nil) — straight
+	// into one bucket per chunk. Pull and apply cut the vertex range.
+	// distinct counts the merge's first touches, for view.
 	active            []graph.VertexID
+	chunkOf           []int32
+	buckets           [][]graph.VertexID
+	remotePerChunk    []int64
+	distinct          int64
+	observe           func(*Iteration)
+	view              Iteration
 	scratch           []pushScratch
 	chunkUpd          [][]stagedUpdate
 	inspectedPerChunk []int64
@@ -295,14 +370,32 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 		return e, nil
 	}
 
+	e.C = engineChunks
+	if grid := opt.Grid; grid != nil {
+		if grid.Chunks < 1 || len(grid.ChunkOf) != n {
+			return nil, fmt.Errorf("kernels: grid of %d chunks covers %d vertices, graph has %d", grid.Chunks, len(grid.ChunkOf), n)
+		}
+		bad := -1
+		for v, c := range grid.ChunkOf {
+			if c < 0 || int(c) >= grid.Chunks {
+				bad = v
+				break
+			}
+		}
+		if bad >= 0 {
+			return nil, fmt.Errorf("kernels: vertex %d in chunk %d, out of [0,%d)", bad, grid.ChunkOf[bad], grid.Chunks)
+		}
+		e.C, e.chunkOf, e.observe = grid.Chunks, grid.ChunkOf, grid.Observe
+		e.buckets = make([][]graph.VertexID, e.C)
+		e.remotePerChunk = make([]int64, e.C)
+	}
 	W := opt.Workers
 	if W <= 0 {
 		W = runtime.GOMAXPROCS(0)
 	}
-	if W > engineChunks {
-		W = engineChunks
+	if W > e.C {
+		W = e.C
 	}
-	e.C = engineChunks
 	e.active = make([]graph.VertexID, 0, n)
 	e.scratch = make([]pushScratch, W)
 	stamps := make([]int64, W*n)
@@ -322,6 +415,9 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 	e.residualPerChunk = make([]float64, e.C)
 	e.errPerChunk = make([]error, e.C)
 	e.pushTask = func(w, c int) { e.pushChunk(w, c) }
+	if e.chunkOf != nil {
+		e.pushTask = func(w, c int) { e.pushChunk(w, c); e.countRemote(c) }
+	}
 	e.pullTask = func(_, c int) {
 		lo, hi := e.vtxChunk(c)
 		e.inspectedPerChunk[c] = e.pullRange(lo, hi)
@@ -338,11 +434,14 @@ func (e *engine) vtxChunk(c int) (lo, hi int) {
 	return e.n * c / e.C, e.n * (c + 1) / e.C
 }
 
-// activeChunk bounds chunk c of this iteration's frontier slice. The
-// grid depends on the frontier alone, never on the worker count.
-func (e *engine) activeChunk(c int) (lo, hi int) {
+// chunkFrontier returns chunk c's slice of this iteration's frontier.
+// Either grid depends on the frontier alone, never on the worker count.
+func (e *engine) chunkFrontier(c int) []graph.VertexID {
+	if e.chunkOf != nil {
+		return e.buckets[c]
+	}
 	a := len(e.active)
-	return a * c / e.C, a * (c + 1) / e.C
+	return e.active[a*c/e.C : a*(c+1)/e.C]
 }
 
 // close releases what a run still holds: the serial cursor's pin and the
@@ -390,12 +489,14 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 		}
 
 		next, residual := e.apply()
-		if tr.AllVerticesActive {
-			if tr.Epsilon > 0 && residual < tr.Epsilon {
-				res.Converged = true
-				break
-			}
+		converged := tr.AllVerticesActive && tr.Epsilon > 0 && residual < tr.Epsilon
+		if tr.AllVerticesActive && !converged {
 			next.ActivateAll()
+		}
+		e.lend(next)
+		if converged {
+			res.Converged = true
+			break
 		}
 		e.spare = e.frontier
 		e.frontier = next
@@ -404,6 +505,15 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 		res.Converged = true
 	}
 	return res, nil
+}
+
+// lend shows the grid's observer the iteration that just finished.
+func (e *engine) lend(next *Frontier) {
+	if e.observe == nil {
+		return
+	}
+	e.view = Iteration{Index: e.iter, Pull: e.pull, DistinctDsts: e.distinct, Next: next, e: e}
+	e.observe(&e.view)
 }
 
 // prepare computes the frontier's out-edge volume from the resident
@@ -417,7 +527,16 @@ func (e *engine) prepare(iter int) {
 	e.iter = iter
 	e.frontierEdges = 0
 	g := e.g
-	if e.staged {
+	if e.chunkOf != nil {
+		for c := range e.buckets {
+			e.buckets[c] = e.buckets[c][:0]
+		}
+		e.frontier.ForEach(func(v graph.VertexID) {
+			c := e.chunkOf[v]
+			e.buckets[c] = append(e.buckets[c], v)
+			e.frontierEdges += g.OutDegree(v)
+		})
+	} else if e.staged {
 		e.active = e.active[:0]
 		e.frontier.ForEach(func(v graph.VertexID) {
 			e.active = append(e.active, v)
@@ -456,6 +575,7 @@ func (e *engine) traverse() {
 		e.agg[i] = e.identity
 		e.has[i] = false
 	}
+	e.distinct = 0
 	if e.pull {
 		if e.staged {
 			e.runTasks(e.pullTask)
@@ -542,13 +662,12 @@ func (e *engine) pushSerial() {
 //
 //perf:hot
 func (e *engine) pushChunk(w, c int) {
-	lo, hi := e.activeChunk(c)
 	s := &e.scratch[w]
 	key := int64(e.iter)*int64(e.C) + int64(c)
 	g, k := e.g, e.k
 	var cur graph.Segment
 	list := e.chunkUpd[c][:0]
-	for _, v := range e.active[lo:hi] {
+	for _, v := range e.chunkFrontier(c) {
 		if !cur.Contains(v) {
 			cur.Release()
 			if cur, e.errPerChunk[c] = e.src.Pin(v); e.errPerChunk[c] != nil {
@@ -585,6 +704,19 @@ func (e *engine) pushChunk(w, c int) {
 	e.chunkUpd[c] = list
 }
 
+// countRemote counts chunk c's staged partials whose destination another
+// chunk owns. It rides the chunk's push task, so the observer's serial
+// turn stays proportional to the frontier, not to the update stream.
+func (e *engine) countRemote(c int) {
+	var remote int64
+	for _, u := range e.chunkUpd[c] {
+		if e.chunkOf[u.dst] != int32(c) {
+			remote++
+		}
+	}
+	e.remotePerChunk[c] = remote
+}
+
 // mergeChunks folds the staged chunk lists into the global accumulator
 // in fixed chunk order 0..C-1 — the reduction tree that keeps parallel
 // results bit-identical at every worker count.
@@ -592,6 +724,7 @@ func (e *engine) pushChunk(w, c int) {
 //perf:hot
 func (e *engine) mergeChunks() {
 	k := e.k
+	var distinct int64
 	for c := 0; c < e.C; c++ {
 		for _, u := range e.chunkUpd[c] {
 			if e.has[u.dst] {
@@ -599,9 +732,11 @@ func (e *engine) mergeChunks() {
 			} else {
 				e.agg[u.dst] = u.val
 				e.has[u.dst] = true
+				distinct++
 			}
 		}
 	}
+	e.distinct = distinct
 }
 
 // pullRange gathers destinations [lo, hi): each unsettled vertex probes

@@ -233,12 +233,12 @@ func TestEnginePullRequiresGatherKernel(t *testing.T) {
 }
 
 // TestEngineAllocGate pins the allocation-free steady state the engine
-// exists for, mirroring internal/sim's TestAllocGate: once the buffers
-// are warm, one full prepare/traverse/apply iteration allocates nothing
-// — on the serial machine, the staged machine (Workers=1, keeping the
-// phase dispatch on its inline path as the sim gate does), the pull
-// direction, and over a container whose tier is warm and fully resident
-// (every Pin a hit).
+// exists for: once the buffers are warm, one full prepare/traverse/apply
+// iteration allocates nothing — on the serial machine, the staged
+// machine (Workers=1, keeping the phase dispatch on its inline path), the
+// pull direction, over a container whose tier is warm and fully resident
+// (every Pin a hit), and under an ownership grid whose observer reads
+// everything it is lent (the shape internal/sim runs in).
 func TestEngineAllocGate(t *testing.T) {
 	g := socialGraph(t)
 	mem, err := InMemory(g)
@@ -247,6 +247,13 @@ func TestEngineAllocGate(t *testing.T) {
 	mustNoErr(t, err)
 	st, err := store.OpenBytes(data, store.Options{})
 	mustNoErr(t, err)
+	var lent int64
+	grid := &Grid{Chunks: 4, ChunkOf: stripedGrid(g.NumVertices(), 4), Observe: func(it *Iteration) {
+		lent += it.DistinctDsts + it.Next.Count()
+		for c := 0; c < 4; c++ {
+			lent += int64(len(it.Frontier(c))) + it.Partials(c) + it.RemotePartials(c)
+		}
+	}}
 	cases := []struct {
 		name   string
 		src    Source
@@ -260,6 +267,7 @@ func TestEngineAllocGate(t *testing.T) {
 		{"staged-cc-pull", mem, NewConnectedComponents(), Options{Workers: 1, Direction: DirectionPull}, true},
 		{"serial-pagerank-container", st, NewPageRank(0, 0.85), Options{}, false},
 		{"staged-pagerank-container", st, NewPageRank(0, 0.85), Options{Workers: 1}, true},
+		{"staged-pagerank-gridded", mem, NewPageRank(0, 0.85), Options{Workers: 1, Grid: grid}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,6 +288,7 @@ func TestEngineAllocGate(t *testing.T) {
 				if e.tr.AllVerticesActive {
 					next.ActivateAll()
 				}
+				e.lend(next)
 				e.spare, e.frontier = e.frontier, next
 				iter++
 			}
@@ -290,6 +299,9 @@ func TestEngineAllocGate(t *testing.T) {
 				t.Fatalf("steady-state iteration allocates %.1f times, want 0", allocs)
 			}
 		})
+	}
+	if lent == 0 {
+		t.Fatal("the gridded case never reached its observer")
 	}
 	if pins := st.Stats().Pins; pins != 0 {
 		t.Fatalf("%d pins outstanding after the container cases", pins)

@@ -8,9 +8,9 @@ import (
 )
 
 // Result holds the output of a kernel run plus per-iteration execution
-// telemetry. Every engine in the framework (serial reference and the four
-// simulated architectures) produces a Result, and tests require them to
-// agree on Values.
+// telemetry. Every engine in the framework produces a Result — the four
+// simulated architectures hand back the kernel engine's own — and tests
+// require them to agree on Values.
 type Result struct {
 	// Values is the final vertex property vector.
 	Values []float64
@@ -26,13 +26,13 @@ type Result struct {
 	// frontier or epsilon residual) rather than the iteration budget.
 	Converged bool
 	// PushIterations and PullIterations count the direction the kernel
-	// engine chose per iteration (engines without a pull mode report all
-	// iterations as push; simulated architectures leave both zero).
+	// engine chose per iteration. The simulated architectures force push
+	// (their counters are defined over scattered partials), so theirs
+	// reads all push.
 	PushIterations, PullIterations int
 	// EdgesInspected counts the edge probes actually made: the frontier's
 	// out-edge volume for push iterations and the in-neighbor probes
-	// (with early exit) for pull iterations. Zero for engines that do not
-	// track it.
+	// (with early exit) for pull iterations.
 	EdgesInspected int64
 }
 

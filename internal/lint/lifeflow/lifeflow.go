@@ -100,10 +100,10 @@ type builtinPair struct {
 }
 
 var (
-	cancelSpec = &PairSpec{Kind: ReleaseCall, Name: "cancel", What: "cancel function", Transferable: true, AutoFix: true}
-	stopSpec   = &PairSpec{Kind: ReleaseMethod, Name: "Stop", What: "timer goroutine", Transferable: true, AutoFix: true}
-	closeSpec  = &PairSpec{Kind: ReleaseMethod, Name: "Close", What: "descriptor", Transferable: true}
-	unlockSpec = &PairSpec{Kind: ReleaseMethod, Name: "Unlock", Acquire: "Lock", What: "mutex", Transferable: false}
+	cancelSpec  = &PairSpec{Kind: ReleaseCall, Name: "cancel", What: "cancel function", Transferable: true, AutoFix: true}
+	stopSpec    = &PairSpec{Kind: ReleaseMethod, Name: "Stop", What: "timer goroutine", Transferable: true, AutoFix: true}
+	closeSpec   = &PairSpec{Kind: ReleaseMethod, Name: "Close", What: "descriptor", Transferable: true}
+	unlockSpec  = &PairSpec{Kind: ReleaseMethod, Name: "Unlock", Acquire: "Lock", What: "mutex", Transferable: false}
 	rUnlockSpec = &PairSpec{Kind: ReleaseMethod, Name: "RUnlock", Acquire: "RLock", What: "read lock", Transferable: false}
 )
 
@@ -111,17 +111,17 @@ var (
 // deliberately small: the pairs the repo actually uses, each with an
 // unambiguous release.
 var builtinPairs = map[string]builtinPair{
-	"context.WithCancel":       {spec: cancelSpec, result: 1, companion: -1},
-	"context.WithTimeout":      {spec: cancelSpec, result: 1, companion: -1},
-	"context.WithDeadline":     {spec: cancelSpec, result: 1, companion: -1},
-	"os/signal.NotifyContext":  {spec: cancelSpec, result: 1, companion: -1},
-	"time.NewTicker":           {spec: stopSpec, result: 0, companion: -1},
-	"time.NewTimer":            {spec: stopSpec, result: 0, companion: -1},
-	"os.Open":                  {spec: closeSpec, result: 0, companion: 1},
-	"os.Create":                {spec: closeSpec, result: 0, companion: 1},
-	"os.OpenFile":              {spec: closeSpec, result: 0, companion: 1},
-	"net.Listen":               {spec: closeSpec, result: 0, companion: 1},
-	"net.Dial":                 {spec: closeSpec, result: 0, companion: 1},
+	"context.WithCancel":      {spec: cancelSpec, result: 1, companion: -1},
+	"context.WithTimeout":     {spec: cancelSpec, result: 1, companion: -1},
+	"context.WithDeadline":    {spec: cancelSpec, result: 1, companion: -1},
+	"os/signal.NotifyContext": {spec: cancelSpec, result: 1, companion: -1},
+	"time.NewTicker":          {spec: stopSpec, result: 0, companion: -1},
+	"time.NewTimer":           {spec: stopSpec, result: 0, companion: -1},
+	"os.Open":                 {spec: closeSpec, result: 0, companion: 1},
+	"os.Create":               {spec: closeSpec, result: 0, companion: 1},
+	"os.OpenFile":             {spec: closeSpec, result: 0, companion: 1},
+	"net.Listen":              {spec: closeSpec, result: 0, companion: 1},
+	"net.Dial":                {spec: closeSpec, result: 0, companion: 1},
 }
 
 // acqSite is the acquire shape of an annotated module function.

@@ -72,12 +72,9 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}{
 		// nodeterm covers every package under repro/internal/, which the
 		// fixtures' natural paths already are (TestNoDetermScope pins
-		// the boundary). faultclock is the highest-stakes case: drops,
-		// delays, and backoff must come from the seeded plan, never the
-		// wall clock or ambient RNG. clockutil is the helper package a
-		// four-package nodeterm could not see into.
+		// the boundary). clockutil is the helper package a four-package
+		// nodeterm could not see into.
 		{"nodeterm", NoDeterm{}, ""},
-		{"faultclock", NoDeterm{}, ""},
 		{"timetaint/clockutil", NoDeterm{}, ""},
 		{"maporder", MapOrder{}, ""},
 		{"errcheck", ErrCheck{}, ""},
@@ -151,6 +148,10 @@ func TestNoDetermScope(t *testing.T) {
 		{"repro/internal/serve", true},
 		{"repro/internal/clockutil", true},
 		{"repro/internal/sim/x", true},
+		// The fault layer is the highest-stakes case: drops, delays and
+		// backoff must come from the seeded plan, never the wall clock
+		// or ambient RNG.
+		{"repro/internal/cluster/fault", true},
 		{"repro/cmd/ndprun", false},
 		{"repro/bench", false},
 	}

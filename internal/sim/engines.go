@@ -132,14 +132,13 @@ func (d *Disaggregated) RunContext(ctx context.Context, g *graph.Graph, k kernel
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore ctxflow ex is local to this Run call; the ctx rides the execution it was handed to and dies with it
-	ex.ctx = ctx
+	ex.computeStatics(false, false)
 	ex.workers = d.Workers
 	ex.cached = cacheMask(g, d.CacheBytes)
 	if d.Tier != nil {
 		ex.tier = newTierState(g, *d.Tier)
 	}
-	run, err := ex.run(d.Name())
+	run, err := ex.run(ctx, d.Name())
 	if err != nil {
 		return nil, err
 	}
@@ -318,11 +317,9 @@ func (d *DisaggregatedNDP) RunContext(ctx context.Context, g *graph.Graph, k ker
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore ctxflow ex is local to this Run call; the ctx rides the execution it was handed to and dies with it
-	ex.ctx = ctx
+	ex.computeStatics(true, false)
 	ex.workers = d.Workers
-	ex.computeStaticPartials()
-	run, err := ex.run(d.Name())
+	run, err := ex.run(ctx, d.Name())
 	if err != nil {
 		return nil, err
 	}
@@ -373,9 +370,6 @@ func (d *Distributed) RunContext(ctx context.Context, g *graph.Graph, k kernels.
 type DistributedNDP struct {
 	Topo   Topology
 	Assign *partition.Assignment
-	// OverlapFraction is the fraction of communication hidden behind
-	// computation (default 0.7).
-	OverlapFraction float64
 	// Workers caps the simulator's worker pool (0 = GOMAXPROCS). Results
 	// are bit-identical for every setting.
 	Workers int
@@ -391,29 +385,22 @@ func (d *DistributedNDP) Run(g *graph.Graph, k kernels.Kernel) (*Run, error) {
 
 // RunContext implements ContextEngine.
 func (d *DistributedNDP) RunContext(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	overlap := d.OverlapFraction
-	if overlap <= 0 {
-		overlap = 0.7
-	}
-	if overlap > 1 {
-		overlap = 1
-	}
-	return runDistributed(ctx, d.Topo, d.Assign, g, k, d.Name(), true, d.Workers, overlap)
+	return runDistributed(ctx, d.Topo, d.Assign, g, k, d.Name(), true, d.Workers)
 }
 
+// ndpOverlapFraction is the share of a near-memory traversal's time that
+// hides communication behind it (GraphQ's hybrid execution model).
+const ndpOverlapFraction = 0.7
+
 // runDistributed is the shared implementation of the two distributed
-// engines; ndp selects near-memory traversal and overlap.
-func runDistributed(ctx context.Context, topo Topology, assign *partition.Assignment, g *graph.Graph, k kernels.Kernel, name string, ndpMode bool, workers int, overlapOpt ...float64) (*Run, error) {
+// engines; ndpMode selects near-memory traversal and overlap.
+func runDistributed(ctx context.Context, topo Topology, assign *partition.Assignment, g *graph.Graph, k kernels.Kernel, name string, ndpMode bool, workers int) (*Run, error) {
 	if err := checkEngineInputs(topo, assign, g); err != nil {
 		return nil, err
 	}
 	tr := k.Traits()
 	servers := topo.MemoryNodes // in distributed mode every node is a full server
 	dec := topo.MemDevice.Supports(k)
-	overlap := 0.0
-	if len(overlapOpt) > 0 {
-		overlap = overlapOpt[0]
-	}
 	account := func(rec *Record) {
 		rec.Offloaded = ndpMode && dec.OK
 		rec.DataMovementBytes = rec.MirrorReduceBytes + rec.MirrorBroadcastBytes
@@ -428,8 +415,8 @@ func runDistributed(ctx context.Context, topo Topology, assign *partition.Assign
 			traverse = float64(rec.maxPartBytes)/(topo.HostMemBWGBps*1e9) + rec.maxPartOps/(topo.HostGFlops*1e9)
 		}
 		comm := float64(rec.DataMovementBytes)/(topo.NetworkGBps*1e9*float64(servers)) + 2*topo.NetworkLatency.Seconds()
-		if rec.Offloaded && overlap > 0 {
-			hidden := overlap * traverse
+		if rec.Offloaded {
+			hidden := ndpOverlapFraction * traverse
 			if hidden > comm {
 				comm = 0
 			} else {
@@ -454,11 +441,9 @@ func runDistributed(ctx context.Context, topo Topology, assign *partition.Assign
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore ctxflow ex is local to this call; the ctx rides the execution it was handed to and dies with it
-	ex.ctx = ctx
+	ex.computeStatics(false, true)
 	ex.workers = workers
-	ex.computeMirrorCounts()
-	run, err := ex.run(name)
+	run, err := ex.run(ctx, name)
 	if err != nil {
 		return nil, err
 	}

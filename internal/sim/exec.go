@@ -3,9 +3,6 @@ package sim
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
@@ -101,32 +98,41 @@ func (NeverOffload) Name() string { return "never" }
 // Decide implements OffloadPolicy.
 func (NeverOffload) Decide(PreStats) bool { return false }
 
-// execution is the shared scatter/aggregate/apply machine. It reproduces
-// kernels.RunSerial semantics (same iteration structure; float sums are
-// reassociated only by the fixed partition-staged reduction below) while
-// additionally tracking the partitioned counters every architecture's
-// accounting needs.
+// execution is the accountant shared by the four architectures. It runs
+// the kernel once on the kernel engine's Staged machine, gridded by the
+// partition assignment — chunk p is memory node p, and chunk p's staged
+// partials are the updates that node would emit — and turns each finished
+// iteration the engine lends it into a Record: the partitioned counters
+// first, then the architecture's bytes, time and energy (account). It
+// scatters, merges and applies nothing itself.
 type execution struct {
 	g      *graph.Graph
+	src    kernels.Source
 	k      kernels.Kernel
+	tr     kernels.Traits
 	assign *partition.Assignment
-
-	// ctx bounds the run: the iteration loop checks it between
-	// iterations and aborts with ctx.Err() on cancellation. nil means
-	// uncancellable (context.Background semantics, allocation-free).
-	ctx context.Context
 
 	// account fills in the architecture-specific fields of each record.
 	account func(rec *Record)
-	// policy is consulted pre-iteration; nil means AlwaysOffload.
-	policy OffloadPolicy
-	// workers caps the host-side worker pool (0 = GOMAXPROCS). Purely an
-	// execution knob: every setting, including the serial workers=1 path,
-	// produces bit-identical Records and values.
+	// policy is asked for each iteration's offload decision, from what a
+	// runtime knows before the iteration runs (PreStats).
+	policy     OffloadPolicy
+	partPolicy PartitionPolicy
+	// workers caps the engine's worker pool (0 = GOMAXPROCS). Purely an
+	// execution knob: every setting produces bit-identical Records and
+	// values.
 	workers int
 
-	// static per-vertex mirror counts (distributed broadcast volume).
-	mirrorCount []int32
+	// Load-time statistics of (graph, assignment), from computeStatics.
+	// crossDeg[v] counts v's out-edges that leave v's partition;
+	// staticPartials is the full-frontier distinct (dst, partition) count
+	// and staticPartialsPerPart its per-partition breakdown; mirrorCount
+	// (nil unless asked for) is the per-vertex mirror count whose refresh
+	// is the distributed broadcast volume.
+	crossDeg              []int32
+	staticPartials        int64
+	staticPartialsPerPart []int64
+	mirrorCount           []int32
 	// cached marks vertices whose edge lists the hosts hold locally
 	// (tiering); their traversals cost no interconnect bytes in
 	// fetch-mode accounting.
@@ -135,46 +141,22 @@ type execution struct {
 	// iteration charges Record.FarMemoryBytes with the whole-segment
 	// fetches the frontier's accesses miss on (TierConfig).
 	tier *tierState
-	// staticPartials is the full-frontier distinct (dst, partition)
-	// count; staticPartialsPerPart its per-partition breakdown.
-	staticPartials        int64
-	staticPartialsPerPart []int64
+
+	// out collects the Records; the per-partition slices are record's
+	// scratch, allocated once per run.
+	out             *Run
+	bytesPerPart    []int64
+	opsPerPart      []float64
+	partialsPerPart []int64
+	pp              []PartPre
 }
 
-// computeStaticPartials counts the distinct (destination, partition) pairs
-// a full-graph traversal produces — the load-time skew statistic exposed
-// to offload policies via PreStats.
-func (e *execution) computeStaticPartials() {
-	n := e.g.NumVertices()
-	parts := e.assign.Parts
-	buckets := make([][]graph.VertexID, e.assign.K)
-	for v := 0; v < n; v++ {
-		buckets[parts[v]] = append(buckets[parts[v]], graph.VertexID(v))
-	}
-	stamped := make([]int64, n)
-	for i := range stamped {
-		stamped[i] = -1
-	}
-	var total int64
-	e.staticPartialsPerPart = make([]int64, e.assign.K)
-	for p := 0; p < e.assign.K; p++ {
-		token := int64(p)
-		for _, v := range buckets[p] {
-			for _, dst := range e.g.Neighbors(v) {
-				if stamped[dst] != token {
-					stamped[dst] = token
-					total++
-					e.staticPartialsPerPart[p]++
-				}
-			}
-		}
-	}
-	e.staticPartials = total
-}
-
-// newExecution validates inputs and builds the machine.
+// newExecution validates inputs. A vertex-only view is refused here,
+// before the static pass would index its absent edge array; the kernel's
+// own requirements are the engine's to check.
 func newExecution(g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, account func(*Record), policy OffloadPolicy) (*execution, error) {
-	if err := kernels.CheckGraph(g, k); err != nil {
+	src, err := kernels.InMemory(g)
+	if err != nil {
 		return nil, err
 	}
 	if err := assign.Validate(g); err != nil {
@@ -183,518 +165,170 @@ func newExecution(g *graph.Graph, k kernels.Kernel, assign *partition.Assignment
 	if policy == nil {
 		policy = AlwaysOffload{}
 	}
-	return &execution{g: g, k: k, assign: assign, account: account, policy: policy}, nil
+	e := &execution{g: g, src: src, k: k, tr: k.Traits(), assign: assign, account: account, policy: policy}
+	e.partPolicy, _ = policy.(PartitionPolicy)
+	return e, nil
 }
 
-// computeMirrorCounts counts, for each vertex v, the partitions other than
-// owner(v) holding at least one edge into v — the static mirror set whose
-// refresh is the distributed broadcast volume.
-func (e *execution) computeMirrorCounts() {
-	n := e.g.NumVertices()
-	e.mirrorCount = make([]int32, n)
-	parts := e.assign.Parts
-	// Walk one partition at a time so a single stamp array suffices to
-	// dedupe (dst, part) pairs: within partition p's walk, stamping dst
-	// with token p marks "already counted for p".
-	buckets := make([][]graph.VertexID, e.assign.K)
+// computeStatics takes the load-time statistics in one walk over the
+// edges: crossDeg always, the static partial-update counts when partials
+// is set (architectures whose policy sees them), the mirror counts when
+// mirrors is set (distributed architectures). The last two count
+// distinct (destination, partition) pairs — a pair is one static partial
+// update, and one mirror of the destination when the partition is not
+// its owner — so the walk goes one partition at a time and a single stamp
+// array dedupes: stamping dst with p marks (dst, p) counted.
+func (e *execution) computeStatics(partials, mirrors bool) {
+	g, parts, P := e.g, e.assign.Parts, e.assign.K
+	n := g.NumVertices()
+	e.crossDeg = make([]int32, n)
+	e.staticPartialsPerPart = make([]int64, P)
+	var stamped []int32
+	if partials || mirrors {
+		stamped = make([]int32, n)
+		for i := range stamped {
+			stamped[i] = -1
+		}
+	}
+	if mirrors {
+		e.mirrorCount = make([]int32, n)
+	}
+	// byPart lists the vertices grouped by partition (a counting sort).
+	byPart := make([]graph.VertexID, n)
+	next := make([]int, P)
+	start := 0
+	for p, size := range e.assign.Sizes() {
+		next[p] = start
+		start += int(size)
+	}
 	for v := 0; v < n; v++ {
-		buckets[parts[v]] = append(buckets[parts[v]], graph.VertexID(v))
+		byPart[next[parts[v]]] = graph.VertexID(v)
+		next[parts[v]]++
 	}
-	stamped := make([]int64, n)
-	for i := range stamped {
-		stamped[i] = -1
-	}
-	for p := 0; p < e.assign.K; p++ {
-		token := int64(p)
-		for _, v := range buckets[p] {
-			for _, dst := range e.g.Neighbors(v) {
-				if int(parts[dst]) == p {
-					continue
-				}
-				if stamped[dst] != token {
-					stamped[dst] = token
-					e.mirrorCount[dst]++
-				}
-			}
-		}
-	}
-}
-
-// workerCount resolves the worker knob: 0 (the default) takes GOMAXPROCS,
-// and the pool never exceeds the partition count because partitions are
-// the unit of traversal sharding.
-func (e *execution) workerCount() int {
-	w := e.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > e.assign.K {
-		w = e.assign.K
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// fanOut runs task(worker, i) for every i in [0, n) on a pool of workers.
-// Items are claimed dynamically off an atomic cursor, which balances
-// skewed partitions; determinism is unaffected because each task writes
-// only its own slots and the single-threaded merges in run fold those
-// slots in fixed index order. workers==1 degrades to a plain serial loop.
-func fanOut(workers, n int, task func(worker, i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			task(0, i)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:ignore closureloop one worker goroutine per fan-out call, bounded by the worker count and amortized over the items it claims
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				task(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// update is one staged partial: the sub-aggregate a single memory node
-// produced for one destination this iteration.
-type update struct {
-	dst graph.VertexID
-	val float64
-}
-
-// partTally is one partition's traversal-phase counters, accumulated
-// privately by the worker that claims the partition and folded into the
-// Record in fixed partition order.
-type partTally struct {
-	activeEdges int64
-	crossEdges  int64
-	edgeBytes   int64
-	cachedBytes int64
-	remote      int64
-	ops         float64
-}
-
-// traverseScratch is one worker's dense per-destination index: stamp
-// dedupes (destination, partition) pairs and slot locates the partial's
-// position in the partition's compact update list. Stamps are keyed by
-// iteration*P+partition — unique per (iteration, partition) — so one
-// scratch serves every partition the worker claims without clearing.
-type traverseScratch struct {
-	stamp []int64
-	slot  []int32
-}
-
-// traversePartition runs one memory node's share of the scatter phase: it
-// walks the partition's frontier bucket in order, producing the
-// partition's compact staged-partial list (aggregated within the
-// partition in edge order) and its counter tally. It reads shared state
-// but writes only its own outputs, so partitions can run on any worker in
-// any order without changing a single bit of the merged result.
-func (e *execution) traversePartition(p, iter int, s *traverseScratch, front []graph.VertexID, values []float64, tr kernels.Traits, out *[]update, tally *partTally) {
-	g, k := e.g, e.k
-	parts := e.assign.Parts
-	partKey := int64(iter)*int64(e.assign.K) + int64(p)
-	p32 := int32(p)
-	wts := g.Weights()
-	list := (*out)[:0]
-	var t partTally
-	for _, v := range front {
-		deg := g.OutDegree(v)
-		t.activeEdges += deg
-		t.edgeBytes += deg * kernels.EdgeBytes
-		t.ops += float64(deg) * tr.FLOPsPerEdge
-		if e.cached != nil && e.cached[v] {
-			t.cachedBytes += deg * kernels.EdgeBytes
-		}
-		lo, hi := g.EdgeRange(v)
-		nbrs := g.Edges()[lo:hi]
-		for i, dst := range nbrs {
-			remote := parts[dst] != p32
+	for _, v := range byPart {
+		p := parts[v]
+		var cross int32
+		for _, dst := range g.Neighbors(v) {
+			remote := parts[dst] != p
 			if remote {
-				t.crossEdges++
+				cross++
 			}
-			w := float32(1)
-			if wts != nil {
-				w = wts[lo+int64(i)]
-			}
-			u, ok := k.Scatter(kernels.EdgeContext{
-				Src: v, Dst: dst, SrcValue: values[v], Weight: w, SrcOutDegree: deg,
-			})
-			if !ok {
+			if stamped == nil || stamped[dst] == p {
 				continue
 			}
-			if s.stamp[dst] == partKey {
-				at := s.slot[dst]
-				list[at].val = k.Aggregate(list[at].val, u)
-			} else {
-				s.stamp[dst] = partKey
-				s.slot[dst] = int32(len(list))
-				if remote {
-					t.remote++
-				}
-				list = append(list, update{dst: dst, val: u})
+			stamped[dst] = p
+			e.staticPartialsPerPart[p]++
+			if remote && mirrors {
+				e.mirrorCount[dst]++
 			}
 		}
+		e.crossDeg[v] = cross
 	}
-	*out = list
-	*tally = t
+	for _, pairs := range e.staticPartialsPerPart {
+		e.staticPartials += pairs
+	}
 }
 
-// run executes the kernel to completion, producing a Run with one Record
-// per iteration.
-//
-// The scatter/aggregate machine is partition-parallel with a fixed
-// reduction tree: each partition's traversal produces a compact list of
-// staged partials, and the lists merge into the global accumulator in
-// partition order 0..P-1 (the same staged-reduction discipline as
-// internal/cluster). The tree depends only on the partition assignment —
-// never on the worker count or goroutine schedule — so every Workers
-// setting, including the serial Workers=1 path, is bit-identical.
-//
-//perf:hot
-func (e *execution) run(engineName string) (*Run, error) {
-	st := e.newIterState(engineName)
-	run, res, tr := st.run, st.res, st.tr
-	for iter := 0; iter < tr.MaxIterations; iter++ {
-		if e.ctx != nil {
-			if err := e.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if st.frontier.Count() == 0 {
-			res.Converged = true
-			break
-		}
-		rec := Record{Iteration: iter, FrontierSize: st.frontier.Count()}
-		partMask := st.prepare(iter, &rec)
-		st.scatterPhase(&rec)
-		res.FrontierSizes = append(res.FrontierSizes, rec.FrontierSize)
-		res.ActiveEdges = append(res.ActiveEdges, rec.ActiveEdges)
-		res.Iterations++
-
-		// Stateful kernels consume the frontier's pending state once the
-		// traversal is complete, before any Apply of this iteration.
-		if sk, ok := st.k.(kernels.StatefulKernel); ok {
-			st.frontier.ForEach(sk.OnScattered)
-		}
-
-		next, residual, applies := st.applyPhase()
-		if tr.AllVerticesActive {
-			if tr.Epsilon > 0 && residual < tr.Epsilon {
-				res.Converged = true
-				e.finishRecord(&rec, applies, st.bytesPerPart, st.opsPerPart, st.partialsPerPart, partMask, next)
-				run.Records = append(run.Records, rec)
-				st.prev = &run.Records[len(run.Records)-1]
-				break
-			}
-			next.ActivateAll()
-		}
-		e.finishRecord(&rec, applies, st.bytesPerPart, st.opsPerPart, st.partialsPerPart, partMask, next)
-		run.Records = append(run.Records, rec)
-		st.prev = &run.Records[len(run.Records)-1]
-		st.spare = st.frontier
-		st.frontier = next
+// run executes the kernel to completion on the kernel engine, producing a
+// Run with one Record per iteration. Push is forced: the counters are
+// defined over the partial updates a scatter stages, and a pull iteration
+// stages none. The engine's reduction tree is the grid — the partition
+// assignment — so every Workers setting is bit-identical, and ctx is
+// checked at every iteration boundary.
+func (e *execution) run(ctx context.Context, engineName string) (*Run, error) {
+	P := e.assign.K
+	e.out = &Run{Engine: engineName, Kernel: e.k.Name()}
+	e.bytesPerPart = make([]int64, P)
+	e.opsPerPart = make([]float64, P)
+	e.partialsPerPart = make([]int64, P)
+	if e.partPolicy != nil {
+		e.pp = make([]PartPre, P)
 	}
-	if !res.Converged && res.Iterations < tr.MaxIterations {
-		res.Converged = true
-	}
-	run.Result = res
-	run.finalize()
-	return run, nil
-}
-
-// iterState is the reusable working set of the scatter/apply machine:
-// every buffer the iteration loop touches, allocated once so the
-// steady-state loop allocates nothing (the alloc gate in alloc_test.go
-// holds the three phases at zero allocations per iteration). The two
-// fan-out task closures are created once here too; the scatter task
-// reads the current iteration from the iter field instead of capturing
-// a fresh per-iteration variable.
-type iterState struct {
-	e  *execution
-	g  *graph.Graph
-	k  kernels.Kernel
-	n  int
-	tr kernels.Traits
-	P  int
-	W  int
-
-	values []float64
-	// frontier is the current active set; spare is the recycled next
-	// frontier — each iteration resets it, fills it, and swaps the two,
-	// the double buffer that replaces a NewFrontier per iteration.
-	frontier *kernels.Frontier
-	spare    *kernels.Frontier
-
-	run *Run
-	res *kernels.Result
-
-	agg      []float64
-	has      []bool
-	identity float64
-
-	scratch         []traverseScratch
-	partUpd         [][]update
-	tallies         []partTally
-	bytesPerPart    []int64
-	opsPerPart      []float64
-	partialsPerPart []int64
-	degSumPerPart   []int64
-	partFrontier    [][]graph.VertexID
-
-	residualPerChunk  []float64
-	appliesPerChunk   []int64
-	activatedPerChunk [][]graph.VertexID
-
-	pp            []PartPre
-	partPolicy    PartitionPolicy
-	hasPartPolicy bool
-
-	prev *Record
-	iter int
-
-	scatterTask func(w, p int)
-	applyTask   func(w, c int)
-}
-
-// chunkLo bounds the apply-phase chunk grid: P contiguous vertex
-// ranges, fixed per run, so the residual reduction tree is independent
-// of the worker count.
-func (st *iterState) chunkLo(c int) int { return st.n * c / st.P }
-
-// newIterState allocates the whole working set up front. Per-worker
-// traversal scratch rides on two flat arenas, so the setup loop
-// assembles slice views instead of allocating per worker.
-func (e *execution) newIterState(engineName string) *iterState {
-	g, k := e.g, e.k
-	n := g.NumVertices()
-	st := &iterState{
-		e: e, g: g, k: k, n: n,
-		tr: k.Traits(),
-		P:  e.assign.K,
-		W:  e.workerCount(),
-	}
-	st.values = make([]float64, n)
-	for v := 0; v < n; v++ {
-		st.values[v] = k.InitialValue(g, graph.VertexID(v))
-	}
-	st.frontier = kernels.NewFrontier(n)
-	st.spare = kernels.NewFrontier(n)
-	if init := k.InitialFrontier(g); init == nil {
-		st.frontier.ActivateAll()
-	} else {
-		for _, v := range init {
-			st.frontier.Activate(v)
-		}
-	}
-
-	st.run = &Run{Engine: engineName, Kernel: k.Name()}
-	st.res = &kernels.Result{Values: st.values}
-
-	st.agg = make([]float64, n)
-	st.has = make([]bool, n)
-	st.identity = k.Identity()
-
-	st.scratch = make([]traverseScratch, st.W)
-	stamps := make([]int64, st.W*n)
-	slots := make([]int32, st.W*n)
-	for i := range stamps {
-		stamps[i] = -1
-	}
-	for w := range st.scratch {
-		st.scratch[w] = traverseScratch{
-			stamp: stamps[w*n : (w+1)*n],
-			slot:  slots[w*n : (w+1)*n],
-		}
-	}
-	st.partUpd = make([][]update, st.P)
-	st.tallies = make([]partTally, st.P)
-	st.bytesPerPart = make([]int64, st.P)
-	st.opsPerPart = make([]float64, st.P)
-	st.partialsPerPart = make([]int64, st.P)
-	st.degSumPerPart = make([]int64, st.P)
-	st.partFrontier = make([][]graph.VertexID, st.P)
-	st.residualPerChunk = make([]float64, st.P)
-	st.appliesPerChunk = make([]int64, st.P)
-	st.activatedPerChunk = make([][]graph.VertexID, st.P)
-
-	st.partPolicy, st.hasPartPolicy = e.policy.(PartitionPolicy)
-	if st.hasPartPolicy {
-		st.pp = make([]PartPre, st.P)
-	}
-
-	// Traversal phase: partitions (memory nodes) fan out across the
-	// worker pool, each producing a private staged-partial list.
-	st.scatterTask = func(w, p int) {
-		st.e.traversePartition(p, st.iter, &st.scratch[w], st.partFrontier[p], st.values, st.tr, &st.partUpd[p], &st.tallies[p])
-	}
-	// Update phase: disjoint chunk ranges, no write contention. Each
-	// chunk's residual, apply count, and activations land in its own
-	// slot; applyPhase folds them in chunk order, so the next frontier's
-	// activation order (ascending vertex id) and the residual's
-	// reduction tree match the serial path exactly.
-	st.applyTask = func(_, c int) {
-		lo, hi := st.chunkLo(c), st.chunkLo(c+1)
-		act := st.activatedPerChunk[c][:0]
-		var residual float64
-		var applied int64
-		if st.tr.AllVerticesActive {
-			for v := lo; v < hi; v++ {
-				nv, _ := st.k.Apply(st.g, graph.VertexID(v), st.values[v], st.agg[v], st.has[v])
-				residual += math.Abs(nv - st.values[v])
-				st.values[v] = nv
-			}
-			applied = int64(hi - lo)
-		} else {
-			for v := lo; v < hi; v++ {
-				if !st.has[v] {
-					continue
-				}
-				applied++
-				nv, activate := st.k.Apply(st.g, graph.VertexID(v), st.values[v], st.agg[v], true)
-				st.values[v] = nv
-				if activate {
-					act = append(act, graph.VertexID(v))
-				}
-			}
-		}
-		st.activatedPerChunk[c] = act
-		st.residualPerChunk[c] = residual
-		st.appliesPerChunk[c] = applied
-	}
-	return st
-}
-
-// prepare buckets the frontier by owning partition, gathers the
-// pre-iteration stats the offload policy may inspect, and records the
-// policy's decision on rec. It returns the per-partition offload mask
-// (nil under scalar policies).
-func (st *iterState) prepare(iter int, rec *Record) []bool {
-	st.iter = iter
-	for p := 0; p < st.P; p++ {
-		st.partFrontier[p] = st.partFrontier[p][:0]
-	}
-	pre := PreStats{
-		Iteration:            iter,
-		FrontierSize:         rec.FrontierSize,
-		Partitions:           st.P,
-		NumVertices:          st.n,
-		StaticPartialUpdates: st.e.staticPartials,
-		Prev:                 st.prev,
-	}
-	for p := 0; p < st.P; p++ {
-		st.degSumPerPart[p] = 0
-	}
-	parts := st.e.assign.Parts
-	st.frontier.ForEach(func(v graph.VertexID) {
-		d := st.g.OutDegree(v)
-		pre.FrontierDegreeSum += d
-		p := parts[v]
-		st.degSumPerPart[p] += d
-		st.partFrontier[p] = append(st.partFrontier[p], v)
+	res, err := kernels.RunOn(ctx, e.src, e.k, kernels.Staged, kernels.Options{
+		Workers:   e.workers,
+		Direction: kernels.DirectionPush,
+		Grid:      &kernels.Grid{Chunks: P, ChunkOf: e.assign.Parts, Observe: e.record},
 	})
-	if tier := st.e.tier; tier != nil {
-		// Charge the memory tier in the fixed partition-bucket order so
-		// the LRU trace — and therefore FarMemoryBytes — is independent
-		// of the worker count. Plain loops: this runs inside the
-		// zero-allocation iteration steady state.
-		var far int64
-		for p := 0; p < st.P; p++ {
-			bucket := st.partFrontier[p]
-			for i := 0; i < len(bucket); i++ {
-				far += tier.touch(bucket[i])
+	if err != nil {
+		return nil, err
+	}
+	e.out.Result = res
+	e.out.finalize()
+	return e.out, nil
+}
+
+// record is the engine's per-iteration observer: it counts what memory
+// node p traversed (chunk p's frontier slice, in bucket order — the order
+// the float ops sum and the tier's LRU trace are defined in) and emitted
+// (chunk p's partial updates), asks the policy for the decision those
+// pre-iteration statistics imply, and finishes the Record in place.
+func (e *execution) record(it *kernels.Iteration) {
+	g, P := e.g, e.assign.K
+	done := len(e.out.Records)
+	e.out.Records = append(e.out.Records, Record{Iteration: it.Index, DistinctDsts: it.DistinctDsts})
+	rec := &e.out.Records[done]
+	for p := 0; p < P; p++ {
+		front := it.Frontier(p)
+		var degSum int64
+		var ops float64
+		for _, v := range front {
+			deg := g.OutDegree(v)
+			degSum += deg
+			ops += float64(deg) * e.tr.FLOPsPerEdge
+			rec.CrossEdges += int64(e.crossDeg[v])
+			if e.cached != nil && e.cached[v] {
+				rec.CachedEdgeBytes += deg * kernels.EdgeBytes
+			}
+			if e.tier != nil {
+				rec.FarMemoryBytes += e.tier.touch(v)
 			}
 		}
-		rec.FarMemoryBytes = far
+		rec.FrontierSize += int64(len(front))
+		rec.ActiveEdges += degSum
+		e.bytesPerPart[p] = degSum * kernels.EdgeBytes
+		e.opsPerPart[p] = ops
+		if e.pp != nil {
+			e.pp[p] = PartPre{
+				FrontierSize:         int64(len(front)),
+				FrontierDegreeSum:    degSum,
+				StaticPartialUpdates: e.staticPartialsPerPart[p],
+			}
+		}
+		e.partialsPerPart[p] = it.Partials(p)
+		rec.PartialUpdates += it.Partials(p)
+		rec.RemotePartialUpdates += it.RemotePartials(p)
+	}
+
+	pre := PreStats{
+		Iteration:            it.Index,
+		FrontierSize:         rec.FrontierSize,
+		FrontierDegreeSum:    rec.ActiveEdges,
+		Partitions:           P,
+		NumVertices:          g.NumVertices(),
+		StaticPartialUpdates: e.staticPartials,
+	}
+	if done > 0 {
+		pre.Prev = &e.out.Records[done-1]
 	}
 	var partMask []bool
-	if st.hasPartPolicy {
-		for p := 0; p < st.P; p++ {
-			st.pp[p] = PartPre{
-				FrontierSize:      int64(len(st.partFrontier[p])),
-				FrontierDegreeSum: st.degSumPerPart[p],
-			}
-			if st.e.staticPartialsPerPart != nil {
-				st.pp[p].StaticPartialUpdates = st.e.staticPartialsPerPart[p]
-			}
-		}
-		partMask = st.partPolicy.DecidePartitions(pre, st.pp)
+	if e.partPolicy != nil {
+		partMask = e.partPolicy.DecidePartitions(pre, e.pp)
 		rec.Offloaded = anyTrue(partMask)
 	} else {
-		rec.Offloaded = st.e.policy.Decide(pre)
+		rec.Offloaded = e.policy.Decide(pre)
 	}
-	return partMask
-}
 
-// scatterPhase clears the aggregation arrays, fans the traversal out
-// across the worker pool, and folds every partition's staged partials
-// and counters into rec in partition order 0..P-1 — the fixed
-// reduction tree that keeps parallel sums bit-identical.
-func (st *iterState) scatterPhase(rec *Record) {
-	for i := range st.agg {
-		st.agg[i] = st.identity
-		st.has[i] = false
+	applies := rec.DistinctDsts
+	if e.tr.AllVerticesActive {
+		applies = int64(g.NumVertices())
 	}
-	fanOut(st.W, st.P, st.scatterTask)
-	k := st.k
-	for p := 0; p < st.P; p++ {
-		ta := &st.tallies[p]
-		rec.ActiveEdges += ta.activeEdges
-		rec.CrossEdges += ta.crossEdges
-		rec.CachedEdgeBytes += ta.cachedBytes
-		rec.RemotePartialUpdates += ta.remote
-		st.bytesPerPart[p] = ta.edgeBytes
-		st.opsPerPart[p] = ta.ops
-		st.partialsPerPart[p] = int64(len(st.partUpd[p]))
-		rec.PartialUpdates += st.partialsPerPart[p]
-		for _, u := range st.partUpd[p] {
-			if st.has[u.dst] {
-				st.agg[u.dst] = k.Aggregate(st.agg[u.dst], u.val)
-			} else {
-				st.agg[u.dst] = u.val
-				st.has[u.dst] = true
-				rec.DistinctDsts++
-			}
-		}
-	}
-}
-
-// applyPhase recycles the spare frontier as the next active set, fans
-// the update phase out over the fixed chunk grid, and folds the
-// per-chunk residuals, apply counts, and activations in chunk order.
-// The caller swaps frontier and spare once the iteration's records are
-// final.
-func (st *iterState) applyPhase() (next *kernels.Frontier, residual float64, applies int64) {
-	next = st.spare
-	next.Reset()
-	fanOut(st.W, st.P, st.applyTask)
-	for c := 0; c < st.P; c++ {
-		residual += st.residualPerChunk[c]
-		applies += st.appliesPerChunk[c]
-		for _, v := range st.activatedPerChunk[c] {
-			next.Activate(v)
-		}
-	}
-	return next, residual, applies
+	e.finishRecord(rec, applies, partMask, it.Next)
 }
 
 // finishRecord derives the byte quantities from the iteration counters,
 // applies post-hoc policy overrides if present, and calls the engine's
 // accounting hook.
-func (e *execution) finishRecord(rec *Record, applies int64, bytesPerPart []int64, opsPerPart []float64, partialsPerPart []int64, partMask []bool, next *kernels.Frontier) {
+func (e *execution) finishRecord(rec *Record, applies int64, partMask []bool, next *kernels.Frontier) {
 	rec.NextFrontierSize = next.Count()
 	rec.EdgeFetchBytes = rec.ActiveEdges * kernels.EdgeBytes
 	rec.UpdateMoveBytes = rec.PartialUpdates * kernels.UpdateBytes
@@ -714,8 +348,8 @@ func (e *execution) finishRecord(rec *Record, applies int64, bytesPerPart []int6
 	rec.PerPartition = make([]PartitionRecord, P)
 	for p := 0; p < P; p++ {
 		rec.PerPartition[p] = PartitionRecord{
-			EdgeBytes:      bytesPerPart[p],
-			PartialUpdates: partialsPerPart[p],
+			EdgeBytes:      e.bytesPerPart[p],
+			PartialUpdates: e.partialsPerPart[p],
 		}
 	}
 	next.ForEach(func(v graph.VertexID) {
@@ -749,8 +383,8 @@ func (e *execution) finishRecord(rec *Record, applies int64, bytesPerPart []int6
 			}
 		}
 	}
-	rec.maxPartBytes = maxOf(bytesPerPart)
-	rec.maxPartOps = maxOfF(opsPerPart)
+	rec.maxPartBytes = maxOf(e.bytesPerPart)
+	rec.maxPartOps = maxOfF(e.opsPerPart)
 	rec.Applies = applies
 	e.account(rec)
 }

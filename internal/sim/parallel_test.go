@@ -72,26 +72,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestWorkerCountResolution pins the knob semantics: 0 and negatives take
-// GOMAXPROCS, and the pool never exceeds the partition count.
-func TestWorkerCountResolution(t *testing.T) {
-	g := simGraph(t)
-	a := hashAssign(t, g, 4)
-	e := &execution{g: g, assign: a}
-	e.workers = 1
-	if got := e.workerCount(); got != 1 {
-		t.Errorf("workers=1 resolved to %d", got)
-	}
-	e.workers = 100
-	if got := e.workerCount(); got != 4 {
-		t.Errorf("workers=100 with 4 partitions resolved to %d, want 4", got)
-	}
-	e.workers = 0
-	if got := e.workerCount(); got < 1 || got > 4 {
-		t.Errorf("workers=0 resolved to %d, want within [1,4]", got)
-	}
-}
-
 // TestAggregatedMoveBytesBoundary pins the bounded-buffer accounting at
 // and around the buffer capacity: rounding is half-up (no truncation
 // toward zero losing a partial update's bytes), the result never drops

@@ -392,7 +392,7 @@ func TestMirrorCountsMatchEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.computeMirrorCounts()
+	ex.computeStatics(false, true)
 	var total int64
 	for _, c := range ex.mirrorCount {
 		total += int64(c)

@@ -215,7 +215,7 @@ func (sb *SpillBuilder) WriteContainer(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		r := &runReader{f: f, br: bufio.NewReaderSize(f, 1 << 20), ok: true}
+		r := &runReader{f: f, br: bufio.NewReaderSize(f, 1<<20), ok: true}
 		readers = append(readers, r)
 		if err := r.next(); err != nil {
 			return err

@@ -3,8 +3,9 @@
 #
 # Every stage adds something the two full test tiers lack; anything that
 # only re-ran a subset of them is gone. In order:
-#   static      go build, go vet (copylocks included), ndplint over the
-#               module (any finding fails), ndplint -fix -diff empty
+#   static      go build, go vet (copylocks included), gofmt -l empty,
+#               ndplint over the module (any finding fails),
+#               ndplint -fix -diff empty
 #   tier 1      go test ./...
 #   uncached    alloc gates at -count=1 (they skip under -race)
 #   processes   ndpverify sweep, ndpserve round-trip, ndpverify -served,
@@ -37,6 +38,17 @@ step() {
 
 step go build ./...
 step go vet ./...
+
+echo
+echo "==> gofmt -l cmd internal bench (must be empty)"
+unformatted="$(gofmt -l cmd internal bench)"
+if [ -n "$unformatted" ]; then
+    echo "$unformatted"
+    echo "check.sh: unformatted files; run: gofmt -w on the files above" >&2
+    exit 1
+fi
+echo "(empty)"
+
 step go run ./cmd/ndplint ./...
 
 # Fix hygiene: every fixable finding must already be fixed in the tree,
@@ -56,12 +68,14 @@ step go test ./...
 
 # Alloc gates, by name (any test ending in AllocGate): the steady state
 # must allocate nothing — the measured outcome the perfflow rules exist
-# to protect. TestAllocGate is the simulator's scatter/apply iteration;
+# to protect. TestEngineAllocGate is one kernel-engine iteration (serial
+# and staged, push and pull, over an in-memory graph and over a warm
+# fully-resident container, and under a partition grid with an observer
+# reading it — the simulator's shape); TestAllocGate a whole simulated
+# run, whose added iterations may cost only their Records;
 # TestFrontierReuseAllocGate a recycled frontier refill;
-# TestEngineAllocGate one kernel-engine iteration (serial and staged,
-# push and pull, over an in-memory graph and over a warm fully-resident
-# container); TestStoreAllocGate the tier's pin/read/release sweep,
-# misses served from the eviction freelist included.
+# TestStoreAllocGate the tier's pin/read/release sweep, misses served
+# from the eviction freelist included.
 step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./internal/store/
 
 # ndpverify smoke: the seeded scenario sweep the README documents. Runs
@@ -137,9 +151,11 @@ trap - EXIT
 # altered timing.
 step go test -race -count=2 -run '^TestFault' ./internal/cluster/
 
-# The parallel simulator's bit-identity claim gets the same treatment:
-# every kernel × engine × worker-count combination must match the serial
-# path exactly, twice, under the race detector's altered scheduling.
+# The simulator's bit-identity claim gets the same treatment: every
+# kernel × architecture × worker-count combination must match Workers=1
+# exactly, twice, under the race detector's altered scheduling. This is
+# the kernel engine's worker pool under the partition grid, with the
+# accountant observing every iteration.
 step go test -race -count=2 -run '^TestParallelMatchesSerial$' ./internal/sim/
 
 # Store lifecycle under the race detector at -count=2: the pin/release
