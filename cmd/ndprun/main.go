@@ -238,7 +238,7 @@ func runSerialEngine(g *graph.Graph, k kernels.Kernel, gf cliconf.GraphFlags, ef
 }
 
 // runStore executes the kernel straight from a gcsr2 container: edges
-// are pinned through the store's segment LRU (the "local memory" tier)
+// are pinned through the store's segment tier (the "local memory" tier)
 // instead of an in-RAM CSR, and the telemetry reports the tier traffic
 // the budget produced. With verify, the container is also materialized
 // and run on the serial reference, and the two value vectors must be

@@ -46,6 +46,12 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("GCSR"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	var v2 bytes.Buffer
+	if err := WriteBinaryCompressed(&v2, g); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
+	f.Add(wrappedGapV2()) // a gap the codec once let wrap into range
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

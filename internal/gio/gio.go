@@ -265,19 +265,20 @@ func readBinaryV2(p []byte, flags uint32, nVerts, nEdges uint64) (*graph.Graph, 
 			return nil, fmt.Errorf("%w: truncated degree %d", ErrBadFormat, v)
 		}
 		off += n
+		if d > nEdges-uint64(offsets[v]) {
+			return nil, fmt.Errorf("%w: degrees exceed the header's %d edges at vertex %d", ErrBadFormat, nEdges, v)
+		}
 		offsets[v+1] = offsets[v] + int64(d)
 	}
 	if uint64(offsets[nVerts]) != nEdges {
 		return nil, fmt.Errorf("%w: degrees sum to %d, header says %d edges", ErrBadFormat, offsets[nVerts], nEdges)
 	}
 	edges := make([]graph.VertexID, nEdges)
-	for v := uint64(0); v < nVerts; v++ {
-		consumed, err := graph.DecodeCompressedAdjacency(edges[offsets[v]:offsets[v+1]], p[off:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadFormat, v, err)
-		}
-		off += consumed
+	consumed, v, err := graph.DecodeCompressedAdjacency(edges, offsets, p[off:], nVerts)
+	if err != nil {
+		return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadFormat, v, err)
 	}
+	off += consumed
 	var weights []float32
 	if flags&flagWeighted != 0 {
 		if uint64(len(p)-off) != nEdges*4 {

@@ -3,7 +3,9 @@ package gio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -364,5 +366,54 @@ func TestCompressedEmptyGraph(t *testing.T) {
 	}
 	if g2.NumVertices() != 0 {
 		t.Errorf("V = %d", g2.NumVertices())
+	}
+}
+
+// forgeV2 wraps arbitrary degree and adjacency bytes in an unweighted v2
+// container whose checksum is valid, so the reader's own checks are all
+// that stands between them and a graph.
+func forgeV2(nEdges uint64, degrees []uint64, adj []byte) []byte {
+	buf := []byte(binaryMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, binaryVersion2)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(degrees)))
+	buf = binary.LittleEndian.AppendUint64(buf, nEdges)
+	for _, d := range degrees {
+		buf = binary.AppendUvarint(buf, d)
+	}
+	buf = append(buf, adj...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// wrappedGapV2 carries [uvarint(5), uvarint(2^64-3)] as vertex 0's
+// list: the sum wraps to 2 in uint64.
+func wrappedGapV2() []byte {
+	adj := binary.AppendUvarint(binary.AppendUvarint(nil, 5), 1<<64-3)
+	return forgeV2(2, []uint64{2, 0, 0, 0, 0, 0, 0, 0}, adj)
+}
+
+// TestCompressedRejectsForgedPayload checks the v2 reader's decode-time
+// checks behind a matching checksum: the codec's id checks, and a degree
+// list that runs past the header's edge count (whose prefix sums would
+// otherwise go negative and index the edge array out of range).
+func TestCompressedRejectsForgedPayload(t *testing.T) {
+	if g, err := ReadBinary(bytes.NewReader(forgeV2(3, []uint64{2, 0, 1}, []byte{1, 1, 0}))); err != nil || g.NumEdges() != 3 {
+		t.Fatalf("forged container with honest contents: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"gap that wraps uint64":   {wrappedGapV2(), "vertex 0: graph: compressed neighbor overflows"},
+		"neighbor equal to V":     {forgeV2(3, []uint64{1, 2, 0}, []byte{0, 1, 2}), "vertex 1: graph: compressed neighbor outside the vertex range"},
+		"adjacency ends early":    {forgeV2(2, []uint64{1, 1}, []byte{0}), "vertex 1: graph: truncated"},
+		"bytes after last list":   {forgeV2(2, []uint64{1, 1}, []byte{0, 1, 1}), "trailing payload bytes"},
+		"degree of 2^64-1":        {forgeV2(1, []uint64{1<<64 - 1, 2}, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}), "degrees exceed the header's 1 edges at vertex 0"},
+		"degrees pass edge count": {forgeV2(2, []uint64{2, 1}, []byte{0, 1, 1}), "degrees exceed the header's 2 edges at vertex 1"},
+	} {
+		_, err := ReadBinary(bytes.NewReader(tc.data))
+		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrBadFormat naming %q", name, err, tc.want)
+		}
 	}
 }

@@ -483,7 +483,7 @@ func TestCompressedAdjacencyRoundTripProperty(t *testing.T) {
 			nb := g.Neighbors(VertexID(v))
 			buf := AppendCompressedAdjacency(nil, nb)
 			got := make([]VertexID, len(nb))
-			consumed, err := DecodeCompressedAdjacency(got, buf)
+			consumed, _, err := DecodeCompressedAdjacency(got, []int64{0, int64(len(nb))}, buf, uint64(g.NumVertices()))
 			if err != nil || consumed != len(buf) {
 				return false
 			}
@@ -502,7 +502,7 @@ func TestCompressedAdjacencyRoundTripProperty(t *testing.T) {
 
 func TestDecodeCompressedAdjacencyTruncated(t *testing.T) {
 	buf := AppendCompressedAdjacency(nil, []VertexID{1, 5, 9})
-	if _, err := DecodeCompressedAdjacency(make([]VertexID, 3), buf[:1]); err == nil {
+	if _, _, err := DecodeCompressedAdjacency(make([]VertexID, 3), []int64{0, 3}, buf[:1], 10); err == nil {
 		t.Error("accepted truncated adjacency")
 	}
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // Segment is a pinned run of adjacency: the out-edges of the contiguous
 // vertex range [First, End), valid until Release. It is the unit in
 // which an adjacency source lends edges to a traversal — a whole
@@ -42,4 +44,31 @@ func (s *Segment) Release() {
 	if s.Owner != nil {
 		s.Owner.Unpin(s.Frame)
 	}
+}
+
+// SweepVictim picks which resident segment to drop so that segment at
+// can be loaded, for traffic that pins segments in ascending order and
+// comes back to one only after a full cycle: idle has bit i set for each
+// candidate i (never at itself), and the victim is the candidate that
+// sweep, continuing upward from at and wrapping, reaches last — the
+// greatest below at, else the greatest of all. It returns -1 when there
+// is no candidate. A pure function of its arguments that scans a word at
+// a time and allocates nothing, so a tier (internal/store) and the model
+// of that tier (internal/sim) share it.
+func SweepVictim(idle []uint64, at int32) int32 {
+	w := int(at >> 6)
+	if below := idle[w] & (1<<(uint(at)&63) - 1); below != 0 {
+		return int32(w<<6 + bits.Len64(below) - 1)
+	}
+	for j := w - 1; j >= 0; j-- {
+		if idle[j] != 0 {
+			return int32(j<<6 + bits.Len64(idle[j]) - 1)
+		}
+	}
+	for j := len(idle) - 1; j >= w; j-- {
+		if idle[j] != 0 {
+			return int32(j<<6 + bits.Len64(idle[j]) - 1)
+		}
+	}
+	return -1
 }

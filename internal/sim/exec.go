@@ -137,7 +137,7 @@ type execution struct {
 	// (tiering); their traversals cost no interconnect bytes in
 	// fetch-mode accounting.
 	cached []bool
-	// tier, when non-nil, models a host-local segment LRU: each
+	// tier, when non-nil, models a host-local segment tier: each
 	// iteration charges Record.FarMemoryBytes with the whole-segment
 	// fetches the frontier's accesses miss on (TierConfig).
 	tier *tierState
@@ -259,7 +259,7 @@ func (e *execution) run(ctx context.Context, engineName string) (*Run, error) {
 
 // record is the engine's per-iteration observer: it counts what memory
 // node p traversed (chunk p's frontier slice, in bucket order — the order
-// the float ops sum and the tier's LRU trace are defined in) and emitted
+// the float ops sum and the tier's touch trace are defined in) and emitted
 // (chunk p's partial updates), asks the policy for the decision those
 // pre-iteration statistics imply, and finishes the Record in place.
 func (e *execution) record(it *kernels.Iteration) {

@@ -6,16 +6,19 @@ import (
 )
 
 // TierConfig models a host-local memory tier in front of the far-memory
-// pool (the out-of-core counterpart of internal/store's LRU of
+// pool (the out-of-core counterpart of internal/store's tier of
 // decompressed segments). Edge lists are grouped into contiguous
 // segments of roughly SegmentBytes each — the same vertex-aligned
 // tiling the gcsr2 container uses — and the hosts keep at most
-// LocalBytes of segments resident, evicting least-recently-used.
+// LocalBytes of segments resident, evicting by the store's rule: the
+// resident segment an ascending sweep from the missing one reaches last
+// (graph.SweepVictim, shared with the store so the model runs the
+// policy the system runs).
 // Touching a frontier vertex whose segment is not resident charges the
 // whole segment's bytes to Record.FarMemoryBytes: far memory is fetched
 // at segment granularity, not per edge, which is what makes local-tier
-// pressure a movement axis (small tiers thrash; large tiers reduce the
-// traffic to compulsory misses).
+// pressure a movement axis (small tiers refetch most of a pass; large
+// tiers reduce the traffic to compulsory misses).
 type TierConfig struct {
 	// LocalBytes is the resident-segment budget. <= 0 means unlimited:
 	// every segment stays resident after its first (compulsory) fetch.
@@ -33,10 +36,7 @@ func (c TierConfig) tierSegmentBytes() int64 {
 	return c.SegmentBytes
 }
 
-// tierNilLink terminates the tier's intrusive LRU list.
-const tierNilLink = int32(-1)
-
-// tierState is the segment-granular LRU the simulator consults while
+// tierState is the segment-granular tier the simulator consults while
 // bucketing the frontier. All state is preallocated; touch is plain
 // array arithmetic so the per-iteration charge stays inside the
 // simulator's zero-allocation steady state.
@@ -47,28 +47,26 @@ type tierState struct {
 	segOf    []int32
 	segBytes []int64
 
-	resident []bool
-	prev     []int32
-	next     []int32
-	head     int32
-	tail     int32
+	// resident has bit s set while segment s is in the tier. Nothing is
+	// pinned in the model, so every resident segment is evictable.
+	resident []uint64
 	// residentBytes tracks the tier's occupancy against budget.
 	residentBytes int64
 }
 
 // newTierState tiles the graph's edge array into vertex-aligned
-// segments of about cfg.SegmentBytes and builds the LRU bookkeeping.
-// The tiling mirrors the gcsr2 writer: a segment closes once its
-// accumulated edge bytes reach the threshold, and every vertex's edge
-// list lives wholly inside one segment.
+// segments of about cfg.SegmentBytes and builds the residency bitset.
+// Every vertex's edge list lives wholly inside one segment, as in the
+// gcsr2 writer, but the boundaries differ: this closes a segment before
+// the vertex that would take it past the target, the writer after the
+// vertex that reaches it, so segment counts of the two do not yet agree
+// (ROADMAP item 1, tier cross-validation).
 func newTierState(g *graph.Graph, cfg TierConfig) *tierState {
 	n := g.NumVertices()
 	segTarget := cfg.tierSegmentBytes()
 	t := &tierState{
 		budget: cfg.LocalBytes,
 		segOf:  make([]int32, n),
-		head:   tierNilLink,
-		tail:   tierNilLink,
 	}
 	var cur int64
 	seg := int32(0)
@@ -85,72 +83,33 @@ func newTierState(g *graph.Graph, cfg TierConfig) *tierState {
 	if n > 0 {
 		t.segBytes = append(t.segBytes, cur)
 	}
-	nSegs := len(t.segBytes)
-	t.resident = make([]bool, nSegs)
-	t.prev = make([]int32, nSegs)
-	t.next = make([]int32, nSegs)
-	for i := range t.prev {
-		t.prev[i] = tierNilLink
-		t.next[i] = tierNilLink
-	}
+	t.resident = make([]uint64, (len(t.segBytes)+63)/64)
 	return t
-}
-
-// lruRemove unlinks segment s from the recency list.
-func (t *tierState) lruRemove(s int32) {
-	p, n := t.prev[s], t.next[s]
-	if p != tierNilLink {
-		t.next[p] = n
-	} else {
-		t.head = n
-	}
-	if n != tierNilLink {
-		t.prev[n] = p
-	} else {
-		t.tail = p
-	}
-	t.prev[s] = tierNilLink
-	t.next[s] = tierNilLink
-}
-
-// lruPushFront makes segment s the most recently used.
-func (t *tierState) lruPushFront(s int32) {
-	t.prev[s] = tierNilLink
-	t.next[s] = t.head
-	if t.head != tierNilLink {
-		t.prev[t.head] = s
-	}
-	t.head = s
-	if t.tail == tierNilLink {
-		t.tail = s
-	}
 }
 
 // touch records an access to v's segment and returns the far-memory
 // bytes the access cost: zero on a hit, the whole segment on a miss.
-// Misses evict from the LRU tail until the segment fits; a segment
-// larger than the entire budget still loads (transient overshoot, the
-// same rule the store applies to pinned segments).
+// Misses evict in sweep order until the segment fits; a segment larger
+// than the entire budget still loads (transient overshoot, the same
+// rule the store applies to pinned segments).
 func (t *tierState) touch(v graph.VertexID) int64 {
 	s := t.segOf[v]
-	if t.resident[s] {
-		if t.head != s {
-			t.lruRemove(s)
-			t.lruPushFront(s)
-		}
+	word, bit := s>>6, uint64(1)<<(uint(s)&63)
+	if t.resident[word]&bit != 0 {
 		return 0
 	}
 	need := t.segBytes[s]
 	if t.budget > 0 {
-		for t.residentBytes+need > t.budget && t.tail != tierNilLink {
-			victim := t.tail
-			t.lruRemove(victim)
-			t.resident[victim] = false
+		for t.residentBytes+need > t.budget {
+			victim := graph.SweepVictim(t.resident, s)
+			if victim < 0 {
+				break
+			}
+			t.resident[victim>>6] &^= 1 << (uint(victim) & 63)
 			t.residentBytes -= t.segBytes[victim]
 		}
 	}
-	t.resident[s] = true
+	t.resident[word] |= bit
 	t.residentBytes += need
-	t.lruPushFront(s)
 	return need
 }

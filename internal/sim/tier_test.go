@@ -104,7 +104,7 @@ func TestTierDefaultsOff(t *testing.T) {
 	}
 }
 
-// TestTierWorkerIndependence checks the LRU trace is charged in the
+// TestTierWorkerIndependence checks the tier trace is charged in the
 // fixed partition-bucket order, so FarMemoryBytes — like every other
 // recorded quantity — is bit-identical across worker counts.
 func TestTierWorkerIndependence(t *testing.T) {
@@ -146,5 +146,56 @@ func TestTierSegmentTiling(t *testing.T) {
 	}
 	if sum != totalEdgeBytes(g) {
 		t.Fatalf("segment bytes sum %d, want %d", sum, totalEdgeBytes(g))
+	}
+}
+
+// TestTierSweepOrderEviction pins the victim rule the tier shares with
+// internal/store as exact counts. N equal segments touched in ascending
+// vertex order, pass after pass, under a budget of B segments: LRU
+// refetches all N every pass; evicting the segment the sweep reaches
+// last refetches N-(B-1) a pass, or N-B when the rotating segment lands
+// on the pass boundary, and exactly N(N-B) over any N-1 consecutive
+// passes — Belady's minimum for a cyclic sweep, so far traffic falls
+// linearly with the budget where LRU's stayed flat.
+func TestTierSweepOrderEviction(t *testing.T) {
+	const nSegs, perSeg = 12, 8
+	n := nSegs * perSeg
+	edges := make([]graph.Edge, 0, n)
+	for v := 0; v < n; v++ {
+		edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % n)})
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segBytes := int64(perSeg * kernels.EdgeBytes)
+	for _, frames := range []int{1, 2, 5, 11, 12} {
+		ts := newTierState(g, TierConfig{LocalBytes: int64(frames) * segBytes, SegmentBytes: segBytes})
+		if len(ts.segBytes) != nSegs {
+			t.Fatalf("fixture: %d segments, want %d", len(ts.segBytes), nSegs)
+		}
+		pass := func() (misses int64) {
+			for v := 0; v < n; v++ {
+				misses += ts.touch(graph.VertexID(v)) / segBytes
+			}
+			return misses
+		}
+		if cold := pass(); cold != nSegs {
+			t.Fatalf("%d frames: cold pass fetched %d segments, want %d", frames, cold, nSegs)
+		}
+		var total int64
+		for p := 0; p < 2*(nSegs-1); p++ {
+			m := pass()
+			if hi := int64(nSegs - (frames - 1)); frames < nSegs && (m > hi || m < hi-1) {
+				t.Fatalf("%d frames, warm pass %d: %d segments fetched, want %d or %d", frames, p, m, hi-1, hi)
+			}
+			total += m
+		}
+		if want := int64(2 * nSegs * (nSegs - frames)); total != want {
+			t.Fatalf("%d frames: %d segments fetched over %d warm passes, want exactly %d", frames, total, 2*(nSegs-1), want)
+		}
+		if ts.residentBytes > ts.budget {
+			t.Fatalf("%d frames: %d bytes resident over a budget of %d", frames, ts.residentBytes, ts.budget)
+		}
 	}
 }

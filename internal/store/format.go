@@ -1,8 +1,12 @@
 // Package store implements the out-of-core partition container: graphs
 // too large for RAM live on disk in the gcsr2 segment format and stream
-// through a pinned/refcounted LRU of decompressed segments — the "local
-// memory" tier of the paper's disaggregated architecture, with segment
-// misses standing in for far-memory fetches.
+// through a pinned/refcounted, budgeted tier of decompressed segments —
+// the "local memory" tier of the paper's disaggregated architecture,
+// with segment misses standing in for far-memory fetches. Every budgeted
+// caller pins segments in ascending vertex order, cycle after cycle, so
+// the tier evicts the unpinned segment that sweep reaches last (Belady's
+// choice for the traffic; LRU's is the segment needed soonest) and keeps
+// a run of segments resident across passes at any budget.
 //
 // The gcsr2 container layers the varint-delta adjacency codec from
 // internal/graph and the checksummed-container conventions from
@@ -62,9 +66,9 @@ const (
 	iflagNonNegWeights = 1 << 0
 
 	// DefaultSegmentBytes is the decompressed-size target at which the
-	// writer closes a segment (~1 MiB of edge ids — small enough that an
-	// LRU at a few percent of the graph holds many segments, large enough
-	// that varint decode amortizes).
+	// writer closes a segment (~1 MiB of edge ids — small enough that a
+	// tier at a few percent of the graph holds many segments, large
+	// enough that varint decode amortizes).
 	DefaultSegmentBytes = 1 << 20
 )
 
@@ -80,9 +84,21 @@ var ErrCorrupt = errors.New("store: corrupt gcsr2 container")
 // ieeeCRC is the container's checksum everywhere a region carries one.
 func ieeeCRC(p []byte) uint32 { return crc32.ChecksumIEEE(p) }
 
-// float32frombytes decodes one little-endian float32 at p[0:4].
-func float32frombytes(p []byte) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(p))
+// decodeFloat32s fills dst from the little-endian float32s at
+// p[:4*len(dst)]. Four at a time: one length test then covers four
+// loads, where the plain loop pays a bounds check per weight (a third of
+// the time on the segment-miss path, where this runs once per edge).
+func decodeFloat32s(dst []float32, p []byte) {
+	for len(dst) >= 4 && len(p) >= 16 {
+		dst[0] = math.Float32frombits(binary.LittleEndian.Uint32(p[0:4]))
+		dst[1] = math.Float32frombits(binary.LittleEndian.Uint32(p[4:8]))
+		dst[2] = math.Float32frombits(binary.LittleEndian.Uint32(p[8:12]))
+		dst[3] = math.Float32frombits(binary.LittleEndian.Uint32(p[12:16]))
+		dst, p = dst[4:], p[16:]
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
+	}
 }
 
 // segMeta is one row of the segment table: the vertex range a segment

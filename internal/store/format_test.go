@@ -1,9 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -222,6 +224,55 @@ func TestCorruptionBitFlips(t *testing.T) {
 			if !isTypedCorruption(err) {
 				t.Fatalf("flip 0x%02x at byte %d: untyped error %v", mask, i, err)
 			}
+		}
+	}
+}
+
+// forgeContainer wraps arbitrary adjacency bytes in a one-segment
+// unweighted container whose every checksum is valid, so what load's
+// decoder makes of them is the only defence left.
+func forgeContainer(degrees []int64, adj []byte) []byte {
+	offsets := make([]int64, len(degrees)+1)
+	for v, d := range degrees {
+		offsets[v+1] = offsets[v] + d
+	}
+	nEdges := uint64(offsets[len(degrees)])
+	seg := segMeta{count: uint64(len(degrees)), edges: nEdges, off: headerSize, len: uint64(len(adj)), crc: ieeeCRC(adj)}
+	ix := encodeIndex(nEdges, true, offsets, []segMeta{seg})
+	data := append(encodeHeader(header{nVerts: uint64(len(degrees))}), adj...)
+	return append(append(data, ix...), encodeFooter(uint64(len(ix)))...)
+}
+
+// wrappedGapContainer is the forged container whose vertex 0 carries
+// [uvarint(5), uvarint(2^64-3)]: the sum wraps to 2 in uint64, and a
+// decoder that checks the id range only after the add reads it as the
+// unsorted list [5 2].
+func wrappedGapContainer() []byte {
+	adj := binary.AppendUvarint(binary.AppendUvarint(nil, 5), 1<<64-3)
+	return forgeContainer([]int64{2, 0, 0, 0, 0, 0, 0, 0}, adj)
+}
+
+// TestLoadRejectsForgedAdjacency checks each of the decode-time checks
+// on a segment whose CRC matches: they are what stands between a
+// well-checksummed lie and the kernels.
+func TestLoadRejectsForgedAdjacency(t *testing.T) {
+	if err := fullRead(forgeContainer([]int64{2, 0, 1}, []byte{1, 1, 0})); err != nil {
+		t.Fatalf("forged container with honest adjacency: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"gap that wraps uint64":      {wrappedGapContainer(), "segment 0 vertex 0: graph: compressed neighbor overflows"},
+		"neighbor equal to V":        {forgeContainer([]int64{1, 2, 0}, []byte{0, 1, 2}), "segment 0 vertex 1: graph: compressed neighbor outside the vertex range"},
+		"bytes after the last list":  {forgeContainer([]int64{1, 1, 0}, []byte{0, 1, 2}), "segment 0 vertex 2: adjacency bytes left over"},
+		"adjacency ends mid-varint":  {forgeContainer([]int64{1, 1}, []byte{0, 0x81}), "segment 0 vertex 1: graph: truncated"},
+		"five-byte id past uint32":   {forgeContainer([]int64{1}, []byte{0xff, 0xff, 0xff, 0xff, 0x7f}), "segment 0 vertex 0: graph: compressed neighbor overflows"},
+		"list borrows from the next": {forgeContainer([]int64{1, 1}, []byte{0x80, 0x80}), "segment 0 vertex 0: graph: truncated"},
+	} {
+		err := fullRead(tc.data)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrCorrupt naming %q", name, err, tc.want)
 		}
 	}
 }

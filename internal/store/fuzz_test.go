@@ -50,6 +50,9 @@ func FuzzSegmentCodec(f *testing.F) {
 			}
 		}
 	}
+	// A gap the codec once let wrap into range: well-checksummed, and
+	// read back as an unsorted list.
+	f.Add(wrappedGapContainer())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := OpenBytes(data, Options{})

@@ -38,15 +38,13 @@ type Stats struct {
 	Pins int64
 }
 
-// frame is one segment's residency state: the decompressed buffers, the
-// pin count, and the intrusive LRU links threading unpinned resident
-// frames (head = most recent).
+// frame is one segment's residency state: the decompressed buffers and
+// the pin count.
 type frame struct {
-	edges      []graph.VertexID
-	weights    []float32
-	refs       int32
-	prev, next int32
-	resident   bool
+	edges    []graph.VertexID
+	weights  []float32
+	refs     int32
+	resident bool
 }
 
 // segBufs is a recycled pair of decompressed buffers; evicted frames
@@ -55,8 +53,6 @@ type segBufs struct {
 	edges   []graph.VertexID
 	weights []float32
 }
-
-const nilLink = int32(-1)
 
 // Store is an open gcsr2 container: resident offsets, a lazy segment
 // tier, and the source holding the bytes. Safe for concurrent use; each
@@ -80,9 +76,8 @@ type Store struct {
 	mu       sync.Mutex
 	frames   []frame
 	free     []segBufs
-	scratch  []byte // pread buffer, reused across loads
-	head     int32  // LRU list of unpinned resident frames, MRU first
-	tail     int32
+	scratch  []byte   // pread buffer, reused across loads
+	idle     []uint64 // bit i set: frame i is resident and unpinned (setIdle)
 	budget   int64
 	resident int64
 	stats    Stats
@@ -164,12 +159,10 @@ func open(src source, opts Options) (*Store, error) {
 		view:     view,
 		segs:     ix.segs,
 		frames:   make([]frame, len(ix.segs)),
-		head:     nilLink,
-		tail:     nilLink,
+		idle:     make([]uint64, (len(ix.segs)+63)/64),
 		budget:   opts.LocalBytes,
 	}
 	for i := range st.frames {
-		st.frames[i].prev, st.frames[i].next = nilLink, nilLink
 		if e := int64(ix.segs[i].edges); e > st.maxSegEdges {
 			st.maxSegEdges = e
 		}
@@ -249,9 +242,7 @@ func (s *Store) Pin(v graph.VertexID) (graph.Segment, error) {
 	fr := &s.frames[idx]
 	if fr.resident {
 		s.stats.Hits++
-		if fr.refs == 0 {
-			s.lruRemove(idx)
-		}
+		s.setIdle(idx, false)
 	} else {
 		if err := s.load(idx); err != nil {
 			return graph.Segment{}, err
@@ -279,7 +270,7 @@ func (s *Store) Pin(v graph.VertexID) (graph.Segment, error) {
 // so Release on the handle stays the only way to drop a pin.
 type tier Store
 
-// Unpin drops one pin; at zero the frame joins the LRU head.
+// Unpin drops one pin; at zero the frame becomes evictable.
 func (t *tier) Unpin(idx int32) {
 	s := (*Store)(t)
 	s.mu.Lock()
@@ -292,7 +283,17 @@ func (t *tier) Unpin(idx int32) {
 	fr.refs--
 	s.stats.Pins--
 	if fr.refs == 0 {
-		s.lruPushFront(idx)
+		s.setIdle(idx, true)
+	}
+}
+
+// setIdle records whether frame idx is resident and unpinned — a
+// candidate for eviction.
+func (s *Store) setIdle(idx int32, idle bool) {
+	if idle {
+		s.idle[idx>>6] |= 1 << (uint(idx) & 63)
+	} else {
+		s.idle[idx>>6] &^= 1 << (uint(idx) & 63)
 	}
 }
 
@@ -306,14 +307,22 @@ func (s *Store) segCost(idx int32) int64 {
 }
 
 // load fetches, verifies, and decompresses segment idx under s.mu,
-// evicting unpinned LRU segments to fit the budget first. Buffers come
-// from the freelist when an eviction has donated a pair, so a warmed
-// tier's miss path performs no allocation.
+// evicting to fit the budget first. Every budgeted caller pins segments
+// in ascending vertex order and returns only after a full cycle, so the
+// victim is the evictable frame that sweep reaches last
+// (graph.SweepVictim) — Belady's choice for this traffic, where LRU
+// always evicts the frame needed soonest. Buffers come from the freelist
+// when an eviction has donated a pair, so a warmed tier's miss path
+// performs no allocation.
 func (s *Store) load(idx int32) error {
 	need := s.segCost(idx)
 	if s.budget > 0 {
-		for s.resident+need > s.budget && s.tail != nilLink {
-			s.evict(s.tail)
+		for s.resident+need > s.budget {
+			victim := graph.SweepVictim(s.idle, idx)
+			if victim < 0 {
+				break // everything resident is pinned
+			}
+			s.evict(victim)
 		}
 	}
 	m := &s.segs[idx]
@@ -331,17 +340,19 @@ func (s *Store) load(idx int32) error {
 	if s.weighted {
 		adjLen -= int64(m.edges) * 4
 	}
-	if v, err := s.decodeAdjacency(edges, payload[:adjLen], m); err != nil {
+	lists := s.offsets[m.first : m.first+m.count+1]
+	consumed, list, err := graph.DecodeCompressedAdjacency(edges, lists, payload[:adjLen], uint64(s.NumVertices()))
+	if err == nil && int64(consumed) != adjLen {
+		list, err = int(m.count)-1, errTrailingAdjacency
+	}
+	if err != nil {
 		s.free = append(s.free, bufs)
-		return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, v, err)
+		return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, m.first+uint64(list), err)
 	}
 	var weights []float32
 	if s.weighted {
 		weights = bufs.weights[:m.edges]
-		wb := payload[adjLen:]
-		for i := range weights {
-			weights[i] = float32frombytes(wb[i*4:])
-		}
+		decodeFloat32s(weights, payload[adjLen:])
 	}
 
 	fr := &s.frames[idx]
@@ -357,43 +368,14 @@ func (s *Store) load(idx int32) error {
 	return nil
 }
 
-// Why a segment's adjacency failed to decode, beyond the codec's own
-// errors; load names the segment and vertex.
-var (
-	errNeighborRange     = errors.New("neighbor id outside the vertex range")
-	errTrailingAdjacency = errors.New("adjacency bytes left over after the segment's last vertex")
-)
-
-// decodeAdjacency fills edges with segment m's neighbor lists from adj,
-// requiring every id in range and adj consumed exactly. On failure it
-// returns the vertex it was decoding.
-func (s *Store) decodeAdjacency(edges []graph.VertexID, adj []byte, m *segMeta) (uint64, error) {
-	n := int64(s.NumVertices())
-	base := s.offsets[m.first]
-	off := 0
-	for v := m.first; v < m.first+m.count; v++ {
-		nbrs := edges[s.offsets[v]-base : s.offsets[v+1]-base]
-		consumed, err := graph.DecodeCompressedAdjacency(nbrs, adj[off:])
-		if err != nil {
-			return v, err
-		}
-		for _, d := range nbrs {
-			if int64(d) >= n {
-				return v, errNeighborRange
-			}
-		}
-		off += consumed
-	}
-	if off != len(adj) {
-		return m.first + m.count - 1, errTrailingAdjacency
-	}
-	return 0, nil
-}
+// errTrailingAdjacency is the one adjacency failure the codec cannot
+// see: its bytes ran past the segment's last vertex.
+var errTrailingAdjacency = errors.New("adjacency bytes left over after the segment's last vertex")
 
 // evict drops an unpinned resident frame, donating its buffers.
 func (s *Store) evict(idx int32) {
 	fr := &s.frames[idx]
-	s.lruRemove(idx)
+	s.setIdle(idx, false)
 	s.free = append(s.free, segBufs{edges: fr.edges, weights: fr.weights})
 	fr.edges, fr.weights = nil, nil
 	fr.resident = false
@@ -422,35 +404,6 @@ func (s *Store) readScratch() []byte {
 		s.scratch = make([]byte, s.maxSegBytes)
 	}
 	return s.scratch
-}
-
-// lruPushFront links idx as the most recently used unpinned frame.
-func (s *Store) lruPushFront(idx int32) {
-	fr := &s.frames[idx]
-	fr.prev, fr.next = nilLink, s.head
-	if s.head != nilLink {
-		s.frames[s.head].prev = idx
-	}
-	s.head = idx
-	if s.tail == nilLink {
-		s.tail = idx
-	}
-}
-
-// lruRemove unlinks idx from the unpinned list.
-func (s *Store) lruRemove(idx int32) {
-	fr := &s.frames[idx]
-	if fr.prev != nilLink {
-		s.frames[fr.prev].next = fr.next
-	} else {
-		s.head = fr.next
-	}
-	if fr.next != nilLink {
-		s.frames[fr.next].prev = fr.prev
-	} else {
-		s.tail = fr.prev
-	}
-	fr.prev, fr.next = nilLink, nilLink
 }
 
 // Digest returns the SHA-256 of the container bytes ("sha256:<hex>") —

@@ -251,6 +251,263 @@ func TestStoreTierPressure(t *testing.T) {
 	}
 }
 
+// equalSegments builds a container of nSegs segments with identical
+// footprints — 8 vertices of out-degree 2 each, 64 decompressed bytes —
+// and returns it with that footprint, so budgets count frames exactly.
+func equalSegments(t *testing.T, nSegs int) (data []byte, segCost int64) {
+	t.Helper()
+	n := 8 * nSegs
+	edges := make([]graph.Edge, 0, 2*n)
+	for v := 0; v < n; v++ {
+		edges = append(edges,
+			graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % n)},
+			graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + n/2) % n)})
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err = EncodeGraph(g, 64); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenBytes(data, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, st)
+	if st.NumSegments() != nSegs {
+		t.Fatalf("fixture: %d segments, want %d", st.NumSegments(), nSegs)
+	}
+	for i := 0; i < nSegs; i++ {
+		if st.segCost(int32(i)) != 64 {
+			t.Fatalf("fixture: segment %d costs %d bytes, want 64", i, st.segCost(int32(i)))
+		}
+	}
+	return data, 64
+}
+
+// pinSeg pins segment idx by its first vertex.
+func pinSeg(t *testing.T, st *Store, idx int) graph.Segment {
+	t.Helper()
+	sg, err := st.Pin(graph.VertexID(st.segs[idx].first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sg
+}
+
+// TestStoreSweepOrderEviction pins the replacement policy as exact
+// counts. N equal segments swept in ascending order, again and again,
+// under a budget of B frames: LRU misses all N every pass, because it
+// always evicts the frame the sweep needs next. Evicting the frame the
+// sweep reaches last keeps a protected run resident: a warm pass misses
+// N-(B-1) times, or N-B when the rotating frame lands on the pass
+// boundary, and any N-1 consecutive passes miss exactly N(N-B) times —
+// Belady's minimum for a cyclic sweep. The resident set never exceeds
+// the budget, and once the tier is full every miss is one eviction.
+func TestStoreSweepOrderEviction(t *testing.T) {
+	const nSegs = 12
+	data, segCost := equalSegments(t, nSegs)
+	for _, frames := range []int{1, 2, 4, 7, 11, 12, 20} {
+		budget := int64(frames) * segCost
+		st, err := OpenBytes(data, Options{LocalBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := func() int64 {
+			before := st.Stats().Misses
+			for i := 0; i < nSegs; i++ {
+				sg := pinSeg(t, st, i)
+				sg.Release()
+			}
+			return st.Stats().Misses - before
+		}
+		if cold := pass(); cold != nSegs {
+			t.Fatalf("%d frames: cold pass missed %d of %d", frames, cold, nSegs)
+		}
+		held := frames
+		if held > nSegs {
+			held = nSegs
+		}
+		var window []int64
+		for p := 0; p < 3*(nSegs-1); p++ {
+			m := pass()
+			if hi := int64(nSegs - (held - 1)); held < nSegs && (m > hi || m < hi-1) {
+				t.Fatalf("%d frames, warm pass %d: %d misses, want %d or %d", frames, p, m, hi-1, hi)
+			} else if held == nSegs && m != 0 {
+				t.Fatalf("%d frames hold everything, warm pass %d missed %d", frames, p, m)
+			}
+			window = append(window, m)
+			if len(window) == nSegs-1 {
+				var sum int64
+				for _, x := range window {
+					sum += x
+				}
+				if want := int64(nSegs * (nSegs - held)); sum != want {
+					t.Fatalf("%d frames: %d misses over %d passes %v, want exactly %d", frames, sum, nSegs-1, window, want)
+				}
+				window = window[1:]
+			}
+		}
+		s := st.Stats()
+		if s.Evictions != s.Misses-int64(held) {
+			t.Fatalf("%d frames: %d evictions for %d misses, want misses - %d", frames, s.Evictions, s.Misses, held)
+		}
+		if s.PeakResidentBytes > budget || s.ResidentBytes != int64(held)*segCost {
+			t.Fatalf("%d frames: resident %d, peak %d, budget %d", frames, s.ResidentBytes, s.PeakResidentBytes, budget)
+		}
+		if s.Hits+s.Misses != int64(nSegs*(1+3*(nSegs-1))) {
+			t.Fatalf("%d frames: %d hits + %d misses over %d pins", frames, s.Hits, s.Misses, nSegs*(1+3*(nSegs-1)))
+		}
+		mustClose(t, st)
+	}
+}
+
+// TestStorePinnedFrameNeverEvicted holds the frame the policy would
+// choose and requires the next choice instead; with every resident frame
+// pinned nothing is evicted and the tier overshoots by exactly the
+// loaded segment, then sheds the excess at the next miss.
+func TestStorePinnedFrameNeverEvicted(t *testing.T) {
+	data, segCost := equalSegments(t, 12)
+	st, err := OpenBytes(data, Options{LocalBytes: 3 * segCost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := func() (out []int) {
+		for i := range st.frames {
+			if st.frames[i].resident {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	s3, s4, s5 := pinSeg(t, st, 3), pinSeg(t, st, 4), pinSeg(t, st, 5)
+	s3.Release()
+	s4.Release()
+	want5 := append([]graph.VertexID(nil), s5.Edges...)
+
+	// Miss at 6: the sweep reaches 5 last, but 5 is pinned, so 4 goes.
+	s6 := pinSeg(t, st, 6)
+	if got := resident(); !reflect.DeepEqual(got, []int{3, 5, 6}) {
+		t.Fatalf("resident %v after a miss at 6 with 5 pinned, want [3 5 6]", got)
+	}
+	// Miss at 1: nothing below it, so the wrap takes the greatest
+	// unpinned frame — 3, since 5 and 6 are held.
+	s1 := pinSeg(t, st, 1)
+	if got := resident(); !reflect.DeepEqual(got, []int{1, 5, 6}) {
+		t.Fatalf("resident %v after a miss at 1 with 5 and 6 pinned, want [1 5 6]", got)
+	}
+	// Everything resident is pinned: the load goes ahead over budget.
+	s9 := pinSeg(t, st, 9)
+	if got := resident(); !reflect.DeepEqual(got, []int{1, 5, 6, 9}) {
+		t.Fatalf("resident %v with every frame pinned, want [1 5 6 9]", got)
+	}
+	if s := st.Stats(); s.Evictions != 2 || s.ResidentBytes != 4*segCost || s.PeakResidentBytes != 4*segCost || s.Pins != 4 {
+		t.Fatalf("stats %+v, want 2 evictions and 4 resident, pinned frames", s)
+	}
+	if !reflect.DeepEqual(s5.Edges, want5) {
+		t.Fatal("a pinned segment's adjacency changed while other frames were evicted")
+	}
+	for _, sg := range []graph.Segment{s1, s5, s6, s9} {
+		sg.Release()
+	}
+	// The next miss brings the tier back inside its budget.
+	sg := pinSeg(t, st, 10)
+	sg.Release()
+	if s := st.Stats(); s.ResidentBytes != 3*segCost || s.Evictions != 4 {
+		t.Fatalf("stats %+v after the overshoot, want 3 resident frames and 4 evictions", s)
+	}
+	if got := resident(); !reflect.DeepEqual(got, []int{1, 5, 10}) {
+		t.Fatalf("resident %v, want [1 5 10] (9 then 6 are what a sweep from 10 reaches last)", got)
+	}
+	mustClose(t, st)
+}
+
+// assertSegmentMatches compares every vertex of a pinned segment with
+// the in-memory graph it was encoded from, bit for bit.
+func assertSegmentMatches(t *testing.T, st *Store, sg graph.Segment, g *graph.Graph) {
+	t.Helper()
+	for v := sg.First; v < sg.End; v++ {
+		nbrs, wts := neighbors(st, sg, v)
+		if !reflect.DeepEqual(nbrs, g.Neighbors(v)) && len(nbrs)+len(g.Neighbors(v)) > 0 {
+			t.Fatalf("vertex %d: neighbors %v, want %v", v, nbrs, g.Neighbors(v))
+		}
+		for i, w := range g.NeighborWeights(v) {
+			if math.Float32bits(wts[i]) != math.Float32bits(w) {
+				t.Fatalf("vertex %d: weight[%d] = %v, want %v", v, i, wts[i], w)
+			}
+		}
+	}
+}
+
+// pinTrace drives one fixed pin sequence against a thrashing budget —
+// two ascending sweeps interleaved half a cycle apart, each holding its
+// segment until its next step, then seeded random pins — checking every
+// segment handed out against g.
+func pinTrace(t *testing.T, st *Store, g *graph.Graph) {
+	t.Helper()
+	n := st.NumSegments()
+	var a, b graph.Segment
+	for step := 0; step < 3*n; step++ {
+		a.Release()
+		a = pinSeg(t, st, step%n)
+		assertSegmentMatches(t, st, a, g)
+		b.Release()
+		b = pinSeg(t, st, (step+n/2)%n)
+		assertSegmentMatches(t, st, b, g)
+	}
+	a.Release()
+	b.Release()
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 400; i++ {
+		sg, err := st.Pin(graph.VertexID(r.Intn(g.NumVertices())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSegmentMatches(t, st, sg, g)
+		sg.Release()
+	}
+}
+
+// TestStorePinOrdersReturnIdenticalAdjacency runs pinTrace — orders the
+// victim rule is not tuned for — and requires bit-identical adjacency
+// throughout and a tier that ends inside its budget with no pin left.
+func TestStorePinOrdersReturnIdenticalAdjacency(t *testing.T) {
+	for name, g := range testGraphs(t) {
+		st := openFixture(t, g, 256, 1536)
+		pinTrace(t, st, g)
+		s := st.Stats()
+		if s.Pins != 0 || s.Evictions == 0 || s.ResidentBytes > 1536 {
+			t.Fatalf("%s: stats %+v after the trace", name, s)
+		}
+		mustClose(t, st)
+	}
+}
+
+// TestStoreStatsDeterministic replays pinTrace on fresh handles and
+// requires the same counters every time, equal to the recorded ones:
+// the victim is a pure function of the pin sequence, so nothing about
+// the run — repetition, the race detector's scheduling — may move them.
+func TestStoreStatsDeterministic(t *testing.T) {
+	g := testGraphs(t)["community"]
+	want := Stats{}
+	for rep := 0; rep < 5; rep++ {
+		st := openFixture(t, g, 256, 1536)
+		pinTrace(t, st, g)
+		got := st.Stats()
+		mustClose(t, st)
+		if rep == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("repetition %d: stats %+v, first run %+v", rep, got, want)
+		}
+	}
+	recorded := Stats{Hits: 52, Misses: 750, Evictions: 745, FarBytes: 130846, ResidentBytes: 1360, PeakResidentBytes: 1536}
+	if want != recorded {
+		t.Fatalf("stats %+v differ from the recorded %+v", want, recorded)
+	}
+}
+
 // TestStoreRunCancellation cancels mid-traversal and requires the engine
 // to unwind at the next iteration boundary with context.Canceled, zero
 // outstanding pins, and a source still healthy enough to run to

@@ -162,10 +162,12 @@ step go test -race -count=2 -run '^TestParallelMatchesSerial$' ./internal/sim/
 # refcount protocol hammered from many goroutines; the kernel engine over
 # the container (serial cursor and staged per-chunk pins) returning every
 # refcount to baseline when a run is cancelled or hits a corrupt segment;
-# and the no-leaked-goroutines gate — the LRU tier's correctness-under-
-# concurrency claims must hold run over run.
+# the no-leaked-goroutines gate; and the tier counters after a fixed pin
+# sequence, which the victim rule makes a pure function of that sequence
+# — the tier's correctness-under-concurrency claims must hold run over
+# run.
 step go test -race -count=2 \
-    -run '^TestStorePinConcurrentHammer$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$' \
+    -run '^TestStorePinConcurrentHammer$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$|^TestStoreStatsDeterministic$' \
     ./internal/store/
 
 # The full race tier, uncached: the verification harness's differential
@@ -198,6 +200,10 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # trip exactly, and arbitrary payload bytes must decode to a typed
         # error or a valid segment — never a panic.
         "FuzzSegmentCodec ./internal/store/"
+        # The adjacency decoder's inline one-to-three-byte varint paths
+        # against a plain binary.Uvarint reference: same ids, same bytes
+        # consumed, same error.
+        "FuzzDecodeCompressedAdjacency ./internal/graph/"
     )
     for target in "${fuzz_targets[@]}"; do
         read -r name pkg <<< "$target"
