@@ -508,6 +508,7 @@ func (d *driver) nextAlive(from int, alive []bool) int {
 // (delivered by write-backs), and runs the traversal phase on command.
 func (d *driver) memoryNode(a int, active map[int]map[graph.VertexID]float64) {
 	g, k := d.g, d.k
+	tr := k.Traits()
 	for cmd := range d.memCtrl[a] {
 		if cmd.op == ctrlShutdown {
 			return
@@ -560,8 +561,10 @@ func (d *driver) memoryNode(a int, active map[int]map[graph.VertexID]float64) {
 			partials := make(map[graph.VertexID]float64)
 			act := active[part]
 			for _, v := range sortedVertices(act) {
-				val := act[v]
-				deg := g.OutDegree(v)
+				base, ok := k.Emit(v, act[v], g.OutDegree(v))
+				if !ok {
+					continue
+				}
 				lo, hi := g.EdgeRange(v)
 				nbrs := g.Edges()[lo:hi]
 				wts := g.Weights()
@@ -570,14 +573,9 @@ func (d *driver) memoryNode(a int, active map[int]map[graph.VertexID]float64) {
 					if wts != nil {
 						w = wts[lo+int64(i)]
 					}
-					u, ok := k.Scatter(kernels.EdgeContext{
-						Src: v, Dst: dst, SrcValue: val, Weight: w, SrcOutDegree: deg,
-					})
-					if !ok {
-						continue
-					}
+					u := tr.Edge.Combine(base, w)
 					if prev, seen := partials[dst]; seen {
-						partials[dst] = k.Aggregate(prev, u)
+						partials[dst] = tr.Agg.Reduce(prev, u)
 					} else {
 						partials[dst] = u
 					}
@@ -634,7 +632,7 @@ func (d *driver) memoryNode(a int, active map[int]map[graph.VertexID]float64) {
 //
 //perf:hot
 func (d *driver) switchActor(s *switchSpec) {
-	k := d.k
+	op := d.k.Traits().Agg
 	isRoot := s.parent == nil
 	iter := -1
 	// Reusable per-iteration buffers: the staged map's child ids (at
@@ -735,7 +733,7 @@ func (d *driver) switchActor(s *switchSpec) {
 			for _, u := range staged[src] {
 				if agg != nil {
 					if prev, seen := agg[u.Vertex]; seen {
-						agg[u.Vertex] = k.Aggregate(prev, u.Value)
+						agg[u.Vertex] = op.Reduce(prev, u.Value)
 					} else {
 						agg[u.Vertex] = u.Value
 					}
@@ -845,7 +843,7 @@ func (d *driver) computeNode(c int, values map[graph.VertexID]float64, fresh map
 			lastSeq = b.seq
 			for _, u := range b.updates {
 				if prev, seen := agg[u.Vertex]; seen {
-					agg[u.Vertex] = k.Aggregate(prev, u.Value)
+					agg[u.Vertex] = tr.Agg.Reduce(prev, u.Value)
 				} else {
 					agg[u.Vertex] = u.Value
 				}

@@ -109,7 +109,7 @@ func TestSerialEnginesCancelMidRun(t *testing.T) {
 	}
 	for _, eng := range []Engine{SerialEngine(), StoreEngine(st)} {
 		ctx, cancel := context.WithCancel(context.Background())
-		k := kerneltest.CancelAfter(kernels.NewPageRank(200, 0.85), int(g.NumEdges())+1, cancel)
+		k := kerneltest.CancelAfter(kernels.NewPageRank(200, 0.85), g.NumVertices()+1, cancel)
 		res, err := eng.Run(ctx, g, k, RunConfig{})
 		cancel()
 		if !errors.Is(err, context.Canceled) || res != nil {

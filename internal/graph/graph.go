@@ -131,10 +131,11 @@ func (g *Graph) NumEdges() int64 { return g.offsets[g.NumVertices()] }
 func (g *Graph) Weighted() bool { return g.weights != nil }
 
 // NonNegativeWeights reports whether every edge weight is >= 0, by an
-// O(E) scan (vacuously true when unweighted).
+// O(E) scan (vacuously true when unweighted). A NaN weight is not: it is
+// unordered, and the path kernels this gates rely on order.
 func (g *Graph) NonNegativeWeights() bool {
 	for _, w := range g.weights {
-		if w < 0 {
+		if !(w >= 0) {
 			return false
 		}
 	}

@@ -34,7 +34,17 @@ import (
 //     push would, and min/max are order-independent in float64, the two
 //     directions produce bit-identical Results; only the EdgesInspected
 //     telemetry differs, which is the point. Pull needs in-edges, so it
-//     is chosen only over a source that reports them (InAdjacency).
+//     is chosen only over a source that reports them (InAdjacency), and
+//     under DirectionAuto only when it provably inspects fewer edges than
+//     the push it replaces (prepare).
+//
+//   - Edge path. A kernel declares its per-edge datapath (Traits.Edge,
+//     Traits.Agg) instead of implementing it, so the four edge loops —
+//     pushSerial, pushChunk, mergeChunks, pullRange — call the kernel
+//     once per source (Emit) and run every edge as plain arithmetic on
+//     local slices, switched on two loop-invariant operator values. The
+//     inlined forms are AggOp.Reduce and EdgeOp.Combine bit for bit
+//     (reduceMin, reduceMax).
 //
 //   - Parallelism. The staged machine partitions each phase over a grid
 //     of C chunks, claimed by a persistent worker pool off an atomic
@@ -59,12 +69,15 @@ import (
 type Direction int
 
 const (
-	// DirectionAuto switches per iteration: pull when the frontier's
-	// out-edge volume exceeds the remaining unexplored volume divided by
-	// alpha and the frontier holds more than 1/beta of the vertices
-	// (Beamer's heuristic), push otherwise. Kernels without a
-	// GatherKernel implementation, and fixed-point kernels whose
-	// frontier is always the full vertex set, always push.
+	// DirectionAuto switches per iteration. Beamer's heuristic names the
+	// candidates — the frontier's out-edge volume exceeds the remaining
+	// unexplored volume divided by alpha and the frontier holds more than
+	// 1/beta of the vertices — and a candidate pulls only if the in-edges
+	// of every vertex a pull would scan number fewer than the frontier's
+	// out-edges, so an auto run never inspects more edges than forced
+	// push. Kernels without a GatherKernel implementation, and
+	// fixed-point kernels whose frontier is always the full vertex set,
+	// always push.
 	DirectionAuto Direction = iota
 	// DirectionPush always scatters along frontier out-edges.
 	DirectionPush
@@ -195,14 +208,29 @@ type stagedUpdate struct {
 	val float64
 }
 
-// pushScratch is one worker's dense per-destination index: stamp dedupes
-// destinations within a chunk and slot locates the partial in the
-// chunk's compact update list. Stamps are keyed iteration*C+chunk —
-// unique per (iteration, chunk) — so one scratch serves every chunk the
-// worker claims without clearing.
+// pushScratch is one worker's dense per-destination index, one word per
+// vertex so a probe touches one cache line: the high half stamps the
+// destination as seen by the chunk being pushed and the low half locates
+// its partial in that chunk's compact update list. The stamp is the
+// worker's own claim count — unique per chunk within this scratch, which
+// is all deduplication needs, and never 0 — so one scratch serves every
+// chunk the worker claims without clearing, and freshly zeroed memory
+// reads as "unseen".
 type pushScratch struct {
-	stamp []int64
-	slot  []int32
+	entry  []uint64
+	claims uint32
+}
+
+// claim starts a chunk: it returns the stamp, already shifted into place,
+// that marks this chunk's destinations. The count wrapping to 0 after 2^32
+// claims would make stale entries look fresh, so the scratch is wiped
+// then.
+func (s *pushScratch) claim() uint64 {
+	if s.claims++; s.claims == 0 {
+		clear(s.entry)
+		s.claims = 1
+	}
+	return uint64(s.claims) << 32
 }
 
 // engine is the reusable working set of the kernel iteration machine:
@@ -270,7 +298,7 @@ type engine struct {
 	view              Iteration
 	scratch           []pushScratch
 	chunkUpd          [][]stagedUpdate
-	inspectedPerChunk []int64
+	inspectedPerChunk []int64 // a pull's probes per chunk; before that, a candidate's gatherVolume
 	activatedPerChunk [][]graph.VertexID
 	residualPerChunk  []float64
 	errPerChunk       []error
@@ -278,6 +306,7 @@ type engine struct {
 	pool      *workerPool
 	pushTask  func(worker, c int)
 	pullTask  func(worker, c int)
+	boundTask func(worker, c int)
 	applyTask func(worker, c int)
 }
 
@@ -310,7 +339,7 @@ func runInMemory(g *graph.Graph, k Kernel, m Machine, opt Options) (*Result, err
 }
 
 // newEngine validates inputs and builds the machine. Per-worker push
-// scratch rides on two flat arenas, so the setup loop assembles slice
+// scratch rides on one flat arena, so the setup loop assembles slice
 // views instead of allocating per worker.
 func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) {
 	if err := CheckGraph(src, k); err != nil {
@@ -398,16 +427,9 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 	}
 	e.active = make([]graph.VertexID, 0, n)
 	e.scratch = make([]pushScratch, W)
-	stamps := make([]int64, W*n)
-	slots := make([]int32, W*n)
-	for i := range stamps {
-		stamps[i] = -1
-	}
+	entries := make([]uint64, W*n)
 	for w := range e.scratch {
-		e.scratch[w] = pushScratch{
-			stamp: stamps[w*n : (w+1)*n],
-			slot:  slots[w*n : (w+1)*n],
-		}
+		e.scratch[w].entry = entries[w*n : (w+1)*n]
 	}
 	e.chunkUpd = make([][]stagedUpdate, e.C)
 	e.inspectedPerChunk = make([]int64, e.C)
@@ -421,6 +443,10 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 	e.pullTask = func(_, c int) {
 		lo, hi := e.vtxChunk(c)
 		e.inspectedPerChunk[c] = e.pullRange(lo, hi)
+	}
+	e.boundTask = func(_, c int) {
+		lo, hi := e.vtxChunk(c)
+		e.inspectedPerChunk[c] = e.gatherVolume(lo, hi)
 	}
 	e.applyTask = func(_, c int) { e.applyChunk(c) }
 	if W > 1 {
@@ -518,11 +544,12 @@ func (e *engine) lend(next *Frontier) {
 
 // prepare computes the frontier's out-edge volume from the resident
 // offsets (materializing the frontier for the staged machine), updates
-// the remaining-volume estimate, and decides this iteration's direction:
-// pull exactly when the frontier's out-edge volume exceeds
-// remaining/alpha AND the frontier holds more than n/beta vertices
-// (Beamer's rule) — and only for a gather kernel over a source with
-// in-adjacency.
+// the remaining-volume estimate, and decides this iteration's direction.
+// Only a gather kernel over a source with in-adjacency ever pulls. Under
+// DirectionAuto, Beamer's rule — the frontier's out-edge volume exceeds
+// remaining/alpha AND the frontier holds more than n/beta vertices — is
+// the cheap filter that names a candidate, and pullInspectsLess makes the
+// call.
 func (e *engine) prepare(iter int) {
 	e.iter = iter
 	e.frontierEdges = 0
@@ -558,11 +585,58 @@ func (e *engine) prepare(iter int) {
 		e.pull = true
 	default:
 		e.pull = float64(e.frontierEdges) > float64(e.remaining)/e.alpha &&
-			float64(e.frontier.Count()) > float64(e.n)/e.beta
+			float64(e.frontier.Count()) > float64(e.n)/e.beta &&
+			e.pullInspectsLess()
 	}
-	if e.pull && e.tpose == nil {
+	if e.pull {
+		e.needTranspose()
+	}
+}
+
+// needTranspose fetches the source's transpose on first use.
+func (e *engine) needTranspose() {
+	if e.tpose == nil {
 		e.tpose = e.in.Transpose()
 	}
+}
+
+// pullInspectsLess is the exact half of the direction rule. A pull
+// iteration probes the in-edges of every vertex GatherSkip does not
+// excuse, all of them when no aggregate saturates early; it is chosen only
+// if that volume is below the frontier's out-edge volume — what the push
+// it replaces inspects. Beamer's test alone cannot promise that: its
+// remaining-volume estimate reaches 0 on any kernel that re-activates
+// vertices, after which every large frontier pulls (SSSP lost 15 of 27
+// iterations that way, inspecting 2.5 edges for every one push would
+// have). It costs at most one pass over the values per candidate iteration
+// — chunk-parallel on the staged machine — and nothing when the filter
+// says push.
+func (e *engine) pullInspectsLess() bool {
+	e.needTranspose()
+	if !e.staged {
+		return e.gatherVolume(0, e.n) < e.frontierEdges
+	}
+	e.runTasks(e.boundTask)
+	var volume int64
+	for _, v := range e.inspectedPerChunk {
+		volume += v
+	}
+	return volume < e.frontierEdges
+}
+
+// gatherVolume sums the in-degrees of the vertices in [lo, hi) that a pull
+// iteration would scan, giving up once the sum reaches the frontier's
+// out-edge volume: past that the answer is push whatever the rest holds.
+func (e *engine) gatherVolume(lo, hi int) int64 {
+	gk, limit := e.gk, e.frontierEdges
+	offsets := e.tpose.Offsets()
+	var volume int64
+	for v := lo; v < hi && volume < limit; v++ {
+		if !gk.GatherSkip(e.values[v]) {
+			volume += offsets[v+1] - offsets[v]
+		}
+	}
+	return volume
 }
 
 // traverse clears the aggregation arrays and runs the chosen direction.
@@ -571,10 +645,15 @@ func (e *engine) prepare(iter int) {
 //
 //perf:hot
 func (e *engine) traverse() {
-	for i := range e.agg {
-		e.agg[i] = e.identity
-		e.has[i] = false
+	// Only a fixed-point kernel's Apply reads an aggregate nothing
+	// touched; everywhere else a first touch stores, so has alone needs
+	// the reset.
+	if e.tr.AllVerticesActive {
+		for i := range e.agg {
+			e.agg[i] = e.identity
+		}
 	}
+	clear(e.has)
 	e.distinct = 0
 	if e.pull {
 		if e.staged {
@@ -613,10 +692,12 @@ func (e *engine) traverse() {
 //perf:hot
 func (e *engine) pushSerial() {
 	g, k := e.g, e.k
-	// Locals, so the per-edge loop keeps the three slice headers in
-	// registers: a store through e.agg or e.has could alias e itself, and
-	// the compiler would otherwise reload them from e for every edge.
+	// Locals, so the per-edge loop keeps the slice headers and the two
+	// operators in registers: a store through e.agg or e.has could alias e
+	// itself, and the compiler would otherwise reload them from e for
+	// every edge.
 	values, agg, has := e.values, e.agg, e.has
+	edge, op := e.tr.Edge, e.tr.Agg
 	e.frontier.ForEach(func(v graph.VertexID) {
 		if e.err != nil {
 			return
@@ -627,30 +708,62 @@ func (e *engine) pushSerial() {
 				return
 			}
 		}
-		deg := g.OutDegree(v)
+		base, ok := k.Emit(v, values[v], g.OutDegree(v))
+		if !ok {
+			return
+		}
 		lo, hi := g.EdgeRange(v)
 		lo, hi = lo-e.cur.Base, hi-e.cur.Base
 		nbrs := e.cur.Edges[lo:hi]
-		wts := e.cur.Weights
+		var wts []float32
+		if edge != EdgeCopy {
+			wts = e.cur.Weights[lo:hi]
+		}
 		for i, dst := range nbrs {
-			w := float32(1)
-			if wts != nil {
-				w = wts[lo+int64(i)]
+			u := base
+			switch edge {
+			case EdgeAddWeight:
+				u = base + float64(wts[i])
+			case EdgeMinWeight:
+				u = reduceMin(base, float64(wts[i]))
 			}
-			u, ok := k.Scatter(EdgeContext{
-				Src: v, Dst: dst, SrcValue: values[v], Weight: w, SrcOutDegree: deg,
-			})
-			if !ok {
-				continue
-			}
-			if has[dst] {
-				agg[dst] = k.Aggregate(agg[dst], u)
-			} else {
+			if !has[dst] {
 				agg[dst] = u
 				has[dst] = true
+				continue
+			}
+			switch op {
+			case AggSum:
+				agg[dst] += u
+			case AggMin:
+				agg[dst] = reduceMin(agg[dst], u)
+			case AggMax:
+				agg[dst] = reduceMax(agg[dst], u)
 			}
 		}
 	})
+}
+
+// reduceMin is AggMin.Reduce — and EdgeMinWeight's Combine — without the
+// call. The builtin min is math.Min wherever neither operand is NaN, -0
+// below +0 included, and compiles to a few branch-free instructions; a
+// NaN result sends the rare case to the definition, so the two agree on
+// every input.
+func reduceMin(a, b float64) float64 {
+	m := min(a, b)
+	if m != m {
+		return math.Min(a, b)
+	}
+	return m
+}
+
+// reduceMax is AggMax.Reduce without the call; see reduceMin.
+func reduceMax(a, b float64) float64 {
+	m := max(a, b)
+	if m != m {
+		return math.Max(a, b)
+	}
+	return m
 }
 
 // pushChunk scatters one chunk of the frontier slice into the chunk's
@@ -662,9 +775,9 @@ func (e *engine) pushSerial() {
 //
 //perf:hot
 func (e *engine) pushChunk(w, c int) {
-	s := &e.scratch[w]
-	key := int64(e.iter)*int64(e.C) + int64(c)
-	g, k := e.g, e.k
+	entry, stamp := e.scratch[w].entry, e.scratch[w].claim()
+	g, k, values := e.g, e.k, e.values
+	edge, op := e.tr.Edge, e.tr.Agg
 	var cur graph.Segment
 	list := e.chunkUpd[c][:0]
 	for _, v := range e.chunkFrontier(c) {
@@ -674,29 +787,39 @@ func (e *engine) pushChunk(w, c int) {
 				break
 			}
 		}
-		deg := g.OutDegree(v)
-		elo, ehi := g.EdgeRange(v)
-		elo, ehi = elo-cur.Base, ehi-cur.Base
-		nbrs := cur.Edges[elo:ehi]
-		wts := cur.Weights
+		base, ok := k.Emit(v, values[v], g.OutDegree(v))
+		if !ok {
+			continue
+		}
+		lo, hi := g.EdgeRange(v)
+		lo, hi = lo-cur.Base, hi-cur.Base
+		nbrs := cur.Edges[lo:hi]
+		var wts []float32
+		if edge != EdgeCopy {
+			wts = cur.Weights[lo:hi]
+		}
 		for i, dst := range nbrs {
-			wt := float32(1)
-			if wts != nil {
-				wt = wts[elo+int64(i)]
+			u := base
+			switch edge {
+			case EdgeAddWeight:
+				u = base + float64(wts[i])
+			case EdgeMinWeight:
+				u = reduceMin(base, float64(wts[i]))
 			}
-			u, ok := k.Scatter(EdgeContext{
-				Src: v, Dst: dst, SrcValue: e.values[v], Weight: wt, SrcOutDegree: deg,
-			})
-			if !ok {
+			at := entry[dst]
+			if at&^math.MaxUint32 != stamp {
+				entry[dst] = stamp | uint64(len(list))
+				list = append(list, stagedUpdate{dst: dst, val: u})
 				continue
 			}
-			if s.stamp[dst] == key {
-				at := s.slot[dst]
-				list[at].val = k.Aggregate(list[at].val, u)
-			} else {
-				s.stamp[dst] = key
-				s.slot[dst] = int32(len(list))
-				list = append(list, stagedUpdate{dst: dst, val: u})
+			p := &list[uint32(at)].val
+			switch op {
+			case AggSum:
+				*p += u
+			case AggMin:
+				*p = reduceMin(*p, u)
+			case AggMax:
+				*p = reduceMax(*p, u)
 			}
 		}
 	}
@@ -723,16 +846,23 @@ func (e *engine) countRemote(c int) {
 //
 //perf:hot
 func (e *engine) mergeChunks() {
-	k := e.k
+	agg, has, op := e.agg, e.has, e.tr.Agg
 	var distinct int64
 	for c := 0; c < e.C; c++ {
 		for _, u := range e.chunkUpd[c] {
-			if e.has[u.dst] {
-				e.agg[u.dst] = k.Aggregate(e.agg[u.dst], u.val)
-			} else {
-				e.agg[u.dst] = u.val
-				e.has[u.dst] = true
+			if !has[u.dst] {
+				agg[u.dst] = u.val
+				has[u.dst] = true
 				distinct++
+				continue
+			}
+			switch op {
+			case AggSum:
+				agg[u.dst] += u.val
+			case AggMin:
+				agg[u.dst] = reduceMin(agg[u.dst], u.val)
+			case AggMax:
+				agg[u.dst] = reduceMax(agg[u.dst], u.val)
 			}
 		}
 	}
@@ -749,40 +879,56 @@ func (e *engine) mergeChunks() {
 //perf:hot
 func (e *engine) pullRange(lo, hi int) int64 {
 	g, k, gk := e.g, e.k, e.gk
+	values, frontier := e.values, e.frontier
+	edge, op := e.tr.Edge, e.tr.Agg
 	tp := e.tpose
-	wts := tp.Weights()
+	inEdges, inWeights := tp.Edges(), tp.Weights()
 	var inspected int64
 	for v := lo; v < hi; v++ {
-		if gk.GatherSkip(e.values[v]) {
+		if gk.GatherSkip(values[v]) {
 			continue
 		}
-		vid := graph.VertexID(v)
-		elo, ehi := tp.EdgeRange(vid)
-		srcs := tp.Edges()[elo:ehi]
+		elo, ehi := tp.EdgeRange(graph.VertexID(v))
+		srcs := inEdges[elo:ehi]
+		var wts []float32
+		if edge != EdgeCopy {
+			wts = inWeights[elo:ehi]
+		}
+		// The running aggregate stays in a register; it reaches agg[v]
+		// once, after the scan.
+		var a float64
+		hit := false
 		for i, u := range srcs {
 			inspected++
-			if !e.frontier.Contains(u) {
+			if !frontier.Contains(u) {
 				continue
 			}
-			wt := float32(1)
-			if wts != nil {
-				wt = wts[elo+int64(i)]
-			}
-			contrib, ok := k.Scatter(EdgeContext{
-				Src: u, Dst: vid, SrcValue: e.values[u], Weight: wt, SrcOutDegree: g.OutDegree(u),
-			})
+			contrib, ok := k.Emit(u, values[u], g.OutDegree(u))
 			if !ok {
 				continue
 			}
-			if e.has[v] {
-				e.agg[v] = k.Aggregate(e.agg[v], contrib)
-			} else {
-				e.agg[v] = contrib
-				e.has[v] = true
+			switch edge {
+			case EdgeAddWeight:
+				contrib += float64(wts[i])
+			case EdgeMinWeight:
+				contrib = reduceMin(contrib, float64(wts[i]))
 			}
-			if gk.GatherDone(e.agg[v]) {
+			switch {
+			case !hit:
+				a, hit = contrib, true
+			case op == AggSum:
+				a += contrib
+			case op == AggMin:
+				a = reduceMin(a, contrib)
+			case op == AggMax:
+				a = reduceMax(a, contrib)
+			}
+			if gk.GatherDone(a) {
 				break
 			}
+		}
+		if hit {
+			e.agg[v], e.has[v] = a, true
 		}
 	}
 	return inspected

@@ -3,7 +3,9 @@ package kernels
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -557,5 +559,96 @@ func TestDirOptAllocBound(t *testing.T) {
 	run() // warm the graph-side caches (transpose is unused on a chain but cheap)
 	if allocs := testing.AllocsPerRun(5, run); allocs > 64 {
 		t.Fatalf("hybrid BFS run allocates %.0f times on a 2000-level chain; want setup-only (<= 64)", allocs)
+	}
+}
+
+// TestAutoNeverInspectsMoreThanPush is the direction rule's guarantee: on
+// every dataset stand-in, for every gather kernel, from eight seed-drawn
+// sources, a DirectionAuto run inspects no more edges than the nominal
+// volume forced push would — on both machines — and stays bit-identical
+// to push; forced pull still runs every gather kernel, so the
+// direction-differential oracle keeps its coverage. (At the parent, SSSP
+// on the com-livejournal stand-in inspected 16.61 M edges against 6.72 M
+// nominal: Beamer's remaining-volume estimate reads 0 once vertices
+// re-activate, and SSSP's GatherDone never fires.)
+//
+// What the guarantee costs: one GatherSkip scan of the values per
+// *candidate* iteration — an iteration Beamer's filter would have pulled —
+// cut short as soon as the scanned in-degree reaches the frontier's
+// out-edge volume, chunk-parallel on the staged machine, and nothing at
+// all when the filter says push. Maintaining the bound incrementally in
+// apply was weighed and not taken: it needs the transpose before any
+// iteration is a candidate and two GatherSkip calls per applied vertex,
+// which on BFS is the same number of calls as the scans it saves.
+func TestAutoNeverInspectsMoreThanPush(t *testing.T) {
+	for _, d := range gen.Datasets() {
+		g, err := d.Generate(0.125, gen.Config{Seed: 42, Weighted: true, DropSelfLoops: true})
+		mustNoErr(t, err)
+		rng := rand.New(rand.NewSource(42))
+		var sources []graph.VertexID
+		for len(sources) < 8 {
+			if v := graph.VertexID(rng.Intn(g.NumVertices())); g.OutDegree(v) > 0 {
+				sources = append(sources, v)
+			}
+		}
+		for _, gk := range gatherKernels(t) {
+			runs := sources
+			if _, sourced := gk.(SourcedKernel); !sourced {
+				runs = sources[:1]
+			}
+			for _, s := range runs {
+				mk := func() Kernel {
+					switch gk.Name() {
+					case "bfs":
+						return NewBFS(s)
+					case "sssp":
+						return NewSSSP(s)
+					case "sswp":
+						return NewSSWP(s)
+					case "reach":
+						return NewReachability(s)
+					}
+					k, err := ByName(gk.Name())
+					mustNoErr(t, err)
+					return k
+				}
+				push, err := RunSerialWith(g, mk(), Options{Direction: DirectionPush})
+				mustNoErr(t, err)
+				var nominal int64
+				for _, e := range push.ActiveEdges {
+					nominal += e
+				}
+				for _, m := range []Machine{Serial, Staged} {
+					label := fmt.Sprintf("%s %s from %d, machine %d", d.Name, gk.Name(), s, m)
+					auto, err := runInMemory(g, mk(), m, Options{Workers: 2})
+					mustNoErr(t, err)
+					assertSharedFieldsEqual(t, label, auto, push)
+					if auto.EdgesInspected > nominal {
+						t.Errorf("%s: auto inspected %d edges over %d pulls, push inspects %d", label, auto.EdgesInspected, auto.PullIterations, nominal)
+					}
+				}
+				pull, err := RunSerialWith(g, mk(), Options{Direction: DirectionPull})
+				mustNoErr(t, err)
+				assertSharedFieldsEqual(t, d.Name+" "+gk.Name()+" forced pull", pull, push)
+				if pull.PullIterations != pull.Iterations {
+					t.Errorf("%s %s: forced pull ran %d of %d iterations as pull", d.Name, gk.Name(), pull.PullIterations, pull.Iterations)
+				}
+			}
+		}
+	}
+}
+
+// TestPushScratchSurvivesClaimWrap: a worker's 2^32nd claim must not make
+// entries stamped by its first look fresh.
+func TestPushScratchSurvivesClaimWrap(t *testing.T) {
+	s := pushScratch{entry: make([]uint64, 4)}
+	first := s.claim()
+	s.entry[2] = first | 7
+	s.claims = math.MaxUint32
+	if stamp := s.claim(); stamp != first {
+		t.Fatalf("claim after the wrap stamps %#x, want the count restarted at %#x", stamp, first)
+	}
+	if s.entry[2] != 0 {
+		t.Fatalf("entry stamped before the wrap survived it: %#x", s.entry[2])
 	}
 }

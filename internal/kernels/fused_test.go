@@ -1,0 +1,241 @@
+package kernels
+
+import (
+	"context"
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"repro/internal/graph"
+)
+
+// specials are the float64 values on which an inlined comparison and the
+// library's min/max part ways: NaNs, both zeros, both infinities, and
+// ordinary values on either side of them.
+var specials = []float64{
+	math.NaN(), math.Float64frombits(0x7FF8000000000123), math.Inf(1), math.Inf(-1),
+	0, math.Copysign(0, -1), 1, -1, 1.5, math.MaxFloat64, math.SmallestNonzeroFloat64,
+}
+
+// TestInlinedOpsMatchDefinitions holds the engine's inlined reductions to
+// AggOp.Reduce and EdgeOp.Combine bit for bit on every pair of specials,
+// in both argument orders.
+func TestInlinedOpsMatchDefinitions(t *testing.T) {
+	for _, a := range specials {
+		for _, b := range specials {
+			if got, want := reduceMin(a, b), AggMin.Reduce(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("reduceMin(%v, %v) = %v (%#x), Reduce gives %v (%#x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got, want := reduceMax(a, b), AggMax.Reduce(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("reduceMax(%v, %v) = %v (%#x), Reduce gives %v (%#x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			w := float32(b)
+			if got, want := reduceMin(a, float64(w)), EdgeMinWeight.Combine(a, w); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("min-weight of (%v, %v) = %v, Combine gives %v", a, w, got, want)
+			}
+		}
+	}
+}
+
+// awkwardGraph is small enough to read and holds every shape the fused
+// loops could get wrong: weights -0, +0 and +Inf on the source's own
+// edges and again where several paths converge on one destination (ties
+// between signed zeros, a min against +Inf), a cycle, a self-loop, a hub
+// whose fan-out reconverges, frontier vertices with no out-edges, an
+// isolated vertex, a component the source cannot reach that nonetheless
+// points into the reachable one, and a sprinkle of ordinary edges so the
+// staged machine's chunks are not all trivial.
+func awkwardGraph(t testing.TB, weighted bool) *graph.Graph {
+	t.Helper()
+	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	const n = 48
+	b := graph.NewBuilder(n)
+	for _, e := range []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 0}, {Src: 0, Dst: 2, Weight: negZero}, {Src: 0, Dst: 3, Weight: inf},
+		{Src: 1, Dst: 4, Weight: negZero}, {Src: 2, Dst: 4, Weight: 0}, {Src: 3, Dst: 4, Weight: inf},
+		{Src: 4, Dst: 5, Weight: 1.5}, {Src: 5, Dst: 6, Weight: 2.25}, {Src: 6, Dst: 4, Weight: 0.5}, {Src: 6, Dst: 6, Weight: 3},
+		{Src: 15, Dst: 16, Weight: 1}, // 16 is a sink; 17 stays isolated
+		{Src: 18, Dst: 19, Weight: 1}, {Src: 19, Dst: 20, Weight: negZero}, {Src: 20, Dst: 18, Weight: 2}, {Src: 20, Dst: 4, Weight: 0.25},
+		{Src: 21, Dst: 1, Weight: 3}, // out-edges only, unreachable
+	} {
+		b.AddEdge(e.Src, e.Dst, e.Weight)
+	}
+	for i := 0; i < 8; i++ { // the hub 5 fans out to 7..14, which reconverge on 15
+		mid := graph.VertexID(7 + i)
+		b.AddEdge(5, mid, []float32{0, negZero, inf, 1, 0.125, 7, 1, 2}[i])
+		b.AddEdge(mid, 15, []float32{inf, 0, negZero, 4, 0.5, 0, 1, 1}[i])
+	}
+	x := uint32(12345)
+	for i := 0; i < 120; i++ {
+		x = x*1664525 + 1013904223
+		src, dst := graph.VertexID(22+x>>8%26), graph.VertexID(x>>16%n)
+		b.AddEdge(src, dst, float32(x>>24)/16)
+	}
+	b.AddEdge(4, 22, 1) // the sprinkle is reachable
+	var g *graph.Graph
+	var err error
+	if weighted {
+		g, err = b.BuildWeighted()
+	} else {
+		g, err = b.Build()
+	}
+	mustNoErr(t, err)
+	return g
+}
+
+// withSpecialWeights returns g with -0, +Inf and +0 written over a fixed
+// stride of its weights, or with the weights dropped.
+func withSpecialWeights(t testing.TB, g *graph.Graph, weighted bool) *graph.Graph {
+	t.Helper()
+	var weights []float32
+	if weighted {
+		weights = append(weights, g.Weights()...)
+		for i := range weights {
+			switch {
+			case i%7 == 0:
+				weights[i] = float32(math.Copysign(0, -1))
+			case i%11 == 0:
+				weights[i] = float32(math.Inf(1))
+			case i%13 == 0:
+				weights[i] = 0
+			}
+		}
+	}
+	out, err := graph.NewCSR(g.Offsets(), g.Edges(), weights)
+	mustNoErr(t, err)
+	return out
+}
+
+// fusedAgainstReference runs kernel name over g on every machine, grid and
+// direction it supports and requires each Values vector to equal, bit for
+// bit, the reference walk with the same reduction tree. It reports
+// whether the kernel ran at all: a kernel whose edge operator reads
+// weights is refused on an unweighted graph, and only then.
+func fusedAgainstReference(t testing.TB, g *graph.Graph, name string) bool {
+	t.Helper()
+	mk := func() Kernel { k, err := ByName(name); mustNoErr(t, err); return k }
+	if err := CheckGraph(g, mk()); err != nil {
+		if g.Weighted() && g.NonNegativeWeights() || mk().Traits().Edge == EdgeCopy {
+			t.Fatalf("%s refused: %v", name, err)
+		}
+		return false
+	}
+	src, err := InMemory(g)
+	mustNoErr(t, err)
+	const C = 5
+	owner := stripedGrid(g.NumVertices(), C)
+	_, gathers := mk().(GatherKernel)
+	exact := mk().Traits().Agg != AggSum
+
+	// One reference walk per reduction tree; every direction and worker
+	// count under that tree must reproduce it.
+	type tree struct {
+		label string
+		m     Machine
+		grid  *Grid
+		rg    refGrid
+	}
+	directions := []Direction{DirectionPush}
+	if gathers && exact {
+		// Pull and auto visit the same contributions in another order; an
+		// exact reduction makes that order invisible, so the push tree's
+		// values are theirs too.
+		directions = append(directions, DirectionPull, DirectionAuto)
+	}
+	for _, tr := range []tree{
+		{"serial", Serial, nil, refGrid{chunks: 1}},
+		{"staged", Staged, nil, refGrid{chunks: engineChunks}},
+		{"gridded", Staged, &Grid{Chunks: C, ChunkOf: owner}, refGrid{C, owner}},
+	} {
+		want, counts := reference(g, mk(), tr.rg)
+		for _, d := range directions {
+			for _, w := range []int{1, 3} {
+				if tr.m == Serial && w > 1 {
+					continue
+				}
+				res, err := RunOn(context.Background(), src, mk(), tr.m, Options{Workers: w, Direction: d, Grid: tr.grid})
+				mustNoErr(t, err)
+				label := name + " " + tr.label + " " + d.String()
+				assertBitIdentical(t, label, res.Values, want)
+				if res.Iterations != len(counts) {
+					t.Fatalf("%s: %d iterations, reference walked %d", label, res.Iterations, len(counts))
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestFusedLoopsMatchReference proves the edge path rather than assuming
+// it: every registry kernel, weighted and unweighted, Serial and Staged at
+// one and three workers under both grids, push and — where the kernel
+// gathers — pull and auto, against the reference that calls Emit, Combine
+// and Reduce as plain functions; on a hand-built graph of awkward shapes
+// and on the community fixture with special weights written over it.
+func TestFusedLoopsMatchReference(t *testing.T) {
+	for _, weighted := range []bool{true, false} {
+		for label, g := range map[string]*graph.Graph{
+			"awkward": awkwardGraph(t, weighted),
+			"social":  withSpecialWeights(t, socialGraph(t), weighted),
+		} {
+			ran := 0
+			for _, name := range Names() {
+				if fusedAgainstReference(t, g, name) {
+					ran++
+				}
+			}
+			if want := len(Names()); weighted && ran != want {
+				t.Errorf("%s weighted: %d of %d kernels ran", label, ran, want)
+			} else if !weighted && ran != want-2 {
+				t.Errorf("%s unweighted: %d kernels ran, want all but sssp and sswp", label, ran)
+			}
+		}
+	}
+}
+
+// FuzzFusedTraversal builds a small graph from the input — up to 16
+// vertices, edges and raw float32 weight bits straight from the bytes, so
+// NaN, -0, infinities, denormals and negative weights all occur — picks a
+// registry kernel, and holds the fused engine to the reference on every
+// machine, grid and direction.
+func FuzzFusedTraversal(f *testing.F) {
+	edge := func(src, dst byte, w float32) []byte {
+		return binary.LittleEndian.AppendUint32([]byte{src, dst}, math.Float32bits(w))
+	}
+	seed := func(n, kernel, weighted byte, edges ...[]byte) {
+		data := []byte{n, kernel, weighted}
+		for _, e := range edges {
+			data = append(data, e...)
+		}
+		f.Add(data)
+	}
+	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	for kernel := byte(0); kernel < byte(len(Names())); kernel++ {
+		seed(6, kernel, 1, edge(0, 1, negZero), edge(0, 2, 0), edge(1, 3, inf), edge(2, 3, negZero), edge(3, 0, 1.5), edge(4, 4, 2))
+	}
+	seed(3, 7, 1, edge(0, 1, float32(math.NaN())), edge(0, 2, 1))
+	seed(3, 7, 1, edge(0, 1, -1))
+	seed(9, 3, 0, edge(0, 1, 1), edge(1, 2, 1), edge(2, 0, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 2 + int(data[0])%15
+		name := Names()[int(data[1])%len(Names())]
+		weighted := data[2]&1 == 1
+		b := graph.NewBuilder(n)
+		for rest := data[3:]; len(rest) >= 6 && b.NumPendingEdges() < 96; rest = rest[6:] {
+			w := math.Float32frombits(binary.LittleEndian.Uint32(rest[2:]))
+			b.AddEdge(graph.VertexID(int(rest[0])%n), graph.VertexID(int(rest[1])%n), w)
+		}
+		var g *graph.Graph
+		var err error
+		if weighted {
+			g, err = b.BuildWeighted()
+		} else {
+			g, err = b.Build()
+		}
+		mustNoErr(t, err)
+		fusedAgainstReference(t, g, name)
+	})
+}

@@ -15,14 +15,39 @@ type iterCounts struct {
 	Distinct, Next   int64
 }
 
-// griddedReference executes k the obvious way under an ownership grid:
-// maps instead of stamped scratch, a filter instead of a counting sort,
-// no staging lists and no pool. It keeps only the reduction tree — a
-// chunk aggregates its own frontier vertices in (frontier, edge) order,
-// chunks fold in order 0..C-1, the residual folds per vertex-range chunk
-// — because that tree is the definition being pinned.
-func griddedReference(g *graph.Graph, k Kernel, chunkOf []int32, C int) ([]float64, []iterCounts) {
-	n, tr := g.NumVertices(), k.Traits()
+// refGrid names a reduction tree: how an iteration's frontier is cut into
+// chunks. With owner set, vertex v scatters in chunk owner[v] (an
+// Options.Grid); without, the frontier is cut into equal slices (the
+// Staged machine's default grid at engineChunks, the Serial machine at 1).
+type refGrid struct {
+	chunks int
+	owner  []int32
+}
+
+func (rg refGrid) cut(frontier []graph.VertexID, c int) []graph.VertexID {
+	if rg.owner == nil {
+		a := len(frontier)
+		return frontier[a*c/rg.chunks : a*(c+1)/rg.chunks]
+	}
+	var out []graph.VertexID
+	for _, v := range frontier {
+		if int(rg.owner[v]) == c {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// reference executes k the obvious way: the kernel's Emit and the declared
+// operators' Combine and Reduce called as plain functions, one edge at a
+// time; maps instead of stamped scratch, a filter instead of a counting
+// sort, no staging lists, no pool and no line of engine code. It keeps
+// only the reduction tree — a chunk aggregates its own frontier vertices
+// in (frontier, edge) order, chunks fold in order 0..C-1, the residual
+// folds per vertex-range chunk — because that tree is the definition
+// being pinned.
+func reference(g *graph.Graph, k Kernel, rg refGrid) ([]float64, []iterCounts) {
+	n, tr, C := g.NumVertices(), k.Traits(), rg.chunks
 	values := make([]float64, n)
 	for v := range values {
 		values[v] = k.InitialValue(g, graph.VertexID(v))
@@ -45,8 +70,9 @@ func griddedReference(g *graph.Graph, k Kernel, chunkOf []int32, C int) ([]float
 		for c := 0; c < C; c++ {
 			part := map[graph.VertexID]float64{}
 			var order []graph.VertexID
-			for _, v := range frontier {
-				if int(chunkOf[v]) != c {
+			for _, v := range rg.cut(frontier, c) {
+				base, ok := k.Emit(v, values[v], g.OutDegree(v))
+				if !ok {
 					continue
 				}
 				lo, _ := g.EdgeRange(v)
@@ -55,12 +81,9 @@ func griddedReference(g *graph.Graph, k Kernel, chunkOf []int32, C int) ([]float
 					if g.Weighted() {
 						w = g.Weights()[lo+int64(i)]
 					}
-					u, ok := k.Scatter(EdgeContext{Src: v, Dst: dst, SrcValue: values[v], Weight: w, SrcOutDegree: g.OutDegree(v)})
-					if !ok {
-						continue
-					}
+					u := tr.Edge.Combine(base, w)
 					if old, seen := part[dst]; seen {
-						part[dst] = k.Aggregate(old, u)
+						part[dst] = tr.Agg.Reduce(old, u)
 					} else {
 						part[dst] = u
 						order = append(order, dst)
@@ -69,11 +92,11 @@ func griddedReference(g *graph.Graph, k Kernel, chunkOf []int32, C int) ([]float
 			}
 			ic.Partials[c] = int64(len(order))
 			for _, dst := range order {
-				if int(chunkOf[dst]) != c {
+				if rg.owner != nil && int(rg.owner[dst]) != c {
 					ic.Remote[c]++
 				}
 				if old, seen := agg[dst]; seen {
-					agg[dst] = k.Aggregate(old, part[dst])
+					agg[dst] = tr.Agg.Reduce(old, part[dst])
 				} else {
 					agg[dst] = part[dst]
 				}
@@ -150,7 +173,7 @@ func TestGriddedStagedMatchesReference(t *testing.T) {
 		name := k.Name()
 		t.Run(name, func(t *testing.T) {
 			mk := func() Kernel { k, err := ByName(name); mustNoErr(t, err); return k }
-			wantValues, wantCounts := griddedReference(g, mk(), chunkOf, C)
+			wantValues, wantCounts := reference(g, mk(), refGrid{C, chunkOf})
 			for _, w := range []int{1, 3, 0} {
 				var got []iterCounts
 				observe := func(it *Iteration) {
@@ -194,7 +217,7 @@ func TestGriddedStagedMatchesReference(t *testing.T) {
 	}
 }
 
-func assertBitIdentical(t *testing.T, label string, got, want []float64) {
+func assertBitIdentical(t testing.TB, label string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d values, want %d", label, len(got), len(want))

@@ -6,12 +6,17 @@
 // The abstraction mirrors the three functions in the paper's Figure 1:
 //
 //   - Traverse: walk the out-edges of frontier vertices, producing one
-//     contribution per edge (Scatter here);
-//   - Apply: reduce contributions targeting the same destination
-//     (Aggregate here) — this is the operation in-network elements can
-//     execute, so it must be commutative and associative;
+//     contribution per edge — a per-source Emit and a declared per-edge
+//     operator (Traits.Edge) here;
+//   - Apply: reduce contributions targeting the same destination (the
+//     declared Traits.Agg here) — this is the operation in-network
+//     elements can execute, so it must be commutative and associative;
 //   - Update: fold the aggregate into the destination's property and
 //     decide whether the destination joins the next frontier (Apply here).
+//
+// The per-edge work is a declared menu, not a callback: Table I's devices
+// execute nothing else, and an engine that knows the two operators can
+// run them as plain arithmetic in its edge loops.
 //
 // Vertex properties are float64 values: PageRank ranks, CC labels, BFS
 // levels, and SSSP distances all embed exactly (labels are integers below
@@ -27,9 +32,10 @@ import (
 	"repro/internal/graph"
 )
 
-// AggOp names the reduction used by a kernel's Aggregate. In-network
-// compute elements (Table I: SwitchML, SHARP) support exactly these simple
-// reductions, so engines consult it for offload eligibility.
+// AggOp names the reduction applied to contributions that target the same
+// destination. In-network compute elements (Table I: SwitchML, SHARP)
+// support exactly these simple reductions, so engines consult it for
+// offload eligibility.
 type AggOp int
 
 // Supported reduction operators.
@@ -53,14 +59,76 @@ func (op AggOp) String() string {
 	}
 }
 
+// Reduce applies the reduction to (a, b). It is the definition the kernel
+// engine's inlined loops are held to, bit for bit — min and max are
+// math.Min and math.Max, NaN and signed-zero cases included.
+func (op AggOp) Reduce(a, b float64) float64 {
+	switch op {
+	case AggSum:
+		return a + b
+	case AggMin:
+		return math.Min(a, b)
+	case AggMax:
+		return math.Max(a, b)
+	default:
+		//lint:ignore panicpath exhaustive switch over the package's own enum; a new AggOp must extend this switch
+		panic(fmt.Sprintf("kernels: unknown AggOp %d", op))
+	}
+}
+
+// EdgeOp names what an edge does to the value its source emits on the way
+// to the destination: the per-edge half of the paper's Traverse. Together
+// with AggOp it is the whole per-edge datapath.
+type EdgeOp int
+
+// Supported edge operators.
+const (
+	// EdgeCopy delivers the emitted value unchanged (BFS, CC, PageRank).
+	EdgeCopy EdgeOp = iota
+	// EdgeAddWeight delivers base + weight (SSSP).
+	EdgeAddWeight
+	// EdgeMinWeight delivers min(base, weight) (SSWP's bottleneck).
+	EdgeMinWeight
+)
+
+// String returns the operator name.
+func (op EdgeOp) String() string {
+	switch op {
+	case EdgeCopy:
+		return "copy"
+	case EdgeAddWeight:
+		return "add-weight"
+	case EdgeMinWeight:
+		return "min-weight"
+	default:
+		return fmt.Sprintf("EdgeOp(%d)", int(op))
+	}
+}
+
+// Combine applies the edge operator to the value a source emitted and one
+// edge's weight (EdgeCopy ignores it; the others run only on weighted
+// graphs, CheckGraph). Like AggOp.Reduce it is the definition the engine's
+// inlined loops are held to.
+func (op EdgeOp) Combine(base float64, w float32) float64 {
+	switch op {
+	case EdgeCopy:
+		return base
+	case EdgeAddWeight:
+		return base + float64(w)
+	case EdgeMinWeight:
+		return math.Min(base, float64(w))
+	default:
+		//lint:ignore panicpath exhaustive switch over the package's own enum; a new EdgeOp must extend this switch
+		panic(fmt.Sprintf("kernels: unknown EdgeOp %d", op))
+	}
+}
+
 // Traits describes a kernel's static execution profile. Engines use it to
 // drive iteration (fixed-point vs frontier), and the NDP layer uses the
 // operation flags to decide which device classes can run the kernel
 // (Table I: UPMEM has primitive FP and weak integer multiply/divide).
 type Traits struct {
-	// NeedsWeights requires a weighted graph.
-	NeedsWeights bool
-	// UsesFloatingPoint marks kernels whose Scatter/Apply do FP arithmetic
+	// UsesFloatingPoint marks kernels whose Emit/Apply do FP arithmetic
 	// (PageRank) rather than integer/comparison work (BFS, CC).
 	UsesFloatingPoint bool
 	// UsesIntMulDiv marks kernels needing integer multiply/divide, which
@@ -76,8 +144,12 @@ type Traits struct {
 	// MaxIterations bounds the iteration count (safety net for frontier
 	// kernels, the budget for fixed-point kernels).
 	MaxIterations int
-	// Agg is the reduction operator.
-	Agg AggOp
+	// Edge is the per-edge operator and Agg the reduction operator: the
+	// two declared pieces of the traversal datapath. An Edge that reads
+	// weights requires a weighted graph with non-negative weights
+	// (CheckGraph).
+	Edge EdgeOp
+	Agg  AggOp
 	// FLOPsPerEdge and FLOPsPerApply estimate arithmetic intensity for the
 	// compute-requirement analysis behind Figure 4.
 	FLOPsPerEdge  float64
@@ -93,15 +165,6 @@ const (
 	PropertyBytes = 16
 )
 
-// EdgeContext carries everything Scatter may read about an edge. Engines
-// construct it during the traversal phase.
-type EdgeContext struct {
-	Src, Dst     graph.VertexID
-	SrcValue     float64
-	Weight       float32
-	SrcOutDegree int64
-}
-
 // Kernel is a vertex program. Implementations must be stateless: all
 // mutable state lives in the engine so that one Kernel value can be shared
 // by concurrent engines.
@@ -115,14 +178,15 @@ type Kernel interface {
 	// InitialFrontier returns the vertices active in iteration 0. A nil
 	// return means "all vertices".
 	InitialFrontier(g *graph.Graph) []graph.VertexID
-	// Identity is the neutral element of Aggregate.
+	// Identity is the neutral element of Traits.Agg over the kernel's
+	// value domain.
 	Identity() float64
-	// Scatter produces the contribution an edge sends to its destination.
-	// ok=false suppresses the update (e.g. unreachable source).
-	Scatter(ec EdgeContext) (update float64, ok bool)
-	// Aggregate reduces two contributions. Must be commutative and
-	// associative; in-network aggregation relies on it.
-	Aggregate(a, b float64) float64
+	// Emit produces the value active vertex v sends along each of its
+	// out-edges, before Traits.Edge combines it with the edge's weight:
+	// edge (v, dst, w) contributes Traits.Edge.Combine(base, w) to dst.
+	// ok=false suppresses every update from v (e.g. unreachable source).
+	// Engines call it once per frontier vertex, never per edge.
+	Emit(v graph.VertexID, value float64, outDegree int64) (base float64, ok bool)
 	// Apply folds the aggregated contribution into the old property and
 	// reports whether the vertex activates for the next iteration.
 	// hasUpdate is false when no edge targeted the vertex this iteration
@@ -140,9 +204,9 @@ type SourcedKernel interface {
 // GatherKernel is implemented by frontier-driven kernels whose traversal
 // can also run in the pull direction: instead of scattering the
 // frontier's out-edges, the engine scans destination vertices and probes
-// their in-neighbors for frontier members, calling the same Scatter on
+// their in-neighbors for frontier members, calling the same Emit on
 // each hit. Pull is sound exactly when the two hooks below are: with an
-// exact (order-independent) Aggregate such as min or max, the pull
+// exact (order-independent) reduction such as min or max, the pull
 // direction visits the same contribution set as push and must therefore
 // produce bit-identical results — a property ndpverify's
 // direction-differential oracle enforces.
@@ -172,27 +236,11 @@ type StatefulKernel interface {
 	OnScattered(v graph.VertexID)
 }
 
-// aggregate applies op to (a, b); shared by kernels and the in-network
-// aggregation model.
-func aggregate(op AggOp, a, b float64) float64 {
-	switch op {
-	case AggSum:
-		return a + b
-	case AggMin:
-		return math.Min(a, b)
-	case AggMax:
-		return math.Max(a, b)
-	default:
-		//lint:ignore panicpath exhaustive switch over the package's own enum; a new AggOp must extend this switch
-		panic(fmt.Sprintf("kernels: unknown AggOp %d", op))
-	}
-}
-
 // AggregateValues reduces a slice with op, starting from identity.
 func AggregateValues(op AggOp, identity float64, values []float64) float64 {
 	acc := identity
 	for _, v := range values {
-		acc = aggregate(op, acc, v)
+		acc = op.Reduce(acc, v)
 	}
 	return acc
 }

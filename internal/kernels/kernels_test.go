@@ -285,19 +285,21 @@ func domainValue(x float64) float64 {
 }
 
 func TestAggregateCommutativeAssociativeProperty(t *testing.T) {
-	// In-network aggregation is only valid if Aggregate is commutative
-	// and associative; verify for every kernel over domain inputs.
+	// In-network aggregation is only valid if the declared reduction is
+	// commutative and associative; verify for every kernel over domain
+	// inputs.
 	for _, k := range All() {
 		k := k
+		reduce := k.Traits().Agg.Reduce
 		f := func(a, b, c float64) bool {
 			a, b, c = domainValue(a), domainValue(b), domainValue(c)
 			// Commutativity.
-			if k.Aggregate(a, b) != k.Aggregate(b, a) {
+			if reduce(a, b) != reduce(b, a) {
 				return false
 			}
 			// Associativity: exact for min/max; sum needs tolerance.
-			l := k.Aggregate(k.Aggregate(a, b), c)
-			r := k.Aggregate(a, k.Aggregate(b, c))
+			l := reduce(reduce(a, b), c)
+			r := reduce(a, reduce(b, c))
 			if l == r {
 				return true
 			}
@@ -314,10 +316,10 @@ func TestAggregateCommutativeAssociativeProperty(t *testing.T) {
 func TestIdentityIsNeutralProperty(t *testing.T) {
 	for _, k := range All() {
 		k := k
-		id := k.Identity()
+		id, reduce := k.Identity(), k.Traits().Agg.Reduce
 		f := func(a float64) bool {
 			a = domainValue(a)
-			return k.Aggregate(id, a) == a && k.Aggregate(a, id) == a
+			return reduce(id, a) == a && reduce(a, id) == a
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s identity not neutral: %v", k.Name(), err)

@@ -6,13 +6,14 @@ import (
 	"context"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/kernels"
 )
 
-// CancelAfter wraps k so that cancel fires on its n-th Scatter —
-// deterministic mid-run cancellation, wherever the run's context is
-// checked. The count is atomic: the staged machine scatters from several
-// workers at once.
+// CancelAfter wraps k so that cancel fires on its n-th Emit — one per
+// frontier vertex traversed — for deterministic mid-run cancellation,
+// wherever the run's context is checked. The count is atomic: the staged
+// machine emits from several workers at once.
 func CancelAfter(k kernels.Kernel, n int, cancel context.CancelFunc) kernels.Kernel {
 	c := &cancelKernel{Kernel: k, cancel: cancel}
 	c.remaining.Store(int64(n))
@@ -25,9 +26,9 @@ type cancelKernel struct {
 	cancel    context.CancelFunc
 }
 
-func (c *cancelKernel) Scatter(ec kernels.EdgeContext) (float64, bool) {
+func (c *cancelKernel) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
 	if c.remaining.Add(-1) == 0 {
 		c.cancel()
 	}
-	return c.Kernel.Scatter(ec)
+	return c.Kernel.Emit(v, value, outDegree)
 }

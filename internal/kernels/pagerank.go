@@ -63,18 +63,15 @@ func (p *PageRank) InitialFrontier(g *graph.Graph) []graph.VertexID { return nil
 // Identity implements Kernel.
 func (p *PageRank) Identity() float64 { return 0 }
 
-// Scatter implements Kernel: each out-edge carries rank/outdeg.
+// Emit implements Kernel: each out-edge carries rank/outdeg.
 //
 //perf:hot
-func (p *PageRank) Scatter(ec EdgeContext) (float64, bool) {
-	if ec.SrcOutDegree == 0 {
+func (p *PageRank) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
+	if outDegree == 0 {
 		return 0, false
 	}
-	return ec.SrcValue / float64(ec.SrcOutDegree), true
+	return value / float64(outDegree), true
 }
-
-// Aggregate implements Kernel.
-func (p *PageRank) Aggregate(a, b float64) float64 { return a + b }
 
 // Apply implements Kernel: rank = (1-d)/N + d * inbound. Always activates;
 // the engine terminates on the iteration budget or the epsilon residual.

@@ -16,7 +16,7 @@ import (
 // late iterations like BFS tails.
 //
 // The engine's value array holds the accumulated rank; the residual
-// travels through the scatter/aggregate path. Scatter reads the pending
+// travels through the emit/reduce path. Emit reads the pending
 // residual, OnScattered (the StatefulKernel hook) marks it consumed after
 // the traversal, and Apply accumulates newly arrived mass — so
 // sub-threshold residue is never dropped, only deferred.
@@ -82,18 +82,15 @@ func (p *PageRankDelta) InitialFrontier(g *graph.Graph) []graph.VertexID {
 // Identity implements Kernel.
 func (p *PageRankDelta) Identity() float64 { return 0 }
 
-// Scatter implements Kernel: propagate the residual share along each
+// Emit implements Kernel: propagate the residual share along each
 // out-edge.
-func (p *PageRankDelta) Scatter(ec EdgeContext) (float64, bool) {
-	r := p.residual[ec.Src]
-	if r == 0 || ec.SrcOutDegree == 0 {
+func (p *PageRankDelta) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
+	r := p.residual[v]
+	if r == 0 || outDegree == 0 {
 		return 0, false
 	}
-	return r / float64(ec.SrcOutDegree), true
+	return r / float64(outDegree), true
 }
-
-// Aggregate implements Kernel.
-func (p *PageRankDelta) Aggregate(a, b float64) float64 { return a + b }
 
 // OnScattered implements StatefulKernel: v's pending residual was
 // propagated along all of v's out-edges this iteration.
@@ -178,16 +175,13 @@ func (p *PersonalizedPageRank) InitialFrontier(g *graph.Graph) []graph.VertexID 
 // Identity implements Kernel.
 func (p *PersonalizedPageRank) Identity() float64 { return 0 }
 
-// Scatter implements Kernel.
-func (p *PersonalizedPageRank) Scatter(ec EdgeContext) (float64, bool) {
-	if ec.SrcOutDegree == 0 || ec.SrcValue == 0 {
+// Emit implements Kernel.
+func (p *PersonalizedPageRank) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
+	if outDegree == 0 || value == 0 {
 		return 0, false
 	}
-	return ec.SrcValue / float64(ec.SrcOutDegree), true
+	return value / float64(outDegree), true
 }
-
-// Aggregate implements Kernel.
-func (p *PersonalizedPageRank) Aggregate(a, b float64) float64 { return a + b }
 
 // Apply implements Kernel: teleport mass returns to the source only.
 func (p *PersonalizedPageRank) Apply(g *graph.Graph, v graph.VertexID, old, agg float64, hasUpdate bool) (float64, bool) {

@@ -50,7 +50,8 @@ func CheckGraph(g interface {
 	Weighted() bool
 	NonNegativeWeights() bool
 }, k Kernel) error {
-	if k.Traits().NeedsWeights {
+	if k.Traits().Edge != EdgeCopy {
+		// The edge operator reads weights.
 		if !g.Weighted() {
 			return fmt.Errorf("%w: %s", ErrNeedsWeights, k.Name())
 		}

@@ -41,13 +41,10 @@ func (*ConnectedComponents) InitialFrontier(g *graph.Graph) []graph.VertexID { r
 // Identity implements Kernel.
 func (*ConnectedComponents) Identity() float64 { return math.Inf(1) }
 
-// Scatter implements Kernel.
-func (*ConnectedComponents) Scatter(ec EdgeContext) (float64, bool) {
-	return ec.SrcValue, true
+// Emit implements Kernel: the label itself.
+func (*ConnectedComponents) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
+	return value, true
 }
-
-// Aggregate implements Kernel.
-func (*ConnectedComponents) Aggregate(a, b float64) float64 { return math.Min(a, b) }
 
 // Apply implements Kernel: adopt a strictly smaller label and reactivate.
 func (*ConnectedComponents) Apply(g *graph.Graph, v graph.VertexID, old, agg float64, hasUpdate bool) (float64, bool) {
@@ -107,16 +104,13 @@ func (b *BFS) InitialFrontier(g *graph.Graph) []graph.VertexID {
 // Identity implements Kernel.
 func (*BFS) Identity() float64 { return math.Inf(1) }
 
-// Scatter implements Kernel: level+1 to each neighbor.
-func (*BFS) Scatter(ec EdgeContext) (float64, bool) {
-	if math.IsInf(ec.SrcValue, 1) {
+// Emit implements Kernel: level+1 to each neighbor.
+func (*BFS) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
+	if math.IsInf(value, 1) {
 		return 0, false
 	}
-	return ec.SrcValue + 1, true
+	return value + 1, true
 }
-
-// Aggregate implements Kernel.
-func (*BFS) Aggregate(a, b float64) float64 { return math.Min(a, b) }
 
 // Apply implements Kernel.
 func (*BFS) Apply(g *graph.Graph, v graph.VertexID, old, agg float64, hasUpdate bool) (float64, bool) {
@@ -156,9 +150,9 @@ func (s *SSSP) Source() graph.VertexID { return s.source }
 // Traits implements Kernel.
 func (*SSSP) Traits() Traits {
 	return Traits{
-		NeedsWeights:      true,
 		UsesFloatingPoint: true,
 		MaxIterations:     10_000,
+		Edge:              EdgeAddWeight,
 		Agg:               AggMin,
 		FLOPsPerEdge:      1, // add + compare
 		FLOPsPerApply:     0.5,
@@ -181,16 +175,14 @@ func (s *SSSP) InitialFrontier(g *graph.Graph) []graph.VertexID {
 // Identity implements Kernel.
 func (*SSSP) Identity() float64 { return math.Inf(1) }
 
-// Scatter implements Kernel: dist + weight.
-func (*SSSP) Scatter(ec EdgeContext) (float64, bool) {
-	if math.IsInf(ec.SrcValue, 1) {
+// Emit implements Kernel: the distance; each edge adds its weight
+// (EdgeAddWeight).
+func (*SSSP) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
+	if math.IsInf(value, 1) {
 		return 0, false
 	}
-	return ec.SrcValue + float64(ec.Weight), true
+	return value, true
 }
-
-// Aggregate implements Kernel.
-func (*SSSP) Aggregate(a, b float64) float64 { return math.Min(a, b) }
 
 // Apply implements Kernel.
 func (*SSSP) Apply(g *graph.Graph, v graph.VertexID, old, agg float64, hasUpdate bool) (float64, bool) {
@@ -227,9 +219,9 @@ func (s *SSWP) Source() graph.VertexID { return s.source }
 // Traits implements Kernel.
 func (*SSWP) Traits() Traits {
 	return Traits{
-		NeedsWeights:      true,
 		UsesFloatingPoint: true,
 		MaxIterations:     10_000,
+		Edge:              EdgeMinWeight,
 		Agg:               AggMax,
 		FLOPsPerEdge:      1,
 		FLOPsPerApply:     0.5,
@@ -252,16 +244,14 @@ func (s *SSWP) InitialFrontier(g *graph.Graph) []graph.VertexID {
 // Identity implements Kernel.
 func (*SSWP) Identity() float64 { return 0 }
 
-// Scatter implements Kernel: bottleneck of path-so-far and this edge.
-func (*SSWP) Scatter(ec EdgeContext) (float64, bool) {
-	if ec.SrcValue == 0 {
+// Emit implements Kernel: the width of the path so far; each edge takes
+// the bottleneck of it and its own weight (EdgeMinWeight).
+func (*SSWP) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
+	if value == 0 {
 		return 0, false
 	}
-	return math.Min(ec.SrcValue, float64(ec.Weight)), true
+	return value, true
 }
-
-// Aggregate implements Kernel.
-func (*SSWP) Aggregate(a, b float64) float64 { return math.Max(a, b) }
 
 // Apply implements Kernel.
 func (*SSWP) Apply(g *graph.Graph, v graph.VertexID, old, agg float64, hasUpdate bool) (float64, bool) {
@@ -309,11 +299,10 @@ func (*InDegree) InitialFrontier(g *graph.Graph) []graph.VertexID { return nil }
 // Identity implements Kernel.
 func (*InDegree) Identity() float64 { return 0 }
 
-// Scatter implements Kernel: each edge contributes one.
-func (*InDegree) Scatter(ec EdgeContext) (float64, bool) { return 1, true }
-
-// Aggregate implements Kernel.
-func (*InDegree) Aggregate(a, b float64) float64 { return a + b }
+// Emit implements Kernel: each edge contributes one.
+func (*InDegree) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
+	return 1, true
+}
 
 // Apply implements Kernel: store the count; never reactivate.
 func (*InDegree) Apply(g *graph.Graph, v graph.VertexID, old, agg float64, hasUpdate bool) (float64, bool) {
@@ -365,16 +354,13 @@ func (r *Reachability) InitialFrontier(g *graph.Graph) []graph.VertexID {
 // Identity implements Kernel.
 func (*Reachability) Identity() float64 { return 0 }
 
-// Scatter implements Kernel.
-func (*Reachability) Scatter(ec EdgeContext) (float64, bool) {
-	if ec.SrcValue == 0 {
+// Emit implements Kernel.
+func (*Reachability) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
+	if value == 0 {
 		return 0, false
 	}
 	return 1, true
 }
-
-// Aggregate implements Kernel.
-func (*Reachability) Aggregate(a, b float64) float64 { return math.Max(a, b) }
 
 // Apply implements Kernel.
 func (*Reachability) Apply(g *graph.Graph, v graph.VertexID, old, agg float64, hasUpdate bool) (float64, bool) {

@@ -67,7 +67,7 @@ func (h *HotSet) IsHot(fn *types.Func) bool {
 // and interface-method dispatch. For an interface call the closure
 // includes the matching method of every module type implementing the
 // interface — an over-approximation (the concrete type at runtime may
-// be narrower) chosen so a kernel's Scatter is hot whenever any engine
+// be narrower) chosen so a kernel's Emit is hot whenever any engine
 // loop invoking the Kernel interface is.
 func HotFunctions(pkgs []flow.PkgSyntax) *HotSet {
 	type declInfo struct {

@@ -530,7 +530,7 @@ func TestStoreRunCancellation(t *testing.T) {
 		{"memory", mem, kernels.Serial},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
-		k := kerneltest.CancelAfter(mustKernel(t, "pagerank"), int(g.NumEdges())+10, cancel)
+		k := kerneltest.CancelAfter(mustKernel(t, "pagerank"), g.NumVertices()+10, cancel)
 		res, err := kernels.RunOn(ctx, tc.src, k, tc.machine, kernels.Options{Workers: 3})
 		cancel()
 		if err != context.Canceled || res != nil {

@@ -105,7 +105,7 @@ func (sw *Writer) Vertex(neighbors []graph.VertexID, weights []float32) error {
 
 	sw.adj = graph.AppendCompressedAdjacency(sw.adj, neighbors)
 	for _, wt := range weights {
-		if wt < 0 {
+		if !(wt >= 0) { // negative or NaN, as graph.NonNegativeWeights
 			sw.nonNeg = false
 		}
 		sw.wbytes = binary.LittleEndian.AppendUint32(sw.wbytes, math.Float32bits(wt))

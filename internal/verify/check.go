@@ -278,8 +278,9 @@ func frontierSizes(run *core.Result) []int64 {
 // checkDirectionDifferential enforces the kernel engine's pull-soundness
 // contract on pull-capable kernels: forced pull, forced push, and the
 // auto hybrid must agree bit-exactly on values and on every shared
-// telemetry field, and the staged machine must be bit-identical across
-// worker counts in both directions. Kernels without a GatherKernel
+// telemetry field, auto must inspect no more edges than push, and the
+// staged machine must be bit-identical across worker counts in both
+// directions. Kernels without a GatherKernel
 // implementation have a single direction and are skipped.
 func checkDirectionDifferential(g *graph.Graph, fresh func() kernels.Kernel, sc Scenario) error {
 	if _, ok := fresh().(kernels.GatherKernel); !ok {
@@ -304,6 +305,12 @@ func checkDirectionDifferential(g *graph.Graph, fresh func() kernels.Kernel, sc 
 		if !reflect.DeepEqual(got.FrontierSizes, push.FrontierSizes) ||
 			!reflect.DeepEqual(got.ActiveEdges, push.ActiveEdges) {
 			return failf(OracleDirectionDiff, "%s %s: frontier/edge trajectory differs from push", sc.Kernel, dir)
+		}
+		// The auto switch pulls only where that provably inspects fewer
+		// edges than the push it replaces.
+		if dir == kernels.DirectionAuto && got.EdgesInspected > push.EdgesInspected {
+			return failf(OracleDirectionDiff, "%s auto inspected %d edges over %d pull iterations, push inspects %d",
+				sc.Kernel, got.EdgesInspected, got.PullIterations, push.EdgesInspected)
 		}
 	}
 	for _, dir := range []kernels.Direction{kernels.DirectionPush, kernels.DirectionPull} {

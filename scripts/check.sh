@@ -204,6 +204,10 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # against a plain binary.Uvarint reference: same ids, same bytes
         # consumed, same error.
         "FuzzDecodeCompressedAdjacency ./internal/graph/"
+        # The engine's fused edge loops against a reference that calls
+        # Emit, Combine and Reduce as plain functions: small random graphs
+        # with raw weight bits, every machine, grid and direction.
+        "FuzzFusedTraversal ./internal/kernels/"
     )
     for target in "${fuzz_targets[@]}"; do
         read -r name pkg <<< "$target"
