@@ -1065,6 +1065,7 @@ func newWorkerPool(workers int) *workerPool {
 				}
 				p.done <- struct{}{}
 			}
+			p.done <- struct{}{} // start is closed: tell close this worker is out
 		}(w)
 	}
 	return p
@@ -1084,6 +1085,15 @@ func (p *workerPool) run(n int, task func(worker, i int)) {
 	}
 }
 
-// close retires the pool's goroutines; engine.close calls it so a pool
-// never outlives its run.
-func (p *workerPool) close() { close(p.start) }
+// close retires the pool's goroutines and waits until each has left its
+// loop; engine.close calls it so a pool never outlives its run. Without
+// the wait a worker still parked on start keeps the last phase's task —
+// a closure over the whole engine — reachable after the run has returned,
+// and a collection landing before the worker is next scheduled counts
+// every array of the engine as live.
+func (p *workerPool) close() {
+	close(p.start)
+	for i := 0; i < p.workers; i++ {
+		<-p.done
+	}
+}

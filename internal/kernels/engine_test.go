@@ -7,8 +7,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -650,5 +652,34 @@ func TestPushScratchSurvivesClaimWrap(t *testing.T) {
 	}
 	if s.entry[2] != 0 {
 		t.Fatalf("entry stamped before the wrap survived it: %#x", s.entry[2])
+	}
+}
+
+// TestClosedEngineIsUnreachable: once a multi-worker run has returned,
+// nothing of its engine may still hang off a pool goroutine that has yet
+// to be scheduled and exit — the phase closure it last ran closes over
+// every array of the engine, several MiB at the benchmark's size, and a
+// collection that lands in that window counts all of it as live.
+func TestClosedEngineIsUnreachable(t *testing.T) {
+	g := socialGraph(t)
+	mem, err := InMemory(g)
+	mustNoErr(t, err)
+	for i := 0; i < 200; i++ {
+		e, err := newEngine(mem, NewPageRank(0, 0.85), Options{Workers: 4}, true)
+		mustNoErr(t, err)
+		_, err = e.run(context.Background())
+		mustNoErr(t, err)
+		freed := make(chan struct{})
+		// The aggregate array is the engine's alone (a Result shares
+		// values) and holds no pointer back into it.
+		runtime.SetFinalizer(&e.agg[0], func(*float64) { close(freed) })
+		e.close()
+		e = nil
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run %d: the engine survived a collection made right after close", i)
+		}
 	}
 }
