@@ -213,7 +213,8 @@ func Run(g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, cfg Con
 // RunContext is Run with cancellation: the driver checks the context at
 // each bulk-synchronous iteration boundary — the one point where every
 // actor is parked — and on cancellation walks the normal shutdown
-// sequence (so no goroutine leaks) before returning ctx.Err().
+// sequence before returning ctx.Err(). On every path it returns only
+// once each actor has exited, so nothing of the run is still reachable.
 func RunContext(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, cfg Config) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

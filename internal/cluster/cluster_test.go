@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -259,26 +262,11 @@ func TestClusterManyActorsSmallGraph(t *testing.T) {
 	}
 }
 
-func BenchmarkClusterPageRank(b *testing.B) {
-	g, err := gen.Community(4000, 16, 8, 0.85, gen.Config{Seed: 23, DropSelfLoops: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := partition.Hash{}.Partition(g, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	k := kernels.NewPageRank(5, 0.85)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestClusterDeterministicRuns asserts the invariant ndplint's maporder
-// rule exists to protect: two identical cluster runs must agree
+// TestClusterDeterministicRuns asserts what the actors' state layout
+// gives by construction — per-vertex state is index-addressed and drained
+// in ascending order, and ndplint's maporder rule keeps the few remaining
+// maps (keyed by child or link, never by vertex) from leaking iteration
+// order: two identical cluster runs must agree
 // bit-for-bit — values, iteration counts, and every recorded traffic
 // number — despite goroutine scheduling. Sum kernels are the sensitive
 // case (float aggregation order), so PageRank and SSSP run under both
@@ -330,6 +318,58 @@ func TestClusterDeterministicRuns(t *testing.T) {
 							kn, cfg, rerun, l, out.LevelBytes[l], ref.LevelBytes[l])
 					}
 				}
+			}
+		}
+	}
+}
+
+// heldKernel is a heap object of the test's own that every actor keeps
+// reachable, through the driver, for exactly as long as it keeps its own
+// accumulators: a finalizer on it fires only once no actor is left.
+type heldKernel struct{ kernels.Kernel }
+
+// TestRunLeavesNoActors pins that RunContext joins every actor — memory
+// nodes and switches too, not only the compute nodes whose value
+// fragments it needs — on the clean, crash-plan and cancelled paths: a
+// single collection immediately on return already frees what the actors
+// held, and the goroutine count is back at its baseline. (A caller that
+// reads its live heap right after a run must not find the run in it.)
+func TestRunLeavesNoActors(t *testing.T) {
+	g := clusterGraph(t)
+	a := clusterAssign(t, g, 6)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	freed := make(chan struct{}, 1)
+	run := func(i int) {
+		k := &heldKernel{kernels.NewBFS(0)}
+		runtime.SetFinalizer(k, func(*heldKernel) { freed <- struct{}{} })
+		ctx, cfg := context.Background(), Config{ComputeNodes: 3, Aggregate: true, TreeFanIn: 2 * (i % 2)}
+		switch i % 3 {
+		case 1:
+			cfg.Fault = FaultPlan{Seed: uint64(i), Update: LinkFaults{Drop: 0.05}, Crash: map[int]int{2: 1}}
+		case 2:
+			ctx = cancelled
+		}
+		if _, err := RunContext(ctx, g, k, a, cfg); (err != nil) != (ctx == cancelled) {
+			t.Fatalf("run %d: err = %v", i, err)
+		}
+	}
+	var base int
+	for i := 0; i <= 200; i++ {
+		run(i)
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run %d: actor state survived a collection on return", i)
+		}
+		if i == 0 {
+			base = runtime.NumGoroutine() // the runtime's finalizer goroutine exists from here on
+		}
+		// An actor that has signalled the join may still be unwinding.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: %d goroutines, baseline %d", i, runtime.NumGoroutine(), base)
 			}
 		}
 	}

@@ -3,8 +3,9 @@ package cluster
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
@@ -12,17 +13,55 @@ import (
 	"repro/internal/partition"
 )
 
-// sortedVertices returns m's keys in ascending vertex order. Every actor
-// iterates its vertex-keyed maps through this: map iteration order is
-// randomized, and letting it leak into batch composition or float
-// aggregation order would make two runs of the same seed disagree.
-func sortedVertices(m map[graph.VertexID]float64) []graph.VertexID {
-	keys := make([]graph.VertexID, 0, len(m))
-	for v := range m {
-		keys = append(keys, v)
+// denseAcc reduces values per index over a fixed range: a value array
+// and a touched bitset. The first value to reach an index is stored as
+// it is and later ones fold in with op in arrival order, which is what
+// the vertex-keyed map it replaces did; drain then visits the touched
+// indices by a word sweep, ascending by construction where the map's
+// keys had to be collected and sorted. Every actor's per-vertex state is
+// one: a memory node's active sets (indexed by rank in the partition)
+// and its per-destination pre-aggregation (by vertex id), a switch's
+// in-network aggregation (by vertex id), a compute node's reduce (by
+// rank in the owner's share).
+type denseAcc struct {
+	op   kernels.AggOp
+	vals []float64
+	set  []uint64
+}
+
+func newDenseAcc(width int, op kernels.AggOp) *denseAcc {
+	return &denseAcc{op: op, vals: make([]float64, width), set: make([]uint64, (width+63)/64)}
+}
+
+func (a *denseAcc) add(i int, v float64) {
+	if w, bit := i>>6, uint64(1)<<(i&63); a.set[w]&bit == 0 {
+		a.set[w] |= bit
+		a.vals[i] = v
+	} else {
+		a.vals[i] = a.op.Reduce(a.vals[i], v)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+}
+
+// take removes index i and returns its value, if it was touched.
+func (a *denseAcc) take(i int) (float64, bool) {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if a.set[w]&bit == 0 {
+		return 0, false
+	}
+	a.set[w] &^= bit
+	return a.vals[i], true
+}
+
+// drain hands every touched index to emit in ascending order and leaves
+// the accumulator empty.
+func (a *denseAcc) drain(emit func(i int, v float64)) {
+	for w, word := range a.set {
+		a.set[w] = 0
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			emit(i, a.vals[i])
+		}
+	}
 }
 
 // batchSize bounds how many updates travel in one message.
@@ -106,6 +145,13 @@ type driver struct {
 	M, C int // memory nodes (= partitions), compute nodes
 	S    int // switch count across all tree levels
 
+	// The read-only index every actor addresses its dense state by:
+	// members[m] and owned[c] are partition m's and compute node c's
+	// vertices in ascending order, partRank[v] and ownRank[v] vertex v's
+	// position in its partition's and its owner's list.
+	members, owned    [][]graph.VertexID
+	partRank, ownRank []int32
+
 	inj *injector
 	st  *faultStats
 	reg *metrics.Registry
@@ -141,11 +187,24 @@ type driver struct {
 	valuesCh  chan valueFragment
 }
 
-// valueFragment is a compute node's share of the final property vector.
+// valueFragment is a compute node's share of the final property vector,
+// in the order of its owned list.
 type valueFragment struct {
 	compute int
-	ids     []graph.VertexID
 	values  []float64
+}
+
+// rankBy splits vertices 0..n-1 into k ascending lists by group and
+// returns them with every vertex's position in its list.
+func rankBy(n, k int, group func(graph.VertexID) int) ([][]graph.VertexID, []int32) {
+	lists := make([][]graph.VertexID, k)
+	rank := make([]int32, n)
+	for v := 0; v < n; v++ {
+		i := group(graph.VertexID(v))
+		rank[v] = int32(len(lists[i]))
+		lists[i] = append(lists[i], graph.VertexID(v))
+	}
+	return lists, rank
 }
 
 // owner maps a vertex to its compute node (vertex properties are
@@ -188,6 +247,9 @@ func newDriver(g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, c
 		compRecv: reg.Counter(CounterComputeRecvBytes),
 		wbRecv:   reg.Counter(CounterWritebackRecvBytes),
 	}
+	n := g.NumVertices()
+	d.members, d.partRank = rankBy(n, d.M, func(v graph.VertexID) int { return int(assign.Part(v)) })
+	d.owned, d.ownRank = rankBy(n, d.C, d.owner)
 	depth := cfg.ChannelDepth
 	d.memCtrl = make([]chan memCmd, d.M)
 	d.wbActor = make([]chan writebackBatch, d.M)
@@ -281,62 +343,60 @@ func (d *driver) run(ctx context.Context) (*Outcome, error) {
 	n := g.NumVertices()
 	tr := k.Traits()
 
-	// Seed state before any goroutine starts (no synchronization needed).
-	initialValues := make([]float64, n)
-	for v := 0; v < n; v++ {
-		initialValues[v] = k.InitialValue(g, graph.VertexID(v))
-	}
-	initialActive := make([]map[graph.VertexID]float64, d.M)
-	for m := range initialActive {
-		initialActive[m] = make(map[graph.VertexID]float64)
-	}
-	seed := func(v graph.VertexID) {
-		initialActive[int(d.assign.Part(v))][v] = initialValues[v]
-	}
-	if init := k.InitialFrontier(g); init == nil {
-		for v := 0; v < n; v++ {
-			seed(graph.VertexID(v))
-		}
-	} else {
+	// Seed state before any goroutine starts (no synchronization needed):
+	// each partition's active set, each compute node's owned values, and
+	// the compute-side fresh mirrors. fresh[c][m] is compute c's share of
+	// partition m's active state — what the pool holds after the latest
+	// write-back, as the ascending update list that write-back carried.
+	// Maintained every iteration, it is the recovery source when a
+	// memory-node actor crashes.
+	var inFrontier []bool
+	if init := k.InitialFrontier(g); init != nil {
+		inFrontier = make([]bool, n)
 		for _, v := range init {
-			seed(v)
+			inFrontier[v] = true
+		}
+	}
+	active := make([]*denseAcc, d.M)
+	for m := range active {
+		active[m] = newDenseAcc(len(d.members[m]), tr.Agg)
+	}
+	values := make([][]float64, d.C)
+	fresh := make([][][]Update, d.C)
+	for c := range fresh {
+		values[c] = make([]float64, len(d.owned[c]))
+		fresh[c] = make([][]Update, d.M)
+	}
+	for i := 0; i < n; i++ {
+		v := graph.VertexID(i)
+		val := k.InitialValue(g, v)
+		c, m := d.owner(v), int(d.assign.Part(v))
+		values[c][d.ownRank[v]] = val
+		if inFrontier == nil || inFrontier[v] {
+			active[m].add(int(d.partRank[v]), val)
+			fresh[c][m] = append(fresh[c][m], Update{Vertex: v, Value: val})
 		}
 	}
 
-	// Compute-side fresh mirrors: freshInit[c][m] is compute c's share
-	// of partition m's active state — what the pool holds after the
-	// latest write-back. Maintained every iteration, it is the recovery
-	// source when a memory-node actor crashes.
-	freshInit := make([]map[int]map[graph.VertexID]float64, d.C)
-	for c := range freshInit {
-		freshInit[c] = make(map[int]map[graph.VertexID]float64, d.M)
+	// Every actor runs under one join: run returns only once all have
+	// exited. The goroutine takes actor and join as arguments, so past the
+	// actor's return its frame keeps no driver or actor state reachable.
+	var actors sync.WaitGroup
+	spawn := func(actor func()) {
+		actors.Add(1)
+		go func(actor func(), join *sync.WaitGroup) {
+			actor()
+			join.Done()
+		}(actor, &actors)
 	}
-	for m := range initialActive {
-		for _, v := range sortedVertices(initialActive[m]) {
-			c := d.owner(v)
-			nf := freshInit[c][m]
-			if nf == nil {
-				nf = make(map[graph.VertexID]float64)
-				freshInit[c][m] = nf
-			}
-			nf[v] = initialActive[m][v]
-		}
-	}
-
 	for a := 0; a < d.M; a++ {
-		go d.memoryNode(a, map[int]map[graph.VertexID]float64{a: initialActive[a]})
+		spawn(func() { d.memoryNode(a, active[a]) })
 	}
 	for _, s := range d.switches {
-		go d.switchActor(s)
+		spawn(func() { d.switchActor(s) })
 	}
 	for c := 0; c < d.C; c++ {
-		owned := make(map[graph.VertexID]float64)
-		for v := 0; v < n; v++ {
-			if d.owner(graph.VertexID(v)) == c {
-				owned[graph.VertexID(v)] = initialValues[graph.VertexID(v)]
-			}
-		}
-		go d.computeNode(c, owned, freshInit[c])
+		spawn(func() { d.computeNode(c, values[c], fresh[c]) })
 	}
 
 	out := &Outcome{
@@ -390,7 +450,7 @@ func (d *driver) run(ctx context.Context) (*Outcome, error) {
 			}
 			d.st.redispatch.Add(int64(len(parts)))
 		}
-		sort.Slice(reroutes, func(i, j int) bool { return reroutes[i].part < reroutes[j].part })
+		slices.SortFunc(reroutes, func(x, y reroute) int { return x.part - y.part })
 
 		// Kick everyone off.
 		for _, s := range d.switches {
@@ -403,9 +463,8 @@ func (d *driver) run(ctx context.Context) (*Outcome, error) {
 			if !alive[a] {
 				continue
 			}
-			ad := adopts[a]
-			sort.Ints(ad)
-			d.memCtrl[a] <- memCmd{op: ctrlIterate, iter: iter, adopt: ad}
+			slices.Sort(adopts[a])
+			d.memCtrl[a] <- memCmd{op: ctrlIterate, iter: iter, adopt: adopts[a]}
 		}
 		// Collect end-of-iteration reports. Summaries arrive in scheduler
 		// order; the float residual is reduced in compute-node order so
@@ -473,17 +532,18 @@ func (d *driver) run(ctx context.Context) (*Outcome, error) {
 	for c := 0; c < d.C; c++ {
 		d.compCtrl[c] <- compCmd{op: ctrlShutdown}
 	}
-	values := make([]float64, n)
+	final := make([]float64, n)
 	for i := 0; i < d.C; i++ {
 		frag := <-d.valuesCh
-		for j, v := range frag.ids {
-			values[v] = frag.values[j]
+		for r, v := range d.owned[frag.compute] {
+			final[v] = frag.values[r]
 		}
 	}
+	actors.Wait()
 	if runErr != nil {
 		return nil, runErr
 	}
-	out.Values = values
+	out.Values = final
 	out.Faults = d.st.summary()
 	out.Counters = d.reg.Snapshot()
 	return out, nil
@@ -506,37 +566,54 @@ func (d *driver) nextAlive(from int, alive []bool) int {
 // partitions (initially just its own; more after adopting a crashed
 // peer's), keeps the freshest properties of their active vertices
 // (delivered by write-backs), and runs the traversal phase on command.
-func (d *driver) memoryNode(a int, active map[int]map[graph.VertexID]float64) {
+// own is its partition's seeded active set, indexed by rank.
+//
+//perf:hot
+func (d *driver) memoryNode(a int, own *denseAcc) {
 	g, k := d.g, d.k
 	tr := k.Traits()
+	edges, weights := g.Edges(), g.Weights()
+	// active[part] is the active set of each of the served partitions,
+	// nil for the rest. The traversal drains each set and the write-backs
+	// that follow refill it, so one buffer per partition is both this
+	// iteration's state and the next's.
+	active := make([]*denseAcc, d.M)
+	active[a] = own
+	served := 1
+	// partials pre-aggregates one partition's scatter per destination;
+	// drained empty into the update stream, it serves each one in turn.
+	partials := newDenseAcc(g.NumVertices(), tr.Agg)
+	// Dedup state for the write-back stream: highest sequence number
+	// seen per (compute, partition) link. Links and sequence numbers are
+	// per-iteration, so this resets with them.
+	lastSeq := make([]int, d.C*d.M)
+	recv := func(want int) {
+		for got := 0; got < want; {
+			wb := <-d.wbActor[a]
+			wb.ack <- wb.seq
+			d.st.acks.Inc()
+			d.wbRecv.Add(int64(len(wb.updates)) * UpdateBytes)
+			key := wb.compute*d.M + wb.part
+			if wb.seq <= lastSeq[key] {
+				continue // injected duplicate, already absorbed
+			}
+			lastSeq[key] = wb.seq
+			acc := active[wb.part]
+			for _, u := range wb.updates {
+				acc.add(int(d.partRank[u.Vertex]), u.Value)
+			}
+			if wb.final {
+				got++
+			}
+		}
+	}
 	for cmd := range d.memCtrl[a] {
 		if cmd.op == ctrlShutdown {
 			return
 		}
 		iter := cmd.iter
-		// Per-iteration dedup state for the write-back stream: highest
-		// sequence number seen per (compute, partition) link. Links and
-		// sequence numbers are per-iteration, so this resets with them.
-		lastSeq := make(map[[2]int]int)
-		recv := func(into func(part int) map[graph.VertexID]float64, want int) {
-			for got := 0; got < want; {
-				wb := <-d.wbActor[a]
-				wb.ack <- wb.seq
-				d.st.acks.Inc()
-				d.wbRecv.Add(int64(len(wb.updates)) * UpdateBytes)
-				key := [2]int{wb.compute, wb.part}
-				if prev, ok := lastSeq[key]; ok && wb.seq <= prev {
-					continue // injected duplicate, already absorbed
-				}
-				lastSeq[key] = wb.seq
-				m := into(wb.part)
-				for _, u := range wb.updates {
-					m[u.Vertex] = u.Value
-				}
-				if wb.final {
-					got++
-				}
-			}
+		for i := range lastSeq {
+			lastSeq[i] = -1
 		}
 
 		// Recovery drain: partitions adopted from a crashed peer arrive
@@ -544,9 +621,11 @@ func (d *driver) memoryNode(a int, active map[int]map[graph.VertexID]float64) {
 		// write-back-fresh mirror before anything else this iteration.
 		if len(cmd.adopt) > 0 {
 			for _, part := range cmd.adopt {
-				active[part] = make(map[graph.VertexID]float64)
+				//lint:ignore loopalloc an adopted partition's active set is allocated once, at the crash that moves it here
+				active[part] = newDenseAcc(len(d.members[part]), tr.Agg)
 			}
-			recv(func(part int) map[graph.VertexID]float64 { return active[part] }, d.C*len(cmd.adopt))
+			served += len(cmd.adopt)
+			recv(d.C * len(cmd.adopt))
 		}
 
 		// Traversal phase: scatter along out-edges of active vertices,
@@ -556,61 +635,59 @@ func (d *driver) memoryNode(a int, active map[int]map[graph.VertexID]float64) {
 		// each tagged with the partition id as src — so the receiving
 		// switch reduces the same child streams in the same order
 		// whichever actor produced them.
-		parts := sortedInts(active)
-		for _, part := range parts {
-			partials := make(map[graph.VertexID]float64)
-			act := active[part]
-			for _, v := range sortedVertices(act) {
-				base, ok := k.Emit(v, act[v], g.OutDegree(v))
-				if !ok {
-					continue
-				}
-				lo, hi := g.EdgeRange(v)
-				nbrs := g.Edges()[lo:hi]
-				wts := g.Weights()
-				for i, dst := range nbrs {
-					w := float32(1)
-					if wts != nil {
-						w = wts[lo+int64(i)]
-					}
-					u := tr.Edge.Combine(base, w)
-					if prev, seen := partials[dst]; seen {
-						partials[dst] = tr.Agg.Reduce(prev, u)
-					} else {
-						partials[dst] = u
-					}
-				}
+		for part, acc := range active {
+			if acc == nil {
+				continue
 			}
+			members := d.members[part]
+			acc.drain(func(r int, val float64) {
+				v := members[r]
+				lo, hi := g.EdgeRange(v)
+				base, ok := k.Emit(v, val, hi-lo)
+				if !ok {
+					return
+				}
+				if weights == nil {
+					u := tr.Edge.Combine(base, 1)
+					for _, dst := range edges[lo:hi] {
+						partials.add(int(dst), u)
+					}
+					return
+				}
+				for i, dst := range edges[lo:hi] {
+					partials.add(int(dst), tr.Edge.Combine(base, weights[lo+int64(i)]))
+				}
+			})
+			//lint:ignore loopalloc each link is fresh per-iteration protocol state (sequence window and ack channel) by design
 			l := d.newLink(LinkUpdate, d.partNode(part), d.switchNode(d.leafOf[part]))
 			out := d.memTarget[part]
-			src := part
-			batch := make([]Update, 0, batchSize)
+			var batch []Update
 			flush := func(final bool) {
 				b := batch
 				l.transmit(iter, final, func(seq int, ack chan<- int) {
 					d.memSent.Add(int64(len(b)) * UpdateBytes)
-					out <- updateBatch{src: src, seq: seq, updates: b, final: final, ack: ack}
+					out <- updateBatch{src: part, seq: seq, updates: b, final: final, ack: ack}
 				})
-				batch = make([]Update, 0, batchSize)
+				batch = nil
 			}
-			for _, dst := range sortedVertices(partials) {
-				batch = append(batch, Update{Vertex: dst, Value: partials[dst]})
+			partials.drain(func(dst int, val float64) {
+				if batch == nil {
+					// A sent batch belongs to its receiver, which reads it
+					// after acknowledging: each one is allocated, not reused.
+					batch = make([]Update, 0, batchSize)
+				}
+				batch = append(batch, Update{Vertex: graph.VertexID(dst), Value: val})
 				if len(batch) == batchSize {
 					flush(false)
 				}
-			}
+			})
 			flush(true)
 			l.barrier()
 		}
 
-		// Write-back phase: refresh every served partition's active set
+		// Write-back phase: refill every served partition's active set
 		// from the hosts.
-		next := make(map[int]map[graph.VertexID]float64, len(parts))
-		for _, part := range parts {
-			next[part] = make(map[graph.VertexID]float64, len(active[part]))
-		}
-		recv(func(part int) map[graph.VertexID]float64 { return next[part] }, d.C*len(parts))
-		active = next
+		recv(d.C * served)
 		d.memReady <- a
 	}
 }
@@ -635,12 +712,16 @@ func (d *driver) switchActor(s *switchSpec) {
 	op := d.k.Traits().Agg
 	isRoot := s.parent == nil
 	iter := -1
-	// Reusable per-iteration buffers: the staged map's child ids (at
-	// most s.children distinct sources) and the aggregation map's sorted
-	// destination list (batchSize is only the initial guess — the buffer
-	// grows once to the aggregate's width and is then reused).
+	// Reused across iterations: the per-child staging buffers (the reduce
+	// phase copies every update out and truncates them), their child ids
+	// and, when aggregating, the per-destination accumulator, which every
+	// reduce phase drains empty.
+	staged := make(map[int][]Update, s.children)
 	childIDs := make([]int, 0, s.children)
-	vertexBuf := make([]graph.VertexID, 0, batchSize)
+	var agg *denseAcc
+	if d.cfg.Aggregate {
+		agg = newDenseAcc(d.g.NumVertices(), op)
+	}
 	for cmd := range s.ctrl {
 		if cmd == ctrlShutdown {
 			return
@@ -699,7 +780,6 @@ func (d *driver) switchActor(s *switchSpec) {
 
 		// Stage phase: drain every child, acknowledging and absorbing
 		// duplicates, keeping each child's updates in its send order.
-		staged := make(map[int][]Update)
 		lastSeq := make(map[int]int)
 		finals := 0
 		for finals < s.children {
@@ -722,35 +802,21 @@ func (d *driver) switchActor(s *switchSpec) {
 		for src := range staged {
 			childIDs = append(childIDs, src)
 		}
-		sort.Ints(childIDs)
+		slices.Sort(childIDs)
 
 		// Reduce phase, in fixed child order.
-		var agg map[graph.VertexID]float64
-		if d.cfg.Aggregate {
-			agg = make(map[graph.VertexID]float64)
-		}
 		for _, src := range childIDs {
 			for _, u := range staged[src] {
 				if agg != nil {
-					if prev, seen := agg[u.Vertex]; seen {
-						agg[u.Vertex] = op.Reduce(prev, u.Value)
-					} else {
-						agg[u.Vertex] = u.Value
-					}
+					agg.add(int(u.Vertex), u.Value)
 				} else {
 					emit(u)
 				}
 			}
+			staged[src] = staged[src][:0]
 		}
 		if agg != nil {
-			vertexBuf = vertexBuf[:0]
-			for v := range agg {
-				vertexBuf = append(vertexBuf, v)
-			}
-			slices.Sort(vertexBuf)
-			for _, v := range vertexBuf {
-				emit(Update{Vertex: v, Value: agg[v]})
-			}
+			agg.drain(func(v int, val float64) { emit(Update{Vertex: graph.VertexID(v), Value: val}) })
 		}
 		if isRoot {
 			for c := 0; c < d.C; c++ {
@@ -767,20 +833,33 @@ func (d *driver) switchActor(s *switchSpec) {
 	}
 }
 
-// computeNode owns a hash-share of the vertex properties: it reduces the
-// incoming partial updates, runs the update phase, and writes refreshed
-// properties back to the actor serving each vertex's partition. It also
-// maintains fresh — its share of every partition's write-back-fresh
-// active state — which is what makes memory-node crashes recoverable:
-// on a re-dispatch it re-sends the mirror to the adopting peer.
-func (d *driver) computeNode(c int, values map[graph.VertexID]float64, fresh map[int]map[graph.VertexID]float64) {
+// computeNode owns a hash-share of the vertex properties (values, in the
+// order of its ascending owned list): it reduces the incoming partial
+// updates, runs the update phase, and writes refreshed properties back to
+// the actor serving each vertex's partition. It also keeps fresh — its
+// share of every partition's write-back-fresh active state, which is the
+// previous iteration's write-back batches themselves — and that is what
+// makes memory-node crashes recoverable: on a re-dispatch it re-sends
+// the mirror to the adopting peer.
+//
+//perf:hot
+func (d *driver) computeNode(c int, values []float64, fresh [][]Update) {
 	g, k := d.g, d.k
 	tr := k.Traits()
+	owned := d.owned[c]
+	identity := k.Identity()
 	// route[m] is the actor currently serving partition m.
 	route := make([]int, d.M)
 	for m := range route {
 		route[m] = m
 	}
+	agg := newDenseAcc(len(owned), tr.Agg)
+	// wb collects this iteration's write-backs per partition and then
+	// trades places with fresh: the buffers an iteration refills are the
+	// mirror of two iterations back, which every receiver has long
+	// copied out of.
+	wb := make([][]Update, d.M)
+	wlinks := make([]*link, d.M)
 	for cmd := range d.compCtrl[c] {
 		if cmd.op == ctrlShutdown {
 			break
@@ -790,19 +869,15 @@ func (d *driver) computeNode(c int, values map[graph.VertexID]float64, fresh map
 
 		// One write-back link per partition per iteration, created on
 		// first use; byte counts accrue per delivered copy.
-		wlinks := make([]*link, d.M)
-		wlink := func(part int) *link {
+		clear(wlinks)
+		sendWB := func(part int, updates []Update, recovery, final bool) {
 			if wlinks[part] == nil {
 				wlinks[part] = d.newLink(LinkWriteback, d.compNode(c), d.partNode(part))
 			}
-			return wlinks[part]
-		}
-		sendWB := func(part int, updates []Update, recovery, final bool) {
-			b := updates
-			wlink(part).transmit(iter, final, func(seq int, ack chan<- int) {
-				sum.writebackBytes += int64(len(b)) * UpdateBytes
+			wlinks[part].transmit(iter, final, func(seq int, ack chan<- int) {
+				sum.writebackBytes += int64(len(updates)) * UpdateBytes
 				d.wbActor[route[part]] <- writebackBatch{
-					compute: c, part: part, seq: seq, updates: b,
+					compute: c, part: part, seq: seq, updates: updates,
 					recovery: recovery, final: final, ack: ack,
 				}
 			})
@@ -816,20 +891,14 @@ func (d *driver) computeNode(c int, values map[graph.VertexID]float64, fresh map
 		}
 		for _, rr := range cmd.reroute {
 			mirror := fresh[rr.part]
-			batch := make([]Update, 0, batchSize)
-			for _, v := range sortedVertices(mirror) {
-				batch = append(batch, Update{Vertex: v, Value: mirror[v]})
-				if len(batch) == batchSize {
-					sendWB(rr.part, batch, true, false)
-					batch = make([]Update, 0, batchSize)
-				}
+			for ; len(mirror) >= batchSize; mirror = mirror[batchSize:] {
+				sendWB(rr.part, mirror[:batchSize], true, false)
 			}
-			sendWB(rr.part, batch, true, true)
+			sendWB(rr.part, mirror, true, true)
 		}
 
 		// Reduce phase: merge root deliveries per destination,
 		// acknowledging everything and absorbing duplicates by seq.
-		agg := make(map[graph.VertexID]float64)
 		lastSeq := -1
 		finals := 0
 		for finals < 1 { // the root sends exactly one final marker per compute node
@@ -842,61 +911,49 @@ func (d *driver) computeNode(c int, values map[graph.VertexID]float64, fresh map
 			}
 			lastSeq = b.seq
 			for _, u := range b.updates {
-				if prev, seen := agg[u.Vertex]; seen {
-					agg[u.Vertex] = tr.Agg.Reduce(prev, u.Value)
-				} else {
-					agg[u.Vertex] = u.Value
-				}
+				agg.add(int(d.ownRank[u.Vertex]), u.Value)
 			}
 			if b.final {
 				finals++
 			}
 		}
 
-		// Update phase. The write-backs of this iteration are exactly
-		// the pool's next active state, so they rebuild the fresh
-		// mirrors as a side effect.
-		nextFresh := make(map[int]map[graph.VertexID]float64, d.M)
-		wbBatches := make([][]Update, d.M)
+		// Update phase, over owned vertices in ascending order. The
+		// write-backs of this iteration are exactly the pool's next
+		// active state, so they are the next fresh mirrors as they stand.
+		for m := range wb {
+			wb[m] = wb[m][:0]
+		}
 		writeback := func(v graph.VertexID, val float64) {
-			m := int(d.assign.Part(v))
-			wbBatches[m] = append(wbBatches[m], Update{Vertex: v, Value: val})
-			nf := nextFresh[m]
-			if nf == nil {
-				nf = make(map[graph.VertexID]float64)
-				nextFresh[m] = nf
-			}
-			nf[v] = val
+			m := d.assign.Part(v)
+			wb[m] = append(wb[m], Update{Vertex: v, Value: val})
 		}
 		if tr.AllVerticesActive {
-			for _, v := range sortedVertices(values) {
-				old := values[v]
-				a, has := agg[v]
+			for r, v := range owned {
+				old := values[r]
+				a, has := agg.take(r)
 				if !has {
-					a = k.Identity()
+					a = identity
 				}
 				nv, _ := k.Apply(g, v, old, a, has)
 				sum.residual += math.Abs(nv - old)
-				values[v] = nv
+				values[r] = nv
 				sum.activated++
 				writeback(v, nv)
 			}
 		} else {
-			for _, v := range sortedVertices(agg) {
-				old := values[v]
-				nv, activate := k.Apply(g, v, old, agg[v], true)
-				values[v] = nv
+			agg.drain(func(r int, a float64) {
+				nv, activate := k.Apply(g, owned[r], values[r], a, true)
+				values[r] = nv
 				if activate {
 					sum.activated++
-					writeback(v, nv)
+					writeback(owned[r], nv)
 				}
-			}
+			})
 		}
-		for m := 0; m < d.M; m++ {
-			updates := wbBatches[m]
-			for len(updates) > batchSize {
+		for m, updates := range wb {
+			for ; len(updates) > batchSize; updates = updates[batchSize:] {
 				sendWB(m, updates[:batchSize], false, false)
-				updates = updates[batchSize:]
 			}
 			sendWB(m, updates, false, true)
 		}
@@ -905,14 +962,9 @@ func (d *driver) computeNode(c int, values map[graph.VertexID]float64, fresh map
 				l.barrier()
 			}
 		}
-		fresh = nextFresh
+		fresh, wb = wb, fresh
 		d.summaryCh <- sum
 	}
 	// Shutdown: deliver the owned value fragment.
-	frag := valueFragment{compute: c}
-	for _, v := range sortedVertices(values) {
-		frag.ids = append(frag.ids, v)
-		frag.values = append(frag.values, values[v])
-	}
-	d.valuesCh <- frag
+	d.valuesCh <- valueFragment{compute: c, values: values}
 }

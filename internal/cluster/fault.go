@@ -26,9 +26,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/graph"
 	"repro/internal/metrics"
 )
 
@@ -427,15 +425,4 @@ func (l *link) barrier() {
 			l.acked = s
 		}
 	}
-}
-
-// sortedInts returns keys of a set-like int map in ascending order (the
-// map-iteration analogue of sortedVertices, for partition-keyed state).
-func sortedInts(m map[int]map[graph.VertexID]float64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

@@ -1,11 +1,17 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/kernels"
+	"repro/internal/partition"
 )
 
 // faultyPlan is the reference hostile plan used across the suite: lossy,
@@ -299,5 +305,89 @@ func TestFaultConfigValidation(t *testing.T) {
 	a := clusterAssign(t, g, 3)
 	if _, err := Run(g, kernels.NewBFS(0), a, Config{TreeFanIn: -1}); err == nil {
 		t.Error("Run accepted negative TreeFanIn")
+	}
+}
+
+// pinnedCounts is everything about one seeded run that batch composition
+// decides: which transmissions the plan drops (a roll per link, iteration
+// and sequence number), how many batches are acknowledged, the bytes each
+// link class and tree level carried, and the float association behind
+// every value.
+type pinnedCounts struct {
+	Drops, Retries, Acks, Crashes, Redispatches int64
+	Traffic                                     Traffic
+	LevelBytes                                  []int64
+	Iterations                                  int
+	ValuesHash                                  uint64
+}
+
+// TestFaultCountsPinned holds the actors to constants recorded from the
+// map-and-sort driver (commit e7b7720): community graph, ldg, 16 memory
+// nodes, 2 compute nodes, the benchmark's plan shape (5% drops on both
+// link classes, memory node 1 crashing at iteration 1). The protocol cuts
+// 512-update batches from ascending streams, so any change to what an
+// actor stores that reorders, splits or merges a stream moves a sequence
+// number, and with it a seeded drop, an ack count or a sum's association.
+// PageRank keeps every vertex active (the values-by-rank path); BFS
+// rebuilds the active sets from the write-back streams each iteration.
+func TestFaultCountsPinned(t *testing.T) {
+	g, err := gen.Community(6000, 12, 8, 0.85, gen.Config{Seed: 42, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := partition.LDG{}.Partition(g, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := FaultPlan{
+		Seed:      42,
+		Update:    LinkFaults{Drop: 0.05},
+		Writeback: LinkFaults{Drop: 0.05},
+		Crash:     map[int]int{1: 1},
+	}
+	want := map[string]pinnedCounts{
+		"pagerank/fanin=0/aggregate=true":  {Drops: 135, Retries: 135, Acks: 2242, Crashes: 1, Redispatches: 1, Traffic: Traffic{MemToSwitch: 10254720, SwitchToCompute: 1919680, Writeback: 1925808}, LevelBytes: []int64{1919680}, Iterations: 20, ValuesHash: 0x6dac25782b9c1a9a},
+		"pagerank/fanin=0/aggregate=false": {Drops: 183, Retries: 183, Acks: 3282, Crashes: 1, Redispatches: 1, Traffic: Traffic{MemToSwitch: 10254720, SwitchToCompute: 10254720, Writeback: 1925808}, LevelBytes: []int64{10254720}, Iterations: 20, ValuesHash: 0x6dac25782b9c1a9a},
+		"pagerank/fanin=4/aggregate=true":  {Drops: 176, Retries: 176, Acks: 3042, Crashes: 1, Redispatches: 1, Traffic: Traffic{MemToSwitch: 10254720, SwitchToCompute: 1919680, Writeback: 1925808}, LevelBytes: []int64{6194880, 1919680}, Iterations: 20, ValuesHash: 0xadad24af76837e62},
+		"pagerank/fanin=4/aggregate=false": {Drops: 263, Retries: 263, Acks: 4582, Crashes: 1, Redispatches: 1, Traffic: Traffic{MemToSwitch: 10254720, SwitchToCompute: 10254720, Writeback: 1925808}, LevelBytes: []int64{10254720, 10254720}, Iterations: 20, ValuesHash: 0x6dac25782b9c1a9a},
+		"bfs/fanin=0/aggregate=true":       {Drops: 33, Retries: 33, Acks: 530, Crashes: 1, Redispatches: 1, Traffic: Traffic{MemToSwitch: 634448, SwitchToCompute: 265984, Writeback: 95984}, LevelBytes: []int64{265984}, Iterations: 9, ValuesHash: 0x827208448987af0},
+		"bfs/fanin=0/aggregate=false":      {Drops: 35, Retries: 35, Acks: 576, Crashes: 1, Redispatches: 1, Traffic: Traffic{MemToSwitch: 634448, SwitchToCompute: 634448, Writeback: 95984}, LevelBytes: []int64{634448}, Iterations: 9, ValuesHash: 0x827208448987af0},
+		"bfs/fanin=4/aggregate=true":       {Drops: 38, Retries: 38, Acks: 620, Crashes: 1, Redispatches: 1, Traffic: Traffic{MemToSwitch: 634448, SwitchToCompute: 265984, Writeback: 95984}, LevelBytes: []int64{504960, 265984}, Iterations: 9, ValuesHash: 0x827208448987af0},
+		"bfs/fanin=4/aggregate=false":      {Drops: 40, Retries: 40, Acks: 681, Crashes: 1, Redispatches: 1, Traffic: Traffic{MemToSwitch: 634448, SwitchToCompute: 634448, Writeback: 95984}, LevelBytes: []int64{634448, 634448}, Iterations: 9, ValuesHash: 0x827208448987af0},
+	}
+	for _, kn := range []string{"pagerank", "bfs"} {
+		k, err := kernels.ByName(kn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fanIn := range []int{0, 4} {
+			for _, aggregate := range []bool{true, false} {
+				name := fmt.Sprintf("%s/fanin=%d/aggregate=%v", kn, fanIn, aggregate)
+				out, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: aggregate, TreeFanIn: fanIn, Fault: plan})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				h := fnv.New64a()
+				var word [8]byte
+				for _, v := range out.Values {
+					binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+					h.Write(word[:])
+				}
+				f := out.Faults
+				got := pinnedCounts{
+					Drops: f.Drops, Retries: f.Retries, Acks: f.Acks, Crashes: f.Crashes, Redispatches: f.Redispatches,
+					Traffic: out.Traffic, LevelBytes: out.LevelBytes, Iterations: out.Iterations, ValuesHash: h.Sum64(),
+				}
+				// PageRank's Apply is a multiply-add, which some
+				// architectures fuse: its value bits are pinned where
+				// the constants were recorded.
+				if kn == "pagerank" && runtime.GOARCH != "amd64" {
+					got.ValuesHash = want[name].ValuesHash
+				}
+				if !reflect.DeepEqual(got, want[name]) {
+					t.Errorf("%q: %#v,", name, got)
+				}
+			}
+		}
 	}
 }

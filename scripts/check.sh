@@ -208,6 +208,10 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # Emit, Combine and Reduce as plain functions: small random graphs
         # with raw weight bits, every machine, grid and direction.
         "FuzzFusedTraversal ./internal/kernels/"
+        # The cluster actors' dense accumulator against the map folded in
+        # arrival order and emitted through a sort that it replaced: same
+        # indices ascending, same value bits, empty after every drain.
+        "FuzzDenseAccumulator ./internal/cluster/"
     )
     for target in "${fuzz_targets[@]}"; do
         read -r name pkg <<< "$target"
