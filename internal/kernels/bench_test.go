@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // BenchmarkEngineEdgePath is the per-edge cost of the engine's loops
@@ -11,44 +13,61 @@ import (
 // out-edge volume in either direction) for the benchmark's four kernel
 // classes on its graph — the weighted com-livejournal stand-in, scale 4 —
 // through the serial push loop, the staged push loop with its merge, and
-// forced pull where the kernel gathers. Sourced kernels start at the
+// forced pull where the kernel gathers — and, as staged-push-grid16, the
+// staged push in the simulator's shape: the scale-1 graph under a 16-part
+// ldg assignment as Options.Grid, with an observer reading every chunk's
+// Partials and RemotePartials. Sourced kernels start at the
 // highest-out-degree vertex. A change to pushSerial, pushChunk,
 // mergeChunks or pullRange has a number to argue from here without a full
 // bench/ run:
 //
-//	go test -run '^$' -bench EngineEdgePath -benchtime 5x -cpu 2 ./internal/kernels
+//	go test -run '^$' -bench EngineEdgePath -benchtime 5x -cpu 1,2 ./internal/kernels
 func BenchmarkEngineEdgePath(b *testing.B) {
-	g, err := gen.ComLiveJournal.Generate(4, gen.Config{Seed: 42, Weighted: true, DropSelfLoops: true})
+	cfg := gen.Config{Seed: 42, Weighted: true, DropSelfLoops: true}
+	g, err := gen.ComLiveJournal.Generate(4, cfg)
 	mustNoErr(b, err)
 	g.Transpose() // cached on the graph; keep its construction out of the pull rows
-	hub, _ := g.MaxOutDegree()
+	small, err := gen.ComLiveJournal.Generate(1, cfg)
+	mustNoErr(b, err)
+	assign, err := partition.LDG{}.Partition(small, 16)
+	mustNoErr(b, err)
+	var lent int64
+	grid16 := &Grid{Chunks: assign.K, ChunkOf: assign.Parts, Observe: func(it *Iteration) {
+		for c := 0; c < assign.K; c++ {
+			lent += it.Partials(c) + it.RemotePartials(c)
+		}
+	}}
 	kernelsUnderTest := []struct {
 		name string
-		make func() Kernel
+		make func(hub graph.VertexID) Kernel
 	}{
-		{"bfs", func() Kernel { return NewBFS(hub) }},
-		{"cc", func() Kernel { return NewConnectedComponents() }},
-		{"sssp", func() Kernel { return NewSSSP(hub) }},
-		{"pagerank", func() Kernel { return NewPageRank(DefaultPageRankIterations, DefaultDamping) }},
+		{"bfs", func(hub graph.VertexID) Kernel { return NewBFS(hub) }},
+		{"cc", func(graph.VertexID) Kernel { return NewConnectedComponents() }},
+		{"sssp", func(hub graph.VertexID) Kernel { return NewSSSP(hub) }},
+		{"pagerank", func(graph.VertexID) Kernel { return NewPageRank(DefaultPageRankIterations, DefaultDamping) }},
 	}
 	paths := []struct {
 		name    string
+		g       *graph.Graph
 		machine Machine
-		dir     Direction
+		opt     Options
 	}{
-		{"serial-push", Serial, DirectionPush},
-		{"staged-push", Staged, DirectionPush},
-		{"pull", Serial, DirectionPull},
+		{"serial-push", g, Serial, Options{Direction: DirectionPush}},
+		{"staged-push", g, Staged, Options{Direction: DirectionPush}},
+		{"staged-push-grid16", small, Staged, Options{Direction: DirectionPush, Grid: grid16}},
+		{"pull", g, Serial, Options{Direction: DirectionPull}},
 	}
 	for _, k := range kernelsUnderTest {
 		for _, p := range paths {
-			if _, gathers := k.make().(GatherKernel); p.dir == DirectionPull && !gathers {
+			hub, _ := p.g.MaxOutDegree()
+			if _, gathers := k.make(hub).(GatherKernel); p.opt.Direction == DirectionPull && !gathers {
 				continue
 			}
 			b.Run(k.name+"/"+p.name, func(b *testing.B) {
+				b.ReportAllocs()
 				var nominal int64
 				for i := 0; i < b.N; i++ {
-					res, err := runInMemory(g, k.make(), p.machine, Options{Direction: p.dir})
+					res, err := runInMemory(p.g, k.make(hub), p.machine, p.opt)
 					mustNoErr(b, err)
 					for _, e := range res.ActiveEdges {
 						nominal += e

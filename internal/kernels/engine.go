@@ -208,29 +208,45 @@ type stagedUpdate struct {
 	val float64
 }
 
-// pushScratch is one worker's dense per-destination index, one word per
-// vertex so a probe touches one cache line: the high half stamps the
-// destination as seen by the chunk being pushed and the low half locates
-// its partial in that chunk's compact update list. The stamp is the
-// worker's own claim count — unique per chunk within this scratch, which
-// is all deduplication needs, and never 0 — so one scratch serves every
-// chunk the worker claims without clearing, and freshly zeroed memory
-// reads as "unseen".
+// pushScratch is one worker's dense per-destination accumulator. seen
+// stamps a destination as reached by the chunk being pushed, acc holds its
+// running partial, and touched lists the chunk's destinations in first-
+// touch order (capacity n+1: the edge loop writes the slot before it knows
+// whether to keep it). Between chunks every acc entry rests at the reduce
+// operator's identity, so an edge reduces into it unconditionally — no
+// first-touch branch. The stamp is the worker's own claim count — unique
+// per chunk within this scratch, which is all deduplication needs, and
+// never 0 — so one scratch serves every chunk the worker claims without
+// clearing, and freshly zeroed memory reads as "unseen".
 type pushScratch struct {
-	entry  []uint64
-	claims uint32
+	seen    []uint32
+	acc     []float64
+	touched []graph.VertexID
+	claims  uint32
 }
 
-// claim starts a chunk: it returns the stamp, already shifted into place,
-// that marks this chunk's destinations. The count wrapping to 0 after 2^32
-// claims would make stale entries look fresh, so the scratch is wiped
-// then.
-func (s *pushScratch) claim() uint64 {
+// claim starts a chunk: it returns the stamp that marks this chunk's
+// destinations. The count wrapping to 0 after 2^32 claims would make stale
+// stamps look fresh, so the scratch is wiped then.
+func (s *pushScratch) claim() uint32 {
 	if s.claims++; s.claims == 0 {
-		clear(s.entry)
+		clear(s.seen)
 		s.claims = 1
 	}
-	return uint64(s.claims) << 32
+	return s.claims
+}
+
+// restIdentity is the value op leaves every other operand unchanged by,
+// NaN aside: what a pushScratch accumulator rests at. It is the engine's
+// constant, not Kernel.Identity() — a kernel may declare any value there.
+func restIdentity(op AggOp) float64 {
+	switch op {
+	case AggMin:
+		return math.Inf(1)
+	case AggMax:
+		return math.Inf(-1)
+	}
+	return math.Copysign(0, -1) // -0 + u is u, +0 and -0 included
 }
 
 // engine is the reusable working set of the kernel iteration machine:
@@ -339,8 +355,8 @@ func runInMemory(g *graph.Graph, k Kernel, m Machine, opt Options) (*Result, err
 }
 
 // newEngine validates inputs and builds the machine. Per-worker push
-// scratch rides on one flat arena, so the setup loop assembles slice
-// views instead of allocating per worker.
+// scratch rides on one flat arena per array, so the setup loop assembles
+// slice views instead of allocating per worker.
 func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) {
 	if err := CheckGraph(src, k); err != nil {
 		return nil, err
@@ -404,18 +420,25 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 		if grid.Chunks < 1 || len(grid.ChunkOf) != n {
 			return nil, fmt.Errorf("kernels: grid of %d chunks covers %d vertices, graph has %d", grid.Chunks, len(grid.ChunkOf), n)
 		}
-		bad := -1
+		bad, sizes := -1, make([]int, grid.Chunks)
 		for v, c := range grid.ChunkOf {
 			if c < 0 || int(c) >= grid.Chunks {
 				bad = v
 				break
 			}
+			sizes[c]++
 		}
 		if bad >= 0 {
 			return nil, fmt.Errorf("kernels: vertex %d in chunk %d, out of [0,%d)", bad, grid.ChunkOf[bad], grid.Chunks)
 		}
 		e.C, e.chunkOf, e.observe = grid.Chunks, grid.ChunkOf, grid.Observe
+		// A chunk's bucket never outgrows the vertices it owns, so the
+		// buckets are cut from one backing array and never reallocate.
 		e.buckets = make([][]graph.VertexID, e.C)
+		backing := make([]graph.VertexID, n)
+		for c, size := range sizes {
+			e.buckets[c], backing = backing[:0:size], backing[size:]
+		}
 		e.remotePerChunk = make([]int64, e.C)
 	}
 	W := opt.Workers
@@ -425,11 +448,17 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 	if W > e.C {
 		W = e.C
 	}
-	e.active = make([]graph.VertexID, 0, n)
+	if e.chunkOf == nil {
+		e.active = make([]graph.VertexID, 0, n)
+	}
 	e.scratch = make([]pushScratch, W)
-	entries := make([]uint64, W*n)
+	seen, acc, touched := make([]uint32, W*n), make([]float64, W*n), make([]graph.VertexID, W*(n+1))
+	rest := restIdentity(e.tr.Agg)
+	for i := range acc {
+		acc[i] = rest
+	}
 	for w := range e.scratch {
-		e.scratch[w].entry = entries[w*n : (w+1)*n]
+		e.scratch[w] = pushScratch{seen: seen[w*n : (w+1)*n], acc: acc[w*n : (w+1)*n], touched: touched[w*(n+1) : (w+1)*(n+1)]}
 	}
 	e.chunkUpd = make([][]stagedUpdate, e.C)
 	e.inspectedPerChunk = make([]int64, e.C)
@@ -437,9 +466,6 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 	e.residualPerChunk = make([]float64, e.C)
 	e.errPerChunk = make([]error, e.C)
 	e.pushTask = func(w, c int) { e.pushChunk(w, c) }
-	if e.chunkOf != nil {
-		e.pushTask = func(w, c int) { e.pushChunk(w, c); e.countRemote(c) }
-	}
 	e.pullTask = func(_, c int) {
 		lo, hi := e.vtxChunk(c)
 		e.inspectedPerChunk[c] = e.pullRange(lo, hi)
@@ -766,20 +792,23 @@ func reduceMax(a, b float64) float64 {
 	return m
 }
 
-// pushChunk scatters one chunk of the frontier slice into the chunk's
-// compact staged-partial list, pre-aggregated per destination in
-// traversal order. It writes only its own chunk's outputs, so chunks can
-// run on any worker in any order without changing a bit of the merged
-// result. The chunk pins its own current segment and releases it before
+// pushChunk scatters one chunk of the frontier slice into the worker's
+// dense accumulator, pre-aggregated per destination in traversal order,
+// then drains it into the chunk's compact staged-partial list in first-
+// touch order. It writes only its own chunk's outputs, so chunks can run
+// on any worker in any order without changing a bit of the merged result.
+// The chunk pins its own current segment and releases it before
 // returning; a Pin failure lands in the chunk's error slot.
 //
 //perf:hot
 func (e *engine) pushChunk(w, c int) {
-	entry, stamp := e.scratch[w].entry, e.scratch[w].claim()
+	s := &e.scratch[w]
+	seen, touched, stamp := s.seen, s.touched, s.claim()
+	acc := s.acc[:len(seen)] // one bounds check per destination serves both
 	g, k, values := e.g, e.k, e.values
 	edge, op := e.tr.Edge, e.tr.Agg
 	var cur graph.Segment
-	list := e.chunkUpd[c][:0]
+	nt := 0
 	for _, v := range e.chunkFrontier(c) {
 		if !cur.Contains(v) {
 			cur.Release()
@@ -806,38 +835,54 @@ func (e *engine) pushChunk(w, c int) {
 			case EdgeMinWeight:
 				u = reduceMin(base, float64(wts[i]))
 			}
-			at := entry[dst]
-			if at&^math.MaxUint32 != stamp {
-				entry[dst] = stamp | uint64(len(list))
-				list = append(list, stagedUpdate{dst: dst, val: u})
-				continue
+			// The slot is written before it is known to be kept, so the
+			// first-touch test is an increment, not a branch.
+			touched[nt] = dst
+			fresh := seen[dst] != stamp
+			if fresh {
+				nt++
 			}
-			p := &list[uint32(at)].val
+			seen[dst] = stamp
 			switch op {
 			case AggSum:
-				*p += u
+				acc[dst] += u
 			case AggMin:
-				*p = reduceMin(*p, u)
+				acc[dst] = reduceMin(acc[dst], u)
 			case AggMax:
-				*p = reduceMax(*p, u)
+				acc[dst] = reduceMax(acc[dst], u)
+			}
+			// A partial is AggOp.Reduce folded from its first contribution.
+			// Reducing that one into the identity yields it bit for bit
+			// unless it is a NaN, which a sum quiets and min/max
+			// canonicalise; then it is stored as it came.
+			if u != u && fresh {
+				acc[dst] = u
 			}
 		}
 	}
 	cur.Release()
-	e.chunkUpd[c] = list
-}
-
-// countRemote counts chunk c's staged partials whose destination another
-// chunk owns. It rides the chunk's push task, so the observer's serial
-// turn stays proportional to the frontier, not to the update stream.
-func (e *engine) countRemote(c int) {
+	list := e.chunkUpd[c]
+	if cap(list) < nt {
+		list = make([]stagedUpdate, nt)
+	}
+	list = list[:nt]
+	rest, chunkOf := restIdentity(op), e.chunkOf
 	var remote int64
-	for _, u := range e.chunkUpd[c] {
-		if e.chunkOf[u.dst] != int32(c) {
-			remote++
+	for i, dst := range touched[:nt] {
+		list[i] = stagedUpdate{dst: dst, val: acc[dst]}
+		acc[dst] = rest
+		if chunkOf != nil {
+			// Nested, so the owner test compiles to a select: under a
+			// locality partitioner it is a coin flip per partial.
+			if owner := chunkOf[dst]; owner != int32(c) {
+				remote++
+			}
 		}
 	}
-	e.remotePerChunk[c] = remote
+	e.chunkUpd[c] = list
+	if chunkOf != nil {
+		e.remotePerChunk[c] = remote
+	}
 }
 
 // mergeChunks folds the staged chunk lists into the global accumulator

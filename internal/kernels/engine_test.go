@@ -239,10 +239,12 @@ func TestEnginePullRequiresGatherKernel(t *testing.T) {
 // TestEngineAllocGate pins the allocation-free steady state the engine
 // exists for: once the buffers are warm, one full prepare/traverse/apply
 // iteration allocates nothing — on the serial machine, the staged
-// machine (Workers=1, keeping the phase dispatch on its inline path), the
-// pull direction, over a container whose tier is warm and fully resident
-// (every Pin a hit), and under an ownership grid whose observer reads
-// everything it is lent (the shape internal/sim runs in).
+// machine (Workers=1, keeping the phase dispatch on its inline path, and
+// Workers=2, through the pool), the pull direction, over a container whose
+// tier is warm and fully resident (every Pin a hit), and under an
+// ownership grid whose observer reads everything it is lent (the shape
+// internal/sim runs in). The staged lists are sized exactly, so the gate
+// also checks that a warm list is refilled in place, not made again.
 func TestEngineAllocGate(t *testing.T) {
 	g := socialGraph(t)
 	mem, err := InMemory(g)
@@ -272,6 +274,8 @@ func TestEngineAllocGate(t *testing.T) {
 		{"serial-pagerank-container", st, NewPageRank(0, 0.85), Options{}, false},
 		{"staged-pagerank-container", st, NewPageRank(0, 0.85), Options{Workers: 1}, true},
 		{"staged-pagerank-gridded", mem, NewPageRank(0, 0.85), Options{Workers: 1, Grid: grid}, true},
+		{"staged-pagerank-pool", mem, NewPageRank(0, 0.85), Options{Workers: 2}, true},
+		{"staged-pagerank-gridded-pool", mem, NewPageRank(0, 0.85), Options{Workers: 2, Grid: grid}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,6 +302,16 @@ func TestEngineAllocGate(t *testing.T) {
 			}
 			for i := 0; i < 3; i++ {
 				step() // warm the staged lists, scratch stamps, frontiers, and tier
+			}
+			var warm []*stagedUpdate
+			for _, list := range e.chunkUpd {
+				warm = append(warm, backing(list))
+			}
+			step()
+			for c, list := range e.chunkUpd {
+				if backing(list) != warm[c] {
+					t.Fatalf("chunk %d's warm staged list was reallocated by a fourth iteration", c)
+				}
 			}
 			if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 				t.Fatalf("steady-state iteration allocates %.1f times, want 0", allocs)
@@ -640,18 +654,27 @@ func TestAutoNeverInspectsMoreThanPush(t *testing.T) {
 	}
 }
 
+// backing returns the address of s's first slot, used or not: two slices
+// share it exactly when neither was reallocated since the other was taken.
+func backing[T any](s []T) *T {
+	if cap(s) == 0 {
+		return nil
+	}
+	return &s[:1][0]
+}
+
 // TestPushScratchSurvivesClaimWrap: a worker's 2^32nd claim must not make
-// entries stamped by its first look fresh.
+// destinations stamped by its first look fresh.
 func TestPushScratchSurvivesClaimWrap(t *testing.T) {
-	s := pushScratch{entry: make([]uint64, 4)}
+	s := pushScratch{seen: make([]uint32, 4)}
 	first := s.claim()
-	s.entry[2] = first | 7
+	s.seen[2] = first
 	s.claims = math.MaxUint32
 	if stamp := s.claim(); stamp != first {
 		t.Fatalf("claim after the wrap stamps %#x, want the count restarted at %#x", stamp, first)
 	}
-	if s.entry[2] != 0 {
-		t.Fatalf("entry stamped before the wrap survived it: %#x", s.entry[2])
+	if s.seen[2] != 0 {
+		t.Fatalf("stamp set before the wrap survived it: %#x", s.seen[2])
 	}
 }
 

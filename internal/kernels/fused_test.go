@@ -35,6 +35,77 @@ func TestInlinedOpsMatchDefinitions(t *testing.T) {
 			}
 		}
 	}
+	// The staged push reduces every contribution into an accumulator that
+	// rests at the operator's identity. That must equal the definition —
+	// a partial is its first contribution, later ones folded in with
+	// Reduce — on the NaNs too, where "identity ∘ u" is not u.
+	contributions := append([]float64{
+		math.Float64frombits(0x7FF0000000000123), // signalling
+		math.Float64frombits(0x7FF8000000000000), // what a float32 NaN widens to
+	}, specials...)
+	for _, op := range []AggOp{AggSum, AggMin, AggMax} {
+		for _, u := range contributions {
+			for _, v := range contributions {
+				lone, pair := stagedPartials(t, op, u, v)
+				if want := u; math.Float64bits(lone) != math.Float64bits(want) {
+					t.Errorf("%v: a partial of the one contribution %#x is %#x", op, math.Float64bits(want), math.Float64bits(lone))
+				}
+				if want := op.Reduce(u, v); math.Float64bits(pair) != math.Float64bits(want) {
+					t.Errorf("%v: a partial of (%#x, %#x) is %#x, Reduce gives %#x",
+						op, math.Float64bits(u), math.Float64bits(v), math.Float64bits(pair), math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// relay is the least kernel that puts chosen bits on the engine's reduce
+// datapath: vertex v emits Values[v] as it is, along unweighted edges.
+type relay struct {
+	PageRank // the methods this test never reaches
+	op       AggOp
+	values   []float64
+}
+
+func (r *relay) Traits() Traits {
+	return Traits{MaxIterations: 1, Edge: EdgeCopy, Agg: r.op}
+}
+func (r *relay) InitialValue(_ *graph.Graph, v graph.VertexID) float64 { return r.values[v] }
+func (r *relay) InitialFrontier(*graph.Graph) []graph.VertexID         { return []graph.VertexID{0, 1} }
+func (r *relay) Emit(_ graph.VertexID, value float64, _ int64) (float64, bool) {
+	return value, true
+}
+
+// stagedPartials pushes one chunk of the staged machine in which vertex 0
+// (emitting u) reaches vertices 2 and 3 and vertex 1 (emitting v) reaches
+// 3, and returns the partials the chunk staged for 2 and for 3.
+func stagedPartials(t *testing.T, op AggOp, u, v float64) (lone, pair float64) {
+	t.Helper()
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 2, 1)
+	b.AddEdge(0, 3, 1)
+	b.AddEdge(1, 3, 1)
+	g, err := b.Build()
+	mustNoErr(t, err)
+	src, err := InMemory(g)
+	mustNoErr(t, err)
+	grid := &Grid{Chunks: 1, ChunkOf: make([]int32, 4)}
+	e, err := newEngine(src, &relay{op: op, values: []float64{u, v, 0, 0}}, Options{Workers: 1, Grid: grid}, true)
+	mustNoErr(t, err)
+	defer e.close()
+	e.prepare(0)
+	e.traverse()
+	mustNoErr(t, e.err)
+	staged := e.chunkUpd[0]
+	if len(staged) != 2 || staged[0].dst != 2 || staged[1].dst != 3 {
+		t.Fatalf("chunk staged %v, want one partial for 2 then one for 3", staged)
+	}
+	// The merge's first touch stores, so the aggregates are the partials.
+	if math.Float64bits(e.agg[2]) != math.Float64bits(staged[0].val) || math.Float64bits(e.agg[3]) != math.Float64bits(staged[1].val) {
+		t.Fatalf("merged aggregates %#x, %#x differ from the only partials %#x, %#x",
+			math.Float64bits(e.agg[2]), math.Float64bits(e.agg[3]), math.Float64bits(staged[0].val), math.Float64bits(staged[1].val))
+	}
+	return staged[0].val, staged[1].val
 }
 
 // awkwardGraph is small enough to read and holds every shape the fused
@@ -199,9 +270,10 @@ func TestFusedLoopsMatchReference(t *testing.T) {
 // registry kernel, and holds the fused engine to the reference on every
 // machine, grid and direction.
 func FuzzFusedTraversal(f *testing.F) {
-	edge := func(src, dst byte, w float32) []byte {
-		return binary.LittleEndian.AppendUint32([]byte{src, dst}, math.Float32bits(w))
+	edgeBits := func(src, dst byte, w uint32) []byte {
+		return binary.LittleEndian.AppendUint32([]byte{src, dst}, w)
 	}
+	edge := func(src, dst byte, w float32) []byte { return edgeBits(src, dst, math.Float32bits(w)) }
 	seed := func(n, kernel, weighted byte, edges ...[]byte) {
 		data := []byte{n, kernel, weighted}
 		for _, e := range edges {
@@ -216,6 +288,14 @@ func FuzzFusedTraversal(f *testing.F) {
 	seed(3, 7, 1, edge(0, 1, float32(math.NaN())), edge(0, 2, 1))
 	seed(3, 7, 1, edge(0, 1, -1))
 	seed(9, 3, 0, edge(0, 1, 1), edge(1, 2, 1), edge(2, 0, 1))
+	// A quiet and a signalling NaN weight on the only in-edge of vertex 1:
+	// were one to reach the reduce datapath, it would be a partial's lone
+	// contribution, where reducing into the identity is not a store.
+	for _, nan := range []uint32{0x7FC00123, 0x7F800123} {
+		for _, kernel := range []byte{3, 7, 8} { // pagerank, sssp, sswp
+			seed(3, kernel, 1, edgeBits(0, 1, nan), edge(0, 2, 1), edge(2, 0, 1))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

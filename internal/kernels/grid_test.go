@@ -256,6 +256,43 @@ func TestWorkerPoolNeverExceedsGrid(t *testing.T) {
 	}
 }
 
+// TestGriddedEngineAllocatesWhatItReads: under an ownership grid the
+// engine builds no flat frontier — only the default grid cuts one — and
+// each bucket is made at the size its chunk owns, so a whole run fills
+// them without ever growing one.
+func TestGriddedEngineAllocatesWhatItReads(t *testing.T) {
+	g := socialGraph(t)
+	n := g.NumVertices()
+	src, err := InMemory(g)
+	mustNoErr(t, err)
+	const C = 5
+	chunkOf := stripedGrid(n, C)
+	owned := make([]int, C)
+	for _, c := range chunkOf {
+		owned[c]++
+	}
+	e, err := newEngine(src, NewConnectedComponents(), Options{Workers: 1, Grid: &Grid{Chunks: C, ChunkOf: chunkOf}}, true)
+	mustNoErr(t, err)
+	defer e.close()
+	if e.active != nil {
+		t.Errorf("a gridded engine made a %d-vertex flat frontier it never cuts", cap(e.active))
+	}
+	var first []*graph.VertexID
+	for c, bucket := range e.buckets {
+		if cap(bucket) != owned[c] {
+			t.Fatalf("bucket %d holds %d vertices, chunk owns %d", c, cap(bucket), owned[c])
+		}
+		first = append(first, backing(bucket))
+	}
+	_, err = e.run(context.Background()) // CC's first frontier is every vertex: each bucket fills
+	mustNoErr(t, err)
+	for c, bucket := range e.buckets {
+		if backing(bucket) != first[c] {
+			t.Fatalf("bucket %d was reallocated during the run", c)
+		}
+	}
+}
+
 // TestGridIsValidated: a grid that does not cover the graph, or names a
 // chunk outside its width, is an error before any indexing.
 func TestGridIsValidated(t *testing.T) {

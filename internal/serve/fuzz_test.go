@@ -1,0 +1,81 @@
+package serve
+
+import (
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"reflect"
+	"testing"
+)
+
+// FuzzJobSpecNormalize feeds arbitrary bytes through the path a
+// submission's body takes — json.Unmarshal into a JobSpec, then Normalize
+// — and requires an error or a canonical spec: normalizing it again
+// changes nothing, and its cache key is the same before and after that
+// second pass and does not move with Workers.
+func FuzzJobSpecNormalize(f *testing.F) {
+	f.Add([]byte(`{"snapshot":"g"}`))
+	f.Add([]byte(`{"snapshot":"g","engine":"cluster","kernel":"bfs","partitions":16,"computes":2,"partitioner":"ldg","aggregation":false,"treefanin":4}`))
+	f.Add([]byte(`{"snapshot":"g","engine":"serial","kernel":"pr","priters":-1}`))
+	f.Add([]byte(`{"snapshot":"g","engine":"cluster","arch":"distributed"}`))
+	f.Add([]byte(`{"snapshot":"","seed":18446744073709551615,"workers":-3}`))
+	f.Add([]byte(`{"snapshot":"g","partitions":1e3,"policy":"never","aggregation":null}`))
+	f.Add([]byte(`[{"snapshot":"g"}]`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		if err := json.Unmarshal(body, &spec); err != nil {
+			return
+		}
+		if err := spec.Normalize(); err != nil {
+			return
+		}
+		key := spec.cacheKey("digest")
+		again := spec
+		if err := again.Normalize(); err != nil {
+			t.Fatalf("a normalized spec is refused the second time: %v\n%+v", err, spec)
+		}
+		if !reflect.DeepEqual(again, spec) {
+			t.Fatalf("Normalize is not idempotent:\nonce  %+v\ntwice %+v", spec, again)
+		}
+		again.Workers = spec.Workers + 1
+		if got := again.cacheKey("digest"); got != key {
+			t.Fatalf("cache key moved:\n%s\n%s", key, got)
+		}
+	})
+}
+
+// FuzzDecodeValues holds the value-vector decoder to its encoder on
+// arbitrary strings: an error, or a vector whose encoding is the canonical
+// base64 of exactly the bytes the string decoded to — NaN payloads and
+// signed zeros included, since results are compared by their bytes.
+func FuzzDecodeValues(f *testing.F) {
+	f.Add("")
+	f.Add(EncodeValues([]float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN(), math.Float64frombits(0x7FF0000000000123)}))
+	f.Add("AAAAAAAA8D8")  // a float64 without its padding
+	f.Add("AAAAAAAA8D8=") // eight bytes, canonical
+	f.Add("AAAAAAAA")     // six bytes: not a vector
+	f.Add("AAAA\nAAAA8D8=")
+	f.Add("!!!!")
+	f.Fuzz(func(t *testing.T, s string) {
+		vals, err := DecodeValues(s)
+		if err != nil {
+			return
+		}
+		raw, err := base64.StdEncoding.DecodeString(s)
+		if err != nil {
+			t.Fatalf("DecodeValues accepted %q, which is not base64: %v", s, err)
+		}
+		if len(raw) != 8*len(vals) {
+			t.Fatalf("%d bytes decoded to %d values", len(raw), len(vals))
+		}
+		for i, v := range vals {
+			if got, want := math.Float64bits(v), binary.LittleEndian.Uint64(raw[8*i:]); got != want {
+				t.Fatalf("value %d is %#x, its bytes say %#x", i, got, want)
+			}
+		}
+		if got, want := EncodeValues(vals), base64.StdEncoding.EncodeToString(raw); got != want {
+			t.Fatalf("re-encoding gives %q, canonical is %q", got, want)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
@@ -170,59 +171,59 @@ func newExecution(g *graph.Graph, k kernels.Kernel, assign *partition.Assignment
 	return e, nil
 }
 
-// computeStatics takes the load-time statistics in one walk over the
-// edges: crossDeg always, the static partial-update counts when partials
-// is set (architectures whose policy sees them), the mirror counts when
-// mirrors is set (distributed architectures). The last two count
-// distinct (destination, partition) pairs — a pair is one static partial
-// update, and one mirror of the destination when the partition is not
-// its owner — so the walk goes one partition at a time and a single stamp
-// array dedupes: stamping dst with p marks (dst, p) counted.
+// computeStatics takes the load-time statistics in one sweep over the
+// edges in vertex order: crossDeg always, the static partial-update counts
+// when partials is set (architectures whose policy sees them), the mirror
+// counts when mirrors is set (distributed architectures). The last two
+// count distinct (destination, partition) pairs — a pair is one static
+// partial update, and one mirror of the destination when the partition is
+// not its owner — so the sweep ORs each source's partition into a
+// ⌈K/64⌉-word reach mask per destination, and one pass over the masks
+// counts the pairs.
 func (e *execution) computeStatics(partials, mirrors bool) {
 	g, parts, P := e.g, e.assign.Parts, e.assign.K
 	n := g.NumVertices()
 	e.crossDeg = make([]int32, n)
 	e.staticPartialsPerPart = make([]int64, P)
-	var stamped []int32
+	words := 0
 	if partials || mirrors {
-		stamped = make([]int32, n)
-		for i := range stamped {
-			stamped[i] = -1
+		words = (P + 63) / 64
+	}
+	reached := make([]uint64, n*words)
+	for v := 0; v < n; v++ {
+		p := parts[v]
+		at, bit := int(p)>>6, uint64(1)<<(uint(p)&63)
+		var cross int32
+		for _, dst := range g.Neighbors(graph.VertexID(v)) {
+			if parts[dst] != p {
+				cross++
+			}
+			if words > 0 {
+				reached[int(dst)*words+at] |= bit
+			}
 		}
+		e.crossDeg[v] = cross
+	}
+	if words == 0 {
+		return
 	}
 	if mirrors {
 		e.mirrorCount = make([]int32, n)
 	}
-	// byPart lists the vertices grouped by partition (a counting sort).
-	byPart := make([]graph.VertexID, n)
-	next := make([]int, P)
-	start := 0
-	for p, size := range e.assign.Sizes() {
-		next[p] = start
-		start += int(size)
-	}
-	for v := 0; v < n; v++ {
-		byPart[next[parts[v]]] = graph.VertexID(v)
-		next[parts[v]]++
-	}
-	for _, v := range byPart {
-		p := parts[v]
-		var cross int32
-		for _, dst := range g.Neighbors(v) {
-			remote := parts[dst] != p
-			if remote {
-				cross++
-			}
-			if stamped == nil || stamped[dst] == p {
-				continue
-			}
-			stamped[dst] = p
-			e.staticPartialsPerPart[p]++
-			if remote && mirrors {
-				e.mirrorCount[dst]++
+	for dst := 0; dst < n; dst++ {
+		row := reached[dst*words : (dst+1)*words]
+		var pairs int32
+		for w, mask := range row {
+			pairs += int32(bits.OnesCount64(mask))
+			for ; mask != 0; mask &= mask - 1 {
+				e.staticPartialsPerPart[w*64+bits.TrailingZeros64(mask)]++
 			}
 		}
-		e.crossDeg[v] = cross
+		if mirrors {
+			// Every reaching partition but the owner holds a mirror.
+			own := uint(parts[dst])
+			e.mirrorCount[dst] = pairs - int32(row[own>>6]>>(own&63)&1)
+		}
 	}
 	for _, pairs := range e.staticPartialsPerPart {
 		e.staticPartials += pairs

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -400,6 +401,66 @@ func TestMirrorCountsMatchEvaluate(t *testing.T) {
 	q := partition.Evaluate(g, a)
 	if total != q.Mirrors {
 		t.Errorf("execution mirrors %d != partition.Evaluate %d", total, q.Mirrors)
+	}
+}
+
+// TestStaticsMatchPairReference holds computeStatics' reach masks to the
+// definition — a set of (destination, partition) pairs — on generated
+// graphs, at partition counts on either side of the mask's word
+// boundaries and for each flag combination the architectures ask for.
+func TestStaticsMatchPairReference(t *testing.T) {
+	type pair struct {
+		dst  graph.VertexID
+		part int32
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		g, err := gen.ErdosRenyi(300, 2400, gen.Config{Seed: seed, DropSelfLoops: seed%2 == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, K := range []int{1, 2, 16, 64, 65, 130} {
+			a := hashAssign(t, g, K)
+			pairs := map[pair]bool{}
+			cross := make([]int32, g.NumVertices())
+			for v := range cross {
+				for _, dst := range g.Neighbors(graph.VertexID(v)) {
+					pairs[pair{dst, a.Parts[v]}] = true
+					if a.Parts[dst] != a.Parts[v] {
+						cross[v]++
+					}
+				}
+			}
+			perPart, mirrorCount := make([]int64, K), make([]int32, g.NumVertices())
+			for pr := range pairs {
+				perPart[pr.part]++
+				if a.Parts[pr.dst] != pr.part {
+					mirrorCount[pr.dst]++
+				}
+			}
+			for _, flags := range [][2]bool{{false, false}, {true, false}, {false, true}} {
+				ex, err := newExecution(g, kernels.NewPageRank(2, 0.85), a, func(*Record) {}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex.computeStatics(flags[0], flags[1])
+				if !reflect.DeepEqual(ex.crossDeg, cross) {
+					t.Fatalf("seed %d K=%d %v: crossDeg differs from the reference", seed, K, flags)
+				}
+				if !flags[0] && !flags[1] {
+					if ex.staticPartials != 0 || ex.mirrorCount != nil {
+						t.Fatalf("seed %d K=%d: statics nobody asked for: %d partials, mirrors %v", seed, K, ex.staticPartials, ex.mirrorCount != nil)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(ex.staticPartialsPerPart, perPart) || ex.staticPartials != int64(len(pairs)) {
+					t.Fatalf("seed %d K=%d %v: static partials %v (total %d), reference %v (total %d)",
+						seed, K, flags, ex.staticPartialsPerPart, ex.staticPartials, perPart, len(pairs))
+				}
+				if flags[1] && !reflect.DeepEqual(ex.mirrorCount, mirrorCount) {
+					t.Fatalf("seed %d K=%d: mirror counts differ from the reference", seed, K)
+				}
+			}
+		}
 	}
 }
 

@@ -212,6 +212,13 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # arrival order and emitted through a sort that it replaced: same
         # indices ascending, same value bits, empty after every drain.
         "FuzzDenseAccumulator ./internal/cluster/"
+        # The service's two decoders of outside input: a submission body
+        # must normalize to an error or to a canonical spec (a second
+        # Normalize changes nothing, the cache key ignores Workers), and a
+        # value string must decode to an error or to a vector that
+        # re-encodes to the canonical base64 of the same bytes.
+        "FuzzJobSpecNormalize ./internal/serve/"
+        "FuzzDecodeValues ./internal/serve/"
     )
     for target in "${fuzz_targets[@]}"; do
         read -r name pkg <<< "$target"
