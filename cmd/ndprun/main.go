@@ -406,7 +406,7 @@ func runCluster(ctx context.Context, g *graph.Graph, k kernels.Kernel, p partiti
 	if err != nil {
 		return err
 	}
-	out, err := sys.RunConcurrent(ctx, g, k)
+	out, err := sys.ConcurrentEngine().Run(ctx, g, k, core.RunConfig{})
 	if err != nil {
 		return err
 	}

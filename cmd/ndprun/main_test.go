@@ -14,7 +14,7 @@ import (
 
 // TestRunClusterHonorsCancelledContext pins the CLI path of the
 // cancellation contract: main's signal-aware context reaches
-// RunConcurrent through runCluster, so a delivered SIGINT (modelled here
+// the concurrent engine through runCluster, so a delivered SIGINT (modelled here
 // as a pre-cancelled ctx) aborts the cluster run promptly with
 // context.Canceled instead of running the workload to completion. This
 // is the regression test for the bug where runCluster built its own

@@ -36,7 +36,7 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run(ctx, g, k); !errors.Is(err, context.Canceled) {
+		if _, err := sys.Engine().Run(ctx, g, k, RunConfig{}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Run with cancelled ctx: err = %v, want context.Canceled", arch, err)
 		}
 	}
@@ -45,8 +45,8 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunConcurrent(ctx, g, k); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunConcurrent with cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := sys.ConcurrentEngine().Run(ctx, g, k, RunConfig{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("ConcurrentEngine().Run with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestRunMidflightCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := sys.RunConcurrent(ctx, g, k)
+		_, err := sys.ConcurrentEngine().Run(ctx, g, k, RunConfig{})
 		done <- err
 	}()
 	cancel()

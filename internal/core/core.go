@@ -6,11 +6,11 @@
 //
 //	g, _ := gen.ComLiveJournal.Generate(1, gen.Config{Seed: 1})
 //	sys, _ := core.New(core.DisaggregatedNDP, core.WithMemoryNodes(16))
-//	run, _ := sys.Run(context.Background(), g, kernels.NewPageRank(20, 0.85))
+//	run, _ := sys.Engine().Run(context.Background(), g, kernels.NewPageRank(20, 0.85), core.RunConfig{})
 //	fmt.Println(run.TotalDataMovementBytes)
 //
-// Every Run* method takes a context and returns the unified *Result; the
-// Engine interface (engine.go) is the seam they all dispatch through.
+// Engine (engine.go) is the one way to run a kernel: every execution
+// model implements it, takes a context and returns the unified *Result.
 package core
 
 import (
@@ -130,7 +130,7 @@ func WithWorkers(n int) Option {
 
 // WithTreeFanIn selects the concurrent cluster's switch topology: >= 2
 // builds a SHARP-style hierarchical aggregation tree with that fan-in,
-// 0 (the default) the flat single-switch topology. Only RunConcurrent
+// 0 (the default) the flat single-switch topology. Only ConcurrentEngine
 // consults it; the analytical engines model the switch tier abstractly.
 func WithTreeFanIn(fanIn int) Option {
 	return func(s *System) { s.treeFanIn = fanIn }
@@ -144,7 +144,7 @@ func WithChannelDepth(depth int) Option {
 }
 
 // WithFaultPlan installs a seeded fault-injection schedule for
-// RunConcurrent: link drops, duplicates, delays, and memory-node crash
+// ConcurrentEngine: link drops, duplicates, delays, and memory-node crash
 // schedules, all deterministic. The zero plan injects nothing.
 func WithFaultPlan(p cluster.FaultPlan) Option {
 	return func(s *System) { s.fault = p }
@@ -209,21 +209,6 @@ func (s *System) simEngine(assign *partition.Assignment) sim.ContextEngine {
 	}
 }
 
-// Run partitions the graph and executes the kernel on the configured
-// architecture, returning the unified result with the full
-// per-iteration record. The context cancels the run at iteration
-// boundaries.
-func (s *System) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Result, error) {
-	return s.Engine().Run(ctx, g, k, RunConfig{})
-}
-
-// RunWithAssignment executes the kernel with a caller-provided partition
-// assignment (reuse one assignment across kernels to amortise
-// partitioning cost).
-func (s *System) RunWithAssignment(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *partition.Assignment) (*Result, error) {
-	return s.Engine().Run(ctx, g, k, RunConfig{Assignment: assign})
-}
-
 // ClusterConfig assembles the concurrent cluster's configuration from
 // the system's options — the single place where core's knobs
 // (WithComputeNodes, WithAggregation, WithTreeFanIn, WithChannelDepth,
@@ -237,28 +222,6 @@ func (s *System) ClusterConfig() cluster.Config {
 		ChannelDepth: s.channelDepth,
 		Fault:        s.fault,
 	}
-}
-
-// RunConcurrent executes the kernel on the *concurrent actor
-// implementation* of the disaggregated NDP architecture (package cluster)
-// instead of the analytical simulator: memory-node, switch, and
-// compute-node goroutines exchanging real messages. Only meaningful for
-// the DisaggregatedNDP architecture; other architectures return an error.
-// The cluster's shape — tree fan-in, channel depth, fault plan — comes
-// from the System's options (WithTreeFanIn, WithChannelDepth,
-// WithFaultPlan) via ClusterConfig.
-func (s *System) RunConcurrent(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Result, error) {
-	return s.ConcurrentEngine().Run(ctx, g, k, RunConfig{})
-}
-
-// RunConcurrentWithAssignment is RunConcurrent with a caller-provided
-// partition assignment — the concurrent twin of RunWithAssignment. Reuse
-// one assignment to run the analytical engines and the concurrent
-// cluster on the *same* partitioning, so any divergence between them is
-// the execution model's, not the partitioner's (the verification harness
-// relies on this).
-func (s *System) RunConcurrentWithAssignment(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *partition.Assignment) (*Result, error) {
-	return s.ConcurrentEngine().Run(ctx, g, k, RunConfig{Assignment: assign})
 }
 
 // Compare runs the kernel on all four architectures with this system's
@@ -295,7 +258,7 @@ func (s *System) CompareWithAssignment(ctx context.Context, g *graph.Graph, k ke
 			clone.aggregation = arch == DisaggregatedNDP
 		}
 		one := func(i int, arch Arch, clone System) {
-			run, err := clone.RunWithAssignment(ctx, g, k, assign)
+			run, err := clone.Engine().Run(ctx, g, k, RunConfig{Assignment: assign})
 			if err != nil {
 				errs[i] = fmt.Errorf("core: %s: %w", arch, err)
 				return

@@ -59,7 +59,7 @@ func TestRunAllArchitectures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := s.Run(context.Background(), g, k)
+		run, err := s.Engine().Run(context.Background(), g, k, RunConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", arch, err)
 		}
@@ -142,11 +142,11 @@ func TestRunWithAssignmentReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := s.RunWithAssignment(context.Background(), g, kernels.NewBFS(0), assign)
+	r1, err := s.Engine().Run(context.Background(), g, kernels.NewBFS(0), RunConfig{Assignment: assign})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.RunWithAssignment(context.Background(), g, kernels.NewConnectedComponents(), assign)
+	r2, err := s.Engine().Run(context.Background(), g, kernels.NewConnectedComponents(), RunConfig{Assignment: assign})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestRunConcurrentMatchesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := kernels.NewPageRank(5, 0.85)
-	simRun, err := s.Run(context.Background(), g, k)
+	simRun, err := s.Engine().Run(context.Background(), g, k, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.RunConcurrent(context.Background(), g, k)
+	out, err := s.ConcurrentEngine().Run(context.Background(), g, k, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRunConcurrentOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := base.RunConcurrent(context.Background(), g, k)
+	ref, err := base.ConcurrentEngine().Run(context.Background(), g, k, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRunConcurrentOptions(t *testing.T) {
 	if cfg.TreeFanIn != 2 || cfg.ChannelDepth != 8 || cfg.Fault.Seed != 13 {
 		t.Fatalf("options did not reach cluster config: %+v", cfg)
 	}
-	out, err := faulty.RunConcurrent(context.Background(), g, k)
+	out, err := faulty.ConcurrentEngine().Run(context.Background(), g, k, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestRunConcurrentRejectsOtherArchitectures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunConcurrent(context.Background(), g, kernels.NewBFS(0)); err == nil {
+	if _, err := s.ConcurrentEngine().Run(context.Background(), g, kernels.NewBFS(0), RunConfig{}); err == nil {
 		t.Error("accepted concurrent execution of the distributed architecture")
 	}
 }
@@ -297,7 +297,7 @@ func TestCompareMatchesFreshSystems(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.RunWithAssignment(context.Background(), g, k, assign)
+			want, err := fresh.Engine().Run(context.Background(), g, k, RunConfig{Assignment: assign})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,7 +359,7 @@ func TestCompareParallelStatefulKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.RunWithAssignment(context.Background(), g, kernels.NewPageRankDelta(0.85, 1e-7), assign)
+		want, err := fresh.Engine().Run(context.Background(), g, kernels.NewPageRankDelta(0.85, 1e-7), RunConfig{Assignment: assign})
 		if err != nil {
 			t.Fatal(err)
 		}

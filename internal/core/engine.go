@@ -22,8 +22,8 @@ type RunConfig struct {
 
 // Engine is the unified execution seam: the serial reference, the four
 // analytical simulators, and the concurrent actor cluster all implement
-// it, so System.Run, System.RunConcurrent, Compare, and the ndpserve job
-// executor are thin dispatch over one interface.
+// it, so Compare, the CLIs, and the ndpserve job executor are thin
+// dispatch over one interface.
 type Engine interface {
 	// Name identifies the execution model (stable across runs — cache
 	// keys and wire formats embed it).

@@ -22,7 +22,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := sys.Run(context.Background(), g, kernels.NewPageRank(5, 0.85))
+	run, err := sys.Engine().Run(context.Background(), g, kernels.NewPageRank(5, 0.85), core.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,13 +60,13 @@ func ExampleSystem_Compare() {
 	// disaggregated-ndp+inc
 }
 
-// ExampleSystem_Run_pipeline composes kernels the way a production
+// ExampleSystem_Engine_pipeline composes kernels the way a production
 // workflow does, each distributed stage reporting what it moved:
 // connected components over the symmetrized graph, extraction of the
 // largest component, a fresh partitioning of that subgraph across the
 // pool for PageRank, and the top-ranked vertex mapped back to its
 // original ID.
-func ExampleSystem_Run_pipeline() {
+func ExampleSystem_Engine_pipeline() {
 	g, err := gen.WikiTalk.Generate(0.125, gen.Config{Seed: 71, Weighted: true, DropSelfLoops: true})
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +81,7 @@ func ExampleSystem_Run_pipeline() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cc, err := sys.Run(ctx, und, kernels.NewConnectedComponents())
+	cc, err := sys.Engine().Run(ctx, und, kernels.NewConnectedComponents(), core.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func ExampleSystem_Run_pipeline() {
 		log.Fatal(err)
 	}
 
-	pr, err := sys.Run(ctx, sub, kernels.NewPageRank(5, 0.85))
+	pr, err := sys.Engine().Run(ctx, sub, kernels.NewPageRank(5, 0.85), core.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

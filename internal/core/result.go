@@ -12,9 +12,8 @@ import (
 // Result is the unified outcome of any engine execution — the analytical
 // simulators (previously *sim.Run), the concurrent actor cluster
 // (previously *cluster.Outcome), and the serial reference. One type means
-// System.Run, System.RunConcurrent, Compare, and the ndpserve job
-// executor all hand back the same shape, and a cache or a wire format
-// needs exactly one marshaller.
+// every Engine, Compare, and the ndpserve job executor all hand back the
+// same shape, and a cache or a wire format needs exactly one marshaller.
 //
 // The union is explicit rather than an interface: analytical runs fill
 // the Records/Total* fields and leave the Traffic/Faults block zero;

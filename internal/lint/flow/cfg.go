@@ -3,10 +3,9 @@
 // (cfg.go), and the one module-wide fixed-point driver that turns a
 // per-function analysis into interprocedural facts (module.go). The
 // syntactic rules look at one node at a time; the analyzers built here
-// (chanprotocol, lockflow, and the perfflow and lifeflow rule families)
-// reason about paths — a close followed by a send on some path, a lock
-// pair taken in opposite orders on two branches — and about what a
-// callee does with its arguments.
+// (the perfflow and lifeflow rule families) reason about paths — an
+// exit some branch reaches without releasing what it acquired, a loop a
+// value escapes from — and about what a callee does with its arguments.
 //
 // Everything here is stdlib-only (go/ast + go/types) and must never
 // panic: the builder is handed arbitrary — including fuzz-generated —

@@ -1,10 +1,9 @@
 // lifeflow.go wires the v4 "lifeflow" analyzers: resource-lifecycle
 // rules built on internal/lint/lifeflow's obligation analysis. Where
 // the perfflow generation asks "does the hot path allocate?", this one
-// asks "does what we acquire get released, does what we spawn
-// terminate, does the context we already have actually flow?" — the
-// invariants the ndpserve serving stack (refcounted snapshots,
-// cancellable jobs, background executors) depends on.
+// asks "does what we acquire get released, does the context we already
+// have actually flow?" — the invariants the ndpserve serving stack
+// (refcounted snapshots, cancellable jobs) depends on.
 package lint
 
 import (
@@ -21,9 +20,7 @@ import (
 func Lifeflow() []Analyzer {
 	return []Analyzer{
 		LeakPair{},
-		GoroLeak{},
 		CtxFlow{},
-		SendBlock{},
 	}
 }
 
@@ -118,56 +115,6 @@ func reportLeak(pass *Pass, lk lifeflow.Leak) {
 		return
 	}
 	pass.Report(ob.Call.Pos(), msg, fix)
-}
-
-// GoroLeak flags go statements whose body provably never terminates: an
-// endless for loop with no termination witness (no receive, select
-// receive, return, break, blocking or aborting call). Resolved
-// interprocedurally — `go worker()` is checked against worker's body —
-// so spawning helpers in the serve and cluster layers are covered.
-type GoroLeak struct{}
-
-func (GoroLeak) Name() string { return "goroleak" }
-func (GoroLeak) Doc() string {
-	return "every spawned goroutine has a termination witness (receive, return, or blocking call in its loops)"
-}
-
-func (GoroLeak) Run(pass *Pass) {
-	if pass.Info == nil {
-		return
-	}
-	an := lifeflowOf(pass.Mod)
-	forEachFuncDecl(pass, func(file *ast.File, fd *ast.FuncDecl) {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			body, info := spawnedBody(pass, an, g)
-			if body == nil {
-				return true
-			}
-			if loop := an.EndlessLoop(info, body); loop != nil {
-				pass.Report(g.Pos(),
-					"goroutine runs an endless loop with no termination witness; it can never exit",
-					"give the loop a way out: select on a done channel/context, receive a command, or return on shutdown")
-			}
-			return true
-		})
-	})
-}
-
-// spawnedBody resolves the body a go statement runs: a function
-// literal's own body, or the declaration body of a module function.
-func spawnedBody(pass *Pass, an *lifeflow.Analysis, g *ast.GoStmt) (*ast.BlockStmt, *types.Info) {
-	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-		return lit.Body, pass.Info
-	}
-	fn := flow.CalleeOf(pass.Info, g.Call)
-	if fn == nil {
-		return nil, nil
-	}
-	return an.DeclBody(fn)
 }
 
 // CtxFlow enforces context plumbing: a fresh context.Background()/TODO()
@@ -299,111 +246,4 @@ func isCancelCtor(fn *types.Func) bool {
 
 func isCtxType(t types.Type) bool {
 	return t != nil && t.String() == "context.Context"
-}
-
-// SendBlock flags the leaked-sender shape: a goroutine sending on an
-// unbuffered channel declared by the spawning function, outside any
-// select — if the receiver bails early (error return, timeout), the
-// sender blocks forever and the goroutine leaks.
-type SendBlock struct{}
-
-func (SendBlock) Name() string { return "sendblock" }
-func (SendBlock) Doc() string {
-	return "no bare goroutine sends on unbuffered local channels (leaked-sender shape); buffer the channel or select with a cancellation case"
-}
-
-func (SendBlock) Run(pass *Pass) {
-	forEachFuncDecl(pass, func(file *ast.File, fd *ast.FuncDecl) {
-		unbuffered := unbufferedLocals(pass, fd)
-		if len(unbuffered) == 0 {
-			return
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			selectComms := make(map[ast.Stmt]bool)
-			ast.Inspect(lit.Body, func(c ast.Node) bool {
-				sel, ok := c.(*ast.SelectStmt)
-				if !ok || sel.Body == nil {
-					return true
-				}
-				for _, cl := range sel.Body.List {
-					if comm, ok := cl.(*ast.CommClause); ok && comm.Comm != nil {
-						selectComms[comm.Comm] = true
-					}
-				}
-				return true
-			})
-			ast.Inspect(lit.Body, func(c ast.Node) bool {
-				send, ok := c.(*ast.SendStmt)
-				if !ok || selectComms[send] {
-					return true
-				}
-				id, ok := ast.Unparen(send.Chan).(*ast.Ident)
-				if !ok {
-					return true
-				}
-				if obj := pass.Info.ObjectOf(id); obj != nil && unbuffered[obj] {
-					pass.Report(send.Pos(),
-						fmt.Sprintf("send on unbuffered channel %s from a goroutine, outside any select; if the receiver leaves early the sender blocks forever", id.Name),
-						"buffer the channel for the fan-out width, or wrap the send in a select with a cancellation case")
-				}
-				return true
-			})
-			return true
-		})
-	})
-}
-
-// unbufferedLocals maps locals declared as make(chan T) — no capacity,
-// or a literal zero capacity — in fd.
-func unbufferedLocals(pass *Pass, fd *ast.FuncDecl) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			name, isBuiltin := builtinCallName(pass, call)
-			if !isBuiltin || name != "make" || len(call.Args) == 0 {
-				continue
-			}
-			t := pass.TypeOf(call)
-			if t == nil {
-				continue
-			}
-			if _, isChan := t.Underlying().(*types.Chan); !isChan {
-				continue
-			}
-			zeroCap := len(call.Args) == 1
-			if len(call.Args) == 2 {
-				if lit, ok := ast.Unparen(call.Args[1]).(*ast.BasicLit); ok && lit.Value == "0" {
-					zeroCap = true
-				}
-			}
-			if !zeroCap {
-				continue
-			}
-			if obj := pass.Info.ObjectOf(id); obj != nil {
-				out[obj] = true
-			}
-		}
-		return true
-	})
-	return out
 }

@@ -2,7 +2,6 @@ package lifeflow
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"slices"
 
@@ -17,10 +16,6 @@ type FuncFacts struct {
 	// cancel func passed down), or hands it to a module callee that
 	// does. For variadic functions the last entry covers the slice.
 	ReleasesParam []bool
-	// Blocks: the function can park its goroutine — a channel receive,
-	// a range over a channel, a sync Wait, or a module callee that
-	// blocks. Used as a termination witness by goroleak.
-	Blocks bool
 	// NoReturn: the function always terminates the process (its body
 	// ends in os.Exit, log.Fatal*, panic, or a module no-return call),
 	// so paths through it leak nothing the OS won't reclaim.
@@ -38,7 +33,7 @@ type factInfo = flow.FuncInfo[FuncFacts]
 
 // ComputeFacts analyzes every function with a body in pkgs. Facts start
 // empty and only ever grow across rounds; unknown callees neither
-// release, block, nor abort — the package's report-what-you-can-see
+// release nor abort — the package's report-what-you-can-see
 // bias.
 func ComputeFacts(pkgs []flow.PkgSyntax, releaseNames map[string]bool) *Facts {
 	f := &Facts{funcs: flow.ModuleFuncs[FuncFacts](pkgs), releaseNames: releaseNames}
@@ -47,8 +42,7 @@ func ComputeFacts(pkgs []flow.PkgSyntax, releaseNames map[string]bool) *Facts {
 }
 
 func lifecycleFactsEqual(a, b FuncFacts) bool {
-	return a.Blocks == b.Blocks && a.NoReturn == b.NoReturn &&
-		slices.Equal(a.ReleasesParam, b.ReleasesParam)
+	return a.NoReturn == b.NoReturn && slices.Equal(a.ReleasesParam, b.ReleasesParam)
 }
 
 // Lookup returns fn's facts and whether fn is a module function the
@@ -106,51 +100,39 @@ func (f *Facts) analyze(fi *factInfo) FuncFacts {
 	}
 	nf.ReleasesParam = make([]bool, len(params))
 
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			// Release-named method on a parameter, or calling a
-			// func-typed parameter directly.
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && f.releaseNames[sel.Sel.Name] {
-				root := recvObj(fi.Info, sel.X)
-				for i, p := range params {
-					if p != nil && root == p {
-						nf.ReleasesParam[i] = true
-					}
+	ast.Inspect(fi.Decl.Body, func(node ast.Node) bool {
+		n, ok := node.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		// Release-named method on a parameter, or calling a func-typed
+		// parameter directly.
+		if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && f.releaseNames[sel.Sel.Name] {
+			root := recvObj(fi.Info, sel.X)
+			for i, p := range params {
+				if p != nil && root == p {
+					nf.ReleasesParam[i] = true
 				}
 			}
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				obj := fi.Info.ObjectOf(id)
-				for i, p := range params {
-					if p != nil && obj == p {
-						nf.ReleasesParam[i] = true
-					}
+		}
+		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+			obj := fi.Info.ObjectOf(id)
+			for i, p := range params {
+				if p != nil && obj == p {
+					nf.ReleasesParam[i] = true
 				}
 			}
-			// Forwarding a parameter to a module callee that releases it.
-			for j, arg := range n.Args {
-				id, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := fi.Info.ObjectOf(id)
-				for i, p := range params {
-					if p != nil && obj == p && f.ReleasesParamAt(fi.Info, n, j) {
-						nf.ReleasesParam[i] = true
-					}
-				}
+		}
+		// Forwarding a parameter to a module callee that releases it.
+		for j, arg := range n.Args {
+			id, ok := ast.Unparen(arg).(*ast.Ident)
+			if !ok {
+				continue
 			}
-			if f.callBlocks(fi.Info, n) {
-				nf.Blocks = true
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				nf.Blocks = true
-			}
-		case *ast.RangeStmt:
-			if t := fi.Info.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					nf.Blocks = true
+			obj := fi.Info.ObjectOf(id)
+			for i, p := range params {
+				if p != nil && obj == p && f.ReleasesParamAt(fi.Info, n, j) {
+					nf.ReleasesParam[i] = true
 				}
 			}
 		}
@@ -159,22 +141,6 @@ func (f *Facts) analyze(fi *factInfo) FuncFacts {
 
 	nf.NoReturn = f.endsInAbort(fi)
 	return nf
-}
-
-// callBlocks: sync Wait, or a module callee whose facts say it blocks.
-func (f *Facts) callBlocks(info *types.Info, call *ast.CallExpr) bool {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if fn, ok := info.ObjectOf(sel.Sel).(*types.Func); ok &&
-			fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Wait" {
-			return true
-		}
-	}
-	fn := flow.CalleeOf(info, call)
-	if fn == nil {
-		return false
-	}
-	fi, ok := f.funcs[fn]
-	return ok && fi.Fact.Blocks
 }
 
 // endsInAbort reports whether the function's last top-level statement

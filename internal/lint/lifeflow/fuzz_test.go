@@ -16,8 +16,8 @@ import (
 // analysis and asserts its contract: it never panics, it terminates (the
 // facts fixpoint is bounded and the path walk visits each block once), it
 // is deterministic, and the lattice is monotone in the interprocedural
-// facts — forgetting every module fact (no callee releases a parameter,
-// blocks, or no-returns) can only grow the leak set, never shrink it.
+// facts — forgetting every module fact (no callee releases a parameter or
+// no-returns) can only grow the leak set, never shrink it.
 // Type-checking is best-effort; fragments that don't check exercise the
 // degraded no-info mode, which must simply stay silent.
 func FuzzLifecycleLattice(f *testing.F) {
@@ -128,8 +128,7 @@ func fuzzed(ctx context.Context, ch chan int, mu *sync.Mutex) {
 
 		// Monotone: dropping every interprocedural fact (bottom of the
 		// lattice) can only add leaks — a fact only ever discharges an
-		// obligation (releases-param), exempts a path (no-return), or
-		// witnesses a loop (blocks).
+		// obligation (releases-param) or exempts a path (no-return).
 		strict := &Analysis{
 			acquirers: a.acquirers,
 			facts:     &Facts{funcs: map[*types.Func]*factInfo{}, releaseNames: a.facts.releaseNames},
@@ -142,17 +141,6 @@ func fuzzed(ctx context.Context, ch chan int, mu *sync.Mutex) {
 			if !strictLeaks[leakKey(lk)] {
 				t.Fatalf("monotonicity violated: %s leaks with facts but not without", leakKey(lk))
 			}
-		}
-
-		// EndlessLoop shares the contract: no panic, deterministic, and
-		// monotone the same way (a Blocks fact is a witness, so the
-		// fact-free run flags a superset).
-		l1, l2 := a.EndlessLoop(info, fd.Body), b.EndlessLoop(info, fd.Body)
-		if (l1 == nil) != (l2 == nil) {
-			t.Fatalf("nondeterministic EndlessLoop verdict")
-		}
-		if l1 != nil && strict.EndlessLoop(info, fd.Body) == nil {
-			t.Fatalf("monotonicity violated: endless loop found with facts but not without")
 		}
 	})
 }

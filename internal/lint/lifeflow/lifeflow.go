@@ -171,8 +171,8 @@ type Malformed struct {
 }
 
 // Analysis is the module-wide lifecycle state: annotated acquirer
-// specs, interprocedural facts, and the declaration index used to
-// resolve goroutine bodies. Build once per module via NewAnalysis.
+// specs and interprocedural facts. Build once per module via
+// NewAnalysis.
 type Analysis struct {
 	acquirers map[*types.Func]acqSite
 	facts     *Facts
@@ -693,103 +693,6 @@ func (a *Analysis) fixable(info *types.Info, body *ast.BlockStmt, ob Obligation)
 		return false
 	}
 	return !a.resolves(info, body, ob)
-}
-
-// EndlessLoop returns the first for-loop in body that provably never
-// terminates: no condition, and no witness in its subtree — no receive,
-// return, break, goto, select receive, range over a channel, blocking
-// or aborting call. Nil when every loop has a witness. Used by the
-// goroleak analyzer on goroutine bodies.
-func (a *Analysis) EndlessLoop(info *types.Info, body *ast.BlockStmt) *ast.ForStmt {
-	if info == nil || body == nil {
-		return nil
-	}
-	var bad *ast.ForStmt
-	ast.Inspect(body, func(n ast.Node) bool {
-		if bad != nil {
-			return false
-		}
-		f, ok := n.(*ast.ForStmt)
-		if !ok || f.Cond != nil {
-			return true
-		}
-		if !a.hasWitness(info, f.Body) {
-			bad = f
-			return false
-		}
-		return true
-	})
-	return bad
-}
-
-// hasWitness reports whether n contains a termination witness: a way
-// for the enclosing endless loop to block on or observe the outside
-// world, or to leave. Over-approximate by design (a break out of a
-// nested loop counts), biasing toward fewer reports.
-func (a *Analysis) hasWitness(info *types.Info, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if found {
-			return false
-		}
-		switch c := c.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			found = true
-		case *ast.BranchStmt:
-			if c.Tok == token.BREAK || c.Tok == token.GOTO {
-				found = true
-			}
-		case *ast.UnaryExpr:
-			if c.Op == token.ARROW {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if t := info.TypeOf(c.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			if a.blocksOrAborts(info, c) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// blocksOrAborts reports whether call can park or terminate the calling
-// goroutine: sync.WaitGroup/Cond Wait, an abort, or a module function
-// the facts prove blocking or no-return.
-func (a *Analysis) blocksOrAborts(info *types.Info, call *ast.CallExpr) bool {
-	if a.aborts(info, call) {
-		return true
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if fn, ok := info.ObjectOf(sel.Sel).(*types.Func); ok &&
-			fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Wait" {
-			return true
-		}
-	}
-	fn := flow.CalleeOf(info, call)
-	if fn == nil {
-		return false
-	}
-	ff, ok := a.facts.Lookup(fn)
-	return ok && ff.Blocks
-}
-
-// DeclBody returns the body and type info of a module function, for
-// resolving `go worker()` spawns interprocedurally.
-func (a *Analysis) DeclBody(fn *types.Func) (*ast.BlockStmt, *types.Info) {
-	fi, ok := a.facts.funcs[fn]
-	if !ok {
-		return nil, nil
-	}
-	return fi.Decl.Body, fi.Info
 }
 
 func isErrorType(t types.Type) bool {

@@ -87,9 +87,8 @@ type Pass struct {
 	// are.
 	Info *types.Info
 	// Mod groups every package of this Run call, so interprocedural
-	// analyzers (chanprotocol, the perfflow and lifeflow rules) can
-	// follow flows across package boundaries and cache module-wide
-	// results.
+	// analyzers (the perfflow and lifeflow rules) can follow flows across
+	// package boundaries and cache module-wide results.
 	Mod *Module
 
 	diags *[]Diagnostic
@@ -213,8 +212,8 @@ func collectIgnores(fset *token.FileSet, file *ast.File, into map[string]map[int
 }
 
 // Module groups the packages of one Run call. Interprocedural analyzers
-// memoize module-wide results (per-function facts, channel alias
-// classes) here so the work happens once, not once per package.
+// memoize module-wide results (per-function facts) here so the work
+// happens once, not once per package.
 type Module struct {
 	Pkgs []*Package
 
@@ -264,12 +263,11 @@ func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 }
 
 // All returns the full analyzer suite in stable order: the five
-// syntactic rules, the two path-sensitive rules built on
-// internal/lint/flow, the four perfflow rules for //perf:hot paths built
-// on internal/lint/perfflow, then the four lifeflow resource-lifecycle
+// syntactic rules, the four perfflow rules for //perf:hot paths built
+// on internal/lint/perfflow, then the two lifeflow resource-lifecycle
 // rules built on internal/lint/lifeflow.
 func All() []Analyzer {
-	return append(append(append(Syntactic(), Dataflow()...), Perfflow()...), Lifeflow()...)
+	return append(append(Syntactic(), Perfflow()...), Lifeflow()...)
 }
 
 // Syntactic returns the per-function pattern-matching rules.
@@ -280,14 +278,6 @@ func Syntactic() []Analyzer {
 		ErrCheck{},
 		FloatAcc{},
 		PanicPath{},
-	}
-}
-
-// Dataflow returns the CFG-based path-sensitive rules.
-func Dataflow() []Analyzer {
-	return []Analyzer{
-		ChanProtocol{},
-		LockFlow{},
 	}
 }
 

@@ -80,10 +80,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"errcheck", ErrCheck{}, ""},
 		{"floatacc", FloatAcc{}, ""},
 		{"panicpath", PanicPath{}, ""},
-		// The path-sensitive pair: chanprotocol reports only into the
-		// cluster scope.
-		{"chanprotocol", ChanProtocol{}, "repro/internal/cluster/fixture"},
-		{"lockflow", LockFlow{}, ""},
 		// The perfflow suite: hotness comes from //perf:hot markers in
 		// the fixtures themselves, so no path scoping is needed.
 		{"loopalloc", LoopAlloc{}, ""},
@@ -94,9 +90,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		// from the built-in table plus //lint:pair annotations in the
 		// fixtures, so no path scoping is needed.
 		{"leakpair", LeakPair{}, ""},
-		{"goroleak", GoroLeak{}, ""},
 		{"ctxflow", CtxFlow{}, ""},
-		{"sendblock", SendBlock{}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -175,21 +169,23 @@ func TestNoDetermScope(t *testing.T) {
 	}
 }
 
-// TestRuleCatalog pins the suite's membership and order, which is also
-// the order of `ndplint -list`.
+// ruleCatalog is the suite's membership and order, which is also the
+// order of `ndplint -list`. TestRulesCatchSeededMutants demands a seeded
+// mutant for every name here.
+var ruleCatalog = []string{
+	"nodeterm", "maporder", "errcheck", "floatacc", "panicpath",
+	"loopalloc", "ifacebox", "deferloop", "closureloop",
+	"leakpair", "ctxflow",
+}
+
+// TestRuleCatalog pins All() to the catalog.
 func TestRuleCatalog(t *testing.T) {
-	want := []string{
-		"nodeterm", "maporder", "errcheck", "floatacc", "panicpath",
-		"chanprotocol", "lockflow",
-		"loopalloc", "ifacebox", "deferloop", "closureloop",
-		"leakpair", "goroleak", "ctxflow", "sendblock",
-	}
 	var got []string
 	for _, a := range All() {
 		got = append(got, a.Name())
 	}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("rule catalog = %v, want %v", got, want)
+	if strings.Join(got, " ") != strings.Join(ruleCatalog, " ") {
+		t.Errorf("rule catalog = %v, want %v", got, ruleCatalog)
 	}
 }
 
@@ -294,39 +290,10 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	}
 }
 
-// TestDataflowCatchesWhatSyntaxMisses is the acceptance check for the
-// path-sensitive suite: the seeded fixture bug must be invisible to all
-// five syntactic analyzers (run under the same scope override, so they
-// get every chance to fire) and caught by the dataflow rule.
-func TestDataflowCatchesWhatSyntaxMisses(t *testing.T) {
-	cases := []struct {
-		dir        string
-		importPath string
-		dataflow   Analyzer
-	}{
-		{"chanprotocol", "repro/internal/cluster/fixture", ChanProtocol{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.dir, func(t *testing.T) {
-			pkg := loadFixture(t, tc.dir)
-			pkg.ImportPath = tc.importPath
-			pkgs := []*Package{pkg}
-			for _, d := range Run(Syntactic(), pkgs) {
-				t.Errorf("syntactic analyzer unexpectedly caught the seeded bug: %s", d)
-			}
-			dataflow := Run([]Analyzer{tc.dataflow}, pkgs)
-			if len(dataflow) == 0 {
-				t.Errorf("%s found nothing on its fixture: the seeded bug went uncaught", tc.dataflow.Name())
-			}
-		})
-	}
-}
-
 // TestPerfflowCatchesWhatDataflowMisses is the acceptance check for the
 // perfflow suite: each fixture's seeded hot-loop allocation must be
-// invisible to every v1 syntactic and v2 dataflow analyzer — they prove
-// determinism and protocol safety, not allocation discipline — and
-// caught by the corresponding perfflow rule.
+// invisible to every syntactic analyzer — they prove determinism, not
+// allocation discipline — and caught by the corresponding perfflow rule.
 func TestPerfflowCatchesWhatDataflowMisses(t *testing.T) {
 	cases := []struct {
 		dir      string
@@ -340,8 +307,8 @@ func TestPerfflowCatchesWhatDataflowMisses(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			pkgs := []*Package{loadFixture(t, tc.dir)}
-			for _, d := range Run(append(Syntactic(), Dataflow()...), pkgs) {
-				t.Errorf("v1/v2 analyzer unexpectedly caught the seeded hot-loop bug: %s", d)
+			for _, d := range Run(Syntactic(), pkgs) {
+				t.Errorf("syntactic analyzer unexpectedly caught the seeded hot-loop bug: %s", d)
 			}
 			found := Run([]Analyzer{tc.perfflow}, pkgs)
 			if len(found) == 0 {
@@ -353,25 +320,21 @@ func TestPerfflowCatchesWhatDataflowMisses(t *testing.T) {
 
 // TestLifeflowCatchesWhatPerfflowMisses is the acceptance check for the
 // lifeflow suite: each fixture's seeded lifecycle bug — a leak on one
-// path, an unwitnessed goroutine, a detached context, a blocked sender —
-// must be invisible to every v1 syntactic, v2 dataflow, and v3 perfflow
-// analyzer, and caught by the corresponding lifeflow rule.
+// path, a detached context — must be invisible to every syntactic and
+// perfflow analyzer, and caught by the corresponding lifeflow rule.
 func TestLifeflowCatchesWhatPerfflowMisses(t *testing.T) {
 	cases := []struct {
 		dir      string
 		lifeflow Analyzer
 	}{
 		{"leakpair", LeakPair{}},
-		{"goroleak", GoroLeak{}},
 		{"ctxflow", CtxFlow{}},
-		{"sendblock", SendBlock{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			pkgs := []*Package{loadFixture(t, tc.dir)}
-			prior := append(append(Syntactic(), Dataflow()...), Perfflow()...)
-			for _, d := range Run(prior, pkgs) {
-				t.Errorf("v1/v2/v3 analyzer unexpectedly caught the seeded lifecycle bug: %s", d)
+			for _, d := range Run(append(Syntactic(), Perfflow()...), pkgs) {
+				t.Errorf("syntactic/perfflow analyzer unexpectedly caught the seeded lifecycle bug: %s", d)
 			}
 			found := Run([]Analyzer{tc.lifeflow}, pkgs)
 			if len(found) == 0 {

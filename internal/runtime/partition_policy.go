@@ -29,26 +29,19 @@ func (MixedOracle) PartitionPostHoc() {}
 // partition granularity: node p offloads when its estimated partial
 // updates (plus its share of the write-back) undercut shipping its share
 // of the frontier's edges.
-type PartitionHeuristic struct {
-	// Bias scales the offload estimate; >1 is conservative. 0 means 1.
-	Bias float64
-}
+type PartitionHeuristic struct{}
 
 // Name implements sim.OffloadPolicy.
 func (PartitionHeuristic) Name() string { return "partition-heuristic" }
 
 // Decide implements sim.OffloadPolicy — the aggregate fallback when an
 // engine does not support per-partition decisions.
-func (h PartitionHeuristic) Decide(s sim.PreStats) bool {
-	return Heuristic{Bias: h.Bias}.Decide(s)
+func (PartitionHeuristic) Decide(s sim.PreStats) bool {
+	return Heuristic{}.Decide(s)
 }
 
 // DecidePartitions implements sim.PartitionPolicy.
-func (h PartitionHeuristic) DecidePartitions(s sim.PreStats, parts []sim.PartPre) []bool {
-	bias := h.Bias
-	if bias <= 0 {
-		bias = 1
-	}
+func (PartitionHeuristic) DecidePartitions(s sim.PreStats, parts []sim.PartPre) []bool {
 	mask := make([]bool, len(parts))
 	for p, pp := range parts {
 		d := float64(pp.FrontierDegreeSum)
@@ -67,7 +60,7 @@ func (h PartitionHeuristic) DecidePartitions(s sim.PreStats, parts []sim.PartPre
 		writeback := float64(pp.FrontierSize) * kernels.PropertyBytes
 		offload := est*kernels.UpdateBytes + writeback
 		fetch := d * kernels.EdgeBytes
-		mask[p] = offload*bias < fetch
+		mask[p] = offload < fetch
 	}
 	return mask
 }

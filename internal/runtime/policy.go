@@ -29,14 +29,6 @@ type Heuristic struct {
 	// Aggregation estimates the in-network-aggregated volume instead of
 	// the raw partial-update volume (use when the engine enables INC).
 	Aggregation bool
-	// Bias scales the offload cost estimate; >1 is conservative (offload
-	// less), <1 aggressive. 0 means 1.
-	Bias float64
-	// BlendWeight, if positive, blends the previous iteration's observed
-	// dedup ratio into the estimate with this weight. The default 0 uses
-	// the analytic model alone — the observed ratio misleads when the
-	// frontier's character shifts sharply between iterations (BFS ramp-up).
-	BlendWeight float64
 }
 
 // Name implements sim.OffloadPolicy.
@@ -50,12 +42,7 @@ func (h Heuristic) Name() string {
 // Decide implements sim.OffloadPolicy.
 func (h Heuristic) Decide(s sim.PreStats) bool {
 	fetch := float64(s.FrontierDegreeSum) * kernels.EdgeBytes
-	offload := h.EstimateOffloadBytes(s)
-	bias := h.Bias
-	if bias <= 0 {
-		bias = 1
-	}
-	return offload*bias < fetch
+	return h.EstimateOffloadBytes(s) < fetch
 }
 
 // EstimateOffloadBytes returns the estimated bytes an offloaded iteration
@@ -100,10 +87,6 @@ func (h Heuristic) estimatePartials(s sim.PreStats) float64 {
 	}
 	if model > d {
 		model = d
-	}
-	if blend := h.BlendWeight; blend > 0 && s.Prev != nil && s.Prev.ActiveEdges > 0 {
-		observed := float64(s.Prev.PartialUpdates) / float64(s.Prev.ActiveEdges) * d
-		model = blend*observed + (1-blend)*model
 	}
 	return model
 }

@@ -216,43 +216,15 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
-func TestBiasShiftsDecisions(t *testing.T) {
-	g, err := gen.ComLiveJournal.Generate(0.125, gen.Config{Seed: 6, DropSelfLoops: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := kernels.NewPageRank(5, 0.85)
-	count := func(bias float64) int {
-		run := runWithPolicy(t, g, k, 16, Heuristic{Bias: bias})
-		n := 0
-		for _, rec := range run.Records {
-			if rec.Offloaded {
-				n++
-			}
-		}
-		return n
-	}
-	aggressive := count(0.25)
-	conservative := count(4.0)
-	if aggressive < conservative {
-		t.Errorf("lower bias should offload at least as often: %d < %d", aggressive, conservative)
-	}
-}
-
 // TestPoliciesOnDegenerateStats pins every offload policy's decision on
 // the degenerate PreStats shapes an engine can legally produce — an
-// empty frontier, a zero-width pool, no previous iteration, a previous
-// iteration with zero active edges — and asserts no NaN sneaks into the
+// empty frontier, a zero-width pool, no vertex count — and asserts no NaN sneaks into the
 // byte estimates. A policy must degrade to "don't offload" (or a finite
 // estimate), never divide by zero.
 func TestPoliciesOnDegenerateStats(t *testing.T) {
 	empty := sim.PreStats{Partitions: 8, NumVertices: 100}
 	noPool := sim.PreStats{FrontierSize: 10, FrontierDegreeSum: 50, NumVertices: 100}
 	noVertices := sim.PreStats{FrontierSize: 10, FrontierDegreeSum: 50, Partitions: 8}
-	idlePrev := sim.PreStats{
-		FrontierSize: 10, FrontierDegreeSum: 50, Partitions: 8, NumVertices: 100,
-		Prev: &sim.Record{ActiveEdges: 0, PartialUpdates: 0},
-	}
 	cases := []struct {
 		name   string
 		policy sim.OffloadPolicy
@@ -263,10 +235,6 @@ func TestPoliciesOnDegenerateStats(t *testing.T) {
 		{"heuristic zero partitions", Heuristic{}, noPool, false},
 		{"heuristic zero vertices", Heuristic{}, noVertices, false},
 		{"heuristic+inc empty frontier", Heuristic{Aggregation: true}, empty, false},
-		// The blend guard: a previous record with zero active edges must
-		// be skipped (its observed ratio is 0/0), leaving the analytic
-		// model's answer — here a no-offload frontier.
-		{"heuristic blend with idle prev", Heuristic{BlendWeight: 0.5}, idlePrev, false},
 		{"threshold empty frontier", ThresholdPolicy{}, empty, false},
 		{"threshold zero partitions", ThresholdPolicy{}, noPool, false},
 		{"threshold explicit beats zero partitions", ThresholdPolicy{Threshold: 3}, noPool, true},
@@ -280,8 +248,8 @@ func TestPoliciesOnDegenerateStats(t *testing.T) {
 			}
 		})
 	}
-	for _, st := range []sim.PreStats{empty, noPool, noVertices, idlePrev} {
-		for _, h := range []Heuristic{{}, {Aggregation: true}, {BlendWeight: 0.7}} {
+	for _, st := range []sim.PreStats{empty, noPool, noVertices} {
+		for _, h := range []Heuristic{{}, {Aggregation: true}} {
 			if est := h.EstimateOffloadBytes(st); math.IsNaN(est) || math.IsInf(est, 0) || est < 0 {
 				t.Errorf("%s: EstimateOffloadBytes(%+v) = %v, want finite non-negative", h.Name(), st, est)
 			}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -144,7 +145,8 @@ func TestServerShutdownReturnsToBaseline(t *testing.T) {
 	c := NewClient(srv.URL, "t")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	info, err := c.Submit(ctx, JobSpec{Snapshot: "g", Kernel: "cc", Partitions: 4})
+	spec := JobSpec{Snapshot: "g", Kernel: "cc", Partitions: 4}
+	info, err := c.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +159,11 @@ func TestServerShutdownReturnsToBaseline(t *testing.T) {
 
 	srv.Close() // waits for in-flight handlers and closes idle conns
 	m.Stop()    // joins the executor pool
+	// A submission that arrives after Stop has already taken its snapshot
+	// reference; the refusal must hand it back, or the count below is 3.
+	if _, err := m.Submit("t", spec); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Submit after Stop: err = %v, want ErrStopped", err)
+	}
 	snap, ok := reg.Get("g")
 	if !ok {
 		t.Fatal("snapshot missing after shutdown")

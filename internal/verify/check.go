@@ -488,7 +488,7 @@ func checkCluster(g *graph.Graph, fresh func() kernels.Kernel, assign *partition
 	if err != nil {
 		return err
 	}
-	free, err := sysFree.RunConcurrentWithAssignment(context.Background(), g, fresh(), assign)
+	free, err := sysFree.ConcurrentEngine().Run(context.Background(), g, fresh(), core.RunConfig{Assignment: assign})
 	if err != nil {
 		return err
 	}
@@ -539,7 +539,7 @@ func checkCluster(g *graph.Graph, fresh func() kernels.Kernel, assign *partition
 	if err != nil {
 		return err
 	}
-	faulted, err := sysFault.RunConcurrentWithAssignment(context.Background(), g, fresh(), assign)
+	faulted, err := sysFault.ConcurrentEngine().Run(context.Background(), g, fresh(), core.RunConfig{Assignment: assign})
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,7 @@
 # Every stage adds something the two full test tiers lack; anything that
 # only re-ran a subset of them is gone. In order:
 #   static      go build, go vet (copylocks included), gofmt -l empty,
-#               ndplint over the module (any finding fails),
+#               ndplint's 11 rules over the module (any finding fails),
 #               ndplint -fix -diff empty
 #   tier 1      go test ./...
 #   uncached    alloc gates at -count=1 (they skip under -race)
@@ -13,7 +13,7 @@
 #   -count=2    cluster faults, parallel simulator, store lifecycle,
 #               each under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
-#   fuzz        a short budget per fuzz target
+#   fuzz        a short budget per fuzz target (13)
 # Any stage failing fails the gate.
 #
 # Usage: scripts/check.sh [fuzz-seconds]
@@ -49,6 +49,8 @@ if [ -n "$unformatted" ]; then
 fi
 echo "(empty)"
 
+# 11 rules (ndplint -list), each kept on a seeded mutant of the real
+# sources that it alone reports (TestRulesCatchSeededMutants, in tier 1).
 step go run ./cmd/ndplint ./...
 
 # Fix hygiene: every fixable finding must already be fixed in the tree,
@@ -182,8 +184,9 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
     fuzz_targets=(
         "FuzzReadEdgeList ./internal/gio/"
         "FuzzReadBinary ./internal/gio/"
-        # The CFG builder underlies every dataflow analyzer; fuzz it on
-        # arbitrary function bodies so lint never panics on weird code.
+        # The CFG builder underlies the perfflow and lifeflow rules; fuzz
+        # it on arbitrary function bodies so lint never panics on weird
+        # code.
         "FuzzBuildCFG ./internal/lint/flow/"
         # The multilevel partitioner's contract (coverage, balance,
         # coarsening round trip) on arbitrary graphs.
@@ -219,6 +222,10 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # re-encodes to the canonical base64 of the same bytes.
         "FuzzJobSpecNormalize ./internal/serve/"
         "FuzzDecodeValues ./internal/serve/"
+        # ndpverify's replay decoder: arbitrary bytes must come back as an
+        # error or as a scenario that passes Validate and whose replay
+        # JSON parses to the same value.
+        "FuzzParseScenario ./internal/verify/"
     )
     for target in "${fuzz_targets[@]}"; do
         read -r name pkg <<< "$target"
