@@ -16,7 +16,7 @@
 //
 // With -server, ndprun becomes a client of a running ndpserve instance:
 // it uploads the graph as a named snapshot, submits the same
-// (kernel, architecture, …) selection as a job, polls to completion,
+// (kernel, architecture, …) selection as a job, waits for it to finish,
 // and prints the served result — noting when the server answered from
 // its result cache.
 //

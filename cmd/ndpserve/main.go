@@ -1,15 +1,16 @@
 // Command ndpserve runs the multi-tenant graph-analytics service: it
 // loads CSR graphs once as immutable, refcounted snapshots and serves
 // concurrent analytics jobs over them through the unified core.Engine
-// API — submit a JSON job spec, poll its status, fetch the canonical
-// result. Identical submissions against the same snapshot are answered
-// from the result cache byte for byte.
+// API — submit a JSON job spec, wait on its status (?wait= holds the
+// request until the job has finished), fetch the canonical result.
+// Identical submissions against the same snapshot are answered from the
+// result cache byte for byte.
 //
 //	ndpserve -addr 127.0.0.1:8090 -snapshot wiki=wiki-talk:0.25
 //
 //	curl -s -X POST 127.0.0.1:8090/v1/jobs -H 'X-Tenant: alice' \
 //	    -d '{"snapshot":"wiki","kernel":"cc"}'
-//	curl -s 127.0.0.1:8090/v1/jobs/j00000001
+//	curl -s '127.0.0.1:8090/v1/jobs/j00000001?wait=30s'
 //	curl -s 127.0.0.1:8090/v1/jobs/j00000001/result
 //
 // Snapshots can also be uploaded at runtime (PUT /v1/snapshots/{name}
@@ -89,7 +90,10 @@ func parseSnapshotSpec(v string) (snapshotSpec, error) {
 // connection, would otherwise hold a goroutine and a descriptor for as
 // long as it likes. Whole-request read and write deadlines are left
 // unset on purpose: a large PUT /v1/snapshots upload or a long result
-// download is legitimate at any duration.
+// download is legitimate at any duration, and a WriteTimeout below
+// serve.MaxWait would cut a parked GET /v1/jobs/{id}?wait= off before
+// its answer (that park is bounded by MaxWait, the job, the client's
+// connection and the manager's Stop instead).
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -167,15 +171,23 @@ func main() {
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(os.Stderr, "ndpserve: shutting down")
-	//lint:ignore ctxflow the signal ctx is already done by the time we shut down; the deadline needs a fresh tree
+	shutdown(srv, mgr)
+	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		fatal(err)
+	}
+}
+
+// shutdown tears down manager first, server second. Stop cancels every
+// job and releases every request parked in ?wait=, so the drain that
+// follows waits for handlers already on their way out; the other order
+// would spend the whole drain budget on one waiter's bound and then cut
+// its connection.
+func shutdown(srv *http.Server, mgr *serve.Manager) {
+	mgr.Stop()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "ndpserve: shutdown: %v\n", err)
-	}
-	mgr.Stop()
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
 	}
 }
 

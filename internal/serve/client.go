@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/gio"
 	"repro/internal/graph"
@@ -129,10 +128,10 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
 	return info, nil
 }
 
-// Status fetches a job's current status.
-func (c *Client) Status(ctx context.Context, id string) (JobInfo, error) {
-	path := "/v1/jobs/" + id
-	body, status, err := c.do(ctx, http.MethodGet, path, nil, "")
+// jobInfo issues a request on the job resource and decodes the JobInfo
+// every such route answers with.
+func (c *Client) jobInfo(ctx context.Context, method, path string) (JobInfo, error) {
+	body, status, err := c.do(ctx, method, path, nil, "")
 	if err != nil {
 		return JobInfo{}, err
 	}
@@ -146,21 +145,28 @@ func (c *Client) Status(ctx context.Context, id string) (JobInfo, error) {
 	return info, nil
 }
 
-// Wait polls until the job reaches a terminal state (or ctx ends).
+// Status fetches a job's current status.
+func (c *Client) Status(ctx context.Context, id string) (JobInfo, error) {
+	return c.jobInfo(ctx, http.MethodGet, "/v1/jobs/"+id)
+}
+
+// Wait returns the job's status once it is terminal (or ctx ends). The
+// waiting is the server's: each request parks there for up to MaxWait
+// and is answered the moment the job finishes; a non-terminal answer
+// means the bound ran out, and the request is issued again.
 func (c *Client) Wait(ctx context.Context, id string) (JobInfo, error) {
+	path := "/v1/jobs/" + id + "?wait=" + MaxWait.String()
 	for {
-		info, err := c.Status(ctx, id)
+		info, err := c.jobInfo(ctx, http.MethodGet, path)
 		if err != nil {
+			if ctx.Err() != nil {
+				return JobInfo{}, ctx.Err()
+			}
 			return JobInfo{}, err
 		}
 		switch info.State {
 		case StateDone, StateFailed, StateCancelled:
 			return info, nil
-		}
-		select {
-		case <-ctx.Done():
-			return JobInfo{}, ctx.Err()
-		case <-time.After(10 * time.Millisecond):
 		}
 	}
 }
@@ -193,19 +199,7 @@ func (c *Client) Result(ctx context.Context, id string) (*WireResult, error) {
 
 // Cancel cancels a job.
 func (c *Client) Cancel(ctx context.Context, id string) (JobInfo, error) {
-	path := "/v1/jobs/" + id
-	body, status, err := c.do(ctx, http.MethodDelete, path, nil, "")
-	if err != nil {
-		return JobInfo{}, err
-	}
-	if status != http.StatusOK {
-		return JobInfo{}, apiError(path, status, body)
-	}
-	var info JobInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return JobInfo{}, fmt.Errorf("%s: decode: %w", path, err)
-	}
-	return info, nil
+	return c.jobInfo(ctx, http.MethodDelete, "/v1/jobs/"+id)
 }
 
 // Metrics fetches the server's counter snapshot as a name→value map.

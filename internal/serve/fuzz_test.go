@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"net/url"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // FuzzJobSpecNormalize feeds arbitrary bytes through the path a
@@ -76,6 +78,45 @@ func FuzzDecodeValues(f *testing.F) {
 		}
 		if got, want := EncodeValues(vals), base64.StdEncoding.EncodeToString(raw); got != want {
 			t.Fatalf("re-encoding gives %q, canonical is %q", got, want)
+		}
+	})
+}
+
+// FuzzWaitParam feeds arbitrary query strings to the status route's wait
+// parameter the way the handler receives them (URL.Query keeps the
+// well-formed pairs of a malformed query) and requires a refusal or a
+// park bound inside [0, MaxWait] that is the first wait value's duration,
+// clamped: nothing a client can send parks a handler without bound.
+func FuzzWaitParam(f *testing.F) {
+	for _, q := range []string{
+		"", "wait=1s", "wait=0", "wait=1000h", "wait=-1s", "wait=abc", "wait=", "wait",
+		"wait=1s&wait=-1s", "x=1&wait=2.5ms", "wait=%zz", "wait=1h;x", "Wait=1s",
+		"wait=9223372036854775807ns", "wait=-9223372036854775808ns", "wait=+30s", "wait=1e3s",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw)
+		d, err := parseWait(q)
+		if err != nil {
+			if d != 0 {
+				t.Fatalf("parseWait(%q) failed (%v) yet returned %v", raw, err, d)
+			}
+			return
+		}
+		if d < 0 || d > MaxWait {
+			t.Fatalf("parseWait(%q) = %v, outside [0, %v]", raw, d, MaxWait)
+		}
+		want := time.Duration(0)
+		if q.Has("wait") {
+			asked, err := time.ParseDuration(q.Get("wait"))
+			if err != nil || asked < 0 {
+				t.Fatalf("parseWait(%q) accepted wait=%q (%v, %v)", raw, q.Get("wait"), asked, err)
+			}
+			want = min(asked, MaxWait)
+		}
+		if d != want {
+			t.Fatalf("parseWait(%q) = %v, want %v", raw, d, want)
 		}
 	})
 }

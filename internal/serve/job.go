@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/cliconf"
 	"repro/internal/core"
@@ -32,6 +33,12 @@ var (
 	ErrStopped         = errors.New("serve: manager stopped")
 	ErrNotDone         = errors.New("serve: job has no result yet")
 )
+
+// MaxWait bounds how long one status request may park on a job
+// (GET /v1/jobs/{id}?wait=). A constant, not a setting: client and server
+// ship from one module, and Client.Wait asks for exactly this much and
+// asks again on expiry.
+const MaxWait = 30 * time.Second
 
 // Job is one admitted analytics run. All fields are guarded by the
 // manager's mutex; Done exposes completion to waiters.
@@ -258,6 +265,36 @@ func (m *Manager) infoLocked(job *Job) JobInfo {
 	return info
 }
 
+// wait is Info that first parks on the job's Done channel until the job
+// is terminal, d elapses, ctx ends, or the manager stops. Expiry is not
+// an error: the info then carries a non-terminal state and the caller
+// asks again. A stopped manager cancels every job, so its waiters are
+// refused with ErrStopped rather than held until the executors notice.
+func (m *Manager) wait(ctx context.Context, id string, d time.Duration) (JobInfo, error) {
+	m.mu.Lock()
+	job := m.jobs[id]
+	m.mu.Unlock()
+	if job != nil && d > 0 {
+		select {
+		case <-job.done: // terminal already: nothing to park on, stopped or not
+		default:
+			m.metrics.Counter(CounterWaitsParked).Inc()
+			timer := time.NewTimer(d)
+			defer timer.Stop()
+			select {
+			case <-job.done:
+			case <-timer.C:
+				m.metrics.Counter(CounterWaitsExpired).Inc()
+			case <-ctx.Done():
+				return JobInfo{}, ctx.Err()
+			case <-m.stopCh:
+				return JobInfo{}, ErrStopped
+			}
+		}
+	}
+	return m.Info(id) // which also names an unknown job
+}
+
 // Result returns the canonical marshalled result bytes of a done job.
 func (m *Manager) Result(id string) ([]byte, error) {
 	m.mu.Lock()
@@ -380,6 +417,13 @@ func (m *Manager) runJob(job *Job) {
 
 	res, err := m.exec(ctx, snap, spec)
 	cancel()
+	// Encode before re-taking the lock: every tenant's Submit, Info and
+	// Result, and every waiter's wake-up, would otherwise queue behind it.
+	var b []byte
+	var merr error
+	if err == nil {
+		b, merr = MarshalResult(res)
+	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -388,12 +432,9 @@ func (m *Manager) runJob(job *Job) {
 		m.finishLocked(job, StateCancelled, context.Canceled, nil)
 	case err != nil:
 		m.finishLocked(job, StateFailed, err, nil)
+	case merr != nil:
+		m.finishLocked(job, StateFailed, merr, nil)
 	default:
-		b, merr := MarshalResult(res)
-		if merr != nil {
-			m.finishLocked(job, StateFailed, merr, nil)
-			return
-		}
 		m.cache.Put(job.key, b)
 		m.finishLocked(job, StateDone, nil, b)
 	}

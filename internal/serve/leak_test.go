@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -130,9 +131,11 @@ func TestSnapshotSwapUnderAcquireReturnsToBaseline(t *testing.T) {
 }
 
 // TestServerShutdownReturnsToBaseline runs a real job through the HTTP
-// surface, then tears everything down — server first, manager second —
-// and asserts the process returns to its goroutine baseline: no executor,
-// listener, or keep-alive goroutine survives.
+// surface, leaves a second one running with a waiter parked on it, then
+// tears everything down in ndpserve's order — manager first, which
+// releases the waiter, server second, which waits for its handler — and
+// asserts the process returns to its goroutine baseline: no executor,
+// listener, waiter or keep-alive goroutine survives.
 func TestServerShutdownReturnsToBaseline(t *testing.T) {
 	base := runtime.NumGoroutine()
 	reg := NewRegistry()
@@ -140,6 +143,15 @@ func TestServerShutdownReturnsToBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(reg, &metrics.Registry{}, ManagerConfig{Executors: 2, QueueCap: 8})
+	// The blocked job is told apart by its kernel; everything else runs
+	// for real. It ends only by cancellation.
+	m.exec = func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+		if spec.Kernel == "bfs" {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return m.runSpec(ctx, snap, spec)
+	}
 	srv := httptest.NewServer(NewServer(m))
 
 	c := NewClient(srv.URL, "t")
@@ -157,8 +169,25 @@ func TestServerShutdownReturnsToBaseline(t *testing.T) {
 		t.Fatalf("job ended %s: %s", info.State, info.Error)
 	}
 
+	blocked, err := c.Submit(ctx, JobSpec{Snapshot: "g", Kernel: "bfs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, _ := waitCounters(m) // the wait above may have parked too
+	waiter := make(chan waitAnswer, 1)
+	go func() {
+		info, err := c.Wait(ctx, blocked.ID)
+		waiter <- waitAnswer{info, err}
+	}()
+	waitParked(t, m, parked+1)
+
+	start := time.Now()
+	m.Stop()    // cancels the blocked job, releases the waiter, joins the executors
 	srv.Close() // waits for in-flight handlers and closes idle conns
-	m.Stop()    // joins the executor pool
+	if took := time.Since(start); took > MaxWait/10 {
+		t.Errorf("teardown with a waiter parked took %v: it sat on the waiter's bound (%v)", took, MaxWait)
+	}
+	assertStopAnswer(t, recvAnswer(t, waiter))
 	// A submission that arrives after Stop has already taken its snapshot
 	// reference; the refusal must hand it back, or the count below is 3.
 	if _, err := m.Submit("t", spec); !errors.Is(err, ErrStopped) {

@@ -431,6 +431,17 @@ func TestGoldenAPIShapes(t *testing.T) {
 		t.Errorf("status body:\n got %d %s\nwant %d %s", status, body, http.StatusOK, wantStatus)
 	}
 
+	// A wait answers with the same shape, and a refused one with the
+	// ordinary error body.
+	status, body = get("/v1/jobs/" + job.ID() + "?wait=1s")
+	if status != http.StatusOK || body != wantStatus {
+		t.Errorf("waited status body:\n got %d %s\nwant %d %s", status, body, http.StatusOK, wantStatus)
+	}
+	status, body = get("/v1/jobs/" + job.ID() + "?wait=-1s")
+	if status != http.StatusBadRequest || body != `{"error":"wait: negative duration -1s"}` {
+		t.Errorf("negative wait: %d %s", status, body)
+	}
+
 	status, body = get("/v1/jobs/" + job.ID() + "/result")
 	wantResult := `{"engine":"fake","kernel":"cc","num_values":3,"values_b64":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA","iterations":2,"converged":true}`
 	if status != http.StatusOK || body != wantResult {

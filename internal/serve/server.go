@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"time"
 
 	"repro/internal/gio"
 )
@@ -24,7 +26,9 @@ const maxSnapshotBody = 1 << 30
 //	GET    /v1/snapshots         list snapshots
 //	PUT    /v1/snapshots/{name}  upload a graph (.gcsr binary body)
 //	POST   /v1/jobs              submit a job (JobSpec body, X-Tenant header)
-//	GET    /v1/jobs/{id}         job status
+//	GET    /v1/jobs/{id}         job status; ?wait=<Go duration> parks the
+//	                             request until the job is terminal or the
+//	                             duration (at most MaxWait) has elapsed
 //	GET    /v1/jobs/{id}/result  canonical result bytes of a done job
 //	DELETE /v1/jobs/{id}         cancel a job
 type Server struct {
@@ -139,8 +143,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, info)
 }
 
+// parseWait reads the status route's wait parameter: absent means do not
+// park, a Go duration above MaxWait is clamped to it rather than refused
+// (the answer is the same either way: a non-terminal state, ask again),
+// and anything unparsable or negative is an error.
+func parseWait(q url.Values) (time.Duration, error) {
+	if !q.Has("wait") {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q.Get("wait"))
+	if err != nil {
+		return 0, fmt.Errorf("wait: %w", err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("wait: negative duration %s", d)
+	}
+	return min(d, MaxWait), nil
+}
+
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	info, err := s.mgr.Info(r.PathValue("id"))
+	d, err := parseWait(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	info, err := s.mgr.wait(r.Context(), r.PathValue("id"), d)
 	if err != nil {
 		writeError(w, errStatus(err), err)
 		return

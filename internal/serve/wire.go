@@ -270,6 +270,11 @@ const (
 	CounterResultCacheMisses = "serve.cache.result.misses"
 	CounterPlanCacheHits     = "serve.cache.plan.hits"
 	CounterPlanCacheMisses   = "serve.cache.plan.misses"
+	// Status requests that parked on a running job, and those whose bound
+	// ran out first: all parks and no expiries is a long-polling client,
+	// neither a poller, many expiries a bound too small for the jobs.
+	CounterWaitsParked  = "serve.waits.parked"
+	CounterWaitsExpired = "serve.waits.expired"
 )
 
 // metricsSnapshot is the /v1/metricz payload.

@@ -1,14 +1,16 @@
 package verify
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 )
 
 // FuzzParseScenario feeds arbitrary bytes to the replay decoder — the
 // one path by which a hand-edited file reaches the oracles — and
-// requires an error, or a scenario that passes Validate and survives its
-// own replay form: MarshalIndent of it parses back to the same value.
+// requires an error, or input that is exactly one JSON value and a
+// scenario that passes Validate and survives its own replay form:
+// MarshalIndent of it parses back to the same value.
 func FuzzParseScenario(f *testing.F) {
 	for i := 0; i < 6; i++ {
 		js, err := Generate(3, i).MarshalIndent()
@@ -24,6 +26,8 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte(`{` + valid + `,"fault":{"crashes":[{"node":1,"iteration":0},{"node":1,"iteration":2}]}}`))
 	f.Add([]byte(`{` + valid + `,"vertices":1e3}`))
 	f.Add([]byte(`{` + valid + `} trailing`))
+	f.Add([]byte(`{` + valid + `}{` + valid + `}`))
+	f.Add([]byte(`{` + valid + "}\n"))
 	f.Add([]byte(`[{` + valid + `}]`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -33,6 +37,9 @@ func FuzzParseScenario(f *testing.F) {
 				t.Fatalf("ParseScenario failed (%v) yet returned %+v", err, sc)
 			}
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("ParseScenario accepted input that is not exactly one JSON value: %q", data)
 		}
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("ParseScenario accepted what Validate refuses: %v\n%+v", err, sc)

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -307,7 +308,8 @@ func (sc Scenario) MarshalIndent() ([]byte, error) {
 }
 
 // ParseScenario loads a scenario from replay JSON, rejecting unknown
-// fields (a typo in a hand-edited reproducer must not silently vanish).
+// fields and anything after the scenario's closing brace (a typo or a
+// botched paste in a hand-edited reproducer must not silently vanish).
 func ParseScenario(data []byte) (Scenario, error) {
 	var sc Scenario
 	if err := unmarshalStrict(data, &sc); err != nil {
@@ -319,10 +321,18 @@ func ParseScenario(data []byte) (Scenario, error) {
 	return sc, nil
 }
 
+// unmarshalStrict decodes exactly one JSON value with no unknown fields:
+// anything but whitespace after it is refused like a typo inside it.
 func unmarshalStrict(data []byte, v interface{}) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after the scenario at byte %d", dec.InputOffset())
+	}
+	return nil
 }
 
 func maxInt(a, b int) int {

@@ -86,11 +86,20 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 }
 
 func TestParseScenarioRejectsUnknownFields(t *testing.T) {
-	js := []byte(`{"generator":"er","vertices":64,"edgeFactor":2,"kernel":"bfs",
-		"partitioner":"hash","partitions":2,"computeNodes":1,"workers":1,
-		"typo_field":true}`)
-	if _, err := ParseScenario(js); err == nil {
-		t.Fatal("reproducer with an unknown field parsed without error")
+	const valid = `{"generator":"er","vertices":64,"edgeFactor":2,"kernel":"bfs",
+		"partitioner":"hash","partitions":2,"computeNodes":1,"workers":1`
+	if _, err := ParseScenario([]byte(valid + "}\n \t")); err != nil {
+		t.Fatalf("well-formed reproducer refused: %v", err)
+	}
+	for name, js := range map[string]string{
+		"an unknown field":         valid + `,"typo_field":true}`,
+		"trailing junk":            valid + `} trailing`,
+		"a trailing brace":         valid + `}}`,
+		"a second scenario behind": valid + `}` + valid + `}`,
+	} {
+		if _, err := ParseScenario([]byte(js)); err == nil {
+			t.Errorf("reproducer with %s parsed without error", name)
+		}
 	}
 }
 

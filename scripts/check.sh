@@ -13,7 +13,7 @@
 #   -count=2    cluster faults, parallel simulator, store lifecycle,
 #               each under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
-#   fuzz        a short budget per fuzz target (13)
+#   fuzz        a short budget per fuzz target (14)
 # Any stage failing fails the gate.
 #
 # Usage: scripts/check.sh [fuzz-seconds]
@@ -86,7 +86,7 @@ step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./in
 step go run ./cmd/ndpverify -seed 1 -scenarios 25
 
 # Service round-trip: boot ndpserve on an ephemeral loopback port with a
-# preloaded snapshot, drive a submit/poll/result round-trip through
+# preloaded snapshot, drive a submit/wait/result round-trip through
 # `ndprun -server` (which must report the resubmission as a cache hit),
 # then run the served-vs-offline oracle battery in-process and shut the
 # server down cleanly (SIGTERM → graceful drain).
@@ -222,6 +222,9 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # re-encodes to the canonical base64 of the same bytes.
         "FuzzJobSpecNormalize ./internal/serve/"
         "FuzzDecodeValues ./internal/serve/"
+        # The status route's wait parameter: any query string is refused
+        # or yields a park bound inside [0, serve.MaxWait].
+        "FuzzWaitParam ./internal/serve/"
         # ndpverify's replay decoder: arbitrary bytes must come back as an
         # error or as a scenario that passes Validate and whose replay
         # JSON parses to the same value.
