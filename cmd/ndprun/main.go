@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -370,6 +371,9 @@ func runServed(ctx context.Context, g *graph.Graph, gf cliconf.GraphFlags, ef cl
 		fmt.Fprintf(os.Stderr, "job %s answered from the server's result cache\n", info.ID)
 	}
 	res, err := c.Result(ctx, info.ID)
+	if errors.Is(err, serve.ErrJobExpired) {
+		return fmt.Errorf("job %s: result expired, resubmit", info.ID)
+	}
 	if err != nil {
 		return err
 	}

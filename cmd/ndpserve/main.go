@@ -114,7 +114,7 @@ func main() {
 		executors   = flag.Int("executors", 2, "concurrent job executors")
 		queueCap    = flag.Int("queue", 16, "queued-job bound; submissions beyond it get HTTP 429")
 		tenantQuota = flag.Int("tenant-quota", 0, "per-tenant bound on queued+running jobs (0 = unlimited)")
-		cacheSize   = flag.Int("cache", 256, "result-cache entry bound")
+		cacheSize   = flag.Int("cache", 256, "result-cache entry bound (results are also bounded in bytes, least recently used out first; see DESIGN.md)")
 	)
 	var snaps []snapshotSpec
 	flag.Func("snapshot", "preload a snapshot, name=dataset:scale[:seed] or name=path.gcsr (repeatable)", func(v string) error {

@@ -310,7 +310,7 @@ func readBinaryV2(p []byte, flags uint32, nVerts, nEdges uint64) (*graph.Graph, 
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading container: %v", ErrBadFormat, err)
+		return nil, fmt.Errorf("%w: reading container: %w", ErrBadFormat, err)
 	}
 	if len(data) < 4+4+4+8+8+4 {
 		return nil, fmt.Errorf("%w: container too short (%d bytes)", ErrBadFormat, len(data))

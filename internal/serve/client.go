@@ -50,99 +50,94 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, co
 	return b, resp.StatusCode, nil
 }
 
-// apiError decodes a wireError body into a Go error.
+// apiError decodes a wireError body into an error that wraps the sentinel
+// the status stands for (errStatus backwards), so errors.Is works across
+// HTTP; the text is the server's.
 func apiError(path string, status int, body []byte) error {
+	e := &statusError{msg: fmt.Sprintf("%s: HTTP %d", path, status)}
 	var we wireError
 	if json.Unmarshal(body, &we) == nil && we.Error != "" {
-		return fmt.Errorf("%s: %s (HTTP %d)", path, we.Error, status)
+		e.msg = fmt.Sprintf("%s: %s (HTTP %d)", path, we.Error, status)
 	}
-	return fmt.Errorf("%s: HTTP %d", path, status)
+	switch status {
+	case http.StatusNotFound:
+		e.is = ErrUnknownSnapshot // POST /v1/jobs names a snapshot
+		if strings.HasPrefix(path, "/v1/jobs/") {
+			e.is = ErrUnknownJob
+		}
+	case http.StatusConflict:
+		e.is = ErrNotDone
+	case http.StatusGone:
+		e.is = ErrJobExpired
+	case http.StatusServiceUnavailable:
+		e.is = ErrStopped
+	}
+	return e
 }
 
-// Health checks liveness.
-func (c *Client) Health(ctx context.Context) error {
-	body, status, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, "")
+type statusError struct {
+	msg string
+	is  error // nil for a status no one sentinel maps to
+}
+
+func (e *statusError) Error() string { return e.msg }
+func (e *statusError) Unwrap() error { return e.is }
+
+// call issues a request, requires the status want, and decodes the JSON
+// body into out (nil to discard it).
+func (c *Client) call(ctx context.Context, method, path string, body io.Reader, contentType string, want int, out any) error {
+	b, status, err := c.do(ctx, method, path, body, contentType)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return apiError("/v1/healthz", status, body)
+	if status != want {
+		return apiError(path, status, b)
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(b, out); err != nil {
+		return fmt.Errorf("%s: decode: %w", path, err)
 	}
 	return nil
 }
 
+// Health checks liveness.
+func (c *Client) Health(ctx context.Context) error {
+	return c.call(ctx, http.MethodGet, "/v1/healthz", nil, "", http.StatusOK, nil)
+}
+
 // PutSnapshotGraph uploads g under name in .gcsr binary form.
-func (c *Client) PutSnapshotGraph(ctx context.Context, name string, g *graph.Graph) (SnapshotInfo, error) {
+func (c *Client) PutSnapshotGraph(ctx context.Context, name string, g *graph.Graph) (info SnapshotInfo, err error) {
 	var buf bytes.Buffer
 	if err := gio.WriteBinary(&buf, g); err != nil {
-		return SnapshotInfo{}, err
+		return info, err
 	}
-	path := "/v1/snapshots/" + name
-	body, status, err := c.do(ctx, http.MethodPut, path, &buf, "application/octet-stream")
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	if status != http.StatusOK {
-		return SnapshotInfo{}, apiError(path, status, body)
-	}
-	var info SnapshotInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return SnapshotInfo{}, fmt.Errorf("%s: decode: %w", path, err)
-	}
-	return info, nil
+	err = c.call(ctx, http.MethodPut, "/v1/snapshots/"+name, &buf, "application/octet-stream", http.StatusOK, &info)
+	return info, err
 }
 
 // Snapshots lists the server's snapshots.
-func (c *Client) Snapshots(ctx context.Context) ([]SnapshotInfo, error) {
-	body, status, err := c.do(ctx, http.MethodGet, "/v1/snapshots", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, apiError("/v1/snapshots", status, body)
-	}
-	var out []SnapshotInfo
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("/v1/snapshots: decode: %w", err)
-	}
-	return out, nil
+func (c *Client) Snapshots(ctx context.Context) (out []SnapshotInfo, err error) {
+	err = c.call(ctx, http.MethodGet, "/v1/snapshots", nil, "", http.StatusOK, &out)
+	return out, err
 }
 
 // Submit submits a job and returns its accepted status.
-func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
+func (c *Client) Submit(ctx context.Context, spec JobSpec) (info JobInfo, err error) {
 	b, err := json.Marshal(spec)
 	if err != nil {
-		return JobInfo{}, err
+		return info, err
 	}
-	body, status, err := c.do(ctx, http.MethodPost, "/v1/jobs", bytes.NewReader(b), "application/json")
-	if err != nil {
-		return JobInfo{}, err
-	}
-	if status != http.StatusAccepted {
-		return JobInfo{}, apiError("/v1/jobs", status, body)
-	}
-	var info JobInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return JobInfo{}, fmt.Errorf("/v1/jobs: decode: %w", err)
-	}
-	return info, nil
+	err = c.call(ctx, http.MethodPost, "/v1/jobs", bytes.NewReader(b), "application/json", http.StatusAccepted, &info)
+	return info, err
 }
 
 // jobInfo issues a request on the job resource and decodes the JobInfo
 // every such route answers with.
-func (c *Client) jobInfo(ctx context.Context, method, path string) (JobInfo, error) {
-	body, status, err := c.do(ctx, method, path, nil, "")
-	if err != nil {
-		return JobInfo{}, err
-	}
-	if status != http.StatusOK {
-		return JobInfo{}, apiError(path, status, body)
-	}
-	var info JobInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return JobInfo{}, fmt.Errorf("%s: decode: %w", path, err)
-	}
-	return info, nil
+func (c *Client) jobInfo(ctx context.Context, method, path string) (info JobInfo, err error) {
+	err = c.call(ctx, method, path, nil, "", http.StatusOK, &info)
+	return info, err
 }
 
 // Status fetches a job's current status.
@@ -204,16 +199,9 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobInfo, error) {
 
 // Metrics fetches the server's counter snapshot as a name→value map.
 func (c *Client) Metrics(ctx context.Context) (map[string]int64, error) {
-	body, status, err := c.do(ctx, http.MethodGet, "/v1/metricz", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, apiError("/v1/metricz", status, body)
-	}
 	var snap metricsSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return nil, fmt.Errorf("/v1/metricz: decode: %w", err)
+	if err := c.call(ctx, http.MethodGet, "/v1/metricz", nil, "", http.StatusOK, &snap); err != nil {
+		return nil, err
 	}
 	out := make(map[string]int64, len(snap.Counters))
 	for _, cv := range snap.Counters {

@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/url"
 	"reflect"
@@ -117,6 +118,81 @@ func FuzzWaitParam(f *testing.F) {
 		}
 		if d != want {
 			t.Fatalf("parseWait(%q) = %v, want %v", raw, d, want)
+		}
+	})
+}
+
+// FuzzResultCache drives the result cache with an arbitrary stream of
+// Gets and Puts over a small key space and sizes that straddle the budget,
+// beside a model that keeps the same entries in a plain slice, most recent
+// first. After every operation the cache answers as the model does, has
+// evicted what the model evicted, and satisfies checkCache: its byte count
+// is the sum of its live entries and exceeds the budget only for an entry
+// admitted alone.
+func FuzzResultCache(f *testing.F) {
+	f.Add([]byte{0x81, 10, 0x82, 10, 0x01, 0, 0x83, 200, 0x02, 0})
+	f.Add([]byte{0x81, 255, 0x82, 255, 0x83, 1, 0x81, 1})
+	f.Add([]byte{0x80, 0, 0x00, 0, 0x8f, 100, 0x8f, 100, 0x0f, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const maxEntries, budget = 6, 400
+		type entry struct {
+			key  string
+			size int64
+		}
+		var model []entry
+		find := func(key string) int {
+			for i, e := range model {
+				if e.key == key {
+					return i
+				}
+			}
+			return -1
+		}
+		front := func(i int) {
+			e := model[i]
+			copy(model[1:i+1], model[:i])
+			model[0] = e
+		}
+		c := newResultCache(maxEntries, budget)
+		for ; len(ops) >= 2; ops = ops[2:] {
+			key := fmt.Sprintf("key-%02d", ops[0]&0x0f)
+			if ops[0]&0x80 == 0 {
+				b, ok := c.Get(key)
+				i := find(key)
+				if ok != (i >= 0) || (ok && int64(len(key)+len(b)) != model[i].size) {
+					t.Fatalf("Get(%s) = %d bytes, %v; the model holds it: %v", key, len(b), ok, i >= 0)
+				}
+				if ok {
+					front(i)
+				}
+			} else {
+				e := entry{key, int64(len(key)) + 2*int64(ops[1])}
+				n, nb := c.Put(key, make([]byte, 2*int(ops[1])))
+				var wantN int
+				var wantBytes, held int64
+				if i := find(key); i >= 0 {
+					front(i)
+				} else {
+					for _, m := range model {
+						held += m.size
+					}
+					for len(model) > 0 && (len(model) >= maxEntries || held+e.size > budget) {
+						last := model[len(model)-1]
+						model = model[:len(model)-1]
+						held -= last.size
+						wantN++
+						wantBytes += last.size
+					}
+					model = append([]entry{e}, model...)
+				}
+				if n != wantN || nb != wantBytes {
+					t.Fatalf("Put(%s, %d bytes) evicted %d results %d bytes, the model %d and %d", key, e.size, n, nb, wantN, wantBytes)
+				}
+			}
+			checkCache(t, c)
+			if c.Len() != len(model) {
+				t.Fatalf("cache holds %d entries, the model %d", c.Len(), len(model))
+			}
 		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,12 +26,14 @@ const (
 )
 
 // Admission and lookup errors. The HTTP layer maps them to status
-// codes (429 for the two rejections, 404 for the lookups).
+// codes (429 for the two rejections, 404 for the lookups, 410 for a job
+// or a result the service has forgotten: resubmit).
 var (
 	ErrQueueFull       = errors.New("serve: job queue is full")
 	ErrQuotaExceeded   = errors.New("serve: tenant quota exceeded")
 	ErrUnknownSnapshot = errors.New("serve: unknown snapshot")
 	ErrUnknownJob      = errors.New("serve: unknown job")
+	ErrJobExpired      = errors.New("serve: job expired")
 	ErrStopped         = errors.New("serve: manager stopped")
 	ErrNotDone         = errors.New("serve: job has no result yet")
 )
@@ -39,6 +43,11 @@ var (
 // ship from one module, and Client.Wait asks for exactly this much and
 // asks again on expiry.
 const MaxWait = 30 * time.Second
+
+// finishedJobsKept bounds the terminal jobs Manager.jobs still answers
+// for (under 1 KiB each, no result bytes); queued and running jobs are not
+// counted and never dropped.
+const finishedJobsKept = 2048
 
 // Job is one admitted analytics run. All fields are guarded by the
 // manager's mutex; Done exposes completion to waiters.
@@ -50,7 +59,6 @@ type Job struct {
 	snap     *Snapshot // non-nil while the job holds its reference
 	state    string
 	err      error
-	result   []byte
 	cacheHit bool
 	cancel   context.CancelFunc
 	wantStop bool
@@ -103,6 +111,7 @@ func (c *ManagerConfig) withDefaults() {
 type Manager struct {
 	reg     *Registry
 	metrics *metrics.Registry
+	c       counters
 	cache   *ResultCache
 	cfg     ManagerConfig
 
@@ -114,9 +123,11 @@ type Manager struct {
 
 	mu         sync.Mutex
 	jobs       map[string]*Job
+	finished   []*Job // ring of the last finishedJobsKept terminal jobs
+	retired    int    // terminal jobs so far; the ring's write position
 	queue      []*Job
 	tenantLoad map[string]int
-	nextID     int
+	nextID     int // ids issued: every admitted job, in sequence
 	stopped    bool
 
 	notify chan struct{}
@@ -131,9 +142,11 @@ func NewManager(reg *Registry, mreg *metrics.Registry, cfg ManagerConfig) *Manag
 	m := &Manager{
 		reg:        reg,
 		metrics:    mreg,
-		cache:      NewResultCache(cfg.CacheEntries),
+		c:          newCounters(mreg),
+		cache:      newResultCache(cfg.CacheEntries, resultBudget),
 		cfg:        cfg,
 		jobs:       make(map[string]*Job),
+		finished:   make([]*Job, finishedJobsKept),
 		tenantLoad: make(map[string]int),
 		notify:     make(chan struct{}, cfg.Executors),
 		stopCh:     make(chan struct{}),
@@ -153,8 +166,8 @@ func (m *Manager) Metrics() *metrics.Registry { return m.metrics }
 func (m *Manager) Registry() *Registry { return m.reg }
 
 // Submit validates and admits a job for tenant. On a result-cache hit
-// the returned job is already done (its Done channel is closed and its
-// result bytes are the cached ones). Rejections return ErrQueueFull or
+// the returned job is already done (its Done channel is closed and Result
+// reads the cached bytes). Rejections return ErrQueueFull or
 // ErrQuotaExceeded; unknown snapshots ErrUnknownSnapshot; malformed
 // specs a validation error.
 func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
@@ -180,33 +193,30 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 		snap:   snap,
 		done:   make(chan struct{}),
 	}
-	m.nextID++
-	job.id = fmt.Sprintf("j%08d", m.nextID)
 
 	// Cache hits bypass admission entirely: they consume no queue slot
 	// and no tenant quota, and complete before Submit returns.
-	if b, hit := m.cache.Get(key); hit {
-		m.metrics.Counter(CounterResultCacheHits).Inc()
-		m.metrics.Counter(CounterJobsSubmitted).Inc()
-		m.metrics.Counter(CounterJobsCompleted).Inc()
+	if _, hit := m.cache.Get(key); hit {
+		m.c.resultHits.Inc()
+		m.c.completed.Inc()
 		job.state = StateDone
-		job.result = b
 		job.cacheHit = true
 		job.snap.release()
 		job.snap = nil
 		close(job.done)
-		m.jobs[job.id] = job
+		m.admitLocked(job)
+		m.retireLocked(job)
 		return job, nil
 	}
-	m.metrics.Counter(CounterResultCacheMisses).Inc()
+	m.c.resultMisses.Inc()
 
 	if m.cfg.TenantQuota > 0 && m.tenantLoad[tenant] >= m.cfg.TenantQuota {
-		m.metrics.Counter(CounterRejectedQuota).Inc()
+		m.c.rejectedQuota.Inc()
 		snap.release()
 		return nil, fmt.Errorf("%w: tenant %q at %d jobs", ErrQuotaExceeded, tenant, m.cfg.TenantQuota)
 	}
 	if len(m.queue) >= m.cfg.QueueCap {
-		m.metrics.Counter(CounterRejectedQueueFull).Inc()
+		m.c.rejectedQueueFull.Inc()
 		snap.release()
 		return nil, fmt.Errorf("%w: %d queued", ErrQueueFull, len(m.queue))
 	}
@@ -214,8 +224,7 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 	job.state = StateQueued
 	m.queue = append(m.queue, job)
 	m.tenantLoad[tenant]++
-	m.jobs[job.id] = job
-	m.metrics.Counter(CounterJobsSubmitted).Inc()
+	m.admitLocked(job)
 
 	// Non-blocking wake: the channel holds one token per executor, and
 	// executors re-check the queue before blocking, so a dropped token
@@ -233,15 +242,59 @@ func (j *Job) ID() string { return j.id }
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
+func jobID(n int) string { return fmt.Sprintf("j%08d", n) }
+
+// admitLocked issues the next id to job and enters it in the job table.
+// Refused submissions get no id, so every id up to nextID named a job.
+func (m *Manager) admitLocked(job *Job) {
+	m.nextID++
+	job.id = jobID(m.nextID)
+	m.jobs[job.id] = job
+	m.c.submitted.Inc()
+}
+
+// lookupLocked finds a job by id. Ids are sequential, so one the manager
+// issued but no longer holds is told apart from one it never issued
+// without keeping anything: ErrJobExpired against ErrUnknownJob.
+func (m *Manager) lookupLocked(id string) (*Job, error) {
+	if job, ok := m.jobs[id]; ok {
+		return job, nil
+	}
+	if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && 1 <= n && n <= m.nextID && id == jobID(n) {
+		m.c.lookupsGone.Inc()
+		return nil, fmt.Errorf("%w: %q is no longer held, resubmit", ErrJobExpired, id)
+	}
+	return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+}
+
+// retireLocked enters a terminal job in the ring of finished jobs; the
+// job whose slot it takes leaves Manager.jobs.
+func (m *Manager) retireLocked(job *Job) {
+	slot := &m.finished[m.retired%len(m.finished)]
+	if *slot != nil {
+		delete(m.jobs, (*slot).id)
+		m.c.jobsExpired.Inc()
+	}
+	*slot = job
+	m.retired++
+}
+
 // Info snapshots a job's status.
 func (m *Manager) Info(id string) (JobInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	job, ok := m.jobs[id]
-	if !ok {
-		return JobInfo{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	job, err := m.lookupLocked(id)
+	if err != nil {
+		return JobInfo{}, err
 	}
 	return m.infoLocked(job), nil
+}
+
+// info is Info of a job in hand, which cannot have expired.
+func (m *Manager) info(job *Job) JobInfo {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.infoLocked(job)
 }
 
 func (m *Manager) infoLocked(job *Job) JobInfo {
@@ -272,19 +325,22 @@ func (m *Manager) infoLocked(job *Job) JobInfo {
 // refused with ErrStopped rather than held until the executors notice.
 func (m *Manager) wait(ctx context.Context, id string, d time.Duration) (JobInfo, error) {
 	m.mu.Lock()
-	job := m.jobs[id]
+	job, err := m.lookupLocked(id)
 	m.mu.Unlock()
-	if job != nil && d > 0 {
+	if err != nil {
+		return JobInfo{}, err
+	}
+	if d > 0 {
 		select {
 		case <-job.done: // terminal already: nothing to park on, stopped or not
 		default:
-			m.metrics.Counter(CounterWaitsParked).Inc()
+			m.c.waitsParked.Inc()
 			timer := time.NewTimer(d)
 			defer timer.Stop()
 			select {
 			case <-job.done:
 			case <-timer.C:
-				m.metrics.Counter(CounterWaitsExpired).Inc()
+				m.c.waitsExpired.Inc()
 			case <-ctx.Done():
 				return JobInfo{}, ctx.Err()
 			case <-m.stopCh:
@@ -292,20 +348,28 @@ func (m *Manager) wait(ctx context.Context, id string, d time.Duration) (JobInfo
 			}
 		}
 	}
-	return m.Info(id) // which also names an unknown job
+	// By the job, not by its id: a waiter whose job finished and then left
+	// the ring while it slept still gets the terminal answer.
+	return m.info(job), nil
 }
 
-// Result returns the canonical marshalled result bytes of a done job.
+// Result returns the canonical marshalled result bytes of a done job,
+// read through the result cache, their one owner: ErrJobExpired once they
+// are evicted, though the job's status still answers.
 func (m *Manager) Result(id string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	job, ok := m.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	job, err := m.lookupLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	switch job.state {
 	case StateDone:
-		return job.result, nil
+		if b, ok := m.cache.Get(job.key); ok {
+			return b, nil
+		}
+		m.c.lookupsGone.Inc()
+		return nil, fmt.Errorf("%w: the result of %s was evicted, resubmit", ErrJobExpired, id)
 	case StateFailed:
 		return nil, job.err
 	default:
@@ -320,9 +384,9 @@ func (m *Manager) Result(id string) ([]byte, error) {
 func (m *Manager) Cancel(id string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	job, ok := m.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	job, err := m.lookupLocked(id)
+	if err != nil {
+		return err
 	}
 	switch job.state {
 	case StateQueued:
@@ -332,7 +396,7 @@ func (m *Manager) Cancel(id string) error {
 				break
 			}
 		}
-		m.finishLocked(job, StateCancelled, context.Canceled, nil)
+		m.finishLocked(job, StateCancelled, context.Canceled)
 	case StateRunning:
 		job.wantStop = true
 		job.cancel()
@@ -342,11 +406,10 @@ func (m *Manager) Cancel(id string) error {
 
 // finishLocked moves a job to a terminal state: records the outcome,
 // returns the snapshot reference and the tenant's quota slot, closes
-// Done, and bumps the outcome counter. Callers hold m.mu.
-func (m *Manager) finishLocked(job *Job, state string, err error, result []byte) {
+// Done, enters the ring, and bumps the outcome counter. Callers hold m.mu.
+func (m *Manager) finishLocked(job *Job, state string, err error) {
 	job.state = state
 	job.err = err
-	job.result = result
 	if job.snap != nil {
 		job.snap.release()
 		job.snap = nil
@@ -357,13 +420,14 @@ func (m *Manager) finishLocked(job *Job, state string, err error, result []byte)
 		m.tenantLoad[job.tenant]--
 	}
 	close(job.done)
+	m.retireLocked(job)
 	switch state {
 	case StateDone:
-		m.metrics.Counter(CounterJobsCompleted).Inc()
+		m.c.completed.Inc()
 	case StateFailed:
-		m.metrics.Counter(CounterJobsFailed).Inc()
+		m.c.failed.Inc()
 	case StateCancelled:
-		m.metrics.Counter(CounterJobsCancelled).Inc()
+		m.c.cancelled.Inc()
 	}
 }
 
@@ -402,10 +466,10 @@ func (m *Manager) runJob(job *Job) {
 	}
 	// Second-chance cache check: an identical job may have completed
 	// while this one sat in the queue.
-	if b, hit := m.cache.Get(job.key); hit {
-		m.metrics.Counter(CounterResultCacheHits).Inc()
+	if _, hit := m.cache.Get(job.key); hit {
+		m.c.resultHits.Inc()
 		job.cacheHit = true
-		m.finishLocked(job, StateDone, nil, b)
+		m.finishLocked(job, StateDone, nil)
 		m.mu.Unlock()
 		return
 	}
@@ -429,14 +493,16 @@ func (m *Manager) runJob(job *Job) {
 	defer m.mu.Unlock()
 	switch {
 	case err != nil && (job.wantStop || errors.Is(err, context.Canceled)):
-		m.finishLocked(job, StateCancelled, context.Canceled, nil)
+		m.finishLocked(job, StateCancelled, context.Canceled)
 	case err != nil:
-		m.finishLocked(job, StateFailed, err, nil)
+		m.finishLocked(job, StateFailed, err)
 	case merr != nil:
-		m.finishLocked(job, StateFailed, merr, nil)
+		m.finishLocked(job, StateFailed, merr)
 	default:
-		m.cache.Put(job.key, b)
-		m.finishLocked(job, StateDone, nil, b)
+		n, nb := m.cache.Put(job.key, b)
+		m.c.resultsEvicted.Add(int64(n))
+		m.c.resultBytesEvicted.Add(nb)
+		m.finishLocked(job, StateDone, nil)
 	}
 }
 
@@ -453,7 +519,7 @@ func (m *Manager) Stop() {
 	queued := m.queue
 	m.queue = nil
 	for _, job := range queued {
-		m.finishLocked(job, StateCancelled, context.Canceled, nil)
+		m.finishLocked(job, StateCancelled, context.Canceled)
 	}
 	for _, job := range m.jobs {
 		if job.state == StateRunning && job.cancel != nil {
@@ -475,7 +541,7 @@ func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*c
 		if err != nil {
 			return nil, err
 		}
-		assign, err = snap.plan(p, spec.Partitioner, spec.Seed, spec.Partitions, m.metrics)
+		assign, err = snap.plan(p, planKey{spec.Partitioner, spec.Seed, spec.Partitions}, &m.c)
 		if err != nil {
 			return nil, err
 		}

@@ -463,6 +463,18 @@ func TestGoldenAPIShapes(t *testing.T) {
 	if status != http.StatusOK || body != `{"status":"ok"}` {
 		t.Errorf("healthz: %d %s", status, body)
 	}
+
+	// Enough later jobs (hits, each finished as submitted) push the first
+	// out of the job table: its id then answers 410, not 404.
+	for i := 0; i < finishedJobsKept; i++ {
+		if _, err := m.Submit("alice", JobSpec{Snapshot: "g", Kernel: "cc"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	status, body = get("/v1/jobs/" + job.ID())
+	if status != http.StatusGone || body != `{"error":"serve: job expired: \"j00000001\" is no longer held, resubmit"}` {
+		t.Errorf("expired job: %d %s", status, body)
+	}
 }
 
 // TestHTTPRejectionStatuses pins the admission-control status codes:

@@ -31,14 +31,19 @@ const maxSnapshotBody = 1 << 30
 //	                             duration (at most MaxWait) has elapsed
 //	GET    /v1/jobs/{id}/result  canonical result bytes of a done job
 //	DELETE /v1/jobs/{id}         cancel a job
+//
+// The three job routes answer 404 for an id never issued and 410 Gone for
+// one issued but no longer held; /result also answers 410 for a done job
+// whose bytes the result cache has evicted. 410 means resubmit.
 type Server struct {
-	mgr *Manager
-	mux *http.ServeMux
+	mgr         *Manager
+	mux         *http.ServeMux
+	maxSnapshot int64 // upload bound; a field so a test can shrink it
 }
 
 // NewServer wires the routes over a manager.
 func NewServer(mgr *Manager) *Server {
-	s := &Server{mgr: mgr, mux: http.NewServeMux()}
+	s := &Server{mgr: mgr, mux: http.NewServeMux(), maxSnapshot: maxSnapshotBody}
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/metricz", s.handleMetricz)
 	s.mux.HandleFunc("GET /v1/snapshots", s.handleListSnapshots)
@@ -79,6 +84,8 @@ func errStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrUnknownSnapshot), errors.Is(err, ErrUnknownJob):
 		return http.StatusNotFound
+	case errors.Is(err, ErrJobExpired):
+		return http.StatusGone
 	case errors.Is(err, ErrNotDone):
 		return http.StatusConflict
 	case errors.Is(err, ErrStopped):
@@ -106,9 +113,14 @@ func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("snapshot name is required"))
 		return
 	}
-	g, err := gio.ReadBinary(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
+	g, err := gio.ReadBinary(http.MaxBytesReader(w, r.Body, s.maxSnapshot))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode graph: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decode graph: %w", err))
 		return
 	}
 	info, err := s.mgr.Registry().Put(name, g)
@@ -135,12 +147,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), err)
 		return
 	}
-	info, err := s.mgr.Info(job.ID())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, info)
+	writeJSON(w, http.StatusAccepted, s.mgr.info(job))
 }
 
 // parseWait reads the status route's wait parameter: absent means do not
@@ -196,7 +203,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.mgr.Info(id)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		writeError(w, errStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)

@@ -16,14 +16,13 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/gio"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/partition"
 )
 
@@ -41,7 +40,23 @@ type Snapshot struct {
 	refs atomic.Int64
 
 	mu    sync.Mutex
-	plans map[string]*partition.Assignment
+	plans []planEntry // least recently used first, at most plansKept
+}
+
+// plansKept bounds the partition plans one snapshot keeps (four bytes a
+// vertex each); past it the least recently used goes.
+const plansKept = 8
+
+// planKey names a plan: what, besides the graph, an assignment depends on.
+type planKey struct {
+	partitioner string
+	seed        uint64
+	k           int
+}
+
+type planEntry struct {
+	key planKey
+	a   *partition.Assignment
 }
 
 // newSnapshot builds a snapshot with one (registry) reference.
@@ -50,7 +65,7 @@ func newSnapshot(name string, g *graph.Graph) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{name: name, g: g, digest: d, plans: make(map[string]*partition.Assignment)}
+	s := &Snapshot{name: name, g: g, digest: d}
 	s.refs.Store(1)
 	return s, nil
 }
@@ -91,34 +106,47 @@ func (s *Snapshot) acquire() { s.refs.Add(1) }
 //perf:hot
 func (s *Snapshot) release() { s.refs.Add(-1) }
 
-// plan returns the partition assignment for (partitioner, seed, k) on
-// this snapshot, computing and caching it on first use. Plans depend
-// only on the graph and those three inputs, so they are shared across
-// every job that agrees on them — the partition-plan half of the
-// service's cache story.
-func (s *Snapshot) plan(p partition.Partitioner, name string, seed uint64, k int, reg *metrics.Registry) (*partition.Assignment, error) {
-	key := fmt.Sprintf("%s/%d/%d", name, seed, k)
+// cachedPlan returns the plan kept under key, now the most recently
+// used, or nil. Callers hold s.mu.
+func (s *Snapshot) cachedPlan(key planKey) *partition.Assignment {
+	for i, e := range s.plans {
+		if e.key == key {
+			s.plans = append(slices.Delete(s.plans, i, i+1), e)
+			return e.a
+		}
+	}
+	return nil
+}
+
+// plan returns the partition assignment for key on this snapshot,
+// computing and caching it on first use. Plans depend only on the graph
+// and the key, so they are shared across every job that agrees on them —
+// the partition-plan half of the service's cache story.
+func (s *Snapshot) plan(p partition.Partitioner, key planKey, c *counters) (*partition.Assignment, error) {
 	s.mu.Lock()
-	if a, ok := s.plans[key]; ok {
-		s.mu.Unlock()
-		reg.Counter(CounterPlanCacheHits).Inc()
+	a := s.cachedPlan(key)
+	s.mu.Unlock()
+	if a != nil {
+		c.planHits.Inc()
 		return a, nil
 	}
-	s.mu.Unlock()
-	reg.Counter(CounterPlanCacheMisses).Inc()
-	a, err := p.Partition(s.g, k)
+	c.planMisses.Inc()
+	a, err := p.Partition(s.g, key.k)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	// Two racing jobs may both compute; keep the first stored so every
 	// later job shares one assignment value.
-	if prev, ok := s.plans[key]; ok {
-		a = prev
-	} else {
-		s.plans[key] = a
+	if prev := s.cachedPlan(key); prev != nil {
+		return prev, nil
 	}
-	s.mu.Unlock()
+	if len(s.plans) == plansKept {
+		s.plans = slices.Delete(s.plans, 0, 1)
+		c.plansEvicted.Inc()
+	}
+	s.plans = append(s.plans, planEntry{key, a})
 	return a, nil
 }
 

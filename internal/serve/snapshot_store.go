@@ -3,7 +3,6 @@ package serve
 import (
 	"strings"
 
-	"repro/internal/partition"
 	"repro/internal/store"
 )
 
@@ -33,7 +32,6 @@ func (r *Registry) PutContainer(name string, st *store.Store) (SnapshotInfo, err
 		// Bare hex, matching GraphDigest's shape: job info derivation
 		// slices the first 64 key characters as the digest.
 		digest: strings.TrimPrefix(d, "sha256:"),
-		plans:  make(map[string]*partition.Assignment),
 	}
 	s.refs.Store(1)
 	return r.install(s), nil

@@ -285,8 +285,8 @@ func TestWaitReleasedByStop(t *testing.T) {
 		r.m.Stop()
 		close(stopped)
 	}()
-	if a := recvAnswer(t, ans); a.err == nil || !strings.Contains(a.err.Error(), "HTTP 503") {
-		t.Errorf("waiter on a stopping manager got %+v, %v; want HTTP 503", a.info, a.err)
+	if a := recvAnswer(t, ans); !errors.Is(a.err, ErrStopped) || !strings.Contains(a.err.Error(), "HTTP 503") {
+		t.Errorf("waiter on a stopping manager got %+v, %v; want ErrStopped over HTTP 503", a.info, a.err)
 	}
 	if _, expired := waitCounters(r.m); expired != 0 {
 		t.Errorf("expired = %d: the waiter sat out its bound", expired)

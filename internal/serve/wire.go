@@ -275,7 +275,37 @@ const (
 	// neither a poller, many expiries a bound too small for the jobs.
 	CounterWaitsParked  = "serve.waits.parked"
 	CounterWaitsExpired = "serve.waits.expired"
+	// What the service forgot (DESIGN.md, "What the service retains"):
+	// 410s beside evictions say the byte budget is too small for the
+	// traffic, 410s beside expired jobs alone that clients fetch late.
+	CounterResultsEvicted     = "serve.cache.result.evicted"
+	CounterResultBytesEvicted = "serve.cache.result.evicted_bytes"
+	CounterPlansEvicted       = "serve.cache.plan.evicted"
+	CounterJobsExpired        = "serve.jobs.expired"
+	CounterLookupsGone        = "serve.lookups.gone"
 )
+
+// counters is every serve counter resolved to its handle once, in
+// NewManager: an event costs an atomic add, not a registry lookup.
+type counters struct {
+	submitted, completed, failed, cancelled *metrics.Counter
+	rejectedQueueFull, rejectedQuota        *metrics.Counter
+	resultHits, resultMisses, resultsEvicted, resultBytesEvicted,
+	planHits, planMisses, plansEvicted,
+	waitsParked, waitsExpired, jobsExpired, lookupsGone *metrics.Counter
+}
+
+// newCounters resolves the names in the order counters declares them.
+func newCounters(reg *metrics.Registry) counters {
+	c := reg.Counter
+	return counters{
+		c(CounterJobsSubmitted), c(CounterJobsCompleted), c(CounterJobsFailed), c(CounterJobsCancelled),
+		c(CounterRejectedQueueFull), c(CounterRejectedQuota),
+		c(CounterResultCacheHits), c(CounterResultCacheMisses), c(CounterResultsEvicted), c(CounterResultBytesEvicted),
+		c(CounterPlanCacheHits), c(CounterPlanCacheMisses), c(CounterPlansEvicted),
+		c(CounterWaitsParked), c(CounterWaitsExpired), c(CounterJobsExpired), c(CounterLookupsGone),
+	}
+}
 
 // metricsSnapshot is the /v1/metricz payload.
 type metricsSnapshot struct {

@@ -13,7 +13,7 @@
 #   -count=2    cluster faults, parallel simulator, store lifecycle,
 #               each under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
-#   fuzz        a short budget per fuzz target (14)
+#   fuzz        a short budget per fuzz target (15)
 # Any stage failing fails the gate.
 #
 # Usage: scripts/check.sh [fuzz-seconds]
@@ -225,6 +225,10 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # The status route's wait parameter: any query string is refused
         # or yields a park bound inside [0, serve.MaxWait].
         "FuzzWaitParam ./internal/serve/"
+        # The result cache under any stream of Gets and Puts against a
+        # slice model: same hits, same evictions, bytes held equal to the
+        # sum of live entries and over budget only for one entry alone.
+        "FuzzResultCache ./internal/serve/"
         # ndpverify's replay decoder: arbitrary bytes must come back as an
         # error or as a scenario that passes Validate and whose replay
         # JSON parses to the same value.
