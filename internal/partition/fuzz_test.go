@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -128,4 +129,90 @@ func FuzzMultilevelPartition(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzMultilevelMatchesReference holds the multilevel partitioner to the
+// parent's phases (multilevel_ref_test.go) bit for bit: every level's CSR,
+// vertex weights and cmap of a hierarchy coarsened as far as matching
+// goes, rebalance on the same (level, parts, k, tol) input, and the final
+// Parts with and without coarsening inside Partition.
+func FuzzMultilevelMatchesReference(f *testing.F) {
+	f.Add([]byte{}, uint8(2), uint64(1))
+	f.Add([]byte{64, 0, 1, 1, 2, 2, 3, 3, 0}, uint8(4), uint64(7))
+	f.Add([]byte{255, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3}, uint8(8), uint64(42))
+	f.Add([]byte{16, 0, 1, 0, 1, 0, 1}, uint8(3), uint64(3))
+	f.Add([]byte{40, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 2, 3, 4, 6, 7, 7, 8, 8, 9, 9, 6, 20, 21, 21, 22, 30, 31}, uint8(15), uint64(43))
+	// 64 vertices and 300 pseudo-random edges: five levels whose coarse
+	// vertices have several neighbours each.
+	dense := []byte{62}
+	for x := uint32(1); len(dense) < 601; {
+		x = x*1103515245 + 12345
+		dense = append(dense, byte(x>>16))
+	}
+	f.Add(dense, uint8(7), uint64(5))
+	f.Fuzz(func(t *testing.T, data []byte, kRaw uint8, seed uint64) {
+		g := fuzzGraph(data)
+		k := min(1+int(kRaw)%16, g.NumVertices())
+
+		got, want := symmetrize(g), refSymmetrize(g)
+		for depth := 0; ; depth++ {
+			equalLevels(t, depth, got, want)
+			kl := min(k, got.n)
+			for _, tol := range []float64{0.9, 1.0, 1.1, 1.5} {
+				for j, parts := range [][]int32{initialPartition(got, kl, seed), skewedParts(got.n, kl, seed)} {
+					ref := slices.Clone(parts)
+					rebalance(got, parts, kl, tol)
+					refRebalance(want, ref, kl, tol)
+					if !slices.Equal(parts, ref) {
+						t.Fatalf("level %d, tol %g, input %d: rebalance %v, reference %v", depth, tol, j, parts, ref)
+					}
+				}
+			}
+			nextGot, nextWant := coarsen(got, seed+uint64(depth)), refCoarsen(want, seed+uint64(depth))
+			if !slices.Equal(got.cmap, want.cmap) {
+				t.Fatalf("level %d: cmap %v, reference %v", depth, got.cmap, want.cmap)
+			}
+			if float64(nextGot.n) > 0.9*float64(got.n) {
+				// Partition's stall rule ends the hierarchy here.
+				equalLevels(t, depth+1, nextGot, nextWant)
+				break
+			}
+			got, want = nextGot, nextWant
+		}
+
+		for _, m := range []Multilevel{{Seed: seed}, {Seed: seed, CoarsenTo: 1}} {
+			a, err := m.Partition(g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := refPartition(m, g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(a.Parts, r.Parts) {
+				t.Fatalf("%+v k=%d: Parts %v, reference %v", m, k, a.Parts, r.Parts)
+			}
+		}
+	})
+}
+
+// equalLevels fails t unless two levels are the same weighted CSR.
+func equalLevels(t *testing.T, depth int, got, want *level) {
+	t.Helper()
+	if got.n != want.n || !slices.Equal(got.xadj, want.xadj) || !slices.Equal(got.adj, want.adj) ||
+		!slices.Equal(got.ewt, want.ewt) || !slices.Equal(got.vwt, want.vwt) {
+		t.Fatalf("level %d differs:\n got  n=%d xadj=%v adj=%v ewt=%v vwt=%v\n want n=%d xadj=%v adj=%v ewt=%v vwt=%v",
+			depth, got.n, got.xadj, got.adj, got.ewt, got.vwt, want.n, want.xadj, want.adj, want.ewt, want.vwt)
+	}
+}
+
+// skewedParts is a seeded assignment of n vertices to k parts that piles
+// weight onto the low parts, so rebalance has moves to make.
+func skewedParts(n, k int, seed uint64) []int32 {
+	parts := make([]int32, n)
+	for v := range parts {
+		h := (uint64(v) + seed) * 0x9e3779b97f4a7c15
+		parts[v] = int32(min(h%uint64(k), (h>>32)%uint64(k)))
+	}
+	return parts
 }

@@ -1,8 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -134,41 +135,65 @@ func (m Multilevel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 // symmetrize builds the undirected weighted level-0 graph: edge (u,v) and
 // (v,u) in the digraph both contribute weight 1 to the undirected edge
 // {u,v}; self loops are dropped (they never affect cuts).
+//
+// Two counting passes replace a sort of the 2E half-edges: the first
+// buckets every vertex's undirected neighbours in CSR order, the second
+// transposes those buckets in ascending vertex order, which leaves each
+// list sorted (the multiset is symmetric, so the same lists come back).
+// Equal neighbours are then adjacent and fold into one weighted edge.
+// It never calls g.Transpose, which would cache a transpose on the
+// caller's graph.
 func symmetrize(g *graph.Graph) *level {
 	n := g.NumVertices()
-	type half struct {
-		u, v int32
+	off, dst := g.Offsets(), g.Edges()
+	start := make([]int64, n+1)
+	for s := 0; s < n; s++ {
+		for _, d := range dst[off[s]:off[s+1]] {
+			if int(d) != s {
+				start[s+1]++
+				start[d+1]++
+			}
+		}
 	}
-	pairs := make([]half, 0, 2*g.NumEdges())
-	g.ForEachEdge(func(s, d graph.VertexID, w float32) bool {
-		if s != d {
-			pairs = append(pairs, half{int32(s), int32(d)})
-			pairs = append(pairs, half{int32(d), int32(s)})
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	next := make([]int64, n)
+	copy(next, start[:n])
+	unsorted := make([]int32, start[n])
+	for s := 0; s < n; s++ {
+		for _, d := range dst[off[s]:off[s+1]] {
+			if int(d) != s {
+				unsorted[next[s]], next[s] = int32(d), next[s]+1
+				unsorted[next[d]], next[d] = int32(s), next[d]+1
+			}
 		}
-		return true
-	})
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].u != pairs[j].u {
-			return pairs[i].u < pairs[j].u
+	}
+	copy(next, start[:n])
+	sorted := make([]int32, start[n])
+	for u := 0; u < n; u++ {
+		for _, v := range unsorted[start[u]:start[u+1]] {
+			sorted[next[v]], next[v] = int32(u), next[v]+1
 		}
-		return pairs[i].v < pairs[j].v
-	})
-	lv := &level{n: n, xadj: make([]int64, n+1), vwt: make([]int64, n)}
+	}
+
+	lv := &level{n: n, xadj: make([]int64, n+1), vwt: make([]int64, n),
+		adj: sorted[:0], ewt: make([]int64, 0, len(sorted))}
 	for i := range lv.vwt {
 		lv.vwt[i] = 1
 	}
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			j++
+	for u := 0; u < n; u++ {
+		for i, hi := start[u], start[u+1]; i < hi; {
+			j := i + 1
+			for j < hi && sorted[j] == sorted[i] {
+				j++
+			}
+			// In place: the write index never passes the read index.
+			lv.adj = append(lv.adj, sorted[i])
+			lv.ewt = append(lv.ewt, j-i)
+			i = j
 		}
-		lv.adj = append(lv.adj, pairs[i].v)
-		lv.ewt = append(lv.ewt, int64(j-i))
-		lv.xadj[pairs[i].u+1]++
-		i = j
-	}
-	for v := 0; v < n; v++ {
-		lv.xadj[v+1] += lv.xadj[v]
+		lv.xadj[u+1] = int64(len(lv.adj))
 	}
 	return lv
 }
@@ -182,17 +207,19 @@ func coarsen(lv *level, seed uint64) *level {
 		match[i] = -1
 	}
 	// Visit order: pseudo-random permutation from a multiplicative hash to
-	// avoid pathological id-order matchings.
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	// avoid pathological id-order matchings. The hash is a bijection of
+	// the id, so the keys are distinct and any sort gives one order.
+	type keyed struct {
+		h uint64
+		v int32
 	}
-	sort.Slice(order, func(i, j int) bool {
-		hi := (uint64(order[i]) + seed) * 0x9e3779b97f4a7c15
-		hj := (uint64(order[j]) + seed) * 0x9e3779b97f4a7c15
-		return hi < hj
-	})
-	for _, v := range order {
+	order := make([]keyed, n)
+	for i := range order {
+		order[i] = keyed{(uint64(i) + seed) * 0x9e3779b97f4a7c15, int32(i)}
+	}
+	slices.SortFunc(order, func(a, b keyed) int { return cmp.Compare(a.h, b.h) })
+	for _, o := range order {
+		v := o.v
 		if match[v] >= 0 {
 			continue
 		}
@@ -213,64 +240,56 @@ func coarsen(lv *level, seed uint64) *level {
 			match[v] = v // matched with itself
 		}
 	}
-	// Assign coarse ids.
+	// Assign coarse ids in order of each pair's smaller member.
 	cmap := make([]int32, n)
-	for i := range cmap {
-		cmap[i] = -1
-	}
 	cn := int32(0)
 	for v := int32(0); v < int32(n); v++ {
-		if cmap[v] >= 0 {
-			continue
+		if m := match[v]; m >= v {
+			cmap[v], cmap[m] = cn, cn
+			cn++
 		}
-		cmap[v] = cn
-		if m := match[v]; m != v {
-			cmap[m] = cn
-		}
-		cn++
 	}
 	lv.cmap = cmap
 
-	// Build the coarse graph by aggregating edges between coarse vertices.
-	coarse := &level{n: int(cn), xadj: make([]int64, cn+1), vwt: make([]int64, cn)}
-	for v := 0; v < n; v++ {
-		coarse.vwt[cmap[v]] += lv.vwt[v]
-	}
-	type cedge struct {
-		u, v int32
-		w    int64
-	}
-	edges := make([]cedge, 0, len(lv.adj))
+	// Build the coarse graph one coarse vertex at a time, in id order: sum
+	// its (at most two) members' edges into a dense accumulator, then emit
+	// the touched coarse neighbours in ascending order. Integer sums do not
+	// depend on the order they are taken in.
+	coarse := &level{n: int(cn), xadj: make([]int64, cn+1), vwt: make([]int64, cn),
+		adj: make([]int32, 0, len(lv.adj)), ewt: make([]int64, 0, len(lv.adj))} // a coarse edge needs a fine one
+	acc := make([]int64, cn) // edge weights are positive: 0 means untouched
+	var touched []int32
 	for v := int32(0); v < int32(n); v++ {
+		m := match[v]
+		if m < v {
+			continue // v is the second member of an earlier coarse vertex
+		}
 		cu := cmap[v]
-		for i := lv.xadj[v]; i < lv.xadj[v+1]; i++ {
-			cv := cmap[lv.adj[i]]
-			if cu == cv {
-				continue
+		members, nm := [2]int32{v, m}, 2
+		if m == v {
+			nm = 1
+		}
+		touched = touched[:0]
+		for _, f := range members[:nm] {
+			coarse.vwt[cu] += lv.vwt[f]
+			for i := lv.xadj[f]; i < lv.xadj[f+1]; i++ {
+				cv := cmap[lv.adj[i]]
+				if cv == cu {
+					continue
+				}
+				if acc[cv] == 0 {
+					touched = append(touched, cv)
+				}
+				acc[cv] += lv.ewt[i]
 			}
-			edges = append(edges, cedge{cu, cv, lv.ewt[i]})
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
+		slices.Sort(touched)
+		for _, cv := range touched {
+			coarse.adj = append(coarse.adj, cv)
+			coarse.ewt = append(coarse.ewt, acc[cv])
+			acc[cv] = 0
 		}
-		return edges[i].v < edges[j].v
-	})
-	for i := 0; i < len(edges); {
-		j := i
-		var w int64
-		for j < len(edges) && edges[j].u == edges[i].u && edges[j].v == edges[i].v {
-			w += edges[j].w
-			j++
-		}
-		coarse.adj = append(coarse.adj, edges[i].v)
-		coarse.ewt = append(coarse.ewt, w)
-		coarse.xadj[edges[i].u+1]++
-		i = j
-	}
-	for v := int32(0); v < cn; v++ {
-		coarse.xadj[v+1] += coarse.xadj[v]
+		coarse.xadj[cu+1] = int64(len(coarse.adj))
 	}
 	return coarse
 }
@@ -428,9 +447,17 @@ func levelCut(lv *level, parts []int32) int64 {
 }
 
 // rebalance enforces the weight bounds by explicit moves: while some part
-// exceeds maxW (or sits below minW), move the cheapest boundary vertex
-// from the heaviest part to the lightest. Cut quality is secondary here —
-// refine restores it afterwards.
+// exceeds maxW (or sits below minW), move one vertex from the heaviest
+// part (the first maximum) to the lightest (the first minimum): the one
+// whose move damages the cut least, conn(heavy) − conn(light), the
+// smallest id on ties. Cut quality is secondary here — refine restores it
+// afterwards.
+//
+// A move costs light's adjacency, not the level's. inner[v], v's edge
+// weight into its own part, is kept current move by move; a vertex of
+// heavy with no edge into light scores exactly its inner, so the answer
+// is the (inner, id) minimum of heavy or a heavy neighbour of light, and
+// only those are scored. Extra memory is O(n): no vertex × part table.
 func rebalance(lv *level, parts []int32, k int, tol float64) {
 	weights := make([]int64, k)
 	var total int64
@@ -439,8 +466,15 @@ func rebalance(lv *level, parts []int32, k int, tol float64) {
 		total += lv.vwt[v]
 	}
 	minW, maxW := bounds(total, k, tol)
-	conn := make([]int64, k)
-	touched := make([]int32, 0, 8)
+	var inner, acc []int64   // built on the first move; most calls make none
+	var members [][]int32    // each part's vertices, in no particular order
+	var pos, touched []int32 // pos[v] is v's index in members[parts[v]]
+	best, bestScore := int32(0), int64(0)
+	consider := func(v int32, score int64) {
+		if score < bestScore || score == bestScore && v < best {
+			best, bestScore = v, score
+		}
+	}
 	// Each iteration moves one vertex; bound iterations to avoid livelock
 	// on lumpy coarse weights where perfect balance is unattainable.
 	for iter := 0; iter < 4*lv.n+16; iter++ {
@@ -456,35 +490,64 @@ func rebalance(lv *level, parts []int32, k int, tol float64) {
 		if weights[heavy] <= maxW && weights[light] >= minW {
 			return
 		}
-		// Pick the vertex in `heavy` whose move to `light` damages the cut
-		// least, preferring vertices already adjacent to `light`.
-		bestV := int32(-1)
-		bestScore := int64(1) << 62
-		for v := int32(0); v < int32(lv.n); v++ {
-			if parts[v] != heavy {
-				continue
-			}
-			touched = touched[:0]
-			for i := lv.xadj[v]; i < lv.xadj[v+1]; i++ {
-				p := parts[lv.adj[i]]
-				if conn[p] == 0 {
-					touched = append(touched, p)
+		if heavy == light {
+			return // all parts equal: every remaining move would be a no-op
+		}
+		if inner == nil {
+			inner, acc, pos, members = make([]int64, lv.n), make([]int64, lv.n), make([]int32, lv.n), make([][]int32, k)
+			for v := int32(0); v < int32(lv.n); v++ {
+				p := parts[v]
+				for i := lv.xadj[v]; i < lv.xadj[v+1]; i++ {
+					if parts[lv.adj[i]] == p {
+						inner[v] += lv.ewt[i]
+					}
 				}
-				conn[p] += lv.ewt[i]
-			}
-			score := conn[heavy] - conn[light] // cut damage of the move
-			for _, p := range touched {
-				conn[p] = 0
-			}
-			if score < bestScore {
-				bestScore, bestV = score, v
+				pos[v] = int32(len(members[p]))
+				members[p] = append(members[p], v)
 			}
 		}
-		if bestV < 0 {
+		if len(members[heavy]) == 0 {
 			return // heavy part has no vertices (k > n at this level)
 		}
-		weights[heavy] -= lv.vwt[bestV]
-		weights[light] += lv.vwt[bestV]
-		parts[bestV] = light
+		best, bestScore = members[heavy][0], inner[members[heavy][0]]
+		for _, v := range members[heavy] {
+			consider(v, inner[v])
+		}
+		touched = touched[:0]
+		for _, y := range members[light] {
+			for i := lv.xadj[y]; i < lv.xadj[y+1]; i++ {
+				if u := lv.adj[i]; parts[u] == heavy {
+					if acc[u] == 0 { // edge weights are positive
+						touched = append(touched, u)
+					}
+					acc[u] += lv.ewt[i]
+				}
+			}
+		}
+		for _, u := range touched {
+			consider(u, inner[u]-acc[u])
+			acc[u] = 0
+		}
+
+		// Move best to light: only it and its neighbours change inner.
+		v := best
+		inner[v] = 0
+		for i := lv.xadj[v]; i < lv.xadj[v+1]; i++ {
+			switch u := lv.adj[i]; parts[u] {
+			case heavy:
+				inner[u] -= lv.ewt[i]
+			case light:
+				inner[u] += lv.ewt[i]
+				inner[v] += lv.ewt[i]
+			}
+		}
+		last := members[heavy][len(members[heavy])-1]
+		members[heavy][pos[v]], pos[last] = last, pos[v]
+		members[heavy] = members[heavy][:len(members[heavy])-1]
+		pos[v] = int32(len(members[light]))
+		members[light] = append(members[light], v)
+		weights[heavy] -= lv.vwt[v]
+		weights[light] += lv.vwt[v]
+		parts[v] = light
 	}
 }

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -216,6 +218,61 @@ func TestMultilevelTinyGraphs(t *testing.T) {
 	}
 }
 
+// TestMultilevelAssignmentsPinned holds the multilevel partitioner to the
+// assignments recorded at commit f04b391, as an FNV-64a of Parts: the
+// inputs sim-sweep (com-livejournal 1, Seed 42, k 16) and serve-mix
+// (Seed 43, k 8 on com-livejournal 1 and wiki-talk 0.5) partition,
+// wiki-talk and a community graph over seeds and part counts, and the
+// zero Multilevel{} core.New installs, at its 8 memory nodes. Any change
+// to a comparator, a tie-break or a visit order moves at least one.
+func TestMultilevelAssignmentsPinned(t *testing.T) {
+	lj, err := gen.ComLiveJournal.Generate(1, gen.Config{Seed: 42, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wiki, err := gen.WikiTalk.Generate(0.5, gen.Config{Seed: 42, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := gen.Community(8000, 32, 10, 0.9, gen.Config{Seed: 7, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{"com-livejournal": lj, "wiki-talk": wiki, "community": comm}
+	for _, c := range []struct {
+		graph string
+		m     Multilevel
+		k     int
+		want  uint64
+	}{
+		{"com-livejournal", Multilevel{Seed: 42}, 16, 0x50cfa2ca9441c8b5},
+		{"com-livejournal", Multilevel{Seed: 43}, 8, 0x58c7c14f9da300a7},
+		{"com-livejournal", Multilevel{}, 8, 0x4153f6b83cf4bba5},
+		{"wiki-talk", Multilevel{Seed: 0}, 8, 0xd8c7e2a3616779a0},
+		{"wiki-talk", Multilevel{Seed: 0}, 16, 0x329dfd406146c07e},
+		{"wiki-talk", Multilevel{Seed: 43}, 8, 0x24435d3ae604c385},
+		{"wiki-talk", Multilevel{Seed: 43}, 16, 0xf13114d578adb518},
+		{"community", Multilevel{Seed: 0}, 8, 0x36590af83e3f59a1},
+		{"community", Multilevel{Seed: 0}, 16, 0x05143da1f552a4ae},
+		{"community", Multilevel{Seed: 43}, 8, 0xb05fcfe0c4ba0a25},
+		{"community", Multilevel{Seed: 43}, 16, 0x6df06cf8313bb453},
+	} {
+		a, err := c.m.Partition(graphs[c.graph], c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var word [4]byte
+		for _, p := range a.Parts {
+			binary.LittleEndian.PutUint32(word[:], uint32(p))
+			h.Write(word[:])
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s %+v k=%d: Parts hash %#x, pinned %#x", c.graph, c.m, c.k, got, c.want)
+		}
+	}
+}
+
 func TestEvaluateMirrorSemantics(t *testing.T) {
 	// 0 -> 1, 2 -> 1 with parts {0:A, 1:A, 2:B}: part B stores edge into 1
 	// but does not own 1, so 1 has exactly one mirror.
@@ -312,16 +369,36 @@ func TestQualityStringNonEmpty(t *testing.T) {
 	}
 }
 
+// BenchmarkMultilevelPartition times the partitioner on a community graph
+// and on the two stand-ins sim-sweep partitions (graph seed 42, k 16).
 func BenchmarkMultilevelPartition(b *testing.B) {
-	g, err := gen.Community(20000, 64, 10, 0.9, gen.Config{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (Multilevel{Seed: 1}).Partition(g, 32); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		make func() (*graph.Graph, error)
+		m    Multilevel
+		k    int
+	}{
+		{"community", func() (*graph.Graph, error) { return gen.Community(20000, 64, 10, 0.9, gen.Config{Seed: 7}) }, Multilevel{Seed: 1}, 32},
+		{"com-livejournal-1", func() (*graph.Graph, error) {
+			return gen.ComLiveJournal.Generate(1, gen.Config{Seed: 42, DropSelfLoops: true})
+		}, Multilevel{Seed: 42}, 16},
+		{"wiki-talk-0.5", func() (*graph.Graph, error) {
+			return gen.WikiTalk.Generate(0.5, gen.Config{Seed: 42, DropSelfLoops: true})
+		}, Multilevel{Seed: 42}, 16},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g, err := c.make()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.m.Partition(g, c.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -29,9 +29,6 @@ type PreStats struct {
 	// destination skew, which per-iteration heuristics scale down by the
 	// frontier's traversal volume.
 	StaticPartialUpdates int64
-	// Prev is the previous iteration's record (nil on iteration 0); its
-	// observed update/edge ratios feed adaptive heuristics.
-	Prev *Record
 }
 
 // OffloadPolicy decides, before each iteration, whether the traversal runs
@@ -307,9 +304,6 @@ func (e *execution) record(it *kernels.Iteration) {
 		Partitions:           P,
 		NumVertices:          g.NumVertices(),
 		StaticPartialUpdates: e.staticPartials,
-	}
-	if done > 0 {
-		pre.Prev = &e.out.Records[done-1]
 	}
 	var partMask []bool
 	if e.partPolicy != nil {

@@ -13,7 +13,7 @@
 #   -count=2    cluster faults, parallel simulator, store lifecycle,
 #               each under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
-#   fuzz        a short budget per fuzz target (15)
+#   fuzz        a short budget per fuzz target (16)
 # Any stage failing fails the gate.
 #
 # Usage: scripts/check.sh [fuzz-seconds]
@@ -191,6 +191,10 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # The multilevel partitioner's contract (coverage, balance,
         # coarsening round trip) on arbitrary graphs.
         "FuzzMultilevelPartition ./internal/partition/"
+        # The same partitioner against the parent's sort-and-scan phases
+        # (multilevel_ref_test.go): every level's CSR and cmap, every
+        # rebalance, and the final Parts bit for bit.
+        "FuzzMultilevelMatchesReference ./internal/partition/"
         # The escape lattice behind the perfflow rules: arbitrary
         # function bodies must reach a deterministic, monotone fixpoint
         # without panicking.
