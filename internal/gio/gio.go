@@ -388,15 +388,46 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 
 // SaveBinaryFile writes the graph to path in the binary container format.
 func SaveBinaryFile(path string, g *graph.Graph) error {
-	f, err := os.Create(path)
+	return WriteFileAtomic(path, func(w io.Writer) error { return WriteBinary(w, g) })
+}
+
+// WriteFileAtomic writes path through write so that path holds either its
+// previous contents or all of the new ones, never a prefix: write fills a
+// temporary file in path's directory, which is synced, closed and only
+// then renamed over path. Every failure removes the temporary file, and
+// write's error takes precedence.
+func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
+	f, err := createSibling(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteBinary(f, g); err != nil {
-		_ = f.Close() // write error takes precedence
+	defer func() {
+		if err != nil {
+			_ = f.Close() // already closed when rename failed; the error is moot
+			_ = os.Remove(f.Name())
+		}
+	}()
+	if err = write(f); err != nil {
 		return err
 	}
-	return f.Close()
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
+}
+
+// createSibling creates a new file next to path, with the permissions
+// os.Create would give path itself, under the first free name path.tmpN.
+func createSibling(path string) (*os.File, error) {
+	for i := 0; ; i++ {
+		f, err := os.OpenFile(path+".tmp"+strconv.Itoa(i), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, os.ErrExist) {
+			return f, err
+		}
+	}
 }
 
 // LoadBinaryFile reads a graph from a binary container file.

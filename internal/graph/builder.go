@@ -1,15 +1,20 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and constructs a validated CSR Graph.
 //
-// The builder tolerates duplicate edges (deduplicated, keeping the first
-// weight), self-loops (kept by default, removable via DropSelfLoops), and
-// unsorted input. It is not safe for concurrent use.
+// The builder tolerates duplicate edges, self-loops (kept by default,
+// removable via DropSelfLoops), and unsorted input. Duplicates are
+// deduplicated after an unstable sort by (src, dst): the weight kept is
+// that of the duplicate the sort puts first, which is deterministic for a
+// given input and Go release but not necessarily the first one added
+// (store.SpillBuilder keeps the first one added). It is not safe for
+// concurrent use.
 type Builder struct {
 	numVertices   int
 	edges         []Edge
@@ -84,11 +89,14 @@ func (b *Builder) build(weighted bool) (*Graph, error) {
 		// Sorting mutates; copy so the builder can be reused.
 		work = append([]Edge(nil), b.edges...)
 	}
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].Src != work[j].Src {
-			return work[i].Src < work[j].Src
+	// The permutation decides which duplicate's weight survives, so the
+	// sort must stay this one (pdqsort, as sort.Slice): a stable sort keeps
+	// other weights. TestBuilderOutputPinned holds it.
+	slices.SortFunc(work, func(a, b Edge) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return work[i].Dst < work[j].Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
 	if !b.keepParallel {
 		work = dedupEdges(work)
@@ -115,7 +123,7 @@ func (b *Builder) build(weighted bool) (*Graph, error) {
 }
 
 // dedupEdges removes duplicate (src,dst) pairs from a sorted edge slice,
-// keeping the first occurrence (and therefore its weight).
+// keeping the first in sorted order (and therefore its weight).
 func dedupEdges(sorted []Edge) []Edge {
 	if len(sorted) == 0 {
 		return sorted

@@ -355,8 +355,9 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []VertexID, error) {
 
 // Symmetrize returns the undirected view of the graph: for every edge
 // (u,v) both (u,v) and (v,u) exist in the result, deduplicated. Weights are
-// carried along (first occurrence wins on duplicates). Weakly-connected
-// component kernels run on this view.
+// carried along; where (u,v) and (v,u) carry different weights, the one
+// kept is the Builder's choice, the duplicate its sort puts first.
+// Weakly-connected component kernels run on this view.
 func (g *Graph) Symmetrize() (*Graph, error) {
 	b := NewBuilder(g.NumVertices())
 	g.ForEachEdge(func(s, d VertexID, w float32) bool {

@@ -753,21 +753,33 @@ func (e *engine) pushSerial() {
 			case EdgeMinWeight:
 				u = reduceMin(base, float64(wts[i]))
 			}
-			if !has[dst] {
-				agg[dst] = u
-				has[dst] = true
-				continue
-			}
+			// The fold is computed on every edge, first touches included,
+			// and a mask keeps u's bits where the slot was empty: the
+			// first-touch test is a select, not a branch.
+			r := agg[dst]
 			switch op {
 			case AggSum:
-				agg[dst] += u
+				r += u
 			case AggMin:
-				agg[dst] = reduceMin(agg[dst], u)
+				r = reduceMin(r, u)
 			case AggMax:
-				agg[dst] = reduceMax(agg[dst], u)
+				r = reduceMax(r, u)
 			}
+			m := b2u(has[dst]) - 1
+			agg[dst] = math.Float64frombits(math.Float64bits(r)&^m | math.Float64bits(u)&m)
+			has[dst] = true
 		}
 	})
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a zero-
+// extension of the bool, with no branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // reduceMin is AggMin.Reduce — and EdgeMinWeight's Combine — without the

@@ -43,16 +43,24 @@ func TestInlinedOpsMatchDefinitions(t *testing.T) {
 		math.Float64frombits(0x7FF0000000000123), // signalling
 		math.Float64frombits(0x7FF8000000000000), // what a float32 NaN widens to
 	}, specials...)
+	// The Serial machine folds every contribution into whatever its slot
+	// holds and keeps u's bits by mask on a first touch: the same
+	// definition, on the same contributions.
 	for _, op := range []AggOp{AggSum, AggMin, AggMax} {
 		for _, u := range contributions {
 			for _, v := range contributions {
-				lone, pair := stagedPartials(t, op, u, v)
-				if want := u; math.Float64bits(lone) != math.Float64bits(want) {
-					t.Errorf("%v: a partial of the one contribution %#x is %#x", op, math.Float64bits(want), math.Float64bits(lone))
-				}
-				if want := op.Reduce(u, v); math.Float64bits(pair) != math.Float64bits(want) {
-					t.Errorf("%v: a partial of (%#x, %#x) is %#x, Reduce gives %#x",
-						op, math.Float64bits(u), math.Float64bits(v), math.Float64bits(pair), math.Float64bits(want))
+				for _, m := range []struct {
+					name     string
+					partials func(*testing.T, AggOp, float64, float64) (float64, float64)
+				}{{"staged", stagedPartials}, {"serial", serialPartials}} {
+					lone, pair := m.partials(t, op, u, v)
+					if want := u; math.Float64bits(lone) != math.Float64bits(want) {
+						t.Errorf("%s %v: a partial of the one contribution %#x is %#x", m.name, op, math.Float64bits(want), math.Float64bits(lone))
+					}
+					if want := op.Reduce(u, v); math.Float64bits(pair) != math.Float64bits(want) {
+						t.Errorf("%s %v: a partial of (%#x, %#x) is %#x, Reduce gives %#x",
+							m.name, op, math.Float64bits(u), math.Float64bits(v), math.Float64bits(pair), math.Float64bits(want))
+					}
 				}
 			}
 		}
@@ -81,16 +89,8 @@ func (r *relay) Emit(_ graph.VertexID, value float64, _ int64) (float64, bool) {
 // 3, and returns the partials the chunk staged for 2 and for 3.
 func stagedPartials(t *testing.T, op AggOp, u, v float64) (lone, pair float64) {
 	t.Helper()
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 2, 1)
-	b.AddEdge(0, 3, 1)
-	b.AddEdge(1, 3, 1)
-	g, err := b.Build()
-	mustNoErr(t, err)
-	src, err := InMemory(g)
-	mustNoErr(t, err)
 	grid := &Grid{Chunks: 1, ChunkOf: make([]int32, 4)}
-	e, err := newEngine(src, &relay{op: op, values: []float64{u, v, 0, 0}}, Options{Workers: 1, Grid: grid}, true)
+	e, err := newEngine(partialsSource(t), &relay{op: op, values: []float64{u, v, 0, 0}}, Options{Workers: 1, Grid: grid}, true)
 	mustNoErr(t, err)
 	defer e.close()
 	e.prepare(0)
@@ -106,6 +106,39 @@ func stagedPartials(t *testing.T, op AggOp, u, v float64) (lone, pair float64) {
 			math.Float64bits(e.agg[2]), math.Float64bits(e.agg[3]), math.Float64bits(staged[0].val), math.Float64bits(staged[1].val))
 	}
 	return staged[0].val, staged[1].val
+}
+
+// serialPartials pushes the same frontier through the Serial machine,
+// which stages nothing: the aggregates of 2 and 3 are the partials. Both
+// slots start out holding a stale value, as they do after any iteration.
+func serialPartials(t *testing.T, op AggOp, u, v float64) (lone, pair float64) {
+	t.Helper()
+	e, err := newEngine(partialsSource(t), &relay{op: op, values: []float64{u, v, 0, 0}}, Options{Workers: 1, Direction: DirectionPush}, false)
+	mustNoErr(t, err)
+	defer e.close()
+	e.prepare(0)
+	e.agg[2], e.agg[3] = -7, -7
+	e.traverse()
+	mustNoErr(t, e.err)
+	if e.pull || !e.has[2] || !e.has[3] {
+		t.Fatalf("serial push left pull=%v has=%v, want a push reaching 2 and 3", e.pull, e.has)
+	}
+	return e.agg[2], e.agg[3]
+}
+
+// partialsSource is the graph both partials helpers push: 0 reaches 2
+// and 3, 1 reaches 3.
+func partialsSource(t *testing.T) Source {
+	t.Helper()
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 2, 1)
+	b.AddEdge(0, 3, 1)
+	b.AddEdge(1, 3, 1)
+	g, err := b.Build()
+	mustNoErr(t, err)
+	src, err := InMemory(g)
+	mustNoErr(t, err)
+	return src
 }
 
 // awkwardGraph is small enough to read and holds every shape the fused

@@ -43,11 +43,32 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, co
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp)
 	if err != nil {
 		return nil, resp.StatusCode, err
 	}
 	return b, resp.StatusCode, nil
+}
+
+// maxSizedBody is the largest declared length readBody allocates up front;
+// a server's Content-Length is trusted only up to it.
+const maxSizedBody = 64 << 20
+
+// readBody reads a body of declared length into one buffer of exactly
+// that size, and an undeclared or larger one through io.ReadAll's growing
+// buffer. A body shorter than it declared is io.ErrUnexpectedEOF. The last
+// bytes arrive with io.EOF from net/http, so an exact read leaves the
+// connection reusable.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // apiError decodes a wireError body into an error that wraps the sentinel

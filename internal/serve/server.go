@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"time"
 
 	"repro/internal/gio"
@@ -189,8 +190,11 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The stored canonical bytes go out verbatim — the byte-for-byte
-	// identity the served oracle asserts includes this handler.
+	// identity the served oracle asserts includes this handler. Their
+	// length goes first, so the client can read them into one buffer of
+	// that size instead of growing one chunk by chunk.
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/gio"
 	"repro/internal/graph"
 )
 
@@ -23,8 +24,8 @@ import (
 // ties by run creation order, so the surviving edge (and its weight) is
 // the one the generator emitted first. This is deterministic for a given
 // insertion sequence — a cleaner contract than the in-memory Builder,
-// whose unstable sort makes the surviving duplicate weight an
-// implementation accident.
+// whose unstable sort keeps the duplicate it happens to put first:
+// deterministic for a given Go release, but not the first inserted.
 //
 // SpillBuilder is not safe for concurrent use.
 type SpillBuilder struct {
@@ -277,17 +278,10 @@ done:
 	return sw.Close()
 }
 
-// SaveContainer is WriteContainer to a file path.
+// SaveContainer is WriteContainer to a file path, which holds either its
+// previous contents or the whole container, never a part of it.
 func (sb *SpillBuilder) SaveContainer(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sb.WriteContainer(f); err != nil {
-		_ = f.Close() // build error takes precedence
-		return err
-	}
-	return f.Close()
+	return gio.WriteFileAtomic(path, sb.WriteContainer)
 }
 
 // edgeLess orders edges by (src, dst), weights ignored.

@@ -7,8 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
+	"repro/internal/gio"
 	"repro/internal/graph"
 )
 
@@ -216,15 +216,8 @@ func EncodeGraph(g *graph.Graph, segmentBytes int64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// SaveGraphFile writes g to path as a gcsr2 container.
+// SaveGraphFile writes g to path as a gcsr2 container. path holds either
+// its previous contents or the whole container, never a part of it.
 func SaveGraphFile(path string, g *graph.Graph, segmentBytes int64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteGraph(f, g, segmentBytes); err != nil {
-		_ = f.Close() // write error takes precedence
-		return err
-	}
-	return f.Close()
+	return gio.WriteFileAtomic(path, func(w io.Writer) error { return WriteGraph(w, g, segmentBytes) })
 }

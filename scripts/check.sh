@@ -8,6 +8,7 @@
 #               ndplint -fix -diff empty
 #   tier 1      go test ./...
 #   uncached    alloc gates at -count=1 (they skip under -race)
+#   benchmarks  every benchmark in the module, once (-benchtime 1x)
 #   processes   ndpverify sweep, ndpserve round-trip, ndpverify -served,
 #               out-of-core stream -> container -> verified BFS
 #   -count=2    cluster faults, parallel simulator, store lifecycle,
@@ -79,6 +80,14 @@ step go test ./...
 # TestStoreAllocGate the tier's pin/read/release sweep, misses served
 # from the eviction freelist included.
 step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./internal/store/
+
+# Every benchmark runs once: the ones changes cite as evidence
+# (EngineEdgePath, StoreMissSweep, ClusterRun, MultilevelPartition,
+# StoreEngine, ServeHit) and the paper-artifact ones at the root must keep
+# building and running, or the next number quoted from them is from code
+# that no longer exists. A single iteration times nothing; it only proves
+# they run.
+step go test -run '^$' -bench . -benchtime 1x ./...
 
 # ndpverify smoke: the seeded scenario sweep the README documents. Runs
 # the whole harness end to end; any oracle violation fails the gate with
