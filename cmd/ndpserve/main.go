@@ -114,7 +114,6 @@ func main() {
 		executors   = flag.Int("executors", 2, "concurrent job executors")
 		queueCap    = flag.Int("queue", 16, "queued-job bound; submissions beyond it get HTTP 429")
 		tenantQuota = flag.Int("tenant-quota", 0, "per-tenant bound on queued+running jobs (0 = unlimited)")
-		cacheSize   = flag.Int("cache", 256, "result-cache entry bound (results are also bounded in bytes, least recently used out first; see DESIGN.md)")
 	)
 	var snaps []snapshotSpec
 	flag.Func("snapshot", "preload a snapshot, name=dataset:scale[:seed] or name=path.gcsr (repeatable)", func(v string) error {
@@ -150,10 +149,9 @@ func main() {
 	}
 
 	mgr := serve.NewManager(reg, &metrics.Registry{}, serve.ManagerConfig{
-		Executors:    *executors,
-		QueueCap:     *queueCap,
-		TenantQuota:  *tenantQuota,
-		CacheEntries: *cacheSize,
+		Executors:   *executors,
+		QueueCap:    *queueCap,
+		TenantQuota: *tenantQuota,
 	})
 	srv := newHTTPServer(*addr, serve.NewServer(mgr))
 

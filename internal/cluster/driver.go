@@ -567,8 +567,6 @@ func (d *driver) nextAlive(from int, alive []bool) int {
 // peer's), keeps the freshest properties of their active vertices
 // (delivered by write-backs), and runs the traversal phase on command.
 // own is its partition's seeded active set, indexed by rank.
-//
-//perf:hot
 func (d *driver) memoryNode(a int, own *denseAcc) {
 	g, k := d.g, d.k
 	tr := k.Traits()
@@ -621,7 +619,6 @@ func (d *driver) memoryNode(a int, own *denseAcc) {
 		// write-back-fresh mirror before anything else this iteration.
 		if len(cmd.adopt) > 0 {
 			for _, part := range cmd.adopt {
-				//lint:ignore loopalloc an adopted partition's active set is allocated once, at the crash that moves it here
 				active[part] = newDenseAcc(len(d.members[part]), tr.Agg)
 			}
 			served += len(cmd.adopt)
@@ -658,7 +655,6 @@ func (d *driver) memoryNode(a int, own *denseAcc) {
 					partials.add(int(dst), tr.Edge.Combine(base, weights[lo+int64(i)]))
 				}
 			})
-			//lint:ignore loopalloc each link is fresh per-iteration protocol state (sequence window and ack channel) by design
 			l := d.newLink(LinkUpdate, d.partNode(part), d.switchNode(d.leafOf[part]))
 			out := d.memTarget[part]
 			var batch []Update
@@ -706,8 +702,6 @@ func (d *driver) memoryNode(a int, own *denseAcc) {
 // anything newer, duplicates are discarded by sequence number), so the
 // staged sequences — and with them every float aggregation and the
 // emitted stream — are identical across runs, faults or none.
-//
-//perf:hot
 func (d *driver) switchActor(s *switchSpec) {
 	op := d.k.Traits().Agg
 	isRoot := s.parent == nil
@@ -738,11 +732,9 @@ func (d *driver) switchActor(s *switchSpec) {
 		if isRoot {
 			rootLinks = make([]*link, d.C)
 			for c := range rootLinks {
-				//lint:ignore loopalloc each link is fresh per-iteration protocol state (sequence window and ack channel) by design
 				rootLinks[c] = d.newLink(LinkUpdate, d.switchNode(s.gid), d.compNode(c))
 			}
 		} else {
-			//lint:ignore loopalloc each link is fresh per-iteration protocol state (sequence window and ack channel) by design
 			upLink = d.newLink(LinkUpdate, d.switchNode(s.gid), d.switchNode(s.parentGid))
 		}
 		outBatch := make([][]Update, d.C)
@@ -841,8 +833,6 @@ func (d *driver) switchActor(s *switchSpec) {
 // previous iteration's write-back batches themselves — and that is what
 // makes memory-node crashes recoverable: on a re-dispatch it re-sends
 // the mirror to the adopting peer.
-//
-//perf:hot
 func (d *driver) computeNode(c int, values []float64, fresh [][]Update) {
 	g, k := d.g, d.k
 	tr := k.Traits()

@@ -394,8 +394,10 @@ func SaveBinaryFile(path string, g *graph.Graph) error {
 // WriteFileAtomic writes path through write so that path holds either its
 // previous contents or all of the new ones, never a prefix: write fills a
 // temporary file in path's directory, which is synced, closed and only
-// then renamed over path. Every failure removes the temporary file, and
-// write's error takes precedence.
+// then renamed over path. A failure this process sees removes the
+// temporary file, and write's error takes precedence. A process killed
+// mid-write leaves path as it was and its path.tmpN behind; the next
+// write takes the first free name past it.
 func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	f, err := createSibling(path)
 	if err != nil {

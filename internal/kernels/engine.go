@@ -507,8 +507,6 @@ func (e *engine) close() {
 
 // run executes the kernel to completion, or to the first cancellation or
 // segment-fetch error.
-//
-//perf:hot
 func (e *engine) run(ctx context.Context) (*Result, error) {
 	res, tr := e.res, e.tr
 	for iter := 0; iter < tr.MaxIterations; iter++ {
@@ -668,8 +666,6 @@ func (e *engine) gatherVolume(lo, hi int) int64 {
 // traverse clears the aggregation arrays and runs the chosen direction.
 // ActiveEdges accounting stays the nominal frontier out-edge volume in
 // both directions; EdgesInspected records the probes actually made.
-//
-//perf:hot
 func (e *engine) traverse() {
 	// Only a fixed-point kernel's Apply reads an aggregate nothing
 	// touched; everywhere else a first touch stores, so has alone needs
@@ -714,8 +710,6 @@ func (e *engine) traverse() {
 // other engine is validated against. A Pin failure latches into e.err
 // and turns the remaining callbacks into no-ops (ForEach cannot stop
 // early).
-//
-//perf:hot
 func (e *engine) pushSerial() {
 	g, k := e.g, e.k
 	// Locals, so the per-edge loop keeps the slice headers and the two
@@ -811,8 +805,6 @@ func reduceMax(a, b float64) float64 {
 // on any worker in any order without changing a bit of the merged result.
 // The chunk pins its own current segment and releases it before
 // returning; a Pin failure lands in the chunk's error slot.
-//
-//perf:hot
 func (e *engine) pushChunk(w, c int) {
 	s := &e.scratch[w]
 	seen, touched, stamp := s.seen, s.touched, s.claim()
@@ -900,8 +892,6 @@ func (e *engine) pushChunk(w, c int) {
 // mergeChunks folds the staged chunk lists into the global accumulator
 // in fixed chunk order 0..C-1 — the reduction tree that keeps parallel
 // results bit-identical at every worker count.
-//
-//perf:hot
 func (e *engine) mergeChunks() {
 	agg, has, op := e.agg, e.has, e.tr.Agg
 	var distinct int64
@@ -932,8 +922,6 @@ func (e *engine) mergeChunks() {
 // destination and the scan order per destination is fixed, so the pull
 // phase is trivially chunk-parallel and bit-identical to its serial
 // form.
-//
-//perf:hot
 func (e *engine) pullRange(lo, hi int) int64 {
 	g, k, gk := e.g, e.k, e.gk
 	values, frontier := e.values, e.frontier
@@ -993,8 +981,6 @@ func (e *engine) pullRange(lo, hi int) int64 {
 
 // applySerial folds the aggregates in ascending vertex order, activating
 // the next frontier in place — the serial reference update phase.
-//
-//perf:hot
 func (e *engine) applySerial(next *Frontier) float64 {
 	k, n := e.k, e.n
 	var residual float64
@@ -1023,8 +1009,6 @@ func (e *engine) applySerial(next *Frontier) float64 {
 // activations into the chunk's own slots; apply folds them in chunk
 // order, so the next frontier's activation order (ascending vertex id)
 // and the residual's reduction tree are worker-count independent.
-//
-//perf:hot
 func (e *engine) applyChunk(c int) {
 	lo, hi := e.vtxChunk(c)
 	act := e.activatedPerChunk[c][:0]
@@ -1054,8 +1038,6 @@ func (e *engine) applyChunk(c int) {
 
 // apply recycles the spare frontier as the next active set and runs the
 // update phase for the current mode.
-//
-//perf:hot
 func (e *engine) apply() (*Frontier, float64) {
 	next := e.spare
 	next.Reset()
@@ -1110,7 +1092,6 @@ func newWorkerPool(workers int) *workerPool {
 		done:    make(chan struct{}, workers),
 	}
 	for w := 0; w < workers; w++ {
-		//lint:ignore closureloop one persistent goroutine per pool worker, spawned once per engine run and retired when the run closes the pool
 		go func(w int) {
 			for range p.start {
 				for {

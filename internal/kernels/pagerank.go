@@ -64,8 +64,6 @@ func (p *PageRank) InitialFrontier(g *graph.Graph) []graph.VertexID { return nil
 func (p *PageRank) Identity() float64 { return 0 }
 
 // Emit implements Kernel: each out-edge carries rank/outdeg.
-//
-//perf:hot
 func (p *PageRank) Emit(v graph.VertexID, value float64, outDegree int64) (float64, bool) {
 	if outDegree == 0 {
 		return 0, false

@@ -76,8 +76,6 @@ func CheckGraph(g interface {
 // kernels implementing GatherKernel may run dense iterations in the pull
 // direction, which is bit-identical to push on Values and every shared
 // telemetry field, and reflected in PullIterations/EdgesInspected.
-//
-//perf:hot
 func RunSerial(g *graph.Graph, k Kernel) (*Result, error) {
 	return RunSerialWith(g, k, Options{})
 }
@@ -85,8 +83,6 @@ func RunSerial(g *graph.Graph, k Kernel) (*Result, error) {
 // RunSerialWith is RunSerial with explicit engine options (forced
 // traversal direction, alpha/beta thresholds). The Workers option is
 // ignored; use Run for the parallel machine.
-//
-//perf:hot
 func RunSerialWith(g *graph.Graph, k Kernel, opt Options) (*Result, error) {
 	return runInMemory(g, k, Serial, opt)
 }

@@ -2,10 +2,10 @@
 // analyzers share: a per-function control-flow graph built from go/ast
 // (cfg.go), and the one module-wide fixed-point driver that turns a
 // per-function analysis into interprocedural facts (module.go). The
-// syntactic rules look at one node at a time; the analyzers built here
-// (the perfflow and lifeflow rule families) reason about paths — an
-// exit some branch reaches without releasing what it acquired, a loop a
-// value escapes from — and about what a callee does with its arguments.
+// syntactic rules look at one node at a time; the lifeflow rules built
+// here reason about paths — an exit some branch reaches without
+// releasing what it acquired — and about what a callee does with its
+// arguments.
 //
 // Everything here is stdlib-only (go/ast + go/types) and must never
 // panic: the builder is handed arbitrary — including fuzz-generated —

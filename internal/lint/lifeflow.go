@@ -1,8 +1,7 @@
-// lifeflow.go wires the v4 "lifeflow" analyzers: resource-lifecycle
-// rules built on internal/lint/lifeflow's obligation analysis. Where
-// the perfflow generation asks "does the hot path allocate?", this one
-// asks "does what we acquire get released, does the context we already
-// have actually flow?" — the invariants the ndpserve serving stack
+// lifeflow.go wires the "lifeflow" analyzers: resource-lifecycle rules
+// built on internal/lint/lifeflow's obligation analysis. They ask "does
+// what we acquire get released, does the context we already have
+// actually flow?" — the invariants the ndpserve serving stack
 // (refcounted snapshots, cancellable jobs) depends on.
 package lint
 

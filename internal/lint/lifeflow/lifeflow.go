@@ -1,11 +1,10 @@
-// Package lifeflow is ndplint's v4 resource-lifecycle layer: a
-// module-wide acquire/release obligation analysis built on the CFG
-// builder in internal/lint/flow. The serving stack (PR 7) lives or dies
-// by lifecycles — a leaked snapshot reference pins a graph tier forever,
-// an uncancelled context leaks its timer goroutine, a lock held across
-// an error return deadlocks the next request — and none of the earlier
-// lint generations (syntactic v1, path-sensitive v2, escape/alloc v3) look
-// at whether what is acquired is released.
+// Package lifeflow is ndplint's resource-lifecycle layer: a module-wide
+// acquire/release obligation analysis built on the CFG builder in
+// internal/lint/flow. The serving stack lives or dies by lifecycles — a
+// leaked snapshot reference pins a graph tier forever, an uncancelled
+// context leaks its timer goroutine, a lock held across an error return
+// deadlocks the next request — and the syntactic rules do not look at
+// whether what is acquired is released.
 //
 // The model: an acquiring call creates an obligation on the value it
 // binds. Every CFG path from the acquisition must reach one of

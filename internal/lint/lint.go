@@ -86,9 +86,9 @@ type Pass struct {
 	// be missing; analyzers degrade to syntactic heuristics when they
 	// are.
 	Info *types.Info
-	// Mod groups every package of this Run call, so interprocedural
-	// analyzers (the perfflow and lifeflow rules) can follow flows across
-	// package boundaries and cache module-wide results.
+	// Mod groups every package of this Run call, so the interprocedural
+	// lifeflow rules can follow flows across package boundaries and cache
+	// module-wide results.
 	Mod *Module
 
 	diags *[]Diagnostic
@@ -263,11 +263,10 @@ func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 }
 
 // All returns the full analyzer suite in stable order: the five
-// syntactic rules, the four perfflow rules for //perf:hot paths built
-// on internal/lint/perfflow, then the two lifeflow resource-lifecycle
-// rules built on internal/lint/lifeflow.
+// syntactic rules, then the two lifeflow resource-lifecycle rules built
+// on internal/lint/lifeflow.
 func All() []Analyzer {
-	return append(append(Syntactic(), Perfflow()...), Lifeflow()...)
+	return append(Syntactic(), Lifeflow()...)
 }
 
 // Syntactic returns the per-function pattern-matching rules.

@@ -80,12 +80,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"errcheck", ErrCheck{}, ""},
 		{"floatacc", FloatAcc{}, ""},
 		{"panicpath", PanicPath{}, ""},
-		// The perfflow suite: hotness comes from //perf:hot markers in
-		// the fixtures themselves, so no path scoping is needed.
-		{"loopalloc", LoopAlloc{}, ""},
-		{"ifacebox", IfaceBox{}, ""},
-		{"deferloop", DeferLoop{}, ""},
-		{"closureloop", ClosureLoop{}, ""},
 		// The lifeflow suite: resource-lifecycle obligations. Pairs come
 		// from the built-in table plus //lint:pair annotations in the
 		// fixtures, so no path scoping is needed.
@@ -174,7 +168,6 @@ func TestNoDetermScope(t *testing.T) {
 // mutant for every name here.
 var ruleCatalog = []string{
 	"nodeterm", "maporder", "errcheck", "floatacc", "panicpath",
-	"loopalloc", "ifacebox", "deferloop", "closureloop",
 	"leakpair", "ctxflow",
 }
 
@@ -290,39 +283,11 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	}
 }
 
-// TestPerfflowCatchesWhatDataflowMisses is the acceptance check for the
-// perfflow suite: each fixture's seeded hot-loop allocation must be
-// invisible to every syntactic analyzer — they prove determinism, not
-// allocation discipline — and caught by the corresponding perfflow rule.
-func TestPerfflowCatchesWhatDataflowMisses(t *testing.T) {
-	cases := []struct {
-		dir      string
-		perfflow Analyzer
-	}{
-		{"loopalloc", LoopAlloc{}},
-		{"ifacebox", IfaceBox{}},
-		{"deferloop", DeferLoop{}},
-		{"closureloop", ClosureLoop{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.dir, func(t *testing.T) {
-			pkgs := []*Package{loadFixture(t, tc.dir)}
-			for _, d := range Run(Syntactic(), pkgs) {
-				t.Errorf("syntactic analyzer unexpectedly caught the seeded hot-loop bug: %s", d)
-			}
-			found := Run([]Analyzer{tc.perfflow}, pkgs)
-			if len(found) == 0 {
-				t.Errorf("%s found nothing on its fixture: the seeded hot-loop bug went uncaught", tc.perfflow.Name())
-			}
-		})
-	}
-}
-
-// TestLifeflowCatchesWhatPerfflowMisses is the acceptance check for the
+// TestLifeflowCatchesWhatSyntaxMisses is the acceptance check for the
 // lifeflow suite: each fixture's seeded lifecycle bug — a leak on one
-// path, a detached context — must be invisible to every syntactic and
-// perfflow analyzer, and caught by the corresponding lifeflow rule.
-func TestLifeflowCatchesWhatPerfflowMisses(t *testing.T) {
+// path, a detached context — must be invisible to every syntactic
+// analyzer, and caught by the corresponding lifeflow rule.
+func TestLifeflowCatchesWhatSyntaxMisses(t *testing.T) {
 	cases := []struct {
 		dir      string
 		lifeflow Analyzer
@@ -333,8 +298,8 @@ func TestLifeflowCatchesWhatPerfflowMisses(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			pkgs := []*Package{loadFixture(t, tc.dir)}
-			for _, d := range Run(append(Syntactic(), Perfflow()...), pkgs) {
-				t.Errorf("syntactic/perfflow analyzer unexpectedly caught the seeded lifecycle bug: %s", d)
+			for _, d := range Run(Syntactic(), pkgs) {
+				t.Errorf("syntactic analyzer unexpectedly caught the seeded lifecycle bug: %s", d)
 			}
 			found := Run([]Analyzer{tc.lifeflow}, pkgs)
 			if len(found) == 0 {

@@ -21,18 +21,6 @@ type mutant struct {
 	edits []edit
 }
 
-// inMemoryNodeLoop inserts stmt at the top of the per-iteration loop of
-// the cluster's memory-node actor: a //perf:hot function no alloc gate
-// covers, which is why the four perfflow rows are seeded here.
-func inMemoryNodeLoop(stmt string) edit {
-	const first, second = "\t\titer := cmd.iter\n", "\t\tfor i := range lastSeq {\n"
-	return edit{first + second, first + "\t\t" + stmt + "\n" + second}
-}
-
-// driverField opens the cluster driver's struct, for mutants that need a
-// field to leak into.
-const driverField = "type driver struct {\n"
-
 // seededMutants is the evidence each rule stays on: a bug re-introduced
 // into product code that the rule is the one to report. DESIGN.md's rule
 // table names, per row, the cheaper gate that also catches it (or none).
@@ -69,24 +57,6 @@ var seededMutants = []mutant{
 		"\t\treturn fmt.Errorf(\"partition: k = %d, want > 0\", k)\n",
 		"\t\tpanic(fmt.Sprintf(\"partition: k = %d, want > 0\", k))\n",
 	}}},
-	// The un-hoisting PR 18 removed: the partial-update accumulator
-	// rebuilt every iteration.
-	{"loopalloc", "internal/cluster/driver.go", []edit{
-		inMemoryNodeLoop("partials = newDenseAcc(g.NumVertices(), tr.Agg)"),
-	}},
-	{"ifacebox", "internal/cluster/driver.go", []edit{
-		inMemoryNodeLoop("d.trace = append(d.trace, iter, served)"),
-		{driverField, driverField + "\ttrace []interface{}\n"},
-	}},
-	// A per-iteration cleanup written as a defer: it runs once, at exit,
-	// after queueing a record an iteration.
-	{"deferloop", "internal/cluster/driver.go", []edit{
-		inMemoryNodeLoop("defer clear(lastSeq)"),
-	}},
-	{"closureloop", "internal/cluster/driver.go", []edit{
-		inMemoryNodeLoop("d.iters = append(d.iters, func() int { return iter })"),
-		{driverField, driverField + "\titers []func() int\n"},
-	}},
 	// Submit after Stop must hand back the snapshot reference it took.
 	{"leakpair", "internal/serve/job.go", []edit{{
 		"\tif m.stopped {\n\t\tsnap.release()\n\t\treturn nil, ErrStopped\n",

@@ -44,8 +44,6 @@ func newResultCache(max int, budget int64) *ResultCache {
 }
 
 // Get returns the cached bytes for key and marks them most recently used.
-//
-//perf:hot
 func (c *ResultCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

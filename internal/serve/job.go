@@ -115,10 +115,7 @@ type Manager struct {
 	cache   *ResultCache
 	cfg     ManagerConfig
 
-	// exec runs one job. A plain func field, not an interface: tests
-	// inject fakes here, and the perfflow hot-path analysis does not
-	// propagate through func-typed fields, which keeps the simulator
-	// and cluster internals out of the server's //perf:hot closure.
+	// exec runs one job: runSpec, or a fake a test injects.
 	exec func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error)
 
 	mu         sync.Mutex
@@ -456,8 +453,6 @@ func (m *Manager) executor() {
 }
 
 // runJob executes one dequeued job to a terminal state.
-//
-//perf:hot
 func (m *Manager) runJob(job *Job) {
 	m.mu.Lock()
 	if job.state != StateQueued {

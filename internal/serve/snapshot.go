@@ -93,8 +93,6 @@ func (s *Snapshot) Digest() string { return s.digest }
 func (s *Snapshot) Refs() int64 { return s.refs.Load() }
 
 // acquire takes a reference on behalf of a job.
-//
-//perf:hot
 func (s *Snapshot) acquire() { s.refs.Add(1) }
 
 // release drops a reference. The graph itself is reclaimed by the
@@ -102,8 +100,6 @@ func (s *Snapshot) acquire() { s.refs.Add(1) }
 // the snapshot lifecycle observable (tests assert a cancelled job
 // returns its reference, and that the count never underruns) and to
 // report drain progress on reload.
-//
-//perf:hot
 func (s *Snapshot) release() { s.refs.Add(-1) }
 
 // cachedPlan returns the plan kept under key, now the most recently
@@ -212,7 +208,6 @@ func (r *Registry) install(s *Snapshot) SnapshotInfo {
 // leaves the system).
 //
 //lint:pair acquire=Get release=release
-//perf:hot
 func (r *Registry) Get(name string) (*Snapshot, bool) {
 	r.mu.RLock()
 	s, ok := r.snaps[name]

@@ -4,17 +4,18 @@
 # Every stage adds something the two full test tiers lack; anything that
 # only re-ran a subset of them is gone. In order:
 #   static      go build, go vet (copylocks included), gofmt -l empty,
-#               ndplint's 11 rules over the module (any finding fails),
+#               ndplint's 7 rules over the module (any finding fails),
 #               ndplint -fix -diff empty
 #   tier 1      go test ./...
-#   uncached    alloc gates at -count=1 (they skip under -race)
+#   uncached    alloc gates at -count=1 (the serve hit gate alone skips
+#               under -race, whose instrumentation allocates on that path)
 #   benchmarks  every benchmark in the module, once (-benchtime 1x)
 #   processes   ndpverify sweep, ndpserve round-trip, ndpverify -served,
 #               out-of-core stream -> container -> verified BFS
 #   -count=2    cluster faults, parallel simulator, store lifecycle,
 #               each under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
-#   fuzz        a short budget per fuzz target (16)
+#   fuzz        a short budget per fuzz target (15)
 # Any stage failing fails the gate.
 #
 # Usage: scripts/check.sh [fuzz-seconds]
@@ -50,7 +51,7 @@ if [ -n "$unformatted" ]; then
 fi
 echo "(empty)"
 
-# 11 rules (ndplint -list), each kept on a seeded mutant of the real
+# 7 rules (ndplint -list), each kept on a seeded mutant of the real
 # sources that it alone reports (TestRulesCatchSeededMutants, in tier 1).
 step go run ./cmd/ndplint ./...
 
@@ -69,17 +70,19 @@ echo "(empty)"
 
 step go test ./...
 
-# Alloc gates, by name (any test ending in AllocGate): the steady state
-# must allocate nothing — the measured outcome the perfflow rules exist
-# to protect. TestEngineAllocGate is one kernel-engine iteration (serial
-# and staged, push and pull, over an in-memory graph and over a warm
-# fully-resident container, and under a partition grid with an observer
-# reading it — the simulator's shape); TestAllocGate a whole simulated
-# run, whose added iterations may cost only their Records;
-# TestFrontierReuseAllocGate a recycled frontier refill;
-# TestStoreAllocGate the tier's pin/read/release sweep, misses served
-# from the eviction freelist included.
-step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./internal/store/
+# Alloc gates, by name (any test ending in AllocGate): the hot loops are
+# held by counts, not by a static model. TestEngineAllocGate is one
+# kernel-engine iteration at zero (serial and staged, push and pull, over
+# an in-memory graph and over a warm fully-resident container, and under
+# a partition grid with an observer reading it — the simulator's shape);
+# TestAllocGate a whole simulated run, whose added iterations may cost
+# only their Records; TestFrontierReuseAllocGate a recycled frontier
+# refill; TestStoreAllocGate the tier's pin/read/release sweep, misses
+# served from the eviction freelist included; TestClusterAllocGate every
+# actor's added iteration at a pinned count, flat and as a switch tree;
+# TestServeHitAllocGate a cache-hit Submit at a pinned count.
+step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./internal/store/ \
+    ./internal/cluster/ ./internal/serve/
 
 # Every benchmark runs once: the ones changes cite as evidence
 # (EngineEdgePath, StoreMissSweep, ClusterRun, MultilevelPartition,
@@ -193,9 +196,8 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
     fuzz_targets=(
         "FuzzReadEdgeList ./internal/gio/"
         "FuzzReadBinary ./internal/gio/"
-        # The CFG builder underlies the perfflow and lifeflow rules; fuzz
-        # it on arbitrary function bodies so lint never panics on weird
-        # code.
+        # The CFG builder underlies the lifeflow rules; fuzz it on
+        # arbitrary function bodies so lint never panics on weird code.
         "FuzzBuildCFG ./internal/lint/flow/"
         # The multilevel partitioner's contract (coverage, balance,
         # coarsening round trip) on arbitrary graphs.
@@ -204,13 +206,10 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # (multilevel_ref_test.go): every level's CSR and cmap, every
         # rebalance, and the final Parts bit for bit.
         "FuzzMultilevelMatchesReference ./internal/partition/"
-        # The escape lattice behind the perfflow rules: arbitrary
-        # function bodies must reach a deterministic, monotone fixpoint
-        # without panicking.
-        "FuzzEscapeLattice ./internal/lint/perfflow/"
-        # The obligation lattice behind the lifeflow rules: same
-        # contract — deterministic fixpoints, and forgetting module
-        # facts only ever grows the leak set.
+        # The obligation lattice behind the lifeflow rules: arbitrary
+        # function bodies must reach a deterministic fixpoint without
+        # panicking, and forgetting module facts only ever grows the leak
+        # set.
         "FuzzLifecycleLattice ./internal/lint/lifeflow/"
         # The gcsr2 segment codec: arbitrary adjacency lists must round-
         # trip exactly, and arbitrary payload bytes must decode to a typed
