@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/gen"
@@ -37,7 +38,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "generation seed")
 	weighted := flag.Bool("weighted", true, "attach edge weights")
 	out := flag.String("out", "", "output file ('-' for stdout edge list)")
-	format := flag.String("format", "binary", "output format: binary | binaryz (varint-compressed) | edgelist | gcsr2 (out-of-core segment container)")
+	format := flag.String("format", "binary", "output format: binary | edgelist | gcsr2 (out-of-core segment container)")
 	stream := flag.Bool("stream", false, "stream the dataset through the external-sort spill builder into a gcsr2 container (bounded memory; -dataset only)")
 	spillEdges := flag.Int("spill-edges", 0, "stream mode: in-memory edge buffer before a sorted run spills to disk (0 = default)")
 	segBytes := flag.Int64("segment-bytes", 0, "gcsr2 segment payload target in bytes (0 = 1 MiB default)")
@@ -79,24 +80,8 @@ func main() {
 	switch *format {
 	case "binary":
 		err = gio.SaveBinaryFile(*out, g)
-	case "binaryz":
-		var f *os.File
-		f, err = os.Create(*out)
-		if err == nil {
-			err = gio.WriteBinaryCompressed(f, g)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
 	case "edgelist":
-		var f *os.File
-		f, err = os.Create(*out)
-		if err == nil {
-			err = gio.WriteEdgeList(f, g)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
+		err = gio.WriteFileAtomic(*out, func(w io.Writer) error { return gio.WriteEdgeList(w, g) })
 	case "gcsr2":
 		err = store.SaveGraphFile(*out, g, *segBytes)
 	default:

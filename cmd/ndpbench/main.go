@@ -19,12 +19,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/cliconf"
 	"repro/internal/experiments"
+	"repro/internal/gio"
 	"repro/internal/metrics"
 )
 
@@ -96,15 +98,7 @@ func emit(id string, cfg experiments.Config, csv, plot bool, outdir string) erro
 // writeArtifact saves the artifact's table as CSV and its title+notes as
 // a sidecar text file.
 func writeArtifact(dir string, a *experiments.Artifact) error {
-	f, err := os.Create(filepath.Join(dir, a.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := a.Table.RenderCSV(f); err != nil {
-		_ = f.Close() // render error takes precedence
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := gio.WriteFileAtomic(filepath.Join(dir, a.ID+".csv"), a.Table.RenderCSV); err != nil {
 		return err
 	}
 	var b strings.Builder
@@ -112,7 +106,10 @@ func writeArtifact(dir string, a *experiments.Artifact) error {
 	for _, n := range a.Notes {
 		b.WriteString("* " + n + "\n")
 	}
-	return os.WriteFile(filepath.Join(dir, a.ID+".notes.txt"), []byte(b.String()), 0o644)
+	return gio.WriteFileAtomic(filepath.Join(dir, a.ID+".notes.txt"), func(w io.Writer) error {
+		_, err := io.WriteString(w, b.String())
+		return err
+	})
 }
 
 func usage() {

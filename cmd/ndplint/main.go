@@ -24,11 +24,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"repro/internal/gio"
 	"repro/internal/lint"
 )
 
@@ -104,7 +106,10 @@ func main() {
 				fmt.Print(lint.UnifiedDiff(relPath(loader.ModuleRoot, name), orig, files[name]))
 				continue
 			}
-			if err := os.WriteFile(name, files[name], 0o644); err != nil {
+			if err := gio.WriteFileAtomic(name, func(w io.Writer) error {
+				_, err := w.Write(files[name])
+				return err
+			}); err != nil {
 				fail(err)
 			}
 		}

@@ -50,11 +50,9 @@ func main() {
 			fatal(fmt.Errorf("%s: %v", id, err))
 		}
 		w.printf("## `%s` — %s\n\n", a.ID, a.Title)
-		table, err := renderMarkdownTable(a.Table)
-		if err != nil {
-			fatal(err)
+		if w.err == nil {
+			w.err = a.Table.RenderMarkdown(w.w)
 		}
-		w.printf("%s", table)
 		if len(a.Notes) > 0 {
 			notes, ok, mismatch := renderNotes(a.Notes)
 			w.printf("\n%s", notes)

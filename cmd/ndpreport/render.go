@@ -3,33 +3,7 @@ package main
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/metrics"
 )
-
-// renderMarkdownTable renders a metrics.Table as GitHub-flavored
-// markdown by converting its CSV form (the only loss is column
-// alignment, which markdown renderers redo anyway).
-func renderMarkdownTable(t *metrics.Table) (string, error) {
-	var csv strings.Builder
-	if err := t.RenderCSV(&csv); err != nil {
-		return "", err
-	}
-	var out strings.Builder
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	for i, line := range lines {
-		cells := splitCSVLine(line)
-		fmt.Fprintf(&out, "| %s |\n", strings.Join(cells, " | "))
-		if i == 0 {
-			seps := make([]string, len(cells))
-			for j := range seps {
-				seps[j] = "---"
-			}
-			fmt.Fprintf(&out, "| %s |\n", strings.Join(seps, " | "))
-		}
-	}
-	return out.String(), nil
-}
 
 // renderNotes formats an artifact's note lines as a markdown list,
 // marking paper-shape check results, and returns how many checks passed
@@ -49,28 +23,4 @@ func renderNotes(notes []string) (body string, ok, mismatch int) {
 		fmt.Fprintf(&out, "%s %s\n", marker, n)
 	}
 	return out.String(), ok, mismatch
-}
-
-// splitCSVLine splits one RFC-4180 CSV line (quotes unescaped).
-func splitCSVLine(line string) []string {
-	var cells []string
-	var cur strings.Builder
-	inQuotes := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case inQuotes && c == '"' && i+1 < len(line) && line[i+1] == '"':
-			cur.WriteByte('"')
-			i++
-		case c == '"':
-			inQuotes = !inQuotes
-		case c == ',' && !inQuotes:
-			cells = append(cells, cur.String())
-			cur.Reset()
-		default:
-			cur.WriteByte(c)
-		}
-	}
-	cells = append(cells, cur.String())
-	return cells
 }

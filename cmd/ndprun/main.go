@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -36,6 +37,7 @@ import (
 	"repro/internal/cliconf"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/gio"
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -111,7 +113,7 @@ func main() {
 	// kernel engine (direction-optimized, staged-parallel) and reports the
 	// traversal telemetry instead of the movement ledger.
 	if ef.Arch == "serial" {
-		if err := runSerialEngine(g, k, gf, ef, *csv); err != nil {
+		if err := runSerialEngine(ctx, g, k, gf, ef, *csv); err != nil {
 			fatal(err)
 		}
 		return
@@ -121,22 +123,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	assign, err := p.Partition(g, ef.Partitions)
-	if err != nil {
-		fatal(err)
-	}
-	pol, err := ef.MakePolicy()
-	if err != nil {
-		fatal(err)
-	}
-	dev, err := ndp.ByName(ef.Device)
-	if err != nil {
-		fatal(err)
-	}
-	topo := sim.DefaultTopology(ef.Computes, ef.Partitions)
-	topo.MemDevice = dev
-	topo.SwitchBufferEntries = ef.SwitchBuf
-
 	if *clusterMode {
 		if ef.Arch != "disaggregated-ndp" {
 			fatal(fmt.Errorf("-cluster runs the concurrent disaggregated-ndp implementation; got -arch %s", ef.Arch))
@@ -150,6 +136,31 @@ func main() {
 		}
 		return
 	}
+	if err := runSim(ctx, g, k, p, gf, ef, *perIter, *iterCSV, *csv); err != nil {
+		fatal(err)
+	}
+}
+
+// runSim runs the kernel on each selected simulated architecture and
+// prints the movement ledger. Every engine runs under ctx, so Ctrl-C ends
+// the sweep within one iteration.
+func runSim(ctx context.Context, g *graph.Graph, k kernels.Kernel, p partition.Partitioner,
+	gf cliconf.GraphFlags, ef cliconf.EngineFlags, perIter bool, iterCSV string, csv bool) error {
+	assign, err := p.Partition(g, ef.Partitions)
+	if err != nil {
+		return err
+	}
+	pol, err := ef.MakePolicy()
+	if err != nil {
+		return err
+	}
+	dev, err := ndp.ByName(ef.Device)
+	if err != nil {
+		return err
+	}
+	topo := sim.DefaultTopology(ef.Computes, ef.Partitions)
+	topo.MemDevice = dev
+	topo.SwitchBufferEntries = ef.SwitchBuf
 
 	archs := []string{ef.Arch}
 	if ef.Arch == "all" {
@@ -162,15 +173,15 @@ func main() {
 	for _, an := range archs {
 		e, err := cliconf.MakeEngine(an, topo, assign, pol, ef.Aggregate, ef.CacheFrac, ef.Workers, g)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		run, err := e.Run(g, k)
+		run, err := e.Run(ctx, g, k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		t.AddRow(run.Engine, run.Result.Iterations, graph.FormatBytes(run.TotalDataMovementBytes),
 			run.TotalSyncEvents, run.TotalSeconds*1e3, run.TotalEnergyJoules*1e3, run.OffloadSupported)
-		if *perIter {
+		if perIter {
 			it := metrics.NewTable("per-iteration ledger — "+run.Engine,
 				"Iter", "Frontier", "Edges", "Offloaded", "Moved", "Updates", "Writeback")
 			for _, rec := range run.Records {
@@ -178,47 +189,39 @@ func main() {
 					graph.FormatBytes(rec.DataMovementBytes), rec.PartialUpdates, graph.FormatBytes(rec.WritebackBytes))
 			}
 			if err := it.Render(os.Stdout); err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Println()
 		}
 		if run.OffloadNote != "" {
 			fmt.Fprintf(os.Stderr, "note: %s\n", run.OffloadNote)
 		}
-		if *iterCSV != "" && len(archs) == 1 {
-			f, err := os.Create(*iterCSV)
-			if err != nil {
-				fatal(err)
+		if iterCSV != "" && len(archs) == 1 {
+			if err := gio.WriteFileAtomic(iterCSV, func(w io.Writer) error { return sim.WriteRecordsCSV(w, run) }); err != nil {
+				return err
 			}
-			if err := sim.WriteRecordsCSV(f, run); err != nil {
-				_ = f.Close() // write error takes precedence
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote per-iteration ledger to %s\n", *iterCSV)
+			fmt.Fprintf(os.Stderr, "wrote per-iteration ledger to %s\n", iterCSV)
 		}
 	}
-	if *csv {
-		err = t.RenderCSV(os.Stdout)
-	} else {
-		err = t.Render(os.Stdout)
+	if csv {
+		return t.RenderCSV(os.Stdout)
 	}
-	if err != nil {
-		fatal(err)
-	}
+	return t.Render(os.Stdout)
 }
 
 // runSerialEngine executes the kernel on the in-process engine with the
 // direction flags applied and prints the direction/inspection telemetry
 // the hybrid traversal exists for.
-func runSerialEngine(g *graph.Graph, k kernels.Kernel, gf cliconf.GraphFlags, ef cliconf.EngineFlags, csv bool) error {
+func runSerialEngine(ctx context.Context, g *graph.Graph, k kernels.Kernel, gf cliconf.GraphFlags, ef cliconf.EngineFlags, csv bool) error {
 	opt, err := ef.EngineOptions()
 	if err != nil {
 		return err
 	}
-	res, err := kernels.Run(g, k, opt)
+	src, err := kernels.InMemory(g)
+	if err != nil {
+		return err
+	}
+	res, err := kernels.RunOn(ctx, src, k, kernels.Staged, opt)
 	if err != nil {
 		return err
 	}

@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"testing"
 	"time"
 
+	"repro/internal/cliconf"
 	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/kernels"
@@ -39,5 +41,51 @@ func TestRunClusterHonorsCancelledContext(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("runCluster did not return after cancellation; the CLI context is not threaded through")
+	}
+}
+
+// engineFlags returns ndprun's engine flags at their defaults, with args
+// applied on top.
+func engineFlags(t *testing.T, args ...string) cliconf.EngineFlags {
+	t.Helper()
+	var ef cliconf.EngineFlags
+	fs := flag.NewFlagSet("ndprun", flag.ContinueOnError)
+	ef.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return ef
+}
+
+// TestRunSimHonorsCancelledContext is the simulator's half of the same
+// contract: a cancelled ctx ends an -arch all sweep with context.Canceled
+// instead of running every architecture to completion and exiting 0.
+func TestRunSimHonorsCancelledContext(t *testing.T) {
+	g, err := gen.ErdosRenyi(256, 1024, gen.Config{Seed: 11, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ef := engineFlags(t, "-arch", "all")
+	err = runSim(ctx, g, kernels.NewPageRank(200, 0.85), partition.Hash{}, cliconf.GraphFlags{}, ef, false, "", false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("runSim with cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunSerialEngineHonorsCancelledContext pins the same for -arch
+// serial, the in-process kernel engine.
+func TestRunSerialEngineHonorsCancelledContext(t *testing.T) {
+	g, err := gen.ErdosRenyi(256, 1024, gen.Config{Seed: 11, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ef := engineFlags(t, "-arch", "serial")
+	err = runSerialEngine(ctx, g, kernels.NewPageRank(200, 0.85), cliconf.GraphFlags{}, ef, false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("runSerialEngine with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

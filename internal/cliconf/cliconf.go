@@ -238,7 +238,7 @@ func ParseArch(name string) (core.Arch, error) {
 // MakeEngine assembles the analytical sim engine for an architecture
 // name on a prepared assignment (ndprun's per-arch loop; core.System is
 // the option-driven route).
-func MakeEngine(arch string, topo sim.Topology, assign *partition.Assignment, pol sim.OffloadPolicy, aggregate bool, cacheFrac float64, workers int, g *graph.Graph) (sim.ContextEngine, error) {
+func MakeEngine(arch string, topo sim.Topology, assign *partition.Assignment, pol sim.OffloadPolicy, aggregate bool, cacheFrac float64, workers int, g *graph.Graph) (sim.Engine, error) {
 	switch arch {
 	case "distributed":
 		return &sim.Distributed{Topo: topo, Assign: assign, Workers: workers}, nil

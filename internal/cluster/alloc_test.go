@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -47,7 +48,7 @@ func TestClusterAllocGate(t *testing.T) {
 			cfg := Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: tc.fanIn}
 			allocsAt := func(n int) float64 {
 				return testing.AllocsPerRun(5, func() {
-					out, err := Run(g, kernels.NewPageRank(n, 0), a, cfg)
+					out, err := Run(context.Background(), g, kernels.NewPageRank(n, 0), a, cfg)
 					if err != nil || out.Iterations != n {
 						t.Fatalf("run: %v, %d iterations, want %d", err, out.Iterations, n)
 					}

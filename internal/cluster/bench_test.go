@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -20,7 +21,7 @@ func BenchmarkClusterPageRank(b *testing.B) {
 	k := kernels.NewPageRank(5, 0.85)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true}); err != nil {
+		if _, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +75,7 @@ func BenchmarkClusterRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(g, c.k, a, cfg); err != nil {
+				if _, err := Run(context.Background(), g, c.k, a, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -205,17 +205,12 @@ type writebackBatch struct {
 
 // Run executes the kernel on the concurrent cluster. The assignment maps
 // vertices (and so their out-edge lists) to memory nodes, exactly as in
-// the simulator.
-func Run(g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, cfg Config) (*Outcome, error) {
-	return RunContext(context.Background(), g, k, assign, cfg)
-}
-
-// RunContext is Run with cancellation: the driver checks the context at
-// each bulk-synchronous iteration boundary — the one point where every
-// actor is parked — and on cancellation walks the normal shutdown
-// sequence before returning ctx.Err(). On every path it returns only
-// once each actor has exited, so nothing of the run is still reachable.
-func RunContext(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, cfg Config) (*Outcome, error) {
+// the simulator. The driver checks ctx at each bulk-synchronous iteration
+// boundary — the one point where every actor is parked — and on
+// cancellation walks the normal shutdown sequence before returning
+// ctx.Err(). On every path it returns only once each actor has exited, so
+// nothing of the run is still reachable.
+func Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, cfg Config) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func TestClusterMatchesSerialAllKernels(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, aggregate := range []bool{false, true} {
-				out, err := Run(g, k, a, Config{ComputeNodes: 3, Aggregate: aggregate})
+				out, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 3, Aggregate: aggregate})
 				if err != nil {
 					t.Fatalf("aggregate=%v: %v", aggregate, err)
 				}
@@ -82,7 +82,7 @@ func TestClusterMatchesSerialAllKernels(t *testing.T) {
 func TestClusterRejectsStatefulKernels(t *testing.T) {
 	g := clusterGraph(t)
 	a := clusterAssign(t, g, 4)
-	if _, err := Run(g, kernels.NewPageRankDelta(0.85, 1e-9), a, Config{}); err == nil {
+	if _, err := Run(context.Background(), g, kernels.NewPageRankDelta(0.85, 1e-9), a, Config{}); err == nil {
 		t.Error("accepted a stateful kernel")
 	}
 }
@@ -103,15 +103,16 @@ func TestVertexViewIsRefused(t *testing.T) {
 	a := clusterAssign(t, g, parts)
 	topo := sim.DefaultTopology(2, parts)
 	k := kernels.NewBFS(0)
+	ctx := context.Background()
 	cases := []struct {
 		name string
 		run  func() error
 	}{
-		{"distributed", func() error { _, err := (&sim.Distributed{Topo: topo, Assign: a}).Run(view, k); return err }},
-		{"distributed-ndp", func() error { _, err := (&sim.DistributedNDP{Topo: topo, Assign: a}).Run(view, k); return err }},
-		{"disaggregated", func() error { _, err := (&sim.Disaggregated{Topo: topo, Assign: a}).Run(view, k); return err }},
-		{"disaggregated-ndp", func() error { _, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a}).Run(view, k); return err }},
-		{"cluster", func() error { _, err := Run(view, k, a, Config{ComputeNodes: 2}); return err }},
+		{"distributed", func() error { _, err := (&sim.Distributed{Topo: topo, Assign: a}).Run(ctx, view, k); return err }},
+		{"distributed-ndp", func() error { _, err := (&sim.DistributedNDP{Topo: topo, Assign: a}).Run(ctx, view, k); return err }},
+		{"disaggregated", func() error { _, err := (&sim.Disaggregated{Topo: topo, Assign: a}).Run(ctx, view, k); return err }},
+		{"disaggregated-ndp", func() error { _, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a}).Run(ctx, view, k); return err }},
+		{"cluster", func() error { _, err := Run(ctx, view, k, a, Config{ComputeNodes: 2}); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,11 +137,11 @@ func TestClusterTrafficMatchesSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, aggregate := range []bool{false, true} {
-			run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, InNetworkAggregation: aggregate}).Run(g, k)
+			run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, InNetworkAggregation: aggregate}).Run(context.Background(), g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: aggregate})
+			out, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: aggregate})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,11 +180,11 @@ func TestClusterAggregationReducesDelivery(t *testing.T) {
 	g := clusterGraph(t)
 	a := clusterAssign(t, g, 8)
 	k := kernels.NewPageRank(5, 0.85)
-	plain, err := Run(g, k, a, Config{ComputeNodes: 2})
+	plain, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true})
+	agg, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +207,12 @@ func TestClusterValidatesInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ua := clusterAssign(t, ug, 4)
-	if _, err := Run(ug, kernels.NewSSSP(0), ua, Config{}); err == nil {
+	if _, err := Run(context.Background(), ug, kernels.NewSSSP(0), ua, Config{}); err == nil {
 		t.Error("accepted sssp on unweighted graph")
 	}
 	// Mismatched assignment.
 	bad := &partition.Assignment{Parts: make([]int32, 5), K: 2}
-	if _, err := Run(g, kernels.NewBFS(0), bad, Config{}); err == nil {
+	if _, err := Run(context.Background(), g, kernels.NewBFS(0), bad, Config{}); err == nil {
 		t.Error("accepted invalid assignment")
 	}
 	_ = a
@@ -221,7 +222,7 @@ func TestClusterSingleNodeDegenerate(t *testing.T) {
 	// 1 memory node, 1 compute node: the protocol must still terminate.
 	g := clusterGraph(t)
 	a := clusterAssign(t, g, 1)
-	out, err := Run(g, kernels.NewBFS(0), a, Config{ComputeNodes: 1})
+	out, err := Run(context.Background(), g, kernels.NewBFS(0), a, Config{ComputeNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestClusterManyActorsSmallGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := clusterAssign(t, g, 16)
-	out, err := Run(g, kernels.NewConnectedComponents(), a, Config{ComputeNodes: 8})
+	out, err := Run(context.Background(), g, kernels.NewConnectedComponents(), a, Config{ComputeNodes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +285,12 @@ func TestClusterDeterministicRuns(t *testing.T) {
 			{ComputeNodes: 3, Aggregate: true},
 			{ComputeNodes: 2, Aggregate: true, TreeFanIn: 2},
 		} {
-			ref, err := Run(g, k, a, cfg)
+			ref, err := Run(context.Background(), g, k, a, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for rerun := 0; rerun < 3; rerun++ {
-				out, err := Run(g, k, a, cfg)
+				out, err := Run(context.Background(), g, k, a, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -328,7 +329,7 @@ func TestClusterDeterministicRuns(t *testing.T) {
 // accumulators: a finalizer on it fires only once no actor is left.
 type heldKernel struct{ kernels.Kernel }
 
-// TestRunLeavesNoActors pins that RunContext joins every actor — memory
+// TestRunLeavesNoActors pins that Run joins every actor — memory
 // nodes and switches too, not only the compute nodes whose value
 // fragments it needs — on the clean, crash-plan and cancelled paths: a
 // single collection immediately on return already frees what the actors
@@ -350,7 +351,7 @@ func TestRunLeavesNoActors(t *testing.T) {
 		case 2:
 			ctx = cancelled
 		}
-		if _, err := RunContext(ctx, g, k, a, cfg); (err != nil) != (ctx == cancelled) {
+		if _, err := Run(ctx, g, k, a, cfg); (err != nil) != (ctx == cancelled) {
 			t.Fatalf("run %d: err = %v", i, err)
 		}
 	}

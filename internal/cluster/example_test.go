@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,13 +32,13 @@ func ExampleRun() {
 	}
 	k := kernels.NewPageRank(4, 0.85)
 
-	clean, err := cluster.Run(g, k, assign, cluster.Config{ComputeNodes: 2, Aggregate: true})
+	clean, err := cluster.Run(context.Background(), g, k, assign, cluster.Config{ComputeNodes: 2, Aggregate: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	pred, err := (&sim.DisaggregatedNDP{
 		Topo: sim.DefaultTopology(2, parts), Assign: assign, InNetworkAggregation: true,
-	}).Run(g, k)
+	}).Run(context.Background(), g, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func ExampleRun() {
 		}
 	}
 
-	faulty, err := cluster.Run(g, k, assign, cluster.Config{ComputeNodes: 2, Aggregate: true, Fault: cluster.FaultPlan{
+	faulty, err := cluster.Run(context.Background(), g, k, assign, cluster.Config{ComputeNodes: 2, Aggregate: true, Fault: cluster.FaultPlan{
 		Seed:      2024,
 		Update:    cluster.LinkFaults{Drop: 0.2, Duplicate: 0.3, Delay: 0.1},
 		Writeback: cluster.LinkFaults{Drop: 0.1},

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -49,7 +50,7 @@ func TestFaultEmptyPlanByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := Config{ComputeNodes: 3, Aggregate: true, TreeFanIn: 2}
-		ref, err := Run(g, k, a, base)
+		ref, err := Run(context.Background(), g, k, a, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestFaultEmptyPlanByteIdentical(t *testing.T) {
 		if !withPlan.Fault.Empty() {
 			t.Fatal("plan with only a seed should be empty")
 		}
-		out, err := Run(g, k, a, withPlan)
+		out, err := Run(context.Background(), g, k, a, withPlan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,13 +102,13 @@ func TestFaultInjectionConvergesToFaultFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := Config{ComputeNodes: 3, Aggregate: true, TreeFanIn: 2}
-		ref, err := Run(g, k, a, base)
+		ref, err := Run(context.Background(), g, k, a, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		faulty := base
 		faulty.Fault = faultyPlan()
-		out, err := Run(g, k, a, faulty)
+		out, err := Run(context.Background(), g, k, a, faulty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,12 +159,12 @@ func TestFaultDeterministicRuns(t *testing.T) {
 	a := clusterAssign(t, g, 6)
 	k := kernels.NewPageRank(20, 0.85)
 	cfg := Config{ComputeNodes: 3, Aggregate: true, TreeFanIn: 2, Fault: faultyPlan()}
-	ref, err := Run(g, k, a, cfg)
+	ref, err := Run(context.Background(), g, k, a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rerun := 0; rerun < 3; rerun++ {
-		out, err := Run(g, k, a, cfg)
+		out, err := Run(context.Background(), g, k, a, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +203,7 @@ func TestFaultCrashRecovery(t *testing.T) {
 	} {
 		for _, fanIn := range []int{0, 2} {
 			cfg := Config{ComputeNodes: 3, TreeFanIn: fanIn, Fault: FaultPlan{Seed: 11, Crash: crash}}
-			out, err := Run(g, kernels.NewBFS(0), a, cfg)
+			out, err := Run(context.Background(), g, kernels.NewBFS(0), a, cfg)
 			if err != nil {
 				t.Fatalf("%s fanin=%d: %v", name, fanIn, err)
 			}
@@ -227,7 +228,7 @@ func TestFaultPerLinkOverride(t *testing.T) {
 	g := clusterGraph(t)
 	a := clusterAssign(t, g, 4)
 	k := kernels.NewPageRank(5, 0.85)
-	ref, err := Run(g, k, a, Config{ComputeNodes: 2})
+	ref, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestFaultPerLinkOverride(t *testing.T) {
 		Seed:    3,
 		PerLink: map[LinkID]LinkFaults{lossy: {Drop: 0.9}},
 	}}
-	out, err := Run(g, k, a, cfg)
+	out, err := Run(context.Background(), g, k, a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +276,12 @@ func TestFaultPlanValidation(t *testing.T) {
 	a := clusterAssign(t, g, 3)
 	// Crash index beyond the pool.
 	cfg := Config{Fault: FaultPlan{Crash: map[int]int{7: 0}}}
-	if _, err := Run(g, kernels.NewBFS(0), a, cfg); err == nil {
+	if _, err := Run(context.Background(), g, kernels.NewBFS(0), a, cfg); err == nil {
 		t.Error("accepted crash of nonexistent memory node")
 	}
 	// Crashing every actor leaves no survivor.
 	cfg = Config{Fault: FaultPlan{Crash: map[int]int{0: 0, 1: 1, 2: 2}}}
-	if _, err := Run(g, kernels.NewBFS(0), a, cfg); err == nil {
+	if _, err := Run(context.Background(), g, kernels.NewBFS(0), a, cfg); err == nil {
 		t.Error("accepted crash schedule with no surviving actor")
 	}
 }
@@ -303,7 +304,7 @@ func TestFaultConfigValidation(t *testing.T) {
 	}
 	g := clusterGraph(t)
 	a := clusterAssign(t, g, 3)
-	if _, err := Run(g, kernels.NewBFS(0), a, Config{TreeFanIn: -1}); err == nil {
+	if _, err := Run(context.Background(), g, kernels.NewBFS(0), a, Config{TreeFanIn: -1}); err == nil {
 		t.Error("Run accepted negative TreeFanIn")
 	}
 }
@@ -363,7 +364,7 @@ func TestFaultCountsPinned(t *testing.T) {
 		for _, fanIn := range []int{0, 4} {
 			for _, aggregate := range []bool{true, false} {
 				name := fmt.Sprintf("%s/fanin=%d/aggregate=%v", kn, fanIn, aggregate)
-				out, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: aggregate, TreeFanIn: fanIn, Fault: plan})
+				out, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: aggregate, TreeFanIn: fanIn, Fault: plan})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

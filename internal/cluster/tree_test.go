@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestTreeTopologyCorrectResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fanIn := range []int{2, 3, 8} {
-			out, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: fanIn})
+			out, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: fanIn})
 			if err != nil {
 				t.Fatalf("%s fanIn=%d: %v", kn, fanIn, err)
 			}
@@ -43,7 +44,7 @@ func TestTreeLevelCount(t *testing.T) {
 	a := clusterAssign(t, g, 8)
 	k := kernels.NewPageRank(3, 0.85)
 	// fanIn 2 over 8 memory nodes: 4 leaves -> 2 -> 1 root = 3 levels.
-	out, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: 2})
+	out, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestTreeLevelCount(t *testing.T) {
 		t.Fatalf("LevelBytes has %d levels, want 3", len(out.LevelBytes))
 	}
 	// Flat topology: one level.
-	flat, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true})
+	flat, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestTreeAggregationCompressesPerLevel(t *testing.T) {
 	g := clusterGraph(t)
 	a := clusterAssign(t, g, 8)
 	k := kernels.NewPageRank(3, 0.85)
-	out, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: 2})
+	out, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +90,11 @@ func TestTreeRootMatchesFlatAggregation(t *testing.T) {
 	g := clusterGraph(t)
 	a := clusterAssign(t, g, 8)
 	k := kernels.NewPageRank(3, 0.85)
-	tree, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: 2})
+	tree, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true})
+	flat, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestTreeWithoutAggregationPassesThrough(t *testing.T) {
 	g := clusterGraph(t)
 	a := clusterAssign(t, g, 8)
 	k := kernels.NewPageRank(3, 0.85)
-	out, err := Run(g, k, a, Config{ComputeNodes: 2, TreeFanIn: 2})
+	out, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, TreeFanIn: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestTreeDegenerateFanIns(t *testing.T) {
 	}
 	// fanIn larger than the pool, equal to it, and minimal.
 	for _, fanIn := range []int{16, 3, 2} {
-		out, err := Run(g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: fanIn})
+		out, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2, Aggregate: true, TreeFanIn: fanIn})
 		if err != nil {
 			t.Fatalf("fanIn=%d: %v", fanIn, err)
 		}

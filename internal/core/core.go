@@ -191,7 +191,7 @@ func (s *System) Partition(g *graph.Graph) (*partition.Assignment, error) {
 }
 
 // simEngine assembles the sim engine for a prepared assignment.
-func (s *System) simEngine(assign *partition.Assignment) sim.ContextEngine {
+func (s *System) simEngine(assign *partition.Assignment) sim.Engine {
 	switch s.arch {
 	case Distributed:
 		return &sim.Distributed{Topo: s.topo, Assign: assign, Workers: s.workers}

@@ -86,7 +86,7 @@ func (e analyticalEngine) Run(ctx context.Context, g *graph.Graph, k kernels.Ker
 			return nil, fmt.Errorf("core: partitioning: %w", err)
 		}
 	}
-	run, err := e.sys.simEngine(assign).RunContext(ctx, g, k)
+	run, err := e.sys.simEngine(assign).Run(ctx, g, k)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func (e concurrentEngine) Run(ctx context.Context, g *graph.Graph, k kernels.Ker
 			return nil, fmt.Errorf("core: partitioning: %w", err)
 		}
 	}
-	out, err := cluster.RunContext(ctx, g, k, assign, s.ClusterConfig())
+	out, err := cluster.Run(ctx, g, k, assign, s.ClusterConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -40,7 +41,7 @@ func Energy(cfg Config) (*Artifact, error) {
 		energies := map[string]float64{}
 		var runs []*sim.Run
 		for _, e := range engines {
-			run, err := e.Run(g, k)
+			run, err := e.Run(context.Background(), g, k)
 			if err != nil {
 				return nil, err
 			}

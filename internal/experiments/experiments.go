@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -136,7 +137,7 @@ func partitioned(cfg Config, g *graph.Graph, parts int, p partition.Partitioner)
 
 // movement runs the engine and returns total headline bytes.
 func movement(e sim.Engine, g *graph.Graph, k kernels.Kernel) (int64, *sim.Run, error) {
-	run, err := e.Run(g, k)
+	run, err := e.Run(context.Background(), g, k)
 	if err != nil {
 		return 0, nil, err
 	}

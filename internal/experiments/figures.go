@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gen"
@@ -46,7 +47,7 @@ func Fig4(cfg Config) (*Artifact, error) {
 			return nil, err
 		}
 		for _, k := range ks {
-			run, err := (&sim.Disaggregated{Topo: topo, Assign: assign}).Run(g, k)
+			run, err := (&sim.Disaggregated{Topo: topo, Assign: assign}).Run(context.Background(), g, k)
 			if err != nil {
 				return nil, err
 			}
@@ -281,7 +282,7 @@ func fig7(cfg Config, id, panel string, ds gen.Dataset, mk func(Config) kernels.
 	ks := []kernels.Kernel{mk(cfg), mk(cfg)}
 	runs := make([]*sim.Run, 2)
 	if err := forEach(2, func(i int) error {
-		run, err := eng[i].Run(g, ks[i])
+		run, err := eng[i].Run(context.Background(), g, ks[i])
 		if err != nil {
 			return err
 		}

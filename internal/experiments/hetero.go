@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -56,7 +57,7 @@ func Hetero(cfg Config) (*Artifact, error) {
 			if err != nil {
 				return nil, err
 			}
-			run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(g, k)
+			run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(context.Background(), g, k)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -33,7 +34,7 @@ func Straggler(cfg Config) (*Artifact, error) {
 			return nil, err
 		}
 		topo := sim.DefaultTopology(cfg.ComputeNodes, parts)
-		run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(g, k)
+		run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(context.Background(), g, k)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -103,7 +104,7 @@ func Table2(cfg Config) (*Artifact, error) {
 	rows := make([]table2Row, len(engines))
 	if err := forEach(len(engines), func(i int) error {
 		spec := engines[i]
-		run, err := spec.e.Run(g, k)
+		run, err := spec.e.Run(context.Background(), g, k)
 		if err != nil {
 			return err
 		}

@@ -138,24 +138,10 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 //	edges   [nEdges]uint32
 //	weights [nEdges]float32   (if weighted)
 //	crc32   uint32            (IEEE, over everything before it)
-//
-// Version 2 replaces the raw offsets/edges arrays with varint degrees and
-// varint-delta-compressed adjacency lists (weights stay raw):
-//
-//	magic    [4]byte  "GCSR"
-//	version  uint32   2
-//	flags    uint32   bit0 = weighted
-//	nVerts   uint64
-//	nEdges   uint64
-//	degrees  nVerts × uvarint
-//	adjacency per vertex: first id uvarint, then gap uvarints
-//	weights  [nEdges]float32   (if weighted)
-//	crc32    uint32
 const (
-	binaryMagic    = "GCSR"
-	binaryVersion  = 1
-	binaryVersion2 = 2
-	flagWeighted   = 1
+	binaryMagic   = "GCSR"
+	binaryVersion = 1
+	flagWeighted  = 1
 )
 
 // ErrBadFormat reports a malformed or corrupted binary graph container.
@@ -221,90 +207,8 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	return err
 }
 
-// WriteBinaryCompressed serializes the graph into the v2 container:
-// varint degrees plus delta-compressed adjacency. On natural graphs the
-// edge lists shrink 2-4x versus the raw v1 layout.
-func WriteBinaryCompressed(w io.Writer, g *graph.Graph) error {
-	var buf []byte
-	buf = append(buf, binaryMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, binaryVersion2)
-	flags := uint32(0)
-	if g.Weighted() {
-		flags |= flagWeighted
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, flags)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumVertices()))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumEdges()))
-	for v := 0; v < g.NumVertices(); v++ {
-		buf = binary.AppendUvarint(buf, uint64(g.OutDegree(graph.VertexID(v))))
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		buf = graph.AppendCompressedAdjacency(buf, g.Neighbors(graph.VertexID(v)))
-	}
-	if g.Weighted() {
-		for _, wt := range g.Weights() {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(wt))
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	_, err := w.Write(buf)
-	return err
-}
-
-// readBinaryV2 parses a v2 payload (header fields already consumed).
-func readBinaryV2(p []byte, flags uint32, nVerts, nEdges uint64) (*graph.Graph, error) {
-	// Each degree takes >= 1 byte; each edge >= 1 byte.
-	if nVerts > uint64(len(p)) || nEdges > uint64(len(p)) {
-		return nil, fmt.Errorf("%w: header counts V=%d E=%d exceed payload %d bytes", ErrBadFormat, nVerts, nEdges, len(p))
-	}
-	offsets := make([]int64, nVerts+1)
-	off := 0
-	for v := uint64(0); v < nVerts; v++ {
-		d, n := binary.Uvarint(p[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: truncated degree %d", ErrBadFormat, v)
-		}
-		off += n
-		if d > nEdges-uint64(offsets[v]) {
-			return nil, fmt.Errorf("%w: degrees exceed the header's %d edges at vertex %d", ErrBadFormat, nEdges, v)
-		}
-		offsets[v+1] = offsets[v] + int64(d)
-	}
-	if uint64(offsets[nVerts]) != nEdges {
-		return nil, fmt.Errorf("%w: degrees sum to %d, header says %d edges", ErrBadFormat, offsets[nVerts], nEdges)
-	}
-	edges := make([]graph.VertexID, nEdges)
-	consumed, v, err := graph.DecodeCompressedAdjacency(edges, offsets, p[off:], nVerts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadFormat, v, err)
-	}
-	off += consumed
-	var weights []float32
-	if flags&flagWeighted != 0 {
-		if uint64(len(p)-off) != nEdges*4 {
-			return nil, fmt.Errorf("%w: weight section %d bytes, want %d", ErrBadFormat, len(p)-off, nEdges*4)
-		}
-		weights = make([]float32, nEdges)
-		for i := range weights {
-			weights[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[off:]))
-			off += 4
-		}
-	}
-	if off != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrBadFormat, len(p)-off)
-	}
-	g, err := graph.NewCSR(offsets, edges, weights)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return g, nil
-}
-
-// ReadBinary deserializes a graph from the binary CSR container (either
-// version), verifying the checksum and all CSR invariants. The container
+// ReadBinary deserializes a graph from the binary CSR container, verifying
+// the checksum and all CSR invariants. The container
 // is read fully into memory first: the checksum trails the payload, and
 // the target datasets are far smaller than host memory.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
@@ -327,16 +231,10 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	}
 	p = p[4:]
 	version := binary.LittleEndian.Uint32(p)
-	if version != binaryVersion && version != binaryVersion2 {
+	if version != binaryVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
 	}
 	p = p[4:]
-	if version == binaryVersion2 {
-		flags := binary.LittleEndian.Uint32(p)
-		nVerts := binary.LittleEndian.Uint64(p[4:])
-		nEdges := binary.LittleEndian.Uint64(p[12:])
-		return readBinaryV2(p[20:], flags, nVerts, nEdges)
-	}
 	flags := binary.LittleEndian.Uint32(p)
 	p = p[4:]
 	nVerts := binary.LittleEndian.Uint64(p)

@@ -19,7 +19,6 @@ type Builder struct {
 	numVertices   int
 	edges         []Edge
 	dropSelfLoops bool
-	keepParallel  bool
 }
 
 // NewBuilder returns a builder for a graph with n vertices (ids 0..n-1).
@@ -30,14 +29,6 @@ func NewBuilder(n int) *Builder {
 // DropSelfLoops configures the builder to discard edges with Src == Dst.
 func (b *Builder) DropSelfLoops() *Builder {
 	b.dropSelfLoops = true
-	return b
-}
-
-// KeepParallelEdges configures the builder to keep duplicate (src,dst)
-// pairs rather than deduplicating them. Parallel edges matter for weighted
-// multigraph workloads.
-func (b *Builder) KeepParallelEdges() *Builder {
-	b.keepParallel = true
 	return b
 }
 
@@ -77,7 +68,8 @@ func (b *Builder) build(weighted bool) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge %d (%d -> %d) out of range [0,%d)", i, e.Src, e.Dst, n)
 		}
 	}
-	work := b.edges
+	// Sorting mutates; work on a copy so the builder can be reused.
+	var work []Edge
 	if b.dropSelfLoops {
 		work = make([]Edge, 0, len(b.edges))
 		for _, e := range b.edges {
@@ -85,8 +77,7 @@ func (b *Builder) build(weighted bool) (*Graph, error) {
 				work = append(work, e)
 			}
 		}
-	} else if !b.keepParallel {
-		// Sorting mutates; copy so the builder can be reused.
+	} else {
 		work = append([]Edge(nil), b.edges...)
 	}
 	// The permutation decides which duplicate's weight survives, so the
@@ -98,9 +89,7 @@ func (b *Builder) build(weighted bool) (*Graph, error) {
 		}
 		return cmp.Compare(a.Dst, b.Dst)
 	})
-	if !b.keepParallel {
-		work = dedupEdges(work)
-	}
+	work = dedupEdges(work)
 	offsets := make([]int64, n+1)
 	for _, e := range work {
 		offsets[e.Src+1]++

@@ -9,8 +9,8 @@ import (
 // well (a vertex's neighbors cluster in id space on natural graphs), and
 // the edge list dominates a graph's footprint — the asymmetry the paper's
 // Figure 1 is built on. The codec stores each list as a varint first id
-// followed by varint gaps. It backs the v2 binary container in package
-// gio and the storage analysis in Stats.
+// followed by varint gaps. It backs the gcsr2 segment payloads in package
+// store.
 
 // AppendCompressedAdjacency appends the varint-delta encoding of a sorted
 // neighbor list to buf and returns the extended buffer.
@@ -44,8 +44,8 @@ var (
 // has validated it). Every id must be below limit, the graph's vertex
 // count. It returns the bytes consumed, or the list that failed and why.
 //
-// This is the one decoder: a segment miss in package store and the v2
-// reader in package gio both run it over a whole payload in one call.
+// This is the one decoder: a segment miss in package store runs it over a
+// whole payload in one call.
 // Gaps on natural graphs are short, so varints of one to three bytes
 // are decoded inline whenever three bytes of look-ahead exist; anything
 // longer, and the buffer's last two bytes, go through binary.Uvarint.
@@ -100,25 +100,4 @@ func DecodeCompressedAdjacency(dst []VertexID, offsets []int64, buf []byte, limi
 		}
 	}
 	return i, 0, nil
-}
-
-// CompressedEdgeBytes returns the size of the graph's edge lists under
-// varint-delta compression (offsets and weights excluded) — the figure to
-// compare against NumEdges()*4 raw bytes.
-func CompressedEdgeBytes(g *Graph) int64 {
-	var total int64
-	var scratch [binary.MaxVarintLen64]byte
-	for v := 0; v < g.NumVertices(); v++ {
-		prev := uint64(0)
-		for i, n := range g.Neighbors(VertexID(v)) {
-			x := uint64(n)
-			d := x
-			if i > 0 {
-				d = x - prev
-			}
-			total += int64(binary.PutUvarint(scratch[:], d))
-			prev = x
-		}
-	}
-	return total
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -96,19 +97,6 @@ func TestBuilderDropSelfLoops(t *testing.T) {
 	}
 }
 
-func TestBuilderKeepParallelEdges(t *testing.T) {
-	b := NewBuilder(2).KeepParallelEdges()
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(0, 1, 2)
-	g, err := b.BuildWeighted()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 2 {
-		t.Errorf("NumEdges = %d, want 2 with parallel edges kept", g.NumEdges())
-	}
-}
-
 func TestBuilderRejectsOutOfRange(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddEdge(0, 5, 1)
@@ -179,6 +167,77 @@ func randomGraph(seed int64, n, m int) *Graph {
 		panic(err)
 	}
 	return g
+}
+
+// hubTestGraph builds a small weighted graph with a clear hub (vertex
+// 2 touches everything).
+func hubTestGraph(t *testing.T) *Graph {
+	t.Helper()
+	b := NewBuilder(5)
+	b.AddEdge(2, 0, 1)
+	b.AddEdge(2, 1, 2)
+	b.AddEdge(2, 3, 3)
+	b.AddEdge(2, 4, 4)
+	b.AddEdge(0, 2, 5)
+	b.AddEdge(1, 2, 6)
+	b.AddEdge(3, 4, 7)
+	g, err := b.BuildWeighted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestTransposeCached pins the transpose cache the direction-optimized
+// engine relies on: repeated calls return the same graph, the round trip
+// returns the original, and concurrent first calls agree.
+func TestTransposeCached(t *testing.T) {
+	g := hubTestGraph(t)
+	tr := g.Transpose()
+	if g.Transpose() != tr {
+		t.Fatal("second Transpose() returned a different graph")
+	}
+	if tr.Transpose() != g {
+		t.Fatal("Transpose().Transpose() is not the original graph")
+	}
+
+	g2 := hubTestGraph(t)
+	results := make([]*Graph, 8)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = g2.Transpose()
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < len(results); i++ {
+		if results[i] != results[0] {
+			t.Fatal("concurrent Transpose() calls returned different graphs")
+		}
+	}
+}
+
+// TestTransposeEdgesReversed sanity-checks the cached transpose still
+// computes the reversal (weights riding along).
+func TestTransposeEdgesReversed(t *testing.T) {
+	g := hubTestGraph(t)
+	tr := g.Transpose()
+	if tr.NumEdges() != g.NumEdges() {
+		t.Fatalf("transpose has %d edges, want %d", tr.NumEdges(), g.NumEdges())
+	}
+	// Edge 3 -> 4 with weight 7 must appear as 4 -> 3.
+	lo, hi := tr.EdgeRange(4)
+	found := false
+	for i := lo; i < hi; i++ {
+		if tr.Edges()[i] == 3 && tr.Weights()[i] == 7 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("transpose lost edge 3->4 (weight 7)")
+	}
 }
 
 func TestTransposeInvolutionProperty(t *testing.T) {
@@ -358,33 +417,6 @@ func TestStatsEmpty(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	b := NewBuilder(4)
-	// degrees: 0:1, 1:2, 2:4, 3:0
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 0, 1)
-	b.AddEdge(1, 2, 1)
-	for _, d := range []VertexID{0, 1, 2, 3} {
-		b.AddEdge(2, d, 1)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := DegreeHistogram(g)
-	// bucket0: deg 0 and 1 -> vertices 0 and 3; bucket1: deg 2..3 -> vertex 1;
-	// bucket2: deg 4..7 -> vertex 2.
-	want := []int{2, 1, 1}
-	if len(h) != len(want) {
-		t.Fatalf("hist = %v, want %v", h, want)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("hist[%d] = %d, want %d", i, h[i], want[i])
-		}
-	}
-}
-
 func TestFormatBytes(t *testing.T) {
 	cases := []struct {
 		in   int64
@@ -504,24 +536,5 @@ func TestDecodeCompressedAdjacencyTruncated(t *testing.T) {
 	buf := AppendCompressedAdjacency(nil, []VertexID{1, 5, 9})
 	if _, _, err := DecodeCompressedAdjacency(make([]VertexID, 3), []int64{0, 3}, buf[:1], 10); err == nil {
 		t.Error("accepted truncated adjacency")
-	}
-}
-
-func TestCompressedEdgeBytesClustered(t *testing.T) {
-	// Consecutive neighbors compress to ~1 byte each.
-	b := NewBuilder(1000)
-	for i := 0; i < 999; i++ {
-		b.AddEdge(0, VertexID(i+1), 1)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := CompressedEdgeBytes(g)
-	if c >= g.NumEdges()*4 {
-		t.Errorf("compressed %d bytes not below raw %d", c, g.NumEdges()*4)
-	}
-	if c > g.NumEdges()+4 {
-		t.Errorf("consecutive ids should compress to ~1 B/edge, got %d for %d edges", c, g.NumEdges())
 	}
 }

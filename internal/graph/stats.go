@@ -101,29 +101,6 @@ func gini(sorted []int64, sum int64) float64 {
 	return 2*weighted/(float64(n)*float64(sum)) - float64(n+1)/float64(n)
 }
 
-// DegreeHistogram returns log2-bucketed out-degree counts: bucket i counts
-// vertices with out-degree in [2^i, 2^(i+1)), bucket 0 additionally holds
-// degree-0 and degree-1 vertices.
-func DegreeHistogram(g *Graph) []int {
-	var hist []int
-	bump := func(b int) {
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		d := g.OutDegree(VertexID(v))
-		b := 0
-		for d > 1 {
-			d >>= 1
-			b++
-		}
-		bump(b)
-	}
-	return hist
-}
-
 // String renders the stats as a compact multi-line report.
 func (s Stats) String() string {
 	var b strings.Builder

@@ -327,32 +327,6 @@ func TestEngineAllocGate(t *testing.T) {
 	mustNoErr(t, st.Close())
 }
 
-// TestEngineOnDegreeSortedLayout closes the loop with the cache-blocked
-// CSR layout: a BFS run on the degree-sorted relabeling, mapped back
-// through the permutation, is bit-identical to the run on the original
-// graph.
-func TestEngineOnDegreeSortedLayout(t *testing.T) {
-	g := socialGraph(t)
-	rg, order, err := graph.DegreeSortedLayout(g)
-	mustNoErr(t, err)
-	inv := graph.InverseOrder(order)
-
-	ref, err := RunSerial(g, NewBFS(3))
-	mustNoErr(t, err)
-	res, err := RunSerial(rg, NewBFS(inv[3]))
-	mustNoErr(t, err)
-	back := graph.ValuesToOriginal(res.Values, order)
-	for v := range ref.Values {
-		a, b := back[v], ref.Values[v]
-		if a != b && !(math.IsInf(a, 1) && math.IsInf(b, 1)) {
-			t.Fatalf("relabeled BFS level[%d] = %v, original %v", v, a, b)
-		}
-	}
-	if res.Iterations != ref.Iterations {
-		t.Fatalf("relabeled run took %d iterations, original %d", res.Iterations, ref.Iterations)
-	}
-}
-
 // TestInMemoryRejectsVertexView pins the guard graph.NewVertexView
 // documents: an offsets-only view is refused with an error when it is
 // offered as in-memory adjacency, by every graph-taking entry point,

@@ -29,27 +29,6 @@ func ExampleRunSerial() {
 	// [0 1 2 3]
 }
 
-// ExampleTriangleCount counts the triangles of K4.
-func ExampleTriangleCount() {
-	b := graph.NewBuilder(4)
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			b.AddUndirected(graph.VertexID(i), graph.VertexID(j), 1)
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	n, err := kernels.TriangleCount(g)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(n)
-	// Output:
-	// 4
-}
-
 // ShortestPath is README's kernel-authoring snippet: a kernel is a
 // per-source Emit, two declared operators and an Apply.
 type ShortestPath struct{ src graph.VertexID }

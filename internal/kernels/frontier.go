@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"math/bits"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Frontier is a vertex set with O(1) activation, deduplication, and
 // ordered iteration. Engines share it. Membership is a bitset — one bit
@@ -99,17 +95,6 @@ func (f *Frontier) ForEachWord(fn func(base graph.VertexID, word uint64)) {
 			fn(graph.VertexID(w<<6), word)
 		}
 	}
-}
-
-// ForEachAscending visits the active vertices in ascending id order
-// regardless of activation order, by iterating the bitset words.
-func (f *Frontier) ForEachAscending(fn func(v graph.VertexID)) {
-	f.ForEachWord(func(base graph.VertexID, word uint64) {
-		for word != 0 {
-			fn(base + graph.VertexID(bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	})
 }
 
 // Vertices returns the active vertex list (allocating for the all-active

@@ -236,15 +236,6 @@ type StatefulKernel interface {
 	OnScattered(v graph.VertexID)
 }
 
-// AggregateValues reduces a slice with op, starting from identity.
-func AggregateValues(op AggOp, identity float64, values []float64) float64 {
-	acc := identity
-	for _, v := range values {
-		acc = op.Reduce(acc, v)
-	}
-	return acc
-}
-
 // kernelEntry ties one canonical name, its accepted aliases, and the
 // default constructor together. The registry below is THE source for
 // Names, ByName, All, and the "available:" error text, so the four can

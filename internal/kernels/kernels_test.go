@@ -327,18 +327,6 @@ func TestIdentityIsNeutralProperty(t *testing.T) {
 	}
 }
 
-func TestAggregateValues(t *testing.T) {
-	if got := AggregateValues(AggSum, 0, []float64{1, 2, 3}); got != 6 {
-		t.Errorf("sum = %g, want 6", got)
-	}
-	if got := AggregateValues(AggMin, math.Inf(1), []float64{3, 1, 2}); got != 1 {
-		t.Errorf("min = %g, want 1", got)
-	}
-	if got := AggregateValues(AggMax, 0, []float64{3, 1, 2}); got != 3 {
-		t.Errorf("max = %g, want 3", got)
-	}
-}
-
 func TestAggOpString(t *testing.T) {
 	if AggSum.String() != "sum" || AggMin.String() != "min" || AggMax.String() != "max" {
 		t.Error("AggOp names wrong")
@@ -404,15 +392,6 @@ func TestFrontierSizesMonotoneBFS(t *testing.T) {
 	// Each vertex enters the BFS frontier exactly once.
 	if total != int64(reach) {
 		t.Errorf("sum of frontiers %d != reachable %d", total, reach)
-	}
-}
-
-func TestRankError(t *testing.T) {
-	if RankError([]float64{1, 2}, []float64{1, 2}) != 0 {
-		t.Error("identical vectors have nonzero error")
-	}
-	if got := RankError([]float64{1, 2}, []float64{2, 4}); got != 3 {
-		t.Errorf("RankError = %g, want 3", got)
 	}
 }
 

@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"math"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Default PageRank parameters, matching common graph-framework defaults.
 const (
@@ -77,14 +73,4 @@ func (p *PageRank) Apply(g *graph.Graph, v graph.VertexID, old, agg float64, has
 	n := float64(g.NumVertices())
 	next := (1-p.damping)/n + p.damping*agg
 	return next, true
-}
-
-// RankError returns the L1 distance between two rank vectors; engines use
-// it for convergence and tests for cross-engine agreement.
-func RankError(a, b []float64) float64 {
-	var sum float64
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum
 }

@@ -1,5 +1,5 @@
 // Package metrics renders experiment results as aligned text tables, CSV,
-// and simple ASCII series plots — the output layer of the benchmark
+// markdown and simple ASCII series plots — the output layer of the benchmark
 // harness that regenerates the paper's tables and figures.
 package metrics
 
@@ -113,6 +113,27 @@ func (t *Table) RenderCSV(w io.Writer) error {
 		b.WriteByte('\n')
 	}
 	writeRow(t.headers)
+	for _, row := range t.rows {
+		writeRow(row)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// RenderMarkdown writes the table as a GitHub-flavored markdown table:
+// the header row, a separator row, then the data rows, cells as they are.
+// The title is not part of the table.
+func (t *Table) RenderMarkdown(w io.Writer) error {
+	var b strings.Builder
+	writeRow := func(cells []string) {
+		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
+	}
+	writeRow(t.headers)
+	seps := make([]string, len(t.headers))
+	for i := range seps {
+		seps[i] = "---"
+	}
+	writeRow(seps)
 	for _, row := range t.rows {
 		writeRow(row)
 	}

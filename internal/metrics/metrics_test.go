@@ -103,6 +103,46 @@ func TestPlotAllZeroValues(t *testing.T) {
 	}
 }
 
+// TestRenderMarkdownTableGolden pins the report's table rendering byte
+// for byte on a hand-built table, the same discipline as the simulator's
+// CSV golden: any format change must show up here as a deliberate
+// update, because published reports get diffed.
+func TestRenderMarkdownTableGolden(t *testing.T) {
+	tbl := NewTable("Table II", "architecture", "bytes", "speedup")
+	tbl.AddRow("distributed", int64(1024), 1.0)
+	tbl.AddRow("disaggregated-ndp", int64(256), 4.0)
+	var got strings.Builder
+	if err := tbl.RenderMarkdown(&got); err != nil {
+		t.Fatal(err)
+	}
+	const golden = "| architecture | bytes | speedup |\n" +
+		"| --- | --- | --- |\n" +
+		"| distributed | 1024 | 1 |\n" +
+		"| disaggregated-ndp | 256 | 4 |\n"
+	if got.String() != golden {
+		t.Fatalf("golden mismatch:\ngot:\n%s\nwant:\n%s", got.String(), golden)
+	}
+}
+
+// TestRenderMarkdownTableQuotedCells pins cells that CSV would quote:
+// commas and quotes inside a cell reach the markdown as they are.
+func TestRenderMarkdownTableQuotedCells(t *testing.T) {
+	tbl := NewTable("notes", "dataset", "comment")
+	tbl.AddRow("wiki-talk", `hubs, long tail`)
+	tbl.AddRow("uk-2005", `the "web" crawl`)
+	var got strings.Builder
+	if err := tbl.RenderMarkdown(&got); err != nil {
+		t.Fatal(err)
+	}
+	const golden = "| dataset | comment |\n" +
+		"| --- | --- |\n" +
+		"| wiki-talk | hubs, long tail |\n" +
+		"| uk-2005 | the \"web\" crawl |\n"
+	if got.String() != golden {
+		t.Fatalf("golden mismatch:\ngot:\n%s\nwant:\n%s", got.String(), golden)
+	}
+}
+
 func TestTableEmptyRenders(t *testing.T) {
 	tb := NewTable("empty", "a")
 	out := tb.String()

@@ -1,6 +1,7 @@
 package ndp_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ func ExampleDevice_Supports() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(g, kernels.NewBFS(0))
+	run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(context.Background(), g, kernels.NewBFS(0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func ExampleHeuristic() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign, Policy: runtime.Heuristic{}}).Run(g, kernels.NewBFS(0))
+		run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign, Policy: runtime.Heuristic{}}).Run(context.Background(), g, kernels.NewBFS(0))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -75,11 +76,11 @@ func TestMixedOracleCanStrictlyBeatGlobal(t *testing.T) {
 	}
 	topo := sim.DefaultTopology(2, 8)
 	k := kernels.NewPageRank(5, 0.85)
-	global, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: Oracle{}}).Run(g, k)
+	global, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: Oracle{}}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: MixedOracle{}}).Run(g, k)
+	mixed, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: MixedOracle{}}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ func runWithPolicy(t testing.TB, g *graph.Graph, k kernels.Kernel, parts int, po
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: pol}).Run(g, k)
+	run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: pol}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/kernels"
@@ -23,7 +24,7 @@ func TestAllocGate(t *testing.T) {
 		// a per-run cost, but their scheduling would blur the count.
 		e := &DisaggregatedNDP{Topo: DefaultTopology(2, 4), Assign: a, Workers: 1}
 		return testing.AllocsPerRun(5, func() {
-			run, err := e.Run(g, kernels.NewPageRank(n, 0))
+			run, err := e.Run(context.Background(), g, kernels.NewPageRank(n, 0))
 			if err != nil || len(run.Records) != n {
 				t.Fatalf("run: %v, %d records, want %d", err, len(run.Records), n)
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestWriteRecordsCSVStable(t *testing.T) {
 	outputs := make([]string, 2)
 	for i := range outputs {
 		run, err := (&DisaggregatedNDP{Topo: DefaultTopology(2, 4), Assign: a, InNetworkAggregation: true}).
-			Run(g, kernels.NewPageRank(5, 0.85))
+			Run(context.Background(), g, kernels.NewPageRank(5, 0.85))
 		if err != nil {
 			t.Fatal(err)
 		}

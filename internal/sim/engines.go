@@ -11,19 +11,13 @@ import (
 	"repro/internal/partition"
 )
 
-// Engine runs a kernel on a simulated architecture.
+// Engine runs a kernel on a simulated architecture. Runs honor
+// cancellation: the iteration loop checks the context between iterations
+// and returns ctx.Err() on cancellation or deadline, so a long sweep
+// aborts within one iteration's work.
 type Engine interface {
 	Name() string
-	Run(g *graph.Graph, k kernels.Kernel) (*Run, error)
-}
-
-// ContextEngine is an Engine whose runs honor cancellation: the
-// iteration loop checks the context between iterations and returns
-// ctx.Err() on cancellation or deadline, so a long sweep aborts within
-// one iteration's work. All four simulated architectures implement it.
-type ContextEngine interface {
-	Engine
-	RunContext(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error)
+	Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error)
 }
 
 // checkEngineInputs validates the pieces shared by all engines.
@@ -100,12 +94,7 @@ func cacheMask(g *graph.Graph, budget int64) []bool {
 }
 
 // Run implements Engine.
-func (d *Disaggregated) Run(g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return d.RunContext(context.Background(), g, k)
-}
-
-// RunContext implements ContextEngine.
-func (d *Disaggregated) RunContext(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
+func (d *Disaggregated) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
 	if err := checkEngineInputs(d.Topo, d.Assign, g); err != nil {
 		return nil, err
 	}
@@ -186,12 +175,7 @@ func (d *DisaggregatedNDP) Name() string {
 }
 
 // Run implements Engine.
-func (d *DisaggregatedNDP) Run(g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return d.RunContext(context.Background(), g, k)
-}
-
-// RunContext implements ContextEngine.
-func (d *DisaggregatedNDP) RunContext(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
+func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
 	if err := checkEngineInputs(d.Topo, d.Assign, g); err != nil {
 		return nil, err
 	}
@@ -353,12 +337,7 @@ type Distributed struct {
 func (d *Distributed) Name() string { return "distributed" }
 
 // Run implements Engine.
-func (d *Distributed) Run(g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return d.RunContext(context.Background(), g, k)
-}
-
-// RunContext implements ContextEngine.
-func (d *Distributed) RunContext(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
+func (d *Distributed) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
 	return runDistributed(ctx, d.Topo, d.Assign, g, k, d.Name(), false, d.Workers)
 }
 
@@ -380,12 +359,7 @@ type DistributedNDP struct {
 func (d *DistributedNDP) Name() string { return "distributed-ndp" }
 
 // Run implements Engine.
-func (d *DistributedNDP) Run(g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return d.RunContext(context.Background(), g, k)
-}
-
-// RunContext implements ContextEngine.
-func (d *DistributedNDP) RunContext(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
+func (d *DistributedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
 	return runDistributed(ctx, d.Topo, d.Assign, g, k, d.Name(), true, d.Workers)
 }
 

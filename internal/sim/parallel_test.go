@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -39,11 +40,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 			for _, workers := range []int{3, 4, 0} {
 				par := enginesAt(t, g, parts, workers)
 				for i := range serial {
-					want, err := serial[i].Run(g, k)
+					want, err := serial[i].Run(context.Background(), g, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := par[i].Run(g, k)
+					got, err := par[i].Run(context.Background(), g, k)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -78,7 +79,7 @@ func TestEnginesMatchSerialReference(t *testing.T) {
 				tol = 1e-12
 			}
 			for _, e := range allEngines(t, g, 8) {
-				run, err := e.Run(g, k)
+				run, err := e.Run(context.Background(), g, k)
 				if err != nil {
 					t.Fatalf("%s: %v", e.Name(), err)
 				}
@@ -99,7 +100,7 @@ func TestRecordInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := e.Run(g, k)
+			run, err := e.Run(context.Background(), g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,11 +148,11 @@ func TestAggregationNeverIncreasesMovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(g, k)
+	plain, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := (&DisaggregatedNDP{Topo: topo, Assign: a, InNetworkAggregation: true}).Run(g, k)
+	agg, err := (&DisaggregatedNDP{Topo: topo, Assign: a, InNetworkAggregation: true}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +172,11 @@ func TestSwitchBufferLimitsAggregation(t *testing.T) {
 	unlimited := DefaultTopology(2, 16)
 	limited := DefaultTopology(2, 16)
 	limited.SwitchBufferEntries = 64 // far below the distinct-dst count
-	u, err := (&DisaggregatedNDP{Topo: unlimited, Assign: a, InNetworkAggregation: true}).Run(g, k)
+	u, err := (&DisaggregatedNDP{Topo: unlimited, Assign: a, InNetworkAggregation: true}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := (&DisaggregatedNDP{Topo: limited, Assign: a, InNetworkAggregation: true}).Run(g, k)
+	l, err := (&DisaggregatedNDP{Topo: limited, Assign: a, InNetworkAggregation: true}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +198,11 @@ func TestNDPReducesMovementOnHighDegreeGraph(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	noNDP, err := (&Disaggregated{Topo: topo, Assign: a}).Run(g, k)
+	noNDP, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndpRun, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(g, k)
+	ndpRun, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +223,11 @@ func TestNDPHurtsOnLowDegreeGraph(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	noNDP, err := (&Disaggregated{Topo: topo, Assign: a}).Run(g, k)
+	noNDP, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndpRun, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(g, k)
+	ndpRun, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +243,11 @@ func TestDistributedHasHigherSyncThanDisaggregated(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	dist, err := (&Distributed{Topo: topo, Assign: a}).Run(g, k)
+	dist, err := (&Distributed{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disagg, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(g, k)
+	disagg, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +263,11 @@ func TestDistributedNDPFasterButSameMovement(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	dist, err := (&Distributed{Topo: topo, Assign: a}).Run(g, k)
+	dist, err := (&Distributed{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dndp, err := (&DistributedNDP{Topo: topo, Assign: a}).Run(g, k)
+	dndp, err := (&DistributedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +289,11 @@ func TestOffloadPolicies(t *testing.T) {
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
 
-	always, err := (&DisaggregatedNDP{Topo: topo, Assign: a, Policy: AlwaysOffload{}}).Run(g, k)
+	always, err := (&DisaggregatedNDP{Topo: topo, Assign: a, Policy: AlwaysOffload{}}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	never, err := (&DisaggregatedNDP{Topo: topo, Assign: a, Policy: NeverOffload{}}).Run(g, k)
+	never, err := (&DisaggregatedNDP{Topo: topo, Assign: a, Policy: NeverOffload{}}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestOffloadPolicies(t *testing.T) {
 		}
 	}
 	// Never-offload must equal the plain disaggregated engine's movement.
-	plain, err := (&Disaggregated{Topo: topo, Assign: a}).Run(g, k)
+	plain, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,14 +323,14 @@ func TestEngineInputValidation(t *testing.T) {
 	k := kernels.NewPageRank(3, 0.85)
 
 	badTopo := DefaultTopology(0, 8)
-	if _, err := (&Disaggregated{Topo: badTopo, Assign: a}).Run(g, k); err == nil {
+	if _, err := (&Disaggregated{Topo: badTopo, Assign: a}).Run(context.Background(), g, k); err == nil {
 		t.Error("accepted zero compute nodes")
 	}
 	mismatch := DefaultTopology(2, 4) // assignment has 8 parts
-	if _, err := (&Disaggregated{Topo: mismatch, Assign: a}).Run(g, k); err == nil {
+	if _, err := (&Disaggregated{Topo: mismatch, Assign: a}).Run(context.Background(), g, k); err == nil {
 		t.Error("accepted partition/memory-node mismatch")
 	}
-	if _, err := (&Disaggregated{Topo: DefaultTopology(2, 8), Assign: nil}).Run(g, k); err == nil {
+	if _, err := (&Disaggregated{Topo: DefaultTopology(2, 8), Assign: nil}).Run(context.Background(), g, k); err == nil {
 		t.Error("accepted nil assignment")
 	}
 }
@@ -341,7 +342,7 @@ func TestUnsupportedKernelFallsBack(t *testing.T) {
 	topo.MemDevice.FP = 0 // ndp.None: device cannot run FP kernels
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(3, 0.85)
-	run, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(g, k)
+	run, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestUnsupportedKernelFallsBack(t *testing.T) {
 func TestMovementSeriesMatchesRecords(t *testing.T) {
 	g := simGraph(t)
 	a := hashAssign(t, g, 8)
-	run, err := (&Disaggregated{Topo: DefaultTopology(2, 8), Assign: a}).Run(g, kernels.NewBFS(0))
+	run, err := (&Disaggregated{Topo: DefaultTopology(2, 8), Assign: a}).Run(context.Background(), g, kernels.NewBFS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +495,7 @@ func TestPartialUpdatesGrowWithPartitions(t *testing.T) {
 	for _, parts := range []int{2, 8, 32} {
 		topo := DefaultTopology(2, parts)
 		a := hashAssign(t, g, parts)
-		run, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(g, k)
+		run, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +514,7 @@ func TestEnergyAccounting(t *testing.T) {
 	g := simGraph(t)
 	k := kernels.NewPageRank(5, 0.85)
 	for _, e := range allEngines(t, g, 8) {
-		run, err := e.Run(g, k)
+		run, err := e.Run(context.Background(), g, k)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -542,11 +543,11 @@ func TestNDPSavesEnergyOnDenseGraph(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	host, err := (&Disaggregated{Topo: topo, Assign: a}).Run(g, k)
+	host, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	near, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(g, k)
+	near, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +559,7 @@ func TestNDPSavesEnergyOnDenseGraph(t *testing.T) {
 func TestMixedOracleBoundInvariants(t *testing.T) {
 	g := simGraph(t)
 	a := hashAssign(t, g, 8)
-	run, err := (&DisaggregatedNDP{Topo: DefaultTopology(2, 8), Assign: a}).Run(g, kernels.NewBFS(0))
+	run, err := (&DisaggregatedNDP{Topo: DefaultTopology(2, 8), Assign: a}).Run(context.Background(), g, kernels.NewBFS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +604,7 @@ func TestEdgeCacheReducesMovement(t *testing.T) {
 	var prev int64 = 1 << 62
 	totalEdgeBytes := g.NumEdges() * kernels.EdgeBytes
 	for _, frac := range []float64{0, 0.1, 0.25, 0.5, 1.0} {
-		run, err := (&Disaggregated{Topo: topo, Assign: a, CacheBytes: int64(frac * float64(totalEdgeBytes))}).Run(g, k)
+		run, err := (&Disaggregated{Topo: topo, Assign: a, CacheBytes: int64(frac * float64(totalEdgeBytes))}).Run(context.Background(), g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -630,11 +631,11 @@ func TestEdgeCachePinsHottestVertices(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(3, 0.85)
-	base, err := (&Disaggregated{Topo: topo, Assign: a}).Run(g, k)
+	base, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := (&Disaggregated{Topo: topo, Assign: a, CacheBytes: g.NumEdges() * kernels.EdgeBytes / 10}).Run(g, k)
+	small, err := (&Disaggregated{Topo: topo, Assign: a, CacheBytes: g.NumEdges() * kernels.EdgeBytes / 10}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +682,7 @@ func TestEnginesEquivalenceProperty(t *testing.T) {
 				tol = 1e-12
 			}
 			for _, e := range engines {
-				run, err := e.Run(g, k)
+				run, err := e.Run(context.Background(), g, k)
 				if err != nil {
 					return false
 				}
@@ -709,14 +710,14 @@ func TestTimeModelMonotonicity(t *testing.T) {
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
 	base := DefaultTopology(2, parts)
-	baseRun, err := (&DisaggregatedNDP{Topo: base, Assign: a}).Run(g, k)
+	baseRun, err := (&DisaggregatedNDP{Topo: base, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Faster network => faster end to end.
 	fast := base
 	fast.NetworkGBps *= 10
-	fastRun, err := (&DisaggregatedNDP{Topo: fast, Assign: a}).Run(g, k)
+	fastRun, err := (&DisaggregatedNDP{Topo: fast, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +727,7 @@ func TestTimeModelMonotonicity(t *testing.T) {
 	// Higher latency => slower.
 	lag := base
 	lag.NetworkLatency *= 100
-	lagRun, err := (&DisaggregatedNDP{Topo: lag, Assign: a}).Run(g, k)
+	lagRun, err := (&DisaggregatedNDP{Topo: lag, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,7 +737,7 @@ func TestTimeModelMonotonicity(t *testing.T) {
 	// More compute nodes => no slower (parallel links and hosts).
 	wide := base
 	wide.ComputeNodes = 8
-	wideRun, err := (&DisaggregatedNDP{Topo: wide, Assign: a}).Run(g, k)
+	wideRun, err := (&DisaggregatedNDP{Topo: wide, Assign: a}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,7 +754,7 @@ func TestTimeModelMonotonicity(t *testing.T) {
 func TestWriteRecordsCSV(t *testing.T) {
 	g := simGraph(t)
 	a := hashAssign(t, g, 4)
-	run, err := (&DisaggregatedNDP{Topo: DefaultTopology(2, 4), Assign: a}).Run(g, kernels.NewBFS(0))
+	run, err := (&DisaggregatedNDP{Topo: DefaultTopology(2, 4), Assign: a}).Run(context.Background(), g, kernels.NewBFS(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,7 +19,7 @@ func tierRun(t *testing.T, g *graph.Graph, tier *TierConfig, workers int) *Run {
 		Tier:    tier,
 		Workers: workers,
 	}
-	run, err := eng.Run(g, kernels.NewBFS(0))
+	run, err := eng.Run(context.Background(), g, kernels.NewBFS(0))
 	if err != nil {
 		t.Fatal(err)
 	}

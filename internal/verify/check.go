@@ -344,7 +344,7 @@ func checkWorkerDifferential(g *graph.Graph, fresh func() kernels.Kernel, assign
 			InNetworkAggregation: sc.Aggregation,
 			Workers:              workers,
 		}
-		return e.Run(g, fresh())
+		return e.Run(context.Background(), g, fresh())
 	}
 	one, err := mk(1)
 	if err != nil {
@@ -684,7 +684,7 @@ func checkTrafficAgainstSim(g *graph.Graph, fresh func() kernels.Kernel, assign 
 		Policy:               sim.AlwaysOffload{},
 		InNetworkAggregation: sc.Aggregation,
 		Workers:              sc.Workers,
-	}).Run(g, fresh())
+	}).Run(context.Background(), g, fresh())
 	if err != nil {
 		return err
 	}
