@@ -141,6 +141,12 @@ func TestShutdownWithParkedWaiter(t *testing.T) {
 		}
 	}
 
+	// Server.Shutdown waits up to 5 s before it closes a connection still
+	// in http.StateNew, one that has sent no request yet. The client's
+	// http.DefaultTransport can dial such a spare connection during the
+	// Metrics polling and pool it unused, so drop the pooled connections
+	// first: the bound below is about the parked waiter, not that grace.
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	start := time.Now()
 	shutdown(srv, mgr)
 	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
@@ -158,7 +164,6 @@ func TestShutdownWithParkedWaiter(t *testing.T) {
 	if snaps := reg.List(); len(snaps) != 1 || snaps[0].Refs != 1 {
 		t.Errorf("snapshots after shutdown: %+v, want one with the registry's reference only", snaps)
 	}
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)

@@ -19,15 +19,23 @@ type Dataset struct {
 	RealEdges    int64
 	// BaseVertices is the stand-in's vertex count at scale 1.
 	BaseVertices int
-	Generate     func(scale float64, cfg Config) (*graph.Graph, error)
 	// Vertices returns the stand-in's exact vertex count at the given
 	// scale — the count a streaming sink must be sized for.
 	Vertices func(scale float64) int
-	// Stream emits the stand-in's raw edge stream into sink, drawing the
-	// identical RNG sequence as Generate at the same seed, so a streamed
-	// out-of-core build and an in-memory build at the same (scale, seed)
-	// describe the same graph.
+	// Stream emits the stand-in's raw edge stream into sink. It is the
+	// one definition of the stand-in: Generate feeds it an in-memory
+	// builder, an out-of-core build a spilling one, so both describe the
+	// same graph at the same (scale, seed).
 	Stream func(scale float64, seed uint64, sink EdgeSink) error
+}
+
+// Generate builds the stand-in in memory at the given scale.
+func (d Dataset) Generate(scale float64, cfg Config) (*graph.Graph, error) {
+	b := cfg.builder(d.Vertices(scale))
+	if err := d.Stream(scale, cfg.Seed, b); err != nil {
+		return nil, err
+	}
+	return cfg.finish(b)
 }
 
 func scaled(base int, scale float64) int {
@@ -47,10 +55,7 @@ var Twitter7 = Dataset{
 	RealVertices: 41_652_230,
 	RealEdges:    1_468_365_182,
 	BaseVertices: 1 << 15,
-	Generate: func(scale float64, cfg Config) (*graph.Graph, error) {
-		return RMATGraph500(twitter7Scale(scale), 35, cfg)
-	},
-	Vertices: func(scale float64) int { return 1 << twitter7Scale(scale) },
+	Vertices:     func(scale float64) int { return 1 << twitter7Scale(scale) },
 	Stream: func(scale float64, seed uint64, sink EdgeSink) error {
 		return RMATGraph500Into(twitter7Scale(scale), 35, seed, sink)
 	},
@@ -76,11 +81,7 @@ var UK2005 = Dataset{
 	RealVertices: 39_459_925,
 	RealEdges:    936_364_282,
 	BaseVertices: 1 << 15,
-	Generate: func(scale float64, cfg Config) (*graph.Graph, error) {
-		n := scaled(1<<15, scale)
-		return communityWithHubs(n, maxInt(8, n/512), 22, 0.92, maxInt(4, n/4096), n/16, cfg)
-	},
-	Vertices: func(scale float64) int { return scaled(1<<15, scale) },
+	Vertices:     func(scale float64) int { return scaled(1<<15, scale) },
 	Stream: func(scale float64, seed uint64, sink EdgeSink) error {
 		n := scaled(1<<15, scale)
 		return communityWithHubsInto(n, maxInt(8, n/512), 22, 0.92, maxInt(4, n/4096), n/16, seed, sink)
@@ -98,11 +99,7 @@ var ComLiveJournal = Dataset{
 	RealVertices: 3_997_962,
 	RealEdges:    69_362_378,
 	BaseVertices: 1 << 14,
-	Generate: func(scale float64, cfg Config) (*graph.Graph, error) {
-		n := scaled(1<<14, scale)
-		return communityWithHubs(n, maxInt(8, n/256), 17, 0.85, maxInt(2, n/8192), n/32, cfg)
-	},
-	Vertices: func(scale float64) int { return scaled(1<<14, scale) },
+	Vertices:     func(scale float64) int { return scaled(1<<14, scale) },
 	Stream: func(scale float64, seed uint64, sink EdgeSink) error {
 		n := scaled(1<<14, scale)
 		return communityWithHubsInto(n, maxInt(8, n/256), 17, 0.85, maxInt(2, n/8192), n/32, seed, sink)
@@ -120,12 +117,7 @@ var WikiTalk = Dataset{
 	RealVertices: 2_394_385,
 	RealEdges:    5_021_410,
 	BaseVertices: 1 << 15,
-	Generate: func(scale float64, cfg Config) (*graph.Graph, error) {
-		n := scaled(1<<15, scale)
-		hubs := maxInt(4, n/512)
-		return SkewedStar(n, hubs, n/24, 3, cfg)
-	},
-	Vertices: func(scale float64) int { return scaled(1<<15, scale) },
+	Vertices:     func(scale float64) int { return scaled(1<<15, scale) },
 	Stream: func(scale float64, seed uint64, sink EdgeSink) error {
 		n := scaled(1<<15, scale)
 		return SkewedStarInto(n, maxInt(4, n/512), n/24, 3, seed, sink)
@@ -150,21 +142,6 @@ func ByName(name string) (Dataset, error) {
 	}
 	sort.Strings(names)
 	return Dataset{}, fmt.Errorf("gen: unknown dataset %q (have %v)", name, names)
-}
-
-// communityWithHubs layers a small number of high-degree hubs over a
-// planted-community base graph, approximating natural graphs that have
-// both locality and a heavy degree tail. Hub vertices are spread uniformly
-// across the id space so that they land in different partitions.
-func communityWithHubs(n, communities, degree int, pIn float64, hubs, hubDeg int, cfg Config) (*graph.Graph, error) {
-	b := graph.NewBuilder(maxInt(n, 0))
-	if cfg.DropSelfLoops {
-		b.DropSelfLoops()
-	}
-	if err := communityWithHubsInto(n, communities, degree, pIn, hubs, hubDeg, cfg.Seed, b); err != nil {
-		return nil, err
-	}
-	return cfg.finish(b)
 }
 
 func maxInt(a, b int) int {

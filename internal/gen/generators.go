@@ -169,7 +169,7 @@ func Grid(rows, cols int, cfg Config) (*graph.Graph, error) {
 // METIS curve demonstrates.
 func Community(n, communities, degree int, pIn float64, cfg Config) (*graph.Graph, error) {
 	b := cfg.builder(maxInt(n, 0))
-	if err := CommunityInto(n, communities, degree, pIn, cfg.Seed, b); err != nil {
+	if err := communityWithHubsInto(n, communities, degree, pIn, 0, 0, cfg.Seed, b); err != nil {
 		return nil, err
 	}
 	return cfg.finish(b)

@@ -101,42 +101,15 @@ func SkewedStarInto(n, hubs, hubDeg, leafDeg int, seed uint64, sink EdgeSink) er
 	return nil
 }
 
-// CommunityInto streams the planted-partition edge list into sink; see
-// Community for topology semantics.
-func CommunityInto(n, communities, degree int, pIn float64, seed uint64, sink EdgeSink) error {
-	if n <= 0 || communities <= 0 || communities > n || pIn < 0 || pIn > 1 {
-		return fmt.Errorf("gen: Community invalid n=%d c=%d pIn=%v", n, communities, pIn)
-	}
-	r := newRNG(seed)
-	size := n / communities
-	for v := 0; v < n; v++ {
-		c := v / size
-		if c >= communities {
-			c = communities - 1
-		}
-		lo := c * size
-		hi := lo + size
-		if c == communities-1 {
-			hi = n
-		}
-		for e := 0; e < degree; e++ {
-			var dst int
-			if r.float64() < pIn {
-				dst = lo + r.intn(hi-lo)
-			} else {
-				dst = r.intn(n)
-			}
-			sink.AddEdge(graph.VertexID(v), graph.VertexID(dst), r.float32())
-		}
-	}
-	return nil
-}
-
-// communityWithHubsInto streams the community base plus the hub overlay;
-// see communityWithHubs for topology semantics.
+// communityWithHubsInto streams a planted-partition edge list (see
+// Community for its topology) and then layers `hubs` high-degree vertices
+// over it, approximating natural graphs that have both locality and a
+// heavy degree tail. Hub vertices are spread uniformly across the id
+// space so that they land in different partitions; with no hubs the
+// overlay draws nothing.
 func communityWithHubsInto(n, communities, degree int, pIn float64, hubs, hubDeg int, seed uint64, sink EdgeSink) error {
 	if n <= 0 || communities <= 0 || communities > n || pIn < 0 || pIn > 1 {
-		return fmt.Errorf("gen: communityWithHubs invalid n=%d c=%d pIn=%v", n, communities, pIn)
+		return fmt.Errorf("gen: Community invalid n=%d c=%d pIn=%v", n, communities, pIn)
 	}
 	r := newRNG(seed)
 	size := n / communities

@@ -28,39 +28,24 @@ func (ErrCheck) Doc() string {
 
 func (a ErrCheck) Run(pass *Pass) {
 	for _, file := range pass.Files {
-		name := pass.Fset.Position(file.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			// Deferred calls are deliberately not flagged: deferred
 			// cleanup is conventionally best-effort (defer f.Close() on
 			// a read path), and the non-deferred path is the one that
 			// must check.
 			var call *ast.CallExpr
-			plainStmt := false
 			switch st := n.(type) {
 			case *ast.ExprStmt:
 				call, _ = st.X.(*ast.CallExpr)
-				plainStmt = true
 			case *ast.GoStmt:
 				call = st.Call
 			}
 			if call == nil || !a.returnsError(pass, call) || a.exempt(pass, file, call) {
 				return true
 			}
-			// For a plain call statement the mechanical fix is a blank
-			// assignment with the call's exact arity; a go'd call has no
-			// such rewrite (the result is dropped in another goroutine).
-			var edits []Edit
-			if plainStmt {
-				if blanks := blankAssignPrefix(pass, call); blanks != "" {
-					edits = []Edit{{Pos: call.Pos(), End: call.Pos(), New: blanks}}
-				}
-			}
-			pass.ReportFix(call.Pos(),
+			pass.Report(call.Pos(),
 				"error result of "+callName(call)+" is dropped",
-				"check the error, or assign it to _ if discarding is deliberate", edits)
+				"check the error, or assign it to _ if discarding is deliberate")
 			return true
 		})
 	}
@@ -128,24 +113,6 @@ func isBuilderType(t types.Type) bool {
 	}
 	name := t.String()
 	return name == "strings.Builder" || name == "bytes.Buffer"
-}
-
-// blankAssignPrefix returns "_ = " (or "_, _ = " ... matching the call's
-// result count) to prepend to a dropped call, or "" when the arity is
-// unknown.
-func blankAssignPrefix(pass *Pass, call *ast.CallExpr) string {
-	t := pass.TypeOf(call)
-	if t == nil {
-		return ""
-	}
-	n := 1
-	if tup, ok := t.(*types.Tuple); ok {
-		n = tup.Len()
-	}
-	if n < 1 {
-		return ""
-	}
-	return strings.Repeat("_, ", n-1) + "_ = "
 }
 
 func callName(call *ast.CallExpr) string {

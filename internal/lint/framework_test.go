@@ -10,8 +10,8 @@ import (
 	"testing"
 )
 
-// writeTempModule lays out a throwaway module so fixes can be applied
-// to real files without touching the repository's own fixtures.
+// writeTempModule lays out a throwaway module so the loader can be
+// driven over real files without touching the repository's own fixtures.
 func writeTempModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -27,7 +27,7 @@ func writeTempModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-func loadTempModule(t *testing.T, dir string) (*Loader, []*Package) {
+func loadTempModule(t *testing.T, dir string) []*Package {
 	t.Helper()
 	loader, err := NewLoader(dir)
 	if err != nil {
@@ -42,110 +42,7 @@ func loadTempModule(t *testing.T, dir string) (*Loader, []*Package) {
 			t.Fatalf("temp module type error: %v", e)
 		}
 	}
-	return loader, pkgs
-}
-
-const fixableSrc = `package out
-
-import (
-	"fmt"
-	"os"
-)
-
-func writeRows(f *os.File, rows map[string]int) {
-	var keys []string
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	for _, k := range keys {
-		fmt.Fprintf(f, "%s %d\n", k, rows[k])
-	}
-	f.Sync()
-}
-`
-
-// TestApplyFixesRoundTrip is the -fix contract: applying fixes resolves
-// every fixable finding, the output is gofmt-clean, and a second run
-// produces an empty diff (idempotence).
-func TestApplyFixesRoundTrip(t *testing.T) {
-	dir := writeTempModule(t, map[string]string{
-		"go.mod":     "module fixme\n",
-		"out/out.go": fixableSrc,
-	})
-	loader, pkgs := loadTempModule(t, dir)
-	diags := Run(Syntactic(), pkgs)
-	var fixable int
-	for _, d := range diags {
-		if d.Fixable {
-			fixable++
-		}
-	}
-	// The seeded file drops two errors (Fprintf, Sync) and collects map
-	// keys without sorting them.
-	if fixable < 3 {
-		t.Fatalf("expected at least 3 fixable findings, got %d of %d:\n%v", fixable, len(diags), diags)
-	}
-	files, applied, err := ApplyFixes(loader.Fset(), diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appliedCount := 0
-	for _, ok := range applied {
-		if ok {
-			appliedCount++
-		}
-	}
-	if appliedCount != fixable {
-		t.Fatalf("applied %d of %d fixable findings", appliedCount, fixable)
-	}
-	if len(files) != 1 {
-		t.Fatalf("expected 1 rewritten file, got %d", len(files))
-	}
-	for name, content := range files {
-		if err := os.WriteFile(name, content, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(content), "sort.Strings(keys)") {
-			t.Errorf("maporder fix missing from rewritten file:\n%s", content)
-		}
-		if !strings.Contains(string(content), `"sort"`) {
-			t.Errorf("sort import not added:\n%s", content)
-		}
-		if !strings.Contains(string(content), "_, _ = fmt.Fprintf") || !strings.Contains(string(content), "_ = f.Sync()") {
-			t.Errorf("errcheck fixes missing from rewritten file:\n%s", content)
-		}
-	}
-	// Second run over the fixed tree: nothing fixable may remain, and
-	// ApplyFixes must be a no-op — the empty-diff gate in check.sh.
-	loader2, pkgs2 := loadTempModule(t, dir)
-	diags2 := Run(Syntactic(), pkgs2)
-	for _, d := range diags2 {
-		t.Errorf("finding survived -fix: %s", d)
-	}
-	files2, _, err := ApplyFixes(loader2.Fset(), diags2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files2) != 0 {
-		t.Fatalf("second -fix run rewrote %d file(s); fixes are not idempotent", len(files2))
-	}
-}
-
-func TestUnifiedDiff(t *testing.T) {
-	if got := UnifiedDiff("x.go", []byte("a\nb\n"), []byte("a\nb\n")); got != "" {
-		t.Errorf("identical contents produced a diff:\n%s", got)
-	}
-	got := UnifiedDiff("x.go", []byte("a\nb\nc\n"), []byte("a\nB\nc\n"))
-	for _, want := range []string{"--- a/x.go", "+++ b/x.go", "-b", "+B", "@@ -2 +2 @@"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("diff missing %q:\n%s", want, got)
-		}
-	}
-	// Pure insertion: zero-length old range anchors on the prior line.
-	got = UnifiedDiff("y.go", []byte("a\nc\n"), []byte("a\nb\nc\n"))
-	if !strings.Contains(got, "@@ -1,0 +2 @@") || !strings.Contains(got, "+b") {
-		t.Errorf("insertion diff malformed:\n%s", got)
-	}
+	return pkgs
 }
 
 // TestTypeErrorDiagnostics: a package that stops compiling becomes a
@@ -256,7 +153,7 @@ func dump(w *os.File, m map[string][]byte) {
 }
 `,
 	})
-	_, pkgs := loadTempModule(t, dir)
+	pkgs := loadTempModule(t, dir)
 	diags := Run([]Analyzer{ErrCheck{}, MapOrder{}}, pkgs)
 	rules := make(map[string]int)
 	for _, d := range diags {
@@ -268,8 +165,8 @@ func dump(w *os.File, m map[string][]byte) {
 	}
 }
 
-// TestGoldenJSON pins the machine-readable output shape: field order,
-// fixability flags, and module-root-relative positions. Regenerate with
+// TestGoldenJSON pins the machine-readable output shape: field order
+// and module-root-relative positions. Regenerate with
 // UPDATE_GOLDEN=1 go test ./internal/lint -run TestGoldenJSON.
 func TestGoldenJSON(t *testing.T) {
 	loader, err := NewLoader(".")
@@ -310,7 +207,7 @@ func TestGoldenJSON(t *testing.T) {
 		t.Fatalf("golden file missing (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
 	if string(want) != string(data) {
-		t.Errorf("JSON output drifted from golden file:\n%s", UnifiedDiff(golden, want, data))
+		t.Errorf("JSON output drifted from golden file %s:\nwant:\n%s\ngot:\n%s", golden, want, data)
 	}
 }
 
@@ -365,7 +262,7 @@ func TestLoaderRespectsBuildConstraints(t *testing.T) {
 		"p/a.go": "package p\n\nfunc impl() int { return 1 }\n",
 		"p/b.go": "//go:build never_set_tag\n\npackage p\n\nfunc impl() int { return 2 }\n",
 	})
-	_, pkgs := loadTempModule(t, dir)
+	pkgs := loadTempModule(t, dir)
 	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
 		t.Fatalf("loaded %d packages, want 1 with only the unconstrained file", len(pkgs))
 	}

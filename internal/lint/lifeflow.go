@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/lint/flow"
 	"repro/internal/lint/lifeflow"
@@ -35,15 +34,12 @@ func lifeflowOf(mod *Module) *lifeflow.Analysis {
 }
 
 // forEachFuncDecl invokes visit for every function declaration with a
-// body in the pass's non-test files.
+// body in the pass's files.
 func forEachFuncDecl(pass *Pass, visit func(file *ast.File, fd *ast.FuncDecl)) {
 	if pass.Info == nil {
 		return
 	}
 	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -89,31 +85,23 @@ func (LeakPair) Run(pass *Pass) {
 			return true
 		})
 		for _, region := range regions {
-			for _, lk := range an.Check(pass.Info, region) {
-				reportLeak(pass, lk)
+			for _, ob := range an.Check(pass.Info, region) {
+				reportLeak(pass, ob)
 			}
 		}
 	})
 }
 
-func reportLeak(pass *Pass, lk lifeflow.Leak) {
-	ob := lk.Ob
+func reportLeak(pass *Pass, ob lifeflow.Obligation) {
 	if ob.Discarded {
 		pass.Report(ob.Call.Pos(),
 			fmt.Sprintf("result of %s is discarded; the %s can never be released", ob.Spec.Acquire, ob.Spec.What),
 			fmt.Sprintf("bind the result and call %s when done", ob.Spec.Name))
 		return
 	}
-	release := ob.Spec.ReleaseText(ob.BoundName)
-	msg := fmt.Sprintf("%s acquired by %s is not released on every path", ob.BoundName, ob.Spec.Acquire)
-	fix := fmt.Sprintf("call %s on every exit path, or transfer ownership (return/store/send) explicitly", release)
-	if lk.CanFix {
-		pass.ReportFix(ob.Call.Pos(), msg,
-			"defer "+release+" immediately after the acquisition",
-			[]Edit{{Pos: lk.InsertAfter, End: lk.InsertAfter, New: "\n\tdefer " + release}})
-		return
-	}
-	pass.Report(ob.Call.Pos(), msg, fix)
+	pass.Report(ob.Call.Pos(),
+		fmt.Sprintf("%s acquired by %s is not released on every path", ob.BoundName, ob.Spec.Acquire),
+		fmt.Sprintf("call %s on every exit path, or transfer ownership (return/store/send) explicitly", ob.Spec.ReleaseText(ob.BoundName)))
 }
 
 // CtxFlow enforces context plumbing: a fresh context.Background()/TODO()

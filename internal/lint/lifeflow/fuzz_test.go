@@ -145,6 +145,6 @@ func fuzzed(ctx context.Context, ch chan int, mu *sync.Mutex) {
 	})
 }
 
-func leakKey(lk Leak) string {
-	return fmt.Sprintf("%d:%s:%v", lk.Ob.Call.Pos(), lk.Ob.BoundName, lk.Ob.Discarded)
+func leakKey(ob Obligation) string {
+	return fmt.Sprintf("%d:%s:%v", ob.Call.Pos(), ob.BoundName, ob.Discarded)
 }

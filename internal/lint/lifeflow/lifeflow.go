@@ -75,9 +75,6 @@ type PairSpec struct {
 	// Transferable: ownership can be handed off (returned, stored,
 	// sent, captured). Mutexes are not transferable.
 	Transferable bool
-	// AutoFix: a missing release with no partial release/transfer can
-	// be mechanically repaired with a defer right after the acquire.
-	AutoFix bool
 }
 
 // ReleaseText renders the statement text that discharges an obligation
@@ -99,8 +96,8 @@ type builtinPair struct {
 }
 
 var (
-	cancelSpec  = &PairSpec{Kind: ReleaseCall, Name: "cancel", What: "cancel function", Transferable: true, AutoFix: true}
-	stopSpec    = &PairSpec{Kind: ReleaseMethod, Name: "Stop", What: "timer goroutine", Transferable: true, AutoFix: true}
+	cancelSpec  = &PairSpec{Kind: ReleaseCall, Name: "cancel", What: "cancel function", Transferable: true}
+	stopSpec    = &PairSpec{Kind: ReleaseMethod, Name: "Stop", What: "timer goroutine", Transferable: true}
 	closeSpec   = &PairSpec{Kind: ReleaseMethod, Name: "Close", What: "descriptor", Transferable: true}
 	unlockSpec  = &PairSpec{Kind: ReleaseMethod, Name: "Unlock", Acquire: "Lock", What: "mutex", Transferable: false}
 	rUnlockSpec = &PairSpec{Kind: ReleaseMethod, Name: "RUnlock", Acquire: "RLock", What: "read lock", Transferable: false}
@@ -149,18 +146,6 @@ type Obligation struct {
 	// Discarded: the acquiring call's result was dropped entirely, so
 	// the resource can never be released.
 	Discarded bool
-}
-
-// Leak is one obligation some exit path fails to discharge.
-type Leak struct {
-	Ob Obligation
-	// CanFix: no path releases or transfers the bound value at all and
-	// the acquire is a direct child of the region body, so inserting a
-	// defer right after it is safe and sufficient.
-	CanFix bool
-	// InsertAfter is the position (the acquire statement's End) where a
-	// "defer <release>" insertion repairs the leak, valid iff CanFix.
-	InsertAfter token.Pos
 }
 
 // Malformed is a //lint:pair directive the parser rejected.
@@ -293,7 +278,7 @@ func (a *Analysis) acquireAt(info *types.Info, call *ast.CallExpr) (acqSite, boo
 // function literal's body — and returns the obligations some exit path
 // leaks. Nested function literals are separate regions and are skipped
 // here (capturing the bound value counts as a transfer instead).
-func (a *Analysis) Check(info *types.Info, body *ast.BlockStmt) []Leak {
+func (a *Analysis) Check(info *types.Info, body *ast.BlockStmt) []Obligation {
 	if info == nil || body == nil {
 		return nil
 	}
@@ -302,21 +287,11 @@ func (a *Analysis) Check(info *types.Info, body *ast.BlockStmt) []Leak {
 		return nil
 	}
 	cfg := flow.Build(body)
-	var leaks []Leak
+	var leaks []Obligation
 	for _, ob := range obs {
-		if ob.Discarded {
-			leaks = append(leaks, Leak{Ob: ob})
-			continue
+		if ob.Discarded || a.pathLeaks(info, cfg, ob) {
+			leaks = append(leaks, ob)
 		}
-		if !a.pathLeaks(info, cfg, ob) {
-			continue
-		}
-		lk := Leak{Ob: ob}
-		if ob.Spec.AutoFix && ob.BoundName != "" && a.fixable(info, body, ob) {
-			lk.CanFix = true
-			lk.InsertAfter = ob.Stmt.End()
-		}
-		leaks = append(leaks, lk)
 	}
 	return leaks
 }
@@ -673,25 +648,6 @@ func mentions(info *types.Info, n ast.Node, obj types.Object) bool {
 		return true
 	})
 	return found
-}
-
-// fixable reports whether inserting a defer right after the acquire is
-// a safe repair: nothing anywhere in the region releases or transfers
-// the bound value (so the defer cannot double-release), and the acquire
-// statement is a direct child of the region body (so the insertion
-// point is unambiguous).
-func (a *Analysis) fixable(info *types.Info, body *ast.BlockStmt, ob Obligation) bool {
-	direct := false
-	for _, s := range body.List {
-		if s == ob.Stmt {
-			direct = true
-			break
-		}
-	}
-	if !direct {
-		return false
-	}
-	return !a.resolves(info, body, ob)
 }
 
 func isErrorType(t types.Type) bool {

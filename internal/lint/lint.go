@@ -37,22 +37,8 @@ type Diagnostic struct {
 	Rule     string         `json:"rule"`
 	Message  string         `json:"message"`
 	// SuggestedFix is advisory prose: the idiom that removes the
-	// finding. When the analyzer can compute the rewrite mechanically,
-	// Edits carries it and Fixable is set.
+	// finding.
 	SuggestedFix string `json:"suggested_fix,omitempty"`
-	// Fixable marks findings whose Edits implement the suggested fix;
-	// ndplint -fix applies them.
-	Fixable bool `json:"fixable,omitempty"`
-	// Edits are the concrete rewrites (token positions into the pass's
-	// FileSet). Excluded from JSON: positions are process-local.
-	Edits []Edit `json:"-"`
-}
-
-// Edit is one textual replacement: the source range [Pos, End) becomes
-// New. An insertion has Pos == End.
-type Edit struct {
-	Pos, End token.Pos
-	New      string
 }
 
 func (d Diagnostic) String() string {
@@ -98,12 +84,6 @@ type Pass struct {
 
 // Report records a finding unless an ignore directive covers it.
 func (p *Pass) Report(pos token.Pos, message, suggestedFix string) {
-	p.ReportFix(pos, message, suggestedFix, nil)
-}
-
-// ReportFix records a finding carrying concrete edits that implement the
-// suggested fix (applied by ndplint -fix).
-func (p *Pass) ReportFix(pos token.Pos, message, suggestedFix string, edits []Edit) {
 	position := p.Fset.Position(pos)
 	if p.suppressed(position) {
 		return
@@ -113,8 +93,6 @@ func (p *Pass) ReportFix(pos token.Pos, message, suggestedFix string, edits []Ed
 		Rule:         p.Analyzer.Name(),
 		Message:      message,
 		SuggestedFix: suggestedFix,
-		Fixable:      len(edits) > 0,
-		Edits:        edits,
 	})
 }
 

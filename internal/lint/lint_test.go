@@ -308,41 +308,3 @@ func TestLifeflowCatchesWhatSyntaxMisses(t *testing.T) {
 		})
 	}
 }
-
-// TestLifeflowAutoFix covers the mechanical repair path: the unstopped
-// ticker in the leakpair fixture is a single-exit acquire with no release
-// or ownership transfer anywhere, so leakpair must offer (and ApplyFixes
-// must cleanly apply) an inserted defer t.Stop().
-func TestLifeflowAutoFix(t *testing.T) {
-	pkg := loadFixture(t, "leakpair")
-	diags := Run([]Analyzer{LeakPair{}}, []*Package{pkg})
-	fixable := 0
-	for _, d := range diags {
-		if d.Fixable {
-			fixable++
-		}
-	}
-	if fixable == 0 {
-		t.Fatalf("no fixable leakpair diagnostics on the fixture; got %v", diags)
-	}
-	files, applied, err := ApplyFixes(pkg.Fset, diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, ok := range applied {
-		if ok {
-			n++
-		}
-	}
-	if n != fixable {
-		t.Fatalf("applied %d fixes, want %d", n, fixable)
-	}
-	var fixed string
-	for _, content := range files {
-		fixed += string(content)
-	}
-	if !strings.Contains(fixed, "defer t.Stop()") {
-		t.Fatalf("fixed source does not insert defer t.Stop():\n%s", fixed)
-	}
-}

@@ -33,10 +33,6 @@ type Package struct {
 type Loader struct {
 	ModuleRoot string
 	ModulePath string
-	// IncludeTests makes the loader parse _test.go files too. The suite
-	// defaults to non-test files: tests legitimately use wall-clock
-	// timeouts and unordered iteration.
-	IncludeTests bool
 
 	fset   *token.FileSet
 	std    types.Importer
@@ -86,9 +82,6 @@ func NewLoader(dir string) (*Loader, error) {
 		loaded:     make(map[string]*Package),
 	}, nil
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Load resolves package patterns ("./...", directories, or import paths
 // under the module) into parsed packages, in deterministic order.
@@ -201,14 +194,15 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
+		// Test files are not linted: tests legitimately use wall-clock
+		// timeouts and unordered iteration.
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		// Respect build constraints (//go:build lines and _GOOS/_GOARCH
@@ -221,6 +215,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
@@ -231,44 +226,9 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, nil
 	}
-	// External test packages (package foo_test) live in the same
-	// directory; type-check only the primary package's files together.
-	primary := files[0].Name.Name
-	for _, f := range files {
-		if !strings.HasSuffix(f.Name.Name, "_test") {
-			primary = f.Name.Name
-			break
-		}
-	}
-	var primaryFiles, extraFiles []*ast.File
-	for _, f := range files {
-		if f.Name.Name == primary {
-			primaryFiles = append(primaryFiles, f)
-		} else {
-			extraFiles = append(extraFiles, f)
-		}
-	}
-	pkg := &Package{ImportPath: path, Dir: dir, Fset: l.fset, Files: primaryFiles}
+	pkg := &Package{ImportPath: path, Dir: dir, Fset: l.fset, Files: files}
 	l.loaded[path] = pkg
-	pkg.Info = l.check(path, primaryFiles, &pkg.TypeErrors)
-	if len(extraFiles) > 0 {
-		// Best effort for the external test package: analyzed
-		// syntactically alongside, with its own type info.
-		extInfo := l.check(path+"_test", extraFiles, &pkg.TypeErrors)
-		for k, v := range extInfo.Types {
-			pkg.Info.Types[k] = v
-		}
-		for k, v := range extInfo.Uses {
-			pkg.Info.Uses[k] = v
-		}
-		for k, v := range extInfo.Defs {
-			pkg.Info.Defs[k] = v
-		}
-		for k, v := range extInfo.Selections {
-			pkg.Info.Selections[k] = v
-		}
-		pkg.Files = append(pkg.Files, extraFiles...)
-	}
+	pkg.Info = l.check(path, files, &pkg.TypeErrors)
 	return pkg, nil
 }
 

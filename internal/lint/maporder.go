@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // MapOrder flags `range` over a map when the loop body does something
@@ -48,7 +47,7 @@ func (a MapOrder) Run(pass *Pass) {
 					return false
 				}
 				if rng, ok := n.(*ast.RangeStmt); ok {
-					a.checkRange(pass, file, rng, siblings)
+					a.checkRange(pass, rng, siblings)
 					// Still descend: nested map ranges inside this body
 					// get their own sibling context via the BlockStmt
 					// case above.
@@ -60,7 +59,7 @@ func (a MapOrder) Run(pass *Pass) {
 	}
 }
 
-func (a MapOrder) checkRange(pass *Pass, file *ast.File, rng *ast.RangeStmt, after []ast.Stmt) {
+func (a MapOrder) checkRange(pass *Pass, rng *ast.RangeStmt, after []ast.Stmt) {
 	t := pass.TypeOf(rng.X)
 	if t == nil {
 		return
@@ -78,13 +77,9 @@ func (a MapOrder) checkRange(pass *Pass, file *ast.File, rng *ast.RangeStmt, aft
 			switch fun := n.Fun.(type) {
 			case *ast.Ident:
 				if fun.Name == "append" {
-					// When the loop is exactly the collect-keys idiom
-					// minus its sort, the mechanical fix is inserting
-					// the sort after the loop (plus the import).
-					pass.ReportFix(n.Pos(),
+					pass.Report(n.Pos(),
 						"append inside map iteration builds a slice in nondeterministic order",
-						"collect the keys, sort them, then range over the sorted slice",
-						a.sortKeyFix(pass, file, rng))
+						"collect the keys, sort them, then range over the sorted slice")
 					return true
 				}
 				if pass.Info == nil {
@@ -211,96 +206,6 @@ func (a MapOrder) isSortedKeyCollection(pass *Pass, rng *ast.RangeStmt, after []
 		}
 	}
 	return false
-}
-
-// sortKeyFix returns the edits for the one shape -fix can repair: a
-// loop whose body only appends the range key to a plain slice variable
-// of a sortable basic type. The fix inserts the missing sort call right
-// after the loop (making the loop the sanctioned sorted-keys idiom) and
-// adds the "sort" import when absent. Any other shape returns nil —
-// reordering arbitrary effects is not mechanical.
-func (a MapOrder) sortKeyFix(pass *Pass, file *ast.File, rng *ast.RangeStmt) []Edit {
-	if len(rng.Body.List) != 1 {
-		return nil
-	}
-	assign, ok := rng.Body.List[0].(*ast.AssignStmt)
-	if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
-		return nil
-	}
-	slice, ok := assign.Lhs[0].(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	call, ok := assign.Rhs[0].(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 {
-		return nil
-	}
-	if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "append" {
-		return nil
-	}
-	if base, ok := call.Args[0].(*ast.Ident); !ok || base.Name != slice.Name {
-		return nil
-	}
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return nil
-	}
-	if arg, ok := call.Args[1].(*ast.Ident); !ok || arg.Name != key.Name {
-		return nil
-	}
-	var sortFn string
-	if t := pass.TypeOf(call.Args[1]); t != nil {
-		if b, ok := t.Underlying().(*types.Basic); ok {
-			switch b.Kind() {
-			case types.String:
-				sortFn = "sort.Strings"
-			case types.Int:
-				sortFn = "sort.Ints"
-			case types.Float64:
-				sortFn = "sort.Float64s"
-			}
-		}
-	}
-	if sortFn == "" {
-		return nil
-	}
-	edits := []Edit{{Pos: rng.End(), End: rng.End(), New: "\n" + sortFn + "(" + slice.Name + ")"}}
-	if e, ok := importEdit(file, "sort"); ok {
-		edits = append(edits, e)
-	} else if !hasImport(file, "sort") {
-		return nil // nowhere safe to put the import
-	}
-	return edits
-}
-
-func hasImport(file *ast.File, path string) bool {
-	for _, imp := range file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) == path {
-			return true
-		}
-	}
-	return false
-}
-
-// importEdit returns an edit adding `path` to the file's imports, and
-// false when the import is already present.
-func importEdit(file *ast.File, path string) (Edit, bool) {
-	if hasImport(file, path) {
-		return Edit{}, false
-	}
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if gd.Lparen.IsValid() {
-			// gofmt re-sorts specs within the block after our append.
-			return Edit{Pos: gd.Rparen, End: gd.Rparen, New: "\"" + path + "\"\n"}, true
-		}
-		return Edit{Pos: gd.End(), End: gd.End(), New: "\nimport \"" + path + "\""}, true
-	}
-	// No imports at all: a fresh decl after the package clause.
-	return Edit{Pos: file.Name.End(), End: file.Name.End(), New: "\n\nimport \"" + path + "\""}, true
 }
 
 func typeAsMap(t types.Type) (*types.Map, bool) {

@@ -23,10 +23,6 @@ func (a PanicPath) Run(pass *Pass) {
 		return
 	}
 	for _, file := range pass.Files {
-		name := pass.Fset.Position(file.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -11,8 +11,9 @@
 #   benchmarks  every benchmark in the module, once (-benchtime 1x)
 #   processes   ndpverify sweep, ndpserve round-trip, ndpverify -served,
 #               out-of-core stream -> container -> verified BFS
-#   -count=2    cluster faults, parallel simulator, store lifecycle,
-#               each under the race detector
+#   -count      cluster faults, parallel simulator, store lifecycle (each
+#               -count=2), ndpserve shutdown with a parked waiter
+#               (-count=20), all under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
 #   fuzz        a short budget per fuzz target (15)
 # Any stage failing fails the gate.
@@ -169,6 +170,11 @@ step go test -race -count=2 -run '^TestParallelMatchesSerial$' ./internal/sim/
 step go test -race -count=2 \
     -run '^TestStorePinConcurrentHammer$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$|^TestStoreStatsDeterministic$' \
     ./internal/store/
+
+# ndpserve's SIGTERM drain with a waiter parked, 20 times under the race
+# detector: its slower scheduling is the load that once let a pooled,
+# never-used client connection hold the drain for net/http's 5 s grace.
+step go test -race -count=20 -run '^TestShutdownWithParkedWaiter$' ./cmd/ndpserve/
 
 # The full race tier, uncached: the verification harness's differential
 # oracles execute every layer (sim, cluster, core, partition, gen) and
