@@ -1,7 +1,7 @@
 // Command ndplint runs the project's static-analysis suite: determinism
 // and concurrency invariants the emulator's methodology depends on,
 // enforced with stdlib go/ast + go/types only. It loads the module's
-// non-test packages, runs all 7 rules and reports what they find; it
+// non-test packages, runs all 5 rules and reports what they find; it
 // never rewrites a file.
 //
 //	ndplint ./...        # human output, exit 1 on findings

@@ -104,7 +104,7 @@ func main() {
 		return
 	}
 
-	k, err := ef.MakeKernel()
+	k, err := cliconf.MakeKernel(ef.Kernel, ef.PRIters)
 	if err != nil {
 		fatal(err)
 	}
@@ -119,7 +119,7 @@ func main() {
 		return
 	}
 
-	p, err := ef.MakePartitioner(gf.Seed)
+	p, err := partition.ByName(ef.Partitioner, gf.Seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -150,7 +150,7 @@ func runSim(ctx context.Context, g *graph.Graph, k kernels.Kernel, p partition.P
 	if err != nil {
 		return err
 	}
-	pol, err := ef.MakePolicy()
+	pol, err := cliconf.MakePolicy(ef.Policy)
 	if err != nil {
 		return err
 	}
@@ -253,7 +253,7 @@ func runStore(ctx context.Context, path string, localBytes int64, verify bool, e
 		return err
 	}
 	defer func() { _ = st.Close() }()
-	k, err := ef.MakeKernel()
+	k, err := cliconf.MakeKernel(ef.Kernel, ef.PRIters)
 	if err != nil {
 		return err
 	}
@@ -288,7 +288,7 @@ func runStore(ctx context.Context, path string, localBytes int64, verify bool, e
 		if err != nil {
 			return err
 		}
-		kk, err := ef.MakeKernel() // fresh instance: stateful kernels carry run state
+		kk, err := cliconf.MakeKernel(ef.Kernel, ef.PRIters) // fresh instance: stateful kernels carry run state
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,7 +13,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/kernels"
+	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 // TestRunClusterHonorsCancelledContext pins the CLI path of the
@@ -87,5 +92,43 @@ func TestRunSerialEngineHonorsCancelledContext(t *testing.T) {
 	err = runSerialEngine(ctx, g, kernels.NewPageRank(200, 0.85), cliconf.GraphFlags{}, ef, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runSerialEngine with cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunStoreHonorsCancelledContext pins the contract for -store: the
+// container run ends with context.Canceled.
+func TestRunStoreHonorsCancelledContext(t *testing.T) {
+	g, err := gen.ErdosRenyi(256, 1024, gen.Config{Seed: 11, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.gcsr2")
+	if err := store.SaveGraphFile(path, g, 1<<10); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = runStore(ctx, path, 0, false, engineFlags(t, "-kernel", "pagerank", "-priters", "200"), false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("runStore with cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunServedHonorsCancelledContext pins it for -server: against a live
+// server, a cancelled ctx ends the submission with context.Canceled.
+func TestRunServedHonorsCancelledContext(t *testing.T) {
+	g, err := gen.ErdosRenyi(256, 1024, gen.Config{Seed: 11, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := serve.NewManager(serve.NewRegistry(), &metrics.Registry{}, serve.ManagerConfig{})
+	defer mgr.Stop()
+	ts := httptest.NewServer(serve.NewServer(mgr))
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = runServed(ctx, g, cliconf.GraphFlags{}, engineFlags(t, "-kernel", "cc"), cliconf.ClusterFlags{}, false, ts.URL, "", "g", false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("runServed with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

@@ -7,9 +7,10 @@
 //
 // Flags are grouped into registerable structs (GraphFlags, EngineFlags,
 // FaultFlags) so each command picks the groups it needs; the name
-// resolvers (MakeKernel, MakePartitioner, MakePolicy, ParseArch,
-// ParseCrashSpec, LoadGraph) are also usable directly on config values
-// that arrived by other routes, e.g. an HTTP job submission.
+// resolvers (MakeKernel, MakePolicy, ParseArch, ParseCrashSpec,
+// LoadGraph, and partition.ByName for partitioners) are also usable
+// directly on config values that arrived by other routes, e.g. an HTTP
+// job submission.
 package cliconf
 
 import (
@@ -172,21 +173,6 @@ func (f *EngineFlags) EngineOptions() (kernels.Options, error) {
 	}, nil
 }
 
-// MakeKernel resolves the flag group's kernel.
-func (f *EngineFlags) MakeKernel() (kernels.Kernel, error) {
-	return MakeKernel(f.Kernel, f.PRIters)
-}
-
-// MakePartitioner resolves the flag group's partitioner with seed.
-func (f *EngineFlags) MakePartitioner(seed uint64) (partition.Partitioner, error) {
-	return MakePartitioner(f.Partitioner, seed)
-}
-
-// MakePolicy resolves the flag group's offload policy.
-func (f *EngineFlags) MakePolicy() (sim.OffloadPolicy, error) {
-	return MakePolicy(f.Policy)
-}
-
 // MakeKernel builds a kernel by name; "pagerank"/"pr" honor the
 // PageRank iteration budget, every other name resolves through the
 // kernels registry.
@@ -195,12 +181,6 @@ func MakeKernel(name string, priters int) (kernels.Kernel, error) {
 		return kernels.NewPageRank(priters, kernels.DefaultDamping), nil
 	}
 	return kernels.ByName(name)
-}
-
-// MakePartitioner builds a partitioner by name through the partition
-// registry (the same resolution the verify harness uses).
-func MakePartitioner(name string, seed uint64) (partition.Partitioner, error) {
-	return partition.ByName(name, seed)
 }
 
 // MakePolicy builds an offload policy by name.

@@ -123,3 +123,56 @@ func TestSerialEnginesCancelMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEveryRunHonorsCancelledContext is the cancellation contract as a
+// table over every function here that takes a context and runs a kernel:
+// given one already cancelled, each returns context.Canceled and no
+// result, so none of them swaps the caller's ctx for one of its own.
+func TestEveryRunHonorsCancelledContext(t *testing.T) {
+	g := ctxTestGraph(t)
+	k := kernels.NewPageRank(50, 0.85)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	data, err := store.EncodeGraph(g, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenBytes(data, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	sys, err := New(DisaggregatedNDP, WithMemoryNodes(4), WithComputeNodes(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := sys.Partition(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func() (any, error){
+		"SerialEngine": func() (any, error) { return SerialEngine().Run(ctx, g, k, RunConfig{}) },
+		"StoreEngine":  func() (any, error) { return StoreEngine(st).Run(ctx, g, k, RunConfig{}) },
+		"ConcurrentEngine": func() (any, error) {
+			return sys.ConcurrentEngine().Run(ctx, g, k, RunConfig{Assignment: assign})
+		},
+		"Compare":               func() (any, error) { return sys.Compare(ctx, g, k) },
+		"CompareWithAssignment": func() (any, error) { return sys.CompareWithAssignment(ctx, g, k, assign) },
+	}
+	for _, arch := range Architectures() {
+		sys, err := New(arch, WithMemoryNodes(4), WithComputeNodes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs["Engine/"+arch.String()] = func() (any, error) { return sys.Engine().Run(ctx, g, k, RunConfig{Assignment: assign}) }
+	}
+	for name, run := range runs {
+		if res, err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with a cancelled context: result %v, err = %v, want context.Canceled", name, res, err)
+		}
+	}
+}

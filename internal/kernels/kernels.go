@@ -247,28 +247,26 @@ type kernelEntry struct {
 	make    func() Kernel
 }
 
-// registry is sorted by canonical name. Defaults: bfs/sssp/sswp/
+// registry is sorted by canonical name and built once, so a lookup
+// allocates only the kernel it constructs. Defaults: bfs/sssp/sswp/
 // reachability/ppr start from source 0.
-func registry() []kernelEntry {
-	return []kernelEntry{
-		{"bfs", nil, func() Kernel { return NewBFS(0) }},
-		{"cc", []string{"connectedcomponents"}, func() Kernel { return NewConnectedComponents() }},
-		{"indegree", []string{"degree"}, func() Kernel { return NewInDegree() }},
-		{"pagerank", []string{"pr"}, func() Kernel { return NewPageRank(DefaultPageRankIterations, DefaultDamping) }},
-		{"pagerank-delta", []string{"prdelta"}, func() Kernel { return NewPageRankDelta(DefaultDamping, 1e-9) }},
-		{"ppr", nil, func() Kernel { return NewPersonalizedPageRank(0, DefaultPageRankIterations, DefaultDamping) }},
-		{"reach", []string{"reachability"}, func() Kernel { return NewReachability(0) }},
-		{"sssp", nil, func() Kernel { return NewSSSP(0) }},
-		{"sswp", nil, func() Kernel { return NewSSWP(0) }},
-	}
+var registry = []kernelEntry{
+	{"bfs", nil, func() Kernel { return NewBFS(0) }},
+	{"cc", []string{"connectedcomponents"}, func() Kernel { return NewConnectedComponents() }},
+	{"indegree", []string{"degree"}, func() Kernel { return NewInDegree() }},
+	{"pagerank", []string{"pr"}, func() Kernel { return NewPageRank(DefaultPageRankIterations, DefaultDamping) }},
+	{"pagerank-delta", []string{"prdelta"}, func() Kernel { return NewPageRankDelta(DefaultDamping, 1e-9) }},
+	{"ppr", nil, func() Kernel { return NewPersonalizedPageRank(0, DefaultPageRankIterations, DefaultDamping) }},
+	{"reach", []string{"reachability"}, func() Kernel { return NewReachability(0) }},
+	{"sssp", nil, func() Kernel { return NewSSSP(0) }},
+	{"sswp", nil, func() Kernel { return NewSSWP(0) }},
 }
 
 // Names lists the canonical kernel names ByName accepts, sorted
 // (aliases like "pr" and "degree" are accepted too but not listed).
 func Names() []string {
-	entries := registry()
-	names := make([]string, len(entries))
-	for i, e := range entries {
+	names := make([]string, len(registry))
+	for i, e := range registry {
 		names[i] = e.name
 	}
 	return names
@@ -277,7 +275,7 @@ func Names() []string {
 // ByName constructs a kernel by canonical name or alias with default
 // parameters.
 func ByName(name string) (Kernel, error) {
-	for _, e := range registry() {
+	for _, e := range registry {
 		if name == e.name {
 			return e.make(), nil
 		}
@@ -293,9 +291,8 @@ func ByName(name string) (Kernel, error) {
 // All returns one instance of every kernel in registry (name-sorted)
 // order, for table-driven tests and the Figure 4 sweep.
 func All() []Kernel {
-	entries := registry()
-	kernels := make([]Kernel, len(entries))
-	for i, e := range entries {
+	kernels := make([]Kernel, len(registry))
+	for i, e := range registry {
 		kernels[i] = e.make()
 	}
 	return kernels

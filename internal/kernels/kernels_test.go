@@ -489,7 +489,7 @@ func TestRegistryNamesMatchKernels(t *testing.T) {
 			t.Errorf("ByName(%q) built kernel named %q", n, k.Name())
 		}
 	}
-	for _, e := range registry() {
+	for _, e := range registry {
 		for _, alias := range e.aliases {
 			if seen[alias] {
 				t.Errorf("alias %q collides with a canonical name", alias)

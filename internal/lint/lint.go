@@ -72,10 +72,6 @@ type Pass struct {
 	// be missing; analyzers degrade to syntactic heuristics when they
 	// are.
 	Info *types.Info
-	// Mod groups every package of this Run call, so the interprocedural
-	// lifeflow rules can follow flows across package boundaries and cache
-	// module-wide results.
-	Mod *Module
 
 	diags *[]Diagnostic
 	// ignores maps file name -> line -> rules suppressed on that line.
@@ -189,34 +185,10 @@ func collectIgnores(fset *token.FileSet, file *ast.File, into map[string]map[int
 	}
 }
 
-// Module groups the packages of one Run call. Interprocedural analyzers
-// memoize module-wide results (per-function facts) here so the work
-// happens once, not once per package.
-type Module struct {
-	Pkgs []*Package
-
-	memo map[string]any
-}
-
-// Memoize returns the cached value under key, building it on first use.
-// Analyzers are run sequentially, so no locking is needed.
-func (m *Module) Memoize(key string, build func() any) any {
-	if m.memo == nil {
-		m.memo = make(map[string]any)
-	}
-	if v, ok := m.memo[key]; ok {
-		return v
-	}
-	v := build()
-	m.memo[key] = v
-	return v
-}
-
 // Run applies every analyzer to every package and returns the findings
 // sorted by position then rule, so output order is itself deterministic.
 func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
-	mod := &Module{Pkgs: pkgs}
 	for _, pkg := range pkgs {
 		ignores := make(map[string]map[int][]string)
 		for _, f := range pkg.Files {
@@ -229,7 +201,6 @@ func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 				ImportPath: pkg.ImportPath,
 				Files:      pkg.Files,
 				Info:       pkg.Info,
-				Mod:        mod,
 				diags:      &diags,
 				ignores:    ignores,
 			}
@@ -240,15 +211,10 @@ func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 	return diags
 }
 
-// All returns the full analyzer suite in stable order: the five
-// syntactic rules, then the two lifeflow resource-lifecycle rules built
-// on internal/lint/lifeflow.
+// All returns the analyzer suite in stable order. Resource lifecycles
+// (files, locks, cancel funcs, snapshot and segment references) are held
+// by tests and go vet's lostcancel, not by a rule here.
 func All() []Analyzer {
-	return append(Syntactic(), Lifeflow()...)
-}
-
-// Syntactic returns the per-function pattern-matching rules.
-func Syntactic() []Analyzer {
 	return []Analyzer{
 		NoDeterm{},
 		MapOrder{},

@@ -80,11 +80,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"errcheck", ErrCheck{}, ""},
 		{"floatacc", FloatAcc{}, ""},
 		{"panicpath", PanicPath{}, ""},
-		// The lifeflow suite: resource-lifecycle obligations. Pairs come
-		// from the built-in table plus //lint:pair annotations in the
-		// fixtures, so no path scoping is needed.
-		{"leakpair", LeakPair{}, ""},
-		{"ctxflow", CtxFlow{}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -168,7 +163,6 @@ func TestNoDetermScope(t *testing.T) {
 // mutant for every name here.
 var ruleCatalog = []string{
 	"nodeterm", "maporder", "errcheck", "floatacc", "panicpath",
-	"leakpair", "ctxflow",
 }
 
 // TestRuleCatalog pins All() to the catalog.
@@ -280,31 +274,5 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	diags := Run(All(), pkgs)
 	for _, d := range diags {
 		t.Errorf("repository is not lint-clean: %s", d)
-	}
-}
-
-// TestLifeflowCatchesWhatSyntaxMisses is the acceptance check for the
-// lifeflow suite: each fixture's seeded lifecycle bug — a leak on one
-// path, a detached context — must be invisible to every syntactic
-// analyzer, and caught by the corresponding lifeflow rule.
-func TestLifeflowCatchesWhatSyntaxMisses(t *testing.T) {
-	cases := []struct {
-		dir      string
-		lifeflow Analyzer
-	}{
-		{"leakpair", LeakPair{}},
-		{"ctxflow", CtxFlow{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.dir, func(t *testing.T) {
-			pkgs := []*Package{loadFixture(t, tc.dir)}
-			for _, d := range Run(Syntactic(), pkgs) {
-				t.Errorf("syntactic analyzer unexpectedly caught the seeded lifecycle bug: %s", d)
-			}
-			found := Run([]Analyzer{tc.lifeflow}, pkgs)
-			if len(found) == 0 {
-				t.Errorf("%s found nothing on its fixture: the seeded lifecycle bug went uncaught", tc.lifeflow.Name())
-			}
-		})
 	}
 }

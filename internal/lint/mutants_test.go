@@ -57,17 +57,6 @@ var seededMutants = []mutant{
 		"\t\treturn fmt.Errorf(\"partition: k = %d, want > 0\", k)\n",
 		"\t\tpanic(fmt.Sprintf(\"partition: k = %d, want > 0\", k))\n",
 	}}},
-	// Submit after Stop must hand back the snapshot reference it took.
-	{"leakpair", "internal/serve/job.go", []edit{{
-		"\tif m.stopped {\n\t\tsnap.release()\n\t\treturn nil, ErrStopped\n",
-		"\tif m.stopped {\n\t\treturn nil, ErrStopped\n",
-	}}},
-	// The recorded catch: the cluster path ran on a context the signal
-	// handler could not cancel.
-	{"ctxflow", "cmd/ndprun/main.go", []edit{{
-		"sys.ConcurrentEngine().Run(ctx, g, k, core.RunConfig{})",
-		"sys.ConcurrentEngine().Run(context.Background(), g, k, core.RunConfig{})",
-	}}},
 }
 
 // TestRulesCatchSeededMutants is what keeps a rule in the suite: each

@@ -12,23 +12,20 @@ type entry struct {
 	make func(seed uint64) Partitioner
 }
 
-// registry is sorted by name. Seed only matters to the seeded
-// strategies; the rest ignore it.
-func registry() []entry {
-	return []entry{
-		{"chunk", func(uint64) Partitioner { return Chunk{} }},
-		{"hash", func(uint64) Partitioner { return Hash{} }},
-		{"ldg", func(uint64) Partitioner { return LDG{} }},
-		{"multilevel", func(seed uint64) Partitioner { return Multilevel{Seed: seed} }},
-		{"range", func(uint64) Partitioner { return Range{} }},
-	}
+// registry is sorted by name and built once. Seed only matters to the
+// seeded strategies; the rest ignore it.
+var registry = []entry{
+	{"chunk", func(uint64) Partitioner { return Chunk{} }},
+	{"hash", func(uint64) Partitioner { return Hash{} }},
+	{"ldg", func(uint64) Partitioner { return LDG{} }},
+	{"multilevel", func(seed uint64) Partitioner { return Multilevel{Seed: seed} }},
+	{"range", func(uint64) Partitioner { return Range{} }},
 }
 
 // Names lists the canonical partitioner names ByName accepts, sorted.
 func Names() []string {
-	entries := registry()
-	names := make([]string, len(entries))
-	for i, e := range entries {
+	names := make([]string, len(registry))
+	for i, e := range registry {
 		names[i] = e.name
 	}
 	return names
@@ -37,7 +34,7 @@ func Names() []string {
 // ByName constructs a partitioner by canonical name. seed parameterizes
 // the seeded strategies (multilevel); the others ignore it.
 func ByName(name string, seed uint64) (Partitioner, error) {
-	for _, e := range registry() {
+	for _, e := range registry {
 		if name == e.name {
 			return e.make(seed), nil
 		}

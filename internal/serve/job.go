@@ -332,14 +332,17 @@ func (m *Manager) wait(ctx context.Context, id string, d time.Duration) (JobInfo
 		case <-job.done: // terminal already: nothing to park on, stopped or not
 		default:
 			m.c.waitsParked.Inc()
-			timer := time.NewTimer(d)
-			defer timer.Stop()
+			// The bound is a context, so go vet's lostcancel holds its
+			// release.
+			wctx, cancel := context.WithTimeout(ctx, d)
+			defer cancel()
 			select {
 			case <-job.done:
-			case <-timer.C:
+			case <-wctx.Done():
+				if err := ctx.Err(); err != nil {
+					return JobInfo{}, err
+				}
 				m.c.waitsExpired.Inc()
-			case <-ctx.Done():
-				return JobInfo{}, ctx.Err()
 			case <-m.stopCh:
 				return JobInfo{}, ErrStopped
 			}
@@ -532,7 +535,7 @@ func (m *Manager) Stop() {
 func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
 	var assign *partition.Assignment
 	if spec.Engine != EngineSerial {
-		p, err := cliconf.MakePartitioner(spec.Partitioner, spec.Seed)
+		p, err := partition.ByName(spec.Partitioner, spec.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -579,7 +582,7 @@ func buildSystem(spec JobSpec) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := cliconf.MakePartitioner(spec.Partitioner, spec.Seed)
+	p, err := partition.ByName(spec.Partitioner, spec.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -169,7 +169,7 @@ func TestQueueFullRejection(t *testing.T) {
 func TestTenantQuota(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	m, _ := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 16, TenantQuota: 2}, blockingExec(release))
+	m, snap := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 16, TenantQuota: 2}, blockingExec(release))
 
 	submit := func(tenant string, i int) error {
 		_, err := m.Submit(tenant, JobSpec{Snapshot: "g", Kernel: "cc", Seed: uint64(200 + i)})
@@ -181,8 +181,13 @@ func TestTenantQuota(t *testing.T) {
 	if err := submit("alice", 1); err != nil {
 		t.Fatal(err)
 	}
+	refs := snap.Refs()
 	if err := submit("alice", 2); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
+	}
+	// A refused job hands back the snapshot reference Submit took.
+	if got := snap.Refs(); got != refs {
+		t.Fatalf("snapshot refs %d after a quota rejection, want %d", got, refs)
 	}
 	// Another tenant is unaffected by alice's load.
 	if err := submit("bob", 3); err != nil {

@@ -206,8 +206,6 @@ func (r *Registry) install(s *Snapshot) SnapshotInfo {
 // Get acquires the current snapshot under name. The caller owns one
 // reference and must release it (the job manager does this when a job
 // leaves the system).
-//
-//lint:pair acquire=Get release=release
 func (r *Registry) Get(name string) (*Snapshot, bool) {
 	r.mu.RLock()
 	s, ok := r.snaps[name]

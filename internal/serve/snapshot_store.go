@@ -8,10 +8,9 @@ import (
 
 // PutContainer installs a gcsr2 out-of-core container as the current
 // snapshot under name. The graph is materialized once — the store pins
-// and releases every segment through its //lint:pair-checked Pin/Release
-// protocol — and the snapshot's digest is the container's own checksum
-// (SHA-256 of the container bytes, the same value `ndprun -store`
-// prints), not a re-encoding of the in-RAM graph. Result-cache keys are
+// and releases every segment — and the snapshot's digest is the
+// container's own checksum (SHA-256 of the container bytes, the same
+// value `ndprun -store` prints), not a re-encoding of the in-RAM graph. Result-cache keys are
 // therefore the storage identity: re-serving the identical container
 // file after a restart hits the cache without recomputing anything.
 //

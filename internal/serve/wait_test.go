@@ -353,3 +353,51 @@ func TestManagerWaitContext(t *testing.T) {
 	}
 	r.close(t)
 }
+
+// TestClientMethodsHonorCancelledContext calls every Client method that
+// takes a context with one already cancelled, against a live server that
+// would otherwise answer each of them: every call must end with
+// context.Canceled, so each method hands its ctx on to the request.
+func TestClientMethodsHonorCancelledContext(t *testing.T) {
+	m, _ := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 8}, func(_ context.Context, _ *Snapshot, spec JobSpec) (*core.Result, error) {
+		return fakeResult(spec), nil
+	})
+	ts := httptest.NewServer(NewServer(m))
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, "t")
+	live := context.Background()
+	info, err := c.Submit(live, JobSpec{Snapshot: "g", Kernel: "cc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(live, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	g := testGraph(t, 3)
+	id := info.ID
+	calls := map[string]func(context.Context) error{
+		"Health":           func(ctx context.Context) error { return c.Health(ctx) },
+		"PutSnapshotGraph": func(ctx context.Context) error { _, err := c.PutSnapshotGraph(ctx, "h", g); return err },
+		"Snapshots":        func(ctx context.Context) error { _, err := c.Snapshots(ctx); return err },
+		"Submit": func(ctx context.Context) error {
+			_, err := c.Submit(ctx, JobSpec{Snapshot: "g", Kernel: "cc"})
+			return err
+		},
+		"Status":      func(ctx context.Context) error { _, err := c.Status(ctx, id); return err },
+		"Wait":        func(ctx context.Context) error { _, err := c.Wait(ctx, id); return err },
+		"ResultBytes": func(ctx context.Context) error { _, err := c.ResultBytes(ctx, id); return err },
+		"Result":      func(ctx context.Context) error { _, err := c.Result(ctx, id); return err },
+		"Cancel":      func(ctx context.Context) error { _, err := c.Cancel(ctx, id); return err },
+		"Metrics":     func(ctx context.Context) error { _, err := c.Metrics(ctx); return err },
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, call := range calls {
+		if err := call(live); err != nil {
+			t.Errorf("%s with a live context: %v", name, err)
+		}
+		if err := call(cancelled); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with a cancelled context: err = %v, want context.Canceled", name, err)
+		}
+	}
+}

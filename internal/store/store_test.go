@@ -681,7 +681,7 @@ func TestStoreAllocGate(t *testing.T) {
 }
 
 // TestStoreCloseWithPins requires Close to refuse while handles are
-// outstanding — the leak the //lint:pair rule exists to prevent.
+// outstanding: a leaked pin surfaces as an error at Close.
 func TestStoreCloseWithPins(t *testing.T) {
 	st := openFixture(t, goldenGraph(t), 16, 0)
 	sg, err := st.Pin(0)

@@ -1,9 +1,15 @@
 package verify
 
 import (
+	"context"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/serve"
 )
 
 // smallServedScenario is sized for test latency: big enough to exercise
@@ -55,5 +61,37 @@ func TestCheckServedLeavesNoGoroutines(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServedOracleHonorsCancelledContext hands the served oracle's two
+// steps a cancelled context, against a live server holding the scenario's
+// snapshot: each must stop with context canceled instead of running its
+// jobs to completion.
+func TestServedOracleHonorsCancelledContext(t *testing.T) {
+	sc := smallServedScenario()
+	g, err := sc.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := serve.NewManager(serve.NewRegistry(), &metrics.Registry{}, serve.ManagerConfig{})
+	defer mgr.Stop()
+	ts := httptest.NewServer(serve.NewServer(mgr))
+	defer ts.Close()
+	c := serve.NewClient(ts.URL, "verify")
+	if _, err := c.PutSnapshotGraph(context.Background(), "scenario", g); err != nil {
+		t.Fatal(err)
+	}
+	spec := serve.JobSpec{Snapshot: "scenario", Kernel: sc.Kernel, Partitions: sc.Partitions, Computes: sc.ComputeNodes}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	steps := map[string]func() error{
+		"checkServedSpec": func() error { return checkServedSpec(ctx, c, g, spec) },
+		"submitAndWait":   func() error { _, err := submitAndWait(ctx, c, spec); return err },
+	}
+	for name, step := range steps {
+		if err := step(); err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+			t.Errorf("%s with a cancelled context: err = %v, want context canceled", name, err)
+		}
 	}
 }

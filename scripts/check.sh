@@ -4,7 +4,7 @@
 # Every stage adds something the two full test tiers lack; anything that
 # only re-ran a subset of them is gone. In order:
 #   static      go build, go vet (copylocks included), gofmt -l empty,
-#               ndplint's 7 rules over the module (any finding fails)
+#               ndplint's 5 rules over the module (any finding fails)
 #   tier 1      go test ./...
 #   uncached    alloc gates at -count=1 (the serve hit gate alone skips
 #               under -race, whose instrumentation allocates on that path)
@@ -15,7 +15,7 @@
 #               -count=2), ndpserve shutdown with a parked waiter
 #               (-count=20), all under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
-#   fuzz        a short budget per fuzz target (15)
+#   fuzz        a short budget per fuzz target (13)
 # Any stage failing fails the gate.
 #
 # Usage: scripts/check.sh [fuzz-seconds]
@@ -51,7 +51,7 @@ if [ -n "$unformatted" ]; then
 fi
 echo "(empty)"
 
-# 7 rules (ndplint -list), each kept on a seeded mutant of the real
+# 5 rules (ndplint -list), each kept on a seeded mutant of the real
 # sources that it alone reports (TestRulesCatchSeededMutants, in tier 1).
 step go run ./cmd/ndplint ./...
 
@@ -188,9 +188,6 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
     fuzz_targets=(
         "FuzzReadEdgeList ./internal/gio/"
         "FuzzReadBinary ./internal/gio/"
-        # The CFG builder underlies the lifeflow rules; fuzz it on
-        # arbitrary function bodies so lint never panics on weird code.
-        "FuzzBuildCFG ./internal/lint/flow/"
         # The multilevel partitioner's contract (coverage, balance,
         # coarsening round trip) on arbitrary graphs.
         "FuzzMultilevelPartition ./internal/partition/"
@@ -198,11 +195,6 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # (multilevel_ref_test.go): every level's CSR and cmap, every
         # rebalance, and the final Parts bit for bit.
         "FuzzMultilevelMatchesReference ./internal/partition/"
-        # The obligation lattice behind the lifeflow rules: arbitrary
-        # function bodies must reach a deterministic fixpoint without
-        # panicking, and forgetting module facts only ever grows the leak
-        # set.
-        "FuzzLifecycleLattice ./internal/lint/lifeflow/"
         # The gcsr2 segment codec: arbitrary adjacency lists must round-
         # trip exactly, and arbitrary payload bytes must decode to a typed
         # error or a valid segment — never a panic.
