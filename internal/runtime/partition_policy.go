@@ -1,11 +1,6 @@
 package runtime
 
-import (
-	"math"
-
-	"repro/internal/kernels"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // MixedOracle lets every memory node independently pick, post hoc, the
 // cheaper of shipping its edge partition or its partial updates. It is
@@ -24,11 +19,10 @@ func (MixedOracle) Decide(sim.PreStats) bool { return true }
 // PartitionPostHoc marks per-partition min-cost accounting.
 func (MixedOracle) PartitionPostHoc() {}
 
-// PartitionHeuristic decides offload for each memory node separately,
-// using the same skew-aware balls-into-bins estimate as Heuristic but at
-// partition granularity: node p offloads when its estimated partial
-// updates (plus its share of the write-back) undercut shipping its share
-// of the frontier's edges.
+// PartitionHeuristic decides offload for each memory node separately:
+// Heuristic's decision on each node's one-partition view, so node p
+// offloads when its estimated partial updates (plus its share of the
+// write-back) undercut shipping its share of the frontier's edges.
 type PartitionHeuristic struct{}
 
 // Name implements sim.OffloadPolicy.
@@ -41,26 +35,10 @@ func (PartitionHeuristic) Decide(s sim.PreStats) bool {
 }
 
 // DecidePartitions implements sim.PartitionPolicy.
-func (PartitionHeuristic) DecidePartitions(s sim.PreStats, parts []sim.PartPre) []bool {
+func (PartitionHeuristic) DecidePartitions(parts []sim.PreStats) []bool {
 	mask := make([]bool, len(parts))
-	for p, pp := range parts {
-		d := float64(pp.FrontierDegreeSum)
-		if d == 0 {
-			continue // nothing to traverse on this node either way
-		}
-		est := d
-		if S := float64(pp.StaticPartialUpdates); S > 0 {
-			est = S * (1 - math.Exp(-d/S))
-			if est > d {
-				est = d
-			}
-		}
-		// The node's share of the write-back scales with its share of the
-		// frontier (activated vertices are roughly frontier-distributed).
-		writeback := float64(pp.FrontierSize) * kernels.PropertyBytes
-		offload := est*kernels.UpdateBytes + writeback
-		fetch := d * kernels.EdgeBytes
-		mask[p] = offload < fetch
+	for p, s := range parts {
+		mask[p] = Heuristic{}.Decide(s)
 	}
 	return mask
 }

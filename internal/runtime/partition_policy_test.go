@@ -23,8 +23,8 @@ func TestMixedOracleAtOrBelowGlobalOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			global := runWithPolicy(t, g, k, 8, Oracle{})
-			mixed := runWithPolicy(t, g, k, 8, MixedOracle{})
+			global := runWithPolicy(t, g, k, 8, Oracle{}, false)
+			mixed := runWithPolicy(t, g, k, 8, MixedOracle{}, false)
 			if mixed.TotalDataMovementBytes > global.TotalDataMovementBytes {
 				t.Errorf("%s/%s: mixed oracle %d above global oracle %d",
 					ds.Name, kn, mixed.TotalDataMovementBytes, global.TotalDataMovementBytes)
@@ -42,7 +42,7 @@ func TestMixedOracleMatchesRecordLowerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := runWithPolicy(t, g, k, 8, MixedOracle{})
+	run := runWithPolicy(t, g, k, 8, MixedOracle{}, false)
 	for _, rec := range run.Records {
 		if rec.DataMovementBytes != rec.MixedOracleBytes {
 			t.Errorf("it%d: moved %d, per-partition lower bound %d",
@@ -101,8 +101,8 @@ func TestPartitionHeuristicTracksMixedOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := runWithPolicy(t, g, k, 8, MixedOracle{})
-			heur := runWithPolicy(t, g, k, 8, PartitionHeuristic{})
+			oracle := runWithPolicy(t, g, k, 8, MixedOracle{}, false)
+			heur := runWithPolicy(t, g, k, 8, PartitionHeuristic{}, false)
 			if float64(heur.TotalDataMovementBytes) > 1.35*float64(oracle.TotalDataMovementBytes) {
 				t.Errorf("%s/%s: partition heuristic %d vs mixed oracle %d (>35%% off)",
 					ds.Name, kn, heur.TotalDataMovementBytes, oracle.TotalDataMovementBytes)
@@ -113,8 +113,8 @@ func TestPartitionHeuristicTracksMixedOracle(t *testing.T) {
 
 func TestPartitionHeuristicMaskLength(t *testing.T) {
 	h := PartitionHeuristic{}
-	parts := make([]sim.PartPre, 7)
-	mask := h.DecidePartitions(sim.PreStats{}, parts)
+	parts := make([]sim.PreStats, 7)
+	mask := h.DecidePartitions(parts)
 	if len(mask) != 7 {
 		t.Errorf("mask length %d, want 7", len(mask))
 	}
@@ -127,11 +127,11 @@ func TestPartitionHeuristicMaskLength(t *testing.T) {
 
 func TestPartitionHeuristicSkipsEmptyNodes(t *testing.T) {
 	h := PartitionHeuristic{}
-	parts := []sim.PartPre{
-		{FrontierSize: 0, FrontierDegreeSum: 0, StaticPartialUpdates: 100},
-		{FrontierSize: 100, FrontierDegreeSum: 100000, StaticPartialUpdates: 500},
+	parts := []sim.PreStats{
+		{Partitions: 1, NumVertices: 1000, StaticPartialUpdates: 100},
+		{Partitions: 1, NumVertices: 1000, FrontierSize: 100, FrontierDegreeSum: 100000, StaticPartialUpdates: 500},
 	}
-	mask := h.DecidePartitions(sim.PreStats{NumVertices: 1000, Partitions: 2}, parts)
+	mask := h.DecidePartitions(parts)
 	if mask[0] {
 		t.Error("idle memory node offloaded")
 	}
@@ -150,8 +150,8 @@ func TestPartitionPolicyResultsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := runWithPolicy(t, g, k, 8, MixedOracle{})
-	b := runWithPolicy(t, g, k, 8, sim.NeverOffload{})
+	a := runWithPolicy(t, g, k, 8, MixedOracle{}, false)
+	b := runWithPolicy(t, g, k, 8, sim.NeverOffload{}, false)
 	for v := range a.Result.Values {
 		if a.Result.Values[v] != b.Result.Values[v] {
 			t.Fatalf("values diverge at %d", v)
@@ -173,11 +173,11 @@ func TestMixedPolicyNames(t *testing.T) {
 // offload, and the mask length always matches the input.
 func TestDecidePartitionsDegenerate(t *testing.T) {
 	h := PartitionHeuristic{}
-	s := sim.PreStats{Partitions: 4, NumVertices: 0}
+	idle := sim.PreStats{Partitions: 1}
 
 	// All-empty frontier: every node idles.
-	parts := make([]sim.PartPre, 4)
-	mask := h.DecidePartitions(s, parts)
+	parts := []sim.PreStats{idle, idle, idle, idle}
+	mask := h.DecidePartitions(parts)
 	if len(mask) != 4 {
 		t.Fatalf("mask length %d, want 4", len(mask))
 	}
@@ -188,10 +188,10 @@ func TestDecidePartitionsDegenerate(t *testing.T) {
 	}
 
 	// One busy high-degree node among idle ones: only it may offload, and
-	// a zero StaticPartialUpdates (unpartitioned statistic) must not
+	// a zero StaticPartialUpdates and NumVertices (no statistics) must not
 	// produce NaN — the estimate falls back to the degree sum itself.
-	parts[2] = sim.PartPre{FrontierSize: 4, FrontierDegreeSum: 4000}
-	mask = h.DecidePartitions(s, parts)
+	parts[2] = sim.PreStats{Partitions: 1, FrontierSize: 4, FrontierDegreeSum: 4000}
+	mask = h.DecidePartitions(parts)
 	for p, off := range mask {
 		if p != 2 && off {
 			t.Errorf("idle node %d chose offload", p)
@@ -199,7 +199,7 @@ func TestDecidePartitionsDegenerate(t *testing.T) {
 	}
 
 	// Zero-length input: no panic, empty mask.
-	if got := h.DecidePartitions(s, nil); len(got) != 0 {
+	if got := h.DecidePartitions(nil); len(got) != 0 {
 		t.Errorf("nil parts produced mask of length %d", len(got))
 	}
 }

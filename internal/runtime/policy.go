@@ -17,27 +17,25 @@ import (
 //
 // Cost model:
 //
-//	fetch  ≈ frontierDegreeSum · 8 B
-//	offload≈ estPartialUpdates · 16 B + frontierSize · 16 B (write-back)
+//	fetch   ≈ frontierDegreeSum · 8 B
+//	offload ≈ estPartialUpdates · 16 B + frontierSize · 16 B (write-back)
+//	        ≈ sim.AggregatedUpdateBytes(estPartialUpdates, estDistinct,
+//	          buffer) + frontierSize · 16 B, when the switch aggregates
 //
 // The partial-update estimate is a balls-into-bins collapse against the
 // partitioning's *static* full-frontier partial count S (a load-time
 // statistic that encodes destination skew): a traversal of d edges
 // produces about S·(1-e^(-d/S)) partial updates. When S is unavailable the
 // estimate falls back to a uniform-destination model over the vertex set.
-type Heuristic struct {
-	// Aggregation estimates the in-network-aggregated volume instead of
-	// the raw partial-update volume (use when the engine enables INC).
-	Aggregation bool
-}
+// The distinct-destination estimate is one more collapse, uniform over
+// the vertex set: P partial updates reach about n·(1-e^(-P/n)) of the n
+// destinations. Whether the switch aggregates, and its buffer, are the
+// engine's to report (PreStats), so the estimate prices the machine the
+// engine runs, with the accountant's function.
+type Heuristic struct{}
 
 // Name implements sim.OffloadPolicy.
-func (h Heuristic) Name() string {
-	if h.Aggregation {
-		return "heuristic+inc"
-	}
-	return "heuristic"
-}
+func (Heuristic) Name() string { return "heuristic" }
 
 // Decide implements sim.OffloadPolicy.
 func (h Heuristic) Decide(s sim.PreStats) bool {
@@ -47,22 +45,22 @@ func (h Heuristic) Decide(s sim.PreStats) bool {
 
 // EstimateOffloadBytes returns the estimated bytes an offloaded iteration
 // would move to and from the compute nodes.
-func (h Heuristic) EstimateOffloadBytes(s sim.PreStats) float64 {
-	est := h.estimatePartials(s)
-	if h.Aggregation {
-		// The switch compresses partials to roughly the distinct
-		// destination count: one more balls-into-bins collapse.
-		n := float64(s.NumVertices)
-		if n > 0 {
-			est = math.Min(est, n*(1-math.Exp(-est/n)))
+func (Heuristic) EstimateOffloadBytes(s sim.PreStats) float64 {
+	partials := estimatePartials(s)
+	updates := partials * kernels.UpdateBytes
+	if s.SwitchAggregates {
+		distinct := partials
+		if n := float64(s.NumVertices); n > 0 {
+			distinct = n * (1 - math.Exp(-partials/n))
 		}
+		updates = float64(sim.AggregatedUpdateBytes(int64(math.Round(partials)), int64(math.Round(distinct)), s.SwitchBufferEntries))
 	}
 	writeback := float64(s.FrontierSize) * kernels.PropertyBytes
-	return est*kernels.UpdateBytes + writeback
+	return updates + writeback
 }
 
 // estimatePartials predicts the distinct (destination, partition) count.
-func (h Heuristic) estimatePartials(s sim.PreStats) float64 {
+func estimatePartials(s sim.PreStats) float64 {
 	d := float64(s.FrontierDegreeSum)
 	n := float64(s.NumVertices)
 	p := float64(s.Partitions)

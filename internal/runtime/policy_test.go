@@ -8,18 +8,23 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kernels"
+	"repro/internal/ndp"
 	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
-func runWithPolicy(t testing.TB, g *graph.Graph, k kernels.Kernel, parts int, pol sim.OffloadPolicy) *sim.Run {
+func runWithPolicy(t testing.TB, g *graph.Graph, k kernels.Kernel, parts int, pol sim.OffloadPolicy, aggregate bool) *sim.Run {
 	t.Helper()
-	topo := sim.DefaultTopology(2, parts)
 	a, err := partition.Hash{}.Partition(g, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: pol}).Run(context.Background(), g, k)
+	return runOn(t, sim.DefaultTopology(2, parts), a, g, k, pol, aggregate)
+}
+
+func runOn(t testing.TB, topo sim.Topology, a *partition.Assignment, g *graph.Graph, k kernels.Kernel, pol sim.OffloadPolicy, aggregate bool) *sim.Run {
+	t.Helper()
+	run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: pol, InNetworkAggregation: aggregate}).Run(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,20 +36,49 @@ func TestOracleIsLowerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kn := range []string{"pagerank", "bfs", "cc"} {
-		k, err := kernels.ByName(kn)
-		if err != nil {
-			t.Fatal(err)
+	for _, aggregate := range []bool{false, true} {
+		for _, kn := range []string{"pagerank", "bfs", "cc"} {
+			k, err := kernels.ByName(kn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := runWithPolicy(t, g, k, 8, Oracle{}, aggregate)
+			always := runWithPolicy(t, g, k, 8, sim.AlwaysOffload{}, aggregate)
+			never := runWithPolicy(t, g, k, 8, sim.NeverOffload{}, aggregate)
+			if oracle.TotalDataMovementBytes > always.TotalDataMovementBytes {
+				t.Errorf("%s agg=%v: oracle %d > always %d", kn, aggregate, oracle.TotalDataMovementBytes, always.TotalDataMovementBytes)
+			}
+			if oracle.TotalDataMovementBytes > never.TotalDataMovementBytes {
+				t.Errorf("%s agg=%v: oracle %d > never %d", kn, aggregate, oracle.TotalDataMovementBytes, never.TotalDataMovementBytes)
+			}
 		}
-		oracle := runWithPolicy(t, g, k, 8, Oracle{})
-		always := runWithPolicy(t, g, k, 8, sim.AlwaysOffload{})
-		never := runWithPolicy(t, g, k, 8, sim.NeverOffload{})
-		if oracle.TotalDataMovementBytes > always.TotalDataMovementBytes {
-			t.Errorf("%s: oracle %d > always %d", kn, oracle.TotalDataMovementBytes, always.TotalDataMovementBytes)
+	}
+
+	// A heterogeneous pool (every odd memory node lacks FP) forces
+	// per-partition accounting, which gates each partition's decision by
+	// its device: the oracle's global decision must reach the partitions.
+	g, err = gen.Twitter7.Generate(0.25, gen.Config{Seed: 3, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := partition.Hash{}.Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := sim.DefaultTopology(2, 8)
+	topo.MemDevices = make([]ndp.Device, 8)
+	for p := range topo.MemDevices {
+		topo.MemDevices[p] = ndp.DefaultMemoryDevice()
+		if p%2 == 1 {
+			topo.MemDevices[p] = ndp.Device{Name: "pnm-nofp", Class: ndp.PNM, FP: ndp.None, IntMulDiv: ndp.Full}
 		}
-		if oracle.TotalDataMovementBytes > never.TotalDataMovementBytes {
-			t.Errorf("%s: oracle %d > never %d", kn, oracle.TotalDataMovementBytes, never.TotalDataMovementBytes)
-		}
+	}
+	k := kernels.NewPageRank(5, 0.85)
+	oracle := runOn(t, topo, a, g, k, Oracle{}, false)
+	never := runOn(t, topo, a, g, k, sim.NeverOffload{}, false)
+	if oracle.TotalDataMovementBytes >= never.TotalDataMovementBytes {
+		t.Errorf("heterogeneous pagerank: oracle %d, never %d: the oracle never offloaded",
+			oracle.TotalDataMovementBytes, never.TotalDataMovementBytes)
 	}
 }
 
@@ -53,53 +87,63 @@ func TestOraclePicksMinPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := kernels.ByName("bfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := runWithPolicy(t, g, k, 8, Oracle{})
-	for _, rec := range run.Records {
-		ndpCost := rec.UpdateMoveBytes + rec.WritebackBytes
-		min := rec.EdgeFetchBytes
-		if ndpCost < min {
-			min = ndpCost
-		}
-		if rec.DataMovementBytes != min {
-			t.Errorf("it%d: oracle moved %d, min is %d (offloaded=%v)", rec.Iteration, rec.DataMovementBytes, min, rec.Offloaded)
+	for _, aggregate := range []bool{false, true} {
+		for _, kn := range []string{"bfs", "cc"} {
+			k, err := kernels.ByName(kn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := runWithPolicy(t, g, k, 8, Oracle{}, aggregate)
+			for _, rec := range run.Records {
+				updates := rec.UpdateMoveBytes
+				if aggregate {
+					updates = rec.AggregatedMoveBytes
+				}
+				min := rec.EdgeFetchBytes
+				if ndpCost := updates + rec.WritebackBytes; ndpCost < min {
+					min = ndpCost
+				}
+				if rec.DataMovementBytes != min {
+					t.Errorf("%s agg=%v it%d: oracle moved %d, min is %d (offloaded=%v)",
+						kn, aggregate, rec.Iteration, rec.DataMovementBytes, min, rec.Offloaded)
+				}
+			}
 		}
 	}
 }
 
 func TestHeuristicTracksOracle(t *testing.T) {
 	// The dynamic heuristic must stay within 25% of the oracle's movement
-	// across kernels and graph shapes — and never be worse than the worse
-	// static policy.
+	// across kernels, graph shapes and both switch settings — and never be
+	// worse than the worse static policy.
 	datasets := []gen.Dataset{gen.Twitter7, gen.WikiTalk, gen.ComLiveJournal}
 	for _, ds := range datasets {
 		g, err := ds.Generate(0.125, gen.Config{Seed: 4, DropSelfLoops: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, kn := range []string{"pagerank", "bfs"} {
-			k, err := kernels.ByName(kn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle := runWithPolicy(t, g, k, 8, Oracle{})
-			dyn := runWithPolicy(t, g, k, 8, Heuristic{})
-			always := runWithPolicy(t, g, k, 8, sim.AlwaysOffload{})
-			never := runWithPolicy(t, g, k, 8, sim.NeverOffload{})
-			worstStatic := always.TotalDataMovementBytes
-			if never.TotalDataMovementBytes > worstStatic {
-				worstStatic = never.TotalDataMovementBytes
-			}
-			if dyn.TotalDataMovementBytes > worstStatic {
-				t.Errorf("%s/%s: heuristic %d worse than worst static %d", ds.Name, kn,
-					dyn.TotalDataMovementBytes, worstStatic)
-			}
-			if float64(dyn.TotalDataMovementBytes) > 1.25*float64(oracle.TotalDataMovementBytes) {
-				t.Errorf("%s/%s: heuristic %d vs oracle %d (>25%% off)", ds.Name, kn,
-					dyn.TotalDataMovementBytes, oracle.TotalDataMovementBytes)
+		for _, aggregate := range []bool{false, true} {
+			for _, kn := range []string{"pagerank", "bfs"} {
+				k, err := kernels.ByName(kn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle := runWithPolicy(t, g, k, 8, Oracle{}, aggregate)
+				dyn := runWithPolicy(t, g, k, 8, Heuristic{}, aggregate)
+				always := runWithPolicy(t, g, k, 8, sim.AlwaysOffload{}, aggregate)
+				never := runWithPolicy(t, g, k, 8, sim.NeverOffload{}, aggregate)
+				worstStatic := always.TotalDataMovementBytes
+				if never.TotalDataMovementBytes > worstStatic {
+					worstStatic = never.TotalDataMovementBytes
+				}
+				if dyn.TotalDataMovementBytes > worstStatic {
+					t.Errorf("%s/%s agg=%v: heuristic %d worse than worst static %d", ds.Name, kn, aggregate,
+						dyn.TotalDataMovementBytes, worstStatic)
+				}
+				if float64(dyn.TotalDataMovementBytes) > 1.25*float64(oracle.TotalDataMovementBytes) {
+					t.Errorf("%s/%s agg=%v: heuristic %d vs oracle %d (>25%% off)", ds.Name, kn, aggregate,
+						dyn.TotalDataMovementBytes, oracle.TotalDataMovementBytes)
+				}
 			}
 		}
 	}
@@ -111,7 +155,7 @@ func TestHeuristicPrefersFetchOnWikiTalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := kernels.NewPageRank(5, 0.85)
-	run := runWithPolicy(t, g, k, 8, Heuristic{})
+	run := runWithPolicy(t, g, k, 8, Heuristic{}, false)
 	offloaded := 0
 	for _, rec := range run.Records {
 		if rec.Offloaded {
@@ -131,7 +175,7 @@ func TestHeuristicPrefersOffloadOnTwitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := kernels.NewPageRank(5, 0.85)
-	run := runWithPolicy(t, g, k, 4, Heuristic{})
+	run := runWithPolicy(t, g, k, 4, Heuristic{}, false)
 	offloaded := 0
 	for _, rec := range run.Records {
 		if rec.Offloaded {
@@ -161,7 +205,8 @@ func TestHeuristicEstimateMonotoneInDegreeSum(t *testing.T) {
 func TestHeuristicAggregationLowersEstimate(t *testing.T) {
 	s := sim.PreStats{FrontierSize: 1000, FrontierDegreeSum: 500000, Partitions: 32, NumVertices: 10000}
 	plain := Heuristic{}.EstimateOffloadBytes(s)
-	agg := Heuristic{Aggregation: true}.EstimateOffloadBytes(s)
+	s.SwitchAggregates = true
+	agg := Heuristic{}.EstimateOffloadBytes(s)
 	if agg >= plain {
 		t.Errorf("aggregation estimate %f >= plain %f", agg, plain)
 	}
@@ -206,9 +251,6 @@ func TestPolicyNames(t *testing.T) {
 	if (Heuristic{}).Name() != "heuristic" {
 		t.Error("heuristic name")
 	}
-	if (Heuristic{Aggregation: true}).Name() != "heuristic+inc" {
-		t.Error("heuristic+inc name")
-	}
 	if (Oracle{}).Name() != "oracle" {
 		t.Error("oracle name")
 	}
@@ -235,7 +277,7 @@ func TestPoliciesOnDegenerateStats(t *testing.T) {
 		{"heuristic empty frontier", Heuristic{}, empty, false},
 		{"heuristic zero partitions", Heuristic{}, noPool, false},
 		{"heuristic zero vertices", Heuristic{}, noVertices, false},
-		{"heuristic+inc empty frontier", Heuristic{Aggregation: true}, empty, false},
+		{"heuristic aggregating empty frontier", Heuristic{}, aggregating(empty), false},
 		{"threshold empty frontier", ThresholdPolicy{}, empty, false},
 		{"threshold zero partitions", ThresholdPolicy{}, noPool, false},
 		{"threshold explicit beats zero partitions", ThresholdPolicy{Threshold: 3}, noPool, true},
@@ -249,11 +291,17 @@ func TestPoliciesOnDegenerateStats(t *testing.T) {
 			}
 		})
 	}
-	for _, st := range []sim.PreStats{empty, noPool, noVertices} {
-		for _, h := range []Heuristic{{}, {Aggregation: true}} {
-			if est := h.EstimateOffloadBytes(st); math.IsNaN(est) || math.IsInf(est, 0) || est < 0 {
-				t.Errorf("%s: EstimateOffloadBytes(%+v) = %v, want finite non-negative", h.Name(), st, est)
-			}
+	for _, st := range []sim.PreStats{empty, noPool, noVertices, aggregating(empty), aggregating(noPool), aggregating(noVertices)} {
+		if est := (Heuristic{}).EstimateOffloadBytes(st); math.IsNaN(est) || math.IsInf(est, 0) || est < 0 {
+			t.Errorf("EstimateOffloadBytes(%+v) = %v, want finite non-negative", st, est)
 		}
 	}
+}
+
+// aggregating returns s as seen under a switch that aggregates into a
+// small buffer.
+func aggregating(s sim.PreStats) sim.PreStats {
+	s.SwitchAggregates = true
+	s.SwitchBufferEntries = 4
+	return s
 }

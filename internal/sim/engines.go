@@ -205,10 +205,7 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 	dec := ndp.OffloadDecision{OK: supportedCount == P, Penalty: maxPenalty, Reason: firstReason}
 	heterogeneous := supportedCount > 0 && supportedCount < P
 
-	aggOK := true
-	if d.InNetworkAggregation && !d.Topo.SwitchDevice.CanAggregate(tr.Agg) {
-		aggOK = false
-	}
+	aggregates := d.InNetworkAggregation && d.Topo.SwitchDevice.CanAggregate(tr.Agg)
 	policy := d.Policy
 	if policy == nil {
 		policy = AlwaysOffload{}
@@ -218,6 +215,7 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 		perPartition = true
 	}
 	perPartition = perPartition || heterogeneous
+	var ex *execution
 	account := func(rec *Record) {
 		if supportedCount == 0 {
 			// No device can run the kernel near data: force host fetch.
@@ -234,7 +232,7 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 			}
 			rec.Offloaded = any
 		}
-		rec.AggregatedMoveBytes = aggregatedMoveBytes(rec, d.Topo.SwitchBufferEntries)
+		rec.AggregatedMoveBytes = AggregatedUpdateBytes(rec.PartialUpdates, rec.DistinctDsts, d.Topo.SwitchBufferEntries)
 		applyOps := float64(rec.Applies) * tr.FLOPsPerApply
 		edgeOps := float64(rec.ActiveEdges) * tr.FLOPsPerEdge
 		if perPartition && supportedCount > 0 {
@@ -274,13 +272,11 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 			return
 		}
 		if rec.Offloaded {
-			moved := rec.UpdateMoveBytes
 			switchOps := 0.0
-			if d.InNetworkAggregation && aggOK {
-				moved = rec.AggregatedMoveBytes
+			if aggregates {
 				switchOps = float64(rec.PartialUpdates)
 			}
-			rec.DataMovementBytes = moved + rec.WritebackBytes
+			rec.DataMovementBytes = ex.offloadMoveBytes(rec)
 			rec.SyncEvents = int64(d.Topo.ComputeNodes + d.Topo.MemoryNodes)
 			rec.EstimatedSeconds = d.Topo.memTraverseTime(rec.maxPartBytes, rec.maxPartOps, dec.Penalty) +
 				d.Topo.linkTime(rec.DataMovementBytes/int64(d.Topo.ComputeNodes)) +
@@ -304,6 +300,8 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 	}
 	ex.computeStatics(true, false)
 	ex.workers = d.Workers
+	ex.switchAggregates = aggregates
+	ex.switchBuffer = d.Topo.SwitchBufferEntries
 	run, err := ex.run(ctx, d.Name())
 	if err != nil {
 		return nil, err
@@ -314,7 +312,7 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 		run.OffloadNote = fmt.Sprintf("heterogeneous pool: %d/%d memory nodes can run %s near data (%s)",
 			supportedCount, P, k.Name(), firstReason)
 	}
-	if d.InNetworkAggregation && !aggOK {
+	if d.InNetworkAggregation && !aggregates {
 		run.OffloadNote = fmt.Sprintf("switch %s cannot aggregate %s", d.Topo.SwitchDevice.Name, tr.Agg)
 	}
 	return run, nil

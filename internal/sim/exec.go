@@ -29,6 +29,12 @@ type PreStats struct {
 	// destination skew, which per-iteration heuristics scale down by the
 	// frontier's traversal volume.
 	StaticPartialUpdates int64
+	// SwitchAggregates reports that the engine's switch aggregates this
+	// kernel's partial updates in flight, so an offloaded iteration is
+	// charged AggregatedUpdateBytes; SwitchBufferEntries is that switch's
+	// buffer (0 = unlimited).
+	SwitchAggregates    bool
+	SwitchBufferEntries int64
 }
 
 // OffloadPolicy decides, before each iteration, whether the traversal runs
@@ -47,27 +53,17 @@ type PostHocPolicy interface {
 	PostHoc()
 }
 
-// PartPre is one memory node's pre-iteration view, handed to per-partition
-// policies: the traversal volume its share of the frontier implies, and
-// the static skew statistic for its edge partition.
-type PartPre struct {
-	// FrontierSize and FrontierDegreeSum cover only vertices owned by
-	// this partition.
-	FrontierSize      int64
-	FrontierDegreeSum int64
-	// StaticPartialUpdates is this partition's distinct-destination count
-	// for a full-graph traversal.
-	StaticPartialUpdates int64
-}
-
 // PartitionPolicy decides offload independently for every memory node —
 // the finer-grained control Section IV argues frameworks must expose
 // ("which graph operations to offload", and where). Engines that support
 // it call DecidePartitions instead of Decide; mask[p] selects offload for
-// partition p. The returned slice must have length len(parts).
+// partition p. parts[p] is memory node p's view as a one-partition
+// PreStats: its share of the frontier and its static partial count.
+// Per-partition accounting does not aggregate, so SwitchAggregates is
+// false in every view. The returned slice must have length len(parts).
 type PartitionPolicy interface {
 	OffloadPolicy
-	DecidePartitions(s PreStats, parts []PartPre) []bool
+	DecidePartitions(parts []PreStats) []bool
 }
 
 // PartitionPostHocPolicy marks per-partition oracle accounting: each
@@ -112,6 +108,10 @@ type execution struct {
 
 	// account fills in the architecture-specific fields of each record.
 	account func(rec *Record)
+	// switchAggregates and switchBuffer are the switch as PreStats reports
+	// it and offloadMoveBytes prices it (set by DisaggregatedNDP.Run).
+	switchAggregates bool
+	switchBuffer     int64
 	// policy is asked for each iteration's offload decision, from what a
 	// runtime knows before the iteration runs (PreStats).
 	policy     OffloadPolicy
@@ -146,7 +146,7 @@ type execution struct {
 	bytesPerPart    []int64
 	opsPerPart      []float64
 	partialsPerPart []int64
-	pp              []PartPre
+	pp              []PreStats
 }
 
 // newExecution validates inputs. A vertex-only view is refused here,
@@ -240,7 +240,7 @@ func (e *execution) run(ctx context.Context, engineName string) (*Run, error) {
 	e.opsPerPart = make([]float64, P)
 	e.partialsPerPart = make([]int64, P)
 	if e.partPolicy != nil {
-		e.pp = make([]PartPre, P)
+		e.pp = make([]PreStats, P)
 	}
 	res, err := kernels.RunOn(ctx, e.src, e.k, kernels.Staged, kernels.Options{
 		Workers:   e.workers,
@@ -286,9 +286,11 @@ func (e *execution) record(it *kernels.Iteration) {
 		e.bytesPerPart[p] = degSum * kernels.EdgeBytes
 		e.opsPerPart[p] = ops
 		if e.pp != nil {
-			e.pp[p] = PartPre{
+			e.pp[p] = PreStats{
 				FrontierSize:         int64(len(front)),
 				FrontierDegreeSum:    degSum,
+				Partitions:           1,
+				NumVertices:          g.NumVertices(),
 				StaticPartialUpdates: e.staticPartialsPerPart[p],
 			}
 		}
@@ -304,10 +306,12 @@ func (e *execution) record(it *kernels.Iteration) {
 		Partitions:           P,
 		NumVertices:          g.NumVertices(),
 		StaticPartialUpdates: e.staticPartials,
+		SwitchAggregates:     e.switchAggregates,
+		SwitchBufferEntries:  e.switchBuffer,
 	}
 	var partMask []bool
 	if e.partPolicy != nil {
-		partMask = e.partPolicy.DecidePartitions(pre, e.pp)
+		partMask = e.partPolicy.DecidePartitions(e.pp)
 		rec.Offloaded = anyTrue(partMask)
 	} else {
 		rec.Offloaded = e.policy.Decide(pre)
@@ -365,16 +369,18 @@ func (e *execution) finishRecord(rec *Record, applies int64, partMask []bool, ne
 			any = any || off
 		}
 		rec.Offloaded = any
-	case PostHocPolicy:
-		rec.Offloaded = rec.UpdateMoveBytes+rec.WritebackBytes < rec.EdgeFetchBytes
 	default:
-		if partMask != nil {
-			for p := 0; p < P && p < len(partMask); p++ {
-				rec.PerPartition[p].Offloaded = partMask[p]
-			}
-		} else if rec.Offloaded {
-			for p := 0; p < P; p++ {
-				rec.PerPartition[p].Offloaded = true
+		if _, ok := e.policy.(PostHocPolicy); ok {
+			rec.Offloaded = e.offloadMoveBytes(rec) < rec.EdgeFetchBytes
+		}
+		// A partition policy's mask is per node; a global decision, post
+		// hoc or not, reaches every partition, so a heterogeneous pool's
+		// device gating sees it.
+		for p := range rec.PerPartition {
+			if partMask != nil {
+				rec.PerPartition[p].Offloaded = p < len(partMask) && partMask[p]
+			} else {
+				rec.PerPartition[p].Offloaded = rec.Offloaded
 			}
 		}
 	}
@@ -426,20 +432,35 @@ func maxOfF(xs []float64) float64 {
 	return m
 }
 
-// aggregatedMoveBytes models the switch compressing the partial-update
-// stream: with unlimited buffer the switch emits one update per distinct
+// offloadMoveBytes is what an offloaded iteration moves across the
+// compute-node boundary: its partial updates (aggregated when the switch
+// aggregates) plus the property write-back. It prices from the record's
+// counters, not from AggregatedMoveBytes, because the post-hoc oracle
+// calls it before the accountant fills that field in.
+func (e *execution) offloadMoveBytes(rec *Record) int64 {
+	updates := rec.UpdateMoveBytes
+	if e.switchAggregates {
+		updates = AggregatedUpdateBytes(rec.PartialUpdates, rec.DistinctDsts, e.switchBuffer)
+	}
+	return updates + rec.WritebackBytes
+}
+
+// AggregatedUpdateBytes models the switch compressing a stream of
+// partial updates to distinct destinations: with unlimited buffer
+// (bufferEntries <= 0) the switch emits one update per distinct
 // destination; with a bounded buffer, destinations beyond capacity pass
 // through unaggregated at the stream's mean multiplicity (Section IV-C's
-// buffer-capacity caveat).
-func aggregatedMoveBytes(rec *Record, bufferEntries int64) int64 {
-	if rec.DistinctDsts == 0 {
+// buffer-capacity caveat). The accountant prices measured counters with
+// it and the offload heuristic its estimated ones.
+func AggregatedUpdateBytes(partials, distinct, bufferEntries int64) int64 {
+	if distinct == 0 {
 		return 0
 	}
-	if bufferEntries <= 0 || rec.DistinctDsts <= bufferEntries {
-		return rec.DistinctDsts * kernels.UpdateBytes
+	if bufferEntries <= 0 || distinct <= bufferEntries {
+		return distinct * kernels.UpdateBytes
 	}
-	meanMultiplicity := float64(rec.PartialUpdates) / float64(rec.DistinctDsts)
-	passThrough := float64(rec.DistinctDsts-bufferEntries) * meanMultiplicity
+	meanMultiplicity := float64(partials) / float64(distinct)
+	passThrough := float64(distinct-bufferEntries) * meanMultiplicity
 	if legacyAggregationModel {
 		// Seeded historical bug (see testhook.go): truncate toward zero
 		// and skip the clamps, exactly as the pre-fix code did.
@@ -448,13 +469,13 @@ func aggregatedMoveBytes(rec *Record, bufferEntries int64) int64 {
 	// Round half-up rather than truncating toward zero: truncation lost up
 	// to one update's bytes per iteration. The modeled stream can never be
 	// smaller than the buffered entries themselves nor larger than the
-	// uncompressed stream, so clamp to [bufferEntries, PartialUpdates].
+	// uncompressed stream, so clamp to [bufferEntries, partials].
 	entries := bufferEntries + int64(math.Floor(passThrough+0.5))
 	if entries < bufferEntries {
 		entries = bufferEntries
 	}
-	if entries > rec.PartialUpdates {
-		entries = rec.PartialUpdates
+	if entries > partials {
+		entries = partials
 	}
 	return entries * kernels.UpdateBytes
 }

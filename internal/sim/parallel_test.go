@@ -103,10 +103,9 @@ func TestAggregatedMoveBytesBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := &Record{PartialUpdates: tc.partials, DistinctDsts: tc.distinct}
-			got := aggregatedMoveBytes(rec, tc.buf)
+			got := AggregatedUpdateBytes(tc.partials, tc.distinct, tc.buf)
 			if got != tc.wantEntries*ub {
-				t.Fatalf("aggregatedMoveBytes(partials=%d, distinct=%d, buf=%d) = %d, want %d entries (%d bytes)",
+				t.Fatalf("AggregatedUpdateBytes(partials=%d, distinct=%d, buf=%d) = %d, want %d entries (%d bytes)",
 					tc.partials, tc.distinct, tc.buf, got, tc.wantEntries, tc.wantEntries*ub)
 			}
 			if tc.buf > 0 && tc.distinct > tc.buf {

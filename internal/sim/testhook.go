@@ -2,7 +2,7 @@ package sim
 
 // legacyAggregationModel reinstates the pre-fix bounded-buffer
 // aggregation accounting (truncate the pass-through estimate toward
-// zero, no clamping) that aggregatedMoveBytes used before the rounding
+// zero, no clamping) that AggregatedUpdateBytes used before the rounding
 // bug was fixed. It exists only so the verification harness can prove
 // its oracles have teeth: a mutation-smoke test flips it on, re-runs the
 // harness, and asserts the seeded historical bug is detected.

@@ -9,7 +9,8 @@
 #   uncached    alloc gates at -count=1 (the serve hit gate alone skips
 #               under -race, whose instrumentation allocates on that path)
 #   benchmarks  every benchmark in the module, once (-benchtime 1x)
-#   processes   ndpverify sweep, ndpserve round-trip, ndpverify -served,
+#   processes   ndpverify sweep, REPORT.md regenerated byte for byte,
+#               ndpserve round-trip, ndpverify -served,
 #               out-of-core stream -> container -> verified BFS
 #   -count      cluster faults, parallel simulator, store lifecycle (each
 #               -count=2), ndpserve shutdown with a parked waiter
@@ -83,6 +84,23 @@ step go test -run '^$' -bench . -benchtime 1x ./...
 # the whole harness end to end; any oracle violation fails the gate with
 # a shrunken, replayable reproducer in the log.
 step go run ./cmd/ndpverify -seed 1 -scenarios 25
+
+# REPORT.md is ndpbench's markdown at its defaults, byte for byte: every
+# paper table and figure, every extension artifact and every shape check.
+# A change that means to move a row regenerates the file in the same
+# diff; any other difference fails the gate.
+echo
+echo "==> ndpbench -scale 0.5 -seed 42 -format markdown all (must equal REPORT.md)"
+REPORT_OUT="$(mktemp)"
+go run ./cmd/ndpbench -scale 0.5 -seed 42 -format markdown all >"$REPORT_OUT"
+if ! cmp -s REPORT.md "$REPORT_OUT"; then
+    diff REPORT.md "$REPORT_OUT" | head -40 || true
+    rm -f "$REPORT_OUT"
+    echo "check.sh: ndpbench output differs from REPORT.md; regenerate it if the change means to move a row" >&2
+    exit 1
+fi
+rm -f "$REPORT_OUT"
+echo "(identical)"
 
 # Service round-trip: boot ndpserve on an ephemeral loopback port with a
 # preloaded snapshot, drive a submit/wait/result round-trip through
