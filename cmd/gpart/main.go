@@ -39,22 +39,17 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "loaded %v\n", g)
 
+	methods := []string{*method}
+	if *method == "all" {
+		methods = []string{"hash", "range", "chunk", "ldg", "multilevel"}
+	}
 	var ps []partition.Partitioner
-	switch *method {
-	case "hash":
-		ps = []partition.Partitioner{partition.Hash{}}
-	case "range":
-		ps = []partition.Partitioner{partition.Range{}}
-	case "chunk":
-		ps = []partition.Partitioner{partition.Chunk{}}
-	case "multilevel":
-		ps = []partition.Partitioner{partition.Multilevel{Seed: *seed}}
-	case "ldg":
-		ps = []partition.Partitioner{partition.LDG{}}
-	case "all":
-		ps = []partition.Partitioner{partition.Hash{}, partition.Range{}, partition.Chunk{}, partition.LDG{}, partition.Multilevel{Seed: *seed}}
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
+	for _, m := range methods {
+		p, err := partition.ByName(m, *seed)
+		if err != nil {
+			fatal(err)
+		}
+		ps = append(ps, p)
 	}
 
 	t := metrics.NewTable(fmt.Sprintf("partition quality, k=%d", *k),

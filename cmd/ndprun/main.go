@@ -5,20 +5,25 @@
 // Examples:
 //
 //	ndprun -dataset twitter7 -kernel pagerank -arch disaggregated-ndp -partitions 16
-//	ndprun -dataset wiki-talk -kernel bfs -arch disaggregated-ndp -policy heuristic
-//	ndprun -dataset uk-2005 -kernel pagerank -arch disaggregated-ndp -aggregate -partitioner multilevel
+//	ndprun -dataset wiki-talk -kernel bfs -policy always -partitioner hash
+//	ndprun -dataset uk-2005 -kernel pagerank -aggregate=false -switchbuffer 4096
 //	ndprun -dataset com-livejournal -kernel cc -arch all -csv
-//	ndprun -graph my.gcsr -kernel sssp -arch disaggregated -cache 0.25
+//	ndprun -graph my.gcsr -kernel sssp -arch disaggregated
 //	ndprun -dataset twitter7 -kernel bfs -arch serial -direction auto
 //	ndprun -store lj.gcsr2 -kernel bfs -store-mem 1048576 -store-verify
 //	ndprun -dataset wiki-talk -kernel cc -cluster -treefanin 4 \
 //	    -fault-seed 7 -fault-drop 0.2 -fault-dup 0.1 -crash 2@1
 //
+// Every simulated run, and the cluster, is one core.System built from
+// the flags, whose defaults are core's table: the same machine a
+// core.New system or a served job with no knobs set describes.
+//
 // With -server, ndprun becomes a client of a running ndpserve instance:
 // it uploads the graph as a named snapshot, submits the same
 // (kernel, architecture, …) selection as a job, waits for it to finish,
 // and prints the served result — noting when the server answered from
-// its result cache.
+// its result cache. A flag the job wire format cannot carry is refused,
+// not dropped.
 //
 //	ndprun -dataset wiki-talk -kernel cc -server http://127.0.0.1:8090
 package main
@@ -32,10 +37,11 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 
 	"repro/internal/cliconf"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gio"
 	"repro/internal/graph"
@@ -43,143 +49,190 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ndp"
 	"repro/internal/partition"
+	"repro/internal/runtime"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
 
+// flags is every ndprun flag.
+type flags struct {
+	gf cliconf.GraphFlags
+	ef cliconf.EngineFlags
+	ff cliconf.FaultFlags
+	cf cliconf.ClusterFlags
+
+	perIter, csv bool
+	iterCSV      string
+	cluster      bool
+
+	storePath   string
+	storeMem    int64
+	storeVerify bool
+
+	serverURL, tenant, snapName string
+}
+
+func (o *flags) register(fs *flag.FlagSet) {
+	o.gf.Register(fs)
+	o.ef.Register(fs)
+	o.ff.Register(fs)
+	o.cf.Register(fs)
+	fs.BoolVar(&o.perIter, "iters", false, "print the per-iteration ledger")
+	fs.BoolVar(&o.csv, "csv", false, "emit the summary as CSV")
+	fs.StringVar(&o.iterCSV, "itercsv", "", "write the per-iteration ledger as CSV to this file (single -arch only)")
+	fs.BoolVar(&o.cluster, "cluster", false, "run on the concurrent actor cluster instead of the simulator (disaggregated-ndp only)")
+	fs.StringVar(&o.storePath, "store", "", "run the kernel out-of-core from this gcsr2 container (no -dataset/-graph needed)")
+	fs.Int64Var(&o.storeMem, "store-mem", 0, "out-of-core local-memory budget in bytes for decompressed segments (0 = unlimited)")
+	fs.BoolVar(&o.storeVerify, "store-verify", false, "with -store: also materialize the container in RAM, run serially, and fail unless results are bit-identical")
+	fs.StringVar(&o.serverURL, "server", "", "submit to a running ndpserve instance at this base URL instead of executing locally")
+	fs.StringVar(&o.tenant, "tenant", "", "tenant name sent with -server submissions")
+	fs.StringVar(&o.snapName, "snapshot", "", "snapshot name for -server (default: the dataset or graph-file label)")
+}
+
+// Flags a mode cannot honour: the job wire format has no field for the
+// first list, and the cluster always offloads on the default device.
+var (
+	unserved    = []string{"device", "switchbuffer", "direction", "alpha", "beta", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash", "iters", "itercsv"}
+	unclustered = []string{"policy", "device", "switchbuffer"}
+)
+
+// refuse names, in one error, every flag set on fs that -server or
+// -cluster would otherwise drop silently.
+func (o *flags) refuse(fs *flag.FlagSet) error {
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		if o.serverURL != "" && slices.Contains(unserved, f.Name) || o.cluster && slices.Contains(unclustered, f.Name) {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("refusing flags the job wire format (-server) cannot carry or the cluster (-cluster) does not read: %s", strings.Join(bad, ", "))
+}
+
 func main() {
-	var (
-		gf cliconf.GraphFlags
-		ef cliconf.EngineFlags
-		ff cliconf.FaultFlags
-		cf cliconf.ClusterFlags
-	)
-	gf.Register(flag.CommandLine)
-	ef.Register(flag.CommandLine)
-	ff.Register(flag.CommandLine)
-	cf.Register(flag.CommandLine)
-	var (
-		perIter = flag.Bool("iters", false, "print the per-iteration ledger")
-		csv     = flag.Bool("csv", false, "emit the summary as CSV")
-		iterCSV = flag.String("itercsv", "", "write the per-iteration ledger as CSV to this file (single -arch only)")
-
-		clusterMode = flag.Bool("cluster", false, "run on the concurrent actor cluster instead of the simulator (disaggregated-ndp only)")
-
-		storePath   = flag.String("store", "", "run the kernel out-of-core from this gcsr2 container (no -dataset/-graph needed)")
-		storeMem    = flag.Int64("store-mem", 0, "out-of-core local-memory budget in bytes for decompressed segments (0 = unlimited)")
-		storeVerify = flag.Bool("store-verify", false, "with -store: also materialize the container in RAM, run serially, and fail unless results are bit-identical")
-
-		serverURL = flag.String("server", "", "submit to a running ndpserve instance at this base URL instead of executing locally")
-		tenant    = flag.String("tenant", "", "tenant name sent with -server submissions")
-		snapName  = flag.String("snapshot", "", "snapshot name for -server (default: the dataset or graph-file label)")
-	)
+	var o flags
+	o.register(flag.CommandLine)
 	flag.Parse()
-
 	// One signal-aware context for everything ndprun does: Ctrl-C (or a
 	// TERM from a supervisor) cancels served submissions and cluster
 	// runs instead of leaving them to finish on their own.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// -store executes directly from the container through the out-of-core
-	// engine; the graph never materializes in RAM (unless -store-verify
-	// cross-checks it against the serial reference).
-	if *storePath != "" {
-		if err := runStore(ctx, *storePath, *storeMem, *storeVerify, ef, *csv); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	g, err := gf.Load()
-	if err != nil {
-		fatal(err)
-	}
-
-	if *serverURL != "" {
-		if err := runServed(ctx, g, gf, ef, cf, *clusterMode, *serverURL, *tenant, *snapName, *csv); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	k, err := cliconf.MakeKernel(ef.Kernel, ef.PRIters)
-	if err != nil {
-		fatal(err)
-	}
-
-	// -arch serial bypasses the simulator entirely: it runs the in-process
-	// kernel engine (direction-optimized, staged-parallel) and reports the
-	// traversal telemetry instead of the movement ledger.
-	if ef.Arch == "serial" {
-		if err := runSerialEngine(ctx, g, k, gf, ef, *csv); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	p, err := partition.ByName(ef.Partitioner, gf.Seed)
-	if err != nil {
-		fatal(err)
-	}
-	if *clusterMode {
-		if ef.Arch != "disaggregated-ndp" {
-			fatal(fmt.Errorf("-cluster runs the concurrent disaggregated-ndp implementation; got -arch %s", ef.Arch))
-		}
-		plan, err := ff.Plan()
-		if err != nil {
-			fatal(err)
-		}
-		if err := runCluster(ctx, g, k, p, ef.Computes, ef.Partitions, ef.Aggregate, cf.TreeFanIn, cf.ChannelDepth, plan, *csv); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if err := runSim(ctx, g, k, p, gf, ef, *perIter, *iterCSV, *csv); err != nil {
+	if err := o.run(ctx, flag.CommandLine); err != nil {
 		fatal(err)
 	}
 }
 
-// runSim runs the kernel on each selected simulated architecture and
-// prints the movement ledger. Every engine runs under ctx, so Ctrl-C ends
-// the sweep within one iteration.
-func runSim(ctx context.Context, g *graph.Graph, k kernels.Kernel, p partition.Partitioner,
-	gf cliconf.GraphFlags, ef cliconf.EngineFlags, perIter bool, iterCSV string, csv bool) error {
-	assign, err := p.Partition(g, ef.Partitions)
+// run executes the mode the flags parsed into fs select.
+func (o *flags) run(ctx context.Context, fs *flag.FlagSet) error {
+	if err := o.refuse(fs); err != nil {
+		return err
+	}
+	gf, ef := o.gf, o.ef
+	// -store executes directly from the container through the out-of-core
+	// engine; the graph never materializes in RAM (unless -store-verify
+	// cross-checks it against the serial reference).
+	if o.storePath != "" {
+		return runStore(ctx, o.storePath, o.storeMem, o.storeVerify, ef, o.csv)
+	}
+	g, err := gf.Load()
 	if err != nil {
 		return err
 	}
-	pol, err := cliconf.MakePolicy(ef.Policy)
+	if o.serverURL != "" {
+		return runServed(ctx, g, gf, ef, o.cf, o.cluster, o.serverURL, o.tenant, o.snapName, o.csv)
+	}
+	k, err := kernels.ByNameIters(ef.Kernel, ef.PRIters)
 	if err != nil {
 		return err
+	}
+	// -arch serial bypasses the simulator entirely: it runs the in-process
+	// kernel engine (direction-optimized, staged-parallel) and reports the
+	// traversal telemetry instead of the movement ledger.
+	if ef.Arch == "serial" {
+		return runSerialEngine(ctx, g, k, gf, ef, o.csv)
+	}
+	if !o.cluster {
+		sys, err := system(ef, gf.Seed)
+		if err != nil {
+			return err
+		}
+		return runSim(ctx, g, k, sys, gf, ef, o.perIter, o.iterCSV, o.csv)
+	}
+	if ef.Arch != "disaggregated-ndp" {
+		return fmt.Errorf("-cluster runs the concurrent disaggregated-ndp implementation; got -arch %s", ef.Arch)
+	}
+	plan, err := o.ff.Plan()
+	if err != nil {
+		return err
+	}
+	sys, err := system(ef, gf.Seed, core.WithTreeFanIn(o.cf.TreeFanIn), core.WithChannelDepth(o.cf.ChannelDepth), core.WithFaultPlan(plan))
+	if err != nil {
+		return err
+	}
+	return runCluster(ctx, g, k, sys, o.csv)
+}
+
+// system builds the one core.System the engine flags describe, plus
+// opts; seed seeds the partitioner. -arch all builds disaggregated-ndp,
+// the architecture Compare's other three rows are clones of.
+func system(ef cliconf.EngineFlags, seed uint64, opts ...core.Option) (*core.System, error) {
+	arch := core.DisaggregatedNDP
+	if ef.Arch != "all" {
+		var err error
+		if arch, err = core.ParseArch(ef.Arch); err != nil {
+			return nil, err
+		}
+	}
+	p, err := partition.ByName(ef.Partitioner, seed)
+	if err != nil {
+		return nil, err
+	}
+	pol, err := runtime.ByName(ef.Policy)
+	if err != nil {
+		return nil, err
 	}
 	dev, err := ndp.ByName(ef.Device)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	topo := sim.DefaultTopology(ef.Computes, ef.Partitions)
 	topo.MemDevice = dev
 	topo.SwitchBufferEntries = ef.SwitchBuf
+	return core.New(arch, append([]core.Option{core.WithTopology(topo), core.WithPartitioner(p), core.WithPolicy(pol),
+		core.WithAggregation(ef.Aggregate), core.WithWorkers(ef.Workers)}, opts...)...)
+}
 
-	archs := []string{ef.Arch}
+// runSim runs the kernel on the system's architecture, or on all four
+// for -arch all, over one partitioning and prints the movement ledger.
+// Every engine runs under ctx, so Ctrl-C ends the sweep within one
+// iteration.
+func runSim(ctx context.Context, g *graph.Graph, k kernels.Kernel, sys *core.System,
+	gf cliconf.GraphFlags, ef cliconf.EngineFlags, perIter bool, iterCSV string, csv bool) error {
+	assign, err := sys.Partition(g)
+	if err != nil {
+		return err
+	}
+	var runs []*core.Result
 	if ef.Arch == "all" {
-		archs = []string{"distributed", "distributed-ndp", "disaggregated", "disaggregated-ndp"}
+		runs, err = sys.CompareWithAssignment(ctx, g, k, assign)
+	} else {
+		var run *core.Result
+		run, err = sys.Engine().Run(ctx, g, k, core.RunConfig{Assignment: assign})
+		runs = []*core.Result{run}
+	}
+	if err != nil {
+		return err
 	}
 	t := metrics.NewTable(
 		fmt.Sprintf("%s on %s (V=%d E=%d, %d partitions via %s, policy %s)",
-			k.Name(), gf.Label(), g.NumVertices(), g.NumEdges(), ef.Partitions, p.Name(), pol.Name()),
+			k.Name(), gf.Label(), g.NumVertices(), g.NumEdges(), sys.Topology().MemoryNodes, sys.Partitioner().Name(), sys.Policy().Name()),
 		"Architecture", "Iterations", "Moved", "Sync events", "Est time (ms)", "Energy (mJ)", "Offload OK")
-	for _, an := range archs {
-		e, err := cliconf.MakeEngine(an, topo, assign, pol, ef.Aggregate, ef.CacheFrac, ef.Workers, g)
-		if err != nil {
-			return err
-		}
-		run, err := e.Run(ctx, g, k)
-		if err != nil {
-			return err
-		}
-		t.AddRow(run.Engine, run.Result.Iterations, graph.FormatBytes(run.TotalDataMovementBytes),
+	for _, run := range runs {
+		t.AddRow(run.Engine, run.Iterations, graph.FormatBytes(run.TotalDataMovementBytes),
 			run.TotalSyncEvents, run.TotalSeconds*1e3, run.TotalEnergyJoules*1e3, run.OffloadSupported)
 		if perIter {
 			it := metrics.NewTable("per-iteration ledger — "+run.Engine,
@@ -196,17 +249,14 @@ func runSim(ctx context.Context, g *graph.Graph, k kernels.Kernel, p partition.P
 		if run.OffloadNote != "" {
 			fmt.Fprintf(os.Stderr, "note: %s\n", run.OffloadNote)
 		}
-		if iterCSV != "" && len(archs) == 1 {
-			if err := gio.WriteFileAtomic(iterCSV, func(w io.Writer) error { return sim.WriteRecordsCSV(w, run) }); err != nil {
+		if iterCSV != "" && len(runs) == 1 {
+			if err := gio.WriteFileAtomic(iterCSV, func(w io.Writer) error { return sim.WriteRecordsCSV(w, run.Records) }); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "wrote per-iteration ledger to %s\n", iterCSV)
 		}
 	}
-	if csv {
-		return t.RenderCSV(os.Stdout)
-	}
-	return t.Render(os.Stdout)
+	return render(t, csv)
 }
 
 // runSerialEngine executes the kernel on the in-process engine with the
@@ -234,11 +284,7 @@ func runSerialEngine(ctx context.Context, g *graph.Graph, k kernels.Kernel, gf c
 			k.Name(), gf.Label(), g.NumVertices(), g.NumEdges(), opt.Direction, opt.Workers),
 		"Iterations", "Converged", "Push iters", "Pull iters", "Frontier edges", "Edges inspected")
 	t.AddRow(res.Iterations, res.Converged, res.PushIterations, res.PullIterations, nominal, res.EdgesInspected)
-	render := t.Render
-	if csv {
-		render = t.RenderCSV
-	}
-	return render(os.Stdout)
+	return render(t, csv)
 }
 
 // runStore executes the kernel straight from a gcsr2 container: edges
@@ -253,7 +299,7 @@ func runStore(ctx context.Context, path string, localBytes int64, verify bool, e
 		return err
 	}
 	defer func() { _ = st.Close() }()
-	k, err := cliconf.MakeKernel(ef.Kernel, ef.PRIters)
+	k, err := kernels.ByNameIters(ef.Kernel, ef.PRIters)
 	if err != nil {
 		return err
 	}
@@ -275,11 +321,7 @@ func runStore(ctx context.Context, path string, localBytes int64, verify bool, e
 		"Iterations", "Converged", "Seg hits", "Seg misses", "Evictions", "Far-memory", "Peak resident")
 	t.AddRow(res.Iterations, res.Converged, stats.Hits, stats.Misses, stats.Evictions,
 		graph.FormatBytes(stats.FarBytes), graph.FormatBytes(stats.PeakResidentBytes))
-	render := t.Render
-	if csv {
-		render = t.RenderCSV
-	}
-	if err := render(os.Stdout); err != nil {
+	if err := render(t, csv); err != nil {
 		return err
 	}
 
@@ -288,7 +330,7 @@ func runStore(ctx context.Context, path string, localBytes int64, verify bool, e
 		if err != nil {
 			return err
 		}
-		kk, err := cliconf.MakeKernel(ef.Kernel, ef.PRIters) // fresh instance: stateful kernels carry run state
+		kk, err := kernels.ByNameIters(ef.Kernel, ef.PRIters) // fresh instance: stateful kernels carry run state
 		if err != nil {
 			return err
 		}
@@ -388,60 +430,42 @@ func runServed(ctx context.Context, g *graph.Graph, gf cliconf.GraphFlags, ef cl
 		moved = res.SwitchToCompute + res.Writeback
 	}
 	t.AddRow(res.Engine, res.Iterations, res.Converged, graph.FormatBytes(moved), info.CacheHit)
-	render := t.Render
-	if csv {
-		render = t.RenderCSV
-	}
-	return render(os.Stdout)
+	return render(t, csv)
 }
 
-// runCluster executes the kernel on the concurrent actor implementation,
-// configured entirely through core's functional options, and reports the
-// measured traffic plus the fault/recovery counters.
-func runCluster(ctx context.Context, g *graph.Graph, k kernels.Kernel, p partition.Partitioner,
-	computes, partitions int, aggregate bool, treeFanIn, chanDepth int,
-	plan cluster.FaultPlan, csv bool) error {
-	sys, err := core.New(core.DisaggregatedNDP,
-		core.WithComputeNodes(computes),
-		core.WithMemoryNodes(partitions),
-		core.WithPartitioner(p),
-		core.WithAggregation(aggregate),
-		core.WithTreeFanIn(treeFanIn),
-		core.WithChannelDepth(chanDepth),
-		core.WithFaultPlan(plan),
-	)
-	if err != nil {
-		return err
-	}
+// runCluster executes the kernel on the system's concurrent actor
+// cluster and reports the measured traffic plus the fault/recovery
+// counters.
+func runCluster(ctx context.Context, g *graph.Graph, k kernels.Kernel, sys *core.System, csv bool) error {
 	out, err := sys.ConcurrentEngine().Run(ctx, g, k, core.RunConfig{})
 	if err != nil {
 		return err
 	}
 	t := metrics.NewTable(
 		fmt.Sprintf("%s on concurrent cluster (V=%d E=%d, %d memory nodes, %d compute nodes)",
-			k.Name(), g.NumVertices(), g.NumEdges(), partitions, computes),
+			k.Name(), g.NumVertices(), g.NumEdges(), sys.Topology().MemoryNodes, sys.Topology().ComputeNodes),
 		"Iterations", "Converged", "Mem->Switch", "Switch->Compute", "Writeback", "Total moved")
 	t.AddRow(out.Iterations, out.Converged,
 		graph.FormatBytes(out.Traffic.MemToSwitch),
 		graph.FormatBytes(out.Traffic.SwitchToCompute),
 		graph.FormatBytes(out.Traffic.Writeback),
 		graph.FormatBytes(out.Traffic.Total()))
-	render := t.Render
-	if csv {
-		render = t.RenderCSV
-	}
-	if err := render(os.Stdout); err != nil {
+	if err := render(t, csv); err != nil {
 		return err
 	}
 	ft := metrics.NewTable("fault injection and recovery",
 		"Drops", "Duplicates", "Delays", "Retries", "Acks", "Crashes", "Redispatches", "Virtual ticks")
 	f := out.Faults
 	ft.AddRow(f.Drops, f.Duplicates, f.Delays, f.Retries, f.Acks, f.Crashes, f.Redispatches, f.VirtualTicks)
-	fr := ft.Render
+	return render(ft, csv)
+}
+
+// render prints t to stdout as a table, or as CSV.
+func render(t *metrics.Table, csv bool) error {
 	if csv {
-		fr = ft.RenderCSV
+		return t.RenderCSV(os.Stdout)
 	}
-	return fr(os.Stdout)
+	return t.Render(os.Stdout)
 }
 
 func fatal(err error) {

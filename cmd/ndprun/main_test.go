@@ -6,15 +6,16 @@ import (
 	"flag"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cliconf"
-	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/partition"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -32,12 +33,17 @@ func TestRunClusterHonorsCancelledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := kernels.NewPageRank(200, 0.85)
+	sys, err := system(engineFlags(t, "-partitioner", "hash", "-partitions", "4", "-aggregate=false"), 42,
+		core.WithTreeFanIn(2), core.WithChannelDepth(8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	done := make(chan error, 1)
 	go func() {
-		done <- runCluster(ctx, g, k, partition.Hash{}, 2, 4, false, 2, 8, cluster.FaultPlan{}, false)
+		done <- runCluster(ctx, g, k, sys, false)
 	}()
 	select {
 	case err := <-done:
@@ -72,8 +78,12 @@ func TestRunSimHonorsCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ef := engineFlags(t, "-arch", "all")
-	err = runSim(ctx, g, kernels.NewPageRank(200, 0.85), partition.Hash{}, cliconf.GraphFlags{}, ef, false, "", false)
+	ef := engineFlags(t, "-arch", "all", "-partitioner", "hash")
+	sys, err := system(ef, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runSim(ctx, g, kernels.NewPageRank(200, 0.85), sys, cliconf.GraphFlags{}, ef, false, "", false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runSim with cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -130,5 +140,95 @@ func TestRunServedHonorsCancelledContext(t *testing.T) {
 	err = runServed(ctx, g, cliconf.GraphFlags{}, engineFlags(t, "-kernel", "cc"), cliconf.ClusterFlags{}, false, ts.URL, "", "g", false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runServed with cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestDefaultsBuildOneSystem holds the three ways to describe a
+// deployment with no knobs set to one machine: a served job spec after
+// Normalize, ndprun's default flags, and core.New. Each is the
+// disaggregated NDP system with in-network aggregation, core's
+// partitioner and policy, and one topology.
+func TestDefaultsBuildOneSystem(t *testing.T) {
+	spec := serve.JobSpec{Snapshot: "g"}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	served, err := spec.System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := system(engineFlags(t), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := core.New(core.DisaggregatedNDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sys := range map[string]*core.System{"served spec": served, "ndprun flags": local} {
+		if got, want := sys.Engine().Name(), "disaggregated-ndp+inc"; got != want {
+			t.Errorf("%s: engine %q, want %q", name, got, want)
+		}
+		if got, want := sys.Partitioner().Name(), def.Partitioner().Name(); got != want {
+			t.Errorf("%s: partitioner %q, core.New's %q", name, got, want)
+		}
+		if got, want := sys.Policy().Name(), def.Policy().Name(); got != want {
+			t.Errorf("%s: policy %q, core.New's %q", name, got, want)
+		}
+		if got, want := sys.Topology(), def.Topology(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: topology %+v, core.New's %+v", name, got, want)
+		}
+	}
+}
+
+// refusal parses args as ndprun's command line and returns its refusal.
+func refusal(t *testing.T, args ...string) error {
+	t.Helper()
+	var o flags
+	fs := flag.NewFlagSet("ndprun", flag.ContinueOnError)
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return o.refuse(fs)
+}
+
+// TestDroppedFlagsAreRefused holds -server and -cluster to refusing, in
+// one error that names it, each flag they cannot honour.
+func TestDroppedFlagsAreRefused(t *testing.T) {
+	for _, tc := range []struct{ mode, flag, value string }{
+		{"-server", "-device", "UPMEM"},
+		{"-server", "-switchbuffer", "64"},
+		{"-server", "-direction", "push"},
+		{"-server", "-alpha", "2"},
+		{"-server", "-beta", "2"},
+		{"-server", "-fault-seed", "7"},
+		{"-server", "-fault-drop", "0.1"},
+		{"-server", "-fault-dup", "0.1"},
+		{"-server", "-fault-delay", "0.1"},
+		{"-server", "-crash", "1@1"},
+		{"-server", "-iters", ""},
+		{"-server", "-itercsv", "ledger.csv"},
+		{"-cluster", "-policy", "always"},
+		{"-cluster", "-device", "UPMEM"},
+		{"-cluster", "-switchbuffer", "64"},
+	} {
+		t.Run(tc.mode+tc.flag, func(t *testing.T) {
+			args := []string{tc.mode}
+			if tc.mode == "-server" {
+				args = append(args, "http://127.0.0.1:8090")
+			}
+			if err := refusal(t, args...); err != nil {
+				t.Fatalf("%s alone refused: %v", tc.mode, err)
+			}
+			args = append(args, tc.flag)
+			if tc.value != "" {
+				args = append(args, tc.value)
+			}
+			err := refusal(t, args...)
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Fatalf("%v: err = %v, want one naming %s", args, err, tc.flag)
+			}
+		})
 	}
 }

@@ -1,16 +1,11 @@
-// Package cliconf is the shared CLI flag/config layer for the run-style
-// commands (ndprun, ndpbench, ndpverify, ndpserve): one place that maps
-// the user-facing names — datasets, kernels, architectures, partitioners,
-// offload policies, fault plans — to constructed objects, so every
-// command (and the ndpserve job API, which accepts the same names over
-// JSON) resolves them identically.
-//
-// Flags are grouped into registerable structs (GraphFlags, EngineFlags,
-// FaultFlags) so each command picks the groups it needs; the name
-// resolvers (MakeKernel, MakePolicy, ParseArch, ParseCrashSpec,
-// LoadGraph, and partition.ByName for partitioners) are also usable
-// directly on config values that arrived by other routes, e.g. an HTTP
-// job submission.
+// Package cliconf is the shared flag layer of the run-style commands
+// (ndprun, ndpbench, ndpverify, ndpserve): flag groups as registerable
+// structs (GraphFlags, EngineFlags, ExperimentFlags, FaultFlags,
+// ClusterFlags), so each command picks the groups it needs and spells a
+// knob the same way. The engine flags default to core's table. Names
+// resolve in the packages that own them (kernels.ByNameIters,
+// kernels.ParseDirection, partition.ByName, runtime.ByName,
+// core.ParseArch), not here.
 package cliconf
 
 import (
@@ -28,7 +23,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/partition"
 	"repro/internal/runtime"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -116,7 +110,6 @@ type EngineFlags struct {
 	Policy      string
 	Aggregate   bool
 	Device      string
-	CacheFrac   float64
 	SwitchBuf   int64
 	PRIters     int
 	Workers     int
@@ -129,13 +122,12 @@ type EngineFlags struct {
 func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Kernel, "kernel", "pagerank", "kernel: pagerank | pagerank-delta | ppr | cc | bfs | sssp | sswp | indegree | reach")
 	fs.StringVar(&f.Arch, "arch", "disaggregated-ndp", "architecture: distributed | distributed-ndp | disaggregated | disaggregated-ndp | all | serial (in-process kernel engine, no simulation)")
-	fs.IntVar(&f.Partitions, "partitions", 8, "memory nodes / partitions")
-	fs.IntVar(&f.Computes, "computes", 2, "compute nodes")
-	fs.StringVar(&f.Partitioner, "partitioner", "hash", "hash | range | chunk | ldg | multilevel")
-	fs.StringVar(&f.Policy, "policy", "always", "offload policy: always | never | threshold | heuristic | oracle | mixed-oracle | partition-heuristic")
-	fs.BoolVar(&f.Aggregate, "aggregate", false, "enable in-network aggregation")
+	fs.IntVar(&f.Partitions, "partitions", core.DefaultMemoryNodes, "memory nodes / partitions")
+	fs.IntVar(&f.Computes, "computes", core.DefaultComputeNodes, "compute nodes")
+	fs.StringVar(&f.Partitioner, "partitioner", core.DefaultPartitioner, strings.Join(partition.Names(), " | "))
+	fs.StringVar(&f.Policy, "policy", core.DefaultPolicy, "offload policy: "+strings.Join(runtime.Names(), " | ")+" (or threshold)")
+	fs.BoolVar(&f.Aggregate, "aggregate", core.DefaultAggregation, "enable in-network aggregation")
 	fs.StringVar(&f.Device, "device", "CXL-CMS", "memory-node NDP device (see ndpbench table1)")
-	fs.Float64Var(&f.CacheFrac, "cache", 0, "host edge-cache fraction of the edge list (disaggregated only)")
 	fs.Int64Var(&f.SwitchBuf, "switchbuffer", 0, "switch aggregation buffer entries (0 = unlimited)")
 	fs.IntVar(&f.PRIters, "priters", 10, "PageRank iterations")
 	fs.IntVar(&f.Workers, "workers", 0, "simulator worker pool size (0 = GOMAXPROCS); results are identical for every setting")
@@ -144,24 +136,10 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.Beta, "beta", 0, "direction switch: pull only when frontier > vertices/beta (0 = default 24)")
 }
 
-// ParseDirection maps a direction flag value to the kernel engine enum.
-func ParseDirection(name string) (kernels.Direction, error) {
-	switch name {
-	case "auto", "":
-		return kernels.DirectionAuto, nil
-	case "push":
-		return kernels.DirectionPush, nil
-	case "pull":
-		return kernels.DirectionPull, nil
-	default:
-		return 0, fmt.Errorf("unknown direction %q (want auto, push, or pull)", name)
-	}
-}
-
 // EngineOptions resolves the flag group's kernel-engine options
 // (direction mode, switch thresholds, worker pool width).
 func (f *EngineFlags) EngineOptions() (kernels.Options, error) {
-	dir, err := ParseDirection(f.Direction)
+	dir, err := kernels.ParseDirection(f.Direction)
 	if err != nil {
 		return kernels.Options{}, err
 	}
@@ -171,67 +149,6 @@ func (f *EngineFlags) EngineOptions() (kernels.Options, error) {
 		Alpha:     f.Alpha,
 		Beta:      f.Beta,
 	}, nil
-}
-
-// MakeKernel builds a kernel by name; "pagerank"/"pr" honor the
-// PageRank iteration budget, every other name resolves through the
-// kernels registry.
-func MakeKernel(name string, priters int) (kernels.Kernel, error) {
-	if name == "pagerank" || name == "pr" {
-		return kernels.NewPageRank(priters, kernels.DefaultDamping), nil
-	}
-	return kernels.ByName(name)
-}
-
-// MakePolicy builds an offload policy by name.
-func MakePolicy(name string) (sim.OffloadPolicy, error) {
-	switch name {
-	case "always":
-		return sim.AlwaysOffload{}, nil
-	case "never":
-		return sim.NeverOffload{}, nil
-	case "threshold":
-		return runtime.ThresholdPolicy{}, nil
-	case "heuristic":
-		return runtime.Heuristic{}, nil
-	case "oracle":
-		return runtime.Oracle{}, nil
-	case "mixed-oracle":
-		return runtime.MixedOracle{}, nil
-	case "partition-heuristic":
-		return runtime.PartitionHeuristic{}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want always, never, threshold, heuristic, oracle, mixed-oracle, or partition-heuristic)", name)
-	}
-}
-
-// ParseArch maps an architecture name to its core.Arch.
-func ParseArch(name string) (core.Arch, error) {
-	for _, a := range core.Architectures() {
-		if a.String() == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown architecture %q (want distributed, distributed-ndp, disaggregated, or disaggregated-ndp)", name)
-}
-
-// MakeEngine assembles the analytical sim engine for an architecture
-// name on a prepared assignment (ndprun's per-arch loop; core.System is
-// the option-driven route).
-func MakeEngine(arch string, topo sim.Topology, assign *partition.Assignment, pol sim.OffloadPolicy, aggregate bool, cacheFrac float64, workers int, g *graph.Graph) (sim.Engine, error) {
-	switch arch {
-	case "distributed":
-		return &sim.Distributed{Topo: topo, Assign: assign, Workers: workers}, nil
-	case "distributed-ndp":
-		return &sim.DistributedNDP{Topo: topo, Assign: assign, Workers: workers}, nil
-	case "disaggregated":
-		cache := int64(cacheFrac * float64(g.NumEdges()*kernels.EdgeBytes))
-		return &sim.Disaggregated{Topo: topo, Assign: assign, CacheBytes: cache, Workers: workers}, nil
-	case "disaggregated-ndp":
-		return &sim.DisaggregatedNDP{Topo: topo, Assign: assign, Policy: pol, InNetworkAggregation: aggregate, Workers: workers}, nil
-	default:
-		return nil, fmt.Errorf("unknown architecture %q", arch)
-	}
 }
 
 // ExperimentFlags configures the experiment drivers (ndpbench): the

@@ -63,6 +63,28 @@ func Architectures() []Arch {
 	return []Arch{Distributed, DistributedNDP, Disaggregated, DisaggregatedNDP}
 }
 
+// ParseArch maps an architecture name to its Arch.
+func ParseArch(name string) (Arch, error) {
+	for _, a := range Architectures() {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown architecture %q (want distributed, distributed-ndp, disaggregated, or disaggregated-ndp)", name)
+}
+
+// The defaults of every System: the machine Section IV argues for, with
+// NDP memory pools, in-network aggregation, the dynamic offload runtime,
+// and min-cut partitioning. core.New, serve.JobSpec and the command
+// flags all read this one table.
+const (
+	DefaultComputeNodes = 2
+	DefaultMemoryNodes  = 8
+	DefaultPartitioner  = "multilevel"
+	DefaultPolicy       = "heuristic"
+	DefaultAggregation  = true
+)
+
 // System is a configured deployment target.
 type System struct {
 	arch        Arch
@@ -70,10 +92,7 @@ type System struct {
 	partitioner partition.Partitioner
 	policy      sim.OffloadPolicy
 	aggregation bool
-	// aggregationSet records an explicit WithAggregation so Compare can
-	// tell a user choice apart from the per-arch default.
-	aggregationSet bool
-	workers        int
+	workers     int
 
 	// Concurrent-cluster knobs (package cluster); they flow into one
 	// validated cluster.Config — see ClusterConfig.
@@ -85,12 +104,13 @@ type System struct {
 // Option configures a System.
 type Option func(*System)
 
-// WithComputeNodes sets the host count (default 2).
+// WithComputeNodes sets the host count (default DefaultComputeNodes).
 func WithComputeNodes(n int) Option {
 	return func(s *System) { s.topo.ComputeNodes = n }
 }
 
-// WithMemoryNodes sets the memory-pool width / partition count (default 8).
+// WithMemoryNodes sets the memory-pool width / partition count (default
+// DefaultMemoryNodes).
 func WithMemoryNodes(n int) Option {
 	return func(s *System) { s.topo.MemoryNodes = n }
 }
@@ -101,24 +121,22 @@ func WithTopology(t sim.Topology) Option {
 }
 
 // WithPartitioner selects the edge-list partitioning strategy (default
-// multilevel min-cut — the strategy Figure 6 shows the runtime needs).
+// DefaultPartitioner, multilevel min-cut: the strategy Figure 6 shows the
+// runtime needs).
 func WithPartitioner(p partition.Partitioner) Option {
 	return func(s *System) { s.partitioner = p }
 }
 
-// WithPolicy selects the offload policy (default the dynamic heuristic).
+// WithPolicy selects the offload policy (default DefaultPolicy, the
+// dynamic heuristic).
 func WithPolicy(p sim.OffloadPolicy) Option {
 	return func(s *System) { s.policy = p }
 }
 
-// WithAggregation toggles in-network aggregation (default on for
-// DisaggregatedNDP). Setting it explicitly also pins the choice for
-// every architecture Compare clones.
+// WithAggregation toggles in-network aggregation (default on). Only
+// DisaggregatedNDP and the concurrent cluster have a switch that reads it.
 func WithAggregation(enabled bool) Option {
-	return func(s *System) {
-		s.aggregation = enabled
-		s.aggregationSet = true
-	}
+	return func(s *System) { s.aggregation = enabled }
 }
 
 // WithWorkers caps the analytical simulator's worker pool (default 0 =
@@ -150,17 +168,23 @@ func WithFaultPlan(p cluster.FaultPlan) Option {
 	return func(s *System) { s.fault = p }
 }
 
-// New builds a System for the architecture with sensible defaults: 2
-// compute nodes, 8 memory nodes, multilevel partitioning, the dynamic
-// offload heuristic, and in-network aggregation when the architecture
-// supports it.
+// New builds a System for the architecture from the defaults table,
+// then applies opts.
 func New(arch Arch, opts ...Option) (*System, error) {
+	p, err := partition.ByName(DefaultPartitioner, 0)
+	if err != nil {
+		return nil, err
+	}
+	pol, err := runtime.ByName(DefaultPolicy)
+	if err != nil {
+		return nil, err
+	}
 	s := &System{
 		arch:        arch,
-		topo:        sim.DefaultTopology(2, 8),
-		partitioner: partition.Multilevel{},
-		policy:      runtime.Heuristic{},
-		aggregation: arch == DisaggregatedNDP,
+		topo:        sim.DefaultTopology(DefaultComputeNodes, DefaultMemoryNodes),
+		partitioner: p,
+		policy:      pol,
+		aggregation: DefaultAggregation,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -171,9 +195,7 @@ func New(arch Arch, opts ...Option) (*System, error) {
 	if err := s.ClusterConfig().Validate(); err != nil {
 		return nil, err
 	}
-	switch arch {
-	case Distributed, DistributedNDP, Disaggregated, DisaggregatedNDP:
-	default:
+	if arch < Distributed || arch > DisaggregatedNDP {
 		return nil, fmt.Errorf("core: unknown architecture %d", int(arch))
 	}
 	return s, nil
@@ -184,6 +206,12 @@ func (s *System) Arch() Arch { return s.arch }
 
 // Topology returns the configured topology.
 func (s *System) Topology() sim.Topology { return s.topo }
+
+// Partitioner returns the configured partitioner.
+func (s *System) Partitioner() partition.Partitioner { return s.partitioner }
+
+// Policy returns the configured offload policy.
+func (s *System) Policy() sim.OffloadPolicy { return s.policy }
 
 // Partition partitions g for this system's memory pool.
 func (s *System) Partition(g *graph.Graph) (*partition.Assignment, error) {
@@ -228,10 +256,7 @@ func (s *System) ClusterConfig() cluster.Config {
 // topology and partitioner, returning runs in Table II order. All runs
 // share one partition assignment, so the comparison isolates the
 // architecture. The four runs execute concurrently; results land in
-// their Table II slots regardless of completion order, and unless
-// WithAggregation pinned a choice each clone re-derives the per-arch
-// aggregation default (so the rows match fresh per-arch New systems no
-// matter which architecture the base was built as).
+// their Table II slots regardless of completion order.
 func (s *System) Compare(ctx context.Context, g *graph.Graph, k kernels.Kernel) ([]*Result, error) {
 	assign, err := s.Partition(g)
 	if err != nil {
@@ -254,9 +279,6 @@ func (s *System) CompareWithAssignment(ctx context.Context, g *graph.Graph, k ke
 	for i, arch := range archs {
 		clone := *s
 		clone.arch = arch
-		if !s.aggregationSet {
-			clone.aggregation = arch == DisaggregatedNDP
-		}
 		one := func(i int, arch Arch, clone System) {
 			run, err := clone.Engine().Run(ctx, g, k, RunConfig{Assignment: assign})
 			if err != nil {

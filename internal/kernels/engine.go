@@ -100,6 +100,17 @@ func (d Direction) String() string {
 	}
 }
 
+// ParseDirection maps a direction name (String's, or "" for auto) to its
+// Direction.
+func ParseDirection(name string) (Direction, error) {
+	for _, d := range []Direction{DirectionAuto, DirectionPush, DirectionPull} {
+		if name == d.String() || name == "" && d == DirectionAuto {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown direction %q (want auto, push, or pull)", name)
+}
+
 // DefaultAlpha and DefaultBeta are the conventional direction-switch
 // thresholds (Beamer et al.).
 const (

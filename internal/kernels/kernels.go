@@ -27,6 +27,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -237,29 +238,31 @@ type StatefulKernel interface {
 }
 
 // kernelEntry ties one canonical name, its accepted aliases, and the
-// default constructor together. The registry below is THE source for
-// Names, ByName, All, and the "available:" error text, so the four can
+// constructor together. The registry below is THE source for Names,
+// ByName, ByNameIters, All, and the "available:" error text, so they can
 // never drift apart; the canonical name must equal the constructed
-// kernel's Name() (enforced by TestRegistryNamesMatchKernels).
+// kernel's Name() (enforced by TestRegistryNamesMatchKernels). The
+// constructor takes the iteration budget of the fixed-iteration kernels
+// (pagerank, ppr); the others ignore it.
 type kernelEntry struct {
 	name    string
 	aliases []string
-	make    func() Kernel
+	make    func(iters int) Kernel
 }
 
 // registry is sorted by canonical name and built once, so a lookup
 // allocates only the kernel it constructs. Defaults: bfs/sssp/sswp/
 // reachability/ppr start from source 0.
 var registry = []kernelEntry{
-	{"bfs", nil, func() Kernel { return NewBFS(0) }},
-	{"cc", []string{"connectedcomponents"}, func() Kernel { return NewConnectedComponents() }},
-	{"indegree", []string{"degree"}, func() Kernel { return NewInDegree() }},
-	{"pagerank", []string{"pr"}, func() Kernel { return NewPageRank(DefaultPageRankIterations, DefaultDamping) }},
-	{"pagerank-delta", []string{"prdelta"}, func() Kernel { return NewPageRankDelta(DefaultDamping, 1e-9) }},
-	{"ppr", nil, func() Kernel { return NewPersonalizedPageRank(0, DefaultPageRankIterations, DefaultDamping) }},
-	{"reach", []string{"reachability"}, func() Kernel { return NewReachability(0) }},
-	{"sssp", nil, func() Kernel { return NewSSSP(0) }},
-	{"sswp", nil, func() Kernel { return NewSSWP(0) }},
+	{"bfs", nil, func(int) Kernel { return NewBFS(0) }},
+	{"cc", []string{"connectedcomponents"}, func(int) Kernel { return NewConnectedComponents() }},
+	{"indegree", []string{"degree"}, func(int) Kernel { return NewInDegree() }},
+	{"pagerank", []string{"pr"}, func(iters int) Kernel { return NewPageRank(iters, DefaultDamping) }},
+	{"pagerank-delta", []string{"prdelta"}, func(int) Kernel { return NewPageRankDelta(DefaultDamping, 1e-9) }},
+	{"ppr", nil, func(iters int) Kernel { return NewPersonalizedPageRank(0, iters, DefaultDamping) }},
+	{"reach", []string{"reachability"}, func(int) Kernel { return NewReachability(0) }},
+	{"sssp", nil, func(int) Kernel { return NewSSSP(0) }},
+	{"sswp", nil, func(int) Kernel { return NewSSWP(0) }},
 }
 
 // Names lists the canonical kernel names ByName accepts, sorted
@@ -275,14 +278,16 @@ func Names() []string {
 // ByName constructs a kernel by canonical name or alias with default
 // parameters.
 func ByName(name string) (Kernel, error) {
+	return ByNameIters(name, DefaultPageRankIterations)
+}
+
+// ByNameIters is ByName with the iteration budget of pagerank and ppr
+// set to iters — the resolver behind every command's -priters and the
+// service's priters field.
+func ByNameIters(name string, iters int) (Kernel, error) {
 	for _, e := range registry {
-		if name == e.name {
-			return e.make(), nil
-		}
-		for _, alias := range e.aliases {
-			if name == alias {
-				return e.make(), nil
-			}
+		if name == e.name || slices.Contains(e.aliases, name) {
+			return e.make(iters), nil
 		}
 	}
 	return nil, fmt.Errorf("kernels: unknown kernel %q (available: %s)", name, strings.Join(Names(), ", "))
@@ -293,7 +298,7 @@ func ByName(name string) (Kernel, error) {
 func All() []Kernel {
 	kernels := make([]Kernel, len(registry))
 	for i, e := range registry {
-		kernels[i] = e.make()
+		kernels[i] = e.make(DefaultPageRankIterations)
 	}
 	return kernels
 }

@@ -11,11 +11,12 @@ import (
 // allocation count. The ring of finished jobs is full first, so every hit
 // also retires the oldest job: the steady state of a long-lived service.
 // Registry.Get, the snapshot's acquire and release, ResultCache.Get and
-// the ring's retirement allocate nothing. The 8 allocations, all from
+// the ring's retirement allocate nothing. The 9 allocations, all from
 // building the job and checking its spec:
-//   - spec validation constructs the kernel by name: the BFS kernel (1;
-//     the kernel and partitioner tables are package-level, and the hash
-//     partitioner is a zero-size value);
+//   - spec validation constructs the kernel and the partitioner by name:
+//     the BFS kernel and the default multilevel partitioner, boxed with
+//     its seed (2; the kernel, partitioner and policy tables are
+//     package-level, and every policy is a zero-size value);
 //   - the cache key: the spec copied to the heap for json.Marshal, the
 //     marshalled bytes, and the digest-prefixed key string (3);
 //   - the Job and its done channel (2);
@@ -45,7 +46,7 @@ func TestServeHitAllocGate(t *testing.T) {
 	for i := 0; i <= finishedJobsKept; i++ {
 		hit()
 	}
-	const want = 8
+	const want = 9
 	if got := testing.AllocsPerRun(3000, hit); got != want {
 		t.Errorf("a cache-hit Submit makes %.0f allocations, want %d: the count is a reviewed number — a change that moves it updates it here, with why", got, want)
 	}

@@ -9,11 +9,12 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cliconf"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/runtime"
 )
 
 // Job states.
@@ -552,11 +553,11 @@ func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*c
 // oracle to compute the expected result without a server. A nil assign
 // partitions internally (with the spec's partitioner and seed).
 func ExecuteSpec(ctx context.Context, g *graph.Graph, spec JobSpec, assign *partition.Assignment) (*core.Result, error) {
-	sys, err := buildSystem(spec)
+	sys, err := spec.System()
 	if err != nil {
 		return nil, err
 	}
-	k, err := cliconf.MakeKernel(spec.Kernel, spec.PRIters)
+	k, err := kernels.ByNameIters(spec.Kernel, spec.PRIters)
 	if err != nil {
 		return nil, err
 	}
@@ -572,13 +573,13 @@ func ExecuteSpec(ctx context.Context, g *graph.Graph, spec JobSpec, assign *part
 	return eng.Run(ctx, g, k, core.RunConfig{Assignment: assign})
 }
 
-// buildSystem constructs the core.System a normalized spec describes.
-func buildSystem(spec JobSpec) (*core.System, error) {
-	arch, err := cliconf.ParseArch(spec.Arch)
+// System constructs the core.System a normalized spec describes.
+func (spec JobSpec) System() (*core.System, error) {
+	arch, err := core.ParseArch(spec.Arch)
 	if err != nil {
 		return nil, err
 	}
-	pol, err := cliconf.MakePolicy(spec.Policy)
+	pol, err := runtime.ByName(spec.Policy)
 	if err != nil {
 		return nil, err
 	}

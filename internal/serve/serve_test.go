@@ -346,7 +346,7 @@ func TestSpecNormalizeAndCacheKey(t *testing.T) {
 	}
 	if s.Engine != EngineSim || s.Kernel != "pagerank" || s.PRIters != 10 ||
 		s.Arch != "disaggregated-ndp" || s.Partitions != 8 || s.Computes != 2 ||
-		s.Partitioner != "hash" || s.Seed != 42 || s.Policy != "always" {
+		s.Partitioner != "multilevel" || s.Seed != 42 || s.Policy != "heuristic" {
 		t.Fatalf("defaults not filled: %+v", s)
 	}
 
@@ -373,6 +373,28 @@ func TestSpecNormalizeAndCacheKey(t *testing.T) {
 	}
 	if s.cacheKey("d1") == s.cacheKey("d2") {
 		t.Error("cache key ignores the snapshot digest")
+	}
+}
+
+// TestPRItersReachEveryFixedIterationKernel holds priters to ppr as well
+// as pagerank: specs that differ only in priters are two cache keys, so
+// they must be two runs, not one result under two keys.
+func TestPRItersReachEveryFixedIterationKernel(t *testing.T) {
+	g := testGraph(t, 1)
+	for _, kernel := range []string{"pagerank", "ppr"} {
+		for _, iters := range []int{3, 7} {
+			spec := JobSpec{Snapshot: "g", Engine: EngineSerial, Kernel: kernel, PRIters: iters}
+			if err := spec.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := ExecuteSpec(context.Background(), g, spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != iters {
+				t.Errorf("%s with priters %d ran %d iterations", kernel, iters, res.Iterations)
+			}
+		}
 	}
 }
 
@@ -431,7 +453,7 @@ func TestGoldenAPIShapes(t *testing.T) {
 	}()
 
 	status, body := get("/v1/jobs/" + job.ID())
-	wantStatus := fmt.Sprintf(`{"id":"j00000001","tenant":"alice","state":"done","snapshot":"g","digest":"%s","spec":{"snapshot":"g","engine":"sim","kernel":"cc","priters":10,"arch":"disaggregated-ndp","partitions":8,"computes":2,"partitioner":"hash","seed":42,"policy":"always"}}`, digest)
+	wantStatus := fmt.Sprintf(`{"id":"j00000001","tenant":"alice","state":"done","snapshot":"g","digest":"%s","spec":{"snapshot":"g","engine":"sim","kernel":"cc","priters":10,"arch":"disaggregated-ndp","partitions":8,"computes":2,"partitioner":"multilevel","seed":42,"policy":"heuristic"}}`, digest)
 	if status != http.StatusOK || body != wantStatus {
 		t.Errorf("status body:\n got %d %s\nwant %d %s", status, body, http.StatusOK, wantStatus)
 	}

@@ -1,24 +1,27 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 
-	"repro/internal/cliconf"
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/runtime"
 )
 
 // JobSpec is the wire form of a job submission: the snapshot to run
-// against plus the same user-facing names the CLIs accept (resolved
-// through cliconf, so "pagerank" or "ldg" mean exactly what they mean
-// to ndprun). Zero fields take the documented defaults; normalize fills
-// them in so the canonical form — and therefore the result-cache key —
-// is independent of which defaults the client spelled out.
+// against plus the same user-facing names the CLIs accept (resolved by
+// the registries that own them, so "pagerank" or "ldg" mean exactly what
+// they mean to ndprun). Zero fields take core's defaults table, as
+// ndprun's flags do; normalize fills them in so the canonical form — and
+// therefore the result-cache key — is independent of which defaults the
+// client spelled out.
 type JobSpec struct {
 	// Snapshot names the registry entry to run against.
 	Snapshot string `json:"snapshot"`
@@ -26,7 +29,8 @@ type JobSpec struct {
 	// the default), "cluster" (concurrent actor cluster), or "serial"
 	// (reference implementation).
 	Engine string `json:"engine,omitempty"`
-	// Kernel and PRIters select the vertex program.
+	// Kernel and PRIters select the vertex program (PRIters is the
+	// iteration budget of pagerank and ppr).
 	Kernel  string `json:"kernel,omitempty"`
 	PRIters int    `json:"priters,omitempty"`
 	// Arch picks the simulated architecture (sim engine only).
@@ -39,8 +43,8 @@ type JobSpec struct {
 	Seed        uint64 `json:"seed,omitempty"`
 	// Policy is the NDP offload policy (sim, disaggregated-ndp only).
 	Policy string `json:"policy,omitempty"`
-	// Aggregation pins in-network aggregation; nil keeps the per-arch
-	// default (on for disaggregated-ndp).
+	// Aggregation pins in-network aggregation; nil keeps the default
+	// (on). Only disaggregated-ndp and the cluster have a switch.
 	Aggregation *bool `json:"aggregation,omitempty"`
 	// TreeFanIn / ChannelDepth shape the concurrent cluster.
 	TreeFanIn    int `json:"treefanin,omitempty"`
@@ -69,54 +73,36 @@ func (s *JobSpec) normalize() error {
 	if s.Snapshot == "" {
 		return fmt.Errorf("spec: snapshot is required")
 	}
-	if s.Engine == "" {
-		s.Engine = EngineSim
-	}
+	s.Engine = cmp.Or(s.Engine, EngineSim)
+	s.Kernel = cmp.Or(s.Kernel, "pagerank")
+	s.PRIters = cmp.Or(s.PRIters, 10)
+	s.Arch = cmp.Or(s.Arch, core.DisaggregatedNDP.String())
+	s.Partitions = cmp.Or(s.Partitions, core.DefaultMemoryNodes)
+	s.Computes = cmp.Or(s.Computes, core.DefaultComputeNodes)
+	s.Partitioner = cmp.Or(s.Partitioner, core.DefaultPartitioner)
+	s.Seed = cmp.Or(s.Seed, 42)
+	s.Policy = cmp.Or(s.Policy, core.DefaultPolicy)
 	switch s.Engine {
 	case EngineSim, EngineCluster, EngineSerial:
 	default:
 		return fmt.Errorf("spec: unknown engine %q (want sim, cluster, or serial)", s.Engine)
 	}
-	if s.Kernel == "" {
-		s.Kernel = "pagerank"
-	}
-	if s.PRIters == 0 {
-		s.PRIters = 10
-	}
 	if s.PRIters < 0 {
 		return fmt.Errorf("spec: priters must be positive")
-	}
-	if s.Arch == "" {
-		s.Arch = core.DisaggregatedNDP.String()
-	}
-	if s.Partitions == 0 {
-		s.Partitions = 8
-	}
-	if s.Computes == 0 {
-		s.Computes = 2
 	}
 	if s.Partitions < 0 || s.Computes < 0 {
 		return fmt.Errorf("spec: partitions and computes must be positive")
 	}
-	if s.Partitioner == "" {
-		s.Partitioner = "hash"
-	}
-	if s.Seed == 0 {
-		s.Seed = 42
-	}
-	if s.Policy == "" {
-		s.Policy = "always"
-	}
-	if _, err := cliconf.MakeKernel(s.Kernel, s.PRIters); err != nil {
+	if _, err := kernels.ByNameIters(s.Kernel, s.PRIters); err != nil {
 		return fmt.Errorf("spec: %v", err)
 	}
 	if _, err := partition.ByName(s.Partitioner, s.Seed); err != nil {
 		return fmt.Errorf("spec: %v", err)
 	}
-	if _, err := cliconf.MakePolicy(s.Policy); err != nil {
+	if _, err := runtime.ByName(s.Policy); err != nil {
 		return fmt.Errorf("spec: %v", err)
 	}
-	arch, err := cliconf.ParseArch(s.Arch)
+	arch, err := core.ParseArch(s.Arch)
 	if err != nil {
 		return fmt.Errorf("spec: %v", err)
 	}

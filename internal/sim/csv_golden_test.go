@@ -37,7 +37,7 @@ func TestWriteRecordsCSVGolden(t *testing.T) {
 		"0,4,9,5,7,6,true,72,112,64,96,160,10,0.25,0.125\n" +
 		"1,2,3,1,3,3,false,24,48,16,48,24,2,0.0625,0.03125\n"
 	var sb strings.Builder
-	if err := WriteRecordsCSV(&sb, run); err != nil {
+	if err := WriteRecordsCSV(&sb, run.Records); err != nil {
 		t.Fatal(err)
 	}
 	if sb.String() != golden {
@@ -60,7 +60,7 @@ func TestWriteRecordsCSVStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		if err := WriteRecordsCSV(&sb, run); err != nil {
+		if err := WriteRecordsCSV(&sb, run.Records); err != nil {
 			t.Fatal(err)
 		}
 		outputs[i] = sb.String()

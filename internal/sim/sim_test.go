@@ -759,7 +759,7 @@ func TestWriteRecordsCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := WriteRecordsCSV(&sb, run); err != nil {
+	if err := WriteRecordsCSV(&sb, run.Records); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")

@@ -105,8 +105,10 @@ echo "(identical)"
 # Service round-trip: boot ndpserve on an ephemeral loopback port with a
 # preloaded snapshot, drive a submit/wait/result round-trip through
 # `ndprun -server` (which must report the resubmission as a cache hit),
-# then run the served-vs-offline oracle battery in-process and shut the
-# server down cleanly (SIGTERM → graceful drain).
+# check that the served job and a local `ndprun` run with the same flags
+# are one system (same engine, iterations and moved bytes: both take
+# core's defaults), then shut the server down cleanly (SIGTERM →
+# graceful drain).
 echo
 echo "==> ndpserve round-trip"
 SERVE_ADDR="127.0.0.1:18090"
@@ -117,7 +119,7 @@ SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 1 100); do
     if go run ./cmd/ndprun -server "http://$SERVE_ADDR" -snapshot demo \
-        -dataset wiki-talk -scale 0.1 -kernel cc >/tmp/ndpserve.roundtrip 2>/dev/null; then
+        -dataset wiki-talk -scale 0.1 -kernel cc -csv >/tmp/ndpserve.roundtrip 2>/dev/null; then
         break
     fi
     sleep 0.1
@@ -129,6 +131,16 @@ go run ./cmd/ndprun -server "http://$SERVE_ADDR" -snapshot demo \
     -dataset wiki-talk -scale 0.1 -kernel cc 2>&1 | tee /tmp/ndpserve.roundtrip2
 grep -q "result cache" /tmp/ndpserve.roundtrip2 || {
     echo "check.sh: ndpserve resubmission was not a cache hit" >&2
+    exit 1
+}
+# Served CSV columns: Engine,Iterations,Converged,Moved,...; local:
+# Architecture,Iterations,Moved,...
+go run ./cmd/ndprun -dataset wiki-talk -scale 0.1 -kernel cc -csv >/tmp/ndprun.local
+served_row="$(sed -n 2p /tmp/ndpserve.roundtrip | cut -d, -f1,2,4)"
+local_row="$(sed -n 2p /tmp/ndprun.local | cut -d, -f1-3)"
+echo "served: $served_row  local: $local_row"
+[ -n "$served_row" ] && [ "$served_row" = "$local_row" ] || {
+    echo "check.sh: the served job and the local ndprun run differ in engine, iterations or moved bytes" >&2
     exit 1
 }
 kill -TERM "$SERVE_PID"
