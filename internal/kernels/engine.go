@@ -273,8 +273,11 @@ type engine struct {
 	hasIn bool
 	hasGK bool
 	hasSK bool
-	tr    Traits
-	n     int
+	// edgesOnly: the kernel's EdgeOp never reads a weight and src is an
+	// edgePinner, so the push loops pin edge ids alone.
+	edgesOnly bool
+	tr        Traits
+	n         int
 
 	// staged selects the Staged machine; false is Serial.
 	staged bool
@@ -388,6 +391,8 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 	if e.beta <= 0 {
 		e.beta = DefaultBeta
 	}
+	_, canEdges := src.(edgePinner)
+	e.edgesOnly = canEdges && e.tr.Edge == EdgeCopy
 	e.in, e.hasIn = src.(InAdjacency)
 	e.gk, e.hasGK = k.(GatherKernel)
 	e.sk, e.hasSK = k.(StatefulKernel)
@@ -716,6 +721,15 @@ func (e *engine) traverse() {
 	e.pushSerial()
 }
 
+// pin lends the segment covering v: its edge ids alone when edgesOnly
+// is set, every column the source holds otherwise.
+func (e *engine) pin(v graph.VertexID) (graph.Segment, error) {
+	if e.edgesOnly {
+		return e.src.(edgePinner).PinEdges(v)
+	}
+	return e.src.Pin(v)
+}
+
 // pushSerial scatters the frontier's out-edges, aggregating directly per
 // destination in traversal order — the serial reference semantics every
 // other engine is validated against. A Pin failure latches into e.err
@@ -735,7 +749,7 @@ func (e *engine) pushSerial() {
 		}
 		if !e.cur.Contains(v) {
 			e.cur.Release()
-			if e.cur, e.err = e.src.Pin(v); e.err != nil {
+			if e.cur, e.err = e.pin(v); e.err != nil {
 				return
 			}
 		}
@@ -827,7 +841,7 @@ func (e *engine) pushChunk(w, c int) {
 	for _, v := range e.chunkFrontier(c) {
 		if !cur.Contains(v) {
 			cur.Release()
-			if cur, e.errPerChunk[c] = e.src.Pin(v); e.errPerChunk[c] != nil {
+			if cur, e.errPerChunk[c] = e.pin(v); e.errPerChunk[c] != nil {
 				break
 			}
 		}

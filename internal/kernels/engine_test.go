@@ -241,10 +241,11 @@ func TestEnginePullRequiresGatherKernel(t *testing.T) {
 // iteration allocates nothing — on the serial machine, the staged
 // machine (Workers=1, keeping the phase dispatch on its inline path, and
 // Workers=2, through the pool), the pull direction, over a container whose
-// tier is warm and fully resident (every Pin a hit), and under an
-// ownership grid whose observer reads everything it is lent (the shape
-// internal/sim runs in). The staged lists are sized exactly, so the gate
-// also checks that a warm list is refilled in place, not made again.
+// tier is warm and fully resident (every Pin a hit; PageRank's EdgeCopy
+// pins the edge ids alone, then SSSP's Pin adds the weights), and under
+// an ownership grid whose observer reads everything it is lent (the
+// shape internal/sim runs in). The staged lists are sized exactly, so the
+// gate also checks that a warm list is refilled in place, not made again.
 func TestEngineAllocGate(t *testing.T) {
 	g := socialGraph(t)
 	mem, err := InMemory(g)
@@ -273,6 +274,7 @@ func TestEngineAllocGate(t *testing.T) {
 		{"staged-cc-pull", mem, NewConnectedComponents(), Options{Workers: 1, Direction: DirectionPull}, true},
 		{"serial-pagerank-container", st, NewPageRank(0, 0.85), Options{}, false},
 		{"staged-pagerank-container", st, NewPageRank(0, 0.85), Options{Workers: 1}, true},
+		{"serial-sssp-container", st, NewSSSP(0), Options{}, false},
 		{"staged-pagerank-gridded", mem, NewPageRank(0, 0.85), Options{Workers: 1, Grid: grid}, true},
 		{"staged-pagerank-pool", mem, NewPageRank(0, 0.85), Options{Workers: 2}, true},
 		{"staged-pagerank-gridded-pool", mem, NewPageRank(0, 0.85), Options{Workers: 2, Grid: grid}, true},
@@ -315,6 +317,17 @@ func TestEngineAllocGate(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 				t.Fatalf("steady-state iteration allocates %.1f times, want 0", allocs)
+			}
+			if tc.src == st {
+				// The container cases run in table order: until SSSP, the
+				// tier holds the edge ids alone.
+				want := g.NumEdges() * 4
+				if tc.kernel.Traits().Edge != EdgeCopy {
+					want *= 2
+				}
+				if got := st.Stats().ResidentBytes; got != want {
+					t.Fatalf("tier holds %d bytes after %s, want %d", got, tc.name, want)
+				}
 			}
 		})
 	}

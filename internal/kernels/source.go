@@ -27,6 +27,14 @@ type Source interface {
 	Pin(v graph.VertexID) (graph.Segment, error)
 }
 
+// edgePinner is implemented by sources that can lend a segment's edge
+// ids without its weights (store.Store). The push loops pin through it
+// when the kernel's EdgeOp is EdgeCopy, so a tier holds and is charged
+// for only the column the kernel reads; results do not change.
+type edgePinner interface {
+	PinEdges(v graph.VertexID) (graph.Segment, error)
+}
+
 // InAdjacency is implemented by sources that can also serve in-edges.
 // Only such a source ever runs a pull iteration.
 type InAdjacency interface {

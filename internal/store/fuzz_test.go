@@ -1,17 +1,23 @@
 package store
 
 import (
+	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 )
 
 // FuzzSegmentCodec throws arbitrary bytes at the full container read
-// path: open, index decode, every segment's checksum + varint decode,
-// and materialization. The contract under fuzz is exactly the corruption
-// tests' contract — a typed error or a successful, internally consistent
-// read; never a panic, never an unbounded allocation from a forged
-// count. Wired into scripts/check.sh's fuzz stage.
+// path: open, index decode, every segment's checksum + varint decode
+// through the tier (Pin, PinEdges, and the weight upgrade of an
+// edge-only frame), and materialization. The contract under fuzz is
+// exactly the corruption tests' contract — a typed error or a
+// successful, internally consistent read; never a panic, never an
+// unbounded allocation from a forged count — and every way of reading a
+// segment agrees with the others on its edge ids and its error class.
+// Wired into scripts/check.sh's fuzz stage.
 func FuzzSegmentCodec(f *testing.F) {
 	// Seeds: valid containers in several shapes, plus pre-damaged ones so
 	// the fuzzer starts near the interesting boundaries.
@@ -62,7 +68,11 @@ func FuzzSegmentCodec(f *testing.F) {
 			}
 			return
 		}
+		pinErr := pinEverySegment(t, data, st)
 		g, err := st.Materialize()
+		if (err == nil) != (pinErr == nil) {
+			t.Fatalf("materialize: %v, but pinning every segment: %v", err, pinErr)
+		}
 		if err != nil {
 			if !isTypedCorruption(err) {
 				t.Fatalf("materialize: untyped error %v", err)
@@ -82,4 +92,58 @@ func FuzzSegmentCodec(f *testing.F) {
 			t.Fatalf("close after clean read: %v", err)
 		}
 	})
+}
+
+// errClass names the corruption class of err, or "nil".
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	case errors.Is(err, ErrBadContainer):
+		return "bad"
+	}
+	return "untyped"
+}
+
+// pinEverySegment reads each segment three ways — Pin on st, PinEdges
+// on a second handle over data, then Pin on that handle, which adds the
+// weights to its edge-only frame — and requires them to agree on the
+// error class and, where they succeed, on the edge ids and weights. It
+// returns the first error, leaving no pin behind.
+func pinEverySegment(t *testing.T, data []byte, st *Store) (first error) {
+	t.Helper()
+	edges, err := OpenBytes(data, Options{})
+	if err != nil {
+		t.Fatalf("second open of a container that opened: %v", err)
+	}
+	for i := range st.segs {
+		v := graph.VertexID(st.segs[i].first)
+		full, errFull := st.Pin(v)
+		bare, errBare := edges.PinEdges(v)
+		up, errUp := edges.Pin(v)
+		if c := errClass(errFull); c == "untyped" || c != errClass(errBare) || c != errClass(errUp) {
+			t.Fatalf("segment %d: Pin %v, PinEdges %v, upgrade %v", i, errFull, errBare, errUp)
+		}
+		if errFull != nil {
+			if first == nil {
+				first = errFull
+			}
+			continue
+		}
+		if bare.Weights != nil || !slices.Equal(bare.Edges, full.Edges) || !slices.Equal(up.Edges, full.Edges) {
+			t.Fatalf("segment %d: PinEdges or the upgrade lent edge ids %v / %v, Pin %v", i, bare.Edges, up.Edges, full.Edges)
+		}
+		if !slices.EqualFunc(up.Weights, full.Weights, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+			t.Fatalf("segment %d: the upgrade lent weights %v, Pin %v", i, up.Weights, full.Weights)
+		}
+		full.Release()
+		bare.Release()
+		up.Release()
+	}
+	if err := edges.Close(); err != nil {
+		t.Fatalf("close of the second handle: %v", err)
+	}
+	return first
 }

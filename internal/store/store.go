@@ -27,6 +27,8 @@ type Options struct {
 // (the far-memory traffic the paper's Figure 5/6 sweeps charge), and the
 // decompressed footprint of the resident set.
 type Stats struct {
+	// Misses counts loads and weight upgrades: a weighted Pin of a frame
+	// PinEdges loaded is a miss too.
 	Hits, Misses, Evictions int64
 	// FarBytes is the compressed payload bytes read from the container —
 	// every miss pays its segment's full payload.
@@ -38,20 +40,15 @@ type Stats struct {
 	Pins int64
 }
 
-// frame is one segment's residency state: the decompressed buffers and
-// the pin count.
+// frame is one segment's residency state: the decompressed columns it
+// holds and the pin count. A resident frame always holds the edge ids;
+// it holds the weight column too once a weighted Pin has asked for it.
 type frame struct {
-	edges    []graph.VertexID
-	weights  []float32
-	refs     int32
-	resident bool
-}
-
-// segBufs is a recycled pair of decompressed buffers; evicted frames
-// donate theirs so the steady-state miss path allocates nothing.
-type segBufs struct {
-	edges   []graph.VertexID
-	weights []float32
+	edges      []graph.VertexID
+	weights    []float32
+	refs       int32
+	resident   bool
+	hasWeights bool
 }
 
 // Store is an open gcsr2 container: resident offsets, a lazy segment
@@ -73,14 +70,17 @@ type Store struct {
 	maxSegEdges int64 // largest segment edge count (sizes recycled buffers)
 	maxSegBytes int64 // largest compressed payload (sizes the read scratch)
 
-	mu       sync.Mutex
-	frames   []frame
-	free     []segBufs
-	scratch  []byte   // pread buffer, reused across loads
-	idle     []uint64 // bit i set: frame i is resident and unpinned (setIdle)
-	budget   int64
-	resident int64
-	stats    Stats
+	mu     sync.Mutex
+	frames []frame
+	// freeEdges and freeWeights hold the buffers evicted frames donate,
+	// one list per column, so a warmed tier's miss path allocates nothing.
+	freeEdges   [][]graph.VertexID
+	freeWeights [][]float32
+	scratch     []byte   // pread buffer, reused across loads
+	idle        []uint64 // bit i set: frame i is resident and unpinned (setIdle)
+	budget      int64
+	resident    int64
+	stats       Stats
 
 	digestOnce sync.Once
 	digest     string
@@ -228,10 +228,25 @@ func (s *Store) segFor(v graph.VertexID) int32 {
 }
 
 // Pin loads (if necessary) and pins the segment covering v, returning a
-// handle for its adjacency. Pinned segments never evict, so every Pin is
-// paired with the handle's Release; Close refuses while pins are
-// outstanding, which is how the store's and the engines' tests hold it.
+// handle for its adjacency: the edge ids and, in a weighted container,
+// the weights. Pinned segments never evict, so every Pin is paired with
+// the handle's Release; Close refuses while pins are outstanding, which
+// is how the store's and the engines' tests hold it.
 func (s *Store) Pin(v graph.VertexID) (graph.Segment, error) {
+	return s.pin(v, s.weighted)
+}
+
+// PinEdges is Pin for a reader that never looks at a weight: the handle's
+// Weights is nil, and a frame loaded for it holds, and is charged to the
+// budget for, the edge ids alone — half a weighted segment's footprint.
+// A later Pin of that frame adds the weight column in place.
+func (s *Store) PinEdges(v graph.VertexID) (graph.Segment, error) {
+	return s.pin(v, false)
+}
+
+// pin is Pin and PinEdges: weights says whether the handle lends the
+// weight column.
+func (s *Store) pin(v graph.VertexID, weights bool) (graph.Segment, error) {
 	if int64(v) >= int64(s.NumVertices()) {
 		return graph.Segment{}, fmt.Errorf("store: vertex %d outside container with %d vertices", v, s.NumVertices())
 	}
@@ -239,13 +254,18 @@ func (s *Store) Pin(v graph.VertexID) (graph.Segment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fr := &s.frames[idx]
-	if fr.resident {
-		s.stats.Hits++
-		s.setIdle(idx, false)
-	} else {
-		if err := s.load(idx); err != nil {
+	switch {
+	case !fr.resident:
+		if err := s.load(idx, weights); err != nil {
 			return graph.Segment{}, err
 		}
+	case weights && !fr.hasWeights:
+		if err := s.addWeights(idx); err != nil {
+			return graph.Segment{}, err
+		}
+	default:
+		s.stats.Hits++
+		s.setIdle(idx, false)
 	}
 	fr.refs++
 	s.stats.Pins++
@@ -258,7 +278,7 @@ func (s *Store) Pin(v graph.VertexID) (graph.Segment, error) {
 		Owner: (*tier)(s),
 		Frame: idx,
 	}
-	if s.weighted {
+	if weights {
 		sg.Weights = fr.weights
 	}
 	return sg, nil
@@ -296,74 +316,128 @@ func (s *Store) setIdle(idx int32, idle bool) {
 	}
 }
 
-// segCost is the decompressed footprint of segment idx.
-func (s *Store) segCost(idx int32) int64 {
+// segCost is the decompressed footprint of segment idx holding its edge
+// ids and, when weights is set and the container is weighted, its
+// weights: 4 B an edge for each column.
+func (s *Store) segCost(idx int32, weights bool) int64 {
 	c := int64(s.segs[idx].edges) * 4
-	if s.weighted {
+	if weights && s.weighted {
 		c += int64(s.segs[idx].edges) * 4
 	}
 	return c
 }
 
-// load fetches, verifies, and decompresses segment idx under s.mu,
-// evicting to fit the budget first. Every budgeted caller pins segments
-// in ascending vertex order and returns only after a full cycle, so the
-// victim is the evictable frame that sweep reaches last
-// (graph.SweepVictim) — Belady's choice for this traffic, where LRU
-// always evicts the frame needed soonest. Buffers come from the freelist
-// when an eviction has donated a pair, so a warmed tier's miss path
-// performs no allocation.
-func (s *Store) load(idx int32) error {
-	need := s.segCost(idx)
-	if s.budget > 0 {
-		for s.resident+need > s.budget {
-			victim := graph.SweepVictim(s.idle, idx)
-			if victim < 0 {
-				break // everything resident is pinned
-			}
-			s.evict(victim)
-		}
+// load fetches, verifies, and decompresses segment idx under s.mu — the
+// edge ids, and the weights too when weights is set — evicting to fit
+// the budget first.
+func (s *Store) load(idx int32, weights bool) error {
+	need := s.segCost(idx, weights)
+	s.makeRoom(idx, need)
+	n := s.segs[idx].edges
+	edges := s.takeEdges()[:n]
+	var wts []float32
+	if weights {
+		wts = s.takeWeights()[:n]
 	}
+	if err := s.decode(idx, s.readScratch(), edges, wts); err != nil {
+		s.freeEdges = append(s.freeEdges, edges)
+		if weights {
+			s.freeWeights = append(s.freeWeights, wts)
+		}
+		return err
+	}
+	fr := &s.frames[idx]
+	fr.edges, fr.weights, fr.hasWeights = edges, wts, weights
+	fr.resident = true
+	s.charge(idx, need)
+	return nil
+}
+
+// addWeights adds the weight column to resident edge-only frame idx, in
+// place: handles already lent on the frame read only its edge ids, which
+// stay where they are. It fetches the whole payload again and checks its
+// CRC, so it counts as a miss and pays the payload in FarBytes. On
+// failure the frame is as it was: edge ids only, and evictable if
+// nothing pins it.
+func (s *Store) addWeights(idx int32) error {
+	fr := &s.frames[idx]
+	s.setIdle(idx, false) // the frame must not be its own victim
+	need := s.segCost(idx, true) - s.segCost(idx, false)
+	s.makeRoom(idx, need)
+	wts := s.takeWeights()[:s.segs[idx].edges]
+	if err := s.decode(idx, s.readScratch(), nil, wts); err != nil {
+		s.freeWeights = append(s.freeWeights, wts)
+		if fr.refs == 0 {
+			s.setIdle(idx, true)
+		}
+		return err
+	}
+	fr.weights, fr.hasWeights = wts, true
+	s.charge(idx, need)
+	return nil
+}
+
+// makeRoom evicts until need more bytes fit the budget beside the
+// resident set, or nothing unpinned is left to evict. Every budgeted
+// caller pins segments in ascending vertex order and returns only after a
+// full cycle, so the victim is the evictable frame that sweep reaches
+// last (graph.SweepVictim) — Belady's choice for this traffic, where LRU
+// always evicts the frame needed soonest.
+func (s *Store) makeRoom(idx int32, need int64) {
+	if s.budget <= 0 {
+		return
+	}
+	for s.resident+need > s.budget {
+		victim := graph.SweepVictim(s.idle, idx)
+		if victim < 0 {
+			return // everything resident is pinned
+		}
+		s.evict(victim)
+	}
+}
+
+// charge books a miss on segment idx that made need bytes resident.
+func (s *Store) charge(idx int32, need int64) {
+	s.resident += need
+	if s.resident > s.stats.PeakResidentBytes {
+		s.stats.PeakResidentBytes = s.resident
+	}
+	s.stats.Misses++
+	s.stats.FarBytes += int64(s.segs[idx].len)
+}
+
+// decode reads segment idx's payload (through scratch unless the source
+// is mapped), checks the CRC of the whole payload whichever columns are
+// asked for, and decodes the edge ids into edges unless it is nil and the
+// weights into weights unless it is nil; each holds the segment's edge
+// count. Every read of a segment — a tier miss, a weight upgrade,
+// Materialize — is a call to it.
+func (s *Store) decode(idx int32, scratch []byte, edges []graph.VertexID, weights []float32) error {
 	m := &s.segs[idx]
-	payload, err := s.src.view(int64(m.off), int64(m.len), s.readScratch())
+	payload, err := s.src.view(int64(m.off), int64(m.len), scratch)
 	if err != nil {
 		return err
 	}
 	if got := ieeeCRC(payload); got != m.crc {
 		return fmt.Errorf("%w: segment %d checksum %08x, computed %08x", ErrCorrupt, idx, m.crc, got)
 	}
-
-	bufs := s.takeBufs()
-	edges := bufs.edges[:m.edges]
 	adjLen := int64(m.len)
 	if s.weighted {
 		adjLen -= int64(m.edges) * 4
 	}
-	lists := s.offsets[m.first : m.first+m.count+1]
-	consumed, list, err := graph.DecodeCompressedAdjacency(edges, lists, payload[:adjLen], uint64(s.NumVertices()))
-	if err == nil && int64(consumed) != adjLen {
-		list, err = int(m.count)-1, errTrailingAdjacency
+	if edges != nil {
+		lists := s.offsets[m.first : m.first+m.count+1]
+		consumed, list, err := graph.DecodeCompressedAdjacency(edges, lists, payload[:adjLen], uint64(s.NumVertices()))
+		if err == nil && int64(consumed) != adjLen {
+			list, err = int(m.count)-1, errTrailingAdjacency
+		}
+		if err != nil {
+			return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, m.first+uint64(list), err)
+		}
 	}
-	if err != nil {
-		s.free = append(s.free, bufs)
-		return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, m.first+uint64(list), err)
-	}
-	var weights []float32
-	if s.weighted {
-		weights = bufs.weights[:m.edges]
+	if weights != nil {
 		decodeFloat32s(weights, payload[adjLen:])
 	}
-
-	fr := &s.frames[idx]
-	fr.edges = edges
-	fr.weights = weights
-	fr.resident = true
-	s.resident += need
-	if s.resident > s.stats.PeakResidentBytes {
-		s.stats.PeakResidentBytes = s.resident
-	}
-	s.stats.Misses++
-	s.stats.FarBytes += int64(m.len)
 	return nil
 }
 
@@ -371,30 +445,50 @@ func (s *Store) load(idx int32) error {
 // see: its bytes ran past the segment's last vertex.
 var errTrailingAdjacency = errors.New("adjacency bytes left over after the segment's last vertex")
 
-// evict drops an unpinned resident frame, donating its buffers.
+// evict drops an unpinned resident frame, both columns, donating its
+// buffers.
 func (s *Store) evict(idx int32) {
 	fr := &s.frames[idx]
 	s.setIdle(idx, false)
-	s.free = append(s.free, segBufs{edges: fr.edges, weights: fr.weights})
-	fr.edges, fr.weights = nil, nil
-	fr.resident = false
-	s.resident -= s.segCost(idx)
+	s.freeEdges = append(s.freeEdges, fr.edges)
+	if fr.hasWeights {
+		s.freeWeights = append(s.freeWeights, fr.weights)
+	}
+	s.resident -= s.segCost(idx, fr.hasWeights)
+	*fr = frame{}
 	s.stats.Evictions++
 }
 
-// takeBufs pops a donated buffer pair or allocates one sized for the
-// largest segment (so any segment fits any recycled pair).
-func (s *Store) takeBufs() segBufs {
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
+// takeEdges pops a donated edge-id buffer or allocates one sized for the
+// largest segment (so any segment fits any recycled buffer). Before it
+// allocates it drops a spare weight buffer, if there is one, and
+// takeWeights does the same the other way round: the buffers the tier
+// retains then stay at what the budget holds.
+func (s *Store) takeEdges() []graph.VertexID {
+	if n := len(s.freeEdges); n > 0 {
+		b := s.freeEdges[n-1]
+		s.freeEdges = s.freeEdges[:n-1]
 		return b
 	}
-	b := segBufs{edges: make([]graph.VertexID, 0, s.maxSegEdges)}
-	if s.weighted {
-		b.weights = make([]float32, 0, s.maxSegEdges)
+	if n := len(s.freeWeights); n > 0 {
+		s.freeWeights[n-1] = nil
+		s.freeWeights = s.freeWeights[:n-1]
 	}
-	return b
+	return make([]graph.VertexID, 0, s.maxSegEdges)
+}
+
+// takeWeights is takeEdges for the weight column.
+func (s *Store) takeWeights() []float32 {
+	if n := len(s.freeWeights); n > 0 {
+		b := s.freeWeights[n-1]
+		s.freeWeights = s.freeWeights[:n-1]
+		return b
+	}
+	if n := len(s.freeEdges); n > 0 {
+		s.freeEdges[n-1] = nil
+		s.freeEdges = s.freeEdges[:n-1]
+	}
+	return make([]float32, 0, s.maxSegEdges)
 }
 
 // readScratch returns the pread scratch buffer (unused by mmap sources).
@@ -432,26 +526,28 @@ func (s *Store) Digest() (string, error) {
 
 // Materialize decodes the full container into an in-memory graph — the
 // bridge back to the in-RAM engines (and the equality oracle's other
-// side). It bypasses the tier, so resident accounting is unaffected.
+// side). It bypasses the tier: each segment decodes straight into the
+// output arrays, so no frame is pinned, loaded or evicted and Stats do
+// not move.
 func (s *Store) Materialize() (*graph.Graph, error) {
-	n := s.NumVertices()
-	offsets := make([]int64, n+1)
+	offsets := make([]int64, len(s.offsets))
 	copy(offsets, s.offsets)
-	edges := make([]graph.VertexID, 0, s.NumEdges())
+	edges := make([]graph.VertexID, s.NumEdges())
 	var weights []float32
 	if s.weighted {
-		weights = make([]float32, 0, s.NumEdges())
+		weights = make([]float32, s.NumEdges())
 	}
+	scratch := make([]byte, s.maxSegBytes)
 	for i := range s.segs {
-		sg, err := s.Pin(graph.VertexID(s.segs[i].first))
-		if err != nil {
+		m := &s.segs[i]
+		lo, hi := s.offsets[m.first], s.offsets[m.first+m.count]
+		var wts []float32
+		if s.weighted {
+			wts = weights[lo:hi]
+		}
+		if err := s.decode(int32(i), scratch, edges[lo:hi], wts); err != nil {
 			return nil, err
 		}
-		edges = append(edges, sg.Edges...)
-		if s.weighted {
-			weights = append(weights, sg.Weights...)
-		}
-		sg.Release()
 	}
 	return graph.NewCSR(offsets, edges, weights)
 }

@@ -127,9 +127,11 @@ func TestStoreMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Priced at the edge ids alone, so the half budget thrashes for
+		// the weight-free kernels, which pin nothing else, as well.
 		totalCost := int64(0)
 		for i := 0; i < full.NumSegments(); i++ {
-			totalCost += full.segCost(int32(i))
+			totalCost += full.segCost(int32(i), false)
 		}
 		mustClose(t, full)
 
@@ -205,12 +207,13 @@ func TestStoreTierPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// PageRank reads no weight, so its frames hold the edge ids alone.
 	nSegs := probe.NumSegments()
 	totalCost := int64(0)
 	maxCost := int64(0)
 	for i := 0; i < nSegs; i++ {
-		totalCost += probe.segCost(int32(i))
-		if c := probe.segCost(int32(i)); c > maxCost {
+		totalCost += probe.segCost(int32(i), false)
+		if c := probe.segCost(int32(i), false); c > maxCost {
 			maxCost = c
 		}
 	}
@@ -279,8 +282,8 @@ func equalSegments(t *testing.T, nSegs int) (data []byte, segCost int64) {
 		t.Fatalf("fixture: %d segments, want %d", st.NumSegments(), nSegs)
 	}
 	for i := 0; i < nSegs; i++ {
-		if st.segCost(int32(i)) != 64 {
-			t.Fatalf("fixture: segment %d costs %d bytes, want 64", i, st.segCost(int32(i)))
+		if st.segCost(int32(i), true) != 64 {
+			t.Fatalf("fixture: segment %d costs %d bytes, want 64", i, st.segCost(int32(i), true))
 		}
 	}
 	return data, 64
@@ -586,8 +589,10 @@ func TestStoreRunCorruptSegment(t *testing.T) {
 
 // TestStorePinConcurrentHammer drives many goroutines through pin /
 // read / release cycles against a budget that forces constant eviction,
-// then requires refcounts and residency back at baseline. Run under
-// -race in check.sh, this is the tier's main concurrency gate.
+// half of them through PinEdges, so frames gain their weights while
+// other goroutines read their edge ids, then requires refcounts and
+// residency back at baseline. Run under -race in check.sh, this is the
+// tier's main concurrency gate.
 func TestStorePinConcurrentHammer(t *testing.T) {
 	g := testGraphs(t)["community"]
 	st := openFixture(t, g, 128, 512) // tiny budget: pins routinely overshoot and collide
@@ -601,7 +606,11 @@ func TestStorePinConcurrentHammer(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
 				v := graph.VertexID(r.Intn(n))
-				sg, err := st.Pin(v)
+				pin, weights := st.Pin, true
+				if r.Intn(2) == 0 {
+					pin, weights = st.PinEdges, false
+				}
+				sg, err := pin(v)
 				if err != nil {
 					t.Errorf("pin %d: %v", v, err)
 					return
@@ -612,8 +621,8 @@ func TestStorePinConcurrentHammer(t *testing.T) {
 						t.Errorf("vertex %d: neighbor %d out of range", v, d)
 					}
 				}
-				if wts != nil && len(wts) != len(nbrs) {
-					t.Errorf("vertex %d: %d weights for %d neighbors", v, len(wts), len(nbrs))
+				if weights && len(wts) != len(nbrs) || !weights && wts != nil {
+					t.Errorf("vertex %d: %d weights for %d neighbors (weights asked: %v)", v, len(wts), len(nbrs), weights)
 				}
 				sg.Release()
 			}
@@ -659,24 +668,35 @@ func TestStoreLeavesNoGoroutines(t *testing.T) {
 
 // TestStoreAllocGate requires the steady-state segment-read path — pin,
 // neighbor reads, release, including misses served from the eviction
-// freelist — to be allocation-free once the tier is warm.
+// freelists — to be allocation-free once the tier is warm, through Pin
+// and through PinEdges.
 func TestStoreAllocGate(t *testing.T) {
 	g := testGraphs(t)["community"]
-	st := openFixture(t, g, 512, 2048) // small budget: the sweep both hits and thrashes
-	n := g.NumVertices()
-	sweep := func() {
-		for v := 0; v < n; v++ {
-			sg, err := st.Pin(graph.VertexID(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _ = neighbors(st, sg, graph.VertexID(v))
-			sg.Release()
+	for _, weights := range []bool{true, false} {
+		st := openFixture(t, g, 512, 2048) // small budget: the sweep both hits and thrashes
+		pin := st.Pin
+		if !weights {
+			pin = st.PinEdges
 		}
-	}
-	sweep() // warm the freelist and scratch
-	if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
-		t.Fatalf("warm pin/read/release sweep allocates %v times per run", allocs)
+		n := g.NumVertices()
+		sweep := func() {
+			for v := 0; v < n; v++ {
+				sg, err := pin(graph.VertexID(v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _ = neighbors(st, sg, graph.VertexID(v))
+				sg.Release()
+			}
+		}
+		sweep() // warm the freelists and scratch
+		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
+			t.Fatalf("weights %v: warm pin/read/release sweep allocates %v times per run", weights, allocs)
+		}
+		if s := st.Stats(); s.Evictions == 0 || s.Hits == 0 {
+			t.Fatalf("weights %v: stats %+v, want a sweep that both hits and evicts", weights, s)
+		}
+		mustClose(t, st)
 	}
 }
 

@@ -61,12 +61,14 @@ step go test ./...
 # Alloc gates, by name (any test ending in AllocGate): the hot loops are
 # held by counts, not by a static model. TestEngineAllocGate is one
 # kernel-engine iteration at zero (serial and staged, push and pull, over
-# an in-memory graph and over a warm fully-resident container, and under
-# a partition grid with an observer reading it — the simulator's shape);
-# TestAllocGate a whole simulated run, whose added iterations may cost
-# only their Records; TestFrontierReuseAllocGate a recycled frontier
-# refill; TestStoreAllocGate the tier's pin/read/release sweep, misses
-# served from the eviction freelist included; TestClusterAllocGate every
+# an in-memory graph and over a warm fully-resident container — an
+# EdgeCopy kernel pinning edge ids alone, then SSSP pinning weights too —
+# and under a partition grid with an observer reading it — the
+# simulator's shape); TestAllocGate a whole simulated run, whose added
+# iterations may cost only their Records; TestFrontierReuseAllocGate a
+# recycled frontier refill; TestStoreAllocGate the tier's
+# pin/read/release sweep through Pin and through PinEdges, misses served
+# from the per-column eviction freelists included; TestClusterAllocGate every
 # actor's added iteration at a pinned count, flat and as a switch tree;
 # TestServeHitAllocGate a cache-hit Submit at a pinned count.
 step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./internal/store/ \
