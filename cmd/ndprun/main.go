@@ -318,8 +318,8 @@ func runStore(ctx context.Context, path string, localBytes int64, verify bool, e
 	t := metrics.NewTable(
 		fmt.Sprintf("%s out-of-core from %s (V=%d E=%d, budget %s)",
 			k.Name(), path, st.NumVertices(), st.NumEdges(), formatBudget(localBytes)),
-		"Iterations", "Converged", "Seg hits", "Seg misses", "Evictions", "Far-memory", "Peak resident")
-	t.AddRow(res.Iterations, res.Converged, stats.Hits, stats.Misses, stats.Evictions,
+		"Iterations", "Converged", "Seg hits", "Seg misses", "Read-throughs", "Far-memory", "Peak resident")
+	t.AddRow(res.Iterations, res.Converged, stats.Hits, stats.Misses, stats.ReadThroughs,
 		graph.FormatBytes(stats.FarBytes), graph.FormatBytes(stats.PeakResidentBytes))
 	if err := render(t, csv); err != nil {
 		return err

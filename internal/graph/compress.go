@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // Adjacency compression: sorted neighbor lists delta-encode extremely
@@ -100,4 +101,47 @@ func DecodeCompressedAdjacency(dst []VertexID, offsets []int64, buf []byte, limi
 		}
 	}
 	return i, 0, nil
+}
+
+// SkipCompressedAdjacency steps over the next n varints of buf — the ids
+// of any run of lists, a list being its ids' varints back to back — and
+// returns the bytes they take. It checks their framing as binary.Uvarint
+// does: a varint that runs off the buffer, or past ten bytes, fails. The
+// ids are never decoded, so they are not range-checked. A varint ends at
+// a byte below 0x80, so it counts those eight bytes at a time, the next
+// eight whatever the count, and looks closer only at the word that holds
+// the n-th end and at a varint that spans ten bytes or more.
+func SkipCompressedAdjacency(buf []byte, n int64) (int, error) {
+	i, last := 0, -1 // last is the byte that ended the latest varint
+	for n > 0 && i+8 <= len(buf) {
+		ends := ^binary.LittleEndian.Uint64(buf[i:]) & 0x8080808080808080
+		if ends == 0 {
+			i += 8
+			continue
+		}
+		// The varint the word's first end closes began after last.
+		if first := i + bits.TrailingZeros64(ends)/8; first-last > 9 && (first-last > 10 || buf[first] > 1) {
+			return 0, errTruncatedAdjacency
+		}
+		c := int64(bits.OnesCount64(ends))
+		if c >= n {
+			for ; n > 1; n-- {
+				ends &= ends - 1
+			}
+			return i + bits.TrailingZeros64(ends)/8 + 1, nil
+		}
+		n -= c
+		last = i + 7 - bits.LeadingZeros64(ends)/8
+		i += 8
+	}
+	// The last few bytes: one varint at a time, from the first unended.
+	i = last + 1
+	for ; n > 0; n-- {
+		_, k := binary.Uvarint(buf[i:])
+		if k <= 0 {
+			return 0, errTruncatedAdjacency
+		}
+		i += k
+	}
+	return i, nil
 }

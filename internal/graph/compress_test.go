@@ -154,10 +154,67 @@ func TestDecodeCompressedAdjacencyBounds(t *testing.T) {
 	}
 }
 
+// referenceSkip is SkipCompressedAdjacency one binary.Uvarint at a time.
+func referenceSkip(buf []byte, n int64) (int, error) {
+	off := 0
+	for ; n > 0; n-- {
+		_, k := binary.Uvarint(buf[off:])
+		if k <= 0 {
+			return 0, errTruncatedAdjacency
+		}
+		off += k
+	}
+	return off, nil
+}
+
+// checkSkip skips the first n varints of buf both ways and requires the
+// same bytes and the same error.
+func checkSkip(t *testing.T, buf []byte, n int64) {
+	t.Helper()
+	got, err := SkipCompressedAdjacency(buf, n)
+	want, wantErr := referenceSkip(buf, n)
+	if got != want || err != wantErr {
+		t.Fatalf("skip %d of %x: (%d, %v), reference (%d, %v)", n, buf, got, err, want, wantErr)
+	}
+}
+
+// TestSkipCompressedAdjacency pins the skip's framing at the word
+// boundaries its eight-byte path cuts: varints of one to ten bytes that
+// end in the first word, the second or the buffer's last bytes; ten- and
+// eleven-byte varints, which binary.Uvarint takes and refuses; runs of
+// eight and more continuation bytes; and a varint cut off by the end.
+func TestSkipCompressedAdjacency(t *testing.T) {
+	long := func(k int) []byte { // a k-byte varint of 0
+		b := make([]byte, k)
+		for i := range b[:k-1] {
+			b[i] = 0x80
+		}
+		return b
+	}
+	over := append(long(9), 0x80, 0x00)  // eleven bytes
+	tenth := append(long(9), 0x80, 0x02) // ten bytes, the last above 1
+	for _, buf := range [][]byte{
+		nil,
+		uvarints(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+		uvarints(300, 70000, 1, 2_000_000, 1<<28, 5, 1<<35, 1<<63),
+		append(append(uvarints(1, 2, 3), long(10)...), uvarints(4, 5)...),
+		append(append(uvarints(7), long(9)...), 1),
+		append(uvarints(1, 2), over...),
+		append(uvarints(1, 2), tenth...),
+		append(uvarints(1, 2, 3, 4, 5, 6, 7), 0x80),
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
+	} {
+		for n := int64(0); n <= int64(len(buf))+1; n++ {
+			checkSkip(t, buf, n)
+		}
+	}
+}
+
 // FuzzDecodeCompressedAdjacency holds the decoder's inline varint paths
 // to referenceDecode on arbitrary bytes: the same ids, the same bytes
 // consumed, the same failing list and the same error, for any split of
-// the ids into two lists and any limit.
+// the ids into two lists and any limit — and the skip to referenceSkip
+// over the same ids.
 func FuzzDecodeCompressedAdjacency(f *testing.F) {
 	f.Add(uvarints(1, 4, 4), uint8(3), uint8(1), uint32(16))
 	f.Add(uvarints(5, 1<<64-3), uint8(2), uint8(0), uint32(0))
@@ -174,5 +231,6 @@ func FuzzDecodeCompressedAdjacency(f *testing.F) {
 			split = count
 		}
 		checkAgainstReference(t, []int64{0, int64(split), int64(count)}, buf, limit)
+		checkSkip(t, buf, int64(count))
 	})
 }

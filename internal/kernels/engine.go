@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -273,9 +274,11 @@ type engine struct {
 	hasIn bool
 	hasGK bool
 	hasSK bool
-	// edgesOnly: the kernel's EdgeOp never reads a weight and src is an
-	// edgePinner, so the push loops pin edge ids alone.
-	edgesOnly bool
+	// lists is src as a listPinner, or nil: then the push loops pin
+	// through Source.Pin. ascending says whether this iteration's
+	// frontier lists ascend (prepare sets it when lists is non-nil).
+	lists     listPinner
+	ascending bool
 	tr        Traits
 	n         int
 
@@ -302,8 +305,9 @@ type engine struct {
 	tpose *graph.Graph
 
 	// cur is the serial push loop's current segment, held across
-	// iterations until the frontier leaves it or the run closes. err
-	// latches the first segment-fetch failure.
+	// iterations (a listPinner's only within one) until the frontier
+	// leaves it or the run closes. err latches the first segment-fetch
+	// failure.
 	cur graph.Segment
 	err error
 
@@ -391,8 +395,7 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 	if e.beta <= 0 {
 		e.beta = DefaultBeta
 	}
-	_, canEdges := src.(edgePinner)
-	e.edgesOnly = canEdges && e.tr.Edge == EdgeCopy
+	e.lists, _ = src.(listPinner)
 	e.in, e.hasIn = src.(InAdjacency)
 	e.gk, e.hasGK = k.(GatherKernel)
 	e.sk, e.hasSK = k.(StatefulKernel)
@@ -618,6 +621,9 @@ func (e *engine) prepare(iter int) {
 	if e.remaining < 0 {
 		e.remaining = 0
 	}
+	if e.lists != nil {
+		e.ascending = !e.frontier.all && slices.IsSorted(e.frontier.list)
+	}
 	switch {
 	case e.dir == DirectionPush || !e.hasGK || !e.hasIn || e.tr.AllVerticesActive:
 		e.pull = false
@@ -721,13 +727,22 @@ func (e *engine) traverse() {
 	e.pushSerial()
 }
 
-// pin lends the segment covering v: its edge ids alone when edgesOnly
-// is set, every column the source holds otherwise.
-func (e *engine) pin(v graph.VertexID) (graph.Segment, error) {
-	if e.edgesOnly {
-		return e.src.(edgePinner).PinEdges(v)
+// pin lends the segment covering v to a push loop walking front, the
+// frontier or a chunk of it, which holds v. A listPinner is told the
+// vertices after v when they ascend, so that a full tier decodes only
+// their lists: every later one the loop reads from this handle is one of
+// them, since the loop pins again once it leaves the segment. When the
+// frontier does not ascend, or is all active, it is asked for every list.
+func (e *engine) pin(v graph.VertexID, front []graph.VertexID) (graph.Segment, error) {
+	if e.lists == nil {
+		return e.src.Pin(v)
 	}
-	return e.src.Pin(v)
+	var rest []graph.VertexID
+	if e.ascending {
+		i, _ := slices.BinarySearch(front, v)
+		rest = front[i+1:]
+	}
+	return e.lists.PinLists(v, rest, e.tr.Edge != EdgeCopy)
 }
 
 // pushSerial scatters the frontier's out-edges, aggregating directly per
@@ -743,13 +758,19 @@ func (e *engine) pushSerial() {
 	// every edge.
 	values, agg, has := e.values, e.agg, e.has
 	edge, op := e.tr.Edge, e.tr.Agg
+	if e.lists != nil {
+		// A handle may serve only the lists of the iteration it was
+		// pinned in.
+		e.cur.Release()
+		e.cur = graph.Segment{}
+	}
 	e.frontier.ForEach(func(v graph.VertexID) {
 		if e.err != nil {
 			return
 		}
 		if !e.cur.Contains(v) {
 			e.cur.Release()
-			if e.cur, e.err = e.pin(v); e.err != nil {
+			if e.cur, e.err = e.pin(v, e.frontier.list); e.err != nil {
 				return
 			}
 		}
@@ -838,10 +859,11 @@ func (e *engine) pushChunk(w, c int) {
 	edge, op := e.tr.Edge, e.tr.Agg
 	var cur graph.Segment
 	nt := 0
-	for _, v := range e.chunkFrontier(c) {
+	front := e.chunkFrontier(c)
+	for _, v := range front {
 		if !cur.Contains(v) {
 			cur.Release()
-			if cur, e.errPerChunk[c] = e.pin(v); e.errPerChunk[c] != nil {
+			if cur, e.errPerChunk[c] = e.pin(v, front); e.errPerChunk[c] != nil {
 				break
 			}
 		}

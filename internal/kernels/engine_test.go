@@ -242,7 +242,9 @@ func TestEnginePullRequiresGatherKernel(t *testing.T) {
 // machine (Workers=1, keeping the phase dispatch on its inline path, and
 // Workers=2, through the pool), the pull direction, over a container whose
 // tier is warm and fully resident (every Pin a hit; PageRank's EdgeCopy
-// pins the edge ids alone, then SSSP's Pin adds the weights), and under
+// pins the edge ids alone, then SSSP's Pin adds the weights), over one
+// whose tier is full and thrashing (most pins read through its one spare
+// buffer, SSSP's the weights of lists whose ids are resident), and under
 // an ownership grid whose observer reads everything it is lent (the
 // shape internal/sim runs in). The staged lists are sized exactly, so the
 // gate also checks that a warm list is refilled in place, not made again.
@@ -253,6 +255,8 @@ func TestEngineAllocGate(t *testing.T) {
 	data, err := store.EncodeGraph(g, 1<<10)
 	mustNoErr(t, err)
 	st, err := store.OpenBytes(data, store.Options{})
+	mustNoErr(t, err)
+	thrash, err := store.OpenBytes(data, store.Options{LocalBytes: g.NumEdges() * 8 / 4})
 	mustNoErr(t, err)
 	var lent int64
 	grid := &Grid{Chunks: 4, ChunkOf: stripedGrid(g.NumVertices(), 4), Observe: func(it *Iteration) {
@@ -275,6 +279,9 @@ func TestEngineAllocGate(t *testing.T) {
 		{"serial-pagerank-container", st, NewPageRank(0, 0.85), Options{}, false},
 		{"staged-pagerank-container", st, NewPageRank(0, 0.85), Options{Workers: 1}, true},
 		{"serial-sssp-container", st, NewSSSP(0), Options{}, false},
+		{"serial-pagerank-container-thrashing", thrash, NewPageRank(0, 0.85), Options{}, false},
+		{"staged-pagerank-container-thrashing", thrash, NewPageRank(0, 0.85), Options{Workers: 1}, true},
+		{"serial-sssp-container-thrashing", thrash, NewSSSP(0), Options{}, false},
 		{"staged-pagerank-gridded", mem, NewPageRank(0, 0.85), Options{Workers: 1, Grid: grid}, true},
 		{"staged-pagerank-pool", mem, NewPageRank(0, 0.85), Options{Workers: 2}, true},
 		{"staged-pagerank-gridded-pool", mem, NewPageRank(0, 0.85), Options{Workers: 2, Grid: grid}, true},
@@ -337,7 +344,11 @@ func TestEngineAllocGate(t *testing.T) {
 	if pins := st.Stats().Pins; pins != 0 {
 		t.Fatalf("%d pins outstanding after the container cases", pins)
 	}
+	if s := thrash.Stats(); s.Pins != 0 || s.ReadThroughs == 0 || s.Hits == 0 {
+		t.Fatalf("thrashing tier: stats %+v, want pins released, hits and read-throughs", s)
+	}
 	mustNoErr(t, st.Close())
+	mustNoErr(t, thrash.Close())
 }
 
 // TestInMemoryRejectsVertexView pins the guard graph.NewVertexView

@@ -27,12 +27,17 @@ type Source interface {
 	Pin(v graph.VertexID) (graph.Segment, error)
 }
 
-// edgePinner is implemented by sources that can lend a segment's edge
-// ids without its weights (store.Store). The push loops pin through it
-// when the kernel's EdgeOp is EdgeCopy, so a tier holds and is charged
-// for only the column the kernel reads; results do not change.
-type edgePinner interface {
-	PinEdges(v graph.VertexID) (graph.Segment, error)
+// listPinner is implemented by sources whose tier, once full, can serve a
+// pin by decoding only the lists a push loop will read (store.Store). The
+// loop passes rest, the frontier's vertices after v, when they ascend: the
+// handle then serves v's list and theirs as far as the segment reaches,
+// which are all the lists the loop reads before it leaves the segment
+// and pins again. With rest nil it serves every list of the segment.
+// weights says whether the kernel's EdgeOp reads a weight: without one a
+// tier holds, and is charged for, the edge ids alone. The loop holds no
+// other pin while it asks. Results do not change.
+type listPinner interface {
+	PinLists(v graph.VertexID, rest []graph.VertexID, weights bool) (graph.Segment, error)
 }
 
 // InAdjacency is implemented by sources that can also serve in-edges.

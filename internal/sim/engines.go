@@ -53,9 +53,9 @@ type Disaggregated struct {
 	// Tier, when non-nil, replaces the per-edge fetch accounting with a
 	// segment-granular memory tier (internal/store's model): edge lists
 	// are fetched in whole SegmentBytes-sized segments, the hosts keep
-	// LocalBytes of them resident, evicting in sweep order, and the
-	// interconnect traffic is Record.FarMemoryBytes — the misses'
-	// segment bytes.
+	// the segments that fit LocalBytes resident and read the rest
+	// through, and the interconnect traffic is Record.FarMemoryBytes —
+	// the misses' segment bytes.
 	// Tier supersedes CacheBytes for movement accounting (the pinned
 	// cache marks vertices, the tier tracks segments; configure one).
 	Tier *TierConfig

@@ -269,6 +269,9 @@ func (e *execution) record(it *kernels.Iteration) {
 		front := it.Frontier(p)
 		var degSum int64
 		var ops float64
+		if e.tier != nil {
+			e.tier.endRun() // each chunk pins its own segments
+		}
 		for _, v := range front {
 			deg := g.OutDegree(v)
 			degSum += deg

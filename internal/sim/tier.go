@@ -9,11 +9,9 @@ import (
 // pool (the out-of-core counterpart of internal/store's tier of
 // decompressed segments). Edge lists are grouped into contiguous
 // segments of roughly SegmentBytes each — the same vertex-aligned
-// tiling the gcsr2 container uses — and the hosts keep at most
-// LocalBytes of segments resident, evicting by the store's rule: the
-// resident segment an ascending sweep from the missing one reaches last
-// (graph.SweepVictim, shared with the store so the model runs the
-// policy the system runs).
+// tiling the gcsr2 container uses — and the hosts load segments while
+// they fit LocalBytes, then read the rest through and never evict: the
+// store's policy, Belady's choice for the ascending sweeps both serve.
 // Touching a frontier vertex whose segment is not resident charges the
 // whole segment's bytes to Record.FarMemoryBytes: far memory is fetched
 // at segment granularity, not per edge, which is what makes local-tier
@@ -47,11 +45,13 @@ type tierState struct {
 	segOf    []int32
 	segBytes []int64
 
-	// resident has bit s set while segment s is in the tier. Nothing is
-	// pinned in the model, so every resident segment is evictable.
+	// resident has bit s set while segment s is in the tier.
 	resident []uint64
 	// residentBytes tracks the tier's occupancy against budget.
 	residentBytes int64
+	// through is the segment the current run of touches reads through,
+	// or -1.
+	through int32
 }
 
 // newTierState tiles the graph's edge array into vertex-aligned
@@ -60,13 +60,14 @@ type tierState struct {
 // gcsr2 writer, but the boundaries differ: this closes a segment before
 // the vertex that would take it past the target, the writer after the
 // vertex that reaches it, so segment counts of the two do not yet agree
-// (ROADMAP item 1, tier cross-validation).
+// (ROADMAP item 6, one tiling function).
 func newTierState(g *graph.Graph, cfg TierConfig) *tierState {
 	n := g.NumVertices()
 	segTarget := cfg.tierSegmentBytes()
 	t := &tierState{
-		budget: cfg.LocalBytes,
-		segOf:  make([]int32, n),
+		budget:  cfg.LocalBytes,
+		segOf:   make([]int32, n),
+		through: -1,
 	}
 	var cur int64
 	seg := int32(0)
@@ -88,28 +89,32 @@ func newTierState(g *graph.Graph, cfg TierConfig) *tierState {
 }
 
 // touch records an access to v's segment and returns the far-memory
-// bytes the access cost: zero on a hit, the whole segment on a miss.
-// Misses evict in sweep order until the segment fits; a segment larger
-// than the entire budget still loads (transient overshoot, the same
-// rule the store applies to pinned segments).
+// bytes the access cost: zero on a hit, the whole segment on a miss. A
+// miss loads the segment while it fits the budget; once the tier is full
+// it reads the segment through and the resident set stays put, and the
+// rest of the run of touches to that segment rides on the same read, as
+// the store serves a push loop's run of lists with one pin. A segment
+// larger than the whole budget is read through every time.
 func (t *tierState) touch(v graph.VertexID) int64 {
 	s := t.segOf[v]
+	if s == t.through {
+		return 0
+	}
+	t.through = -1
 	word, bit := s>>6, uint64(1)<<(uint(s)&63)
 	if t.resident[word]&bit != 0 {
 		return 0
 	}
 	need := t.segBytes[s]
-	if t.budget > 0 {
-		for t.residentBytes+need > t.budget {
-			victim := graph.SweepVictim(t.resident, s)
-			if victim < 0 {
-				break
-			}
-			t.resident[victim>>6] &^= 1 << (uint(victim) & 63)
-			t.residentBytes -= t.segBytes[victim]
-		}
+	if t.budget > 0 && t.residentBytes+need > t.budget {
+		t.through = s
+		return need
 	}
 	t.resident[word] |= bit
 	t.residentBytes += need
 	return need
 }
+
+// endRun ends the current run of touches: the next touch of a segment
+// that is not resident reads it again, as the next pin of a chunk would.
+func (t *tierState) endRun() { t.through = -1 }

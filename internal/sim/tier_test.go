@@ -150,14 +150,14 @@ func TestTierSegmentTiling(t *testing.T) {
 	}
 }
 
-// TestTierSweepOrderEviction pins the victim rule the tier shares with
-// internal/store as exact counts. N equal segments touched in ascending
-// vertex order, pass after pass, under a budget of B segments: LRU
-// refetches all N every pass; evicting the segment the sweep reaches
-// last refetches N-(B-1) a pass, or N-B when the rotating segment lands
-// on the pass boundary, and exactly N(N-B) over any N-1 consecutive
-// passes — Belady's minimum for a cyclic sweep, so far traffic falls
-// linearly with the budget where LRU's stayed flat.
+// TestTierSweepOrderEviction pins the tier's policy — the store's — as
+// exact counts. N equal segments touched in ascending vertex order, pass
+// after pass, under a budget of B segments: the first B load and stay,
+// every later one is read through, so each pass after the cold one
+// fetches exactly N-B segments (Belady's minimum once a miss may bypass
+// the tier; evicting in sweep order cost N(N-B)/(N-1)). A run of touches
+// to one read-through segment is one fetch; ending the run between
+// touches makes each touch a fetch of its own.
 func TestTierSweepOrderEviction(t *testing.T) {
 	const nSegs, perSeg = 12, 8
 	n := nSegs * perSeg
@@ -170,33 +170,34 @@ func TestTierSweepOrderEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	segBytes := int64(perSeg * kernels.EdgeBytes)
-	for _, frames := range []int{1, 2, 5, 11, 12} {
+	for _, frames := range []int{1, 2, 5, 11, 12, 20} {
 		ts := newTierState(g, TierConfig{LocalBytes: int64(frames) * segBytes, SegmentBytes: segBytes})
 		if len(ts.segBytes) != nSegs {
 			t.Fatalf("fixture: %d segments, want %d", len(ts.segBytes), nSegs)
 		}
-		pass := func() (misses int64) {
+		pass := func(endRuns bool) (fetched int64) {
 			for v := 0; v < n; v++ {
-				misses += ts.touch(graph.VertexID(v)) / segBytes
+				if endRuns {
+					ts.endRun()
+				}
+				fetched += ts.touch(graph.VertexID(v)) / segBytes
 			}
-			return misses
+			return fetched
 		}
-		if cold := pass(); cold != nSegs {
+		if cold := pass(false); cold != nSegs {
 			t.Fatalf("%d frames: cold pass fetched %d segments, want %d", frames, cold, nSegs)
 		}
-		var total int64
-		for p := 0; p < 2*(nSegs-1); p++ {
-			m := pass()
-			if hi := int64(nSegs - (frames - 1)); frames < nSegs && (m > hi || m < hi-1) {
-				t.Fatalf("%d frames, warm pass %d: %d segments fetched, want %d or %d", frames, p, m, hi-1, hi)
+		through := int64(max(nSegs-frames, 0))
+		for p := 0; p < 2*nSegs; p++ {
+			if m := pass(false); m != through {
+				t.Fatalf("%d frames, warm pass %d: %d segments fetched, want N-B = %d", frames, p, m, through)
 			}
-			total += m
 		}
-		if want := int64(2 * nSegs * (nSegs - frames)); total != want {
-			t.Fatalf("%d frames: %d segments fetched over %d warm passes, want exactly %d", frames, total, 2*(nSegs-1), want)
+		if m := pass(true); m != through*perSeg {
+			t.Fatalf("%d frames: a pass of one-touch runs fetched %d segments, want %d", frames, m, through*perSeg)
 		}
-		if ts.residentBytes > ts.budget {
-			t.Fatalf("%d frames: %d bytes resident over a budget of %d", frames, ts.residentBytes, ts.budget)
+		if want := int64(min(frames, nSegs)) * segBytes; ts.residentBytes != want || ts.residentBytes > ts.budget {
+			t.Fatalf("%d frames: %d bytes resident, want %d within a budget of %d", frames, ts.residentBytes, want, ts.budget)
 		}
 	}
 }

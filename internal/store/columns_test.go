@@ -59,9 +59,9 @@ func TestPinEdgesChecksWeightBytes(t *testing.T) {
 // TestFailedWeightUpgradeKeepsEdges loads a frame's edge ids, then damages
 // its weight bytes underneath the handle (OpenBytes reads the caller's
 // slice in place) so the weighted Pin that would add the column fails its
-// CRC. The failure must leave the pins as they were, the frame's edge ids
-// still pinnable as a hit and the frame evictable again; mending the
-// bytes lets the upgrade go through.
+// CRC. The failure must leave the pins as they were and the frame's edge
+// ids still resident and pinnable as a hit; mending the bytes lets the
+// upgrade go through.
 func TestFailedWeightUpgradeKeepsEdges(t *testing.T) {
 	g := testGraphs(t)["community"]
 	data, err := EncodeGraph(g, 256)
@@ -97,16 +97,15 @@ func TestFailedWeightUpgradeKeepsEdges(t *testing.T) {
 		t.Fatal("a failed upgrade changed the edge ids a handle holds")
 	}
 	held.Release()
-	// Again with nothing pinning the frame: the upgrade takes it off the
-	// eviction candidates while it works and must put it back.
+	// Again with no handle on the frame.
 	if _, err := st.Pin(v); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("second upgrade over damaged weights: err = %v, want ErrCorrupt", err)
 	}
 	if s := st.Stats(); s.Pins != 0 {
 		t.Fatalf("%d pins after a failed upgrade of an unpinned frame", s.Pins)
 	}
-	if st.idle[idx>>6]&(1<<(idx&63)) == 0 {
-		t.Fatal("frame not evictable after a failed upgrade")
+	if f := st.frames[idx]; !f.resident || f.hasWeights {
+		t.Fatalf("frame after a failed upgrade: resident %v, weights %v; want its edge ids alone", f.resident, f.hasWeights)
 	}
 
 	again, err := st.PinEdges(v)
@@ -135,9 +134,10 @@ func TestFailedWeightUpgradeKeepsEdges(t *testing.T) {
 	mustClose(t, st)
 }
 
-// TestMaterializeBypassesTier materializes a budgeted handle holding
-// resident frames of both kinds and one pin: the graph must equal the
-// encoded one, and the tier must not notice — same Stats, same frames.
+// TestMaterializeBypassesTier materializes a full budgeted handle
+// holding resident frames of both kinds and one read-through pin: the
+// graph must equal the encoded one, and the tier must not notice — same
+// Stats, same frames.
 func TestMaterializeBypassesTier(t *testing.T) {
 	g := testGraphs(t)["community"]
 	st := openFixture(t, g, 256, 2048)
@@ -156,8 +156,8 @@ func TestMaterializeBypassesTier(t *testing.T) {
 	held := pinSeg(t, st, n-1)
 	before := st.Stats()
 	frames := append([]frame(nil), st.frames...)
-	if before.ResidentBytes == 0 || before.Evictions == 0 {
-		t.Fatalf("fixture: stats %+v, want a full tier that has evicted", before)
+	if before.ResidentBytes == 0 || before.ReadThroughs == 0 {
+		t.Fatalf("fixture: stats %+v, want a full tier that has read through", before)
 	}
 	mat, err := st.Materialize()
 	if err != nil {
@@ -168,7 +168,7 @@ func TestMaterializeBypassesTier(t *testing.T) {
 		t.Fatalf("Materialize moved the tier's stats %+v -> %+v", before, s)
 	}
 	for i := range frames {
-		if f := st.frames[i]; f.resident != frames[i].resident || f.hasWeights != frames[i].hasWeights || f.refs != frames[i].refs {
+		if f := st.frames[i]; f.resident != frames[i].resident || f.hasWeights != frames[i].hasWeights {
 			t.Fatalf("Materialize changed frame %d: %+v -> %+v", i, frames[i], f)
 		}
 	}
@@ -179,10 +179,10 @@ func TestMaterializeBypassesTier(t *testing.T) {
 // TestMixedTrafficOneHandle runs weight-free and weighted kernels in turn
 // — BFS, SSSP, CC, SSSP, PageRank — on one weighted handle under a budget
 // of a few frames, on both machines, so frames load edge-only, gain their
-// weights in place and are evicted in every combination. Each result is
-// bit-identical to the in-memory push run on the same machine; no pin
-// outlives a run; the tier stays within one segment of its budget; and
-// the stats repeat exactly and equal the recorded ones.
+// weights in place, and segments and weights are read through in every
+// combination. Each result is bit-identical to the in-memory push run on
+// the same machine; no pin outlives a run; the tier stays within its
+// budget; and the stats repeat exactly and equal the recorded ones.
 func TestMixedTrafficOneHandle(t *testing.T) {
 	g := testGraphs(t)["community"]
 	data, err := EncodeGraph(g, 256)
@@ -205,8 +205,8 @@ func TestMixedTrafficOneHandle(t *testing.T) {
 	budget := 4 * maxCost
 	order := []string{"bfs", "sssp", "cc", "sssp", "pagerank"}
 	recorded := map[kernels.Machine]Stats{
-		kernels.Serial: {Hits: 245, Misses: 2439, Evictions: 2430, FarBytes: 425302, ResidentBytes: 1040, PeakResidentBytes: 1152},
-		kernels.Staged: {Hits: 2188, Misses: 2439, Evictions: 2430, FarBytes: 425302, ResidentBytes: 1040, PeakResidentBytes: 1152},
+		kernels.Serial: {Hits: 164, Misses: 2522, ReadThroughs: 2516, FarBytes: 439731, ResidentBytes: 1124, PeakResidentBytes: 1124},
+		kernels.Staged: {Hits: 269, Misses: 4358, ReadThroughs: 4352, FarBytes: 762188, ResidentBytes: 1124, PeakResidentBytes: 1124},
 	}
 	for machine, want := range recorded {
 		opt := kernels.Options{Direction: kernels.DirectionPush}
@@ -231,7 +231,7 @@ func TestMixedTrafficOneHandle(t *testing.T) {
 				}
 				assertResultsIdentical(t, name, got, ref)
 				s := st.Stats()
-				if s.Pins != 0 || s.ResidentBytes > budget+maxCost {
+				if s.Pins != 0 || s.PeakResidentBytes > budget {
 					t.Fatalf("machine %d, after %s: stats %+v, budget %d", machine, name, s, budget)
 				}
 				trail = append(trail, s)

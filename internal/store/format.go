@@ -1,12 +1,13 @@
 // Package store implements the out-of-core partition container: graphs
 // too large for RAM live on disk in the gcsr2 segment format and stream
-// through a pinned/refcounted, budgeted tier of decompressed segments —
-// the "local memory" tier of the paper's disaggregated architecture,
-// with segment misses standing in for far-memory fetches. Every budgeted
-// caller pins segments in ascending vertex order, cycle after cycle, so
-// the tier evicts the unpinned segment that sweep reaches last (Belady's
-// choice for the traffic; LRU's is the segment needed soonest) and keeps
-// a run of segments resident across passes at any budget.
+// through a budgeted tier of decompressed segments — the "local memory"
+// tier of the paper's disaggregated architecture, with segment misses
+// standing in for far-memory fetches. A miss loads its segment while the
+// budget has room; once it is full, a miss reads through instead: it
+// decodes only the lists the caller will read into a lent buffer and
+// leaves the resident set as it is. Every budgeted caller pins segments
+// in ascending vertex order, cycle after cycle, and for that traffic
+// keeping every resident segment is Belady's choice.
 //
 // The gcsr2 container layers the varint-delta adjacency codec from
 // internal/graph and the checksummed-container conventions from

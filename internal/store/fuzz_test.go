@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"slices"
@@ -11,8 +13,9 @@ import (
 
 // FuzzSegmentCodec throws arbitrary bytes at the full container read
 // path: open, index decode, every segment's checksum + varint decode
-// through the tier (Pin, PinEdges, and the weight upgrade of an
-// edge-only frame), and materialization. The contract under fuzz is
+// through the tier (Pin, PinEdges, the weight upgrade of an edge-only
+// frame, and read-throughs of every list and of a sparse subset), and
+// materialization. The contract under fuzz is
 // exactly the corruption tests' contract — a typed error or a
 // successful, internally consistent read; never a panic, never an
 // unbounded allocation from a forged count — and every way of reading a
@@ -59,6 +62,15 @@ func FuzzSegmentCodec(f *testing.F) {
 	// A gap the codec once let wrap into range: well-checksummed, and
 	// read back as an unsorted list.
 	f.Add(wrappedGapContainer())
+	// Well-checksummed damage to a list the sparse read-through skips
+	// (vertices 0 and 2 of these) — framing it must refuse, and an id out
+	// of range it must not look at — and a nine-byte varint it must take.
+	over := append(bytes.Repeat([]byte{0x80}, 10), 0x00)
+	f.Add(forgeContainer([]int64{1, 1, 0}, append(over, 0x01)))
+	f.Add(forgeContainer([]int64{0, 1, 1}, []byte{0x00, 0x81}))
+	f.Add(forgeContainer([]int64{0, 1, 1}, []byte{0x00, 0x01, 0x05}))
+	f.Add(forgeContainer([]int64{1, 1, 0}, []byte{0x09, 0x01}))
+	f.Add(forgeContainer([]int64{1, 1, 0}, append(bytes.Repeat([]byte{0x80}, 8), 0x00, 0x01)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := OpenBytes(data, Options{})
@@ -107,24 +119,32 @@ func errClass(err error) string {
 	return "untyped"
 }
 
-// pinEverySegment reads each segment three ways — Pin on st, PinEdges
+// pinEverySegment reads each segment five ways — Pin on st, PinEdges
 // on a second handle over data, then Pin on that handle, which adds the
-// weights to its edge-only frame — and requires them to agree on the
-// error class and, where they succeed, on the edge ids and weights. It
-// returns the first error, leaving no pin behind.
+// weights to its edge-only frame, and on a third handle whose budget
+// holds no frame, Pin, which reads every list through, and PinLists of a
+// sparse subset, checked by checkSparseReadThrough — and requires them to
+// agree on the error class and, where they succeed, on the edge ids and
+// weights. It returns the first error, leaving no pin behind.
 func pinEverySegment(t *testing.T, data []byte, st *Store) (first error) {
 	t.Helper()
 	edges, err := OpenBytes(data, Options{})
 	if err != nil {
 		t.Fatalf("second open of a container that opened: %v", err)
 	}
+	through, err := OpenBytes(data, Options{LocalBytes: 1})
+	if err != nil {
+		t.Fatalf("third open of a container that opened: %v", err)
+	}
 	for i := range st.segs {
 		v := graph.VertexID(st.segs[i].first)
+		checkSparseReadThrough(t, data, through, i)
 		full, errFull := st.Pin(v)
 		bare, errBare := edges.PinEdges(v)
 		up, errUp := edges.Pin(v)
-		if c := errClass(errFull); c == "untyped" || c != errClass(errBare) || c != errClass(errUp) {
-			t.Fatalf("segment %d: Pin %v, PinEdges %v, upgrade %v", i, errFull, errBare, errUp)
+		whole, errWhole := through.Pin(v)
+		if c := errClass(errFull); c == "untyped" || c != errClass(errBare) || c != errClass(errUp) || c != errClass(errWhole) {
+			t.Fatalf("segment %d: Pin %v, PinEdges %v, upgrade %v, read-through %v", i, errFull, errBare, errUp, errWhole)
 		}
 		if errFull != nil {
 			if first == nil {
@@ -135,15 +155,106 @@ func pinEverySegment(t *testing.T, data []byte, st *Store) (first error) {
 		if bare.Weights != nil || !slices.Equal(bare.Edges, full.Edges) || !slices.Equal(up.Edges, full.Edges) {
 			t.Fatalf("segment %d: PinEdges or the upgrade lent edge ids %v / %v, Pin %v", i, bare.Edges, up.Edges, full.Edges)
 		}
-		if !slices.EqualFunc(up.Weights, full.Weights, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+		if !slices.EqualFunc(up.Weights, full.Weights, sameBits) {
 			t.Fatalf("segment %d: the upgrade lent weights %v, Pin %v", i, up.Weights, full.Weights)
+		}
+		if !slices.Equal(whole.Edges, full.Edges) || !slices.EqualFunc(whole.Weights, full.Weights, sameBits) {
+			t.Fatalf("segment %d: the read-through lent %v %v, Pin %v %v", i, whole.Edges, whole.Weights, full.Edges, full.Weights)
 		}
 		full.Release()
 		bare.Release()
 		up.Release()
+		whole.Release()
+	}
+	if s := through.Stats(); s.Misses != s.ReadThroughs {
+		t.Fatalf("a handle with no room for a frame loaded one: %+v", s)
 	}
 	if err := edges.Close(); err != nil {
 		t.Fatalf("close of the second handle: %v", err)
 	}
+	if err := through.Close(); err != nil {
+		t.Fatalf("close of the third handle: %v", err)
+	}
 	return first
+}
+
+func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+
+// checkSparseReadThrough reads every third list of segment idx, from its
+// second vertex, through st, whose budget holds no frame, and checks the
+// read against a plain binary.Uvarint walk of the payload. The read must
+// fail with ErrCorrupt if the payload's CRC does not match — a flipped
+// weight byte included — or if its adjacency does not split into
+// exactly the segment's varints, skipped lists included; or if a served
+// list holds an id out of range, which a skipped list may. Otherwise it
+// must serve every list asked for with the walk's ids and the payload's
+// weights.
+func checkSparseReadThrough(t *testing.T, data []byte, st *Store, idx int) {
+	t.Helper()
+	m := st.segs[idx]
+	var ask []graph.VertexID
+	for u := m.first + 1; u < m.first+m.count; u += 3 {
+		ask = append(ask, graph.VertexID(u))
+	}
+	if len(ask) == 0 {
+		return
+	}
+	payload := data[m.off : m.off+m.len]
+	adj := payload
+	if st.weighted {
+		adj = payload[:m.len-4*m.edges]
+	}
+	var gaps []uint64
+	at := 0
+	for range m.edges {
+		g, n := binary.Uvarint(adj[at:])
+		if n <= 0 {
+			break
+		}
+		gaps = append(gaps, g)
+		at += n
+	}
+	ok := ieeeCRC(payload) == m.crc && uint64(len(gaps)) == m.edges && at == len(adj)
+	base := st.offsets[m.first]
+	ids := make(map[graph.VertexID][]graph.VertexID)
+	for _, u := range ask {
+		if !ok {
+			break
+		}
+		prev := uint64(0)
+		for _, g := range gaps[st.offsets[u]-base : st.offsets[u+1]-base] {
+			if g > 0xFFFFFFFF || prev+g >= uint64(st.NumVertices()) {
+				ok = false
+				break
+			}
+			prev += g
+			ids[u] = append(ids[u], graph.VertexID(prev))
+		}
+	}
+	sg, err := st.PinLists(ask[0], ask[1:], true)
+	if !ok {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("segment %d: sparse read-through of a damaged payload: err = %v, want ErrCorrupt", idx, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("segment %d: sparse read-through of %d lists: %v", idx, len(ask), err)
+	}
+	for _, u := range ask {
+		lo, hi := st.offsets[u]-base, st.offsets[u+1]-base
+		if !slices.Equal(sg.Edges[lo:hi], ids[u]) {
+			t.Fatalf("segment %d vertex %d: read through %v, want %v", idx, u, sg.Edges[lo:hi], ids[u])
+		}
+		if !st.weighted {
+			continue
+		}
+		for k := lo; k < hi; k++ {
+			w := binary.LittleEndian.Uint32(payload[len(adj)+4*int(k):])
+			if math.Float32bits(sg.Weights[k]) != w {
+				t.Fatalf("segment %d vertex %d: weight %d read through %v, want bits %08x", idx, u, k-lo, sg.Weights[k], w)
+			}
+		}
+	}
+	sg.Release()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 
@@ -16,37 +17,43 @@ import (
 type Options struct {
 	// LocalBytes is the local-memory tier budget in decompressed bytes;
 	// <= 0 means unlimited (every segment stays resident once loaded).
-	// Pinned segments never evict, so a pathologically small budget can
-	// be exceeded by the pins themselves — the tier then holds exactly
-	// the pinned set.
+	// A budgeted tier loads segments while they fit beside one
+	// read-through buffer, then reads the rest through that buffer and
+	// never evicts, so frames plus buffer stay within it. Only a budget
+	// smaller than one buffer, or Pin and PinEdges handles holding more
+	// read-throughs at once than it has room for, can exceed it.
 	LocalBytes int64
 }
 
 // Stats is a snapshot of the tier's behavior: segment hits and misses,
-// evictions, the compressed bytes fetched from the container on misses
-// (the far-memory traffic the paper's Figure 5/6 sweeps charge), and the
+// the compressed bytes fetched from the container on misses (the
+// far-memory traffic the paper's Figure 5/6 sweeps charge), and the
 // decompressed footprint of the resident set.
 type Stats struct {
-	// Misses counts loads and weight upgrades: a weighted Pin of a frame
-	// PinEdges loaded is a miss too.
-	Hits, Misses, Evictions int64
+	// Misses counts every segment read: loads, weight upgrades and
+	// read-throughs. ReadThroughs counts the misses that did not load —
+	// the tier was full, so the pin decoded the lists it serves into a
+	// read-through buffer. A weighted Pin of a frame PinEdges loaded is a
+	// miss too.
+	Hits, Misses, ReadThroughs int64
+	// Evictions is always 0: a full tier reads through instead.
+	Evictions int64
 	// FarBytes is the compressed payload bytes read from the container —
-	// every miss pays its segment's full payload.
+	// every miss pays its segment's full payload, which the CRC reads.
 	FarBytes int64
 	// ResidentBytes and PeakResidentBytes track the decompressed local
-	// tier (current and high-water).
+	// tier, frames and read-through buffers (current and high-water).
 	ResidentBytes, PeakResidentBytes int64
 	// Pins counts currently outstanding Pin handles.
 	Pins int64
 }
 
 // frame is one segment's residency state: the decompressed columns it
-// holds and the pin count. A resident frame always holds the edge ids;
-// it holds the weight column too once a weighted Pin has asked for it.
+// holds. A resident frame always holds the edge ids; it holds the weight
+// column too once a weighted Pin has asked for it. Frames never leave.
 type frame struct {
 	edges      []graph.VertexID
 	weights    []float32
-	refs       int32
 	resident   bool
 	hasWeights bool
 }
@@ -56,9 +63,9 @@ type frame struct {
 // successful Pin must be paired with Release on the returned handle.
 //
 // A Store is an adjacency source for the kernel engine
-// (kernels.Source): Vertices is the resident vertex side, Pin lends the
-// edge list one segment at a time. It stores out-edges only, so the
-// engine never pulls over it.
+// (kernels.Source): Vertices is the resident vertex side, Pin and
+// PinLists lend the edge list one segment at a time. It stores out-edges
+// only, so the engine never pulls over it.
 type Store struct {
 	src      source
 	weighted bool
@@ -67,20 +74,26 @@ type Store struct {
 	view     *graph.Graph // offsets-only vertex side
 	segs     []segMeta
 
-	maxSegEdges int64 // largest segment edge count (sizes recycled buffers)
+	maxSegEdges int64 // largest segment edge count (sizes read-through buffers)
 	maxSegBytes int64 // largest compressed payload (sizes the read scratch)
 
-	mu     sync.Mutex
-	frames []frame
-	// freeEdges and freeWeights hold the buffers evicted frames donate,
-	// one list per column, so a warmed tier's miss path allocates nothing.
-	freeEdges   [][]graph.VertexID
-	freeWeights [][]float32
-	scratch     []byte   // pread buffer, reused across loads
-	idle        []uint64 // bit i set: frame i is resident and unpinned (setIdle)
-	budget      int64
-	resident    int64
-	stats       Stats
+	mu       sync.Mutex
+	frames   []frame
+	scratch  []byte // pread buffer, reused across reads
+	budget   int64
+	resident int64 // frames and read-through buffers
+	stats    Stats
+
+	// Read-through buffers. spare is the one kept between read-throughs
+	// (nil while lent, or before the first); bufs counts those allocated,
+	// each bufCost bytes of the budget. listHolders counts the buffers
+	// lent through PinLists, whose holders release before they pin again,
+	// so a read-through may wait on bufFree for one of them.
+	spare       *readBuf
+	bufs        int
+	bufCost     int64
+	listHolders int
+	bufFree     sync.Cond
 
 	digestOnce sync.Once
 	digest     string
@@ -159,7 +172,6 @@ func open(src source, opts Options) (*Store, error) {
 		view:     view,
 		segs:     ix.segs,
 		frames:   make([]frame, len(ix.segs)),
-		idle:     make([]uint64, (len(ix.segs)+63)/64),
 		budget:   opts.LocalBytes,
 	}
 	for i := range st.frames {
@@ -170,6 +182,11 @@ func open(src source, opts Options) (*Store, error) {
 			st.maxSegBytes = l
 		}
 	}
+	st.bufCost = st.maxSegEdges * 4
+	if st.weighted {
+		st.bufCost *= 2
+	}
+	st.bufFree.L = &st.mu
 	return st, nil
 }
 
@@ -227,13 +244,15 @@ func (s *Store) segFor(v graph.VertexID) int32 {
 	return int32(lo)
 }
 
-// Pin loads (if necessary) and pins the segment covering v, returning a
-// handle for its adjacency: the edge ids and, in a weighted container,
-// the weights. Pinned segments never evict, so every Pin is paired with
-// the handle's Release; Close refuses while pins are outstanding, which
-// is how the store's and the engines' tests hold it.
+// Pin pins the segment covering v and returns a handle for its whole
+// adjacency: the edge ids and, in a weighted container, the weights. A
+// hit lends the resident frame; a miss loads the segment while the budget
+// has room, and on a full tier reads the whole segment through a lent
+// buffer. Every Pin is paired with the handle's Release; Close refuses
+// while pins are outstanding, which is how the store's and the engines'
+// tests hold it.
 func (s *Store) Pin(v graph.VertexID) (graph.Segment, error) {
-	return s.pin(v, s.weighted)
+	return s.pinSegment(v, s.weighted)
 }
 
 // PinEdges is Pin for a reader that never looks at a weight: the handle's
@@ -241,79 +260,121 @@ func (s *Store) Pin(v graph.VertexID) (graph.Segment, error) {
 // budget for, the edge ids alone — half a weighted segment's footprint.
 // A later Pin of that frame adds the weight column in place.
 func (s *Store) PinEdges(v graph.VertexID) (graph.Segment, error) {
-	return s.pin(v, false)
+	return s.pinSegment(v, false)
 }
 
-// pin is Pin and PinEdges: weights says whether the handle lends the
-// weight column.
-func (s *Store) pin(v graph.VertexID, weights bool) (graph.Segment, error) {
-	if int64(v) >= int64(s.NumVertices()) {
-		return graph.Segment{}, fmt.Errorf("store: vertex %d outside container with %d vertices", v, s.NumVertices())
+// pinSegment is Pin and PinEdges: every list of v's segment.
+func (s *Store) pinSegment(v graph.VertexID, weights bool) (graph.Segment, error) {
+	if err := s.checkVertex(v); err != nil {
+		return graph.Segment{}, err
 	}
 	idx := s.segFor(v)
+	return s.pin(idx, graph.VertexID(s.segs[idx].first), nil, weights, false)
+}
+
+// PinLists pins the segment covering v for a push loop whose frontier
+// goes on with rest, the vertices after v, in ascending order; rest nil
+// asks for every list of the segment. weights says whether the handle
+// lends the weight column. A hit or a load lends the resident frame. On a
+// full tier only the lists of v and of the vertices of rest inside the
+// segment are decoded, into a read-through buffer: the handle serves
+// those and no other vertex's list (rest is read only while it ascends).
+//
+// The caller holds no other handle of this store while it calls, and
+// releases this one before it pins again. That lets a read-through wait
+// for a buffer another PinLists caller holds, where Pin would take one
+// over the budget.
+func (s *Store) PinLists(v graph.VertexID, rest []graph.VertexID, weights bool) (graph.Segment, error) {
+	if err := s.checkVertex(v); err != nil {
+		return graph.Segment{}, err
+	}
+	idx := s.segFor(v)
+	if rest == nil {
+		v = graph.VertexID(s.segs[idx].first)
+	}
+	return s.pin(idx, v, rest, weights && s.weighted, true)
+}
+
+// checkVertex refuses a vertex outside the container.
+func (s *Store) checkVertex(v graph.VertexID) error {
+	if int64(v) >= int64(s.NumVertices()) {
+		return fmt.Errorf("store: vertex %d outside container with %d vertices", v, s.NumVertices())
+	}
+	return nil
+}
+
+// pin serves the lists of segment idx that from and rest name (see
+// readLists): from the resident frame on a hit, or after loading the
+// frame — or adding its weight column — while the budget has room, and
+// through a read-through buffer once it has none. weights says whether
+// the handle lends the weight column; lists, that a PinLists caller asks.
+func (s *Store) pin(idx int32, from graph.VertexID, rest []graph.VertexID, weights, lists bool) (graph.Segment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fr := &s.frames[idx]
 	switch {
-	case !fr.resident:
+	case fr.resident && (fr.hasWeights || !weights):
+		s.stats.Hits++
+	case !fr.resident && s.fits(s.segCost(idx, weights)):
 		if err := s.load(idx, weights); err != nil {
 			return graph.Segment{}, err
 		}
-	case weights && !fr.hasWeights:
+	case fr.resident && s.fits(s.segCost(idx, true)-s.segCost(idx, false)):
 		if err := s.addWeights(idx); err != nil {
 			return graph.Segment{}, err
 		}
 	default:
-		s.stats.Hits++
-		s.setIdle(idx, false)
+		return s.readThrough(idx, from, rest, weights, lists)
 	}
-	fr.refs++
 	s.stats.Pins++
-	m := &s.segs[idx]
-	sg := graph.Segment{
-		First: graph.VertexID(m.first),
-		End:   graph.VertexID(m.first + m.count),
-		Base:  s.offsets[m.first],
-		Edges: fr.edges,
-		Owner: (*tier)(s),
-		Frame: idx,
-	}
+	sg := s.handle(idx)
+	sg.Edges, sg.Owner = fr.edges, (*tier)(s)
 	if weights {
 		sg.Weights = fr.weights
 	}
 	return sg, nil
 }
 
-// tier is the Store as the owner of the segments it lends: the Unpin
-// that graph.Segment.Release calls back, kept off Store's own method set
-// so Release on the handle stays the only way to drop a pin.
+// handle is a handle on segment idx that lends no column yet.
+func (s *Store) handle(idx int32) graph.Segment {
+	m := &s.segs[idx]
+	return graph.Segment{
+		First: graph.VertexID(m.first),
+		End:   graph.VertexID(m.first + m.count),
+		Base:  s.offsets[m.first],
+		Frame: idx,
+	}
+}
+
+// fits reports whether need more bytes fit the budget beside the
+// resident set and a read-through buffer, which resident counts once one
+// exists.
+func (s *Store) fits(need int64) bool {
+	if s.budget <= 0 {
+		return true
+	}
+	reserve := int64(0)
+	if s.bufs == 0 {
+		reserve = s.bufCost
+	}
+	return s.resident+need+reserve <= s.budget
+}
+
+// tier is the Store as the owner of the frames it lends: the Unpin that
+// graph.Segment.Release calls back, kept off Store's own method set so
+// Release on the handle stays the only way to drop a pin.
 type tier Store
 
-// Unpin drops one pin; at zero the frame becomes evictable.
+// Unpin drops one frame handle's pin.
 func (t *tier) Unpin(idx int32) {
 	s := (*Store)(t)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fr := &s.frames[idx]
-	if fr.refs <= 0 || !fr.resident {
-		//lint:ignore panicpath unbalanced Release is a caller bug; corrupting the refcount silently would be worse
+	if s.stats.Pins <= 0 || !s.frames[idx].resident {
+		//lint:ignore panicpath unbalanced Release is a caller bug; corrupting the pin count silently would be worse
 		panic(fmt.Sprintf("store: Release of segment %d without matching Pin", idx))
 	}
-	fr.refs--
 	s.stats.Pins--
-	if fr.refs == 0 {
-		s.setIdle(idx, true)
-	}
-}
-
-// setIdle records whether frame idx is resident and unpinned — a
-// candidate for eviction.
-func (s *Store) setIdle(idx int32, idle bool) {
-	if idle {
-		s.idle[idx>>6] |= 1 << (uint(idx) & 63)
-	} else {
-		s.idle[idx>>6] &^= 1 << (uint(idx) & 63)
-	}
 }
 
 // segCost is the decompressed footprint of segment idx holding its edge
@@ -327,29 +388,22 @@ func (s *Store) segCost(idx int32, weights bool) int64 {
 	return c
 }
 
-// load fetches, verifies, and decompresses segment idx under s.mu — the
-// edge ids, and the weights too when weights is set — evicting to fit
-// the budget first.
+// load fetches, verifies, and decompresses segment idx under s.mu into
+// its frame: the edge ids, and the weights too when weights is set.
 func (s *Store) load(idx int32, weights bool) error {
-	need := s.segCost(idx, weights)
-	s.makeRoom(idx, need)
 	n := s.segs[idx].edges
-	edges := s.takeEdges()[:n]
+	edges := make([]graph.VertexID, n)
 	var wts []float32
 	if weights {
-		wts = s.takeWeights()[:n]
+		wts = make([]float32, n)
 	}
-	if err := s.decode(idx, s.readScratch(), edges, wts); err != nil {
-		s.freeEdges = append(s.freeEdges, edges)
-		if weights {
-			s.freeWeights = append(s.freeWeights, wts)
-		}
+	if err := s.readAll(idx, s.readScratch(), edges, wts); err != nil {
 		return err
 	}
 	fr := &s.frames[idx]
 	fr.edges, fr.weights, fr.hasWeights = edges, wts, weights
 	fr.resident = true
-	s.charge(idx, need)
+	s.charge(idx, s.segCost(idx, weights))
 	return nil
 }
 
@@ -357,62 +411,165 @@ func (s *Store) load(idx int32, weights bool) error {
 // place: handles already lent on the frame read only its edge ids, which
 // stay where they are. It fetches the whole payload again and checks its
 // CRC, so it counts as a miss and pays the payload in FarBytes. On
-// failure the frame is as it was: edge ids only, and evictable if
-// nothing pins it.
+// failure the frame is as it was.
 func (s *Store) addWeights(idx int32) error {
-	fr := &s.frames[idx]
-	s.setIdle(idx, false) // the frame must not be its own victim
-	need := s.segCost(idx, true) - s.segCost(idx, false)
-	s.makeRoom(idx, need)
-	wts := s.takeWeights()[:s.segs[idx].edges]
-	if err := s.decode(idx, s.readScratch(), nil, wts); err != nil {
-		s.freeWeights = append(s.freeWeights, wts)
-		if fr.refs == 0 {
-			s.setIdle(idx, true)
-		}
+	wts := make([]float32, s.segs[idx].edges)
+	if err := s.readAll(idx, s.readScratch(), nil, wts); err != nil {
 		return err
 	}
+	fr := &s.frames[idx]
 	fr.weights, fr.hasWeights = wts, true
-	s.charge(idx, need)
+	s.charge(idx, s.segCost(idx, true)-s.segCost(idx, false))
 	return nil
-}
-
-// makeRoom evicts until need more bytes fit the budget beside the
-// resident set, or nothing unpinned is left to evict. Every budgeted
-// caller pins segments in ascending vertex order and returns only after a
-// full cycle, so the victim is the evictable frame that sweep reaches
-// last (graph.SweepVictim) — Belady's choice for this traffic, where LRU
-// always evicts the frame needed soonest.
-func (s *Store) makeRoom(idx int32, need int64) {
-	if s.budget <= 0 {
-		return
-	}
-	for s.resident+need > s.budget {
-		victim := graph.SweepVictim(s.idle, idx)
-		if victim < 0 {
-			return // everything resident is pinned
-		}
-		s.evict(victim)
-	}
 }
 
 // charge books a miss on segment idx that made need bytes resident.
 func (s *Store) charge(idx int32, need int64) {
-	s.resident += need
-	if s.resident > s.stats.PeakResidentBytes {
-		s.stats.PeakResidentBytes = s.resident
-	}
+	s.grow(need)
 	s.stats.Misses++
 	s.stats.FarBytes += int64(s.segs[idx].len)
 }
 
-// decode reads segment idx's payload (through scratch unless the source
-// is mapped), checks the CRC of the whole payload whichever columns are
-// asked for, and decodes the edge ids into edges unless it is nil and the
-// weights into weights unless it is nil; each holds the segment's edge
-// count. Every read of a segment — a tier miss, a weight upgrade,
-// Materialize — is a call to it.
-func (s *Store) decode(idx int32, scratch []byte, edges []graph.VertexID, weights []float32) error {
+// grow books n more resident bytes.
+func (s *Store) grow(n int64) {
+	s.resident += n
+	if s.resident > s.stats.PeakResidentBytes {
+		s.stats.PeakResidentBytes = s.resident
+	}
+}
+
+// readThrough serves a pin the full tier cannot load. It reads the lists
+// of from and of the run of rest that ascends inside the segment into a
+// read-through buffer — their weights alone when the frame holds the edge
+// ids, which the handle then lends beside them — and leaves the resident
+// set as it was. It counts as a miss and pays the whole payload.
+func (s *Store) readThrough(idx int32, from graph.VertexID, rest []graph.VertexID, weights, lists bool) (graph.Segment, error) {
+	sg := s.handle(idx)
+	if rest != nil {
+		n, prev := 0, from
+		for n < len(rest) && rest[n] > prev && rest[n] < sg.End {
+			prev = rest[n]
+			n++
+		}
+		rest = rest[:n]
+	}
+	b := s.takeBuf(lists)
+	if poisonReadThroughs {
+		for i := range b.edges {
+			b.edges[i] = graph.VertexID(s.NumVertices())
+		}
+		for i := range b.weights {
+			b.weights[i] = float32(math.NaN())
+		}
+	}
+	fr := &s.frames[idx]
+	n := s.segs[idx].edges
+	sg.Edges, sg.Owner = fr.edges, b
+	var ids []graph.VertexID
+	if !fr.resident {
+		ids = b.edges[:n]
+		sg.Edges = ids
+	}
+	if weights {
+		sg.Weights = b.weights[:n]
+	}
+	if err := s.readLists(idx, s.readScratch(), from, rest, ids, sg.Weights); err != nil {
+		s.returnBuf(b)
+		return graph.Segment{}, err
+	}
+	s.charge(idx, 0)
+	s.stats.ReadThroughs++
+	s.stats.Pins++
+	return sg, nil
+}
+
+// readBuf is a read-through buffer: room for the largest segment's edge
+// ids and, in a weighted container, its weights. It is the Unpinner of
+// the handle it is lent to.
+type readBuf struct {
+	s       *Store
+	edges   []graph.VertexID
+	weights []float32
+	lent    bool
+	lists   bool // lent through PinLists
+}
+
+// Unpin drops the handle's pin and takes the buffer back.
+func (b *readBuf) Unpin(idx int32) {
+	s := b.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !b.lent {
+		//lint:ignore panicpath unbalanced Release is a caller bug; lending the buffer twice silently would be worse
+		panic(fmt.Sprintf("store: Release of a read-through of segment %d without matching Pin", idx))
+	}
+	s.stats.Pins--
+	s.returnBuf(b)
+}
+
+// takeBuf lends a read-through buffer: the spare; else a new one if the
+// budget has room; else, while a PinLists caller holds one, the first one
+// returned; else a new one over the budget.
+func (s *Store) takeBuf(lists bool) *readBuf {
+	for s.spare == nil && s.listHolders > 0 && s.resident+s.bufCost > s.budget {
+		s.bufFree.Wait()
+	}
+	b := s.spare
+	s.spare = nil
+	if b == nil {
+		b = &readBuf{s: s, edges: make([]graph.VertexID, s.maxSegEdges)}
+		if s.weighted {
+			b.weights = make([]float32, s.maxSegEdges)
+		}
+		s.bufs++
+		s.grow(s.bufCost)
+	}
+	b.lent, b.lists = true, lists
+	if lists {
+		s.listHolders++
+	}
+	return b
+}
+
+// returnBuf takes a lent buffer back: it becomes the spare, or is freed
+// if there is one, and a read-through waiting for a buffer wakes.
+func (s *Store) returnBuf(b *readBuf) {
+	if b.lists {
+		s.listHolders--
+	}
+	b.lent, b.lists = false, false
+	if s.spare == nil {
+		s.spare = b
+	} else {
+		s.bufs--
+		s.resident -= s.bufCost
+	}
+	s.bufFree.Broadcast()
+}
+
+// poisonReadThroughs, set by tests, fills each read-through buffer with
+// out-of-range ids and NaN weights before the served lists are decoded
+// over them, so a reader of any other list fails loudly.
+var poisonReadThroughs bool
+
+// readAll is readLists of every list of segment idx: a load, a weight
+// upgrade and Materialize.
+func (s *Store) readAll(idx int32, scratch []byte, edges []graph.VertexID, weights []float32) error {
+	return s.readLists(idx, scratch, graph.VertexID(s.segs[idx].first), nil, edges, weights)
+}
+
+// readLists reads segment idx's payload (through scratch unless the
+// source is mapped), checks the CRC of all of it whichever columns are
+// asked for, and decodes the lists of from and then of the vertices of
+// rest — every vertex from from to the segment's end when rest is nil —
+// into edges unless it is nil and weights unless it is nil. Both hold
+// the segment's edge count and take each list at its offset from the
+// segment's base, so a handle indexes them the same way whichever lists
+// were read. Decoding edge ids walks the whole adjacency: every other
+// list's varints are skipped, so framing — truncation, over-long
+// varints, exact consumption — is checked everywhere, and ids only where
+// they are served.
+func (s *Store) readLists(idx int32, scratch []byte, from graph.VertexID, rest []graph.VertexID, edges []graph.VertexID, weights []float32) error {
 	m := &s.segs[idx]
 	payload, err := s.src.view(int64(m.off), int64(m.len), scratch)
 	if err != nil {
@@ -425,71 +582,64 @@ func (s *Store) decode(idx int32, scratch []byte, edges []graph.VertexID, weight
 	if s.weighted {
 		adjLen -= int64(m.edges) * 4
 	}
-	if edges != nil {
-		lists := s.offsets[m.first : m.first+m.count+1]
-		consumed, list, err := graph.DecodeCompressedAdjacency(edges, lists, payload[:adjLen], uint64(s.NumVertices()))
-		if err == nil && int64(consumed) != adjLen {
-			list, err = int(m.count)-1, errTrailingAdjacency
+	adj, wts := payload[:adjLen], payload[adjLen:]
+	base, end := s.offsets[m.first], graph.VertexID(m.first+m.count)
+	at, done := 0, graph.VertexID(m.first) // the adjacency is consumed up to list done
+	for a, k := from, 0; ; {
+		z := a + 1 // [a, z) is a run of consecutive lists to read
+		if rest == nil {
+			z = end
 		}
-		if err != nil {
-			return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, m.first+uint64(list), err)
+		for k < len(rest) && rest[k] == z {
+			z++
+			k++
 		}
+		lo, hi := s.offsets[a]-base, s.offsets[z]-base
+		if edges != nil {
+			if at, err = s.skipLists(idx, adj, at, done, a); err != nil {
+				return err
+			}
+			consumed, list, err := graph.DecodeCompressedAdjacency(edges[lo:hi], s.offsets[a:z+1], adj[at:], uint64(s.NumVertices()))
+			if err != nil {
+				return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, uint64(a)+uint64(list), err)
+			}
+			at += consumed
+		}
+		if weights != nil {
+			decodeFloat32s(weights[lo:hi], wts[4*lo:])
+		}
+		done = z
+		if k == len(rest) {
+			break
+		}
+		a = rest[k]
+		k++
 	}
-	if weights != nil {
-		decodeFloat32s(weights, payload[adjLen:])
+	if edges == nil {
+		return nil
+	}
+	if at, err = s.skipLists(idx, adj, at, done, end); err != nil {
+		return err
+	}
+	if at != len(adj) {
+		return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, m.first+m.count-1, errTrailingAdjacency)
 	}
 	return nil
+}
+
+// skipLists steps the adjacency cursor at over the lists of vertices
+// [a, z), which are not read.
+func (s *Store) skipLists(idx int32, adj []byte, at int, a, z graph.VertexID) (int, error) {
+	n, err := graph.SkipCompressedAdjacency(adj[at:], s.offsets[z]-s.offsets[a])
+	if err != nil {
+		return 0, fmt.Errorf("%w: segment %d vertices %d to %d: %v", ErrCorrupt, idx, a, z, err)
+	}
+	return at + n, nil
 }
 
 // errTrailingAdjacency is the one adjacency failure the codec cannot
 // see: its bytes ran past the segment's last vertex.
 var errTrailingAdjacency = errors.New("adjacency bytes left over after the segment's last vertex")
-
-// evict drops an unpinned resident frame, both columns, donating its
-// buffers.
-func (s *Store) evict(idx int32) {
-	fr := &s.frames[idx]
-	s.setIdle(idx, false)
-	s.freeEdges = append(s.freeEdges, fr.edges)
-	if fr.hasWeights {
-		s.freeWeights = append(s.freeWeights, fr.weights)
-	}
-	s.resident -= s.segCost(idx, fr.hasWeights)
-	*fr = frame{}
-	s.stats.Evictions++
-}
-
-// takeEdges pops a donated edge-id buffer or allocates one sized for the
-// largest segment (so any segment fits any recycled buffer). Before it
-// allocates it drops a spare weight buffer, if there is one, and
-// takeWeights does the same the other way round: the buffers the tier
-// retains then stay at what the budget holds.
-func (s *Store) takeEdges() []graph.VertexID {
-	if n := len(s.freeEdges); n > 0 {
-		b := s.freeEdges[n-1]
-		s.freeEdges = s.freeEdges[:n-1]
-		return b
-	}
-	if n := len(s.freeWeights); n > 0 {
-		s.freeWeights[n-1] = nil
-		s.freeWeights = s.freeWeights[:n-1]
-	}
-	return make([]graph.VertexID, 0, s.maxSegEdges)
-}
-
-// takeWeights is takeEdges for the weight column.
-func (s *Store) takeWeights() []float32 {
-	if n := len(s.freeWeights); n > 0 {
-		b := s.freeWeights[n-1]
-		s.freeWeights = s.freeWeights[:n-1]
-		return b
-	}
-	if n := len(s.freeEdges); n > 0 {
-		s.freeEdges[n-1] = nil
-		s.freeEdges = s.freeEdges[:n-1]
-	}
-	return make([]float32, 0, s.maxSegEdges)
-}
 
 // readScratch returns the pread scratch buffer (unused by mmap sources).
 func (s *Store) readScratch() []byte {
@@ -527,8 +677,7 @@ func (s *Store) Digest() (string, error) {
 // Materialize decodes the full container into an in-memory graph — the
 // bridge back to the in-RAM engines (and the equality oracle's other
 // side). It bypasses the tier: each segment decodes straight into the
-// output arrays, so no frame is pinned, loaded or evicted and Stats do
-// not move.
+// output arrays, so no frame is pinned or loaded and Stats do not move.
 func (s *Store) Materialize() (*graph.Graph, error) {
 	offsets := make([]int64, len(s.offsets))
 	copy(offsets, s.offsets)
@@ -545,7 +694,7 @@ func (s *Store) Materialize() (*graph.Graph, error) {
 		if s.weighted {
 			wts = weights[lo:hi]
 		}
-		if err := s.decode(int32(i), scratch, edges[lo:hi], wts); err != nil {
+		if err := s.readAll(int32(i), scratch, edges[lo:hi], wts); err != nil {
 			return nil, err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -196,7 +197,8 @@ func TestStoreMatchesInMemory(t *testing.T) {
 // TestStoreTierPressure drives a sweep of shrinking budgets and checks
 // the tier telemetry behaves like a cache should: far-memory traffic is
 // monotone non-increasing in budget, the full-cache run misses each
-// segment exactly once, and the resident footprint respects the budget.
+// segment exactly once and reads nothing through, and the resident
+// footprint — frames and read-through buffer — stays within the budget.
 func TestStoreTierPressure(t *testing.T) {
 	g := testGraphs(t)["community"]
 	data, err := EncodeGraph(g, 256)
@@ -210,12 +212,8 @@ func TestStoreTierPressure(t *testing.T) {
 	// PageRank reads no weight, so its frames hold the edge ids alone.
 	nSegs := probe.NumSegments()
 	totalCost := int64(0)
-	maxCost := int64(0)
 	for i := 0; i < nSegs; i++ {
 		totalCost += probe.segCost(int32(i), false)
-		if c := probe.segCost(int32(i), false); c > maxCost {
-			maxCost = c
-		}
 	}
 	mustClose(t, probe)
 	if nSegs < 4 {
@@ -232,18 +230,19 @@ func TestStoreTierPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := st.Stats()
+		if s.Evictions != 0 {
+			t.Fatalf("budget %d: %d evictions; a full tier reads through", budget, s.Evictions)
+		}
 		if budget == 0 {
-			if s.Misses != int64(nSegs) || s.Evictions != 0 {
-				t.Fatalf("full cache: %d misses / %d evictions, want %d / 0", s.Misses, s.Evictions, nSegs)
+			if s.Misses != int64(nSegs) || s.ReadThroughs != 0 {
+				t.Fatalf("full cache: %d misses / %d read-throughs, want %d / 0", s.Misses, s.ReadThroughs, nSegs)
 			}
 		} else {
-			if s.Evictions == 0 {
-				t.Fatalf("budget %d of %d: no evictions", budget, totalCost)
+			if s.ReadThroughs == 0 {
+				t.Fatalf("budget %d of %d: nothing read through", budget, totalCost)
 			}
-			if s.PeakResidentBytes > budget+maxCost {
-				// One pinned segment may overshoot; more than that is a
-				// budget-enforcement bug.
-				t.Fatalf("budget %d: peak resident %d", budget, s.PeakResidentBytes)
+			if s.PeakResidentBytes > budget || budget < st.bufCost {
+				t.Fatalf("budget %d (a read-through buffer is %d): peak resident %d", budget, st.bufCost, s.PeakResidentBytes)
 			}
 		}
 		if prevFar >= 0 && s.FarBytes < prevFar {
@@ -301,21 +300,23 @@ func pinSeg(t *testing.T, st *Store, idx int) graph.Segment {
 
 // TestStoreSweepOrderEviction pins the replacement policy as exact
 // counts. N equal segments swept in ascending order, again and again,
-// under a budget of B frames: LRU misses all N every pass, because it
-// always evicts the frame the sweep needs next. Evicting the frame the
-// sweep reaches last keeps a protected run resident: a warm pass misses
-// N-(B-1) times, or N-B when the rotating frame lands on the pass
-// boundary, and any N-1 consecutive passes miss exactly N(N-B) times —
-// Belady's minimum for a cyclic sweep. The resident set never exceeds
-// the budget, and once the tier is full every miss is one eviction.
+// under a budget of B frames and the read-through buffer (one frame's
+// worth here): the first B segments load and stay, every later one is
+// read through, so each pass after the cold one misses exactly N-B times
+// — Belady's minimum once a miss may bypass the tier, where evicting in
+// sweep order cost N(N-B)/(N-1) a pass. Nothing is evicted, and frames
+// plus buffer never exceed the budget.
 func TestStoreSweepOrderEviction(t *testing.T) {
-	const nSegs = 12
+	const nSegs, passes = 12, 20
 	data, segCost := equalSegments(t, nSegs)
-	for _, frames := range []int{1, 2, 4, 7, 11, 12, 20} {
-		budget := int64(frames) * segCost
+	for _, frames := range []int{0, 1, 2, 4, 7, 11, 12, 20} {
+		budget := int64(frames+1) * segCost
 		st, err := OpenBytes(data, Options{LocalBytes: budget})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st.bufCost != segCost {
+			t.Fatalf("fixture: a read-through buffer costs %d, want one frame, %d", st.bufCost, segCost)
 		}
 		pass := func() int64 {
 			before := st.Stats().Misses
@@ -328,102 +329,29 @@ func TestStoreSweepOrderEviction(t *testing.T) {
 		if cold := pass(); cold != nSegs {
 			t.Fatalf("%d frames: cold pass missed %d of %d", frames, cold, nSegs)
 		}
-		held := frames
-		if held > nSegs {
-			held = nSegs
-		}
-		var window []int64
-		for p := 0; p < 3*(nSegs-1); p++ {
-			m := pass()
-			if hi := int64(nSegs - (held - 1)); held < nSegs && (m > hi || m < hi-1) {
-				t.Fatalf("%d frames, warm pass %d: %d misses, want %d or %d", frames, p, m, hi-1, hi)
-			} else if held == nSegs && m != 0 {
-				t.Fatalf("%d frames hold everything, warm pass %d missed %d", frames, p, m)
-			}
-			window = append(window, m)
-			if len(window) == nSegs-1 {
-				var sum int64
-				for _, x := range window {
-					sum += x
-				}
-				if want := int64(nSegs * (nSegs - held)); sum != want {
-					t.Fatalf("%d frames: %d misses over %d passes %v, want exactly %d", frames, sum, nSegs-1, window, want)
-				}
-				window = window[1:]
+		held := int64(min(frames, nSegs))
+		through := nSegs - held
+		for p := 0; p < passes; p++ {
+			if m := pass(); m != through {
+				t.Fatalf("%d frames, warm pass %d: %d misses, want N-B = %d", frames, p, m, through)
 			}
 		}
 		s := st.Stats()
-		if s.Evictions != s.Misses-int64(held) {
-			t.Fatalf("%d frames: %d evictions for %d misses, want misses - %d", frames, s.Evictions, s.Misses, held)
+		if s.Evictions != 0 || s.ReadThroughs != through*(1+passes) || s.Misses != nSegs+through*passes {
+			t.Fatalf("%d frames: stats %+v, want %d read-throughs a pass and no eviction", frames, s, through)
 		}
-		if s.PeakResidentBytes > budget || s.ResidentBytes != int64(held)*segCost {
+		buffers := int64(0)
+		if through > 0 {
+			buffers = 1
+		}
+		if s.PeakResidentBytes > budget || s.ResidentBytes != (held+buffers)*segCost {
 			t.Fatalf("%d frames: resident %d, peak %d, budget %d", frames, s.ResidentBytes, s.PeakResidentBytes, budget)
 		}
-		if s.Hits+s.Misses != int64(nSegs*(1+3*(nSegs-1))) {
-			t.Fatalf("%d frames: %d hits + %d misses over %d pins", frames, s.Hits, s.Misses, nSegs*(1+3*(nSegs-1)))
+		if s.Hits+s.Misses != int64(nSegs*(1+passes)) {
+			t.Fatalf("%d frames: %d hits + %d misses over %d pins", frames, s.Hits, s.Misses, nSegs*(1+passes))
 		}
 		mustClose(t, st)
 	}
-}
-
-// TestStorePinnedFrameNeverEvicted holds the frame the policy would
-// choose and requires the next choice instead; with every resident frame
-// pinned nothing is evicted and the tier overshoots by exactly the
-// loaded segment, then sheds the excess at the next miss.
-func TestStorePinnedFrameNeverEvicted(t *testing.T) {
-	data, segCost := equalSegments(t, 12)
-	st, err := OpenBytes(data, Options{LocalBytes: 3 * segCost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resident := func() (out []int) {
-		for i := range st.frames {
-			if st.frames[i].resident {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	s3, s4, s5 := pinSeg(t, st, 3), pinSeg(t, st, 4), pinSeg(t, st, 5)
-	s3.Release()
-	s4.Release()
-	want5 := append([]graph.VertexID(nil), s5.Edges...)
-
-	// Miss at 6: the sweep reaches 5 last, but 5 is pinned, so 4 goes.
-	s6 := pinSeg(t, st, 6)
-	if got := resident(); !reflect.DeepEqual(got, []int{3, 5, 6}) {
-		t.Fatalf("resident %v after a miss at 6 with 5 pinned, want [3 5 6]", got)
-	}
-	// Miss at 1: nothing below it, so the wrap takes the greatest
-	// unpinned frame — 3, since 5 and 6 are held.
-	s1 := pinSeg(t, st, 1)
-	if got := resident(); !reflect.DeepEqual(got, []int{1, 5, 6}) {
-		t.Fatalf("resident %v after a miss at 1 with 5 and 6 pinned, want [1 5 6]", got)
-	}
-	// Everything resident is pinned: the load goes ahead over budget.
-	s9 := pinSeg(t, st, 9)
-	if got := resident(); !reflect.DeepEqual(got, []int{1, 5, 6, 9}) {
-		t.Fatalf("resident %v with every frame pinned, want [1 5 6 9]", got)
-	}
-	if s := st.Stats(); s.Evictions != 2 || s.ResidentBytes != 4*segCost || s.PeakResidentBytes != 4*segCost || s.Pins != 4 {
-		t.Fatalf("stats %+v, want 2 evictions and 4 resident, pinned frames", s)
-	}
-	if !reflect.DeepEqual(s5.Edges, want5) {
-		t.Fatal("a pinned segment's adjacency changed while other frames were evicted")
-	}
-	for _, sg := range []graph.Segment{s1, s5, s6, s9} {
-		sg.Release()
-	}
-	// The next miss brings the tier back inside its budget.
-	sg := pinSeg(t, st, 10)
-	sg.Release()
-	if s := st.Stats(); s.ResidentBytes != 3*segCost || s.Evictions != 4 {
-		t.Fatalf("stats %+v after the overshoot, want 3 resident frames and 4 evictions", s)
-	}
-	if got := resident(); !reflect.DeepEqual(got, []int{1, 5, 10}) {
-		t.Fatalf("resident %v, want [1 5 10] (9 then 6 are what a sweep from 10 reaches last)", got)
-	}
-	mustClose(t, st)
 }
 
 // assertSegmentMatches compares every vertex of a pinned segment with
@@ -443,7 +371,7 @@ func assertSegmentMatches(t *testing.T, st *Store, sg graph.Segment, g *graph.Gr
 	}
 }
 
-// pinTrace drives one fixed pin sequence against a thrashing budget —
+// pinTrace drives one fixed pin sequence against a full budget —
 // two ascending sweeps interleaved half a cycle apart, each holding its
 // segment until its next step, then seeded random pins — checking every
 // segment handed out against g.
@@ -472,15 +400,17 @@ func pinTrace(t *testing.T, st *Store, g *graph.Graph) {
 	}
 }
 
-// TestStorePinOrdersReturnIdenticalAdjacency runs pinTrace — orders the
-// victim rule is not tuned for — and requires bit-identical adjacency
-// throughout and a tier that ends inside its budget with no pin left.
+// TestStorePinOrdersReturnIdenticalAdjacency runs pinTrace — orders other
+// than one ascending sweep, two handles held at once — and requires
+// bit-identical adjacency throughout and a tier that ends inside its
+// budget with no pin left: the second read-through buffer a holder of
+// two Pin handles takes over the budget is freed at Release.
 func TestStorePinOrdersReturnIdenticalAdjacency(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		st := openFixture(t, g, 256, 1536)
 		pinTrace(t, st, g)
 		s := st.Stats()
-		if s.Pins != 0 || s.Evictions == 0 || s.ResidentBytes > 1536 {
+		if s.Pins != 0 || s.ReadThroughs == 0 || s.ResidentBytes > 1536 || st.bufs != 1 {
 			t.Fatalf("%s: stats %+v after the trace", name, s)
 		}
 		mustClose(t, st)
@@ -489,8 +419,9 @@ func TestStorePinOrdersReturnIdenticalAdjacency(t *testing.T) {
 
 // TestStoreStatsDeterministic replays pinTrace on fresh handles and
 // requires the same counters every time, equal to the recorded ones:
-// the victim is a pure function of the pin sequence, so nothing about
-// the run — repetition, the race detector's scheduling — may move them.
+// what loads and what reads through is a pure function of the pin
+// sequence, so nothing about the run — repetition, the race detector's
+// scheduling — may move them.
 func TestStoreStatsDeterministic(t *testing.T) {
 	g := testGraphs(t)["community"]
 	want := Stats{}
@@ -505,7 +436,7 @@ func TestStoreStatsDeterministic(t *testing.T) {
 			t.Fatalf("repetition %d: stats %+v, first run %+v", rep, got, want)
 		}
 	}
-	recorded := Stats{Hits: 52, Misses: 750, Evictions: 745, FarBytes: 130846, ResidentBytes: 1360, PeakResidentBytes: 1536}
+	recorded := Stats{Hits: 50, Misses: 752, ReadThroughs: 747, FarBytes: 131641, ResidentBytes: 1536, PeakResidentBytes: 1824}
 	if want != recorded {
 		t.Fatalf("stats %+v differ from the recorded %+v", want, recorded)
 	}
@@ -587,61 +518,180 @@ func TestStoreRunCorruptSegment(t *testing.T) {
 	}
 }
 
-// TestStorePinConcurrentHammer drives many goroutines through pin /
-// read / release cycles against a budget that forces constant eviction,
-// half of them through PinEdges, so frames gain their weights while
-// other goroutines read their edge ids, then requires refcounts and
-// residency back at baseline. Run under -race in check.sh, this is the
-// tier's main concurrency gate.
-func TestStorePinConcurrentHammer(t *testing.T) {
-	g := testGraphs(t)["community"]
-	st := openFixture(t, g, 128, 512) // tiny budget: pins routinely overshoot and collide
-	n := g.NumVertices()
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 2000; i++ {
-				v := graph.VertexID(r.Intn(n))
-				pin, weights := st.Pin, true
-				if r.Intn(2) == 0 {
-					pin, weights = st.PinEdges, false
-				}
-				sg, err := pin(v)
-				if err != nil {
-					t.Errorf("pin %d: %v", v, err)
-					return
-				}
-				nbrs, wts := neighbors(st, sg, v)
-				for _, d := range nbrs {
-					if int(d) >= n {
-						t.Errorf("vertex %d: neighbor %d out of range", v, d)
-					}
-				}
-				if weights && len(wts) != len(nbrs) || !weights && wts != nil {
-					t.Errorf("vertex %d: %d weights for %d neighbors (weights asked: %v)", v, len(wts), len(nbrs), weights)
-				}
-				sg.Release()
-			}
-		}(int64(w + 1))
+// assertListMatches compares vertex v's list in a pinned segment with
+// the in-memory graph it was encoded from, bit for bit: the edge ids,
+// and the weights when the handle lends them.
+func assertListMatches(t *testing.T, st *Store, sg graph.Segment, g *graph.Graph, v graph.VertexID) {
+	t.Helper()
+	nbrs, wts := neighbors(st, sg, v)
+	if !slices.Equal(nbrs, g.Neighbors(v)) {
+		t.Errorf("vertex %d: neighbors %v, want %v", v, nbrs, g.Neighbors(v))
+		return
 	}
-	wg.Wait()
-	s := st.Stats()
-	if s.Pins != 0 {
-		t.Fatalf("%d pins outstanding after hammer", s.Pins)
+	if wts == nil {
+		return
 	}
-	if s.Evictions == 0 {
-		t.Fatal("hammer never evicted; budget too large to stress the tier")
-	}
-	for i := range st.frames {
-		if st.frames[i].refs != 0 {
-			t.Fatalf("frame %d refcount %d after hammer", i, st.frames[i].refs)
+	for i, w := range g.NeighborWeights(v) {
+		if math.Float32bits(wts[i]) != math.Float32bits(w) {
+			t.Errorf("vertex %d: weight[%d] = %v, want %v", v, i, wts[i], w)
+			return
 		}
 	}
-	mustClose(t, st)
+}
+
+// servedRun is what a push loop reads from a PinLists handle: v's list,
+// then those of the ascending rest while they are inside the segment.
+func servedRun(sg graph.Segment, v graph.VertexID, rest []graph.VertexID) []graph.VertexID {
+	run := []graph.VertexID{v}
+	for _, u := range rest {
+		if !sg.Contains(u) {
+			break
+		}
+		run = append(run, u)
+	}
+	return run
+}
+
+// TestStorePinConcurrentHammer drives many goroutines through pin /
+// read / release cycles against a budget of a read-through buffer and
+// two frames, so most pins read through, and requires every list a
+// handle serves to match the graph and the pins back at zero. PinLists
+// traffic — the push loops' — holds the tier inside its budget: a
+// read-through waits for a buffer another holder returns rather than
+// take one over it. Pin and PinEdges, whose holders may hold several
+// handles, take one over the budget instead, one per concurrent holder
+// at most, freed at Release. Half the goroutines ask for weights, so
+// frames gain their weights, or read them through, while others read
+// their edge ids. Run under -race in check.sh, this is the tier's main
+// concurrency gate.
+func TestStorePinConcurrentHammer(t *testing.T) {
+	g := testGraphs(t)["community"]
+	data, err := EncodeGraph(g, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := OpenBytes(data, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := probe.bufCost + 2*probe.segCost(0, true)
+	mustClose(t, probe)
+	n := g.NumVertices()
+	const workers = 8
+	for _, whole := range []bool{false, true} {
+		st, err := OpenBytes(data, Options{LocalBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(seed))
+				rest := make([]graph.VertexID, 0, 8)
+				for i := 0; i < 2000; i++ {
+					v := graph.VertexID(r.Intn(n))
+					weights := r.Intn(2) == 0
+					var sg graph.Segment
+					var err error
+					switch {
+					case whole && weights:
+						sg, err = st.Pin(v)
+					case whole:
+						sg, err = st.PinEdges(v)
+					default:
+						// An ascending run with gaps, some of it past the
+						// segment, as a frontier is.
+						rest = rest[:0]
+						for u := int(v) + 1 + r.Intn(3); u < n && len(rest) < cap(rest); u += 1 + r.Intn(3) {
+							rest = append(rest, graph.VertexID(u))
+						}
+						sg, err = st.PinLists(v, rest, weights)
+					}
+					if err != nil {
+						t.Errorf("pin %d: %v", v, err)
+						return
+					}
+					if weights != (sg.Weights != nil) {
+						t.Errorf("vertex %d: weights asked %v, lent %v", v, weights, sg.Weights != nil)
+					}
+					if whole {
+						for u := sg.First; u < sg.End; u++ {
+							assertListMatches(t, st, sg, g, u)
+						}
+					} else {
+						for _, u := range servedRun(sg, v, rest) {
+							assertListMatches(t, st, sg, g, u)
+						}
+					}
+					sg.Release()
+				}
+			}(int64(w + 1))
+		}
+		wg.Wait()
+		s := st.Stats()
+		if s.Pins != 0 || s.ReadThroughs == 0 || s.Evictions != 0 {
+			t.Fatalf("whole segments %v: stats %+v, want no pin left and read-throughs", whole, s)
+		}
+		if limit := budget + (workers-1)*st.bufCost; whole && s.PeakResidentBytes > limit || !whole && s.PeakResidentBytes > budget {
+			t.Fatalf("whole segments %v: peak resident %d, budget %d", whole, s.PeakResidentBytes, budget)
+		}
+		if st.listHolders != 0 || st.bufs != 1 || st.spare == nil {
+			t.Fatalf("whole segments %v: %d list holders, %d buffers after the hammer; want 0 and the spare", whole, st.listHolders, st.bufs)
+		}
+		mustClose(t, st)
+	}
+}
+
+// TestStoreStaysWithinBudget runs every kernel on both machines, the
+// staged one on three workers that read through at once, over budgets
+// from one read-through buffer and no frame up to half the container:
+// the tier's peak, frames plus buffers, never exceeds the budget.
+func TestStoreStaysWithinBudget(t *testing.T) {
+	g := testGraphs(t)["community"]
+	data, err := EncodeGraph(g, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := kernels.InMemory(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := OpenBytes(data, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for i := 0; i < probe.NumSegments(); i++ {
+		total += probe.segCost(int32(i), true)
+	}
+	buf := probe.bufCost
+	mustClose(t, probe)
+	for _, budget := range []int64{buf, buf + total/8, total / 2} {
+		for _, machine := range []kernels.Machine{kernels.Serial, kernels.Staged} {
+			opt := kernels.Options{Direction: kernels.DirectionPush, Workers: 3}
+			st, err := OpenBytes(data, Options{LocalBytes: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range kernels.Names() {
+				ref, err := kernels.RunOn(context.Background(), mem, mustKernel(t, name), machine, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := kernels.RunOn(context.Background(), st, mustKernel(t, name), machine, opt)
+				if err != nil {
+					t.Fatalf("budget %d, machine %d, %s: %v", budget, machine, name, err)
+				}
+				assertResultsIdentical(t, name, got, ref)
+				if s := st.Stats(); s.Pins != 0 || s.PeakResidentBytes > budget || s.ReadThroughs == 0 {
+					t.Fatalf("budget %d, machine %d, after %s: stats %+v", budget, machine, name, s)
+				}
+			}
+			mustClose(t, st)
+		}
+	}
 }
 
 // TestStoreLeavesNoGoroutines pins the design point that the store layer
@@ -667,34 +717,55 @@ func TestStoreLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestStoreAllocGate requires the steady-state segment-read path — pin,
-// neighbor reads, release, including misses served from the eviction
-// freelists — to be allocation-free once the tier is warm, through Pin
-// and through PinEdges.
+// neighbor reads, release — to be allocation-free once the tier is warm
+// and full, through Pin, PinEdges and PinLists: hits lend resident
+// frames, and the misses read through the one spare buffer.
 func TestStoreAllocGate(t *testing.T) {
 	g := testGraphs(t)["community"]
-	for _, weights := range []bool{true, false} {
-		st := openFixture(t, g, 512, 2048) // small budget: the sweep both hits and thrashes
-		pin := st.Pin
-		if !weights {
-			pin = st.PinEdges
-		}
-		n := g.NumVertices()
-		sweep := func() {
-			for v := 0; v < n; v++ {
-				sg, err := pin(graph.VertexID(v))
-				if err != nil {
-					t.Fatal(err)
+	n := g.NumVertices()
+	var evens []graph.VertexID // a frontier: every other vertex active
+	for v := 0; v < n; v += 2 {
+		evens = append(evens, graph.VertexID(v))
+	}
+	for _, mode := range []string{"Pin", "PinEdges", "PinLists"} {
+		st := openFixture(t, g, 512, 2048) // small budget: the sweep both hits and reads through
+		var sweep func()
+		if mode == "PinLists" {
+			// A push loop's sweep: one pin for each run it is served.
+			sweep = func() {
+				for i := 0; i < len(evens); {
+					sg, err := st.PinLists(evens[i], evens[i+1:], false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for ; i < len(evens) && sg.Contains(evens[i]); i++ {
+						_, _ = neighbors(st, sg, evens[i])
+					}
+					sg.Release()
 				}
-				_, _ = neighbors(st, sg, graph.VertexID(v))
-				sg.Release()
+			}
+		} else {
+			pin := st.Pin
+			if mode == "PinEdges" {
+				pin = st.PinEdges
+			}
+			sweep = func() {
+				for v := 0; v < n; v++ {
+					sg, err := pin(graph.VertexID(v))
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, _ = neighbors(st, sg, graph.VertexID(v))
+					sg.Release()
+				}
 			}
 		}
-		sweep() // warm the freelists and scratch
+		sweep() // fill the tier and make the spare buffer
 		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
-			t.Fatalf("weights %v: warm pin/read/release sweep allocates %v times per run", weights, allocs)
+			t.Fatalf("%s: warm pin/read/release sweep allocates %v times per run", mode, allocs)
 		}
-		if s := st.Stats(); s.Evictions == 0 || s.Hits == 0 {
-			t.Fatalf("weights %v: stats %+v, want a sweep that both hits and evicts", weights, s)
+		if s := st.Stats(); s.ReadThroughs == 0 || s.Hits == 0 {
+			t.Fatalf("%s: stats %+v, want a sweep that both hits and reads through", mode, s)
 		}
 		mustClose(t, st)
 	}

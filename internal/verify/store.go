@@ -14,7 +14,7 @@ const OracleStoreDiff = "store-differential"
 
 // storeSegmentBytes keeps scenario containers multi-segment so the
 // out-of-core path actually crosses segment boundaries and, at the
-// thrashing budget, actually evicts.
+// thrashing budget, actually reads segments through.
 const storeSegmentBytes = 1 << 10
 
 // checkStore is the out-of-core oracle: the scenario graph round-trips

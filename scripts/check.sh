@@ -61,14 +61,15 @@ step go test ./...
 # Alloc gates, by name (any test ending in AllocGate): the hot loops are
 # held by counts, not by a static model. TestEngineAllocGate is one
 # kernel-engine iteration at zero (serial and staged, push and pull, over
-# an in-memory graph and over a warm fully-resident container — an
+# an in-memory graph, over a warm fully-resident container — an
 # EdgeCopy kernel pinning edge ids alone, then SSSP pinning weights too —
-# and under a partition grid with an observer reading it — the
-# simulator's shape); TestAllocGate a whole simulated run, whose added
-# iterations may cost only their Records; TestFrontierReuseAllocGate a
-# recycled frontier refill; TestStoreAllocGate the tier's
-# pin/read/release sweep through Pin and through PinEdges, misses served
-# from the per-column eviction freelists included; TestClusterAllocGate every
+# and over a full, thrashing one whose misses read through, and under a
+# partition grid with an observer reading it — the simulator's shape);
+# TestAllocGate a whole simulated run, whose added iterations may cost
+# only their Records; TestFrontierReuseAllocGate a recycled frontier
+# refill; TestStoreAllocGate the tier's pin/read/release sweep through
+# Pin, PinEdges and PinLists, misses read through the one spare
+# read-through buffer included; TestClusterAllocGate every
 # actor's added iteration at a pinned count, flat and as a switch tree;
 # TestServeHitAllocGate a cache-hit Submit at a pinned count.
 step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./internal/store/ \
@@ -192,15 +193,16 @@ step go test -race -count=2 -run '^TestFault' ./internal/cluster/
 step go test -race -count=2 -run '^TestParallelMatchesSerial$' ./internal/sim/
 
 # Store lifecycle under the race detector at -count=2: the pin/release
-# refcount protocol hammered from many goroutines; the kernel engine over
-# the container (serial cursor and staged per-chunk pins) returning every
-# refcount to baseline when a run is cancelled or hits a corrupt segment;
-# the no-leaked-goroutines gate; and the tier counters after a fixed pin
-# sequence, which the victim rule makes a pure function of that sequence
-# — the tier's correctness-under-concurrency claims must hold run over
-# run.
+# protocol and the read-through buffers hammered from many goroutines;
+# the staged machine's concurrent read-throughs held inside the budget;
+# the kernel engine over the container (serial cursor and staged
+# per-chunk pins) returning every pin when a run is cancelled or hits a
+# corrupt segment; the no-leaked-goroutines gate; and the tier counters
+# after a fixed pin sequence, which what loads and what reads through
+# makes a pure function of that sequence — the tier's
+# correctness-under-concurrency claims must hold run over run.
 step go test -race -count=2 \
-    -run '^TestStorePinConcurrentHammer$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$|^TestStoreStatsDeterministic$' \
+    -run '^TestStorePinConcurrentHammer$|^TestStoreStaysWithinBudget$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$|^TestStoreStatsDeterministic$' \
     ./internal/store/
 
 # ndpserve's SIGTERM drain with a waiter parked, 20 times under the race
@@ -229,11 +231,14 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         "FuzzMultilevelMatchesReference ./internal/partition/"
         # The gcsr2 segment codec: arbitrary adjacency lists must round-
         # trip exactly, and arbitrary payload bytes must decode to a typed
-        # error or a valid segment — never a panic.
+        # error or a valid segment — never a panic — and a read-through
+        # of a sparse subset must agree, refusing framing damage in the
+        # lists it skips.
         "FuzzSegmentCodec ./internal/store/"
         # The adjacency decoder's inline one-to-three-byte varint paths
         # against a plain binary.Uvarint reference: same ids, same bytes
-        # consumed, same error.
+        # consumed, same error; the read-through's word-at-a-time skip
+        # against the same reference.
         "FuzzDecodeCompressedAdjacency ./internal/graph/"
         # The engine's fused edge loops against a reference that calls
         # Emit, Combine and Reduce as plain functions: small random graphs
