@@ -285,9 +285,25 @@ func ByName(name string) (Kernel, error) {
 // set to iters — the resolver behind every command's -priters and the
 // service's priters field.
 func ByNameIters(name string, iters int) (Kernel, error) {
-	for _, e := range registry {
-		if name == e.name || slices.Contains(e.aliases, name) {
-			return e.make(iters), nil
+	e, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.make(iters), nil
+}
+
+// CheckName returns the error ByName would for name, and nil where
+// ByName would succeed, without constructing a kernel.
+func CheckName(name string) error {
+	_, err := lookup(name)
+	return err
+}
+
+// lookup finds name's registry entry by canonical name or alias.
+func lookup(name string) (*kernelEntry, error) {
+	for i := range registry {
+		if e := &registry[i]; name == e.name || slices.Contains(e.aliases, name) {
+			return e, nil
 		}
 	}
 	return nil, fmt.Errorf("kernels: unknown kernel %q (available: %s)", name, strings.Join(Names(), ", "))

@@ -246,10 +246,16 @@ func TestByName(t *testing.T) {
 		if k.Name() == "" {
 			t.Errorf("ByName(%q) returned unnamed kernel", name)
 		}
+		if err := CheckName(name); err != nil {
+			t.Errorf("CheckName(%q): %v", name, err)
+		}
 	}
 	if _, err := ByName("zork"); err == nil {
 		t.Error("ByName accepted unknown kernel")
 	} else {
+		if cerr := CheckName("zork"); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("CheckName(\"zork\") = %v, ByName's error %q", cerr, err)
+		}
 		// The error is self-serve: it quotes the bad name and lists every
 		// canonical name (same shape as ndp.ByName).
 		msg := err.Error()

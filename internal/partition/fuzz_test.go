@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -134,8 +135,10 @@ func FuzzMultilevelPartition(f *testing.F) {
 // FuzzMultilevelMatchesReference holds the multilevel partitioner to the
 // parent's phases (multilevel_ref_test.go) bit for bit: every level's CSR,
 // vertex weights and cmap of a hierarchy coarsened as far as matching
-// goes, rebalance on the same (level, parts, k, tol) input, and the final
-// Parts with and without coarsening inside Partition.
+// goes, initialPartition on the same (level, k, seed) input, rebalance on
+// the same (level, parts, k, tol) input, refine on the initial, skewed and
+// rebalanced parts, and the final Parts with and without coarsening
+// inside Partition.
 func FuzzMultilevelMatchesReference(f *testing.F) {
 	f.Add([]byte{}, uint8(2), uint64(1))
 	f.Add([]byte{64, 0, 1, 1, 2, 2, 3, 3, 0}, uint8(4), uint64(7))
@@ -158,14 +161,20 @@ func FuzzMultilevelMatchesReference(f *testing.F) {
 		for depth := 0; ; depth++ {
 			equalLevels(t, depth, got, want)
 			kl := min(k, got.n)
+			initial := initialPartition(got, kl, seed)
+			if ref := refInitialPartition(want, kl, seed); !slices.Equal(initial, ref) {
+				t.Fatalf("level %d: initialPartition %v, reference %v", depth, initial, ref)
+			}
 			for _, tol := range []float64{0.9, 1.0, 1.1, 1.5} {
-				for j, parts := range [][]int32{initialPartition(got, kl, seed), skewedParts(got.n, kl, seed)} {
+				for j, parts := range [][]int32{slices.Clone(initial), skewedParts(got.n, kl, seed)} {
+					equalRefine(t, fmt.Sprintf("level %d, tol %g, input %d", depth, tol, j), got, parts, kl, tol)
 					ref := slices.Clone(parts)
 					rebalance(got, parts, kl, tol)
 					refRebalance(want, ref, kl, tol)
 					if !slices.Equal(parts, ref) {
 						t.Fatalf("level %d, tol %g, input %d: rebalance %v, reference %v", depth, tol, j, parts, ref)
 					}
+					equalRefine(t, fmt.Sprintf("level %d, tol %g, rebalanced input %d", depth, tol, j), got, parts, kl, tol)
 				}
 			}
 			nextGot, nextWant := coarsen(got, seed+uint64(depth)), refCoarsen(want, seed+uint64(depth))
@@ -203,6 +212,18 @@ func equalLevels(t *testing.T, depth int, got, want *level) {
 		!slices.Equal(got.ewt, want.ewt) || !slices.Equal(got.vwt, want.vwt) {
 		t.Fatalf("level %d differs:\n got  n=%d xadj=%v adj=%v ewt=%v vwt=%v\n want n=%d xadj=%v adj=%v ewt=%v vwt=%v",
 			depth, got.n, got.xadj, got.adj, got.ewt, got.vwt, want.n, want.xadj, want.adj, want.ewt, want.vwt)
+	}
+}
+
+// equalRefine fails t unless refine and refRefine move the same vertices
+// of a copy of parts, at the default pass budget.
+func equalRefine(t *testing.T, what string, lv *level, parts []int32, k int, tol float64) {
+	t.Helper()
+	got, want := slices.Clone(parts), slices.Clone(parts)
+	refine(lv, got, k, 8, tol)
+	refRefine(lv, want, k, 8, tol)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: refine %v, reference %v", what, got, want)
 	}
 }
 

@@ -251,14 +251,17 @@ func coarsen(lv *level, seed uint64) *level {
 	}
 	lv.cmap = cmap
 
-	// Build the coarse graph one coarse vertex at a time, in id order: sum
-	// its (at most two) members' edges into a dense accumulator, then emit
-	// the touched coarse neighbours in ascending order. Integer sums do not
-	// depend on the order they are taken in.
-	coarse := &level{n: int(cn), xadj: make([]int64, cn+1), vwt: make([]int64, cn),
-		adj: make([]int32, 0, len(lv.adj)), ewt: make([]int64, 0, len(lv.adj))} // a coarse edge needs a fine one
+	// Build the coarse graph in two passes, as symmetrize does. The first
+	// visits the coarse vertices in id order, sums each one's (at most two)
+	// members' edges into a dense accumulator and writes its coarse
+	// neighbours in first-touch order. The second transposes those lists in
+	// ascending coarse id: the coarse graph is symmetric, so every list comes
+	// back sorted with the same weights. Integer sums do not depend on the
+	// order they are taken in.
+	coarse := &level{n: int(cn), xadj: make([]int64, cn+1), vwt: make([]int64, cn)}
+	unsorted := make([]int32, 0, len(lv.adj)) // a coarse edge needs a fine one
+	uwt := make([]int64, 0, len(lv.adj))
 	acc := make([]int64, cn) // edge weights are positive: 0 means untouched
-	var touched []int32
 	for v := int32(0); v < int32(n); v++ {
 		m := match[v]
 		if m < v {
@@ -269,7 +272,7 @@ func coarsen(lv *level, seed uint64) *level {
 		if m == v {
 			nm = 1
 		}
-		touched = touched[:0]
+		first := len(unsorted)
 		for _, f := range members[:nm] {
 			coarse.vwt[cu] += lv.vwt[f]
 			for i := lv.xadj[f]; i < lv.xadj[f+1]; i++ {
@@ -278,18 +281,26 @@ func coarsen(lv *level, seed uint64) *level {
 					continue
 				}
 				if acc[cv] == 0 {
-					touched = append(touched, cv)
+					unsorted = append(unsorted, cv)
 				}
 				acc[cv] += lv.ewt[i]
 			}
 		}
-		slices.Sort(touched)
-		for _, cv := range touched {
-			coarse.adj = append(coarse.adj, cv)
-			coarse.ewt = append(coarse.ewt, acc[cv])
+		for _, cv := range unsorted[first:] {
+			uwt = append(uwt, acc[cv])
 			acc[cv] = 0
 		}
-		coarse.xadj[cu+1] = int64(len(coarse.adj))
+		coarse.xadj[cu+1] = int64(len(unsorted))
+	}
+	next := make([]int64, cn)
+	copy(next, coarse.xadj[:cn])
+	coarse.adj, coarse.ewt = make([]int32, len(unsorted)), make([]int64, len(unsorted))
+	for cu := int32(0); cu < cn; cu++ {
+		for i := coarse.xadj[cu]; i < coarse.xadj[cu+1]; i++ {
+			cv := unsorted[i]
+			coarse.adj[next[cv]], coarse.ewt[next[cv]] = cu, uwt[i]
+			next[cv]++
+		}
 	}
 	return coarse
 }
@@ -316,6 +327,7 @@ func initialPartition(lv *level, k int, seed uint64) []int32 {
 		queues[p] = append(queues[p], s)
 	}
 	assigned := k
+	sweep := int32(0) // every vertex below sweep is assigned, and stays so
 	for assigned < lv.n {
 		// Pick the lightest part with a non-empty frontier.
 		best := -1
@@ -336,15 +348,13 @@ func initialPartition(lv *level, k int, seed uint64) []int32 {
 					light = p
 				}
 			}
-			for v := int32(0); v < int32(lv.n); v++ {
-				if parts[v] < 0 {
-					parts[v] = int32(light)
-					weights[light] += lv.vwt[v]
-					queues[light] = append(queues[light], v)
-					assigned++
-					break
-				}
+			for parts[sweep] >= 0 {
+				sweep++
 			}
+			parts[sweep] = int32(light)
+			weights[light] += lv.vwt[sweep]
+			queues[light] = append(queues[light], sweep)
+			assigned++
 			continue
 		}
 		q := queues[best]
@@ -380,6 +390,14 @@ func bounds(total int64, k int, tol float64) (minW, maxW int64) {
 // computes the connectivity gain of moving to the best adjacent part, and
 // applies the move if it strictly reduces the cut while keeping part
 // weights within [minW, maxW]. Stops early when a pass makes no moves.
+//
+// A pass looks only at stale vertices. Every vertex starts stale. One
+// looked at stays stale if some adjacent part offered a positive gain
+// (then maxW decided the outcome, and a later move may free room) or if
+// the underfill check skipped it; a move makes the mover and its
+// neighbours stale. A clean vertex's gains are all ≤ 0 and depend only on
+// its neighbours' parts, so until a neighbour moves it cannot move
+// whatever the weights do: skipping it is exact.
 func refine(lv *level, parts []int32, k int, passes int, tol float64) {
 	weights := make([]int64, k)
 	var total int64
@@ -390,9 +408,16 @@ func refine(lv *level, parts []int32, k int, passes int, tol float64) {
 	minW, maxW := bounds(total, k, tol)
 	conn := make([]int64, k) // reused per-vertex connectivity scratch
 	touched := make([]int32, 0, 8)
+	stale := make([]bool, lv.n)
+	for v := range stale {
+		stale[v] = true
+	}
 	for pass := 0; pass < passes; pass++ {
 		moves := 0
 		for v := int32(0); v < int32(lv.n); v++ {
+			if !stale[v] {
+				continue
+			}
 			home := parts[v]
 			if weights[home]-lv.vwt[v] < minW {
 				continue // moving v would underfill its part
@@ -408,11 +433,13 @@ func refine(lv *level, parts []int32, k int, passes int, tol float64) {
 			}
 			bestGain := int64(0)
 			best := home
+			positive := false
 			for _, p := range touched {
 				if p == home {
 					continue
 				}
 				gain := conn[p] - conn[home]
+				positive = positive || gain > 0
 				if gain > bestGain && weights[p]+lv.vwt[v] <= maxW {
 					bestGain, best = gain, p
 				}
@@ -420,11 +447,15 @@ func refine(lv *level, parts []int32, k int, passes int, tol float64) {
 			for _, p := range touched {
 				conn[p] = 0
 			}
+			stale[v] = positive
 			if best != home {
 				parts[v] = best
 				weights[home] -= lv.vwt[v]
 				weights[best] += lv.vwt[v]
 				moves++
+				for _, u := range lv.adj[lv.xadj[v]:lv.xadj[v+1]] {
+					stale[u] = true
+				}
 			}
 		}
 		if moves == 0 {
@@ -453,11 +484,13 @@ func levelCut(lv *level, parts []int32) int64 {
 // smallest id on ties. Cut quality is secondary here — refine restores it
 // afterwards.
 //
-// A move costs light's adjacency, not the level's. inner[v], v's edge
-// weight into its own part, is kept current move by move; a vertex of
-// heavy with no edge into light scores exactly its inner, so the answer
-// is the (inner, id) minimum of heavy or a heavy neighbour of light, and
-// only those are scored. Extra memory is O(n): no vertex × part table.
+// A move costs the heavy part's size and the mover's degree, not the
+// light part's adjacency. Each member of the heavy part keeps a row of its
+// edge weight into every part; only the mover's neighbours in the heavy
+// part change theirs. The rows are built on the first move and again only
+// when another part becomes the heaviest; the light part may change on
+// every move at no cost. They hold |heavy|·k weights: about n(1+ε) near
+// balance, n·k when one part holds every vertex.
 func rebalance(lv *level, parts []int32, k int, tol float64) {
 	weights := make([]int64, k)
 	var total int64
@@ -466,15 +499,10 @@ func rebalance(lv *level, parts []int32, k int, tol float64) {
 		total += lv.vwt[v]
 	}
 	minW, maxW := bounds(total, k, tol)
-	var inner, acc []int64   // built on the first move; most calls make none
-	var members [][]int32    // each part's vertices, in no particular order
-	var pos, touched []int32 // pos[v] is v's index in members[parts[v]]
-	best, bestScore := int32(0), int64(0)
-	consider := func(v int32, score int64) {
-		if score < bestScore || score == bestScore && v < best {
-			best, bestScore = v, score
-		}
-	}
+	var members [][]int32 // each part's vertices, in no particular order; built on the first move
+	var pos []int32       // pos[v] is v's index in members[parts[v]]
+	var rows []int64      // rows[pos[v]*k+p] is heavy member v's edge weight into part p
+	rowsOf := int32(-1)   // the part rows describe
 	// Each iteration moves one vertex; bound iterations to avoid livelock
 	// on lumpy coarse weights where perfect balance is unattainable.
 	for iter := 0; iter < 4*lv.n+16; iter++ {
@@ -493,57 +521,50 @@ func rebalance(lv *level, parts []int32, k int, tol float64) {
 		if heavy == light {
 			return // all parts equal: every remaining move would be a no-op
 		}
-		if inner == nil {
-			inner, acc, pos, members = make([]int64, lv.n), make([]int64, lv.n), make([]int32, lv.n), make([][]int32, k)
+		if members == nil {
+			pos, members = make([]int32, lv.n), make([][]int32, k)
 			for v := int32(0); v < int32(lv.n); v++ {
-				p := parts[v]
-				for i := lv.xadj[v]; i < lv.xadj[v+1]; i++ {
-					if parts[lv.adj[i]] == p {
-						inner[v] += lv.ewt[i]
-					}
-				}
-				pos[v] = int32(len(members[p]))
-				members[p] = append(members[p], v)
+				pos[v] = int32(len(members[parts[v]]))
+				members[parts[v]] = append(members[parts[v]], v)
 			}
 		}
-		if len(members[heavy]) == 0 {
+		hm := members[heavy]
+		if len(hm) == 0 {
 			return // heavy part has no vertices (k > n at this level)
 		}
-		best, bestScore = members[heavy][0], inner[members[heavy][0]]
-		for _, v := range members[heavy] {
-			consider(v, inner[v])
-		}
-		touched = touched[:0]
-		for _, y := range members[light] {
-			for i := lv.xadj[y]; i < lv.xadj[y+1]; i++ {
-				if u := lv.adj[i]; parts[u] == heavy {
-					if acc[u] == 0 { // edge weights are positive
-						touched = append(touched, u)
-					}
-					acc[u] += lv.ewt[i]
+		if heavy != rowsOf {
+			rowsOf = heavy
+			rows = slices.Grow(rows[:0], len(hm)*k)[:len(hm)*k]
+			clear(rows)
+			for j, u := range hm {
+				row := rows[j*k : (j+1)*k]
+				for i := lv.xadj[u]; i < lv.xadj[u+1]; i++ {
+					row[parts[lv.adj[i]]] += lv.ewt[i]
 				}
 			}
 		}
-		for _, u := range touched {
-			consider(u, inner[u]-acc[u])
-			acc[u] = 0
-		}
-
-		// Move best to light: only it and its neighbours change inner.
-		v := best
-		inner[v] = 0
-		for i := lv.xadj[v]; i < lv.xadj[v+1]; i++ {
-			switch u := lv.adj[i]; parts[u] {
-			case heavy:
-				inner[u] -= lv.ewt[i]
-			case light:
-				inner[u] += lv.ewt[i]
-				inner[v] += lv.ewt[i]
+		best, bestScore := hm[0], rows[heavy]-rows[light]
+		for j, u := range hm {
+			row := rows[j*k : (j+1)*k]
+			if score := row[heavy] - row[light]; score < bestScore || score == bestScore && u < best {
+				best, bestScore = u, score
 			}
 		}
-		last := members[heavy][len(members[heavy])-1]
-		members[heavy][pos[v]], pos[last] = last, pos[v]
-		members[heavy] = members[heavy][:len(members[heavy])-1]
+
+		// Move best to light: only its neighbours in heavy change rows.
+		v := best
+		for i := lv.xadj[v]; i < lv.xadj[v+1]; i++ {
+			if u := lv.adj[i]; parts[u] == heavy {
+				row := rows[int(pos[u])*k : int(pos[u]+1)*k]
+				row[heavy] -= lv.ewt[i]
+				row[light] += lv.ewt[i]
+			}
+		}
+		j, last := int(pos[v]), len(hm)-1
+		copy(rows[j*k:(j+1)*k], rows[last*k:])
+		rows = rows[:last*k]
+		hm[j], pos[hm[last]] = hm[last], int32(j)
+		members[heavy] = hm[:last]
 		pos[v] = int32(len(members[light]))
 		members[light] = append(members[light], v)
 		weights[heavy] -= lv.vwt[v]

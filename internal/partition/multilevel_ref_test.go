@@ -5,6 +5,12 @@ package partition
 // sort-free, scan-free phases in multilevel.go must match bit for bit
 // (FuzzMultilevelMatchesReference). Partition itself is unchanged; its
 // copy exists only to thread the reference phases through. Do not edit.
+//
+// refInitialPartition and refRefine were added later, the same way: the
+// later parent's initialPartition and refine verbatim apart from their
+// names, the reference for the cursor-resumed leftover sweep and the
+// stale-set refinement. refPartition calls them in place of the
+// package's own phases; nothing else in the copies above changed.
 
 import (
 	"fmt"
@@ -53,9 +59,9 @@ func refPartition(m Multilevel, g *graph.Graph, k int) (*Assignment, error) {
 	var parts []int32
 	bestCut := int64(-1)
 	for attempt := uint64(0); attempt < 4; attempt++ {
-		cand := initialPartition(coarsest, k, m.Seed+attempt*0x9e3779b9)
+		cand := refInitialPartition(coarsest, k, m.Seed+attempt*0x9e3779b9)
 		refRebalance(coarsest, cand, k, m.BalanceTol)
-		refine(coarsest, cand, k, m.RefinePasses, m.BalanceTol)
+		refRefine(coarsest, cand, k, m.RefinePasses, m.BalanceTol)
 		if cut := levelCut(coarsest, cand); bestCut < 0 || cut < bestCut {
 			bestCut, parts = cut, cand
 		}
@@ -69,7 +75,7 @@ func refPartition(m Multilevel, g *graph.Graph, k int) (*Assignment, error) {
 		}
 		parts = fineParts
 		refRebalance(fine, parts, k, m.BalanceTol)
-		refine(fine, parts, k, m.RefinePasses, m.BalanceTol)
+		refRefine(fine, parts, k, m.RefinePasses, m.BalanceTol)
 	}
 
 	a := &Assignment{Parts: parts, K: k}
@@ -282,5 +288,131 @@ func refRebalance(lv *level, parts []int32, k int, tol float64) {
 		weights[heavy] -= lv.vwt[bestV]
 		weights[light] += lv.vwt[bestV]
 		parts[bestV] = light
+	}
+}
+
+// refInitialPartition grows k regions on the coarsest graph by repeated BFS
+// from spread seeds, always extending the lightest part.
+func refInitialPartition(lv *level, k int, seed uint64) []int32 {
+	parts := make([]int32, lv.n)
+	for i := range parts {
+		parts[i] = -1
+	}
+	weights := make([]int64, k)
+	queues := make([][]int32, k)
+	// Seeds: spread across the id space with a hashed offset.
+	used := make(map[int32]bool, k)
+	for p := 0; p < k; p++ {
+		s := int32((uint64(p)*uint64(lv.n)/uint64(k) + seed) % uint64(lv.n))
+		for used[s] {
+			s = (s + 1) % int32(lv.n)
+		}
+		used[s] = true
+		parts[s] = int32(p)
+		weights[p] += lv.vwt[s]
+		queues[p] = append(queues[p], s)
+	}
+	assigned := k
+	for assigned < lv.n {
+		// Pick the lightest part with a non-empty frontier.
+		best := -1
+		for p := 0; p < k; p++ {
+			if len(queues[p]) == 0 {
+				continue
+			}
+			if best < 0 || weights[p] < weights[best] {
+				best = p
+			}
+		}
+		if best < 0 {
+			// Frontiers exhausted (disconnected graph): sweep remaining
+			// vertices into the lightest part, re-seeding its frontier.
+			light := 0
+			for p := 1; p < k; p++ {
+				if weights[p] < weights[light] {
+					light = p
+				}
+			}
+			for v := int32(0); v < int32(lv.n); v++ {
+				if parts[v] < 0 {
+					parts[v] = int32(light)
+					weights[light] += lv.vwt[v]
+					queues[light] = append(queues[light], v)
+					assigned++
+					break
+				}
+			}
+			continue
+		}
+		q := queues[best]
+		v := q[0]
+		queues[best] = q[1:]
+		for i := lv.xadj[v]; i < lv.xadj[v+1]; i++ {
+			u := lv.adj[i]
+			if parts[u] < 0 {
+				parts[u] = int32(best)
+				weights[best] += lv.vwt[u]
+				queues[best] = append(queues[best], u)
+				assigned++
+			}
+		}
+	}
+	return parts
+}
+
+// refRefine performs greedy boundary refinement: each pass scans vertices,
+// computes the connectivity gain of moving to the best adjacent part, and
+// applies the move if it strictly reduces the cut while keeping part
+// weights within [minW, maxW]. Stops early when a pass makes no moves.
+func refRefine(lv *level, parts []int32, k int, passes int, tol float64) {
+	weights := make([]int64, k)
+	var total int64
+	for v := 0; v < lv.n; v++ {
+		weights[parts[v]] += lv.vwt[v]
+		total += lv.vwt[v]
+	}
+	minW, maxW := bounds(total, k, tol)
+	conn := make([]int64, k) // reused per-vertex connectivity scratch
+	touched := make([]int32, 0, 8)
+	for pass := 0; pass < passes; pass++ {
+		moves := 0
+		for v := int32(0); v < int32(lv.n); v++ {
+			home := parts[v]
+			if weights[home]-lv.vwt[v] < minW {
+				continue // moving v would underfill its part
+			}
+			// Connectivity to each adjacent part.
+			touched = touched[:0]
+			for i := lv.xadj[v]; i < lv.xadj[v+1]; i++ {
+				p := parts[lv.adj[i]]
+				if conn[p] == 0 {
+					touched = append(touched, p)
+				}
+				conn[p] += lv.ewt[i]
+			}
+			bestGain := int64(0)
+			best := home
+			for _, p := range touched {
+				if p == home {
+					continue
+				}
+				gain := conn[p] - conn[home]
+				if gain > bestGain && weights[p]+lv.vwt[v] <= maxW {
+					bestGain, best = gain, p
+				}
+			}
+			for _, p := range touched {
+				conn[p] = 0
+			}
+			if best != home {
+				parts[v] = best
+				weights[home] -= lv.vwt[v]
+				weights[best] += lv.vwt[v]
+				moves++
+			}
+		}
+		if moves == 0 {
+			break
+		}
 	}
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +62,27 @@ func TestPartitionersRejectBadK(t *testing.T) {
 		if _, err := p.Partition(g, g.NumVertices()+1); err == nil {
 			t.Errorf("%s accepted k > V", p.Name())
 		}
+	}
+}
+
+// TestByName holds CheckName to ByName: the same names accepted, and the
+// same error for one that is not.
+func TestByName(t *testing.T) {
+	for _, name := range Names() {
+		p, err := ByName(name, 1)
+		if err != nil || p.Name() != name {
+			t.Errorf("ByName(%q) = %v, %v", name, p, err)
+		}
+		if err := CheckName(name); err != nil {
+			t.Errorf("CheckName(%q): %v", name, err)
+		}
+	}
+	_, err := ByName("metis", 1)
+	if err == nil {
+		t.Fatal("ByName accepted an unknown partitioner")
+	}
+	if cerr := CheckName("metis"); cerr == nil || cerr.Error() != err.Error() {
+		t.Errorf("CheckName(\"metis\") = %v, ByName's error %q", cerr, err)
 	}
 }
 
@@ -273,6 +295,81 @@ func TestMultilevelAssignmentsPinned(t *testing.T) {
 	}
 }
 
+// TestRefineRevisitsBoundBlockedVertices holds refine's stale set to its
+// exactness condition: a vertex whose positive-gain move maxW refuses must
+// be looked at again after any move, because a move elsewhere can free
+// room in its target part without touching one of its neighbours. In both
+// levels vertex 0 (v, weight 1, in part 0) gains 2 by joining part 1,
+// which is full. Heavy anchors (weight 100, one per part) hold every part
+// near maxW and never move: the underfill check skips them.
+//
+//   - same pass: w (1), not v's neighbour, leaves part 1 for part 2 later
+//     in the pass that refuses v; v moves in the next pass.
+//   - next pass: x (2) moves first, which gives w (1) a positive gain; w
+//     leaves part 1 in the next pass, after v is refused again; v moves
+//     in the pass after that.
+//
+// A stale set that dropped v after the first refusal would leave v in
+// part 0 in both.
+func TestRefineRevisitsBoundBlockedVertices(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		vwt   []int64
+		parts []int32
+		edges [][3]int64 // u, v, weight
+		tol   float64
+		want  []int32
+	}{
+		{
+			// v w a b c; maxW 101: part 1 + v is 102 until w leaves.
+			name: "same pass", tol: 1.01,
+			vwt:   []int64{1, 1, 100, 100, 100},
+			parts: []int32{0, 1, 0, 1, 2},
+			edges: [][3]int64{{0, 3, 3}, {0, 2, 1}, {1, 4, 3}, {1, 3, 1}},
+			want:  []int32{1, 2, 0, 1, 2},
+		},
+		{
+			// v w x a b c d; maxW 102: part 1 + v is 104, then 103 after
+			// x leaves, 101 after w leaves.
+			name: "next pass", tol: 1.015,
+			vwt:   []int64{1, 2, 1, 100, 100, 100, 100},
+			parts: []int32{0, 1, 1, 0, 1, 2, 3},
+			edges: [][3]int64{{0, 4, 3}, {0, 3, 1}, {1, 6, 4}, {1, 2, 3}, {1, 4, 1}, {2, 5, 5}},
+			want:  []int32{1, 3, 2, 0, 1, 2, 3},
+		},
+	} {
+		lv := handLevel(c.vwt, c.edges)
+		k := 1 + int(slices.Max(c.parts))
+		got, ref := slices.Clone(c.parts), slices.Clone(c.parts)
+		refine(lv, got, k, 8, c.tol)
+		refRefine(lv, ref, k, 8, c.tol)
+		if !slices.Equal(got, c.want) || !slices.Equal(ref, c.want) {
+			t.Errorf("%s: refine %v, reference %v, want %v", c.name, got, ref, c.want)
+		}
+	}
+}
+
+// handLevel builds a symmetric level from vertex weights and undirected
+// weighted edges, each neighbour list in ascending id order.
+func handLevel(vwt []int64, edges [][3]int64) *level {
+	n := len(vwt)
+	nbrs := make([][][2]int64, n)
+	for _, e := range edges {
+		nbrs[e[0]] = append(nbrs[e[0]], [2]int64{e[1], e[2]})
+		nbrs[e[1]] = append(nbrs[e[1]], [2]int64{e[0], e[2]})
+	}
+	lv := &level{n: n, xadj: make([]int64, n+1), vwt: vwt}
+	for u, list := range nbrs {
+		slices.SortFunc(list, func(a, b [2]int64) int { return int(a[0] - b[0]) })
+		for _, e := range list {
+			lv.adj = append(lv.adj, int32(e[0]))
+			lv.ewt = append(lv.ewt, e[1])
+		}
+		lv.xadj[u+1] = int64(len(lv.adj))
+	}
+	return lv
+}
+
 func TestEvaluateMirrorSemantics(t *testing.T) {
 	// 0 -> 1, 2 -> 1 with parts {0:A, 1:A, 2:B}: part B stores edge into 1
 	// but does not own 1, so 1 has exactly one mirror.
@@ -369,9 +466,17 @@ func TestQualityStringNonEmpty(t *testing.T) {
 	}
 }
 
-// BenchmarkMultilevelPartition times the partitioner on a community graph
-// and on the two stand-ins sim-sweep partitions (graph seed 42, k 16).
+// BenchmarkMultilevelPartition times the partitioner on a community graph,
+// on the two stand-ins sim-sweep partitions (graph seed 42, Seed 42, k 16)
+// and on serve-mix's two hot plans (graph seed 42, Seed 43, k 8), whose
+// coarsest level is rebalanced from far out of bounds.
 func BenchmarkMultilevelPartition(b *testing.B) {
+	lj := func() (*graph.Graph, error) {
+		return gen.ComLiveJournal.Generate(1, gen.Config{Seed: 42, DropSelfLoops: true})
+	}
+	wiki := func() (*graph.Graph, error) {
+		return gen.WikiTalk.Generate(0.5, gen.Config{Seed: 42, DropSelfLoops: true})
+	}
 	for _, c := range []struct {
 		name string
 		make func() (*graph.Graph, error)
@@ -379,12 +484,10 @@ func BenchmarkMultilevelPartition(b *testing.B) {
 		k    int
 	}{
 		{"community", func() (*graph.Graph, error) { return gen.Community(20000, 64, 10, 0.9, gen.Config{Seed: 7}) }, Multilevel{Seed: 1}, 32},
-		{"com-livejournal-1", func() (*graph.Graph, error) {
-			return gen.ComLiveJournal.Generate(1, gen.Config{Seed: 42, DropSelfLoops: true})
-		}, Multilevel{Seed: 42}, 16},
-		{"wiki-talk-0.5", func() (*graph.Graph, error) {
-			return gen.WikiTalk.Generate(0.5, gen.Config{Seed: 42, DropSelfLoops: true})
-		}, Multilevel{Seed: 42}, 16},
+		{"com-livejournal-1", lj, Multilevel{Seed: 42}, 16},
+		{"wiki-talk-0.5", wiki, Multilevel{Seed: 42}, 16},
+		{"serve-mix/com-livejournal-1", lj, Multilevel{Seed: 43}, 8},
+		{"serve-mix/wiki-talk-0.5", wiki, Multilevel{Seed: 43}, 8},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			g, err := c.make()

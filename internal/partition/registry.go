@@ -34,9 +34,25 @@ func Names() []string {
 // ByName constructs a partitioner by canonical name. seed parameterizes
 // the seeded strategies (multilevel); the others ignore it.
 func ByName(name string, seed uint64) (Partitioner, error) {
-	for _, e := range registry {
-		if name == e.name {
-			return e.make(seed), nil
+	e, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.make(seed), nil
+}
+
+// CheckName returns the error ByName would for name, and nil where
+// ByName would succeed, without constructing a partitioner.
+func CheckName(name string) error {
+	_, err := lookup(name)
+	return err
+}
+
+// lookup finds name's registry entry.
+func lookup(name string) (*entry, error) {
+	for i := range registry {
+		if e := &registry[i]; name == e.name {
+			return e, nil
 		}
 	}
 	return nil, fmt.Errorf("partition: unknown partitioner %q (available: %s)", name, strings.Join(Names(), ", "))

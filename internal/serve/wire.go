@@ -93,10 +93,10 @@ func (s *JobSpec) normalize() error {
 	if s.Partitions < 0 || s.Computes < 0 {
 		return fmt.Errorf("spec: partitions and computes must be positive")
 	}
-	if _, err := kernels.ByNameIters(s.Kernel, s.PRIters); err != nil {
+	if err := kernels.CheckName(s.Kernel); err != nil {
 		return fmt.Errorf("spec: %v", err)
 	}
-	if _, err := partition.ByName(s.Partitioner, s.Seed); err != nil {
+	if err := partition.CheckName(s.Partitioner); err != nil {
 		return fmt.Errorf("spec: %v", err)
 	}
 	if _, err := runtime.ByName(s.Policy); err != nil {

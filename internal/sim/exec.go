@@ -11,10 +11,12 @@ import (
 )
 
 // PreStats is what an offload policy may observe before an iteration runs:
-// frontier metadata and the previous iteration's full record. Everything
-// here is cheaply available to a real runtime (the frontier is known, and
-// degree sums are prefix-sum lookups), which is the paper's point in
-// Section IV-D — these are the heuristic inputs.
+// the iteration's index, the pending frontier's size and degree sum, the
+// graph's and the memory pool's sizes, a load-time skew statistic and what
+// the engine's switch does with partial updates. Everything here is
+// cheaply available to a real runtime (the frontier is known, and degree
+// sums are prefix-sum lookups), which is the paper's point in Section
+// IV-D — these are the heuristic inputs.
 type PreStats struct {
 	Iteration int
 	// FrontierSize and FrontierDegreeSum describe the pending traversal.

@@ -225,9 +225,10 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # The multilevel partitioner's contract (coverage, balance,
         # coarsening round trip) on arbitrary graphs.
         "FuzzMultilevelPartition ./internal/partition/"
-        # The same partitioner against the parent's sort-and-scan phases
-        # (multilevel_ref_test.go): every level's CSR and cmap, every
-        # rebalance, and the final Parts bit for bit.
+        # The same partitioner against earlier parents' phases kept
+        # verbatim (multilevel_ref_test.go): every level's CSR and cmap,
+        # every initial partition, every rebalance, refine on the initial,
+        # skewed and rebalanced parts, and the final Parts bit for bit.
         "FuzzMultilevelMatchesReference ./internal/partition/"
         # The gcsr2 segment codec: arbitrary adjacency lists must round-
         # trip exactly, and arbitrary payload bytes must decode to a typed
