@@ -41,11 +41,11 @@ import (
 //
 //   - Edge path. A kernel declares its per-edge datapath (Traits.Edge,
 //     Traits.Agg) instead of implementing it, so the four edge loops —
-//     pushSerial, pushChunk, mergeChunks, pullRange — call the kernel
-//     once per source (Emit) and run every edge as plain arithmetic on
-//     local slices, switched on two loop-invariant operator values. The
-//     inlined forms are AggOp.Reduce and EdgeOp.Combine bit for bit
-//     (reduceMin, reduceMax).
+//     pushSerial, pushChunk, mergeChunks, pullRange — run every edge as
+//     plain arithmetic on local slices, switched on two loop-invariant
+//     operator values; a push calls Emit once per source, a pull once per
+//     frontier in-neighbour it probes. The inlined forms are AggOp.Reduce
+//     and EdgeOp.Combine bit for bit (reduceMin, reduceMax).
 //
 //   - Parallelism. The staged machine partitions each phase over a grid
 //     of C chunks, claimed by a persistent worker pool off an atomic

@@ -251,7 +251,7 @@ func fusedAgainstReference(t testing.TB, g *graph.Graph, name string) bool {
 		{"staged", Staged, nil, refGrid{chunks: engineChunks}},
 		{"gridded", Staged, &Grid{Chunks: C, ChunkOf: owner}, refGrid{C, owner}},
 	} {
-		want, counts := reference(g, mk(), tr.rg)
+		want, counts, probes := reference(g, mk(), tr.rg)
 		for _, d := range directions {
 			for _, w := range []int{1, 3} {
 				if tr.m == Serial && w > 1 {
@@ -264,10 +264,40 @@ func fusedAgainstReference(t testing.TB, g *graph.Graph, name string) bool {
 				if res.Iterations != len(counts) {
 					t.Fatalf("%s: %d iterations, reference walked %d", label, res.Iterations, len(counts))
 				}
+				checkInspected(t, label, d, res, probes)
 			}
 		}
 	}
 	return true
+}
+
+// checkInspected holds a run's edge telemetry to what its direction must
+// probe: a push iteration inspects every out-edge of its frontier, so
+// EdgesInspected is the sum of ActiveEdges; a forced pull pulls every
+// iteration and inspects exactly the reference's probes, which end each
+// in-edge scan at the first aggregate GatherDone accepts. Auto mixes the
+// two and is held only by its values.
+func checkInspected(t testing.TB, label string, d Direction, res *Result, probes []int64) {
+	t.Helper()
+	var want int64
+	switch d {
+	case DirectionPush:
+		for _, a := range res.ActiveEdges {
+			want += a
+		}
+	case DirectionPull:
+		if res.PullIterations != res.Iterations {
+			t.Fatalf("%s: %d of %d iterations pulled", label, res.PullIterations, res.Iterations)
+		}
+		for _, p := range probes {
+			want += p
+		}
+	default:
+		return
+	}
+	if res.EdgesInspected != want {
+		t.Fatalf("%s: %d edges inspected, want %d", label, res.EdgesInspected, want)
+	}
 }
 
 // TestFusedLoopsMatchReference proves the edge path rather than assuming

@@ -45,10 +45,12 @@ func (rg refGrid) cut(frontier []graph.VertexID, c int) []graph.VertexID {
 // only the reduction tree — a chunk aggregates its own frontier vertices
 // in (frontier, edge) order, chunks fold in order 0..C-1, the residual
 // folds per vertex-range chunk — because that tree is the definition
-// being pinned.
-func reference(g *graph.Graph, k Kernel, rg refGrid) ([]float64, []iterCounts) {
+// being pinned. For a GatherKernel it also returns, per iteration, the
+// in-edge probes a pull iteration would make from the same values and
+// frontier (pullProbes); for any other kernel probes is nil.
+func reference(g *graph.Graph, k Kernel, rg refGrid) (values []float64, counts []iterCounts, probes []int64) {
 	n, tr, C := g.NumVertices(), k.Traits(), rg.chunks
-	values := make([]float64, n)
+	values = make([]float64, n)
 	for v := range values {
 		values[v] = k.InitialValue(g, graph.VertexID(v))
 	}
@@ -63,8 +65,11 @@ func reference(g *graph.Graph, k Kernel, rg refGrid) ([]float64, []iterCounts) {
 	if frontier == nil {
 		frontier = all()
 	}
-	var counts []iterCounts
+	gk, gathers := k.(GatherKernel)
 	for iter := 0; iter < tr.MaxIterations && len(frontier) > 0; iter++ {
+		if gathers {
+			probes = append(probes, pullProbes(g, gk, values, frontier))
+		}
 		ic := iterCounts{Partials: make([]int64, C), Remote: make([]int64, C)}
 		agg := map[graph.VertexID]float64{}
 		for c := 0; c < C; c++ {
@@ -140,7 +145,63 @@ func reference(g *graph.Graph, k Kernel, rg refGrid) ([]float64, []iterCounts) {
 		}
 		frontier = next
 	}
-	return values, counts
+	return values, counts, probes
+}
+
+// pullProbes counts the in-edge probes one pull iteration makes from
+// values and frontier, the obvious way: every vertex GatherSkip does not
+// skip walks its in-edges in ascending source order, folds the frontier
+// members' contributions with Emit, Combine and Reduce as plain
+// functions, and stops after the first probe whose aggregate GatherDone
+// accepts.
+func pullProbes(g *graph.Graph, gk GatherKernel, values []float64, frontier []graph.VertexID) int64 {
+	n, tr := g.NumVertices(), gk.Traits()
+	active := make([]bool, n)
+	for _, v := range frontier {
+		active[v] = true
+	}
+	type inEdge struct {
+		src graph.VertexID
+		w   float32
+	}
+	in := make([][]inEdge, n)
+	for u := 0; u < n; u++ {
+		lo, _ := g.EdgeRange(graph.VertexID(u))
+		for i, dst := range g.Neighbors(graph.VertexID(u)) {
+			w := float32(1)
+			if g.Weighted() {
+				w = g.Weights()[lo+int64(i)]
+			}
+			in[dst] = append(in[dst], inEdge{graph.VertexID(u), w})
+		}
+	}
+	var probes int64
+	for v := 0; v < n; v++ {
+		if gk.GatherSkip(values[v]) {
+			continue
+		}
+		var a float64
+		hit := false
+		for _, e := range in[v] {
+			probes++
+			if !active[e.src] {
+				continue
+			}
+			base, ok := gk.Emit(e.src, values[e.src], g.OutDegree(e.src))
+			if !ok {
+				continue
+			}
+			if u := tr.Edge.Combine(base, e.w); hit {
+				a = tr.Agg.Reduce(a, u)
+			} else {
+				a, hit = u, true
+			}
+			if gk.GatherDone(a) {
+				break
+			}
+		}
+	}
+	return probes
 }
 
 // stripedGrid assigns vertices to C chunks by a fixed scramble, so a
@@ -173,7 +234,7 @@ func TestGriddedStagedMatchesReference(t *testing.T) {
 		name := k.Name()
 		t.Run(name, func(t *testing.T) {
 			mk := func() Kernel { k, err := ByName(name); mustNoErr(t, err); return k }
-			wantValues, wantCounts := reference(g, mk(), refGrid{C, chunkOf})
+			wantValues, wantCounts, _ := reference(g, mk(), refGrid{C, chunkOf})
 			for _, w := range []int{1, 3, 0} {
 				var got []iterCounts
 				observe := func(it *Iteration) {

@@ -186,7 +186,7 @@ type Kernel interface {
 	// out-edges, before Traits.Edge combines it with the edge's weight:
 	// edge (v, dst, w) contributes Traits.Edge.Combine(base, w) to dst.
 	// ok=false suppresses every update from v (e.g. unreachable source).
-	// Engines call it once per frontier vertex, never per edge.
+	// Push calls it once per frontier vertex, pull once per in-edge probed.
 	Emit(v graph.VertexID, value float64, outDegree int64) (base float64, ok bool)
 	// Apply folds the aggregated contribution into the old property and
 	// reports whether the vertex activates for the next iteration.

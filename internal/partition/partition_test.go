@@ -3,6 +3,7 @@ package partition
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -83,6 +84,47 @@ func TestByName(t *testing.T) {
 	}
 	if cerr := CheckName("metis"); cerr == nil || cerr.Error() != err.Error() {
 		t.Errorf("CheckName(\"metis\") = %v, ByName's error %q", cerr, err)
+	}
+}
+
+// TestByNameValueIsThePlanIdentity holds what lets a plan cache key on a
+// constructed partitioner's value: every value ByName returns is of a
+// comparable type (so comparing two never panics), and two values that
+// compare equal assign the same parts (so a plan computed for one serves
+// the other). The strategies that ignore their seed construct one value
+// for every seed; multilevel carries its seed and constructs distinct
+// ones. A new strategy must be named in seedless or seeded here.
+func TestByNameValueIsThePlanIdentity(t *testing.T) {
+	seedless := map[string]bool{"chunk": true, "hash": true, "ldg": true, "range": true, "multilevel": false}
+	g := testGraph(t)
+	for _, name := range Names() {
+		p1, err1 := ByName(name, 1)
+		p2, err2 := ByName(name, 2)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("ByName(%q): %v, %v", name, err1, err2)
+		}
+		if typ := reflect.TypeOf(p1); !typ.Comparable() {
+			t.Errorf("%s: %v is not comparable; a plan key holding it would panic", name, typ)
+			continue
+		}
+		want, known := seedless[name]
+		if !known {
+			t.Errorf("%s: say whether its value depends on the seed", name)
+		}
+		if equal := p1 == p2; equal != want {
+			t.Errorf("%s: ByName(1) == ByName(2) is %v, want %v", name, equal, want)
+		}
+		if p1 != p2 {
+			continue
+		}
+		a1, err1 := p1.Partition(g, 8)
+		a2, err2 := p2.Partition(g, 8)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: %v, %v", name, err1, err2)
+		}
+		if !slices.Equal(a1.Parts, a2.Parts) {
+			t.Errorf("%s: equal values under seeds 1 and 2 assign different parts", name)
+		}
 	}
 }
 

@@ -540,7 +540,7 @@ func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*c
 		if err != nil {
 			return nil, err
 		}
-		assign, err = snap.plan(p, planKey{spec.Partitioner, spec.Seed, spec.Partitions}, &m.c)
+		assign, err = snap.plan(p, spec.Partitions, &m.c)
 		if err != nil {
 			return nil, err
 		}

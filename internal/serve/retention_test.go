@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 )
@@ -172,12 +173,24 @@ func TestHotSetSurvivesOneHitStream(t *testing.T) {
 	checkCache(t, c)
 }
 
+// seededHash is Hash under a seed it carries in its value but does not
+// read: a comparable partitioner whose plans the plan cache keeps apart
+// per seed, as it does multilevel's, at Hash's cost.
+type seededHash struct{ Seed uint64 }
+
+func (seededHash) Name() string { return "seeded-hash" }
+
+func (seededHash) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
+	return partition.Hash{}.Partition(g, k)
+}
+
 // sizedExec is a fake executor whose results carry floats values (8 bytes
-// of result, 32/3 on the wire, each). It resolves a hash plan under the
-// spec's seed the way runSpec does, so distinct jobs fill the plan cache.
+// of result, 32/3 on the wire, each). It resolves a plan of a partitioner
+// valued by the spec's seed the way runSpec does, so distinct jobs fill
+// the plan cache.
 func sizedExec(m *Manager, floats int) func(context.Context, *Snapshot, JobSpec) (*core.Result, error) {
 	return func(_ context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
-		if _, err := snap.plan(partition.Hash{}, planKey{"hash", spec.Seed, 4}, &m.c); err != nil {
+		if _, err := snap.plan(seededHash{spec.Seed}, 4, &m.c); err != nil {
 			return nil, err
 		}
 		res := fakeResult(spec)

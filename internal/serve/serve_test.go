@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/partition"
 )
 
 func testGraph(t testing.TB, seed uint64) *graph.Graph {
@@ -135,6 +137,97 @@ func TestSubmitExecutesAndCaches(t *testing.T) {
 	}
 	if hits := m.Metrics().Counter(CounterResultCacheHits).Value(); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
+	}
+}
+
+// heldPartitioner makes its first two Partition calls wait for each
+// other: two jobs that both missed the plan cache compute at once. Its
+// fields are comparable, so it keys plans as the partitioner it wraps.
+type heldPartitioner struct {
+	partition.Partitioner
+	entered *atomic.Int32
+	both    chan struct{}
+}
+
+func (h heldPartitioner) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
+	if n := h.entered.Add(1); n == 2 {
+		close(h.both)
+	} else if n < 2 {
+		<-h.both
+	}
+	return h.Partitioner.Partition(g, k)
+}
+
+// TestSeedlessPlansAreShared submits LDG jobs that differ only in seed to
+// two executors, whose first two jobs both miss the plan cache and
+// compute the plan at once. LDG ignores its seed, so every job must
+// resolve the one *Assignment the snapshot keeps — the racing loser's
+// included — and every result must be the same bytes, while each seed is
+// still its own result-cache entry. The executor is runSpec's two steps,
+// with the partitioner held and the resolved plan recorded.
+func TestSeedlessPlansAreShared(t *testing.T) {
+	const jobs = 6
+	var (
+		mu      sync.Mutex
+		plans   []*partition.Assignment
+		entered atomic.Int32
+		both    = make(chan struct{})
+		m       *Manager
+	)
+	m, snap := newTestManager(t, ManagerConfig{Executors: 2, QueueCap: jobs}, func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+		p, err := partition.ByName(spec.Partitioner, spec.Seed)
+		if err != nil {
+			return nil, err
+		}
+		a, err := snap.plan(heldPartitioner{p, &entered, both}, spec.Partitions, &m.c)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		plans = append(plans, a)
+		mu.Unlock()
+		return ExecuteSpec(ctx, snap.Graph(), spec, a)
+	})
+	submitted := make([]*Job, jobs)
+	for i := range submitted {
+		job, err := m.Submit("t", JobSpec{Snapshot: "g", Kernel: "cc", Partitioner: "ldg", Partitions: 4, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted[i] = job
+	}
+	var first []byte
+	for _, job := range submitted {
+		waitDone(t, job)
+		b, err := m.Result(job.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = b
+		} else if !bytes.Equal(b, first) {
+			t.Errorf("%s: result differs from the first job's", job.ID())
+		}
+	}
+	if len(plans) != jobs {
+		t.Fatalf("%d jobs resolved %d plans", jobs, len(plans))
+	}
+	for i, a := range plans {
+		if a != plans[0] {
+			t.Errorf("job %d resolved another assignment than job 0", i)
+		}
+	}
+	snap.mu.Lock()
+	kept := len(snap.plans)
+	snap.mu.Unlock()
+	if kept != 1 {
+		t.Errorf("snapshot keeps %d plans, want 1", kept)
+	}
+	if hits, misses := counter(m, CounterPlanCacheHits), counter(m, CounterPlanCacheMisses); hits != jobs-2 || misses != 2 {
+		t.Errorf("plan hits %d, misses %d; want %d and the racing 2", hits, misses, jobs-2)
+	}
+	if misses := counter(m, CounterResultCacheMisses); misses != jobs {
+		t.Errorf("result cache misses %d, want one a seed: %d", misses, jobs)
 	}
 }
 

@@ -47,11 +47,11 @@ type Snapshot struct {
 // vertex each); past it the least recently used goes.
 const plansKept = 8
 
-// planKey names a plan: what, besides the graph, an assignment depends on.
+// planKey names a plan by what, besides the graph, an assignment depends
+// on: the partitioner's value (one for every seed of an unseeded one) and k.
 type planKey struct {
-	partitioner string
-	seed        uint64
-	k           int
+	p partition.Partitioner
+	k int
 }
 
 type planEntry struct {
@@ -114,11 +114,11 @@ func (s *Snapshot) cachedPlan(key planKey) *partition.Assignment {
 	return nil
 }
 
-// plan returns the partition assignment for key on this snapshot,
-// computing and caching it on first use. Plans depend only on the graph
-// and the key, so they are shared across every job that agrees on them —
+// plan returns p's k-way assignment of this snapshot, computed on first
+// use and shared by every later job whose partitioner value and k agree —
 // the partition-plan half of the service's cache story.
-func (s *Snapshot) plan(p partition.Partitioner, key planKey, c *counters) (*partition.Assignment, error) {
+func (s *Snapshot) plan(p partition.Partitioner, k int, c *counters) (*partition.Assignment, error) {
+	key := planKey{p, k}
 	s.mu.Lock()
 	a := s.cachedPlan(key)
 	s.mu.Unlock()
@@ -127,7 +127,7 @@ func (s *Snapshot) plan(p partition.Partitioner, key planKey, c *counters) (*par
 		return a, nil
 	}
 	c.planMisses.Inc()
-	a, err := p.Partition(s.g, key.k)
+	a, err := p.Partition(s.g, k)
 	if err != nil {
 		return nil, err
 	}

@@ -213,11 +213,11 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 		{"Registry/List", func() error { _ = m.reg.List(); return nil }},
 		{"Registry/Put", func() error { _, err := m.reg.Put("h", snap.Graph()); return err }},
 		{"plan/miss", func() error {
-			_, err := snap.plan(partition.Hash{}, planKey{"hash", 0, 2}, &m.c)
+			_, err := snap.plan(partition.Hash{}, 2, &m.c)
 			return err
 		}},
 		{"plan/hit", func() error {
-			_, err := snap.plan(partition.Hash{}, planKey{"hash", 0, 2}, &m.c)
+			_, err := snap.plan(partition.Hash{}, 2, &m.c)
 			return err
 		}},
 		{"Stop", func() error { m.Stop(); return nil }},

@@ -3,6 +3,7 @@ package verify
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/partition"
 	"repro/internal/serve"
 )
 
@@ -21,6 +23,10 @@ const (
 	// OracleCache asserts a repeat submission is answered from the
 	// result cache — same bytes, cache-hit flag, and counter movement.
 	OracleCache = "served-cache"
+	// OraclePlan asserts a resubmission at a new seed is computed to the
+	// offline bytes and shares the first run's plan iff the partitioner
+	// values of the two seeds are equal.
+	OraclePlan = "served-plan"
 )
 
 // CheckServed is the served-vs-offline oracle: it boots an in-process
@@ -30,7 +36,9 @@ const (
 // direct core run — the service layer (wire format, job manager,
 // snapshot registry, result cache) must be a transparent shell around
 // the engines. It then re-submits the identical spec and asserts the
-// answer comes from the result cache, byte for byte.
+// answer comes from the result cache, byte for byte, and submits it once
+// more at a seed no earlier job used, which must be computed afresh and
+// share the first run's plan exactly when the partitioner ignores seeds.
 func CheckServed(sc Scenario) error {
 	if err := sc.Validate(); err != nil {
 		return failf(OracleServed, "invalid scenario: %v", err)
@@ -81,7 +89,7 @@ func CheckServed(sc Scenario) error {
 	}
 
 	agg := sc.Aggregation
-	specs := []serve.JobSpec{{
+	sim := serve.JobSpec{
 		Snapshot:    "scenario",
 		Engine:      serve.EngineSim,
 		Kernel:      sc.Kernel,
@@ -91,45 +99,29 @@ func CheckServed(sc Scenario) error {
 		Seed:        sc.Seed,
 		Aggregation: &agg,
 		Workers:     sc.Workers,
-	}}
-	if sc.Cluster {
-		specs = append(specs, serve.JobSpec{
-			Snapshot:     "scenario",
-			Engine:       serve.EngineCluster,
-			Kernel:       sc.Kernel,
-			Partitions:   sc.Partitions,
-			Computes:     sc.ComputeNodes,
-			Partitioner:  sc.Partitioner,
-			Seed:         sc.Seed,
-			Aggregation:  &agg,
-			TreeFanIn:    sc.TreeFanIn,
-			ChannelDepth: sc.ChannelDepth,
-		})
 	}
-	for _, spec := range specs {
-		if err := checkServedSpec(ctx, c, g, spec); err != nil {
+	specs := []serve.JobSpec{sim}
+	if sc.Cluster {
+		cl := sim
+		cl.Engine, cl.Workers, cl.TreeFanIn, cl.ChannelDepth = serve.EngineCluster, 0, sc.TreeFanIn, sc.ChannelDepth
+		specs = append(specs, cl)
+	}
+	for i, spec := range specs {
+		if err := checkServedSpec(ctx, c, g, spec, sc.Seed+1+uint64(i)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkServedSpec runs one spec through the HTTP API twice: the first
-// submission is compared byte-for-byte against the offline run, the
-// second must be a cache hit with identical bytes.
-func checkServedSpec(ctx context.Context, c *serve.Client, g *graph.Graph, spec serve.JobSpec) error {
-	// Offline expectation: same spec, same graph, no server.
-	offline := spec
-	if err := offline.Normalize(); err != nil {
-		return failf(OracleServed, "%s: normalize: %v", spec.Engine, err)
-	}
-	res, err := serve.ExecuteSpec(ctx, g, offline, nil)
+// checkServedSpec runs one spec through the HTTP API three times: the
+// first submission is compared byte-for-byte against the offline run, the
+// second must be a cache hit with identical bytes, and the third, at
+// reseed (a seed no earlier submission used), must pass checkReseeded.
+func checkServedSpec(ctx context.Context, c *serve.Client, g *graph.Graph, spec serve.JobSpec, reseed uint64) error {
+	want, err := offlineBytes(ctx, g, spec)
 	if err != nil {
-		return failf(OracleServed, "%s: offline run: %v", spec.Engine, err)
-	}
-	want, err := serve.MarshalResult(res)
-	if err != nil {
-		return failf(OracleServed, "%s: marshal offline result: %v", spec.Engine, err)
+		return failf(OracleServed, "%s: %v", spec.Engine, err)
 	}
 
 	before, err := c.Metrics(ctx)
@@ -137,29 +129,21 @@ func checkServedSpec(ctx context.Context, c *serve.Client, g *graph.Graph, spec 
 		return failf(OracleServed, "%s: metrics: %v", spec.Engine, err)
 	}
 
-	first, err := submitAndWait(ctx, c, spec)
+	_, got, err := runServed(ctx, c, spec)
 	if err != nil {
 		return failf(OracleServed, "%s: %v", spec.Engine, err)
-	}
-	got, err := c.ResultBytes(ctx, first.ID)
-	if err != nil {
-		return failf(OracleServed, "%s: fetch result: %v", spec.Engine, err)
 	}
 	if !bytes.Equal(got, want) {
 		return failf(OracleServed, "%s: served result differs from offline run (%d vs %d bytes)",
 			spec.Engine, len(got), len(want))
 	}
 
-	second, err := submitAndWait(ctx, c, spec)
+	second, got2, err := runServed(ctx, c, spec)
 	if err != nil {
 		return failf(OracleCache, "%s: resubmit: %v", spec.Engine, err)
 	}
 	if !second.CacheHit {
 		return failf(OracleCache, "%s: identical resubmission was not served from the result cache", spec.Engine)
-	}
-	got2, err := c.ResultBytes(ctx, second.ID)
-	if err != nil {
-		return failf(OracleCache, "%s: fetch cached result: %v", spec.Engine, err)
 	}
 	if !bytes.Equal(got2, want) {
 		return failf(OracleCache, "%s: cached result bytes differ from the first run", spec.Engine)
@@ -172,7 +156,84 @@ func checkServedSpec(ctx context.Context, c *serve.Client, g *graph.Graph, spec 
 	if hits < 1 {
 		return failf(OracleCache, "%s: cache-hit counter did not move (delta %d)", spec.Engine, hits)
 	}
+	return checkReseeded(ctx, c, g, spec, reseed, want)
+}
+
+// checkReseeded submits spec again at seed, which no earlier submission
+// used. The seed is part of the result-cache key, so the job must be
+// computed, and its bytes must equal the offline run at seed. The plan
+// cache keys on the partitioner's value: if spec's partitioner builds
+// equal values at both seeds the job must reuse the plan, and so return
+// first's bytes; otherwise it must compute a new plan.
+func checkReseeded(ctx context.Context, c *serve.Client, g *graph.Graph, spec serve.JobSpec, seed uint64, first []byte) error {
+	prev := spec
+	spec.Seed = seed
+	if err := errors.Join(prev.Normalize(), spec.Normalize()); err != nil {
+		return failf(OraclePlan, "%s: normalize: %v", spec.Engine, err)
+	}
+	p0, err0 := partition.ByName(prev.Partitioner, prev.Seed)
+	p1, err1 := partition.ByName(spec.Partitioner, spec.Seed)
+	want, err2 := offlineBytes(ctx, g, spec)
+	before, err3 := c.Metrics(ctx)
+	if err := errors.Join(err0, err1, err2, err3); err != nil {
+		return failf(OraclePlan, "%s: seed %d: %v", spec.Engine, seed, err)
+	}
+	info, got, err := runServed(ctx, c, spec)
+	if err != nil {
+		return failf(OraclePlan, "%s: seed %d: %v", spec.Engine, seed, err)
+	}
+	if info.CacheHit {
+		return failf(OraclePlan, "%s: a submission at the new seed %d was served from the result cache", spec.Engine, seed)
+	}
+	if !bytes.Equal(got, want) {
+		return failf(OraclePlan, "%s: served result at seed %d differs from offline run (%d vs %d bytes)",
+			spec.Engine, seed, len(got), len(want))
+	}
+	after, err := c.Metrics(ctx)
+	if err != nil {
+		return failf(OraclePlan, "%s: metrics: %v", spec.Engine, err)
+	}
+	hits := after[serve.CounterPlanCacheHits] - before[serve.CounterPlanCacheHits]
+	misses := after[serve.CounterPlanCacheMisses] - before[serve.CounterPlanCacheMisses]
+	wantHits, wantMisses := int64(0), int64(1)
+	if p0 == p1 {
+		wantHits, wantMisses = 1, 0
+	}
+	if hits != wantHits || misses != wantMisses {
+		return failf(OraclePlan, "%s: %s at seed %d after %d moved plan hits by %d and misses by %d, want %d and %d",
+			spec.Engine, spec.Partitioner, seed, prev.Seed, hits, misses, wantHits, wantMisses)
+	}
+	if p0 == p1 && !bytes.Equal(got, first) {
+		return failf(OraclePlan, "%s: %s builds one value at seeds %d and %d, yet their results differ",
+			spec.Engine, spec.Partitioner, prev.Seed, seed)
+	}
 	return nil
+}
+
+// offlineBytes is the offline expectation for spec: the same spec on the
+// same graph, no server, marshalled as the service would.
+func offlineBytes(ctx context.Context, g *graph.Graph, spec serve.JobSpec) ([]byte, error) {
+	if err := spec.Normalize(); err != nil {
+		return nil, fmt.Errorf("normalize: %w", err)
+	}
+	res, err := serve.ExecuteSpec(ctx, g, spec, nil)
+	if err != nil {
+		return nil, fmt.Errorf("offline run: %w", err)
+	}
+	return serve.MarshalResult(res)
+}
+
+// runServed submits spec, waits for it to finish, and fetches its bytes.
+func runServed(ctx context.Context, c *serve.Client, spec serve.JobSpec) (serve.JobInfo, []byte, error) {
+	info, err := submitAndWait(ctx, c, spec)
+	if err != nil {
+		return info, nil, err
+	}
+	b, err := c.ResultBytes(ctx, info.ID)
+	if err != nil {
+		return info, nil, fmt.Errorf("fetch result of %s: %w", info.ID, err)
+	}
+	return info, b, nil
 }
 
 func submitAndWait(ctx context.Context, c *serve.Client, spec serve.JobSpec) (serve.JobInfo, error) {

@@ -86,12 +86,25 @@ func TestServedOracleHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	steps := map[string]func() error{
-		"checkServedSpec": func() error { return checkServedSpec(ctx, c, g, spec) },
+		"checkServedSpec": func() error { return checkServedSpec(ctx, c, g, spec, sc.Seed+1) },
 		"submitAndWait":   func() error { _, err := submitAndWait(ctx, c, spec); return err },
 	}
 	for name, step := range steps {
 		if err := step(); err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
 			t.Errorf("%s with a cancelled context: err = %v, want context canceled", name, err)
+		}
+	}
+}
+
+// TestServedPlanSharing runs the served oracle on a seedless and a seeded
+// partitioner, both engines each: the reseeded submission must reuse the
+// plan of the first for ldg and compute its own for multilevel.
+func TestServedPlanSharing(t *testing.T) {
+	for _, name := range []string{"ldg", "multilevel"} {
+		sc := smallServedScenario()
+		sc.Partitioner, sc.Cluster = name, true
+		if err := CheckServed(sc); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

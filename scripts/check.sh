@@ -13,8 +13,9 @@
 #               ndpserve round-trip, ndpverify -served,
 #               out-of-core stream -> container -> verified BFS
 #   -count      cluster faults, parallel simulator, store lifecycle (each
-#               -count=2), ndpserve shutdown with a parked waiter
-#               (-count=20), all under the race detector
+#               -count=2), served plan sharing across seeds (-count=10),
+#               ndpserve shutdown with a parked waiter (-count=20), all
+#               under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
 #   fuzz        a short budget per fuzz target (13)
 # Any stage failing fails the gate.
@@ -204,6 +205,11 @@ step go test -race -count=2 -run '^TestParallelMatchesSerial$' ./internal/sim/
 step go test -race -count=2 \
     -run '^TestStorePinConcurrentHammer$|^TestStoreStaysWithinBudget$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$|^TestStoreStatsDeterministic$' \
     ./internal/store/
+
+# The snapshot's plan cache under two racing executors, 10 times under the
+# race detector: LDG jobs that differ only in seed both miss, both
+# compute, and must still all resolve the one stored *Assignment.
+step go test -race -count=10 -run '^TestSeedlessPlansAreShared$' ./internal/serve/
 
 # ndpserve's SIGTERM drain with a waiter parked, 20 times under the race
 # detector: its slower scheduling is the load that once let a pooled,
