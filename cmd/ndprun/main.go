@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"slices"
@@ -53,6 +52,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/verify"
 )
 
 // flags is every ndprun flag.
@@ -93,7 +93,7 @@ func (o *flags) register(fs *flag.FlagSet) {
 // Flags a mode cannot honour: the job wire format has no field for the
 // first list, and the cluster always offloads on the default device.
 var (
-	unserved    = []string{"device", "switchbuffer", "direction", "alpha", "beta", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash", "iters", "itercsv"}
+	unserved    = []string{"device", "switchbuffer", "direction", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash", "iters", "itercsv"}
 	unclustered = []string{"policy", "device", "switchbuffer"}
 )
 
@@ -290,10 +290,10 @@ func runSerialEngine(ctx context.Context, g *graph.Graph, k kernels.Kernel, gf c
 // runStore executes the kernel straight from a gcsr2 container: edges
 // are pinned through the store's segment tier (the "local memory" tier)
 // instead of an in-RAM CSR, and the telemetry reports the tier traffic
-// the budget produced. With verify, the container is also materialized
+// the budget produced. With storeVerify, the container is also materialized
 // and run on the serial reference, and the two value vectors must be
 // bit-identical.
-func runStore(ctx context.Context, path string, localBytes int64, verify bool, ef cliconf.EngineFlags, csv bool) error {
+func runStore(ctx context.Context, path string, localBytes int64, storeVerify bool, ef cliconf.EngineFlags, csv bool) error {
 	st, err := store.OpenFile(path, store.Options{LocalBytes: localBytes})
 	if err != nil {
 		return err
@@ -325,7 +325,7 @@ func runStore(ctx context.Context, path string, localBytes int64, verify bool, e
 		return err
 	}
 
-	if verify {
+	if storeVerify {
 		g, err := st.Materialize()
 		if err != nil {
 			return err
@@ -341,11 +341,8 @@ func runStore(ctx context.Context, path string, localBytes int64, verify bool, e
 		if res.Iterations != want.Iterations || res.Converged != want.Converged {
 			return fmt.Errorf("store-verify: telemetry diverged (iterations %d vs %d)", res.Iterations, want.Iterations)
 		}
-		for i := range want.Values {
-			gv, wv := res.Values[i], want.Values[i]
-			if gv != wv && !(math.IsNaN(gv) && math.IsNaN(wv)) {
-				return fmt.Errorf("store-verify: value[%d] = %v out-of-core, %v in-memory", i, gv, wv)
-			}
+		if err := verify.ValuesBitEqual(res.Values, want.Values); err != nil {
+			return fmt.Errorf("store-verify: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "store-verify: out-of-core run is bit-identical to the in-memory serial reference (%d vertices)\n", len(want.Values))
 	}

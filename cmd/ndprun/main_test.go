@@ -200,8 +200,6 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 		{"-server", "-device", "UPMEM"},
 		{"-server", "-switchbuffer", "64"},
 		{"-server", "-direction", "push"},
-		{"-server", "-alpha", "2"},
-		{"-server", "-beta", "2"},
 		{"-server", "-fault-seed", "7"},
 		{"-server", "-fault-drop", "0.1"},
 		{"-server", "-fault-dup", "0.1"},

@@ -114,8 +114,6 @@ type EngineFlags struct {
 	PRIters     int
 	Workers     int
 	Direction   string
-	Alpha       float64
-	Beta        float64
 }
 
 // Register installs the group on fs with the standard names.
@@ -132,12 +130,10 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.PRIters, "priters", 10, "PageRank iterations")
 	fs.IntVar(&f.Workers, "workers", 0, "simulator worker pool size (0 = GOMAXPROCS); results are identical for every setting")
 	fs.StringVar(&f.Direction, "direction", "auto", "kernel engine traversal direction: auto | push | pull (pull needs a gather-capable kernel)")
-	fs.Float64Var(&f.Alpha, "alpha", 0, "direction switch: pull when frontier edges > remaining/alpha (0 = default 14)")
-	fs.Float64Var(&f.Beta, "beta", 0, "direction switch: pull only when frontier > vertices/beta (0 = default 24)")
 }
 
 // EngineOptions resolves the flag group's kernel-engine options
-// (direction mode, switch thresholds, worker pool width).
+// (direction mode, worker pool width).
 func (f *EngineFlags) EngineOptions() (kernels.Options, error) {
 	dir, err := kernels.ParseDirection(f.Direction)
 	if err != nil {
@@ -146,8 +142,6 @@ func (f *EngineFlags) EngineOptions() (kernels.Options, error) {
 	return kernels.Options{
 		Workers:   f.Workers,
 		Direction: dir,
-		Alpha:     f.Alpha,
-		Beta:      f.Beta,
 	}, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/partition"
@@ -344,5 +343,3 @@ func Fig7c(cfg Config) (*Artifact, error) {
 			return kernels.NewPageRank(c.PageRankIterations, kernels.DefaultDamping)
 		}, 80)
 }
-
-var _ = graph.FormatBytes // referenced by notes formatting in future revisions

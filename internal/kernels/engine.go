@@ -15,7 +15,7 @@ import (
 // behind RunOn and its in-memory shorthands RunSerial, RunSerialWith and
 // Run.
 //
-// Four independent axes are generalized here:
+// Five independent axes are generalized here:
 //
 //   - Storage. The engine reads a Source: a resident vertex side plus an
 //     edge list lent in pinned segments. A push loop keeps a current
@@ -72,11 +72,11 @@ type Direction int
 const (
 	// DirectionAuto switches per iteration. Beamer's heuristic names the
 	// candidates — the frontier's out-edge volume exceeds the remaining
-	// unexplored volume divided by alpha and the frontier holds more than
-	// 1/beta of the vertices — and a candidate pulls only if the in-edges
-	// of every vertex a pull would scan number fewer than the frontier's
-	// out-edges, so an auto run never inspects more edges than forced
-	// push. Kernels without a GatherKernel implementation, and
+	// unexplored volume divided by DefaultAlpha and the frontier holds
+	// more than 1/DefaultBeta of the vertices — and a candidate pulls only
+	// if the in-edges of every vertex a pull would scan number fewer than
+	// the frontier's out-edges, so an auto run never inspects more edges
+	// than forced push. Kernels without a GatherKernel implementation, and
 	// fixed-point kernels whose frontier is always the full vertex set,
 	// always push.
 	DirectionAuto Direction = iota
@@ -151,9 +151,6 @@ type Options struct {
 	Grid *Grid
 	// Direction selects push, pull, or per-iteration auto switching.
 	Direction Direction
-	// Alpha and Beta tune the auto switch; values <= 0 select
-	// DefaultAlpha and DefaultBeta.
-	Alpha, Beta float64
 }
 
 // Grid cuts every iteration's frontier by owner instead of into equal
@@ -287,8 +284,7 @@ type engine struct {
 	// C is the chunk-grid width (staged mode).
 	C int
 
-	dir         Direction
-	alpha, beta float64
+	dir Direction
 
 	values   []float64
 	frontier *Frontier
@@ -386,14 +382,6 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 		n:      g.NumVertices(),
 		staged: staged,
 		dir:    opt.Direction,
-		alpha:  opt.Alpha,
-		beta:   opt.Beta,
-	}
-	if e.alpha <= 0 {
-		e.alpha = DefaultAlpha
-	}
-	if e.beta <= 0 {
-		e.beta = DefaultBeta
 	}
 	e.lists, _ = src.(listPinner)
 	e.in, e.hasIn = src.(InAdjacency)
@@ -570,9 +558,6 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 		e.spare = e.frontier
 		e.frontier = next
 	}
-	if !res.Converged && res.Iterations < tr.MaxIterations {
-		res.Converged = true
-	}
 	return res, nil
 }
 
@@ -590,9 +575,9 @@ func (e *engine) lend(next *Frontier) {
 // the remaining-volume estimate, and decides this iteration's direction.
 // Only a gather kernel over a source with in-adjacency ever pulls. Under
 // DirectionAuto, Beamer's rule — the frontier's out-edge volume exceeds
-// remaining/alpha AND the frontier holds more than n/beta vertices — is
-// the cheap filter that names a candidate, and pullInspectsLess makes the
-// call.
+// remaining/DefaultAlpha AND the frontier holds more than n/DefaultBeta
+// vertices — is the cheap filter that names a candidate, and
+// pullInspectsLess makes the call.
 func (e *engine) prepare(iter int) {
 	e.iter = iter
 	e.frontierEdges = 0
@@ -630,8 +615,8 @@ func (e *engine) prepare(iter int) {
 	case e.dir == DirectionPull:
 		e.pull = true
 	default:
-		e.pull = float64(e.frontierEdges) > float64(e.remaining)/e.alpha &&
-			float64(e.frontier.Count()) > float64(e.n)/e.beta &&
+		e.pull = float64(e.frontierEdges) > float64(e.remaining)/DefaultAlpha &&
+			float64(e.frontier.Count()) > float64(e.n)/DefaultBeta &&
 			e.pullInspectsLess()
 	}
 	if e.pull {

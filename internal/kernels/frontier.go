@@ -72,42 +72,3 @@ func (f *Frontier) ForEach(fn func(v graph.VertexID)) {
 		fn(v)
 	}
 }
-
-// ForEachWord visits the bitset one 64-bit word at a time in ascending
-// vertex order, skipping all-zero words: fn receives the id of the word's
-// first vertex and the word itself. For the all-active case the full
-// words are synthesized. Word iteration lets engines walk a frontier in
-// ascending order independent of activation order, at one branch per 64
-// vertices on sparse stretches.
-func (f *Frontier) ForEachWord(fn func(base graph.VertexID, word uint64)) {
-	if f.all {
-		full := f.n >> 6
-		for w := 0; w < full; w++ {
-			fn(graph.VertexID(w<<6), ^uint64(0))
-		}
-		if rem := f.n & 63; rem != 0 {
-			fn(graph.VertexID(full<<6), uint64(1)<<rem-1)
-		}
-		return
-	}
-	for w, word := range f.words {
-		if word != 0 {
-			fn(graph.VertexID(w<<6), word)
-		}
-	}
-}
-
-// Vertices returns the active vertex list (allocating for the all-active
-// case).
-func (f *Frontier) Vertices() []graph.VertexID {
-	if !f.all {
-		out := make([]graph.VertexID, len(f.list))
-		copy(out, f.list)
-		return out
-	}
-	out := make([]graph.VertexID, f.n)
-	for i := range out {
-		out[i] = graph.VertexID(i)
-	}
-	return out
-}

@@ -166,9 +166,12 @@ const (
 	PropertyBytes = 16
 )
 
-// Kernel is a vertex program. Implementations must be stateless: all
-// mutable state lives in the engine so that one Kernel value can be shared
-// by concurrent engines.
+// Kernel is a vertex program. A plain Kernel is stateless: all mutable
+// state lives in the engine, so one Kernel value can be shared by
+// concurrent engines. The exception is a StatefulKernel, which holds
+// per-run side state in the value itself: one value runs one engine at a
+// time (core's CompareWithAssignment serializes its runs, cluster.Run
+// refuses it).
 type Kernel interface {
 	// Name identifies the kernel in reports ("pagerank", "bfs", ...).
 	Name() string

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -369,8 +370,10 @@ func TestFrontierActivateAll(t *testing.T) {
 	if f.Count() != 5 {
 		t.Errorf("count = %d, want 5", f.Count())
 	}
-	if vs := f.Vertices(); len(vs) != 5 || vs[4] != 4 {
-		t.Errorf("Vertices = %v", vs)
+	var vs []graph.VertexID
+	f.ForEach(func(v graph.VertexID) { vs = append(vs, v) })
+	if !slices.Equal(vs, []graph.VertexID{0, 1, 2, 3, 4}) {
+		t.Errorf("all-active ForEach visits %v, want 0..4 ascending", vs)
 	}
 	if !f.Contains(0) || !f.Contains(4) {
 		t.Error("all-active membership wrong")

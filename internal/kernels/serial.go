@@ -80,9 +80,9 @@ func RunSerial(g *graph.Graph, k Kernel) (*Result, error) {
 	return RunSerialWith(g, k, Options{})
 }
 
-// RunSerialWith is RunSerial with explicit engine options (forced
-// traversal direction, alpha/beta thresholds). The Workers option is
-// ignored; use Run for the parallel machine.
+// RunSerialWith is RunSerial with explicit engine options (a forced
+// traversal direction). The Workers option is ignored; use Run for the
+// parallel machine.
 func RunSerialWith(g *graph.Graph, k Kernel, opt Options) (*Result, error) {
 	return runInMemory(g, k, Serial, opt)
 }

@@ -21,7 +21,7 @@ type Engine interface {
 }
 
 // checkEngineInputs validates the pieces shared by all engines.
-func checkEngineInputs(topo Topology, assign *partition.Assignment, g *graph.Graph) error {
+func checkEngineInputs(topo Topology, assign *partition.Assignment) error {
 	if err := topo.Validate(); err != nil {
 		return err
 	}
@@ -50,15 +50,6 @@ type Disaggregated struct {
 	// the hosts, greedily by degree until the budget is exhausted, and
 	// their traversals cost no interconnect bytes. 0 disables the cache.
 	CacheBytes int64
-	// Tier, when non-nil, replaces the per-edge fetch accounting with a
-	// segment-granular memory tier (internal/store's model): edge lists
-	// are fetched in whole SegmentBytes-sized segments, the hosts keep
-	// the segments that fit LocalBytes resident and read the rest
-	// through, and the interconnect traffic is Record.FarMemoryBytes —
-	// the misses' segment bytes.
-	// Tier supersedes CacheBytes for movement accounting (the pinned
-	// cache marks vertices, the tier tracks segments; configure one).
-	Tier *TierConfig
 	// Workers caps the simulator's worker pool (0 = GOMAXPROCS). Results
 	// are bit-identical for every setting.
 	Workers int
@@ -95,16 +86,13 @@ func cacheMask(g *graph.Graph, budget int64) []bool {
 
 // Run implements Engine.
 func (d *Disaggregated) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	if err := checkEngineInputs(d.Topo, d.Assign, g); err != nil {
+	if err := checkEngineInputs(d.Topo, d.Assign); err != nil {
 		return nil, err
 	}
 	tr := k.Traits()
 	account := func(rec *Record) {
 		rec.Offloaded = false
 		moved := rec.EdgeFetchBytes - rec.CachedEdgeBytes
-		if d.Tier != nil {
-			moved = rec.FarMemoryBytes
-		}
 		rec.DataMovementBytes = moved
 		rec.SyncEvents = int64(d.Topo.ComputeNodes)
 		edgeOps := float64(rec.ActiveEdges) * tr.FLOPsPerEdge
@@ -125,9 +113,6 @@ func (d *Disaggregated) Run(ctx context.Context, g *graph.Graph, k kernels.Kerne
 	ex.computeStatics(false, false)
 	ex.workers = d.Workers
 	ex.cached = cacheMask(g, d.CacheBytes)
-	if d.Tier != nil {
-		ex.tier = newTierState(g, *d.Tier)
-	}
 	run, err := ex.run(ctx, d.Name())
 	if err != nil {
 		return nil, err
@@ -176,7 +161,7 @@ func (d *DisaggregatedNDP) Name() string {
 
 // Run implements Engine.
 func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	if err := checkEngineInputs(d.Topo, d.Assign, g); err != nil {
+	if err := checkEngineInputs(d.Topo, d.Assign); err != nil {
 		return nil, err
 	}
 	tr := k.Traits()
@@ -368,7 +353,7 @@ const ndpOverlapFraction = 0.7
 // runDistributed is the shared implementation of the two distributed
 // engines; ndpMode selects near-memory traversal and overlap.
 func runDistributed(ctx context.Context, topo Topology, assign *partition.Assignment, g *graph.Graph, k kernels.Kernel, name string, ndpMode bool, workers int) (*Run, error) {
-	if err := checkEngineInputs(topo, assign, g); err != nil {
+	if err := checkEngineInputs(topo, assign); err != nil {
 		return nil, err
 	}
 	tr := k.Traits()

@@ -137,10 +137,6 @@ type execution struct {
 	// (tiering); their traversals cost no interconnect bytes in
 	// fetch-mode accounting.
 	cached []bool
-	// tier, when non-nil, models a host-local segment tier: each
-	// iteration charges Record.FarMemoryBytes with the whole-segment
-	// fetches the frontier's accesses miss on (TierConfig).
-	tier *tierState
 
 	// out collects the Records; the per-partition slices are record's
 	// scratch, allocated once per run.
@@ -259,9 +255,9 @@ func (e *execution) run(ctx context.Context, engineName string) (*Run, error) {
 
 // record is the engine's per-iteration observer: it counts what memory
 // node p traversed (chunk p's frontier slice, in bucket order — the order
-// the float ops sum and the tier's touch trace are defined in) and emitted
-// (chunk p's partial updates), asks the policy for the decision those
-// pre-iteration statistics imply, and finishes the Record in place.
+// the float ops sum in) and emitted (chunk p's partial updates), asks the
+// policy for the decision those pre-iteration statistics imply, and
+// finishes the Record in place.
 func (e *execution) record(it *kernels.Iteration) {
 	g, P := e.g, e.assign.K
 	done := len(e.out.Records)
@@ -271,9 +267,6 @@ func (e *execution) record(it *kernels.Iteration) {
 		front := it.Frontier(p)
 		var degSum int64
 		var ops float64
-		if e.tier != nil {
-			e.tier.endRun() // each chunk pins its own segments
-		}
 		for _, v := range front {
 			deg := g.OutDegree(v)
 			degSum += deg
@@ -281,9 +274,6 @@ func (e *execution) record(it *kernels.Iteration) {
 			rec.CrossEdges += int64(e.crossDeg[v])
 			if e.cached != nil && e.cached[v] {
 				rec.CachedEdgeBytes += deg * kernels.EdgeBytes
-			}
-			if e.tier != nil {
-				rec.FarMemoryBytes += e.tier.touch(v)
 			}
 		}
 		rec.FrontierSize += int64(len(front))

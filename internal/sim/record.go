@@ -39,12 +39,6 @@ type Record struct {
 	// EdgeFetchBytes is what moving the frontier's edge lists would cost
 	// (the no-NDP disaggregated pattern: ActiveEdges × 8 B).
 	EdgeFetchBytes int64
-	// FarMemoryBytes is the segment-granular far-memory fetch volume when
-	// the engine models a host-local memory tier (TierConfig): the bytes
-	// of whole edge segments pulled over the interconnect because they
-	// were not resident in the hosts' local tier this iteration. Zero when
-	// no tier is configured.
-	FarMemoryBytes int64
 	// CachedEdgeBytes is the subset of EdgeFetchBytes served from the
 	// hosts' local edge cache (FAM-Graph-style tiering) — no interconnect
 	// crossing.
@@ -138,7 +132,6 @@ type Run struct {
 
 	// Totals over all iterations.
 	TotalDataMovementBytes int64
-	TotalFarMemoryBytes    int64
 	TotalSyncEvents        int64
 	TotalSeconds           float64
 	TotalEnergyJoules      float64
@@ -147,13 +140,11 @@ type Run struct {
 // finalize computes totals from Records.
 func (r *Run) finalize() {
 	r.TotalDataMovementBytes = 0
-	r.TotalFarMemoryBytes = 0
 	r.TotalSyncEvents = 0
 	r.TotalSeconds = 0
 	r.TotalEnergyJoules = 0
 	for i := range r.Records {
 		r.TotalDataMovementBytes += r.Records[i].DataMovementBytes
-		r.TotalFarMemoryBytes += r.Records[i].FarMemoryBytes
 		r.TotalSyncEvents += r.Records[i].SyncEvents
 		r.TotalSeconds += r.Records[i].EstimatedSeconds
 		r.TotalEnergyJoules += r.Records[i].EnergyJoules

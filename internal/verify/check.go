@@ -239,7 +239,7 @@ func checkArchDifferential(runs []*core.Result, serial *kernels.Result, traits k
 	base := runs[0]
 	baseSizes := frontierSizes(base)
 	for _, run := range runs[1:] {
-		if err := valuesBitEqual(run.Values, base.Values); err != nil {
+		if err := ValuesBitEqual(run.Values, base.Values); err != nil {
 			return failf(OracleArchDiff, "%s vs %s: %v", run.Engine, base.Engine, err)
 		}
 		if run.Iterations != base.Iterations {
@@ -295,7 +295,7 @@ func checkDirectionDifferential(g *graph.Graph, fresh func() kernels.Kernel, sc 
 		if err != nil {
 			return err
 		}
-		if err := valuesBitEqual(got.Values, push.Values); err != nil {
+		if err := ValuesBitEqual(got.Values, push.Values); err != nil {
 			return failf(OracleDirectionDiff, "%s %s vs push: %v", sc.Kernel, dir, err)
 		}
 		if got.Iterations != push.Iterations || got.Converged != push.Converged {
@@ -354,7 +354,7 @@ func checkWorkerDifferential(g *graph.Graph, fresh func() kernels.Kernel, assign
 	if err != nil {
 		return err
 	}
-	if err := valuesBitEqual(many.Result.Values, one.Result.Values); err != nil {
+	if err := ValuesBitEqual(many.Result.Values, one.Result.Values); err != nil {
 		return failf(OracleWorkerDiff, "workers=%d vs workers=1: %v", sc.Workers, err)
 	}
 	if !reflect.DeepEqual(many.Result, one.Result) {
@@ -546,7 +546,7 @@ func checkCluster(g *graph.Graph, fresh func() kernels.Kernel, assign *partition
 
 	// The reliability protocol must make every injected fault invisible
 	// to the computation: values bit-identical, same iteration count.
-	if err := valuesBitEqual(faulted.Values, free.Values); err != nil {
+	if err := ValuesBitEqual(faulted.Values, free.Values); err != nil {
 		return failf(OracleFaults, "faulted vs fault-free: %v", err)
 	}
 	if faulted.Iterations != free.Iterations || faulted.Converged != free.Converged {
@@ -752,8 +752,9 @@ func tolFor(traits kernels.Traits) float64 {
 	return 0
 }
 
-// valuesBitEqual requires two value vectors to agree bit for bit.
-func valuesBitEqual(got, want []float64) error {
+// ValuesBitEqual requires two value vectors to have one length and agree
+// bit for bit: +0 and -0 differ, and so do NaNs with different payloads.
+func ValuesBitEqual(got, want []float64) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("length %d vs %d", len(got), len(want))
 	}

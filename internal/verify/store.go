@@ -51,7 +51,7 @@ func checkStore(g *graph.Graph, fresh func() kernels.Kernel) error {
 		if err != nil {
 			return failf(OracleStoreDiff, "out-of-core run (budget %d): %v", budget, err)
 		}
-		if err := valuesBitEqual(got.Values, want.Values); err != nil {
+		if err := ValuesBitEqual(got.Values, want.Values); err != nil {
 			return failf(OracleStoreDiff, "budget %d: values diverged from serial push reference: %v", budget, err)
 		}
 		if got.Iterations != want.Iterations || got.Converged != want.Converged {

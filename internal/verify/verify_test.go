@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -174,5 +175,30 @@ func TestScenarioStringMentionsTheDrawnPieces(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() %q does not mention %q", s, want)
 		}
+	}
+}
+
+// TestValuesBitEqualComparesBits holds the bit-identity oracles, and
+// ndprun -store-verify, to their claim: signed zeros and NaN payloads
+// count, and so does a length mismatch.
+func TestValuesBitEqualComparesBits(t *testing.T) {
+	nan, other := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	for _, tc := range []struct {
+		name      string
+		got, want []float64
+		ok        bool
+	}{
+		{"equal", []float64{1, 2.5, math.Inf(1)}, []float64{1, 2.5, math.Inf(1)}, true},
+		{"signed zeros", []float64{0}, []float64{math.Copysign(0, -1)}, false},
+		{"same NaN bits", []float64{nan}, []float64{nan}, true},
+		{"different NaN payloads", []float64{nan}, []float64{other}, false},
+		{"length mismatch", []float64{1, 2}, []float64{1}, false},
+		{"empty", nil, []float64{}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := ValuesBitEqual(tc.got, tc.want); (err == nil) != tc.ok {
+				t.Fatalf("ValuesBitEqual(%v, %v) = %v, want ok = %v", tc.got, tc.want, err, tc.ok)
+			}
+		})
 	}
 }

@@ -11,7 +11,8 @@
 #   benchmarks  every benchmark in the module, once (-benchtime 1x)
 #   processes   ndpverify sweep, REPORT.md regenerated byte for byte,
 #               ndpserve round-trip, ndpverify -served,
-#               out-of-core stream -> container -> verified BFS
+#               out-of-core stream -> container -> verified BFS, SSSP
+#               and PageRank
 #   -count      cluster faults, parallel simulator, store lifecycle (each
 #               -count=2), served plan sharing across seeds (-count=10),
 #               ndpserve shutdown with a parked waiter (-count=20), all
@@ -164,19 +165,23 @@ step go run ./cmd/ndpverify -seed 1 -scenarios 8 -served
 
 # Out-of-core round-trip: stream a com-livejournal stand-in straight to
 # a gcsr2 container (the spill path — no full in-RAM graph ever built),
-# then run BFS from the container under a deliberately tight local-memory
-# budget — core.StoreEngine, i.e. the kernel engine with the store as its
-# adjacency source — and verify the result bit-identical to the serial
-# engine over the materialized in-RAM graph. This is the end-to-end proof
-# behind the store's scale story.
+# then run BFS, SSSP and PageRank from the container under a deliberately
+# tight local-memory budget — core.StoreEngine, i.e. the kernel engine
+# with the store as its adjacency source — and verify each result
+# bit-identical to the serial engine over the materialized in-RAM graph.
+# BFS pins edge ids alone, SSSP also pins the weight column (upgrading
+# frames in place), and PageRank is a float-sum kernel. This is the
+# end-to-end proof behind the store's scale story.
 echo
 echo "==> out-of-core store round-trip"
 STORE_DIR="$(mktemp -d)"
 trap 'rm -rf "$STORE_DIR"' EXIT
 go run ./cmd/graphgen -dataset com-livejournal -scale 1 -stream \
     -spill-edges 65536 -segment-bytes 16384 -out "$STORE_DIR/lj.gcsr2"
-go run ./cmd/ndprun -store "$STORE_DIR/lj.gcsr2" -store-mem 65536 \
-    -store-verify -kernel bfs
+for kernel in bfs sssp pagerank; do
+    go run ./cmd/ndprun -store "$STORE_DIR/lj.gcsr2" -store-mem 65536 \
+        -store-verify -kernel "$kernel"
+done
 rm -rf "$STORE_DIR"
 trap - EXIT
 
