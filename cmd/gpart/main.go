@@ -5,7 +5,7 @@
 // Usage:
 //
 //	gpart -in graph.gcsr -k 16 -method multilevel
-//	gpart -in graph.txt -k 8 -method all
+//	gpart -in graph.gcsr2 -k 8 -method all
 package main
 
 import (
@@ -14,18 +14,16 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/gio"
-	"repro/internal/graph"
+	"repro/internal/cliconf"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 )
 
 func main() {
-	in := flag.String("in", "", "input graph (.gcsr binary or edge-list text)")
+	in := flag.String("in", "", "input graph (.gcsr2 container, .gcsr binary or edge-list text)")
 	k := flag.Int("k", 8, "number of partitions")
-	method := flag.String("method", "multilevel", "hash | range | chunk | ldg | multilevel | all")
+	method := flag.String("method", "multilevel", strings.Join(append(partition.Names(), "all"), " | "))
 	seed := flag.Uint64("seed", 1, "multilevel seed")
-	vertexCut := flag.Bool("vertexcut", false, "also report PowerGraph-style vertex-cut quality")
 	flag.Parse()
 
 	if *in == "" {
@@ -33,7 +31,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	g, err := load(*in)
+	g, err := cliconf.LoadGraph("", *in, 0, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -41,7 +39,7 @@ func main() {
 
 	methods := []string{*method}
 	if *method == "all" {
-		methods = []string{"hash", "range", "chunk", "ldg", "multilevel"}
+		methods = partition.Names()
 	}
 	var ps []partition.Partitioner
 	for _, m := range methods {
@@ -65,28 +63,6 @@ func main() {
 	if err := t.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
-	if *vertexCut {
-		vt := metrics.NewTable(fmt.Sprintf("vertex-cut (PowerGraph-style) quality, k=%d", *k),
-			"Method", "Replication", "Replicas", "E imbalance")
-		for _, c := range []partition.VertexCutter{partition.RandomVertexCut{}, partition.GreedyVertexCut{}} {
-			a, err := c.Cut(g, *k)
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", c.Name(), err))
-			}
-			q := partition.EvaluateVertexCut(g, a)
-			vt.AddRow(c.Name(), q.ReplicationFactor, q.Replicas, q.EdgeImbalance)
-		}
-		if err := vt.Render(os.Stdout); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func load(path string) (*graph.Graph, error) {
-	if strings.HasSuffix(path, ".gcsr") || strings.HasSuffix(path, ".bin") {
-		return gio.LoadBinaryFile(path)
-	}
-	return gio.LoadEdgeListFile(path)
 }
 
 func fatal(err error) {

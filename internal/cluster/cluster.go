@@ -155,17 +155,6 @@ const (
 	CounterWritebackRecvBytes = "cluster.link.writeback.recv_bytes"
 )
 
-// Counter returns the value of a named counter from the run's metrics
-// snapshot (0 if absent).
-func (o *Outcome) Counter(name string) int64 {
-	for _, c := range o.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
 // message types exchanged on the links.
 
 // updateBatch carries partial updates from one partition (via the

@@ -201,9 +201,6 @@ func New(arch Arch, opts ...Option) (*System, error) {
 	return s, nil
 }
 
-// Arch returns the configured architecture.
-func (s *System) Arch() Arch { return s.arch }
-
 // Topology returns the configured topology.
 func (s *System) Topology() sim.Topology { return s.topo }
 

@@ -29,8 +29,8 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Arch() != DisaggregatedNDP {
-		t.Errorf("arch = %v", s.Arch())
+	if s.arch != DisaggregatedNDP {
+		t.Errorf("arch = %v", s.arch)
 	}
 	topo := s.Topology()
 	if topo.ComputeNodes != 2 || topo.MemoryNodes != 8 {
@@ -65,6 +65,17 @@ func TestRunAllArchitectures(t *testing.T) {
 		}
 		if run.TotalDataMovementBytes <= 0 {
 			t.Errorf("%s: no movement recorded", arch)
+		}
+		series := run.MovementSeries()
+		if len(series) != len(run.Records) {
+			t.Errorf("%s: series length %d != records %d", arch, len(series), len(run.Records))
+		}
+		var sum int64
+		for _, b := range series {
+			sum += b
+		}
+		if sum != run.TotalDataMovementBytes {
+			t.Errorf("%s: series sum %d != total %d", arch, sum, run.TotalDataMovementBytes)
 		}
 		for i := range run.Values {
 			if d := math.Abs(run.Values[i] - ref.Values[i]); d > 1e-12 {

@@ -68,28 +68,27 @@ type Artifact struct {
 
 // runner builds one artifact.
 type runner struct {
-	id    string
-	title string
-	fn    func(Config) (*Artifact, error)
+	id string
+	fn func(Config) (*Artifact, error)
 }
 
 func registry() []runner {
 	return []runner{
-		{"table1", "Table I: NDP hardware characteristics", Table1},
-		{"table2", "Table II: architecture comparison", Table2},
-		{"fig4", "Figure 4: compute vs memory requirements", Fig4},
-		{"fig5", "Figure 5: impact of offloading traversals", Fig5},
-		{"fig6", "Figure 6: partitioning and in-network aggregation", Fig6},
-		{"fig7a", "Figure 7a: per-iteration movement (CC, twitter7, 32 parts)", Fig7a},
-		{"fig7b", "Figure 7b: per-iteration movement (BFS, LiveJournal, 16 parts)", Fig7b},
-		{"fig7c", "Figure 7c: per-iteration movement (PR, uk-2005, 80 parts)", Fig7c},
-		{"dyn", "Section IV-D: dynamic offload policies", Dynamic},
-		{"mixed", "Ablation: global vs per-partition offload", Mixed},
-		{"energy", "Ablation: modeled energy per architecture", Energy},
-		{"cache", "Ablation: host edge cache vs NDP offload", Cache},
-		{"hetero", "Ablation: device heterogeneity vs offload", Hetero},
-		{"straggler", "Ablation: partition balance vs NDP time", Straggler},
-		{"tree", "Ablation: hierarchical in-network aggregation", Tree},
+		{"table1", Table1},
+		{"table2", Table2},
+		{"fig4", Fig4},
+		{"fig5", Fig5},
+		{"fig6", Fig6},
+		{"fig7a", Fig7a},
+		{"fig7b", Fig7b},
+		{"fig7c", Fig7c},
+		{"dyn", Dynamic},
+		{"mixed", Mixed},
+		{"energy", Energy},
+		{"cache", Cache},
+		{"hetero", Hetero},
+		{"straggler", Straggler},
+		{"tree", Tree},
 	}
 }
 

@@ -64,6 +64,11 @@ func TestTable1(t *testing.T) {
 			t.Errorf("Table I missing %s", dev)
 		}
 	}
+	for _, cls := range []string{"PNM", "PIM", "INC"} {
+		if !strings.Contains(out, cls) {
+			t.Errorf("Table I missing class %s", cls)
+		}
+	}
 }
 
 func TestTable2ReproducesArchitectureComparison(t *testing.T) {

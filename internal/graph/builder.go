@@ -49,9 +49,6 @@ func (b *Builder) AddUndirected(u, v VertexID, weight float32) {
 	b.AddEdge(v, u, weight)
 }
 
-// NumPendingEdges returns the number of edges added so far (pre-dedup).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build constructs an unweighted CSR graph.
 func (b *Builder) Build() (*Graph, error) { return b.build(false) }
 

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -189,13 +188,6 @@ func (g *Graph) Edges() []VertexID { return g.edges }
 // Weights returns the CSR weight array, nil if unweighted. Read-only.
 func (g *Graph) Weights() []float32 { return g.weights }
 
-// HasEdge reports whether the directed edge (u,v) exists, in O(log deg(u)).
-func (g *Graph) HasEdge(u, v VertexID) bool {
-	nb := g.Neighbors(u)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-	return i < len(nb) && nb[i] == v
-}
-
 // ForEachEdge invokes fn for every directed edge. Iteration is in CSR order
 // (by source, then destination). fn returning false stops early.
 func (g *Graph) ForEachEdge(fn func(src, dst VertexID, w float32) bool) {
@@ -357,7 +349,8 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []VertexID, error) {
 // (u,v) both (u,v) and (v,u) exist in the result, deduplicated. Weights are
 // carried along; where (u,v) and (v,u) carry different weights, the one
 // kept is the Builder's choice, the duplicate its sort puts first.
-// Weakly-connected component kernels run on this view.
+// Connected-components label propagation computes weakly-connected
+// components only on a view like this one.
 func (g *Graph) Symmetrize() (*Graph, error) {
 	b := NewBuilder(g.NumVertices())
 	g.ForEachEdge(func(s, d VertexID, w float32) bool {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -79,7 +80,7 @@ func TestBuilderDedup(t *testing.T) {
 	if w := g.NeighborWeights(0); w[0] != 7 {
 		t.Errorf("weight of (0,1) = %v, want 7 (first occurrence)", w[0])
 	}
-	if !g.HasEdge(2, 2) {
+	if !slices.Contains(g.Neighbors(2), 2) {
 		t.Error("self loop (2,2) missing")
 	}
 }
@@ -92,7 +93,7 @@ func TestBuilderDropSelfLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 1 || g.HasEdge(0, 0) {
+	if g.NumEdges() != 1 || slices.Contains(g.Neighbors(0), 0) {
 		t.Errorf("self loop not dropped: E=%d", g.NumEdges())
 	}
 }
@@ -129,7 +130,7 @@ func TestTransposeSmall(t *testing.T) {
 		t.Fatalf("transpose invalid: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if !tr.HasEdge(VertexID(i+1), VertexID(i)) {
+		if !slices.Contains(tr.Neighbors(VertexID(i+1)), VertexID(i)) {
 			t.Errorf("transpose missing edge (%d,%d)", i+1, i)
 		}
 	}
@@ -271,7 +272,7 @@ func TestTransposePreservesEdgesProperty(t *testing.T) {
 		tr := g.Transpose()
 		ok := true
 		g.ForEachEdge(func(s, d VertexID, w float32) bool {
-			if !tr.HasEdge(d, s) {
+			if !slices.Contains(tr.Neighbors(d), s) {
 				ok = false
 				return false
 			}
@@ -359,16 +360,6 @@ func TestMaxOutDegree(t *testing.T) {
 	v, d := g.MaxOutDegree()
 	if v != 1 || d != 3 {
 		t.Errorf("MaxOutDegree = (%d,%d), want (1,3)", v, d)
-	}
-}
-
-func TestHasEdge(t *testing.T) {
-	g := chain(t, 5)
-	if !g.HasEdge(2, 3) {
-		t.Error("HasEdge(2,3) = false, want true")
-	}
-	if g.HasEdge(3, 2) {
-		t.Error("HasEdge(3,2) = true, want false")
 	}
 }
 
@@ -467,7 +458,7 @@ func TestSymmetrize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range [][2]VertexID{{0, 1}, {1, 0}, {2, 1}, {1, 2}} {
-		if !und.HasEdge(e[0], e[1]) {
+		if !slices.Contains(und.Neighbors(e[0]), e[1]) {
 			t.Errorf("symmetrized graph missing (%d,%d)", e[0], e[1])
 		}
 	}
@@ -495,7 +486,7 @@ func TestSymmetrizeIdempotentProperty(t *testing.T) {
 		}
 		ok := true
 		s1.ForEachEdge(func(u, v VertexID, w float32) bool {
-			if !s2.HasEdge(u, v) {
+			if !slices.Contains(s2.Neighbors(u), v) {
 				ok = false
 				return false
 			}

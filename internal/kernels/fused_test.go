@@ -367,7 +367,7 @@ func FuzzFusedTraversal(f *testing.F) {
 		name := Names()[int(data[1])%len(Names())]
 		weighted := data[2]&1 == 1
 		b := graph.NewBuilder(n)
-		for rest := data[3:]; len(rest) >= 6 && b.NumPendingEdges() < 96; rest = rest[6:] {
+		for rest, added := data[3:], 0; len(rest) >= 6 && added < 96; rest, added = rest[6:], added+1 {
 			w := math.Float32frombits(binary.LittleEndian.Uint32(rest[2:]))
 			b.AddEdge(graph.VertexID(int(rest[0])%n), graph.VertexID(int(rest[1])%n), w)
 		}

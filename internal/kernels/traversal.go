@@ -6,12 +6,13 @@ import (
 	"repro/internal/graph"
 )
 
-// ConnectedComponents computes weakly-connected component labels by
-// min-label propagation: every vertex starts with its own id as label and
-// repeatedly adopts the minimum label among its in-neighbors. On digraphs
-// the engine is expected to run the kernel over the symmetrized edge view
-// or accept directed label flow; the paper's CC (Figure 7a) follows the
-// same frontier-shrinking pattern either way.
+// ConnectedComponents propagates minimum labels: every vertex starts with
+// its own id as label and repeatedly adopts the minimum label among its
+// in-neighbors. Labels flow along edge directions, so on a directed graph
+// v ends labelled with the minimum id among the vertices that reach v
+// (itself included). That is the weakly-connected component labelling
+// only on a symmetric graph (see graph.Symmetrize); the paper's CC
+// (Figure 7a) follows the same frontier-shrinking pattern either way.
 type ConnectedComponents struct{}
 
 // NewConnectedComponents returns the CC kernel.

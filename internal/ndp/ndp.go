@@ -254,19 +254,3 @@ func DefaultMemoryDevice() Device {
 func DefaultSwitchDevice() Device {
 	return deviceSHARP()
 }
-
-// Table renders the catalog in the layout of the paper's Table I.
-func Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s | %-9s | %-12s | %-9s | %-9s | %s\n", "Class", "Device", "Int.BW GB/s", "FP", "IntMulDiv", "Target Functionality")
-	b.WriteString(strings.Repeat("-", 110) + "\n")
-	for _, d := range Catalog() {
-		bw := "-"
-		if d.InternalBandwidthGBps > 0 {
-			bw = fmt.Sprintf("%.0f", d.InternalBandwidthGBps)
-		}
-		fmt.Fprintf(&b, "%-6s | %-9s | %-12s | %-9s | %-9s | %s\n",
-			d.Class, d.Name, bw, d.FP, d.IntMulDiv, d.Target)
-	}
-	return b.String()
-}

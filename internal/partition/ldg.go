@@ -13,26 +13,22 @@ import (
 // global view — the standard choice when graphs are too large to
 // partition offline, and a realistic middle ground between hash and the
 // multilevel partitioner for the Figure 6 trade-off.
-type LDG struct {
-	// Slack is the per-part capacity multiplier over the perfect n/k
-	// balance (default 1.1).
-	Slack float64
-}
+type LDG struct{}
+
+// ldgSlack is the per-part capacity multiplier over the perfect n/k
+// balance: 1.1.
+const ldgSlack = 1.1
 
 // Name implements Partitioner.
 func (LDG) Name() string { return "ldg" }
 
 // Partition implements Partitioner.
-func (l LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
+func (LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if err := checkK(g, k); err != nil {
 		return nil, err
 	}
 	n := g.NumVertices()
-	slack := l.Slack
-	if slack <= 0 {
-		slack = 1.1
-	}
-	capacity := int64(math.Ceil(slack * float64(n) / float64(k)))
+	capacity := int64(math.Ceil(ldgSlack * float64(n) / float64(k)))
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -69,12 +70,13 @@ func TestLDGRespectsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := LDG{Slack: 1.05}.Partition(g, 4)
+	a, err := LDG{}.Partition(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	capacity := math.Ceil(1.1 * float64(g.NumVertices()) / 4)
 	for i, s := range a.Sizes() {
-		if float64(s) > 1.06*float64(g.NumVertices())/4 {
+		if float64(s) > capacity {
 			t.Errorf("part %d size %d exceeds capacity", i, s)
 		}
 	}

@@ -30,12 +30,15 @@ type Multilevel struct {
 	// little initial-partition time but measurably lowers cuts (heavy-edge
 	// matching destroys less community structure per level).
 	CoarsenTo int
-	// RefinePasses bounds boundary-refinement sweeps per level. Default 8.
-	RefinePasses int
-	// BalanceTol is the allowed max-part/mean-part vertex-weight ratio
-	// during refinement. Default 1.10.
-	BalanceTol float64
 }
+
+const (
+	// refinePasses bounds boundary-refinement sweeps per level: 8.
+	refinePasses = 8
+	// balanceTol is the allowed max-part/mean-part vertex-weight ratio
+	// during refinement: 1.10.
+	balanceTol = 1.10
+)
 
 // Name implements Partitioner.
 func (m Multilevel) Name() string { return "multilevel" }
@@ -43,12 +46,6 @@ func (m Multilevel) Name() string { return "multilevel" }
 func (m Multilevel) withDefaults() Multilevel {
 	if m.CoarsenTo == 0 {
 		m.CoarsenTo = 4096
-	}
-	if m.RefinePasses == 0 {
-		m.RefinePasses = 8
-	}
-	if m.BalanceTol == 0 {
-		m.BalanceTol = 1.10
 	}
 	return m
 }
@@ -107,8 +104,8 @@ func (m Multilevel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	bestCut := int64(-1)
 	for attempt := uint64(0); attempt < 4; attempt++ {
 		cand := initialPartition(coarsest, k, m.Seed+attempt*0x9e3779b9)
-		rebalance(coarsest, cand, k, m.BalanceTol)
-		refine(coarsest, cand, k, m.RefinePasses, m.BalanceTol)
+		rebalance(coarsest, cand, k, balanceTol)
+		refine(coarsest, cand, k, refinePasses, balanceTol)
 		if cut := levelCut(coarsest, cand); bestCut < 0 || cut < bestCut {
 			bestCut, parts = cut, cand
 		}
@@ -121,8 +118,8 @@ func (m Multilevel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 			fineParts[v] = parts[fine.cmap[v]]
 		}
 		parts = fineParts
-		rebalance(fine, parts, k, m.BalanceTol)
-		refine(fine, parts, k, m.RefinePasses, m.BalanceTol)
+		rebalance(fine, parts, k, balanceTol)
+		refine(fine, parts, k, refinePasses, balanceTol)
 	}
 
 	a := &Assignment{Parts: parts, K: k}

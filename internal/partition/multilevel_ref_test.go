@@ -60,8 +60,8 @@ func refPartition(m Multilevel, g *graph.Graph, k int) (*Assignment, error) {
 	bestCut := int64(-1)
 	for attempt := uint64(0); attempt < 4; attempt++ {
 		cand := refInitialPartition(coarsest, k, m.Seed+attempt*0x9e3779b9)
-		refRebalance(coarsest, cand, k, m.BalanceTol)
-		refRefine(coarsest, cand, k, m.RefinePasses, m.BalanceTol)
+		refRebalance(coarsest, cand, k, balanceTol)
+		refRefine(coarsest, cand, k, refinePasses, balanceTol)
 		if cut := levelCut(coarsest, cand); bestCut < 0 || cut < bestCut {
 			bestCut, parts = cut, cand
 		}
@@ -74,8 +74,8 @@ func refPartition(m Multilevel, g *graph.Graph, k int) (*Assignment, error) {
 			fineParts[v] = parts[fine.cmap[v]]
 		}
 		parts = fineParts
-		refRebalance(fine, parts, k, m.BalanceTol)
-		refRefine(fine, parts, k, m.RefinePasses, m.BalanceTol)
+		refRebalance(fine, parts, k, balanceTol)
+		refRefine(fine, parts, k, refinePasses, balanceTol)
 	}
 
 	a := &Assignment{Parts: parts, K: k}

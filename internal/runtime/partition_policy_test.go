@@ -44,17 +44,15 @@ func TestMixedOracleMatchesRecordLowerBound(t *testing.T) {
 	}
 	run := runWithPolicy(t, g, k, 8, MixedOracle{}, false)
 	for _, rec := range run.Records {
-		if rec.DataMovementBytes != rec.MixedOracleBytes {
-			t.Errorf("it%d: moved %d, per-partition lower bound %d",
-				rec.Iteration, rec.DataMovementBytes, rec.MixedOracleBytes)
-		}
-		// The bound decomposes over partitions.
-		var sum int64
+		// The bound decomposes over partitions: each moves its cheaper
+		// mechanism.
+		var bound int64
 		for _, p := range rec.PerPartition {
-			sum += p.MinCost()
+			bound += min(p.OffloadCost(), p.EdgeBytes)
 		}
-		if sum != rec.MixedOracleBytes {
-			t.Errorf("it%d: partition mins sum %d != bound %d", rec.Iteration, sum, rec.MixedOracleBytes)
+		if rec.DataMovementBytes != bound {
+			t.Errorf("it%d: moved %d, per-partition lower bound %d",
+				rec.Iteration, rec.DataMovementBytes, bound)
 		}
 	}
 }

@@ -106,33 +106,28 @@ func (Oracle) Decide(sim.PreStats) bool { return true }
 func (Oracle) PostHoc() {}
 
 // ThresholdPolicy offloads when the frontier's average out-degree exceeds
-// Threshold — the simplest degree heuristic the paper suggests. With
+// thresholdPerPartition × Partitions — the simplest degree heuristic the
+// paper suggests.
+type ThresholdPolicy struct{}
+
+// thresholdPerPartition scales the degree threshold with the pool: with
 // 16-byte updates and 8-byte edges, degrees below ~2·Partitions rarely
-// amortize the update traffic, so Threshold defaults to twice the
-// partition count when zero.
-type ThresholdPolicy struct {
-	Threshold float64
-}
+// amortize the update traffic.
+const thresholdPerPartition = 2
 
 // Name implements sim.OffloadPolicy.
 func (ThresholdPolicy) Name() string { return "degree-threshold" }
 
 // Decide implements sim.OffloadPolicy.
-func (t ThresholdPolicy) Decide(s sim.PreStats) bool {
-	if s.FrontierSize == 0 {
+func (ThresholdPolicy) Decide(s sim.PreStats) bool {
+	if s.FrontierSize == 0 || s.Partitions <= 0 {
+		// An empty frontier has nothing to offload; a degenerate topology
+		// has no memory pool to offload to, and the threshold would
+		// collapse to 0 ("always offload").
 		return false
 	}
-	th := t.Threshold
-	if th <= 0 {
-		if s.Partitions <= 0 {
-			// Degenerate topology: no memory pool to offload to, and the
-			// derived threshold would collapse to 0 ("always offload").
-			return false
-		}
-		th = 2 * float64(s.Partitions)
-	}
 	avgDeg := float64(s.FrontierDegreeSum) / float64(s.FrontierSize)
-	return avgDeg > th
+	return avgDeg > thresholdPerPartition*float64(s.Partitions)
 }
 
 // Interface conformance checks.

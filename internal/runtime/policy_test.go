@@ -223,27 +223,15 @@ func TestHeuristicZeroInputs(t *testing.T) {
 }
 
 func TestThresholdPolicy(t *testing.T) {
-	p := ThresholdPolicy{Threshold: 10}
-	high := sim.PreStats{FrontierSize: 10, FrontierDegreeSum: 500, Partitions: 4}
-	low := sim.PreStats{FrontierSize: 10, FrontierDegreeSum: 50, Partitions: 4}
-	if !p.Decide(high) {
-		t.Error("rejected high-degree frontier")
-	}
-	if p.Decide(low) {
-		t.Error("accepted low-degree frontier")
-	}
-	if p.Decide(sim.PreStats{}) {
-		t.Error("accepted empty frontier")
-	}
-	// Default threshold scales with partition count.
+	// The threshold scales with partition count.
 	d := ThresholdPolicy{}
 	s := sim.PreStats{FrontierSize: 10, FrontierDegreeSum: 100, Partitions: 4} // avg 10 > 8
 	if !d.Decide(s) {
-		t.Error("default threshold rejected avg degree 10 with 4 partitions")
+		t.Error("threshold rejected avg degree 10 with 4 partitions")
 	}
 	s.Partitions = 16 // threshold 32 > 10
 	if d.Decide(s) {
-		t.Error("default threshold accepted avg degree 10 with 16 partitions")
+		t.Error("threshold accepted avg degree 10 with 16 partitions")
 	}
 }
 
@@ -280,7 +268,6 @@ func TestPoliciesOnDegenerateStats(t *testing.T) {
 		{"heuristic aggregating empty frontier", Heuristic{}, aggregating(empty), false},
 		{"threshold empty frontier", ThresholdPolicy{}, empty, false},
 		{"threshold zero partitions", ThresholdPolicy{}, noPool, false},
-		{"threshold explicit beats zero partitions", ThresholdPolicy{Threshold: 3}, noPool, true},
 		{"partition-heuristic empty frontier", PartitionHeuristic{}, empty, false},
 		{"partition-heuristic zero partitions", PartitionHeuristic{}, noPool, false},
 	}

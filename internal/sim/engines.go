@@ -90,22 +90,7 @@ func (d *Disaggregated) Run(ctx context.Context, g *graph.Graph, k kernels.Kerne
 		return nil, err
 	}
 	tr := k.Traits()
-	account := func(rec *Record) {
-		rec.Offloaded = false
-		moved := rec.EdgeFetchBytes - rec.CachedEdgeBytes
-		rec.DataMovementBytes = moved
-		rec.SyncEvents = int64(d.Topo.ComputeNodes)
-		edgeOps := float64(rec.ActiveEdges) * tr.FLOPsPerEdge
-		applyOps := float64(rec.Applies) * tr.FLOPsPerApply
-		rec.EstimatedSeconds = d.Topo.linkTime(moved/int64(d.Topo.ComputeNodes)) +
-			d.Topo.hostTraverseTime(rec.EdgeFetchBytes) +
-			d.Topo.hostComputeTime(edgeOps+applyOps) +
-			d.Topo.NetworkLatency.Seconds()
-		// Cached edges skip the pool read and the interconnect, but the
-		// host still streams and processes them.
-		rec.EnergyJoules = d.Topo.hostExecutionEnergy(moved, edgeOps+applyOps) +
-			pico(float64(rec.CachedEdgeBytes)*d.Topo.HostDRAMPJPerByte)
-	}
+	account := func(rec *Record) { d.Topo.hostFetch(rec, tr) }
 	ex, err := newExecution(g, k, d.Assign, account, NeverOffload{})
 	if err != nil {
 		return nil, err
@@ -119,6 +104,24 @@ func (d *Disaggregated) Run(ctx context.Context, g *graph.Graph, k kernels.Kerne
 	}
 	run.OffloadSupported = true
 	return run, nil
+}
+
+// hostFetch prices an iteration in which the hosts fetch the frontier's
+// edge lists over the interconnect and run all three phases locally.
+// Edges served from the hosts' edge cache skip the pool read and the
+// interconnect, but the hosts still stream and process them.
+func (t Topology) hostFetch(rec *Record, tr kernels.Traits) {
+	moved := rec.EdgeFetchBytes - rec.CachedEdgeBytes
+	edgeOps := float64(rec.ActiveEdges) * tr.FLOPsPerEdge
+	applyOps := float64(rec.Applies) * tr.FLOPsPerApply
+	rec.DataMovementBytes = moved
+	rec.SyncEvents = int64(t.ComputeNodes)
+	rec.EstimatedSeconds = t.linkTime(moved/int64(t.ComputeNodes)) +
+		t.hostTraverseTime(rec.EdgeFetchBytes) +
+		t.hostComputeTime(edgeOps+applyOps) +
+		t.NetworkLatency.Seconds()
+	rec.EnergyJoules = t.hostExecutionEnergy(moved, edgeOps+applyOps) +
+		pico(float64(rec.CachedEdgeBytes)*t.HostDRAMPJPerByte)
 }
 
 // sortByDegreeDesc sorts vertex ids by out-degree descending, breaking
@@ -187,7 +190,7 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 			firstReason = pd.Reason
 		}
 	}
-	dec := ndp.OffloadDecision{OK: supportedCount == P, Penalty: maxPenalty, Reason: firstReason}
+	dec := ndp.OffloadDecision{OK: supportedCount == P, Reason: firstReason}
 	heterogeneous := supportedCount > 0 && supportedCount < P
 
 	aggregates := d.InNetworkAggregation && d.Topo.SwitchDevice.CanAggregate(tr.Agg)
@@ -218,9 +221,14 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 			rec.Offloaded = any
 		}
 		rec.AggregatedMoveBytes = AggregatedUpdateBytes(rec.PartialUpdates, rec.DistinctDsts, d.Topo.SwitchBufferEntries)
+		if !rec.Offloaded {
+			// No memory node offloaded: the passive disaggregated pattern.
+			d.Topo.hostFetch(rec, tr)
+			return
+		}
 		applyOps := float64(rec.Applies) * tr.FLOPsPerApply
 		edgeOps := float64(rec.ActiveEdges) * tr.FLOPsPerEdge
-		if perPartition && supportedCount > 0 {
+		if perPartition {
 			// Mixed mode: each memory node follows its own decision.
 			// In-network aggregation is not modeled here — only the
 			// offloaded nodes emit updates, and the switch sees a partial
@@ -235,49 +243,27 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 					fetchMoved += p.EdgeBytes
 				}
 			}
+			// A frontier of out-degree-0 vertices can offload with no
+			// edges at all; the guard keeps frac from being 0/0.
 			frac := 0.0
 			if rec.EdgeFetchBytes > 0 {
 				frac = float64(offloadedEdges) / float64(rec.EdgeFetchBytes)
 			}
 			rec.EnergyJoules = d.Topo.ndpExecutionEnergy(offloadedEdges, offloadMoved, edgeOps*frac, maxPenalty, 0, 0) +
 				d.Topo.hostExecutionEnergy(fetchMoved, edgeOps*(1-frac)+applyOps)
-			if rec.Offloaded {
-				rec.SyncEvents = int64(d.Topo.ComputeNodes + d.Topo.MemoryNodes)
-				rec.EstimatedSeconds = d.Topo.memTraverseTime(rec.maxPartBytes, rec.maxPartOps, maxPenalty) +
-					d.Topo.linkTime(rec.DataMovementBytes/int64(d.Topo.ComputeNodes)) +
-					d.Topo.hostComputeTime(applyOps) +
-					d.Topo.NetworkLatency.Seconds()
-			} else {
-				rec.SyncEvents = int64(d.Topo.ComputeNodes)
-				rec.EstimatedSeconds = d.Topo.linkTime(rec.DataMovementBytes/int64(d.Topo.ComputeNodes)) +
-					d.Topo.hostTraverseTime(rec.DataMovementBytes) +
-					d.Topo.hostComputeTime(edgeOps+applyOps) +
-					d.Topo.NetworkLatency.Seconds()
-			}
-			return
-		}
-		if rec.Offloaded {
+		} else {
 			switchOps := 0.0
 			if aggregates {
 				switchOps = float64(rec.PartialUpdates)
 			}
 			rec.DataMovementBytes = ex.offloadMoveBytes(rec)
-			rec.SyncEvents = int64(d.Topo.ComputeNodes + d.Topo.MemoryNodes)
-			rec.EstimatedSeconds = d.Topo.memTraverseTime(rec.maxPartBytes, rec.maxPartOps, dec.Penalty) +
-				d.Topo.linkTime(rec.DataMovementBytes/int64(d.Topo.ComputeNodes)) +
-				d.Topo.hostComputeTime(applyOps) +
-				d.Topo.NetworkLatency.Seconds()
-			rec.EnergyJoules = d.Topo.ndpExecutionEnergy(rec.EdgeFetchBytes, rec.DataMovementBytes, edgeOps, dec.Penalty, applyOps, switchOps)
-			return
+			rec.EnergyJoules = d.Topo.ndpExecutionEnergy(rec.EdgeFetchBytes, rec.DataMovementBytes, edgeOps, maxPenalty, applyOps, switchOps)
 		}
-		// Fallback: behave like the passive disaggregated architecture.
-		rec.DataMovementBytes = rec.EdgeFetchBytes
-		rec.SyncEvents = int64(d.Topo.ComputeNodes)
-		rec.EstimatedSeconds = d.Topo.linkTime(rec.EdgeFetchBytes/int64(d.Topo.ComputeNodes)) +
-			d.Topo.hostTraverseTime(rec.EdgeFetchBytes) +
-			d.Topo.hostComputeTime(edgeOps+applyOps) +
+		rec.SyncEvents = int64(d.Topo.ComputeNodes + d.Topo.MemoryNodes)
+		rec.EstimatedSeconds = d.Topo.memTraverseTime(rec.maxPartBytes, rec.maxPartOps, maxPenalty) +
+			d.Topo.linkTime(rec.DataMovementBytes/int64(d.Topo.ComputeNodes)) +
+			d.Topo.hostComputeTime(applyOps) +
 			d.Topo.NetworkLatency.Seconds()
-		rec.EnergyJoules = d.Topo.hostExecutionEnergy(rec.EdgeFetchBytes, edgeOps+applyOps)
 	}
 	ex, err := newExecution(g, k, d.Assign, account, policy)
 	if err != nil {

@@ -349,10 +349,6 @@ func (e *execution) finishRecord(rec *Record, applies int64, partMask []bool, ne
 	next.ForEach(func(v graph.VertexID) {
 		rec.PerPartition[e.assign.Parts[v]].Activated++
 	})
-	rec.MixedOracleBytes = 0
-	for p := 0; p < P; p++ {
-		rec.MixedOracleBytes += rec.PerPartition[p].MinCost()
-	}
 
 	switch e.policy.(type) {
 	case PartitionPostHocPolicy:

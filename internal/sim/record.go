@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/kernels"
-)
+import "repro/internal/kernels"
 
 // Record captures one iteration's measured quantities. The raw counters
 // (frontier, edges, partial updates) are architecture-independent; the
@@ -63,10 +58,6 @@ type Record struct {
 	// populated by engines that make (or evaluate) per-partition offload
 	// decisions — the paper's "which operations to offload, and where".
 	PerPartition []PartitionRecord
-	// MixedOracleBytes is the per-partition lower bound: every memory
-	// node independently picks the cheaper of shipping its edges or its
-	// partial updates (plus its share of the property write-back).
-	MixedOracleBytes int64
 	// Offloaded reports whether this iteration ran the traversal on the
 	// memory-node NDP units (decided by the engine's offload policy).
 	Offloaded bool
@@ -109,14 +100,6 @@ func (p PartitionRecord) OffloadCost() int64 {
 	return p.PartialUpdates*kernels.UpdateBytes + p.Activated*kernels.PropertyBytes
 }
 
-// MinCost is the cheaper of this partition's two mechanisms.
-func (p PartitionRecord) MinCost() int64 {
-	if c := p.OffloadCost(); c < p.EdgeBytes {
-		return c
-	}
-	return p.EdgeBytes
-}
-
 // Run is the complete output of one engine execution.
 type Run struct {
 	Engine  string
@@ -149,22 +132,4 @@ func (r *Run) finalize() {
 		r.TotalSeconds += r.Records[i].EstimatedSeconds
 		r.TotalEnergyJoules += r.Records[i].EnergyJoules
 	}
-}
-
-// MovementSeries returns per-iteration DataMovementBytes — the series
-// Figure 7 plots.
-func (r *Run) MovementSeries() []int64 {
-	out := make([]int64, len(r.Records))
-	for i := range r.Records {
-		out[i] = r.Records[i].DataMovementBytes
-	}
-	return out
-}
-
-// String summarizes the run.
-func (r *Run) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s: %d iterations, moved %d bytes, %d sync events, est %.3f ms",
-		r.Engine, r.Kernel, len(r.Records), r.TotalDataMovementBytes, r.TotalSyncEvents, r.TotalSeconds*1e3)
-	return b.String()
 }

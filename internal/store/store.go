@@ -208,11 +208,6 @@ func (s *Store) NonNegativeWeights() bool { return s.nonNeg }
 // NumSegments returns the segment count.
 func (s *Store) NumSegments() int { return len(s.segs) }
 
-// OutDegree returns vertex v's out-degree from the resident offsets.
-func (s *Store) OutDegree(v graph.VertexID) int64 {
-	return s.offsets[v+1] - s.offsets[v]
-}
-
 // Vertices returns an offsets-only graph.Graph over the container:
 // kernel callbacks (InitialValue, Apply, InitialFrontier) consult only
 // the vertex side, so the view lets them run unmodified while adjacency

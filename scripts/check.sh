@@ -12,7 +12,7 @@
 #   processes   ndpverify sweep, REPORT.md regenerated byte for byte,
 #               ndpserve round-trip, ndpverify -served,
 #               out-of-core stream -> container -> verified BFS, SSSP
-#               and PageRank
+#               and PageRank, and gpart over the same container
 #   -count      cluster faults, parallel simulator, store lifecycle (each
 #               -count=2), served plan sharing across seeds (-count=10),
 #               ndpserve shutdown with a parked waiter (-count=20), all
@@ -171,7 +171,9 @@ step go run ./cmd/ndpverify -seed 1 -scenarios 8 -served
 # bit-identical to the serial engine over the materialized in-RAM graph.
 # BFS pins edge ids alone, SSSP also pins the weight column (upgrading
 # frames in place), and PageRank is a float-sum kernel. This is the
-# end-to-end proof behind the store's scale story.
+# end-to-end proof behind the store's scale story. gpart then partitions
+# the same container with every partitioner, so the partition-quality
+# command reads the format the streaming writer produces.
 echo
 echo "==> out-of-core store round-trip"
 STORE_DIR="$(mktemp -d)"
@@ -182,6 +184,7 @@ for kernel in bfs sssp pagerank; do
     go run ./cmd/ndprun -store "$STORE_DIR/lj.gcsr2" -store-mem 65536 \
         -store-verify -kernel "$kernel"
 done
+go run ./cmd/gpart -in "$STORE_DIR/lj.gcsr2" -k 8 -method all
 rm -rf "$STORE_DIR"
 trap - EXIT
 
