@@ -230,3 +230,19 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestNegativeSwitchBufferIsRefused holds -switchbuffer to its range:
+// 0 means unlimited, and a negative buffer is an error before any run,
+// not a second spelling of 0.
+func TestNegativeSwitchBufferIsRefused(t *testing.T) {
+	var o flags
+	fs := flag.NewFlagSet("ndprun", flag.ContinueOnError)
+	o.register(fs)
+	if err := fs.Parse([]string{"-dataset", "wiki-talk", "-scale", "0.02", "-kernel", "bfs", "-switchbuffer", "-1", "-csv"}); err != nil {
+		t.Fatal(err)
+	}
+	err := o.run(context.Background(), fs)
+	if err == nil || !strings.Contains(err.Error(), "SwitchBufferEntries") {
+		t.Fatalf("-switchbuffer -1: err = %v, want a SwitchBufferEntries range error", err)
+	}
+}

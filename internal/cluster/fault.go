@@ -76,7 +76,7 @@ type LinkFaults struct {
 	// trailing copy would outlive the receiver's drain loop.
 	Duplicate float64
 	// Delay is the probability a delivery is held up; each delay adds
-	// DelayTicks to the virtual clock (per-link delivery stays in
+	// delayTicks to the virtual clock (per-link delivery stays in
 	// order — the protocol is stop-and-wait per message in virtual
 	// time, so a delay models queueing latency, not reordering).
 	Delay float64
@@ -96,11 +96,17 @@ func (f LinkFaults) validate(what string) error {
 	return nil
 }
 
-// Default protocol parameters, used when the plan leaves them zero.
+// The recovery protocol's parameters, the same for every plan.
 const (
-	defaultMaxAttempts  = 4
-	defaultBackoffTicks = 16
-	defaultDelayTicks   = 8
+	// maxAttempts bounds per-message transmissions. The last attempt
+	// always delivers, modeling escalation to a reliable slow path once
+	// the retry budget runs out.
+	maxAttempts = 4
+	// backoffTicks is the base virtual-time retry backoff: attempt a
+	// adds backoffTicks << a ticks.
+	backoffTicks int64 = 16
+	// delayTicks is the virtual-time cost of one injected delay.
+	delayTicks int64 = 8
 )
 
 // FaultPlan is a seeded, deterministic schedule of injected faults. The
@@ -113,11 +119,9 @@ type FaultPlan struct {
 	// inject identical faults.
 	Seed uint64
 	// Update applies to every partial-update link, Writeback to every
-	// write-back link, unless PerLink overrides a specific link.
+	// write-back link.
 	Update    LinkFaults
 	Writeback LinkFaults
-	// PerLink overrides the class defaults for individual links.
-	PerLink map[LinkID]LinkFaults
 	// Crash schedules memory-node actor failures: Crash[a] = i kills
 	// actor a at the start of iteration i (before its traversal). The
 	// driver detects the failure — a modeled heartbeat timeout — and
@@ -126,44 +130,22 @@ type FaultPlan struct {
 	// write-back-fresh property mirrors. At least one actor must carry
 	// no crash entry so the pool always has a survivor.
 	Crash map[int]int
-	// MaxAttempts bounds per-message transmissions (default 4). The
-	// last attempt always delivers, modeling escalation to a reliable
-	// slow path once the retry budget runs out.
-	MaxAttempts int
-	// BackoffTicks is the base virtual-time retry backoff (default 16);
-	// attempt a adds BackoffTicks << a ticks.
-	BackoffTicks int64
-	// DelayTicks is the virtual-time cost of one injected delay
-	// (default 8).
-	DelayTicks int64
 }
 
 // Empty reports whether the plan injects no faults at all.
 func (p FaultPlan) Empty() bool {
-	if !p.Update.zero() || !p.Writeback.zero() || len(p.Crash) > 0 {
-		return false
-	}
-	for _, f := range p.PerLink {
-		if !f.zero() {
-			return false
-		}
-	}
-	return true
+	return p.Update.zero() && p.Writeback.zero() && len(p.Crash) == 0
 }
 
-// Validate checks the plan's probabilities and parameters. Crash indices
-// are validated against the pool width at Run time, when it is known.
+// Validate checks the plan's probabilities and crash schedule. Crash
+// indices are validated against the pool width at Run time, when it is
+// known.
 func (p FaultPlan) Validate() error {
 	if err := p.Update.validate("update-link"); err != nil {
 		return err
 	}
 	if err := p.Writeback.validate("writeback-link"); err != nil {
 		return err
-	}
-	for id, f := range p.PerLink {
-		if err := f.validate(fmt.Sprintf("link %s %d->%d", id.Class, id.From, id.To)); err != nil {
-			return err
-		}
 	}
 	for a, iter := range p.Crash {
 		if a < 0 {
@@ -172,15 +154,6 @@ func (p FaultPlan) Validate() error {
 		if iter < 0 {
 			return fmt.Errorf("cluster: crash of memory node %d at negative iteration %d", a, iter)
 		}
-	}
-	if p.MaxAttempts < 0 {
-		return fmt.Errorf("cluster: negative MaxAttempts %d", p.MaxAttempts)
-	}
-	if p.BackoffTicks < 0 {
-		return fmt.Errorf("cluster: negative BackoffTicks %d", p.BackoffTicks)
-	}
-	if p.DelayTicks < 0 {
-		return fmt.Errorf("cluster: negative DelayTicks %d", p.DelayTicks)
 	}
 	return nil
 }
@@ -197,19 +170,6 @@ func (p FaultPlan) validateCrashes(memoryNodes int) error {
 		return fmt.Errorf("cluster: crash schedule kills all %d memory nodes; at least one must survive", memoryNodes)
 	}
 	return nil
-}
-
-func (p FaultPlan) withDefaults() FaultPlan {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = defaultMaxAttempts
-	}
-	if p.BackoffTicks <= 0 {
-		p.BackoffTicks = defaultBackoffTicks
-	}
-	if p.DelayTicks <= 0 {
-		p.DelayTicks = defaultDelayTicks
-	}
-	return p
 }
 
 // FaultStats summarizes the faults injected into a run and the recovery
@@ -294,7 +254,7 @@ const (
 // injector makes the deterministic per-transmission fault decisions. nil
 // means an empty plan: callers skip every roll.
 type injector struct {
-	plan FaultPlan // defaults applied
+	plan FaultPlan
 }
 
 // newInjector returns nil for an empty plan so the fault-free path pays
@@ -303,14 +263,11 @@ func newInjector(plan FaultPlan) *injector {
 	if plan.Empty() {
 		return nil
 	}
-	return &injector{plan: plan.withDefaults()}
+	return &injector{plan: plan}
 }
 
 // probs resolves the fault probabilities for one link.
 func (in *injector) probs(id LinkID) LinkFaults {
-	if f, ok := in.plan.PerLink[id]; ok {
-		return f
-	}
 	if id.Class == LinkWriteback {
 		return in.plan.Writeback
 	}
@@ -378,17 +335,17 @@ func (l *link) transmit(iter int, final bool, emit func(seq int, ack chan<- int)
 	seq := l.next
 	l.next++
 	for attempt := 0; ; attempt++ {
-		if l.inj != nil && attempt+1 < l.inj.plan.MaxAttempts && l.inj.drop(l.id, iter, seq, attempt) {
+		if l.inj != nil && attempt+1 < maxAttempts && l.inj.drop(l.id, iter, seq, attempt) {
 			// The transmission is lost; in virtual time the sender's
 			// retransmission timer fires immediately.
 			l.st.drops.Inc()
 			l.st.retries.Inc()
-			l.st.vticks.Add(l.inj.plan.BackoffTicks << uint(min(attempt, 32)))
+			l.st.vticks.Add(backoffTicks << attempt)
 			continue
 		}
 		if l.inj != nil && l.inj.delay(l.id, iter, seq) {
 			l.st.delays.Inc()
-			l.st.vticks.Add(l.inj.plan.DelayTicks)
+			l.st.vticks.Add(delayTicks)
 		}
 		emit(seq, l.ack)
 		if !final && l.inj != nil && l.inj.duplicate(l.id, iter, seq) {

@@ -220,48 +220,15 @@ func TestFaultCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestFaultPerLinkOverride checks that PerLink rules replace the class
-// defaults for the named link only: a plan whose class defaults are
-// clean but whose one override is maximally lossy must still record
-// drops (and converge).
-func TestFaultPerLinkOverride(t *testing.T) {
-	g := clusterGraph(t)
-	a := clusterAssign(t, g, 4)
-	k := kernels.NewPageRank(5, 0.85)
-	ref, err := Run(context.Background(), g, k, a, Config{ComputeNodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Partition 1's uplink to its leaf switch: partitions are nodes
-	// 0..M-1, switches follow.
-	lossy := LinkID{Class: LinkUpdate, From: 1, To: 4}
-	cfg := Config{ComputeNodes: 2, Fault: FaultPlan{
-		Seed:    3,
-		PerLink: map[LinkID]LinkFaults{lossy: {Drop: 0.9}},
-	}}
-	out, err := Run(context.Background(), g, k, a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameValues(t, "per-link", out.Values, ref.Values)
-	if out.Faults.Drops == 0 {
-		t.Fatal("per-link override injected no drops")
-	}
-}
-
 // TestFaultPlanValidation covers the rejection surface: malformed
-// probabilities and parameters at Validate time, impossible crash
+// probabilities and crash entries at Validate time, impossible crash
 // schedules at Run time.
 func TestFaultPlanValidation(t *testing.T) {
 	bad := []FaultPlan{
 		{Update: LinkFaults{Drop: 1.5}},
 		{Writeback: LinkFaults{Duplicate: -0.1}},
-		{PerLink: map[LinkID]LinkFaults{{Class: LinkUpdate}: {Delay: 2}}},
 		{Crash: map[int]int{-1: 0}},
 		{Crash: map[int]int{0: -2}},
-		{MaxAttempts: -1},
-		{BackoffTicks: -8},
-		{DelayTicks: -8},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kernels"
@@ -30,9 +31,6 @@ type Config struct {
 	Seed uint64
 	// PageRankIterations bounds PR runs (default 10).
 	PageRankIterations int
-	// ComputeNodes is the host count for disaggregated topologies
-	// (default 2).
-	ComputeNodes int
 }
 
 func (c Config) withDefaults() Config {
@@ -44,9 +42,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PageRankIterations <= 0 {
 		c.PageRankIterations = 10
-	}
-	if c.ComputeNodes <= 0 {
-		c.ComputeNodes = 2
 	}
 	return c
 }
@@ -131,7 +126,7 @@ func partitioned(cfg Config, g *graph.Graph, parts int, p partition.Partitioner)
 	if err != nil {
 		return nil, sim.Topology{}, err
 	}
-	return a, sim.DefaultTopology(cfg.ComputeNodes, parts), nil
+	return a, sim.DefaultTopology(core.DefaultComputeNodes, parts), nil
 }
 
 // movement runs the engine and returns total headline bytes.

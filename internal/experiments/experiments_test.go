@@ -228,12 +228,12 @@ func TestTreeAblation(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Scale <= 0 || c.Seed == 0 || c.PageRankIterations <= 0 || c.ComputeNodes <= 0 {
+	if c.Scale <= 0 || c.Seed == 0 || c.PageRankIterations <= 0 {
 		t.Errorf("defaults not applied: %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{Scale: 2, Seed: 7, PageRankIterations: 3, ComputeNodes: 5}.withDefaults()
-	if c2.Scale != 2 || c2.Seed != 7 || c2.PageRankIterations != 3 || c2.ComputeNodes != 5 {
+	c2 := Config{Scale: 2, Seed: 7, PageRankIterations: 3}.withDefaults()
+	if c2.Scale != 2 || c2.Seed != 7 || c2.PageRankIterations != 3 {
 		t.Errorf("explicit config overwritten: %+v", c2)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -33,7 +34,7 @@ func Straggler(cfg Config) (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		topo := sim.DefaultTopology(cfg.ComputeNodes, parts)
+		topo := sim.DefaultTopology(core.DefaultComputeNodes, parts)
 		run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(context.Background(), g, k)
 		if err != nil {
 			return nil, err
@@ -50,7 +51,7 @@ func Straggler(cfg Config) (*Artifact, error) {
 				}
 			}
 			stream := float64(maxEdgeBytes) / (topo.MemDevice.InternalBandwidthGBps * 1e9)
-			compute := float64(maxEdgeBytes) / kernels.EdgeBytes * k.Traits().FLOPsPerEdge / (topo.MemDeviceGFlops * 1e9)
+			compute := float64(maxEdgeBytes) / kernels.EdgeBytes * k.Traits().FLOPsPerEdge / (sim.MemDeviceGFlops * 1e9)
 			if compute > stream {
 				stream = compute
 			}

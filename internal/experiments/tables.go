@@ -93,11 +93,11 @@ func Table2(cfg Config) (*Artifact, error) {
 		// the host count the workload actually needs.
 		provisionedGFlops float64
 	}{
-		{&sim.Distributed{Topo: topo, Assign: assign}, false, false, float64(parts) * topo.HostGFlops},
-		{&sim.DistributedNDP{Topo: topo, Assign: assign}, true, false, float64(parts) * topo.HostGFlops},
-		{&sim.Disaggregated{Topo: topo, Assign: assign}, false, true, float64(topo.ComputeNodes) * topo.HostGFlops},
+		{&sim.Distributed{Topo: topo, Assign: assign}, false, false, float64(parts) * sim.HostGFlops},
+		{&sim.DistributedNDP{Topo: topo, Assign: assign}, true, false, float64(parts) * sim.HostGFlops},
+		{&sim.Disaggregated{Topo: topo, Assign: assign}, false, true, float64(topo.ComputeNodes) * sim.HostGFlops},
 		{&sim.DisaggregatedNDP{Topo: topo, Assign: assign, InNetworkAggregation: true}, true, true,
-			float64(topo.ComputeNodes)*topo.HostGFlops + float64(parts)*topo.MemDeviceGFlops},
+			float64(topo.ComputeNodes)*sim.HostGFlops + float64(parts)*sim.MemDeviceGFlops},
 	}
 	// The four architectures run concurrently; rows fill their Table II
 	// slots by index, so ordering never depends on completion order.

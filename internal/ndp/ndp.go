@@ -1,7 +1,9 @@
 // Package ndp models the near-data-processing hardware classes the paper
 // surveys in Table I — Processing Near-Memory (PNM), Processing In-Memory
-// (PIM), and In-Network Computing (INC) — as capability records that the
-// simulator and offload runtime consult.
+// (PIM), and In-Network Computing (INC) — as capability records the
+// simulator consults. The offload policies (internal/runtime) never read
+// a device: they decide from the simulator's per-iteration records, and
+// the simulator gates and prices their decisions by the device.
 //
 // The paper uses these characteristics in two ways, and so does this
 // package: (1) high internal bandwidth makes the traversal phase scale
@@ -13,6 +15,7 @@ package ndp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -90,12 +93,8 @@ type Device struct {
 	// FP and IntMulDiv grade arithmetic support.
 	FP        Support
 	IntMulDiv Support
-	// AggOps lists the reductions the device can apply in-transit. Only
-	// meaningful for INC devices.
-	AggOps []kernels.AggOp
-	// Capabilities and Target mirror Table I's prose columns.
-	Capabilities string
-	Target       string
+	// Target mirrors Table I's prose column.
+	Target string
 }
 
 // OffloadDecision reports whether and how well a device can run a kernel.
@@ -109,7 +108,7 @@ type OffloadDecision struct {
 
 // Supports reports whether the device can execute the kernel's traversal
 // phase near data, and at what penalty. INC devices never run traversals —
-// they only aggregate (see CanAggregate).
+// they only aggregate.
 func (d *Device) Supports(k kernels.Kernel) OffloadDecision {
 	if d.Class == INC {
 		return OffloadDecision{OK: false, Reason: "INC devices aggregate in-flight data; they cannot run traversals"}
@@ -132,100 +131,63 @@ func (d *Device) Supports(k kernels.Kernel) OffloadDecision {
 	return OffloadDecision{OK: true, Penalty: 1}
 }
 
-// CanAggregate reports whether the device can apply op to in-flight
-// updates (the paper's in-network aggregation mechanism, Section IV-C).
-func (d *Device) CanAggregate(op kernels.AggOp) bool {
-	for _, o := range d.AggOps {
-		if o == op {
-			return true
-		}
-	}
-	return false
-}
-
-// Per-device constructors return fresh copies so callers can mutate
-// their Device freely; the defaults below reference them directly, which
-// keeps the lookup infallible without a ByName round-trip.
-
-func deviceCXLCMS() Device {
-	return Device{
+// catalog is the Table I device inventory. Device holds no reference
+// types, so every lookup hands out an independent copy.
+var catalog = []Device{
+	{
 		Name:                  "CXL-CMS",
 		Class:                 PNM,
 		InternalBandwidthGBps: 1100,
 		ComputeUnits:          16,
 		FP:                    Full,
 		IntMulDiv:             Full,
-		AggOps:                []kernels.AggOp{kernels.AggSum, kernels.AggMin, kernels.AggMax},
-		Capabilities:          "High internal memory bandwidth (~1.1 TB/s); matrix/vector computing units; FP operations",
 		Target:                "High memory bandwidth helps scale performance",
-	}
-}
-
-func deviceCXLPNM() Device {
-	return Device{
+	},
+	{
 		Name:                  "CXL-PNM",
 		Class:                 PNM,
 		InternalBandwidthGBps: 512,
 		ComputeUnits:          8,
 		FP:                    Full,
 		IntMulDiv:             Full,
-		AggOps:                []kernels.AggOp{kernels.AggSum, kernels.AggMin, kernels.AggMax},
-		Capabilities:          "LPDDR-based CXL memory with matrix/vector units; support for FP operations",
 		Target:                "Simple vector computations that are memory-bandwidth bound",
-	}
-}
-
-func deviceUPMEM() Device {
-	return Device{
+	},
+	{
 		Name:                  "UPMEM",
 		Class:                 PIM,
 		InternalBandwidthGBps: 1700,
 		ComputeUnits:          2560,
 		FP:                    Primitive,
 		IntMulDiv:             Primitive,
-		AggOps:                []kernels.AggOp{kernels.AggSum, kernels.AggMin, kernels.AggMax},
-		Capabilities:          "High aggregate memory bandwidth (~1.7 TB/s); 1000s of in-order processing units (DPUs); primitive FP support",
 		Target:                "Memory-bandwidth-bound workloads; FP support increases range of supported workloads",
-	}
-}
-
-func deviceSwitchML() Device {
-	return Device{
+	},
+	{
 		Name:         "SwitchML",
 		Class:        INC,
 		ComputeUnits: 64,
 		FP:           Primitive,
 		IntMulDiv:    None,
-		AggOps:       []kernels.AggOp{kernels.AggSum, kernels.AggMin, kernels.AggMax},
-		Capabilities: "Custom/configurable Tofino ASICs; integer ALUs with quantized FP",
 		Target:       "Simple filter/aggregation operations",
-	}
-}
-
-func deviceSHARP() Device {
-	return Device{
+	},
+	{
 		Name:         "SHARP",
 		Class:        INC,
 		ComputeUnits: 32,
 		FP:           Full,
 		IntMulDiv:    None,
-		AggOps:       []kernels.AggOp{kernels.AggSum, kernels.AggMin, kernels.AggMax},
-		Capabilities: "SwitchIB-2 ASIC; ALUs with FP support; hierarchical MPI_AllReduce",
 		Target:       "Aggregation of partial results from multiple sources",
-	}
+	},
 }
 
 // Catalog returns the Table I device inventory.
-func Catalog() []Device {
-	return []Device{deviceCXLCMS(), deviceCXLPNM(), deviceUPMEM(), deviceSwitchML(), deviceSHARP()}
-}
+func Catalog() []Device { return slices.Clone(catalog) }
 
 // Names lists the catalog device names ByName accepts (matched
 // case-insensitively), sorted — the same list the ByName error prints,
 // so the two cannot drift apart.
 func Names() []string {
-	names := make([]string, 0, 5)
-	for _, d := range Catalog() {
+	names := make([]string, 0, len(catalog))
+	for _, d := range catalog {
 		names = append(names, d.Name)
 	}
 	sort.Strings(names)
@@ -234,7 +196,7 @@ func Names() []string {
 
 // ByName finds a catalog device.
 func ByName(name string) (Device, error) {
-	for _, d := range Catalog() {
+	for _, d := range catalog {
 		if strings.EqualFold(d.Name, name) {
 			return d, nil
 		}
@@ -246,11 +208,5 @@ func ByName(name string) (Device, error) {
 // units unless configured otherwise (a PNM part with full FP support, so
 // every kernel offloads at native speed).
 func DefaultMemoryDevice() Device {
-	return deviceCXLCMS()
-}
-
-// DefaultSwitchDevice returns the device class used for the in-network
-// aggregation element unless configured otherwise.
-func DefaultSwitchDevice() Device {
-	return deviceSHARP()
+	return catalog[0]
 }

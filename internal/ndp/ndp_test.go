@@ -113,18 +113,6 @@ func TestINCCannotRunTraversals(t *testing.T) {
 	}
 }
 
-func TestINCAggregation(t *testing.T) {
-	d, err := ByName("SHARP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []kernels.AggOp{kernels.AggSum, kernels.AggMin, kernels.AggMax} {
-		if !d.CanAggregate(op) {
-			t.Errorf("SHARP cannot aggregate %v", op)
-		}
-	}
-}
-
 func TestNoFPDeviceRejectsFPKernel(t *testing.T) {
 	d := Device{Name: "toy", Class: PNM, FP: None}
 	pr, err := kernels.ByName("pagerank")
@@ -146,9 +134,6 @@ func TestNoFPDeviceRejectsFPKernel(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	if d := DefaultMemoryDevice(); d.Class != PNM {
 		t.Errorf("default memory device class %v, want PNM", d.Class)
-	}
-	if d := DefaultSwitchDevice(); d.Class != INC {
-		t.Errorf("default switch device class %v, want INC", d.Class)
 	}
 }
 

@@ -28,8 +28,9 @@ type PartitionHeuristic struct{}
 // Name implements sim.OffloadPolicy.
 func (PartitionHeuristic) Name() string { return "partition-heuristic" }
 
-// Decide implements sim.OffloadPolicy — the aggregate fallback when an
-// engine does not support per-partition decisions.
+// Decide implements sim.OffloadPolicy, which every policy must. Nothing
+// calls it: the simulator asks a sim.PartitionPolicy for
+// DecidePartitions instead, and the cluster takes no policy.
 func (PartitionHeuristic) Decide(s sim.PreStats) bool {
 	return Heuristic{}.Decide(s)
 }

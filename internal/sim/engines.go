@@ -116,12 +116,12 @@ func (t Topology) hostFetch(rec *Record, tr kernels.Traits) {
 	applyOps := float64(rec.Applies) * tr.FLOPsPerApply
 	rec.DataMovementBytes = moved
 	rec.SyncEvents = int64(t.ComputeNodes)
-	rec.EstimatedSeconds = t.linkTime(moved/int64(t.ComputeNodes)) +
+	rec.EstimatedSeconds = linkTime(moved/int64(t.ComputeNodes)) +
 		t.hostTraverseTime(rec.EdgeFetchBytes) +
 		t.hostComputeTime(edgeOps+applyOps) +
-		t.NetworkLatency.Seconds()
-	rec.EnergyJoules = t.hostExecutionEnergy(moved, edgeOps+applyOps) +
-		pico(float64(rec.CachedEdgeBytes)*t.HostDRAMPJPerByte)
+		networkLatency.Seconds()
+	rec.EnergyJoules = hostExecutionEnergy(moved, edgeOps+applyOps) +
+		pico(float64(rec.CachedEdgeBytes)*hostDRAMPJPerByte)
 }
 
 // sortByDegreeDesc sorts vertex ids by out-degree descending, breaking
@@ -193,7 +193,6 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 	dec := ndp.OffloadDecision{OK: supportedCount == P, Reason: firstReason}
 	heterogeneous := supportedCount > 0 && supportedCount < P
 
-	aggregates := d.InNetworkAggregation && d.Topo.SwitchDevice.CanAggregate(tr.Agg)
 	policy := d.Policy
 	if policy == nil {
 		policy = AlwaysOffload{}
@@ -249,21 +248,21 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 			if rec.EdgeFetchBytes > 0 {
 				frac = float64(offloadedEdges) / float64(rec.EdgeFetchBytes)
 			}
-			rec.EnergyJoules = d.Topo.ndpExecutionEnergy(offloadedEdges, offloadMoved, edgeOps*frac, maxPenalty, 0, 0) +
-				d.Topo.hostExecutionEnergy(fetchMoved, edgeOps*(1-frac)+applyOps)
+			rec.EnergyJoules = ndpExecutionEnergy(offloadedEdges, offloadMoved, edgeOps*frac, maxPenalty, 0, 0) +
+				hostExecutionEnergy(fetchMoved, edgeOps*(1-frac)+applyOps)
 		} else {
 			switchOps := 0.0
-			if aggregates {
+			if d.InNetworkAggregation {
 				switchOps = float64(rec.PartialUpdates)
 			}
 			rec.DataMovementBytes = ex.offloadMoveBytes(rec)
-			rec.EnergyJoules = d.Topo.ndpExecutionEnergy(rec.EdgeFetchBytes, rec.DataMovementBytes, edgeOps, maxPenalty, applyOps, switchOps)
+			rec.EnergyJoules = ndpExecutionEnergy(rec.EdgeFetchBytes, rec.DataMovementBytes, edgeOps, maxPenalty, applyOps, switchOps)
 		}
 		rec.SyncEvents = int64(d.Topo.ComputeNodes + d.Topo.MemoryNodes)
 		rec.EstimatedSeconds = d.Topo.memTraverseTime(rec.maxPartBytes, rec.maxPartOps, maxPenalty) +
-			d.Topo.linkTime(rec.DataMovementBytes/int64(d.Topo.ComputeNodes)) +
+			linkTime(rec.DataMovementBytes/int64(d.Topo.ComputeNodes)) +
 			d.Topo.hostComputeTime(applyOps) +
-			d.Topo.NetworkLatency.Seconds()
+			networkLatency.Seconds()
 	}
 	ex, err := newExecution(g, k, d.Assign, account, policy)
 	if err != nil {
@@ -271,7 +270,7 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 	}
 	ex.computeStatics(true, false)
 	ex.workers = d.Workers
-	ex.switchAggregates = aggregates
+	ex.switchAggregates = d.InNetworkAggregation
 	ex.switchBuffer = d.Topo.SwitchBufferEntries
 	run, err := ex.run(ctx, d.Name())
 	if err != nil {
@@ -282,9 +281,6 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 	if heterogeneous {
 		run.OffloadNote = fmt.Sprintf("heterogeneous pool: %d/%d memory nodes can run %s near data (%s)",
 			supportedCount, P, k.Name(), firstReason)
-	}
-	if d.InNetworkAggregation && !aggregates {
-		run.OffloadNote = fmt.Sprintf("switch %s cannot aggregate %s", d.Topo.SwitchDevice.Name, tr.Agg)
 	}
 	return run, nil
 }
@@ -356,9 +352,9 @@ func runDistributed(ctx context.Context, topo Topology, assign *partition.Assign
 			traverse = topo.memTraverseTime(rec.maxPartBytes, rec.maxPartOps, dec.Penalty)
 		} else {
 			// Straggler server streams its partition from host memory.
-			traverse = float64(rec.maxPartBytes)/(topo.HostMemBWGBps*1e9) + rec.maxPartOps/(topo.HostGFlops*1e9)
+			traverse = float64(rec.maxPartBytes)/(hostMemBWGBps*1e9) + rec.maxPartOps/(HostGFlops*1e9)
 		}
-		comm := float64(rec.DataMovementBytes)/(topo.NetworkGBps*1e9*float64(servers)) + 2*topo.NetworkLatency.Seconds()
+		comm := float64(rec.DataMovementBytes)/(networkGBps*1e9*float64(servers)) + 2*networkLatency.Seconds()
 		if rec.Offloaded {
 			hidden := ndpOverlapFraction * traverse
 			if hidden > comm {
@@ -367,18 +363,18 @@ func runDistributed(ctx context.Context, topo Topology, assign *partition.Assign
 				comm -= hidden
 			}
 		}
-		apply := applyOps / (topo.HostGFlops * 1e9 * float64(servers))
+		apply := applyOps / (HostGFlops * 1e9 * float64(servers))
 		rec.EstimatedSeconds = traverse + comm + apply
 		if rec.Offloaded {
 			// Near-memory units stream and process edges inside each
 			// server; only mirror traffic crosses the network.
-			rec.EnergyJoules = topo.ndpExecutionEnergy(rec.EdgeFetchBytes, rec.DataMovementBytes, edgeOps, dec.Penalty, applyOps, 0)
+			rec.EnergyJoules = ndpExecutionEnergy(rec.EdgeFetchBytes, rec.DataMovementBytes, edgeOps, dec.Penalty, applyOps, 0)
 		} else {
 			// Edges are server-local (no link crossing): host DRAM stream
 			// plus host arithmetic plus mirror traffic on the wire.
-			rec.EnergyJoules = pico(float64(rec.EdgeFetchBytes)*topo.HostDRAMPJPerByte +
-				float64(rec.DataMovementBytes)*(topo.LinkEnergyPJPerByte+topo.HostDRAMPJPerByte) +
-				(edgeOps+applyOps)*topo.HostPJPerOp)
+			rec.EnergyJoules = pico(float64(rec.EdgeFetchBytes)*hostDRAMPJPerByte +
+				float64(rec.DataMovementBytes)*(linkEnergyPJPerByte+hostDRAMPJPerByte) +
+				(edgeOps+applyOps)*hostPJPerOp)
 		}
 	}
 	ex, err := newExecution(g, k, assign, account, NeverOffload{})

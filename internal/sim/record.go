@@ -31,21 +31,30 @@ type Record struct {
 	// the floor in-network aggregation can compress the update stream to.
 	DistinctDsts int64
 
-	// EdgeFetchBytes is what moving the frontier's edge lists would cost
-	// (the no-NDP disaggregated pattern: ActiveEdges × 8 B).
+	// EdgeFetchBytes, UpdateMoveBytes and AggregatedMoveBytes are
+	// prices: what the iteration would move under each pattern, filled
+	// whether or not the iteration used it (aggregation off, a host-fetch
+	// iteration, per-partition mode), so that policies, oracles and
+	// checks can compare them. DataMovementBytes is what was charged.
+	//
+	// EdgeFetchBytes prices moving the frontier's edge lists (the no-NDP
+	// disaggregated pattern: ActiveEdges × 8 B).
 	EdgeFetchBytes int64
 	// CachedEdgeBytes is the subset of EdgeFetchBytes served from the
 	// hosts' local edge cache (FAM-Graph-style tiering) — no interconnect
 	// crossing.
 	CachedEdgeBytes int64
-	// UpdateMoveBytes is what moving the partial updates would cost (the
-	// NDP pattern: PartialUpdates × 16 B).
+	// UpdateMoveBytes prices moving the partial updates (the NDP
+	// pattern: PartialUpdates × 16 B).
 	UpdateMoveBytes int64
 	// WritebackBytes propagates refreshed vertex properties back to the
 	// memory nodes (NextFrontierSize × 16 B) in NDP runs.
 	WritebackBytes int64
-	// AggregatedMoveBytes is the switch→compute volume after in-network
-	// aggregation (≥ DistinctDsts × 16 B, depending on switch buffer).
+	// AggregatedMoveBytes prices the switch→compute volume had the
+	// switch aggregated the partial updates (≥ DistinctDsts × 16 B,
+	// depending on the switch buffer; AggregatedUpdateBytes). The
+	// disaggregated NDP engine fills it on every iteration; the other
+	// engines leave it 0.
 	AggregatedMoveBytes int64
 	// MirrorReduceBytes and MirrorBroadcastBytes are the two distributed
 	// synchronization volumes (Figure 2's communication patterns).

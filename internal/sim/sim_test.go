@@ -469,19 +469,16 @@ func TestTopologyValidate(t *testing.T) {
 		t.Errorf("default topology invalid: %v", err)
 	}
 	bad := good
-	bad.NetworkGBps = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted zero bandwidth")
-	}
-	bad = good
-	bad.NetworkLatency = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted negative latency")
-	}
-	bad = good
 	bad.MemoryNodes = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("accepted zero memory nodes")
+	}
+	// 0 means unlimited; a negative buffer means nothing and must not
+	// run as 0.
+	bad = good
+	bad.SwitchBufferEntries = -1
+	if err := bad.Validate(); err == nil {
+		t.Error("accepted a negative switch buffer")
 	}
 }
 
@@ -713,26 +710,6 @@ func TestTimeModelMonotonicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Faster network => faster end to end.
-	fast := base
-	fast.NetworkGBps *= 10
-	fastRun, err := (&DisaggregatedNDP{Topo: fast, Assign: a}).Run(context.Background(), g, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fastRun.TotalSeconds >= baseRun.TotalSeconds {
-		t.Errorf("10x network did not speed up: %g >= %g", fastRun.TotalSeconds, baseRun.TotalSeconds)
-	}
-	// Higher latency => slower.
-	lag := base
-	lag.NetworkLatency *= 100
-	lagRun, err := (&DisaggregatedNDP{Topo: lag, Assign: a}).Run(context.Background(), g, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lagRun.TotalSeconds <= baseRun.TotalSeconds {
-		t.Errorf("100x latency did not slow down: %g <= %g", lagRun.TotalSeconds, baseRun.TotalSeconds)
-	}
 	// More compute nodes => no slower (parallel links and hosts).
 	wide := base
 	wide.ComputeNodes = 8
@@ -744,9 +721,8 @@ func TestTimeModelMonotonicity(t *testing.T) {
 		t.Errorf("more compute nodes slowed the run: %g > %g", wideRun.TotalSeconds, baseRun.TotalSeconds)
 	}
 	// Time model changes never affect movement.
-	if fastRun.TotalDataMovementBytes != baseRun.TotalDataMovementBytes ||
-		lagRun.TotalDataMovementBytes != baseRun.TotalDataMovementBytes {
-		t.Error("topology throughput changed byte accounting")
+	if wideRun.TotalDataMovementBytes != baseRun.TotalDataMovementBytes {
+		t.Error("compute node count changed byte accounting")
 	}
 }
 
