@@ -91,10 +91,11 @@ func (o *flags) register(fs *flag.FlagSet) {
 }
 
 // Flags a mode cannot honour: the job wire format has no field for the
-// first list, and the cluster always offloads on the default device.
+// first list; the cluster always offloads on the default device and
+// measures traffic, not the simulator's per-iteration ledger.
 var (
 	unserved    = []string{"device", "switchbuffer", "direction", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash", "iters", "itercsv"}
-	unclustered = []string{"policy", "device", "switchbuffer"}
+	unclustered = []string{"policy", "device", "switchbuffer", "iters", "itercsv"}
 )
 
 // refuse names, in one error, every flag set on fs that -server or

@@ -210,6 +210,8 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 		{"-cluster", "-policy", "always"},
 		{"-cluster", "-device", "UPMEM"},
 		{"-cluster", "-switchbuffer", "64"},
+		{"-cluster", "-iters", ""},
+		{"-cluster", "-itercsv", "ledger.csv"},
 	} {
 		t.Run(tc.mode+tc.flag, func(t *testing.T) {
 			args := []string{tc.mode}

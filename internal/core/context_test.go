@@ -160,6 +160,7 @@ func TestEveryRunHonorsCancelledContext(t *testing.T) {
 		"ConcurrentEngine": func() (any, error) {
 			return sys.ConcurrentEngine().Run(ctx, g, k, RunConfig{Assignment: assign})
 		},
+		"Execute":               func() (any, error) { return sys.Execute(ctx, g, k, RunConfig{Assignment: assign}) },
 		"Compare":               func() (any, error) { return sys.Compare(ctx, g, k) },
 		"CompareWithAssignment": func() (any, error) { return sys.CompareWithAssignment(ctx, g, k, assign) },
 	}

@@ -16,7 +16,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -252,8 +251,7 @@ func (s *System) ClusterConfig() cluster.Config {
 // Compare runs the kernel on all four architectures with this system's
 // topology and partitioner, returning runs in Table II order. All runs
 // share one partition assignment, so the comparison isolates the
-// architecture. The four runs execute concurrently; results land in
-// their Table II slots regardless of completion order.
+// architecture.
 func (s *System) Compare(ctx context.Context, g *graph.Graph, k kernels.Kernel) ([]*Result, error) {
 	assign, err := s.Partition(g)
 	if err != nil {
@@ -263,41 +261,20 @@ func (s *System) Compare(ctx context.Context, g *graph.Graph, k kernels.Kernel) 
 }
 
 // CompareWithAssignment is Compare with a caller-provided partition
-// assignment — all four architecture rows run on exactly that
-// partitioning.
+// assignment — all four architecture rows price one execution on exactly
+// that partitioning, and each owns its values.
 func (s *System) CompareWithAssignment(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *partition.Assignment) ([]*Result, error) {
+	t, err := s.Execute(ctx, g, k, RunConfig{Assignment: assign})
+	if err != nil {
+		return nil, err
+	}
 	archs := Architectures()
 	runs := make([]*Result, len(archs))
-	errs := make([]error, len(archs))
-	// Stateful kernels hold per-run side state in the kernel value itself,
-	// so their four runs must not overlap; stateless kernels fan out.
-	_, stateful := k.(kernels.StatefulKernel)
-	var wg sync.WaitGroup
 	for i, arch := range archs {
 		clone := *s
 		clone.arch = arch
-		one := func(i int, arch Arch, clone System) {
-			run, err := clone.Engine().Run(ctx, g, k, RunConfig{Assignment: assign})
-			if err != nil {
-				errs[i] = fmt.Errorf("core: %s: %w", arch, err)
-				return
-			}
-			runs[i] = run
-		}
-		if stateful {
-			one(i, arch, clone)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, arch Arch, clone System) {
-			defer wg.Done()
-			one(i, arch, clone)
-		}(i, arch, clone)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		if runs[i], err = clone.Price(t); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", arch, err)
 		}
 	}
 	return runs, nil

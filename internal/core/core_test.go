@@ -349,8 +349,8 @@ func TestCompareHonorsExplicitAggregation(t *testing.T) {
 }
 
 // TestCompareParallelStatefulKernel drives Compare with a stateful
-// kernel (per-run side state lives in the kernel value): the rows must
-// still match fresh per-arch systems, which forces the sequential path.
+// kernel (per-run side state lives in the kernel value): the four rows
+// price one execution and must still match fresh per-arch systems.
 func TestCompareParallelStatefulKernel(t *testing.T) {
 	g := coreGraph(t)
 	s, err := New(Disaggregated, WithMemoryNodes(8), WithPartitioner(partition.Hash{}))
@@ -377,5 +377,46 @@ func TestCompareParallelStatefulKernel(t *testing.T) {
 		if !reflect.DeepEqual(runs[i].Records, want.Records) {
 			t.Errorf("stateful kernel: %s row differs from fresh system", runs[i].Engine)
 		}
+	}
+}
+
+// TestPriceOwnsItsValues: every Result priced from one trace equals the
+// architecture's own Run, and owns its values — a caller writing to one
+// reaches neither the trace nor a later pricing of it.
+func TestPriceOwnsItsValues(t *testing.T) {
+	g := coreGraph(t)
+	k := kernels.NewBFS(0)
+	s, err := New(DisaggregatedNDP, WithMemoryNodes(8), WithPartitioner(partition.Hash{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := s.Execute(context.Background(), g, k, RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Engine().Run(context.Background(), g, k, RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Price(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range first.Values {
+		first.Values[v] = math.NaN()
+	}
+	again, err := s.Price(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Fatal("a pricing after a caller wrote to an earlier one's values differs from Run")
+	}
+	narrow, err := New(Distributed, WithMemoryNodes(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := narrow.Price(tr); err == nil {
+		t.Error("a 4-node system priced an 8-part trace")
 	}
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/partition"
+	"repro/internal/sim"
 )
 
 // RunConfig carries per-run inputs that are not part of the engine's
@@ -78,15 +80,49 @@ func (e analyticalEngine) Name() string {
 }
 
 func (e analyticalEngine) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg RunConfig) (*Result, error) {
+	t, err := e.sys.Execute(ctx, g, k, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The trace is this run's alone, so its values need no copy.
+	return e.sys.price(t)
+}
+
+// Execute runs k once on the system's memory pool — over cfg.Assignment,
+// or the system's own partitioning of g — and returns the trace every
+// architecture prices. It does not depend on the architecture, the
+// policy, the aggregation switch or the devices: Price turns one trace
+// into any System's Result whose memory-pool width matches.
+func (s *System) Execute(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg RunConfig) (*sim.Trace, error) {
 	assign := cfg.Assignment
 	if assign == nil {
 		var err error
-		assign, err = e.sys.Partition(g)
+		assign, err = s.Partition(g)
 		if err != nil {
 			return nil, fmt.Errorf("core: partitioning: %w", err)
 		}
 	}
-	run, err := e.sys.simEngine(assign).Run(ctx, g, k)
+	if assign.K != s.topo.MemoryNodes {
+		return nil, fmt.Errorf("core: assignment has %d parts, the memory pool %d nodes", assign.K, s.topo.MemoryNodes)
+	}
+	return sim.Execute(ctx, g, k, sim.ExecConfig{Assign: assign, Workers: s.workers})
+}
+
+// Price turns a trace into this system's analytical Result, as Run would
+// have returned it for the same execution. The trace stays unchanged and
+// may be priced again, concurrently too; the Result owns its values.
+func (s *System) Price(t *sim.Trace) (*Result, error) {
+	res, err := s.price(t)
+	if err != nil {
+		return nil, err
+	}
+	res.Values = slices.Clone(res.Values)
+	return res, nil
+}
+
+// price is Price whose Result shares the trace's values.
+func (s *System) price(t *sim.Trace) (*Result, error) {
+	run, err := s.simEngine(nil).Price(t)
 	if err != nil {
 		return nil, err
 	}

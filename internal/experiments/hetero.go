@@ -64,7 +64,7 @@ func Hetero(cfg Config) (*Artifact, error) {
 			offNodes := 0
 			for p := 0; p < parts; p++ {
 				dev := topo.DeviceFor(p)
-				if dev.Supports(k).OK {
+				if dev.Supports(k.Name(), k.Traits()).OK {
 					offNodes++
 				}
 			}

@@ -28,7 +28,7 @@ func Table1(cfg Config) (*Artifact, error) {
 	for _, d := range ndp.Catalog() {
 		supported := 0
 		for _, k := range kernels.All() {
-			if d.Supports(k).OK {
+			if d.Supports(k.Name(), k.Traits()).OK {
 				supported++
 			}
 		}

@@ -170,8 +170,7 @@ const (
 // state lives in the engine, so one Kernel value can be shared by
 // concurrent engines. The exception is a StatefulKernel, which holds
 // per-run side state in the value itself: one value runs one engine at a
-// time (core's CompareWithAssignment serializes its runs, cluster.Run
-// refuses it).
+// time (cluster.Run refuses it).
 type Kernel interface {
 	// Name identifies the kernel in reports ("pagerank", "bfs", ...).
 	Name() string

@@ -25,7 +25,7 @@ func ExampleDevice_Supports() {
 			log.Fatal(err)
 		}
 		for _, k := range ks {
-			dec := dev.Supports(k)
+			dec := dev.Supports(k.Name(), k.Traits())
 			if dec.OK {
 				fmt.Printf("%-8s %-8s offloads at %.0fx compute time\n", dev.Name, k.Name(), dec.Penalty)
 			} else {

@@ -106,24 +106,24 @@ type OffloadDecision struct {
 	Reason string
 }
 
-// Supports reports whether the device can execute the kernel's traversal
-// phase near data, and at what penalty. INC devices never run traversals —
-// they only aggregate.
-func (d *Device) Supports(k kernels.Kernel) OffloadDecision {
+// Supports reports whether the device can execute the traversal phase of
+// the kernel named kernel, whose profile is tr, near data, and at what
+// penalty: the decision reads the traits alone, and the name only
+// explains it. INC devices never run traversals — they only aggregate.
+func (d *Device) Supports(kernel string, tr kernels.Traits) OffloadDecision {
 	if d.Class == INC {
 		return OffloadDecision{OK: false, Reason: "INC devices aggregate in-flight data; they cannot run traversals"}
 	}
-	tr := k.Traits()
 	if tr.UsesFloatingPoint {
 		switch d.FP {
 		case None:
-			return OffloadDecision{OK: false, Reason: fmt.Sprintf("%s needs FP, %s has none", k.Name(), d.Name)}
+			return OffloadDecision{OK: false, Reason: fmt.Sprintf("%s needs FP, %s has none", kernel, d.Name)}
 		case Primitive:
 			return OffloadDecision{OK: true, Penalty: 4, Reason: "software-emulated floating point"}
 		}
 	}
 	if tr.UsesIntMulDiv && d.IntMulDiv == None {
-		return OffloadDecision{OK: false, Reason: fmt.Sprintf("%s needs integer mul/div, %s has none", k.Name(), d.Name)}
+		return OffloadDecision{OK: false, Reason: fmt.Sprintf("%s needs integer mul/div, %s has none", kernel, d.Name)}
 	}
 	if tr.UsesIntMulDiv && d.IntMulDiv == Primitive {
 		return OffloadDecision{OK: true, Penalty: 2, Reason: "slow integer multiply/divide"}

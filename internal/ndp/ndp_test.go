@@ -63,7 +63,7 @@ func TestPNMSupportsAllKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range kernels.All() {
-		dec := d.Supports(k)
+		dec := d.Supports(k.Name(), k.Traits())
 		if !dec.OK {
 			t.Errorf("CXL-CMS rejects %s: %s", k.Name(), dec.Reason)
 		}
@@ -82,7 +82,7 @@ func TestPIMPenalizesFloatingPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := d.Supports(pr)
+	dec := d.Supports(pr.Name(), pr.Traits())
 	if !dec.OK {
 		t.Fatalf("UPMEM rejected pagerank: %s", dec.Reason)
 	}
@@ -93,7 +93,7 @@ func TestPIMPenalizesFloatingPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec = d.Supports(bfs)
+	dec = d.Supports(bfs.Name(), bfs.Traits())
 	if !dec.OK || dec.Penalty != 1 {
 		t.Errorf("UPMEM bfs decision = %+v, want native", dec)
 	}
@@ -106,7 +106,7 @@ func TestINCCannotRunTraversals(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range kernels.All() {
-			if dec := d.Supports(k); dec.OK {
+			if dec := d.Supports(k.Name(), k.Traits()); dec.OK {
 				t.Errorf("%s claims to run %s traversal", name, k.Name())
 			}
 		}
@@ -119,14 +119,14 @@ func TestNoFPDeviceRejectsFPKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec := d.Supports(pr); dec.OK {
+	if dec := d.Supports(pr.Name(), pr.Traits()); dec.OK {
 		t.Error("FP-less device accepted pagerank")
 	}
 	bfs, err := kernels.ByName("bfs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec := d.Supports(bfs); !dec.OK {
+	if dec := d.Supports(bfs.Name(), bfs.Traits()); !dec.OK {
 		t.Errorf("FP-less device rejected bfs: %s", dec.Reason)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/runtime"
+	"repro/internal/sim"
 )
 
 // Job states.
@@ -149,6 +150,7 @@ func NewManager(reg *Registry, mreg *metrics.Registry, cfg ManagerConfig) *Manag
 		notify:     make(chan struct{}, cfg.Executors),
 		stopCh:     make(chan struct{}),
 	}
+	m.cache.tracesEvicted = m.c.tracesEvicted
 	m.exec = m.runSpec
 	m.wg.Add(cfg.Executors)
 	for i := 0; i < cfg.Executors; i++ {
@@ -532,20 +534,41 @@ func (m *Manager) Stop() {
 }
 
 // runSpec is the default executor: resolve the spec's partition plan
-// through the snapshot's plan cache, then run the selected engine.
+// through the snapshot's plan cache, then run the selected engine. A
+// simulator job executes through the trace cache and only prices what it
+// finds there: the execution does not depend on the architecture, the
+// policy or the switch.
 func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
-	var assign *partition.Assignment
-	if spec.Engine != EngineSerial {
-		p, err := partition.ByName(spec.Partitioner, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		assign, err = snap.plan(p, spec.Partitions, &m.c)
-		if err != nil {
-			return nil, err
-		}
+	if spec.Engine == EngineSerial {
+		return ExecuteSpec(ctx, snap.Graph(), spec, nil)
 	}
-	return ExecuteSpec(ctx, snap.Graph(), spec, assign)
+	p, err := partition.ByName(spec.Partitioner, spec.Seed)
+	if err != nil {
+		return nil, err
+	}
+	assign, err := snap.plan(p, spec.Partitions, &m.c)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Engine != EngineSim {
+		return ExecuteSpec(ctx, snap.Graph(), spec, assign)
+	}
+	sys, err := spec.System()
+	if err != nil {
+		return nil, err
+	}
+	k, err := kernels.ByNameIters(spec.Kernel, spec.PRIters)
+	if err != nil {
+		return nil, err
+	}
+	key := traceKey{digest: snap.Digest(), plan: planKey{p, spec.Partitions}, kernel: k.Name(), iters: spec.PRIters}
+	t, err := m.cache.trace(ctx, key, &m.c, func() (*sim.Trace, error) {
+		return sys.Execute(ctx, snap.Graph(), k, core.RunConfig{Assignment: assign})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sys.Price(t)
 }
 
 // ExecuteSpec runs a normalized spec against a graph directly — the

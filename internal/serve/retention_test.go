@@ -15,8 +15,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/sim"
 )
 
 // The retention contract: everything the service keeps has one owner and
@@ -24,31 +26,37 @@ import (
 // sized through a fake exec; nothing here sleeps.
 
 // checkCache holds a cache to its invariants: the recency list and the
-// map are the same entries, the byte count is the sum of their keys and
-// values, and neither bound is exceeded — except the byte budget by an
+// two maps are the same entries, the byte count is the sum of their
+// sizes, and neither bound is exceeded — except the byte budget by an
 // entry admitted alone.
 func checkCache(t testing.TB, c *ResultCache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sum int64
+	var results int
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
-		if c.items[e.key] != el {
-			t.Fatalf("entry %q: list and map disagree", e.key)
+		if e.t != nil && c.traces[e.tkey] != el || e.t == nil && c.items[e.key] != el {
+			t.Fatalf("entry %q %+v: list and map disagree", e.key, e.tkey)
+		}
+		if e.t == nil {
+			results++
 		}
 		sum += e.size()
 	}
 	n := c.lru.Len()
-	if n != len(c.items) || sum != c.bytes {
-		t.Fatalf("list holds %d entries %d bytes; map %d, accounted %d", n, sum, len(c.items), c.bytes)
+	if results != len(c.items) || n-results != len(c.traces) || sum != c.bytes {
+		t.Fatalf("list holds %d entries (%d results) %d bytes; maps %d results %d traces, accounted %d",
+			n, results, sum, len(c.items), len(c.traces), c.bytes)
 	}
-	if n > c.max || (c.bytes > c.budget && n != 1) {
+	if results > c.max || (c.bytes > c.budget && n != 1) {
 		t.Fatalf("%d entries %d bytes exceed max %d budget %d", n, c.bytes, c.max, c.budget)
 	}
 }
 
-// Len and Bytes read what a cache holds; only tests ask.
+// Len (results) and Bytes (results and traces) read what a cache holds;
+// only tests ask.
 func (c *ResultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -230,7 +238,9 @@ func TestCountersResolveTheirNames(t *testing.T) {
 		{m.c.resultHits, CounterResultCacheHits}, {m.c.resultMisses, CounterResultCacheMisses},
 		{m.c.resultsEvicted, CounterResultsEvicted}, {m.c.resultBytesEvicted, CounterResultBytesEvicted},
 		{m.c.planHits, CounterPlanCacheHits}, {m.c.planMisses, CounterPlanCacheMisses},
-		{m.c.plansEvicted, CounterPlansEvicted}, {m.c.waitsParked, CounterWaitsParked},
+		{m.c.plansEvicted, CounterPlansEvicted}, {m.c.traceHits, CounterTraceCacheHits},
+		{m.c.traceMisses, CounterTraceCacheMisses}, {m.c.tracesEvicted, CounterTracesEvicted},
+		{m.c.waitsParked, CounterWaitsParked},
 		{m.c.waitsExpired, CounterWaitsExpired}, {m.c.jobsExpired, CounterJobsExpired},
 		{m.c.lookupsGone, CounterLookupsGone},
 	} {
@@ -498,6 +508,56 @@ func TestWaiterOutlivesItsJobRecord(t *testing.T) {
 		}
 	}
 	r.close(t)
+}
+
+// TestTracesShareTheResultBudget: a kept trace is charged to the byte
+// budget the results live under and leaves from the same recency list —
+// it is evicted like a result, counted apart, and its key executes again.
+func TestTracesShareTheResultBudget(t *testing.T) {
+	m, snap := newTestManager(t, ManagerConfig{}, nil)
+	a, err := snap.plan(partition.Hash{}, 4, &m.c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executions := 0
+	exec := func() (*sim.Trace, error) {
+		executions++
+		return sim.Execute(context.Background(), snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
+	}
+	key := traceKey{digest: snap.Digest(), plan: planKey{partition.Hash{}, 4}, kernel: "bfs"}
+	probe, err := exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := (&cacheEntry{tkey: key, t: probe}).size()
+	c := newResultCache(0, size+1000)
+	c.tracesEvicted = m.c.tracesEvicted
+	keep := func(wantExecutions int, wantBytes int64) {
+		t.Helper()
+		if _, err := c.trace(context.Background(), key, &m.c, exec); err != nil {
+			t.Fatal(err)
+		}
+		checkCache(t, c)
+		if executions != wantExecutions || c.Bytes() != wantBytes {
+			t.Fatalf("%d executions, %d bytes held; want %d and %d", executions, c.Bytes(), wantExecutions, wantBytes)
+		}
+	}
+	keep(2, size)
+	keep(2, size) // a hit
+	c.Put(kv(1, 600))
+	c.Put(kv(2, 600)) // past the budget: the trace is the least recent
+	checkCache(t, c)
+	if c.Len() != 2 || c.Bytes() != 1200 || counter(m, CounterTracesEvicted) != 1 {
+		t.Fatalf("holding %d results %d bytes after %d trace evictions, want 2, 1200 and 1",
+			c.Len(), c.Bytes(), counter(m, CounterTracesEvicted))
+	}
+	keep(3, size+600) // executes again, and evicts the older result
+	if got := counter(m, CounterResultsEvicted); got != 1 {
+		t.Errorf("%s = %d, want 1", CounterResultsEvicted, got)
+	}
+	if hits, misses := counter(m, CounterTraceCacheHits), counter(m, CounterTraceCacheMisses); hits != 1 || misses != 2 {
+		t.Errorf("trace hits %d, misses %d; want 1 and 2", hits, misses)
+	}
 }
 
 // TestSnapshotSwapAgesOutOldResults: results are keyed by digest, so a

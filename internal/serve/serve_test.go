@@ -231,6 +231,149 @@ func TestSeedlessPlansAreShared(t *testing.T) {
 	}
 }
 
+// TestOneExecutionIsPricedPerArchitecture has two tenants submit at once
+// every architecture under two policies of one (snapshot, plan, kernel):
+// eight result-cache misses, the first two entering the executor
+// together. The kernel must execute once — one trace miss, seven hits,
+// the racing executor waiting for the other's execution — and every
+// result must be the offline twin's bytes. A caller scribbling over the
+// Values of a result it was handed must not reach a later hit; a
+// snapshot reloaded with another graph must execute afresh; and a
+// cancelled execution must keep no trace.
+func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		handed  []*core.Result
+		entered atomic.Int32
+		both    = make(chan struct{})
+		m       *Manager
+	)
+	m, snap := newTestManager(t, ManagerConfig{Executors: 2, QueueCap: 16}, func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+		if n := entered.Add(1); n == 2 {
+			close(both)
+		} else if n < 2 {
+			<-both
+		}
+		res, err := m.runSpec(ctx, snap, spec)
+		mu.Lock()
+		handed = append(handed, res)
+		mu.Unlock()
+		return res, err
+	})
+	spec := func(arch, policy string) JobSpec {
+		return JobSpec{Snapshot: "g", Kernel: "pagerank", PRIters: 5, Arch: arch, Policy: policy, Partitioner: "ldg", Partitions: 4}
+	}
+	check := func(g *graph.Graph, spec JobSpec, job *Job) []byte {
+		t.Helper()
+		waitDone(t, job)
+		got, err := m.Result(job.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ExecuteSpec(context.Background(), g, spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MarshalResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s %s/%s: served bytes differ from the offline twin's", job.ID(), spec.Arch, spec.Policy)
+		}
+		return got
+	}
+	traces := func(hits, misses int64) {
+		t.Helper()
+		if h, ms := counter(m, CounterTraceCacheHits), counter(m, CounterTraceCacheMisses); h != hits || ms != misses {
+			t.Fatalf("trace hits %d, misses %d; want %d and %d", h, ms, hits, misses)
+		}
+	}
+
+	var specs []JobSpec
+	for _, arch := range core.Architectures() {
+		for _, policy := range []string{"always", "heuristic"} {
+			specs = append(specs, spec(arch.String(), policy))
+		}
+	}
+	jobs := make([]*Job, len(specs))
+	var wg sync.WaitGroup
+	for tenant := 0; tenant < 2; tenant++ {
+		wg.Add(1)
+		go func(tenant int) {
+			defer wg.Done()
+			for i := tenant; i < len(specs); i += 2 {
+				job, err := m.Submit(fmt.Sprintf("tenant-%d", tenant), specs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				jobs[i] = job
+			}
+		}(tenant)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, job := range jobs {
+		check(snap.Graph(), specs[i], job)
+	}
+	traces(7, 1)
+
+	// Every result handed out so far is scribbled over; a trace hit
+	// afterwards must still encode the execution's values.
+	mu.Lock()
+	for _, res := range handed {
+		for v := range res.Values {
+			res.Values[v] = math.NaN()
+		}
+	}
+	mu.Unlock()
+	check(snap.Graph(), spec(core.DisaggregatedNDP.String(), "oracle"), submitDone(t, m, spec(core.DisaggregatedNDP.String(), "oracle")))
+	traces(8, 1)
+
+	// A cancelled execution keeps nothing: the next job of its key
+	// executes again.
+	bfs := spec(core.Disaggregated.String(), "always")
+	bfs.Kernel = "bfs"
+	if err := bfs.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.runSpec(cancelled, snap, bfs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a cancelled execution returned %v, want context.Canceled", err)
+	}
+	traces(8, 2)
+	check(snap.Graph(), bfs, submitDone(t, m, bfs))
+	traces(8, 3)
+
+	// A reload under the same name with another graph executes afresh.
+	before := check(snap.Graph(), specs[0], submitDone(t, m, specs[0]))
+	if _, err := m.Registry().Put("g", testGraph(t, 8)); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, ok := m.Registry().Get("g")
+	if !ok {
+		t.Fatal("snapshot g missing after reload")
+	}
+	defer reloaded.release()
+	if after := check(reloaded.Graph(), specs[0], submitDone(t, m, specs[0])); bytes.Equal(after, before) {
+		t.Fatal("the reloaded graph answers with the old graph's bytes")
+	}
+	traces(8, 4)
+
+	m.cache.mu.Lock()
+	defer m.cache.mu.Unlock()
+	if len(m.cache.traces) != 3 || len(m.cache.running) != 0 {
+		t.Errorf("cache keeps %d traces with %d executions running, want 3 and none", len(m.cache.traces), len(m.cache.running))
+	}
+}
+
 func TestQueueFullRejection(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)

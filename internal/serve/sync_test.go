@@ -8,15 +8,17 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/sim"
 )
 
 // TestEveryLockIsReleasedOnEveryPath drives each method of the manager,
-// the registry, a snapshot's plan cache and the result cache through each
-// of its return paths, and after every step takes each of those locks
-// again. A path that returns holding a lock turns the step after it into
-// a hang, which the step's bound reports by name.
+// the registry, a snapshot's plan cache and the result and trace cache
+// through each of its return paths, and after every step takes each of
+// those locks again. A path that returns holding a lock turns the step
+// after it into a hang, which the step's bound reports by name.
 func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 	release := make(chan struct{})
 	const failSeed = 666
@@ -195,6 +197,43 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 				return errors.New("hit on an absent key")
 			}
 			return nil
+		}},
+		{"ResultCache/trace-fails", func() error {
+			_, err := m.cache.trace(context.Background(), traceKey{kernel: "boom"}, &m.c, func() (*sim.Trace, error) { return nil, errBoom })
+			return is(err, errBoom)
+		}},
+		{"ResultCache/trace-miss", func() error {
+			_, err := m.cache.trace(context.Background(), traceKey{kernel: "bfs"}, &m.c, func() (*sim.Trace, error) {
+				a, err := partition.Hash{}.Partition(snap.Graph(), 2)
+				if err != nil {
+					return nil, err
+				}
+				return sim.Execute(context.Background(), snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
+			})
+			return err
+		}},
+		{"ResultCache/trace-hit", func() error {
+			_, err := m.cache.trace(context.Background(), traceKey{kernel: "bfs"}, &m.c, nil)
+			return err
+		}},
+		// A waiter whose context ends while another caller executes its key.
+		{"ResultCache/trace-wait-ends", func() error {
+			key := traceKey{kernel: "held"}
+			started, unblock, executed := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+			go func() {
+				_, err := m.cache.trace(context.Background(), key, &m.c, func() (*sim.Trace, error) {
+					close(started)
+					<-unblock
+					return nil, errBoom
+				})
+				executed <- err
+			}()
+			<-started
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err := m.cache.trace(ctx, key, &m.c, nil)
+			close(unblock)
+			return errors.Join(is(err, context.Canceled), is(<-executed, errBoom))
 		}},
 		{"Registry/Get", func() error {
 			s, ok := m.reg.Get("g")

@@ -257,6 +257,10 @@ const (
 	CounterResultCacheMisses = "serve.cache.result.misses"
 	CounterPlanCacheHits     = "serve.cache.plan.hits"
 	CounterPlanCacheMisses   = "serve.cache.plan.misses"
+	// A simulator job whose execution the cache keeps only prices it: a
+	// trace hit; a miss executes the kernel.
+	CounterTraceCacheHits   = "serve.cache.trace.hits"
+	CounterTraceCacheMisses = "serve.cache.trace.misses"
 	// Status requests that parked on a running job, and those whose bound
 	// ran out first: all parks and no expiries is a long-polling client,
 	// neither a poller, many expiries a bound too small for the jobs.
@@ -268,6 +272,7 @@ const (
 	CounterResultsEvicted     = "serve.cache.result.evicted"
 	CounterResultBytesEvicted = "serve.cache.result.evicted_bytes"
 	CounterPlansEvicted       = "serve.cache.plan.evicted"
+	CounterTracesEvicted      = "serve.cache.trace.evicted"
 	CounterJobsExpired        = "serve.jobs.expired"
 	CounterLookupsGone        = "serve.lookups.gone"
 )
@@ -279,6 +284,7 @@ type counters struct {
 	rejectedQueueFull, rejectedQuota        *metrics.Counter
 	resultHits, resultMisses, resultsEvicted, resultBytesEvicted,
 	planHits, planMisses, plansEvicted,
+	traceHits, traceMisses, tracesEvicted,
 	waitsParked, waitsExpired, jobsExpired, lookupsGone *metrics.Counter
 }
 
@@ -290,6 +296,7 @@ func newCounters(reg *metrics.Registry) counters {
 		c(CounterRejectedQueueFull), c(CounterRejectedQuota),
 		c(CounterResultCacheHits), c(CounterResultCacheMisses), c(CounterResultsEvicted), c(CounterResultBytesEvicted),
 		c(CounterPlanCacheHits), c(CounterPlanCacheMisses), c(CounterPlansEvicted),
+		c(CounterTraceCacheHits), c(CounterTraceCacheMisses), c(CounterTracesEvicted),
 		c(CounterWaitsParked), c(CounterWaitsExpired), c(CounterJobsExpired), c(CounterLookupsGone),
 	}
 }

@@ -11,13 +11,30 @@ import (
 	"repro/internal/partition"
 )
 
-// Engine runs a kernel on a simulated architecture. Runs honor
-// cancellation: the iteration loop checks the context between iterations
-// and returns ctx.Err() on cancellation or deadline, so a long sweep
-// aborts within one iteration's work.
+// Engine is one simulated architecture. Run executes a kernel once and
+// prices it: Price(Execute(…)), with the engine's assignment, edge cache
+// and worker pool as the execution's inputs. Price alone turns a trace
+// executed elsewhere into the architecture's Run, so one execution prices
+// under every architecture. Runs honor cancellation: the iteration loop
+// checks the context between iterations and returns ctx.Err() on
+// cancellation or deadline, so a long sweep aborts within one iteration's
+// work.
 type Engine interface {
 	Name() string
 	Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error)
+	Price(t *Trace) (*Run, error)
+}
+
+// runOnce is every engine's Run: check the inputs, execute, price.
+func runOnce(ctx context.Context, topo Topology, cfg ExecConfig, g *graph.Graph, k kernels.Kernel, price func(*Trace) (*Run, error)) (*Run, error) {
+	if err := checkEngineInputs(topo, cfg.Assign); err != nil {
+		return nil, err
+	}
+	t, err := Execute(ctx, g, k, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return price(t)
 }
 
 // checkEngineInputs validates the pieces shared by all engines.
@@ -49,6 +66,8 @@ type Disaggregated struct {
 	// tiering): the highest-out-degree vertices' edge lists are pinned on
 	// the hosts, greedily by degree until the budget is exhausted, and
 	// their traversals cost no interconnect bytes. 0 disables the cache.
+	// The mask is an execution input (ExecConfig.CacheBytes): Price
+	// refuses a trace executed under another budget.
 	CacheBytes int64
 	// Workers caps the simulator's worker pool (0 = GOMAXPROCS). Results
 	// are bit-identical for every setting.
@@ -86,22 +105,20 @@ func cacheMask(g *graph.Graph, budget int64) []bool {
 
 // Run implements Engine.
 func (d *Disaggregated) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	if err := checkEngineInputs(d.Topo, d.Assign); err != nil {
+	return runOnce(ctx, d.Topo, ExecConfig{Assign: d.Assign, CacheBytes: d.CacheBytes, Workers: d.Workers}, g, k, d.Price)
+}
+
+// Price implements Engine.
+func (d *Disaggregated) Price(t *Trace) (*Run, error) {
+	if err := t.check(d.Topo, d.CacheBytes); err != nil {
 		return nil, err
 	}
-	tr := k.Traits()
-	account := func(rec *Record) { d.Topo.hostFetch(rec, tr) }
-	ex, err := newExecution(g, k, d.Assign, account, NeverOffload{})
-	if err != nil {
-		return nil, err
-	}
-	ex.computeStatics(false, false)
-	ex.workers = d.Workers
-	ex.cached = cacheMask(g, d.CacheBytes)
-	run, err := ex.run(ctx, d.Name())
-	if err != nil {
-		return nil, err
-	}
+	tr := t.tr
+	run := (&pricing{
+		engine:  d.Name(),
+		policy:  NeverOffload{},
+		account: func(rec *Record) { d.Topo.hostFetch(rec, tr) },
+	}).run(t)
 	run.OffloadSupported = true
 	return run, nil
 }
@@ -164,10 +181,15 @@ func (d *DisaggregatedNDP) Name() string {
 
 // Run implements Engine.
 func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	if err := checkEngineInputs(d.Topo, d.Assign); err != nil {
+	return runOnce(ctx, d.Topo, ExecConfig{Assign: d.Assign, Workers: d.Workers}, g, k, d.Price)
+}
+
+// Price implements Engine.
+func (d *DisaggregatedNDP) Price(t *Trace) (*Run, error) {
+	if err := t.check(d.Topo, 0); err != nil {
 		return nil, err
 	}
-	tr := k.Traits()
+	tr := t.tr
 
 	// Per-memory-node device support: a heterogeneous pool may host the
 	// kernel on some nodes and not others, in which case accounting drops
@@ -179,7 +201,7 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 	firstReason := ""
 	for p := 0; p < P; p++ {
 		pdev := d.Topo.DeviceFor(p)
-		pd := pdev.Supports(k)
+		pd := pdev.Supports(t.kernel, tr)
 		supported[p] = pd.OK
 		if pd.OK {
 			supportedCount++
@@ -202,8 +224,13 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 		perPartition = true
 	}
 	perPartition = perPartition || heterogeneous
-	var ex *execution
-	account := func(rec *Record) {
+	pr := &pricing{
+		engine:           d.Name(),
+		policy:           policy,
+		switchAggregates: d.InNetworkAggregation,
+		switchBuffer:     d.Topo.SwitchBufferEntries,
+	}
+	pr.account = func(rec *Record) {
 		if supportedCount == 0 {
 			// No device can run the kernel near data: force host fetch.
 			rec.Offloaded = false
@@ -255,7 +282,7 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 			if d.InNetworkAggregation {
 				switchOps = float64(rec.PartialUpdates)
 			}
-			rec.DataMovementBytes = ex.offloadMoveBytes(rec)
+			rec.DataMovementBytes = pr.offloadMoveBytes(rec)
 			rec.EnergyJoules = ndpExecutionEnergy(rec.EdgeFetchBytes, rec.DataMovementBytes, edgeOps, maxPenalty, applyOps, switchOps)
 		}
 		rec.SyncEvents = int64(d.Topo.ComputeNodes + d.Topo.MemoryNodes)
@@ -264,23 +291,12 @@ func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Ke
 			d.Topo.hostComputeTime(applyOps) +
 			networkLatency.Seconds()
 	}
-	ex, err := newExecution(g, k, d.Assign, account, policy)
-	if err != nil {
-		return nil, err
-	}
-	ex.computeStatics(true, false)
-	ex.workers = d.Workers
-	ex.switchAggregates = d.InNetworkAggregation
-	ex.switchBuffer = d.Topo.SwitchBufferEntries
-	run, err := ex.run(ctx, d.Name())
-	if err != nil {
-		return nil, err
-	}
+	run := pr.run(t)
 	run.OffloadSupported = dec.OK
 	run.OffloadNote = dec.Reason
 	if heterogeneous {
 		run.OffloadNote = fmt.Sprintf("heterogeneous pool: %d/%d memory nodes can run %s near data (%s)",
-			supportedCount, P, k.Name(), firstReason)
+			supportedCount, P, t.kernel, firstReason)
 	}
 	return run, nil
 }
@@ -303,7 +319,12 @@ func (d *Distributed) Name() string { return "distributed" }
 
 // Run implements Engine.
 func (d *Distributed) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return runDistributed(ctx, d.Topo, d.Assign, g, k, d.Name(), false, d.Workers)
+	return runOnce(ctx, d.Topo, ExecConfig{Assign: d.Assign, Workers: d.Workers}, g, k, d.Price)
+}
+
+// Price implements Engine.
+func (d *Distributed) Price(t *Trace) (*Run, error) {
+	return priceDistributed(t, d.Topo, d.Name(), false)
 }
 
 // DistributedNDP models GraphQ-style PIM clusters: the same partitioning
@@ -325,22 +346,27 @@ func (d *DistributedNDP) Name() string { return "distributed-ndp" }
 
 // Run implements Engine.
 func (d *DistributedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return runDistributed(ctx, d.Topo, d.Assign, g, k, d.Name(), true, d.Workers)
+	return runOnce(ctx, d.Topo, ExecConfig{Assign: d.Assign, Workers: d.Workers}, g, k, d.Price)
+}
+
+// Price implements Engine.
+func (d *DistributedNDP) Price(t *Trace) (*Run, error) {
+	return priceDistributed(t, d.Topo, d.Name(), true)
 }
 
 // ndpOverlapFraction is the share of a near-memory traversal's time that
 // hides communication behind it (GraphQ's hybrid execution model).
 const ndpOverlapFraction = 0.7
 
-// runDistributed is the shared implementation of the two distributed
-// engines; ndpMode selects near-memory traversal and overlap.
-func runDistributed(ctx context.Context, topo Topology, assign *partition.Assignment, g *graph.Graph, k kernels.Kernel, name string, ndpMode bool, workers int) (*Run, error) {
-	if err := checkEngineInputs(topo, assign); err != nil {
+// priceDistributed is the shared pricing of the two distributed engines;
+// ndpMode selects near-memory traversal and overlap.
+func priceDistributed(t *Trace, topo Topology, name string, ndpMode bool) (*Run, error) {
+	if err := t.check(topo, 0); err != nil {
 		return nil, err
 	}
-	tr := k.Traits()
+	tr := t.tr
 	servers := topo.MemoryNodes // in distributed mode every node is a full server
-	dec := topo.MemDevice.Supports(k)
+	dec := topo.MemDevice.Supports(t.kernel, tr)
 	account := func(rec *Record) {
 		rec.Offloaded = ndpMode && dec.OK
 		rec.DataMovementBytes = rec.MirrorReduceBytes + rec.MirrorBroadcastBytes
@@ -377,16 +403,7 @@ func runDistributed(ctx context.Context, topo Topology, assign *partition.Assign
 				(edgeOps+applyOps)*hostPJPerOp)
 		}
 	}
-	ex, err := newExecution(g, k, assign, account, NeverOffload{})
-	if err != nil {
-		return nil, err
-	}
-	ex.computeStatics(false, true)
-	ex.workers = workers
-	run, err := ex.run(ctx, name)
-	if err != nil {
-		return nil, err
-	}
+	run := (&pricing{engine: name, policy: NeverOffload{}, mirrors: true, account: account}).run(t)
 	run.OffloadSupported = !ndpMode || dec.OK
 	run.OffloadNote = dec.Reason
 	return run, nil

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
@@ -94,96 +96,143 @@ func (NeverOffload) Name() string { return "never" }
 // Decide implements OffloadPolicy.
 func (NeverOffload) Decide(PreStats) bool { return false }
 
-// execution is the accountant shared by the four architectures. It runs
-// the kernel once on the kernel engine's Staged machine, gridded by the
-// partition assignment — chunk p is memory node p, and chunk p's staged
-// partials are the updates that node would emit — and turns each finished
-// iteration the engine lends it into a Record: the partitioned counters
-// first, then the architecture's bytes, time and energy (account). It
-// scatters, merges and applies nothing itself.
-type execution struct {
-	g      *graph.Graph
-	src    kernels.Source
-	k      kernels.Kernel
+// Trace is one execution of a kernel, recorded as what every
+// architecture prices: the kernel's result and, for each iteration and
+// memory node, what the node traversed and emitted. It depends on the
+// graph, the kernel, the partition assignment and the hosts' edge cache
+// (ExecConfig), never on an architecture, a policy, a switch or a device,
+// so one trace prices under all four engines (Engine.Price). Execute
+// returns it complete and nothing changes it afterwards: any number of
+// pricings may read it at once, and each Run's Result is the trace's own.
+type Trace struct {
+	kernel string
 	tr     kernels.Traits
-	assign *partition.Assignment
+	result *kernels.Result
 
-	// account fills in the architecture-specific fields of each record.
-	account func(rec *Record)
-	// switchAggregates and switchBuffer are the switch as PreStats reports
-	// it and offloadMoveBytes prices it (set by DisaggregatedNDP.Run).
-	switchAggregates bool
-	switchBuffer     int64
-	// policy is asked for each iteration's offload decision, from what a
-	// runtime knows before the iteration runs (PreStats).
-	policy     OffloadPolicy
-	partPolicy PartitionPolicy
-	// workers caps the engine's worker pool (0 = GOMAXPROCS). Purely an
-	// execution knob: every setting produces bit-identical Records and
-	// values.
-	workers int
+	numVertices, parts int
+	cacheBytes         int64
+	// staticPartials is the full-frontier distinct (destination,
+	// partition) count and staticPerPart its per-partition breakdown —
+	// the load-time statistics a policy reads (PreStats).
+	staticPartials int64
+	staticPerPart  []int64
 
-	// Load-time statistics of (graph, assignment), from computeStatics.
-	// crossDeg[v] counts v's out-edges that leave v's partition;
-	// staticPartials is the full-frontier distinct (dst, partition) count
-	// and staticPartialsPerPart its per-partition breakdown; mirrorCount
-	// (nil unless asked for) is the per-vertex mirror count whose refresh
-	// is the distributed broadcast volume.
-	crossDeg              []int32
-	staticPartials        int64
-	staticPartialsPerPart []int64
-	mirrorCount           []int32
-	// cached marks vertices whose edge lists the hosts hold locally
-	// (tiering); their traversals cost no interconnect bytes in
-	// fetch-mode accounting.
-	cached []bool
-
-	// out collects the Records; the per-partition slices are record's
-	// scratch, allocated once per run.
-	out             *Run
-	bytesPerPart    []int64
-	opsPerPart      []float64
-	partialsPerPart []int64
-	pp              []PreStats
+	iters []iterTrace
+	nodes []nodeTrace // parts per iteration, iteration-major
 }
 
-// newExecution validates inputs. A vertex-only view is refused here,
-// before the static pass would index its absent edge array; the kernel's
-// own requirements are the engine's to check.
-func newExecution(g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, account func(*Record), policy OffloadPolicy) (*execution, error) {
+// iterTrace is one iteration as a whole.
+type iterTrace struct {
+	index           int
+	distinctDsts    int64
+	next            int64 // the next frontier's size
+	broadcast       int64 // mirrors of the next frontier: the distributed refresh
+	cachedEdgeBytes int64
+}
+
+// nodeTrace is what memory node p did in one iteration: its share of the
+// frontier (in bucket order, the order its FLOPs sum in), the edges of it
+// that leave p, the partial updates p's NDP unit would emit (and those of
+// them for vertices p does not own), and the next-frontier vertices p
+// owns.
+type nodeTrace struct {
+	frontier, degSum int64
+	flops            float64
+	cross            int64
+	partials, remote int64
+	activated        int64
+}
+
+// Size is what a kept trace holds, in bytes: the result's vectors and the
+// counters (about 8 B a vertex plus a few hundred a memory node and
+// iteration).
+func (t *Trace) Size() int64 {
+	r := t.result
+	return int64(unsafe.Sizeof(*t)+unsafe.Sizeof(*r)) +
+		8*int64(len(r.Values)+len(r.FrontierSizes)+len(r.ActiveEdges)+len(t.staticPerPart)) +
+		int64(len(t.iters))*int64(unsafe.Sizeof(iterTrace{})) +
+		int64(len(t.nodes))*int64(unsafe.Sizeof(nodeTrace{}))
+}
+
+// ExecConfig is what an execution depends on besides the graph and the
+// kernel.
+type ExecConfig struct {
+	// Assign is the grid: chunk p is memory node p.
+	Assign *partition.Assignment
+	// CacheBytes sizes the hosts' edge cache (FAM-Graph-style tiering,
+	// cacheMask), whose traversals only Disaggregated prices as free of
+	// interconnect bytes; 0 disables it. A trace executed with a cache
+	// prices only under a Disaggregated engine of the same CacheBytes.
+	CacheBytes int64
+	// Workers caps the engine's worker pool (0 = GOMAXPROCS). Purely an
+	// execution knob: every setting records a bit-identical trace.
+	Workers int
+}
+
+// Execute runs the kernel to completion once on the kernel engine's
+// Staged machine, gridded by the partition assignment — chunk p is memory
+// node p, and chunk p's staged partials are the updates that node would
+// emit — and records each finished iteration the engine lends it. Push is
+// forced: the counters are defined over the partial updates a scatter
+// stages, and a pull iteration stages none. The reduction tree is the
+// grid, so every Workers setting is bit-identical, and ctx is checked at
+// every iteration boundary. A vertex-only view is refused before the
+// static pass would index its absent edge array; the kernel's own
+// requirements are the engine's to check.
+func Execute(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg ExecConfig) (*Trace, error) {
 	src, err := kernels.InMemory(g)
 	if err != nil {
 		return nil, err
 	}
+	assign := cfg.Assign
+	if assign == nil {
+		return nil, fmt.Errorf("sim: nil partition assignment")
+	}
 	if err := assign.Validate(g); err != nil {
 		return nil, err
 	}
-	if policy == nil {
-		policy = AlwaysOffload{}
+	t := &Trace{
+		kernel: k.Name(), tr: k.Traits(),
+		numVertices: g.NumVertices(), parts: assign.K,
+		cacheBytes: max(cfg.CacheBytes, 0),
 	}
-	e := &execution{g: g, src: src, k: k, tr: k.Traits(), assign: assign, account: account, policy: policy}
-	e.partPolicy, _ = policy.(PartitionPolicy)
-	return e, nil
+	x := &recorder{t: t, g: g, parts: assign.Parts, statics: computeStatics(g, assign), cached: cacheMask(g, t.cacheBytes)}
+	t.staticPartials, t.staticPerPart = x.statics.partials, x.statics.perPart
+	res, err := kernels.RunOn(ctx, src, k, kernels.Staged, kernels.Options{
+		Workers:   cfg.Workers,
+		Direction: kernels.DirectionPush,
+		Grid:      &kernels.Grid{Chunks: assign.K, ChunkOf: assign.Parts, Observe: x.observe},
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.result = res
+	return t, nil
+}
+
+// statics are the load-time statistics of (graph, assignment).
+// crossDeg[v] counts v's out-edges that leave v's partition; partials is
+// the full-frontier distinct (destination, partition) count and perPart
+// its per-partition breakdown; mirrors[v] is v's mirror count, whose
+// refresh is the distributed broadcast volume.
+type statics struct {
+	crossDeg []int32
+	partials int64
+	perPart  []int64
+	mirrors  []int32
 }
 
 // computeStatics takes the load-time statistics in one sweep over the
-// edges in vertex order: crossDeg always, the static partial-update counts
-// when partials is set (architectures whose policy sees them), the mirror
-// counts when mirrors is set (distributed architectures). The last two
-// count distinct (destination, partition) pairs — a pair is one static
-// partial update, and one mirror of the destination when the partition is
-// not its owner — so the sweep ORs each source's partition into a
-// ⌈K/64⌉-word reach mask per destination, and one pass over the masks
-// counts the pairs.
-func (e *execution) computeStatics(partials, mirrors bool) {
-	g, parts, P := e.g, e.assign.Parts, e.assign.K
+// edges in vertex order. The partial and mirror counts count distinct
+// (destination, partition) pairs — a pair is one static partial update,
+// and one mirror of the destination when the partition is not its owner —
+// so the sweep ORs each source's partition into a ⌈K/64⌉-word reach mask
+// per destination, and one pass over the masks counts the pairs.
+func computeStatics(g *graph.Graph, assign *partition.Assignment) statics {
+	parts, P := assign.Parts, assign.K
 	n := g.NumVertices()
-	e.crossDeg = make([]int32, n)
-	e.staticPartialsPerPart = make([]int64, P)
-	words := 0
-	if partials || mirrors {
-		words = (P + 63) / 64
-	}
+	s := statics{crossDeg: make([]int32, n), perPart: make([]int64, P), mirrors: make([]int32, n)}
+	words := (P + 63) / 64
 	reached := make([]uint64, n*words)
 	for v := 0; v < n; v++ {
 		p := parts[v]
@@ -193,17 +242,9 @@ func (e *execution) computeStatics(partials, mirrors bool) {
 			if parts[dst] != p {
 				cross++
 			}
-			if words > 0 {
-				reached[int(dst)*words+at] |= bit
-			}
+			reached[int(dst)*words+at] |= bit
 		}
-		e.crossDeg[v] = cross
-	}
-	if words == 0 {
-		return
-	}
-	if mirrors {
-		e.mirrorCount = make([]int32, n)
+		s.crossDeg[v] = cross
 	}
 	for dst := 0; dst < n; dst++ {
 		row := reached[dst*words : (dst+1)*words]
@@ -211,158 +252,196 @@ func (e *execution) computeStatics(partials, mirrors bool) {
 		for w, mask := range row {
 			pairs += int32(bits.OnesCount64(mask))
 			for ; mask != 0; mask &= mask - 1 {
-				e.staticPartialsPerPart[w*64+bits.TrailingZeros64(mask)]++
+				s.perPart[w*64+bits.TrailingZeros64(mask)]++
 			}
 		}
-		if mirrors {
-			// Every reaching partition but the owner holds a mirror.
-			own := uint(parts[dst])
-			e.mirrorCount[dst] = pairs - int32(row[own>>6]>>(own&63)&1)
-		}
+		// Every reaching partition but the owner holds a mirror.
+		own := uint(parts[dst])
+		s.mirrors[dst] = pairs - int32(row[own>>6]>>(own&63)&1)
 	}
-	for _, pairs := range e.staticPartialsPerPart {
-		e.staticPartials += pairs
+	for _, pairs := range s.perPart {
+		s.partials += pairs
 	}
+	return s
 }
 
-// run executes the kernel to completion on the kernel engine, producing a
-// Run with one Record per iteration. Push is forced: the counters are
-// defined over the partial updates a scatter stages, and a pull iteration
-// stages none. The engine's reduction tree is the grid — the partition
-// assignment — so every Workers setting is bit-identical, and ctx is
-// checked at every iteration boundary.
-func (e *execution) run(ctx context.Context, engineName string) (*Run, error) {
-	P := e.assign.K
-	e.out = &Run{Engine: engineName, Kernel: e.k.Name()}
-	e.bytesPerPart = make([]int64, P)
-	e.opsPerPart = make([]float64, P)
-	e.partialsPerPart = make([]int64, P)
-	if e.partPolicy != nil {
-		e.pp = make([]PreStats, P)
-	}
-	res, err := kernels.RunOn(ctx, e.src, e.k, kernels.Staged, kernels.Options{
-		Workers:   e.workers,
-		Direction: kernels.DirectionPush,
-		Grid:      &kernels.Grid{Chunks: P, ChunkOf: e.assign.Parts, Observe: e.record},
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.out.Result = res
-	e.out.finalize()
-	return e.out, nil
+// recorder is Execute's per-iteration observer and the state it reads.
+type recorder struct {
+	t       *Trace
+	g       *graph.Graph
+	parts   []int32
+	statics statics
+	// cached marks vertices whose edge lists the hosts hold locally.
+	cached []bool
+	// it and nodes are the iteration being recorded, for activate.
+	it    *iterTrace
+	nodes []nodeTrace
 }
 
-// record is the engine's per-iteration observer: it counts what memory
-// node p traversed (chunk p's frontier slice, in bucket order — the order
-// the float ops sum in) and emitted (chunk p's partial updates), asks the
-// policy for the decision those pre-iteration statistics imply, and
-// finishes the Record in place.
-func (e *execution) record(it *kernels.Iteration) {
-	g, P := e.g, e.assign.K
-	done := len(e.out.Records)
-	e.out.Records = append(e.out.Records, Record{Iteration: it.Index, DistinctDsts: it.DistinctDsts})
-	rec := &e.out.Records[done]
-	for p := 0; p < P; p++ {
+// observe counts what memory node p traversed (chunk p's frontier slice,
+// in bucket order — the order the float ops sum in) and emitted (chunk
+// p's partial updates), then walks the next frontier for each node's
+// activations and the mirrors the refresh reaches.
+func (x *recorder) observe(it *kernels.Iteration) {
+	t, g := x.t, x.g
+	t.iters = append(t.iters, iterTrace{index: it.Index, distinctDsts: it.DistinctDsts, next: it.Next.Count()})
+	x.it = &t.iters[len(t.iters)-1]
+	at := len(t.nodes)
+	t.nodes = append(t.nodes, make([]nodeTrace, t.parts)...)
+	x.nodes = t.nodes[at:]
+	for p := range x.nodes {
+		nd := &x.nodes[p]
 		front := it.Frontier(p)
-		var degSum int64
-		var ops float64
 		for _, v := range front {
 			deg := g.OutDegree(v)
-			degSum += deg
-			ops += float64(deg) * e.tr.FLOPsPerEdge
-			rec.CrossEdges += int64(e.crossDeg[v])
-			if e.cached != nil && e.cached[v] {
-				rec.CachedEdgeBytes += deg * kernels.EdgeBytes
+			nd.degSum += deg
+			nd.flops += float64(deg) * t.tr.FLOPsPerEdge
+			nd.cross += int64(x.statics.crossDeg[v])
+			if x.cached != nil && x.cached[v] {
+				x.it.cachedEdgeBytes += deg * kernels.EdgeBytes
 			}
 		}
-		rec.FrontierSize += int64(len(front))
-		rec.ActiveEdges += degSum
-		e.bytesPerPart[p] = degSum * kernels.EdgeBytes
-		e.opsPerPart[p] = ops
-		if e.pp != nil {
-			e.pp[p] = PreStats{
-				FrontierSize:         int64(len(front)),
-				FrontierDegreeSum:    degSum,
-				Partitions:           1,
-				NumVertices:          g.NumVertices(),
-				StaticPartialUpdates: e.staticPartialsPerPart[p],
+		nd.frontier = int64(len(front))
+		nd.partials = it.Partials(p)
+		nd.remote = it.RemotePartials(p)
+	}
+	it.Next.ForEach(x.activate)
+}
+
+// activate credits one next-frontier vertex to its owner and its mirrors
+// to the refresh.
+func (x *recorder) activate(v graph.VertexID) {
+	x.nodes[x.parts[v]].activated++
+	x.it.broadcast += int64(x.statics.mirrors[v])
+}
+
+// pricing is what one architecture adds to a trace to make its Run: the
+// offload policy asked before each iteration, the switch as PreStats
+// reports it and offloadMoveBytes prices it, whether the master→mirror
+// refresh is charged (distributed architectures), and account, which
+// fills in the architecture's bytes, time and energy.
+type pricing struct {
+	engine           string
+	policy           OffloadPolicy
+	switchAggregates bool
+	switchBuffer     int64
+	mirrors          bool
+	account          func(rec *Record)
+}
+
+// check refuses a trace this engine cannot price: a topology that does
+// not validate, a trace gridded for another pool width, or one executed
+// under another host edge cache than the engine's (cacheBytes).
+func (t *Trace) check(topo Topology, cacheBytes int64) error {
+	if err := topo.Validate(); err != nil {
+		return err
+	}
+	if t.parts != topo.MemoryNodes {
+		return fmt.Errorf("sim: trace has %d parts, topology has %d memory nodes", t.parts, topo.MemoryNodes)
+	}
+	if t.cacheBytes != max(cacheBytes, 0) {
+		return fmt.Errorf("sim: trace executed with a %d-byte host edge cache; this engine prices %d", t.cacheBytes, max(cacheBytes, 0))
+	}
+	return nil
+}
+
+// run prices every iteration of t into one Record: the counters, the
+// policy's decision from what a runtime knows before the iteration
+// (PreStats), the byte quantities the counters imply, and the
+// architecture's account. It reads t and writes only the Run.
+func (pr *pricing) run(t *Trace) *Run {
+	P := t.parts
+	out := &Run{Engine: pr.engine, Kernel: t.kernel, Result: t.result, Records: make([]Record, len(t.iters))}
+	parts := make([]PartitionRecord, len(t.nodes))
+	partPolicy, _ := pr.policy.(PartitionPolicy)
+	var pp []PreStats
+	if partPolicy != nil {
+		pp = make([]PreStats, P)
+	}
+	for i, it := range t.iters {
+		rec := &out.Records[i]
+		*rec = Record{
+			Iteration:       it.index,
+			DistinctDsts:    it.distinctDsts,
+			CachedEdgeBytes: it.cachedEdgeBytes,
+			PerPartition:    parts[i*P : (i+1)*P : (i+1)*P],
+		}
+		for p, nd := range t.nodes[i*P : (i+1)*P] {
+			rec.FrontierSize += nd.frontier
+			rec.ActiveEdges += nd.degSum
+			rec.CrossEdges += nd.cross
+			rec.PartialUpdates += nd.partials
+			rec.RemotePartialUpdates += nd.remote
+			edgeBytes := nd.degSum * kernels.EdgeBytes
+			rec.PerPartition[p] = PartitionRecord{EdgeBytes: edgeBytes, PartialUpdates: nd.partials, Activated: nd.activated}
+			if edgeBytes > rec.maxPartBytes {
+				rec.maxPartBytes = edgeBytes
+			}
+			if nd.flops > rec.maxPartOps {
+				rec.maxPartOps = nd.flops
+			}
+			if pp != nil {
+				pp[p] = PreStats{
+					FrontierSize:         nd.frontier,
+					FrontierDegreeSum:    nd.degSum,
+					Partitions:           1,
+					NumVertices:          t.numVertices,
+					StaticPartialUpdates: t.staticPerPart[p],
+				}
 			}
 		}
-		e.partialsPerPart[p] = it.Partials(p)
-		rec.PartialUpdates += it.Partials(p)
-		rec.RemotePartialUpdates += it.RemotePartials(p)
+		var partMask []bool
+		if partPolicy != nil {
+			partMask = partPolicy.DecidePartitions(pp)
+			rec.Offloaded = anyTrue(partMask)
+		} else {
+			rec.Offloaded = pr.policy.Decide(PreStats{
+				Iteration:            it.index,
+				FrontierSize:         rec.FrontierSize,
+				FrontierDegreeSum:    rec.ActiveEdges,
+				Partitions:           P,
+				NumVertices:          t.numVertices,
+				StaticPartialUpdates: t.staticPartials,
+				SwitchAggregates:     pr.switchAggregates,
+				SwitchBufferEntries:  pr.switchBuffer,
+			})
+		}
+		rec.Applies = rec.DistinctDsts
+		if t.tr.AllVerticesActive {
+			rec.Applies = int64(t.numVertices)
+		}
+		rec.NextFrontierSize = it.next
+		if pr.mirrors {
+			rec.MirrorBroadcastBytes = it.broadcast * kernels.UpdateBytes
+		}
+		pr.finishRecord(rec, partMask)
 	}
-
-	pre := PreStats{
-		Iteration:            it.Index,
-		FrontierSize:         rec.FrontierSize,
-		FrontierDegreeSum:    rec.ActiveEdges,
-		Partitions:           P,
-		NumVertices:          g.NumVertices(),
-		StaticPartialUpdates: e.staticPartials,
-		SwitchAggregates:     e.switchAggregates,
-		SwitchBufferEntries:  e.switchBuffer,
-	}
-	var partMask []bool
-	if e.partPolicy != nil {
-		partMask = e.partPolicy.DecidePartitions(e.pp)
-		rec.Offloaded = anyTrue(partMask)
-	} else {
-		rec.Offloaded = e.policy.Decide(pre)
-	}
-
-	applies := rec.DistinctDsts
-	if e.tr.AllVerticesActive {
-		applies = int64(g.NumVertices())
-	}
-	e.finishRecord(rec, applies, partMask, it.Next)
+	out.finalize()
+	return out
 }
 
 // finishRecord derives the byte quantities from the iteration counters,
-// applies post-hoc policy overrides if present, and calls the engine's
-// accounting hook.
-func (e *execution) finishRecord(rec *Record, applies int64, partMask []bool, next *kernels.Frontier) {
-	rec.NextFrontierSize = next.Count()
+// applies post-hoc policy overrides if present, and calls the
+// architecture's account.
+func (pr *pricing) finishRecord(rec *Record, partMask []bool) {
 	rec.EdgeFetchBytes = rec.ActiveEdges * kernels.EdgeBytes
 	rec.UpdateMoveBytes = rec.PartialUpdates * kernels.UpdateBytes
 	rec.WritebackBytes = rec.NextFrontierSize * kernels.PropertyBytes
 	rec.MirrorReduceBytes = rec.RemotePartialUpdates * kernels.UpdateBytes
-	var broadcast int64
-	if e.mirrorCount != nil {
-		next.ForEach(func(v graph.VertexID) {
-			broadcast += int64(e.mirrorCount[v])
-		})
-	}
-	rec.MirrorBroadcastBytes = broadcast * kernels.UpdateBytes
 
-	// Per-partition breakdown: each memory node's edge volume, partial
-	// updates, and share of the property write-back.
-	P := e.assign.K
-	rec.PerPartition = make([]PartitionRecord, P)
-	for p := 0; p < P; p++ {
-		rec.PerPartition[p] = PartitionRecord{
-			EdgeBytes:      e.bytesPerPart[p],
-			PartialUpdates: e.partialsPerPart[p],
-		}
-	}
-	next.ForEach(func(v graph.VertexID) {
-		rec.PerPartition[e.assign.Parts[v]].Activated++
-	})
-
-	switch e.policy.(type) {
+	switch pr.policy.(type) {
 	case PartitionPostHocPolicy:
 		// Every memory node independently picks its cheaper mechanism.
 		any := false
-		for p := 0; p < P; p++ {
+		for p := range rec.PerPartition {
 			off := rec.PerPartition[p].OffloadCost() < rec.PerPartition[p].EdgeBytes
 			rec.PerPartition[p].Offloaded = off
 			any = any || off
 		}
 		rec.Offloaded = any
 	default:
-		if _, ok := e.policy.(PostHocPolicy); ok {
-			rec.Offloaded = e.offloadMoveBytes(rec) < rec.EdgeFetchBytes
+		if _, ok := pr.policy.(PostHocPolicy); ok {
+			rec.Offloaded = pr.offloadMoveBytes(rec) < rec.EdgeFetchBytes
 		}
 		// A partition policy's mask is per node; a global decision, post
 		// hoc or not, reaches every partition, so a heterogeneous pool's
@@ -375,10 +454,7 @@ func (e *execution) finishRecord(rec *Record, applies int64, partMask []bool, ne
 			}
 		}
 	}
-	rec.maxPartBytes = maxOf(e.bytesPerPart)
-	rec.maxPartOps = maxOfF(e.opsPerPart)
-	rec.Applies = applies
-	e.account(rec)
+	pr.account(rec)
 }
 
 // MixedMoveBytes sums each partition's cost under its recorded decision.
@@ -403,35 +479,15 @@ func anyTrue(mask []bool) bool {
 	return false
 }
 
-func maxOf(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOfF(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // offloadMoveBytes is what an offloaded iteration moves across the
 // compute-node boundary: its partial updates (aggregated when the switch
 // aggregates) plus the property write-back. It prices from the record's
 // counters, not from AggregatedMoveBytes, because the post-hoc oracle
 // calls it before the accountant fills that field in.
-func (e *execution) offloadMoveBytes(rec *Record) int64 {
+func (pr *pricing) offloadMoveBytes(rec *Record) int64 {
 	updates := rec.UpdateMoveBytes
-	if e.switchAggregates {
-		updates = AggregatedUpdateBytes(rec.PartialUpdates, rec.DistinctDsts, e.switchBuffer)
+	if pr.switchAggregates {
+		updates = AggregatedUpdateBytes(rec.PartialUpdates, rec.DistinctDsts, pr.switchBuffer)
 	}
 	return updates + rec.WritebackBytes
 }

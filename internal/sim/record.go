@@ -109,12 +109,14 @@ func (p PartitionRecord) OffloadCost() int64 {
 	return p.PartialUpdates*kernels.UpdateBytes + p.Activated*kernels.PropertyBytes
 }
 
-// Run is the complete output of one engine execution.
+// Run is one architecture's pricing of an execution (Engine.Price).
 type Run struct {
 	Engine  string
 	Kernel  string
 	Records []Record
-	Result  *kernels.Result
+	// Result is the priced trace's own kernel result, shared by every
+	// pricing of it: read it, do not write it.
+	Result *kernels.Result
 
 	// OffloadSupported reports whether the configured NDP device could
 	// execute this kernel near data; when false, OffloadNote explains why

@@ -388,13 +388,8 @@ func TestMirrorCountsMatchEvaluate(t *testing.T) {
 	// package's independent mirror computation.
 	g := simGraph(t)
 	a := hashAssign(t, g, 8)
-	ex, err := newExecution(g, kernels.NewPageRank(2, 0.85), a, func(*Record) {}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.computeStatics(false, true)
 	var total int64
-	for _, c := range ex.mirrorCount {
+	for _, c := range computeStatics(g, a).mirrors {
 		total += int64(c)
 	}
 	q := partition.Evaluate(g, a)
@@ -406,7 +401,7 @@ func TestMirrorCountsMatchEvaluate(t *testing.T) {
 // TestStaticsMatchPairReference holds computeStatics' reach masks to the
 // definition — a set of (destination, partition) pairs — on generated
 // graphs, at partition counts on either side of the mask's word
-// boundaries and for each flag combination the architectures ask for.
+// boundaries.
 func TestStaticsMatchPairReference(t *testing.T) {
 	type pair struct {
 		dst  graph.VertexID
@@ -436,28 +431,16 @@ func TestStaticsMatchPairReference(t *testing.T) {
 					mirrorCount[pr.dst]++
 				}
 			}
-			for _, flags := range [][2]bool{{false, false}, {true, false}, {false, true}} {
-				ex, err := newExecution(g, kernels.NewPageRank(2, 0.85), a, func(*Record) {}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ex.computeStatics(flags[0], flags[1])
-				if !reflect.DeepEqual(ex.crossDeg, cross) {
-					t.Fatalf("seed %d K=%d %v: crossDeg differs from the reference", seed, K, flags)
-				}
-				if !flags[0] && !flags[1] {
-					if ex.staticPartials != 0 || ex.mirrorCount != nil {
-						t.Fatalf("seed %d K=%d: statics nobody asked for: %d partials, mirrors %v", seed, K, ex.staticPartials, ex.mirrorCount != nil)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(ex.staticPartialsPerPart, perPart) || ex.staticPartials != int64(len(pairs)) {
-					t.Fatalf("seed %d K=%d %v: static partials %v (total %d), reference %v (total %d)",
-						seed, K, flags, ex.staticPartialsPerPart, ex.staticPartials, perPart, len(pairs))
-				}
-				if flags[1] && !reflect.DeepEqual(ex.mirrorCount, mirrorCount) {
-					t.Fatalf("seed %d K=%d: mirror counts differ from the reference", seed, K)
-				}
+			st := computeStatics(g, a)
+			if !reflect.DeepEqual(st.crossDeg, cross) {
+				t.Fatalf("seed %d K=%d: crossDeg differs from the reference", seed, K)
+			}
+			if !reflect.DeepEqual(st.perPart, perPart) || st.partials != int64(len(pairs)) {
+				t.Fatalf("seed %d K=%d: static partials %v (total %d), reference %v (total %d)",
+					seed, K, st.perPart, st.partials, perPart, len(pairs))
+			}
+			if !reflect.DeepEqual(st.mirrors, mirrorCount) {
+				t.Fatalf("seed %d K=%d: mirror counts differ from the reference", seed, K)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/partition"
@@ -27,6 +28,10 @@ const (
 	// offline bytes and shares the first run's plan iff the partitioner
 	// values of the two seeds are equal.
 	OraclePlan = "served-plan"
+	// OracleTrace asserts one execution prices under every architecture:
+	// the simulator spec resubmitted under each of them executes nothing,
+	// and every answer is the offline twin's bytes.
+	OracleTrace = "served-trace"
 )
 
 // CheckServed is the served-vs-offline oracle: it boots an in-process
@@ -39,6 +44,8 @@ const (
 // answer comes from the result cache, byte for byte, and submits it once
 // more at a seed no earlier job used, which must be computed afresh and
 // share the first run's plan exactly when the partitioner ignores seeds.
+// Last, the simulator spec is priced under every architecture from the
+// one execution the service keeps.
 func CheckServed(sc Scenario) error {
 	if err := sc.Validate(); err != nil {
 		return failf(OracleServed, "invalid scenario: %v", err)
@@ -110,6 +117,46 @@ func CheckServed(sc Scenario) error {
 		if err := checkServedSpec(ctx, c, g, spec, sc.Seed+1+uint64(i)); err != nil {
 			return err
 		}
+	}
+	return checkServedTrace(ctx, c, g, sim)
+}
+
+// checkServedTrace resubmits spec, whose execution the service already
+// keeps, under every architecture. Each answer must be its offline twin's
+// bytes, and the ones not served from the result cache must all be priced
+// from the kept trace: trace hits move by their number, misses not at all.
+func checkServedTrace(ctx context.Context, c *serve.Client, g *graph.Graph, spec serve.JobSpec) error {
+	before, err := c.Metrics(ctx)
+	if err != nil {
+		return failf(OracleTrace, "metrics: %v", err)
+	}
+	var priced int64
+	for _, arch := range core.Architectures() {
+		spec.Arch = arch.String()
+		want, err := offlineBytes(ctx, g, spec)
+		if err != nil {
+			return failf(OracleTrace, "%s: %v", spec.Arch, err)
+		}
+		info, got, err := runServed(ctx, c, spec)
+		if err != nil {
+			return failf(OracleTrace, "%s: %v", spec.Arch, err)
+		}
+		if !bytes.Equal(got, want) {
+			return failf(OracleTrace, "%s: served result differs from offline run (%d vs %d bytes)", spec.Arch, len(got), len(want))
+		}
+		if !info.CacheHit {
+			priced++
+		}
+	}
+	after, err := c.Metrics(ctx)
+	if err != nil {
+		return failf(OracleTrace, "metrics: %v", err)
+	}
+	hits := after[serve.CounterTraceCacheHits] - before[serve.CounterTraceCacheHits]
+	misses := after[serve.CounterTraceCacheMisses] - before[serve.CounterTraceCacheMisses]
+	if hits != priced || misses != 0 {
+		return failf(OracleTrace, "%d architectures priced a kept execution, but trace hits moved by %d and misses by %d",
+			priced, hits, misses)
 	}
 	return nil
 }

@@ -14,7 +14,7 @@
 #               out-of-core stream -> container -> verified BFS, SSSP
 #               and PageRank, and gpart over the same container
 #   -count      cluster faults, parallel simulator, store lifecycle (each
-#               -count=2), served plan sharing across seeds (-count=10),
+#               -count=2), served plan and trace sharing (-count=10),
 #               ndpserve shutdown with a parked waiter (-count=20), all
 #               under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
@@ -214,10 +214,12 @@ step go test -race -count=2 \
     -run '^TestStorePinConcurrentHammer$|^TestStoreStaysWithinBudget$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$|^TestStoreStatsDeterministic$' \
     ./internal/store/
 
-# The snapshot's plan cache under two racing executors, 10 times under the
-# race detector: LDG jobs that differ only in seed both miss, both
-# compute, and must still all resolve the one stored *Assignment.
-step go test -race -count=10 -run '^TestSeedlessPlansAreShared$' ./internal/serve/
+# The snapshot's plan cache and the trace cache under two racing
+# executors, 10 times under the race detector: LDG jobs that differ only
+# in seed both miss, both compute, and must still all resolve the one
+# stored *Assignment; eight jobs that differ only in architecture and
+# policy must execute the kernel once.
+step go test -race -count=10 -run '^(TestSeedlessPlansAreShared|TestOneExecutionIsPricedPerArchitecture)$' ./internal/serve/
 
 # ndpserve's SIGTERM drain with a waiter parked, 20 times under the race
 # detector: its slower scheduling is the load that once let a pooled,
