@@ -14,7 +14,8 @@
 //	-seed uint       generation seed (default 42)
 //	-priters int     PageRank iterations (default 10)
 //	-format string   text | csv | markdown (default text)
-//	-plot            render ASCII series plots for figures (text and csv)
+//	-plot            render ASCII series plots for figures (text and csv;
+//	                 refused with markdown)
 //
 // `ndpbench -format markdown all > REPORT.md` writes the reproduction
 // report: configuration, one section per artifact, and the tally of
@@ -22,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,37 +38,58 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, writes the artifacts to stdout and
+// returns the exit status — 2 for a usage error, 1 for a failure or a
+// MISMATCH note in the report.
+func run(args []string, stdout, stderr io.Writer) int {
 	var ef cliconf.ExperimentFlags
-	ef.Register(flag.CommandLine)
-	format := flag.String("format", "text", "output: text (aligned tables), csv, or markdown (the reproduction report)")
-	plot := flag.Bool("plot", false, "render ASCII series plots (text and csv)")
-	outdir := flag.String("outdir", "", "also write each artifact as <outdir>/<id>.csv plus <id>.notes.txt")
-	flag.Usage = usage
-	flag.Parse()
+	fs := flag.NewFlagSet("ndpbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ef.Register(fs)
+	format := fs.String("format", "text", "output: text (aligned tables), csv, or markdown (the reproduction report)")
+	plot := fs.Bool("plot", false, "render ASCII series plots (text and csv)")
+	outdir := fs.String("outdir", "", "also write each artifact as <outdir>/<id>.csv plus <id>.notes.txt")
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	ef.ApplyWorkers()
 
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
 	switch *format {
 	case "text", "csv", "markdown":
 	default:
-		fmt.Fprintf(os.Stderr, "ndpbench: unknown -format %q (want text, csv, or markdown)\n", *format)
-		os.Exit(2)
+		_, _ = fmt.Fprintf(stderr, "ndpbench: unknown -format %q (want text, csv, or markdown)\n", *format)
+		return 2
 	}
-	ids := args
-	if len(args) == 1 && args[0] == "all" {
+	if *plot && *format == "markdown" {
+		_, _ = fmt.Fprintf(stderr, "ndpbench: -plot renders only with -format text or csv, not markdown\n")
+		return 2
+	}
+	fail := func(err error) int {
+		_, _ = fmt.Fprintf(stderr, "ndpbench: %v\n", err)
+		return 1
+	}
+	ids := fs.Args()
+	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.IDs()
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	cfg := experiments.Config{Scale: ef.Scale, Seed: ef.Seed, PageRankIterations: ef.PRIters}
-	w := &errWriter{w: os.Stdout}
+	w := &errWriter{w: stdout}
 	if *format == "markdown" {
 		w.printf("# Reproduction report — Disaggregated NDP Architectures for Large-scale Graph Analytics\n\n")
 		w.printf("Configuration: scale=%g seed=%d pagerank-iterations=%d\n\n", cfg.Scale, cfg.Seed, cfg.PageRankIterations)
@@ -76,7 +99,7 @@ func main() {
 	for _, id := range ids {
 		a, err := experiments.Run(id, cfg)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *format == "markdown" {
 			ok, mismatch := emitMarkdown(w, a)
@@ -86,23 +109,24 @@ func main() {
 			emit(w, a, *format == "csv", *plot)
 		}
 		if w.err != nil {
-			fatal(w.err)
+			return fail(w.err)
 		}
 		if *outdir != "" {
 			if err := writeArtifact(*outdir, a); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 	}
 	if *format == "markdown" {
 		w.printf("---\n\n**Paper-shape checks: %d passed, %d failed.**\n", okTotal, mismatchTotal)
 		if w.err != nil {
-			fatal(w.err)
+			return fail(w.err)
 		}
 		if mismatchTotal > 0 {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // errWriter keeps the first write failure, so the output can be printed
@@ -175,13 +199,8 @@ func writeArtifact(dir string, a *experiments.Artifact) error {
 	})
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "ndpbench: %v\n", err)
-	os.Exit(1)
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, `ndpbench regenerates the paper's evaluation artifacts.
+func usage(fs *flag.FlagSet) {
+	_, _ = fmt.Fprintf(fs.Output(), `ndpbench regenerates the paper's evaluation artifacts.
 
 usage: ndpbench [flags] <artifact|all> [artifact...]
 
@@ -189,5 +208,5 @@ artifacts: %s
 
 flags:
 `, strings.Join(experiments.IDs(), ", "))
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }

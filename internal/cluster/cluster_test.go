@@ -104,14 +104,24 @@ func TestVertexViewIsRefused(t *testing.T) {
 	topo := sim.DefaultTopology(2, parts)
 	k := kernels.NewBFS(0)
 	ctx := context.Background()
+	simRun := func(e sim.Engine) func() error {
+		return func() error {
+			t, err := sim.Execute(ctx, view, k, sim.ExecConfig{Assign: a})
+			if err != nil {
+				return err
+			}
+			_, err = e.Price(t)
+			return err
+		}
+	}
 	cases := []struct {
 		name string
 		run  func() error
 	}{
-		{"distributed", func() error { _, err := (&sim.Distributed{Topo: topo, Assign: a}).Run(ctx, view, k); return err }},
-		{"distributed-ndp", func() error { _, err := (&sim.DistributedNDP{Topo: topo, Assign: a}).Run(ctx, view, k); return err }},
-		{"disaggregated", func() error { _, err := (&sim.Disaggregated{Topo: topo, Assign: a}).Run(ctx, view, k); return err }},
-		{"disaggregated-ndp", func() error { _, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a}).Run(ctx, view, k); return err }},
+		{"distributed", simRun(&sim.Distributed{Topo: topo})},
+		{"distributed-ndp", simRun(&sim.DistributedNDP{Topo: topo})},
+		{"disaggregated", simRun(&sim.Disaggregated{Topo: topo})},
+		{"disaggregated-ndp", simRun(&sim.DisaggregatedNDP{Topo: topo})},
 		{"cluster", func() error { _, err := Run(ctx, view, k, a, Config{ComputeNodes: 2}); return err }},
 	}
 	for _, tc := range cases {
@@ -136,8 +146,12 @@ func TestClusterTrafficMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		trace, err := sim.Execute(context.Background(), g, k, sim.ExecConfig{Assign: a})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, aggregate := range []bool{false, true} {
-			run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, InNetworkAggregation: aggregate}).Run(context.Background(), g, k)
+			run, err := (&sim.DisaggregatedNDP{Topo: topo, InNetworkAggregation: aggregate}).Price(trace)
 			if err != nil {
 				t.Fatal(err)
 			}

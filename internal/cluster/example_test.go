@@ -36,9 +36,11 @@ func ExampleRun() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred, err := (&sim.DisaggregatedNDP{
-		Topo: sim.DefaultTopology(2, parts), Assign: assign, InNetworkAggregation: true,
-	}).Run(context.Background(), g, k)
+	trace, err := sim.Execute(context.Background(), g, k, sim.ExecConfig{Assign: assign})
+	if err != nil {
+		log.Fatal(err)
+	}
+	pred, err := (&sim.DisaggregatedNDP{Topo: sim.DefaultTopology(2, parts), InNetworkAggregation: true}).Price(trace)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -214,21 +214,21 @@ func (s *System) Partition(g *graph.Graph) (*partition.Assignment, error) {
 	return s.partitioner.Partition(g, s.topo.MemoryNodes)
 }
 
-// simEngine assembles the sim engine for a prepared assignment.
-func (s *System) simEngine(assign *partition.Assignment) sim.Engine {
+// simEngine assembles the sim engine that prices this system's
+// architecture.
+func (s *System) simEngine() sim.Engine {
 	switch s.arch {
 	case Distributed:
-		return &sim.Distributed{Topo: s.topo, Assign: assign, Workers: s.workers}
+		return &sim.Distributed{Topo: s.topo}
 	case DistributedNDP:
-		return &sim.DistributedNDP{Topo: s.topo, Assign: assign, Workers: s.workers}
+		return &sim.DistributedNDP{Topo: s.topo}
 	case Disaggregated:
-		return &sim.Disaggregated{Topo: s.topo, Assign: assign, Workers: s.workers}
+		return &sim.Disaggregated{Topo: s.topo}
 	default:
 		return &sim.DisaggregatedNDP{
-			Topo: s.topo, Assign: assign,
+			Topo:                 s.topo,
 			Policy:               s.policy,
 			InNetworkAggregation: s.aggregation,
-			Workers:              s.workers,
 		}
 	}
 }

@@ -73,11 +73,7 @@ type analyticalEngine struct {
 // architecture as the unified core.Engine.
 func (s *System) Engine() Engine { return analyticalEngine{sys: s} }
 
-func (e analyticalEngine) Name() string {
-	// The sim engine's name depends only on configuration, never on the
-	// graph; probe with a nil assignment.
-	return e.sys.simEngine(nil).Name()
-}
+func (e analyticalEngine) Name() string { return e.sys.simEngine().Name() }
 
 func (e analyticalEngine) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg RunConfig) (*Result, error) {
 	t, err := e.sys.Execute(ctx, g, k, cfg)
@@ -122,7 +118,7 @@ func (s *System) Price(t *sim.Trace) (*Result, error) {
 
 // price is Price whose Result shares the trace's values.
 func (s *System) price(t *sim.Trace) (*Result, error) {
-	run, err := s.simEngine(nil).Price(t)
+	run, err := s.simEngine().Price(t)
 	if err != nil {
 		return nil, err
 	}

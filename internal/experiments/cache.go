@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -29,10 +31,13 @@ func Cache(cfg Config) (*Artifact, error) {
 	}
 	k := kernels.NewPageRank(cfg.PageRankIterations, kernels.DefaultDamping)
 
-	ndpBytes, _, err := movement(&sim.DisaggregatedNDP{Topo: topo, Assign: assign}, g, k)
+	// The NDP row and the zero budget price one cacheless execution; every
+	// other budget executes again, since the cache is an execution input.
+	uncached, err := priced(g, k, assign, &sim.DisaggregatedNDP{Topo: topo}, &sim.Disaggregated{Topo: topo})
 	if err != nil {
 		return nil, err
 	}
+	ndpBytes := uncached[0].TotalDataMovementBytes
 	totalEdgeBytes := g.NumEdges() * kernels.EdgeBytes
 
 	t := metrics.NewTable(a.Title, "Cache fraction", "Cached (MB)", "Moved (MB)", "vs NDP offload")
@@ -42,10 +47,17 @@ func Cache(cfg Config) (*Artifact, error) {
 	fractions := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9}
 	for _, frac := range fractions {
 		budget := int64(frac * float64(totalEdgeBytes))
-		moved, _, err := movement(&sim.Disaggregated{Topo: topo, Assign: assign, CacheBytes: budget}, g, k)
-		if err != nil {
-			return nil, err
+		run := uncached[1]
+		if budget > 0 {
+			trace, err := sim.Execute(context.Background(), g, k, sim.ExecConfig{Assign: assign, CacheBytes: budget})
+			if err != nil {
+				return nil, err
+			}
+			if run, err = (&sim.Disaggregated{Topo: topo}).Price(trace); err != nil {
+				return nil, err
+			}
 		}
+		moved := run.TotalDataMovementBytes
 		t.AddRow(frac, float64(budget)/1e6, float64(moved)/1e6, ratio(moved, ndpBytes))
 		cacheSeries.Values = append(cacheSeries.Values, float64(moved)/1e6)
 		ndpSeries.Values = append(ndpSeries.Values, float64(ndpBytes)/1e6)

@@ -38,22 +38,26 @@ func Dynamic(cfg Config) (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
+		assign, topo, err := partitioned(cfg, g, parts, partition.Hash{})
+		if err != nil {
+			return nil, err
+		}
+		engines := make([]sim.Engine, len(policies))
+		for i, pol := range policies {
+			engines[i] = &sim.DisaggregatedNDP{Topo: topo, Policy: pol}
+		}
 		for _, kn := range []string{"pagerank", "pagerank-delta", "bfs", "cc"} {
 			k, err := kernels.ByName(kn)
 			if err != nil {
 				return nil, err
 			}
-			assign, topo, err := partitioned(cfg, g, parts, partition.Hash{})
+			runs, err := priced(g, k, assign, engines...)
 			if err != nil {
 				return nil, err
 			}
-			totals := make([]int64, len(policies))
-			for i, pol := range policies {
-				b, _, err := movement(&sim.DisaggregatedNDP{Topo: topo, Assign: assign, Policy: pol}, g, k)
-				if err != nil {
-					return nil, err
-				}
-				totals[i] = b
+			totals := make([]int64, len(runs))
+			for i, run := range runs {
+				totals[i] = run.TotalDataMovementBytes
 			}
 			never, always, heur, oracle := totals[0], totals[1], totals[3], totals[4]
 			t.AddRow(ds.Name, kn,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -31,22 +30,17 @@ func Energy(cfg Config) (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := kernels.NewPageRank(cfg.PageRankIterations, kernels.DefaultDamping)
-		engines := []sim.Engine{
-			&sim.Distributed{Topo: topo, Assign: assign},
-			&sim.DistributedNDP{Topo: topo, Assign: assign},
-			&sim.Disaggregated{Topo: topo, Assign: assign},
-			&sim.DisaggregatedNDP{Topo: topo, Assign: assign, InNetworkAggregation: true},
+		runs, err := priced(g, kernels.NewPageRank(cfg.PageRankIterations, kernels.DefaultDamping), assign,
+			&sim.Distributed{Topo: topo},
+			&sim.DistributedNDP{Topo: topo},
+			&sim.Disaggregated{Topo: topo},
+			&sim.DisaggregatedNDP{Topo: topo, InNetworkAggregation: true})
+		if err != nil {
+			return nil, err
 		}
 		energies := map[string]float64{}
-		var runs []*sim.Run
-		for _, e := range engines {
-			run, err := e.Run(context.Background(), g, k)
-			if err != nil {
-				return nil, err
-			}
+		for _, run := range runs {
 			energies[run.Engine] = run.TotalEnergyJoules
-			runs = append(runs, run)
 		}
 		base := energies["distributed"]
 		for _, run := range runs {

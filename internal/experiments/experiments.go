@@ -129,13 +129,21 @@ func partitioned(cfg Config, g *graph.Graph, parts int, p partition.Partitioner)
 	return a, sim.DefaultTopology(core.DefaultComputeNodes, parts), nil
 }
 
-// movement runs the engine and returns total headline bytes.
-func movement(e sim.Engine, g *graph.Graph, k kernels.Kernel) (int64, *sim.Run, error) {
-	run, err := e.Run(context.Background(), g, k)
+// priced executes k once on g over the assignment and prices that one
+// execution under each engine, in order: the architectures or policies
+// an artifact compares differ only in how they price a run.
+func priced(g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, engines ...sim.Engine) ([]*sim.Run, error) {
+	t, err := sim.Execute(context.Background(), g, k, sim.ExecConfig{Assign: assign})
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return run.TotalDataMovementBytes, run, nil
+	runs := make([]*sim.Run, len(engines))
+	for i, e := range engines {
+		if runs[i], err = e.Price(t); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
 }
 
 func note(a *Artifact, format string, args ...interface{}) {

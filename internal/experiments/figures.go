@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/gen"
@@ -46,10 +45,11 @@ func Fig4(cfg Config) (*Artifact, error) {
 			return nil, err
 		}
 		for _, k := range ks {
-			run, err := (&sim.Disaggregated{Topo: topo, Assign: assign}).Run(context.Background(), g, k)
+			runs, err := priced(g, k, assign, &sim.Disaggregated{Topo: topo})
 			if err != nil {
 				return nil, err
 			}
+			run := runs[0]
 			var memBytes, flops float64
 			tr := k.Traits()
 			for _, rec := range run.Records {
@@ -123,15 +123,11 @@ func Fig5(cfg Config) (*Artifact, error) {
 			return err
 		}
 		k := kernels.NewPageRank(cfg.PageRankIterations, kernels.DefaultDamping)
-		noBytes, _, err := movement(&sim.Disaggregated{Topo: topo, Assign: assign}, g, k)
+		runs, err := priced(g, k, assign, &sim.Disaggregated{Topo: topo}, &sim.DisaggregatedNDP{Topo: topo})
 		if err != nil {
 			return err
 		}
-		offBytes, _, err := movement(&sim.DisaggregatedNDP{Topo: topo, Assign: assign}, g, k)
-		if err != nil {
-			return err
-		}
-		points5[i] = fig5Point{noBytes, offBytes}
+		points5[i] = fig5Point{runs[0].TotalDataMovementBytes, runs[1].TotalDataMovementBytes}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -194,20 +190,17 @@ func Fig6(cfg Config) (*Artifact, error) {
 		if err != nil {
 			return err
 		}
-		vals := [4]int64{}
-		if vals[0], _, err = movement(&sim.Disaggregated{Topo: topo, Assign: hashA}, g, k); err != nil {
+		hash, err := priced(g, k, hashA, &sim.Disaggregated{Topo: topo}, &sim.DisaggregatedNDP{Topo: topo})
+		if err != nil {
 			return err
 		}
-		if vals[1], _, err = movement(&sim.DisaggregatedNDP{Topo: topo, Assign: hashA}, g, k); err != nil {
+		cut, err := priced(g, k, cutA, &sim.DisaggregatedNDP{Topo: topo}, &sim.DisaggregatedNDP{Topo: topo, InNetworkAggregation: true})
+		if err != nil {
 			return err
 		}
-		if vals[2], _, err = movement(&sim.DisaggregatedNDP{Topo: topo, Assign: cutA}, g, k); err != nil {
-			return err
+		for i, run := range append(hash, cut...) {
+			allVals[si][i] = run.TotalDataMovementBytes
 		}
-		if vals[3], _, err = movement(&sim.DisaggregatedNDP{Topo: topo, Assign: cutA, InNetworkAggregation: true}, g, k); err != nil {
-			return err
-		}
-		allVals[si] = vals
 		return nil
 	}); err != nil {
 		return nil, err
@@ -256,9 +249,10 @@ func Fig6(cfg Config) (*Artifact, error) {
 // Figure 7 share this implementation).
 func fig7(cfg Config, id, panel string, ds gen.Dataset, mk func(Config) kernels.Kernel, parts int) (*Artifact, error) {
 	cfg = cfg.withDefaults()
+	k := mk(cfg)
 	a := &Artifact{
 		ID:     id,
-		Title:  fmt.Sprintf("Figure 7%s: per-iteration data movement — %s, %s, %d partitions", panel, ds.Name, mk(cfg).Name(), parts),
+		Title:  fmt.Sprintf("Figure 7%s: per-iteration data movement — %s, %s, %d partitions", panel, ds.Name, k.Name(), parts),
 		XLabel: "iteration",
 	}
 	g, err := dataset(cfg, ds)
@@ -272,22 +266,8 @@ func fig7(cfg Config, id, panel string, ds gen.Dataset, mk func(Config) kernels.
 	if err != nil {
 		return nil, err
 	}
-	// The two panel runs are independent; each gets its own kernel
-	// instance so stateful kernels never share per-run state.
-	eng := []sim.Engine{
-		&sim.Disaggregated{Topo: topo, Assign: assign},
-		&sim.DisaggregatedNDP{Topo: topo, Assign: assign},
-	}
-	ks := []kernels.Kernel{mk(cfg), mk(cfg)}
-	runs := make([]*sim.Run, 2)
-	if err := forEach(2, func(i int) error {
-		run, err := eng[i].Run(context.Background(), g, ks[i])
-		if err != nil {
-			return err
-		}
-		runs[i] = run
-		return nil
-	}); err != nil {
+	runs, err := priced(g, k, assign, &sim.Disaggregated{Topo: topo}, &sim.DisaggregatedNDP{Topo: topo})
+	if err != nil {
 		return nil, err
 	}
 	noRun, ndpRun := runs[0], runs[1]

@@ -47,17 +47,28 @@ func Hetero(cfg Config) (*Artifact, error) {
 		{"mixed CMS/proto-nofp", alternatingPool(cms, noFP, parts)},
 	}
 
+	// A device gates only how an execution is priced, so each kernel
+	// executes once and prices under every pool.
+	kns := []string{"pagerank", "bfs"}
+	ks := make([]kernels.Kernel, len(kns))
+	traces := make([]*sim.Trace, len(kns))
+	for i, kn := range kns {
+		if ks[i], err = kernels.ByName(kn); err != nil {
+			return nil, err
+		}
+		if traces[i], err = sim.Execute(context.Background(), g, ks[i], sim.ExecConfig{Assign: assign}); err != nil {
+			return nil, err
+		}
+	}
+
 	t := metrics.NewTable(a.Title, "Pool", "Kernel", "Offload nodes", "Moved (MB)", "Est time (ms)")
 	moved := map[string]int64{}
 	for _, pool := range pools {
 		topo := baseTopo
 		topo.MemDevices = pool.devices
-		for _, kn := range []string{"pagerank", "bfs"} {
-			k, err := kernels.ByName(kn)
-			if err != nil {
-				return nil, err
-			}
-			run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(context.Background(), g, k)
+		for i, kn := range kns {
+			k := ks[i]
+			run, err := (&sim.DisaggregatedNDP{Topo: topo}).Price(traces[i])
 			if err != nil {
 				return nil, err
 			}

@@ -23,14 +23,13 @@ func Mixed(cfg Config) (*Artifact, error) {
 	t := metrics.NewTable(a.Title,
 		"Graph", "Kernel", "Global oracle", "Mixed oracle", "Partition heuristic", "Mixed/Global")
 
-	type spec struct {
-		ds gen.Dataset
-		kn string
-	}
-	specs := []spec{
-		{gen.Twitter7, "pagerank"}, {gen.Twitter7, "bfs"},
-		{gen.ComLiveJournal, "pagerank"}, {gen.ComLiveJournal, "cc"},
-		{gen.WikiTalk, "pagerank"}, {gen.WikiTalk, "bfs"},
+	specs := []struct {
+		ds  gen.Dataset
+		kns []string
+	}{
+		{gen.Twitter7, []string{"pagerank", "bfs"}},
+		{gen.ComLiveJournal, []string{"pagerank", "cc"}},
+		{gen.WikiTalk, []string{"pagerank", "bfs"}},
 	}
 	anyStrictWin := false
 	violations := 0
@@ -39,32 +38,30 @@ func Mixed(cfg Config) (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		k, err := kernels.ByName(s.kn)
-		if err != nil {
-			return nil, err
-		}
 		assign, topo, err := partitioned(cfg, g, parts, partition.Hash{})
 		if err != nil {
 			return nil, err
 		}
-		global, _, err := movement(&sim.DisaggregatedNDP{Topo: topo, Assign: assign, Policy: runtime.Oracle{}}, g, k)
-		if err != nil {
-			return nil, err
-		}
-		mixed, _, err := movement(&sim.DisaggregatedNDP{Topo: topo, Assign: assign, Policy: runtime.MixedOracle{}}, g, k)
-		if err != nil {
-			return nil, err
-		}
-		heur, _, err := movement(&sim.DisaggregatedNDP{Topo: topo, Assign: assign, Policy: runtime.PartitionHeuristic{}}, g, k)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(s.ds.Name, s.kn, float64(global)/1e6, float64(mixed)/1e6, float64(heur)/1e6, ratio(mixed, global))
-		if mixed < global {
-			anyStrictWin = true
-		}
-		if mixed > global {
-			violations++
+		for _, kn := range s.kns {
+			k, err := kernels.ByName(kn)
+			if err != nil {
+				return nil, err
+			}
+			runs, err := priced(g, k, assign,
+				&sim.DisaggregatedNDP{Topo: topo, Policy: runtime.Oracle{}},
+				&sim.DisaggregatedNDP{Topo: topo, Policy: runtime.MixedOracle{}},
+				&sim.DisaggregatedNDP{Topo: topo, Policy: runtime.PartitionHeuristic{}})
+			if err != nil {
+				return nil, err
+			}
+			global, mixed, heur := runs[0].TotalDataMovementBytes, runs[1].TotalDataMovementBytes, runs[2].TotalDataMovementBytes
+			t.AddRow(s.ds.Name, kn, float64(global)/1e6, float64(mixed)/1e6, float64(heur)/1e6, ratio(mixed, global))
+			if mixed < global {
+				anyStrictWin = true
+			}
+			if mixed > global {
+				violations++
+			}
 		}
 	}
 	a.Table = t

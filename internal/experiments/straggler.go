@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/kernels"
@@ -35,10 +34,11 @@ func Straggler(cfg Config) (*Artifact, error) {
 			return nil, err
 		}
 		topo := sim.DefaultTopology(core.DefaultComputeNodes, parts)
-		run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(context.Background(), g, k)
+		runs, err := priced(g, k, assign, &sim.DisaggregatedNDP{Topo: topo})
 		if err != nil {
 			return nil, err
 		}
+		run := runs[0]
 		// Traversal-phase time: per iteration the pool finishes when the
 		// most loaded memory node finishes streaming and processing its
 		// share. Reconstructed from the per-partition records.

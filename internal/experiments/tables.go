@@ -82,6 +82,10 @@ func Table2(cfg Config) (*Artifact, error) {
 		return nil, err
 	}
 	k := kernels.NewPageRank(cfg.PageRankIterations, kernels.DefaultDamping)
+	trace, err := sim.Execute(context.Background(), g, k, sim.ExecConfig{Assign: assign})
+	if err != nil {
+		return nil, err
+	}
 
 	engines := []struct {
 		e       sim.Engine
@@ -93,20 +97,17 @@ func Table2(cfg Config) (*Artifact, error) {
 		// the host count the workload actually needs.
 		provisionedGFlops float64
 	}{
-		{&sim.Distributed{Topo: topo, Assign: assign}, false, false, float64(parts) * sim.HostGFlops},
-		{&sim.DistributedNDP{Topo: topo, Assign: assign}, true, false, float64(parts) * sim.HostGFlops},
-		{&sim.Disaggregated{Topo: topo, Assign: assign}, false, true, float64(topo.ComputeNodes) * sim.HostGFlops},
-		{&sim.DisaggregatedNDP{Topo: topo, Assign: assign, InNetworkAggregation: true}, true, true,
+		{&sim.Distributed{Topo: topo}, false, false, float64(parts) * sim.HostGFlops},
+		{&sim.DistributedNDP{Topo: topo}, true, false, float64(parts) * sim.HostGFlops},
+		{&sim.Disaggregated{Topo: topo}, false, true, float64(topo.ComputeNodes) * sim.HostGFlops},
+		{&sim.DisaggregatedNDP{Topo: topo, InNetworkAggregation: true}, true, true,
 			float64(topo.ComputeNodes)*sim.HostGFlops + float64(parts)*sim.MemDeviceGFlops},
 	}
-	// The four architectures run concurrently; rows fill their Table II
-	// slots by index, so ordering never depends on completion order.
 	rows := make([]table2Row, len(engines))
-	if err := forEach(len(engines), func(i int) error {
-		spec := engines[i]
-		run, err := spec.e.Run(context.Background(), g, k)
+	for i, spec := range engines {
+		run, err := spec.e.Price(trace)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rows[i] = table2Row{
 			name:        run.Engine,
@@ -117,9 +118,6 @@ func Table2(cfg Config) (*Artifact, error) {
 			balanced:    spec.balanced,
 			computeUtil: computeUtilization(run, k.Traits(), spec.provisionedGFlops),
 		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	minComm, minSync := int64(1)<<62, int64(1)<<62
 	for _, r := range rows {

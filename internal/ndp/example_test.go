@@ -47,7 +47,11 @@ func ExampleDevice_Supports() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign}).Run(context.Background(), g, kernels.NewBFS(0))
+	trace, err := sim.Execute(context.Background(), g, kernels.NewBFS(0), sim.ExecConfig{Assign: assign})
+	if err != nil {
+		log.Fatal(err)
+	}
+	run, err := (&sim.DisaggregatedNDP{Topo: topo}).Price(trace)
 	if err != nil {
 		log.Fatal(err)
 	}

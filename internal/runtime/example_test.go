@@ -32,7 +32,11 @@ func ExampleHeuristic() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: assign, Policy: runtime.Heuristic{}}).Run(context.Background(), g, kernels.NewBFS(0))
+		trace, err := sim.Execute(context.Background(), g, kernels.NewBFS(0), sim.ExecConfig{Assign: assign})
+		if err != nil {
+			log.Fatal(err)
+		}
+		run, err := (&sim.DisaggregatedNDP{Topo: topo, Policy: runtime.Heuristic{}}).Price(trace)
 		if err != nil {
 			log.Fatal(err)
 		}

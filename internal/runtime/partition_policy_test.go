@@ -74,11 +74,15 @@ func TestMixedOracleCanStrictlyBeatGlobal(t *testing.T) {
 	}
 	topo := sim.DefaultTopology(2, 8)
 	k := kernels.NewPageRank(5, 0.85)
-	global, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: Oracle{}}).Run(context.Background(), g, k)
+	trace, err := sim.Execute(context.Background(), g, k, sim.ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: MixedOracle{}}).Run(context.Background(), g, k)
+	global, err := (&sim.DisaggregatedNDP{Topo: topo, Policy: Oracle{}}).Price(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := (&sim.DisaggregatedNDP{Topo: topo, Policy: MixedOracle{}}).Price(trace)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,11 @@ func runWithPolicy(t testing.TB, g *graph.Graph, k kernels.Kernel, parts int, po
 
 func runOn(t testing.TB, topo sim.Topology, a *partition.Assignment, g *graph.Graph, k kernels.Kernel, pol sim.OffloadPolicy, aggregate bool) *sim.Run {
 	t.Helper()
-	run, err := (&sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: pol, InNetworkAggregation: aggregate}).Run(context.Background(), g, k)
+	trace, err := sim.Execute(context.Background(), g, k, sim.ExecConfig{Assign: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := (&sim.DisaggregatedNDP{Topo: topo, Policy: pol, InNetworkAggregation: aggregate}).Price(trace)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/kernels"
@@ -22,9 +21,9 @@ func TestAllocGate(t *testing.T) {
 	allocsAt := func(n int) float64 {
 		// Workers=1 keeps the engine's phases inline: pool goroutines are
 		// a per-run cost, but their scheduling would blur the count.
-		e := &DisaggregatedNDP{Topo: DefaultTopology(2, 4), Assign: a, Workers: 1}
+		e := &DisaggregatedNDP{Topo: DefaultTopology(2, 4)}
 		return testing.AllocsPerRun(5, func() {
-			run, err := e.Run(context.Background(), g, kernels.NewPageRank(n, 0))
+			run, err := execPrice(e, g, kernels.NewPageRank(n, 0), ExecConfig{Assign: a, Workers: 1})
 			if err != nil || len(run.Records) != n {
 				t.Fatalf("run: %v, %d records, want %d", err, len(run.Records), n)
 			}

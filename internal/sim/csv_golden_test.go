@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -54,8 +53,8 @@ func TestWriteRecordsCSVStable(t *testing.T) {
 	a := hashAssign(t, g, 4)
 	outputs := make([]string, 2)
 	for i := range outputs {
-		run, err := (&DisaggregatedNDP{Topo: DefaultTopology(2, 4), Assign: a, InNetworkAggregation: true}).
-			Run(context.Background(), g, kernels.NewPageRank(5, 0.85))
+		run, err := execPrice(&DisaggregatedNDP{Topo: DefaultTopology(2, 4), InNetworkAggregation: true},
+			g, kernels.NewPageRank(5, 0.85), ExecConfig{Assign: a})
 		if err != nil {
 			t.Fatal(err)
 		}

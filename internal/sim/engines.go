@@ -1,54 +1,21 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/ndp"
-	"repro/internal/partition"
 )
 
-// Engine is one simulated architecture. Run executes a kernel once and
-// prices it: Price(Execute(…)), with the engine's assignment, edge cache
-// and worker pool as the execution's inputs. Price alone turns a trace
-// executed elsewhere into the architecture's Run, so one execution prices
-// under every architecture. Runs honor cancellation: the iteration loop
-// checks the context between iterations and returns ctx.Err() on
-// cancellation or deadline, so a long sweep aborts within one iteration's
-// work.
+// Engine is one simulated architecture: Price turns one execution
+// (Execute) into that architecture's Run. Price reads the trace and
+// writes only the Run, so one execution prices under every architecture,
+// concurrently too.
 type Engine interface {
 	Name() string
-	Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error)
 	Price(t *Trace) (*Run, error)
-}
-
-// runOnce is every engine's Run: check the inputs, execute, price.
-func runOnce(ctx context.Context, topo Topology, cfg ExecConfig, g *graph.Graph, k kernels.Kernel, price func(*Trace) (*Run, error)) (*Run, error) {
-	if err := checkEngineInputs(topo, cfg.Assign); err != nil {
-		return nil, err
-	}
-	t, err := Execute(ctx, g, k, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return price(t)
-}
-
-// checkEngineInputs validates the pieces shared by all engines.
-func checkEngineInputs(topo Topology, assign *partition.Assignment) error {
-	if err := topo.Validate(); err != nil {
-		return err
-	}
-	if assign == nil {
-		return fmt.Errorf("sim: nil partition assignment")
-	}
-	if assign.K != topo.MemoryNodes {
-		return fmt.Errorf("sim: assignment has %d parts, topology has %d memory nodes", assign.K, topo.MemoryNodes)
-	}
-	return nil
 }
 
 // Disaggregated models the paper's Figure 1(a): hosts keep vertex data
@@ -59,19 +26,12 @@ func checkEngineInputs(topo Topology, assign *partition.Assignment) error {
 // Movement pattern: ActiveEdges × 8 B per iteration, minus whatever the
 // optional host-side edge cache absorbs. Synchronization only among the
 // (few) compute nodes.
+//
+// It is the one engine that prices a trace executed with a host-local
+// edge cache (ExecConfig.CacheBytes, FAM-Graph-style data tiering): the
+// cached edge lists' traversals cost no interconnect bytes.
 type Disaggregated struct {
-	Topo   Topology
-	Assign *partition.Assignment
-	// CacheBytes sizes a host-local edge cache (FAM-Graph-style data
-	// tiering): the highest-out-degree vertices' edge lists are pinned on
-	// the hosts, greedily by degree until the budget is exhausted, and
-	// their traversals cost no interconnect bytes. 0 disables the cache.
-	// The mask is an execution input (ExecConfig.CacheBytes): Price
-	// refuses a trace executed under another budget.
-	CacheBytes int64
-	// Workers caps the simulator's worker pool (0 = GOMAXPROCS). Results
-	// are bit-identical for every setting.
-	Workers int
+	Topo Topology
 }
 
 // Name implements Engine.
@@ -103,14 +63,9 @@ func cacheMask(g *graph.Graph, budget int64) []bool {
 	return mask
 }
 
-// Run implements Engine.
-func (d *Disaggregated) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return runOnce(ctx, d.Topo, ExecConfig{Assign: d.Assign, CacheBytes: d.CacheBytes, Workers: d.Workers}, g, k, d.Price)
-}
-
 // Price implements Engine.
 func (d *Disaggregated) Price(t *Trace) (*Run, error) {
-	if err := t.check(d.Topo, d.CacheBytes); err != nil {
+	if err := t.check(d.Topo, true); err != nil {
 		return nil, err
 	}
 	tr := t.tr
@@ -160,15 +115,11 @@ func sortByDegreeDesc(g *graph.Graph, order []graph.VertexID) {
 // in-network element aggregates partial updates for the same destination
 // in flight (Section IV-C).
 type DisaggregatedNDP struct {
-	Topo   Topology
-	Assign *partition.Assignment
+	Topo Topology
 	// Policy decides offload per iteration; nil = AlwaysOffload.
 	Policy OffloadPolicy
 	// InNetworkAggregation enables switch aggregation of partial updates.
 	InNetworkAggregation bool
-	// Workers caps the simulator's worker pool (0 = GOMAXPROCS). Results
-	// are bit-identical for every setting.
-	Workers int
 }
 
 // Name implements Engine.
@@ -179,14 +130,9 @@ func (d *DisaggregatedNDP) Name() string {
 	return "disaggregated-ndp"
 }
 
-// Run implements Engine.
-func (d *DisaggregatedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return runOnce(ctx, d.Topo, ExecConfig{Assign: d.Assign, Workers: d.Workers}, g, k, d.Price)
-}
-
 // Price implements Engine.
 func (d *DisaggregatedNDP) Price(t *Trace) (*Run, error) {
-	if err := t.check(d.Topo, 0); err != nil {
+	if err := t.check(d.Topo, false); err != nil {
 		return nil, err
 	}
 	tr := t.tr
@@ -307,20 +253,11 @@ func (d *DisaggregatedNDP) Price(t *Trace) (*Run, error) {
 // masters, and masters broadcast refreshed values back to mirrors. Every
 // server participates in both synchronization phases.
 type Distributed struct {
-	Topo   Topology
-	Assign *partition.Assignment
-	// Workers caps the simulator's worker pool (0 = GOMAXPROCS). Results
-	// are bit-identical for every setting.
-	Workers int
+	Topo Topology
 }
 
 // Name implements Engine.
 func (d *Distributed) Name() string { return "distributed" }
-
-// Run implements Engine.
-func (d *Distributed) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return runOnce(ctx, d.Topo, ExecConfig{Assign: d.Assign, Workers: d.Workers}, g, k, d.Price)
-}
 
 // Price implements Engine.
 func (d *Distributed) Price(t *Trace) (*Run, error) {
@@ -334,20 +271,11 @@ func (d *Distributed) Price(t *Trace) (*Run, error) {
 // (GraphQ's hybrid execution model). Inter-node data movement is
 // unchanged — the paper's central criticism of this class (Section III-B).
 type DistributedNDP struct {
-	Topo   Topology
-	Assign *partition.Assignment
-	// Workers caps the simulator's worker pool (0 = GOMAXPROCS). Results
-	// are bit-identical for every setting.
-	Workers int
+	Topo Topology
 }
 
 // Name implements Engine.
 func (d *DistributedNDP) Name() string { return "distributed-ndp" }
-
-// Run implements Engine.
-func (d *DistributedNDP) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel) (*Run, error) {
-	return runOnce(ctx, d.Topo, ExecConfig{Assign: d.Assign, Workers: d.Workers}, g, k, d.Price)
-}
 
 // Price implements Engine.
 func (d *DistributedNDP) Price(t *Trace) (*Run, error) {
@@ -361,7 +289,7 @@ const ndpOverlapFraction = 0.7
 // priceDistributed is the shared pricing of the two distributed engines;
 // ndpMode selects near-memory traversal and overlap.
 func priceDistributed(t *Trace, topo Topology, name string, ndpMode bool) (*Run, error) {
-	if err := t.check(topo, 0); err != nil {
+	if err := t.check(topo, false); err != nil {
 		return nil, err
 	}
 	tr := t.tr

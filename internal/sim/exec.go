@@ -101,7 +101,8 @@ func (NeverOffload) Decide(PreStats) bool { return false }
 // memory node, what the node traversed and emitted. It depends on the
 // graph, the kernel, the partition assignment and the hosts' edge cache
 // (ExecConfig), never on an architecture, a policy, a switch or a device,
-// so one trace prices under all four engines (Engine.Price). Execute
+// so one trace prices under all four engines (Engine.Price; a cached one
+// under Disaggregated alone). Execute
 // returns it complete and nothing changes it afterwards: any number of
 // pricings may read it at once, and each Run's Result is the trace's own.
 type Trace struct {
@@ -159,10 +160,11 @@ func (t *Trace) Size() int64 {
 type ExecConfig struct {
 	// Assign is the grid: chunk p is memory node p.
 	Assign *partition.Assignment
-	// CacheBytes sizes the hosts' edge cache (FAM-Graph-style tiering,
-	// cacheMask), whose traversals only Disaggregated prices as free of
-	// interconnect bytes; 0 disables it. A trace executed with a cache
-	// prices only under a Disaggregated engine of the same CacheBytes.
+	// CacheBytes sizes the hosts' edge cache (FAM-Graph-style tiering):
+	// the highest-out-degree vertices' edge lists are pinned on the
+	// hosts, greedily by degree until the budget is exhausted (cacheMask),
+	// and their traversals cost no interconnect bytes. 0 disables it. Only
+	// Disaggregated prices a trace executed with a cache.
 	CacheBytes int64
 	// Workers caps the engine's worker pool (0 = GOMAXPROCS). Purely an
 	// execution knob: every setting records a bit-identical trace.
@@ -330,17 +332,18 @@ type pricing struct {
 }
 
 // check refuses a trace this engine cannot price: a topology that does
-// not validate, a trace gridded for another pool width, or one executed
-// under another host edge cache than the engine's (cacheBytes).
-func (t *Trace) check(topo Topology, cacheBytes int64) error {
+// not validate, a trace gridded for another pool width, or a trace
+// executed with a host edge cache under an engine that does not price one
+// (pricesCache is false).
+func (t *Trace) check(topo Topology, pricesCache bool) error {
 	if err := topo.Validate(); err != nil {
 		return err
 	}
 	if t.parts != topo.MemoryNodes {
 		return fmt.Errorf("sim: trace has %d parts, topology has %d memory nodes", t.parts, topo.MemoryNodes)
 	}
-	if t.cacheBytes != max(cacheBytes, 0) {
-		return fmt.Errorf("sim: trace executed with a %d-byte host edge cache; this engine prices %d", t.cacheBytes, max(cacheBytes, 0))
+	if t.cacheBytes > 0 && !pricesCache {
+		return fmt.Errorf("sim: trace executed with a %d-byte host edge cache; only disaggregated prices one", t.cacheBytes)
 	}
 	return nil
 }

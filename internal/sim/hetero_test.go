@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +36,7 @@ func TestHeterogeneousPoolGatesOffloadPerNode(t *testing.T) {
 
 	// PageRank needs FP: odd nodes must fetch, even nodes may offload.
 	k := kernels.NewPageRank(5, 0.85)
-	run, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	run, err := execPrice(&DisaggregatedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +74,16 @@ func TestHeterogeneousPoolMovementBetweenPureConfigs(t *testing.T) {
 	k := kernels.NewPageRank(5, 0.85)
 
 	uniform := DefaultTopology(2, parts)
-	allNDP, err := (&DisaggregatedNDP{Topo: uniform, Assign: a}).Run(context.Background(), g, k)
+	allNDP, err := execPrice(&DisaggregatedNDP{Topo: uniform}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noNDP, err := (&Disaggregated{Topo: uniform, Assign: a}).Run(context.Background(), g, k)
+	noNDP, err := execPrice(&Disaggregated{Topo: uniform}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	noFP := ndp.Device{Name: "toy-nofp", Class: ndp.PNM, FP: ndp.None, IntMulDiv: ndp.Full}
-	hetero, err := (&DisaggregatedNDP{Topo: heteroTopology(2, parts, noFP), Assign: a}).Run(context.Background(), g, k)
+	hetero, err := execPrice(&DisaggregatedNDP{Topo: heteroTopology(2, parts, noFP)}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +104,11 @@ func TestHeterogeneousPoolAllUnsupportedFallsBack(t *testing.T) {
 	noFP := ndp.Device{Name: "toy-nofp", Class: ndp.PNM, FP: ndp.None}
 	topo.MemDevices = []ndp.Device{noFP, noFP, noFP, noFP}
 	k := kernels.NewPageRank(3, 0.85)
-	run, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	run, err := execPrice(&DisaggregatedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := (&Disaggregated{Topo: DefaultTopology(2, parts), Assign: a}).Run(context.Background(), g, k)
+	plain, err := execPrice(&Disaggregated{Topo: DefaultTopology(2, parts)}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +138,11 @@ func TestUPMEMPenaltyIncreasesTimeNotMovement(t *testing.T) {
 		t.Fatal(err)
 	}
 	upmem.MemDevice = dev
-	a1, err := (&DisaggregatedNDP{Topo: cms, Assign: a}).Run(context.Background(), g, k)
+	a1, err := execPrice(&DisaggregatedNDP{Topo: cms}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := (&DisaggregatedNDP{Topo: upmem, Assign: a}).Run(context.Background(), g, k)
+	a2, err := execPrice(&DisaggregatedNDP{Topo: upmem}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,50 +5,43 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/kernels"
 )
 
-// enginesAt builds every engine shape with a fixed worker-pool size (the
-// same assignment for all, so runs are comparable across worker counts).
-func enginesAt(t testing.TB, g *graph.Graph, parts, workers int) []Engine {
-	topo := DefaultTopology(2, parts)
-	a := hashAssign(t, g, parts)
-	return []Engine{
-		&Distributed{Topo: topo, Assign: a, Workers: workers},
-		&DistributedNDP{Topo: topo, Assign: a, Workers: workers},
-		&Disaggregated{Topo: topo, Assign: a, Workers: workers},
-		&DisaggregatedNDP{Topo: topo, Assign: a, Workers: workers},
-		&DisaggregatedNDP{Topo: topo, Assign: a, Workers: workers, InNetworkAggregation: true},
-	}
-}
-
 // TestParallelMatchesSerial is the tentpole determinism property: the
-// worker pool is purely an execution knob. For every kernel and every
-// engine, runs at Workers=1 (the serial path) and at several parallel
-// widths must be bit-identical — float values compared with ==, and the
-// full per-iteration Records compared with reflect.DeepEqual. The staged
-// partition-ordered reduction guarantees this; any schedule-dependent
-// float reassociation or counter race fails the test.
+// worker pool is purely an execution knob. For every kernel, a trace
+// executed at Workers=1 (the serial path) and at several parallel widths
+// must price bit-identically under every engine — float values compared
+// with ==, and the full per-iteration Records compared with
+// reflect.DeepEqual. The staged partition-ordered reduction guarantees
+// this; any schedule-dependent float reassociation or counter race fails
+// the test.
 func TestParallelMatchesSerial(t *testing.T) {
 	g := simGraph(t)
 	const parts = 8
+	a := hashAssign(t, g, parts)
 	for _, k := range kernels.All() {
 		k := k
 		t.Run(k.Name(), func(t *testing.T) {
-			serial := enginesAt(t, g, parts, 1)
+			serial, err := Execute(context.Background(), g, k, ExecConfig{Assign: a, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range []int{3, 4, 0} {
-				par := enginesAt(t, g, parts, workers)
-				for i := range serial {
-					want, err := serial[i].Run(context.Background(), g, k)
+				par, err := Execute(context.Background(), g, k, ExecConfig{Assign: a, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range allEngines(parts) {
+					want, err := e.Price(serial)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := par[i].Run(context.Background(), g, k)
+					got, err := e.Price(par)
 					if err != nil {
 						t.Fatal(err)
 					}
-					name := serial[i].Name()
+					name := e.Name()
 					if len(got.Result.Values) != len(want.Result.Values) {
 						t.Fatalf("%s workers=%d: %d values vs %d", name, workers, len(got.Result.Values), len(want.Result.Values))
 					}

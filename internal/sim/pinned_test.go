@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -46,9 +45,10 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 	cases := []struct {
 		name   string
 		engine Engine
+		cache  int64       // the execution's host edge cache (ExecConfig.CacheBytes)
 		want   [][2]uint64 // per record: EstimatedSeconds, EnergyJoules bits
 	}{
-		{"distributed", &Distributed{Topo: base, Assign: a}, [][2]uint64{
+		{"distributed", &Distributed{Topo: base}, 0, [][2]uint64{
 			{0x3ed0d863dd8bbe0f, 0x3e70f81a0a71b8ca},
 			{0x3ed125c0d19059c1, 0x3e983e504ad8afc7},
 			{0x3ed1812b947b7323, 0x3eaa0250e5653cf8},
@@ -60,7 +60,7 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 			{0x3ed0d79d9c16d144, 0x3e71343b341e40b9},
 			{0x3ed0cc8f65e82a09, 0x3e544711bbda0050},
 		}},
-		{"distributed-ndp", &DistributedNDP{Topo: base, Assign: a}, [][2]uint64{
+		{"distributed-ndp", &DistributedNDP{Topo: base}, 0, [][2]uint64{
 			{0x3ed0d74d23a3a760, 0x3e70878a0a412d02},
 			{0x3ed11eb7d18d5105, 0x3e96bf2b0f1fc04b},
 			{0x3ed170560b4f9e3b, 0x3ea6f3ca4689e762},
@@ -72,7 +72,7 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 			{0x3ed0d5702846a3e5, 0x3e6ef547a1d34c67},
 			{0x3ed0cb4dca79e879, 0x3e523f8cceab2c68},
 		}},
-		{"disaggregated-cache", &Disaggregated{Topo: base, Assign: a, CacheBytes: 2048}, [][2]uint64{
+		{"disaggregated-cache", &Disaggregated{Topo: base}, 2048, [][2]uint64{
 			{0x3ed0cc18db62ce96, 0x3e45bf608b693a73},
 			{0x3ed0fd09cabede82, 0x3e7da9b5559f9206},
 			{0x3ed1b014feea543b, 0x3e9f629401086029},
@@ -84,7 +84,7 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 			{0x3ed0db0d38120c3c, 0x3e6520c5c7789880},
 			{0x3ed0cce2e469b622, 0x3e4917e58d2aa5e7},
 		}},
-		{"disaggregated-ndp", &DisaggregatedNDP{Topo: base, Assign: a}, [][2]uint64{
+		{"disaggregated-ndp", &DisaggregatedNDP{Topo: base}, 0, [][2]uint64{
 			{0x3ed0d96d77584d5d, 0x3e62a0b8288ab002},
 			{0x3ed13edfee4b7a62, 0x3e8f3bf5320ac95e},
 			{0x3ed1e20f301cf3ee, 0x3ea34235cbaa837d},
@@ -96,7 +96,7 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 			{0x3ed0ea8a55348c0c, 0x3e729249cc9eb858},
 			{0x3ed0d1f5b0baab34, 0x3e565f14c8f1ef44},
 		}},
-		{"disaggregated-ndp+inc", &DisaggregatedNDP{Topo: base, Assign: a, InNetworkAggregation: true}, [][2]uint64{
+		{"disaggregated-ndp+inc", &DisaggregatedNDP{Topo: base, InNetworkAggregation: true}, 0, [][2]uint64{
 			{0x3ed0d96d77584d5d, 0x3e62b2962071e2a4},
 			{0x3ed119143a7ff1be, 0x3e85f0e3b6f14c2c},
 			{0x3ed14c4038ece8f2, 0x3e94012e7b07d0e9},
@@ -108,7 +108,7 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 			{0x3ed0e19b5940f2bc, 0x3e6c78effd46a398},
 			{0x3ed0d1f5b0baab34, 0x3e56885018b8b2e0},
 		}},
-		{"disaggregated-ndp+inc-buffer16", &DisaggregatedNDP{Topo: bounded, Assign: a, InNetworkAggregation: true}, [][2]uint64{
+		{"disaggregated-ndp+inc-buffer16", &DisaggregatedNDP{Topo: bounded, InNetworkAggregation: true}, 0, [][2]uint64{
 			{0x3ed0d96d77584d5d, 0x3e62b2962071e2a4},
 			{0x3ed135410658d546, 0x3e8cfc16ad2a2e64},
 			{0x3ed1ca01ec3e5728, 0x3ea1dcb2729acbe8},
@@ -120,7 +120,7 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 			{0x3ed0e66acd3a454a, 0x3e70a431fb4c98cc},
 			{0x3ed0d1f5b0baab34, 0x3e56885018b8b2e0},
 		}},
-		{"disaggregated-ndp-upmem", &DisaggregatedNDP{Topo: upmem, Assign: a}, [][2]uint64{
+		{"disaggregated-ndp-upmem", &DisaggregatedNDP{Topo: upmem}, 0, [][2]uint64{
 			{0x3ed0db1a4695fa1c, 0x3e630bebf7f5dfcd},
 			{0x3ed149b2b33c7422, 0x3e90546dda081fdd},
 			{0x3ed1fbf53e390066, 0x3ea4b6d76ca53e88},
@@ -132,7 +132,7 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 			{0x3ed0ede3f3afe58b, 0x3e736491e37ad12a},
 			{0x3ed0d3e47877fc5f, 0x3e575678a79a84ef},
 		}},
-		{"disaggregated-ndp-mixed-pool", &DisaggregatedNDP{Topo: mixed, Assign: a}, [][2]uint64{
+		{"disaggregated-ndp-mixed-pool", &DisaggregatedNDP{Topo: mixed}, 0, [][2]uint64{
 			{0x3ed0d3ee175fef04, 0x3e5a42b06058adbb},
 			{0x3ed123630e71a2a4, 0x3e88ce2056f773de},
 			{0x3ed1d450c0300810, 0x3ea2c314405afdb0},
@@ -144,7 +144,7 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 			{0x3ed0e612d73abf64, 0x3e707157c3933014},
 			{0x3ed0d1f5b0baab34, 0x3e565f14c8f1ef43},
 		}},
-		{"disaggregated-ndp-switchml-pool", &DisaggregatedNDP{Topo: inc, Assign: a}, [][2]uint64{
+		{"disaggregated-ndp-switchml-pool", &DisaggregatedNDP{Topo: inc}, 0, [][2]uint64{
 			{0x3ed0cc18db62ce96, 0x3e45bf608b693a73},
 			{0x3ed10c8008a967dd, 0x3e821dfb06402c4a},
 			{0x3ed1e29740a4370e, 0x3ea260357e643ce4},
@@ -158,7 +158,7 @@ func TestTimeAndEnergyBitsPinned(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		run, err := c.engine.Run(context.Background(), g, kernels.NewSSSP(0))
+		run, err := execPrice(c.engine, g, kernels.NewSSSP(0), ExecConfig{Assign: a, CacheBytes: c.cache})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

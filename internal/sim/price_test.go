@@ -22,10 +22,10 @@ import (
 // pricings at once, so -race sees any write to it — by every
 // architecture, every offload policy with aggregation on and off, on a
 // uniform pool, a heterogeneous one and a bounded switch buffer. Each
-// pricing must equal that engine's own Run, which executes afresh, bit
-// for bit: the values, every Record field and the time and energy bits.
-// A host edge cache is an execution input: its trace prices only under
-// the Disaggregated engine of the same budget.
+// pricing must equal, bit for bit, a fresh execution priced alone by the
+// same engine: the values, every Record field and the time and energy
+// bits. A host edge cache is an execution input: its trace prices under
+// Disaggregated, and the other engines refuse it.
 func TestSharedTracePricesLikeARun(t *testing.T) {
 	g, err := gen.Community(240, 3, 8, 0.8, gen.Config{Seed: 5, Weighted: true, DropSelfLoops: true})
 	if err != nil {
@@ -65,10 +65,10 @@ func TestSharedTracePricesLikeARun(t *testing.T) {
 				return k
 			}
 			engines := []sim.Engine{
-				&sim.Distributed{Topo: base, Assign: a},
-				&sim.DistributedNDP{Topo: base, Assign: a},
-				&sim.DistributedNDP{Topo: hetero, Assign: a},
-				&sim.Disaggregated{Topo: base, Assign: a},
+				&sim.Distributed{Topo: base},
+				&sim.DistributedNDP{Topo: base},
+				&sim.DistributedNDP{Topo: hetero},
+				&sim.Disaggregated{Topo: base},
 			}
 			for _, topo := range []sim.Topology{base, hetero, buffered} {
 				for _, name := range runtime.Names() {
@@ -77,19 +77,21 @@ func TestSharedTracePricesLikeARun(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, agg := range []bool{false, true} {
-						engines = append(engines, &sim.DisaggregatedNDP{Topo: topo, Assign: a, Policy: pol, InNetworkAggregation: agg})
+						engines = append(engines, &sim.DisaggregatedNDP{Topo: topo, Policy: pol, InNetworkAggregation: agg})
 					}
 				}
 			}
-			trace, err := sim.Execute(context.Background(), g, fresh(), sim.ExecConfig{Assign: a})
+			plain := sim.ExecConfig{Assign: a}
+			withCache := sim.ExecConfig{Assign: a, CacheBytes: cacheBytes}
+			trace, err := sim.Execute(context.Background(), g, fresh(), plain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached, err := sim.Execute(context.Background(), g, fresh(), sim.ExecConfig{Assign: a, CacheBytes: cacheBytes})
+			cached, err := sim.Execute(context.Background(), g, fresh(), withCache)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cache := &sim.Disaggregated{Topo: base, Assign: a, CacheBytes: cacheBytes}
+			cache := &sim.Disaggregated{Topo: base}
 			got := make([]*sim.Run, len(engines)+1)
 			errs := make([]error, len(got))
 			var wg sync.WaitGroup
@@ -110,17 +112,22 @@ func TestSharedTracePricesLikeARun(t *testing.T) {
 				if errs[i] != nil {
 					t.Fatalf("%s: price: %v", label, errs[i])
 				}
-				want, err := e.Run(context.Background(), g, fresh())
+				cfg := plain
+				if i == len(engines) {
+					cfg = withCache
+				}
+				alone, err := sim.Execute(context.Background(), g, fresh(), cfg)
 				if err != nil {
-					t.Fatalf("%s: run: %v", label, err)
+					t.Fatalf("%s: execute: %v", label, err)
+				}
+				want, err := e.Price(alone)
+				if err != nil {
+					t.Fatalf("%s: price alone: %v", label, err)
 				}
 				sameRun(t, label, got[i], want)
 			}
-			if _, err := cache.Price(trace); err == nil || !strings.Contains(err.Error(), "edge cache") {
-				t.Errorf("%s/%s: a cacheless trace priced under a %d-byte cache: %v", kname, pname, cacheBytes, err)
-			}
-			if _, err := engines[len(engines)-1].Price(cached); err == nil {
-				t.Errorf("%s/%s: a cached trace priced under disaggregated-ndp", kname, pname)
+			if _, err := engines[len(engines)-1].Price(cached); err == nil || !strings.Contains(err.Error(), "edge cache") {
+				t.Errorf("%s/%s: a cached trace priced under disaggregated-ndp: %v", kname, pname, err)
 			}
 		}
 	}

@@ -32,16 +32,26 @@ func hashAssign(t testing.TB, g *graph.Graph, k int) *partition.Assignment {
 	return a
 }
 
-func allEngines(t testing.TB, g *graph.Graph, parts int) []Engine {
+// allEngines is every engine shape on one pool width.
+func allEngines(parts int) []Engine {
 	topo := DefaultTopology(2, parts)
-	a := hashAssign(t, g, parts)
 	return []Engine{
-		&Distributed{Topo: topo, Assign: a},
-		&DistributedNDP{Topo: topo, Assign: a},
-		&Disaggregated{Topo: topo, Assign: a},
-		&DisaggregatedNDP{Topo: topo, Assign: a},
-		&DisaggregatedNDP{Topo: topo, Assign: a, InNetworkAggregation: true},
+		&Distributed{Topo: topo},
+		&DistributedNDP{Topo: topo},
+		&Disaggregated{Topo: topo},
+		&DisaggregatedNDP{Topo: topo},
+		&DisaggregatedNDP{Topo: topo, InNetworkAggregation: true},
 	}
+}
+
+// execPrice executes k once under cfg and prices the trace under e: one
+// architecture's whole run.
+func execPrice(e Engine, g *graph.Graph, k kernels.Kernel, cfg ExecConfig) (*Run, error) {
+	t, err := Execute(context.Background(), g, k, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.Price(t)
 }
 
 func valuesEqual(t *testing.T, engine string, got, want []float64, tol float64) {
@@ -78,8 +88,9 @@ func TestEnginesMatchSerialReference(t *testing.T) {
 			if k.Traits().Agg == kernels.AggSum && k.Traits().UsesFloatingPoint {
 				tol = 1e-12
 			}
-			for _, e := range allEngines(t, g, 8) {
-				run, err := e.Run(context.Background(), g, k)
+			a := hashAssign(t, g, 8)
+			for _, e := range allEngines(8) {
+				run, err := execPrice(e, g, k, ExecConfig{Assign: a})
 				if err != nil {
 					t.Fatalf("%s: %v", e.Name(), err)
 				}
@@ -94,13 +105,14 @@ func TestEnginesMatchSerialReference(t *testing.T) {
 
 func TestRecordInvariants(t *testing.T) {
 	g := simGraph(t)
-	for _, e := range allEngines(t, g, 8) {
+	a := hashAssign(t, g, 8)
+	for _, e := range allEngines(8) {
 		for _, kn := range []string{"pagerank", "bfs", "cc"} {
 			k, err := kernels.ByName(kn)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := e.Run(context.Background(), g, k)
+			run, err := execPrice(e, g, k, ExecConfig{Assign: a})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,11 +160,11 @@ func TestAggregationNeverIncreasesMovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	plain, err := execPrice(&DisaggregatedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := (&DisaggregatedNDP{Topo: topo, Assign: a, InNetworkAggregation: true}).Run(context.Background(), g, k)
+	agg, err := execPrice(&DisaggregatedNDP{Topo: topo, InNetworkAggregation: true}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +184,11 @@ func TestSwitchBufferLimitsAggregation(t *testing.T) {
 	unlimited := DefaultTopology(2, 16)
 	limited := DefaultTopology(2, 16)
 	limited.SwitchBufferEntries = 64 // far below the distinct-dst count
-	u, err := (&DisaggregatedNDP{Topo: unlimited, Assign: a, InNetworkAggregation: true}).Run(context.Background(), g, k)
+	u, err := execPrice(&DisaggregatedNDP{Topo: unlimited, InNetworkAggregation: true}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := (&DisaggregatedNDP{Topo: limited, Assign: a, InNetworkAggregation: true}).Run(context.Background(), g, k)
+	l, err := execPrice(&DisaggregatedNDP{Topo: limited, InNetworkAggregation: true}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +210,11 @@ func TestNDPReducesMovementOnHighDegreeGraph(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	noNDP, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	noNDP, err := execPrice(&Disaggregated{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndpRun, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	ndpRun, err := execPrice(&DisaggregatedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +235,11 @@ func TestNDPHurtsOnLowDegreeGraph(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	noNDP, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	noNDP, err := execPrice(&Disaggregated{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndpRun, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	ndpRun, err := execPrice(&DisaggregatedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +255,11 @@ func TestDistributedHasHigherSyncThanDisaggregated(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	dist, err := (&Distributed{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	dist, err := execPrice(&Distributed{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	disagg, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	disagg, err := execPrice(&DisaggregatedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +275,11 @@ func TestDistributedNDPFasterButSameMovement(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	dist, err := (&Distributed{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	dist, err := execPrice(&Distributed{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dndp, err := (&DistributedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	dndp, err := execPrice(&DistributedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +301,11 @@ func TestOffloadPolicies(t *testing.T) {
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
 
-	always, err := (&DisaggregatedNDP{Topo: topo, Assign: a, Policy: AlwaysOffload{}}).Run(context.Background(), g, k)
+	always, err := execPrice(&DisaggregatedNDP{Topo: topo, Policy: AlwaysOffload{}}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	never, err := (&DisaggregatedNDP{Topo: topo, Assign: a, Policy: NeverOffload{}}).Run(context.Background(), g, k)
+	never, err := execPrice(&DisaggregatedNDP{Topo: topo, Policy: NeverOffload{}}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +320,7 @@ func TestOffloadPolicies(t *testing.T) {
 		}
 	}
 	// Never-offload must equal the plain disaggregated engine's movement.
-	plain, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	plain, err := execPrice(&Disaggregated{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,21 +329,57 @@ func TestOffloadPolicies(t *testing.T) {
 	}
 }
 
+// TestEngineInputValidation: Execute refuses an assignment it cannot
+// grid the graph by; Price refuses a topology it cannot price the trace
+// on, and a cached trace under every engine but Disaggregated, which
+// prices the cache.
 func TestEngineInputValidation(t *testing.T) {
 	g := simGraph(t)
 	a := hashAssign(t, g, 8)
 	k := kernels.NewPageRank(3, 0.85)
+	ctx := context.Background()
 
-	badTopo := DefaultTopology(0, 8)
-	if _, err := (&Disaggregated{Topo: badTopo, Assign: a}).Run(context.Background(), g, k); err == nil {
-		t.Error("accepted zero compute nodes")
+	if _, err := Execute(ctx, g, k, ExecConfig{}); err == nil {
+		t.Error("executed with a nil assignment")
 	}
-	mismatch := DefaultTopology(2, 4) // assignment has 8 parts
-	if _, err := (&Disaggregated{Topo: mismatch, Assign: a}).Run(context.Background(), g, k); err == nil {
-		t.Error("accepted partition/memory-node mismatch")
+	short := &partition.Assignment{Parts: a.Parts[:len(a.Parts)-1], K: a.K}
+	if _, err := Execute(ctx, g, k, ExecConfig{Assign: short}); err == nil {
+		t.Error("executed with an assignment that misses a vertex")
 	}
-	if _, err := (&Disaggregated{Topo: DefaultTopology(2, 8), Assign: nil}).Run(context.Background(), g, k); err == nil {
-		t.Error("accepted nil assignment")
+
+	tr, err := Execute(ctx, g, k, ExecConfig{Assign: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Disaggregated{Topo: DefaultTopology(0, 8)}).Price(tr); err == nil {
+		t.Error("priced on zero compute nodes")
+	}
+	if _, err := (&Disaggregated{Topo: DefaultTopology(2, 4)}).Price(tr); err == nil {
+		t.Error("priced an 8-part trace on 4 memory nodes")
+	}
+
+	cached, err := Execute(ctx, g, k, ExecConfig{Assign: a, CacheBytes: g.NumEdges() * kernels.EdgeBytes / 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range allEngines(8) {
+		run, err := e.Price(cached)
+		if e.Name() != "disaggregated" {
+			if err == nil || !strings.Contains(err.Error(), "edge cache") {
+				t.Errorf("%s priced a cached trace: %v", e.Name(), err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("disaggregated refused a cached trace: %v", err)
+		}
+		var hits int64
+		for _, rec := range run.Records {
+			hits += rec.CachedEdgeBytes
+		}
+		if hits <= 0 {
+			t.Error("disaggregated priced a cached trace with no CachedEdgeBytes")
+		}
 	}
 }
 
@@ -342,7 +390,7 @@ func TestUnsupportedKernelFallsBack(t *testing.T) {
 	topo.MemDevice.FP = 0 // ndp.None: device cannot run FP kernels
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(3, 0.85)
-	run, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	run, err := execPrice(&DisaggregatedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +415,7 @@ func TestMovementSeriesMatchesRecords(t *testing.T) {
 	// run's total, one entry per iteration.
 	g := simGraph(t)
 	a := hashAssign(t, g, 8)
-	run, err := (&Disaggregated{Topo: DefaultTopology(2, 8), Assign: a}).Run(context.Background(), g, kernels.NewBFS(0))
+	run, err := execPrice(&Disaggregated{Topo: DefaultTopology(2, 8)}, g, kernels.NewBFS(0), ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +521,7 @@ func TestPartialUpdatesGrowWithPartitions(t *testing.T) {
 	for _, parts := range []int{2, 8, 32} {
 		topo := DefaultTopology(2, parts)
 		a := hashAssign(t, g, parts)
-		run, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+		run, err := execPrice(&DisaggregatedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,8 +539,9 @@ func TestPartialUpdatesGrowWithPartitions(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	g := simGraph(t)
 	k := kernels.NewPageRank(5, 0.85)
-	for _, e := range allEngines(t, g, 8) {
-		run, err := e.Run(context.Background(), g, k)
+	a := hashAssign(t, g, 8)
+	for _, e := range allEngines(8) {
+		run, err := execPrice(e, g, k, ExecConfig{Assign: a})
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -521,11 +570,11 @@ func TestNDPSavesEnergyOnDenseGraph(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
-	host, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	host, err := execPrice(&Disaggregated{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	near, err := (&DisaggregatedNDP{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	near, err := execPrice(&DisaggregatedNDP{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +586,7 @@ func TestNDPSavesEnergyOnDenseGraph(t *testing.T) {
 func TestMixedOracleBoundInvariants(t *testing.T) {
 	g := simGraph(t)
 	a := hashAssign(t, g, 8)
-	run, err := (&DisaggregatedNDP{Topo: DefaultTopology(2, 8), Assign: a}).Run(context.Background(), g, kernels.NewBFS(0))
+	run, err := execPrice(&DisaggregatedNDP{Topo: DefaultTopology(2, 8)}, g, kernels.NewBFS(0), ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +632,7 @@ func TestEdgeCacheReducesMovement(t *testing.T) {
 	var prev int64 = 1 << 62
 	totalEdgeBytes := g.NumEdges() * kernels.EdgeBytes
 	for _, frac := range []float64{0, 0.1, 0.25, 0.5, 1.0} {
-		run, err := (&Disaggregated{Topo: topo, Assign: a, CacheBytes: int64(frac * float64(totalEdgeBytes))}).Run(context.Background(), g, k)
+		run, err := execPrice(&Disaggregated{Topo: topo}, g, k, ExecConfig{Assign: a, CacheBytes: int64(frac * float64(totalEdgeBytes))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,11 +659,11 @@ func TestEdgeCachePinsHottestVertices(t *testing.T) {
 	topo := DefaultTopology(2, parts)
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(3, 0.85)
-	base, err := (&Disaggregated{Topo: topo, Assign: a}).Run(context.Background(), g, k)
+	base, err := execPrice(&Disaggregated{Topo: topo}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := (&Disaggregated{Topo: topo, Assign: a, CacheBytes: g.NumEdges() * kernels.EdgeBytes / 10}).Run(context.Background(), g, k)
+	small, err := execPrice(&Disaggregated{Topo: topo}, g, k, ExecConfig{Assign: a, CacheBytes: g.NumEdges() * kernels.EdgeBytes / 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,9 +696,9 @@ func TestEnginesEquivalenceProperty(t *testing.T) {
 			kernels.NewPageRank(4, 0.85),
 		}
 		engines := []Engine{
-			&Distributed{Topo: topo, Assign: a},
-			&Disaggregated{Topo: topo, Assign: a},
-			&DisaggregatedNDP{Topo: topo, Assign: a, InNetworkAggregation: true},
+			&Distributed{Topo: topo},
+			&Disaggregated{Topo: topo},
+			&DisaggregatedNDP{Topo: topo, InNetworkAggregation: true},
 		}
 		for _, k := range ks {
 			ref, err := kernels.RunSerial(g, k)
@@ -661,7 +710,7 @@ func TestEnginesEquivalenceProperty(t *testing.T) {
 				tol = 1e-12
 			}
 			for _, e := range engines {
-				run, err := e.Run(context.Background(), g, k)
+				run, err := execPrice(e, g, k, ExecConfig{Assign: a})
 				if err != nil {
 					return false
 				}
@@ -689,14 +738,14 @@ func TestTimeModelMonotonicity(t *testing.T) {
 	a := hashAssign(t, g, parts)
 	k := kernels.NewPageRank(5, 0.85)
 	base := DefaultTopology(2, parts)
-	baseRun, err := (&DisaggregatedNDP{Topo: base, Assign: a}).Run(context.Background(), g, k)
+	baseRun, err := execPrice(&DisaggregatedNDP{Topo: base}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// More compute nodes => no slower (parallel links and hosts).
 	wide := base
 	wide.ComputeNodes = 8
-	wideRun, err := (&DisaggregatedNDP{Topo: wide, Assign: a}).Run(context.Background(), g, k)
+	wideRun, err := execPrice(&DisaggregatedNDP{Topo: wide}, g, k, ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,7 +761,7 @@ func TestTimeModelMonotonicity(t *testing.T) {
 func TestWriteRecordsCSV(t *testing.T) {
 	g := simGraph(t)
 	a := hashAssign(t, g, 4)
-	run, err := (&DisaggregatedNDP{Topo: DefaultTopology(2, 4), Assign: a}).Run(context.Background(), g, kernels.NewBFS(0))
+	run, err := execPrice(&DisaggregatedNDP{Topo: DefaultTopology(2, 4)}, g, kernels.NewBFS(0), ExecConfig{Assign: a})
 	if err != nil {
 		t.Fatal(err)
 	}

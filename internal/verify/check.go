@@ -339,12 +339,11 @@ func checkWorkerDifferential(g *graph.Graph, fresh func() kernels.Kernel, assign
 		return nil // Compare already ran at Workers=1; nothing to diff
 	}
 	mk := func(workers int) (*sim.Run, error) {
-		e := &sim.DisaggregatedNDP{
-			Topo: topo, Assign: assign,
-			InNetworkAggregation: sc.Aggregation,
-			Workers:              workers,
+		t, err := sim.Execute(context.Background(), g, fresh(), sim.ExecConfig{Assign: assign, Workers: workers})
+		if err != nil {
+			return nil, err
 		}
-		return e.Run(context.Background(), g, fresh())
+		return (&sim.DisaggregatedNDP{Topo: topo, InNetworkAggregation: sc.Aggregation}).Price(t)
 	}
 	one, err := mk(1)
 	if err != nil {
@@ -679,12 +678,15 @@ func checkFaultStats(out *core.Result, sc Scenario) error {
 // model — and the cluster always offloads, so the simulator runs under
 // AlwaysOffload.
 func checkTrafficAgainstSim(g *graph.Graph, fresh func() kernels.Kernel, assign *partition.Assignment, topo sim.Topology, out *core.Result, traits kernels.Traits, sc Scenario) error {
+	t, err := sim.Execute(context.Background(), g, fresh(), sim.ExecConfig{Assign: assign, Workers: sc.Workers})
+	if err != nil {
+		return err
+	}
 	run, err := (&sim.DisaggregatedNDP{
-		Topo: topo, Assign: assign,
+		Topo:                 topo,
 		Policy:               sim.AlwaysOffload{},
 		InNetworkAggregation: sc.Aggregation,
-		Workers:              sc.Workers,
-	}).Run(context.Background(), g, fresh())
+	}).Price(t)
 	if err != nil {
 		return err
 	}
