@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/partition"
-	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -124,7 +123,7 @@ func TestOptionsApply(t *testing.T) {
 	s, err := New(Disaggregated,
 		WithTopology(topo),
 		WithPartitioner(partition.Hash{}),
-		WithPolicy(runtime.Oracle{}),
+		WithPolicy(sim.Oracle{}),
 		WithAggregation(true),
 	)
 	if err != nil {

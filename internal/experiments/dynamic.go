@@ -27,7 +27,7 @@ func Dynamic(cfg Config) (*Artifact, error) {
 		sim.AlwaysOffload{},
 		runtime.ThresholdPolicy{},
 		runtime.Heuristic{},
-		runtime.Oracle{},
+		sim.Oracle{},
 	}
 
 	staticEverywhere := [2]bool{true, true} // [neverAlwaysWins, alwaysAlwaysWins]

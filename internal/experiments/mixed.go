@@ -48,8 +48,8 @@ func Mixed(cfg Config) (*Artifact, error) {
 				return nil, err
 			}
 			runs, err := priced(g, k, assign,
-				&sim.DisaggregatedNDP{Topo: topo, Policy: runtime.Oracle{}},
-				&sim.DisaggregatedNDP{Topo: topo, Policy: runtime.MixedOracle{}},
+				&sim.DisaggregatedNDP{Topo: topo, Policy: sim.Oracle{}},
+				&sim.DisaggregatedNDP{Topo: topo, Policy: sim.MixedOracle{}},
 				&sim.DisaggregatedNDP{Topo: topo, Policy: runtime.PartitionHeuristic{}})
 			if err != nil {
 				return nil, err

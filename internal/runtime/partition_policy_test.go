@@ -23,8 +23,8 @@ func TestMixedOracleAtOrBelowGlobalOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			global := runWithPolicy(t, g, k, 8, Oracle{}, false)
-			mixed := runWithPolicy(t, g, k, 8, MixedOracle{}, false)
+			global := runWithPolicy(t, g, k, 8, sim.Oracle{}, false)
+			mixed := runWithPolicy(t, g, k, 8, sim.MixedOracle{}, false)
 			if mixed.TotalDataMovementBytes > global.TotalDataMovementBytes {
 				t.Errorf("%s/%s: mixed oracle %d above global oracle %d",
 					ds.Name, kn, mixed.TotalDataMovementBytes, global.TotalDataMovementBytes)
@@ -42,7 +42,7 @@ func TestMixedOracleMatchesRecordLowerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := runWithPolicy(t, g, k, 8, MixedOracle{}, false)
+	run := runWithPolicy(t, g, k, 8, sim.MixedOracle{}, false)
 	for _, rec := range run.Records {
 		// The bound decomposes over partitions: each moves its cheaper
 		// mechanism.
@@ -78,11 +78,11 @@ func TestMixedOracleCanStrictlyBeatGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	global, err := (&sim.DisaggregatedNDP{Topo: topo, Policy: Oracle{}}).Price(trace)
+	global, err := (&sim.DisaggregatedNDP{Topo: topo, Policy: sim.Oracle{}}).Price(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := (&sim.DisaggregatedNDP{Topo: topo, Policy: MixedOracle{}}).Price(trace)
+	mixed, err := (&sim.DisaggregatedNDP{Topo: topo, Policy: sim.MixedOracle{}}).Price(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPartitionHeuristicTracksMixedOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := runWithPolicy(t, g, k, 8, MixedOracle{}, false)
+			oracle := runWithPolicy(t, g, k, 8, sim.MixedOracle{}, false)
 			heur := runWithPolicy(t, g, k, 8, PartitionHeuristic{}, false)
 			if float64(heur.TotalDataMovementBytes) > 1.35*float64(oracle.TotalDataMovementBytes) {
 				t.Errorf("%s/%s: partition heuristic %d vs mixed oracle %d (>35%% off)",
@@ -113,31 +113,79 @@ func TestPartitionHeuristicTracksMixedOracle(t *testing.T) {
 	}
 }
 
+// spy passes each Choice its policy makes to check, with the View it was
+// made from.
+type spy struct {
+	sim.OffloadPolicy
+	check func(v *sim.View, c sim.Choice)
+}
+
+func (s spy) Choose(v *sim.View) sim.Choice {
+	c := s.OffloadPolicy.Choose(v)
+	s.check(v, c)
+	return c
+}
+
+// TestPartitionHeuristicMaskLength holds the per-node heuristic, on the
+// views a 7-node pool's pricing hands it, to one decision a node, each
+// Heuristic's on that node's view.
 func TestPartitionHeuristicMaskLength(t *testing.T) {
-	h := PartitionHeuristic{}
-	parts := make([]sim.PreStats, 7)
-	mask := h.DecidePartitions(parts)
-	if len(mask) != 7 {
-		t.Errorf("mask length %d, want 7", len(mask))
+	g, err := gen.Twitter7.Generate(0.125, gen.Config{Seed: 8, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range mask {
-		if m {
-			t.Error("empty partitions should not offload")
+	choices := 0
+	check := func(v *sim.View, c sim.Choice) {
+		choices++
+		if len(c.Nodes) != 7 {
+			t.Fatalf("mask length %d, want 7", len(c.Nodes))
 		}
+		for p, off := range c.Nodes {
+			if want := (Heuristic{}).Choose(&sim.View{Pool: v.Node(p)}).Offload; off != want {
+				t.Errorf("node %d chose %v, Heuristic on its view %v", p, off, want)
+			}
+		}
+	}
+	run := runWithPolicy(t, g, kernels.NewBFS(0), 7, spy{PartitionHeuristic{}, check}, false)
+	if choices != len(run.Records) {
+		t.Errorf("%d choices for %d iterations", choices, len(run.Records))
 	}
 }
 
+// TestPartitionHeuristicSkipsEmptyNodes runs the per-node heuristic where
+// most nodes idle: a source-rooted BFS on a range-partitioned star keeps
+// whole memory nodes out of the early frontiers. An idle node never
+// offloads while busy ones do, and a node whose share is dense (1000
+// edges per static destination) offloads.
 func TestPartitionHeuristicSkipsEmptyNodes(t *testing.T) {
-	h := PartitionHeuristic{}
-	parts := []sim.PreStats{
-		{Partitions: 1, NumVertices: 1000, StaticPartialUpdates: 100},
-		{Partitions: 1, NumVertices: 1000, FrontierSize: 100, FrontierDegreeSum: 100000, StaticPartialUpdates: 500},
+	g, err := gen.SkewedStar(2048, 4, 30000, 1, gen.Config{Seed: 3, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mask := h.DecidePartitions(parts)
-	if mask[0] {
-		t.Error("idle memory node offloaded")
+	a, err := partition.Range{}.Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !mask[1] {
+	idle, offloaded := 0, 0
+	check := func(v *sim.View, c sim.Choice) {
+		for p, off := range c.Nodes {
+			if off {
+				offloaded++
+			}
+			if v.Node(p).FrontierSize == 0 {
+				idle++
+				if off {
+					t.Errorf("idle memory node %d offloaded", p)
+				}
+			}
+		}
+	}
+	runOn(t, sim.DefaultTopology(2, 8), a, g, kernels.NewBFS(0), spy{PartitionHeuristic{}, check}, false)
+	if idle == 0 || offloaded == 0 {
+		t.Fatalf("%d idle and %d offloaded node-iterations, want some of each", idle, offloaded)
+	}
+	dense := sim.PreStats{Partitions: 1, NumVertices: 1000, FrontierSize: 100, FrontierDegreeSum: 100000, StaticPartialUpdates: 500}
+	if !(Heuristic{}).Choose(&sim.View{Pool: dense}).Offload {
 		t.Error("dense memory node (1000 edges per static dst) should offload")
 	}
 }
@@ -152,7 +200,7 @@ func TestPartitionPolicyResultsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := runWithPolicy(t, g, k, 8, MixedOracle{}, false)
+	a := runWithPolicy(t, g, k, 8, sim.MixedOracle{}, false)
 	b := runWithPolicy(t, g, k, 8, sim.NeverOffload{}, false)
 	for v := range a.Result.Values {
 		if a.Result.Values[v] != b.Result.Values[v] {
@@ -162,7 +210,7 @@ func TestPartitionPolicyResultsUnchanged(t *testing.T) {
 }
 
 func TestMixedPolicyNames(t *testing.T) {
-	if (MixedOracle{}).Name() != "mixed-oracle" {
+	if (sim.MixedOracle{}).Name() != "mixed-oracle" {
 		t.Error("mixed-oracle name")
 	}
 	if (PartitionHeuristic{}).Name() != "partition-heuristic" {
@@ -170,38 +218,25 @@ func TestMixedPolicyNames(t *testing.T) {
 	}
 }
 
-// TestDecidePartitionsDegenerate pins the per-partition heuristic on
-// degenerate per-node views: empty nodes and an all-empty frontier never
-// offload, and the mask length always matches the input.
+// TestDecidePartitionsDegenerate pins the per-node heuristic on
+// degenerate views: an empty node never offloads, a busy node with no
+// statistics (no StaticPartialUpdates, no NumVertices) gets a finite
+// estimate from the degree sum itself, and a pool of no nodes gets an
+// empty mask. A node's choice is Heuristic's on its view
+// (TestPartitionHeuristicMaskLength).
 func TestDecidePartitionsDegenerate(t *testing.T) {
-	h := PartitionHeuristic{}
-	idle := sim.PreStats{Partitions: 1}
-
-	// All-empty frontier: every node idles.
-	parts := []sim.PreStats{idle, idle, idle, idle}
-	mask := h.DecidePartitions(parts)
-	if len(mask) != 4 {
-		t.Fatalf("mask length %d, want 4", len(mask))
+	h := Heuristic{}
+	if idle := (sim.PreStats{Partitions: 1}); h.Choose(&sim.View{Pool: idle}).Offload {
+		t.Error("empty node chose offload")
 	}
-	for p, off := range mask {
-		if off {
-			t.Errorf("empty node %d chose offload", p)
-		}
+	busy := sim.PreStats{Partitions: 1, FrontierSize: 4, FrontierDegreeSum: 4000}
+	if est := h.EstimateOffloadBytes(busy); est != 4000*kernels.UpdateBytes+4*kernels.PropertyBytes {
+		t.Errorf("busy node without statistics: estimate %v, want the no-dedup bound", est)
 	}
-
-	// One busy high-degree node among idle ones: only it may offload, and
-	// a zero StaticPartialUpdates and NumVertices (no statistics) must not
-	// produce NaN — the estimate falls back to the degree sum itself.
-	parts[2] = sim.PreStats{Partitions: 1, FrontierSize: 4, FrontierDegreeSum: 4000}
-	mask = h.DecidePartitions(parts)
-	for p, off := range mask {
-		if p != 2 && off {
-			t.Errorf("idle node %d chose offload", p)
-		}
+	if h.Choose(&sim.View{Pool: busy}).Offload {
+		t.Error("busy node without statistics offloaded at its no-dedup bound")
 	}
-
-	// Zero-length input: no panic, empty mask.
-	if got := h.DecidePartitions(nil); len(got) != 0 {
-		t.Errorf("nil parts produced mask of length %d", len(got))
+	if got := (PartitionHeuristic{}).Choose(&sim.View{}); got.Nodes == nil || len(got.Nodes) != 0 {
+		t.Errorf("no nodes: Choose = %+v, want an empty per-node mask", got)
 	}
 }

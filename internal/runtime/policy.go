@@ -3,7 +3,11 @@
 // policies that weigh shipping edge lists against shipping partial
 // updates, using exactly the heuristic inputs the paper names — frontier
 // size, the degrees of frontier vertices, the cross-edge profile of the
-// partitioning, and the scale of distribution.
+// partitioning, and the scale of distribution. Each implements
+// sim.OffloadPolicy and reads only a sim.View's pre-traversal PreStats,
+// for the pool or node by node; the oracles, which read an iteration's
+// realised costs, are sim's own (sim.Oracle, sim.MixedOracle). The
+// registry (Names, ByName) lists both kinds.
 package runtime
 
 import (
@@ -37,8 +41,14 @@ type Heuristic struct{}
 // Name implements sim.OffloadPolicy.
 func (Heuristic) Name() string { return "heuristic" }
 
-// Decide implements sim.OffloadPolicy.
-func (h Heuristic) Decide(s sim.PreStats) bool {
+// Choose implements sim.OffloadPolicy: one decision for the pool.
+func (h Heuristic) Choose(v *sim.View) sim.Choice {
+	return sim.Choice{Offload: h.offloads(v.Pool)}
+}
+
+// offloads reports whether s's estimated offload bytes undercut fetching
+// its frontier's edge lists.
+func (h Heuristic) offloads(s sim.PreStats) bool {
 	fetch := float64(s.FrontierDegreeSum) * kernels.EdgeBytes
 	return h.EstimateOffloadBytes(s) < fetch
 }
@@ -89,22 +99,6 @@ func estimatePartials(s sim.PreStats) float64 {
 	return model
 }
 
-// Oracle picks, after the iteration's costs are both measured, whichever
-// of fetch and offload moved fewer bytes. It is the per-iteration lower
-// bound among the two mechanisms and the yardstick dynamic policies are
-// judged against (the paper's Figure 7 discussion).
-type Oracle struct{}
-
-// Name implements sim.OffloadPolicy.
-func (Oracle) Name() string { return "oracle" }
-
-// Decide implements sim.OffloadPolicy; the value is ignored because the
-// engine applies post-hoc min-cost accounting (see PostHoc).
-func (Oracle) Decide(sim.PreStats) bool { return true }
-
-// PostHoc marks Oracle for post-hoc accounting.
-func (Oracle) PostHoc() {}
-
 // ThresholdPolicy offloads when the frontier's average out-degree exceeds
 // thresholdPerPartition × Partitions — the simplest degree heuristic the
 // paper suggests.
@@ -118,21 +112,15 @@ const thresholdPerPartition = 2
 // Name implements sim.OffloadPolicy.
 func (ThresholdPolicy) Name() string { return "degree-threshold" }
 
-// Decide implements sim.OffloadPolicy.
-func (ThresholdPolicy) Decide(s sim.PreStats) bool {
+// Choose implements sim.OffloadPolicy.
+func (ThresholdPolicy) Choose(v *sim.View) sim.Choice {
+	s := v.Pool
 	if s.FrontierSize == 0 || s.Partitions <= 0 {
 		// An empty frontier has nothing to offload; a degenerate topology
 		// has no memory pool to offload to, and the threshold would
 		// collapse to 0 ("always offload").
-		return false
+		return sim.Choice{}
 	}
 	avgDeg := float64(s.FrontierDegreeSum) / float64(s.FrontierSize)
-	return avgDeg > thresholdPerPartition*float64(s.Partitions)
+	return sim.Choice{Offload: avgDeg > thresholdPerPartition*float64(s.Partitions)}
 }
-
-// Interface conformance checks.
-var (
-	_ sim.OffloadPolicy = Heuristic{}
-	_ sim.OffloadPolicy = ThresholdPolicy{}
-	_ sim.PostHocPolicy = Oracle{}
-)

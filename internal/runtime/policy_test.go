@@ -46,7 +46,7 @@ func TestOracleIsLowerBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := runWithPolicy(t, g, k, 8, Oracle{}, aggregate)
+			oracle := runWithPolicy(t, g, k, 8, sim.Oracle{}, aggregate)
 			always := runWithPolicy(t, g, k, 8, sim.AlwaysOffload{}, aggregate)
 			never := runWithPolicy(t, g, k, 8, sim.NeverOffload{}, aggregate)
 			if oracle.TotalDataMovementBytes > always.TotalDataMovementBytes {
@@ -78,7 +78,7 @@ func TestOracleIsLowerBound(t *testing.T) {
 		}
 	}
 	k := kernels.NewPageRank(5, 0.85)
-	oracle := runOn(t, topo, a, g, k, Oracle{}, false)
+	oracle := runOn(t, topo, a, g, k, sim.Oracle{}, false)
 	never := runOn(t, topo, a, g, k, sim.NeverOffload{}, false)
 	if oracle.TotalDataMovementBytes >= never.TotalDataMovementBytes {
 		t.Errorf("heterogeneous pagerank: oracle %d, never %d: the oracle never offloaded",
@@ -97,7 +97,7 @@ func TestOraclePicksMinPerIteration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := runWithPolicy(t, g, k, 8, Oracle{}, aggregate)
+			run := runWithPolicy(t, g, k, 8, sim.Oracle{}, aggregate)
 			for _, rec := range run.Records {
 				updates := rec.UpdateMoveBytes
 				if aggregate {
@@ -132,7 +132,7 @@ func TestHeuristicTracksOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				oracle := runWithPolicy(t, g, k, 8, Oracle{}, aggregate)
+				oracle := runWithPolicy(t, g, k, 8, sim.Oracle{}, aggregate)
 				dyn := runWithPolicy(t, g, k, 8, Heuristic{}, aggregate)
 				always := runWithPolicy(t, g, k, 8, sim.AlwaysOffload{}, aggregate)
 				never := runWithPolicy(t, g, k, 8, sim.NeverOffload{}, aggregate)
@@ -221,7 +221,7 @@ func TestHeuristicZeroInputs(t *testing.T) {
 	if est := h.EstimateOffloadBytes(sim.PreStats{}); est != 0 {
 		t.Errorf("empty stats estimate = %f, want 0", est)
 	}
-	if h.Decide(sim.PreStats{}) {
+	if h.Choose(&sim.View{}).Offload {
 		t.Error("empty stats should not offload")
 	}
 }
@@ -230,11 +230,11 @@ func TestThresholdPolicy(t *testing.T) {
 	// The threshold scales with partition count.
 	d := ThresholdPolicy{}
 	s := sim.PreStats{FrontierSize: 10, FrontierDegreeSum: 100, Partitions: 4} // avg 10 > 8
-	if !d.Decide(s) {
+	if !d.Choose(&sim.View{Pool: s}).Offload {
 		t.Error("threshold rejected avg degree 10 with 4 partitions")
 	}
 	s.Partitions = 16 // threshold 32 > 10
-	if d.Decide(s) {
+	if d.Choose(&sim.View{Pool: s}).Offload {
 		t.Error("threshold accepted avg degree 10 with 16 partitions")
 	}
 }
@@ -243,19 +243,24 @@ func TestPolicyNames(t *testing.T) {
 	if (Heuristic{}).Name() != "heuristic" {
 		t.Error("heuristic name")
 	}
-	if (Oracle{}).Name() != "oracle" {
+	if (sim.Oracle{}).Name() != "oracle" {
 		t.Error("oracle name")
+	}
+	if (sim.AlwaysOffload{}).Name() != "always" || (sim.NeverOffload{}).Name() != "never" {
+		t.Error("static policy names")
 	}
 	if (ThresholdPolicy{}).Name() == "" {
 		t.Error("threshold name")
 	}
 }
 
-// TestPoliciesOnDegenerateStats pins every offload policy's decision on
-// the degenerate PreStats shapes an engine can legally produce — an
-// empty frontier, a zero-width pool, no vertex count — and asserts no NaN sneaks into the
-// byte estimates. A policy must degrade to "don't offload" (or a finite
-// estimate), never divide by zero.
+// TestPoliciesOnDegenerateStats pins every pool-wide offload policy's
+// choice on the degenerate PreStats shapes an engine can legally produce
+// — an empty frontier, a zero-width pool, no vertex count — and asserts
+// no NaN sneaks into the byte estimates. A policy must degrade to "don't
+// offload" (or a finite estimate), never divide by zero. The per-node
+// policy reads node views, which only the simulator's Views have; its
+// degenerate nodes are TestDecidePartitionsDegenerate's.
 func TestPoliciesOnDegenerateStats(t *testing.T) {
 	empty := sim.PreStats{Partitions: 8, NumVertices: 100}
 	noPool := sim.PreStats{FrontierSize: 10, FrontierDegreeSum: 50, NumVertices: 100}
@@ -272,13 +277,11 @@ func TestPoliciesOnDegenerateStats(t *testing.T) {
 		{"heuristic aggregating empty frontier", Heuristic{}, aggregating(empty), false},
 		{"threshold empty frontier", ThresholdPolicy{}, empty, false},
 		{"threshold zero partitions", ThresholdPolicy{}, noPool, false},
-		{"partition-heuristic empty frontier", PartitionHeuristic{}, empty, false},
-		{"partition-heuristic zero partitions", PartitionHeuristic{}, noPool, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.policy.Decide(tc.stats); got != tc.want {
-				t.Errorf("Decide(%+v) = %v, want %v", tc.stats, got, tc.want)
+			if got := tc.policy.Choose(&sim.View{Pool: tc.stats}); got.Offload != tc.want || got.Nodes != nil {
+				t.Errorf("Choose(%+v) = %+v, want one pool-wide %v", tc.stats, got, tc.want)
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 // one source for Names, ByName, and the "available:" error text, as the
 // kernels and partition registries are for theirs.
 var policies = []sim.OffloadPolicy{sim.AlwaysOffload{}, ThresholdPolicy{}, Heuristic{},
-	MixedOracle{}, sim.NeverOffload{}, Oracle{}, PartitionHeuristic{}}
+	sim.MixedOracle{}, sim.NeverOffload{}, sim.Oracle{}, PartitionHeuristic{}}
 
 // Names lists the policy names ByName accepts, sorted ("threshold", short
 // for degree-threshold, is accepted too but not listed).

@@ -72,7 +72,7 @@ func (d *Disaggregated) Price(t *Trace) (*Run, error) {
 	run := (&pricing{
 		engine:  d.Name(),
 		policy:  NeverOffload{},
-		account: func(rec *Record) { d.Topo.hostFetch(rec, tr) },
+		account: func(rec *Record, _ bool) { d.Topo.hostFetch(rec, tr) },
 	}).run(t)
 	run.OffloadSupported = true
 	return run, nil
@@ -138,8 +138,8 @@ func (d *DisaggregatedNDP) Price(t *Trace) (*Run, error) {
 	tr := t.tr
 
 	// Per-memory-node device support: a heterogeneous pool may host the
-	// kernel on some nodes and not others, in which case accounting drops
-	// to per-partition granularity automatically.
+	// kernel on some nodes and not others, in which case pricing gates
+	// each node's choice by its device and drops to per-node accounting.
 	P := d.Topo.MemoryNodes
 	supported := make([]bool, P)
 	supportedCount := 0
@@ -165,33 +165,20 @@ func (d *DisaggregatedNDP) Price(t *Trace) (*Run, error) {
 	if policy == nil {
 		policy = AlwaysOffload{}
 	}
-	_, perPartition := policy.(PartitionPolicy)
-	if _, ok := policy.(PartitionPostHocPolicy); ok {
-		perPartition = true
+	if supportedCount == 0 {
+		// No device can run the kernel near data: every iteration fetches.
+		policy = NeverOffload{}
 	}
-	perPartition = perPartition || heterogeneous
 	pr := &pricing{
 		engine:           d.Name(),
 		policy:           policy,
 		switchAggregates: d.InNetworkAggregation,
 		switchBuffer:     d.Topo.SwitchBufferEntries,
 	}
-	pr.account = func(rec *Record) {
-		if supportedCount == 0 {
-			// No device can run the kernel near data: force host fetch.
-			rec.Offloaded = false
-			for p := range rec.PerPartition {
-				rec.PerPartition[p].Offloaded = false
-			}
-		} else if heterogeneous {
-			// Gate each partition's decision by its device.
-			any := false
-			for p := range rec.PerPartition {
-				rec.PerPartition[p].Offloaded = rec.PerPartition[p].Offloaded && supported[p]
-				any = any || rec.PerPartition[p].Offloaded
-			}
-			rec.Offloaded = any
-		}
+	if heterogeneous {
+		pr.gate = supported
+	}
+	pr.account = func(rec *Record, perNode bool) {
 		rec.AggregatedMoveBytes = AggregatedUpdateBytes(rec.PartialUpdates, rec.DistinctDsts, d.Topo.SwitchBufferEntries)
 		if !rec.Offloaded {
 			// No memory node offloaded: the passive disaggregated pattern.
@@ -200,7 +187,7 @@ func (d *DisaggregatedNDP) Price(t *Trace) (*Run, error) {
 		}
 		applyOps := float64(rec.Applies) * tr.FLOPsPerApply
 		edgeOps := float64(rec.ActiveEdges) * tr.FLOPsPerEdge
-		if perPartition {
+		if perNode {
 			// Mixed mode: each memory node follows its own decision.
 			// In-network aggregation is not modeled here — only the
 			// offloaded nodes emit updates, and the switch sees a partial
@@ -295,8 +282,12 @@ func priceDistributed(t *Trace, topo Topology, name string, ndpMode bool) (*Run,
 	tr := t.tr
 	servers := topo.MemoryNodes // in distributed mode every node is a full server
 	dec := topo.MemDevice.Supports(t.kernel, tr)
-	account := func(rec *Record) {
-		rec.Offloaded = ndpMode && dec.OK
+	// Near-memory servers run every traversal where the device can.
+	policy := OffloadPolicy(NeverOffload{})
+	if ndpMode && dec.OK {
+		policy = AlwaysOffload{}
+	}
+	account := func(rec *Record, _ bool) {
 		rec.DataMovementBytes = rec.MirrorReduceBytes + rec.MirrorBroadcastBytes
 		rec.SyncEvents = 2 * int64(servers)
 		applyOps := float64(rec.Applies) * tr.FLOPsPerApply
@@ -331,7 +322,7 @@ func priceDistributed(t *Trace, topo Topology, name string, ndpMode bool) (*Run,
 				(edgeOps+applyOps)*hostPJPerOp)
 		}
 	}
-	run := (&pricing{engine: name, policy: NeverOffload{}, mirrors: true, account: account}).run(t)
+	run := (&pricing{engine: name, policy: policy, mirrors: true, account: account}).run(t)
 	run.OffloadSupported = !ndpMode || dec.OK
 	run.OffloadNote = dec.Reason
 	return run, nil

@@ -12,90 +12,6 @@ import (
 	"repro/internal/partition"
 )
 
-// PreStats is what an offload policy may observe before an iteration runs:
-// the iteration's index, the pending frontier's size and degree sum, the
-// graph's and the memory pool's sizes, a load-time skew statistic and what
-// the engine's switch does with partial updates. Everything here is
-// cheaply available to a real runtime (the frontier is known, and degree
-// sums are prefix-sum lookups), which is the paper's point in Section
-// IV-D — these are the heuristic inputs.
-type PreStats struct {
-	Iteration int
-	// FrontierSize and FrontierDegreeSum describe the pending traversal.
-	FrontierSize      int64
-	FrontierDegreeSum int64
-	// Partitions is the memory-pool width.
-	Partitions int
-	// NumVertices is the graph's vertex count.
-	NumVertices int
-	// StaticPartialUpdates is the distinct (destination, partition) count
-	// for a full-graph traversal — a load-time statistic that captures
-	// destination skew, which per-iteration heuristics scale down by the
-	// frontier's traversal volume.
-	StaticPartialUpdates int64
-	// SwitchAggregates reports that the engine's switch aggregates this
-	// kernel's partial updates in flight, so an offloaded iteration is
-	// charged AggregatedUpdateBytes; SwitchBufferEntries is that switch's
-	// buffer (0 = unlimited).
-	SwitchAggregates    bool
-	SwitchBufferEntries int64
-}
-
-// OffloadPolicy decides, before each iteration, whether the traversal runs
-// on the memory-node NDP units (true) or the hosts fetch edge lists
-// (false).
-type OffloadPolicy interface {
-	Name() string
-	Decide(s PreStats) bool
-}
-
-// PostHocPolicy marks policies that choose after both costs are measured
-// (oracle baselines). Engines detect the marker and apply min-cost
-// accounting instead of the pre-iteration decision.
-type PostHocPolicy interface {
-	OffloadPolicy
-	PostHoc()
-}
-
-// PartitionPolicy decides offload independently for every memory node —
-// the finer-grained control Section IV argues frameworks must expose
-// ("which graph operations to offload", and where). Engines that support
-// it call DecidePartitions instead of Decide; mask[p] selects offload for
-// partition p. parts[p] is memory node p's view as a one-partition
-// PreStats: its share of the frontier and its static partial count.
-// Per-partition accounting does not aggregate, so SwitchAggregates is
-// false in every view. The returned slice must have length len(parts).
-type PartitionPolicy interface {
-	OffloadPolicy
-	DecidePartitions(parts []PreStats) []bool
-}
-
-// PartitionPostHocPolicy marks per-partition oracle accounting: each
-// memory node independently picks its cheaper mechanism after the costs
-// are measured.
-type PartitionPostHocPolicy interface {
-	OffloadPolicy
-	PartitionPostHoc()
-}
-
-// AlwaysOffload offloads every iteration.
-type AlwaysOffload struct{}
-
-// Name implements OffloadPolicy.
-func (AlwaysOffload) Name() string { return "always" }
-
-// Decide implements OffloadPolicy.
-func (AlwaysOffload) Decide(PreStats) bool { return true }
-
-// NeverOffload never offloads (pure far-memory execution).
-type NeverOffload struct{}
-
-// Name implements OffloadPolicy.
-func (NeverOffload) Name() string { return "never" }
-
-// Decide implements OffloadPolicy.
-func (NeverOffload) Decide(PreStats) bool { return false }
-
 // Trace is one execution of a kernel, recorded as what every
 // architecture prices: the kernel's result and, for each iteration and
 // memory node, what the node traversed and emitted. It depends on the
@@ -318,17 +234,24 @@ func (x *recorder) activate(v graph.VertexID) {
 }
 
 // pricing is what one architecture adds to a trace to make its Run: the
-// offload policy asked before each iteration, the switch as PreStats
-// reports it and offloadMoveBytes prices it, whether the master→mirror
-// refresh is charged (distributed architectures), and account, which
-// fills in the architecture's bytes, time and energy.
+// offload policy asked for each iteration's Choice, the switch as
+// PreStats reports it and offloadMoveBytes prices it, which memory nodes'
+// devices can run the kernel near data, whether the master→mirror refresh
+// is charged (distributed architectures), and account, which fills in the
+// architecture's bytes, time and energy.
 type pricing struct {
 	engine           string
 	policy           OffloadPolicy
 	switchAggregates bool
 	switchBuffer     int64
-	mirrors          bool
-	account          func(rec *Record)
+	// gate masks every node's choice by its device (gate[p] false: node p
+	// fetches); nil when every device runs the kernel. A gated pool is
+	// priced node by node.
+	gate    []bool
+	mirrors bool
+	// account prices one decided Record; perNode reports that its nodes
+	// were decided (or gated) one by one.
+	account func(rec *Record, perNode bool)
 }
 
 // check refuses a trace this engine cannot price: a topology that does
@@ -349,18 +272,14 @@ func (t *Trace) check(topo Topology, pricesCache bool) error {
 }
 
 // run prices every iteration of t into one Record: the counters, the
-// policy's decision from what a runtime knows before the iteration
-// (PreStats), the byte quantities the counters imply, and the
-// architecture's account. It reads t and writes only the Run.
+// byte quantities they imply, the policy's Choice from the iteration's
+// View, each memory node's decision under it, and the architecture's
+// account. It reads t and writes only the Run.
 func (pr *pricing) run(t *Trace) *Run {
 	P := t.parts
 	out := &Run{Engine: pr.engine, Kernel: t.kernel, Result: t.result, Records: make([]Record, len(t.iters))}
 	parts := make([]PartitionRecord, len(t.nodes))
-	partPolicy, _ := pr.policy.(PartitionPolicy)
-	var pp []PreStats
-	if partPolicy != nil {
-		pp = make([]PreStats, P)
-	}
+	view := &View{t: t, pr: pr}
 	for i, it := range t.iters {
 		rec := &out.Records[i]
 		*rec = Record{
@@ -369,7 +288,8 @@ func (pr *pricing) run(t *Trace) *Run {
 			CachedEdgeBytes: it.cachedEdgeBytes,
 			PerPartition:    parts[i*P : (i+1)*P : (i+1)*P],
 		}
-		for p, nd := range t.nodes[i*P : (i+1)*P] {
+		nodes := t.nodes[i*P : (i+1)*P]
+		for p, nd := range nodes {
 			rec.FrontierSize += nd.frontier
 			rec.ActiveEdges += nd.degSum
 			rec.CrossEdges += nd.cross
@@ -383,31 +303,6 @@ func (pr *pricing) run(t *Trace) *Run {
 			if nd.flops > rec.maxPartOps {
 				rec.maxPartOps = nd.flops
 			}
-			if pp != nil {
-				pp[p] = PreStats{
-					FrontierSize:         nd.frontier,
-					FrontierDegreeSum:    nd.degSum,
-					Partitions:           1,
-					NumVertices:          t.numVertices,
-					StaticPartialUpdates: t.staticPerPart[p],
-				}
-			}
-		}
-		var partMask []bool
-		if partPolicy != nil {
-			partMask = partPolicy.DecidePartitions(pp)
-			rec.Offloaded = anyTrue(partMask)
-		} else {
-			rec.Offloaded = pr.policy.Decide(PreStats{
-				Iteration:            it.index,
-				FrontierSize:         rec.FrontierSize,
-				FrontierDegreeSum:    rec.ActiveEdges,
-				Partitions:           P,
-				NumVertices:          t.numVertices,
-				StaticPartialUpdates: t.staticPartials,
-				SwitchAggregates:     pr.switchAggregates,
-				SwitchBufferEntries:  pr.switchBuffer,
-			})
 		}
 		rec.Applies = rec.DistinctDsts
 		if t.tr.AllVerticesActive {
@@ -417,47 +312,36 @@ func (pr *pricing) run(t *Trace) *Run {
 		if pr.mirrors {
 			rec.MirrorBroadcastBytes = it.broadcast * kernels.UpdateBytes
 		}
-		pr.finishRecord(rec, partMask)
+		rec.EdgeFetchBytes = rec.ActiveEdges * kernels.EdgeBytes
+		rec.UpdateMoveBytes = rec.PartialUpdates * kernels.UpdateBytes
+		rec.WritebackBytes = rec.NextFrontierSize * kernels.PropertyBytes
+		rec.MirrorReduceBytes = rec.RemotePartialUpdates * kernels.UpdateBytes
+
+		view.Pool = PreStats{
+			FrontierSize:         rec.FrontierSize,
+			FrontierDegreeSum:    rec.ActiveEdges,
+			Partitions:           P,
+			NumVertices:          t.numVertices,
+			StaticPartialUpdates: t.staticPartials,
+			SwitchAggregates:     pr.switchAggregates,
+			SwitchBufferEntries:  pr.switchBuffer,
+		}
+		view.nodes, view.rec = nodes, rec
+		c := pr.policy.Choose(view)
+		// The iteration offloaded when any node did.
+		for p := range rec.PerPartition {
+			off := c.Offload
+			if c.Nodes != nil {
+				off = p < len(c.Nodes) && c.Nodes[p]
+			}
+			off = off && (pr.gate == nil || pr.gate[p])
+			rec.PerPartition[p].Offloaded = off
+			rec.Offloaded = rec.Offloaded || off
+		}
+		pr.account(rec, c.Nodes != nil || pr.gate != nil)
 	}
 	out.finalize()
 	return out
-}
-
-// finishRecord derives the byte quantities from the iteration counters,
-// applies post-hoc policy overrides if present, and calls the
-// architecture's account.
-func (pr *pricing) finishRecord(rec *Record, partMask []bool) {
-	rec.EdgeFetchBytes = rec.ActiveEdges * kernels.EdgeBytes
-	rec.UpdateMoveBytes = rec.PartialUpdates * kernels.UpdateBytes
-	rec.WritebackBytes = rec.NextFrontierSize * kernels.PropertyBytes
-	rec.MirrorReduceBytes = rec.RemotePartialUpdates * kernels.UpdateBytes
-
-	switch pr.policy.(type) {
-	case PartitionPostHocPolicy:
-		// Every memory node independently picks its cheaper mechanism.
-		any := false
-		for p := range rec.PerPartition {
-			off := rec.PerPartition[p].OffloadCost() < rec.PerPartition[p].EdgeBytes
-			rec.PerPartition[p].Offloaded = off
-			any = any || off
-		}
-		rec.Offloaded = any
-	default:
-		if _, ok := pr.policy.(PostHocPolicy); ok {
-			rec.Offloaded = pr.offloadMoveBytes(rec) < rec.EdgeFetchBytes
-		}
-		// A partition policy's mask is per node; a global decision, post
-		// hoc or not, reaches every partition, so a heterogeneous pool's
-		// device gating sees it.
-		for p := range rec.PerPartition {
-			if partMask != nil {
-				rec.PerPartition[p].Offloaded = p < len(partMask) && partMask[p]
-			} else {
-				rec.PerPartition[p].Offloaded = rec.Offloaded
-			}
-		}
-	}
-	pr.account(rec)
 }
 
 // MixedMoveBytes sums each partition's cost under its recorded decision.
@@ -473,20 +357,11 @@ func (r *Record) MixedMoveBytes() int64 {
 	return total
 }
 
-func anyTrue(mask []bool) bool {
-	for _, b := range mask {
-		if b {
-			return true
-		}
-	}
-	return false
-}
-
 // offloadMoveBytes is what an offloaded iteration moves across the
 // compute-node boundary: its partial updates (aggregated when the switch
 // aggregates) plus the property write-back. It prices from the record's
-// counters, not from AggregatedMoveBytes, because the post-hoc oracle
-// calls it before the accountant fills that field in.
+// counters, not from AggregatedMoveBytes, because Oracle calls it before
+// the accountant fills that field in.
 func (pr *pricing) offloadMoveBytes(rec *Record) int64 {
 	updates := rec.UpdateMoveBytes
 	if pr.switchAggregates {

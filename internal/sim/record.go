@@ -64,11 +64,12 @@ type Record struct {
 	// Applies counts Apply invocations (update-phase work items).
 	Applies int64
 	// PerPartition holds the per-memory-node breakdown of the iteration,
-	// populated by engines that make (or evaluate) per-partition offload
-	// decisions — the paper's "which operations to offload, and where".
+	// one entry a memory node, under every engine — the paper's "which
+	// operations to offload, and where".
 	PerPartition []PartitionRecord
-	// Offloaded reports whether this iteration ran the traversal on the
-	// memory-node NDP units (decided by the engine's offload policy).
+	// Offloaded reports whether this iteration ran the traversal on any
+	// memory node's NDP unit: exactly when some PerPartition entry is
+	// Offloaded.
 	Offloaded bool
 	// DataMovementBytes is the headline metric: bytes crossing the
 	// compute-node boundary this iteration under the engine's
@@ -98,8 +99,9 @@ type PartitionRecord struct {
 	EdgeBytes      int64
 	PartialUpdates int64
 	Activated      int64
-	// Offloaded reports this partition's decision when a per-partition
-	// policy ran.
+	// Offloaded reports whether this node ran its share of the traversal
+	// near data: the policy's Choice for the node (its own, or the
+	// pool's), gated by the node's device.
 	Offloaded bool
 }
 

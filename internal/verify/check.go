@@ -393,20 +393,29 @@ func checkRecords(run *core.Result, sc Scenario) error {
 			return failf(OracleRecords, "%s it%d: WritebackBytes %d != NextFrontierSize %d x %d",
 				run.Engine, it, rec.WritebackBytes, rec.NextFrontierSize, kernels.PropertyBytes)
 		}
-		if len(rec.PerPartition) > 0 {
-			var edgeBytes, partials int64
-			for _, p := range rec.PerPartition {
-				edgeBytes += p.EdgeBytes
-				partials += p.PartialUpdates
-			}
-			if edgeBytes != rec.EdgeFetchBytes {
-				return failf(OracleRecords, "%s it%d: per-partition edge bytes sum %d != total %d",
-					run.Engine, it, edgeBytes, rec.EdgeFetchBytes)
-			}
-			if partials != rec.PartialUpdates {
-				return failf(OracleRecords, "%s it%d: per-partition partial updates sum %d != total %d",
-					run.Engine, it, partials, rec.PartialUpdates)
-			}
+		if len(rec.PerPartition) != sc.Partitions {
+			return failf(OracleRecords, "%s it%d: %d per-partition records for %d memory nodes",
+				run.Engine, it, len(rec.PerPartition), sc.Partitions)
+		}
+		var edgeBytes, partials int64
+		anyOffloaded := false
+		for _, p := range rec.PerPartition {
+			edgeBytes += p.EdgeBytes
+			partials += p.PartialUpdates
+			anyOffloaded = anyOffloaded || p.Offloaded
+		}
+		if edgeBytes != rec.EdgeFetchBytes {
+			return failf(OracleRecords, "%s it%d: per-partition edge bytes sum %d != total %d",
+				run.Engine, it, edgeBytes, rec.EdgeFetchBytes)
+		}
+		if partials != rec.PartialUpdates {
+			return failf(OracleRecords, "%s it%d: per-partition partial updates sum %d != total %d",
+				run.Engine, it, partials, rec.PartialUpdates)
+		}
+		// An iteration offloaded exactly when one of its memory nodes did.
+		if rec.Offloaded != anyOffloaded {
+			return failf(OracleRecords, "%s it%d: Offloaded %v, any memory node offloaded %v",
+				run.Engine, it, rec.Offloaded, anyOffloaded)
 		}
 		// Aggregation can only shrink the update stream, never grow it,
 		// and its floor is one update per touched destination.
