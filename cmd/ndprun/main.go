@@ -10,13 +10,17 @@
 //	ndprun -dataset com-livejournal -kernel cc -arch all -csv
 //	ndprun -graph my.gcsr -kernel sssp -arch disaggregated
 //	ndprun -dataset twitter7 -kernel bfs -arch serial -direction auto
-//	ndprun -store lj.gcsr2 -kernel bfs -store-mem 1048576 -store-verify
+//	ndprun -store lj.gcsr2 -kernel bfs -arch serial -store-mem 1048576 -store-verify
+//	ndprun -store lj.gcsr2 -kernel pagerank -arch all -partitioner hash
 //	ndprun -dataset wiki-talk -kernel cc -cluster -treefanin 4 \
 //	    -fault-seed 7 -fault-drop 0.2 -fault-dup 0.1 -crash 2@1
 //
 // Every simulated run, and the cluster, is one core.System built from
 // the flags, whose defaults are core's table: the same machine a
 // core.New system or a served job with no knobs set describes.
+//
+// With -store, the graph is an out-of-core container read in place by
+// the same run -graph would start, followed by the tier's traffic.
 //
 // With -server, ndprun becomes a client of a running ndpserve instance:
 // it uploads the graph as a named snapshot, submits the same
@@ -36,6 +40,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"reflect"
 	"slices"
 	"strings"
 	"syscall"
@@ -82,9 +87,9 @@ func (o *flags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.csv, "csv", false, "emit the summary as CSV")
 	fs.StringVar(&o.iterCSV, "itercsv", "", "write the per-iteration ledger as CSV to this file (single -arch only)")
 	fs.BoolVar(&o.cluster, "cluster", false, "run on the concurrent actor cluster instead of the simulator (disaggregated-ndp only)")
-	fs.StringVar(&o.storePath, "store", "", "run the kernel out-of-core from this gcsr2 container (no -dataset/-graph needed)")
+	fs.StringVar(&o.storePath, "store", "", "read the graph out-of-core from this gcsr2 container instead of -dataset/-graph")
 	fs.Int64Var(&o.storeMem, "store-mem", 0, "out-of-core local-memory budget in bytes for decompressed segments (0 = unlimited)")
-	fs.BoolVar(&o.storeVerify, "store-verify", false, "with -store: also materialize the container in RAM, run serially, and fail unless results are bit-identical")
+	fs.BoolVar(&o.storeVerify, "store-verify", false, "with -store: also materialize the container in RAM, run the same again, and fail unless results are bit-identical")
 	fs.StringVar(&o.serverURL, "server", "", "submit to a running ndpserve instance at this base URL instead of executing locally")
 	fs.StringVar(&o.tenant, "tenant", "", "tenant name sent with -server submissions")
 	fs.StringVar(&o.snapName, "snapshot", "", "snapshot name for -server (default: the dataset or graph-file label)")
@@ -92,25 +97,28 @@ func (o *flags) register(fs *flag.FlagSet) {
 
 // Flags a mode cannot honour: the job wire format has no field for the
 // first list; the cluster always offloads on the default device and
-// measures traffic, not the simulator's per-iteration ledger.
+// measures traffic, not the simulator's per-iteration ledger; a
+// container is the graph, which the service and the cluster do not read.
 var (
 	unserved    = []string{"device", "switchbuffer", "direction", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash", "iters", "itercsv"}
 	unclustered = []string{"policy", "device", "switchbuffer", "iters", "itercsv"}
+	unstored    = []string{"dataset", "graph", "scale", "server", "cluster"}
 )
 
-// refuse names, in one error, every flag set on fs that -server or
-// -cluster would otherwise drop silently.
+// refuse names, in one error, every flag set on fs that -server,
+// -cluster or -store would otherwise drop silently.
 func (o *flags) refuse(fs *flag.FlagSet) error {
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
-		if o.serverURL != "" && slices.Contains(unserved, f.Name) || o.cluster && slices.Contains(unclustered, f.Name) {
+		if o.serverURL != "" && slices.Contains(unserved, f.Name) || o.cluster && slices.Contains(unclustered, f.Name) ||
+			o.storePath != "" && slices.Contains(unstored, f.Name) {
 			bad = append(bad, "-"+f.Name)
 		}
 	})
 	if len(bad) == 0 {
 		return nil
 	}
-	return fmt.Errorf("refusing flags the job wire format (-server) cannot carry or the cluster (-cluster) does not read: %s", strings.Join(bad, ", "))
+	return fmt.Errorf("refusing flags -server, -cluster or -store cannot honour: %s", strings.Join(bad, ", "))
 }
 
 func main() {
@@ -122,59 +130,64 @@ func main() {
 	// runs instead of leaving them to finish on their own.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := o.run(ctx, flag.CommandLine); err != nil {
+	if err := o.run(ctx, flag.CommandLine, os.Stdout); err != nil {
 		fatal(err)
 	}
 }
 
-// run executes the mode the flags parsed into fs select.
-func (o *flags) run(ctx context.Context, fs *flag.FlagSet) error {
+// run executes the mode the flags parsed into fs select, printing its
+// tables to w.
+func (o *flags) run(ctx context.Context, fs *flag.FlagSet, w io.Writer) error {
 	if err := o.refuse(fs); err != nil {
 		return err
 	}
-	gf, ef := o.gf, o.ef
-	// -store executes directly from the container through the out-of-core
-	// engine; the graph never materializes in RAM (unless -store-verify
-	// cross-checks it against the serial reference).
 	if o.storePath != "" {
-		return runStore(ctx, o.storePath, o.storeMem, o.storeVerify, ef, o.csv)
+		return o.runStore(ctx, w)
 	}
-	g, err := gf.Load()
+	g, err := o.gf.Load()
 	if err != nil {
 		return err
 	}
 	if o.serverURL != "" {
-		return runServed(ctx, g, gf, ef, o.cf, o.cluster, o.serverURL, o.tenant, o.snapName, o.csv)
+		return runServed(ctx, g, o.gf, o.ef, o.cf, o.cluster, o.serverURL, o.tenant, o.snapName, o.csv)
 	}
+	_, err = o.execute(ctx, g, o.gf.Label(), w)
+	return err
+}
+
+// execute runs a fresh instance of the kernel on src in the mode the
+// engine flags select, printing its tables to w, and returns its
+// results. -arch serial bypasses the simulator entirely: it runs the
+// in-process kernel engine (direction-optimized, staged-parallel) and
+// reports the traversal telemetry instead of the movement ledger.
+func (o *flags) execute(ctx context.Context, src kernels.Source, label string, w io.Writer) ([]*core.Result, error) {
+	ef, seed := o.ef, o.gf.Seed
 	k, err := kernels.ByNameIters(ef.Kernel, ef.PRIters)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// -arch serial bypasses the simulator entirely: it runs the in-process
-	// kernel engine (direction-optimized, staged-parallel) and reports the
-	// traversal telemetry instead of the movement ledger.
 	if ef.Arch == "serial" {
-		return runSerialEngine(ctx, g, k, gf, ef, o.csv)
+		return runSerialEngine(ctx, w, src, k, label, ef, o.csv)
 	}
 	if !o.cluster {
-		sys, err := system(ef, gf.Seed)
+		sys, err := system(ef, seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return runSim(ctx, g, k, sys, gf, ef, o.perIter, o.iterCSV, o.csv)
+		return runSim(ctx, w, src, k, sys, label, ef, o.perIter, o.iterCSV, o.csv)
 	}
 	if ef.Arch != "disaggregated-ndp" {
-		return fmt.Errorf("-cluster runs the concurrent disaggregated-ndp implementation; got -arch %s", ef.Arch)
+		return nil, fmt.Errorf("-cluster runs the concurrent disaggregated-ndp implementation; got -arch %s", ef.Arch)
 	}
 	plan, err := o.ff.Plan()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sys, err := system(ef, gf.Seed, core.WithTreeFanIn(o.cf.TreeFanIn), core.WithChannelDepth(o.cf.ChannelDepth), core.WithFaultPlan(plan))
+	sys, err := system(ef, seed, core.WithTreeFanIn(o.cf.TreeFanIn), core.WithChannelDepth(o.cf.ChannelDepth), core.WithFaultPlan(plan))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return runCluster(ctx, g, k, sys, o.csv)
+	return runCluster(ctx, w, src, k, sys, o.csv)
 }
 
 // system builds the one core.System the engine flags describe, plus
@@ -211,26 +224,27 @@ func system(ef cliconf.EngineFlags, seed uint64, opts ...core.Option) (*core.Sys
 // for -arch all, over one partitioning and prints the movement ledger.
 // Every engine runs under ctx, so Ctrl-C ends the sweep within one
 // iteration.
-func runSim(ctx context.Context, g *graph.Graph, k kernels.Kernel, sys *core.System,
-	gf cliconf.GraphFlags, ef cliconf.EngineFlags, perIter bool, iterCSV string, csv bool) error {
+func runSim(ctx context.Context, w io.Writer, src kernels.Source, k kernels.Kernel, sys *core.System,
+	label string, ef cliconf.EngineFlags, perIter bool, iterCSV string, csv bool) ([]*core.Result, error) {
+	g := src.Vertices()
 	assign, err := sys.Partition(g)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var runs []*core.Result
 	if ef.Arch == "all" {
-		runs, err = sys.CompareWithAssignment(ctx, g, k, assign)
+		runs, err = sys.CompareWithAssignment(ctx, src, k, assign)
 	} else {
 		var run *core.Result
-		run, err = sys.Engine().Run(ctx, g, k, core.RunConfig{Assignment: assign})
+		run, err = sys.Engine().Run(ctx, src, k, core.RunConfig{Assignment: assign})
 		runs = []*core.Result{run}
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := metrics.NewTable(
 		fmt.Sprintf("%s on %s (V=%d E=%d, %d partitions via %s, policy %s)",
-			k.Name(), gf.Label(), g.NumVertices(), g.NumEdges(), sys.Topology().MemoryNodes, sys.Partitioner().Name(), sys.Policy().Name()),
+			k.Name(), label, g.NumVertices(), g.NumEdges(), sys.Topology().MemoryNodes, sys.Partitioner().Name(), sys.Policy().Name()),
 		"Architecture", "Iterations", "Moved", "Sync events", "Est time (ms)", "Energy (mJ)", "Offload OK")
 	for _, run := range runs {
 		t.AddRow(run.Engine, run.Iterations, graph.FormatBytes(run.TotalDataMovementBytes),
@@ -242,111 +256,98 @@ func runSim(ctx context.Context, g *graph.Graph, k kernels.Kernel, sys *core.Sys
 				it.AddRow(rec.Iteration, rec.FrontierSize, rec.ActiveEdges, rec.Offloaded,
 					graph.FormatBytes(rec.DataMovementBytes), rec.PartialUpdates, graph.FormatBytes(rec.WritebackBytes))
 			}
-			if err := it.Render(os.Stdout); err != nil {
-				return err
+			if err := it.Render(w); err != nil {
+				return nil, err
 			}
-			fmt.Println()
+			if _, err := fmt.Fprintln(w); err != nil {
+				return nil, err
+			}
 		}
-		if run.OffloadNote != "" {
+		if run.OffloadNote != "" && w != io.Discard { // -store-verify's silent re-run repeats no note
 			fmt.Fprintf(os.Stderr, "note: %s\n", run.OffloadNote)
 		}
 		if iterCSV != "" && len(runs) == 1 {
 			if err := gio.WriteFileAtomic(iterCSV, func(w io.Writer) error { return sim.WriteRecordsCSV(w, run.Records) }); err != nil {
-				return err
+				return nil, err
 			}
 			fmt.Fprintf(os.Stderr, "wrote per-iteration ledger to %s\n", iterCSV)
 		}
 	}
-	return render(t, csv)
+	return runs, render(w, t, csv)
 }
 
 // runSerialEngine executes the kernel on the in-process engine with the
 // direction flags applied and prints the direction/inspection telemetry
 // the hybrid traversal exists for.
-func runSerialEngine(ctx context.Context, g *graph.Graph, k kernels.Kernel, gf cliconf.GraphFlags, ef cliconf.EngineFlags, csv bool) error {
+func runSerialEngine(ctx context.Context, w io.Writer, src kernels.Source, k kernels.Kernel, label string, ef cliconf.EngineFlags, csv bool) ([]*core.Result, error) {
 	opt, err := ef.EngineOptions()
 	if err != nil {
-		return err
-	}
-	src, err := kernels.InMemory(g)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := kernels.RunOn(ctx, src, k, kernels.Staged, opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var nominal int64
 	for _, e := range res.ActiveEdges {
 		nominal += e
 	}
+	g := src.Vertices()
 	t := metrics.NewTable(
 		fmt.Sprintf("%s on %s (V=%d E=%d, kernel engine, direction %s, workers=%d)",
-			k.Name(), gf.Label(), g.NumVertices(), g.NumEdges(), opt.Direction, opt.Workers),
+			k.Name(), label, g.NumVertices(), g.NumEdges(), opt.Direction, opt.Workers),
 		"Iterations", "Converged", "Push iters", "Pull iters", "Frontier edges", "Edges inspected")
 	t.AddRow(res.Iterations, res.Converged, res.PushIterations, res.PullIterations, nominal, res.EdgesInspected)
-	return render(t, csv)
+	return []*core.Result{core.FromSerial(k.Name(), res)}, render(w, t, csv)
 }
 
-// runStore executes the kernel straight from a gcsr2 container: edges
-// are pinned through the store's segment tier (the "local memory" tier)
-// instead of an in-RAM CSR, and the telemetry reports the tier traffic
-// the budget produced. With storeVerify, the container is also materialized
-// and run on the serial reference, and the two value vectors must be
-// bit-identical.
-func runStore(ctx context.Context, path string, localBytes int64, storeVerify bool, ef cliconf.EngineFlags, csv bool) error {
-	st, err := store.OpenFile(path, store.Options{LocalBytes: localBytes})
+// runStore reads the graph straight from a gcsr2 container: the run the
+// flags select pins edges through the store's segment tier (the "local
+// memory" tier) instead of an in-RAM CSR, and a second table reports the
+// tier traffic the budget produced. With -store-verify the container is
+// also materialized and the run repeated on it silently; the two must
+// agree bit for bit.
+func (o *flags) runStore(ctx context.Context, w io.Writer) error {
+	st, err := store.OpenFile(o.storePath, store.Options{LocalBytes: o.storeMem})
 	if err != nil {
 		return err
 	}
 	defer func() { _ = st.Close() }()
-	k, err := kernels.ByNameIters(ef.Kernel, ef.PRIters)
-	if err != nil {
-		return err
-	}
 	digest, err := st.Digest()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "container %s: V=%d E=%d segments=%d digest %s\n",
-		path, st.NumVertices(), st.NumEdges(), st.NumSegments(), digest)
-
-	res, err := core.StoreEngine(st).Run(ctx, nil, k, core.RunConfig{})
+		o.storePath, st.NumVertices(), st.NumEdges(), st.NumSegments(), digest)
+	runs, err := o.execute(ctx, st, o.storePath, w)
 	if err != nil {
 		return err
 	}
 	stats := st.Stats()
-	t := metrics.NewTable(
-		fmt.Sprintf("%s out-of-core from %s (V=%d E=%d, budget %s)",
-			k.Name(), path, st.NumVertices(), st.NumEdges(), formatBudget(localBytes)),
-		"Iterations", "Converged", "Seg hits", "Seg misses", "Read-throughs", "Far-memory", "Peak resident")
-	t.AddRow(res.Iterations, res.Converged, stats.Hits, stats.Misses, stats.ReadThroughs,
-		graph.FormatBytes(stats.FarBytes), graph.FormatBytes(stats.PeakResidentBytes))
-	if err := render(t, csv); err != nil {
+	t := metrics.NewTable(fmt.Sprintf("tier traffic of %s (budget %s)", o.storePath, formatBudget(o.storeMem)),
+		"Seg hits", "Seg misses", "Read-throughs", "Far-memory", "Peak resident")
+	t.AddRow(stats.Hits, stats.Misses, stats.ReadThroughs, graph.FormatBytes(stats.FarBytes), graph.FormatBytes(stats.PeakResidentBytes))
+	if err := render(w, t, o.csv); err != nil || !o.storeVerify {
 		return err
 	}
-
-	if storeVerify {
-		g, err := st.Materialize()
-		if err != nil {
-			return err
-		}
-		kk, err := kernels.ByNameIters(ef.Kernel, ef.PRIters) // fresh instance: stateful kernels carry run state
-		if err != nil {
-			return err
-		}
-		want, err := core.SerialEngine().Run(ctx, g, kk, core.RunConfig{})
-		if err != nil {
-			return err
-		}
-		if res.Iterations != want.Iterations || res.Converged != want.Converged {
-			return fmt.Errorf("store-verify: telemetry diverged (iterations %d vs %d)", res.Iterations, want.Iterations)
-		}
-		if err := verify.ValuesBitEqual(res.Values, want.Values); err != nil {
-			return fmt.Errorf("store-verify: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "store-verify: out-of-core run is bit-identical to the in-memory serial reference (%d vertices)\n", len(want.Values))
+	g, err := st.Materialize()
+	if err != nil {
+		return err
 	}
+	ref := *o
+	ref.perIter, ref.iterCSV = false, ""
+	want, err := ref.execute(ctx, g, o.storePath, io.Discard)
+	if err != nil {
+		return err
+	}
+	for i, run := range runs {
+		got, exp := *run, *want[i]
+		got.Values, exp.Values = nil, nil
+		if err := verify.ValuesBitEqual(run.Values, want[i].Values); err != nil || !reflect.DeepEqual(got, exp) {
+			return fmt.Errorf("store-verify: %s diverged from the in-memory run (values: %v)", run.Engine, err)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "store-verify: out-of-core run is bit-identical to the in-memory run (%d vertices)\n", g.NumVertices())
 	return nil
 }
 
@@ -428,17 +429,18 @@ func runServed(ctx context.Context, g *graph.Graph, gf cliconf.GraphFlags, ef cl
 		moved = res.SwitchToCompute + res.Writeback
 	}
 	t.AddRow(res.Engine, res.Iterations, res.Converged, graph.FormatBytes(moved), info.CacheHit)
-	return render(t, csv)
+	return render(os.Stdout, t, csv)
 }
 
 // runCluster executes the kernel on the system's concurrent actor
 // cluster and reports the measured traffic plus the fault/recovery
 // counters.
-func runCluster(ctx context.Context, g *graph.Graph, k kernels.Kernel, sys *core.System, csv bool) error {
-	out, err := sys.ConcurrentEngine().Run(ctx, g, k, core.RunConfig{})
+func runCluster(ctx context.Context, w io.Writer, src kernels.Source, k kernels.Kernel, sys *core.System, csv bool) ([]*core.Result, error) {
+	out, err := sys.ConcurrentEngine().Run(ctx, src, k, core.RunConfig{})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	g := src.Vertices()
 	t := metrics.NewTable(
 		fmt.Sprintf("%s on concurrent cluster (V=%d E=%d, %d memory nodes, %d compute nodes)",
 			k.Name(), g.NumVertices(), g.NumEdges(), sys.Topology().MemoryNodes, sys.Topology().ComputeNodes),
@@ -448,22 +450,22 @@ func runCluster(ctx context.Context, g *graph.Graph, k kernels.Kernel, sys *core
 		graph.FormatBytes(out.Traffic.SwitchToCompute),
 		graph.FormatBytes(out.Traffic.Writeback),
 		graph.FormatBytes(out.Traffic.Total()))
-	if err := render(t, csv); err != nil {
-		return err
+	if err := render(w, t, csv); err != nil {
+		return nil, err
 	}
 	ft := metrics.NewTable("fault injection and recovery",
 		"Drops", "Duplicates", "Delays", "Retries", "Acks", "Crashes", "Redispatches", "Virtual ticks")
 	f := out.Faults
 	ft.AddRow(f.Drops, f.Duplicates, f.Delays, f.Retries, f.Acks, f.Crashes, f.Redispatches, f.VirtualTicks)
-	return render(ft, csv)
+	return []*core.Result{out}, render(w, ft, csv)
 }
 
-// render prints t to stdout as a table, or as CSV.
-func render(t *metrics.Table, csv bool) error {
+// render prints t to w as a table, or as CSV.
+func render(w io.Writer, t *metrics.Table, csv bool) error {
 	if csv {
-		return t.RenderCSV(os.Stdout)
+		return t.RenderCSV(w)
 	}
-	return t.Render(os.Stdout)
+	return t.Render(w)
 }
 
 func fatal(err error) {

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
+	"io"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,7 +47,8 @@ func TestRunClusterHonorsCancelledContext(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- runCluster(ctx, g, k, sys, false)
+		_, err := runCluster(ctx, io.Discard, g, k, sys, false)
+		done <- err
 	}()
 	select {
 	case err := <-done:
@@ -83,7 +88,7 @@ func TestRunSimHonorsCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = runSim(ctx, g, kernels.NewPageRank(200, 0.85), sys, cliconf.GraphFlags{}, ef, false, "", false)
+	_, err = runSim(ctx, io.Discard, g, kernels.NewPageRank(200, 0.85), sys, "", ef, false, "", false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runSim with cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -99,14 +104,15 @@ func TestRunSerialEngineHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ef := engineFlags(t, "-arch", "serial")
-	err = runSerialEngine(ctx, g, kernels.NewPageRank(200, 0.85), cliconf.GraphFlags{}, ef, false)
+	_, err = runSerialEngine(ctx, io.Discard, g, kernels.NewPageRank(200, 0.85), "", ef, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runSerialEngine with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestRunStoreHonorsCancelledContext pins the contract for -store: the
-// container run ends with context.Canceled.
+// TestRunStoreHonorsCancelledContext pins the contract for -store: a
+// container run ends with context.Canceled, on the kernel engine and on
+// the simulator.
 func TestRunStoreHonorsCancelledContext(t *testing.T) {
 	g, err := gen.ErdosRenyi(256, 1024, gen.Config{Seed: 11, DropSelfLoops: true})
 	if err != nil {
@@ -118,10 +124,80 @@ func TestRunStoreHonorsCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = runStore(ctx, path, 0, false, engineFlags(t, "-kernel", "pagerank", "-priters", "200"), false)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("runStore with cancelled ctx: err = %v, want context.Canceled", err)
+	for _, arch := range [][]string{{"-arch", "serial"}, {"-arch", "all", "-partitioner", "hash"}} {
+		o, fs := parse(t, append([]string{"-store", path, "-kernel", "pagerank", "-priters", "200"}, arch...)...)
+		if err := o.run(ctx, fs, io.Discard); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v with cancelled ctx: err = %v, want context.Canceled", arch, err)
+		}
 	}
+}
+
+// TestStoreRunsEveryEngine holds -store to the dispatch -graph takes: on
+// the same container, read in place at a thrashing budget or
+// materialized, the kernel engine (pushing: a container serves no
+// in-edges) and the simulator print the same tables (-store adds its
+// tier traffic after them), write the same per-iteration ledger, and
+// -store-verify agrees.
+func TestStoreRunsEveryEngine(t *testing.T) {
+	g, err := gen.ErdosRenyi(256, 1024, gen.Config{Seed: 11, Weighted: true, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.gcsr2")
+	if err := store.SaveGraphFile(path, g, 1<<10); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-kernel", "bfs", "-arch", "serial", "-direction", "push"},
+		{"-kernel", "sssp", "-arch", "all", "-iters", "-partitioner", "hash", "-partitions", "4", "-csv"},
+		{"-kernel", "pagerank", "-arch", "disaggregated-ndp", "-partitioner", "chunk", "-itercsv", "ledger.csv"},
+	} {
+		outputs := map[string]string{}
+		for _, mode := range [][]string{{"-graph", path}, {"-store", path, "-store-mem", "2048", "-store-verify"}} {
+			full := append(slices.Clone(mode), args...)
+			for i, a := range full {
+				if a == "ledger.csv" {
+					full[i] = filepath.Join(dir, mode[0]+".csv")
+				}
+			}
+			o, fs := parse(t, full...)
+			var out bytes.Buffer
+			if err := o.run(context.Background(), fs, &out); err != nil {
+				t.Fatalf("%v: %v", full, err)
+			}
+			outputs[mode[0]] = out.String()
+		}
+		graphOut, storeOut := outputs["-graph"], outputs["-store"]
+		if !strings.HasPrefix(storeOut, graphOut) || !strings.Contains(storeOut[len(graphOut):], "Read-throughs") {
+			t.Fatalf("%v: -store printed\n%s\nwant -graph's\n%s\nfollowed by the tier traffic", args, storeOut, graphOut)
+		}
+		if slices.Contains(args, "-itercsv") {
+			want, err := os.ReadFile(filepath.Join(dir, "-graph.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, "-store.csv"))
+			if err != nil {
+				t.Fatalf("-store wrote no ledger: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("-store ledger differs from -graph's")
+			}
+		}
+	}
+}
+
+// parse parses args as ndprun's command line.
+func parse(t *testing.T, args ...string) (*flags, *flag.FlagSet) {
+	t.Helper()
+	var o flags
+	fs := flag.NewFlagSet("ndprun", flag.ContinueOnError)
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return &o, fs
 }
 
 // TestRunServedHonorsCancelledContext pins it for -server: against a live
@@ -184,17 +260,12 @@ func TestDefaultsBuildOneSystem(t *testing.T) {
 // refusal parses args as ndprun's command line and returns its refusal.
 func refusal(t *testing.T, args ...string) error {
 	t.Helper()
-	var o flags
-	fs := flag.NewFlagSet("ndprun", flag.ContinueOnError)
-	o.register(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
+	o, fs := parse(t, args...)
 	return o.refuse(fs)
 }
 
-// TestDroppedFlagsAreRefused holds -server and -cluster to refusing, in
-// one error that names it, each flag they cannot honour.
+// TestDroppedFlagsAreRefused holds -server, -cluster and -store to
+// refusing, in one error that names it, each flag they cannot honour.
 func TestDroppedFlagsAreRefused(t *testing.T) {
 	for _, tc := range []struct{ mode, flag, value string }{
 		{"-server", "-device", "UPMEM"},
@@ -212,11 +283,19 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 		{"-cluster", "-switchbuffer", "64"},
 		{"-cluster", "-iters", ""},
 		{"-cluster", "-itercsv", "ledger.csv"},
+		{"-store", "-cluster", ""},
+		{"-store", "-server", "http://127.0.0.1:8090"},
+		{"-store", "-dataset", "wiki-talk"},
+		{"-store", "-graph", "g.gcsr"},
+		{"-store", "-scale", "0.5"},
 	} {
 		t.Run(tc.mode+tc.flag, func(t *testing.T) {
 			args := []string{tc.mode}
-			if tc.mode == "-server" {
+			switch tc.mode {
+			case "-server":
 				args = append(args, "http://127.0.0.1:8090")
+			case "-store":
+				args = append(args, "g.gcsr2")
 			}
 			if err := refusal(t, args...); err != nil {
 				t.Fatalf("%s alone refused: %v", tc.mode, err)
@@ -237,13 +316,8 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 // 0 means unlimited, and a negative buffer is an error before any run,
 // not a second spelling of 0.
 func TestNegativeSwitchBufferIsRefused(t *testing.T) {
-	var o flags
-	fs := flag.NewFlagSet("ndprun", flag.ContinueOnError)
-	o.register(fs)
-	if err := fs.Parse([]string{"-dataset", "wiki-talk", "-scale", "0.02", "-kernel", "bfs", "-switchbuffer", "-1", "-csv"}); err != nil {
-		t.Fatal(err)
-	}
-	err := o.run(context.Background(), fs)
+	o, fs := parse(t, "-dataset", "wiki-talk", "-scale", "0.02", "-kernel", "bfs", "-switchbuffer", "-1", "-csv")
+	err := o.run(context.Background(), fs, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "SwitchBufferEntries") {
 		t.Fatalf("-switchbuffer -1: err = %v, want a SwitchBufferEntries range error", err)
 	}

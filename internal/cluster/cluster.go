@@ -206,8 +206,8 @@ func Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *partitio
 	cfg = cfg.withDefaults()
 	// The memory-node actors index g's edge array from their own
 	// goroutines, where a panic is beyond any caller's recover.
-	if _, err := kernels.InMemory(g); err != nil {
-		return nil, err
+	if g.VertexView() {
+		return nil, fmt.Errorf("cluster: the memory-node actors hold the edge list in RAM: %w", graph.ErrVertexView)
 	}
 	if err := kernels.CheckGraph(g, k); err != nil {
 		return nil, err

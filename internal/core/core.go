@@ -11,6 +11,8 @@
 //
 // Engine (engine.go) is the one way to run a kernel: every execution
 // model implements it, takes a context and returns the unified *Result.
+// Engines read the graph through a kernels.Source: an in-memory
+// *graph.Graph, or an out-of-core store.Store read in place.
 package core
 
 import (
@@ -252,19 +254,19 @@ func (s *System) ClusterConfig() cluster.Config {
 // topology and partitioner, returning runs in Table II order. All runs
 // share one partition assignment, so the comparison isolates the
 // architecture.
-func (s *System) Compare(ctx context.Context, g *graph.Graph, k kernels.Kernel) ([]*Result, error) {
-	assign, err := s.Partition(g)
+func (s *System) Compare(ctx context.Context, src kernels.Source, k kernels.Kernel) ([]*Result, error) {
+	assign, err := s.Partition(src.Vertices())
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning: %w", err)
 	}
-	return s.CompareWithAssignment(ctx, g, k, assign)
+	return s.CompareWithAssignment(ctx, src, k, assign)
 }
 
 // CompareWithAssignment is Compare with a caller-provided partition
 // assignment — all four architecture rows price one execution on exactly
 // that partitioning, and each owns its values.
-func (s *System) CompareWithAssignment(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *partition.Assignment) ([]*Result, error) {
-	t, err := s.Execute(ctx, g, k, RunConfig{Assignment: assign})
+func (s *System) CompareWithAssignment(ctx context.Context, src kernels.Source, k kernels.Kernel, assign *partition.Assignment) ([]*Result, error) {
+	t, err := s.Execute(ctx, src, k, RunConfig{Assignment: assign})
 	if err != nil {
 		return nil, err
 	}

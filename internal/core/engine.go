@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/cluster"
-	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/partition"
 	"repro/internal/sim"
@@ -30,14 +29,13 @@ type Engine interface {
 	// Name identifies the execution model (stable across runs — cache
 	// keys and wire formats embed it).
 	Name() string
-	// Run executes the kernel to completion, honoring ctx cancellation
-	// at iteration boundaries.
-	Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg RunConfig) (*Result, error)
+	// Run executes the kernel to completion on the graph src holds,
+	// honoring ctx cancellation at iteration boundaries.
+	Run(ctx context.Context, src kernels.Source, k kernels.Kernel, cfg RunConfig) (*Result, error)
 }
 
-// serialEngine runs the kernel engine's serial reference machine over
-// the in-memory graph. It ignores RunConfig.Assignment (serial execution
-// has no partitions).
+// serialEngine runs the kernel engine's serial reference machine. It
+// ignores RunConfig.Assignment (serial execution has no partitions).
 type serialEngine struct{}
 
 // SerialEngine returns the serial reference as an Engine.
@@ -45,18 +43,7 @@ func SerialEngine() Engine { return serialEngine{} }
 
 func (serialEngine) Name() string { return SerialEngineName }
 
-func (serialEngine) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, _ RunConfig) (*Result, error) {
-	src, err := kernels.InMemory(g)
-	if err != nil {
-		return nil, err
-	}
-	return runSerial(ctx, src, k)
-}
-
-// runSerial is what the serial and out-of-core engines share: the one
-// kernel engine on its serial machine, over whichever source holds the
-// graph.
-func runSerial(ctx context.Context, src kernels.Source, k kernels.Kernel) (*Result, error) {
+func (serialEngine) Run(ctx context.Context, src kernels.Source, k kernels.Kernel, _ RunConfig) (*Result, error) {
 	res, err := kernels.RunOn(ctx, src, k, kernels.Serial, kernels.Options{})
 	if err != nil {
 		return nil, err
@@ -75,8 +62,8 @@ func (s *System) Engine() Engine { return analyticalEngine{sys: s} }
 
 func (e analyticalEngine) Name() string { return e.sys.simEngine().Name() }
 
-func (e analyticalEngine) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg RunConfig) (*Result, error) {
-	t, err := e.sys.Execute(ctx, g, k, cfg)
+func (e analyticalEngine) Run(ctx context.Context, src kernels.Source, k kernels.Kernel, cfg RunConfig) (*Result, error) {
+	t, err := e.sys.Execute(ctx, src, k, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -85,15 +72,15 @@ func (e analyticalEngine) Run(ctx context.Context, g *graph.Graph, k kernels.Ker
 }
 
 // Execute runs k once on the system's memory pool — over cfg.Assignment,
-// or the system's own partitioning of g — and returns the trace every
+// or the system's own partitioning of src — and returns the trace every
 // architecture prices. It does not depend on the architecture, the
 // policy, the aggregation switch or the devices: Price turns one trace
 // into any System's Result whose memory-pool width matches.
-func (s *System) Execute(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg RunConfig) (*sim.Trace, error) {
+func (s *System) Execute(ctx context.Context, src kernels.Source, k kernels.Kernel, cfg RunConfig) (*sim.Trace, error) {
 	assign := cfg.Assignment
 	if assign == nil {
 		var err error
-		assign, err = s.Partition(g)
+		assign, err = s.Partition(src.Vertices())
 		if err != nil {
 			return nil, fmt.Errorf("core: partitioning: %w", err)
 		}
@@ -101,7 +88,7 @@ func (s *System) Execute(ctx context.Context, g *graph.Graph, k kernels.Kernel, 
 	if assign.K != s.topo.MemoryNodes {
 		return nil, fmt.Errorf("core: assignment has %d parts, the memory pool %d nodes", assign.K, s.topo.MemoryNodes)
 	}
-	return sim.Execute(ctx, g, k, sim.ExecConfig{Assign: assign, Workers: s.workers})
+	return sim.Execute(ctx, src, k, sim.ExecConfig{Assign: assign, Workers: s.workers})
 }
 
 // Price turns a trace into this system's analytical Result, as Run would
@@ -134,13 +121,14 @@ type concurrentEngine struct {
 
 // ConcurrentEngine returns the System's concurrent actor cluster as the
 // unified core.Engine. Only the DisaggregatedNDP architecture has a
-// concurrent implementation; Run errors for the others.
+// concurrent implementation; Run errors for the others, and for a
+// container (graph.ErrVertexView): the actors hold the edges in RAM.
 func (s *System) ConcurrentEngine() Engine { return concurrentEngine{sys: s} }
 
 func (concurrentEngine) Name() string { return ClusterEngineName }
 
-func (e concurrentEngine) Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg RunConfig) (*Result, error) {
-	s := e.sys
+func (e concurrentEngine) Run(ctx context.Context, src kernels.Source, k kernels.Kernel, cfg RunConfig) (*Result, error) {
+	s, g := e.sys, src.Vertices()
 	if s.arch != DisaggregatedNDP {
 		return nil, fmt.Errorf("core: concurrent execution models the disaggregated NDP architecture; got %s", s.arch)
 	}

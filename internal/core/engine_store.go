@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/store"
 )
@@ -11,28 +10,24 @@ import (
 // OutOfCoreEngineName is the Engine field value of out-of-core runs.
 const OutOfCoreEngineName = "out-of-core"
 
-// storeEngine executes kernels directly from an out-of-core container:
-// the same serial machine SerialEngine runs, with the store as its
-// adjacency source, so the traversal pins compressed segments through
-// the store's local memory tier instead of walking an in-RAM CSR. A
-// container stores out-edges only, so every iteration pushes; results
-// are bit-equal to the serial push reference on the materialized graph,
-// and this engine slots into the same verification oracles.
+// storeEngine is the serial machine over one container, which stores
+// out-edges only: every iteration pushes, bit-equal to the serial push
+// reference on the materialized graph.
 type storeEngine struct {
 	st *store.Store
 }
 
-// StoreEngine wraps an open container as a unified Engine. The store is
-// the graph: Run ignores the graph argument (pass nil) and the
-// RunConfig assignment (out-of-core execution has no partitions). The
-// caller keeps ownership of the store — the engine never closes it —
-// and runs must not overlap with Close.
+// StoreEngine is SerialEngine with st as its fixed source (Run ignores
+// its source argument; pass nil), kept for the benchmark harness: every
+// engine takes a store as its source. The caller keeps ownership of the
+// store — the engine never closes it — and runs must not overlap with
+// Close.
 func StoreEngine(st *store.Store) Engine { return storeEngine{st: st} }
 
 func (storeEngine) Name() string { return OutOfCoreEngineName }
 
-func (e storeEngine) Run(ctx context.Context, _ *graph.Graph, k kernels.Kernel, _ RunConfig) (*Result, error) {
-	out, err := runSerial(ctx, e.st, k)
+func (e storeEngine) Run(ctx context.Context, _ kernels.Source, k kernels.Kernel, cfg RunConfig) (*Result, error) {
+	out, err := SerialEngine().Run(ctx, e.st, k, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -54,25 +54,17 @@ type Graph struct {
 // graph whose vertex count exceeds the VertexID range.
 var ErrTooManyVertices = errors.New("graph: vertex count exceeds uint32 range")
 
+// ErrVertexView is what needs edges in RAM returns, wrapped, on a view.
+var ErrVertexView = errors.New("graph: a vertex-only view has no adjacency; its edges live in the store that owns it")
+
 // NewCSR wraps pre-built CSR arrays in a Graph. It validates the structural
 // invariants and returns an error describing the first violation.
 //
 // The caller must not modify the slices after the call.
 func NewCSR(offsets []int64, edges []VertexID, weights []float32) (*Graph, error) {
-	if len(offsets) == 0 {
-		return nil, errors.New("graph: offsets must have at least one entry")
-	}
-	n := len(offsets) - 1
-	if int64(n) > math.MaxUint32 {
-		return nil, ErrTooManyVertices
-	}
-	if offsets[0] != 0 {
-		return nil, fmt.Errorf("graph: offsets[0] = %d, want 0", offsets[0])
-	}
-	for v := 0; v < n; v++ {
-		if offsets[v+1] < offsets[v] {
-			return nil, fmt.Errorf("graph: offsets not monotone at vertex %d: %d > %d", v, offsets[v], offsets[v+1])
-		}
+	n, err := checkOffsets(offsets)
+	if err != nil {
+		return nil, err
 	}
 	if offsets[n] != int64(len(edges)) {
 		return nil, fmt.Errorf("graph: offsets[n] = %d, want len(edges) = %d", offsets[n], len(edges))
@@ -95,25 +87,33 @@ func NewCSR(offsets []int64, edges []VertexID, weights []float32) (*Graph, error
 // An out-of-core adjacency source uses this view as its vertex side:
 // kernel callbacks (InitialValue/Apply and friends) consult only that,
 // while adjacency lists stream through a segment store instead of living
-// in one flat slice. A view is not a graph to traverse — kernels.InMemory
-// refuses one with an error, and Neighbors panics.
+// in one flat slice. A view is not a graph to traverse: Pin returns
+// ErrVertexView, and Neighbors panics.
 func NewVertexView(offsets []int64) (*Graph, error) {
+	if _, err := checkOffsets(offsets); err != nil {
+		return nil, err
+	}
+	return &Graph{offsets: offsets, vertexView: true}, nil
+}
+
+// checkOffsets validates a CSR offsets array and returns its vertex count.
+func checkOffsets(offsets []int64) (int, error) {
 	if len(offsets) == 0 {
-		return nil, errors.New("graph: offsets must have at least one entry")
+		return 0, errors.New("graph: offsets must have at least one entry")
 	}
 	n := len(offsets) - 1
 	if int64(n) > math.MaxUint32 {
-		return nil, ErrTooManyVertices
+		return 0, ErrTooManyVertices
 	}
 	if offsets[0] != 0 {
-		return nil, fmt.Errorf("graph: offsets[0] = %d, want 0", offsets[0])
+		return 0, fmt.Errorf("graph: offsets[0] = %d, want 0", offsets[0])
 	}
 	for v := 0; v < n; v++ {
 		if offsets[v+1] < offsets[v] {
-			return nil, fmt.Errorf("graph: offsets not monotone at vertex %d: %d > %d", v, offsets[v], offsets[v+1])
+			return 0, fmt.Errorf("graph: offsets not monotone at vertex %d: %d > %d", v, offsets[v], offsets[v+1])
 		}
 	}
-	return &Graph{offsets: offsets, vertexView: true}, nil
+	return n, nil
 }
 
 // VertexView reports whether the graph is an offsets-only view created by
@@ -139,6 +139,18 @@ func (g *Graph) NonNegativeWeights() bool {
 		}
 	}
 	return true
+}
+
+// Vertices returns g: a resident graph is its own vertex side.
+func (g *Graph) Vertices() *Graph { return g }
+
+// Pin lends the whole CSR as one segment that is never released; a view
+// has none to lend.
+func (g *Graph) Pin(VertexID) (Segment, error) {
+	if g.vertexView {
+		return Segment{}, ErrVertexView
+	}
+	return Segment{End: VertexID(g.NumVertices()), Edges: g.edges, Weights: g.weights}, nil
 }
 
 // OutDegree returns the out-degree of v.

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -67,7 +68,7 @@ func BenchmarkEngineEdgePath(b *testing.B) {
 				b.ReportAllocs()
 				var nominal int64
 				for i := 0; i < b.N; i++ {
-					res, err := runInMemory(p.g, k.make(hub), p.machine, p.opt)
+					res, err := RunOn(context.Background(), p.g, k.make(hub), p.machine, p.opt)
 					mustNoErr(b, err)
 					for _, e := range res.ActiveEdges {
 						nominal += e

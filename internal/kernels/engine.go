@@ -355,17 +355,7 @@ func RunOn(ctx context.Context, src Source, k Kernel, m Machine, opt Options) (*
 
 // Run executes the kernel on the Staged machine over an in-memory graph.
 func Run(g *graph.Graph, k Kernel, opt Options) (*Result, error) {
-	return runInMemory(g, k, Staged, opt)
-}
-
-// runInMemory serves the entry points whose kept signatures carry
-// neither a context nor a source.
-func runInMemory(g *graph.Graph, k Kernel, m Machine, opt Options) (*Result, error) {
-	src, err := InMemory(g)
-	if err != nil {
-		return nil, err
-	}
-	return RunOn(context.TODO(), src, k, m, opt)
+	return RunOn(context.TODO(), g, k, Staged, opt)
 }
 
 // newEngine validates inputs and builds the machine. Per-worker push
@@ -385,6 +375,9 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 	}
 	e.lists, _ = src.(listPinner)
 	e.in, e.hasIn = src.(InAdjacency)
+	if g.VertexView() && src == Source(g) {
+		e.in, e.hasIn = nil, false // no edges to transpose; its pins fail with graph.ErrVertexView
+	}
 	e.gk, e.hasGK = k.(GatherKernel)
 	e.sk, e.hasSK = k.(StatefulKernel)
 	switch opt.Direction {

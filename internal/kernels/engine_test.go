@@ -250,8 +250,7 @@ func TestEnginePullRequiresGatherKernel(t *testing.T) {
 // gate also checks that a warm list is refilled in place, not made again.
 func TestEngineAllocGate(t *testing.T) {
 	g := socialGraph(t)
-	mem, err := InMemory(g)
-	mustNoErr(t, err)
+	var mem Source = g
 	data, err := store.EncodeGraph(g, 1<<10)
 	mustNoErr(t, err)
 	st, err := store.OpenBytes(data, store.Options{})
@@ -349,24 +348,6 @@ func TestEngineAllocGate(t *testing.T) {
 	}
 	mustNoErr(t, st.Close())
 	mustNoErr(t, thrash.Close())
-}
-
-// TestInMemoryRejectsVertexView pins the guard graph.NewVertexView
-// documents: an offsets-only view is refused with an error when it is
-// offered as in-memory adjacency, by every graph-taking entry point,
-// instead of failing later as a bare slice-bounds panic.
-func TestInMemoryRejectsVertexView(t *testing.T) {
-	view, err := graph.NewVertexView(socialGraph(t).Offsets())
-	mustNoErr(t, err)
-	if _, err := InMemory(view); err == nil {
-		t.Fatal("InMemory accepted a vertex-only view")
-	}
-	if _, err := RunSerial(view, NewBFS(0)); err == nil {
-		t.Fatal("RunSerial accepted a vertex-only view")
-	}
-	if _, err := Run(view, NewBFS(0), Options{}); err == nil {
-		t.Fatal("Run accepted a vertex-only view")
-	}
 }
 
 // TestEnginePushesOnlyWithoutInAdjacency pins the storage axis of the
@@ -634,7 +615,7 @@ func TestAutoNeverInspectsMoreThanPush(t *testing.T) {
 				}
 				for _, m := range []Machine{Serial, Staged} {
 					label := fmt.Sprintf("%s %s from %d, machine %d", d.Name, gk.Name(), s, m)
-					auto, err := runInMemory(g, mk(), m, Options{Workers: 2})
+					auto, err := RunOn(context.Background(), g, mk(), m, Options{Workers: 2})
 					mustNoErr(t, err)
 					assertSharedFieldsEqual(t, label, auto, push)
 					if auto.EdgesInspected > nominal {
@@ -683,8 +664,7 @@ func TestPushScratchSurvivesClaimWrap(t *testing.T) {
 // collection that lands in that window counts all of it as live.
 func TestClosedEngineIsUnreachable(t *testing.T) {
 	g := socialGraph(t)
-	mem, err := InMemory(g)
-	mustNoErr(t, err)
+	var mem Source = g
 	for i := 0; i < 200; i++ {
 		e, err := newEngine(mem, NewPageRank(0, 0.85), Options{Workers: 4}, true)
 		mustNoErr(t, err)

@@ -136,9 +136,7 @@ func partialsSource(t *testing.T) Source {
 	b.AddEdge(1, 3, 1)
 	g, err := b.Build()
 	mustNoErr(t, err)
-	src, err := InMemory(g)
-	mustNoErr(t, err)
-	return src
+	return g
 }
 
 // awkwardGraph is small enough to read and holds every shape the fused
@@ -224,8 +222,7 @@ func fusedAgainstReference(t testing.TB, g *graph.Graph, name string) bool {
 		}
 		return false
 	}
-	src, err := InMemory(g)
-	mustNoErr(t, err)
+	var src Source = g
 	const C = 5
 	owner := stripedGrid(g.NumVertices(), C)
 	_, gathers := mk().(GatherKernel)

@@ -228,8 +228,7 @@ func TestGriddedStagedMatchesReference(t *testing.T) {
 	g := socialGraph(t)
 	const C = 5
 	chunkOf := stripedGrid(g.NumVertices(), C)
-	src, err := InMemory(g)
-	mustNoErr(t, err)
+	var src Source = g
 	for _, k := range All() {
 		name := k.Name()
 		t.Run(name, func(t *testing.T) {
@@ -295,8 +294,7 @@ func assertBitIdentical(t testing.TB, label string, got, want []float64) {
 // are the unit of work, so a wider pool could only idle.
 func TestWorkerPoolNeverExceedsGrid(t *testing.T) {
 	g := socialGraph(t)
-	src, err := InMemory(g)
-	mustNoErr(t, err)
+	var src Source = g
 	grid := &Grid{Chunks: 4, ChunkOf: stripedGrid(g.NumVertices(), 4)}
 	for _, tc := range []struct {
 		workers  int
@@ -324,8 +322,7 @@ func TestWorkerPoolNeverExceedsGrid(t *testing.T) {
 func TestGriddedEngineAllocatesWhatItReads(t *testing.T) {
 	g := socialGraph(t)
 	n := g.NumVertices()
-	src, err := InMemory(g)
-	mustNoErr(t, err)
+	var src Source = g
 	const C = 5
 	chunkOf := stripedGrid(n, C)
 	owned := make([]int, C)

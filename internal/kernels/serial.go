@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -40,16 +41,10 @@ type Result struct {
 // unweighted graph.
 var ErrNeedsWeights = errors.New("kernels: kernel requires a weighted graph")
 
-// CheckGraph validates that g — a *graph.Graph, a Source, or anything
-// else that reports a graph's size and weight facts — satisfies k's
-// requirements. How the facts are known is the graph's business: an
-// in-memory CSR scans its weights, a container reads the flag its writer
-// recorded.
-func CheckGraph(g interface {
-	NumVertices() int
-	Weighted() bool
-	NonNegativeWeights() bool
-}, k Kernel) error {
+// CheckGraph validates that g satisfies k's requirements. How the facts
+// are known is the source's business: an in-memory CSR scans its
+// weights, a container reads the flag its writer recorded.
+func CheckGraph(g Source, k Kernel) error {
 	if k.Traits().Edge != EdgeCopy {
 		// The edge operator reads weights.
 		if !g.Weighted() {
@@ -84,5 +79,5 @@ func RunSerial(g *graph.Graph, k Kernel) (*Result, error) {
 // traversal direction). The Workers option is ignored; use Run for the
 // parallel machine.
 func RunSerialWith(g *graph.Graph, k Kernel, opt Options) (*Result, error) {
-	return runInMemory(g, k, Serial, opt)
+	return RunOn(context.TODO(), g, k, Serial, opt)
 }

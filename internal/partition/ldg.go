@@ -24,7 +24,7 @@ func (LDG) Name() string { return "ldg" }
 
 // Partition implements Partitioner.
 func (LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
-	if err := checkK(g, k); err != nil {
+	if err := checkEdges(g, k, "ldg"); err != nil {
 		return nil, err
 	}
 	n := g.NumVertices()

@@ -67,7 +67,7 @@ type level struct {
 // Partition implements Partitioner.
 func (m Multilevel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	m = m.withDefaults()
-	if err := checkK(g, k); err != nil {
+	if err := checkEdges(g, k, "multilevel"); err != nil {
 		return nil, err
 	}
 	n := g.NumVertices()

@@ -227,6 +227,14 @@ func (Chunk) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	return &Assignment{Parts: parts, K: k}, nil
 }
 
+// checkEdges is checkK for the partitioners that read edges, not degrees.
+func checkEdges(g *graph.Graph, k int, name string) error {
+	if g.VertexView() {
+		return fmt.Errorf("partition: %s needs the edge list in RAM: %w", name, graph.ErrVertexView)
+	}
+	return checkK(g, k)
+}
+
 func checkK(g *graph.Graph, k int) error {
 	if k <= 0 {
 		return fmt.Errorf("partition: k = %d, want > 0", k)

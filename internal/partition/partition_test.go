@@ -51,6 +51,30 @@ func TestAllPartitionersProduceValidAssignments(t *testing.T) {
 	}
 }
 
+// TestDegreePartitionersRunOnAVertexView holds the partitioners that
+// read degrees alone to the same assignment on an offsets-only view (an
+// out-of-core container's vertex side) as on the full graph.
+func TestDegreePartitionersRunOnAVertexView(t *testing.T) {
+	g := testGraph(t)
+	view, err := graph.NewVertexView(g.Offsets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Partitioner{Hash{}, Range{}, Chunk{}} {
+		want, err := p.Partition(g, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Partition(view, 8)
+		if err != nil {
+			t.Fatalf("%s on a view: %v", p.Name(), err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the view's assignment differs from the graph's", p.Name())
+		}
+	}
+}
+
 func TestPartitionersRejectBadK(t *testing.T) {
 	g := testGraph(t)
 	for _, p := range allPartitioners() {

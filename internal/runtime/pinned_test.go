@@ -107,7 +107,7 @@ degree-threshold/mixed/agg=true 34112 0x3f05b6b43c472afa 0x3eca68ea946069c9 XXXX
 heuristic/uniform/agg=false 29920 0x3f05a93a2c93e030 0x3ec79a8a43c5a11e ...XX.....
 heuristic/uniform/agg=true 28632 0x3f059f06519109d8 0x3ec6a4ff2f5a7b25 ..XXX.....
 heuristic/mixed/agg=false 31280 0x3f05b0875809bd7e 0x3ec8c4396a6865ee ...XX.....
-heuristic/mixed/agg=true 31560 0x3f05aebe87fb379e 0x3ec8dcf11ae61621 ..XXX.....
+heuristic/mixed/agg=true 31280 0x3f05b0875809bd7e 0x3ec8c4396a6865ee ...XX.....
 mixed-oracle/uniform/agg=false 29816 0x3f05a61837c4396e 0x3ec794137fee9a2f ...XXX....
 mixed-oracle/uniform/agg=true 29816 0x3f05a61837c4396e 0x3ec794137fee9a2f ...XXX....
 mixed-oracle/mixed/agg=false 31184 0x3f05ad7061fa0778 0x3ec8b37951ffa676 ...XXX....

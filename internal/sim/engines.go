@@ -172,7 +172,7 @@ func (d *DisaggregatedNDP) Price(t *Trace) (*Run, error) {
 	pr := &pricing{
 		engine:           d.Name(),
 		policy:           policy,
-		switchAggregates: d.InNetworkAggregation,
+		switchAggregates: d.InNetworkAggregation && !heterogeneous,
 		switchBuffer:     d.Topo.SwitchBufferEntries,
 	}
 	if heterogeneous {

@@ -94,18 +94,16 @@ type ExecConfig struct {
 // forced: the counters are defined over the partial updates a scatter
 // stages, and a pull iteration stages none. The reduction tree is the
 // grid, so every Workers setting is bit-identical, and ctx is checked at
-// every iteration boundary. A vertex-only view is refused before the
-// static pass would index its absent edge array; the kernel's own
-// requirements are the engine's to check.
-func Execute(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg ExecConfig) (*Trace, error) {
-	src, err := kernels.InMemory(g)
-	if err != nil {
-		return nil, err
-	}
+// every iteration boundary. src may be an in-memory graph or an
+// out-of-core container: the static pass and the engine both read its
+// edges through Pin, so a vertex-only view ends in graph.ErrVertexView;
+// the kernel's own requirements are the engine's to check.
+func Execute(ctx context.Context, src kernels.Source, k kernels.Kernel, cfg ExecConfig) (*Trace, error) {
 	assign := cfg.Assign
 	if assign == nil {
 		return nil, fmt.Errorf("sim: nil partition assignment")
 	}
+	g := src.Vertices()
 	if err := assign.Validate(g); err != nil {
 		return nil, err
 	}
@@ -114,8 +112,12 @@ func Execute(ctx context.Context, g *graph.Graph, k kernels.Kernel, cfg ExecConf
 		numVertices: g.NumVertices(), parts: assign.K,
 		cacheBytes: max(cfg.CacheBytes, 0),
 	}
-	x := &recorder{t: t, g: g, parts: assign.Parts, statics: computeStatics(g, assign), cached: cacheMask(g, t.cacheBytes)}
-	t.staticPartials, t.staticPerPart = x.statics.partials, x.statics.perPart
+	st, err := computeStatics(src, assign)
+	if err != nil {
+		return nil, err
+	}
+	x := &recorder{t: t, g: g, parts: assign.Parts, statics: st, cached: cacheMask(g, t.cacheBytes)}
+	t.staticPartials, t.staticPerPart = st.partials, st.perPart
 	res, err := kernels.RunOn(ctx, src, k, kernels.Staged, kernels.Options{
 		Workers:   cfg.Workers,
 		Direction: kernels.DirectionPush,
@@ -141,22 +143,31 @@ type statics struct {
 }
 
 // computeStatics takes the load-time statistics in one sweep over the
-// edges in vertex order. The partial and mirror counts count distinct
-// (destination, partition) pairs — a pair is one static partial update,
-// and one mirror of the destination when the partition is not its owner —
-// so the sweep ORs each source's partition into a ⌈K/64⌉-word reach mask
-// per destination, and one pass over the masks counts the pairs.
-func computeStatics(g *graph.Graph, assign *partition.Assignment) statics {
+// edges in vertex order, pinning each of src's segments once. The
+// partial and mirror counts count distinct (destination, partition)
+// pairs — a pair is one static partial update, and one mirror of the
+// destination when the partition is not its owner — so the sweep ORs
+// each source's partition into a ⌈K/64⌉-word reach mask per destination,
+// and one pass over the masks counts the pairs.
+func computeStatics(src kernels.Source, assign *partition.Assignment) (s statics, err error) {
 	parts, P := assign.Parts, assign.K
-	n := g.NumVertices()
-	s := statics{crossDeg: make([]int32, n), perPart: make([]int64, P), mirrors: make([]int32, n)}
+	off := src.Vertices().Offsets()
+	n := src.NumVertices()
+	s = statics{crossDeg: make([]int32, n), perPart: make([]int64, P), mirrors: make([]int32, n)}
 	words := (P + 63) / 64
 	reached := make([]uint64, n*words)
+	var seg graph.Segment
 	for v := 0; v < n; v++ {
+		if !seg.Contains(graph.VertexID(v)) {
+			seg.Release()
+			if seg, err = src.Pin(graph.VertexID(v)); err != nil {
+				return statics{}, err
+			}
+		}
 		p := parts[v]
 		at, bit := int(p)>>6, uint64(1)<<(uint(p)&63)
 		var cross int32
-		for _, dst := range g.Neighbors(graph.VertexID(v)) {
+		for _, dst := range seg.Edges[off[v]-seg.Base : off[v+1]-seg.Base] {
 			if parts[dst] != p {
 				cross++
 			}
@@ -164,6 +175,7 @@ func computeStatics(g *graph.Graph, assign *partition.Assignment) statics {
 		}
 		s.crossDeg[v] = cross
 	}
+	seg.Release()
 	for dst := 0; dst < n; dst++ {
 		row := reached[dst*words : (dst+1)*words]
 		var pairs int32
@@ -180,7 +192,7 @@ func computeStatics(g *graph.Graph, assign *partition.Assignment) statics {
 	for _, pairs := range s.perPart {
 		s.partials += pairs
 	}
-	return s
+	return s, nil
 }
 
 // recorder is Execute's per-iteration observer and the state it reads.

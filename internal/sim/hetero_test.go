@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -151,5 +152,38 @@ func TestUPMEMPenaltyIncreasesTimeNotMovement(t *testing.T) {
 	}
 	if a2.TotalSeconds <= a1.TotalSeconds {
 		t.Errorf("UPMEM FP penalty should slow pagerank: %g <= %g", a2.TotalSeconds, a1.TotalSeconds)
+	}
+}
+
+// TestGatedPoolOraclePricesWhatIsCharged holds the oracle to its
+// definition on a gated pool with the switch aggregating: a gated pool is
+// charged node by node without aggregation, so the policies must be told
+// the switch does not aggregate, and the oracle's pick then costs no more
+// than fetching or offloading in every iteration.
+func TestGatedPoolOraclePricesWhatIsCharged(t *testing.T) {
+	g, err := gen.ComLiveJournal.Generate(0.25, gen.Config{Seed: 3, Weighted: true, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parts = 8
+	a := hashAssign(t, g, parts)
+	noFP := ndp.Device{Name: "proto-nofp", Class: ndp.PNM, FP: ndp.None, IntMulDiv: ndp.Full, InternalBandwidthGBps: 800}
+	topo := heteroTopology(2, parts, noFP)
+	trace, err := Execute(context.Background(), g, kernels.NewSSSP(0), ExecConfig{Assign: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	price := func(p OffloadPolicy) *Run {
+		run, err := (&DisaggregatedNDP{Topo: topo, Policy: p, InNetworkAggregation: true}).Price(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	oracle, never, always := price(Oracle{}), price(NeverOffload{}), price(AlwaysOffload{})
+	for i, rec := range oracle.Records {
+		if floor := min(never.Records[i].DataMovementBytes, always.Records[i].DataMovementBytes); rec.DataMovementBytes > floor {
+			t.Errorf("iteration %d: oracle moved %d B, cheaper mechanism %d B", i, rec.DataMovementBytes, floor)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/partition"
+	"repro/internal/store"
 )
 
 func simGraph(t testing.TB) *graph.Graph {
@@ -436,8 +437,12 @@ func TestMirrorCountsMatchEvaluate(t *testing.T) {
 	// package's independent mirror computation.
 	g := simGraph(t)
 	a := hashAssign(t, g, 8)
+	st, err := computeStatics(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var total int64
-	for _, c := range computeStatics(g, a).mirrors {
+	for _, c := range st.mirrors {
 		total += int64(c)
 	}
 	q := partition.Evaluate(g, a)
@@ -479,7 +484,10 @@ func TestStaticsMatchPairReference(t *testing.T) {
 					mirrorCount[pr.dst]++
 				}
 			}
-			st := computeStatics(g, a)
+			st, err := computeStatics(g, a)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(st.crossDeg, cross) {
 				t.Fatalf("seed %d K=%d: crossDeg differs from the reference", seed, K)
 			}
@@ -491,6 +499,39 @@ func TestStaticsMatchPairReference(t *testing.T) {
 				t.Fatalf("seed %d K=%d: mirror counts differ from the reference", seed, K)
 			}
 		}
+	}
+}
+
+// TestStaticsPinEachSegmentOnce holds the static sweep over an
+// out-of-core container to the one over the graph it encodes, reading
+// every segment exactly once and releasing every pin.
+func TestStaticsPinEachSegmentOnce(t *testing.T) {
+	g := simGraph(t)
+	a := hashAssign(t, g, 8)
+	want, err := computeStatics(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := store.EncodeGraph(g, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenBytes(data, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := computeStatics(st, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("statics over the container differ from the graph's")
+	}
+	if s := st.Stats(); s.Misses != int64(st.NumSegments()) || s.Hits != 0 || s.Pins != 0 {
+		t.Fatalf("stats %+v over %d segments, want each read once and no pin left", s, st.NumSegments())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

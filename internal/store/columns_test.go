@@ -189,10 +189,7 @@ func TestMixedTrafficOneHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := kernels.InMemory(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var mem kernels.Source = g
 	probe, err := OpenBytes(data, Options{})
 	if err != nil {
 		t.Fatal(err)

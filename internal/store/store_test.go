@@ -450,10 +450,7 @@ func TestStoreStatsDeterministic(t *testing.T) {
 func TestStoreRunCancellation(t *testing.T) {
 	g := testGraphs(t)["community"]
 	st := openFixture(t, g, 256, 1)
-	mem, err := kernels.InMemory(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var mem kernels.Source = g
 	for _, tc := range []struct {
 		name    string
 		src     kernels.Source
@@ -654,10 +651,7 @@ func TestStoreStaysWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := kernels.InMemory(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var mem kernels.Source = g
 	probe, err := OpenBytes(data, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/partition"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // Failure is a check violation, tagged with the oracle family that
@@ -98,7 +99,11 @@ func Check(sc Scenario) error {
 	if err := checkDirectionDifferential(g, fresh, sc); err != nil {
 		return err
 	}
-	if err := checkStore(g, fresh); err != nil {
+	data, err := store.EncodeGraph(g, storeSegmentBytes)
+	if err != nil {
+		return failf(OracleStoreDiff, "encode container: %v", err)
+	}
+	if err := checkStore(g, data, fresh); err != nil {
 		return err
 	}
 
@@ -119,7 +124,10 @@ func Check(sc Scenario) error {
 	if err != nil {
 		return err
 	}
-	if err := checkArchDifferential(runs, serial, traits); err != nil {
+	if err := checkSerialDifferential(runs, serial, traits); err != nil {
+		return err
+	}
+	if err := checkArchDifferential(data, sys, fresh, assign, runs); err != nil {
 		return err
 	}
 	for _, run := range runs {
@@ -230,26 +238,11 @@ func checkSerialResult(g *graph.Graph, r *kernels.Result, traits kernels.Traits,
 	return nil
 }
 
-// checkArchDifferential is oracle (a): the four architectures are
-// different *cost models* over one shared execution, so their computed
-// values must agree bit for bit, and all must match the serial engine
-// (exactly for lattice kernels, within float-reassociation tolerance for
-// sum kernels).
-func checkArchDifferential(runs []*core.Result, serial *kernels.Result, traits kernels.Traits) error {
-	base := runs[0]
-	baseSizes := frontierSizes(base)
-	for _, run := range runs[1:] {
-		if err := ValuesBitEqual(run.Values, base.Values); err != nil {
-			return failf(OracleArchDiff, "%s vs %s: %v", run.Engine, base.Engine, err)
-		}
-		if run.Iterations != base.Iterations {
-			return failf(OracleArchDiff, "%s ran %d iterations, %s ran %d",
-				run.Engine, run.Iterations, base.Engine, base.Iterations)
-		}
-		if !slices.Equal(frontierSizes(run), baseSizes) {
-			return failf(OracleArchDiff, "%s vs %s: frontier size series differ", run.Engine, base.Engine)
-		}
-	}
+// checkSerialDifferential holds the four architectures' shared
+// execution to the serial engine: the same iterations and frontier
+// series, and the same values (exactly for lattice kernels, within
+// float-reassociation tolerance for sum kernels).
+func checkSerialDifferential(runs []*core.Result, serial *kernels.Result, traits kernels.Traits) error {
 	for _, run := range runs {
 		if run.Iterations != serial.Iterations {
 			return failf(OracleSerialDiff, "%s ran %d iterations, serial ran %d",
@@ -260,6 +253,33 @@ func checkArchDifferential(runs []*core.Result, serial *kernels.Result, traits k
 		}
 		if err := valuesClose(run.Values, serial.Values, tolFor(traits)); err != nil {
 			return failf(OracleSerialDiff, "%s vs serial: %v", run.Engine, err)
+		}
+	}
+	return nil
+}
+
+// checkArchDifferential is oracle (a): each architecture reads the graph
+// through one seam, so on the scenario's container, read at the
+// thrashing budget and priced over the scenario's own assignment, it
+// must report exactly what it reported on the in-RAM graph — values bit
+// for bit, every record and every total — and leave no pin behind.
+func checkArchDifferential(data []byte, sys *core.System, fresh func() kernels.Kernel, assign *partition.Assignment, want []*core.Result) error {
+	st, err := store.OpenBytes(data, store.Options{LocalBytes: 2 * storeSegmentBytes})
+	if err != nil {
+		return failf(OracleArchDiff, "open container: %v", err)
+	}
+	got, err := sys.CompareWithAssignment(context.Background(), st, fresh(), assign)
+	if pins, cerr := st.Stats().Pins, st.Close(); err != nil || pins != 0 || cerr != nil {
+		return failf(OracleArchDiff, "on the container: %v (%d pins left, close: %v)", err, pins, cerr)
+	}
+	for i, run := range got {
+		g, w := *run, *want[i]
+		if err := ValuesBitEqual(g.Values, w.Values); err != nil {
+			return failf(OracleArchDiff, "%s on the container: %v", run.Engine, err)
+		}
+		g.Values, w.Values = nil, nil
+		if !reflect.DeepEqual(g, w) {
+			return failf(OracleArchDiff, "%s on the container: records or totals differ from the graph's", run.Engine)
 		}
 	}
 	return nil

@@ -18,18 +18,14 @@ const OracleStoreDiff = "store-differential"
 const storeSegmentBytes = 1 << 10
 
 // checkStore is the out-of-core oracle: the scenario graph round-trips
-// through a gcsr2 container and the kernel replays from the container
+// through a gcsr2 container (data) and the kernel replays from it
 // under both an unlimited local tier and a deliberately thrashing one.
 // Every replay must be bit-identical — values AND traversal telemetry —
 // to the serial push reference on the in-RAM graph (a container serves
 // no in-adjacency, so the engine only ever pushes over it and the
 // comparison cannot use Check's auto-direction serial result), and the
 // store must come back to zero outstanding pins with a clean close.
-func checkStore(g *graph.Graph, fresh func() kernels.Kernel) error {
-	data, err := store.EncodeGraph(g, storeSegmentBytes)
-	if err != nil {
-		return failf(OracleStoreDiff, "encode container: %v", err)
-	}
+func checkStore(g *graph.Graph, data []byte, fresh func() kernels.Kernel) error {
 	want, err := kernels.RunSerialWith(g, fresh(), kernels.Options{Direction: kernels.DirectionPush})
 	if err != nil {
 		return err

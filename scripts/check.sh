@@ -12,7 +12,9 @@
 #   processes   ndpverify sweep, REPORT.md regenerated byte for byte,
 #               ndpserve round-trip, ndpverify -served,
 #               out-of-core stream -> container -> verified BFS, SSSP
-#               and PageRank, and gpart over the same container
+#               and PageRank, the four architectures on the container
+#               against the materialized graph, and gpart over the same
+#               container
 #   -count      cluster faults, parallel simulator, store lifecycle (each
 #               -count=2), served plan and trace sharing (-count=10),
 #               ndpserve shutdown with a parked waiter (-count=20), all
@@ -166,14 +168,17 @@ step go run ./cmd/ndpverify -seed 1 -scenarios 8 -served
 # Out-of-core round-trip: stream a com-livejournal stand-in straight to
 # a gcsr2 container (the spill path — no full in-RAM graph ever built),
 # then run BFS, SSSP and PageRank from the container under a deliberately
-# tight local-memory budget — core.StoreEngine, i.e. the kernel engine
-# with the store as its adjacency source — and verify each result
-# bit-identical to the serial engine over the materialized in-RAM graph.
-# BFS pins edge ids alone, SSSP also pins the weight column (upgrading
-# frames in place), and PageRank is a float-sum kernel. This is the
-# end-to-end proof behind the store's scale story. gpart then partitions
-# the same container with every partitioner, so the partition-quality
-# command reads the format the streaming writer produces.
+# tight local-memory budget — the kernel engine (-arch serial) with the
+# store as its adjacency source — and verify each result bit-identical
+# to the same run over the materialized in-RAM graph. BFS pins edge ids
+# alone, SSSP also pins the weight column (upgrading frames in place),
+# and PageRank is a float-sum kernel. The four simulated architectures
+# then price PageRank read from the container at the same budget, and
+# their summary rows must be byte-identical to the same flags with the
+# container materialized by -graph. This is the end-to-end proof behind
+# the store's scale story. gpart then partitions the same container with
+# every partitioner, so the partition-quality command reads the format
+# the streaming writer produces.
 echo
 echo "==> out-of-core store round-trip"
 STORE_DIR="$(mktemp -d)"
@@ -182,8 +187,16 @@ go run ./cmd/graphgen -dataset com-livejournal -scale 1 -stream \
     -spill-edges 65536 -segment-bytes 16384 -out "$STORE_DIR/lj.gcsr2"
 for kernel in bfs sssp pagerank; do
     go run ./cmd/ndprun -store "$STORE_DIR/lj.gcsr2" -store-mem 65536 \
-        -store-verify -kernel "$kernel"
+        -store-verify -kernel "$kernel" -arch serial
 done
+go run ./cmd/ndprun -store "$STORE_DIR/lj.gcsr2" -store-mem 65536 \
+    -kernel pagerank -arch all -partitioner hash -csv >"$STORE_DIR/store.csv"
+go run ./cmd/ndprun -graph "$STORE_DIR/lj.gcsr2" \
+    -kernel pagerank -arch all -partitioner hash -csv >"$STORE_DIR/graph.csv"
+if ! head -n "$(wc -l <"$STORE_DIR/graph.csv")" "$STORE_DIR/store.csv" | cmp -s - "$STORE_DIR/graph.csv"; then
+    echo "check.sh: the architectures on the container and on the materialized graph print different rows" >&2
+    exit 1
+fi
 go run ./cmd/gpart -in "$STORE_DIR/lj.gcsr2" -k 8 -method all
 rm -rf "$STORE_DIR"
 trap - EXIT
