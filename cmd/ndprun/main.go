@@ -85,7 +85,7 @@ func (o *flags) register(fs *flag.FlagSet) {
 	o.cf.Register(fs)
 	fs.BoolVar(&o.perIter, "iters", false, "print the per-iteration ledger")
 	fs.BoolVar(&o.csv, "csv", false, "emit the summary as CSV")
-	fs.StringVar(&o.iterCSV, "itercsv", "", "write the per-iteration ledger as CSV to this file (single -arch only)")
+	fs.StringVar(&o.iterCSV, "itercsv", "", "write the per-iteration ledger as CSV to this file (one simulated -arch only)")
 	fs.BoolVar(&o.cluster, "cluster", false, "run on the concurrent actor cluster instead of the simulator (disaggregated-ndp only)")
 	fs.StringVar(&o.storePath, "store", "", "read the graph out-of-core from this gcsr2 container instead of -dataset/-graph")
 	fs.Int64Var(&o.storeMem, "store-mem", 0, "out-of-core local-memory budget in bytes for decompressed segments (0 = unlimited)")
@@ -95,30 +95,48 @@ func (o *flags) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.snapName, "snapshot", "", "snapshot name for -server (default: the dataset or graph-file label)")
 }
 
-// Flags a mode cannot honour: the job wire format has no field for the
-// first list; the cluster always offloads on the default device and
-// measures traffic, not the simulator's per-iteration ledger; a
-// container is the graph, which the service and the cluster do not read.
-var (
-	unserved    = []string{"device", "switchbuffer", "direction", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash", "iters", "itercsv"}
-	unclustered = []string{"policy", "device", "switchbuffer", "iters", "itercsv"}
-	unstored    = []string{"dataset", "graph", "scale", "server", "cluster"}
-)
+// A modeLimit is a mode and the flags it cannot honour.
+type modeLimit struct {
+	mode  string
+	on    bool
+	flags []string
+}
 
-// refuse names, in one error, every flag set on fs that -server,
-// -cluster or -store would otherwise drop silently.
+// limits is every mode the flags select and what it cannot honour: the
+// job wire format has no field for -server's list; the cluster always
+// offloads on the default device and measures traffic, not the
+// simulator's per-iteration ledger; a container is the graph, which the
+// service and the cluster do not read; the kernel engine keeps no ledger
+// and is not the cluster; one ledger file cannot hold four architectures;
+// the store's knobs have no store to act on.
+func (o *flags) limits() []modeLimit {
+	return []modeLimit{
+		{"-server", o.serverURL != "", []string{"device", "switchbuffer", "direction", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash", "iters", "itercsv"}},
+		{"-cluster", o.cluster, []string{"policy", "device", "switchbuffer", "iters", "itercsv"}},
+		{"-store", o.storePath != "", []string{"dataset", "graph", "scale", "server", "cluster"}},
+		{"-arch serial", o.ef.Arch == "serial", []string{"iters", "itercsv", "cluster"}},
+		{"-arch all", o.ef.Arch == "all", []string{"itercsv"}},
+		{"no -store", o.storePath == "", []string{"store-mem", "store-verify"}},
+	}
+}
+
+// refuse names, in one error, every flag set on fs that the mode the
+// flags select would otherwise drop silently.
 func (o *flags) refuse(fs *flag.FlagSet) error {
+	limits := o.limits()
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
-		if o.serverURL != "" && slices.Contains(unserved, f.Name) || o.cluster && slices.Contains(unclustered, f.Name) ||
-			o.storePath != "" && slices.Contains(unstored, f.Name) {
-			bad = append(bad, "-"+f.Name)
+		for _, l := range limits {
+			if l.on && slices.Contains(l.flags, f.Name) {
+				bad = append(bad, fmt.Sprintf("-%s (%s)", f.Name, l.mode))
+				return
+			}
 		}
 	})
 	if len(bad) == 0 {
 		return nil
 	}
-	return fmt.Errorf("refusing flags -server, -cluster or -store cannot honour: %s", strings.Join(bad, ", "))
+	return fmt.Errorf("refusing flags this run cannot honour: %s", strings.Join(bad, ", "))
 }
 
 func main() {
@@ -266,7 +284,7 @@ func runSim(ctx context.Context, w io.Writer, src kernels.Source, k kernels.Kern
 		if run.OffloadNote != "" && w != io.Discard { // -store-verify's silent re-run repeats no note
 			fmt.Fprintf(os.Stderr, "note: %s\n", run.OffloadNote)
 		}
-		if iterCSV != "" && len(runs) == 1 {
+		if iterCSV != "" {
 			if err := gio.WriteFileAtomic(iterCSV, func(w io.Writer) error { return sim.WriteRecordsCSV(w, run.Records) }); err != nil {
 				return nil, err
 			}

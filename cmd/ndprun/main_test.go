@@ -264,7 +264,8 @@ func refusal(t *testing.T, args ...string) error {
 	return o.refuse(fs)
 }
 
-// TestDroppedFlagsAreRefused holds -server, -cluster and -store to
+// TestDroppedFlagsAreRefused holds -server, -cluster, -store, the kernel
+// engine, the four-architecture sweep and a run without -store to
 // refusing, in one error that names it, each flag they cannot honour.
 func TestDroppedFlagsAreRefused(t *testing.T) {
 	for _, tc := range []struct{ mode, flag, value string }{
@@ -288,14 +289,24 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 		{"-store", "-dataset", "wiki-talk"},
 		{"-store", "-graph", "g.gcsr"},
 		{"-store", "-scale", "0.5"},
+		{"-arch serial", "-iters", ""},
+		{"-arch serial", "-itercsv", "ledger.csv"},
+		{"-arch serial", "-cluster", ""},
+		{"-arch all", "-itercsv", "ledger.csv"},
+		{"no -store", "-store-mem", "10"},
+		{"no -store", "-store-verify", ""},
 	} {
 		t.Run(tc.mode+tc.flag, func(t *testing.T) {
-			args := []string{tc.mode}
+			var args []string
 			switch tc.mode {
 			case "-server":
-				args = append(args, "http://127.0.0.1:8090")
+				args = []string{tc.mode, "http://127.0.0.1:8090"}
 			case "-store":
-				args = append(args, "g.gcsr2")
+				args = []string{tc.mode, "g.gcsr2"}
+			case "-cluster":
+				args = []string{tc.mode}
+			case "-arch serial", "-arch all":
+				args = strings.Fields(tc.mode)
 			}
 			if err := refusal(t, args...); err != nil {
 				t.Fatalf("%s alone refused: %v", tc.mode, err)
@@ -307,6 +318,45 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 			err := refusal(t, args...)
 			if err == nil || !strings.Contains(err.Error(), tc.flag) {
 				t.Fatalf("%v: err = %v, want one naming %s", args, err, tc.flag)
+			}
+		})
+	}
+}
+
+// TestDroppedFlagsFailTheRun runs the command lines that used to exit 0
+// having ignored a flag: the kernel engine's ledger, one ledger file for
+// four architectures, and a store budget and verification with no store.
+// Each exits with an error naming the flag and writes no ledger.
+func TestDroppedFlagsFailTheRun(t *testing.T) {
+	common := []string{"-dataset", "wiki-talk", "-scale", "0.02", "-kernel", "bfs", "-csv"}
+	for _, tc := range []struct {
+		args  []string
+		flags []string
+	}{
+		{[]string{"-arch", "serial", "-iters", "-itercsv", "ledger.csv"}, []string{"-iters", "-itercsv"}},
+		{[]string{"-arch", "all", "-partitioner", "hash", "-itercsv", "ledger.csv"}, []string{"-itercsv"}},
+		{[]string{"-partitioner", "hash", "-store-verify", "-store-mem", "10"}, []string{"-store-verify", "-store-mem"}},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			ledger := filepath.Join(t.TempDir(), "ledger.csv")
+			args := append(slices.Clone(common), tc.args...)
+			for i, a := range args {
+				if a == "ledger.csv" {
+					args[i] = ledger
+				}
+			}
+			o, fs := parse(t, args...)
+			err := o.run(context.Background(), fs, io.Discard)
+			if err == nil {
+				t.Fatalf("%v ran to completion", args)
+			}
+			for _, f := range tc.flags {
+				if !strings.Contains(err.Error(), f) {
+					t.Errorf("err = %v, want one naming %s", err, f)
+				}
+			}
+			if _, err := os.Stat(ledger); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("a refused run left a ledger: %v", err)
 			}
 		})
 	}

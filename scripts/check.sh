@@ -6,8 +6,8 @@
 #   static      go build, go vet (copylocks included), gofmt -l empty,
 #               ndplint's 5 rules over the module (any finding fails)
 #   tier 1      go test ./...
-#   uncached    alloc gates at -count=1 (the serve hit gate alone skips
-#               under -race, whose instrumentation allocates on that path)
+#   uncached    alloc gates at -count=1 (the two serve gates alone skip
+#               under -race, whose instrumentation allocates on their paths)
 #   benchmarks  every benchmark in the module, once (-benchtime 1x)
 #   processes   ndpverify sweep, REPORT.md regenerated byte for byte,
 #               ndpserve round-trip, ndpverify -served,
@@ -20,7 +20,7 @@
 #               ndpserve shutdown with a parked waiter (-count=20), all
 #               under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
-#   fuzz        a short budget per fuzz target (13)
+#   fuzz        a short budget per fuzz target (14)
 # Any stage failing fails the gate.
 #
 # Usage: scripts/check.sh [fuzz-seconds]
@@ -75,8 +75,10 @@ step go test ./...
 # Pin, PinEdges and PinLists, misses read through the one spare
 # read-through buffer included; TestClusterAllocGate every
 # actor's added iteration at a pinned count, flat and as a switch tree;
-# TestServeHitAllocGate a cache-hit Submit at a pinned count.
-step go test -count=1 -run 'AllocGate$' ./internal/sim/ ./internal/kernels/ ./internal/store/ \
+# TestServeHitAllocGate a cache-hit Submit at a pinned count;
+# TestMarshalResultAllocs a served result's encoding, in one buffer of
+# its exact length.
+step go test -count=1 -run 'AllocGate$|^TestMarshalResultAllocs$' ./internal/sim/ ./internal/kernels/ ./internal/store/ \
     ./internal/cluster/ ./internal/serve/
 
 # Every benchmark runs once: the ones changes cite as evidence
@@ -285,6 +287,9 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # re-encodes to the canonical base64 of the same bytes.
         "FuzzJobSpecNormalize ./internal/serve/"
         "FuzzDecodeValues ./internal/serve/"
+        # The encoder of every served result: any result marshals to the
+        # bytes json.Marshal of its wire struct writes, or both fail alike.
+        "FuzzMarshalResult ./internal/serve/"
         # The status route's wait parameter: any query string is refused
         # or yields a park bound inside [0, serve.MaxWait].
         "FuzzWaitParam ./internal/serve/"
