@@ -104,17 +104,21 @@ type modeLimit struct {
 
 // limits is every mode the flags select and what it cannot honour: the
 // job wire format has no field for -server's list; the cluster always
-// offloads on the default device and measures traffic, not the
-// simulator's per-iteration ledger; a container is the graph, which the
-// service and the cluster do not read; the kernel engine keeps no ledger
-// and is not the cluster; one ledger file cannot hold four architectures;
-// the store's knobs have no store to act on.
+// offloads on the default device, traverses by push on its own actors and
+// measures traffic, not the simulator's per-iteration ledger; a container
+// is the graph, which the service and the cluster do not read; the kernel
+// engine partitions nothing, models no machine, keeps no ledger and is not
+// the cluster; the simulator always pushes and has no links to shape or
+// fault; one ledger file cannot hold four architectures; the store's
+// knobs have no store to act on.
 func (o *flags) limits() []modeLimit {
+	links := []string{"treefanin", "chandepth", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash"}
 	return []modeLimit{
 		{"-server", o.serverURL != "", []string{"device", "switchbuffer", "direction", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash", "iters", "itercsv"}},
-		{"-cluster", o.cluster, []string{"policy", "device", "switchbuffer", "iters", "itercsv"}},
+		{"-cluster", o.cluster, []string{"policy", "device", "switchbuffer", "direction", "workers", "iters", "itercsv"}},
 		{"-store", o.storePath != "", []string{"dataset", "graph", "scale", "server", "cluster"}},
-		{"-arch serial", o.ef.Arch == "serial", []string{"iters", "itercsv", "cluster"}},
+		{"-arch serial", o.ef.Arch == "serial", append([]string{"partitions", "computes", "partitioner", "policy", "aggregate", "device", "switchbuffer", "iters", "itercsv", "cluster"}, links...)},
+		{"the simulator", o.serverURL == "" && !o.cluster && o.ef.Arch != "serial", append([]string{"direction"}, links...)},
 		{"-arch all", o.ef.Arch == "all", []string{"itercsv"}},
 		{"no -store", o.storePath == "", []string{"store-mem", "store-verify"}},
 	}

@@ -324,9 +324,11 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 }
 
 // TestDroppedFlagsFailTheRun runs the command lines that used to exit 0
-// having ignored a flag: the kernel engine's ledger, one ledger file for
-// four architectures, and a store budget and verification with no store.
-// Each exits with an error naming the flag and writes no ledger.
+// having ignored a flag: the kernel engine's ledger and machine, one
+// ledger file for four architectures, a store budget and verification
+// with no store, the simulator's direction and links, and the cluster's
+// direction and worker pool. Each exits with an error naming the flags and
+// writes no ledger.
 func TestDroppedFlagsFailTheRun(t *testing.T) {
 	common := []string{"-dataset", "wiki-talk", "-scale", "0.02", "-kernel", "bfs", "-csv"}
 	for _, tc := range []struct {
@@ -336,6 +338,15 @@ func TestDroppedFlagsFailTheRun(t *testing.T) {
 		{[]string{"-arch", "serial", "-iters", "-itercsv", "ledger.csv"}, []string{"-iters", "-itercsv"}},
 		{[]string{"-arch", "all", "-partitioner", "hash", "-itercsv", "ledger.csv"}, []string{"-itercsv"}},
 		{[]string{"-partitioner", "hash", "-store-verify", "-store-mem", "10"}, []string{"-store-verify", "-store-mem"}},
+		{[]string{"-arch", "serial", "-partitions", "4", "-computes", "4", "-partitioner", "hash", "-policy", "always", "-aggregate=false",
+			"-device", "UPMEM", "-switchbuffer", "64", "-treefanin", "2", "-chandepth", "4", "-fault-seed", "7", "-fault-drop", "0.1",
+			"-fault-dup", "0.1", "-fault-delay", "0.1", "-crash", "1@1"},
+			[]string{"-partitions", "-computes", "-partitioner", "-policy", "-aggregate", "-device", "-switchbuffer", "-treefanin",
+				"-chandepth", "-fault-seed", "-fault-drop", "-fault-dup", "-fault-delay", "-crash"}},
+		{[]string{"-arch", "disaggregated", "-partitioner", "hash", "-direction", "push", "-treefanin", "2", "-chandepth", "4",
+			"-fault-seed", "7", "-fault-drop", "0.1", "-fault-dup", "0.1", "-fault-delay", "0.1", "-crash", "1@1"},
+			[]string{"-direction", "-treefanin", "-chandepth", "-fault-seed", "-fault-drop", "-fault-dup", "-fault-delay", "-crash"}},
+		{[]string{"-cluster", "-partitioner", "hash", "-direction", "push", "-workers", "2"}, []string{"-direction", "-workers"}},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			ledger := filepath.Join(t.TempDir(), "ledger.csv")

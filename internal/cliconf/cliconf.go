@@ -1,11 +1,11 @@
 // Package cliconf is the shared flag layer of the run-style commands
-// (ndprun, ndpbench, ndpverify, ndpserve): flag groups as registerable
-// structs (GraphFlags, EngineFlags, ExperimentFlags, FaultFlags,
-// ClusterFlags), so each command picks the groups it needs and spells a
-// knob the same way. The engine flags default to core's table. Names
-// resolve in the packages that own them (kernels.ByNameIters,
-// kernels.ParseDirection, partition.ByName, runtime.ByName,
-// core.ParseArch), not here.
+// (ndprun, ndpbench, ndpserve; gpart loads its graph through LoadGraph):
+// flag groups as registerable structs (GraphFlags, EngineFlags,
+// ExperimentFlags, FaultFlags, ClusterFlags), so each command picks the
+// groups it needs and spells a knob the same way. The engine flags
+// default to core's table. Names resolve in the packages that own them
+// (kernels.ByNameIters, kernels.ParseDirection, partition.ByName,
+// runtime.ByName, core.ParseArch), not here.
 package cliconf
 
 import (

@@ -16,7 +16,7 @@ import (
 // submission's body takes — json.Unmarshal into a JobSpec, then Normalize
 // — and requires an error or a canonical spec: normalizing it again
 // changes nothing, and its cache key is the same before and after that
-// second pass and does not move with Workers.
+// second pass and does not move with Workers or ChannelDepth.
 func FuzzJobSpecNormalize(f *testing.F) {
 	f.Add([]byte(`{"snapshot":"g"}`))
 	f.Add([]byte(`{"snapshot":"g","engine":"cluster","kernel":"bfs","partitions":16,"computes":2,"partitioner":"ldg","aggregation":false,"treefanin":4}`))
@@ -42,6 +42,7 @@ func FuzzJobSpecNormalize(f *testing.F) {
 			t.Fatalf("Normalize is not idempotent:\nonce  %+v\ntwice %+v", spec, again)
 		}
 		again.Workers = spec.Workers + 1
+		again.ChannelDepth = spec.ChannelDepth + 1
 		if got := again.cacheKey("digest"); got != key {
 			t.Fatalf("cache key moved:\n%s\n%s", key, got)
 		}

@@ -150,7 +150,6 @@ func NewManager(reg *Registry, mreg *metrics.Registry, cfg ManagerConfig) *Manag
 		notify:     make(chan struct{}, cfg.Executors),
 		stopCh:     make(chan struct{}),
 	}
-	m.cache.tracesEvicted = m.c.tracesEvicted
 	m.exec = m.runSpec
 	m.wg.Add(cfg.Executors)
 	for i := 0; i < cfg.Executors; i++ {
@@ -534,10 +533,9 @@ func (m *Manager) Stop() {
 }
 
 // runSpec is the default executor: resolve the spec's partition plan
-// through the snapshot's plan cache, then run the selected engine. A
-// simulator job executes through the trace cache and only prices what it
-// finds there: the execution does not depend on the architecture, the
-// policy or the switch.
+// through the cache's memo, then run the selected engine. A simulator job
+// executes through the memo too and only prices what it finds there: the
+// execution does not depend on the architecture, the policy or the switch.
 func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
 	if spec.Engine == EngineSerial {
 		return ExecuteSpec(ctx, snap.Graph(), spec, nil)
@@ -546,7 +544,8 @@ func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*c
 	if err != nil {
 		return nil, err
 	}
-	assign, err := snap.plan(p, spec.Partitions, &m.c)
+	plan := planKey{snap.Digest(), p, spec.Partitions}
+	assign, err := m.cache.plan(ctx, snap.Graph(), plan, &m.c)
 	if err != nil {
 		return nil, err
 	}
@@ -561,9 +560,13 @@ func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*c
 	if err != nil {
 		return nil, err
 	}
-	key := traceKey{digest: snap.Digest(), plan: planKey{p, spec.Partitions}, kernel: k.Name(), iters: spec.PRIters}
-	t, err := m.cache.trace(ctx, key, &m.c, func() (*sim.Trace, error) {
-		return sys.Execute(ctx, snap.Graph(), k, core.RunConfig{Assignment: assign})
+	key := traceKey{plan: plan, kernel: k.Name(), iters: spec.PRIters}
+	t, err := memo(m.cache, ctx, key, m.c.traces, &m.c, func() (*sim.Trace, int64, error) {
+		tr, err := sys.Execute(ctx, snap.Graph(), k, core.RunConfig{Assignment: assign})
+		if err != nil {
+			return nil, 0, err
+		}
+		return tr, int64(len(plan.digest)+len(key.kernel)) + tr.Size(), nil
 	})
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -37,18 +38,18 @@ func checkCache(t testing.TB, c *ResultCache) {
 	var results int
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
-		if e.t != nil && c.traces[e.tkey] != el || e.t == nil && c.items[e.key] != el {
-			t.Fatalf("entry %q %+v: list and map disagree", e.key, e.tkey)
+		if e.evicted != nil && c.memos[e.key] != el || e.evicted == nil && c.items[e.key.(string)] != el {
+			t.Fatalf("entry %+v: list and map disagree", e.key)
 		}
-		if e.t == nil {
+		if e.evicted == nil {
 			results++
 		}
-		sum += e.size()
+		sum += e.size
 	}
 	n := c.lru.Len()
-	if results != len(c.items) || n-results != len(c.traces) || sum != c.bytes {
-		t.Fatalf("list holds %d entries (%d results) %d bytes; maps %d results %d traces, accounted %d",
-			n, results, sum, len(c.items), len(c.traces), c.bytes)
+	if results != len(c.items) || n-results != len(c.memos) || sum != c.bytes {
+		t.Fatalf("list holds %d entries (%d results) %d bytes; maps %d results %d memos, accounted %d",
+			n, results, sum, len(c.items), len(c.memos), c.bytes)
 	}
 	if results > c.max || (c.bytes > c.budget && n != 1) {
 		t.Fatalf("%d entries %d bytes exceed max %d budget %d", n, c.bytes, c.max, c.budget)
@@ -68,6 +69,22 @@ func (c *ResultCache) Bytes() int64 {
 	defer c.mu.Unlock()
 	return c.bytes
 }
+
+// memosOf counts the values the cache keeps under keys of type K for which
+// of holds.
+func memosOf[K any](c *ResultCache, of func(K) bool) (n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.memos {
+		if k, ok := k.(K); ok && of(k) {
+			n++
+		}
+	}
+	return n
+}
+
+// anyKey is memosOf's filter that holds for every key.
+func anyKey[K any](K) bool { return true }
 
 // kv is a cache entry of exactly size bytes, key included.
 func kv(i, size int) (string, []byte) {
@@ -182,7 +199,7 @@ func TestHotSetSurvivesOneHitStream(t *testing.T) {
 }
 
 // seededHash is Hash under a seed it carries in its value but does not
-// read: a comparable partitioner whose plans the plan cache keeps apart
+// read: a comparable partitioner whose plans the memo keeps apart
 // per seed, as it does multilevel's, at Hash's cost.
 type seededHash struct{ Seed uint64 }
 
@@ -194,11 +211,11 @@ func (seededHash) Partition(g *graph.Graph, k int) (*partition.Assignment, error
 
 // sizedExec is a fake executor whose results carry floats values (8 bytes
 // of result, 32/3 on the wire, each). It resolves a plan of a partitioner
-// valued by the spec's seed the way runSpec does, so distinct jobs fill
-// the plan cache.
+// valued by the spec's seed the way runSpec does, so distinct jobs keep
+// distinct plans.
 func sizedExec(m *Manager, floats int) func(context.Context, *Snapshot, JobSpec) (*core.Result, error) {
-	return func(_ context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
-		if _, err := snap.plan(seededHash{spec.Seed}, 4, &m.c); err != nil {
+	return func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+		if _, err := m.cache.plan(ctx, snap.Graph(), planKey{snap.Digest(), seededHash{spec.Seed}, 4}, &m.c); err != nil {
 			return nil, err
 		}
 		res := fakeResult(spec)
@@ -237,9 +254,9 @@ func TestCountersResolveTheirNames(t *testing.T) {
 		{m.c.rejectedQueueFull, CounterRejectedQueueFull}, {m.c.rejectedQuota, CounterRejectedQuota},
 		{m.c.resultHits, CounterResultCacheHits}, {m.c.resultMisses, CounterResultCacheMisses},
 		{m.c.resultsEvicted, CounterResultsEvicted}, {m.c.resultBytesEvicted, CounterResultBytesEvicted},
-		{m.c.planHits, CounterPlanCacheHits}, {m.c.planMisses, CounterPlanCacheMisses},
-		{m.c.plansEvicted, CounterPlansEvicted}, {m.c.traceHits, CounterTraceCacheHits},
-		{m.c.traceMisses, CounterTraceCacheMisses}, {m.c.tracesEvicted, CounterTracesEvicted},
+		{m.c.plans.hits, CounterPlanCacheHits}, {m.c.plans.misses, CounterPlanCacheMisses},
+		{m.c.plans.evicted, CounterPlansEvicted}, {m.c.traces.hits, CounterTraceCacheHits},
+		{m.c.traces.misses, CounterTraceCacheMisses}, {m.c.traces.evicted, CounterTracesEvicted},
 		{m.c.waitsParked, CounterWaitsParked},
 		{m.c.waitsExpired, CounterWaitsExpired}, {m.c.jobsExpired, CounterJobsExpired},
 		{m.c.lookupsGone, CounterLookupsGone},
@@ -252,7 +269,7 @@ func TestCountersResolveTheirNames(t *testing.T) {
 
 // TestNothingGrowsWithJobsServed runs 20,000 jobs — three in ten distinct,
 // the rest hits on a small hot set, serve-mix's shape — and holds the job
-// table, the result cache and the snapshot's plans to their constants, the
+// table and the result cache, plans included, to their constants, the
 // forgetting to its counters, and the teardown to its baselines.
 func TestNothingGrowsWithJobsServed(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
@@ -297,14 +314,12 @@ func TestNothingGrowsWithJobsServed(t *testing.T) {
 	if got := counter(m, CounterResultBytesEvicted); got < 65536*counter(m, CounterResultsEvicted) {
 		t.Errorf("%s = %d for %d results of over 64 KiB", CounterResultBytesEvicted, got, counter(m, CounterResultsEvicted))
 	}
-	snap.mu.Lock()
-	plans := len(snap.plans)
-	snap.mu.Unlock()
-	if plans != plansKept {
-		t.Errorf("snapshot keeps %d plans, want %d", plans, plansKept)
+	plans := memosOf(m.cache, anyKey[planKey])
+	if got, want := counter(m, CounterPlanCacheMisses), executed; got != want {
+		t.Errorf("%s = %d, want one plan a seed executed: %d", CounterPlanCacheMisses, got, want)
 	}
-	if got, want := counter(m, CounterPlansEvicted), executed-plansKept; got != want {
-		t.Errorf("%s = %d, want %d", CounterPlansEvicted, got, want)
+	if got, want := counter(m, CounterPlansEvicted), executed-int64(plans); got != want {
+		t.Errorf("%s = %d, want executed %d − held %d", CounterPlansEvicted, got, executed, plans)
 	}
 
 	// The oldest job is gone, the newest still answers; neither is unknown.
@@ -510,58 +525,96 @@ func TestWaiterOutlivesItsJobRecord(t *testing.T) {
 	r.close(t)
 }
 
-// TestTracesShareTheResultBudget: a kept trace is charged to the byte
-// budget the results live under and leaves from the same recency list —
-// it is evicted like a result, counted apart, and its key executes again.
+// TestTracesShareTheResultBudget: a kept plan or trace is charged to the
+// byte budget the results live under and leaves from the same recency
+// list — it is evicted like a result, counted apart by its kind, and its
+// key computes again.
 func TestTracesShareTheResultBudget(t *testing.T) {
 	m, snap := newTestManager(t, ManagerConfig{}, nil)
-	a, err := snap.plan(partition.Hash{}, 4, &m.c)
+	ctx := context.Background()
+	pkey := planKey{snap.Digest(), partition.Hash{}, 4}
+	planSize := int64(4*snap.Graph().NumVertices() + len(pkey.digest))
+	a, err := partition.Hash{}.Partition(snap.Graph(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := traceKey{plan: pkey, kernel: "bfs"}
 	executions := 0
-	exec := func() (*sim.Trace, error) {
+	exec := func() (*sim.Trace, int64, error) {
 		executions++
-		return sim.Execute(context.Background(), snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
+		tr, err := sim.Execute(ctx, snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
+		if err != nil {
+			return nil, 0, err
+		}
+		return tr, int64(len(pkey.digest)+len(key.kernel)) + tr.Size(), nil
 	}
-	key := traceKey{digest: snap.Digest(), plan: planKey{partition.Hash{}, 4}, kernel: "bfs"}
-	probe, err := exec()
+	_, size, err := exec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := (&cacheEntry{tkey: key, t: probe}).size()
-	c := newResultCache(0, size+1000)
-	c.tracesEvicted = m.c.tracesEvicted
-	keep := func(wantExecutions int, wantBytes int64) {
+	const result = 300 // under a plan's 320 bytes: evicting the plan makes room for one
+	c := newResultCache(0, planSize+size+result)
+	check := func(wantBytes int64) {
 		t.Helper()
-		if _, err := c.trace(context.Background(), key, &m.c, exec); err != nil {
+		checkCache(t, c)
+		if c.Bytes() != wantBytes {
+			t.Fatalf("%d bytes held, want %d", c.Bytes(), wantBytes)
+		}
+	}
+	plan := func(wantBytes int64) {
+		t.Helper()
+		got, err := c.plan(ctx, snap.Graph(), pkey, &m.c)
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkCache(t, c)
-		if executions != wantExecutions || c.Bytes() != wantBytes {
-			t.Fatalf("%d executions, %d bytes held; want %d and %d", executions, c.Bytes(), wantExecutions, wantBytes)
+		if !slices.Equal(got.Parts, a.Parts) {
+			t.Fatal("the kept plan is not the partitioner's")
+		}
+		check(wantBytes)
+	}
+	keep := func(wantExecutions int, wantBytes int64) {
+		t.Helper()
+		if _, err := memo(c, ctx, key, m.c.traces, &m.c, exec); err != nil {
+			t.Fatal(err)
+		}
+		if executions != wantExecutions {
+			t.Fatalf("%d executions, want %d", executions, wantExecutions)
+		}
+		check(wantBytes)
+	}
+	evicted := func(results, plans, traces int64) {
+		t.Helper()
+		if r, p, tr := counter(m, CounterResultsEvicted), counter(m, CounterPlansEvicted), counter(m, CounterTracesEvicted); r != results || p != plans || tr != traces {
+			t.Fatalf("evicted %d results, %d plans, %d traces; want %d, %d and %d", r, p, tr, results, plans, traces)
 		}
 	}
-	keep(2, size)
-	keep(2, size) // a hit
-	c.Put(kv(1, 600))
-	c.Put(kv(2, 600)) // past the budget: the trace is the least recent
-	checkCache(t, c)
-	if c.Len() != 2 || c.Bytes() != 1200 || counter(m, CounterTracesEvicted) != 1 {
-		t.Fatalf("holding %d results %d bytes after %d trace evictions, want 2, 1200 and 1",
-			c.Len(), c.Bytes(), counter(m, CounterTracesEvicted))
+	if planSize <= result {
+		t.Fatalf("a plan of %d bytes cannot make room for a %d-byte result", planSize, result)
 	}
-	keep(3, size+600) // executes again, and evicts the older result
-	if got := counter(m, CounterResultsEvicted); got != 1 {
-		t.Errorf("%s = %d, want 1", CounterResultsEvicted, got)
+	plan(planSize)
+	keep(2, planSize+size)
+	keep(2, planSize+size) // a hit
+	c.Put(kv(1, result))   // the budget, full
+	c.Put(kv(2, result))   // past it: the plan is the least recent
+	check(size + 2*result)
+	evicted(0, 1, 0)
+	plan(planSize + 2*result) // partitions again, and evicts the trace
+	evicted(0, 1, 1)
+	keep(3, planSize+size+result) // executes again, and evicts the older result
+	evicted(1, 1, 1)
+	if c.Len() != 1 {
+		t.Errorf("holding %d results, want 1", c.Len())
+	}
+	if hits, misses := counter(m, CounterPlanCacheHits), counter(m, CounterPlanCacheMisses); hits != 0 || misses != 2 {
+		t.Errorf("plan hits %d, misses %d; want 0 and 2", hits, misses)
 	}
 	if hits, misses := counter(m, CounterTraceCacheHits), counter(m, CounterTraceCacheMisses); hits != 1 || misses != 2 {
 		t.Errorf("trace hits %d, misses %d; want 1 and 2", hits, misses)
 	}
 }
 
-// TestSnapshotSwapAgesOutOldResults: results are keyed by digest, so a
-// swapped-out snapshot's results are simply never asked for again and
+// TestSnapshotSwapAgesOutOldResults: results and plans are keyed by
+// digest, so a swapped-out snapshot's are simply never asked for again and
 // leave from the cold end as the new snapshot's arrive.
 func TestSnapshotSwapAgesOutOldResults(t *testing.T) {
 	m, old := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 4}, nil)
@@ -580,8 +633,11 @@ func TestSnapshotSwapAgesOutOldResults(t *testing.T) {
 		}
 		return n
 	}
-	if held(old.Digest()) != 10 {
-		t.Fatalf("cache holds %d results of the first snapshot, want 10", held(old.Digest()))
+	plans := func(digest string) int {
+		return memosOf(m.cache, func(k planKey) bool { return k.digest == digest })
+	}
+	if held(old.Digest()) != 10 || plans(old.Digest()) != 10 {
+		t.Fatalf("cache holds %d results and %d plans of the first snapshot, want 10 of each", held(old.Digest()), plans(old.Digest()))
 	}
 	info, err := m.Registry().Put("g", testGraph(t, 8))
 	if err != nil {
@@ -594,8 +650,11 @@ func TestSnapshotSwapAgesOutOldResults(t *testing.T) {
 		submitDone(t, m, JobSpec{Snapshot: "g", Kernel: "cc", Seed: uint64(100 + i)})
 	}
 	checkCache(t, m.cache)
-	if n := held(old.Digest()); n != 0 {
-		t.Errorf("%d results of the swapped-out snapshot are still held", n)
+	if n, p := held(old.Digest()), plans(old.Digest()); n != 0 || p != 0 {
+		t.Errorf("%d results and %d plans of the swapped-out snapshot are still held", n, p)
+	}
+	if p := plans(info.Digest); p == 0 {
+		t.Error("no plan of the live snapshot is held")
 	}
 	if held(info.Digest) != m.cache.Len() || m.cache.Len() == 0 {
 		t.Errorf("cache holds %d entries, %d of the live snapshot", m.cache.Len(), held(info.Digest))

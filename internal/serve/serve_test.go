@@ -140,46 +140,47 @@ func TestSubmitExecutesAndCaches(t *testing.T) {
 	}
 }
 
-// heldPartitioner makes its first two Partition calls wait for each
-// other: two jobs that both missed the plan cache compute at once. Its
-// fields are comparable, so it keys plans as the partitioner it wraps.
-type heldPartitioner struct {
+// countedPartitioner counts its Partition calls. Its fields are
+// comparable, so it keys plans as the partitioner it wraps.
+type countedPartitioner struct {
 	partition.Partitioner
-	entered *atomic.Int32
-	both    chan struct{}
+	calls *atomic.Int32
 }
 
-func (h heldPartitioner) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
-	if n := h.entered.Add(1); n == 2 {
-		close(h.both)
-	} else if n < 2 {
-		<-h.both
-	}
-	return h.Partitioner.Partition(g, k)
+func (c countedPartitioner) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
+	c.calls.Add(1)
+	return c.Partitioner.Partition(g, k)
 }
 
 // TestSeedlessPlansAreShared submits LDG jobs that differ only in seed to
-// two executors, whose first two jobs both miss the plan cache and
-// compute the plan at once. LDG ignores its seed, so every job must
-// resolve the one *Assignment the snapshot keeps — the racing loser's
-// included — and every result must be the same bytes, while each seed is
-// still its own result-cache entry. The executor is runSpec's two steps,
-// with the partitioner held and the resolved plan recorded.
+// two executors, whose first two jobs enter the executor together and ask
+// for the plan at once. LDG ignores its seed, so the graph must be
+// partitioned exactly once — the other job waits for it — every job must
+// resolve the one *Assignment the cache keeps, and every result must be
+// the same bytes, while each seed is still its own result-cache entry.
+// The executor is runSpec's two steps, with the partitioner counted and
+// the resolved plan recorded.
 func TestSeedlessPlansAreShared(t *testing.T) {
 	const jobs = 6
 	var (
 		mu      sync.Mutex
 		plans   []*partition.Assignment
+		calls   atomic.Int32
 		entered atomic.Int32
 		both    = make(chan struct{})
 		m       *Manager
 	)
-	m, snap := newTestManager(t, ManagerConfig{Executors: 2, QueueCap: jobs}, func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+	m, _ = newTestManager(t, ManagerConfig{Executors: 2, QueueCap: jobs}, func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+		if n := entered.Add(1); n == 2 {
+			close(both)
+		} else if n < 2 {
+			<-both
+		}
 		p, err := partition.ByName(spec.Partitioner, spec.Seed)
 		if err != nil {
 			return nil, err
 		}
-		a, err := snap.plan(heldPartitioner{p, &entered, both}, spec.Partitions, &m.c)
+		a, err := m.cache.plan(ctx, snap.Graph(), planKey{snap.Digest(), countedPartitioner{p, &calls}, spec.Partitions}, &m.c)
 		if err != nil {
 			return nil, err
 		}
@@ -217,14 +218,17 @@ func TestSeedlessPlansAreShared(t *testing.T) {
 			t.Errorf("job %d resolved another assignment than job 0", i)
 		}
 	}
-	snap.mu.Lock()
-	kept := len(snap.plans)
-	snap.mu.Unlock()
-	if kept != 1 {
-		t.Errorf("snapshot keeps %d plans, want 1", kept)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("the graph was partitioned %d times, want once", n)
 	}
-	if hits, misses := counter(m, CounterPlanCacheHits), counter(m, CounterPlanCacheMisses); hits != jobs-2 || misses != 2 {
-		t.Errorf("plan hits %d, misses %d; want %d and the racing 2", hits, misses, jobs-2)
+	if kept := memosOf(m.cache, anyKey[planKey]); kept != 1 {
+		t.Errorf("cache keeps %d plans, want 1", kept)
+	}
+	if err := nothingRunning(m.cache); err != nil {
+		t.Error(err)
+	}
+	if hits, misses := counter(m, CounterPlanCacheHits), counter(m, CounterPlanCacheMisses); hits != jobs-1 || misses != 1 {
+		t.Errorf("plan hits %d, misses %d; want %d and 1", hits, misses, jobs-1)
 	}
 	if misses := counter(m, CounterResultCacheMisses); misses != jobs {
 		t.Errorf("result cache misses %d, want one a seed: %d", misses, jobs)
@@ -367,10 +371,11 @@ func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 	}
 	traces(8, 4)
 
-	m.cache.mu.Lock()
-	defer m.cache.mu.Unlock()
-	if len(m.cache.traces) != 3 || len(m.cache.running) != 0 {
-		t.Errorf("cache keeps %d traces with %d executions running, want 3 and none", len(m.cache.traces), len(m.cache.running))
+	if kept := memosOf(m.cache, anyKey[traceKey]); kept != 3 {
+		t.Errorf("cache keeps %d traces, want 3", kept)
+	}
+	if err := nothingRunning(m.cache); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -609,6 +614,43 @@ func TestSpecNormalizeAndCacheKey(t *testing.T) {
 	}
 	if s.cacheKey("d1") == s.cacheKey("d2") {
 		t.Error("cache key ignores the snapshot digest")
+	}
+}
+
+// TestChannelDepthChangesNoResult: a cluster link's depth paces its
+// messages and decides nothing, so one cluster spec at two depths is one
+// cache key and the same bytes, with and without a switch tree.
+func TestChannelDepthChangesNoResult(t *testing.T) {
+	g := testGraph(t, 3)
+	for _, kernel := range []string{"bfs", "pagerank"} {
+		for _, fanIn := range []int{0, 2} {
+			var key string
+			var first []byte
+			for _, depth := range []int{1, 64} {
+				spec := JobSpec{Snapshot: "g", Engine: EngineCluster, Kernel: kernel, Partitioner: "hash", TreeFanIn: fanIn, ChannelDepth: depth}
+				if err := spec.Normalize(); err != nil {
+					t.Fatal(err)
+				}
+				res, err := ExecuteSpec(context.Background(), g, spec, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := MarshalResult(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					key, first = spec.cacheKey("d"), b
+					continue
+				}
+				if spec.cacheKey("d") != key {
+					t.Errorf("%s, fan-in %d: depth %d moved the cache key", kernel, fanIn, depth)
+				}
+				if !bytes.Equal(b, first) {
+					t.Errorf("%s, fan-in %d: depth %d changed the result bytes", kernel, fanIn, depth)
+				}
+			}
+		}
 	}
 }
 

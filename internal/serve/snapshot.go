@@ -16,47 +16,25 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/gio"
 	"repro/internal/graph"
-	"repro/internal/partition"
 )
 
 // Snapshot is one immutable graph version: the graph, its content
-// digest, a reference count, and a cache of partition plans computed on
-// it. The registry holds one reference; every admitted job holds one
-// for its lifetime, so a reload (atomic swap in the registry) never
-// pulls a graph out from under a running job — the old snapshot drains
-// as its jobs finish.
+// digest and a reference count. The registry holds one reference; every
+// admitted job holds one for its lifetime, so a reload (atomic swap in the
+// registry) never pulls a graph out from under a running job — the old
+// snapshot drains as its jobs finish.
 type Snapshot struct {
 	name   string
 	g      *graph.Graph
 	digest string
 
 	refs atomic.Int64
-
-	mu    sync.Mutex
-	plans []planEntry // least recently used first, at most plansKept
-}
-
-// plansKept bounds the partition plans one snapshot keeps (four bytes a
-// vertex each); past it the least recently used goes.
-const plansKept = 8
-
-// planKey names a plan by what, besides the graph, an assignment depends
-// on: the partitioner's value (one for every seed of an unseeded one) and k.
-type planKey struct {
-	p partition.Partitioner
-	k int
-}
-
-type planEntry struct {
-	key planKey
-	a   *partition.Assignment
 }
 
 // newSnapshot builds a snapshot with one (registry) reference.
@@ -101,50 +79,6 @@ func (s *Snapshot) acquire() { s.refs.Add(1) }
 // returns its reference, and that the count never underruns) and to
 // report drain progress on reload.
 func (s *Snapshot) release() { s.refs.Add(-1) }
-
-// cachedPlan returns the plan kept under key, now the most recently
-// used, or nil. Callers hold s.mu.
-func (s *Snapshot) cachedPlan(key planKey) *partition.Assignment {
-	for i, e := range s.plans {
-		if e.key == key {
-			s.plans = append(slices.Delete(s.plans, i, i+1), e)
-			return e.a
-		}
-	}
-	return nil
-}
-
-// plan returns p's k-way assignment of this snapshot, computed on first
-// use and shared by every later job whose partitioner value and k agree —
-// the partition-plan half of the service's cache story.
-func (s *Snapshot) plan(p partition.Partitioner, k int, c *counters) (*partition.Assignment, error) {
-	key := planKey{p, k}
-	s.mu.Lock()
-	a := s.cachedPlan(key)
-	s.mu.Unlock()
-	if a != nil {
-		c.planHits.Inc()
-		return a, nil
-	}
-	c.planMisses.Inc()
-	a, err := p.Partition(s.g, k)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Two racing jobs may both compute; keep the first stored so every
-	// later job shares one assignment value.
-	if prev := s.cachedPlan(key); prev != nil {
-		return prev, nil
-	}
-	if len(s.plans) == plansKept {
-		s.plans = slices.Delete(s.plans, 0, 1)
-		c.plansEvicted.Inc()
-	}
-	s.plans = append(s.plans, planEntry{key, a})
-	return a, nil
-}
 
 // SnapshotInfo is the wire description of a registry entry.
 type SnapshotInfo struct {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/partition"
@@ -15,7 +16,7 @@ import (
 )
 
 // TestEveryLockIsReleasedOnEveryPath drives each method of the manager,
-// the registry, a snapshot's plan cache and the result and trace cache
+// the registry and the result cache with its memo of plans and traces
 // through each of its return paths, and after every step takes each of
 // those locks again. A path that returns holding a lock turns the step
 // after it into a hang, which the step's bound reports by name.
@@ -199,21 +200,25 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			return nil
 		}},
 		{"ResultCache/trace-fails", func() error {
-			_, err := m.cache.trace(context.Background(), traceKey{kernel: "boom"}, &m.c, func() (*sim.Trace, error) { return nil, errBoom })
+			_, err := memo(m.cache, context.Background(), traceKey{kernel: "boom"}, m.c.traces, &m.c, func() (*sim.Trace, int64, error) { return nil, 0, errBoom })
 			return is(err, errBoom)
 		}},
 		{"ResultCache/trace-miss", func() error {
-			_, err := m.cache.trace(context.Background(), traceKey{kernel: "bfs"}, &m.c, func() (*sim.Trace, error) {
+			_, err := memo(m.cache, context.Background(), traceKey{kernel: "bfs"}, m.c.traces, &m.c, func() (*sim.Trace, int64, error) {
 				a, err := partition.Hash{}.Partition(snap.Graph(), 2)
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
-				return sim.Execute(context.Background(), snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
+				tr, err := sim.Execute(context.Background(), snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
+				if err != nil {
+					return nil, 0, err
+				}
+				return tr, tr.Size(), nil
 			})
 			return err
 		}},
 		{"ResultCache/trace-hit", func() error {
-			_, err := m.cache.trace(context.Background(), traceKey{kernel: "bfs"}, &m.c, nil)
+			_, err := memo[*sim.Trace](m.cache, context.Background(), traceKey{kernel: "bfs"}, m.c.traces, &m.c, nil)
 			return err
 		}},
 		// A waiter whose context ends while another caller executes its key.
@@ -221,19 +226,43 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			key := traceKey{kernel: "held"}
 			started, unblock, executed := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 			go func() {
-				_, err := m.cache.trace(context.Background(), key, &m.c, func() (*sim.Trace, error) {
+				_, err := memo(m.cache, context.Background(), key, m.c.traces, &m.c, func() (*sim.Trace, int64, error) {
 					close(started)
 					<-unblock
-					return nil, errBoom
+					return nil, 0, errBoom
 				})
 				executed <- err
 			}()
 			<-started
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := m.cache.trace(ctx, key, &m.c, nil)
+			_, err := memo[*sim.Trace](m.cache, ctx, key, m.c.traces, &m.c, nil)
 			close(unblock)
-			return errors.Join(is(err, context.Canceled), is(<-executed, errBoom))
+			return errors.Join(is(err, context.Canceled), is(<-executed, errBoom), nothingRunning(m.cache))
+		}},
+		{"ResultCache/plan-miss", func() error {
+			_, err := m.cache.plan(context.Background(), snap.Graph(), planKey{snap.Digest(), partition.Hash{}, 2}, &m.c)
+			return err
+		}},
+		{"ResultCache/plan-hit", func() error {
+			_, err := m.cache.plan(context.Background(), snap.Graph(), planKey{snap.Digest(), partition.Hash{}, 2}, &m.c)
+			return err
+		}},
+		// A waiter whose context ends while another caller partitions.
+		{"ResultCache/plan-wait-ends", func() error {
+			p := heldPartitioner{make(chan struct{}), make(chan struct{})}
+			key := planKey{snap.Digest(), p, 2}
+			partitioned := make(chan error, 1)
+			go func() {
+				_, err := m.cache.plan(context.Background(), snap.Graph(), key, &m.c)
+				partitioned <- err
+			}()
+			<-p.started
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err := m.cache.plan(ctx, snap.Graph(), key, &m.c)
+			close(p.unblock)
+			return errors.Join(is(err, context.Canceled), <-partitioned, nothingRunning(m.cache))
 		}},
 		{"Registry/Get", func() error {
 			s, ok := m.reg.Get("g")
@@ -251,14 +280,6 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 		}},
 		{"Registry/List", func() error { _ = m.reg.List(); return nil }},
 		{"Registry/Put", func() error { _, err := m.reg.Put("h", snap.Graph()); return err }},
-		{"plan/miss", func() error {
-			_, err := snap.plan(partition.Hash{}, 2, &m.c)
-			return err
-		}},
-		{"plan/hit", func() error {
-			_, err := snap.plan(partition.Hash{}, 2, &m.c)
-			return err
-		}},
 		{"Stop", func() error { m.Stop(); return nil }},
 		{"Stop/stopped", func() error { m.Stop(); return nil }},
 		{"Submit/stopped", func() error { _, err := submit("a", 7, ErrStopped); return err }},
@@ -269,8 +290,6 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 		m.mu.Unlock()
 		m.reg.mu.Lock()
 		m.reg.mu.Unlock()
-		snap.mu.Lock()
-		snap.mu.Unlock()
 		m.cache.mu.Lock()
 		m.cache.mu.Unlock()
 		m.metrics.Counter(CounterResultCacheHits)
@@ -292,6 +311,28 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			t.Fatalf("%s: did not return, or left a lock held: taking every lock after it hangs", s.name)
 		}
 	}
+}
+
+// heldPartitioner partitions by hash once unblock is closed, having
+// closed started: a plan whose computation a test holds open.
+type heldPartitioner struct{ started, unblock chan struct{} }
+
+func (heldPartitioner) Name() string { return "held" }
+
+func (h heldPartitioner) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
+	close(h.started)
+	<-h.unblock
+	return partition.Hash{}.Partition(g, k)
+}
+
+// nothingRunning fails if the cache still counts a computation running.
+func nothingRunning(c *ResultCache) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.running); n != 0 {
+		return fmt.Errorf("%d computations still running", n)
+	}
+	return nil
 }
 
 // TestJobContextEndsWithTheJob holds the executor to cancelling the

@@ -47,12 +47,14 @@ type JobSpec struct {
 	// Aggregation pins in-network aggregation; nil keeps the default
 	// (on). Only disaggregated-ndp and the cluster have a switch.
 	Aggregation *bool `json:"aggregation,omitempty"`
-	// TreeFanIn / ChannelDepth shape the concurrent cluster.
+	// TreeFanIn / ChannelDepth shape the concurrent cluster. A link's
+	// depth paces its messages and changes no result, so it is excluded
+	// from the cache key.
 	TreeFanIn    int `json:"treefanin,omitempty"`
 	ChannelDepth int `json:"chandepth,omitempty"`
 	// Workers caps the executor's worker pool. Purely a speed knob —
 	// results are bit-identical for every setting — so it is excluded
-	// from the cache key.
+	// from the cache key too.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -118,11 +120,11 @@ func (s *JobSpec) normalize() error {
 
 // cacheKey is the canonical identity of the run the spec describes on a
 // given snapshot: the snapshot content digest plus the normalized spec
-// with the speed-only Workers knob zeroed. Execution is deterministic,
-// so equal keys imply byte-identical results (the served-vs-offline
-// oracle asserts exactly this).
+// with the knobs that change no result, Workers and ChannelDepth, zeroed.
+// Execution is deterministic, so equal keys imply byte-identical results
+// (the served-vs-offline oracle asserts exactly this).
 func (s JobSpec) cacheKey(digest string) string {
-	s.Workers = 0
+	s.Workers, s.ChannelDepth = 0, 0
 	// JobSpec is plain data — strings, ints, *bool — so Marshal cannot
 	// fail; the blank assignment keeps that a compile-visible fact.
 	b, _ := json.Marshal(s)
@@ -327,12 +329,11 @@ const (
 // counters is every serve counter resolved to its handle once, in
 // NewManager: an event costs an atomic add, not a registry lookup.
 type counters struct {
-	submitted, completed, failed, cancelled *metrics.Counter
-	rejectedQueueFull, rejectedQuota        *metrics.Counter
-	resultHits, resultMisses, resultsEvicted, resultBytesEvicted,
-	planHits, planMisses, plansEvicted,
-	traceHits, traceMisses, tracesEvicted,
-	waitsParked, waitsExpired, jobsExpired, lookupsGone *metrics.Counter
+	submitted, completed, failed, cancelled                      *metrics.Counter
+	rejectedQueueFull, rejectedQuota                             *metrics.Counter
+	resultHits, resultMisses, resultsEvicted, resultBytesEvicted *metrics.Counter
+	plans, traces                                                memoKind
+	waitsParked, waitsExpired, jobsExpired, lookupsGone          *metrics.Counter
 }
 
 // newCounters resolves the names in the order counters declares them.
@@ -342,8 +343,8 @@ func newCounters(reg *metrics.Registry) counters {
 		c(CounterJobsSubmitted), c(CounterJobsCompleted), c(CounterJobsFailed), c(CounterJobsCancelled),
 		c(CounterRejectedQueueFull), c(CounterRejectedQuota),
 		c(CounterResultCacheHits), c(CounterResultCacheMisses), c(CounterResultsEvicted), c(CounterResultBytesEvicted),
-		c(CounterPlanCacheHits), c(CounterPlanCacheMisses), c(CounterPlansEvicted),
-		c(CounterTraceCacheHits), c(CounterTraceCacheMisses), c(CounterTracesEvicted),
+		memoKind{c(CounterPlanCacheHits), c(CounterPlanCacheMisses), c(CounterPlansEvicted)},
+		memoKind{c(CounterTraceCacheHits), c(CounterTraceCacheMisses), c(CounterTracesEvicted)},
 		c(CounterWaitsParked), c(CounterWaitsExpired), c(CounterJobsExpired), c(CounterLookupsGone),
 	}
 }

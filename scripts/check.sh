@@ -229,11 +229,11 @@ step go test -race -count=2 \
     -run '^TestStorePinConcurrentHammer$|^TestStoreStaysWithinBudget$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$|^TestStoreStatsDeterministic$' \
     ./internal/store/
 
-# The snapshot's plan cache and the trace cache under two racing
-# executors, 10 times under the race detector: LDG jobs that differ only
-# in seed both miss, both compute, and must still all resolve the one
-# stored *Assignment; eight jobs that differ only in architecture and
-# policy must execute the kernel once.
+# The result cache's memo of plans and traces under two racing
+# executors, 10 times under the race detector: seedless LDG jobs now
+# share one partitioning — the first miss partitions, the other waits,
+# and every job resolves the one kept *Assignment; eight jobs that differ
+# only in architecture and policy must execute the kernel once.
 step go test -race -count=10 -run '^(TestSeedlessPlansAreShared|TestOneExecutionIsPricedPerArchitecture)$' ./internal/serve/
 
 # ndpserve's SIGTERM drain with a waiter parked, 20 times under the race
