@@ -108,9 +108,9 @@ type modeLimit struct {
 // measures traffic, not the simulator's per-iteration ledger; a container
 // is the graph, which the service and the cluster do not read; the kernel
 // engine partitions nothing, models no machine, keeps no ledger and is not
-// the cluster; the simulator always pushes and has no links to shape or
-// fault; one ledger file cannot hold four architectures; the store's
-// knobs have no store to act on.
+// the cluster; the simulator, here or served, always pushes and has no
+// links to shape or fault; one ledger file cannot hold four architectures;
+// the store's knobs have no store to act on.
 func (o *flags) limits() []modeLimit {
 	links := []string{"treefanin", "chandepth", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash"}
 	return []modeLimit{
@@ -118,7 +118,7 @@ func (o *flags) limits() []modeLimit {
 		{"-cluster", o.cluster, []string{"policy", "device", "switchbuffer", "direction", "workers", "iters", "itercsv"}},
 		{"-store", o.storePath != "", []string{"dataset", "graph", "scale", "server", "cluster"}},
 		{"-arch serial", o.ef.Arch == "serial", append([]string{"partitions", "computes", "partitioner", "policy", "aggregate", "device", "switchbuffer", "iters", "itercsv", "cluster"}, links...)},
-		{"the simulator", o.serverURL == "" && !o.cluster && o.ef.Arch != "serial", append([]string{"direction"}, links...)},
+		{"the simulator", !o.cluster && o.ef.Arch != "serial", append([]string{"direction"}, links...)},
 		{"-arch all", o.ef.Arch == "all", []string{"itercsv"}},
 		{"no -store", o.storePath == "", []string{"store-mem", "store-verify"}},
 	}

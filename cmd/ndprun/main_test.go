@@ -279,6 +279,8 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 		{"-server", "-crash", "1@1"},
 		{"-server", "-iters", ""},
 		{"-server", "-itercsv", "ledger.csv"},
+		{"-server", "-treefanin", "2"},
+		{"-server", "-chandepth", "4"},
 		{"-cluster", "-policy", "always"},
 		{"-cluster", "-device", "UPMEM"},
 		{"-cluster", "-switchbuffer", "64"},

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
+	"repro/internal/partition"
+	"repro/internal/sim"
 )
 
 // TestServeHitAllocGate holds a cache-hit Submit to a reviewed
@@ -47,5 +50,44 @@ func TestServeHitAllocGate(t *testing.T) {
 	const want = 7
 	if got := testing.AllocsPerRun(3000, hit); got != want {
 		t.Errorf("a cache-hit Submit makes %.0f allocations, want %d: the count is a reviewed number — a change that moves it updates it here, with why", got, want)
+	}
+}
+
+// TestMemoHitAllocGate holds a warm miss's two lookups, its plan and then
+// its execution, to no allocation: each table is keyed by its own key
+// type, so a lookup hashes the key where it lies and boxes nothing. It
+// reads 0 under -race too.
+func TestMemoHitAllocGate(t *testing.T) {
+	m, snap := newTestManager(t, ManagerConfig{}, nil)
+	ctx := context.Background()
+	pkey := planKey{snap.Digest(), partition.Hash{}, 4}
+	a, err := m.cache.plan(ctx, snap.Graph(), pkey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tkey := traceKey{plan: pkey, kernel: "bfs"}
+	exec := func() (*sim.Trace, int64, error) {
+		tr, err := sim.Execute(ctx, snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
+		if err != nil {
+			return nil, 0, err
+		}
+		return tr, tr.Size(), nil
+	}
+	if _, err := memo(m.cache, ctx, &m.cache.traces, tkey, exec); err != nil {
+		t.Fatal(err)
+	}
+	lookups := func() {
+		if _, err := m.cache.plan(ctx, snap.Graph(), pkey); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := memo(m.cache, ctx, &m.cache.traces, tkey, exec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(1000, lookups); got != 0 {
+		t.Errorf("a warm plan and trace lookup make %.0f allocations, want 0", got)
+	}
+	if hits := counter(m, CounterPlanCacheHits) + counter(m, CounterTraceCacheHits); hits < 2*1000 {
+		t.Errorf("%d plan and trace hits: the lookups did not hit", hits)
 	}
 }

@@ -3,11 +3,13 @@ package serve
 import (
 	"container/list"
 	"context"
+	"math"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/sim"
 )
 
 // resultBudget bounds the bytes the result cache holds — result keys
@@ -17,37 +19,65 @@ import (
 // service retains").
 const resultBudget = 32 << 20
 
-// ResultCache maps canonical cache keys (snapshot digest + normalized
-// spec, see JobSpec.cacheKey) to the canonical marshalled result bytes,
-// and is their only owner. Beside them, under the same budget and on the
-// same recency list, it is the service's one memo of what a miss computes
-// (memo): partition plans (planKey) and execution traces (traceKey), so a
-// miss whose plan or execution is known skips that step. Computation is
-// deterministic, so entries never go stale; eviction is purely a memory
-// concern — least recently used first, whatever the entry. A stored entry
-// is evicted only after newer entries worth the budget, less whatever was
-// re-referenced meanwhile, were stored; a hit evicts nothing.
+// ResultCache is the service's one memo of what a miss computes: the
+// canonical marshalled results under their cache keys (snapshot digest +
+// normalized spec, see JobSpec.cacheKey), of which it is the only owner,
+// and the partition plans (planKey) and execution traces (traceKey) they
+// are computed from. Each kind has a table keyed by its own type; all
+// enter through memo and share one recency list under one byte budget.
+// Computation is deterministic, so entries never go stale; eviction is
+// purely a memory concern — least recently used first, whatever the
+// entry. A stored entry is evicted only after newer entries worth the
+// budget, less whatever was re-referenced meanwhile, were stored; a hit
+// evicts nothing.
 type ResultCache struct {
-	mu     sync.Mutex
-	max    int
-	budget int64
-	bytes  int64
-	items  map[string]*list.Element // results
-	memos  map[any]*list.Element    // plans and traces
-	lru    list.List                // of *cacheEntry, most recently used first
-	// running holds, for each memo key being computed, a channel closed
-	// when the computation ends.
-	running map[any]chan struct{}
+	mu      sync.Mutex
+	budget  int64
+	bytes   int64
+	lru     list.List // of evictable entries, most recently used first
+	results memoTable[string, []byte]
+	plans   memoTable[planKey, *partition.Assignment]
+	traces  memoTable[traceKey, *sim.Trace]
 }
 
-// cacheEntry is a result (a string key and its bytes b) or a memoized
-// value v, which counts its own eviction.
-type cacheEntry struct {
-	key     any
-	b       []byte
-	v       any
-	size    int64
-	evicted *metrics.Counter // nil for a result
+// memoTable is one kind of memoized value: the entries kept, at most max
+// of them, and for each key being computed a channel closed when the
+// computation ends, beside what the kind counts.
+type memoTable[K comparable, V any] struct {
+	kept    map[K]*list.Element
+	running map[K]chan struct{}
+	max     int
+	memoKind
+}
+
+// memoKind is what one kind counts; a nil misses is counted by the caller
+// (a result's, at Submit), and a nil evictedBytes not at all.
+type memoKind struct{ hits, misses, evicted, evictedBytes *metrics.Counter }
+
+// memoEntry is one kept value and the table that keeps it.
+type memoEntry[K comparable, V any] struct {
+	t    *memoTable[K, V]
+	key  K
+	v    V
+	size int64
+}
+
+// evictable is a recency-list entry: evict drops it from its table,
+// counts the eviction and returns the bytes it held.
+type evictable interface{ evict() int64 }
+
+func (e *memoEntry[K, V]) evict() int64 {
+	delete(e.t.kept, e.key)
+	e.t.evicted.Inc()
+	if e.t.evictedBytes != nil {
+		e.t.evictedBytes.Add(e.size)
+	}
+	return e.size
+}
+
+// newMemoTable returns an empty table of at most max entries counting in kind.
+func newMemoTable[K comparable, V any](max int, kind memoKind) memoTable[K, V] {
+	return memoTable[K, V]{make(map[K]*list.Element), make(map[K]chan struct{}), max, kind}
 }
 
 // planKey names a plan by what an assignment depends on: the graph's
@@ -69,20 +99,18 @@ type traceKey struct {
 	iters  int
 }
 
-// memoKind is what one kind of memoized value counts.
-type memoKind struct{ hits, misses, evicted *metrics.Counter }
-
 // newResultCache returns a cache bounded to max results (0 = a default of
-// 256: over 128 KiB a result the byte budget binds first) and budget bytes.
-func newResultCache(max int, budget int64) *ResultCache {
+// 256: over 128 KiB a result the byte budget binds first) and budget
+// bytes, counting in cs.
+func newResultCache(max int, budget int64, cs *counters) *ResultCache {
 	if max <= 0 {
 		max = 256
 	}
 	return &ResultCache{
-		max: max, budget: budget,
-		items:   make(map[string]*list.Element),
-		memos:   make(map[any]*list.Element),
-		running: make(map[any]chan struct{}),
+		budget:  budget,
+		results: newMemoTable[string, []byte](max, cs.results),
+		plans:   newMemoTable[planKey, *partition.Assignment](math.MaxInt, cs.plans),
+		traces:  newMemoTable[traceKey, *sim.Trace](math.MaxInt, cs.traces),
 	}
 }
 
@@ -90,78 +118,40 @@ func newResultCache(max int, budget int64) *ResultCache {
 func (c *ResultCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.results.kept[key]
 	if !ok {
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).b, true
+	return el.Value.(*memoEntry[string, []byte]).v, true
 }
 
-// Put stores bytes under key as the most recent entry, first evicting
-// from the least recent end until it fits both bounds; a value larger
-// than the whole budget is admitted alone. It reports the results and
-// bytes evicted (memoized values count their own). A racing Put of the
-// same key keeps the first value — deterministic execution guarantees
-// both are identical.
-func (c *ResultCache) Put(key string, b []byte) (evicted int, evictedBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.lru.MoveToFront(el)
-		return 0, 0
-	}
-	e := &cacheEntry{key: key, b: b, size: int64(len(key) + len(b))}
-	evicted, evictedBytes = c.makeRoomLocked(e.size, true)
-	c.items[key] = c.lru.PushFront(e)
-	c.bytes += e.size
-	return evicted, evictedBytes
-}
-
-// makeRoomLocked evicts from the least recent end until size more bytes
-// fit the budget and, for a result, one more result fits the entry
-// bound. It reports the results and result bytes evicted. Callers hold
-// c.mu.
-func (c *ResultCache) makeRoomLocked(size int64, result bool) (evicted int, evictedBytes int64) {
-	for c.lru.Len() > 0 && (result && len(c.items) >= c.max || c.bytes+size > c.budget) {
-		old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
-		c.bytes -= old.size
-		if old.evicted != nil {
-			delete(c.memos, old.key)
-			old.evicted.Inc()
-			continue
-		}
-		delete(c.items, old.key.(string))
-		evicted++
-		evictedBytes += old.size
-	}
-	return evicted, evictedBytes
-}
-
-// memo returns the value kept under key, running compute for it on a miss
-// and keeping what it returns at the size it reports; it counts the hit
-// or miss in kind, and the results keeping evicts in cs. Callers of one
-// key share one computation: while compute runs, the others wait for it,
-// or for their own ctx, and then read what it kept, each a hit. A
-// computation that fails or is cancelled keeps nothing; its waiters try
-// again, and the first of them computes afresh.
-func memo[V any](c *ResultCache, ctx context.Context, key any, kind memoKind, cs *counters, compute func() (V, int64, error)) (V, error) {
+// memo returns the value t keeps under key, running compute for it on a
+// miss and keeping what it returns at the size it reports; it counts the
+// hit or miss in t. Callers of one key share one computation: while
+// compute runs, the others wait for it, or for their own ctx, and then
+// read what it kept, each a hit. A computation that fails or is cancelled
+// keeps nothing; its waiters try again, and the first of them computes
+// afresh.
+func memo[K comparable, V any](c *ResultCache, ctx context.Context, t *memoTable[K, V], key K, compute func() (V, int64, error)) (V, error) {
 	for {
 		c.mu.Lock()
-		if el, ok := c.memos[key]; ok {
+		if el, ok := t.kept[key]; ok {
 			c.lru.MoveToFront(el)
 			c.mu.Unlock()
-			kind.hits.Inc()
-			return el.Value.(*cacheEntry).v.(V), nil
+			t.hits.Inc()
+			return el.Value.(*memoEntry[K, V]).v, nil
 		}
-		wait, running := c.running[key]
+		wait, running := t.running[key]
 		if !running {
-			c.running[key] = make(chan struct{})
+			t.running[key] = make(chan struct{})
 		}
 		c.mu.Unlock()
 		if !running {
-			kind.misses.Inc()
-			return remember(c, key, kind, cs, compute)
+			if t.misses != nil {
+				t.misses.Inc()
+			}
+			return remember(c, t, key, compute)
 		}
 		select {
 		case <-wait:
@@ -172,35 +162,38 @@ func memo[V any](c *ResultCache, ctx context.Context, key any, kind memoKind, cs
 	}
 }
 
-// remember runs compute for the caller that claimed key, keeps its value
-// if it succeeded, and releases the waiters whatever happened.
-func remember[V any](c *ResultCache, key any, kind memoKind, cs *counters, compute func() (V, int64, error)) (V, error) {
-	var kept *cacheEntry
+// remember runs compute for the caller that claimed key and releases the
+// waiters whatever happened. A value it returned without error is kept as
+// the most recent entry, first evicting from the least recent end until it
+// fits the budget and t's entry bound; a value larger than the whole
+// budget is admitted alone.
+func remember[K comparable, V any](c *ResultCache, t *memoTable[K, V], key K, compute func() (V, int64, error)) (V, error) {
+	var kept *memoEntry[K, V]
 	defer func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		close(c.running[key])
-		delete(c.running, key)
+		close(t.running[key])
+		delete(t.running, key)
 		if kept == nil {
 			return
 		}
-		n, nb := c.makeRoomLocked(kept.size, false)
-		cs.resultsEvicted.Add(int64(n))
-		cs.resultBytesEvicted.Add(nb)
-		c.memos[key] = c.lru.PushFront(kept)
+		for c.lru.Len() > 0 && (len(t.kept) >= t.max || c.bytes+kept.size > c.budget) {
+			c.bytes -= c.lru.Remove(c.lru.Back()).(evictable).evict()
+		}
+		t.kept[key] = c.lru.PushFront(kept)
 		c.bytes += kept.size
 	}()
 	v, size, err := compute()
 	if err == nil {
-		kept = &cacheEntry{key: key, v: v, size: size, evicted: kind.evicted}
+		kept = &memoEntry[K, V]{t: t, key: key, v: v, size: size}
 	}
 	return v, err
 }
 
 // plan returns the plan kept under key, partitioning g on a miss. A plan
 // is charged four bytes a vertex plus its digest.
-func (c *ResultCache) plan(ctx context.Context, g *graph.Graph, key planKey, cs *counters) (*partition.Assignment, error) {
-	return memo(c, ctx, key, cs.plans, cs, func() (*partition.Assignment, int64, error) {
+func (c *ResultCache) plan(ctx context.Context, g *graph.Graph, key planKey) (*partition.Assignment, error) {
+	return memo(c, ctx, &c.plans, key, func() (*partition.Assignment, int64, error) {
 		a, err := key.p.Partition(g, key.k)
 		if err != nil {
 			return nil, 0, err

@@ -1,22 +1,27 @@
 package serve
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/url"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // FuzzJobSpecNormalize feeds arbitrary bytes through the path a
 // submission's body takes — json.Unmarshal into a JobSpec, then Normalize
 // — and requires an error or a canonical spec: normalizing it again
 // changes nothing, and its cache key is the same before and after that
-// second pass and does not move with Workers or ChannelDepth.
+// second pass and does not move with Workers, ChannelDepth or any field
+// the spec's engine does not read (JobSpec.cacheKey).
 func FuzzJobSpecNormalize(f *testing.F) {
 	f.Add([]byte(`{"snapshot":"g"}`))
 	f.Add([]byte(`{"snapshot":"g","engine":"cluster","kernel":"bfs","partitions":16,"computes":2,"partitioner":"ldg","aggregation":false,"treefanin":4}`))
@@ -43,6 +48,23 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		}
 		again.Workers = spec.Workers + 1
 		again.ChannelDepth = spec.ChannelDepth + 1
+		policy := "never"
+		if spec.Policy == policy {
+			policy = "always"
+		}
+		flipped := spec.Aggregation == nil || !*spec.Aggregation
+		switch {
+		case spec.Engine == EngineSerial:
+			again.Arch, again.Partitions, again.Computes, again.Partitioner = "distributed", spec.Partitions+1, spec.Computes+1, "hash"
+			again.Seed, again.Policy, again.Aggregation, again.TreeFanIn = spec.Seed+1, policy, &flipped, spec.TreeFanIn+1
+		case spec.Engine == EngineCluster:
+			again.Policy = policy
+		case spec.Arch != core.DisaggregatedNDP.String():
+			again.Policy, again.Aggregation = policy, &flipped
+			fallthrough
+		default:
+			again.TreeFanIn = spec.TreeFanIn + 1
+		}
 		if got := again.cacheKey("digest"); got != key {
 			t.Fatalf("cache key moved:\n%s\n%s", key, got)
 		}
@@ -124,16 +146,19 @@ func FuzzWaitParam(f *testing.F) {
 }
 
 // FuzzResultCache drives the result cache with an arbitrary stream of
-// Gets and Puts over a small key space and sizes that straddle the budget,
-// beside a model that keeps the same entries in a plain slice, most recent
-// first. After every operation the cache answers as the model does, has
-// evicted what the model evicted, and satisfies checkCache: its byte count
-// is the sum of its live entries and exceeds the budget only for an entry
-// admitted alone.
+// Gets and misses through its memo over a small key space and sizes that
+// straddle the budget, beside a model that keeps the same entries in a
+// plain slice, most recent first. A miss whose computation fails keeps
+// nothing; one of a kept key is a hit and computes nothing. After every
+// operation the cache answers as the model does, has evicted what the
+// model evicted, and satisfies checkCache: its byte count is the sum of
+// its live entries and exceeds the budget only for an entry admitted
+// alone.
 func FuzzResultCache(f *testing.F) {
 	f.Add([]byte{0x81, 10, 0x82, 10, 0x01, 0, 0x83, 200, 0x02, 0})
 	f.Add([]byte{0x81, 255, 0x82, 255, 0x83, 1, 0x81, 1})
 	f.Add([]byte{0x80, 0, 0x00, 0, 0x8f, 100, 0x8f, 100, 0x0f, 0})
+	f.Add([]byte{0xc1, 10, 0x01, 0, 0x81, 10, 0xc1, 50, 0x01, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const maxEntries, budget = 6, 400
 		type entry struct {
@@ -154,7 +179,8 @@ func FuzzResultCache(f *testing.F) {
 			copy(model[1:i+1], model[:i])
 			model[0] = e
 		}
-		c := newResultCache(maxEntries, budget)
+		errFail := errors.New("the computation failed")
+		c := testCache(maxEntries, budget)
 		for ; len(ops) >= 2; ops = ops[2:] {
 			key := fmt.Sprintf("key-%02d", ops[0]&0x0f)
 			if ops[0]&0x80 == 0 {
@@ -167,13 +193,24 @@ func FuzzResultCache(f *testing.F) {
 					front(i)
 				}
 			} else {
+				fails := ops[0]&0x40 != 0
 				e := entry{key, int64(len(key)) + 2*int64(ops[1])}
-				n, nb := c.Put(key, make([]byte, 2*int(ops[1])))
-				var wantN int
-				var wantBytes, held int64
-				if i := find(key); i >= 0 {
+				evicted, evictedBytes := c.results.evicted.Value(), c.results.evictedBytes.Value()
+				computed := false
+				_, err := c.result(context.Background(), key, func() ([]byte, error) {
+					computed = true
+					if fails {
+						return nil, errFail
+					}
+					return make([]byte, 2*int(ops[1])), nil
+				})
+				var wantN, wantBytes, held int64
+				i := find(key)
+				switch {
+				case i >= 0:
 					front(i)
-				} else {
+				case fails:
+				default:
 					for _, m := range model {
 						held += m.size
 					}
@@ -186,13 +223,20 @@ func FuzzResultCache(f *testing.F) {
 					}
 					model = append([]entry{e}, model...)
 				}
+				if computed != (i < 0) || (err != nil) != (i < 0 && fails) {
+					t.Fatalf("miss of %s (kept %v, failing %v): computed %v, err %v", key, i >= 0, fails, computed, err)
+				}
+				n, nb := c.results.evicted.Value()-evicted, c.results.evictedBytes.Value()-evictedBytes
 				if n != wantN || nb != wantBytes {
-					t.Fatalf("Put(%s, %d bytes) evicted %d results %d bytes, the model %d and %d", key, e.size, n, nb, wantN, wantBytes)
+					t.Fatalf("keeping %s (%d bytes) evicted %d results %d bytes, the model %d and %d", key, e.size, n, nb, wantN, wantBytes)
 				}
 			}
 			checkCache(t, c)
 			if c.Len() != len(model) {
 				t.Fatalf("cache holds %d entries, the model %d", c.Len(), len(model))
+			}
+			if err := nothingRunning(c); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

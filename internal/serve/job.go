@@ -91,7 +91,8 @@ type ManagerConfig struct {
 	// unlimited); submissions beyond it are rejected with
 	// ErrQuotaExceeded.
 	TenantQuota int
-	// CacheEntries bounds the result cache (0 = default).
+	// CacheEntries bounds the results the cache holds (0 = a default of
+	// 256); plans and traces are bounded by its byte budget alone.
 	CacheEntries int
 }
 
@@ -142,7 +143,6 @@ func NewManager(reg *Registry, mreg *metrics.Registry, cfg ManagerConfig) *Manag
 		reg:        reg,
 		metrics:    mreg,
 		c:          newCounters(mreg),
-		cache:      newResultCache(cfg.CacheEntries, resultBudget),
 		cfg:        cfg,
 		jobs:       make(map[string]*Job),
 		finished:   make([]*Job, finishedJobsKept),
@@ -150,6 +150,7 @@ func NewManager(reg *Registry, mreg *metrics.Registry, cfg ManagerConfig) *Manag
 		notify:     make(chan struct{}, cfg.Executors),
 		stopCh:     make(chan struct{}),
 	}
+	m.cache = newResultCache(cfg.CacheEntries, resultBudget, &m.c)
 	m.exec = m.runSpec
 	m.wg.Add(cfg.Executors)
 	for i := 0; i < cfg.Executors; i++ {
@@ -196,7 +197,7 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 	// Cache hits bypass admission entirely: they consume no queue slot
 	// and no tenant quota, and complete before Submit returns.
 	if _, hit := m.cache.Get(key); hit {
-		m.c.resultHits.Inc()
+		m.c.results.hits.Inc()
 		m.c.completed.Inc()
 		job.state = StateDone
 		job.cacheHit = true
@@ -457,19 +458,11 @@ func (m *Manager) executor() {
 	}
 }
 
-// runJob executes one dequeued job to a terminal state.
+// runJob executes one dequeued job to a terminal state, unless an identical
+// job that ran first or runs now answers it: a cache hit, executing nothing.
 func (m *Manager) runJob(job *Job) {
 	m.mu.Lock()
 	if job.state != StateQueued {
-		m.mu.Unlock()
-		return
-	}
-	// Second-chance cache check: an identical job may have completed
-	// while this one sat in the queue.
-	if _, hit := m.cache.Get(job.key); hit {
-		m.c.resultHits.Inc()
-		job.cacheHit = true
-		m.finishLocked(job, StateDone, nil)
 		m.mu.Unlock()
 		return
 	}
@@ -479,15 +472,20 @@ func (m *Manager) runJob(job *Job) {
 	snap, spec := job.snap, job.spec
 	m.mu.Unlock()
 
-	res, err := m.exec(ctx, snap, spec)
-	cancel()
-	// Encode before re-taking the lock: every tenant's Submit, Info and
+	// Execute and encode outside m.mu: every tenant's Submit, Info and
 	// Result, and every waiter's wake-up, would otherwise queue behind it.
-	var b []byte
-	var merr error
-	if err == nil {
-		b, merr = MarshalResult(res)
-	}
+	// A result is charged its key and its bytes.
+	computed := false
+	_, err := memo(m.cache, ctx, &m.cache.results, job.key, func() ([]byte, int64, error) {
+		computed = true
+		res, err := m.exec(ctx, snap, spec)
+		if err != nil {
+			return nil, 0, err
+		}
+		b, err := MarshalResult(res)
+		return b, int64(len(job.key) + len(b)), err
+	})
+	cancel()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -496,12 +494,8 @@ func (m *Manager) runJob(job *Job) {
 		m.finishLocked(job, StateCancelled, context.Canceled)
 	case err != nil:
 		m.finishLocked(job, StateFailed, err)
-	case merr != nil:
-		m.finishLocked(job, StateFailed, merr)
 	default:
-		n, nb := m.cache.Put(job.key, b)
-		m.c.resultsEvicted.Add(int64(n))
-		m.c.resultBytesEvicted.Add(nb)
+		job.cacheHit = !computed
 		m.finishLocked(job, StateDone, nil)
 	}
 }
@@ -545,7 +539,7 @@ func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*c
 		return nil, err
 	}
 	plan := planKey{snap.Digest(), p, spec.Partitions}
-	assign, err := m.cache.plan(ctx, snap.Graph(), plan, &m.c)
+	assign, err := m.cache.plan(ctx, snap.Graph(), plan)
 	if err != nil {
 		return nil, err
 	}
@@ -561,7 +555,7 @@ func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*c
 		return nil, err
 	}
 	key := traceKey{plan: plan, kernel: k.Name(), iters: spec.PRIters}
-	t, err := memo(m.cache, ctx, key, m.c.traces, &m.c, func() (*sim.Trace, int64, error) {
+	t, err := memo(m.cache, ctx, &m.cache.traces, key, func() (*sim.Trace, int64, error) {
 		tr, err := sys.Execute(ctx, snap.Graph(), k, core.RunConfig{Assignment: assign})
 		if err != nil {
 			return nil, 0, err

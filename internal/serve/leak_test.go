@@ -37,7 +37,9 @@ func waitForGoroutines(t testing.TB, base, slack int) {
 // TestCancelMidRunReturnsToBaseline cancels a job while its executor is
 // parked inside exec and asserts the full teardown story: the job ends
 // cancelled, the snapshot refcount returns to the registry's own
-// reference, and stopping the manager leaves no goroutine behind.
+// reference, and stopping the manager with a job running and its twin
+// waiting for that job's execution cancels both, computes nothing more and
+// leaves no goroutine behind.
 func TestCancelMidRunReturnsToBaseline(t *testing.T) {
 	base := runtime.NumGoroutine()
 	release := make(chan struct{})
@@ -64,7 +66,29 @@ func TestCancelMidRunReturnsToBaseline(t *testing.T) {
 	if got := snap.Refs(); got != refBase {
 		t.Fatalf("refs after cancel = %d, want %d", got, refBase)
 	}
+
+	var pair []*Job
+	for range 2 {
+		job, err := m.Submit("t", JobSpec{Snapshot: "g", Kernel: "cc", Seed: 602})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitRunning(t, m, job.ID())
+		pair = append(pair, job)
+	}
 	m.Stop()
+	for _, job := range pair {
+		waitDone(t, job)
+		if info := m.info(job); info.State != StateCancelled {
+			t.Fatalf("%s after Stop: state %s, want cancelled", job.ID(), info.State)
+		}
+	}
+	if got := snap.Refs(); got != refBase {
+		t.Fatalf("refs after Stop = %d, want %d", got, refBase)
+	}
+	if err := nothingRunning(m.cache); err != nil {
+		t.Fatal(err)
+	}
 	waitForGoroutines(t, base, 0)
 }
 

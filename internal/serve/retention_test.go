@@ -27,7 +27,7 @@ import (
 // sized through a fake exec; nothing here sleeps.
 
 // checkCache holds a cache to its invariants: the recency list and the
-// two maps are the same entries, the byte count is the sum of their
+// three tables are the same entries, the byte count is the sum of their
 // sizes, and neither bound is exceeded — except the byte budget by an
 // entry admitted alone.
 func checkCache(t testing.TB, c *ResultCache) {
@@ -35,33 +35,44 @@ func checkCache(t testing.TB, c *ResultCache) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sum int64
-	var results int
+	var results, plans, traces int
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.evicted != nil && c.memos[e.key] != el || e.evicted == nil && c.items[e.key.(string)] != el {
-			t.Fatalf("entry %+v: list and map disagree", e.key)
+		switch e := el.Value.(type) {
+		case *memoEntry[string, []byte]:
+			results, sum = results+1, sum+e.size
+			if e.t != &c.results || c.results.kept[e.key] != el {
+				t.Fatalf("result %q: list and table disagree", e.key)
+			}
+		case *memoEntry[planKey, *partition.Assignment]:
+			plans, sum = plans+1, sum+e.size
+			if e.t != &c.plans || c.plans.kept[e.key] != el {
+				t.Fatalf("plan %+v: list and table disagree", e.key)
+			}
+		case *memoEntry[traceKey, *sim.Trace]:
+			traces, sum = traces+1, sum+e.size
+			if e.t != &c.traces || c.traces.kept[e.key] != el {
+				t.Fatalf("trace %+v: list and table disagree", e.key)
+			}
+		default:
+			t.Fatalf("the recency list holds a %T", e)
 		}
-		if e.evicted == nil {
-			results++
-		}
-		sum += e.size
 	}
 	n := c.lru.Len()
-	if results != len(c.items) || n-results != len(c.memos) || sum != c.bytes {
-		t.Fatalf("list holds %d entries (%d results) %d bytes; maps %d results %d memos, accounted %d",
-			n, results, sum, len(c.items), len(c.memos), c.bytes)
+	if results != len(c.results.kept) || plans != len(c.plans.kept) || traces != len(c.traces.kept) || sum != c.bytes {
+		t.Fatalf("list holds %d results, %d plans, %d traces, %d bytes; tables %d, %d and %d, accounted %d",
+			results, plans, traces, sum, len(c.results.kept), len(c.plans.kept), len(c.traces.kept), c.bytes)
 	}
-	if results > c.max || (c.bytes > c.budget && n != 1) {
-		t.Fatalf("%d entries %d bytes exceed max %d budget %d", n, c.bytes, c.max, c.budget)
+	if results > c.results.max || (c.bytes > c.budget && n != 1) {
+		t.Fatalf("%d entries %d bytes exceed max %d budget %d", n, c.bytes, c.results.max, c.budget)
 	}
 }
 
-// Len (results) and Bytes (results and traces) read what a cache holds;
-// only tests ask.
+// Len (results) and Bytes (results, plans and traces) read what a cache
+// holds; only tests ask.
 func (c *ResultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.items)
+	return len(c.results.kept)
 }
 
 func (c *ResultCache) Bytes() int64 {
@@ -70,21 +81,46 @@ func (c *ResultCache) Bytes() int64 {
 	return c.bytes
 }
 
-// memosOf counts the values the cache keeps under keys of type K for which
-// of holds.
-func memosOf[K any](c *ResultCache, of func(K) bool) (n int) {
+// keptIn counts the values t keeps under keys for which of holds; a nil
+// of holds for every key.
+func keptIn[K comparable, V any](c *ResultCache, t *memoTable[K, V], of func(K) bool) (n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k := range c.memos {
-		if k, ok := k.(K); ok && of(k) {
+	for k := range t.kept {
+		if of == nil || of(k) {
 			n++
 		}
 	}
 	return n
 }
 
-// anyKey is memosOf's filter that holds for every key.
-func anyKey[K any](K) bool { return true }
+// testCache is a cache of max results and budget bytes counting in
+// counters of its own.
+func testCache(max int, budget int64) *ResultCache {
+	cs := newCounters(&metrics.Registry{})
+	return newResultCache(max, budget, &cs)
+}
+
+// result is runJob's lookup with compute in place of exec and the
+// encoder: the bytes kept under key, computed on a miss and charged their
+// key and their length.
+func (c *ResultCache) result(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, error) {
+	return memo(c, ctx, &c.results, key, func() ([]byte, int64, error) {
+		b, err := compute()
+		return b, int64(len(key) + len(b)), err
+	})
+}
+
+// put keeps b under key through the memo, as a served miss does, and
+// reports the results and bytes that evicted. A key already kept is a
+// hit: b is not computed, and nothing moves but its recency.
+func (c *ResultCache) put(key string, b []byte) (evicted int, evictedBytes int64) {
+	n, nb := c.results.evicted.Value(), c.results.evictedBytes.Value()
+	if _, err := c.result(context.Background(), key, func() ([]byte, error) { return b, nil }); err != nil {
+		panic(err)
+	}
+	return int(c.results.evicted.Value() - n), c.results.evictedBytes.Value() - nb
+}
 
 // kv is a cache entry of exactly size bytes, key included.
 func kv(i, size int) (string, []byte) {
@@ -93,12 +129,12 @@ func kv(i, size int) (string, []byte) {
 }
 
 func TestResultCacheAccounting(t *testing.T) {
-	c := newResultCache(8, 1000)
+	c := testCache(8, 1000)
 	put := func(i, size, wantEvicted int, wantBytes int64) {
 		t.Helper()
 		k, b := kv(i, size)
-		if n, nb := c.Put(k, b); n != wantEvicted || nb != wantBytes {
-			t.Fatalf("Put(%s, %d bytes) evicted %d results %d bytes, want %d and %d", k, size, n, nb, wantEvicted, wantBytes)
+		if n, nb := c.put(k, b); n != wantEvicted || nb != wantBytes {
+			t.Fatalf("put(%s, %d bytes) evicted %d results %d bytes, want %d and %d", k, size, n, nb, wantEvicted, wantBytes)
 		}
 		checkCache(t, c)
 	}
@@ -145,7 +181,7 @@ func TestHotSetSurvivesOneHitStream(t *testing.T) {
 		hot    = 64
 		gap    = 32 // one-hit inserts between two passes over the hot set
 	)
-	c := newResultCache(1<<20, budget)
+	c := testCache(1<<20, budget)
 	touchHot := func() {
 		t.Helper()
 		for i := 0; i < hot; i++ {
@@ -156,7 +192,7 @@ func TestHotSetSurvivesOneHitStream(t *testing.T) {
 		}
 	}
 	for i := 0; i < hot; i++ {
-		c.Put(kv(i, size))
+		c.put(kv(i, size))
 	}
 	next := hot
 	var evicted int
@@ -164,7 +200,7 @@ func TestHotSetSurvivesOneHitStream(t *testing.T) {
 		if next%gap == 0 {
 			touchHot()
 		}
-		n, _ := c.Put(kv(next, size))
+		n, _ := c.put(kv(next, size))
 		evicted += n
 	}
 	touchHot()
@@ -177,12 +213,12 @@ func TestHotSetSurvivesOneHitStream(t *testing.T) {
 	// newer results, the hot set re-referenced throughout, and not the
 	// result after that.
 	newest, b := kv(next, size)
-	c.Put(newest, b)
+	c.put(newest, b)
 	for i := 1; i <= (budget-hot*size-size)/size; i++ {
 		if i%gap == 0 {
 			touchHot()
 		}
-		c.Put(kv(next+i, size))
+		c.put(kv(next+i, size))
 	}
 	touchHot()
 	if _, ok := c.Get(newest); !ok {
@@ -190,7 +226,7 @@ func TestHotSetSurvivesOneHitStream(t *testing.T) {
 	}
 	// That Get re-referenced it; the guarantee then starts over.
 	for i := 0; i < (budget-hot*size-size)/size; i++ {
-		c.Put(kv(next+1000+i, size))
+		c.put(kv(next+1000+i, size))
 	}
 	if _, ok := c.Get(newest); !ok {
 		t.Fatal("a re-referenced result did not get its bound afresh")
@@ -215,7 +251,7 @@ func (seededHash) Partition(g *graph.Graph, k int) (*partition.Assignment, error
 // distinct plans.
 func sizedExec(m *Manager, floats int) func(context.Context, *Snapshot, JobSpec) (*core.Result, error) {
 	return func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
-		if _, err := m.cache.plan(ctx, snap.Graph(), planKey{snap.Digest(), seededHash{spec.Seed}, 4}, &m.c); err != nil {
+		if _, err := m.cache.plan(ctx, snap.Graph(), planKey{snap.Digest(), seededHash{spec.Seed}, 4}); err != nil {
 			return nil, err
 		}
 		res := fakeResult(spec)
@@ -252,8 +288,8 @@ func TestCountersResolveTheirNames(t *testing.T) {
 		{m.c.submitted, CounterJobsSubmitted}, {m.c.completed, CounterJobsCompleted},
 		{m.c.failed, CounterJobsFailed}, {m.c.cancelled, CounterJobsCancelled},
 		{m.c.rejectedQueueFull, CounterRejectedQueueFull}, {m.c.rejectedQuota, CounterRejectedQuota},
-		{m.c.resultHits, CounterResultCacheHits}, {m.c.resultMisses, CounterResultCacheMisses},
-		{m.c.resultsEvicted, CounterResultsEvicted}, {m.c.resultBytesEvicted, CounterResultBytesEvicted},
+		{m.c.results.hits, CounterResultCacheHits}, {m.c.resultMisses, CounterResultCacheMisses},
+		{m.c.results.evicted, CounterResultsEvicted}, {m.c.results.evictedBytes, CounterResultBytesEvicted},
 		{m.c.plans.hits, CounterPlanCacheHits}, {m.c.plans.misses, CounterPlanCacheMisses},
 		{m.c.plans.evicted, CounterPlansEvicted}, {m.c.traces.hits, CounterTraceCacheHits},
 		{m.c.traces.misses, CounterTraceCacheMisses}, {m.c.traces.evicted, CounterTracesEvicted},
@@ -314,7 +350,7 @@ func TestNothingGrowsWithJobsServed(t *testing.T) {
 	if got := counter(m, CounterResultBytesEvicted); got < 65536*counter(m, CounterResultsEvicted) {
 		t.Errorf("%s = %d for %d results of over 64 KiB", CounterResultBytesEvicted, got, counter(m, CounterResultsEvicted))
 	}
-	plans := memosOf(m.cache, anyKey[planKey])
+	plans := keptIn(m.cache, &m.cache.plans, nil)
 	if got, want := counter(m, CounterPlanCacheMisses), executed; got != want {
 		t.Errorf("%s = %d, want one plan a seed executed: %d", CounterPlanCacheMisses, got, want)
 	}
@@ -553,7 +589,7 @@ func TestTracesShareTheResultBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const result = 300 // under a plan's 320 bytes: evicting the plan makes room for one
-	c := newResultCache(0, planSize+size+result)
+	c := newResultCache(0, planSize+size+result, &m.c)
 	check := func(wantBytes int64) {
 		t.Helper()
 		checkCache(t, c)
@@ -563,7 +599,7 @@ func TestTracesShareTheResultBudget(t *testing.T) {
 	}
 	plan := func(wantBytes int64) {
 		t.Helper()
-		got, err := c.plan(ctx, snap.Graph(), pkey, &m.c)
+		got, err := c.plan(ctx, snap.Graph(), pkey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,7 +610,7 @@ func TestTracesShareTheResultBudget(t *testing.T) {
 	}
 	keep := func(wantExecutions int, wantBytes int64) {
 		t.Helper()
-		if _, err := memo(c, ctx, key, m.c.traces, &m.c, exec); err != nil {
+		if _, err := memo(c, ctx, &c.traces, key, exec); err != nil {
 			t.Fatal(err)
 		}
 		if executions != wantExecutions {
@@ -594,8 +630,8 @@ func TestTracesShareTheResultBudget(t *testing.T) {
 	plan(planSize)
 	keep(2, planSize+size)
 	keep(2, planSize+size) // a hit
-	c.Put(kv(1, result))   // the budget, full
-	c.Put(kv(2, result))   // past it: the plan is the least recent
+	c.put(kv(1, result))   // the budget, full
+	c.put(kv(2, result))   // past it: the plan is the least recent
 	check(size + 2*result)
 	evicted(0, 1, 0)
 	plan(planSize + 2*result) // partitions again, and evicts the trace
@@ -619,14 +655,14 @@ func TestTracesShareTheResultBudget(t *testing.T) {
 func TestSnapshotSwapAgesOutOldResults(t *testing.T) {
 	m, old := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 4}, nil)
 	m.exec = sizedExec(m, 1024) // ~11 KiB each
-	m.cache = newResultCache(0, 256<<10)
+	m.cache = newResultCache(0, 256<<10, &m.c)
 	for i := 0; i < 10; i++ {
 		submitDone(t, m, JobSpec{Snapshot: "g", Kernel: "cc", Seed: uint64(1 + i)})
 	}
 	held := func(digest string) (n int) {
 		m.cache.mu.Lock()
 		defer m.cache.mu.Unlock()
-		for k := range m.cache.items {
+		for k := range m.cache.results.kept {
 			if strings.HasPrefix(k, digest) {
 				n++
 			}
@@ -634,7 +670,7 @@ func TestSnapshotSwapAgesOutOldResults(t *testing.T) {
 		return n
 	}
 	plans := func(digest string) int {
-		return memosOf(m.cache, func(k planKey) bool { return k.digest == digest })
+		return keptIn(m.cache, &m.cache.plans, func(k planKey) bool { return k.digest == digest })
 	}
 	if held(old.Digest()) != 10 || plans(old.Digest()) != 10 {
 		t.Fatalf("cache holds %d results and %d plans of the first snapshot, want 10 of each", held(old.Digest()), plans(old.Digest()))
@@ -671,7 +707,7 @@ func TestSnapshotSwapAgesOutOldResults(t *testing.T) {
 // which the first job's status still answers and its result is 410.
 func TestOversizedResultServedAlone(t *testing.T) {
 	m, _ := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 4}, nil)
-	m.cache = newResultCache(0, 64)
+	m.cache = newResultCache(0, 64, &m.c)
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
 	c := NewClient(ts.URL, "t")

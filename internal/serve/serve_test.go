@@ -180,7 +180,7 @@ func TestSeedlessPlansAreShared(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := m.cache.plan(ctx, snap.Graph(), planKey{snap.Digest(), countedPartitioner{p, &calls}, spec.Partitions}, &m.c)
+		a, err := m.cache.plan(ctx, snap.Graph(), planKey{snap.Digest(), countedPartitioner{p, &calls}, spec.Partitions})
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +221,7 @@ func TestSeedlessPlansAreShared(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Errorf("the graph was partitioned %d times, want once", n)
 	}
-	if kept := memosOf(m.cache, anyKey[planKey]); kept != 1 {
+	if kept := keptIn(m.cache, &m.cache.plans, nil); kept != 1 {
 		t.Errorf("cache keeps %d plans, want 1", kept)
 	}
 	if err := nothingRunning(m.cache); err != nil {
@@ -236,8 +236,8 @@ func TestSeedlessPlansAreShared(t *testing.T) {
 }
 
 // TestOneExecutionIsPricedPerArchitecture has two tenants submit at once
-// every architecture under two policies of one (snapshot, plan, kernel):
-// eight result-cache misses, the first two entering the executor
+// every architecture at two compute-node counts of one (snapshot, plan,
+// kernel): eight result-cache misses, the first two entering the executor
 // together. The kernel must execute once — one trace miss, seven hits,
 // the racing executor waiting for the other's execution — and every
 // result must be the offline twin's bytes. A caller scribbling over the
@@ -299,8 +299,10 @@ func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 
 	var specs []JobSpec
 	for _, arch := range core.Architectures() {
-		for _, policy := range []string{"always", "heuristic"} {
-			specs = append(specs, spec(arch.String(), policy))
+		for _, computes := range []int{2, 4} {
+			s := spec(arch.String(), "always")
+			s.Computes = computes
+			specs = append(specs, s)
 		}
 	}
 	jobs := make([]*Job, len(specs))
@@ -371,7 +373,7 @@ func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 	}
 	traces(8, 4)
 
-	if kept := memosOf(m.cache, anyKey[traceKey]); kept != 3 {
+	if kept := keptIn(m.cache, &m.cache.traces, nil); kept != 3 {
 		t.Errorf("cache keeps %d traces, want 3", kept)
 	}
 	if err := nothingRunning(m.cache); err != nil {
@@ -654,6 +656,72 @@ func TestChannelDepthChangesNoResult(t *testing.T) {
 	}
 }
 
+// TestUnreadFieldsSplitNoKey: a field the spec's engine never reads
+// decides nothing, so each pair below, which differ only in such fields,
+// is one cache key and the same bytes: the simulator's tree fan-in; all
+// the kernel engine's machine; the cluster's policy; and the policy and
+// aggregation of every architecture without an NDP switch.
+func TestUnreadFieldsSplitNoKey(t *testing.T) {
+	g := testGraph(t, 3)
+	off := false
+	for _, c := range []struct {
+		name string
+		a, b JobSpec
+	}{
+		{"sim treefanin",
+			JobSpec{Kernel: "pagerank", Partitioner: "hash"},
+			JobSpec{Kernel: "pagerank", Partitioner: "hash", TreeFanIn: 4}},
+		{"serial machine",
+			JobSpec{Engine: EngineSerial, Kernel: "cc"},
+			JobSpec{Engine: EngineSerial, Kernel: "cc", Arch: "distributed", Partitions: 4, Computes: 4, Partitioner: "hash",
+				Seed: 7, Policy: "never", Aggregation: &off, TreeFanIn: 2}},
+		{"cluster policy",
+			JobSpec{Engine: EngineCluster, Kernel: "bfs", Partitioner: "hash"},
+			JobSpec{Engine: EngineCluster, Kernel: "bfs", Partitioner: "hash", Policy: "always"}},
+	} {
+		t.Run(c.name, func(t *testing.T) { sameKeySameBytes(t, g, c.a, c.b) })
+	}
+	for _, arch := range core.Architectures() {
+		if arch == core.DisaggregatedNDP {
+			continue
+		}
+		t.Run(arch.String()+" policy and aggregation", func(t *testing.T) {
+			sameKeySameBytes(t, g,
+				JobSpec{Kernel: "pagerank", Arch: arch.String(), Partitioner: "hash"},
+				JobSpec{Kernel: "pagerank", Arch: arch.String(), Partitioner: "hash", Policy: "always", Aggregation: &off})
+		})
+	}
+}
+
+// sameKeySameBytes fails unless a and b, on snapshot "g" over graph g,
+// normalize to one cache key and execute to the same result bytes.
+func sameKeySameBytes(t *testing.T, g *graph.Graph, a, b JobSpec) {
+	t.Helper()
+	var keys []string
+	var outs [][]byte
+	for _, spec := range []JobSpec{a, b} {
+		spec.Snapshot = "g"
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ExecuteSpec(context.Background(), g, spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := MarshalResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, outs = append(keys, spec.cacheKey("d")), append(outs, out)
+	}
+	if keys[0] != keys[1] {
+		t.Errorf("two cache keys:\n%s\n%s", keys[0], keys[1])
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("different result bytes: the key would merge two results")
+	}
+}
+
 // TestPRItersReachEveryFixedIterationKernel holds priters to ppr as well
 // as pagerank: specs that differ only in priters are two cache keys, so
 // they must be two runs, not one result under two keys.
@@ -844,50 +912,64 @@ func TestHTTPRejectionStatuses(t *testing.T) {
 	}
 }
 
-// TestRunJobSecondChanceCache pins that a queued duplicate completes
-// from the cache when its twin finishes first, without re-executing.
+// TestRunJobSecondChanceCache pins that a duplicate miss executes
+// nothing: on one executor it is queued behind its twin and answered by
+// the result the twin kept; on two it is provably running, waiting for its
+// twin's execution, before that execution is released, and is answered by
+// it. Either way exec runs once, the duplicate is a cache hit counted as
+// one, and both jobs serve the same bytes.
 func TestRunJobSecondChanceCache(t *testing.T) {
-	var execs int
-	var mu sync.Mutex
-	release := make(chan struct{})
-	m, _ := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 8},
-		func(ctx context.Context, _ *Snapshot, spec JobSpec) (*core.Result, error) {
-			mu.Lock()
-			execs++
-			mu.Unlock()
-			select {
-			case <-release:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			return fakeResult(spec), nil
-		})
+	for _, executors := range []int{1, 2} {
+		t.Run(fmt.Sprintf("executors=%d", executors), func(t *testing.T) {
+			var execs atomic.Int32
+			release := make(chan struct{})
+			m, _ := newTestManager(t, ManagerConfig{Executors: executors, QueueCap: 8},
+				func(ctx context.Context, _ *Snapshot, spec JobSpec) (*core.Result, error) {
+					execs.Add(1)
+					select {
+					case <-release:
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+					return fakeResult(spec), nil
+				})
 
-	spec := JobSpec{Snapshot: "g", Kernel: "cc", Seed: 601}
-	first, err := m.Submit("t", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, m, first.ID())
-	// Identical spec, submitted while the first is still running: it
-	// misses the cache at admission and queues behind the first.
-	second, err := m.Submit("t", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	waitDone(t, first)
-	waitDone(t, second)
-	info, err := m.Info(second.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.CacheHit || info.State != StateDone {
-		t.Fatalf("second job state %s cacheHit %v, want done via second-chance cache", info.State, info.CacheHit)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if execs != 1 {
-		t.Fatalf("exec ran %d times, want 1", execs)
+			spec := JobSpec{Snapshot: "g", Engine: EngineCluster, Kernel: "cc", Seed: 601}
+			first, err := m.Submit("t", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitRunning(t, m, first.ID())
+			// Identical spec, submitted while the first is still running:
+			// it misses the cache at admission.
+			second, err := m.Submit("t", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if executors == 2 {
+				waitRunning(t, m, second.ID())
+			}
+			close(release)
+			waitDone(t, first)
+			waitDone(t, second)
+			info, err := m.Info(second.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.CacheHit || info.State != StateDone {
+				t.Fatalf("second job state %s cacheHit %v, want done from its twin's execution", info.State, info.CacheHit)
+			}
+			if n := execs.Load(); n != 1 {
+				t.Fatalf("exec ran %d times, want 1", n)
+			}
+			if hits, misses := counter(m, CounterResultCacheHits), counter(m, CounterResultCacheMisses); hits != 1 || misses != 2 {
+				t.Errorf("result hits %d, misses %d; want 1 and 2", hits, misses)
+			}
+			a, errA := m.Result(first.ID())
+			b, errB := m.Result(second.ID())
+			if err := errors.Join(errA, errB, nothingRunning(m.cache)); err != nil || !bytes.Equal(a, b) {
+				t.Fatalf("results: same bytes %v, %v", bytes.Equal(a, b), err)
+			}
+		})
 	}
 }

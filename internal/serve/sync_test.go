@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -157,14 +158,17 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			}
 			return err
 		}},
-		// The executor's second-chance hit: a queued job whose result
-		// another job has stored meanwhile.
-		{"runJob/second-chance-hit", func() error {
+		// The executor's memo hit: a queued job whose result another job
+		// has kept meanwhile.
+		{"runJob/memo-hit", func() error {
 			job := &Job{tenant: "z", spec: done.spec, key: done.key, state: StateQueued, done: make(chan struct{})}
 			m.mu.Lock()
 			m.admitLocked(job)
 			m.mu.Unlock()
 			m.runJob(job)
+			if !m.info(job).CacheHit {
+				return errors.New("a job answered by a kept result is not a cache hit")
+			}
 			return state(job, StateDone)
 		}},
 		{"runJob/fails", func() error {
@@ -186,10 +190,63 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			_, err = m.Result(done.ID())
 			return is(err, ErrJobExpired)
 		}},
-		{"ResultCache/Put-present", func() error {
-			_, _ = m.cache.Put("k", nil)
-			if n, _ := m.cache.Put("k", nil); n != 0 {
-				return fmt.Errorf("a second Put of one key evicted %d", n)
+		{"ResultCache/result-hit", func() error {
+			compute := func() ([]byte, error) { return []byte("v"), nil }
+			if _, err := m.cache.result(context.Background(), "k", compute); err != nil {
+				return err
+			}
+			b, err := m.cache.result(context.Background(), "k", nil)
+			if err == nil && string(b) != "v" {
+				err = fmt.Errorf("a hit read %q", b)
+			}
+			return err
+		}},
+		// A result waiter whose context ends while another caller computes
+		// its key.
+		{"ResultCache/result-wait-ends", func() error {
+			started, unblock, computed := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+			go func() {
+				_, err := m.cache.result(context.Background(), "held", func() ([]byte, error) {
+					close(started)
+					<-unblock
+					return []byte("v"), nil
+				})
+				computed <- err
+			}()
+			<-started
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err := m.cache.result(ctx, "held", nil)
+			close(unblock)
+			return errors.Join(is(err, context.Canceled), <-computed, nothingRunning(m.cache))
+		}},
+		// A failed computation keeps nothing: the caller that waited for
+		// it computes afresh.
+		{"ResultCache/result-fails-then-recomputes", func() error {
+			started, unblock, failed := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+			go func() {
+				_, err := m.cache.result(context.Background(), "flaky", func() ([]byte, error) {
+					close(started)
+					<-unblock
+					return nil, errBoom
+				})
+				failed <- err
+			}()
+			<-started
+			ctx := waitingCtx{context.Background(), make(chan struct{}), new(sync.Once)}
+			got := make(chan error, 1)
+			go func() {
+				b, err := m.cache.result(ctx, "flaky", func() ([]byte, error) { return []byte("v"), nil })
+				if err == nil && string(b) != "v" {
+					err = fmt.Errorf("the waiter read %q", b)
+				}
+				got <- err
+			}()
+			<-ctx.waiting
+			close(unblock)
+			err := errors.Join(is(<-failed, errBoom), <-got, nothingRunning(m.cache))
+			if _, kept := m.cache.Get("flaky"); err != nil || !kept {
+				return fmt.Errorf("the waiter's own value kept: %v; %v", kept, err)
 			}
 			return nil
 		}},
@@ -200,11 +257,11 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			return nil
 		}},
 		{"ResultCache/trace-fails", func() error {
-			_, err := memo(m.cache, context.Background(), traceKey{kernel: "boom"}, m.c.traces, &m.c, func() (*sim.Trace, int64, error) { return nil, 0, errBoom })
+			_, err := memo(m.cache, context.Background(), &m.cache.traces, traceKey{kernel: "boom"}, func() (*sim.Trace, int64, error) { return nil, 0, errBoom })
 			return is(err, errBoom)
 		}},
 		{"ResultCache/trace-miss", func() error {
-			_, err := memo(m.cache, context.Background(), traceKey{kernel: "bfs"}, m.c.traces, &m.c, func() (*sim.Trace, int64, error) {
+			_, err := memo(m.cache, context.Background(), &m.cache.traces, traceKey{kernel: "bfs"}, func() (*sim.Trace, int64, error) {
 				a, err := partition.Hash{}.Partition(snap.Graph(), 2)
 				if err != nil {
 					return nil, 0, err
@@ -218,7 +275,7 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			return err
 		}},
 		{"ResultCache/trace-hit", func() error {
-			_, err := memo[*sim.Trace](m.cache, context.Background(), traceKey{kernel: "bfs"}, m.c.traces, &m.c, nil)
+			_, err := memo(m.cache, context.Background(), &m.cache.traces, traceKey{kernel: "bfs"}, nil)
 			return err
 		}},
 		// A waiter whose context ends while another caller executes its key.
@@ -226,7 +283,7 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			key := traceKey{kernel: "held"}
 			started, unblock, executed := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 			go func() {
-				_, err := memo(m.cache, context.Background(), key, m.c.traces, &m.c, func() (*sim.Trace, int64, error) {
+				_, err := memo(m.cache, context.Background(), &m.cache.traces, key, func() (*sim.Trace, int64, error) {
 					close(started)
 					<-unblock
 					return nil, 0, errBoom
@@ -236,16 +293,16 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			<-started
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := memo[*sim.Trace](m.cache, ctx, key, m.c.traces, &m.c, nil)
+			_, err := memo(m.cache, ctx, &m.cache.traces, key, nil)
 			close(unblock)
 			return errors.Join(is(err, context.Canceled), is(<-executed, errBoom), nothingRunning(m.cache))
 		}},
 		{"ResultCache/plan-miss", func() error {
-			_, err := m.cache.plan(context.Background(), snap.Graph(), planKey{snap.Digest(), partition.Hash{}, 2}, &m.c)
+			_, err := m.cache.plan(context.Background(), snap.Graph(), planKey{snap.Digest(), partition.Hash{}, 2})
 			return err
 		}},
 		{"ResultCache/plan-hit", func() error {
-			_, err := m.cache.plan(context.Background(), snap.Graph(), planKey{snap.Digest(), partition.Hash{}, 2}, &m.c)
+			_, err := m.cache.plan(context.Background(), snap.Graph(), planKey{snap.Digest(), partition.Hash{}, 2})
 			return err
 		}},
 		// A waiter whose context ends while another caller partitions.
@@ -254,13 +311,13 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			key := planKey{snap.Digest(), p, 2}
 			partitioned := make(chan error, 1)
 			go func() {
-				_, err := m.cache.plan(context.Background(), snap.Graph(), key, &m.c)
+				_, err := m.cache.plan(context.Background(), snap.Graph(), key)
 				partitioned <- err
 			}()
 			<-p.started
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := m.cache.plan(ctx, snap.Graph(), key, &m.c)
+			_, err := m.cache.plan(ctx, snap.Graph(), key)
 			close(p.unblock)
 			return errors.Join(is(err, context.Canceled), <-partitioned, nothingRunning(m.cache))
 		}},
@@ -329,10 +386,23 @@ func (h heldPartitioner) Partition(g *graph.Graph, k int) (*partition.Assignment
 func nothingRunning(c *ResultCache) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.running); n != 0 {
+	if n := len(c.results.running) + len(c.plans.running) + len(c.traces.running); n != 0 {
 		return fmt.Errorf("%d computations still running", n)
 	}
 	return nil
+}
+
+// waitingCtx closes waiting the first time its Done is asked for, which
+// memo does only to wait for another caller's computation.
+type waitingCtx struct {
+	context.Context
+	waiting chan struct{}
+	once    *sync.Once
+}
+
+func (c waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
 }
 
 // TestJobContextEndsWithTheJob holds the executor to cancelling the

@@ -49,7 +49,7 @@ type JobSpec struct {
 	Aggregation *bool `json:"aggregation,omitempty"`
 	// TreeFanIn / ChannelDepth shape the concurrent cluster. A link's
 	// depth paces its messages and changes no result, so it is excluded
-	// from the cache key.
+	// from the cache key, and so is every field an engine does not read.
 	TreeFanIn    int `json:"treefanin,omitempty"`
 	ChannelDepth int `json:"chandepth,omitempty"`
 	// Workers caps the executor's worker pool. Purely a speed knob —
@@ -120,11 +120,22 @@ func (s *JobSpec) normalize() error {
 
 // cacheKey is the canonical identity of the run the spec describes on a
 // given snapshot: the snapshot content digest plus the normalized spec
-// with the knobs that change no result, Workers and ChannelDepth, zeroed.
-// Execution is deterministic, so equal keys imply byte-identical results
-// (the served-vs-offline oracle asserts exactly this).
+// with Workers, ChannelDepth and every field its engine does not read
+// zeroed (DESIGN.md, "Cache keying"). Execution is deterministic, so equal
+// keys imply byte-identical results, as the served oracle asserts.
 func (s JobSpec) cacheKey(digest string) string {
 	s.Workers, s.ChannelDepth = 0, 0
+	switch s.Engine {
+	case EngineSerial:
+		s = JobSpec{Snapshot: s.Snapshot, Engine: s.Engine, Kernel: s.Kernel, PRIters: s.PRIters}
+	case EngineSim:
+		s.TreeFanIn = 0
+		if s.Arch != core.DisaggregatedNDP.String() {
+			s.Policy, s.Aggregation = "", nil
+		}
+	case EngineCluster:
+		s.Policy = ""
+	}
 	// JobSpec is plain data — strings, ints, *bool — so Marshal cannot
 	// fail; the blank assignment keeps that a compile-visible fact.
 	b, _ := json.Marshal(s)
@@ -329,11 +340,10 @@ const (
 // counters is every serve counter resolved to its handle once, in
 // NewManager: an event costs an atomic add, not a registry lookup.
 type counters struct {
-	submitted, completed, failed, cancelled                      *metrics.Counter
-	rejectedQueueFull, rejectedQuota                             *metrics.Counter
-	resultHits, resultMisses, resultsEvicted, resultBytesEvicted *metrics.Counter
-	plans, traces                                                memoKind
-	waitsParked, waitsExpired, jobsExpired, lookupsGone          *metrics.Counter
+	submitted, completed, failed, cancelled             *metrics.Counter
+	rejectedQueueFull, rejectedQuota, resultMisses      *metrics.Counter
+	results, plans, traces                              memoKind
+	waitsParked, waitsExpired, jobsExpired, lookupsGone *metrics.Counter
 }
 
 // newCounters resolves the names in the order counters declares them.
@@ -341,10 +351,10 @@ func newCounters(reg *metrics.Registry) counters {
 	c := reg.Counter
 	return counters{
 		c(CounterJobsSubmitted), c(CounterJobsCompleted), c(CounterJobsFailed), c(CounterJobsCancelled),
-		c(CounterRejectedQueueFull), c(CounterRejectedQuota),
-		c(CounterResultCacheHits), c(CounterResultCacheMisses), c(CounterResultsEvicted), c(CounterResultBytesEvicted),
-		memoKind{c(CounterPlanCacheHits), c(CounterPlanCacheMisses), c(CounterPlansEvicted)},
-		memoKind{c(CounterTraceCacheHits), c(CounterTraceCacheMisses), c(CounterTracesEvicted)},
+		c(CounterRejectedQueueFull), c(CounterRejectedQuota), c(CounterResultCacheMisses),
+		memoKind{hits: c(CounterResultCacheHits), evicted: c(CounterResultsEvicted), evictedBytes: c(CounterResultBytesEvicted)},
+		memoKind{hits: c(CounterPlanCacheHits), misses: c(CounterPlanCacheMisses), evicted: c(CounterPlansEvicted)},
+		memoKind{hits: c(CounterTraceCacheHits), misses: c(CounterTraceCacheMisses), evicted: c(CounterTracesEvicted)},
 		c(CounterWaitsParked), c(CounterWaitsExpired), c(CounterJobsExpired), c(CounterLookupsGone),
 	}
 }

@@ -16,9 +16,9 @@
 #               against the materialized graph, and gpart over the same
 #               container
 #   -count      cluster faults, parallel simulator, store lifecycle (each
-#               -count=2), served plan and trace sharing (-count=10),
-#               ndpserve shutdown with a parked waiter (-count=20), all
-#               under the race detector
+#               -count=2), served result, plan and trace sharing
+#               (-count=10), ndpserve shutdown with a parked waiter
+#               (-count=20), all under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
 #   fuzz        a short budget per fuzz target (14)
 # Any stage failing fails the gate.
@@ -76,6 +76,7 @@ step go test ./...
 # read-through buffer included; TestClusterAllocGate every
 # actor's added iteration at a pinned count, flat and as a switch tree;
 # TestServeHitAllocGate a cache-hit Submit at a pinned count;
+# TestMemoHitAllocGate a warm plan and trace lookup at none;
 # TestMarshalResultAllocs a served result's encoding, in one buffer of
 # its exact length.
 step go test -count=1 -run 'AllocGate$|^TestMarshalResultAllocs$' ./internal/sim/ ./internal/kernels/ ./internal/store/ \
@@ -229,12 +230,15 @@ step go test -race -count=2 \
     -run '^TestStorePinConcurrentHammer$|^TestStoreStaysWithinBudget$|^TestStoreRunCancellation$|^TestStoreRunCorruptSegment$|^TestStoreLeavesNoGoroutines$|^TestStoreStatsDeterministic$' \
     ./internal/store/
 
-# The result cache's memo of plans and traces under two racing
-# executors, 10 times under the race detector: seedless LDG jobs now
-# share one partitioning — the first miss partitions, the other waits,
-# and every job resolves the one kept *Assignment; eight jobs that differ
-# only in architecture and policy must execute the kernel once.
-step go test -race -count=10 -run '^(TestSeedlessPlansAreShared|TestOneExecutionIsPricedPerArchitecture)$' ./internal/serve/
+# The result cache's memo of results, plans and traces under two racing
+# executors, 10 times under the race detector: seedless LDG jobs share one
+# partitioning — the first miss partitions, the other waits, and every
+# job resolves the one kept *Assignment; eight jobs that differ only in
+# architecture and compute nodes must execute the kernel once; a running
+# job's identical twin waits for its execution and is a cache hit, exec
+# run once; and the memo's waiters, cancelled or outliving a failed
+# computation, leave nothing running.
+step go test -race -count=10 -run '^(TestSeedlessPlansAreShared|TestOneExecutionIsPricedPerArchitecture|TestRunJobSecondChanceCache|TestEveryLockIsReleasedOnEveryPath)$' ./internal/serve/
 
 # ndpserve's SIGTERM drain with a waiter parked, 20 times under the race
 # detector: its slower scheduling is the load that once let a pooled,
@@ -282,7 +286,8 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         "FuzzDenseAccumulator ./internal/cluster/"
         # The service's two decoders of outside input: a submission body
         # must normalize to an error or to a canonical spec (a second
-        # Normalize changes nothing, the cache key ignores Workers), and a
+        # Normalize changes nothing, the cache key ignores Workers and
+        # every field the spec's engine does not read), and a
         # value string must decode to an error or to a vector that
         # re-encodes to the canonical base64 of the same bytes.
         "FuzzJobSpecNormalize ./internal/serve/"
@@ -293,8 +298,9 @@ if [ "$FUZZ_SECONDS" -gt 0 ]; then
         # The status route's wait parameter: any query string is refused
         # or yields a park bound inside [0, serve.MaxWait].
         "FuzzWaitParam ./internal/serve/"
-        # The result cache under any stream of Gets and Puts against a
-        # slice model: same hits, same evictions, bytes held equal to the
+        # The result cache under any stream of Gets and misses through
+        # its memo, some failing, against a slice model: same hits, same
+        # evictions, a failed miss keeping nothing, bytes held equal to the
         # sum of live entries and over budget only for one entry alone.
         "FuzzResultCache ./internal/serve/"
         # ndpverify's replay decoder: arbitrary bytes must come back as an
