@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -278,6 +279,7 @@ func (s *System) CompareWithAssignment(ctx context.Context, src kernels.Source, 
 		if runs[i], err = clone.Price(t); err != nil {
 			return nil, fmt.Errorf("core: %s: %w", arch, err)
 		}
+		runs[i].Values = slices.Clone(runs[i].Values)
 	}
 	return runs, nil
 }

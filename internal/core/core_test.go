@@ -379,37 +379,68 @@ func TestCompareParallelStatefulKernel(t *testing.T) {
 	}
 }
 
-// TestPriceOwnsItsValues: every Result priced from one trace equals the
-// architecture's own Run, and owns its values — a caller writing to one
-// reaches neither the trace nor a later pricing of it.
+// TestPriceOwnsItsValues: a pricing shares the trace's values and leaves
+// the trace as Execute returned it — two pricings of one trace equal the
+// architecture's own Run bit for bit — while every CompareWithAssignment
+// row owns its values: a caller writing to one reaches neither the other
+// rows nor a later pricing.
 func TestPriceOwnsItsValues(t *testing.T) {
+	ctx := context.Background()
 	g := coreGraph(t)
 	k := kernels.NewBFS(0)
 	s, err := New(DisaggregatedNDP, WithMemoryNodes(8), WithPartitioner(partition.Hash{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s.Execute(context.Background(), g, k, RunConfig{})
+	tr, err := s.Execute(ctx, g, k, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Engine().Run(context.Background(), g, k, RunConfig{})
+	twin, err := s.Execute(ctx, g, k, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.Price(tr)
+	want, err := s.Engine().Run(ctx, g, k, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range first.Values {
-		first.Values[v] = math.NaN()
+	for i := 0; i < 2; i++ {
+		got, err := s.Price(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pricing %d of one trace differs from Run", i+1)
+		}
+	}
+	if !reflect.DeepEqual(tr, twin) {
+		t.Fatal("pricing changed the trace")
+	}
+
+	assign, err := s.Partition(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s.CompareWithAssignment(ctx, g, k, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		for v := range row.Values {
+			row.Values[v] = math.NaN()
+		}
+		for _, other := range rows[i+1:] {
+			if !reflect.DeepEqual(other.Values, want.Values) {
+				t.Fatalf("writing to the %s row reached the %s row", row.Engine, other.Engine)
+			}
+		}
 	}
 	again, err := s.Price(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again, want) {
-		t.Fatal("a pricing after a caller wrote to an earlier one's values differs from Run")
+		t.Fatal("a pricing after a caller wrote to every compared row differs from Run")
 	}
 	narrow, err := New(Distributed, WithMemoryNodes(4))
 	if err != nil {

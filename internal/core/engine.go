@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/kernels"
@@ -67,8 +66,8 @@ func (e analyticalEngine) Run(ctx context.Context, src kernels.Source, k kernels
 	if err != nil {
 		return nil, err
 	}
-	// The trace is this run's alone, so its values need no copy.
-	return e.sys.price(t)
+	// The trace is this run's alone, so the Result owns its values.
+	return e.sys.Price(t)
 }
 
 // Execute runs k once on the system's memory pool — over cfg.Assignment,
@@ -93,18 +92,9 @@ func (s *System) Execute(ctx context.Context, src kernels.Source, k kernels.Kern
 
 // Price turns a trace into this system's analytical Result, as Run would
 // have returned it for the same execution. The trace stays unchanged and
-// may be priced again, concurrently too; the Result owns its values.
+// may be priced again, concurrently too; the Result shares the trace's
+// values, read-only: a caller that writes to them clones them first.
 func (s *System) Price(t *sim.Trace) (*Result, error) {
-	res, err := s.price(t)
-	if err != nil {
-		return nil, err
-	}
-	res.Values = slices.Clone(res.Values)
-	return res, nil
-}
-
-// price is Price whose Result shares the trace's values.
-func (s *System) price(t *sim.Trace) (*Result, error) {
 	run, err := s.simEngine().Price(t)
 	if err != nil {
 		return nil, err

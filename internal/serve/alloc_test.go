@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/partition"
 	"repro/internal/sim"
@@ -66,12 +72,12 @@ func TestMemoHitAllocGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	tkey := traceKey{plan: pkey, kernel: "bfs"}
-	exec := func() (*sim.Trace, int64, error) {
+	exec := func() (keptTrace, int64, error) {
 		tr, err := sim.Execute(ctx, snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
 		if err != nil {
-			return nil, 0, err
+			return keptTrace{}, 0, err
 		}
-		return tr, tr.Size(), nil
+		return keptTrace{trace: tr}, tr.Size(), nil
 	}
 	if _, err := memo(m.cache, ctx, &m.cache.traces, tkey, exec); err != nil {
 		t.Fatal(err)
@@ -89,5 +95,118 @@ func TestMemoHitAllocGate(t *testing.T) {
 	}
 	if hits := counter(m, CounterPlanCacheHits) + counter(m, CounterTraceCacheHits); hits < 2*1000 {
 		t.Errorf("%d plan and trace hits: the lookups did not hit", hits)
+	}
+}
+
+// TestKeptTraceMissAllocGate holds a served simulator miss of a kept
+// trace — a distinct-seed LDG job, whose plan and trace an earlier job
+// left in the memo — to what it must allocate: its output, the result's
+// canonical bytes, rounded up to the runtime's 8 KiB pages; the pricing's
+// ledger, a Record an iteration and a row an iteration and memory node
+// (10 and 80 here, 4,640 bytes); and 4 KiB for the system, the Result,
+// the wire struct and encoding/json's head (≈ 1.8 KiB). The values are
+// not copied out of the trace: a clone of the 16,384 values would add
+// 128 KiB. Nor are they encoded again, which allocates nothing and is
+// caught by the kept encoding written over. The miss must execute
+// nothing, keep the trace charged its encoding, and serve MarshalResult
+// of its offline twin, two misses at once too. Under -race the bytes are
+// not counted.
+func TestKeptTraceMissAllocGate(t *testing.T) {
+	m, _ := newTestManager(t, ManagerConfig{}, nil)
+	g, err := gen.ErdosRenyi(marshalAllocsValues, 4*marshalAllocsValues, gen.Config{Seed: 5, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Registry().Put("big", g); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := m.Registry().Get("big")
+	if !ok {
+		t.Fatal("snapshot missing")
+	}
+	defer snap.release()
+	ctx := context.Background()
+	spec := func(seed uint64) JobSpec {
+		s := JobSpec{Snapshot: "big", Kernel: "pagerank", Partitioner: "ldg", Seed: seed}
+		if err := s.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if _, err := m.exec(ctx, snap, spec(1)); err != nil {
+		t.Fatal(err)
+	}
+	miss := spec(2)
+	res, err := ExecuteSpec(ctx, g, miss, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := MarshalResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two misses at once price the one kept trace and copy its encoding.
+	outs, errs := make([][]byte, 2), make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = m.exec(ctx, snap, miss)
+		}()
+	}
+	wg.Wait()
+	for i, out := range outs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatal("a miss of a kept trace serves other bytes than its offline twin")
+		}
+	}
+	out := outs[0]
+	if misses := counter(m, CounterTraceCacheMisses); misses != 1 {
+		t.Fatalf("%d trace misses, want 1: the miss executed", misses)
+	}
+	// The kept trace is charged its encoding, and a miss copies it: once
+	// written over, what was written is what the next miss serves.
+	n := valuesLen(marshalAllocsValues)
+	m.cache.mu.Lock()
+	for _, el := range m.cache.traces.kept {
+		e := el.Value.(*memoEntry[traceKey, keptTrace])
+		if charge := int64(len(e.key.plan.digest)+len(e.key.kernel)+n) + e.v.trace.Size(); e.size != charge || len(e.v.encoded) != n {
+			t.Errorf("a kept trace is charged %d bytes and holds %d encoded, want %d and %d", e.size, len(e.v.encoded), charge, n)
+		}
+		for i := range e.v.encoded {
+			e.v.encoded[i] = 'A'
+		}
+	}
+	m.cache.mu.Unlock()
+	written, err := m.exec(ctx, snap, miss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(written, []byte(`"values_b64":"`+strings.Repeat("A", n)+`"`)) {
+		t.Error("a miss of a kept trace encoded its values again")
+	}
+	if raceEnabled {
+		return
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := m.exec(ctx, snap, miss); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	ledger := uintptr(len(res.Records)) * unsafe.Sizeof(sim.Record{})
+	for _, r := range res.Records {
+		ledger += uintptr(len(r.PerPartition)) * unsafe.Sizeof(sim.PartitionRecord{})
+	}
+	const page = 8 << 10
+	if perRun, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64((len(out)+page-1)/page*page)+uint64(ledger)+4096; perRun > limit {
+		t.Errorf("a miss of a kept trace allocates %d bytes for a %d-byte result and a %d-byte ledger, want at most %d: its pages, its ledger and 4 KiB", perRun, len(out), ledger, limit)
 	}
 }

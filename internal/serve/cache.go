@@ -22,9 +22,10 @@ const resultBudget = 32 << 20
 // ResultCache is the service's one memo of what a miss computes: the
 // canonical marshalled results under their cache keys (snapshot digest +
 // normalized spec, see JobSpec.cacheKey), of which it is the only owner,
-// and the partition plans (planKey) and execution traces (traceKey) they
-// are computed from. Each kind has a table keyed by its own type; all
-// enter through memo and share one recency list under one byte budget.
+// and the partition plans (planKey) and execution traces (traceKey, each
+// kept with its values' encoding) they are computed from. Each kind has a
+// table keyed by its own type; all enter through memo and share one
+// recency list under one byte budget.
 // Computation is deterministic, so entries never go stale; eviction is
 // purely a memory concern — least recently used first, whatever the
 // entry. A stored entry is evicted only after newer entries worth the
@@ -37,7 +38,7 @@ type ResultCache struct {
 	lru     list.List // of evictable entries, most recently used first
 	results memoTable[string, []byte]
 	plans   memoTable[planKey, *partition.Assignment]
-	traces  memoTable[traceKey, *sim.Trace]
+	traces  memoTable[traceKey, keptTrace]
 }
 
 // memoTable is one kind of memoized value: the entries kept, at most max
@@ -99,6 +100,15 @@ type traceKey struct {
 	iters  int
 }
 
+// keptTrace is one execution as the cache keeps it: the trace every
+// pricing reads and the base64 of its values, encoded once when the trace
+// was computed. Every pricing of a trace has the trace's values, so a
+// served pricing copies the encoding into its result instead of encoding.
+type keptTrace struct {
+	trace   *sim.Trace
+	encoded []byte
+}
+
 // newResultCache returns a cache bounded to max results (0 = a default of
 // 256: over 128 KiB a result the byte budget binds first) and budget
 // bytes, counting in cs.
@@ -110,7 +120,7 @@ func newResultCache(max int, budget int64, cs *counters) *ResultCache {
 		budget:  budget,
 		results: newMemoTable[string, []byte](max, cs.results),
 		plans:   newMemoTable[planKey, *partition.Assignment](math.MaxInt, cs.plans),
-		traces:  newMemoTable[traceKey, *sim.Trace](math.MaxInt, cs.traces),
+		traces:  newMemoTable[traceKey, keptTrace](math.MaxInt, cs.traces),
 	}
 }
 

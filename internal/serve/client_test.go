@@ -103,7 +103,7 @@ func TestClientReadsChunkedBody(t *testing.T) {
 func sizedResultServer(t testing.TB) (m *Manager, ts *httptest.Server, newConns *atomic.Int64) {
 	t.Helper()
 	m, _ = newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 8}, nil)
-	m.exec = sizedExec(m, 16384)
+	m.exec = marshalled(sizedExec(m, 16384))
 	newConns = new(atomic.Int64)
 	ts = httptest.NewUnstartedServer(NewServer(m))
 	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
@@ -130,12 +130,8 @@ func TestResultResponseDeclaresItsLength(t *testing.T) {
 	if !ok {
 		t.Fatal("snapshot missing")
 	}
-	res, err := m.exec(context.Background(), snap, norm)
+	want, err := m.exec(context.Background(), snap, norm)
 	snap.release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := MarshalResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,9 @@ import (
 // submission's body takes — json.Unmarshal into a JobSpec, then Normalize
 // — and requires an error or a canonical spec: normalizing it again
 // changes nothing, and its cache key is the same before and after that
-// second pass and does not move with Workers, ChannelDepth or any field
-// the spec's engine does not read (JobSpec.cacheKey).
+// second pass and does not move with the snapshot's name, Workers,
+// ChannelDepth or any field the spec's engine does not read
+// (JobSpec.cacheKey).
 func FuzzJobSpecNormalize(f *testing.F) {
 	f.Add([]byte(`{"snapshot":"g"}`))
 	f.Add([]byte(`{"snapshot":"g","engine":"cluster","kernel":"bfs","partitions":16,"computes":2,"partitioner":"ldg","aggregation":false,"treefanin":4}`))
@@ -46,6 +47,7 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		if !reflect.DeepEqual(again, spec) {
 			t.Fatalf("Normalize is not idempotent:\nonce  %+v\ntwice %+v", spec, again)
 		}
+		again.Snapshot = spec.Snapshot + "'"
 		again.Workers = spec.Workers + 1
 		again.ChannelDepth = spec.ChannelDepth + 1
 		policy := "never"

@@ -15,7 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/runtime"
-	"repro/internal/sim"
 )
 
 // Job states.
@@ -118,8 +117,9 @@ type Manager struct {
 	cache   *ResultCache
 	cfg     ManagerConfig
 
-	// exec runs one job: runSpec, or a fake a test injects.
-	exec func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error)
+	// exec runs one job to its result's canonical bytes: runSpec, or a
+	// fake a test injects.
+	exec func(ctx context.Context, snap *Snapshot, spec JobSpec) ([]byte, error)
 
 	mu         sync.Mutex
 	jobs       map[string]*Job
@@ -208,7 +208,6 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 		m.retireLocked(job)
 		return job, nil
 	}
-	m.c.resultMisses.Inc()
 
 	if m.cfg.TenantQuota > 0 && m.tenantLoad[tenant] >= m.cfg.TenantQuota {
 		m.c.rejectedQuota.Inc()
@@ -221,6 +220,9 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("%w: %d queued", ErrQueueFull, len(m.queue))
 	}
 
+	// A miss is counted once the job is admitted: a refused submission
+	// computes nothing.
+	m.c.resultMisses.Inc()
 	job.state = StateQueued
 	m.queue = append(m.queue, job)
 	m.tenantLoad[tenant]++
@@ -478,11 +480,7 @@ func (m *Manager) runJob(job *Job) {
 	computed := false
 	_, err := memo(m.cache, ctx, &m.cache.results, job.key, func() ([]byte, int64, error) {
 		computed = true
-		res, err := m.exec(ctx, snap, spec)
-		if err != nil {
-			return nil, 0, err
-		}
-		b, err := MarshalResult(res)
+		b, err := m.exec(ctx, snap, spec)
 		return b, int64(len(job.key) + len(b)), err
 	})
 	cancel()
@@ -527,24 +525,30 @@ func (m *Manager) Stop() {
 }
 
 // runSpec is the default executor: resolve the spec's partition plan
-// through the cache's memo, then run the selected engine. A simulator job
-// executes through the memo too and only prices what it finds there: the
-// execution does not depend on the architecture, the policy or the switch.
-func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
-	if spec.Engine == EngineSerial {
-		return ExecuteSpec(ctx, snap.Graph(), spec, nil)
-	}
-	p, err := partition.ByName(spec.Partitioner, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	plan := planKey{snap.Digest(), p, spec.Partitions}
-	assign, err := m.cache.plan(ctx, snap.Graph(), plan)
-	if err != nil {
-		return nil, err
+// through the cache's memo, run the selected engine and marshal its
+// result. A simulator job executes through the memo too and only prices
+// what it finds there — the execution does not depend on the
+// architecture, the policy or the switch — and copies the values'
+// encoding the memo keeps beside the trace instead of encoding them.
+func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) ([]byte, error) {
+	var assign *partition.Assignment
+	var plan planKey
+	if spec.Engine != EngineSerial {
+		p, err := partition.ByName(spec.Partitioner, spec.Seed)
+		if err != nil {
+			return nil, err
+		}
+		plan = planKey{snap.Digest(), p, spec.Partitions}
+		if assign, err = m.cache.plan(ctx, snap.Graph(), plan); err != nil {
+			return nil, err
+		}
 	}
 	if spec.Engine != EngineSim {
-		return ExecuteSpec(ctx, snap.Graph(), spec, assign)
+		res, err := ExecuteSpec(ctx, snap.Graph(), spec, assign)
+		if err != nil {
+			return nil, err
+		}
+		return MarshalResult(res)
 	}
 	sys, err := spec.System()
 	if err != nil {
@@ -554,18 +558,29 @@ func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) (*c
 	if err != nil {
 		return nil, err
 	}
+	// A trace is charged its key's strings, its Size and its encoding.
 	key := traceKey{plan: plan, kernel: k.Name(), iters: spec.PRIters}
-	t, err := memo(m.cache, ctx, &m.cache.traces, key, func() (*sim.Trace, int64, error) {
+	kept, err := memo(m.cache, ctx, &m.cache.traces, key, func() (keptTrace, int64, error) {
 		tr, err := sys.Execute(ctx, snap.Graph(), k, core.RunConfig{Assignment: assign})
 		if err != nil {
-			return nil, 0, err
+			return keptTrace{}, 0, err
 		}
-		return tr, int64(len(plan.digest)+len(key.kernel)) + tr.Size(), nil
+		res, err := sys.Price(tr)
+		if err != nil {
+			return keptTrace{}, 0, err
+		}
+		encoded := make([]byte, valuesLen(len(res.Values)))
+		encodeValues(encoded, res.Values)
+		return keptTrace{tr, encoded}, int64(len(plan.digest)+len(key.kernel)+len(encoded)) + tr.Size(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return sys.Price(t)
+	res, err := sys.Price(kept.trace)
+	if err != nil {
+		return nil, err
+	}
+	return marshalResult(res, kept.encoded)
 }
 
 // ExecuteSpec runs a normalized spec against a graph directly — the

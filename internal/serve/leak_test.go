@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -169,7 +168,7 @@ func TestServerShutdownReturnsToBaseline(t *testing.T) {
 	m := NewManager(reg, &metrics.Registry{}, ManagerConfig{Executors: 2, QueueCap: 8})
 	// The blocked job is told apart by its kernel; everything else runs
 	// for real. It ends only by cancellation.
-	m.exec = func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+	m.exec = func(ctx context.Context, snap *Snapshot, spec JobSpec) ([]byte, error) {
 		if spec.Kernel == "bfs" {
 			<-ctx.Done()
 			return nil, ctx.Err()

@@ -48,7 +48,7 @@ func checkCache(t testing.TB, c *ResultCache) {
 			if e.t != &c.plans || c.plans.kept[e.key] != el {
 				t.Fatalf("plan %+v: list and table disagree", e.key)
 			}
-		case *memoEntry[traceKey, *sim.Trace]:
+		case *memoEntry[traceKey, keptTrace]:
 			traces, sum = traces+1, sum+e.size
 			if e.t != &c.traces || c.traces.kept[e.key] != el {
 				t.Fatalf("trace %+v: list and table disagree", e.key)
@@ -310,7 +310,7 @@ func TestCountersResolveTheirNames(t *testing.T) {
 func TestNothingGrowsWithJobsServed(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	m, snap := newTestManager(t, ManagerConfig{Executors: 2, QueueCap: 4, CacheEntries: 1 << 16}, nil)
-	m.exec = sizedExec(m, 6144) // 64 KiB on the wire: the byte budget binds, near 500 results
+	m.exec = marshalled(sizedExec(m, 6144)) // 64 KiB on the wire: the byte budget binds, near 500 results
 	refs := snap.Refs()
 
 	const jobs, hot = 20000, 8
@@ -385,12 +385,12 @@ func TestHitStormExpiresNoResult(t *testing.T) {
 	m, _ := newTestManager(t, ManagerConfig{Executors: 2, QueueCap: 4}, nil)
 	gate := make(chan struct{})
 	sized := sizedExec(m, 1024)
-	m.exec = func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+	m.exec = marshalled(func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
 		if spec.Kernel == "bfs" {
 			<-gate
 		}
 		return sized(ctx, snap, spec)
-	}
+	})
 	const executed = 50
 	want := make([][]byte, executed)
 	for i := range want {
@@ -535,12 +535,12 @@ func TestExpiredVersusNeverIssued(t *testing.T) {
 func TestWaiterOutlivesItsJobRecord(t *testing.T) {
 	r := newWaitRig(t, ManagerConfig{Executors: 1, QueueCap: 4}, nil)
 	r.m.finished = make([]*Job, 1)
-	r.m.exec = func(_ context.Context, _ *Snapshot, spec JobSpec) (*core.Result, error) {
+	r.m.exec = marshalled(func(_ context.Context, _ *Snapshot, spec JobSpec) (*core.Result, error) {
 		if spec.Seed != 900 {
 			<-r.gate
 		}
 		return fakeResult(spec), nil
-	}
+	})
 	submitDone(t, r.m, JobSpec{Snapshot: "g", Kernel: "cc", Seed: 900}) // what the hits hit
 	for i := 0; i < 40; i++ {
 		r.gate = make(chan struct{})
@@ -576,13 +576,13 @@ func TestTracesShareTheResultBudget(t *testing.T) {
 	}
 	key := traceKey{plan: pkey, kernel: "bfs"}
 	executions := 0
-	exec := func() (*sim.Trace, int64, error) {
+	exec := func() (keptTrace, int64, error) {
 		executions++
 		tr, err := sim.Execute(ctx, snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
 		if err != nil {
-			return nil, 0, err
+			return keptTrace{}, 0, err
 		}
-		return tr, int64(len(pkey.digest)+len(key.kernel)) + tr.Size(), nil
+		return keptTrace{trace: tr}, int64(len(pkey.digest)+len(key.kernel)) + tr.Size(), nil
 	}
 	_, size, err := exec()
 	if err != nil {
@@ -654,7 +654,7 @@ func TestTracesShareTheResultBudget(t *testing.T) {
 // leave from the cold end as the new snapshot's arrive.
 func TestSnapshotSwapAgesOutOldResults(t *testing.T) {
 	m, old := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 4}, nil)
-	m.exec = sizedExec(m, 1024) // ~11 KiB each
+	m.exec = marshalled(sizedExec(m, 1024)) // ~11 KiB each
 	m.cache = newResultCache(0, 256<<10, &m.c)
 	for i := 0; i < 10; i++ {
 		submitDone(t, m, JobSpec{Snapshot: "g", Kernel: "cc", Seed: uint64(1 + i)})
@@ -816,7 +816,7 @@ func liveHeap() int64 {
 // as the job table used to, would put 500 MiB between the two readings.
 func TestServiceHeapIsBounded(t *testing.T) {
 	m, _ := newTestManager(t, ManagerConfig{Executors: 2, QueueCap: 4, CacheEntries: 1 << 16}, nil)
-	m.exec = sizedExec(m, 6144)
+	m.exec = marshalled(sizedExec(m, 6144))
 	run := func(from, to int) int64 {
 		var wg sync.WaitGroup
 		for tenant := 0; tenant < 2; tenant++ {

@@ -31,9 +31,24 @@ func testGraph(t testing.TB, seed uint64) *graph.Graph {
 	return g
 }
 
+// resultExec is a fake executor that returns a Result.
+type resultExec = func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error)
+
+// marshalled is exec in Manager.exec's shape: its Result's canonical
+// bytes, as runSpec returns a result.
+func marshalled(exec resultExec) func(context.Context, *Snapshot, JobSpec) ([]byte, error) {
+	return func(ctx context.Context, snap *Snapshot, spec JobSpec) ([]byte, error) {
+		res, err := exec(ctx, snap, spec)
+		if err != nil {
+			return nil, err
+		}
+		return MarshalResult(res)
+	}
+}
+
 // newTestManager builds a manager over one snapshot named "g". A nil
 // exec keeps the real executor.
-func newTestManager(t testing.TB, cfg ManagerConfig, exec func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error)) (*Manager, *Snapshot) {
+func newTestManager(t testing.TB, cfg ManagerConfig, exec resultExec) (*Manager, *Snapshot) {
 	t.Helper()
 	reg := NewRegistry()
 	if _, err := reg.Put("g", testGraph(t, 7)); err != nil {
@@ -41,7 +56,7 @@ func newTestManager(t testing.TB, cfg ManagerConfig, exec func(ctx context.Conte
 	}
 	m := NewManager(reg, &metrics.Registry{}, cfg)
 	if exec != nil {
-		m.exec = exec
+		m.exec = marshalled(exec)
 	}
 	t.Cleanup(m.Stop)
 	snap, ok := reg.Get("g")
@@ -73,7 +88,7 @@ func waitDone(t testing.TB, job *Job) {
 
 // blockingExec returns an exec that parks until release is closed (or
 // the job context is cancelled, which it reports as the context error).
-func blockingExec(release <-chan struct{}) func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+func blockingExec(release <-chan struct{}) resultExec {
 	return func(ctx context.Context, _ *Snapshot, spec JobSpec) (*core.Result, error) {
 		select {
 		case <-release:
@@ -241,29 +256,31 @@ func TestSeedlessPlansAreShared(t *testing.T) {
 // together. The kernel must execute once — one trace miss, seven hits,
 // the racing executor waiting for the other's execution — and every
 // result must be the offline twin's bytes. A caller scribbling over the
-// Values of a result it was handed must not reach a later hit; a
-// snapshot reloaded with another graph must execute afresh; and a
-// cancelled execution must keep no trace.
+// bytes it was handed must not reach a later hit, which copies the kept
+// encoding of the values; a snapshot reloaded with another graph must
+// execute afresh; and a cancelled execution must keep no trace.
 func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 	var (
 		mu      sync.Mutex
-		handed  []*core.Result
+		handed  [][]byte
 		entered atomic.Int32
 		both    = make(chan struct{})
-		m       *Manager
 	)
-	m, snap := newTestManager(t, ManagerConfig{Executors: 2, QueueCap: 16}, func(ctx context.Context, snap *Snapshot, spec JobSpec) (*core.Result, error) {
+	m, snap := newTestManager(t, ManagerConfig{Executors: 2, QueueCap: 16}, nil)
+	// The service keeps a copy of what runSpec hands out, so the test can
+	// scribble over the originals.
+	m.exec = func(ctx context.Context, snap *Snapshot, spec JobSpec) ([]byte, error) {
 		if n := entered.Add(1); n == 2 {
 			close(both)
 		} else if n < 2 {
 			<-both
 		}
-		res, err := m.runSpec(ctx, snap, spec)
+		b, err := m.runSpec(ctx, snap, spec)
 		mu.Lock()
-		handed = append(handed, res)
+		handed = append(handed, b)
 		mu.Unlock()
-		return res, err
-	})
+		return bytes.Clone(b), err
+	}
 	spec := func(arch, policy string) JobSpec {
 		return JobSpec{Snapshot: "g", Kernel: "pagerank", PRIters: 5, Arch: arch, Policy: policy, Partitioner: "ldg", Partitions: 4}
 	}
@@ -331,11 +348,11 @@ func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 	traces(7, 1)
 
 	// Every result handed out so far is scribbled over; a trace hit
-	// afterwards must still encode the execution's values.
+	// afterwards must still serve the execution's values.
 	mu.Lock()
-	for _, res := range handed {
-		for v := range res.Values {
-			res.Values[v] = math.NaN()
+	for _, b := range handed {
+		for i := range b {
+			b[i] = 'A'
 		}
 	}
 	mu.Unlock()
@@ -406,6 +423,76 @@ func TestQueueFullRejection(t *testing.T) {
 	}
 	if n := m.Metrics().Counter(CounterRejectedQueueFull).Value(); n != 1 {
 		t.Fatalf("queue-full counter = %d, want 1", n)
+	}
+}
+
+// TestRefusedSubmissionsAreNoMisses: a result miss is counted once its
+// job is admitted. With the one executor held and the one queue slot
+// free, five submissions are one admission and four ErrQueueFull
+// refusals: two misses in all, the held job's and the queued one's.
+func TestRefusedSubmissionsAreNoMisses(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	m, _ := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 1}, blockingExec(release))
+	running, err := m.Submit("t", JobSpec{Snapshot: "g", Kernel: "cc", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, m, running.ID())
+	refused := 0
+	for i := 0; i < 5; i++ {
+		_, err := m.Submit("t", JobSpec{Snapshot: "g", Kernel: "cc", Seed: uint64(2 + i)})
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			refused++
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	if refused != 4 {
+		t.Fatalf("%d of 5 submissions refused, want 4", refused)
+	}
+	if misses, hits := counter(m, CounterResultCacheMisses), counter(m, CounterResultCacheHits); misses != 2 || hits != 0 {
+		t.Errorf("result misses %d, hits %d; want 2 and 0: a refused submission is no miss", misses, hits)
+	}
+}
+
+// TestOneGraphUnderTwoNamesIsOneKey: the result key holds the graph's
+// digest, not the name it was uploaded under, so a job on a second name
+// of one graph is a hit on the first name's result, held once.
+func TestOneGraphUnderTwoNamesIsOneKey(t *testing.T) {
+	m, snap := newTestManager(t, ManagerConfig{Executors: 1, QueueCap: 4}, nil)
+	info, err := m.Registry().Put("h", testGraph(t, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Digest != snap.Digest() {
+		t.Fatal("one graph, two digests")
+	}
+	first := submitDone(t, m, JobSpec{Snapshot: "g", Kernel: "cc"})
+	second, err := m.Submit("t", JobSpec{Snapshot: "h", Kernel: "cc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.cacheHit {
+		t.Fatal("a job on h after the same job on g was a miss")
+	}
+	a, err := m.Result(first.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Result(second.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("one graph under two names served two results")
+	}
+	if n := m.cache.Len(); n != 1 {
+		t.Errorf("the cache holds %d results, want 1", n)
+	}
+	if got, err := m.Info(second.ID()); err != nil || got.Snapshot != "h" || got.Digest != snap.Digest() {
+		t.Errorf("info %+v, %v: want snapshot h under g's digest", got, err)
 	}
 }
 

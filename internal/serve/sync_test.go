@@ -34,12 +34,12 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 	}
 	snap := reg.snaps["g"]
 	m := NewManager(reg, &metrics.Registry{}, ManagerConfig{Executors: 1, QueueCap: 1, TenantQuota: 1, CacheEntries: 1})
-	m.exec = func(ctx context.Context, s *Snapshot, spec JobSpec) (*core.Result, error) {
+	m.exec = marshalled(func(ctx context.Context, s *Snapshot, spec JobSpec) (*core.Result, error) {
 		if spec.Seed == failSeed {
 			return nil, errBoom
 		}
 		return block(ctx, s, spec)
-	}
+	})
 	held := false
 	defer func() {
 		if !held {
@@ -257,20 +257,20 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			return nil
 		}},
 		{"ResultCache/trace-fails", func() error {
-			_, err := memo(m.cache, context.Background(), &m.cache.traces, traceKey{kernel: "boom"}, func() (*sim.Trace, int64, error) { return nil, 0, errBoom })
+			_, err := memo(m.cache, context.Background(), &m.cache.traces, traceKey{kernel: "boom"}, func() (keptTrace, int64, error) { return keptTrace{}, 0, errBoom })
 			return is(err, errBoom)
 		}},
 		{"ResultCache/trace-miss", func() error {
-			_, err := memo(m.cache, context.Background(), &m.cache.traces, traceKey{kernel: "bfs"}, func() (*sim.Trace, int64, error) {
+			_, err := memo(m.cache, context.Background(), &m.cache.traces, traceKey{kernel: "bfs"}, func() (keptTrace, int64, error) {
 				a, err := partition.Hash{}.Partition(snap.Graph(), 2)
 				if err != nil {
-					return nil, 0, err
+					return keptTrace{}, 0, err
 				}
 				tr, err := sim.Execute(context.Background(), snap.Graph(), kernels.NewBFS(0), sim.ExecConfig{Assign: a})
 				if err != nil {
-					return nil, 0, err
+					return keptTrace{}, 0, err
 				}
-				return tr, tr.Size(), nil
+				return keptTrace{trace: tr}, tr.Size(), nil
 			})
 			return err
 		}},
@@ -283,10 +283,10 @@ func TestEveryLockIsReleasedOnEveryPath(t *testing.T) {
 			key := traceKey{kernel: "held"}
 			started, unblock, executed := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 			go func() {
-				_, err := memo(m.cache, context.Background(), &m.cache.traces, key, func() (*sim.Trace, int64, error) {
+				_, err := memo(m.cache, context.Background(), &m.cache.traces, key, func() (keptTrace, int64, error) {
 					close(started)
 					<-unblock
-					return nil, 0, errBoom
+					return keptTrace{}, 0, errBoom
 				})
 				executed <- err
 			}()

@@ -272,10 +272,10 @@ func TestWaitManyWaitersOneJob(t *testing.T) {
 // the stop signal can have released the waiter.
 func TestWaitReleasedByStop(t *testing.T) {
 	r := newWaitRig(t, ManagerConfig{Executors: 1, QueueCap: 4}, nil)
-	r.m.exec = func(_ context.Context, _ *Snapshot, spec JobSpec) (*core.Result, error) {
+	r.m.exec = marshalled(func(_ context.Context, _ *Snapshot, spec JobSpec) (*core.Result, error) {
 		<-r.gate
 		return fakeResult(spec), nil
-	}
+	})
 	job := r.submit(t, 707)
 	waitRunning(t, r.m, job.ID())
 	ans := r.goWait(context.Background(), job.ID())

@@ -120,14 +120,15 @@ func (s *JobSpec) normalize() error {
 
 // cacheKey is the canonical identity of the run the spec describes on a
 // given snapshot: the snapshot content digest plus the normalized spec
-// with Workers, ChannelDepth and every field its engine does not read
-// zeroed (DESIGN.md, "Cache keying"). Execution is deterministic, so equal
-// keys imply byte-identical results, as the served oracle asserts.
+// with the snapshot's name, Workers, ChannelDepth and every field its
+// engine does not read zeroed (DESIGN.md, "Cache keying"): one graph
+// under two names is one key. Execution is deterministic, so equal keys
+// imply byte-identical results, as the served oracle asserts.
 func (s JobSpec) cacheKey(digest string) string {
-	s.Workers, s.ChannelDepth = 0, 0
+	s.Snapshot, s.Workers, s.ChannelDepth = "", 0, 0
 	switch s.Engine {
 	case EngineSerial:
-		s = JobSpec{Snapshot: s.Snapshot, Engine: s.Engine, Kernel: s.Kernel, PRIters: s.PRIters}
+		s = JobSpec{Engine: s.Engine, Kernel: s.Kernel, PRIters: s.PRIters}
 	case EngineSim:
 		s.TreeFanIn = 0
 		if s.Arch != core.DisaggregatedNDP.String() {
@@ -286,12 +287,17 @@ var valuesField = []byte(`"values_b64":""`)
 // stores, caches, and serves: json.Marshal(ToWire(r)), byte for byte.
 // encoding/json with fixed struct field order and no maps is
 // deterministic, so equal results marshal to equal bytes — the invariant
-// the served oracle and the result cache rest on. encoding/json writes
-// every field but the values, with their escaping, float formatting and
-// errors; the values are encoded straight into their place in the one
-// buffer of the output's exact length. Base64's alphabet needs no JSON
-// escaping, so the bytes are those json.Marshal would write.
-func MarshalResult(r *core.Result) ([]byte, error) {
+// the served oracle and the result cache rest on.
+func MarshalResult(r *core.Result) ([]byte, error) { return marshalResult(r, nil) }
+
+// marshalResult is MarshalResult with r's values already encoded: nil
+// encodes them here, and otherwise encoded is their encoding, as a kept
+// trace holds it. encoding/json writes every field but the values, with
+// their escaping, float formatting and errors; the values go straight
+// into their place in the one buffer of the output's exact length.
+// Base64's alphabet needs no JSON escaping, so the bytes are those
+// json.Marshal would write.
+func marshalResult(r *core.Result, encoded []byte) ([]byte, error) {
 	head, err := json.Marshal(toWire(r, ""))
 	if err != nil {
 		return nil, err
@@ -300,7 +306,11 @@ func MarshalResult(r *core.Result) ([]byte, error) {
 	n := valuesLen(len(r.Values))
 	out := make([]byte, len(head)+n)
 	copy(out, head[:at])
-	encodeValues(out[at:at+n], r.Values)
+	if encoded == nil {
+		encodeValues(out[at:at+n], r.Values)
+	} else {
+		copy(out[at:at+n], encoded)
+	}
 	copy(out[at+n:], head[at:])
 	return out, nil
 }

@@ -31,12 +31,12 @@ func marshalReference(r *core.Result) ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// FuzzMarshalResult holds MarshalResult to the reference byte for byte on
-// arbitrary results: value vectors of every length (NaN payloads, signed
-// zeros, infinities), strings that encoding/json escapes or repairs,
-// every omitempty field at zero and nonzero, and totals that encoding/json
-// formats with an exponent or refuses. Where one fails, both fail, with
-// the same error.
+// FuzzMarshalResult holds MarshalResult, and marshalResult given the
+// values' encoding, to the reference byte for byte on arbitrary results:
+// value vectors of every length (NaN payloads, signed zeros, infinities),
+// strings that encoding/json escapes or repairs, every omitempty field at
+// zero and nonzero, and totals that encoding/json formats with an
+// exponent or refuses. Where one fails, all fail, with the same error.
 func FuzzMarshalResult(f *testing.F) {
 	specials := make([]byte, 0, 8*8)
 	for _, v := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
@@ -101,6 +101,14 @@ func FuzzMarshalResult(f *testing.F) {
 		}
 		if err == nil && cap(got) != len(got) {
 			t.Fatalf("%d bytes in a buffer of %d: the output is not sized exactly", len(got), cap(got))
+		}
+		// A kept trace's encoding, spliced in, writes the same bytes.
+		spliced, serr := marshalResult(r, []byte(EncodeValues(r.Values)))
+		if (serr == nil) != (err == nil) || serr != nil && serr.Error() != err.Error() || !bytes.Equal(spliced, got) {
+			t.Fatalf("marshalResult with the values encoded differs from MarshalResult:\n got %q (%v)\nwant %q (%v)", spliced, serr, got, err)
+		}
+		if serr == nil && cap(spliced) != len(spliced) {
+			t.Fatalf("%d bytes in a buffer of %d: the spliced output is not sized exactly", len(spliced), cap(spliced))
 		}
 	})
 }

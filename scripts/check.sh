@@ -77,6 +77,8 @@ step go test ./...
 # actor's added iteration at a pinned count, flat and as a switch tree;
 # TestServeHitAllocGate a cache-hit Submit at a pinned count;
 # TestMemoHitAllocGate a warm plan and trace lookup at none;
+# TestKeptTraceMissAllocGate a served miss of a kept trace at its output,
+# its pricing's records and 4 KiB, the values neither cloned nor encoded;
 # TestMarshalResultAllocs a served result's encoding, in one buffer of
 # its exact length.
 step go test -count=1 -run 'AllocGate$|^TestMarshalResultAllocs$' ./internal/sim/ ./internal/kernels/ ./internal/store/ \
@@ -236,9 +238,10 @@ step go test -race -count=2 \
 # job resolves the one kept *Assignment; eight jobs that differ only in
 # architecture and compute nodes must execute the kernel once; a running
 # job's identical twin waits for its execution and is a cache hit, exec
-# run once; and the memo's waiters, cancelled or outliving a failed
-# computation, leave nothing running.
-step go test -race -count=10 -run '^(TestSeedlessPlansAreShared|TestOneExecutionIsPricedPerArchitecture|TestRunJobSecondChanceCache|TestEveryLockIsReleasedOnEveryPath)$' ./internal/serve/
+# run once; the memo's waiters, cancelled or outliving a failed
+# computation, leave nothing running; and a kept trace's encoding, read
+# by concurrent pricings, is charged to the budget and served unchanged.
+step go test -race -count=10 -run '^(TestSeedlessPlansAreShared|TestOneExecutionIsPricedPerArchitecture|TestRunJobSecondChanceCache|TestEveryLockIsReleasedOnEveryPath|TestKeptTraceMissAllocGate|TestTracesShareTheResultBudget)$' ./internal/serve/
 
 # ndpserve's SIGTERM drain with a waiter parked, 20 times under the race
 # detector: its slower scheduling is the load that once let a pooled,
