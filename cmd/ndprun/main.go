@@ -15,9 +15,10 @@
 //	ndprun -dataset wiki-talk -kernel cc -cluster -treefanin 4 \
 //	    -fault-seed 7 -fault-drop 0.2 -fault-dup 0.1 -crash 2@1
 //
-// Every simulated run, and the cluster, is one core.System built from
-// the flags, whose defaults are core's table: the same machine a
-// core.New system or a served job with no knobs set describes.
+// The flags describe one core.Spec, on core.DefaultSpec's values: with no
+// knobs set, the same machine a core.New system or a served job
+// describes. A set flag the selected engine or architecture does not read
+// (core.Spec.Unread) is refused, not dropped.
 //
 // With -store, the graph is an out-of-core container read in place by
 // the same run -graph would start, followed by the tier's traffic.
@@ -51,9 +52,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/ndp"
-	"repro/internal/partition"
-	"repro/internal/runtime"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -63,13 +61,10 @@ import (
 // flags is every ndprun flag.
 type flags struct {
 	gf cliconf.GraphFlags
-	ef cliconf.EngineFlags
-	ff cliconf.FaultFlags
-	cf cliconf.ClusterFlags
+	rf cliconf.RunFlags
 
 	perIter, csv bool
 	iterCSV      string
-	cluster      bool
 
 	storePath   string
 	storeMem    int64
@@ -80,13 +75,10 @@ type flags struct {
 
 func (o *flags) register(fs *flag.FlagSet) {
 	o.gf.Register(fs)
-	o.ef.Register(fs)
-	o.ff.Register(fs)
-	o.cf.Register(fs)
+	o.rf.Register(fs)
 	fs.BoolVar(&o.perIter, "iters", false, "print the per-iteration ledger")
 	fs.BoolVar(&o.csv, "csv", false, "emit the summary as CSV")
 	fs.StringVar(&o.iterCSV, "itercsv", "", "write the per-iteration ledger as CSV to this file (one simulated -arch only)")
-	fs.BoolVar(&o.cluster, "cluster", false, "run on the concurrent actor cluster instead of the simulator (disaggregated-ndp only)")
 	fs.StringVar(&o.storePath, "store", "", "read the graph out-of-core from this gcsr2 container instead of -dataset/-graph")
 	fs.Int64Var(&o.storeMem, "store-mem", 0, "out-of-core local-memory budget in bytes for decompressed segments (0 = unlimited)")
 	fs.BoolVar(&o.storeVerify, "store-verify", false, "with -store: also materialize the container in RAM, run the same again, and fail unless results are bit-identical")
@@ -102,32 +94,36 @@ type modeLimit struct {
 	flags []string
 }
 
-// limits is every mode the flags select and what it cannot honour: the
-// job wire format has no field for -server's list; the cluster always
-// offloads on the default device, traverses by push on its own actors and
-// measures traffic, not the simulator's per-iteration ledger; a container
-// is the graph, which the service and the cluster do not read; the kernel
-// engine partitions nothing, models no machine, keeps no ledger and is not
-// the cluster; the simulator, here or served, always pushes and has no
-// links to shape or fault; one ledger file cannot hold four architectures;
-// the store's knobs have no store to act on.
-func (o *flags) limits() []modeLimit {
-	links := []string{"treefanin", "chandepth", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash"}
+// limits is every mode of the command line itself and what it cannot
+// honour: the job wire format has no field for -server's list; a
+// container is the graph, which the service and the cluster do not read;
+// only the simulator keeps a ledger, and one ledger file cannot hold four
+// architectures, nor one served job; the store's knobs have no store to
+// act on. What each engine and architecture reads is core's to say
+// (core.Spec.Unread), not this table's.
+func (o *flags) limits(run string, spec core.Spec) []modeLimit {
 	return []modeLimit{
 		{"-server", o.serverURL != "", []string{"device", "switchbuffer", "direction", "fault-seed", "fault-drop", "fault-dup", "fault-delay", "crash", "iters", "itercsv"}},
-		{"-cluster", o.cluster, []string{"policy", "device", "switchbuffer", "direction", "workers", "iters", "itercsv"}},
 		{"-store", o.storePath != "", []string{"dataset", "graph", "scale", "server", "cluster"}},
-		{"-arch serial", o.ef.Arch == "serial", append([]string{"partitions", "computes", "partitioner", "policy", "aggregate", "device", "switchbuffer", "iters", "itercsv", "cluster"}, links...)},
-		{"the simulator", !o.cluster && o.ef.Arch != "serial", append([]string{"direction"}, links...)},
-		{"-arch all", o.ef.Arch == "all", []string{"itercsv"}},
+		{run, spec.Engine != core.EngineSim, []string{"iters", "itercsv"}},
+		{"-arch all", o.rf.Arch == "all", []string{"itercsv", "server"}},
 		{"no -store", o.storePath == "", []string{"store-mem", "store-verify"}},
 	}
 }
 
-// refuse names, in one error, every flag set on fs that the mode the
-// flags select would otherwise drop silently.
-func (o *flags) refuse(fs *flag.FlagSet) error {
-	limits := o.limits()
+// spec is the run the flags parsed into fs describe. It refuses, in one
+// error that names them, every flag set on fs that the mode or the run
+// would otherwise drop silently.
+func (o *flags) spec(fs *flag.FlagSet) (core.Spec, error) {
+	spec, err := o.rf.Spec(o.gf.Seed)
+	if err != nil {
+		return spec, err
+	}
+	run := "-arch " + o.rf.Arch
+	if o.rf.Cluster {
+		run = "-cluster"
+	}
+	limits, unread := o.limits(run, spec), spec.Unread()
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
 		for _, l := range limits {
@@ -136,11 +132,14 @@ func (o *flags) refuse(fs *flag.FlagSet) error {
 				return
 			}
 		}
+		if slices.Contains(unread, o.rf.Field(f.Name)) {
+			bad = append(bad, fmt.Sprintf("-%s (%s)", f.Name, run))
+		}
 	})
-	if len(bad) == 0 {
-		return nil
+	if len(bad) > 0 {
+		return spec, fmt.Errorf("refusing flags this run cannot honour: %s", strings.Join(bad, ", "))
 	}
-	return fmt.Errorf("refusing flags this run cannot honour: %s", strings.Join(bad, ", "))
+	return spec, nil
 }
 
 func main() {
@@ -160,86 +159,45 @@ func main() {
 // run executes the mode the flags parsed into fs select, printing its
 // tables to w.
 func (o *flags) run(ctx context.Context, fs *flag.FlagSet, w io.Writer) error {
-	if err := o.refuse(fs); err != nil {
+	spec, err := o.spec(fs)
+	if err != nil {
 		return err
 	}
 	if o.storePath != "" {
-		return o.runStore(ctx, w)
+		return o.runStore(ctx, spec, w)
 	}
 	g, err := o.gf.Load()
 	if err != nil {
 		return err
 	}
 	if o.serverURL != "" {
-		return runServed(ctx, g, o.gf, o.ef, o.cf, o.cluster, o.serverURL, o.tenant, o.snapName, o.csv)
+		return runServed(ctx, g, o.gf, spec, o.serverURL, o.tenant, o.snapName, o.csv)
 	}
-	_, err = o.execute(ctx, g, o.gf.Label(), w)
+	_, err = o.execute(ctx, spec, g, o.gf.Label(), w)
 	return err
 }
 
-// execute runs a fresh instance of the kernel on src in the mode the
-// engine flags select, printing its tables to w, and returns its
-// results. -arch serial bypasses the simulator entirely: it runs the
-// in-process kernel engine (direction-optimized, staged-parallel) and
-// reports the traversal telemetry instead of the movement ledger.
-func (o *flags) execute(ctx context.Context, src kernels.Source, label string, w io.Writer) ([]*core.Result, error) {
-	ef, seed := o.ef, o.gf.Seed
-	k, err := kernels.ByNameIters(ef.Kernel, ef.PRIters)
+// execute runs a fresh instance of the kernel on src in the mode spec
+// selects, printing its tables to w, and returns its results. -arch
+// serial bypasses the simulator entirely: it runs the in-process kernel
+// engine (direction-optimized, staged-parallel) and reports the
+// traversal telemetry instead of the movement ledger.
+func (o *flags) execute(ctx context.Context, spec core.Spec, src kernels.Source, label string, w io.Writer) ([]*core.Result, error) {
+	k, err := kernels.ByNameIters(spec.Kernel, spec.PRIters)
 	if err != nil {
 		return nil, err
 	}
-	if ef.Arch == "serial" {
-		return runSerialEngine(ctx, w, src, k, label, ef, o.csv)
+	if spec.Engine == core.EngineSerial {
+		return runSerialEngine(ctx, w, src, k, label, spec, o.csv)
 	}
-	if !o.cluster {
-		sys, err := system(ef, seed)
-		if err != nil {
-			return nil, err
-		}
-		return runSim(ctx, w, src, k, sys, label, ef, o.perIter, o.iterCSV, o.csv)
-	}
-	if ef.Arch != "disaggregated-ndp" {
-		return nil, fmt.Errorf("-cluster runs the concurrent disaggregated-ndp implementation; got -arch %s", ef.Arch)
-	}
-	plan, err := o.ff.Plan()
+	sys, err := spec.System()
 	if err != nil {
 		return nil, err
 	}
-	sys, err := system(ef, seed, core.WithTreeFanIn(o.cf.TreeFanIn), core.WithChannelDepth(o.cf.ChannelDepth), core.WithFaultPlan(plan))
-	if err != nil {
-		return nil, err
+	if spec.Engine == core.EngineCluster {
+		return runCluster(ctx, w, src, k, sys, o.csv)
 	}
-	return runCluster(ctx, w, src, k, sys, o.csv)
-}
-
-// system builds the one core.System the engine flags describe, plus
-// opts; seed seeds the partitioner. -arch all builds disaggregated-ndp,
-// the architecture Compare's other three rows are clones of.
-func system(ef cliconf.EngineFlags, seed uint64, opts ...core.Option) (*core.System, error) {
-	arch := core.DisaggregatedNDP
-	if ef.Arch != "all" {
-		var err error
-		if arch, err = core.ParseArch(ef.Arch); err != nil {
-			return nil, err
-		}
-	}
-	p, err := partition.ByName(ef.Partitioner, seed)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := runtime.ByName(ef.Policy)
-	if err != nil {
-		return nil, err
-	}
-	dev, err := ndp.ByName(ef.Device)
-	if err != nil {
-		return nil, err
-	}
-	topo := sim.DefaultTopology(ef.Computes, ef.Partitions)
-	topo.MemDevice = dev
-	topo.SwitchBufferEntries = ef.SwitchBuf
-	return core.New(arch, append([]core.Option{core.WithTopology(topo), core.WithPartitioner(p), core.WithPolicy(pol),
-		core.WithAggregation(ef.Aggregate), core.WithWorkers(ef.Workers)}, opts...)...)
+	return runSim(ctx, w, src, k, sys, label, o.rf.Arch == "all", o.perIter, o.iterCSV, o.csv)
 }
 
 // runSim runs the kernel on the system's architecture, or on all four
@@ -247,14 +205,14 @@ func system(ef cliconf.EngineFlags, seed uint64, opts ...core.Option) (*core.Sys
 // Every engine runs under ctx, so Ctrl-C ends the sweep within one
 // iteration.
 func runSim(ctx context.Context, w io.Writer, src kernels.Source, k kernels.Kernel, sys *core.System,
-	label string, ef cliconf.EngineFlags, perIter bool, iterCSV string, csv bool) ([]*core.Result, error) {
+	label string, all, perIter bool, iterCSV string, csv bool) ([]*core.Result, error) {
 	g := src.Vertices()
 	assign, err := sys.Partition(g)
 	if err != nil {
 		return nil, err
 	}
 	var runs []*core.Result
-	if ef.Arch == "all" {
+	if all {
 		runs, err = sys.CompareWithAssignment(ctx, src, k, assign)
 	} else {
 		var run *core.Result
@@ -299,13 +257,14 @@ func runSim(ctx context.Context, w io.Writer, src kernels.Source, k kernels.Kern
 }
 
 // runSerialEngine executes the kernel on the in-process engine with the
-// direction flags applied and prints the direction/inspection telemetry
-// the hybrid traversal exists for.
-func runSerialEngine(ctx context.Context, w io.Writer, src kernels.Source, k kernels.Kernel, label string, ef cliconf.EngineFlags, csv bool) ([]*core.Result, error) {
-	opt, err := ef.EngineOptions()
+// spec's direction and worker pool and prints the direction/inspection
+// telemetry the hybrid traversal exists for.
+func runSerialEngine(ctx context.Context, w io.Writer, src kernels.Source, k kernels.Kernel, label string, spec core.Spec, csv bool) ([]*core.Result, error) {
+	dir, err := kernels.ParseDirection(spec.Direction)
 	if err != nil {
 		return nil, err
 	}
+	opt := kernels.Options{Workers: spec.Workers, Direction: dir}
 	res, err := kernels.RunOn(ctx, src, k, kernels.Staged, opt)
 	if err != nil {
 		return nil, err
@@ -329,7 +288,7 @@ func runSerialEngine(ctx context.Context, w io.Writer, src kernels.Source, k ker
 // tier traffic the budget produced. With -store-verify the container is
 // also materialized and the run repeated on it silently; the two must
 // agree bit for bit.
-func (o *flags) runStore(ctx context.Context, w io.Writer) error {
+func (o *flags) runStore(ctx context.Context, spec core.Spec, w io.Writer) error {
 	st, err := store.OpenFile(o.storePath, store.Options{LocalBytes: o.storeMem})
 	if err != nil {
 		return err
@@ -341,7 +300,7 @@ func (o *flags) runStore(ctx context.Context, w io.Writer) error {
 	}
 	fmt.Fprintf(os.Stderr, "container %s: V=%d E=%d segments=%d digest %s\n",
 		o.storePath, st.NumVertices(), st.NumEdges(), st.NumSegments(), digest)
-	runs, err := o.execute(ctx, st, o.storePath, w)
+	runs, err := o.execute(ctx, spec, st, o.storePath, w)
 	if err != nil {
 		return err
 	}
@@ -358,7 +317,7 @@ func (o *flags) runStore(ctx context.Context, w io.Writer) error {
 	}
 	ref := *o
 	ref.perIter, ref.iterCSV = false, ""
-	want, err := ref.execute(ctx, g, o.storePath, io.Discard)
+	want, err := ref.execute(ctx, spec, g, o.storePath, io.Discard)
 	if err != nil {
 		return err
 	}
@@ -383,8 +342,8 @@ func formatBudget(b int64) string {
 
 // runServed submits the run to an ndpserve instance: upload the graph
 // as a snapshot, submit the job spec, wait, and print the served result.
-func runServed(ctx context.Context, g *graph.Graph, gf cliconf.GraphFlags, ef cliconf.EngineFlags, cf cliconf.ClusterFlags,
-	clusterMode bool, serverURL, tenant, snapName string, csv bool) error {
+func runServed(ctx context.Context, g *graph.Graph, gf cliconf.GraphFlags, spec core.Spec,
+	serverURL, tenant, snapName string, csv bool) error {
 	c := serve.NewClient(serverURL, tenant)
 	if err := c.Health(ctx); err != nil {
 		return fmt.Errorf("server %s: %w", serverURL, err)
@@ -401,28 +360,10 @@ func runServed(ctx context.Context, g *graph.Graph, gf cliconf.GraphFlags, ef cl
 	}
 	fmt.Fprintf(os.Stderr, "snapshot %s: V=%d E=%d digest %.12s…\n", snap.Name, snap.Vertices, snap.Edges, snap.Digest)
 
-	engine := serve.EngineSim
-	if clusterMode {
-		engine = serve.EngineCluster
-	}
-	aggregate := ef.Aggregate
-	spec := serve.JobSpec{
-		Snapshot:     snapName,
-		Engine:       engine,
-		Kernel:       ef.Kernel,
-		PRIters:      ef.PRIters,
-		Arch:         ef.Arch,
-		Partitions:   ef.Partitions,
-		Computes:     ef.Computes,
-		Partitioner:  ef.Partitioner,
-		Seed:         gf.Seed,
-		Policy:       ef.Policy,
-		Aggregation:  &aggregate,
-		TreeFanIn:    cf.TreeFanIn,
-		ChannelDepth: cf.ChannelDepth,
-		Workers:      ef.Workers,
-	}
-	info, err := c.Submit(ctx, spec)
+	aggregate := spec.Aggregation
+	info, err := c.Submit(ctx, serve.JobSpec{Snapshot: snapName, Engine: spec.Engine, Kernel: spec.Kernel, PRIters: spec.PRIters,
+		Arch: spec.Arch, Partitions: spec.Partitions, Computes: spec.Computes, Partitioner: spec.Partitioner, Seed: spec.Seed,
+		Policy: spec.Policy, Aggregation: &aggregate, TreeFanIn: spec.TreeFanIn, ChannelDepth: spec.ChannelDepth, Workers: spec.Workers})
 	if err != nil {
 		return err
 	}

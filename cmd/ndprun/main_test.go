@@ -37,8 +37,8 @@ func TestRunClusterHonorsCancelledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := kernels.NewPageRank(200, 0.85)
-	sys, err := system(engineFlags(t, "-partitioner", "hash", "-partitions", "4", "-aggregate=false"), 42,
-		core.WithTreeFanIn(2), core.WithChannelDepth(8))
+	sys, err := runSpec(t, "-cluster", "-partitioner", "hash", "-partitions", "4", "-aggregate=false",
+		"-treefanin", "2", "-chandepth", "8").System()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +60,15 @@ func TestRunClusterHonorsCancelledContext(t *testing.T) {
 	}
 }
 
-// engineFlags returns ndprun's engine flags at their defaults, with args
-// applied on top.
-func engineFlags(t *testing.T, args ...string) cliconf.EngineFlags {
+// runSpec returns the run ndprun's command line args describes.
+func runSpec(t *testing.T, args ...string) core.Spec {
 	t.Helper()
-	var ef cliconf.EngineFlags
-	fs := flag.NewFlagSet("ndprun", flag.ContinueOnError)
-	ef.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	o, fs := parse(t, args...)
+	spec, err := o.spec(fs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return ef
+	return spec
 }
 
 // TestRunSimHonorsCancelledContext is the simulator's half of the same
@@ -83,12 +81,11 @@ func TestRunSimHonorsCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ef := engineFlags(t, "-arch", "all", "-partitioner", "hash")
-	sys, err := system(ef, 42)
+	sys, err := runSpec(t, "-arch", "all", "-partitioner", "hash").System()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runSim(ctx, io.Discard, g, kernels.NewPageRank(200, 0.85), sys, "", ef, false, "", false)
+	_, err = runSim(ctx, io.Discard, g, kernels.NewPageRank(200, 0.85), sys, "", true, false, "", false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runSim with cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -103,8 +100,7 @@ func TestRunSerialEngineHonorsCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ef := engineFlags(t, "-arch", "serial")
-	_, err = runSerialEngine(ctx, io.Discard, g, kernels.NewPageRank(200, 0.85), "", ef, false)
+	_, err = runSerialEngine(ctx, io.Discard, g, kernels.NewPageRank(200, 0.85), "", runSpec(t, "-arch", "serial"), false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runSerialEngine with cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -213,7 +209,7 @@ func TestRunServedHonorsCancelledContext(t *testing.T) {
 	defer ts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = runServed(ctx, g, cliconf.GraphFlags{}, engineFlags(t, "-kernel", "cc"), cliconf.ClusterFlags{}, false, ts.URL, "", "g", false)
+	err = runServed(ctx, g, cliconf.GraphFlags{}, runSpec(t, "-kernel", "cc"), ts.URL, "", "g", false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runServed with cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -221,19 +217,20 @@ func TestRunServedHonorsCancelledContext(t *testing.T) {
 
 // TestDefaultsBuildOneSystem holds the three ways to describe a
 // deployment with no knobs set to one machine: a served job spec after
-// Normalize, ndprun's default flags, and core.New. Each is the
-// disaggregated NDP system with in-network aggregation, core's
-// partitioner and policy, and one topology.
+// Normalize, ndprun's default flags, and core.New. The first two build
+// through the one description, core.Spec. Each is the disaggregated NDP
+// system with in-network aggregation, core's partitioner and policy, and
+// one topology.
 func TestDefaultsBuildOneSystem(t *testing.T) {
 	spec := serve.JobSpec{Snapshot: "g"}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	served, err := spec.System()
+	served, err := spec.Spec().System()
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := system(engineFlags(t), 42)
+	local, err := runSpec(t).System()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +258,16 @@ func TestDefaultsBuildOneSystem(t *testing.T) {
 func refusal(t *testing.T, args ...string) error {
 	t.Helper()
 	o, fs := parse(t, args...)
-	return o.refuse(fs)
+	_, err := o.spec(fs)
+	return err
 }
 
 // TestDroppedFlagsAreRefused holds -server, -cluster, -store, the kernel
-// engine, the four-architecture sweep and a run without -store to
-// refusing, in one error that names it, each flag they cannot honour.
+// engine, the simulated architectures, the four-architecture sweep and a
+// run without -store to refusing, in one error that names it, each flag
+// they cannot honour. The architectures' rows are core's table: the two
+// distributed ones price with their memory nodes as the servers and have
+// no offload policy or switch, and the disaggregated one has no NDP unit.
 func TestDroppedFlagsAreRefused(t *testing.T) {
 	for _, tc := range []struct{ mode, flag, value string }{
 		{"-server", "-device", "UPMEM"},
@@ -297,6 +298,19 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 		{"-arch all", "-itercsv", "ledger.csv"},
 		{"no -store", "-store-mem", "10"},
 		{"no -store", "-store-verify", ""},
+		{"-arch distributed", "-computes", "4"},
+		{"-arch distributed", "-policy", "always"},
+		{"-arch distributed", "-aggregate", ""},
+		{"-arch distributed", "-switchbuffer", "64"},
+		{"-arch distributed-ndp", "-computes", "4"},
+		{"-arch distributed-ndp", "-policy", "always"},
+		{"-arch distributed-ndp", "-aggregate", ""},
+		{"-arch distributed-ndp", "-switchbuffer", "64"},
+		{"-arch disaggregated", "-policy", "always"},
+		{"-arch disaggregated", "-aggregate", ""},
+		{"-arch disaggregated", "-switchbuffer", "64"},
+		{"-arch disaggregated", "-device", "UPMEM"},
+		{"-arch all", "-server", "http://127.0.0.1:8090"},
 	} {
 		t.Run(tc.mode+tc.flag, func(t *testing.T) {
 			var args []string
@@ -305,9 +319,8 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 				args = []string{tc.mode, "http://127.0.0.1:8090"}
 			case "-store":
 				args = []string{tc.mode, "g.gcsr2"}
-			case "-cluster":
-				args = []string{tc.mode}
-			case "-arch serial", "-arch all":
+			case "no -store":
+			default:
 				args = strings.Fields(tc.mode)
 			}
 			if err := refusal(t, args...); err != nil {

@@ -1,11 +1,10 @@
-// Package cliconf is the shared flag layer of the run-style commands
-// (ndprun, ndpbench, ndpserve; gpart loads its graph through LoadGraph):
-// flag groups as registerable structs (GraphFlags, EngineFlags,
-// ExperimentFlags, FaultFlags, ClusterFlags), so each command picks the
-// groups it needs and spells a knob the same way. The engine flags
-// default to core's table. Names resolve in the packages that own them
-// (kernels.ByNameIters, kernels.ParseDirection, partition.ByName,
-// runtime.ByName, core.ParseArch), not here.
+// Package cliconf is the flag layer of the run-style commands: flag
+// groups as registerable structs, so a knob is spelled the same way
+// wherever it appears. GraphFlags is ndprun's input graph (ndpserve and
+// gpart load theirs through LoadGraph); RunFlags is ndprun's run, filling
+// one core.Spec on core.DefaultSpec's values; ExperimentFlags is
+// ndpbench's. Names resolve in the packages that own them, through
+// core.Spec, not here.
 package cliconf
 
 import (
@@ -15,12 +14,10 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/gio"
 	"repro/internal/graph"
-	"repro/internal/kernels"
 	"repro/internal/partition"
 	"repro/internal/runtime"
 	"repro/internal/store"
@@ -99,50 +96,80 @@ func materializeContainer(path string) (*graph.Graph, error) {
 	return g, nil
 }
 
-// EngineFlags configures the execution: kernel, architecture, topology
-// width, partitioning, offload policy, and the simulator knobs.
-type EngineFlags struct {
-	Kernel      string
-	Arch        string
-	Partitions  int
-	Computes    int
-	Partitioner string
-	Policy      string
-	Aggregate   bool
-	Device      string
-	SwitchBuf   int64
-	PRIters     int
-	Workers     int
-	Direction   string
+// RunFlags is ndprun's run: the engine, kernel and machine flags and the
+// cluster's shape and fault flags, registered straight into one
+// core.Spec on core.DefaultSpec's values.
+type RunFlags struct {
+	// Arch is an architecture's name, "all" for Compare's four, or
+	// "serial" for the kernel engine; Cluster selects the actor cluster.
+	Arch    string
+	Cluster bool
+	spec    core.Spec
+	crash   string
+}
+
+// runFields maps each flag that sets a knob of the run to the core.Spec
+// field it sets, by the field's JSON name: the names Spec.Unread gives.
+var runFields = map[string]string{
+	"kernel": "kernel", "priters": "priters", "partitions": "partitions", "computes": "computes",
+	"partitioner": "partitioner", "policy": "policy", "aggregate": "aggregation", "device": "device",
+	"switchbuffer": "switchbuffer", "treefanin": "treefanin", "chandepth": "chandepth",
+	"fault-seed": "fault", "fault-drop": "fault", "fault-dup": "fault", "fault-delay": "fault", "crash": "fault",
+	"direction": "direction", "workers": "workers",
 }
 
 // Register installs the group on fs with the standard names.
-func (f *EngineFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Kernel, "kernel", "pagerank", "kernel: pagerank | pagerank-delta | ppr | cc | bfs | sssp | sswp | indegree | reach")
-	fs.StringVar(&f.Arch, "arch", "disaggregated-ndp", "architecture: distributed | distributed-ndp | disaggregated | disaggregated-ndp | all | serial (in-process kernel engine, no simulation)")
-	fs.IntVar(&f.Partitions, "partitions", core.DefaultMemoryNodes, "memory nodes / partitions")
-	fs.IntVar(&f.Computes, "computes", core.DefaultComputeNodes, "compute nodes")
-	fs.StringVar(&f.Partitioner, "partitioner", core.DefaultPartitioner, strings.Join(partition.Names(), " | "))
-	fs.StringVar(&f.Policy, "policy", core.DefaultPolicy, "offload policy: "+strings.Join(runtime.Names(), " | ")+" (or threshold)")
-	fs.BoolVar(&f.Aggregate, "aggregate", core.DefaultAggregation, "enable in-network aggregation")
-	fs.StringVar(&f.Device, "device", "CXL-CMS", "memory-node NDP device (see ndpbench table1)")
-	fs.Int64Var(&f.SwitchBuf, "switchbuffer", 0, "switch aggregation buffer entries (0 = unlimited)")
-	fs.IntVar(&f.PRIters, "priters", 10, "PageRank iterations")
-	fs.IntVar(&f.Workers, "workers", 0, "simulator worker pool size (0 = GOMAXPROCS); results are identical for every setting")
-	fs.StringVar(&f.Direction, "direction", "auto", "kernel engine traversal direction: auto | push | pull (pull needs a gather-capable kernel)")
+func (f *RunFlags) Register(fs *flag.FlagSet) {
+	d, s := core.DefaultSpec(), &f.spec
+	fs.StringVar(&s.Kernel, "kernel", d.Kernel, "kernel: pagerank | pagerank-delta | ppr | cc | bfs | sssp | sswp | indegree | reach")
+	fs.StringVar(&f.Arch, "arch", d.Arch, "architecture: distributed | distributed-ndp | disaggregated | disaggregated-ndp | all | serial (in-process kernel engine, no simulation)")
+	fs.BoolVar(&f.Cluster, "cluster", false, "run on the concurrent actor cluster instead of the simulator (disaggregated-ndp only)")
+	fs.IntVar(&s.Partitions, "partitions", d.Partitions, "memory nodes / partitions")
+	fs.IntVar(&s.Computes, "computes", d.Computes, "compute nodes")
+	fs.StringVar(&s.Partitioner, "partitioner", d.Partitioner, strings.Join(partition.Names(), " | "))
+	fs.StringVar(&s.Policy, "policy", d.Policy, "offload policy: "+strings.Join(runtime.Names(), " | ")+" (or threshold)")
+	fs.BoolVar(&s.Aggregation, "aggregate", d.Aggregation, "enable in-network aggregation")
+	fs.StringVar(&s.Device, "device", d.Device, "memory-node NDP device (see ndpbench table1)")
+	fs.Int64Var(&s.SwitchBuffer, "switchbuffer", 0, "switch aggregation buffer entries (0 = unlimited)")
+	fs.IntVar(&s.PRIters, "priters", d.PRIters, "PageRank iterations")
+	fs.IntVar(&s.Workers, "workers", 0, "simulator worker pool size (0 = GOMAXPROCS); results are identical for every setting")
+	fs.StringVar(&s.Direction, "direction", d.Direction, "kernel engine traversal direction: auto | push | pull (pull needs a gather-capable kernel)")
+	fs.IntVar(&s.TreeFanIn, "treefanin", 0, "cluster: switch-tree fan-in (0 = flat single switch, >= 2 = SHARP-style tree)")
+	fs.IntVar(&s.ChannelDepth, "chandepth", 0, "cluster: link channel depth (0 = default)")
+	fs.Uint64Var(&s.Fault.Seed, "fault-seed", 0, "cluster: fault-injection seed")
+	fs.Float64Var(&s.Fault.Update.Drop, "fault-drop", 0, "cluster: per-transmission drop probability on update links")
+	fs.Float64Var(&s.Fault.Update.Duplicate, "fault-dup", 0, "cluster: duplicate-delivery probability on update links")
+	fs.Float64Var(&s.Fault.Update.Delay, "fault-delay", 0, "cluster: delayed-delivery probability on update links")
+	fs.StringVar(&f.crash, "crash", "", "cluster: memory-node crash schedule, e.g. 2@1,4@3 (node@iteration)")
 }
 
-// EngineOptions resolves the flag group's kernel-engine options
-// (direction mode, worker pool width).
-func (f *EngineFlags) EngineOptions() (kernels.Options, error) {
-	dir, err := kernels.ParseDirection(f.Direction)
-	if err != nil {
-		return kernels.Options{}, err
+// Field names the core.Spec field the flag sets, or "" for a flag that
+// sets none.
+func (f *RunFlags) Field(flag string) string { return runFields[flag] }
+
+// Spec is the validated run the flags describe, partitioned at seed. The
+// kernel engine and -arch all describe disaggregated-ndp: the kernel
+// engine reads no architecture, and Compare's other three rows are
+// clones of that one.
+func (f *RunFlags) Spec(seed uint64) (core.Spec, error) {
+	s := f.spec
+	s.Engine, s.Arch, s.Seed = core.EngineSim, f.Arch, seed
+	switch {
+	case f.Cluster && f.Arch != core.DisaggregatedNDP.String():
+		return s, fmt.Errorf("-cluster runs the concurrent disaggregated-ndp implementation; got -arch %s", f.Arch)
+	case f.Cluster:
+		s.Engine = core.EngineCluster
+	case f.Arch == "serial":
+		s.Engine, s.Arch = core.EngineSerial, core.DisaggregatedNDP.String()
+	case f.Arch == "all":
+		s.Arch = core.DisaggregatedNDP.String()
 	}
-	return kernels.Options{
-		Workers:   f.Workers,
-		Direction: dir,
-	}, nil
+	crash, err := ParseCrashSpec(f.crash)
+	if err != nil {
+		return s, err
+	}
+	s.Fault.Crash = crash
+	return s, s.Validate()
 }
 
 // ExperimentFlags configures the experiment drivers (ndpbench): the
@@ -173,38 +200,6 @@ func (f *ExperimentFlags) ApplyWorkers() {
 	}
 }
 
-// FaultFlags configures cluster fault injection.
-type FaultFlags struct {
-	Seed      uint64
-	Drop      float64
-	Duplicate float64
-	Delay     float64
-	CrashSpec string
-}
-
-// Register installs the group on fs with the standard names.
-func (f *FaultFlags) Register(fs *flag.FlagSet) {
-	fs.Uint64Var(&f.Seed, "fault-seed", 0, "cluster: fault-injection seed")
-	fs.Float64Var(&f.Drop, "fault-drop", 0, "cluster: per-transmission drop probability on update links")
-	fs.Float64Var(&f.Duplicate, "fault-dup", 0, "cluster: duplicate-delivery probability on update links")
-	fs.Float64Var(&f.Delay, "fault-delay", 0, "cluster: delayed-delivery probability on update links")
-	fs.StringVar(&f.CrashSpec, "crash", "", "cluster: memory-node crash schedule, e.g. 2@1,4@3 (node@iteration)")
-}
-
-// Plan assembles the validated-shape fault plan from the flag values.
-func (f *FaultFlags) Plan() (cluster.FaultPlan, error) {
-	plan := cluster.FaultPlan{
-		Seed:   f.Seed,
-		Update: cluster.LinkFaults{Drop: f.Drop, Duplicate: f.Duplicate, Delay: f.Delay},
-	}
-	crash, err := ParseCrashSpec(f.CrashSpec)
-	if err != nil {
-		return cluster.FaultPlan{}, err
-	}
-	plan.Crash = crash
-	return plan, nil
-}
-
 // ParseCrashSpec parses "node@iteration" pairs: "2@1,4@3" kills memory
 // node 2 at the start of iteration 1 and node 4 at iteration 3.
 func ParseCrashSpec(spec string) (map[int]int, error) {
@@ -231,16 +226,4 @@ func ParseCrashSpec(spec string) (map[int]int, error) {
 		crash[n] = i
 	}
 	return crash, nil
-}
-
-// ClusterFlags configures the concurrent actor cluster's shape.
-type ClusterFlags struct {
-	TreeFanIn    int
-	ChannelDepth int
-}
-
-// Register installs the group on fs with the standard names.
-func (f *ClusterFlags) Register(fs *flag.FlagSet) {
-	fs.IntVar(&f.TreeFanIn, "treefanin", 0, "cluster: switch-tree fan-in (0 = flat single switch, >= 2 = SHARP-style tree)")
-	fs.IntVar(&f.ChannelDepth, "chandepth", 0, "cluster: link channel depth (0 = default)")
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/partition"
-	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -75,18 +74,6 @@ func ParseArch(name string) (Arch, error) {
 	return 0, fmt.Errorf("unknown architecture %q (want distributed, distributed-ndp, disaggregated, or disaggregated-ndp)", name)
 }
 
-// The defaults of every System: the machine Section IV argues for, with
-// NDP memory pools, in-network aggregation, the dynamic offload runtime,
-// and min-cut partitioning. core.New, serve.JobSpec and the command
-// flags all read this one table.
-const (
-	DefaultComputeNodes = 2
-	DefaultMemoryNodes  = 8
-	DefaultPartitioner  = "multilevel"
-	DefaultPolicy       = "heuristic"
-	DefaultAggregation  = true
-)
-
 // System is a configured deployment target.
 type System struct {
 	arch        Arch
@@ -106,13 +93,13 @@ type System struct {
 // Option configures a System.
 type Option func(*System)
 
-// WithComputeNodes sets the host count (default DefaultComputeNodes).
+// WithComputeNodes sets the host count (default DefaultSpec's, 2).
 func WithComputeNodes(n int) Option {
 	return func(s *System) { s.topo.ComputeNodes = n }
 }
 
 // WithMemoryNodes sets the memory-pool width / partition count (default
-// DefaultMemoryNodes).
+// DefaultSpec's, 8).
 func WithMemoryNodes(n int) Option {
 	return func(s *System) { s.topo.MemoryNodes = n }
 }
@@ -123,13 +110,13 @@ func WithTopology(t sim.Topology) Option {
 }
 
 // WithPartitioner selects the edge-list partitioning strategy (default
-// DefaultPartitioner, multilevel min-cut: the strategy Figure 6 shows the
+// DefaultSpec's, multilevel min-cut: the strategy Figure 6 shows the
 // runtime needs).
 func WithPartitioner(p partition.Partitioner) Option {
 	return func(s *System) { s.partitioner = p }
 }
 
-// WithPolicy selects the offload policy (default DefaultPolicy, the
+// WithPolicy selects the offload policy (default DefaultSpec's, the
 // dynamic heuristic).
 func WithPolicy(p sim.OffloadPolicy) Option {
 	return func(s *System) { s.policy = p }
@@ -170,37 +157,12 @@ func WithFaultPlan(p cluster.FaultPlan) Option {
 	return func(s *System) { s.fault = p }
 }
 
-// New builds a System for the architecture from the defaults table,
-// then applies opts.
+// New builds a System for the architecture on core's defaults
+// (DefaultSpec, its partitioner at seed 0), then applies opts.
 func New(arch Arch, opts ...Option) (*System, error) {
-	p, err := partition.ByName(DefaultPartitioner, 0)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := runtime.ByName(DefaultPolicy)
-	if err != nil {
-		return nil, err
-	}
-	s := &System{
-		arch:        arch,
-		topo:        sim.DefaultTopology(DefaultComputeNodes, DefaultMemoryNodes),
-		partitioner: p,
-		policy:      pol,
-		aggregation: DefaultAggregation,
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if err := s.topo.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.ClusterConfig().Validate(); err != nil {
-		return nil, err
-	}
-	if arch < Distributed || arch > DisaggregatedNDP {
-		return nil, fmt.Errorf("core: unknown architecture %d", int(arch))
-	}
-	return s, nil
+	d := DefaultSpec()
+	d.Arch, d.Seed = arch.String(), 0
+	return d.system(opts...)
 }
 
 // Topology returns the configured topology.

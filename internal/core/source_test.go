@@ -25,7 +25,7 @@ func TestVertexViewIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	hash, err := partition.Hash{}.Partition(view, DefaultMemoryNodes)
+	hash, err := partition.Hash{}.Partition(view, DefaultSpec().Partitions)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func partitioned(cfg Config, g *graph.Graph, parts int, p partition.Partitioner)
 	if err != nil {
 		return nil, sim.Topology{}, err
 	}
-	return a, sim.DefaultTopology(core.DefaultComputeNodes, parts), nil
+	return a, sim.DefaultTopology(core.DefaultSpec().Computes, parts), nil
 }
 
 // priced executes k once on g over the assignment and prices that one

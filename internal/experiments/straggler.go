@@ -33,7 +33,7 @@ func Straggler(cfg Config) (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		topo := sim.DefaultTopology(core.DefaultComputeNodes, parts)
+		topo := sim.DefaultTopology(core.DefaultSpec().Computes, parts)
 		runs, err := priced(g, k, assign, &sim.DisaggregatedNDP{Topo: topo})
 		if err != nil {
 			return nil, err

@@ -37,7 +37,7 @@ func Tree(cfg Config) (*Artifact, error) {
 	t := metrics.NewTable(a.Title, "Fan-in", "Levels", "Pool out (MB)", "Per-level out (MB)", "Root delivery (MB)", "Leaf->root compression")
 	var flatDelivery int64 = -1
 	for _, fanIn := range []int{0, 4, 2} { // 0 = flat single switch
-		out, err := cluster.Run(context.Background(), g, k, assign, cluster.Config{ComputeNodes: core.DefaultComputeNodes, Aggregate: true, TreeFanIn: fanIn})
+		out, err := cluster.Run(context.Background(), g, k, assign, cluster.Config{ComputeNodes: core.DefaultSpec().Computes, Aggregate: true, TreeFanIn: fanIn})
 		if err != nil {
 			return nil, err
 		}

@@ -245,26 +245,27 @@ type StatefulKernel interface {
 // never drift apart; the canonical name must equal the constructed
 // kernel's Name() (enforced by TestRegistryNamesMatchKernels). The
 // constructor takes the iteration budget of the fixed-iteration kernels
-// (pagerank, ppr); the others ignore it.
+// (pagerank, ppr), which are budgeted; the others ignore it.
 type kernelEntry struct {
-	name    string
-	aliases []string
-	make    func(iters int) Kernel
+	name     string
+	aliases  []string
+	budgeted bool
+	make     func(iters int) Kernel
 }
 
 // registry is sorted by canonical name and built once, so a lookup
 // allocates only the kernel it constructs. Defaults: bfs/sssp/sswp/
 // reachability/ppr start from source 0.
 var registry = []kernelEntry{
-	{"bfs", nil, func(int) Kernel { return NewBFS(0) }},
-	{"cc", []string{"connectedcomponents"}, func(int) Kernel { return NewConnectedComponents() }},
-	{"indegree", []string{"degree"}, func(int) Kernel { return NewInDegree() }},
-	{"pagerank", []string{"pr"}, func(iters int) Kernel { return NewPageRank(iters, DefaultDamping) }},
-	{"pagerank-delta", []string{"prdelta"}, func(int) Kernel { return NewPageRankDelta(DefaultDamping, 1e-9) }},
-	{"ppr", nil, func(iters int) Kernel { return NewPersonalizedPageRank(0, iters, DefaultDamping) }},
-	{"reach", []string{"reachability"}, func(int) Kernel { return NewReachability(0) }},
-	{"sssp", nil, func(int) Kernel { return NewSSSP(0) }},
-	{"sswp", nil, func(int) Kernel { return NewSSWP(0) }},
+	{"bfs", nil, false, func(int) Kernel { return NewBFS(0) }},
+	{"cc", []string{"connectedcomponents"}, false, func(int) Kernel { return NewConnectedComponents() }},
+	{"indegree", []string{"degree"}, false, func(int) Kernel { return NewInDegree() }},
+	{"pagerank", []string{"pr"}, true, func(iters int) Kernel { return NewPageRank(iters, DefaultDamping) }},
+	{"pagerank-delta", []string{"prdelta"}, false, func(int) Kernel { return NewPageRankDelta(DefaultDamping, 1e-9) }},
+	{"ppr", nil, true, func(iters int) Kernel { return NewPersonalizedPageRank(0, iters, DefaultDamping) }},
+	{"reach", []string{"reachability"}, false, func(int) Kernel { return NewReachability(0) }},
+	{"sssp", nil, false, func(int) Kernel { return NewSSSP(0) }},
+	{"sswp", nil, false, func(int) Kernel { return NewSSWP(0) }},
 }
 
 // Names lists the canonical kernel names ByName accepts, sorted
@@ -294,11 +295,15 @@ func ByNameIters(name string, iters int) (Kernel, error) {
 	return e.make(iters), nil
 }
 
-// CheckName returns the error ByName would for name, and nil where
-// ByName would succeed, without constructing a kernel.
-func CheckName(name string) error {
-	_, err := lookup(name)
-	return err
+// Resolve returns the registry name of the kernel name or alias names,
+// and whether the kernel reads an iteration budget, without constructing
+// it; an unknown name is ByName's error.
+func Resolve(name string) (canonical string, budgeted bool, err error) {
+	e, err := lookup(name)
+	if err != nil {
+		return "", false, err
+	}
+	return e.name, e.budgeted, nil
 }
 
 // lookup finds name's registry entry by canonical name or alias.

@@ -247,15 +247,15 @@ func TestByName(t *testing.T) {
 		if k.Name() == "" {
 			t.Errorf("ByName(%q) returned unnamed kernel", name)
 		}
-		if err := CheckName(name); err != nil {
-			t.Errorf("CheckName(%q): %v", name, err)
+		if canonical, _, err := Resolve(name); err != nil || canonical != k.Name() {
+			t.Errorf("Resolve(%q) = %q, %v; ByName's kernel is %q", name, canonical, err, k.Name())
 		}
 	}
 	if _, err := ByName("zork"); err == nil {
 		t.Error("ByName accepted unknown kernel")
 	} else {
-		if cerr := CheckName("zork"); cerr == nil || cerr.Error() != err.Error() {
-			t.Errorf("CheckName(\"zork\") = %v, ByName's error %q", cerr, err)
+		if _, _, rerr := Resolve("zork"); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("Resolve(\"zork\") = %v, ByName's error %q", rerr, err)
 		}
 		// The error is self-serve: it quotes the bad name and lists every
 		// canonical name (same shape as ndp.ByName).

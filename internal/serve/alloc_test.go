@@ -20,12 +20,14 @@ import (
 // allocation count. The ring of finished jobs is full first, so every hit
 // also retires the oldest job: the steady state of a long-lived service.
 // Registry.Get, the snapshot's acquire and release, ResultCache.Get and
-// the ring's retirement allocate nothing, and so does spec validation: it
-// checks the kernel and partitioner names against their registries
-// without constructing either, and every policy is a zero-size value.
+// the ring's retirement allocate nothing, and so do spec validation and
+// canonicalization (core.Spec's Validate and Canonical): they resolve the
+// kernel and partitioner names against their registries without
+// constructing either, and every policy is a zero-size value.
 // The 7 allocations, all from building the job:
-//   - the cache key: the spec copied to the heap for json.Marshal, the
-//     marshalled bytes, and the digest-prefixed key string (3);
+//   - the cache key: the canonical spec copied to the heap for
+//     json.Marshal, the marshalled bytes, and the digest-prefixed key
+//     string (3);
 //   - the Job and its done channel (2);
 //   - the job id: fmt.Sprintf's boxed number and its string (2).
 //

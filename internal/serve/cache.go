@@ -90,10 +90,12 @@ type planKey struct {
 	k      int
 }
 
-// traceKey names one execution: the plan it ran on and the kernel, by
-// canonical name and iteration budget — served kernels start at vertex 0,
-// so nothing else tells two apart. Architecture, policy, aggregation,
-// computes and workers price or speed an execution and are not part of it.
+// traceKey names one execution: the plan it ran on and the kernel and
+// iteration budget of the job's canonical form (core.Spec.Canonical: the
+// registry name, and no budget for a kernel that has none) — served
+// kernels start at vertex 0, so nothing else tells two apart.
+// Architecture, policy, aggregation, computes and workers price or speed
+// an execution and are not part of it.
 type traceKey struct {
 	plan   planKey
 	kernel string

@@ -21,8 +21,9 @@ import (
 // — and requires an error or a canonical spec: normalizing it again
 // changes nothing, and its cache key is the same before and after that
 // second pass and does not move with the snapshot's name, Workers,
-// ChannelDepth or any field the spec's engine does not read
-// (JobSpec.cacheKey).
+// ChannelDepth, a field the spec's engine does not read, the budget of a
+// kernel that has none, or a kernel's alias. The perturbations are this
+// test's own list, not core's table, so the two check each other.
 func FuzzJobSpecNormalize(f *testing.F) {
 	f.Add([]byte(`{"snapshot":"g"}`))
 	f.Add([]byte(`{"snapshot":"g","engine":"cluster","kernel":"bfs","partitions":16,"computes":2,"partitioner":"ldg","aggregation":false,"treefanin":4}`))
@@ -31,6 +32,11 @@ func FuzzJobSpecNormalize(f *testing.F) {
 	f.Add([]byte(`{"snapshot":"","seed":18446744073709551615,"workers":-3}`))
 	f.Add([]byte(`{"snapshot":"g","partitions":1e3,"policy":"never","aggregation":null}`))
 	f.Add([]byte(`[{"snapshot":"g"}]`))
+	f.Add([]byte(`{"snapshot":"g","kernel":"connectedcomponents","priters":20,"arch":"distributed-ndp","computes":5}`))
+	aliases := map[string]string{"pagerank": "pr", "pr": "pagerank", "cc": "connectedcomponents", "connectedcomponents": "cc",
+		"indegree": "degree", "degree": "indegree", "pagerank-delta": "prdelta", "prdelta": "pagerank-delta",
+		"reach": "reachability", "reachability": "reach"}
+	budgeted := map[string]bool{"pagerank": true, "pr": true, "ppr": true}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec JobSpec
 		if err := json.Unmarshal(body, &spec); err != nil {
@@ -50,6 +56,12 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		again.Snapshot = spec.Snapshot + "'"
 		again.Workers = spec.Workers + 1
 		again.ChannelDepth = spec.ChannelDepth + 1
+		if alias, ok := aliases[spec.Kernel]; ok {
+			again.Kernel = alias
+		}
+		if !budgeted[spec.Kernel] {
+			again.PRIters = spec.PRIters + 1
+		}
 		policy := "never"
 		if spec.Policy == policy {
 			policy = "always"
@@ -61,6 +73,9 @@ func FuzzJobSpecNormalize(f *testing.F) {
 			again.Seed, again.Policy, again.Aggregation, again.TreeFanIn = spec.Seed+1, policy, &flipped, spec.TreeFanIn+1
 		case spec.Engine == EngineCluster:
 			again.Policy = policy
+		case spec.Arch == core.Distributed.String() || spec.Arch == core.DistributedNDP.String():
+			again.Computes = spec.Computes + 1
+			fallthrough
 		case spec.Arch != core.DisaggregatedNDP.String():
 			again.Policy, again.Aggregation = policy, &flipped
 			fallthrough

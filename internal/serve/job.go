@@ -14,7 +14,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/partition"
-	"repro/internal/runtime"
 )
 
 // Job states.
@@ -171,7 +170,7 @@ func (m *Manager) Registry() *Registry { return m.reg }
 // ErrQuotaExceeded; unknown snapshots ErrUnknownSnapshot; malformed
 // specs a validation error.
 func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
-	if err := spec.normalize(); err != nil {
+	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
 	snap, ok := m.reg.Get(spec.Snapshot)
@@ -531,35 +530,33 @@ func (m *Manager) Stop() {
 // architecture, the policy or the switch — and copies the values'
 // encoding the memo keeps beside the trace instead of encoding them.
 func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) ([]byte, error) {
+	run := spec.Spec()
+	sys, err := run.System()
+	if err != nil {
+		return nil, err
+	}
 	var assign *partition.Assignment
 	var plan planKey
-	if spec.Engine != EngineSerial {
-		p, err := partition.ByName(spec.Partitioner, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		plan = planKey{snap.Digest(), p, spec.Partitions}
+	if run.Engine != EngineSerial {
+		plan = planKey{snap.Digest(), sys.Partitioner(), run.Partitions}
 		if assign, err = m.cache.plan(ctx, snap.Graph(), plan); err != nil {
 			return nil, err
 		}
 	}
-	if spec.Engine != EngineSim {
-		res, err := ExecuteSpec(ctx, snap.Graph(), spec, assign)
+	if run.Engine != EngineSim {
+		res, err := run.Run(ctx, snap.Graph(), assign)
 		if err != nil {
 			return nil, err
 		}
 		return MarshalResult(res)
 	}
-	sys, err := spec.System()
-	if err != nil {
-		return nil, err
-	}
-	k, err := kernels.ByNameIters(spec.Kernel, spec.PRIters)
+	k, err := kernels.ByNameIters(run.Kernel, run.PRIters)
 	if err != nil {
 		return nil, err
 	}
 	// A trace is charged its key's strings, its Size and its encoding.
-	key := traceKey{plan: plan, kernel: k.Name(), iters: spec.PRIters}
+	canon := run.Canonical()
+	key := traceKey{plan: plan, kernel: canon.Kernel, iters: canon.PRIters}
 	kept, err := memo(m.cache, ctx, &m.cache.traces, key, func() (keptTrace, int64, error) {
 		tr, err := sys.Execute(ctx, snap.Graph(), k, core.RunConfig{Assignment: assign})
 		if err != nil {
@@ -588,51 +585,5 @@ func (m *Manager) runSpec(ctx context.Context, snap *Snapshot, spec JobSpec) ([]
 // oracle to compute the expected result without a server. A nil assign
 // partitions internally (with the spec's partitioner and seed).
 func ExecuteSpec(ctx context.Context, g *graph.Graph, spec JobSpec, assign *partition.Assignment) (*core.Result, error) {
-	sys, err := spec.System()
-	if err != nil {
-		return nil, err
-	}
-	k, err := kernels.ByNameIters(spec.Kernel, spec.PRIters)
-	if err != nil {
-		return nil, err
-	}
-	var eng core.Engine
-	switch spec.Engine {
-	case EngineSerial:
-		eng = core.SerialEngine()
-	case EngineCluster:
-		eng = sys.ConcurrentEngine()
-	default:
-		eng = sys.Engine()
-	}
-	return eng.Run(ctx, g, k, core.RunConfig{Assignment: assign})
-}
-
-// System constructs the core.System a normalized spec describes.
-func (spec JobSpec) System() (*core.System, error) {
-	arch, err := core.ParseArch(spec.Arch)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := runtime.ByName(spec.Policy)
-	if err != nil {
-		return nil, err
-	}
-	p, err := partition.ByName(spec.Partitioner, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	opts := []core.Option{
-		core.WithComputeNodes(spec.Computes),
-		core.WithMemoryNodes(spec.Partitions),
-		core.WithPartitioner(p),
-		core.WithPolicy(pol),
-		core.WithWorkers(spec.Workers),
-		core.WithTreeFanIn(spec.TreeFanIn),
-		core.WithChannelDepth(spec.ChannelDepth),
-	}
-	if spec.Aggregation != nil {
-		opts = append(opts, core.WithAggregation(*spec.Aggregation))
-	}
-	return core.New(arch, opts...)
+	return spec.Spec().Run(ctx, g, assign)
 }

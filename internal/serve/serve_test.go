@@ -252,9 +252,10 @@ func TestSeedlessPlansAreShared(t *testing.T) {
 
 // TestOneExecutionIsPricedPerArchitecture has two tenants submit at once
 // every architecture at two compute-node counts of one (snapshot, plan,
-// kernel): eight result-cache misses, the first two entering the executor
-// together. The kernel must execute once — one trace miss, seven hits,
-// the racing executor waiting for the other's execution — and every
+// kernel): six results, because the two distributed architectures read
+// no compute-node count (core's table), the first two entering the
+// executor together. The kernel must execute once — one trace miss, five
+// hits, the racing executor waiting for the other's execution — and every
 // result must be the offline twin's bytes. A caller scribbling over the
 // bytes it was handed must not reach a later hit, which copies the kept
 // encoding of the values; a snapshot reloaded with another graph must
@@ -314,9 +315,13 @@ func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 		}
 	}
 
+	// Every architecture at 2 compute nodes, then each at 4: each tenant
+	// submits in order, so the first two jobs to execute are never a
+	// distributed architecture's two counts, one result, whose second
+	// would wait on the first while the first waits for a second executor.
 	var specs []JobSpec
-	for _, arch := range core.Architectures() {
-		for _, computes := range []int{2, 4} {
+	for _, computes := range []int{2, 4} {
+		for _, arch := range core.Architectures() {
 			s := spec(arch.String(), "always")
 			s.Computes = computes
 			specs = append(specs, s)
@@ -345,7 +350,10 @@ func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 	for i, job := range jobs {
 		check(snap.Graph(), specs[i], job)
 	}
-	traces(7, 1)
+	traces(5, 1)
+	if hits := counter(m, CounterResultCacheHits); hits != 2 {
+		t.Fatalf("%d result hits, want the distributed architectures' 2", hits)
+	}
 
 	// Every result handed out so far is scribbled over; a trace hit
 	// afterwards must still serve the execution's values.
@@ -357,7 +365,7 @@ func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 	}
 	mu.Unlock()
 	check(snap.Graph(), spec(core.DisaggregatedNDP.String(), "oracle"), submitDone(t, m, spec(core.DisaggregatedNDP.String(), "oracle")))
-	traces(8, 1)
+	traces(6, 1)
 
 	// A cancelled execution keeps nothing: the next job of its key
 	// executes again.
@@ -371,9 +379,9 @@ func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 	if _, err := m.runSpec(cancelled, snap, bfs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("a cancelled execution returned %v, want context.Canceled", err)
 	}
-	traces(8, 2)
+	traces(6, 2)
 	check(snap.Graph(), bfs, submitDone(t, m, bfs))
-	traces(8, 3)
+	traces(6, 3)
 
 	// A reload under the same name with another graph executes afresh.
 	before := check(snap.Graph(), specs[0], submitDone(t, m, specs[0]))
@@ -388,7 +396,7 @@ func TestOneExecutionIsPricedPerArchitecture(t *testing.T) {
 	if after := check(reloaded.Graph(), specs[0], submitDone(t, m, specs[0])); bytes.Equal(after, before) {
 		t.Fatal("the reloaded graph answers with the old graph's bytes")
 	}
-	traces(8, 4)
+	traces(6, 4)
 
 	if kept := keptIn(m.cache, &m.cache.traces, nil); kept != 3 {
 		t.Errorf("cache keeps %d traces, want 3", kept)
@@ -744,38 +752,80 @@ func TestChannelDepthChangesNoResult(t *testing.T) {
 }
 
 // TestUnreadFieldsSplitNoKey: a field the spec's engine never reads
-// decides nothing, so each pair below, which differ only in such fields,
-// is one cache key and the same bytes: the simulator's tree fan-in; all
-// the kernel engine's machine; the cluster's policy; and the policy and
-// aggregation of every architecture without an NDP switch.
+// decides nothing, so each pair below, which differ only in such fields
+// or in a spelling, is one cache key and the same bytes: the simulator's
+// tree fan-in; all the kernel engine's machine; the cluster's policy; the
+// policy and aggregation of every architecture without an NDP switch;
+// the iteration budget of a kernel that has none, which is one execution
+// too; a kernel's or a policy's alias; and the compute-node count of the
+// distributed architectures, which price with their memory nodes as the
+// servers.
 func TestUnreadFieldsSplitNoKey(t *testing.T) {
 	g := testGraph(t, 3)
 	off := false
-	for _, c := range []struct {
-		name string
-		a, b JobSpec
-	}{
+	type row struct {
+		name     string
+		a, b     JobSpec
+		oneTrace bool // a and b are one simulator execution: one trace miss
+	}
+	rows := []row{
 		{"sim treefanin",
 			JobSpec{Kernel: "pagerank", Partitioner: "hash"},
-			JobSpec{Kernel: "pagerank", Partitioner: "hash", TreeFanIn: 4}},
+			JobSpec{Kernel: "pagerank", Partitioner: "hash", TreeFanIn: 4}, false},
 		{"serial machine",
 			JobSpec{Engine: EngineSerial, Kernel: "cc"},
 			JobSpec{Engine: EngineSerial, Kernel: "cc", Arch: "distributed", Partitions: 4, Computes: 4, Partitioner: "hash",
-				Seed: 7, Policy: "never", Aggregation: &off, TreeFanIn: 2}},
+				Seed: 7, Policy: "never", Aggregation: &off, TreeFanIn: 2}, false},
 		{"cluster policy",
 			JobSpec{Engine: EngineCluster, Kernel: "bfs", Partitioner: "hash"},
-			JobSpec{Engine: EngineCluster, Kernel: "bfs", Partitioner: "hash", Policy: "always"}},
-	} {
-		t.Run(c.name, func(t *testing.T) { sameKeySameBytes(t, g, c.a, c.b) })
+			JobSpec{Engine: EngineCluster, Kernel: "bfs", Partitioner: "hash", Policy: "always"}, false},
+		{"cc priters",
+			JobSpec{Kernel: "cc", PRIters: 10, Partitioner: "hash"},
+			JobSpec{Kernel: "cc", PRIters: 20, Partitioner: "hash"}, true},
+		{"pagerank-delta priters",
+			JobSpec{Kernel: "pagerank-delta", PRIters: 10, Partitioner: "hash"},
+			JobSpec{Kernel: "pagerank-delta", PRIters: 20, Partitioner: "hash"}, false},
+		{"serial pr alias",
+			JobSpec{Engine: EngineSerial, Kernel: "pr"},
+			JobSpec{Engine: EngineSerial, Kernel: "pagerank"}, false},
+		{"serial connectedcomponents alias",
+			JobSpec{Engine: EngineSerial, Kernel: "connectedcomponents"},
+			JobSpec{Engine: EngineSerial, Kernel: "cc"}, false},
+		{"threshold policy alias",
+			JobSpec{Kernel: "bfs", Partitioner: "hash", Policy: "threshold"},
+			JobSpec{Kernel: "bfs", Partitioner: "hash", Policy: "degree-threshold"}, false},
 	}
 	for _, arch := range core.Architectures() {
 		if arch == core.DisaggregatedNDP {
 			continue
 		}
-		t.Run(arch.String()+" policy and aggregation", func(t *testing.T) {
-			sameKeySameBytes(t, g,
-				JobSpec{Kernel: "pagerank", Arch: arch.String(), Partitioner: "hash"},
-				JobSpec{Kernel: "pagerank", Arch: arch.String(), Partitioner: "hash", Policy: "always", Aggregation: &off})
+		rows = append(rows, row{arch.String() + " policy and aggregation",
+			JobSpec{Kernel: "pagerank", Arch: arch.String(), Partitioner: "hash"},
+			JobSpec{Kernel: "pagerank", Arch: arch.String(), Partitioner: "hash", Policy: "always", Aggregation: &off}, false})
+		if arch == core.Distributed || arch == core.DistributedNDP {
+			rows = append(rows, row{arch.String() + " computes",
+				JobSpec{Kernel: "pagerank", Arch: arch.String(), Partitioner: "hash", Computes: 2},
+				JobSpec{Kernel: "pagerank", Arch: arch.String(), Partitioner: "hash", Computes: 5}, false})
+		}
+	}
+	for _, c := range rows {
+		t.Run(c.name, func(t *testing.T) {
+			sameKeySameBytes(t, g, c.a, c.b)
+			if c.oneTrace {
+				m, snap := newTestManager(t, ManagerConfig{}, nil)
+				for _, spec := range []JobSpec{c.a, c.b} {
+					spec.Snapshot = "g"
+					if err := spec.Normalize(); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := m.exec(context.Background(), snap, spec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if misses := counter(m, CounterTraceCacheMisses); misses != 1 {
+					t.Errorf("%d trace misses, want the one execution", misses)
+				}
+			}
 		})
 	}
 }

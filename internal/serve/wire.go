@@ -10,19 +10,15 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/partition"
-	"repro/internal/runtime"
 )
 
 // JobSpec is the wire form of a job submission: the snapshot to run
-// against plus the same user-facing names the CLIs accept (resolved by
-// the registries that own them, so "pagerank" or "ldg" mean exactly what
-// they mean to ndprun). Zero fields take core's defaults table, as
-// ndprun's flags do; normalize fills them in so the canonical form — and
-// therefore the result-cache key — is independent of which defaults the
-// client spelled out.
+// against plus the same user-facing names the CLIs accept. It converts to
+// one core.Spec (Spec), which resolves the names against the registries
+// that own them, so "pagerank" or "ldg" mean exactly what they mean to
+// ndprun. Zero fields take core.DefaultSpec's values, as ndprun's flags
+// do.
 type JobSpec struct {
 	// Snapshot names the registry entry to run against.
 	Snapshot string `json:"snapshot"`
@@ -47,99 +43,72 @@ type JobSpec struct {
 	// Aggregation pins in-network aggregation; nil keeps the default
 	// (on). Only disaggregated-ndp and the cluster have a switch.
 	Aggregation *bool `json:"aggregation,omitempty"`
-	// TreeFanIn / ChannelDepth shape the concurrent cluster. A link's
-	// depth paces its messages and changes no result, so it is excluded
-	// from the cache key, and so is every field an engine does not read.
+	// TreeFanIn / ChannelDepth shape the concurrent cluster's switches
+	// and links.
 	TreeFanIn    int `json:"treefanin,omitempty"`
 	ChannelDepth int `json:"chandepth,omitempty"`
-	// Workers caps the executor's worker pool. Purely a speed knob —
-	// results are bit-identical for every setting — so it is excluded
-	// from the cache key too.
+	// Workers caps the executor's worker pool.
 	Workers int `json:"workers,omitempty"`
 }
 
 // Engine selector values.
 const (
-	EngineSim     = "sim"
-	EngineCluster = "cluster"
-	EngineSerial  = "serial"
+	EngineSim     = core.EngineSim
+	EngineCluster = core.EngineCluster
+	EngineSerial  = core.EngineSerial
 )
 
 // Normalize fills defaults in place and validates every name against
-// the same resolvers the CLIs use. After Normalize, two specs that mean
-// the same run are equal structs. Submit normalizes internally; callers
-// running a spec offline (ExecuteSpec) normalize first so both sides
-// resolve identically.
-func (s *JobSpec) Normalize() error { return s.normalize() }
-
-func (s *JobSpec) normalize() error {
+// the same resolvers the CLIs use. A normalized spec spells out every
+// default, the form JobInfo echoes; two specs that mean the same run may
+// still differ, in an alias or a field their engine does not read, and
+// share one cache key (core.Spec.Canonical). Submit normalizes
+// internally; callers running a spec offline (ExecuteSpec) normalize
+// first so both sides resolve identically.
+func (s *JobSpec) Normalize() error {
 	if s.Snapshot == "" {
 		return fmt.Errorf("spec: snapshot is required")
 	}
-	s.Engine = cmp.Or(s.Engine, EngineSim)
-	s.Kernel = cmp.Or(s.Kernel, "pagerank")
-	s.PRIters = cmp.Or(s.PRIters, 10)
-	s.Arch = cmp.Or(s.Arch, core.DisaggregatedNDP.String())
-	s.Partitions = cmp.Or(s.Partitions, core.DefaultMemoryNodes)
-	s.Computes = cmp.Or(s.Computes, core.DefaultComputeNodes)
-	s.Partitioner = cmp.Or(s.Partitioner, core.DefaultPartitioner)
-	s.Seed = cmp.Or(s.Seed, 42)
-	s.Policy = cmp.Or(s.Policy, core.DefaultPolicy)
-	switch s.Engine {
-	case EngineSim, EngineCluster, EngineSerial:
-	default:
-		return fmt.Errorf("spec: unknown engine %q (want sim, cluster, or serial)", s.Engine)
-	}
-	if s.PRIters < 0 {
-		return fmt.Errorf("spec: priters must be positive")
-	}
-	if s.Partitions < 0 || s.Computes < 0 {
-		return fmt.Errorf("spec: partitions and computes must be positive")
-	}
-	if err := kernels.CheckName(s.Kernel); err != nil {
+	d := core.DefaultSpec()
+	s.Engine = cmp.Or(s.Engine, d.Engine)
+	s.Kernel = cmp.Or(s.Kernel, d.Kernel)
+	s.PRIters = cmp.Or(s.PRIters, d.PRIters)
+	s.Arch = cmp.Or(s.Arch, d.Arch)
+	s.Partitions = cmp.Or(s.Partitions, d.Partitions)
+	s.Computes = cmp.Or(s.Computes, d.Computes)
+	s.Partitioner = cmp.Or(s.Partitioner, d.Partitioner)
+	s.Seed = cmp.Or(s.Seed, d.Seed)
+	s.Policy = cmp.Or(s.Policy, d.Policy)
+	if err := s.Spec().Validate(); err != nil {
 		return fmt.Errorf("spec: %v", err)
-	}
-	if err := partition.CheckName(s.Partitioner); err != nil {
-		return fmt.Errorf("spec: %v", err)
-	}
-	if _, err := runtime.ByName(s.Policy); err != nil {
-		return fmt.Errorf("spec: %v", err)
-	}
-	arch, err := core.ParseArch(s.Arch)
-	if err != nil {
-		return fmt.Errorf("spec: %v", err)
-	}
-	if s.Engine == EngineCluster && arch != core.DisaggregatedNDP {
-		return fmt.Errorf("spec: engine cluster models the disaggregated-ndp architecture; got arch %q", s.Arch)
-	}
-	if s.TreeFanIn < 0 || s.ChannelDepth < 0 || s.Workers < 0 {
-		return fmt.Errorf("spec: treefanin, chandepth, and workers must be non-negative")
 	}
 	return nil
 }
 
-// cacheKey is the canonical identity of the run the spec describes on a
-// given snapshot: the snapshot content digest plus the normalized spec
-// with the snapshot's name, Workers, ChannelDepth and every field its
-// engine does not read zeroed (DESIGN.md, "Cache keying"): one graph
-// under two names is one key. Execution is deterministic, so equal keys
-// imply byte-identical results, as the served oracle asserts.
-func (s JobSpec) cacheKey(digest string) string {
-	s.Snapshot, s.Workers, s.ChannelDepth = "", 0, 0
-	switch s.Engine {
-	case EngineSerial:
-		s = JobSpec{Engine: s.Engine, Kernel: s.Kernel, PRIters: s.PRIters}
-	case EngineSim:
-		s.TreeFanIn = 0
-		if s.Arch != core.DisaggregatedNDP.String() {
-			s.Policy, s.Aggregation = "", nil
-		}
-	case EngineCluster:
-		s.Policy = ""
+// Spec is the run a normalized JobSpec describes, on core's defaults for
+// the knobs the wire does not carry: the one conversion from the wire.
+func (s JobSpec) Spec() core.Spec {
+	sp := core.DefaultSpec()
+	sp.Engine, sp.Arch, sp.Kernel, sp.PRIters = s.Engine, s.Arch, s.Kernel, s.PRIters
+	sp.Partitions, sp.Computes, sp.Partitioner, sp.Seed = s.Partitions, s.Computes, s.Partitioner, s.Seed
+	sp.Policy, sp.TreeFanIn, sp.ChannelDepth, sp.Workers = s.Policy, s.TreeFanIn, s.ChannelDepth, s.Workers
+	if s.Aggregation != nil {
+		sp.Aggregation = *s.Aggregation
 	}
-	// JobSpec is plain data — strings, ints, *bool — so Marshal cannot
-	// fail; the blank assignment keeps that a compile-visible fact.
-	b, _ := json.Marshal(s)
+	return sp
+}
+
+// cacheKey is the canonical identity of the run the spec describes on a
+// given snapshot: the snapshot content digest plus the run's canonical
+// form, which keeps only what can change the result's bytes (DESIGN.md,
+// "Cache keying"). The digest names the graph, so one graph under two
+// names is one key. Execution is deterministic, so equal keys imply
+// byte-identical results, as the served oracle asserts.
+func (s JobSpec) cacheKey(digest string) string {
+	// core.Spec is plain data — strings, numbers and a fault plan of the
+	// same — so Marshal cannot fail; the blank assignment keeps that a
+	// compile-visible fact.
+	b, _ := json.Marshal(s.Spec().Canonical())
 	return digest + "\n" + string(b)
 }
 

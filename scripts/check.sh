@@ -116,7 +116,8 @@ echo "(identical)"
 
 # Service round-trip: boot ndpserve on an ephemeral loopback port with a
 # preloaded snapshot, drive a submit/wait/result round-trip through
-# `ndprun -server` (which must report the resubmission as a cache hit),
+# `ndprun -server` (which must report the resubmission, and one spelled
+# with the kernel's alias, as cache hits),
 # check that the served job and a local `ndprun` run with the same flags
 # are one system (same engine, iterations and moved bytes: both take
 # core's defaults), then shut the server down cleanly (SIGTERM →
@@ -143,6 +144,14 @@ go run ./cmd/ndprun -server "http://$SERVE_ADDR" -snapshot demo \
     -dataset wiki-talk -scale 0.1 -kernel cc 2>&1 | tee /tmp/ndpserve.roundtrip2
 grep -q "result cache" /tmp/ndpserve.roundtrip2 || {
     echo "check.sh: ndpserve resubmission was not a cache hit" >&2
+    exit 1
+}
+# So must a third spelled with the kernel's alias: the key is the run's
+# canonical form (core.Spec.Canonical), not its spelling.
+go run ./cmd/ndprun -server "http://$SERVE_ADDR" -snapshot demo \
+    -dataset wiki-talk -scale 0.1 -kernel connectedcomponents 2>&1 | tee /tmp/ndpserve.roundtrip3
+grep -q "result cache" /tmp/ndpserve.roundtrip3 || {
+    echo "check.sh: ndpserve resubmission under the kernel's alias was not a cache hit" >&2
     exit 1
 }
 # Served CSV columns: Engine,Iterations,Converged,Moved,...; local:
