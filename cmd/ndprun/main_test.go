@@ -287,6 +287,7 @@ func TestDroppedFlagsAreRefused(t *testing.T) {
 		{"-cluster", "-switchbuffer", "64"},
 		{"-cluster", "-iters", ""},
 		{"-cluster", "-itercsv", "ledger.csv"},
+		{"-cluster", "-treefanin", "1"},
 		{"-store", "-cluster", ""},
 		{"-store", "-server", "http://127.0.0.1:8090"},
 		{"-store", "-dataset", "wiki-talk"},

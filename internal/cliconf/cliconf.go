@@ -157,6 +157,8 @@ func (f *RunFlags) Spec(seed uint64) (core.Spec, error) {
 	switch {
 	case f.Cluster && f.Arch != core.DisaggregatedNDP.String():
 		return s, fmt.Errorf("-cluster runs the concurrent disaggregated-ndp implementation; got -arch %s", f.Arch)
+	case f.spec.TreeFanIn == 1:
+		return s, fmt.Errorf("-treefanin 1 is no topology: use 0 for the flat topology, >= 2 for a tree")
 	case f.Cluster:
 		s.Engine = core.EngineCluster
 	case f.Arch == "serial":

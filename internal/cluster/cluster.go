@@ -56,7 +56,7 @@ type Config struct {
 	// in groups of TreeFanIn, leaf switches to parents likewise, up to a
 	// single root that delivers to the compute nodes. Each level merges
 	// updates for the same destination before forwarding (when Aggregate
-	// is set). 0 or 1 selects the flat single-switch topology.
+	// is set). 0 selects the flat single-switch topology; 1 is refused.
 	TreeFanIn int
 	// ChannelDepth is the buffering on every link. Default 64.
 	ChannelDepth int
@@ -66,15 +66,16 @@ type Config struct {
 }
 
 // Validate rejects configurations that withDefaults would otherwise
-// paper over: negative knob values and malformed fault plans. Both the
+// paper over: negative knob values, a tree fan-in of 1 and malformed
+// fault plans. Both the
 // cluster driver (Run) and core.New call it, so nonsense surfaces at
 // configuration time rather than as a hung or skewed run.
 func (c Config) Validate() error {
 	if c.ComputeNodes < 0 {
 		return fmt.Errorf("cluster: negative ComputeNodes %d", c.ComputeNodes)
 	}
-	if c.TreeFanIn < 0 {
-		return fmt.Errorf("cluster: negative TreeFanIn %d (use 0 for the flat topology, >= 2 for a tree)", c.TreeFanIn)
+	if c.TreeFanIn < 0 || c.TreeFanIn == 1 {
+		return fmt.Errorf("cluster: TreeFanIn %d (use 0 for the flat topology, >= 2 for a tree)", c.TreeFanIn)
 	}
 	if c.ChannelDepth < 0 {
 		return fmt.Errorf("cluster: negative ChannelDepth %d", c.ChannelDepth)

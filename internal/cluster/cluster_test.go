@@ -225,12 +225,15 @@ func TestClusterValidatesInputs(t *testing.T) {
 	if _, err := Run(context.Background(), ug, kernels.NewSSSP(0), ua, Config{}); err == nil {
 		t.Error("accepted sssp on unweighted graph")
 	}
+	// Fan-in 1 is neither the flat topology nor a tree.
+	if _, err := Run(context.Background(), g, kernels.NewBFS(0), a, Config{TreeFanIn: 1}); err == nil {
+		t.Error("accepted tree fan-in 1")
+	}
 	// Mismatched assignment.
 	bad := &partition.Assignment{Parts: make([]int32, 5), K: 2}
 	if _, err := Run(context.Background(), g, kernels.NewBFS(0), bad, Config{}); err == nil {
 		t.Error("accepted invalid assignment")
 	}
-	_ = a
 }
 
 func TestClusterSingleNodeDegenerate(t *testing.T) {

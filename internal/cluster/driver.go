@@ -274,7 +274,7 @@ func newDriver(g *graph.Graph, k kernels.Kernel, assign *partition.Assignment, c
 
 // buildTree lays out the switch hierarchy: memory nodes feed leaf
 // switches in groups of fanIn, leaf switches feed parents likewise, until
-// a single root remains. A flat topology (TreeFanIn < 2) is a one-switch
+// a single root remains. The flat topology (TreeFanIn 0) is a one-switch
 // tree.
 func (d *driver) buildTree(depth int) {
 	fanIn := d.cfg.TreeFanIn

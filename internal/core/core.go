@@ -137,7 +137,8 @@ func WithWorkers(n int) Option {
 
 // WithTreeFanIn selects the concurrent cluster's switch topology: >= 2
 // builds a SHARP-style hierarchical aggregation tree with that fan-in,
-// 0 (the default) the flat single-switch topology. Only ConcurrentEngine
+// 0 (the default) the flat single-switch topology; New refuses 1, which
+// is neither. Only ConcurrentEngine
 // consults it; the analytical engines model the switch tier abstractly.
 func WithTreeFanIn(fanIn int) Option {
 	return func(s *System) { s.treeFanIn = fanIn }

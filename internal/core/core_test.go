@@ -259,6 +259,9 @@ func TestNewValidatesClusterOptions(t *testing.T) {
 	if _, err := New(DisaggregatedNDP, WithTreeFanIn(-1)); err == nil {
 		t.Error("accepted negative tree fan-in")
 	}
+	if _, err := New(DisaggregatedNDP, WithTreeFanIn(1)); err == nil {
+		t.Error("accepted tree fan-in 1, which is no topology")
+	}
 	if _, err := New(DisaggregatedNDP, WithChannelDepth(-4)); err == nil {
 		t.Error("accepted negative channel depth")
 	}

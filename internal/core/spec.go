@@ -184,6 +184,8 @@ func (s Spec) resolve() (arch Arch, pol sim.OffloadPolicy, dev ndp.Device, err e
 		err = fmt.Errorf("partitions and computes must be positive")
 	case s.TreeFanIn < 0 || s.ChannelDepth < 0 || s.Workers < 0:
 		err = fmt.Errorf("treefanin, chandepth, and workers must be non-negative")
+	case s.TreeFanIn == 1:
+		err = fmt.Errorf("treefanin 1 is no topology: use 0 for the flat topology, >= 2 for a tree")
 	}
 	if err != nil {
 		return

@@ -40,12 +40,13 @@ import (
 //     the push it replaces (prepare).
 //
 //   - Edge path. A kernel declares its per-edge datapath (Traits.Edge,
-//     Traits.Agg) instead of implementing it, so the four edge loops —
-//     pushSerial, pushChunk, mergeChunks, pullRange — run every edge as
-//     plain arithmetic on local slices, switched on two loop-invariant
-//     operator values; a push calls Emit once per source, a pull once per
-//     frontier in-neighbour it probes. The inlined forms are AggOp.Reduce
-//     and EdgeOp.Combine bit for bit (reduceMin, reduceMax).
+//     Traits.Agg) instead of implementing it. The two push loops pick one
+//     leaf loop per adjacency list for the declared pair (edgePath), with
+//     both operators written out, so an edge is plain arithmetic on local
+//     slices with nothing to dispatch; mergeChunks and pullRange switch on
+//     the loop-invariant operators. A push calls Emit once per source, a
+//     pull once per frontier in-neighbour it probes. The inlined forms are
+//     AggOp.Reduce and EdgeOp.Combine bit for bit (reduceMin, reduceMax).
 //
 //   - Parallelism. The staged machine partitions each phase over a grid
 //     of C chunks, claimed by a persistent worker pool off an atomic
@@ -277,6 +278,7 @@ type engine struct {
 	lists     listPinner
 	ascending bool
 	tr        Traits
+	path      edgePath
 	n         int
 
 	// staged selects the Staged machine; false is Serial.
@@ -366,9 +368,12 @@ func newEngine(src Source, k Kernel, opt Options, staged bool) (*engine, error) 
 		return nil, err
 	}
 	g := src.Vertices()
+	tr := k.Traits()
+	path, _ := pathOf(tr.Edge, tr.Agg) // CheckGraph refused a pair without one
 	e := &engine{
 		src: src, g: g, k: k,
-		tr:     k.Traits(),
+		tr:     tr,
+		path:   path,
 		n:      g.NumVertices(),
 		staged: staged,
 		dir:    opt.Direction,
@@ -725,17 +730,12 @@ func (e *engine) pin(v graph.VertexID, front []graph.VertexID) (graph.Segment, e
 
 // pushSerial scatters the frontier's out-edges, aggregating directly per
 // destination in traversal order — the serial reference semantics every
-// other engine is validated against. A Pin failure latches into e.err
-// and turns the remaining callbacks into no-ops (ForEach cannot stop
-// early).
+// other engine is validated against. Each adjacency list goes to its
+// pair's fold loop. A Pin failure latches into e.err and turns the
+// remaining callbacks into no-ops (ForEach cannot stop early).
 func (e *engine) pushSerial() {
 	g, k := e.g, e.k
-	// Locals, so the per-edge loop keeps the slice headers and the two
-	// operators in registers: a store through e.agg or e.has could alias e
-	// itself, and the compiler would otherwise reload them from e for
-	// every edge.
-	values, agg, has := e.values, e.agg, e.has
-	edge, op := e.tr.Edge, e.tr.Agg
+	values, agg, has, path := e.values, e.agg, e.has, e.path
 	if e.lists != nil {
 		// A handle may serve only the lists of the iteration it was
 		// pinned in.
@@ -759,35 +759,111 @@ func (e *engine) pushSerial() {
 		lo, hi := g.EdgeRange(v)
 		lo, hi = lo-e.cur.Base, hi-e.cur.Base
 		nbrs := e.cur.Edges[lo:hi]
-		var wts []float32
-		if edge != EdgeCopy {
-			wts = e.cur.Weights[lo:hi]
-		}
-		for i, dst := range nbrs {
-			u := base
-			switch edge {
-			case EdgeAddWeight:
-				u = base + float64(wts[i])
-			case EdgeMinWeight:
-				u = reduceMin(base, float64(wts[i]))
-			}
-			// The fold is computed on every edge, first touches included,
-			// and a mask keeps u's bits where the slot was empty: the
-			// first-touch test is a select, not a branch.
-			r := agg[dst]
-			switch op {
-			case AggSum:
-				r += u
-			case AggMin:
-				r = reduceMin(r, u)
-			case AggMax:
-				r = reduceMax(r, u)
-			}
-			m := b2u(has[dst]) - 1
-			agg[dst] = math.Float64frombits(math.Float64bits(r)&^m | math.Float64bits(u)&m)
-			has[dst] = true
+		switch path {
+		case copySum:
+			foldCopySum(agg, has, nbrs, base)
+		case copyMin:
+			foldCopyMin(agg, has, nbrs, base)
+		case copyMax:
+			foldCopyMax(agg, has, nbrs, base)
+		case addWeightMin:
+			foldAddWeightMin(agg, has, nbrs, e.cur.Weights[lo:hi], base)
+		case minWeightMax:
+			foldMinWeightMax(agg, has, nbrs, e.cur.Weights[lo:hi], base)
 		}
 	})
+}
+
+// edgePath names a declared (EdgeOp, AggOp) pair the push loops have leaf
+// loops for, one fold (Serial) and one scatter (Staged) each. Dispatching
+// once per adjacency list, not per edge, leaves each loop few enough live
+// values to keep them all in registers.
+type edgePath uint8
+
+const (
+	copySum      edgePath = iota // pagerank, pagerank-delta, ppr, indegree
+	copyMin                      // bfs, cc
+	copyMax                      // reach
+	addWeightMin                 // sssp
+	minWeightMax                 // sswp
+)
+
+// pathOf returns the leaf loops' pair for (edge, agg); false means the
+// engine has none (CheckGraph's ErrEdgePath).
+func pathOf(edge EdgeOp, agg AggOp) (edgePath, bool) {
+	switch {
+	case edge == EdgeCopy && agg == AggSum:
+		return copySum, true
+	case edge == EdgeCopy && agg == AggMin:
+		return copyMin, true
+	case edge == EdgeCopy && agg == AggMax:
+		return copyMax, true
+	case edge == EdgeAddWeight && agg == AggMin:
+		return addWeightMin, true
+	case edge == EdgeMinWeight && agg == AggMax:
+		return minWeightMax, true
+	}
+	return 0, false
+}
+
+// The fold loops are the Serial machine's edge path, one per edgePath:
+// each folds contribution u into agg[dst] on every edge, first touches
+// included, and a mask keeps u's bits where the slot was empty, so the
+// first-touch test is a select, not a branch. Each leaf loop stays out of
+// line (go:noinline on all ten, the copy/sum pair's would inline): inlined
+// into its caller, a loop's registers are shared with the caller's live
+// values, and the edge loop reloads them from the stack on every edge.
+
+//go:noinline
+func foldCopySum(agg []float64, has []bool, nbrs []graph.VertexID, base float64) {
+	has = has[:len(agg)] // one bounds check per destination serves both
+	for _, dst := range nbrs {
+		m := b2u(has[dst]) - 1
+		agg[dst] = math.Float64frombits(math.Float64bits(agg[dst]+base)&^m | math.Float64bits(base)&m)
+		has[dst] = true
+	}
+}
+
+//go:noinline
+func foldCopyMin(agg []float64, has []bool, nbrs []graph.VertexID, base float64) {
+	has = has[:len(agg)]
+	for _, dst := range nbrs {
+		m := b2u(has[dst]) - 1
+		agg[dst] = math.Float64frombits(math.Float64bits(reduceMin(agg[dst], base))&^m | math.Float64bits(base)&m)
+		has[dst] = true
+	}
+}
+
+//go:noinline
+func foldCopyMax(agg []float64, has []bool, nbrs []graph.VertexID, base float64) {
+	has = has[:len(agg)]
+	for _, dst := range nbrs {
+		m := b2u(has[dst]) - 1
+		agg[dst] = math.Float64frombits(math.Float64bits(reduceMax(agg[dst], base))&^m | math.Float64bits(base)&m)
+		has[dst] = true
+	}
+}
+
+//go:noinline
+func foldAddWeightMin(agg []float64, has []bool, nbrs []graph.VertexID, wts []float32, base float64) {
+	has, wts = has[:len(agg)], wts[:len(nbrs)]
+	for i, dst := range nbrs {
+		u := base + float64(wts[i])
+		m := b2u(has[dst]) - 1
+		agg[dst] = math.Float64frombits(math.Float64bits(reduceMin(agg[dst], u))&^m | math.Float64bits(u)&m)
+		has[dst] = true
+	}
+}
+
+//go:noinline
+func foldMinWeightMax(agg []float64, has []bool, nbrs []graph.VertexID, wts []float32, base float64) {
+	has, wts = has[:len(agg)], wts[:len(nbrs)]
+	for i, dst := range nbrs {
+		u := reduceMin(base, float64(wts[i]))
+		m := b2u(has[dst]) - 1
+		agg[dst] = math.Float64frombits(math.Float64bits(reduceMax(agg[dst], u))&^m | math.Float64bits(u)&m)
+		has[dst] = true
+	}
 }
 
 // b2u is 1 for true and 0 for false; the compiler lowers it to a zero-
@@ -831,10 +907,8 @@ func reduceMax(a, b float64) float64 {
 // returning; a Pin failure lands in the chunk's error slot.
 func (e *engine) pushChunk(w, c int) {
 	s := &e.scratch[w]
-	seen, touched, stamp := s.seen, s.touched, s.claim()
-	acc := s.acc[:len(seen)] // one bounds check per destination serves both
-	g, k, values := e.g, e.k, e.values
-	edge, op := e.tr.Edge, e.tr.Agg
+	stamp := s.claim()
+	g, k, values, path := e.g, e.k, e.values, e.path
 	var cur graph.Segment
 	nt := 0
 	front := e.chunkFrontier(c)
@@ -852,41 +926,17 @@ func (e *engine) pushChunk(w, c int) {
 		lo, hi := g.EdgeRange(v)
 		lo, hi = lo-cur.Base, hi-cur.Base
 		nbrs := cur.Edges[lo:hi]
-		var wts []float32
-		if edge != EdgeCopy {
-			wts = cur.Weights[lo:hi]
-		}
-		for i, dst := range nbrs {
-			u := base
-			switch edge {
-			case EdgeAddWeight:
-				u = base + float64(wts[i])
-			case EdgeMinWeight:
-				u = reduceMin(base, float64(wts[i]))
-			}
-			// The slot is written before it is known to be kept, so the
-			// first-touch test is an increment, not a branch.
-			touched[nt] = dst
-			fresh := seen[dst] != stamp
-			if fresh {
-				nt++
-			}
-			seen[dst] = stamp
-			switch op {
-			case AggSum:
-				acc[dst] += u
-			case AggMin:
-				acc[dst] = reduceMin(acc[dst], u)
-			case AggMax:
-				acc[dst] = reduceMax(acc[dst], u)
-			}
-			// A partial is AggOp.Reduce folded from its first contribution.
-			// Reducing that one into the identity yields it bit for bit
-			// unless it is a NaN, which a sum quiets and min/max
-			// canonicalise; then it is stored as it came.
-			if u != u && fresh {
-				acc[dst] = u
-			}
+		switch path {
+		case copySum:
+			nt = scatterCopySum(s, stamp, nt, nbrs, base)
+		case copyMin:
+			nt = scatterCopyMin(s, stamp, nt, nbrs, base)
+		case copyMax:
+			nt = scatterCopyMax(s, stamp, nt, nbrs, base)
+		case addWeightMin:
+			nt = scatterAddWeightMin(s, stamp, nt, nbrs, cur.Weights[lo:hi], base)
+		case minWeightMax:
+			nt = scatterMinWeightMax(s, stamp, nt, nbrs, cur.Weights[lo:hi], base)
 		}
 	}
 	cur.Release()
@@ -895,9 +945,9 @@ func (e *engine) pushChunk(w, c int) {
 		list = make([]stagedUpdate, nt)
 	}
 	list = list[:nt]
-	rest, chunkOf := restIdentity(op), e.chunkOf
+	acc, rest, chunkOf := s.acc, restIdentity(e.tr.Agg), e.chunkOf
 	var remote int64
-	for i, dst := range touched[:nt] {
+	for i, dst := range s.touched[:nt] {
 		list[i] = stagedUpdate{dst: dst, val: acc[dst]}
 		acc[dst] = rest
 		if chunkOf != nil {
@@ -912,6 +962,114 @@ func (e *engine) pushChunk(w, c int) {
 	if chunkOf != nil {
 		e.remotePerChunk[c] = remote
 	}
+}
+
+// The scatter loops are the Staged machine's edge path, one per edgePath:
+// each pre-aggregates one adjacency list into the worker's accumulator
+// and returns the chunk's new count of touched destinations. The slot is
+// written before it is known to be kept, so the first-touch test is an
+// increment, not a branch; it comes last, after the reduce, which leaves a
+// register free for it (before the reduce, two loops reload a value from
+// the stack on every edge). A partial is AggOp.Reduce folded from its
+// first contribution; reducing that one into the resting identity yields
+// it bit for bit unless it is a NaN, which a sum quiets and min/max
+// canonicalise, so a fresh NaN is stored as it came.
+
+//go:noinline
+func scatterCopySum(s *pushScratch, stamp uint32, nt int, nbrs []graph.VertexID, base float64) int {
+	seen, touched := s.seen, s.touched
+	acc := s.acc[:len(seen)] // one bounds check per destination serves both
+	for _, dst := range nbrs {
+		touched[nt] = dst
+		fresh := seen[dst] != stamp
+		seen[dst] = stamp
+		acc[dst] += base
+		if base != base && fresh {
+			acc[dst] = base
+		}
+		if fresh {
+			nt++
+		}
+	}
+	return nt
+}
+
+//go:noinline
+func scatterCopyMin(s *pushScratch, stamp uint32, nt int, nbrs []graph.VertexID, base float64) int {
+	seen, touched := s.seen, s.touched
+	acc := s.acc[:len(seen)]
+	for _, dst := range nbrs {
+		touched[nt] = dst
+		fresh := seen[dst] != stamp
+		seen[dst] = stamp
+		acc[dst] = reduceMin(acc[dst], base)
+		if base != base && fresh {
+			acc[dst] = base
+		}
+		if fresh {
+			nt++
+		}
+	}
+	return nt
+}
+
+//go:noinline
+func scatterCopyMax(s *pushScratch, stamp uint32, nt int, nbrs []graph.VertexID, base float64) int {
+	seen, touched := s.seen, s.touched
+	acc := s.acc[:len(seen)]
+	for _, dst := range nbrs {
+		touched[nt] = dst
+		fresh := seen[dst] != stamp
+		seen[dst] = stamp
+		acc[dst] = reduceMax(acc[dst], base)
+		if base != base && fresh {
+			acc[dst] = base
+		}
+		if fresh {
+			nt++
+		}
+	}
+	return nt
+}
+
+//go:noinline
+func scatterAddWeightMin(s *pushScratch, stamp uint32, nt int, nbrs []graph.VertexID, wts []float32, base float64) int {
+	seen, touched := s.seen, s.touched
+	acc, wts := s.acc[:len(seen)], wts[:len(nbrs)]
+	for i, dst := range nbrs {
+		u := base + float64(wts[i])
+		touched[nt] = dst
+		fresh := seen[dst] != stamp
+		seen[dst] = stamp
+		acc[dst] = reduceMin(acc[dst], u)
+		if u != u && fresh {
+			acc[dst] = u
+		}
+		if fresh {
+			nt++
+		}
+	}
+	return nt
+}
+
+//go:noinline
+func scatterMinWeightMax(s *pushScratch, stamp uint32, nt int, nbrs []graph.VertexID, wts []float32, base float64) int {
+	seen, touched := s.seen, s.touched
+	acc, wts := s.acc[:len(seen)], wts[:len(nbrs)]
+	for i, dst := range nbrs {
+		u := reduceMin(base, float64(wts[i]))
+		touched[nt] = dst
+		fresh := seen[dst] != stamp
+		seen[dst] = stamp
+		acc[dst] = reduceMax(acc[dst], u)
+		if u != u && fresh {
+			acc[dst] = u
+		}
+		if fresh {
+			nt++
+		}
+	}
+	return nt
 }
 
 // mergeChunks folds the staged chunk lists into the global accumulator

@@ -3,6 +3,7 @@ package kernels
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -208,26 +209,18 @@ func withSpecialWeights(t testing.TB, g *graph.Graph, weighted bool) *graph.Grap
 	return out
 }
 
-// fusedAgainstReference runs kernel name over g on every machine, grid and
-// direction it supports and requires each Values vector to equal, bit for
-// bit, the reference walk with the same reduction tree. It reports
+// fusedAgainstReference runs the kernel mk makes over g on every machine,
+// grid and direction it supports and requires each Values vector to equal,
+// bit for bit, the reference walk with the same reduction tree. It reports
 // whether the kernel ran at all: a kernel whose edge operator reads
-// weights is refused on an unweighted graph, and only then.
-func fusedAgainstReference(t testing.TB, g *graph.Graph, name string) bool {
+// weights is refused on an unweighted graph, and only then; a kernel on an
+// (edge, reduce) pair without a loop is refused with ErrEdgePath on every
+// machine, grid and worker count, and only then.
+func fusedAgainstReference(t testing.TB, g *graph.Graph, name string, mk func() Kernel) bool {
 	t.Helper()
-	mk := func() Kernel { k, err := ByName(name); mustNoErr(t, err); return k }
-	if err := CheckGraph(g, mk()); err != nil {
-		if g.Weighted() && g.NonNegativeWeights() || mk().Traits().Edge == EdgeCopy {
-			t.Fatalf("%s refused: %v", name, err)
-		}
-		return false
-	}
 	var src Source = g
 	const C = 5
 	owner := stripedGrid(g.NumVertices(), C)
-	_, gathers := mk().(GatherKernel)
-	exact := mk().Traits().Agg != AggSum
-
 	// One reference walk per reduction tree; every direction and worker
 	// count under that tree must reproduce it.
 	type tree struct {
@@ -236,6 +229,37 @@ func fusedAgainstReference(t testing.TB, g *graph.Graph, name string) bool {
 		grid  *Grid
 		rg    refGrid
 	}
+	trees := []tree{
+		{"serial", Serial, nil, refGrid{chunks: 1}},
+		{"staged", Staged, nil, refGrid{chunks: engineChunks}},
+		{"gridded", Staged, &Grid{Chunks: C, ChunkOf: owner}, refGrid{C, owner}},
+	}
+	workers := []int{1, 3}
+	traits := mk().Traits()
+	_, looped := pathOf(traits.Edge, traits.Agg)
+	if err := CheckGraph(g, mk()); err != nil {
+		switch {
+		case errors.Is(err, ErrEdgePath) && !looped:
+			for _, tr := range trees {
+				for _, w := range workers {
+					if _, err := RunOn(context.Background(), src, mk(), tr.m, Options{Workers: w, Grid: tr.grid}); !errors.Is(err, ErrEdgePath) {
+						t.Fatalf("%s %s at %d workers: err = %v, want ErrEdgePath", name, tr.label, w, err)
+					}
+				}
+			}
+		case !looped:
+			t.Fatalf("%s has no edge loop, refused with %v", name, err)
+		case g.Weighted() && g.NonNegativeWeights() || traits.Edge == EdgeCopy:
+			t.Fatalf("%s refused: %v", name, err)
+		}
+		return false
+	}
+	if !looped {
+		t.Fatalf("%s has no edge loop, yet CheckGraph accepts it", name)
+	}
+	_, gathers := mk().(GatherKernel)
+	exact := traits.Agg != AggSum
+
 	directions := []Direction{DirectionPush}
 	if gathers && exact {
 		// Pull and auto visit the same contributions in another order; an
@@ -243,14 +267,10 @@ func fusedAgainstReference(t testing.TB, g *graph.Graph, name string) bool {
 		// values are theirs too.
 		directions = append(directions, DirectionPull, DirectionAuto)
 	}
-	for _, tr := range []tree{
-		{"serial", Serial, nil, refGrid{chunks: 1}},
-		{"staged", Staged, nil, refGrid{chunks: engineChunks}},
-		{"gridded", Staged, &Grid{Chunks: C, ChunkOf: owner}, refGrid{C, owner}},
-	} {
+	for _, tr := range trees {
 		want, counts, probes := reference(g, mk(), tr.rg)
 		for _, d := range directions {
-			for _, w := range []int{1, 3} {
+			for _, w := range workers {
 				if tr.m == Serial && w > 1 {
 					continue
 				}
@@ -297,21 +317,72 @@ func checkInspected(t testing.TB, label string, d Direction, res *Result, probes
 	}
 }
 
+// pairKernel is the least kernel on any (EdgeOp, AggOp) pair: every vertex
+// starts active holding one of the specials, and each emits its value as
+// it is but every fifth, which emits nothing; a destination takes its
+// aggregate and stays active while the bits move, for three iterations.
+type pairKernel struct {
+	edge EdgeOp
+	agg  AggOp
+}
+
+func (p pairKernel) Name() string                                  { return "pair " + p.edge.String() + "/" + p.agg.String() }
+func (p pairKernel) Traits() Traits                                { return Traits{MaxIterations: 3, Edge: p.edge, Agg: p.agg} }
+func (p pairKernel) InitialFrontier(*graph.Graph) []graph.VertexID { return nil }
+func (p pairKernel) Identity() float64                             { return restIdentity(p.agg) }
+func (p pairKernel) InitialValue(_ *graph.Graph, v graph.VertexID) float64 {
+	return specials[int(v)%len(specials)]
+}
+func (p pairKernel) Emit(v graph.VertexID, value float64, _ int64) (float64, bool) {
+	return value, v%5 != 4
+}
+func (p pairKernel) Apply(_ *graph.Graph, _ graph.VertexID, old, agg float64, _ bool) (float64, bool) {
+	return agg, math.Float64bits(agg) != math.Float64bits(old)
+}
+
+// allPairs is a pairKernel on each of the nine (EdgeOp, AggOp) pairs.
+func allPairs() []pairKernel {
+	var pairs []pairKernel
+	for _, edge := range []EdgeOp{EdgeCopy, EdgeAddWeight, EdgeMinWeight} {
+		for _, agg := range []AggOp{AggSum, AggMin, AggMax} {
+			pairs = append(pairs, pairKernel{edge, agg})
+		}
+	}
+	return pairs
+}
+
+// fusedKernels names the kernels the fused tests drive: the registry's,
+// then the nine pairs.
+func fusedKernels() (names []string, makers []func() Kernel) {
+	for _, e := range registry {
+		names = append(names, e.name)
+		makers = append(makers, func() Kernel { return e.make(DefaultPageRankIterations) })
+	}
+	for _, p := range allPairs() {
+		names = append(names, p.Name())
+		makers = append(makers, func() Kernel { return p })
+	}
+	return names, makers
+}
+
 // TestFusedLoopsMatchReference proves the edge path rather than assuming
-// it: every registry kernel, weighted and unweighted, Serial and Staged at
-// one and three workers under both grids, push and — where the kernel
-// gathers — pull and auto, against the reference that calls Emit, Combine
-// and Reduce as plain functions; on a hand-built graph of awkward shapes
-// and on the community fixture with special weights written over it.
+// it: every registry kernel and a kernel on each of the nine (edge,
+// reduce) pairs, weighted and unweighted, Serial and Staged at one and
+// three workers under both grids, push and — where the kernel gathers —
+// pull and auto, against the reference that calls Emit, Combine and
+// Reduce as plain functions; on a hand-built graph of awkward shapes and
+// on the community fixture with special weights written over it. A pair
+// without a loop must be refused, with ErrEdgePath, everywhere.
 func TestFusedLoopsMatchReference(t *testing.T) {
+	names, makers := fusedKernels()
 	for _, weighted := range []bool{true, false} {
 		for label, g := range map[string]*graph.Graph{
 			"awkward": awkwardGraph(t, weighted),
 			"social":  withSpecialWeights(t, socialGraph(t), weighted),
 		} {
 			ran := 0
-			for _, name := range Names() {
-				if fusedAgainstReference(t, g, name) {
+			for i, name := range names[:len(Names())] {
+				if fusedAgainstReference(t, g, name, makers[i]) {
 					ran++
 				}
 			}
@@ -320,6 +391,29 @@ func TestFusedLoopsMatchReference(t *testing.T) {
 			} else if !weighted && ran != want-2 {
 				t.Errorf("%s unweighted: %d kernels ran, want all but sssp and sswp", label, ran)
 			}
+			for i, p := range allPairs() {
+				_, looped := pathOf(p.edge, p.agg)
+				want := looped && (weighted || p.edge == EdgeCopy)
+				if got := fusedAgainstReference(t, g, p.Name(), makers[len(Names())+i]); got != want {
+					t.Errorf("%s weighted=%v: %s ran=%v, want %v", label, weighted, p.Name(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEveryRegistryPairHasALoop: a kernel the registry offers declares an
+// (edge, reduce) pair the push loops have a leaf loop for, and CheckGraph
+// lets it run on a weighted graph.
+func TestEveryRegistryPairHasALoop(t *testing.T) {
+	g := awkwardGraph(t, true)
+	for _, k := range All() {
+		tr := k.Traits()
+		if _, ok := pathOf(tr.Edge, tr.Agg); !ok {
+			t.Errorf("%s declares %v/%v, which has no edge loop", k.Name(), tr.Edge, tr.Agg)
+		}
+		if err := CheckGraph(g, k); err != nil {
+			t.Errorf("%s refused on a weighted graph: %v", k.Name(), err)
 		}
 	}
 }
@@ -327,8 +421,9 @@ func TestFusedLoopsMatchReference(t *testing.T) {
 // FuzzFusedTraversal builds a small graph from the input — up to 16
 // vertices, edges and raw float32 weight bits straight from the bytes, so
 // NaN, -0, infinities, denormals and negative weights all occur — picks a
-// registry kernel, and holds the fused engine to the reference on every
-// machine, grid and direction.
+// registry kernel or one of the nine pair kernels, and holds the fused
+// engine to the reference on every machine, grid and direction (or, for
+// a pair without a loop, to ErrEdgePath on each).
 func FuzzFusedTraversal(f *testing.F) {
 	edgeBits := func(src, dst byte, w uint32) []byte {
 		return binary.LittleEndian.AppendUint32([]byte{src, dst}, w)
@@ -342,7 +437,8 @@ func FuzzFusedTraversal(f *testing.F) {
 		f.Add(data)
 	}
 	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
-	for kernel := byte(0); kernel < byte(len(Names())); kernel++ {
+	names, makers := fusedKernels()
+	for kernel := byte(0); kernel < byte(len(names)); kernel++ {
 		seed(6, kernel, 1, edge(0, 1, negZero), edge(0, 2, 0), edge(1, 3, inf), edge(2, 3, negZero), edge(3, 0, 1.5), edge(4, 4, 2))
 	}
 	seed(3, 7, 1, edge(0, 1, float32(math.NaN())), edge(0, 2, 1))
@@ -361,7 +457,7 @@ func FuzzFusedTraversal(f *testing.F) {
 			return
 		}
 		n := 2 + int(data[0])%15
-		name := Names()[int(data[1])%len(Names())]
+		i := int(data[1]) % len(names)
 		weighted := data[2]&1 == 1
 		b := graph.NewBuilder(n)
 		for rest, added := data[3:], 0; len(rest) >= 6 && added < 96; rest, added = rest[6:], added+1 {
@@ -376,6 +472,6 @@ func FuzzFusedTraversal(f *testing.F) {
 			g, err = b.Build()
 		}
 		mustNoErr(t, err)
-		fusedAgainstReference(t, g, name)
+		fusedAgainstReference(t, g, names[i], makers[i])
 	})
 }

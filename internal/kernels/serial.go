@@ -41,11 +41,21 @@ type Result struct {
 // unweighted graph.
 var ErrNeedsWeights = errors.New("kernels: kernel requires a weighted graph")
 
+// ErrEdgePath is returned for a kernel whose (Traits.Edge, Traits.Agg)
+// pair the engine has no edge loop for: add-weight with sum or max, and
+// min-weight with sum or min. No kernel declares them, and add-weight/max
+// is a longest path, which never settles on a cycle.
+var ErrEdgePath = errors.New("kernels: no edge loop for the kernel's (edge, reduce) pair")
+
 // CheckGraph validates that g satisfies k's requirements. How the facts
 // are known is the source's business: an in-memory CSR scans its
 // weights, a container reads the flag its writer recorded.
 func CheckGraph(g Source, k Kernel) error {
-	if k.Traits().Edge != EdgeCopy {
+	tr := k.Traits()
+	if _, ok := pathOf(tr.Edge, tr.Agg); !ok {
+		return fmt.Errorf("%w: %s declares %v/%v", ErrEdgePath, k.Name(), tr.Edge, tr.Agg)
+	}
+	if tr.Edge != EdgeCopy {
 		// The edge operator reads weights.
 		if !g.Weighted() {
 			return fmt.Errorf("%w: %s", ErrNeedsWeights, k.Name())

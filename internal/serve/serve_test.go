@@ -696,6 +696,13 @@ func TestSpecNormalizeAndCacheKey(t *testing.T) {
 	if err := badArch.Normalize(); err == nil {
 		t.Error("accepted cluster engine on a non-disaggregated-ndp architecture")
 	}
+	// Fan-in 1 would run the flat topology under a second cache key.
+	for _, fanIn := range []int{-1, 1} {
+		badFanIn := JobSpec{Snapshot: "g", Engine: EngineCluster, TreeFanIn: fanIn}
+		if err := badFanIn.Normalize(); err == nil {
+			t.Errorf("accepted tree fan-in %d", fanIn)
+		}
+	}
 
 	// Workers is a speed knob: it must not split the cache key.
 	a, b := s, s
@@ -1046,6 +1053,9 @@ func TestHTTPRejectionStatuses(t *testing.T) {
 	}
 	if code, _ := post("x", JobSpec{Snapshot: "g", Kernel: "bogus"}); code != http.StatusBadRequest {
 		t.Fatalf("bad spec status = %d, want 400", code)
+	}
+	if code, _ := post("x", JobSpec{Snapshot: "g", Engine: EngineCluster, Kernel: "cc", TreeFanIn: 1}); code != http.StatusBadRequest {
+		t.Fatalf("tree fan-in 1 status = %d, want 400", code)
 	}
 }
 

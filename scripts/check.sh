@@ -15,8 +15,9 @@
 #               and PageRank, the four architectures on the container
 #               against the materialized graph, and gpart over the same
 #               container
-#   -count      cluster faults, parallel simulator, store lifecycle (each
-#               -count=2), served result, plan and trace sharing
+#   -count      cluster faults, parallel simulator, the kernel engine's
+#               edge loops, store lifecycle (each -count=2), served
+#               result, plan and trace sharing
 #               (-count=10), ndpserve shutdown with a parked waiter
 #               (-count=20), all under the race detector
 #   tier 2      go test -race -count=1 ./...  (never from the test cache)
@@ -227,6 +228,12 @@ step go test -race -count=2 -run '^TestFault' ./internal/cluster/
 # the kernel engine's worker pool under the partition grid, with the
 # accountant observing every iteration.
 step go test -race -count=2 -run '^TestParallelMatchesSerial$' ./internal/sim/
+
+# The kernel engine's per-pair edge loops under the race detector at
+# -count=2: each scatter loop writes its worker's own scratch, at one and
+# several worker counts, and every pair must still match the reference
+# and the Serial machine bit for bit.
+step go test -race -count=2 -run '^(TestFusedLoopsMatchReference|TestEngineBitIdenticalAtEveryWorkerCount|TestParallelMatchesSerialAllKernels)$' ./internal/kernels/
 
 # Store lifecycle under the race detector at -count=2: the pin/release
 # protocol and the read-through buffers hammered from many goroutines;
