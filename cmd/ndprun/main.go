@@ -16,9 +16,12 @@
 //	    -fault-seed 7 -fault-drop 0.2 -fault-dup 0.1 -crash 2@1
 //
 // The flags describe one core.Spec, on core.DefaultSpec's values: with no
-// knobs set, the same machine a core.New system or a served job
-// describes. A set flag the selected engine or architecture does not read
-// (core.Spec.Unread) is refused, not dropped.
+// knobs set, the same machine core.DefaultSpec().System() builds and a
+// served job describes (core.New and its options are the benchmark
+// harness's alone). The spec's System is built before the graph is
+// loaded, so a machine it cannot be, such as a crash schedule past the
+// pool, fails first. A set flag the selected engine or architecture does
+// not read (core.Spec.Unread) is refused, not dropped.
 //
 // With -store, the graph is an out-of-core container read in place by
 // the same run -graph would start, followed by the tier's traffic.
@@ -161,6 +164,9 @@ func main() {
 func (o *flags) run(ctx context.Context, fs *flag.FlagSet, w io.Writer) error {
 	spec, err := o.spec(fs)
 	if err != nil {
+		return err
+	}
+	if _, err := spec.System(); err != nil {
 		return err
 	}
 	if o.storePath != "" {
@@ -360,10 +366,7 @@ func runServed(ctx context.Context, g *graph.Graph, gf cliconf.GraphFlags, spec 
 	}
 	fmt.Fprintf(os.Stderr, "snapshot %s: V=%d E=%d digest %.12s…\n", snap.Name, snap.Vertices, snap.Edges, snap.Digest)
 
-	aggregate := spec.Aggregation
-	info, err := c.Submit(ctx, serve.JobSpec{Snapshot: snapName, Engine: spec.Engine, Kernel: spec.Kernel, PRIters: spec.PRIters,
-		Arch: spec.Arch, Partitions: spec.Partitions, Computes: spec.Computes, Partitioner: spec.Partitioner, Seed: spec.Seed,
-		Policy: spec.Policy, Aggregation: &aggregate, TreeFanIn: spec.TreeFanIn, ChannelDepth: spec.ChannelDepth, Workers: spec.Workers})
+	info, err := c.Submit(ctx, serve.JobSpecFor(snapName, spec))
 	if err != nil {
 		return err
 	}

@@ -215,12 +215,11 @@ func TestRunServedHonorsCancelledContext(t *testing.T) {
 	}
 }
 
-// TestDefaultsBuildOneSystem holds the three ways to describe a
-// deployment with no knobs set to one machine: a served job spec after
-// Normalize, ndprun's default flags, and core.New. The first two build
-// through the one description, core.Spec. Each is the disaggregated NDP
-// system with in-network aggregation, core's partitioner and policy, and
-// one topology.
+// TestDefaultsBuildOneSystem holds the ways to describe a deployment with
+// no knobs set to one machine: a served job spec after Normalize and
+// ndprun's default flags build core.DefaultSpec's System. Each is the
+// disaggregated NDP system with in-network aggregation, core's
+// partitioner and policy, and one topology.
 func TestDefaultsBuildOneSystem(t *testing.T) {
 	spec := serve.JobSpec{Snapshot: "g"}
 	if err := spec.Normalize(); err != nil {
@@ -234,7 +233,7 @@ func TestDefaultsBuildOneSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := core.New(core.DisaggregatedNDP)
+	def, err := core.DefaultSpec().System()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,13 +242,13 @@ func TestDefaultsBuildOneSystem(t *testing.T) {
 			t.Errorf("%s: engine %q, want %q", name, got, want)
 		}
 		if got, want := sys.Partitioner().Name(), def.Partitioner().Name(); got != want {
-			t.Errorf("%s: partitioner %q, core.New's %q", name, got, want)
+			t.Errorf("%s: partitioner %q, DefaultSpec's %q", name, got, want)
 		}
 		if got, want := sys.Policy().Name(), def.Policy().Name(); got != want {
-			t.Errorf("%s: policy %q, core.New's %q", name, got, want)
+			t.Errorf("%s: policy %q, DefaultSpec's %q", name, got, want)
 		}
 		if got, want := sys.Topology(), def.Topology(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: topology %+v, core.New's %+v", name, got, want)
+			t.Errorf("%s: topology %+v, DefaultSpec's %+v", name, got, want)
 		}
 	}
 }
@@ -397,5 +396,19 @@ func TestNegativeSwitchBufferIsRefused(t *testing.T) {
 	err := o.run(context.Background(), fs, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "SwitchBufferEntries") {
 		t.Fatalf("-switchbuffer -1: err = %v, want a SwitchBufferEntries range error", err)
+	}
+}
+
+// TestImpossibleCrashScheduleFailsFirst holds -crash to the pool it
+// names: a node past the pool, or every node, is refused when the machine
+// is built, before the graph is read — here the graph file does not exist,
+// and the error is the schedule's.
+func TestImpossibleCrashScheduleFailsFirst(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.gcsr")
+	for crash, want := range map[string]string{"9@1": "names memory node 9", "0@1,1@1,2@1,3@2": "kills all 4"} {
+		o, fs := parse(t, "-graph", missing, "-kernel", "cc", "-cluster", "-partitions", "4", "-crash", crash)
+		if err := o.run(context.Background(), fs, io.Discard); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-crash %s: err = %v, want one that %s", crash, err, want)
+		}
 	}
 }

@@ -216,7 +216,7 @@ func Run(ctx context.Context, g *graph.Graph, k kernels.Kernel, assign *partitio
 	if err := assign.Validate(g); err != nil {
 		return nil, err
 	}
-	if err := cfg.Fault.validateCrashes(assign.K); err != nil {
+	if err := cfg.Fault.ValidateCrashes(assign.K); err != nil {
 		return nil, err
 	}
 	if _, ok := k.(kernels.StatefulKernel); ok {

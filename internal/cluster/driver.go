@@ -559,7 +559,7 @@ func (d *driver) nextAlive(from int, alive []bool) int {
 			return cand
 		}
 	}
-	return from // unreachable: validateCrashes guarantees a survivor
+	return from // unreachable: ValidateCrashes guarantees a survivor
 }
 
 // memoryNode is the NDP unit of memory-node actor a: it serves a set of

@@ -138,8 +138,7 @@ func (p FaultPlan) Empty() bool {
 }
 
 // Validate checks the plan's probabilities and crash schedule. Crash
-// indices are validated against the pool width at Run time, when it is
-// known.
+// indices are checked against the pool width by ValidateCrashes.
 func (p FaultPlan) Validate() error {
 	if err := p.Update.validate("update-link"); err != nil {
 		return err
@@ -158,9 +157,12 @@ func (p FaultPlan) Validate() error {
 	return nil
 }
 
-// validateCrashes checks the crash schedule against the actual pool
-// width: every index in range, and at least one actor with no entry.
-func (p FaultPlan) validateCrashes(memoryNodes int) error {
+// ValidateCrashes checks the crash schedule against a pool of
+// memoryNodes: every index in range, and at least one actor with no
+// entry. Run calls it with the assignment's width; a core System's build
+// with its pool's, so a schedule the pool cannot run fails before any
+// graph is read.
+func (p FaultPlan) ValidateCrashes(memoryNodes int) error {
 	for a := range p.Crash {
 		if a >= memoryNodes {
 			return fmt.Errorf("cluster: crash schedule names memory node %d, pool has %d", a, memoryNodes)

@@ -2,12 +2,18 @@
 // kernel, a partitioner, an architecture, and an offload policy into one
 // runnable system, so downstream users don't assemble the pieces by hand.
 //
-// Minimal use:
+// Minimal use — a Spec (spec.go) is the machine as plain data, on
+// DefaultSpec's values:
 //
 //	g, _ := gen.ComLiveJournal.Generate(1, gen.Config{Seed: 1})
-//	sys, _ := core.New(core.DisaggregatedNDP, core.WithMemoryNodes(16))
+//	spec := core.DefaultSpec()
+//	spec.Partitions = 16
+//	sys, _ := spec.System()
 //	run, _ := sys.Engine().Run(context.Background(), g, kernels.NewPageRank(20, 0.85), core.RunConfig{})
 //	fmt.Println(run.TotalDataMovementBytes)
+//
+// New and its options are a second route kept for the benchmark harness
+// (bench/) alone.
 //
 // Engine (engine.go) is the one way to run a kernel: every execution
 // model implements it, takes a context and returns the unified *Result.
@@ -90,76 +96,48 @@ type System struct {
 	fault        cluster.FaultPlan
 }
 
-// Option configures a System.
+// Option configures a System that New builds. New and its five options
+// are the benchmark harness's (bench/) route to a System, kept until it
+// builds from a Spec; ROADMAP item 8 deletes them. Everything else
+// builds its System from a Spec.
 type Option func(*System)
 
-// WithComputeNodes sets the host count (default DefaultSpec's, 2).
+// WithComputeNodes sets the host count (default DefaultSpec's, 2). For
+// bench/ only.
 func WithComputeNodes(n int) Option {
 	return func(s *System) { s.topo.ComputeNodes = n }
 }
 
 // WithMemoryNodes sets the memory-pool width / partition count (default
-// DefaultSpec's, 8).
+// DefaultSpec's, 8). For bench/ only.
 func WithMemoryNodes(n int) Option {
 	return func(s *System) { s.topo.MemoryNodes = n }
 }
 
-// WithTopology replaces the whole topology (node counts included).
-func WithTopology(t sim.Topology) Option {
-	return func(s *System) { s.topo = t }
-}
-
-// WithPartitioner selects the edge-list partitioning strategy (default
-// DefaultSpec's, multilevel min-cut: the strategy Figure 6 shows the
-// runtime needs).
-func WithPartitioner(p partition.Partitioner) Option {
-	return func(s *System) { s.partitioner = p }
-}
-
 // WithPolicy selects the offload policy (default DefaultSpec's, the
-// dynamic heuristic).
+// dynamic heuristic). For bench/ only.
 func WithPolicy(p sim.OffloadPolicy) Option {
 	return func(s *System) { s.policy = p }
 }
 
-// WithAggregation toggles in-network aggregation (default on). Only
-// DisaggregatedNDP and the concurrent cluster have a switch that reads it.
-func WithAggregation(enabled bool) Option {
-	return func(s *System) { s.aggregation = enabled }
-}
-
 // WithWorkers caps the analytical simulator's worker pool (default 0 =
 // GOMAXPROCS). Purely a speed knob: every setting, including 1, produces
-// bit-identical runs.
+// bit-identical runs. For bench/ only.
 func WithWorkers(n int) Option {
 	return func(s *System) { s.workers = n }
 }
 
-// WithTreeFanIn selects the concurrent cluster's switch topology: >= 2
-// builds a SHARP-style hierarchical aggregation tree with that fan-in,
-// 0 (the default) the flat single-switch topology; New refuses 1, which
-// is neither. Only ConcurrentEngine
-// consults it; the analytical engines model the switch tier abstractly.
-func WithTreeFanIn(fanIn int) Option {
-	return func(s *System) { s.treeFanIn = fanIn }
-}
-
-// WithChannelDepth sets the buffering of every concurrent-cluster link
-// (default 64). Smaller depths exercise backpressure; correctness is
-// unaffected.
-func WithChannelDepth(depth int) Option {
-	return func(s *System) { s.channelDepth = depth }
-}
-
 // WithFaultPlan installs a seeded fault-injection schedule for
 // ConcurrentEngine: link drops, duplicates, delays, and memory-node crash
-// schedules, all deterministic. The zero plan injects nothing.
+// schedules, all deterministic. The zero plan injects nothing. For bench/
+// only.
 func WithFaultPlan(p cluster.FaultPlan) Option {
 	return func(s *System) { s.fault = p }
 }
 
 // New builds a System for the architecture on core's defaults
-// (DefaultSpec, its partitioner at seed 0), then applies opts.
+// (DefaultSpec, its partitioner at seed 0), then applies opts. It is
+// bench/'s; every other caller builds from a Spec (Spec.System).
 func New(arch Arch, opts ...Option) (*System, error) {
 	d := DefaultSpec()
 	d.Arch, d.Seed = arch.String(), 0
@@ -200,10 +178,10 @@ func (s *System) simEngine() sim.Engine {
 }
 
 // ClusterConfig assembles the concurrent cluster's configuration from
-// the system's options — the single place where core's knobs
-// (WithComputeNodes, WithAggregation, WithTreeFanIn, WithChannelDepth,
-// WithFaultPlan) meet cluster.Config. New validates it, so a System that
-// constructs successfully always yields a runnable cluster.
+// the system's knobs — the single place where a Spec's Computes,
+// Aggregation, TreeFanIn, ChannelDepth and Fault meet cluster.Config. The
+// System's build validates it, and the crash schedule against the pool,
+// so a System that builds always yields a runnable cluster.
 func (s *System) ClusterConfig() cluster.Config {
 	return cluster.Config{
 		ComputeNodes: s.topo.ComputeNodes,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/partition"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -21,6 +22,31 @@ func coreGraph(t testing.TB) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// newSpec is the Spec New builds arch from: DefaultSpec with its
+// partitioner at seed 0.
+func newSpec(arch Arch) Spec {
+	s := DefaultSpec()
+	s.Arch, s.Seed = arch.String(), 0
+	return s
+}
+
+// mustSystem builds the System s describes.
+func mustSystem(t testing.TB, s Spec) *System {
+	t.Helper()
+	sys, err := s.System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// hashSystem is arch's System on New's defaults under hash partitioning.
+func hashSystem(t testing.TB, arch Arch) *System {
+	s := newSpec(arch)
+	s.Partitioner = "hash"
+	return mustSystem(t, s)
 }
 
 func TestNewDefaults(t *testing.T) {
@@ -119,18 +145,14 @@ func TestCompareIsTableIIOrdered(t *testing.T) {
 }
 
 func TestOptionsApply(t *testing.T) {
-	topo := sim.DefaultTopology(4, 32)
-	s, err := New(Disaggregated,
-		WithTopology(topo),
-		WithPartitioner(partition.Hash{}),
-		WithPolicy(sim.Oracle{}),
-		WithAggregation(true),
-	)
-	if err != nil {
-		t.Fatal(err)
+	spec := newSpec(Disaggregated)
+	spec.Computes, spec.Partitions, spec.Partitioner, spec.Policy = 4, 32, "hash", "oracle"
+	s := mustSystem(t, spec)
+	if !reflect.DeepEqual(s.Topology(), sim.DefaultTopology(4, 32)) {
+		t.Errorf("topology knobs ignored: %+v", s.Topology())
 	}
-	if s.Topology().ComputeNodes != 4 || s.Topology().MemoryNodes != 32 {
-		t.Errorf("topology option ignored: %+v", s.Topology())
+	if s.Partitioner() != (partition.Hash{}) || s.Policy() != (sim.Oracle{}) {
+		t.Errorf("partitioner %v, policy %v, want hash and oracle", s.Partitioner(), s.Policy())
 	}
 	g := coreGraph(t)
 	a, err := s.Partition(g)
@@ -207,37 +229,29 @@ func TestRunConcurrentMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestRunConcurrentOptions drives the option-configured cluster: a tree
-// fan-in and tight channel depth via options, and a seeded fault plan
-// whose injected drops and crash must not change the computed values.
+// TestRunConcurrentOptions drives the spec-configured cluster: a tree
+// fan-in and tight channel depth, and a seeded fault plan whose injected
+// drops and crash must not change the computed values.
 func TestRunConcurrentOptions(t *testing.T) {
 	g := coreGraph(t)
 	k := kernels.NewPageRank(5, 0.85)
 	// The reference shares the faulty system's topology: tree depth
 	// changes float association, so only the fault plan may differ.
-	base, err := New(DisaggregatedNDP, WithMemoryNodes(6), WithTreeFanIn(2), WithChannelDepth(8))
+	spec := newSpec(DisaggregatedNDP)
+	spec.Partitions, spec.TreeFanIn, spec.ChannelDepth = 6, 2, 8
+	ref, err := mustSystem(t, spec).ConcurrentEngine().Run(context.Background(), g, k, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := base.ConcurrentEngine().Run(context.Background(), g, k, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
+	spec.Fault = cluster.FaultPlan{
+		Seed:   13,
+		Update: cluster.LinkFaults{Drop: 0.15, Duplicate: 0.1},
+		Crash:  map[int]int{1: 1},
 	}
-	faulty, err := New(DisaggregatedNDP, WithMemoryNodes(6),
-		WithTreeFanIn(2),
-		WithChannelDepth(8),
-		WithFaultPlan(cluster.FaultPlan{
-			Seed:   13,
-			Update: cluster.LinkFaults{Drop: 0.15, Duplicate: 0.1},
-			Crash:  map[int]int{1: 1},
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulty := mustSystem(t, spec)
 	cfg := faulty.ClusterConfig()
 	if cfg.TreeFanIn != 2 || cfg.ChannelDepth != 8 || cfg.Fault.Seed != 13 {
-		t.Fatalf("options did not reach cluster config: %+v", cfg)
+		t.Fatalf("the spec's knobs did not reach cluster config: %+v", cfg)
 	}
 	out, err := faulty.ConcurrentEngine().Run(context.Background(), g, k, RunConfig{})
 	if err != nil {
@@ -254,20 +268,63 @@ func TestRunConcurrentOptions(t *testing.T) {
 }
 
 // TestNewValidatesClusterOptions pins that nonsense cluster knobs fail
-// at System construction, not at run time.
+// at System construction, not at run time: a crash schedule included,
+// which the pool's width bounds.
 func TestNewValidatesClusterOptions(t *testing.T) {
-	if _, err := New(DisaggregatedNDP, WithTreeFanIn(-1)); err == nil {
-		t.Error("accepted negative tree fan-in")
+	for _, tc := range []struct {
+		name string
+		edit func(*Spec)
+	}{
+		{"negative tree fan-in", func(s *Spec) { s.TreeFanIn = -1 }},
+		{"tree fan-in 1, which is no topology", func(s *Spec) { s.TreeFanIn = 1 }},
+		{"negative channel depth", func(s *Spec) { s.ChannelDepth = -4 }},
+		{"a fault probability above 1", func(s *Spec) { s.Fault.Update.Drop = 1.5 }},
+		{"a crash of a memory node past the pool", func(s *Spec) { s.Partitions, s.Fault.Crash = 4, map[int]int{9: 1} }},
+		{"a crash of every memory node", func(s *Spec) { s.Partitions, s.Fault.Crash = 2, map[int]int{0: 1, 1: 2} }},
+	} {
+		s := newSpec(DisaggregatedNDP)
+		s.Engine = EngineCluster
+		tc.edit(&s)
+		if _, err := s.System(); err == nil {
+			t.Errorf("accepted %s", tc.name)
+		}
 	}
-	if _, err := New(DisaggregatedNDP, WithTreeFanIn(1)); err == nil {
-		t.Error("accepted tree fan-in 1, which is no topology")
+	if _, err := New(DisaggregatedNDP, WithMemoryNodes(2), WithFaultPlan(cluster.FaultPlan{Crash: map[int]int{2: 0}})); err == nil {
+		t.Error("New accepted a crash of a memory node past the pool")
 	}
-	if _, err := New(DisaggregatedNDP, WithChannelDepth(-4)); err == nil {
-		t.Error("accepted negative channel depth")
+}
+
+// TestNewMatchesSpec guards New, bench/'s second route to a System, for as
+// long as it stays: each option set bench/simsweep.go passes to New builds
+// a System equal, field for field, to the one its Spec builds.
+func TestNewMatchesSpec(t *testing.T) {
+	faults := cluster.FaultPlan{Seed: 42, Update: cluster.LinkFaults{Drop: 0.05}, Writeback: cluster.LinkFaults{Drop: 0.05},
+		Crash: map[int]int{1: 1}}
+	type row struct {
+		arch Arch
+		opts []Option
+		edit func(*Spec)
 	}
-	bad := cluster.FaultPlan{Update: cluster.LinkFaults{Drop: 1.5}}
-	if _, err := New(DisaggregatedNDP, WithFaultPlan(bad)); err == nil {
-		t.Error("accepted fault plan with probability > 1")
+	var rows []row
+	for _, arch := range Architectures() {
+		rows = append(rows, row{arch, []Option{WithPolicy(sim.AlwaysOffload{})}, func(s *Spec) { s.Policy = "always" }})
+	}
+	rows = append(rows,
+		row{DisaggregatedNDP, []Option{WithPolicy(runtime.Heuristic{})}, func(s *Spec) { s.Policy = "heuristic" }},
+		row{DisaggregatedNDP, []Option{WithFaultPlan(faults)}, func(s *Spec) { s.Fault = faults }},
+		row{DisaggregatedNDP, []Option{WithPolicy(sim.AlwaysOffload{}), WithWorkers(1)}, func(s *Spec) { s.Policy, s.Workers = "always", 1 }},
+	)
+	for i, r := range rows {
+		got, err := New(r.arch, append([]Option{WithMemoryNodes(16), WithComputeNodes(2)}, r.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := newSpec(r.arch)
+		spec.Partitions, spec.Computes = 16, 2
+		r.edit(&spec)
+		if want := mustSystem(t, spec); !reflect.DeepEqual(got, want) {
+			t.Errorf("row %d (%s): New built %+v, its Spec %+v", i, r.arch, got, want)
+		}
 	}
 }
 
@@ -293,10 +350,7 @@ func TestCompareMatchesFreshSystems(t *testing.T) {
 	g := coreGraph(t)
 	k := kernels.NewPageRank(5, 0.85)
 	for _, baseArch := range Architectures() {
-		base, err := New(baseArch, WithMemoryNodes(8), WithPartitioner(partition.Hash{}))
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := hashSystem(t, baseArch)
 		assign, err := base.Partition(g)
 		if err != nil {
 			t.Fatal(err)
@@ -306,11 +360,7 @@ func TestCompareMatchesFreshSystems(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, arch := range Architectures() {
-			fresh, err := New(arch, WithMemoryNodes(8), WithPartitioner(partition.Hash{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.Engine().Run(context.Background(), g, k, RunConfig{Assignment: assign})
+			want, err := hashSystem(t, arch).Engine().Run(context.Background(), g, k, RunConfig{Assignment: assign})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,21 +382,19 @@ func TestCompareMatchesFreshSystems(t *testing.T) {
 }
 
 // TestCompareHonorsExplicitAggregation pins the other side of the fix:
-// an explicit WithAggregation(false) must stick for the Compare clone
+// an explicit Aggregation false must stick for the Compare clone
 // rather than being overwritten by the per-arch default.
 func TestCompareHonorsExplicitAggregation(t *testing.T) {
 	g := coreGraph(t)
 	k := kernels.NewPageRank(5, 0.85)
-	s, err := New(Distributed, WithMemoryNodes(8), WithPartitioner(partition.Hash{}), WithAggregation(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs, err := s.Compare(context.Background(), g, k)
+	spec := newSpec(Distributed)
+	spec.Partitioner, spec.Aggregation = "hash", false
+	runs, err := mustSystem(t, spec).Compare(context.Background(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := runs[3].Engine; got != "disaggregated-ndp" {
-		t.Fatalf("explicit WithAggregation(false) ignored: row engine %q", got)
+		t.Fatalf("explicit Aggregation false ignored: row engine %q", got)
 	}
 }
 
@@ -355,10 +403,7 @@ func TestCompareHonorsExplicitAggregation(t *testing.T) {
 // price one execution and must still match fresh per-arch systems.
 func TestCompareParallelStatefulKernel(t *testing.T) {
 	g := coreGraph(t)
-	s, err := New(Disaggregated, WithMemoryNodes(8), WithPartitioner(partition.Hash{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := hashSystem(t, Disaggregated)
 	assign, err := s.Partition(g)
 	if err != nil {
 		t.Fatal(err)
@@ -368,11 +413,7 @@ func TestCompareParallelStatefulKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, arch := range Architectures() {
-		fresh, err := New(arch, WithMemoryNodes(8), WithPartitioner(partition.Hash{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.Engine().Run(context.Background(), g, kernels.NewPageRankDelta(0.85, 1e-7), RunConfig{Assignment: assign})
+		want, err := hashSystem(t, arch).Engine().Run(context.Background(), g, kernels.NewPageRankDelta(0.85, 1e-7), RunConfig{Assignment: assign})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,10 +432,7 @@ func TestPriceOwnsItsValues(t *testing.T) {
 	ctx := context.Background()
 	g := coreGraph(t)
 	k := kernels.NewBFS(0)
-	s, err := New(DisaggregatedNDP, WithMemoryNodes(8), WithPartitioner(partition.Hash{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := hashSystem(t, DisaggregatedNDP)
 	tr, err := s.Execute(ctx, g, k, RunConfig{})
 	if err != nil {
 		t.Fatal(err)

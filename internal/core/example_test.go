@@ -18,7 +18,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := core.New(core.DisaggregatedNDP, core.WithMemoryNodes(8))
+	sys, err := core.DefaultSpec().System()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +42,9 @@ func ExampleSystem_Compare() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := core.New(core.DisaggregatedNDP, core.WithMemoryNodes(4))
+	spec := core.DefaultSpec()
+	spec.Partitions = 4
+	sys, err := spec.System()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func ExampleSystem_Engine_pipeline() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := core.New(core.DisaggregatedNDP, core.WithMemoryNodes(8))
+	sys, err := core.DefaultSpec().System()
 	if err != nil {
 		log.Fatal(err)
 	}

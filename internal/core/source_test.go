@@ -90,10 +90,7 @@ func TestStoreMatchesGraphOnEveryArchitecture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(DisaggregatedNDP, WithPartitioner(partition.Hash{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := hashSystem(t, DisaggregatedNDP)
 	ctx := context.Background()
 	kernelsUnder := []func() kernels.Kernel{
 		func() kernels.Kernel { return kernels.NewPageRank(5, 0.85) },

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -215,7 +216,8 @@ func (s Spec) resolve() (arch Arch, pol sim.OffloadPolicy, dev ndp.Device, err e
 func (s Spec) System() (*System, error) { return s.system() }
 
 // system builds the machine s describes, applies opts, and validates the
-// topology and the cluster configuration it ends with.
+// topology, the cluster configuration and the crash schedule against the
+// pool it ends with.
 func (s Spec) system(opts ...Option) (*System, error) {
 	arch, pol, dev, err := s.resolve()
 	if err != nil {
@@ -231,10 +233,7 @@ func (s Spec) system(opts ...Option) (*System, error) {
 	for _, opt := range opts {
 		opt(sys)
 	}
-	if err := sys.topo.Validate(); err != nil {
-		return nil, err
-	}
-	if err := sys.ClusterConfig().Validate(); err != nil {
+	if err := cmp.Or(sys.topo.Validate(), sys.ClusterConfig().Validate(), sys.fault.ValidateCrashes(sys.topo.MemoryNodes)); err != nil {
 		return nil, err
 	}
 	return sys, nil

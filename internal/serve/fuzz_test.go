@@ -94,7 +94,7 @@ func FuzzJobSpecNormalize(f *testing.F) {
 // signed zeros included, since results are compared by their bytes.
 func FuzzDecodeValues(f *testing.F) {
 	f.Add("")
-	f.Add(EncodeValues([]float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN(), math.Float64frombits(0x7FF0000000000123)}))
+	f.Add(string(encoded([]float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN(), math.Float64frombits(0x7FF0000000000123)})))
 	f.Add("AAAAAAAA8D8")  // a float64 without its padding
 	f.Add("AAAAAAAA8D8=") // eight bytes, canonical
 	f.Add("AAAAAAAA")     // six bytes: not a vector
@@ -117,7 +117,7 @@ func FuzzDecodeValues(f *testing.F) {
 				t.Fatalf("value %d is %#x, its bytes say %#x", i, got, want)
 			}
 		}
-		if got, want := EncodeValues(vals), base64.StdEncoding.EncodeToString(raw); got != want {
+		if got, want := string(encoded(vals)), base64.StdEncoding.EncodeToString(raw); got != want {
 			t.Fatalf("re-encoding gives %q, canonical is %q", got, want)
 		}
 	})

@@ -890,7 +890,7 @@ func TestPRItersReachEveryFixedIterationKernel(t *testing.T) {
 
 func TestWireValuesRoundTrip(t *testing.T) {
 	vals := []float64{0, 1.5, math.Inf(1), math.Inf(-1), math.NaN(), -0.0, math.MaxFloat64}
-	got, err := DecodeValues(EncodeValues(vals))
+	got, err := DecodeValues(string(encoded(vals)))
 	if err != nil {
 		t.Fatal(err)
 	}

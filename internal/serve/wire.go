@@ -98,6 +98,16 @@ func (s JobSpec) Spec() core.Spec {
 	return sp
 }
 
+// JobSpecFor is the job that runs s against snapshot: the inverse of
+// Spec, the one conversion to the wire. It carries the wire's fields
+// only; the device, the switch buffer, the fault plan and the direction
+// are dropped, so a caller that must not lose one refuses it first.
+func JobSpecFor(snapshot string, s core.Spec) JobSpec {
+	return JobSpec{Snapshot: snapshot, Engine: s.Engine, Kernel: s.Kernel, PRIters: s.PRIters, Arch: s.Arch,
+		Partitions: s.Partitions, Computes: s.Computes, Partitioner: s.Partitioner, Seed: s.Seed, Policy: s.Policy,
+		Aggregation: &s.Aggregation, TreeFanIn: s.TreeFanIn, ChannelDepth: s.ChannelDepth, Workers: s.Workers}
+}
+
 // cacheKey is the canonical identity of the run the spec describes on a
 // given snapshot: the snapshot content digest plus the run's canonical
 // form, which keeps only what can change the result's bytes (DESIGN.md,
@@ -177,14 +187,7 @@ func encodeValues(dst []byte, vals []float64) {
 	}
 }
 
-// EncodeValues packs a float64 vector as base64 little-endian bits.
-func EncodeValues(vals []float64) string {
-	dst := make([]byte, valuesLen(len(vals)))
-	encodeValues(dst, vals)
-	return string(dst)
-}
-
-// DecodeValues unpacks EncodeValues output.
+// DecodeValues unpacks encodeValues output.
 func DecodeValues(s string) ([]float64, error) {
 	buf, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
@@ -199,9 +202,6 @@ func DecodeValues(s string) ([]float64, error) {
 	}
 	return vals, nil
 }
-
-// ToWire converts a unified result to its wire form.
-func ToWire(r *core.Result) *WireResult { return toWire(r, EncodeValues(r.Values)) }
 
 // toWire is r's wire form with valuesB64 as its encoded values.
 func toWire(r *core.Result, valuesB64 string) *WireResult {
@@ -253,7 +253,8 @@ func (w *WireResult) Values() ([]float64, error) {
 var valuesField = []byte(`"values_b64":""`)
 
 // MarshalResult renders a result in the canonical byte form the service
-// stores, caches, and serves: json.Marshal(ToWire(r)), byte for byte.
+// stores, caches, and serves: json.Marshal of toWire(r) with r's values
+// encoded, byte for byte.
 // encoding/json with fixed struct field order and no maps is
 // deterministic, so equal results marshal to equal bytes — the invariant
 // the served oracle and the result cache rest on.

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,9 +27,15 @@ func marshalReference(r *core.Result) ([]byte, error) {
 	for i, v := range r.Values {
 		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 	}
-	w := ToWire(r)
-	w.ValuesB64 = base64.StdEncoding.EncodeToString(raw)
-	return json.Marshal(w)
+	return json.Marshal(toWire(r, base64.StdEncoding.EncodeToString(raw)))
+}
+
+// encoded is vals' base64 as encodeValues writes it, into a kept trace's
+// buffer.
+func encoded(vals []float64) []byte {
+	dst := make([]byte, valuesLen(len(vals)))
+	encodeValues(dst, vals)
+	return dst
 }
 
 // FuzzMarshalResult holds MarshalResult, and marshalResult given the
@@ -103,7 +110,7 @@ func FuzzMarshalResult(f *testing.F) {
 			t.Fatalf("%d bytes in a buffer of %d: the output is not sized exactly", len(got), cap(got))
 		}
 		// A kept trace's encoding, spliced in, writes the same bytes.
-		spliced, serr := marshalResult(r, []byte(EncodeValues(r.Values)))
+		spliced, serr := marshalResult(r, encoded(r.Values))
 		if (serr == nil) != (err == nil) || serr != nil && serr.Error() != err.Error() || !bytes.Equal(spliced, got) {
 			t.Fatalf("marshalResult with the values encoded differs from MarshalResult:\n got %q (%v)\nwant %q (%v)", spliced, serr, got, err)
 		}
@@ -206,3 +213,23 @@ func BenchmarkMarshalResult(b *testing.B) {
 // marshalSink keeps BenchmarkMarshalResult's calls from being optimized
 // away.
 var marshalSink []byte
+
+// TestJobSpecForInvertsSpec holds the one conversion to the wire to the
+// one conversion from it: after JobSpecFor(n, s).Spec(), every field the
+// wire carries is s's and every other field is DefaultSpec's.
+func TestJobSpecForInvertsSpec(t *testing.T) {
+	every := core.Spec{Engine: core.EngineCluster, Arch: "distributed", Kernel: "bfs", PRIters: 3, Partitions: 16,
+		Computes: 5, Partitioner: "ldg", Seed: 7, Policy: "never", Aggregation: false, Device: "UPMEM", SwitchBuffer: 64,
+		TreeFanIn: 4, ChannelDepth: 8, Fault: cluster.FaultPlan{Seed: 3, Crash: map[int]int{1: 2}}, Direction: "push", Workers: 3}
+	for _, s := range []core.Spec{core.DefaultSpec(), every, {}} {
+		job := JobSpecFor("g", s)
+		if job.Snapshot != "g" {
+			t.Errorf("snapshot %q, want g", job.Snapshot)
+		}
+		want, d := s, core.DefaultSpec()
+		want.Device, want.SwitchBuffer, want.Fault, want.Direction = d.Device, d.SwitchBuffer, d.Fault, d.Direction
+		if got := job.Spec(); !reflect.DeepEqual(got, want) {
+			t.Errorf("JobSpecFor(%+v).Spec()\n got %+v\nwant %+v", s, got, want)
+		}
+	}
+}

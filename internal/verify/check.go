@@ -55,7 +55,8 @@ func failf(oracle, format string, args ...interface{}) error {
 // violated one; any other error is an infrastructure problem (the
 // scenario could not even be built or executed).
 func Check(sc Scenario) error {
-	if err := sc.Validate(); err != nil {
+	sys, err := sc.system()
+	if err != nil {
 		return err
 	}
 	g, err := sc.BuildGraph()
@@ -77,11 +78,7 @@ func Check(sc Scenario) error {
 		return err
 	}
 
-	p, err := partition.ByName(sc.Partitioner, sc.Seed)
-	if err != nil {
-		return err
-	}
-	assign, err := p.Partition(g, sc.Partitions)
+	assign, err := sys.Partition(g)
 	if err != nil {
 		return err
 	}
@@ -107,19 +104,6 @@ func Check(sc Scenario) error {
 		return err
 	}
 
-	topo := sim.DefaultTopology(sc.ComputeNodes, sc.Partitions)
-	topo.SwitchBufferEntries = sc.SwitchBufferEntries
-	sys, err := core.New(core.DisaggregatedNDP,
-		core.WithTopology(topo),
-		core.WithPartitioner(p),
-		core.WithWorkers(sc.Workers),
-		core.WithAggregation(sc.Aggregation),
-		core.WithTreeFanIn(sc.TreeFanIn),
-		core.WithChannelDepth(sc.ChannelDepth),
-	)
-	if err != nil {
-		return err
-	}
 	runs, err := sys.Compare(context.Background(), g, fresh())
 	if err != nil {
 		return err
@@ -138,12 +122,12 @@ func Check(sc Scenario) error {
 			return err
 		}
 	}
-	if err := checkWorkerDifferential(g, fresh, assign, topo, sc); err != nil {
+	if err := checkWorkerDifferential(g, fresh, assign, sys, sc); err != nil {
 		return err
 	}
 
 	if sc.Cluster {
-		if err := checkCluster(g, fresh, assign, topo, serial, traits, sc); err != nil {
+		if err := checkCluster(g, fresh, assign, serial, traits, sc); err != nil {
 			return err
 		}
 	}
@@ -354,7 +338,7 @@ func checkDirectionDifferential(g *graph.Graph, fresh func() kernels.Kernel, sc 
 // (Workers=1) and with the scenario's worker pool: the staged-reduction
 // design promises bit-identical results and accounting regardless of
 // parallelism.
-func checkWorkerDifferential(g *graph.Graph, fresh func() kernels.Kernel, assign *partition.Assignment, topo sim.Topology, sc Scenario) error {
+func checkWorkerDifferential(g *graph.Graph, fresh func() kernels.Kernel, assign *partition.Assignment, sys *core.System, sc Scenario) error {
 	if sc.Workers == 1 {
 		return nil // Compare already ran at Workers=1; nothing to diff
 	}
@@ -363,7 +347,7 @@ func checkWorkerDifferential(g *graph.Graph, fresh func() kernels.Kernel, assign
 		if err != nil {
 			return nil, err
 		}
-		return (&sim.DisaggregatedNDP{Topo: topo, InNetworkAggregation: sc.Aggregation}).Price(t)
+		return (&sim.DisaggregatedNDP{Topo: sys.Topology(), InNetworkAggregation: sc.Aggregation}).Price(t)
 	}
 	one, err := mk(1)
 	if err != nil {
@@ -502,17 +486,14 @@ func checkResultShape(run *core.Result, traits kernels.Traits) error {
 // remaining differentials — cluster vs serial, faulted vs fault-free
 // bit-identical — plus flow conservation, fault/recovery accounting,
 // and the traffic cross-validation against the analytical simulator.
-func checkCluster(g *graph.Graph, fresh func() kernels.Kernel, assign *partition.Assignment, topo sim.Topology, serial *kernels.Result, traits kernels.Traits, sc Scenario) error {
-	mkSys := func(plan cluster.FaultPlan) (*core.System, error) {
-		return core.New(core.DisaggregatedNDP,
-			core.WithTopology(topo),
-			core.WithAggregation(sc.Aggregation),
-			core.WithTreeFanIn(sc.TreeFanIn),
-			core.WithChannelDepth(sc.ChannelDepth),
-			core.WithFaultPlan(plan),
-		)
+func checkCluster(g *graph.Graph, fresh func() kernels.Kernel, assign *partition.Assignment, serial *kernels.Result, traits kernels.Traits, sc Scenario) error {
+	spec := sc.spec()
+	sysFault, err := spec.System()
+	if err != nil {
+		return err
 	}
-	sysFree, err := mkSys(cluster.FaultPlan{})
+	spec.Fault = cluster.FaultPlan{}
+	sysFree, err := spec.System()
 	if err != nil {
 		return err
 	}
@@ -540,32 +521,13 @@ func checkCluster(g *graph.Graph, fresh func() kernels.Kernel, assign *partition
 		return err
 	}
 	if sc.SwitchBufferEntries == 0 {
-		if err := checkTrafficAgainstSim(g, fresh, assign, topo, free, traits, sc); err != nil {
+		if err := checkTrafficAgainstSim(g, fresh, assign, sysFree, free, traits, sc); err != nil {
 			return err
 		}
 	}
 
 	if sc.Fault.Empty() {
 		return nil
-	}
-	plan := cluster.FaultPlan{
-		Seed: sc.Fault.Seed,
-		Update: cluster.LinkFaults{
-			Drop: sc.Fault.Drop, Duplicate: sc.Fault.Duplicate, Delay: sc.Fault.Delay,
-		},
-		Writeback: cluster.LinkFaults{
-			Drop: sc.Fault.Drop, Duplicate: sc.Fault.Duplicate, Delay: sc.Fault.Delay,
-		},
-	}
-	if len(sc.Fault.Crashes) > 0 {
-		plan.Crash = make(map[int]int, len(sc.Fault.Crashes))
-		for _, ev := range sc.Fault.Crashes {
-			plan.Crash[ev.Node] = ev.Iteration
-		}
-	}
-	sysFault, err := mkSys(plan)
-	if err != nil {
-		return err
 	}
 	faulted, err := sysFault.ConcurrentEngine().Run(context.Background(), g, fresh(), core.RunConfig{Assignment: assign})
 	if err != nil {
@@ -706,13 +668,13 @@ func checkFaultStats(out *core.Result, sc Scenario) error {
 // deduplicates fully, which is the simulator's SwitchBufferEntries=0
 // model — and the cluster always offloads, so the simulator runs under
 // AlwaysOffload.
-func checkTrafficAgainstSim(g *graph.Graph, fresh func() kernels.Kernel, assign *partition.Assignment, topo sim.Topology, out *core.Result, traits kernels.Traits, sc Scenario) error {
+func checkTrafficAgainstSim(g *graph.Graph, fresh func() kernels.Kernel, assign *partition.Assignment, sys *core.System, out *core.Result, traits kernels.Traits, sc Scenario) error {
 	t, err := sim.Execute(context.Background(), g, fresh(), sim.ExecConfig{Assign: assign, Workers: sc.Workers})
 	if err != nil {
 		return err
 	}
 	run, err := (&sim.DisaggregatedNDP{
-		Topo:                 topo,
+		Topo:                 sys.Topology(),
 		Policy:               sim.AlwaysOffload{},
 		InNetworkAggregation: sc.Aggregation,
 	}).Price(t)

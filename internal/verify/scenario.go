@@ -25,7 +25,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kernels"
@@ -56,6 +59,20 @@ type FaultSpec struct {
 // Empty reports whether the spec injects nothing.
 func (f FaultSpec) Empty() bool {
 	return f.Drop == 0 && f.Duplicate == 0 && f.Delay == 0 && len(f.Crashes) == 0
+}
+
+// plan is the spec as the cluster's fault plan: its probabilities on
+// both link classes, and its crash schedule (nil when it has none).
+func (f FaultSpec) plan() cluster.FaultPlan {
+	links := cluster.LinkFaults{Drop: f.Drop, Duplicate: f.Duplicate, Delay: f.Delay}
+	p := cluster.FaultPlan{Seed: f.Seed, Update: links, Writeback: links}
+	if len(f.Crashes) > 0 {
+		p.Crash = make(map[int]int, len(f.Crashes))
+		for _, ev := range f.Crashes {
+			p.Crash[ev.Node] = ev.Iteration
+		}
+	}
+	return p
 }
 
 // Scenario is one fully-specified verification case. It is deliberately
@@ -178,74 +195,57 @@ func statefulKernel(name string) bool {
 	return ok
 }
 
+// spec is the machine the scenario describes, as core's one description
+// of a machine: every axis the scenario draws, on DefaultSpec's values
+// for the rest (the disaggregated-ndp simulator under the heuristic
+// policy). The fault plan is the cluster legs' alone; the other runs do
+// not read it.
+func (sc Scenario) spec() core.Spec {
+	s := core.DefaultSpec()
+	s.Kernel, s.Partitions, s.Computes, s.Workers = sc.Kernel, sc.Partitions, sc.ComputeNodes, sc.Workers
+	s.Partitioner, s.Seed = sc.Partitioner, sc.Seed
+	s.Aggregation, s.SwitchBuffer = sc.Aggregation, sc.SwitchBufferEntries
+	s.TreeFanIn, s.ChannelDepth, s.Fault = sc.TreeFanIn, sc.ChannelDepth, sc.Fault.plan()
+	return s
+}
+
 // Validate rejects malformed scenarios with a precise complaint —
 // generated scenarios are valid by construction, but replay files are
 // hand-editable and the shrinker must not wander out of the space.
 func (sc Scenario) Validate() error {
-	okGen := false
-	for _, g := range generatorNames {
-		if sc.Generator == g {
-			okGen = true
-		}
-	}
-	if !okGen {
-		return fmt.Errorf("verify: unknown generator %q (available: %v)", sc.Generator, generatorNames)
+	_, err := sc.system()
+	return err
+}
+
+// system checks the scenario's own bounds and builds its System, which
+// refuses every name, knob and crash schedule the machine cannot take.
+func (sc Scenario) system() (*core.System, error) {
+	if !slices.Contains(generatorNames, sc.Generator) {
+		return nil, fmt.Errorf("verify: unknown generator %q (available: %v)", sc.Generator, generatorNames)
 	}
 	if sc.Vertices < 2 {
-		return fmt.Errorf("verify: Vertices = %d, want >= 2", sc.Vertices)
+		return nil, fmt.Errorf("verify: Vertices = %d, want >= 2", sc.Vertices)
 	}
 	if sc.EdgeFactor < 1 {
-		return fmt.Errorf("verify: EdgeFactor = %d, want >= 1", sc.EdgeFactor)
+		return nil, fmt.Errorf("verify: EdgeFactor = %d, want >= 1", sc.EdgeFactor)
 	}
-	if _, err := kernels.ByName(sc.Kernel); err != nil {
-		return err
-	}
-	if _, err := partition.ByName(sc.Partitioner, sc.Seed); err != nil {
-		return err
-	}
-	if sc.Partitions < 1 || sc.Partitions > sc.Vertices {
-		return fmt.Errorf("verify: Partitions = %d, want in [1, %d]", sc.Partitions, sc.Vertices)
-	}
-	if sc.ComputeNodes < 1 {
-		return fmt.Errorf("verify: ComputeNodes = %d, want >= 1", sc.ComputeNodes)
+	if sc.Partitions > sc.Vertices {
+		return nil, fmt.Errorf("verify: Partitions = %d, want at most Vertices, %d", sc.Partitions, sc.Vertices)
 	}
 	if sc.Workers < 1 {
-		return fmt.Errorf("verify: Workers = %d, want >= 1", sc.Workers)
-	}
-	if sc.SwitchBufferEntries < 0 {
-		return fmt.Errorf("verify: SwitchBufferEntries = %d, want >= 0", sc.SwitchBufferEntries)
-	}
-	if sc.TreeFanIn < 0 || sc.ChannelDepth < 0 {
-		return fmt.Errorf("verify: negative TreeFanIn/ChannelDepth")
+		return nil, fmt.Errorf("verify: Workers = %d, want >= 1", sc.Workers)
 	}
 	if sc.Cluster && statefulKernel(sc.Kernel) {
-		return fmt.Errorf("verify: kernel %q is stateful; Cluster legs are impossible", sc.Kernel)
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"drop", sc.Fault.Drop}, {"duplicate", sc.Fault.Duplicate}, {"delay", sc.Fault.Delay}} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("verify: fault %s probability %g outside [0, 1]", p.name, p.v)
-		}
+		return nil, fmt.Errorf("verify: kernel %q is stateful; Cluster legs are impossible", sc.Kernel)
 	}
 	crashed := map[int]bool{}
 	for _, c := range sc.Fault.Crashes {
-		if c.Node < 0 || c.Node >= sc.Partitions {
-			return fmt.Errorf("verify: crash names memory node %d, pool has %d", c.Node, sc.Partitions)
-		}
-		if c.Iteration < 0 {
-			return fmt.Errorf("verify: crash at negative iteration %d", c.Iteration)
-		}
 		if crashed[c.Node] {
-			return fmt.Errorf("verify: memory node %d crashes twice", c.Node)
+			return nil, fmt.Errorf("verify: memory node %d crashes twice", c.Node)
 		}
 		crashed[c.Node] = true
 	}
-	if len(crashed) >= sc.Partitions {
-		return fmt.Errorf("verify: crash schedule kills all %d memory nodes", sc.Partitions)
-	}
-	return nil
+	return sc.spec().System()
 }
 
 // BuildGraph materializes the scenario's graph. Every graph is weighted

@@ -95,22 +95,13 @@ func CheckServed(sc Scenario) error {
 		return failf(OracleServed, "served digest %s, local graph digest %s", info.Digest, wantDigest)
 	}
 
-	agg := sc.Aggregation
-	sim := serve.JobSpec{
-		Snapshot:    "scenario",
-		Engine:      serve.EngineSim,
-		Kernel:      sc.Kernel,
-		Partitions:  sc.Partitions,
-		Computes:    sc.ComputeNodes,
-		Partitioner: sc.Partitioner,
-		Seed:        sc.Seed,
-		Aggregation: &agg,
-		Workers:     sc.Workers,
-	}
+	// The wire carries no switch buffer and no fault plan: the served
+	// legs run without them, and so does their offline twin.
+	sim := serve.JobSpecFor("scenario", sc.spec())
 	specs := []serve.JobSpec{sim}
 	if sc.Cluster {
 		cl := sim
-		cl.Engine, cl.Workers, cl.TreeFanIn, cl.ChannelDepth = serve.EngineCluster, 0, sc.TreeFanIn, sc.ChannelDepth
+		cl.Engine = serve.EngineCluster
 		specs = append(specs, cl)
 	}
 	for i, spec := range specs {

@@ -6,6 +6,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/partition"
+	"repro/internal/sim"
 )
 
 func TestGenerateIsDeterministic(t *testing.T) {
@@ -109,6 +113,96 @@ func TestParseScenarioRejectsInvalid(t *testing.T) {
 		"partitioner":"hash","partitions":2,"computeNodes":1,"workers":1}`)
 	if _, err := ParseScenario(js); err == nil {
 		t.Fatal("reproducer with an unknown kernel parsed without error")
+	}
+}
+
+// TestScenarioSpecCarriesEveryAxis holds the scenario's one description
+// of its machine to the scenario: the System sc.spec() builds has the
+// scenario's topology, partitioner and seed, and cluster configuration
+// with its fault plan, and the spec its kernel and worker pool, which the
+// System does not expose. No oracle would notice a dropped channel depth
+// or worker count: neither moves a result.
+func TestScenarioSpecCarriesEveryAxis(t *testing.T) {
+	for _, seed := range []uint64{1, 2024} {
+		for i := 0; i < 200; i++ {
+			sc := Generate(seed, i)
+			spec := sc.spec()
+			sys, err := spec.System()
+			if err != nil {
+				t.Fatalf("seed %d scenario %d: %v", seed, i, err)
+			}
+			topo := sim.DefaultTopology(sc.ComputeNodes, sc.Partitions)
+			topo.SwitchBufferEntries = sc.SwitchBufferEntries
+			if got := sys.Topology(); !reflect.DeepEqual(got, topo) {
+				t.Errorf("seed %d scenario %d: topology %+v, want %+v", seed, i, got, topo)
+			}
+			if p, err := partition.ByName(sc.Partitioner, sc.Seed); err != nil || sys.Partitioner() != p {
+				t.Errorf("seed %d scenario %d: partitioner %#v, want %s at seed %d (%v)", seed, i, sys.Partitioner(), sc.Partitioner, sc.Seed, err)
+			}
+			links := cluster.LinkFaults{Drop: sc.Fault.Drop, Duplicate: sc.Fault.Duplicate, Delay: sc.Fault.Delay}
+			cfg := cluster.Config{ComputeNodes: sc.ComputeNodes, Aggregate: sc.Aggregation, TreeFanIn: sc.TreeFanIn,
+				ChannelDepth: sc.ChannelDepth, Fault: cluster.FaultPlan{Seed: sc.Fault.Seed, Update: links, Writeback: links}}
+			for _, ev := range sc.Fault.Crashes {
+				if cfg.Fault.Crash == nil {
+					cfg.Fault.Crash = map[int]int{}
+				}
+				cfg.Fault.Crash[ev.Node] = ev.Iteration
+			}
+			if got := sys.ClusterConfig(); !reflect.DeepEqual(got, cfg) {
+				t.Errorf("seed %d scenario %d: cluster config %+v, want %+v", seed, i, got, cfg)
+			}
+			if spec.Kernel != sc.Kernel || spec.Workers != sc.Workers {
+				t.Errorf("seed %d scenario %d: spec runs %s on %d workers, scenario %s on %d",
+					seed, i, spec.Kernel, spec.Workers, sc.Kernel, sc.Workers)
+			}
+		}
+	}
+}
+
+// TestRefusedReplayFilesStayRefused holds Validate to every replay file
+// it has refused, now that the scenario's System refuses most of them,
+// and to a tree fan-in of 1, which no topology has.
+func TestRefusedReplayFilesStayRefused(t *testing.T) {
+	base := Scenario{Seed: 1, Generator: "er", Vertices: 64, EdgeFactor: 2, Kernel: "bfs", Partitioner: "hash",
+		Partitions: 4, ComputeNodes: 1, Workers: 1, Cluster: true}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("the base scenario is refused: %v", err)
+	}
+	for name, edit := range map[string]func(*Scenario){
+		"an unknown generator":             func(sc *Scenario) { sc.Generator = "no-such-generator" },
+		"an unknown kernel":                func(sc *Scenario) { sc.Kernel = "no-such-kernel" },
+		"an unknown partitioner":           func(sc *Scenario) { sc.Partitioner = "no-such-partitioner" },
+		"zero partitions":                  func(sc *Scenario) { sc.Partitions = 0 },
+		"more partitions than nodes":       func(sc *Scenario) { sc.Partitions = 65 },
+		"zero compute nodes":               func(sc *Scenario) { sc.ComputeNodes = 0 },
+		"zero workers":                     func(sc *Scenario) { sc.Workers = 0 },
+		"a negative switch buffer":         func(sc *Scenario) { sc.SwitchBufferEntries = -1 },
+		"a negative tree fan-in":           func(sc *Scenario) { sc.TreeFanIn = -2 },
+		"a tree fan-in of 1":               func(sc *Scenario) { sc.TreeFanIn = 1 },
+		"a negative channel depth":         func(sc *Scenario) { sc.ChannelDepth = -4 },
+		"a stateful kernel on the cluster": func(sc *Scenario) { sc.Kernel = "pagerank-delta" },
+		"a probability above 1":            func(sc *Scenario) { sc.Fault.Duplicate = 1.5 },
+		"a negative probability":           func(sc *Scenario) { sc.Fault.Delay = -0.1 },
+		"a crash past the pool":            func(sc *Scenario) { sc.Fault.Crashes = []CrashEvent{{Node: 4, Iteration: 1}} },
+		"a negative crash node":            func(sc *Scenario) { sc.Fault.Crashes = []CrashEvent{{Node: -1, Iteration: 1}} },
+		"a crash at a negative iteration":  func(sc *Scenario) { sc.Fault.Crashes = []CrashEvent{{Node: 1, Iteration: -1}} },
+		"a node crashed twice":             func(sc *Scenario) { sc.Fault.Crashes = []CrashEvent{{Node: 1, Iteration: 0}, {Node: 1, Iteration: 2}} },
+		"every node crashed": func(sc *Scenario) {
+			sc.Fault.Crashes = []CrashEvent{{Node: 0, Iteration: 1}, {Node: 1, Iteration: 1}, {Node: 2, Iteration: 1}, {Node: 3, Iteration: 2}}
+		},
+	} {
+		sc := base
+		edit(&sc)
+		if err := sc.Validate(); err == nil {
+			t.Errorf("a scenario with %s validates", name)
+		}
+		js, err := sc.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseScenario(js); err == nil {
+			t.Errorf("a replay file with %s parses", name)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@
 # Every stage adds something the two full test tiers lack; anything that
 # only re-ran a subset of them is gone. In order:
 #   static      go build, go vet (copylocks included), gofmt -l empty,
+#               no core.New or core.With* outside bench/ and internal/core/,
 #               ndplint's 5 rules over the module (any finding fails)
 #   tier 1      go test ./...
 #   uncached    alloc gates at -count=1 (the two serve gates alone skip
@@ -56,6 +57,18 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 echo "(empty)"
+
+# Every System outside the benchmark harness is built from a core.Spec:
+# core.New and its options are bench/'s alone until they are deleted.
+echo
+echo "==> no core.New( or core.With outside bench/ and internal/core/"
+second="$(grep -rn --include='*.go' -e 'core\.New(' -e 'core\.With' . | grep -v -e '^\./bench/' -e '^\./internal/core/' || true)"
+if [ -n "$second" ]; then
+    echo "$second"
+    echo "check.sh: build these Systems from a core.Spec (Spec.System)" >&2
+    exit 1
+fi
+echo "(none)"
 
 # 5 rules (ndplint -list), each kept on a seeded mutant of the real
 # sources that it alone reports (TestRulesCatchSeededMutants, in tier 1).
